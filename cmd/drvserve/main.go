@@ -120,8 +120,13 @@ func serveStdio(cfg serve.Config, stdin io.Reader, stdout, stderr io.Writer) int
 	return 0
 }
 
-// serveTCP serves connections on addr until SIGINT/SIGTERM, then drains.
+// serveTCP serves connections on addr until SIGINT/SIGTERM, then drains. The
+// signal handler is installed before the listener exists, so a signal sent as
+// soon as the "listening on" line appears drains instead of killing the
+// process.
 func serveTCP(cfg serve.Config, addr string, stderr io.Writer) int {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "drvserve:", err)
@@ -129,8 +134,6 @@ func serveTCP(cfg serve.Config, addr string, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "drvserve: listening on %s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	srv := serve.New(cfg)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"flag"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/serve"
@@ -173,5 +177,44 @@ func TestModeSelection(t *testing.T) {
 		if code := run(args, nil, &out, &errb); code != 2 {
 			t.Fatalf("run(%v) = %d, want 2", args, code)
 		}
+	}
+}
+
+// TestSIGINTRightAfterListenDrains re-executes the test binary as a
+// `drvserve -addr` server and sends SIGINT the moment its "listening on" line
+// appears. The handler is installed before the listener, so the server must
+// drain and exit 0 instead of dying to the default signal action.
+func TestSIGINTRightAfterListenDrains(t *testing.T) {
+	if os.Getenv("DRVSERVE_TEST_SERVER") == "1" {
+		os.Exit(run([]string{"-addr", "127.0.0.1:0"}, nil, os.Stdout, os.Stderr))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSIGINTRightAfterListenDrains$")
+	cmd.Env = append(os.Environ(), "DRVSERVE_TEST_SERVER=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	kill := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	var lines []string
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+		if strings.Contains(sc.Text(), "listening on") {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Errorf("signal: %v", err)
+			}
+		}
+	}
+	err = cmd.Wait()
+	out := strings.Join(lines, "\n")
+	if err != nil {
+		t.Fatalf("server exited with %v; stderr:\n%s", err, out)
+	}
+	if !strings.Contains(out, "drvserve: draining") {
+		t.Fatalf("server exited 0 without draining; stderr:\n%s", out)
 	}
 }

@@ -9,7 +9,7 @@
 // The library is organized bottom-up:
 //
 //   - internal/sched — the asynchronous computation model: crash-prone
-//     processes as goroutines under a deterministic cooperative scheduler.
+//     processes as coroutines under a deterministic cooperative scheduler.
 //   - internal/mem — the shared-memory substrate: atomic registers, arrays,
 //     snapshots (one-step and the AADGMS wait-free protocol), collects,
 //     test&set, compare&swap and consensus.
@@ -94,7 +94,7 @@
 // test tiers, and parallel usage.
 //
 // All workloads share one pooled execution core. internal/sched.Runtime is
-// resettable (Runtime.Reset reuses Proc structs and parked goroutines; the
+// resettable (Runtime.Reset reuses Proc structs and parked coroutines; the
 // steady-state Step loop and pooled per-execution setup are zero-alloc),
 // internal/monitor.Session drives the Figure-1 loop on a pooled runtime with
 // reusable pre-sized Result buffers (monitor.Run is the one-shot wrapper),

@@ -135,6 +135,29 @@ func (r *Register) isRequest(m msgnet.Message) bool {
 	return isB && b.Reg == r.name && (m.Tag == tagQueryReq || m.Tag == tagStoreReq)
 }
 
+// anyRequest reports whether a request for any of regs — registers on one
+// network, such as a counter's cells — waits in id's inbox. One scan answers
+// for the whole group where asking each register would scan once per
+// register.
+func anyRequest(regs []*Register, id int) bool {
+	nt := regs[0].net
+	return requestsWaiting(nt, id) && nt.InboxHas(id, func(m msgnet.Message) bool {
+		if m.Tag != tagQueryReq && m.Tag != tagStoreReq {
+			return false
+		}
+		b, isB := m.Body.(body)
+		if !isB {
+			return false
+		}
+		for _, r := range regs {
+			if b.Reg == r.name {
+				return true
+			}
+		}
+		return false
+	})
+}
+
 // handle answers one replica-side request on behalf of replica id, sending
 // the reply through send (a stepped Proc send or an inline aux send).
 func (r *Register) handle(id int, m msgnet.Message, send func(msgnet.Message)) {
@@ -157,9 +180,17 @@ func (r *Register) handle(id int, m msgnet.Message, send func(msgnet.Message)) {
 }
 
 // HasRequest reports whether a protocol request for replica id is waiting —
-// the runnable gate of the replica's aux actor.
+// the runnable gate of the replica's aux actor. The scheduler evaluates it on
+// every step, so the common negative answer comes from the network's per-tag
+// counts without scanning the inbox.
 func (r *Register) HasRequest(id int) bool {
-	return r.net.InboxHas(id, r.isRequest)
+	return requestsWaiting(r.net, id) && r.net.InboxHas(id, r.isRequest)
+}
+
+// requestsWaiting reports whether any replica-side request, of any register,
+// waits in id's inbox.
+func requestsWaiting(nt *msgnet.Net, id int) bool {
+	return nt.Waiting(id, tagQueryReq)+nt.Waiting(id, tagStoreReq) > 0
 }
 
 // ServeStep answers one pending request for replica id inline, without a
@@ -189,11 +220,25 @@ type Server interface {
 // msgnet.Net.Crash empties the process's inbox, so its server actor is never
 // runnable again. Returns the aux actor IDs in process order.
 func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
+	// The gate is an OR over the servers, so it may ask in any order: the
+	// registers on one network are asked together with a single inbox scan.
+	var regs []*Register
+	var others []Server
+	for _, s := range srvs {
+		if r, ok := s.(*Register); ok && (len(regs) == 0 || r.net == regs[0].net) {
+			regs = append(regs, r)
+		} else {
+			others = append(others, s)
+		}
+	}
 	ids := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
 		runnable := func() bool {
-			for _, s := range srvs {
+			if len(regs) > 0 && anyRequest(regs, i) {
+				return true
+			}
+			for _, s := range others {
 				if s.HasRequest(i) {
 					return true
 				}
@@ -229,9 +274,23 @@ func (r *Register) quorum() int { return r.n/2 + 1 }
 // rpc broadcasts a request and gathers acks from a majority, serving the
 // process's own replica while waiting so the emulation stays live when
 // everyone is a client simultaneously. Returns the collected ack triples.
+//
+// Gathering stops at a quorum, so up to n−quorum acks of every round arrive
+// late and would sit in the client's inbox forever, rescanned by every later
+// receive and gate. They are dead: an ack is matched only by the rpc of its
+// own round (matchAck requires m.Seq == seq) and this process's sequence
+// number for the register only grows. So each rpc first discards the
+// register's acks of earlier rounds from its own inbox — a zero-step
+// bookkeeping action no filter can observe.
 func (r *Register) rpc(p *sched.Proc, reqTag, ackTag string, trip triple) []triple {
 	r.seq[p.ID]++
 	seq := r.seq[p.ID]
+	if r.net.Waiting(p.ID, tagQueryAck)+r.net.Waiting(p.ID, tagStoreAck) > 0 {
+		r.net.Discard(p.ID, func(m msgnet.Message) bool {
+			b, isB := m.Body.(body)
+			return isB && b.Reg == r.name && (m.Tag == tagQueryAck || m.Tag == tagStoreAck) && m.Seq < seq
+		})
+	}
 	r.net.Broadcast(p, msgnet.Message{
 		Tag: reqTag, Seq: seq,
 		Body: body{Reg: r.name, Trip: trip},

@@ -97,7 +97,7 @@ func (c *Consensus) isRequest(m msgnet.Message) bool {
 
 // HasRequest implements Server: only the coordinator's replica serves.
 func (c *Consensus) HasRequest(id int) bool {
-	return id == 0 && c.net.InboxHas(0, c.isRequest)
+	return id == 0 && c.net.Waiting(0, tagProposeReq) > 0 && c.net.InboxHas(0, c.isRequest)
 }
 
 // ServeStep implements Server: decide on the first proposal, acknowledge.

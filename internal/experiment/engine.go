@@ -72,7 +72,7 @@ type unit struct {
 
 // exec is the per-worker execution context: each engine worker owns one for
 // its whole batch, so consecutive units reuse one pooled runtime+session pair
-// instead of spawning and tearing down goroutines per monitored run.
+// instead of spawning and tearing down process coroutines per monitored run.
 type exec struct {
 	sess *monitor.Session
 }

@@ -251,7 +251,7 @@ func Explore(opts Options) (*Report, error) {
 	// One runner per worker: each owns a pooled runtime+session pair and a
 	// pooled execution substrate (SUT instances, workload, service, timed
 	// adversary, network — see Runner.Pooled) for the whole sweep, unless
-	// pooling is off, so scenario setup stops paying per-execution goroutine
+	// pooling is off, so scenario setup stops paying per-execution coroutine
 	// spawns, result allocations and substrate rebuilds. The pool itself
 	// persists across rounds too.
 	pool := experiment.NewPool(experiment.WorkerCount(opts.Scenarios, opts.Workers))

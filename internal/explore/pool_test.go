@@ -146,7 +146,7 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 // runtime, implementation, workload or network) blows well past them.
 const (
 	objAllocBudget = 2000 // measured steady state ~1536 (fresh runner: ~1849)
-	msgAllocBudget = 1100 // measured steady state ~868 (fresh runner: ~1267)
+	msgAllocBudget = 1100 // measured steady state ~681 (fresh runner: ~1267)
 )
 
 func TestPooledExecuteAllocBudgetObj(t *testing.T) {

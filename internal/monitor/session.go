@@ -12,7 +12,7 @@ import (
 const DefaultMaxSteps = 1_000_000
 
 // Session executes monitored runs on one reusable runtime. Where Run pays a
-// fresh runtime — N spawned-and-torn-down goroutines plus freshly allocated
+// fresh runtime — N spawned-and-torn-down process coroutines plus freshly allocated
 // result buffers — per execution, a Session resets its pooled runtime and
 // appends into the same pre-sized Result buffers run after run, so workloads
 // that execute thousands of scenarios (the explorer, the Table 1 sweeps) set

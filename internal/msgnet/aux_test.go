@@ -93,7 +93,7 @@ func TestAuxRecvAndInboxHas(t *testing.T) {
 // TestAuxEchoServersDeliverEverything drives n client processes against n
 // echo aux servers over a seeded random order — the shape of the explorer's
 // emulation runs, and the -race tier's concurrent-delivery coverage: the
-// scheduler hands control between client goroutines and inline aux steps, so
+// scheduler hands control between client coroutines and inline aux steps, so
 // a missing handoff barrier would trip the race detector here.
 func TestAuxEchoServersDeliverEverything(t *testing.T) {
 	const n = 4

@@ -103,27 +103,32 @@ func StarveOrder(victim int, inner Order) Order {
 type starveOrder struct {
 	victim int
 	inner  Order
+	// other and sub are Pick's scratch, reused across deliveries: the
+	// pending indices not addressed to the victim and their messages.
+	other []int
+	sub   []Message
 }
 
 func (o *starveOrder) Pick(pending []Message, step int) int {
-	other := make([]int, 0, len(pending))
+	o.other = o.other[:0]
 	for i, m := range pending {
 		if m.To != o.victim {
-			other = append(other, i)
+			o.other = append(o.other, i)
 		}
 	}
-	if len(other) == 0 {
+	if len(o.other) == 0 {
 		return o.inner.Pick(pending, step)
 	}
-	sub := make([]Message, len(other))
-	for k, i := range other {
-		sub[k] = pending[i]
+	o.sub = o.sub[:0]
+	for _, i := range o.other {
+		o.sub = append(o.sub, pending[i])
 	}
-	return other[o.inner.Pick(sub, step)]
+	return o.other[o.inner.Pick(o.sub, step)]
 }
 
-// Net is the network. All methods must be called from scheduler-controlled
-// goroutines (one runs at a time), so no further synchronization is needed.
+// Net is the network. All methods must be called from the scheduler's caller
+// or its process coroutines (one runs at a time), so no further
+// synchronization is needed.
 type Net struct {
 	n     int
 	order Order
@@ -133,11 +138,20 @@ type Net struct {
 	orderKind string
 	pending   []Message
 	inboxes   [][]Message
-	crashed   []bool
-	drops     map[int]bool
-	sent      int
-	deliv     int
-	dropped   int
+	// waiting[id] counts the messages in inboxes[id] per tag, kept exact by
+	// every insert and removal, so Waiting answers without a scan.
+	waiting [][]tagCount
+	crashed []bool
+	drops   map[int]bool
+	sent    int
+	deliv   int
+	dropped int
+}
+
+// tagCount is one inbox's number of waiting messages carrying tag.
+type tagCount struct {
+	tag string
+	n   int
 }
 
 // New builds a network for n processes with the given delivery order.
@@ -165,13 +179,16 @@ func (nt *Net) Reset(n int, order Order) {
 	nt.sent, nt.deliv, nt.dropped = 0, 0, 0
 	if cap(nt.inboxes) >= n {
 		nt.inboxes = nt.inboxes[:n]
+		nt.waiting = nt.waiting[:n]
 		nt.crashed = nt.crashed[:n]
 	} else {
 		nt.inboxes = make([][]Message, n)
+		nt.waiting = make([][]tagCount, n)
 		nt.crashed = make([]bool, n)
 	}
 	for i := 0; i < n; i++ {
 		nt.inboxes[i] = nt.inboxes[i][:0]
+		nt.waiting[i] = nt.waiting[i][:0]
 		nt.crashed[i] = false
 	}
 }
@@ -195,6 +212,32 @@ func (nt *Net) deliverStep() {
 		return // messages to crashed processes vanish
 	}
 	nt.inboxes[m.To] = append(nt.inboxes[m.To], m)
+	nt.count(m.To, m.Tag, 1)
+}
+
+// count adds d to id's waiting count for tag. A process's protocol uses a
+// handful of tags, so the linear scan beats a map.
+func (nt *Net) count(id int, tag string, d int) {
+	w := nt.waiting[id]
+	for i := range w {
+		if w[i].tag == tag {
+			w[i].n += d
+			return
+		}
+	}
+	nt.waiting[id] = append(w, tagCount{tag: tag, n: d})
+}
+
+// Waiting returns how many messages tagged tag wait in id's inbox, in O(#tags)
+// without scanning the inbox: the cheap negative answer runnable gates check
+// before they scan with a full filter.
+func (nt *Net) Waiting(id int, tag string) int {
+	for _, c := range nt.waiting[id] {
+		if c.tag == tag {
+			return c.n
+		}
+	}
+	return 0
 }
 
 // SetDrops installs a deterministic loss schedule: the k-th send (indexing
@@ -259,14 +302,7 @@ func (nt *Net) Broadcast(p *sched.Proc, m Message) {
 // blocking; one step. A nil filter matches everything.
 func (nt *Net) TryRecv(p *sched.Proc, match func(Message) bool) (Message, bool) {
 	p.Pause()
-	box := nt.inboxes[p.ID]
-	for i, m := range box {
-		if match == nil || match(m) {
-			nt.inboxes[p.ID] = append(box[:i:i], box[i+1:]...)
-			return m, true
-		}
-	}
-	return Message{}, false
+	return nt.AuxRecv(p.ID, match)
 }
 
 // Recv blocks (consuming steps) until a matching message arrives.
@@ -297,11 +333,37 @@ func (nt *Net) AuxRecv(id int, match func(Message) bool) (Message, bool) {
 	box := nt.inboxes[id]
 	for i, m := range box {
 		if match == nil || match(m) {
-			nt.inboxes[id] = append(box[:i:i], box[i+1:]...)
+			copy(box[i:], box[i+1:])
+			box[len(box)-1] = Message{}
+			nt.inboxes[id] = box[:len(box)-1]
+			nt.count(id, m.Tag, -1)
 			return m, true
 		}
 	}
 	return Message{}, false
+}
+
+// Discard removes every message matching the filter from id's inbox, keeping
+// the rest in arrival order, and returns how many it removed. It consumes no
+// step: dropping a message nobody can ever receive is not an action of the
+// model, only bookkeeping. Protocols call it on their own inbox for messages
+// no filter of theirs can match again — ABD's late acks of a finished round
+// (package abd) — so later receives and runnable gates stop rescanning them.
+// Discarding a message some future filter could still match would change the
+// run; the caller owns that argument. A nil filter matches everything.
+func (nt *Net) Discard(id int, match func(Message) bool) int {
+	box := nt.inboxes[id]
+	kept := box[:0]
+	for _, m := range box {
+		if match == nil || match(m) {
+			nt.count(id, m.Tag, -1)
+			continue
+		}
+		kept = append(kept, m)
+	}
+	clear(box[len(kept):])
+	nt.inboxes[id] = kept
+	return len(box) - len(kept)
 }
 
 // RecvAwait parks p on the scheduler gate until a matching message waits in
@@ -319,6 +381,7 @@ func (nt *Net) RecvAwait(p *sched.Proc, match func(Message) bool) Message {
 func (nt *Net) Crash(id int) {
 	nt.crashed[id] = true
 	nt.inboxes[id] = nil
+	nt.waiting[id] = nt.waiting[id][:0]
 }
 
 // Stats returns how many messages were sent and delivered.

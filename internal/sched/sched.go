@@ -1,9 +1,9 @@
 // Package sched provides the asynchronous computation model of Section 3 as
-// an executable substrate: n crash-prone processes, each a goroutine, run
+// an executable substrate: n crash-prone processes, each a coroutine, run
 // under a cooperative scheduler that grants one atomic step at a time. There
 // is no bound on the number of steps of other processes between consecutive
 // steps of the same process — the scheduling Policy is the adversary's
-// control over asynchrony. Because exactly one goroutine runs at any moment
+// control over asynchrony. Because exactly one coroutine runs at any moment
 // and policies are deterministic (seeded), every execution is replayable,
 // which is what makes the paper's indistinguishability arguments (E ≡ F)
 // checkable in code.
@@ -14,21 +14,27 @@
 // and is not runnable until the gate opens. Crashing a process simply stops
 // scheduling it, which is exactly the crash model of the paper.
 //
+// Each process body runs on an iter.Pull coroutine: a step is a direct
+// coroutine switch from the scheduler into the process and back at its next
+// Pause, Await or exit, with no channel round trip between goroutines. A
+// panic in a process body therefore surfaces from the Runtime.Step that ran
+// it, on the caller's goroutine.
+//
 // Runtimes are poolable: Reset rewinds a runtime for a fresh execution while
-// reusing its Proc structs, parked process goroutines, and runnable scratch
+// reusing its Proc structs, parked process coroutines, and runnable scratch
 // buffer, so workloads that run thousands of short executions (the scenario
-// explorer, the Table 1 sweeps) pay goroutine spawn/teardown once per worker
-// instead of once per execution, and the steady-state step loop allocates
-// nothing.
+// explorer, the Table 1 sweeps) pay coroutine creation/teardown once per
+// worker instead of once per execution, and the steady-state step loop
+// allocates nothing.
 package sched
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
 )
 
-// errStopped is the sentinel panic value used to unwind process goroutines
+// errStopped is the sentinel panic value used to unwind process coroutines
 // when the runtime halts an execution; it never escapes the package.
 var errStopped = errors.New("sched: runtime stopped")
 
@@ -42,20 +48,24 @@ const (
 )
 
 // Proc is the handle a process body uses to interact with the scheduler.
-// All methods must be called only from the process's own goroutine.
+// All methods must be called only from the process's own coroutine.
 type Proc struct {
 	// ID is the process index, 0 ≤ ID < n.
 	ID int
 
-	rt      *Runtime
-	grant   chan struct{}
-	done    chan struct{}
+	rt *Runtime
+	// next, yield and stop come from the process's one iter.Pull coroutine:
+	// the scheduler calls next to run the process until its next park, the
+	// process calls yield to park, and Stop calls stop to end it for good.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	stop    func()
 	state   procState
 	gate    func() bool
 	steps   int
 	spawned bool
 	body    func(p *Proc)
-	live    bool // worker goroutine started (parked at <-grant between runs)
+	live    bool // coroutine created (parked at its body-exit yield between runs)
 }
 
 // Pause yields control and blocks until the scheduler grants the process its
@@ -64,8 +74,7 @@ type Proc struct {
 // between pauses is free, matching the model where local steps are absorbed
 // into the surrounding shared-memory step.
 func (p *Proc) Pause() {
-	p.done <- struct{}{}
-	<-p.grant
+	p.yield(struct{}{})
 	p.checkStopped()
 	p.steps++
 }
@@ -76,8 +85,7 @@ func (p *Proc) Pause() {
 func (p *Proc) Await(cond func() bool) {
 	p.state = stateGated
 	p.gate = cond
-	p.done <- struct{}{}
-	<-p.grant
+	p.yield(struct{}{})
 	p.gate = nil
 	p.state = stateReady
 	p.checkStopped()
@@ -93,20 +101,18 @@ func (p *Proc) checkStopped() {
 	}
 }
 
-// loop is the persistent worker: it parks between executions at <-p.grant,
-// runs the spawned body when granted its first step, signals exit, and parks
-// again until the next Reset/Spawn cycle — or returns for good once the
-// runtime is killed by Stop.
-func (p *Proc) loop() {
-	defer p.rt.wg.Done()
+// loop is the persistent coroutine body: it runs the spawned body when first
+// resumed, marks the process exited and parks at the body-exit yield, and
+// runs the next spawn's body when resumed after a Reset/Spawn cycle — or
+// returns for good once Stop ends the coroutine (yield reports false).
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	for {
-		<-p.grant
-		if p.rt.killed {
-			return
-		}
 		p.runBody()
 		p.state = stateExited
-		p.done <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
@@ -120,6 +126,17 @@ func (p *Proc) runBody() {
 	p.checkStopped()
 	p.steps++
 	p.body(p)
+}
+
+// resume runs the process's coroutine until it parks again. If the body
+// panics, the panic propagates out of this call; the coroutine is then gone,
+// so the next resume finds it finished, retires the process for this
+// execution, and lets the next Spawn make a fresh coroutine.
+func (p *Proc) resume() {
+	if _, ok := p.next(); !ok {
+		p.live = false
+		p.state = stateExited
+	}
 }
 
 // Policy chooses the next actor to schedule among the runnable ones. IDs
@@ -141,9 +158,8 @@ type Runtime struct {
 	scratch []int // runnable-ID buffer reused across Steps
 	steps   int
 	stopped bool // current execution halted; bodies unwind at next grant
-	killed  bool // runtime dead for good; workers exit at next grant
+	killed  bool // runtime dead for good; coroutines have been stopped
 	started bool
-	wg      sync.WaitGroup
 }
 
 type auxActor struct {
@@ -161,8 +177,8 @@ func New(n int, policy Policy) *Runtime {
 
 // Reset rewinds the runtime for a fresh execution of n processes under the
 // policy: any in-flight execution is halted (its process bodies unwind and
-// their goroutines park for reuse), auxiliary actors are dropped, and the
-// step count rewinds to zero. Proc structs, parked goroutines and the
+// their coroutines park for reuse), auxiliary actors are dropped, and the
+// step count rewinds to zero. Proc structs, parked coroutines and the
 // runnable scratch buffer are reused, so resetting an already-grown runtime
 // allocates nothing. The runtime behaves exactly like a fresh New(n, policy):
 // schedules are byte-for-byte deterministic across reuse.
@@ -176,13 +192,7 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 	rt.halt()
 	for len(rt.procs) < n {
 		i := len(rt.procs)
-		rt.procs = append(rt.procs, &Proc{
-			ID:    i,
-			rt:    rt,
-			grant: make(chan struct{}),
-			done:  make(chan struct{}),
-			state: stateReady,
-		})
+		rt.procs = append(rt.procs, &Proc{ID: i, rt: rt, state: stateReady})
 	}
 	rt.n = n
 	rt.policy = policy
@@ -220,8 +230,8 @@ func (rt *Runtime) Steps() int { return rt.steps }
 
 // Spawn installs the body of process id. The body starts executing at the
 // process's first scheduled step. Must be called before Run/Step; each
-// process can be spawned once per execution (Reset re-arms it). The worker
-// goroutine is created on the process's first-ever spawn and reused by
+// process can be spawned once per execution (Reset re-arms it). The
+// process's coroutine is created on its first-ever spawn and reused by
 // subsequent executions.
 func (rt *Runtime) Spawn(id int, body func(p *Proc)) {
 	if rt.started {
@@ -235,8 +245,7 @@ func (rt *Runtime) Spawn(id int, body func(p *Proc)) {
 	p.body = body
 	if !p.live {
 		p.live = true
-		rt.wg.Add(1)
-		go p.loop()
+		p.next, p.stop = iter.Pull(p.loop)
 	}
 }
 
@@ -253,7 +262,7 @@ func (rt *Runtime) AddAux(name string, runnable func() bool, step func()) int {
 }
 
 // Crash marks the process as crashed: it is never scheduled again. Its
-// goroutine is reclaimed at Reset or Stop. Matches the crash-fault model
+// coroutine is reclaimed at Reset or Stop. Matches the crash-fault model
 // where up to n−1 processes may stop taking steps.
 func (rt *Runtime) Crash(id int) {
 	if rt.procs[id].state != stateExited {
@@ -312,9 +321,7 @@ func (rt *Runtime) Step() bool {
 		rt.aux[id-rt.n].step()
 		return true
 	}
-	p := rt.procs[id]
-	p.grant <- struct{}{}
-	<-p.done
+	rt.procs[id].resume()
 	return true
 }
 
@@ -331,8 +338,8 @@ func (rt *Runtime) Run(maxSteps int) int {
 }
 
 // halt unwinds the current execution: every spawned, non-exited process is
-// granted one final step at which its body panics out (errStopped) and its
-// goroutine parks, ready for the next Reset/Spawn cycle.
+// resumed one final time, at which its body panics out (errStopped) and its
+// coroutine parks, ready for the next Reset/Spawn cycle.
 func (rt *Runtime) halt() {
 	if rt.stopped {
 		return
@@ -342,13 +349,13 @@ func (rt *Runtime) halt() {
 		if !p.live || !p.spawned || p.state == stateExited {
 			continue
 		}
-		p.grant <- struct{}{}
-		<-p.done
+		p.resume()
 	}
 }
 
-// Stop terminates all process goroutines and waits for them to exit. The
-// runtime cannot be used (or Reset) afterwards. Safe to call multiple times.
+// Stop ends every process coroutine; when it returns none is left running.
+// The runtime cannot be used (or Reset) afterwards. Safe to call multiple
+// times, and after a process body's panic has surfaced from Step.
 func (rt *Runtime) Stop() {
 	if rt.killed {
 		return
@@ -357,10 +364,9 @@ func (rt *Runtime) Stop() {
 	rt.killed = true
 	for _, p := range rt.procs {
 		if p.live {
-			p.grant <- struct{}{}
+			p.stop()
 		}
 	}
-	rt.wg.Wait()
 }
 
 func contains(xs []int, x int) bool {
