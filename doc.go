@@ -20,9 +20,12 @@
 //     workloads use check.Incremental, which re-checks each growing prefix
 //     of one history by caching the last accepting linearization as a
 //     witness (extended in constant time on most appends) plus standing
-//     rejecting verdicts, falling back to the memoized from-scratch front
-//     search only when neither cache applies; differential tests pin it
-//     symbol-for-symbol to the from-scratch checkers.
+//     rejecting verdicts, falling back to a memoized residual search only
+//     when neither cache applies. That search has the from-scratch front
+//     search's state space and verdict but visits operations in the last
+//     witness's order, so a refuted witness is re-found within a few nodes;
+//     differential tests pin it symbol-for-symbol to the from-scratch
+//     checkers.
 //   - internal/adversary — the adversary A (a word cursor realizing Claim
 //     3.1) and the timed adversary Aτ of Figure 6.
 //   - internal/sketch — the view-to-history construction x~(E) of Appendix B.

@@ -50,9 +50,18 @@ func BuildSketch(n int, triples []Triple, resolve Resolver) (Word, error) {
 // nothing; the word a BuildSketch returns aliases the scratch and is valid until
 // the next call on the same SketchBuilder.
 type SketchBuilder struct {
-	tris  []Triple
+	keys  []sketchKey
 	out   Word
 	fresh []OpID
+}
+
+// sketchKey is one triple's sort key: its view's total, its identifier and
+// its position in the caller's slice. Sorting keys instead of triples moves a
+// few words per swap instead of a whole Triple, and computes each total once.
+type sketchKey struct {
+	total int
+	id    OpID
+	pos   int
 }
 
 // BuildSketch is the buffer-reusing form of the package-level BuildSketch; both produce
@@ -68,24 +77,32 @@ func (b *SketchBuilder) BuildSketch(n int, triples []Triple, resolve Resolver) (
 	}
 	// Sorting by (view total, identifier) groups each distinct view of a
 	// containment chain into one run — equal totals force equal views — with
-	// the run's responses already in canonical batch order.
-	b.tris = append(b.tris[:0], triples...)
-	slices.SortFunc(b.tris, func(x, y Triple) int {
-		if d := cmp.Compare(x.View.Total(), y.View.Total()); d != 0 {
+	// the run's responses already in canonical batch order. The position
+	// breaks the remaining ties, so the order is total.
+	keys := b.keys[:0]
+	for i := range triples {
+		keys = append(keys, sketchKey{total: triples[i].View.Total(), id: triples[i].ID, pos: i})
+	}
+	b.keys = keys
+	slices.SortFunc(keys, func(x, y sketchKey) int {
+		if d := cmp.Compare(x.total, y.total); d != 0 {
 			return d
 		}
-		return compareOpIDs(x.ID, y.ID)
+		if d := compareOpIDs(x.id, y.id); d != 0 {
+			return d
+		}
+		return cmp.Compare(x.pos, y.pos)
 	})
 	out := b.out[:0]
 	fresh := b.fresh[:0]
 	var prev View // the empty view
-	for i := 0; i < len(b.tris); {
-		v := b.tris[i].View
+	for i := 0; i < len(keys); {
+		v := triples[keys[i].pos].View
 		j := i + 1
-		for ; j < len(b.tris) && b.tris[j].View.Total() == v.Total(); j++ {
-			if !b.tris[j].View.Equal(v) {
+		for ; j < len(keys) && keys[j].total == keys[i].total; j++ {
+			if u := triples[keys[j].pos].View; !u.Equal(v) {
 				b.out, b.fresh = out, fresh
-				return nil, fmt.Errorf("%w: %v vs %v", ErrIncomparableViews, v, b.tris[j].View)
+				return nil, fmt.Errorf("%w: %v vs %v", ErrIncomparableViews, v, u)
 			}
 		}
 		if !prev.Leq(v) {
@@ -108,8 +125,8 @@ func (b *SketchBuilder) BuildSketch(n int, triples []Triple, resolve Resolver) (
 			out = append(out, resolve(id))
 		}
 		// Step 2: responses of the operations carrying exactly this view.
-		for k := i; k < j; k++ {
-			out = append(out, b.tris[k].Res)
+		for _, k := range keys[i:j] {
+			out = append(out, triples[k.pos].Res)
 		}
 		prev = v
 		i = j

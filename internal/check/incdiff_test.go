@@ -174,6 +174,51 @@ func randWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) wo
 	return w
 }
 
+// linPointWord generates a history whose operations take effect at a random
+// moment strictly inside their interval: each process invokes, later applies
+// its operation to a sequential shadow, and later still responds. Responses
+// therefore arrive out of linearization order, so a cached witness keeps
+// being refuted and the residual search keeps running — the shape of the
+// sketch histories the predictive monitors re-check. perturb replaces a
+// response with a random value, manufacturing violations.
+func linPointWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) word.Word {
+	type open struct {
+		op      string
+		arg     word.Value
+		ret     word.Value
+		applied bool
+	}
+	pend := make([]*open, n)
+	shadow := obj.Init()
+	sigs := obj.Ops()
+	var w word.Word
+	for len(w) < steps {
+		p := rng.Intn(n)
+		o := pend[p]
+		switch {
+		case o == nil:
+			sig := sigs[rng.Intn(len(sigs))]
+			arg := obj.RandArg(sig.Name, rng)
+			pend[p] = &open{op: sig.Name, arg: arg}
+			w = append(w, word.Symbol{Proc: p, Kind: word.Inv, Op: sig.Name, Val: arg})
+		case !o.applied:
+			next, ret, ok := shadow.Apply(o.op, o.arg)
+			if !ok {
+				pend[p] = nil // the operation stays pending forever
+				continue
+			}
+			if rng.Float64() < perturb {
+				ret = word.Int(int64(rng.Intn(5)))
+			}
+			shadow, o.ret, o.applied = next, ret, true
+		default:
+			w = append(w, word.Symbol{Proc: p, Kind: word.Res, Op: o.op, Val: o.ret})
+			pend[p] = nil
+		}
+	}
+	return w
+}
+
 func TestIncrementalMatchesScratchOnRandomWords(t *testing.T) {
 	objs := []spec.Object{
 		spec.Register(), spec.Counter(), spec.Queue(), spec.Stack(),
@@ -250,5 +295,32 @@ func TestIncrementalMatchesScratchOnABDHistories(t *testing.T) {
 				checkIncremental(t, obj, h, tc.name)
 			}
 		})
+	}
+}
+
+// TestIncrementalMatchesScratchOnLinPointWords runs the battery on histories
+// whose responses arrive out of linearization order, where most accepting
+// verdicts come from a residual search rather than the cached witness, then
+// pins a long linearizable history prefix by prefix against the from-scratch
+// check under real-time order.
+func TestIncrementalMatchesScratchOnLinPointWords(t *testing.T) {
+	for _, obj := range []spec.Object{spec.Register(), spec.Queue(), spec.Counter()} {
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 80; trial++ {
+			w := linPointWord(obj, 2+rng.Intn(3), 6+rng.Intn(10), []float64{0, 0.1}[trial%2], rng)
+			checkIncremental(t, obj, w, obj.Name()+"/linpoint")
+		}
+	}
+	obj := spec.Register()
+	w := linPointWord(obj, 4, 200, 0, rand.New(rand.NewSource(1)))
+	chk := NewIncremental(obj, true, 4)
+	for i, s := range w {
+		chk.Append(s)
+		if got, want := chk.OK(), scratchOK(obj, true, w[:i+1]); got != want {
+			t.Fatalf("prefix %d: incremental lin=%v, from-scratch=%v", i+1, got, want)
+		}
+	}
+	if chk.searches == 0 {
+		t.Fatal("the history never refuted the witness; it no longer exercises the residual search")
 	}
 }

@@ -39,13 +39,28 @@ const maxFrontRow = 1<<16 - 1
 //     placed, while the new operation precedes nothing (its response is the
 //     history's last symbol).
 //
-// Only when no cheap update applies does the next query run the full
-// memoized front search (the same state space as frontSearch, over buffers
-// the checker retains), which either rebuilds the witness or memoizes a
-// rejecting verdict until the history changes. Verdict-stream workloads are
-// therefore cheap on both sides of a violation: accepting rounds ride the
-// witness, and once a round rejects, repeated queries of the unchanged
-// history cost nothing.
+// Only when no cheap update applies does the next query run the residual
+// search: the memoized front search, with frontSearch's state space and
+// verdict, over buffers the checker retains. It either rebuilds the witness
+// or memoizes a rejecting verdict until the history changes. Verdict-stream
+// workloads are therefore cheap on both sides of a violation: accepting
+// rounds ride the witness, and once a round rejects, repeated queries of the
+// unchanged history cost nothing.
+//
+// The residual search is witness-ordered. A refuted witness is usually one
+// placement away from a new one, so the search visits each node's candidate
+// front operations in ascending rank — their position in the linearization
+// the last successful search found — and the operations that linearization
+// never placed last, in process order. Only the visit order differs from frontSearch's, which
+// cannot change an exhaustive memoized search's verdict; it changes which
+// witness is found and how soon. Ranks live as long as the history: a
+// successful search re-ranks every operation from its accepting path, a
+// rejecting search keeps the old ranks, and Reset clears them all. The
+// append-at-end repair leaves the appended operation unranked: ranking it
+// too made the first search of a whole-history check (CheckWord) follow the
+// response order of a long accepted prefix, which sent some sequential-
+// consistency searches twenty times deeper than process order does, for no
+// gain on the verdict streams.
 //
 // Crash boundaries need no special casing: a crashed process's last
 // operation simply stays pending forever, which the witness already models
@@ -84,13 +99,26 @@ type Incremental struct {
 	wRets  []word.Value
 	wState spec.State
 
+	// The witness order: rank[oi] is operation oi's position in the
+	// linearization the last successful search found, -1 if it placed none.
+	// ranked is false until a search has placed an operation, and the
+	// search then visits plain process order.
+	rank   []int
+	ranked bool
+
 	// Full-search scratch, retained across searches.
 	sFront   []int
 	sRets    []word.Value
 	sLeft    int        // complete operations not yet placed
+	sPath    []int      // operations placed on the current descent, in order
 	winState spec.State // state at the accepting leaf
 	memo     byteSet    // fruitless (fronts, state) nodes
 	key      []byte     // reused key-building buffer
+
+	// Work counters over the checker's lifetime, kept across Reset.
+	searches int // residual searches run
+	nodes    int // search nodes visited (rec calls)
+	extends  int // responses the cached witness absorbed without a search
 
 	muts map[string]bool // operation name -> OpSig.Mutating, built lazily
 
@@ -160,6 +188,8 @@ func (c *Incremental) Reset(n int) {
 	c.wFront = resetInts(c.wFront, n, 0)
 	c.wRets = resetVals(c.wRets, n)
 	c.wState = c.init
+	c.rank = c.rank[:0]
+	c.ranked = false
 
 	c.fallback = false
 	c.okValid = false
@@ -230,6 +260,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 			Inv: i,
 			Res: -1,
 		})
+		c.rank = append(c.rank, -1)
 		c.setOpen(p, oi)
 		if p < 0 || p >= c.n {
 			c.fallback = true
@@ -268,6 +299,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 			// or refutes the placement.
 			if c.wRets[p] != nil && c.wRets[p].Equal(sym.Val) {
 				c.wRets[p] = nil
+				c.extends++
 			} else {
 				c.wValid = false
 			}
@@ -276,6 +308,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 			if nxt, ret, ok := c.wState.Apply(o.Op, o.Arg); ok && ret.Equal(sym.Val) {
 				c.wState = nxt
 				c.wFront[p] = idx + 1
+				c.extends++
 			} else {
 				c.wValid = false
 			}
@@ -401,24 +434,33 @@ func (c *Incremental) countOf(p int) int {
 	return c.negCount[p]
 }
 
-// search runs the memoized front search over the current operations,
-// mirroring frontSearch exactly (same state space, same verdict), but over
-// the checker's retained buffers, and extracting the accepting linearization
-// into the witness on success.
+// search runs the residual search over the current operations: frontSearch's
+// state space and verdict, visited in witness order (see rec), over the
+// checker's retained buffers. On success it extracts the accepting
+// linearization into the witness and re-ranks every operation by it.
 func (c *Incremental) search() bool {
+	c.searches++
 	c.sFront = resetInts(c.sFront, c.n, 0)
 	c.sRets = resetVals(c.sRets, c.n)
 	c.sLeft = c.nComplete
+	c.sPath = c.sPath[:0]
 	c.memo.Clear()
 	if !c.rec(c.init) {
 		return false
 	}
-	// A success returns through every frame without unwinding, so sFront and
-	// sRets hold the accepting leaf's values.
+	// A success returns through every frame without unwinding, so sFront,
+	// sRets and sPath hold the accepting leaf's values.
 	copy(c.wFront, c.sFront)
 	copy(c.wRets, c.sRets)
 	c.wState = c.winState
 	c.wValid = true
+	for oi := range c.rank {
+		c.rank[oi] = -1
+	}
+	for r, oi := range c.sPath {
+		c.rank[oi] = r
+	}
+	c.ranked = len(c.sPath) > 0
 	return true
 }
 
@@ -459,8 +501,42 @@ func (c *Incremental) placeable(o *word.Operation) bool {
 	return true
 }
 
-// rec is the memoized descent, frontSearch.rec over the checker's buffers.
+// nextFront returns the process whose front operation rec visits after the
+// one keyed last (-1 before the first), and its key: the operation's rank, or
+// len(ops)+process for an unranked one, so keys are distinct and unranked
+// operations follow every ranked one in process order. Without ranks the key
+// is the process index. p is -1 once every front has been visited.
+func (c *Incremental) nextFront(last int) (p, key int) {
+	if !c.ranked {
+		for q := last + 1; q < len(c.byProc); q++ {
+			if c.sFront[q] < len(c.byProc[q]) {
+				return q, q
+			}
+		}
+		return -1, 0
+	}
+	p = -1
+	for q, row := range c.byProc {
+		if c.sFront[q] >= len(row) {
+			continue
+		}
+		k := c.rank[row[c.sFront[q]]]
+		if k < 0 {
+			k = len(c.ops) + q
+		}
+		if k > last && (p < 0 || k < key) {
+			p, key = q, k
+		}
+	}
+	return p, key
+}
+
+// rec is the memoized descent, frontSearch.rec over the checker's buffers,
+// trying the front operations in ascending key (nextFront) order. The fronts
+// are back to this node's values after each child returns, so the keys are
+// stable across the loop.
 func (c *Incremental) rec(st spec.State) bool {
+	c.nodes++
 	if c.sLeft == 0 {
 		c.winState = st
 		return true // remaining pending operations are dropped
@@ -468,11 +544,9 @@ func (c *Incremental) rec(st spec.State) bool {
 	if c.memo.Contains(c.buildKey(st)) {
 		return false
 	}
-	for p, row := range c.byProc {
-		if c.sFront[p] >= len(row) {
-			continue
-		}
-		o := &c.ops[row[c.sFront[p]]]
+	for p, last := c.nextFront(-1); p >= 0; p, last = c.nextFront(last) {
+		oi := c.byProc[p][c.sFront[p]]
+		o := &c.ops[oi]
 		if !c.placeable(o) {
 			continue
 		}
@@ -490,9 +564,11 @@ func (c *Incremental) rec(st spec.State) bool {
 		} else {
 			c.sLeft--
 		}
+		c.sPath = append(c.sPath, oi)
 		if c.rec(nxt) {
 			return true
 		}
+		c.sPath = c.sPath[:len(c.sPath)-1]
 		c.sFront[p]--
 		if pending {
 			c.sRets[p] = nil

@@ -132,6 +132,68 @@ func TestIncrementalPanicsMatchOperations(t *testing.T) {
 	}
 }
 
+// TestIncrementalWitnessOrderedSearch pins the residual search's cost on a
+// sequential-consistency register history whose responses keep refuting the
+// cached witness. Visiting front operations in the last witness's order
+// re-finds a witness within a few nodes of the refuted placement: on the long
+// history the process-order search it replaced visited 120,618 nodes, the
+// witness-ordered one 2,368. A checker reused after Reset must do exactly a
+// fresh checker's work, and every prefix's verdict must equal the
+// from-scratch check's and, where the history is small enough, the
+// brute-force reference's.
+func TestIncrementalWitnessOrderedSearch(t *testing.T) {
+	obj := spec.Register()
+	feed := func(c *Incremental, w word.Word, each func(i int, ok bool)) {
+		for i, s := range w {
+			c.Append(s)
+			ok := c.OK()
+			if each != nil {
+				each(i, ok)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		w        word.Word
+		maxNodes int
+		brute    bool
+	}{
+		{"short", linPointWord(obj, 3, 16, 0.1, rand.New(rand.NewSource(3))), 100, true},
+		{"long", linPointWord(obj, 4, 200, 0, rand.New(rand.NewSource(1))), 5000, false},
+	} {
+		fresh := NewIncremental(obj, false, 4)
+		feed(fresh, tc.w, func(i int, ok bool) {
+			p := tc.w[:i+1]
+			if want := scratchOK(obj, false, p); ok != want {
+				t.Fatalf("%s prefix %d: incremental sc=%v, from-scratch=%v", tc.name, i+1, ok, want)
+			}
+			if tc.brute {
+				if want := BruteSeqConsistent(obj, p); ok != want {
+					t.Fatalf("%s prefix %d: incremental sc=%v, brute=%v", tc.name, i+1, ok, want)
+				}
+			}
+		})
+		t.Logf("%s: %d searches, %d nodes, %d witness extensions", tc.name, fresh.searches, fresh.nodes, fresh.extends)
+		if fresh.searches < 3 {
+			t.Fatalf("%s: %d residual searches; the history no longer refutes the witness repeatedly", tc.name, fresh.searches)
+		}
+		if fresh.nodes > tc.maxNodes {
+			t.Errorf("%s: %d search nodes, bound %d", tc.name, fresh.nodes, tc.maxNodes)
+		}
+
+		// Reuse: run a different history first, so stale ranks would show.
+		reused := NewIncremental(obj, false, 4)
+		feed(reused, linPointWord(obj, 4, 60, 0, rand.New(rand.NewSource(99))), nil)
+		reused.Reset(4)
+		searches, nodes, extends := reused.searches, reused.nodes, reused.extends
+		feed(reused, tc.w, nil)
+		if d := [3]int{reused.searches - searches, reused.nodes - nodes, reused.extends - extends}; d != [3]int{fresh.searches, fresh.nodes, fresh.extends} {
+			t.Errorf("%s: reused checker did (searches, nodes, extends) = %v, fresh %v",
+				tc.name, d, [3]int{fresh.searches, fresh.nodes, fresh.extends})
+		}
+	}
+}
+
 // TestIncrementalSteadyStateAllocs pins the object-family hot path at zero
 // allocations: once a checker has processed one history of a workload's
 // size, re-checking same-sized histories allocates nothing.

@@ -54,8 +54,9 @@ type ClientConfig struct {
 // Open starts a verdict stream: it names the stream and selects the monitor
 // that will judge its history. The history itself follows as event lines in
 // the exp/trace wire format (one meta header, then symbols). Stream ids may
-// be reused after the stream's done line: runs for one id always execute on
-// the same pooled session, in order.
+// be reused once the stream is closed: runs for one id always execute on the
+// same pooled session, in order, and every response about a reopened id
+// follows the earlier run's done line.
 type Open struct {
 	// Stream is the client-chosen stream id; all later lines of this stream
 	// name it.

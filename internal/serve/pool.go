@@ -9,10 +9,12 @@ import (
 )
 
 // job is one monitored replay: a closed stream's history plus the channel
-// its responses go back on.
+// its responses go back on. A job with a note is a pass-through instead: the
+// worker delivers that one response, in its place in the shard's order.
 type job struct {
 	stream string
 	cfg    monitor.Config
+	note   *Response
 	// respond delivers one response line toward the job's connection; it
 	// blocks when the connection's outbound queue is full (backpressure: a
 	// slow client stalls the shards its streams map to, nothing else).
@@ -65,7 +67,11 @@ func (p *pool) worker(jobs <-chan *job) {
 	s := monitor.NewSession()
 	defer s.Close()
 	for j := range jobs {
-		runJob(s, j)
+		if j.note != nil {
+			j.respond(*j.note)
+		} else {
+			runJob(s, j)
+		}
 		j.done()
 	}
 }

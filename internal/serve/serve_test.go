@@ -199,6 +199,48 @@ func TestServeDeterministicAcrossPools(t *testing.T) {
 	}
 }
 
+// TestServeReopenBehindLongRun reopens a stream id while the id's earlier
+// run is still replaying on its shard: every response about the reopened id
+// — its opened ack, or its open error — must follow the earlier run's done
+// line, so a client reusing an id can tell which run each line belongs to.
+func TestServeReopenBehindLongRun(t *testing.T) {
+	b := trace.NewB()
+	for i := 0; i < 40; i++ {
+		b.Op(0, "write", trace.Int(int64(i)), trace.Unit{}).Op(1, "read", nil, trace.Int(int64(i)))
+	}
+	long := streamRequest(t, Open{Stream: "a", Logic: "lin", Object: "register"}, 2, b.Word())
+	for _, tc := range []struct {
+		name   string
+		reopen []Request
+		want   func(Response) bool
+	}{
+		{"opened", streamRequest(t, Open{Stream: "a", Logic: "sc", Object: "queue"}, 2, queueWord()),
+			func(r Response) bool { return r.Opened != nil }},
+		{"error", []Request{{Open: &Open{Stream: "a", Logic: "wat"}}},
+			func(r Response) bool { return r.Error != nil }},
+	} {
+		req := request(t, append(append([]Request(nil), long...), tc.reopen...)...)
+		for _, shards := range []int{1, 4} {
+			for rep := 0; rep < 10; rep++ {
+				resps := parseResponses(t, serveOnce(t, Config{Shards: shards}, req))
+				firstDone, reopened := -1, -1
+				for i, r := range resps {
+					if r.Done != nil && firstDone < 0 {
+						firstDone = i
+					}
+					if i > 1 && tc.want(r) && reopened < 0 {
+						reopened = i
+					}
+				}
+				if firstDone < 0 || reopened < 0 || reopened < firstDone {
+					t.Fatalf("%s, shards=%d: reopened id's first response at line %d, earlier run's done at line %d:\n%+v",
+						tc.name, shards, reopened, firstDone, resps)
+				}
+			}
+		}
+	}
+}
+
 // TestServeMultiStreamPerStreamDeterminism runs several interleaved streams
 // and checks each stream's response subsequence equals its single-stream
 // serve, whatever the global interleaving.

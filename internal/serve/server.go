@@ -167,9 +167,10 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 
 func (s *Server) serveConn(rw io.ReadWriter) error {
 	c := &conn{
-		srv:     s,
-		out:     make(chan Response, s.cfg.WriteDepth),
-		streams: map[string]*stream{},
+		srv:      s,
+		out:      make(chan Response, s.cfg.WriteDepth),
+		streams:  map[string]*stream{},
+		inflight: map[string]int{},
 	}
 
 	// The writer goroutine serializes all response lines — the reader's acks
@@ -245,13 +246,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// conn is the per-connection state: the protocol reader's stream table and
-// the shared outbound queue.
+// conn is the per-connection state: the protocol reader's stream table, the
+// shared outbound queue, and the count of queued or running jobs per stream
+// id.
 type conn struct {
 	srv     *Server
 	out     chan Response
 	jobs    sync.WaitGroup
 	streams map[string]*stream
+
+	mu       sync.Mutex
+	inflight map[string]int
+}
+
+// enqueue hands a job for stream id to its shard, counting it in flight
+// until the worker is done with it.
+func (c *conn) enqueue(id string, j *job) {
+	c.mu.Lock()
+	c.inflight[id]++
+	c.mu.Unlock()
+	c.jobs.Add(1)
+	j.stream = id
+	j.respond = func(resp Response) { c.out <- resp }
+	j.done = func() {
+		c.mu.Lock()
+		if c.inflight[id]--; c.inflight[id] == 0 {
+			delete(c.inflight, id)
+		}
+		c.mu.Unlock()
+		c.jobs.Done()
+	}
+	c.srv.pool.shard(id) <- j
+}
+
+// send writes a response about stream id. While an earlier run of the id is
+// still queued or running on its shard, the response goes through the same
+// shard queue, so it leaves after that run's done: a client reusing an id
+// can tell which run each line belongs to. Otherwise it is written at once.
+func (c *conn) send(id string, resp Response) {
+	c.mu.Lock()
+	busy := c.inflight[id] > 0
+	c.mu.Unlock()
+	if busy {
+		c.enqueue(id, &job{note: &resp})
+		return
+	}
+	c.out <- resp
 }
 
 // stream is one open verdict stream: its monitor selection and the history
@@ -332,7 +372,7 @@ func (c *conn) fatal(line int, msg string) error {
 // input is discarded (no error flood), its close is swallowed, and its id
 // may be reopened.
 func (c *conn) fail(id string, line int, msg string) {
-	c.out <- Response{Error: &StreamError{Stream: id, Line: line, Msg: msg}}
+	c.send(id, Response{Error: &StreamError{Stream: id, Line: line, Msg: msg}})
 	c.streams[id] = &stream{failed: true}
 }
 
@@ -361,7 +401,7 @@ func (c *conn) handleOpen(line int, o *Open) {
 		return
 	}
 	c.streams[o.Stream] = &stream{open: *o, logic: logic, object: object, array: array}
-	c.out <- Response{Opened: &Opened{Stream: o.Stream}}
+	c.send(o.Stream, Response{Opened: &Opened{Stream: o.Stream}})
 }
 
 func (c *conn) handleEvent(line int, ev *StreamEvent) {
@@ -423,23 +463,17 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 		return
 	}
 	if st.meta == nil {
-		c.out <- Response{Error: &StreamError{Stream: cl.Stream, Line: line, Msg: "stream closed without a meta header"}}
+		c.send(cl.Stream, Response{Error: &StreamError{Stream: cl.Stream, Line: line, Msg: "stream closed without a meta header"}})
 		return
 	}
-	c.jobs.Add(1)
-	c.srv.pool.shard(cl.Stream) <- &job{
-		stream: cl.Stream,
-		cfg: monitor.Config{
-			N:        st.meta.N,
-			Object:   st.object,
-			Logic:    st.logic,
-			History:  st.hist,
-			Array:    st.array,
-			MaxSteps: st.open.MaxSteps,
-		},
-		respond: func(resp Response) { c.out <- resp },
-		done:    c.jobs.Done,
-	}
+	c.enqueue(cl.Stream, &job{cfg: monitor.Config{
+		N:        st.meta.N,
+		Object:   st.object,
+		Logic:    st.logic,
+		History:  st.hist,
+		Array:    st.array,
+		MaxSteps: st.open.MaxSteps,
+	}})
 }
 
 // logicByName maps the wire name to the monitor logic.
