@@ -41,7 +41,7 @@
 //
 //	drvexplore [-seeds k] [-master m] [-j workers] [-family lang,obj,msg]
 //	           [-lang L1,L2] [-obj O1,O2] [-impl I1,I2] [-net N1,N2]
-//	           [-crashes c] [-max-steps s] [-pool] [-incremental] [-replay-check]
+//	           [-crashes c] [-max-steps s] [-replay-check]
 //	           [-no-shrink] [-progress] [-stage-stats]
 //	           [-corpus dir] [-mutate-frac f] [-corpus-save]
 //	           [-out seeds.json] [-cpuprofile f]
@@ -94,8 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	corpusDir := fs.String("corpus", "", "seed-corpus directory: load it before the sweep, save novel-signature specs back after")
 	mutateFrac := fs.Float64("mutate-frac", 0.5, "fraction of the budget spent mutating corpus entries (needs -corpus; 0 = blind sweep)")
 	corpusSave := fs.Bool("corpus-save", true, "with -corpus, write novel entries back to the directory after the sweep")
-	pool := fs.Bool("pool", true, "reuse one pooled runtime+session per worker (output is byte-identical either way)")
-	incremental := fs.Bool("incremental", true, "check verdict prefixes with the incremental witness search (output is byte-identical either way)")
 	stageStats := fs.Bool("stage-stats", false, "profile per-stage wall time and allocations (adds a stages map to the report and summary; timing is nondeterministic)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	if err := fs.Parse(args); err != nil {
@@ -124,16 +122,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := explore.Options{
-		Master:        *master,
-		Scenarios:     *seeds,
-		Workers:       workers,
-		Gen:           explore.GenConfig{MaxCrashes: *crashes, MaxSteps: *maxSteps},
-		Replay:        *replayCheck,
-		Shrink:        !*noShrink,
-		Unpooled:      !*pool,
-		Unincremental: !*incremental,
-		StageStats:    *stageStats,
-		MutateFrac:    *mutateFrac,
+		Master:     *master,
+		Scenarios:  *seeds,
+		Workers:    workers,
+		Gen:        explore.GenConfig{MaxCrashes: *crashes, MaxSteps: *maxSteps},
+		Replay:     *replayCheck,
+		Shrink:     !*noShrink,
+		StageStats: *stageStats,
+		MutateFrac: *mutateFrac,
 	}
 	if *family != "" {
 		opts.Gen.Families = strings.Split(*family, ",")

@@ -65,14 +65,14 @@ func TestOutputDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestPooledOutputByteIdentical(t *testing.T) {
-	// -pool is a pure optimization: the report, the -out file and the
-	// stdout summary must be byte-identical with pooling on and off.
+	// Every worker runs on a pooled runner (the explore package pins pooled ≡
+	// fresh): the report, the -out file and the stdout summary must be
+	// byte-identical across worker counts.
 	dir := t.TempDir()
 	var files, outs []string
 	for _, cfg := range [][]string{
-		{"-j", "2", "-pool=true"},
-		{"-j", "2", "-pool=false"},
-		{"-j", "1", "-pool=false"},
+		{"-j", "2"},
+		{"-j", "1"},
 	} {
 		f := filepath.Join(dir, "seeds"+strings.Join(cfg, "")+".json")
 		code, out, errOut := runExplore(t, append(cfg, "-out", f)...)
@@ -92,10 +92,10 @@ func TestPooledOutputByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first, js) {
-			t.Errorf("report %d differs from pooled report:\n%s\nvs\n%s", i, js, first)
+			t.Errorf("report %d differs from the first report:\n%s\nvs\n%s", i, js, first)
 		}
 		if outs[i] != outs[0] {
-			t.Errorf("stdout %d differs from pooled stdout", i)
+			t.Errorf("stdout %d differs from the first stdout", i)
 		}
 	}
 }
@@ -307,13 +307,12 @@ func TestObjFamilySweep(t *testing.T) {
 
 func TestObjFamilyDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// The new family rides the same byte-determinism contract: -family obj
-	// reports are identical across -j 1/-j 4 and -pool/-pool=false.
+	// reports are identical across -j 1/-j 4.
 	dir := t.TempDir()
 	var files, outs []string
 	for _, cfg := range [][]string{
-		{"-j", "1", "-pool=true"},
-		{"-j", "4", "-pool=true"},
-		{"-j", "4", "-pool=false"},
+		{"-j", "1"},
+		{"-j", "4"},
 	} {
 		f := filepath.Join(dir, "obj"+strings.Join(cfg, "")+".json")
 		args := append([]string{"-family", "obj", "-obj", "queue,stack,ledger"}, cfg...)
@@ -445,13 +444,12 @@ func TestMsgFamilySweep(t *testing.T) {
 
 func TestMsgFamilyDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// Byte-determinism extends to the message family: -family msg reports
-	// are identical across -j 1/-j 4 and -pool/-pool=false.
+	// are identical across -j 1/-j 4.
 	dir := t.TempDir()
 	var files, outs []string
 	for _, cfg := range [][]string{
-		{"-j", "1", "-pool=true"},
-		{"-j", "4", "-pool=true"},
-		{"-j", "4", "-pool=false"},
+		{"-j", "1"},
+		{"-j", "4"},
 	} {
 		f := filepath.Join(dir, "msg"+strings.Join(cfg, "")+".json")
 		args := append([]string{"-family", "msg"}, cfg...)

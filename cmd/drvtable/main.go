@@ -9,7 +9,7 @@
 // Usage:
 //
 //	drvtable [-procs n] [-seeds k] [-steps s] [-window w] [-j workers]
-//	         [-pool] [-progress] [-fail-fast] [-timeout d] [-cpuprofile f] [-v]
+//	         [-progress] [-fail-fast] [-timeout d] [-cpuprofile f] [-v]
 package main
 
 import (
@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "stream per-cell completion to stderr")
 	failFast := fs.Bool("fail-fast", false, "cancel outstanding cells after the first failure")
 	timeout := fs.Duration("timeout", 0, "overall deadline, checked between cell units — in-flight runs finish their step bound (0 = none)")
-	pool := fs.Bool("pool", true, "reuse one pooled runtime+session per worker (output is byte-identical either way)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := experiment.Options{Workers: workers, FailFast: *failFast, Unpooled: !*pool}
+	opts := experiment.Options{Workers: workers, FailFast: *failFast}
 	if *progress {
 		start := time.Now()
 		opts.OnCell = func(u experiment.CellUpdate) {

@@ -50,17 +50,16 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 }
 
 func TestPooledOutputByteIdentical(t *testing.T) {
-	// -pool is a pure optimization: the rendered table (and the golden file)
-	// must be byte-identical with runtime pooling on and off, sequentially
-	// and across worker pools.
+	// Every worker runs on a pooled runtime+session (the monitor package
+	// pins a reused session's results to monitor.Run's): the rendered table
+	// must match the golden file sequentially and across worker pools.
 	golden, err := os.ReadFile("testdata/table_small.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
-		{"-j", "1", "-pool=true"},
-		{"-j", "1", "-pool=false"},
-		{"-j", "4", "-pool=false"},
+		{"-j", "1"},
+		{"-j", "4"},
 	} {
 		code, out, errOut := runTable(t, args...)
 		if code != 0 {

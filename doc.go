@@ -81,12 +81,12 @@
 // sharded pool of monitor sessions keyed by stream id, and streams verdict
 // events back incrementally, with bounded queues end to end and graceful
 // drain on shutdown; served verdict streams are byte-identical across runs
-// and pool sizes, pinned by goldens under cmd/drvserve/testdata and the
-// BENCH_serve.json ingestion baseline. examples holds six runnable
-// walkthroughs, including examples/extsut, an outside consumer that
-// monitors queues of its own using only the exp surface (and records them
-// to trace files with -trace, ready to stream to drvserve). The root bench
-// and test files regenerate every table and figure of the paper.
+// and pool sizes, pinned by goldens under cmd/drvserve/testdata. examples
+// holds six runnable walkthroughs, including examples/extsut, an outside
+// consumer that monitors queues of its own using only the exp surface (and
+// records them to trace files with -trace, ready to stream to drvserve). The root test
+// files regenerate every table and figure of the paper, and bench/run.sh
+// times every workload end to end and per layer.
 //
 // Table 1 runs on a parallel experiment engine (internal/experiment.Run):
 // the table decomposes into independent units — one per (cell, seed,
@@ -109,11 +109,10 @@
 // worker plus one reusable workload, service, timed adversary and message
 // network (msgnet.Schedule.Reset re-arms order, inboxes and loss in place),
 // with steady-state per-scenario allocations pinned by AllocsPerRun budget
-// tests. Pooling is on by default, byte-identical to fresh substrate
-// (golden-tested per registered implementation, seeded-bug variants
-// included), and switchable with -pool=false on drvtable and drvexplore;
-// -cpuprofile profiles either command, and -stage-stats on drvexplore adds
-// an opt-in per-family generate/execute/monitor/check wall-time and
-// allocation breakdown to the report. BENCH_sched.json, BENCH_explore.json
-// and BENCH_stage.json track the core's committed performance baselines.
+// tests. Pooling is always on and byte-identical to fresh substrate
+// (tested per registered implementation, seeded-bug variants included, and
+// scenario by scenario against a fresh explore.Runner); -cpuprofile profiles
+// either command, and -stage-stats on drvexplore adds an opt-in per-family
+// generate/execute/monitor/check wall-time and allocation breakdown to the
+// report.
 package drv

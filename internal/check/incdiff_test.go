@@ -2,7 +2,7 @@ package check
 
 // Differential validation of the incremental checker: on every prefix of
 // every generated history, Incremental's verdict must equal the from-scratch
-// frontSearch's, and — where the workload is small enough to afford it — the
+// generic search's, and — where the workload is small enough to afford it — the
 // exhaustive brute reference's. The histories span the explorer's three
 // scenario families: synthetic language-family words (including truncated
 // words with trailing pendings), object-family histories from the real
@@ -23,13 +23,10 @@ import (
 )
 
 // scratchOK is the from-scratch reference the incremental checker must track
-// on every prefix.
+// on every prefix: the generic subset search, which shares no code with the
+// checker it judges.
 func scratchOK(obj spec.Object, realTime bool, w word.Word) bool {
-	ops := word.Operations(w)
-	if realTime {
-		return LinearizableOps(obj, ops)
-	}
-	return SeqConsistentOps(obj, ops)
+	return genericOK(obj, word.Operations(w), realTime)
 }
 
 // wellFormed reports whether word.Operations accepts w.

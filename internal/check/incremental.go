@@ -8,11 +8,6 @@ import (
 	"github.com/drv-go/drv/internal/word"
 )
 
-// maxFrontRow bounds a process's operation count in the incremental checker:
-// front counters are encoded as uint16 in memo keys, exactly like
-// frontSearch's.
-const maxFrontRow = 1<<16 - 1
-
 // Incremental answers linearizability or sequential-consistency queries over
 // every prefix of one growing history without re-running the witness search
 // from scratch per prefix. The device is a cached witness: the last accepting
@@ -40,37 +35,36 @@ const maxFrontRow = 1<<16 - 1
 //     history's last symbol).
 //
 // Only when no cheap update applies does the next query run the residual
-// search: the memoized front search, with frontSearch's state space and
-// verdict, over buffers the checker retains. It either rebuilds the witness
-// or memoizes a rejecting verdict until the history changes. Verdict-stream
-// workloads are therefore cheap on both sides of a violation: accepting
-// rounds ride the witness, and once a round rejects, repeated queries of the
-// unchanged history cost nothing.
+// search: the package's memoized witness search (see search), over buffers
+// the checker retains. It either rebuilds the witness or memoizes a
+// rejecting verdict until the history changes. Verdict-stream workloads are
+// therefore cheap on both sides of a violation: accepting rounds ride the
+// witness, and once a round rejects, repeated queries of the unchanged
+// history cost nothing.
 //
 // The residual search is witness-ordered. A refuted witness is usually one
 // placement away from a new one, so the search visits each node's candidate
 // front operations in ascending rank — their position in the linearization
 // the last successful search found — and the operations that linearization
-// never placed last, in process order. Only the visit order differs from frontSearch's, which
-// cannot change an exhaustive memoized search's verdict; it changes which
-// witness is found and how soon. Ranks live as long as the history: a
-// successful search re-ranks every operation from its accepting path, a
-// rejecting search keeps the old ranks, and Reset clears them all. The
-// append-at-end repair leaves the appended operation unranked: ranking it
-// too made the first search of a whole-history check (CheckWord) follow the
-// response order of a long accepted prefix, which sent some sequential-
-// consistency searches twenty times deeper than process order does, for no
-// gain on the verdict streams.
+// never placed last, in process order. Only the visit order differs from the
+// one-shot search's, which cannot change an exhaustive memoized search's
+// verdict; it changes which witness is found and how soon. Ranks live as long
+// as the history: a successful search re-ranks every operation from its
+// accepting path, a rejecting search keeps the old ranks, and Reset clears
+// them all. The append-at-end repair leaves the appended operation unranked:
+// ranking it too made the first search of a whole-history check (CheckWord)
+// follow the response order of a long accepted prefix, which sent some
+// sequential-consistency searches twenty times deeper than process order
+// does, for no gain on the verdict streams.
 //
 // Crash boundaries need no special casing: a crashed process's last
 // operation simply stays pending forever, which the witness already models
 // (pending operations are placeable or droppable at every query).
 //
-// Histories outside the per-process-alternation shape frontSearch relies on
-// (out-of-range process indices, more than 65535 operations on one process)
-// permanently fall back to the from-scratch checkers over the accumulated
-// operations. Append mirrors word.Operations' well-formedness contract,
-// panicking on the same malformed inputs at the same positions.
+// A history naming a process outside [0,n) permanently falls back to the
+// one-shot search over the accumulated operations. Append mirrors
+// word.Operations' well-formedness contract, panicking on the same malformed
+// inputs at the same positions.
 //
 // An Incremental is not safe for concurrent use; pooled workloads give each
 // worker (or each monitor logic) its own, via Pool.
@@ -82,12 +76,12 @@ type Incremental struct {
 	init      spec.State       // initial state (interned root when offered)
 	syms      word.Word        // the fed history
 	ops       []word.Operation // word.Operations(syms), maintained in place
-	byProc    [][]int          // operation indices per process, process order
+	byProc    [][]int          // operation indices per row (row p is process p), process order
 	counts    []int            // per-process operations started
 	complete  []int            // per-process complete-operation count
 	pendingOf []int            // per-process index into ops of the pending op, -1 = none
-	negOpen   map[int]int      // pending op of a negative process index (degenerate histories)
-	negCount  map[int]int      // operation count of a negative process index
+	outOpen   map[int]int      // pending op of a process outside [0,n) (degenerate histories)
+	outCount  map[int]int      // operation count of a process outside [0,n)
 	nComplete int              // total complete operations
 
 	// The cached witness, valid when wValid: an accepting linearization of
@@ -171,8 +165,8 @@ func (c *Incremental) Reset(n int) {
 	c.counts = resetInts(c.counts, n, 0)
 	c.complete = resetInts(c.complete, n, 0)
 	c.pendingOf = resetInts(c.pendingOf, n, -1)
-	c.negOpen = nil
-	c.negCount = nil
+	c.outOpen = nil
+	c.outCount = nil
 	c.nComplete = 0
 
 	// The empty history's witness: nothing placed, initial state. An object
@@ -180,10 +174,7 @@ func (c *Incremental) Reset(n int) {
 	// single-goroutine, so every search of this history can share states
 	// across reconverging branches, and the interned tree is released with
 	// the history it served.
-	c.init = c.obj.Init()
-	if ri, ok := c.obj.(spec.RootInterner); ok {
-		c.init = ri.InternRoot()
-	}
+	c.init = rootState(c.obj)
 	c.wValid = true
 	c.wFront = resetInts(c.wFront, n, 0)
 	c.wRets = resetVals(c.wRets, n)
@@ -193,6 +184,16 @@ func (c *Incremental) Reset(n int) {
 
 	c.fallback = false
 	c.okValid = false
+}
+
+// rootState returns the object's initial state: the interned root when the
+// object offers one, so reconverging search branches share states instead of
+// re-allocating them.
+func rootState(obj spec.Object) spec.State {
+	if ri, ok := obj.(spec.RootInterner); ok {
+		return ri.InternRoot()
+	}
+	return obj.Init()
 }
 
 // resetInts re-sizes a per-process counter slice to n entries of v.
@@ -269,9 +270,6 @@ func (c *Incremental) Append(sym word.Symbol) {
 			return
 		}
 		c.byProc[p] = append(c.byProc[p], oi)
-		if len(c.byProc[p]) > maxFrontRow {
-			c.fallback = true
-		}
 	case word.Res:
 		oi := c.openOf(p)
 		if oi < 0 {
@@ -325,11 +323,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 func (c *Incremental) OK() bool {
 	if c.fallback {
 		if !c.okValid {
-			if c.realTime {
-				c.okCache = LinearizableOps(c.obj, c.ops)
-			} else {
-				c.okCache = SeqConsistentOps(c.obj, c.ops)
-			}
+			c.okCache = checkOps(c.obj, c.ops, c.realTime)
 			c.okValid = true
 		}
 		return c.okCache
@@ -340,6 +334,9 @@ func (c *Incremental) OK() bool {
 	if !c.okValid {
 		c.okCache = c.search()
 		c.okValid = true
+		if c.okCache {
+			c.adoptWitness()
+		}
 	}
 	return c.okCache
 }
@@ -389,55 +386,59 @@ func (c *Incremental) AnyPrefixViolated(w word.Word) bool {
 }
 
 // openOf returns the index into ops of the process's pending operation, or
-// -1; out-of-range processes are tracked in the degenerate side maps.
+// -1; processes outside [0,n) are tracked in the degenerate side maps.
 func (c *Incremental) openOf(p int) int {
-	if p >= 0 && p < len(c.pendingOf) {
+	if p >= 0 && p < c.n {
 		return c.pendingOf[p]
 	}
-	if oi, ok := c.negOpen[p]; ok {
+	if oi, ok := c.outOpen[p]; ok {
 		return oi
 	}
 	return -1
 }
 
 func (c *Incremental) setOpen(p, oi int) {
-	if p >= 0 {
-		for p >= len(c.pendingOf) {
-			c.pendingOf = append(c.pendingOf, -1)
-			c.counts = append(c.counts, 0)
-		}
+	if p >= 0 && p < c.n {
 		c.pendingOf[p] = oi
 		c.counts[p]++
 		return
 	}
-	if c.negOpen == nil {
-		c.negOpen = map[int]int{}
-		c.negCount = map[int]int{}
+	if c.outOpen == nil {
+		c.outOpen = map[int]int{}
+		c.outCount = map[int]int{}
 	}
-	c.negOpen[p] = oi
-	c.negCount[p]++
+	c.outOpen[p] = oi
+	c.outCount[p]++
 }
 
 func (c *Incremental) clearOpen(p int) {
-	if p >= 0 {
+	if p >= 0 && p < c.n {
 		c.pendingOf[p] = -1
 		return
 	}
-	delete(c.negOpen, p)
+	delete(c.outOpen, p)
 }
 
 // countOf returns how many operations the process has started.
 func (c *Incremental) countOf(p int) int {
-	if p >= 0 && p < len(c.counts) {
+	if p >= 0 && p < c.n {
 		return c.counts[p]
 	}
-	return c.negCount[p]
+	return c.outCount[p]
 }
 
-// search runs the residual search over the current operations: frontSearch's
-// state space and verdict, visited in witness order (see rec), over the
-// checker's retained buffers. On success it extracts the accepting
-// linearization into the witness and re-ranks every operation by it.
+// search runs the memoized witness search over the current operations, from
+// the initial state, over the checker's retained buffers. It is the package's
+// only search: the one-shot checkers (see checkOps) run it once on a fresh
+// layout, the incremental checker whenever its cached witness is refuted.
+//
+// Within one process operations never overlap (per-process alternation), so
+// an operation is only ever placeable as the first unplaced operation of its
+// process. The search state is therefore one front index per process plus
+// the object state, rather than an arbitrary placed-subset, and a node's
+// candidates are the front operations. The placed sets reachable this way are
+// exactly the per-process prefix unions a subset search over the precedence
+// order would reach, so the verdict is the subset search's.
 func (c *Incremental) search() bool {
 	c.searches++
 	c.sFront = resetInts(c.sFront, c.n, 0)
@@ -445,11 +446,14 @@ func (c *Incremental) search() bool {
 	c.sLeft = c.nComplete
 	c.sPath = c.sPath[:0]
 	c.memo.Clear()
-	if !c.rec(c.init) {
-		return false
-	}
-	// A success returns through every frame without unwinding, so sFront,
-	// sRets and sPath hold the accepting leaf's values.
+	return c.rec(c.init)
+}
+
+// adoptWitness makes a successful search's accepting linearization the cached
+// witness and re-ranks every operation by it. A success returns through every
+// rec frame without unwinding, so sFront, sRets and sPath hold the accepting
+// leaf's values.
+func (c *Incremental) adoptWitness() {
 	copy(c.wFront, c.sFront)
 	copy(c.wRets, c.sRets)
 	c.wState = c.winState
@@ -461,19 +465,19 @@ func (c *Incremental) search() bool {
 		c.rank[oi] = r
 	}
 	c.ranked = len(c.sPath) > 0
-	return true
 }
 
 // buildKey encodes (fronts, state) into the reused buffer. Front counters
-// are fixed-width so distinct vectors cannot collide, and the state encoding
-// is State.Key's (via the allocation-free AppendKey when available).
+// are uvarints, a prefix-free code, so distinct vectors cannot collide and no
+// per-process operation count is too large; the state encoding is State.Key's
+// (via the allocation-free AppendKey when available).
 // Recorded pending responses need no slot: within one search the placed
 // operations' responses are functions of the placement order the fronts
 // already encode, and a pending operation's response is never re-examined.
 func (c *Incremental) buildKey(st spec.State) []byte {
 	b := c.key[:0]
 	for _, f := range c.sFront {
-		b = binary.LittleEndian.AppendUint16(b, uint16(f))
+		b = binary.AppendUvarint(b, uint64(f))
 	}
 	b = append(b, '/')
 	if ka, ok := st.(spec.KeyAppender); ok {
@@ -485,13 +489,17 @@ func (c *Incremental) buildKey(st spec.State) []byte {
 	return b
 }
 
-// placeable mirrors frontSearch.placeable over the search fronts.
-func (c *Incremental) placeable(o *word.Operation) bool {
+// placeable reports whether the front operation o of row p may be placed
+// next: under real-time precedence, no other row may still hold an unplaced
+// operation that precedes o. Per row the earliest unplaced response is the
+// front's (responses are increasing along a process), so one front
+// comparison per row decides it.
+func (c *Incremental) placeable(p int, o *word.Operation) bool {
 	if !c.realTime {
 		return true
 	}
 	for q, row := range c.byProc {
-		if q == o.ID.Proc || c.sFront[q] >= len(row) {
+		if q == p || c.sFront[q] >= len(row) {
 			continue
 		}
 		if f := &c.ops[row[c.sFront[q]]]; f.Precedes(*o) {
@@ -531,9 +539,11 @@ func (c *Incremental) nextFront(last int) (p, key int) {
 	return p, key
 }
 
-// rec is the memoized descent, frontSearch.rec over the checker's buffers,
-// trying the front operations in ascending key (nextFront) order. The fronts
-// are back to this node's values after each child returns, so the keys are
+// rec is the memoized descent, trying the front operations in ascending key
+// (nextFront) order. Complete operations must reproduce their recorded
+// response; pending ones adopt the specification's response or are dropped,
+// and acceptance requires every complete operation placed. The fronts are
+// back to this node's values after each child returns, so the keys are
 // stable across the loop.
 func (c *Incremental) rec(st spec.State) bool {
 	c.nodes++
@@ -547,7 +557,7 @@ func (c *Incremental) rec(st spec.State) bool {
 	for p, last := c.nextFront(-1); p >= 0; p, last = c.nextFront(last) {
 		oi := c.byProc[p][c.sFront[p]]
 		o := &c.ops[oi]
-		if !c.placeable(o) {
+		if !c.placeable(p, o) {
 			continue
 		}
 		nxt, ret, ok := st.Apply(o.Op, o.Arg)

@@ -317,7 +317,7 @@ func fuzzWord(data []byte) word.Word {
 
 // FuzzIncrementalFrontSearch feeds fuzzer-shaped register histories through
 // the incremental checker and cross-checks every prefix verdict against the
-// from-scratch search, in both order modes.
+// from-scratch generic search (scratchOK), in both order modes.
 func FuzzIncrementalFrontSearch(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 1, 1, 1, 3, 0, 1, 2, 0, 0, 5})
 	f.Add([]byte{1, 2, 2, 1, 1, 0, 0, 3, 2, 3, 1, 1})

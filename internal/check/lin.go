@@ -4,16 +4,21 @@
 // eventual counter properties (Definitions 2.7–2.8), and the eventual ledger
 // (Definition 2.9).
 //
-// Linearizability and sequential consistency share one memoized
-// Wing–Gill-style search: a concurrent history is accepted iff the complete
+// Linearizability and sequential consistency share one memoized Wing–Gill
+// witness search: a concurrent history is accepted iff the complete
 // operations (plus any subset of pending ones, which may be assigned their
 // specification response) admit a valid sequential order that extends a
 // required partial order — process order ∪ real-time order for
-// linearizability, process order alone for sequential consistency.
+// linearizability, process order alone for sequential consistency. The search
+// has two entry points: the one-shot checkers (Linearizable, SeqConsistent
+// and their Ops forms) run it once over a whole history, and Incremental
+// keeps a witness across a growing history and runs it only when an append
+// refutes that witness.
 package check
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 
 	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/word"
@@ -31,12 +36,10 @@ func Linearizable(obj spec.Object, w word.Word) bool {
 
 // LinearizableOps is Linearizable on pre-extracted operations. Operations
 // must carry the invocation/response indices assigned by word.Operations or
-// an order-isomorphic embedding.
+// an order-isomorphic embedding; a slice that breaks per-process alternation
+// panics, as word.Operations does on a malformed word.
 func LinearizableOps(obj spec.Object, ops []word.Operation) bool {
-	if s, ok := newFrontSearch(obj, ops, true); ok {
-		return s.run()
-	}
-	return validOrder(obj, ops, precedenceEdges(ops, true))
+	return checkOps(obj, ops, true)
 }
 
 // SeqConsistent reports whether the finite word is sequentially consistent
@@ -49,114 +52,54 @@ func SeqConsistent(obj spec.Object, w word.Word) bool {
 
 // SeqConsistentOps is SeqConsistent on pre-extracted operations.
 func SeqConsistentOps(obj spec.Object, ops []word.Operation) bool {
-	if s, ok := newFrontSearch(obj, ops, false); ok {
-		return s.run()
-	}
-	return validOrder(obj, ops, precedenceEdges(ops, false))
+	return checkOps(obj, ops, false)
 }
 
-// precedenceEdges computes, for each operation, the indices of operations
-// that must be linearized before it: real-time predecessors when realTime is
-// set (which subsumes process order), otherwise same-process predecessors
-// only.
-func precedenceEdges(ops []word.Operation, realTime bool) [][]int {
-	prec := make([][]int, len(ops))
-	for i, oi := range ops {
-		for j, oj := range ops {
-			if i == j {
-				continue
-			}
-			if realTime {
-				if oj.Precedes(oi) {
-					prec[i] = append(prec[i], j)
-				}
-			} else if oj.ID.Proc == oi.ID.Proc && oj.ID.Idx < oi.ID.Idx {
-				prec[i] = append(prec[i], j)
-			}
-		}
-	}
-	return prec
-}
-
-// validOrder runs the memoized search for a sequential witness. An operation
-// is eligible once all operations in prec[i] are already placed; complete
-// operations must reproduce their recorded response, pending operations adopt
-// the specification's response or are dropped. Acceptance requires all
-// complete operations placed.
-func validOrder(obj spec.Object, ops []word.Operation, prec [][]int) bool {
-	n := len(ops)
-	if n == 0 {
+// checkOps is the one-shot check: one witness search over a fresh layout of
+// ops, with no witness order, so it visits the front operations in process
+// order.
+func checkOps(obj spec.Object, ops []word.Operation, realTime bool) bool {
+	if len(ops) == 0 {
 		return true
 	}
-	done := make([]bool, n)
-	completeLeft := 0
-	for _, o := range ops {
+	return oneShot(obj, ops, realTime).search()
+}
+
+// oneShot lays ops out for a single search: one row per process that occurs,
+// in ascending process id, each holding its process's operations in slice
+// order. Process ids may be negative or sparse. It panics when the slice
+// breaks per-process alternation (strictly increasing ID.Idx, every non-final
+// operation complete and responding before its successor's invocation), the
+// shape the search's front collapse relies on and word.Operations always
+// yields.
+func oneShot(obj spec.Object, ops []word.Operation, realTime bool) *Incremental {
+	var procs []int // the distinct process ids, ascending
+	for i := range ops {
+		if k, found := slices.BinarySearch(procs, ops[i].ID.Proc); !found {
+			procs = slices.Insert(procs, k, ops[i].ID.Proc)
+		}
+	}
+	c := &Incremental{
+		obj:      obj,
+		realTime: realTime,
+		n:        len(procs),
+		init:     rootState(obj),
+		ops:      ops,
+		byProc:   make([][]int, len(procs)),
+	}
+	for i := range ops {
+		o := &ops[i]
+		r, _ := slices.BinarySearch(procs, o.ID.Proc)
+		row := c.byProc[r]
+		if len(row) > 0 {
+			if prev := &ops[row[len(row)-1]]; prev.ID.Idx >= o.ID.Idx || prev.Pending() || prev.Res >= o.Inv {
+				panic(fmt.Sprintf("check: operations %v and %v of process %d break per-process alternation", prev.ID, o.ID, o.ID.Proc))
+			}
+		}
+		c.byProc[r] = append(row, i)
 		if !o.Pending() {
-			completeLeft++
+			c.nComplete++
 		}
 	}
-	// memo records (placed-set, state) pairs already proven fruitless.
-	memo := map[string]bool{}
-	maskBuf := make([]byte, (n+7)/8)
-
-	maskKey := func(stateKey string) string {
-		for i := range maskBuf {
-			maskBuf[i] = 0
-		}
-		for i, d := range done {
-			if d {
-				maskBuf[i/8] |= 1 << (i % 8)
-			}
-		}
-		var b strings.Builder
-		b.Grow(len(maskBuf) + 1 + len(stateKey))
-		b.Write(maskBuf)
-		b.WriteByte('/')
-		b.WriteString(stateKey)
-		return b.String()
-	}
-
-	var rec func(st spec.State) bool
-	rec = func(st spec.State) bool {
-		if completeLeft == 0 {
-			return true // remaining pending operations are dropped
-		}
-		key := maskKey(st.Key())
-		if memo[key] {
-			return false
-		}
-	next:
-		for i := range ops {
-			if done[i] {
-				continue
-			}
-			for _, j := range prec[i] {
-				if !done[j] {
-					continue next
-				}
-			}
-			o := &ops[i]
-			nxt, ret, ok := st.Apply(o.Op, o.Arg)
-			if !ok {
-				continue
-			}
-			if !o.Pending() && !ret.Equal(o.Ret) {
-				continue
-			}
-			done[i] = true
-			if !o.Pending() {
-				completeLeft--
-			}
-			if rec(nxt) {
-				return true
-			}
-			done[i] = false
-			if !o.Pending() {
-				completeLeft++
-			}
-		}
-		memo[key] = true
-		return false
-	}
-	return rec(obj.Init())
+	return c
 }

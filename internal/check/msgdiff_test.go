@@ -3,10 +3,10 @@ package check
 // Differential validation on histories exhibited by the ABD register
 // emulation of package abd over the deterministic message network — the
 // shapes the explorer's message-passing family feeds the checkers. Three
-// checkers are compared pairwise on every history: the memoized frontSearch,
-// the pruned brute reference, and a third, deliberately naive exhaustive
-// enumeration written in this file with no sharing of code or pruning ideas
-// with either. The histories include the two shapes shared memory never
+// checkers are compared pairwise on every history: the memoized witness
+// search, the pruned brute reference, and a third, deliberately naive
+// exhaustive enumeration written in this file with no sharing of code or
+// pruning ideas with either. The histories include the two shapes shared memory never
 // produces: operations left pending because a *message* was dropped (the
 // quorum stalls with the client parked), and operations pending at a crash
 // of a client whose replica dies with it. Workloads are kept tiny (≤ 6
@@ -212,17 +212,17 @@ func TestFrontSearchMatchesBruteOnABDHistories(t *testing.T) {
 					sawNonLin = true
 				}
 				if brute := BruteLinearizable(obj, h); brute != fastLin {
-					t.Errorf("%s seed %d: frontSearch lin=%v, brute lin=%v on\n%v", tc.name, seed, fastLin, brute, h)
+					t.Errorf("%s seed %d: witness search lin=%v, brute lin=%v on\n%v", tc.name, seed, fastLin, brute, h)
 				}
 				if ex := exhaustiveLinearizable(obj, h); ex != fastLin {
-					t.Errorf("%s seed %d: frontSearch lin=%v, exhaustive lin=%v on\n%v", tc.name, seed, fastLin, ex, h)
+					t.Errorf("%s seed %d: witness search lin=%v, exhaustive lin=%v on\n%v", tc.name, seed, fastLin, ex, h)
 				}
 				fastSC := SeqConsistentOps(obj, ops)
 				if brute := BruteSeqConsistent(obj, h); brute != fastSC {
-					t.Errorf("%s seed %d: frontSearch sc=%v, brute sc=%v on\n%v", tc.name, seed, fastSC, brute, h)
+					t.Errorf("%s seed %d: witness search sc=%v, brute sc=%v on\n%v", tc.name, seed, fastSC, brute, h)
 				}
 				if ex := exhaustiveSeqConsistent(obj, h); ex != fastSC {
-					t.Errorf("%s seed %d: frontSearch sc=%v, exhaustive sc=%v on\n%v", tc.name, seed, fastSC, ex, h)
+					t.Errorf("%s seed %d: witness search sc=%v, exhaustive sc=%v on\n%v", tc.name, seed, fastSC, ex, h)
 				}
 				if fastLin && !fastSC {
 					t.Errorf("%s seed %d: linearizable but not sequentially consistent:\n%v", tc.name, seed, h)

@@ -1,6 +1,6 @@
 package check
 
-// Differential validation of the memoized frontSearch against the
+// Differential validation of the memoized witness search against the
 // exhaustive brute-force reference, on histories generated by the real
 // implementations of package sut rather than synthetic words — including
 // histories with operations left pending by a mid-run process crash, the
@@ -86,12 +86,12 @@ func TestFrontSearchMatchesBruteOnSUTHistories(t *testing.T) {
 					}
 					fastLin := LinearizableOps(tc.obj, ops)
 					if brute := BruteLinearizable(tc.obj, h); brute != fastLin {
-						t.Errorf("seed %d crash %d: frontSearch lin=%v, brute lin=%v on\n%v",
+						t.Errorf("seed %d crash %d: witness search lin=%v, brute lin=%v on\n%v",
 							seed, crashStep, fastLin, brute, h)
 					}
 					fastSC := SeqConsistentOps(tc.obj, ops)
 					if brute := BruteSeqConsistent(tc.obj, h); brute != fastSC {
-						t.Errorf("seed %d crash %d: frontSearch sc=%v, brute sc=%v on\n%v",
+						t.Errorf("seed %d crash %d: witness search sc=%v, brute sc=%v on\n%v",
 							seed, crashStep, fastSC, brute, h)
 					}
 					// Linearizability implies sequential consistency; the two

@@ -33,11 +33,6 @@ type Options struct {
 	// Cells whose units were skipped report the cancellation cause as their
 	// error, so a rendered fail-fast table marks them with '!'.
 	FailFast bool
-	// Unpooled makes every possibility sweep allocate a fresh runtime per
-	// monitored run instead of reusing its worker's pooled runtime+session
-	// pair. The rendered table is byte-identical either way; the flag exists
-	// for differential tests and as an escape hatch.
-	Unpooled bool
 }
 
 // CellUpdate is one streaming progress event: a cell of Table 1 whose
@@ -67,31 +62,11 @@ type unit struct {
 	// single cell; the impossibility constructions that prove an SD ✗ and a
 	// WD ✗ at once feed two.
 	targets []cellKey
-	run     func(ctx context.Context, ex *exec) []error
-}
-
-// exec is the per-worker execution context: each engine worker owns one for
-// its whole batch, so consecutive units reuse one pooled runtime+session pair
-// instead of spawning and tearing down process coroutines per monitored run.
-type exec struct {
-	sess *monitor.Session
-}
-
-// run executes one monitored run: on the worker's pooled session when
-// pooling is on, on a dedicated runtime otherwise. The two paths produce
-// byte-identical results (see monitor.Session).
-func (ex *exec) run(cfg monitor.Config) *monitor.Result {
-	if ex == nil || ex.sess == nil {
-		return monitor.Run(cfg)
-	}
-	return ex.sess.Run(cfg)
-}
-
-// close releases the pooled session, if any.
-func (ex *exec) close() {
-	if ex != nil && ex.sess != nil {
-		ex.sess.Close()
-	}
+	// run performs the unit's monitored runs on sess, the running worker's
+	// pooled runtime+session pair: each engine worker owns one for its whole
+	// batch, so consecutive units stop spawning and tearing down process
+	// coroutines per monitored run.
+	run func(ctx context.Context, sess *monitor.Session) []error
 }
 
 // Run executes the full Table 1 plan under ctx and returns the rows in paper
@@ -112,7 +87,7 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	execUnit := func(ex *exec, u unit) {
+	execUnit := func(sess *monitor.Session, u unit) {
 		var errs []error
 		if cause := context.Cause(ctx); cause != nil {
 			errs = make([]error, len(u.targets))
@@ -120,7 +95,7 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 				errs[i] = fmt.Errorf("%s skipped: %w", u.name, cause)
 			}
 		} else {
-			errs = u.run(ctx, ex)
+			errs = u.run(ctx, sess)
 			if len(errs) != len(u.targets) {
 				panic(fmt.Sprintf("experiment: unit %q reported %d errors for %d targets", u.name, len(errs), len(u.targets)))
 			}
@@ -130,19 +105,16 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 		}
 	}
 
-	execs := make([]*exec, WorkerCount(len(pl.units), opts.Workers))
-	for w := range execs {
-		execs[w] = &exec{}
-		if !opts.Unpooled {
-			execs[w].sess = monitor.NewSession()
-		}
+	sessions := make([]*monitor.Session, WorkerCount(len(pl.units), opts.Workers))
+	for w := range sessions {
+		sessions[w] = monitor.NewSession()
 	}
 	defer func() {
-		for _, ex := range execs {
-			ex.close()
+		for _, sess := range sessions {
+			sess.Close()
 		}
 	}()
-	ForEachWorker(len(pl.units), opts.Workers, func(w, i int) { execUnit(execs[w], pl.units[i]) })
+	ForEachWorker(len(pl.units), opts.Workers, func(w, i int) { execUnit(sessions[w], pl.units[i]) })
 	return a.rows, context.Cause(ctx)
 }
 

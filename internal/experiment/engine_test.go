@@ -169,11 +169,11 @@ func TestCellDeterministicAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			// Fold exactly as the engine does: lowest plan order wins. Each
 			// goroutine owns one pooled session, as each engine worker does.
-			ex := &exec{sess: monitor.NewSession()}
-			defer ex.close()
+			sess := monitor.NewSession()
+			defer sess.Close()
 			var first error
 			for _, u := range units {
-				errs := u.run(context.Background(), ex)
+				errs := u.run(context.Background(), sess)
 				for i, k := range u.targets {
 					if k == target && errs[i] != nil && first == nil {
 						first = errs[i]

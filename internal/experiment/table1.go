@@ -144,17 +144,17 @@ func (t *plan) setCell(row, col int, lang string, class core.Class, expected boo
 }
 
 // add appends a unit in plan order.
-func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context, ex *exec) []error) {
+func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context, sess *monitor.Session) []error) {
 	t.units = append(t.units, unit{ord: len(t.units), name: name, targets: targets, run: run})
 }
 
 // ---------------------------------------------------------------- running
 
 // runUntimed executes a monitor against A exhibiting the source's word, on
-// the worker's pooled runtime when ex carries one.
-func runUntimed(ex *exec, p Params, m monitor.Monitor, src adversary.Source, seed int64, steps int) *monitor.Result {
+// the worker's pooled session.
+func runUntimed(sess *monitor.Session, p Params, m monitor.Monitor, src adversary.Source, seed int64, steps int) *monitor.Result {
 	adv := adversary.NewA(p.Procs, src)
-	return ex.run(monitor.Config{
+	return sess.Run(monitor.Config{
 		N:       p.Procs,
 		Monitor: m,
 		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
@@ -168,11 +168,11 @@ func runUntimed(ex *exec, p Params, m monitor.Monitor, src adversary.Source, see
 }
 
 // runTimed executes a monitor factory against Aτ wrapping A, on the worker's
-// pooled runtime when ex carries one.
-func runTimed(ex *exec, p Params, mk func(tau *adversary.Timed) monitor.Monitor, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
+// pooled session.
+func runTimed(sess *monitor.Session, p Params, mk func(tau *adversary.Timed) monitor.Monitor, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
 	adv := adversary.NewA(p.Procs, src)
 	tau := adversary.NewTimed(p.Procs, adv, adversary.ArrayAtomic)
-	res := ex.run(monitor.Config{
+	res := sess.Run(monitor.Config{
 		N:       p.Procs,
 		Monitor: mk(tau),
 		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
@@ -194,8 +194,8 @@ func (t *plan) sweepUntimed(cell cellKey, mk func() monitor.Monitor, l lang.Lang
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
-				func(_ context.Context, ex *exec) []error {
-					res := runUntimed(ex, t.p, mk(), lb.New(), seed, steps)
+				func(_ context.Context, sess *monitor.Session) []error {
+					res := runUntimed(sess, t.p, mk(), lb.New(), seed, steps)
 					ev := core.Eval{Class: class, Window: t.p.Window}
 					if err := ev.Check(res, lb.In); err != nil {
 						return []error{fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)}
@@ -212,8 +212,8 @@ func (t *plan) sweepTimed(cell cellKey, mk func(tau *adversary.Timed) monitor.Mo
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
-				func(_ context.Context, ex *exec) []error {
-					res, tau := runTimed(ex, t.p, mk, lb.New(), seed, steps)
+				func(_ context.Context, sess *monitor.Session) []error {
+					res, tau := runTimed(sess, t.p, mk, lb.New(), seed, steps)
 					ev := core.Eval{Class: class, Window: t.p.Window, SketchViolated: func() bool {
 						sk, err := res.Sketch(t.p.Procs, tau.InvAt)
 						if err != nil {
@@ -248,7 +248,7 @@ func (t *plan) registerRow(l lang.Lang, lin bool) {
 		func() monitor.Monitor { return monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic) },
 		func() monitor.Monitor { return monitor.NewConsensusOrder(spec.Register(), adversary.ArrayAtomic) },
 	} {
-		t.add(l.Name+" Lemma 5.1 swap", []cellKey{sd, wd}, func(_ context.Context, _ *exec) []error {
+		t.add(l.Name+" Lemma 5.1 swap", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
 			m := mkM()
 			var err error
 			if e := (Lemma51{Rounds: t.p.SwapRounds}).Verify(m); e != nil {
@@ -286,7 +286,7 @@ func (t *plan) ledgerRow(l lang.Lang, lin bool) {
 	evidence := "Appendix A witness + Theorem 5.2 shuffle walk (E,F,E″ triples verified)"
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Thm 5.2", evidence)
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2", evidence)
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
 		alpha := core.AppendixAWitness(t.p.Procs)
 		wit := core.FindRTOWitness(l.SafetyViolated, alpha, t.p.Procs)
 		var err error
@@ -323,7 +323,7 @@ func (t *plan) ecLedRow() {
 	evidence := "Appendix A witness + Theorem 5.2 shuffle walk"
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Thm 5.2", evidence)
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2", evidence)
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
 		alpha := core.AppendixAWitness(t.p.Procs)
 		wit := core.FindRTOWitness(l.SafetyViolated, alpha, t.p.Procs)
 		var err error
@@ -338,7 +338,7 @@ func (t *plan) ecLedRow() {
 	evidence = "Lemma 6.5 alternation attack: unbounded NOs on an in-language tight behaviour"
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.5", evidence)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, false, "Lemma 6.5", evidence)
-	t.add(l.Name+" Lemma 6.5 alternation", []cellKey{psd, pwd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Lemma 6.5 alternation", []cellKey{psd, pwd}, func(_ context.Context, _ *monitor.Session) []error {
 		err := (Lemma65{N: 2, Stages: t.p.Stages}).Verify(func(*adversary.Timed) monitor.Monitor {
 			return monitor.NewECLed(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
@@ -353,7 +353,7 @@ func (t *plan) wecRow() {
 
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Lemma 5.2",
 		"prefix-extension attack on Figure 5: replayed NO on an in-language word")
-	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
 		res, err := counterAttack(t.p).Run(monitor.NewWEC(adversary.ArrayAtomic))
 		if err == nil {
 			err = res.Verify(func(w word.Word) bool {
@@ -371,7 +371,7 @@ func (t *plan) wecRow() {
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
-	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *monitor.Session) []error {
 		res, err := counterAttack(t.p).RunTimed(func(*adversary.Timed) monitor.Monitor {
 			return monitor.NewWEC(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
@@ -417,7 +417,7 @@ func (t *plan) secRow() {
 	}
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Lemma 5.2",
 		"prefix-extension attack on Figure 9: replayed NO on an in-language word")
-	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
 		_, err := runAttack()
 		return []error{err}
 	})
@@ -426,7 +426,7 @@ func (t *plan) secRow() {
 	// sensitive; the walk realizes the chain on the witness.
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2",
 		"clause-4 witness + shuffle walk")
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{wd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Theorem 5.2 walk", []cellKey{wd}, func(_ context.Context, _ *monitor.Session) []error {
 		wit := core.FindRTOWitness(l.SafetyViolated, secWitness(), 2)
 		var err error
 		if wit == nil {
@@ -439,7 +439,7 @@ func (t *plan) secRow() {
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack on Figure 9")
-	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *exec) []error {
+	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *monitor.Session) []error {
 		res, err := runAttack()
 		if err == nil && !res.TightSketch {
 			err = fmt.Errorf("execution not tight")

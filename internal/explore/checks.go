@@ -49,7 +49,7 @@ const (
 	// the exhibited history (violations of non-guaranteed properties are
 	// OracleFailures — planted bugs found, not divergences).
 	CheckOracle = "oracle"
-	// CheckBrute: the memoized frontSearch checkers must agree with the
+	// CheckBrute: the memoized witness search must agree with the
 	// exhaustive brute-force reference on small histories.
 	CheckBrute = "brute"
 	// CheckMonitorLin: V_O's verdict stream against the offline

@@ -87,16 +87,6 @@ type Options struct {
 	// ShrinkBudget bounds the number of candidate executions one shrink may
 	// spend (0 = default).
 	ShrinkBudget int
-	// Unpooled makes every scenario allocate a fresh runtime instead of
-	// reusing its worker's pooled runtime+session pair. Reports are
-	// byte-identical either way; the flag exists for differential tests and
-	// as an escape hatch.
-	Unpooled bool
-	// Unincremental disables the incremental consistency checkers (see
-	// Runner.Unincremental): every witness search re-runs from scratch.
-	// Reports are byte-identical either way; the flag exists for differential
-	// tests and as an escape hatch while the incremental path is new.
-	Unincremental bool
 	// StageStats, when true, adds a per-family, per-stage cost breakdown
 	// (generate/execute/monitor/check wall time and allocations) to the
 	// report's Stages field. Off by default: stage timing is nondeterministic,
@@ -250,9 +240,9 @@ func Explore(opts Options) (*Report, error) {
 
 	// One runner per worker: each owns a pooled runtime+session pair and a
 	// pooled execution substrate (SUT instances, workload, service, timed
-	// adversary, network — see Runner.Pooled) for the whole sweep, unless
-	// pooling is off, so scenario setup stops paying per-execution coroutine
-	// spawns, result allocations and substrate rebuilds. The pool itself
+	// adversary, network — see Runner.Pooled) for the whole sweep, so
+	// scenario setup stops paying per-execution coroutine spawns, result
+	// allocations and substrate rebuilds. The pool itself
 	// persists across rounds too.
 	pool := experiment.NewPool(experiment.WorkerCount(opts.Scenarios, opts.Workers))
 	defer pool.Close()
@@ -262,20 +252,14 @@ func Explore(opts Options) (*Report, error) {
 		genStages = newStageRecorder()
 	}
 	for w := range runners {
-		runners[w] = Runner{Wrap: opts.Wrap, Unincremental: opts.Unincremental}
-		if !opts.Unpooled {
-			runners[w].Session = monitor.NewSession()
-			runners[w] = runners[w].Pooled()
-		}
+		runners[w] = Runner{Wrap: opts.Wrap, Session: monitor.NewSession()}.Pooled()
 		if opts.StageStats {
 			runners[w].stages = newStageRecorder()
 		}
 	}
 	defer func() {
 		for _, r := range runners {
-			if r.Session != nil {
-				r.Session.Close()
-			}
+			r.Session.Close()
 		}
 	}()
 

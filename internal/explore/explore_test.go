@@ -163,74 +163,76 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestExplorePooledMatchesUnpooled(t *testing.T) {
-	// Pooled runtime+session reuse is an optimization, never a semantic
-	// knob: the folded report must be byte-identical with pooling on and
-	// off, across worker counts.
-	n := sweepSize()
-	var renders []string
-	for _, cfg := range []struct {
-		unpooled bool
-		workers  int
-	}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
-		rep, err := Explore(Options{
-			Master: 5, Scenarios: n, Workers: cfg.workers,
-			Gen: GenConfig{MaxCrashes: 2}, Unpooled: cfg.unpooled,
-		})
+// explorePooledMatchesFresh runs the sweep on Explore's pooled runners,
+// then re-executes every scenario it ran, and re-shrinks every reproducer
+// it reported, on a fresh Runner{} (no session, no pooled substrate): the
+// outcomes and reproducers must be identical. It returns the pooled
+// sweep's marshalled report.
+func explorePooledMatchesFresh(t *testing.T, opts Options) string {
+	t.Helper()
+	outs := make([]*Outcome, opts.Scenarios)
+	opts.OnScenario = func(i int, out *Outcome) { outs[i] = out }
+	rep, err := Explore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range outs {
+		want, err := Runner{}.Execute(got.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, err := json.Marshal(rep)
+		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+			t.Fatalf("scenario %d: pooled outcome\n%s\nfresh outcome\n%s", i, g, w)
+		}
+	}
+	reshrink := func(spec, shrunk string, still []Divergence, shrink func(Spec, Runner, int) (Spec, []Divergence)) {
+		if shrunk == "" {
+			return
+		}
+		s, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		renders = append(renders, string(js))
-	}
-	for i := 1; i < len(renders); i++ {
-		if renders[i] != renders[0] {
-			t.Fatalf("configuration %d folded a different report:\n%s\nvs\n%s", i, renders[i], renders[0])
+		fresh, freshStill := shrink(s, Runner{}, opts.ShrinkBudget)
+		if fresh.String() != shrunk || mustJSON(t, freshStill) != mustJSON(t, still) {
+			t.Fatalf("%s: pooled shrink %s %v, fresh shrink %s %v", spec, shrunk, still, fresh, freshStill)
 		}
 	}
+	for _, f := range rep.Failures {
+		reshrink(f.Spec, f.Shrunk, f.ShrunkDivergences, ShrinkSpec)
+	}
+	for _, b := range rep.Bugs {
+		reshrink(b.Spec, b.Shrunk, b.ShrunkFailures, ShrinkBugSpec)
+	}
+	return mustJSON(t, rep)
 }
 
-func TestExploreIncrementalMatchesUnincremental(t *testing.T) {
-	// The incremental checker is an optimization, never a semantic knob: for
-	// every scenario family the folded report must be byte-identical with the
-	// incremental path on and off, across worker counts and pooling — the
-	// same contract pooling itself carries. A mismatch means a stale memo
-	// corrupted a verdict somewhere, which the per-package differentials
-	// should have caught first.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(js)
+}
+
+func TestExplorePooledMatchesFresh(t *testing.T) {
+	// Pooled runtime+session, substrate and checker reuse are optimizations,
+	// never a semantic knob: for every scenario family, every scenario a
+	// pooled sweep runs must produce exactly a fresh runner's outcome, and
+	// the folded report must not depend on the worker count.
 	n := sweepSize() / 2
 	for _, fam := range []string{FamLang, FamObj, FamMsg} {
-		fam := fam
 		t.Run(fam, func(t *testing.T) {
-			gen := GenConfig{MaxCrashes: 2}
-			if fam != FamLang {
-				gen.Families = []string{fam}
-			}
+			gen := GenConfig{MaxCrashes: 2, Families: []string{fam}}
 			var renders []string
-			for _, cfg := range []struct {
-				unincremental bool
-				unpooled      bool
-				workers       int
-			}{{false, false, 1}, {true, false, 1}, {true, true, 1}, {false, false, 4}, {true, false, 4}} {
-				rep, err := Explore(Options{
-					Master: 11, Scenarios: n, Workers: cfg.workers, Gen: gen,
-					Unpooled: cfg.unpooled, Unincremental: cfg.unincremental,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				js, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				renders = append(renders, string(js))
+			for _, workers := range []int{1, 4} {
+				renders = append(renders, explorePooledMatchesFresh(t, Options{
+					Master: 5, Scenarios: n, Workers: workers, Gen: gen, Shrink: true,
+				}))
 			}
-			for i := 1; i < len(renders); i++ {
-				if renders[i] != renders[0] {
-					t.Fatalf("configuration %d folded a different report:\n%s\nvs\n%s", i, renders[i], renders[0])
-				}
+			if renders[1] != renders[0] {
+				t.Fatalf("workers=4 folded a different report:\n%s\nvs\n%s", renders[1], renders[0])
 			}
 		})
 	}

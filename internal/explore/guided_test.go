@@ -8,7 +8,6 @@ package explore
 // leak.
 
 import (
-	"encoding/json"
 	"testing"
 
 	"github.com/drv-go/drv/internal/experiment"
@@ -74,32 +73,21 @@ func TestGuidedReportDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// Corpus growth feeds back into later rounds' mutation draws, so it is
 	// the one place worker count could sneak into a guided report; folding
 	// signatures in scenario-index order keeps it out. Each run loads its
-	// own corpus copy — Explore grows the corpus it is given.
+	// own corpus copy — Explore grows the corpus it is given — and every
+	// pooled outcome must equal a fresh runner's.
 	n := 40
 	if !testing.Short() {
 		n = 150
 	}
 	var renders []string
 	var grown []int
-	for _, cfg := range []struct {
-		workers  int
-		unpooled bool
-	}{{1, false}, {4, false}, {4, true}, {1, true}} {
+	for _, workers := range []int{1, 4} {
 		c := loadCommitted(t)
-		rep, err := Explore(Options{
-			Master: 11, Scenarios: n, Workers: cfg.workers,
+		renders = append(renders, explorePooledMatchesFresh(t, Options{
+			Master: 11, Scenarios: n, Workers: workers,
 			Gen:    GenConfig{MaxCrashes: 2},
 			Corpus: c, MutateFrac: 0.5, Round: 25,
-			Unpooled: cfg.unpooled,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, string(js))
+		}))
 		grown = append(grown, c.New())
 	}
 	for i := 1; i < len(renders); i++ {

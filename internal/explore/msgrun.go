@@ -234,9 +234,6 @@ func (r Runner) executeMsg(s Spec) (*Outcome, error) {
 		tau = adversary.NewTimed(s.N, inner, adversary.ArrayAtomic)
 	}
 	m := monitor.NewLin(md.obj, tau, adversary.ArrayAtomic)
-	if r.Unincremental {
-		m = monitor.NewLinScratch(md.obj, tau, adversary.ArrayAtomic)
-	}
 	if r.Wrap != nil {
 		m = r.Wrap(m)
 	}

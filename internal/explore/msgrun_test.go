@@ -8,7 +8,6 @@ package explore
 // at most 20 workload operations.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -182,30 +181,19 @@ func TestMsgSignatureSeparatesImplsAndNet(t *testing.T) {
 
 func TestMsgReportDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// The message sweep inherits the determinism contract: byte-identical
-	// reports for every worker count and pooling mode.
+	// reports for every worker count, with every pooled outcome equal to a
+	// fresh runner's.
 	n := 16
 	if !testing.Short() {
 		n = 40
 	}
 	var renders []string
-	for _, cfg := range []struct {
-		workers  int
-		unpooled bool
-	}{{1, false}, {4, false}, {4, true}} {
-		rep, err := Explore(Options{
-			Master: 9, Scenarios: n, Workers: cfg.workers,
-			Gen:      msgGen(),
-			Unpooled: cfg.unpooled,
-			Shrink:   true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, string(js))
+	for _, workers := range []int{1, 4} {
+		renders = append(renders, explorePooledMatchesFresh(t, Options{
+			Master: 9, Scenarios: n, Workers: workers,
+			Gen:    msgGen(),
+			Shrink: true,
+		}))
 	}
 	for i := 1; i < len(renders); i++ {
 		if renders[i] != renders[0] {
@@ -338,17 +326,15 @@ func TestMsgExplorerFindsSeededBugs(t *testing.T) {
 
 func TestMsgGuidedDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// The guided message sweep over the committed corpus inherits the
-	// determinism contract: byte-identical reports for every worker count
-	// and pooling mode, corpus growth included.
+	// determinism contract: byte-identical reports for every worker count,
+	// corpus growth included, with every pooled outcome equal to a fresh
+	// runner's.
 	n := 30
 	if !testing.Short() {
 		n = 80
 	}
 	var renders []string
-	for _, cfg := range []struct {
-		workers  int
-		unpooled bool
-	}{{1, false}, {4, false}, {4, true}} {
+	for _, workers := range []int{1, 4} {
 		c, err := LoadCorpus("testdata/corpus-msg")
 		if err != nil {
 			t.Fatal(err)
@@ -356,21 +342,12 @@ func TestMsgGuidedDeterministicAcrossWorkersAndPooling(t *testing.T) {
 		if c.Len() == 0 {
 			t.Fatal("committed message corpus is empty; regenerate with EXPLORE_MSG_CORPUS_OUT=testdata/corpus-msg go test -run TestRegenerateMsgSeedCorpus ./internal/explore")
 		}
-		rep, err := Explore(Options{
-			Master: 8, Scenarios: n, Workers: cfg.workers,
+		renders = append(renders, explorePooledMatchesFresh(t, Options{
+			Master: 8, Scenarios: n, Workers: workers,
 			Gen:    msgGen(),
 			Corpus: c, MutateFrac: 0.5, Round: 25,
-			Unpooled: cfg.unpooled,
-			Shrink:   true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, string(js))
+			Shrink: true,
+		}))
 	}
 	for i := 1; i < len(renders); i++ {
 		if renders[i] != renders[0] {

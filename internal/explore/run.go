@@ -10,6 +10,7 @@ import (
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
+	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/word"
 )
 
@@ -98,13 +99,6 @@ type Runner struct {
 	// but the runner must not be used concurrently (explore gives each
 	// worker its own).
 	Session *monitor.Session
-	// Unincremental disables the incremental consistency checkers: the
-	// predictive monitors and the label oracles re-run every witness search
-	// from scratch, as before the incremental checker existed. Outcomes are
-	// byte-identical either way (the differential tests pin it); the flag is
-	// the escape hatch — and the differential driver — while the incremental
-	// path is new.
-	Unincremental bool
 	// scratch, when non-nil (see Pooled), reuses one execution substrate —
 	// SUT instances, workload, service, timed adversary, crash map, network —
 	// across the runner's scenarios instead of allocating it per run.
@@ -114,23 +108,28 @@ type Runner struct {
 	stages *stageRecorder
 }
 
+// checker returns a reset incremental checker for (obj, realTime) over n
+// processes: borrowed from the session's checker pool when the runner has a
+// session, so the memo table and key buffers grown by earlier scenarios are
+// reused, else fresh. The verdicts are the same either way.
+func (r Runner) checker(obj spec.Object, realTime bool, n int) *check.Incremental {
+	if r.Session != nil {
+		return r.Session.CheckPool().Get(obj, realTime, n)
+	}
+	return check.NewIncremental(obj, realTime, n)
+}
+
 // safetyViolated evaluates the language's safety test on w. Languages whose
 // test is a witness-search condition (Lang.Checker) run through an
 // incremental checker — one pass over w even for the per-prefix-quantified
 // conditions, where the closed-over checker re-searches every response-ended
-// prefix — borrowing from the pooled session's checker pool when there is
-// one. The boolean is identical on every path.
+// prefix. The boolean is the closure's.
 func (r Runner) safetyViolated(l lang.Lang, w word.Word) bool {
 	c := l.Checker
-	if c == nil || r.Unincremental {
+	if c == nil {
 		return l.SafetyViolated(w)
 	}
-	var chk *check.Incremental
-	if r.Session != nil {
-		chk = r.Session.CheckPool().Get(l.Object, c.RealTime, w.Procs())
-	} else {
-		chk = check.NewIncremental(l.Object, c.RealTime, w.Procs())
-	}
+	chk := r.checker(l.Object, c.RealTime, w.Procs())
 	if c.PerPrefix {
 		return chk.AnyPrefixViolated(w)
 	}
@@ -230,17 +229,10 @@ func (r Runner) buildMonitor(fam family, l lang.Lang, tau *adversary.Timed) moni
 	case famECLed:
 		m = monitor.NewECLed(adversary.ArrayAtomic)
 	default:
-		obj := l.Object
-		realTime := l.Name == "LIN_REG" || l.Name == "LIN_LED"
-		switch {
-		case realTime && r.Unincremental:
-			m = monitor.NewLinScratch(obj, tau, adversary.ArrayAtomic)
-		case realTime:
-			m = monitor.NewLin(obj, tau, adversary.ArrayAtomic)
-		case r.Unincremental:
-			m = monitor.NewSCScratch(obj, tau, adversary.ArrayAtomic)
-		default:
-			m = monitor.NewSC(obj, tau, adversary.ArrayAtomic)
+		if l.Name == "LIN_REG" || l.Name == "LIN_LED" {
+			m = monitor.NewLin(l.Object, tau, adversary.ArrayAtomic)
+		} else {
+			m = monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
 		}
 	}
 	if r.Wrap != nil {

@@ -221,9 +221,6 @@ func (r Runner) executeObj(s Spec) (*Outcome, error) {
 		tau = adversary.NewTimed(s.N, inner, adversary.ArrayAtomic)
 	}
 	m := monitor.NewLin(od.obj, tau, adversary.ArrayAtomic)
-	if r.Unincremental {
-		m = monitor.NewLinScratch(od.obj, tau, adversary.ArrayAtomic)
-	}
 	if r.Wrap != nil {
 		m = r.Wrap(m)
 	}
@@ -298,25 +295,16 @@ func (r Runner) runHistoryChecks(out *Outcome, obj spec.Object, safetyName strin
 	}
 
 	ops := word.Operations(res.History)
-	// The offline oracles borrow pooled incremental checkers when the runner
-	// has a session: the memoized witness search then reuses the memo table
-	// and key buffers grown by earlier scenarios instead of re-allocating
-	// them per run. The verdicts are identical on every path (the check
-	// package's differential tests pin CheckWord against the from-scratch
-	// searches), so report bytes do not depend on which one ran.
-	var lin bool
+	// The offline oracles run on the runner's incremental checkers (see
+	// Runner.checker), the sequential-consistency oracle included: it decides
+	// exactly scViolation's condition.
+	lin := r.checker(obj, true, s.N).CheckWord(res.History)
 	var violation string
-	if r.Session != nil && !r.Unincremental {
-		lin = r.Session.CheckPool().Get(obj, true, s.N).CheckWord(res.History)
-		if safetyName == OracleSC {
-			if !r.Session.CheckPool().Get(obj, false, s.N).CheckWord(res.History) {
-				violation = "history is not sequentially consistent"
-			}
-		} else {
-			violation = safety(obj, res.History, ops)
+	if safetyName == OracleSC {
+		if !r.checker(obj, false, s.N).CheckWord(res.History) {
+			violation = "history is not sequentially consistent"
 		}
 	} else {
-		lin = check.LinearizableOps(obj, ops)
 		violation = safety(obj, res.History, ops)
 	}
 
@@ -338,20 +326,20 @@ func (r Runner) runHistoryChecks(out *Outcome, obj spec.Object, safetyName strin
 		}
 	}
 
-	// The fast memoized search against the exhaustive reference — the axis
-	// that guards frontSearch itself, on the histories real implementations
-	// (not synthetic words) produce, including pending-at-crash operations.
+	// The memoized witness search against the exhaustive reference, on the
+	// histories real implementations (not synthetic words) produce, including
+	// pending-at-crash operations.
 	if len(ops) <= bruteOpsCap {
 		out.ran(CheckBrute)
 		if got := check.BruteLinearizable(obj, res.History); got != lin {
 			out.diverge(CheckBrute,
-				"frontSearch says linearizable=%v, brute force says %v", lin, got)
+				"witness search says linearizable=%v, brute force says %v", lin, got)
 		}
 		if safetyName == OracleSC {
 			fast := violation == ""
 			if got := check.BruteSeqConsistent(obj, res.History); got != fast {
 				out.diverge(CheckBrute,
-					"frontSearch says sequentially-consistent=%v, brute force says %v", fast, got)
+					"witness search says sequentially-consistent=%v, brute force says %v", fast, got)
 			}
 		}
 	} else {
@@ -376,29 +364,18 @@ func (r Runner) runHistoryChecks(out *Outcome, obj spec.Object, safetyName strin
 	switch {
 	case lin && res.TotalNO() > 0:
 		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && r.checkLin(obj, sk, s.N) {
+		if err == nil && r.checker(obj, true, s.N).CheckWord(sk) {
 			out.diverge(CheckMonitorLin,
 				"history and sketch are both linearizable but %s reported %d NO verdict(s)", out.Monitor, res.TotalNO())
 		}
 	case !lin && !crashed && !lossy && res.Drained && res.TotalNO() == 0:
 		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && !r.checkLin(obj, sk, s.N) {
+		if err == nil && !r.checker(obj, true, s.N).CheckWord(sk) {
 			out.diverge(CheckMonitorLin,
 				"history and sketch are both non-linearizable but no process ever reported NO")
 		}
 	}
 	r.stages.stop(s.Fam(), stageMonitor, mark)
-}
-
-// checkLin decides linearizability of w over n processes, borrowing the
-// session's pooled incremental checker when the runner has one — the verdict
-// is identical on both paths (pinned by the check package's differential
-// tests), only the scratch reuse differs.
-func (r Runner) checkLin(obj spec.Object, w word.Word, n int) bool {
-	if r.Session != nil && !r.Unincremental {
-		return r.Session.CheckPool().Get(obj, true, n).CheckWord(w)
-	}
-	return check.Linearizable(obj, w)
 }
 
 // bug records an oracle failure: a property violation the implementation

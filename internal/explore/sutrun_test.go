@@ -7,7 +7,6 @@ package explore
 // monitor axis catching a broken monitor on real executions.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -275,17 +274,14 @@ func TestObjExplorerFindsSeededBugs(t *testing.T) {
 
 func TestObjGuidedDeterministicAcrossWorkersAndPooling(t *testing.T) {
 	// The guided object sweep inherits the language family's determinism
-	// contract: byte-identical reports for every worker count and pooling
-	// mode, corpus growth included.
+	// contract: byte-identical reports for every worker count, corpus growth
+	// included, with every pooled outcome equal to a fresh runner's.
 	n := 30
 	if !testing.Short() {
 		n = 80
 	}
 	var renders []string
-	for _, cfg := range []struct {
-		workers  int
-		unpooled bool
-	}{{1, false}, {4, false}, {4, true}} {
+	for _, workers := range []int{1, 4} {
 		c, err := LoadCorpus("testdata/corpus-obj")
 		if err != nil {
 			t.Fatal(err)
@@ -293,21 +289,12 @@ func TestObjGuidedDeterministicAcrossWorkersAndPooling(t *testing.T) {
 		if c.Len() == 0 {
 			t.Fatal("committed object corpus is empty; regenerate with EXPLORE_OBJ_CORPUS_OUT=testdata/corpus-obj go test -run TestRegenerateObjSeedCorpus ./internal/explore")
 		}
-		rep, err := Explore(Options{
-			Master: 6, Scenarios: n, Workers: cfg.workers,
+		renders = append(renders, explorePooledMatchesFresh(t, Options{
+			Master: 6, Scenarios: n, Workers: workers,
 			Gen:    objGen(),
 			Corpus: c, MutateFrac: 0.5, Round: 25,
-			Unpooled: cfg.unpooled,
-			Shrink:   true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, string(js))
+			Shrink: true,
+		}))
 	}
 	for i := 1; i < len(renders); i++ {
 		if renders[i] != renders[0] {

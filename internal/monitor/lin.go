@@ -51,35 +51,21 @@ func (b *tripleBoard) publish(p *sched.Proc, tr sketch.Triple, buf []sketch.Trip
 // processes interact with (its announcement log resolves view contents);
 // kind selects the implementation of M.
 func NewLin(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("lin-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, true, false)
+	return newPredictive("lin-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, true)
 }
 
 // NewSC is V_O with the sequential-consistency check: the same construction
 // predictively strongly decides SC_O (Table 1 rows SC_REG, SC_LED).
 func NewSC(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("sc-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, false, false)
+	return newPredictive("sc-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, false)
 }
 
-// NewLinScratch is NewLin with the incremental verdict checker disabled:
-// every round re-runs the witness search from scratch on the full sketch
-// history. The monitor's name and verdict stream are byte-identical to
-// NewLin's — it exists as the differential reference (and the
-// Options.Unincremental escape hatch) while the incremental checker is new.
-func NewLinScratch(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("lin-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, true, true)
-}
-
-// NewSCScratch is the from-scratch reference form of NewSC.
-func NewSCScratch(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("sc-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, false, true)
-}
-
-func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj spec.Object, realTime, scratch bool) Monitor {
+func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj spec.Object, realTime bool) Monitor {
 	return NewMonitor(name, func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime, scratch: scratch}
+			logics[i] = &predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime}
 		}
 		return logics
 	})
@@ -98,7 +84,6 @@ type predictiveLogic struct {
 	tau      *adversary.Timed
 	obj      spec.Object
 	realTime bool
-	scratch  bool
 
 	pool *check.Pool        // session pool, when running on a pooled session
 	chk  *check.Incremental // this process's checker, borrowed lazily
@@ -118,21 +103,14 @@ func (l *predictiveLogic) attachPool(p *check.Pool) {
 	l.chk = nil
 }
 
-// accept decides the consistency condition on one sketch history. The
-// incremental path keeps a per-process checker alive across the verdict
-// stream: successive sketch histories usually extend each other, so each
-// round costs only the new suffix; non-extensions (views can reorder the
-// reconstructed past) reset transparently. The scratch path re-runs the
-// witness search whole each round — the two paths decide identically
-// (pinned by the check package's differential tests), so verdict streams
-// and report bytes do not depend on which one ran.
+// accept decides the consistency condition on one sketch history. A
+// per-process incremental checker stays alive across the verdict stream:
+// successive sketch histories usually extend each other, so each round costs
+// only the new suffix; non-extensions (views can reorder the reconstructed
+// past) reset transparently. Its verdicts are the one-shot checks' on every
+// round (pinned against check.Linearizable and check.SeqConsistent by this
+// package's tests).
 func (l *predictiveLogic) accept(h word.Word) bool {
-	if l.scratch {
-		if l.realTime {
-			return check.Linearizable(l.obj, h)
-		}
-		return check.SeqConsistent(l.obj, h)
-	}
 	if l.chk == nil {
 		if l.pool != nil {
 			l.chk = l.pool.Get(l.obj, l.realTime, l.n)
@@ -148,18 +126,10 @@ func (l *predictiveLogic) PreSend(_ *sched.Proc, inv word.Symbol) {
 	l.inv = inv
 }
 
-// PostRecv implements Line 05: publish the triple, snapshot M and build h_i.
+// PostRecv implements Line 05: publish the triple, snapshot M, build h_i and
+// decide it.
 func (l *predictiveLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
-	if resp.View == nil {
-		panic("monitor: predictive monitor requires a timed service")
-	}
-	l.tbuf = l.board.publish(p, sketch.Triple{
-		ID:   resp.ID,
-		Inv:  l.inv,
-		Res:  resp.Sym,
-		View: *resp.View,
-	}, l.tbuf)
-	h, err := l.builder.BuildSketch(l.n, l.tbuf, l.tau.InvAt)
+	h, err := l.round(p, resp)
 	if err != nil {
 		// Incomparable views (possible only with collect-backed timed
 		// adversaries) leave the process without a usable history this
@@ -176,6 +146,21 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	} else {
 		l.verdict = No
 	}
+}
+
+// round publishes the process's triple, snapshots M and builds h_i from
+// every published triple.
+func (l *predictiveLogic) round(p *sched.Proc, resp adversary.Response) (word.Word, error) {
+	if resp.View == nil {
+		panic("monitor: predictive monitor requires a timed service")
+	}
+	l.tbuf = l.board.publish(p, sketch.Triple{
+		ID:   resp.ID,
+		Inv:  l.inv,
+		Res:  resp.Sym,
+		View: *resp.View,
+	}, l.tbuf)
+	return l.builder.BuildSketch(l.n, l.tbuf, l.tau.InvAt)
 }
 
 // Decide implements Line 06.
