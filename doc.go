@@ -28,10 +28,16 @@
 //     checkers.
 //   - internal/adversary — the adversary A (a word cursor realizing Claim
 //     3.1) and the timed adversary Aτ of Figure 6.
-//   - internal/sketch — the view-to-history construction x~(E) of Appendix B.
+//   - internal/sketch — the view-to-history construction x~(E) of Appendix B,
+//     built incrementally: a round's new triples are merged into the kept
+//     sorted keys and only the view groups from the first one they touch
+//     are re-emitted, with the length of the kept prefix reported to the
+//     checker.
 //   - internal/monitor — the generic Figure 1 monitor loop, the stability
 //     transformations of Figures 2–4, and the concrete monitors of Figures
 //     5, 8 and 9, plus baselines (order-free, consensus-powered, 3-valued).
+//     The shared triple board of Figures 8 and 9 hands each process only
+//     the triples it has not collected yet, so a round costs its new input.
 //   - internal/core — the decidability notions SD, WD, PSD, PWD and the
 //     real-time obliviousness characterization of Theorem 5.2.
 //   - internal/experiment — the proofs as executable constructions: the

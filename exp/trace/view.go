@@ -45,10 +45,12 @@ func (v View) Contains(id OpID) bool {
 	return id.Proc < len(v.counts) && id.Idx < v.counts[id.Proc]
 }
 
-// Leq reports containment v ⊆ u, i.e. pointwise ≤.
+// Leq reports containment v ⊆ u, i.e. pointwise ≤. A process beyond the
+// end of a count vector counts 0, as in Contains and Diff, so views over
+// different process counts compare instead of panicking.
 func (v View) Leq(u View) bool {
 	for i, c := range v.counts {
-		if c > u.counts[i] {
+		if c > 0 && (i >= len(u.counts) || c > u.counts[i]) {
 			return false
 		}
 	}

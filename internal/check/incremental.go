@@ -353,10 +353,14 @@ func (c *Incremental) CheckWord(w word.Word) bool {
 // CheckExtending checks w, reusing the witness when w extends the history
 // already fed (the predictive monitors' verdict stream: successive sketch
 // histories usually extend each other, but view reordering can rebuild the
-// past, in which case the checker resets and re-feeds).
-func (c *Incremental) CheckExtending(w word.Word) bool {
+// past, in which case the checker resets and re-feeds). The caller
+// guarantees that w[:same] equals the history already fed, up to its length
+// (a sketch builder reports how much of its last word it kept), so only the
+// symbols from same on are compared; same == 0 compares them all.
+func (c *Incremental) CheckExtending(w word.Word, same int) bool {
 	k := len(c.syms)
-	if k > len(w) || !c.syms.Equal(w[:k]) {
+	same = min(same, k)
+	if k > len(w) || !c.syms[same:].Equal(w[same:k]) {
 		c.Reset(c.n)
 		k = 0
 	}

@@ -34,13 +34,13 @@ func TestIncrementalInterleavedPrefixQueries(t *testing.T) {
 					chk := NewIncremental(obj, realTime, n)
 					for q := 0; q < 12; q++ {
 						k := rng.Intn(len(w) + 1)
-						got := chk.CheckExtending(w[:k])
+						got := chk.CheckExtending(w[:k], 0)
 						if want := scratchOK(obj, realTime, w[:k]); got != want {
 							t.Fatalf("%s trial %d realTime=%v: CheckExtending(w[:%d])=%v, fresh=%v on\n%v",
 								obj.Name(), trial, realTime, k, got, want, w)
 						}
 						// Repeated query on the unchanged prefix must agree too.
-						if got2 := chk.CheckExtending(w[:k]); got2 != got {
+						if got2 := chk.CheckExtending(w[:k], 0); got2 != got {
 							t.Fatalf("%s trial %d: repeated CheckExtending(w[:%d]) flipped %v -> %v",
 								obj.Name(), trial, k, got, got2)
 						}
@@ -60,9 +60,61 @@ func TestIncrementalCheckExtendingDivergence(t *testing.T) {
 	chk := NewIncremental(obj, true, 3)
 	for trial := 0; trial < 60; trial++ {
 		w := randWord(obj, 3, 5+rng.Intn(8), 0.25, rng)
-		if got, want := chk.CheckExtending(w), scratchOK(obj, true, w); got != want {
+		if got, want := chk.CheckExtending(w, 0), scratchOK(obj, true, w); got != want {
 			t.Fatalf("trial %d: CheckExtending=%v, fresh=%v on\n%v", trial, got, want, w)
 		}
+	}
+}
+
+// TestIncrementalCheckExtendingHint pins the prefix hint: over query
+// sequences that extend, truncate and replace random histories, answering
+// any query with any same up to the true common prefix of the fed history
+// and the query gives the verdict, and leaves the searches, nodes and
+// extends counters, that same == 0 does.
+func TestIncrementalCheckExtendingHint(t *testing.T) {
+	objs := []spec.Object{spec.Register(), spec.Queue(), spec.Counter()}
+	rng := rand.New(rand.NewSource(29))
+	hinted := 0
+	for _, obj := range objs {
+		for trial := 0; trial < 12; trial++ {
+			n := 2 + rng.Intn(2)
+			w := randWord(obj, n, 6+rng.Intn(10), []float64{0, 0.3}[trial%2], rng)
+			var qs []word.Word
+			for q := 0; q < 8; q++ {
+				if rng.Intn(4) == 0 {
+					w = randWord(obj, n, 6+rng.Intn(10), 0.2, rng)
+				}
+				qs = append(qs, w[:rng.Intn(len(w)+1)])
+			}
+			for _, realTime := range []bool{true, false} {
+				ref := NewIncremental(obj, realTime, n)
+				var fed word.Word
+				for i, q := range qs {
+					want := ref.CheckExtending(q, 0)
+					wantCtr := [3]int{ref.searches, ref.nodes, ref.extends}
+					cp := 0
+					for cp < len(fed) && cp < len(q) && fed[cp].Equal(q[cp]) {
+						cp++
+					}
+					for same := 1; same <= cp; same++ {
+						chk := NewIncremental(obj, realTime, n)
+						for _, p := range qs[:i] {
+							chk.CheckExtending(p, 0)
+						}
+						got := chk.CheckExtending(q, same)
+						if ctr := [3]int{chk.searches, chk.nodes, chk.extends}; got != want || ctr != wantCtr {
+							t.Fatalf("%s trial %d realTime=%v query %d: same=%d gives %v %v, same=0 gives %v %v",
+								obj.Name(), trial, realTime, i, same, got, ctr, want, wantCtr)
+						}
+						hinted++
+					}
+					fed = q
+				}
+			}
+		}
+	}
+	if hinted == 0 {
+		t.Fatal("no query shared a prefix with the history before it")
 	}
 }
 
@@ -240,7 +292,7 @@ func TestIncrementalMsgFamilyAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(32, func() {
 		chk.Reset(3)
 		for k := 1; k <= len(w); k++ {
-			chk.CheckExtending(w[:k])
+			chk.CheckExtending(w[:k], 0)
 		}
 	})
 	const budget = 32
@@ -267,7 +319,7 @@ func TestIncrementalPerGoroutineCheckers(t *testing.T) {
 				for _, obj := range objs {
 					w := randWord(obj, 2, 4+rng.Intn(8), 0.3, rng)
 					chk := pool.Get(obj, trial%2 == 0, 2)
-					got := chk.CheckExtending(w)
+					got := chk.CheckExtending(w, 0)
 					if want := scratchOK(obj, trial%2 == 0, w); got != want {
 						t.Errorf("goroutine %d trial %d %s: pooled=%v, fresh=%v", g, trial, obj.Name(), got, want)
 						return

@@ -55,7 +55,8 @@ type naiveOrderLogic struct {
 
 	inv     word.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's collection buffer, reused per round
+	tbuf    []sketch.Triple // publish's delta buffer, reused per round
+	all     []sketch.Triple // every collected triple
 	verdict Verdict
 }
 
@@ -68,10 +69,10 @@ func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	}
 	l.count++
 	l.tbuf = l.board.publish(p, sketch.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	triples := l.tbuf
+	l.all = append(l.all, l.tbuf...)
 	// Build the most permissive history consistent with what is known:
 	// per-process order only — all cross-process pairs concurrent.
-	h := orderFreeWord(triples)
+	h := orderFreeWord(l.all)
 	if check.SeqConsistent(l.obj, h) {
 		l.verdict = Yes
 	} else {
@@ -83,7 +84,8 @@ func (l *naiveOrderLogic) Decide(*sched.Proc) Verdict { return l.verdict }
 
 // orderFreeWord lays out the collected operations with every invocation
 // before every response, erasing all cross-process real-time order while
-// keeping per-process operation order (IDs are per-process indices).
+// keeping per-process operation order (IDs are per-process indices). The
+// order of the triples does not matter.
 func orderFreeWord(triples []sketch.Triple) word.Word {
 	byProc := map[int][]sketch.Triple{}
 	maxProc := 0

@@ -66,7 +66,7 @@ type consensusLogic struct {
 
 	inv     word.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's collection buffer, reused per round
+	tbuf    []sketch.Triple // publish's delta buffer, reused per round
 	known   map[word.OpID]sketch.Triple
 	agreed  []word.OpID // the process's view of the decided log prefix
 	flag    bool

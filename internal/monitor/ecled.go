@@ -28,7 +28,7 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &ecledLogic{board: board}
+			logics[i] = &ecledLogic{board: board, prevAppends: map[word.Rec]bool{}}
 		}
 		return logics
 	})
@@ -40,13 +40,15 @@ type ecledLogic struct {
 
 	inv     word.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's collection buffer, reused per round
+	tbuf    []sketch.Triple // publish's delta buffer, reused per round
+	all     []sketch.Triple // every collected triple
 	flag    bool            // ordering clause violated: sticky NO
 	verdict Verdict
 
 	// prevAppends is the set of records whose append invocations were
 	// visible on the board at the previous round; a get that misses one of
-	// them is flagged as divergence (transient NO).
+	// them is flagged as divergence (transient NO). The set only grows, so
+	// each round adds its newly collected appends.
 	prevAppends map[word.Rec]bool
 }
 
@@ -63,8 +65,8 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	}
 	l.count++
 	l.tbuf = l.board.publish(p, sketch.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	triples := l.tbuf
-	h := orderFreeWord(triples)
+	l.all = append(l.all, l.tbuf...)
+	h := orderFreeWord(l.all)
 
 	if l.flag {
 		l.verdict = No
@@ -92,16 +94,14 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 			}
 		}
 	}
-	// Refresh the known-append set for the next round.
-	known := map[word.Rec]bool{}
-	for _, tr := range triples {
+	// Add this round's appends to the known-append set for the next round.
+	for _, tr := range l.tbuf {
 		if tr.Inv.Op == spec.OpAppend {
 			if r, ok := tr.Inv.Val.(word.Rec); ok {
-				known[r] = true
+				l.prevAppends[r] = true
 			}
 		}
 	}
-	l.prevAppends = known
 }
 
 // Decide implements Line 06.

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/mem"
@@ -17,28 +19,42 @@ import (
 type tripleBoard struct {
 	counts mem.Array[int]
 	logs   [][]sketch.Triple
+	seen   []int // seen[i*n+j]: how much of log j process i has collected
 }
 
 func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
 	return &tripleBoard{
 		counts: adversary.NewArray(kind, n),
 		logs:   make([][]sketch.Triple, n),
+		seen:   make([]int, n*n),
 	}
 }
 
 // publish appends the process's triple and makes it visible; then snapshots
-// the board, returning every published triple (Figure 8, Line 05). The
-// triples are collected into buf, which each logic retains and hands back
-// every round, so the per-round collection stops allocating once the buffer
-// has grown to the execution's size.
+// the board (Figure 8, Line 05) and returns the published triples this
+// process had not collected yet — its own among them. The union of a
+// process's deltas is the full published set of its latest snapshot, because
+// a process's successive snapshot counts are pointwise non-decreasing for
+// every ArrayKind: counts only grow, and each snapshot is atomic (ArrayAtomic),
+// linearizable (ArrayAADGMS), or a collect reading every cell after the
+// previous collect read it (ArrayCollect). A decrease is a bug in the array,
+// and panics. The triples are collected into buf, which each logic retains
+// and hands back every round, so the collection stops allocating once the
+// buffer has grown to the largest delta.
 func (b *tripleBoard) publish(p *sched.Proc, tr sketch.Triple, buf []sketch.Triple) []sketch.Triple {
 	id := p.ID
 	b.logs[id] = append(b.logs[id], tr)
 	b.counts.Write(p, id, len(b.logs[id]))
 	snap := b.counts.Snapshot(p)
+	n := len(b.logs)
+	seen := b.seen[id*n : (id+1)*n]
 	out := buf[:0]
 	for j, c := range snap {
-		out = append(out, b.logs[j][:c]...)
+		if c < seen[j] {
+			panic(fmt.Sprintf("monitor: process %d snapshot shows %d triples of process %d after showing %d", id, c, j, seen[j]))
+		}
+		out = append(out, b.logs[j][seen[j]:c]...)
+		seen[j] = c
 	}
 	return out
 }
@@ -88,8 +104,9 @@ type predictiveLogic struct {
 	pool *check.Pool        // session pool, when running on a pooled session
 	chk  *check.Incremental // this process's checker, borrowed lazily
 
-	tbuf    []sketch.Triple // publish's collection buffer, reused per round
-	builder sketch.Builder  // sketch scratch, reused per round
+	tbuf    []sketch.Triple // publish's delta buffer, reused per round
+	builder sketch.Builder  // the sketch of every collected triple, extended per round
+	same    int             // the last round's sketch prefix unchanged since the one before
 
 	inv     word.Symbol
 	verdict Verdict
@@ -106,8 +123,9 @@ func (l *predictiveLogic) attachPool(p *check.Pool) {
 // accept decides the consistency condition on one sketch history. A
 // per-process incremental checker stays alive across the verdict stream:
 // successive sketch histories usually extend each other, so each round costs
-// only the new suffix; non-extensions (views can reorder the reconstructed
-// past) reset transparently. Its verdicts are the one-shot checks' on every
+// only the new suffix, and the builder's unchanged prefix spares comparing
+// the rest; non-extensions (views can reorder the reconstructed past) reset
+// transparently. Its verdicts are the one-shot checks' on every
 // round (pinned against check.Linearizable and check.SeqConsistent by this
 // package's tests).
 func (l *predictiveLogic) accept(h word.Word) bool {
@@ -118,7 +136,7 @@ func (l *predictiveLogic) accept(h word.Word) bool {
 			l.chk = check.NewIncremental(l.obj, l.realTime, l.n)
 		}
 	}
-	return l.chk.CheckExtending(h)
+	return l.chk.CheckExtending(h, l.same)
 }
 
 // PreSend implements Line 02: "no communication is needed before sending".
@@ -148,8 +166,8 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	}
 }
 
-// round publishes the process's triple, snapshots M and builds h_i from
-// every published triple.
+// round publishes the process's triple, snapshots M and extends h_i by the
+// newly collected triples, recording how much of the previous h_i it kept.
 func (l *predictiveLogic) round(p *sched.Proc, resp adversary.Response) (word.Word, error) {
 	if resp.View == nil {
 		panic("monitor: predictive monitor requires a timed service")
@@ -160,7 +178,9 @@ func (l *predictiveLogic) round(p *sched.Proc, resp adversary.Response) (word.Wo
 		Res:  resp.Sym,
 		View: *resp.View,
 	}, l.tbuf)
-	return l.builder.BuildSketch(l.n, l.tbuf, l.tau.InvAt)
+	h, same, err := l.builder.Extend(l.n, l.tbuf, l.tau.InvAt)
+	l.same = same
+	return h, err
 }
 
 // Decide implements Line 06.

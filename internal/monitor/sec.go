@@ -37,8 +37,8 @@ type secLogic struct {
 	tau   *adversary.Timed
 
 	inv     word.Symbol
-	tbuf    []sketch.Triple // publish's collection buffer, reused per round
-	clause4 bool
+	tbuf    []sketch.Triple // publish's delta buffer, reused per round
+	clause4 bool            // some collected read exceeds its view's incs
 }
 
 // PreSend implements Line 02 of Figure 9 (same as Figure 5).
@@ -48,7 +48,11 @@ func (l *secLogic) PreSend(p *sched.Proc, inv word.Symbol) {
 }
 
 // PostRecv implements Line 05: the Figure 5 snapshot of INCS plus publishing
-// the triple in M and snapshotting it.
+// the triple in M and snapshotting it. Clause 4 fires when some collected
+// read returned more than the inc invocations in its view. Only the newly
+// collected triples need scanning, and a fired clause stays fired: a
+// triple's view, hence its inc count, never changes once announced, and the
+// set of collected triples only grows.
 func (l *secLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	l.wec.PostRecv(p, resp)
 	if resp.View == nil {
@@ -60,9 +64,10 @@ func (l *secLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 		Res:  resp.Sym,
 		View: *resp.View,
 	}, l.tbuf)
-	triples := l.tbuf
-	l.clause4 = false
-	for _, tr := range triples {
+	if l.clause4 {
+		return
+	}
+	for _, tr := range l.tbuf {
 		if tr.Inv.Op != spec.OpRead || tr.Res.Kind != word.Res {
 			continue
 		}

@@ -29,5 +29,6 @@ type Resolver = trace.Resolver
 // timed adversary.
 var Build = trace.BuildSketch
 
-// Builder amortizes Build's allocations across repeated constructions.
+// Builder extends a sketch by each round's new triples (Extend) and
+// amortizes Build's allocations across repeated constructions.
 type Builder = trace.SketchBuilder
