@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/trace"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 func runMon(args ...string) (int, string, string) {
@@ -19,7 +17,7 @@ func runMon(args ...string) (int, string, string) {
 }
 
 // writeTrace writes a minimal labelled trace and returns its path.
-func writeTrace(t *testing.T, langName string, member bool, w word.Word) string {
+func writeTrace(t *testing.T, langName string, member bool, w trace.Word) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
@@ -40,10 +38,10 @@ func writeTrace(t *testing.T, langName string, member bool, w word.Word) string 
 	return path
 }
 
-func goodCounterWord() word.Word {
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+func goodCounterWord() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }
 
@@ -96,9 +94,9 @@ func TestDetectsMismatch(t *testing.T) {
 	// An in-language label on a word that violates WEC clause (1) — a
 	// process reading less than its own preceding incs — must be reported
 	// as a mismatch.
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(0, spec.OpRead, nil, word.Int(0))
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(0, trace.OpRead, nil, trace.Int(0))
 	path := writeTrace(t, "WEC_COUNT", true, b.Word())
 	code, out, _ := runMon(path)
 	if code != 1 {

@@ -13,10 +13,10 @@
 //   - internal/mem — the shared-memory substrate: atomic registers, arrays,
 //     snapshots (one-step and the AADGMS wait-free protocol), collects,
 //     test&set, compare&swap and consensus.
-//   - internal/word, internal/spec, internal/check, internal/lang — the
-//     distributed-language machinery of Section 2: alphabets, ω-word
-//     prefixes, sequential objects, consistency checkers, and the seven
-//     Table 1 languages with labelled behaviour generators. Verdict-stream
+//   - exp/trace, internal/check, internal/lang — the distributed-language
+//     machinery of Section 2: alphabets, ω-word prefixes, sequential
+//     objects, consistency checkers, and the seven Table 1 languages with
+//     labelled behaviour generators. Verdict-stream
 //     workloads use check.Incremental, which re-checks each growing prefix
 //     of one history by caching the last accepting linearization as a
 //     witness (extended in constant time on most appends) plus standing
@@ -28,16 +28,19 @@
 //     checkers.
 //   - internal/adversary — the adversary A (a word cursor realizing Claim
 //     3.1) and the timed adversary Aτ of Figure 6.
-//   - internal/sketch — the view-to-history construction x~(E) of Appendix B,
-//     built incrementally: a round's new triples are merged into the kept
-//     sorted keys and only the view groups from the first one they touch
-//     are re-emitted, with the length of the kept prefix reported to the
-//     checker.
+//   - exp/trace's SketchBuilder — the view-to-history construction x~(E) of
+//     Appendix B, built incrementally: a round's new triples are merged into
+//     the kept sorted keys and only the view groups from the first one they
+//     touch are re-emitted, with the length of the kept prefix reported to
+//     the checker. internal/sketch draws x(E) and x~(E) as the timelines of
+//     Figure 7.
 //   - internal/monitor — the generic Figure 1 monitor loop, the stability
 //     transformations of Figures 2–4, and the concrete monitors of Figures
 //     5, 8 and 9, plus baselines (order-free, consensus-powered, 3-valued).
 //     The shared triple board of Figures 8 and 9 hands each process only
 //     the triples it has not collected yet, so a round costs its new input.
+//   - internal/word — the shuffle operator of Definition 5.2 over
+//     exp/trace's words.
 //   - internal/core — the decidability notions SD, WD, PSD, PWD and the
 //     real-time obliviousness characterization of Theorem 5.2.
 //   - internal/experiment — the proofs as executable constructions: the
@@ -72,13 +75,14 @@
 //     signatures gain a network axis, and its corpus lives under
 //     testdata/corpus-msg.
 //
-// The stable core of the word/spec/trace/monitor stack is exported under
-// exp/trace and exp/monitor (experimental, no compatibility promise — see
+// The stable core — histories, sequential specifications, sketches, the
+// trace wire format and the monitors — is exported under exp/trace and
+// exp/monitor (experimental, no compatibility promise — see
 // exp/README.md): external programs wrap a monitor.Recorder around their
 // own concurrent data structures and replay the recorded history through
-// the paper's monitors. The internal packages alias the exported
-// definitions, so there is exactly one implementation; the exported API is
-// locked by exp/testdata/api.golden.
+// the paper's monitors. The internal packages import the exported
+// definitions directly, so there is exactly one implementation; the
+// exported API is locked by exp/testdata/api.golden.
 //
 // The cmd directory holds the reproduction tools (drvtable, drvtrace,
 // drvmon, drvsketch, drvexplore) and drvserve, the monitoring-as-a-service

@@ -17,18 +17,18 @@ package main
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/experiment"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
 )
 
 func main() {
 	l := experiment.Lemma51{Rounds: 3}
 	monitors := []monitor.Monitor{
-		monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic),
-		monitor.NewConsensusOrder(spec.Register(), adversary.ArrayAtomic),
+		monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic),
+		monitor.NewConsensusOrder(trace.Register(), adversary.ArrayAtomic),
 	}
 
 	wE, wF := l.Words()

@@ -15,10 +15,10 @@ package main
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
 )
 
@@ -50,11 +50,11 @@ func main() {
 			// The implementation is wrapped in the timed adversary Aτ so
 			// responses carry views; monitors reconstruct the history sketch
 			// from them (Appendix B).
-			svc := sut.NewService(procs, impl.mk(), sut.NewRandomWorkload(spec.Register(), procs, opsPerProc, 0.5, seed))
+			svc := sut.NewService(procs, impl.mk(), sut.NewRandomWorkload(trace.Register(), procs, opsPerProc, 0.5, seed))
 			tau := adversary.NewTimed(procs, svc, adversary.ArrayAtomic)
 			res := monitor.Run(monitor.Config{
 				N:       procs,
-				Monitor: monitor.NewLin(spec.Register(), tau, adversary.ArrayAtomic),
+				Monitor: monitor.NewLin(trace.Register(), tau, adversary.ArrayAtomic),
 				NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
 					return tau, nil
 				},

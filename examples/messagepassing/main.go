@@ -17,13 +17,12 @@ package main
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 func main() {
@@ -40,7 +39,7 @@ func main() {
 	nt.Register(rt)
 	reg := abd.NewRegister("x", procs, nt, 0)
 	svc := sut.NewService(procs, abd.NewRegisterImpl(reg),
-		sut.NewRandomWorkload(spec.Register(), procs, opsPerProc, 0.5, seed))
+		sut.NewRandomWorkload(trace.Register(), procs, opsPerProc, 0.5, seed))
 
 	done := make([]bool, procs)
 	for i := 0; i < procs; i++ {
@@ -87,7 +86,7 @@ func main() {
 	h := svc.History()
 	sent, delivered := nt.Stats()
 	fmt.Printf("network: %d messages sent, %d delivered, %d in flight\n", sent, delivered, nt.PendingCount())
-	complete := word.Complete(h)
+	complete := trace.Complete(h)
 	perProc := map[int]int{}
 	for _, op := range complete {
 		perProc[op.ID.Proc]++
@@ -98,7 +97,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("history linearizable (ABD emulation is atomic): %v\n",
-		check.Linearizable(spec.Register(), h))
+		check.Linearizable(trace.Register(), h))
 	fmt.Println()
 	fmt.Println("the same monitors that run on shared memory run unchanged here — the ABD")
 	fmt.Println("registers implement the exact register interface the monitors use.")

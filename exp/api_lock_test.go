@@ -149,6 +149,104 @@ func TestNoInternalTypesInExportedSignatures(t *testing.T) {
 	}
 }
 
+// TestNoInternalReExportsOfTrace guards the single home of the history
+// types: no non-test file under internal/, cmd/ or examples/ may declare a
+// type alias of an exp/trace name, or a package-level var or const whose
+// value is a bare exp/trace name, and none may import internal/spec. The
+// exceptions are internal/monitor's verdict and result names, which
+// bench/probe.go uses, and internal/spec itself, which bench/probe.go
+// imports.
+func TestNoInternalReExportsOfTrace(t *testing.T) {
+	const mod = "github.com/drv-go/drv/"
+	allowed := map[string]bool{
+		"internal/monitor.Verdict": true,
+		"internal/monitor.Yes":     true,
+		"internal/monitor.No":      true,
+		"internal/monitor.Maybe":   true,
+		"internal/monitor.Result":  true,
+	}
+	var dirs []string
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(filepath.Join("..", root), func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() {
+				dirs = append(dirs, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range dirs {
+		pkg := filepath.ToSlash(strings.TrimPrefix(dir, ".."+string(filepath.Separator)))
+		if pkg == "internal/spec" {
+			continue
+		}
+		files, fset, err := parseDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			traceName := ""
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				switch path {
+				case mod + "internal/spec":
+					t.Errorf("%s imports %s; import exp/trace instead", fset.Position(imp.Pos()), path)
+				case mod + "exp/trace":
+					traceName = "trace"
+					if imp.Name != nil {
+						traceName = imp.Name.Name
+					}
+				}
+			}
+			if traceName == "" {
+				continue
+			}
+			isTraceName := func(e ast.Expr) bool {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					return false
+				}
+				id, ok := sel.X.(*ast.Ident)
+				return ok && id.Name == traceName
+			}
+			report := func(name *ast.Ident, what string) {
+				if !allowed[pkg+"."+name.Name] {
+					t.Errorf("%s: %s.%s re-exports exp/trace as %s; import exp/trace where it is used",
+						fset.Position(name.Pos()), pkg, name.Name, what)
+				}
+			}
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Assign.IsValid() && isTraceName(s.Type) {
+							report(s.Name, "a type alias")
+						}
+					case *ast.ValueSpec:
+						for i, v := range s.Values {
+							if i < len(s.Names) && isTraceName(v) {
+								report(s.Names[i], "a "+d.Tok.String())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func parseDir(pkg string) ([]*ast.File, *token.FileSet, error) {
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(pkg)

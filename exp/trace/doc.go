@@ -6,9 +6,9 @@
 // streams, and the JSON-lines wire format that records all of it on disk.
 //
 // WARNING: this package is experimental and carries no compatibility
-// promise; see the README in the exp directory. The internal packages alias
-// these definitions, so there is exactly one implementation, but the
-// exported names and signatures may change without notice.
+// promise; see the README in the exp directory. The internal packages import
+// them directly, so there is exactly one implementation, but the exported
+// names and signatures may change without notice.
 //
 // # Histories
 //

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // FuzzTraceEncodeDecode round-trips the on-disk trace format in both
@@ -42,37 +42,37 @@ func FuzzTraceEncodeDecode(f *testing.F) {
 // fuzzStructured builds symbols from the bytes and round-trips each through
 // the event encoding.
 func fuzzStructured(t *testing.T, data []byte) {
-	var w word.Word
+	var w trace.Word
 	for i := 0; i+1 < len(data) && len(w) < 32; i += 2 {
 		a, b := data[i], data[i+1]
 		proc := int(a % 4)
-		var val word.Value
+		var val trace.Value
 		switch b % 4 {
 		case 0:
-			val = word.Unit{}
+			val = trace.Unit{}
 		case 1:
-			val = word.Int(int64(a) - 128)
+			val = trace.Int(int64(a) - 128)
 		case 2:
-			val = word.Rec(strings.Repeat("r", int(a%5)+1))
+			val = trace.Rec(strings.Repeat("r", int(a%5)+1))
 		default:
-			s := word.Seq{"x", word.Rec([]byte{'a' + a%3}), "z"}[:a%4]
+			s := trace.Seq{"x", trace.Rec([]byte{'a' + a%3}), "z"}[:a%4]
 			if a%8 == 0 {
 				s = nil // nil and empty Seq must share one canonical encoding
 			}
 			val = s
 		}
 		if a%2 == 0 {
-			w = append(w, word.NewInv(proc, "op", val))
+			w = append(w, trace.NewInv(proc, "op", val))
 		} else {
-			w = append(w, word.NewRes(proc, "op", val))
+			w = append(w, trace.NewRes(proc, "op", val))
 		}
 	}
 	for _, sym := range w {
-		ev, err := EncodeSymbol(sym)
+		ev, err := trace.EncodeSymbol(sym)
 		if err != nil {
 			t.Fatalf("cannot encode %v: %v", sym, err)
 		}
-		back, err := DecodeSymbol(ev)
+		back, err := trace.DecodeSymbol(ev)
 		if err != nil {
 			t.Fatalf("cannot decode %v: %v", ev, err)
 		}
@@ -82,7 +82,7 @@ func fuzzStructured(t *testing.T, data []byte) {
 		// Encode∘Decode is the identity on wire representations: the decoded
 		// symbol re-encodes to byte-identical JSON, so empty and nil values
 		// cannot drift between spellings across round trips.
-		again, err := EncodeSymbol(back)
+		again, err := trace.EncodeSymbol(back)
 		if err != nil {
 			t.Fatalf("cannot re-encode %v: %v", back, err)
 		}
@@ -103,12 +103,12 @@ func fuzzStructured(t *testing.T, data []byte) {
 // fuzzParser feeds raw bytes to the trace reader and closes the loop on
 // whatever it accepts.
 func fuzzParser(t *testing.T, data []byte) {
-	tr, err := Read(bytes.NewReader(data))
+	tr, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		return // hostile input rejected: fine
 	}
 	var buf bytes.Buffer
-	wr := NewWriter(&buf)
+	wr := trace.NewWriter(&buf)
 	if err := wr.WriteMeta(tr.Meta); err != nil {
 		t.Fatalf("re-encoding meta: %v", err)
 	}
@@ -125,7 +125,7 @@ func fuzzParser(t *testing.T, data []byte) {
 	if err := wr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatalf("re-encoded trace does not parse: %v", err)
 	}
@@ -155,4 +155,53 @@ func fuzzParser(t *testing.T, data []byte) {
 			}
 		}
 	}
+}
+
+// FuzzWordStringStable checks that rendering is deterministic and that Clone
+// produces an equal, independent word — cheap invariants the trace tooling
+// leans on.
+func FuzzWordStringStable(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := wordFromBytes(data, 3)
+		c := w.Clone()
+		if !w.Equal(c) {
+			t.Fatal("clone not equal to original")
+		}
+		if !bytes.Equal([]byte(w.String()), []byte(c.String())) {
+			t.Fatal("rendering differs between equal words")
+		}
+		if len(c) > 0 {
+			c[0] = trace.NewInv((c[0].Proc+1)%3, "write", trace.Int(99))
+			if w.Equal(c) && len(w) > 0 {
+				t.Fatal("mutating the clone changed the original")
+			}
+		}
+	})
+}
+
+// wordFromBytes deterministically builds a well-formed word from fuzz input:
+// each byte picks a process and either opens its next operation or closes
+// the pending one, so per-process alternation holds by construction. The
+// word length is capped at 40 symbols.
+func wordFromBytes(data []byte, n int) trace.Word {
+	const maxSymbols = 40
+	ops := []string{"read", "write", "inc"}
+	pending := make([]string, n)
+	var w trace.Word
+	for _, b := range data {
+		if len(w) >= maxSymbols {
+			break
+		}
+		p := int(b) % n
+		if pending[p] == "" {
+			op := ops[int(b>>3)%len(ops)]
+			w = append(w, trace.NewInv(p, op, trace.Int(int64(b>>5))))
+			pending[p] = op
+		} else {
+			w = append(w, trace.NewRes(p, pending[p], trace.Int(int64(b>>4))))
+			pending[p] = ""
+		}
+	}
+	return w
 }

@@ -47,7 +47,7 @@ type regState Int
 
 func (s regState) Key() string { return fmt.Sprintf("r%d", int64(s)) }
 
-// AppendKey implements spec.KeyAppender with the Key encoding.
+// AppendKey implements KeyAppender with the Key encoding.
 func (s regState) AppendKey(b []byte) []byte {
 	return strconv.AppendInt(append(b, 'r'), int64(s), 10)
 }
@@ -85,7 +85,7 @@ type ctrState Int
 
 func (s ctrState) Key() string { return fmt.Sprintf("c%d", int64(s)) }
 
-// AppendKey implements spec.KeyAppender with the Key encoding.
+// AppendKey implements KeyAppender with the Key encoding.
 func (s ctrState) AppendKey(b []byte) []byte {
 	return strconv.AppendInt(append(b, 'c'), int64(s), 10)
 }
@@ -135,7 +135,7 @@ func (s consState) Key() string {
 	return fmt.Sprintf("d%d", int64(s.val))
 }
 
-// AppendKey implements spec.KeyAppender with the Key encoding.
+// AppendKey implements KeyAppender with the Key encoding.
 func (s consState) AppendKey(b []byte) []byte {
 	if !s.decided {
 		return append(b, 'u')
@@ -168,7 +168,7 @@ type ledger struct{}
 func (ledger) Name() string { return "ledger" }
 func (ledger) Init() State  { return ledState{} }
 
-// InternRoot implements spec.RootInterner: the returned root node anchors a
+// InternRoot implements RootInterner: the returned root node anchors a
 // private interned tree of append children, so one checker's searches share
 // ledger states across reconverging branches.
 func (ledger) InternRoot() State { return ledState{n: &ledNode{root: true}} }
@@ -238,7 +238,7 @@ func (s ledState) recs() Seq {
 	return n.seq
 }
 
-// AppendKey implements spec.KeyAppender with the Key encoding.
+// AppendKey implements KeyAppender with the Key encoding.
 func (s ledState) AppendKey(b []byte) []byte { return append(b, s.Key()...) }
 
 func (s ledState) Apply(op string, arg Value) (State, Value, bool) {
@@ -327,7 +327,7 @@ type vecState struct {
 
 func (s vecState) Key() string { return "v" + s.cells.String() }
 
-// AppendKey implements spec.KeyAppender with the Key encoding.
+// AppendKey implements KeyAppender with the Key encoding.
 func (s vecState) AppendKey(b []byte) []byte {
 	return append(append(b, 'v'), s.cells.String()...)
 }
@@ -365,7 +365,7 @@ type queue struct{}
 func (queue) Name() string { return "queue" }
 func (queue) Init() State  { return queueState{} }
 
-// InternRoot implements spec.RootInterner: the returned root anchors a
+// InternRoot implements RootInterner: the returned root anchors a
 // private interned tree of queue states, so one checker's searches share
 // states across reconverging branches instead of re-encoding per visit.
 func (queue) InternRoot() State { return queueState{n: &queueNode{}} }
@@ -430,7 +430,7 @@ func (n *queueNode) appendItems(b []byte, head int) []byte {
 
 func (s queueState) Key() string { return string(s.AppendKey(nil)) }
 
-// AppendKey implements spec.KeyAppender: "q" plus the comma-joined decimal
+// AppendKey implements KeyAppender: "q" plus the comma-joined decimal
 // encoding of the remaining items, byte-identical to the historical flat
 // string encoding.
 func (s queueState) AppendKey(b []byte) []byte {
@@ -485,7 +485,7 @@ type stack struct{}
 func (stack) Name() string { return "stack" }
 func (stack) Init() State  { return stackState{} }
 
-// InternRoot implements spec.RootInterner: the returned root anchors a
+// InternRoot implements RootInterner: the returned root anchors a
 // private interned tree of stack states, like Queue's.
 func (stack) InternRoot() State { return stackState{n: &stackNode{}} }
 func (stack) Ops() []OpSig {
@@ -528,7 +528,7 @@ func (n *stackNode) appendItems(b []byte) []byte {
 
 func (s stackState) Key() string { return string(s.AppendKey(nil)) }
 
-// AppendKey implements spec.KeyAppender: "s" plus the comma-joined decimal
+// AppendKey implements KeyAppender: "s" plus the comma-joined decimal
 // encoding of the items bottom to top, byte-identical to the historical flat
 // string encoding.
 func (s stackState) AppendKey(b []byte) []byte {

@@ -3,12 +3,11 @@ package abd
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // runABD drives n processes through a sut.Service wrapping the ABD register
@@ -16,13 +15,13 @@ import (
 // injected between scheduler steps, mirroring the monitor runner. The run
 // stops once every live process finished its workload (server loops never
 // quiesce on their own).
-func runABD(t *testing.T, n int, seed int64, opsPerProc int, crash map[int][]int) word.Word {
+func runABD(t *testing.T, n int, seed int64, opsPerProc int, crash map[int][]int) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	nt := msgnet.New(n, msgnet.RandomOrder(seed))
 	nt.Register(rt)
 	reg := NewRegister("x", n, nt, 0)
-	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(spec.Register(), n, opsPerProc, 0.5, seed))
+	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(trace.Register(), n, opsPerProc, 0.5, seed))
 
 	done := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -71,10 +70,10 @@ func TestABDRegisterLinearizable(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		for _, seed := range []int64{1, 2, 3} {
 			h := runABD(t, n, seed, 4, nil)
-			if len(word.Complete(h)) == 0 {
+			if len(trace.Complete(h)) == 0 {
 				t.Fatalf("n=%d seed=%d: no operation completed", n, seed)
 			}
-			if !check.Linearizable(spec.Register(), h) {
+			if !check.Linearizable(trace.Register(), h) {
 				t.Errorf("n=%d seed=%d: ABD history not linearizable:\n%v", n, seed, h)
 			}
 		}
@@ -87,11 +86,11 @@ func TestABDSurvivesMinorityCrash(t *testing.T) {
 	n := 5
 	crash := map[int][]int{300: {3}, 600: {4}}
 	h := runABD(t, n, 11, 6, crash)
-	if !check.Linearizable(spec.Register(), h) {
+	if !check.Linearizable(trace.Register(), h) {
 		t.Errorf("history with crashed minority not linearizable:\n%v", h)
 	}
 	// Survivors completed their whole workload: 3 procs × 6 ops.
-	complete := word.Complete(h)
+	complete := trace.Complete(h)
 	perProc := map[int]int{}
 	for _, op := range complete {
 		perProc[op.ID.Proc]++
@@ -111,7 +110,7 @@ func TestABDUnderStarvation(t *testing.T) {
 	nt := msgnet.New(n, msgnet.StarveOrder(2, msgnet.RandomOrder(7)))
 	nt.Register(rt)
 	reg := NewRegister("x", n, nt, 0)
-	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(spec.Register(), n, 4, 0.5, 7))
+	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(trace.Register(), n, 4, 0.5, 7))
 	done := make([]bool, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -138,11 +137,11 @@ func TestABDUnderStarvation(t *testing.T) {
 		}
 	}
 	h := svc.History()
-	if !check.Linearizable(spec.Register(), h) {
+	if !check.Linearizable(trace.Register(), h) {
 		t.Errorf("starved ABD history not linearizable:\n%v", h)
 	}
 	perProc := map[int]int{}
-	for _, op := range word.Complete(h) {
+	for _, op := range trace.Complete(h) {
 		perProc[op.ID.Proc]++
 	}
 	for p := 0; p < 2; p++ {

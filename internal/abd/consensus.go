@@ -3,11 +3,10 @@ package abd
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Consensus message tags.
@@ -20,7 +19,7 @@ const (
 // 0: propose(v) sends the proposal to the coordinator's replica, which
 // decides the first proposal it serves and acknowledges every proposal with
 // the decided value. Decisions linearize at the coordinator, so histories
-// are linearizable against spec.Consensus. The protocol is safe but not
+// are linearizable against trace.Consensus. The protocol is safe but not
 // fault-tolerant — if the coordinator crashes, outstanding and future
 // proposals never return — which the explorer's truncated-run handling
 // tolerates: pending proposals are pending operations, nothing more.
@@ -150,9 +149,9 @@ func (c *ConsensusImpl) Name() string { return c.name }
 func (c *ConsensusImpl) Reset(n int) { c.cons.Reset(n) }
 
 // Invoke implements sut.Impl.
-func (c *ConsensusImpl) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
-	if op != spec.OpPropose {
+func (c *ConsensusImpl) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
+	if op != trace.OpPropose {
 		panic(fmt.Sprintf("abd: consensus does not implement %q", op))
 	}
-	return word.Int(c.cons.Propose(p, int64(arg.(word.Int))))
+	return trace.Int(c.cons.Propose(p, int64(arg.(trace.Int))))
 }

@@ -3,11 +3,10 @@ package abd
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Counter emulates the paper's counter over per-process ABD cells — the
@@ -124,13 +123,13 @@ func (c *CounterImpl) Name() string { return c.name }
 func (c *CounterImpl) Reset(n int) { c.ctr.Reset(n) }
 
 // Invoke implements sut.Impl.
-func (c *CounterImpl) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (c *CounterImpl) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpInc:
+	case trace.OpInc:
 		c.ctr.Inc(p)
-		return word.Unit{}
-	case spec.OpRead:
-		return word.Int(c.ctr.Read(p))
+		return trace.Unit{}
+	case trace.OpRead:
+		return trace.Int(c.ctr.Read(p))
 	default:
 		panic(fmt.Sprintf("abd: counter does not implement %q", op))
 	}

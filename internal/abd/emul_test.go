@@ -3,19 +3,18 @@ package abd
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // driveAuxServed runs n client processes to workload exhaustion over an
 // aux-served emulation (replicas answer from aux actors, so finished clients
 // simply return — the explorer's run shape). Crashes are injected between
 // steps. Returns the exhibited history.
-func driveAuxServed(t *testing.T, rt *sched.Runtime, nt *msgnet.Net, n int, svc *sut.Service, crash map[int][]int) word.Word {
+func driveAuxServed(t *testing.T, rt *sched.Runtime, nt *msgnet.Net, n int, svc *sut.Service, crash map[int][]int) trace.Word {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		rt.Spawn(i, func(p *sched.Proc) {
@@ -46,14 +45,14 @@ func driveAuxServed(t *testing.T, rt *sched.Runtime, nt *msgnet.Net, n int, svc 
 
 // runRegister builds an aux-served ABD register deployment and returns its
 // history; mutate tweaks the register before the run (seeded bugs).
-func runRegister(t *testing.T, n int, seed int64, ops int, crash map[int][]int, drops []int, mutate func(*Register)) word.Word {
+func runRegister(t *testing.T, n int, seed int64, ops int, crash map[int][]int, drops []int, mutate func(*Register)) trace.Word {
 	t.Helper()
 	return runRegisterCfg(t, n, seed, ops, 0.5, msgnet.RandomOrder(seed), crash, drops, mutate)
 }
 
 // runRegisterCfg is runRegister with the delivery order and mutate bias
 // exposed, for the bug-variant hunts below.
-func runRegisterCfg(t *testing.T, n int, seed int64, ops int, bias float64, order msgnet.Order, crash map[int][]int, drops []int, mutate func(*Register)) word.Word {
+func runRegisterCfg(t *testing.T, n int, seed int64, ops int, bias float64, order msgnet.Order, crash map[int][]int, drops []int, mutate func(*Register)) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	nt := msgnet.New(n, order)
@@ -64,7 +63,7 @@ func runRegisterCfg(t *testing.T, n int, seed int64, ops int, bias float64, orde
 		mutate(reg)
 	}
 	Servers(rt, n, reg)
-	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(spec.Register(), n, ops, bias, seed))
+	svc := sut.NewService(n, NewRegisterImpl(reg), sut.NewRandomWorkload(trace.Register(), n, ops, bias, seed))
 	return driveAuxServed(t, rt, nt, n, svc, crash)
 }
 
@@ -74,10 +73,10 @@ func TestAuxServedABDLinearizable(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		for _, seed := range []int64{1, 2, 3, 4} {
 			h := runRegister(t, n, seed, 4, nil, nil, nil)
-			if len(word.Complete(h)) == 0 {
+			if len(trace.Complete(h)) == 0 {
 				t.Fatalf("n=%d seed=%d: no operation completed", n, seed)
 			}
-			if !check.Linearizable(spec.Register(), h) {
+			if !check.Linearizable(trace.Register(), h) {
 				t.Errorf("n=%d seed=%d: aux-served ABD history not linearizable:\n%v", n, seed, h)
 			}
 		}
@@ -92,7 +91,7 @@ func TestAuxServedABDSafeUnderCrashesAndDrops(t *testing.T) {
 		crash := map[int][]int{40 + int(seed)*13: {1}}
 		drops := []int{0, 3, 5, 11, 20}
 		h := runRegister(t, 3, seed, 4, crash, drops, nil)
-		if !check.Linearizable(spec.Register(), h) {
+		if !check.Linearizable(trace.Register(), h) {
 			t.Errorf("seed=%d: crashed+lossy ABD history not linearizable:\n%v", seed, h)
 		}
 	}
@@ -115,7 +114,7 @@ func TestNoWriteBackViolatesAtomicity(t *testing.T) {
 			for seed := int64(1); seed <= 100 && !found; seed++ {
 				h := runRegisterCfg(t, n, seed, 4, 0.3, order(seed), nil, nil,
 					func(r *Register) { r.DropReadWriteBack() })
-				if !check.Linearizable(spec.Register(), h) {
+				if !check.Linearizable(trace.Register(), h) {
 					found = true
 				}
 			}
@@ -132,7 +131,7 @@ func TestLostIncCounterUnderCounts(t *testing.T) {
 	found := false
 	for seed := int64(1); seed <= 60 && !found; seed++ {
 		h := runCounter(t, 3, seed, 4, true)
-		if !check.Linearizable(spec.Counter(), h) {
+		if !check.Linearizable(trace.Counter(), h) {
 			found = true
 		}
 	}
@@ -142,7 +141,7 @@ func TestLostIncCounterUnderCounts(t *testing.T) {
 }
 
 // runCounter builds an aux-served emulated counter deployment.
-func runCounter(t *testing.T, n int, seed int64, ops int, lost bool) word.Word {
+func runCounter(t *testing.T, n int, seed int64, ops int, lost bool) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	nt := msgnet.New(n, msgnet.RandomOrder(seed))
@@ -156,7 +155,7 @@ func runCounter(t *testing.T, n int, seed int64, ops int, lost bool) word.Word {
 		srvs = append(srvs, cell)
 	}
 	Servers(rt, n, srvs...)
-	svc := sut.NewService(n, NewCounterImpl(ctr), sut.NewRandomWorkload(spec.Counter(), n, ops, 0.5, seed))
+	svc := sut.NewService(n, NewCounterImpl(ctr), sut.NewRandomWorkload(trace.Counter(), n, ops, 0.5, seed))
 	return driveAuxServed(t, rt, nt, n, svc, nil)
 }
 
@@ -165,17 +164,17 @@ func TestEmulatedCounterLinearizable(t *testing.T) {
 	// counter — the message-passing analogue of the snapshot counter.
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		h := runCounter(t, 3, seed, 3, false)
-		if len(word.Complete(h)) == 0 {
+		if len(trace.Complete(h)) == 0 {
 			t.Fatalf("seed=%d: no operation completed", seed)
 		}
-		if !check.Linearizable(spec.Counter(), h) {
+		if !check.Linearizable(trace.Counter(), h) {
 			t.Errorf("seed=%d: emulated counter history not linearizable:\n%v", seed, h)
 		}
 	}
 }
 
 // runConsensus builds an aux-served coordinator-consensus deployment.
-func runConsensus(t *testing.T, n int, seed int64, ops int, echo bool, crash map[int][]int) word.Word {
+func runConsensus(t *testing.T, n int, seed int64, ops int, echo bool, crash map[int][]int) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	nt := msgnet.New(n, msgnet.RandomOrder(seed))
@@ -185,7 +184,7 @@ func runConsensus(t *testing.T, n int, seed int64, ops int, echo bool, crash map
 		cons.Echo()
 	}
 	Servers(rt, n, cons)
-	svc := sut.NewService(n, NewConsensusImpl(cons), sut.NewRandomWorkload(spec.Consensus(), n, ops, 0.5, seed))
+	svc := sut.NewService(n, NewConsensusImpl(cons), sut.NewRandomWorkload(trace.Consensus(), n, ops, 0.5, seed))
 	return driveAuxServed(t, rt, nt, n, svc, crash)
 }
 
@@ -195,13 +194,13 @@ func TestEmulatedConsensusLinearizable(t *testing.T) {
 	// where the coordinator crashes and proposals stay pending.
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		h := runConsensus(t, 3, seed, 2, false, nil)
-		if !check.Linearizable(spec.Consensus(), h) {
+		if !check.Linearizable(trace.Consensus(), h) {
 			t.Errorf("seed=%d: consensus history not linearizable:\n%v", seed, h)
 		}
 	}
 	for _, seed := range []int64{6, 7} {
 		h := runConsensus(t, 3, seed, 2, false, map[int][]int{25: {0}})
-		if !check.Linearizable(spec.Consensus(), h) {
+		if !check.Linearizable(trace.Consensus(), h) {
 			t.Errorf("seed=%d: crashed-coordinator history not linearizable:\n%v", seed, h)
 		}
 	}
@@ -214,7 +213,7 @@ func TestEchoConsensusDisagrees(t *testing.T) {
 	found := false
 	for seed := int64(1); seed <= 40 && !found; seed++ {
 		h := runConsensus(t, 3, seed, 2, true, nil)
-		if !check.Linearizable(spec.Consensus(), h) {
+		if !check.Linearizable(trace.Consensus(), h) {
 			found = true
 		}
 	}

@@ -3,10 +3,9 @@ package abd
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // RegisterImpl adapts an emulated register to the sut.Impl interface, so the
@@ -38,13 +37,13 @@ func (r *RegisterImpl) Name() string { return r.name }
 func (r *RegisterImpl) Reset(n int) { r.reg.Reset(n) }
 
 // Invoke implements sut.Impl.
-func (r *RegisterImpl) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (r *RegisterImpl) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpWrite:
-		r.reg.Write(p, int64(arg.(word.Int)))
-		return word.Unit{}
-	case spec.OpRead:
-		return word.Int(r.reg.Read(p))
+	case trace.OpWrite:
+		r.reg.Write(p, int64(arg.(trace.Int)))
+		return trace.Unit{}
+	case trace.OpRead:
+		return trace.Int(r.reg.Read(p))
 	default:
 		panic(fmt.Sprintf("abd: register does not implement %q", op))
 	}

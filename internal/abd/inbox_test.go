@@ -3,11 +3,10 @@ package abd
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // TestAuxServedCounterInboxesStayBounded runs a long aux-served counter
@@ -27,7 +26,7 @@ func TestAuxServedCounterInboxesStayBounded(t *testing.T) {
 			srvs = append(srvs, cell)
 		}
 		Servers(rt, n, srvs...)
-		svc := sut.NewService(n, NewCounterImpl(ctr), sut.NewRandomWorkload(spec.Counter(), n, ops, 0.5, seed))
+		svc := sut.NewService(n, NewCounterImpl(ctr), sut.NewRandomWorkload(trace.Counter(), n, ops, 0.5, seed))
 		for i := 0; i < n; i++ {
 			rt.Spawn(i, func(p *sched.Proc) {
 				for {
@@ -51,7 +50,7 @@ func TestAuxServedCounterInboxesStayBounded(t *testing.T) {
 			}
 		}
 		rt.Stop()
-		if done := len(word.Complete(svc.History())); done != n*ops {
+		if done := len(trace.Complete(svc.History())); done != n*ops {
 			t.Fatalf("seed %d: %d of %d operations completed", seed, done, n*ops)
 		}
 		if peak > 4*n*n {

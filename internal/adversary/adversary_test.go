@@ -4,19 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // runPlainLoop drives n processes through the bare Figure-1 loop (no monitor
 // logic) against the service, returning the responses each process received.
-func runPlainLoop(t *testing.T, n int, svc Service, register func(*sched.Runtime) []int, policy func(cursor []int) sched.Policy, maxSteps int) [][]Response {
+func runPlainLoop(t *testing.T, n int, svc Service, register func(*sched.Runtime) []int, policy func(cursor []int) sched.Policy, maxSteps int) [][]trace.Response {
 	t.Helper()
 	rt := sched.New(n, nil)
 	cursors := register(rt)
 	rt.SetPolicy(policy(cursors))
-	got := make([][]Response, n)
+	got := make([][]trace.Response, n)
 	for i := 0; i < n; i++ {
 		i := i
 		rt.Spawn(i, func(p *sched.Proc) {
@@ -87,11 +86,11 @@ func TestCursorStatsSnapshot(t *testing.T) {
 func TestCursorRespectsWordOrderUnderRandomPolicies(t *testing.T) {
 	// Whatever the schedule, the emitted history is exactly the script: the
 	// adversary controls the real-time order of events.
-	script := word.NewB().
-		Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-		Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-		Op(2, spec.OpRead, word.Unit{}, word.Int(1)).
-		Op(0, spec.OpRead, word.Unit{}, word.Int(1)).
+	script := trace.NewB().
+		Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+		Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+		Op(2, trace.OpRead, trace.Unit{}, trace.Int(1)).
+		Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).
 		Word()
 	for seed := int64(0); seed < 20; seed++ {
 		adv := NewA(3, NewScriptSource(script))
@@ -106,25 +105,25 @@ func TestCursorRespectsWordOrderUnderRandomPolicies(t *testing.T) {
 }
 
 func TestNextInvProjection(t *testing.T) {
-	script := word.NewB().
-		Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-		Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-		Op(0, spec.OpWrite, word.Int(2), word.Unit{}).
+	script := trace.NewB().
+		Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+		Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+		Op(0, trace.OpWrite, trace.Int(2), trace.Unit{}).
 		Word()
 	adv := NewA(2, NewScriptSource(script))
 	v1, ok := adv.NextInv(0)
-	if !ok || !v1.Val.Equal(word.Int(1)) {
+	if !ok || !v1.Val.Equal(trace.Int(1)) {
 		t.Fatalf("first inv of p0 = %v ok=%v", v1, ok)
 	}
 	v2, ok := adv.NextInv(0)
-	if !ok || !v2.Val.Equal(word.Int(2)) {
+	if !ok || !v2.Val.Equal(trace.Int(2)) {
 		t.Fatalf("second inv of p0 = %v ok=%v", v2, ok)
 	}
 	if _, ok := adv.NextInv(0); ok {
 		t.Error("p0 should have no third invocation")
 	}
 	r, ok := adv.NextInv(1)
-	if !ok || r.Op != spec.OpRead {
+	if !ok || r.Op != trace.OpRead {
 		t.Fatalf("p1 inv = %v ok=%v", r, ok)
 	}
 }
@@ -132,7 +131,7 @@ func TestNextInvProjection(t *testing.T) {
 func TestPendingInvocationStalls(t *testing.T) {
 	// A word ending in a pending invocation leaves that process parked at
 	// the receive gate; the run stalls rather than fabricating a response.
-	script := word.NewB().Inv(0, spec.OpRead, word.Unit{}).Word()
+	script := trace.NewB().Inv(0, trace.OpRead, trace.Unit{}).Word()
 	adv := NewA(1, NewScriptSource(script))
 	rt := sched.New(1, nil)
 	cursor := adv.Register(rt)
@@ -165,14 +164,14 @@ func TestTimedViewsProperties(t *testing.T) {
 			func(rt *sched.Runtime) []int { return []int{inner.Register(rt)} },
 			func(cursor []int) sched.Policy { return sched.Random(seed) },
 			100_000)
-		var all []View
+		var all []trace.View
 		for i, resps := range got {
-			var prev *View
+			var prev *trace.View
 			for k, r := range resps {
 				if r.View == nil {
 					t.Fatalf("response without view: %+v", r)
 				}
-				if r.ID != (word.OpID{Proc: i, Idx: k}) {
+				if r.ID != (trace.OpID{Proc: i, Idx: k}) {
 					t.Fatalf("bad op id %v for proc %d op %d", r.ID, i, k)
 				}
 				if !r.View.Contains(r.ID) {
@@ -196,10 +195,10 @@ func TestTimedViewsProperties(t *testing.T) {
 }
 
 func TestTimedCountOp(t *testing.T) {
-	script := word.NewB().
-		Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-		Op(1, spec.OpInc, word.Unit{}, word.Unit{}).
-		Op(0, spec.OpRead, word.Unit{}, word.Int(2)).
+	script := trace.NewB().
+		Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+		Op(1, trace.OpInc, trace.Unit{}, trace.Unit{}).
+		Op(0, trace.OpRead, trace.Unit{}, trace.Int(2)).
 		Word()
 	inner := NewA(2, NewScriptSource(script))
 	tau := NewTimed(2, inner, ArrayAtomic)
@@ -208,18 +207,18 @@ func TestTimedCountOp(t *testing.T) {
 		func(cursor []int) sched.Policy { return sched.Prioritize(cursor[0], sched.RoundRobin()) },
 		10_000)
 	last := got[0][len(got[0])-1]
-	if n := tau.CountOp(*last.View, spec.OpInc); n != 2 {
+	if n := tau.CountOp(*last.View, trace.OpInc); n != 2 {
 		t.Errorf("CountOp(inc) = %d in %v, want 2", n, last.View)
 	}
-	if n := tau.CountOp(*last.View, spec.OpRead); n != 1 {
+	if n := tau.CountOp(*last.View, trace.OpRead); n != 1 {
 		t.Errorf("CountOp(read) = %d, want 1 (own read announced before send)", n)
 	}
 }
 
 func TestViewOperations(t *testing.T) {
-	v := NewView([]int{2, 0, 1})
-	u := NewView([]int{1, 0, 1})
-	w := NewView([]int{0, 3, 0})
+	v := trace.NewView([]int{2, 0, 1})
+	u := trace.NewView([]int{1, 0, 1})
+	w := trace.NewView([]int{0, 3, 0})
 	if v.Total() != 3 || u.Total() != 2 {
 		t.Errorf("totals: %d %d", v.Total(), u.Total())
 	}
@@ -229,18 +228,18 @@ func TestViewOperations(t *testing.T) {
 	if v.Comparable(w) {
 		t.Error("v and w should be incomparable")
 	}
-	if !v.Contains(word.OpID{Proc: 0, Idx: 1}) || v.Contains(word.OpID{Proc: 0, Idx: 2}) {
+	if !v.Contains(trace.OpID{Proc: 0, Idx: 1}) || v.Contains(trace.OpID{Proc: 0, Idx: 2}) {
 		t.Error("Contains boundary wrong")
 	}
-	var diff []word.OpID
-	v.Diff(u, func(id word.OpID) { diff = append(diff, id) })
-	if len(diff) != 1 || diff[0] != (word.OpID{Proc: 0, Idx: 1}) {
+	var diff []trace.OpID
+	v.Diff(u, func(id trace.OpID) { diff = append(diff, id) })
+	if len(diff) != 1 || diff[0] != (trace.OpID{Proc: 0, Idx: 1}) {
 		t.Errorf("Diff = %v", diff)
 	}
 	if v.Key() != "2,0,1" {
 		t.Errorf("Key = %q", v.Key())
 	}
-	if !v.Equal(NewView([]int{2, 0, 1})) || v.Equal(u) {
+	if !v.Equal(trace.NewView([]int{2, 0, 1})) || v.Equal(u) {
 		t.Error("Equal broken")
 	}
 }
@@ -248,14 +247,14 @@ func TestViewOperations(t *testing.T) {
 // randomCounterWord emits a random well-formed counter word over n processes
 // with the given number of complete operations; a trailing pending invocation
 // is never produced so runs terminate.
-func randomCounterWord(rng *rand.Rand, n, ops int) word.Word {
-	b := word.NewB()
+func randomCounterWord(rng *rand.Rand, n, ops int) trace.Word {
+	b := trace.NewB()
 	for k := 0; k < ops; k++ {
 		p := rng.Intn(n)
 		if rng.Intn(2) == 0 {
-			b.Op(p, spec.OpInc, word.Unit{}, word.Unit{})
+			b.Op(p, trace.OpInc, trace.Unit{}, trace.Unit{})
 		} else {
-			b.Op(p, spec.OpRead, word.Unit{}, word.Int(rng.Intn(5)))
+			b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(rng.Intn(5)))
 		}
 	}
 	return b.Word()

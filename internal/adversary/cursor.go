@@ -3,8 +3,8 @@ package adversary
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 type procPhase uint8
@@ -30,15 +30,15 @@ type A struct {
 	n   int
 	src Source
 
-	queue     word.Word // pulled but not yet emitted symbols
+	queue     trace.Word // pulled but not yet emitted symbols
 	exhausted bool
-	history   word.Word // emitted symbols: the x(E) prefix
+	history   trace.Word // emitted symbols: the x(E) prefix
 
 	phase   []procPhase
-	outbox  []word.Symbol // invocation a waiting process wants to send
-	granted []bool        // gate flags: cursor emitted the process's symbol
-	inbox   []word.Symbol // delivered responses
-	invs    [][]word.Symbol
+	outbox  []trace.Symbol // invocation a waiting process wants to send
+	granted []bool         // gate flags: cursor emitted the process's symbol
+	inbox   []trace.Symbol // delivered responses
+	invs    [][]trace.Symbol
 	handed  []int // invocations handed out via NextInv
 	opCount []int // completed send events per process, for OpIDs
 	crashed []bool
@@ -55,10 +55,10 @@ func NewA(n int, src Source) *A {
 		n:       n,
 		src:     src,
 		phase:   make([]procPhase, n),
-		outbox:  make([]word.Symbol, n),
+		outbox:  make([]trace.Symbol, n),
 		granted: make([]bool, n),
-		inbox:   make([]word.Symbol, n),
-		invs:    make([][]word.Symbol, n),
+		inbox:   make([]trace.Symbol, n),
+		invs:    make([][]trace.Symbol, n),
 		handed:  make([]int, n),
 		opCount: make([]int, n),
 		crashed: make([]bool, n),
@@ -111,7 +111,7 @@ func (a *A) pull() bool {
 			continue // crashed processes have no further events
 		}
 		a.queue = append(a.queue, s)
-		if s.Kind == word.Inv {
+		if s.Kind == trace.Inv {
 			a.invs[s.Proc] = append(a.invs[s.Proc], s)
 		}
 		return true
@@ -124,9 +124,9 @@ func (a *A) cursorRunnable() bool {
 	}
 	s := a.queue[0]
 	switch s.Kind {
-	case word.Inv:
+	case trace.Inv:
 		return a.phase[s.Proc] == phaseWaitSend && !a.granted[s.Proc]
-	case word.Res:
+	case trace.Res:
 		return a.phase[s.Proc] == phaseWaitRecv && !a.granted[s.Proc]
 	}
 	return false
@@ -138,12 +138,12 @@ func (a *A) cursorStep() {
 	a.queue = a.queue[1:]
 	a.history = append(a.history, s)
 	switch s.Kind {
-	case word.Inv:
+	case trace.Inv:
 		if !a.outbox[s.Proc].Equal(s) {
 			panic(fmt.Sprintf("adversary: process %d waits to send %v but word says %v",
 				s.Proc, a.outbox[s.Proc], s))
 		}
-	case word.Res:
+	case trace.Res:
 		a.inbox[s.Proc] = s
 	}
 	a.granted[s.Proc] = true
@@ -152,10 +152,10 @@ func (a *A) cursorStep() {
 // NextInv implements Service: it reveals the process's next invocation, which
 // in the model the adversary determines (Line 01's nondeterministic pick is
 // resolved by the behaviour being exhibited).
-func (a *A) NextInv(id int) (word.Symbol, bool) {
+func (a *A) NextInv(id int) (trace.Symbol, bool) {
 	for a.handed[id] >= len(a.invs[id]) {
 		if !a.pull() {
-			return word.Symbol{}, false
+			return trace.Symbol{}, false
 		}
 	}
 	s := a.invs[id][a.handed[id]]
@@ -165,7 +165,7 @@ func (a *A) NextInv(id int) (word.Symbol, bool) {
 
 // Send implements Service; the send event occurs when the cursor emits the
 // invocation symbol, and the process consumes one step observing it.
-func (a *A) Send(p *sched.Proc, v word.Symbol) {
+func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 	id := p.ID
 	a.outbox[id] = v
 	a.phase[id] = phaseWaitSend
@@ -175,22 +175,22 @@ func (a *A) Send(p *sched.Proc, v word.Symbol) {
 }
 
 // Recv implements Service; symmetric to Send for the response symbol.
-func (a *A) Recv(p *sched.Proc) Response {
+func (a *A) Recv(p *sched.Proc) trace.Response {
 	id := p.ID
 	a.phase[id] = phaseWaitRecv
 	p.Await(func() bool { return a.granted[id] })
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
-	resp := Response{
+	resp := trace.Response{
 		Sym: a.inbox[id],
-		ID:  word.OpID{Proc: id, Idx: a.opCount[id]},
+		ID:  trace.OpID{Proc: id, Idx: a.opCount[id]},
 	}
 	a.opCount[id]++
 	return resp
 }
 
 // History implements Service.
-func (a *A) History() word.Word { return a.history.Clone() }
+func (a *A) History() trace.Word { return a.history.Clone() }
 
 // HistLen returns the number of symbols emitted so far — len(History())
 // without the clone, cheap enough to record at every verdict.

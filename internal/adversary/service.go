@@ -7,8 +7,8 @@
 package adversary
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Service is a distributed service under inspection, from the point of view
@@ -20,17 +20,17 @@ type Service interface {
 	// NextInv returns the next invocation symbol process id must send, or
 	// ok=false when the service's behaviour script is exhausted and the
 	// process should stop iterating (finite experiment prefix).
-	NextInv(id int) (word.Symbol, bool)
+	NextInv(id int) (trace.Symbol, bool)
 	// Send transmits the invocation to the service; blocks (gated) until the
 	// service absorbs it, which is the send event of the execution.
-	Send(p *sched.Proc, v word.Symbol)
+	Send(p *sched.Proc, v trace.Symbol)
 	// Recv blocks until the service delivers the response to the process's
 	// outstanding invocation and returns it.
-	Recv(p *sched.Proc) Response
+	Recv(p *sched.Proc) trace.Response
 	// History returns the input word x(E) emitted so far: the subsequence of
 	// send/receive events in global real-time order. Call only between steps
 	// or after the run.
-	History() word.Word
+	History() trace.Word
 }
 
 // Stats is the optional introspection side of a Service: cheap counters the
@@ -52,22 +52,22 @@ type Stats interface {
 type Source interface {
 	// Next returns the symbol at the current position and advances, or
 	// ok=false if the source is a finite script that has ended.
-	Next() (word.Symbol, bool)
+	Next() (trace.Symbol, bool)
 }
 
 // ScriptSource replays a fixed finite word.
 type ScriptSource struct {
-	w   word.Word
+	w   trace.Word
 	pos int
 }
 
 // NewScriptSource returns a source that emits exactly w and then ends.
-func NewScriptSource(w word.Word) *ScriptSource { return &ScriptSource{w: w} }
+func NewScriptSource(w trace.Word) *ScriptSource { return &ScriptSource{w: w} }
 
 // Next implements Source.
-func (s *ScriptSource) Next() (word.Symbol, bool) {
+func (s *ScriptSource) Next() (trace.Symbol, bool) {
 	if s.pos >= len(s.w) {
-		return word.Symbol{}, false
+		return trace.Symbol{}, false
 	}
 	sym := s.w[s.pos]
 	s.pos++
@@ -75,10 +75,10 @@ func (s *ScriptSource) Next() (word.Symbol, bool) {
 }
 
 // FuncSource adapts a generator function to a Source.
-type FuncSource func() (word.Symbol, bool)
+type FuncSource func() (trace.Symbol, bool)
 
 // Next implements Source.
-func (f FuncSource) Next() (word.Symbol, bool) { return f() }
+func (f FuncSource) Next() (trace.Symbol, bool) { return f() }
 
 // Labeled couples a source with ground truth about the infinite word it
 // samples: whether that word belongs to the language under verification.

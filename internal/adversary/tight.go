@@ -1,8 +1,8 @@
 package adversary
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // TightPolicy drives an execution in which every process performs its
@@ -44,11 +44,11 @@ func (t *TightPolicy) Next(runnable []int, step int) int {
 	}
 	owner := s.Proc
 	switch s.Kind {
-	case word.Inv:
+	case trace.Inv:
 		if t.adv.WaitingSend(owner) {
 			return t.cursor
 		}
-	case word.Res:
+	case trace.Res:
 		if t.adv.WaitingRecv(owner) {
 			t.draining = owner
 			return t.cursor
@@ -73,9 +73,9 @@ func idContained(xs []int, x int) bool {
 
 // Peek returns the next unemitted symbol of the adversary's word without
 // consuming it.
-func (a *A) Peek() (word.Symbol, bool) {
+func (a *A) Peek() (trace.Symbol, bool) {
 	if len(a.queue) == 0 && !a.pull() {
-		return word.Symbol{}, false
+		return trace.Symbol{}, false
 	}
 	return a.queue[0], true
 }

@@ -1,9 +1,9 @@
 package adversary
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // ArrayKind selects the shared-array implementation a timed adversary uses
@@ -41,8 +41,8 @@ func NewArray(kind ArrayKind, n int) mem.Array[int] {
 type Timed struct {
 	inner   Service
 	m       mem.Array[int]
-	logs    [][]word.Symbol // per-process announced invocations, append-only
-	history word.Word       // outer events: monitor↔Aτ sends and receives
+	logs    [][]trace.Symbol // per-process announced invocations, append-only
+	history trace.Word       // outer events: monitor↔Aτ sends and receives
 }
 
 var (
@@ -56,7 +56,7 @@ func NewTimed(n int, inner Service, kind ArrayKind) *Timed {
 	return &Timed{
 		inner: inner,
 		m:     NewArray(kind, n),
-		logs:  make([][]word.Symbol, n),
+		logs:  make([][]trace.Symbol, n),
 	}
 }
 
@@ -69,7 +69,7 @@ func (t *Timed) Reset(n int, inner Service) {
 	t.m.Reset(n, 0)
 	t.history = t.history[:0]
 	if cap(t.logs) < n {
-		t.logs = make([][]word.Symbol, n)
+		t.logs = make([][]trace.Symbol, n)
 		return
 	}
 	t.logs = t.logs[:n]
@@ -80,7 +80,7 @@ func (t *Timed) Reset(n int, inner Service) {
 
 // NextInv implements Service by delegation; the wrapper adds nothing before
 // Line 01.
-func (t *Timed) NextInv(id int) (word.Symbol, bool) { return t.inner.NextInv(id) }
+func (t *Timed) NextInv(id int) (trace.Symbol, bool) { return t.inner.NextInv(id) }
 
 // Send implements Service: Figure 6 Lines 01–03. The monitor's invocation
 // event (Line 03 of Figure 1) occurs when Aτ receives v — before the
@@ -88,7 +88,7 @@ func (t *Timed) NextInv(id int) (word.Symbol, bool) { return t.inner.NextInv(id)
 // This ordering (invocation, then announce) is what lets the sketch "move
 // invocations forward to the next write" (Figure 7) and makes Theorem 6.1(1)
 // hold.
-func (t *Timed) Send(p *sched.Proc, v word.Symbol) {
+func (t *Timed) Send(p *sched.Proc, v trace.Symbol) {
 	id := p.ID
 	t.history = append(t.history, v)   // the outer send event
 	t.logs[id] = append(t.logs[id], v) // s_i ← s_i ∪ {v_i} (local)
@@ -100,10 +100,10 @@ func (t *Timed) Send(p *sched.Proc, v word.Symbol) {
 // arrives, the process snapshots M, attaches the resulting view, and only
 // then does the outer response event occur — responses "move backward to the
 // previous snapshot" in the sketch.
-func (t *Timed) Recv(p *sched.Proc) Response {
+func (t *Timed) Recv(p *sched.Proc) trace.Response {
 	resp := t.inner.Recv(p)
 	counts := t.m.Snapshot(p)
-	view := NewView(counts)
+	view := trace.NewView(counts)
 	resp.View = &view
 	t.history = append(t.history, resp.Sym) // the outer receive event
 	return resp
@@ -112,7 +112,7 @@ func (t *Timed) Recv(p *sched.Proc) Response {
 // History implements Service: the input word x(E) of the monitor's execution
 // is the sequence of outer events — invocations received by and responses
 // returned by Aτ — ignoring views.
-func (t *Timed) History() word.Word { return t.history.Clone() }
+func (t *Timed) History() trace.Word { return t.history.Clone() }
 
 // HistLen returns the number of outer events so far — len(History()) without
 // the clone, cheap enough to record at every verdict.
@@ -120,7 +120,7 @@ func (t *Timed) HistLen() int { return len(t.history) }
 
 // InnerHistory returns the behaviour the wrapped service exhibited, for
 // Lemma 6.1/6.3 experiments relating the correctness of A and Aτ.
-func (t *Timed) InnerHistory() word.Word { return t.inner.History() }
+func (t *Timed) InnerHistory() trace.Word { return t.inner.History() }
 
 // Pulled delegates to the inner service when it exposes Stats.
 func (t *Timed) Pulled() int {
@@ -142,10 +142,10 @@ func (t *Timed) Crash(id int) {
 // inspect view contents (e.g. Figure 9's clause-4 test counts inc
 // invocations inside views). Only identifiers contained in an observed view
 // may be resolved — those are guaranteed announced.
-func (t *Timed) InvAt(id word.OpID) word.Symbol { return t.logs[id.Proc][id.Idx] }
+func (t *Timed) InvAt(id trace.OpID) trace.Symbol { return t.logs[id.Proc][id.Idx] }
 
 // CountOp returns how many invocations in the view name the given operation.
-func (t *Timed) CountOp(v View, op string) int {
+func (t *Timed) CountOp(v trace.View, op string) int {
 	total := 0
 	for i := 0; i < v.Procs(); i++ {
 		for k := 0; k < v.Count(i); k++ {

@@ -1,8 +1,7 @@
 package check
 
 import (
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // BruteLinearizable is an exhaustive reference implementation of the
@@ -10,16 +9,16 @@ import (
 // enumerates every subset of pending operations to keep, every permutation of
 // the kept operations, and tests real-time order plus validity directly.
 // Exponential in both dimensions; for tests on histories of ≤ ~8 operations.
-func BruteLinearizable(obj spec.Object, w word.Word) bool {
-	return bruteSearch(obj, word.Operations(w), true)
+func BruteLinearizable(obj trace.Object, w trace.Word) bool {
+	return bruteSearch(obj, trace.Operations(w), true)
 }
 
 // BruteSeqConsistent is the exhaustive reference for SeqConsistent.
-func BruteSeqConsistent(obj spec.Object, w word.Word) bool {
-	return bruteSearch(obj, word.Operations(w), false)
+func BruteSeqConsistent(obj trace.Object, w trace.Word) bool {
+	return bruteSearch(obj, trace.Operations(w), false)
 }
 
-func bruteSearch(obj spec.Object, ops []word.Operation, realTime bool) bool {
+func bruteSearch(obj trace.Object, ops []trace.Operation, realTime bool) bool {
 	var pendingIdx []int
 	for i, o := range ops {
 		if o.Pending() {
@@ -28,7 +27,7 @@ func bruteSearch(obj spec.Object, ops []word.Operation, realTime bool) bool {
 	}
 	// Enumerate subsets of pending operations to keep.
 	for mask := 0; mask < 1<<len(pendingIdx); mask++ {
-		kept := make([]word.Operation, 0, len(ops))
+		kept := make([]trace.Operation, 0, len(ops))
 		for _, o := range ops {
 			if !o.Pending() {
 				kept = append(kept, o)
@@ -48,7 +47,7 @@ func bruteSearch(obj spec.Object, ops []word.Operation, realTime bool) bool {
 
 // permuteValid enumerates permutations of ops and accepts if any is a valid
 // sequential history respecting the required order.
-func permuteValid(obj spec.Object, ops []word.Operation, realTime bool) bool {
+func permuteValid(obj trace.Object, ops []trace.Operation, realTime bool) bool {
 	n := len(ops)
 	perm := make([]int, n)
 	used := make([]bool, n)
@@ -73,7 +72,7 @@ func permuteValid(obj spec.Object, ops []word.Operation, realTime bool) bool {
 	return rec(0)
 }
 
-func checkPerm(obj spec.Object, ops []word.Operation, perm []int, realTime bool) bool {
+func checkPerm(obj trace.Object, ops []trace.Operation, perm []int, realTime bool) bool {
 	// Order constraints.
 	pos := make([]int, len(ops))
 	for k, i := range perm {

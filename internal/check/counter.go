@@ -3,14 +3,13 @@ package check
 import (
 	"fmt"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // Violation describes why a safety check failed, pointing at the offending
 // operation.
 type Violation struct {
-	Op     word.Operation
+	Op     trace.Operation
 	Reason string
 }
 
@@ -32,8 +31,8 @@ func (v *Violation) String() string {
 // Clause (3) is a liveness property of ω-words; see Converges for the
 // finite-trace diagnostic and the experiment harness for ground-truth
 // labelled sources.
-func WECSafety(w word.Word) *Violation {
-	ops := word.Operations(w)
+func WECSafety(w trace.Word) *Violation {
+	ops := trace.Operations(w)
 	myIncs := map[int]int64{}   // proc -> completed incs so far
 	lastRead := map[int]int64{} // proc -> last read value
 	for _, o := range ops {
@@ -41,10 +40,10 @@ func WECSafety(w word.Word) *Violation {
 			continue
 		}
 		switch o.Op {
-		case spec.OpInc:
+		case trace.OpInc:
 			myIncs[o.ID.Proc]++
-		case spec.OpRead:
-			v, ok := o.Ret.(word.Int)
+		case trace.OpRead:
+			v, ok := o.Ret.(trace.Int)
 			if !ok {
 				return &Violation{Op: o, Reason: "read returned a non-integer value"}
 			}
@@ -72,22 +71,22 @@ func WECSafety(w word.Word) *Violation {
 // invocation appears before the read's response, which makes clause (4) a
 // real-time-sensitive property — the reason SEC_COUNT is not real-time
 // oblivious and hence undecidable against A (Theorem 5.2).
-func SECSafety(w word.Word) *Violation {
+func SECSafety(w trace.Word) *Violation {
 	if v := WECSafety(w); v != nil {
 		return v
 	}
-	ops := word.Operations(w)
+	ops := trace.Operations(w)
 	for _, o := range ops {
-		if o.Pending() || o.Op != spec.OpRead {
+		if o.Pending() || o.Op != trace.OpRead {
 			continue
 		}
 		bound := 0
 		for _, inc := range ops {
-			if inc.Op == spec.OpInc && inc.Inv < o.Res {
+			if inc.Op == trace.OpInc && inc.Inv < o.Res {
 				bound++
 			}
 		}
-		v := o.Ret.(word.Int)
+		v := o.Ret.(trace.Int)
 		if int(v) > bound {
 			return &Violation{Op: o, Reason: fmt.Sprintf(
 				"clause (4): returned %d > %d incs preceding or concurrent", v, bound)}
@@ -103,12 +102,12 @@ func SECSafety(w word.Word) *Violation {
 // end mid-convergence, so it is a diagnostic for quiescent trace tails, not a
 // language membership test (membership of ω-words is handled by labelled
 // sources in the experiment harness).
-func Converges(w word.Word) bool {
-	ops := word.Operations(w)
+func Converges(w trace.Word) bool {
+	ops := trace.Operations(w)
 	totalIncs := 0
 	lastIncEnd := -1
 	for _, o := range ops {
-		if o.Op == spec.OpInc {
+		if o.Op == trace.OpInc {
 			totalIncs++
 			if o.Res > lastIncEnd {
 				lastIncEnd = o.Res
@@ -118,11 +117,11 @@ func Converges(w word.Word) bool {
 	finalRead := map[int]int64{}
 	sawRead := false
 	for _, o := range ops {
-		if o.Pending() || o.Op != spec.OpRead || o.Inv < lastIncEnd {
+		if o.Pending() || o.Op != trace.OpRead || o.Inv < lastIncEnd {
 			continue
 		}
 		sawRead = true
-		finalRead[o.ID.Proc] = int64(o.Ret.(word.Int))
+		finalRead[o.ID.Proc] = int64(o.Ret.(trace.Int))
 	}
 	if !sawRead {
 		return false

@@ -3,17 +3,16 @@ package check
 import (
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // lemma52Word is the paper's Lemma 5.2 witness: p1 increments, then p2 and p1
 // alternately read 0 forever. Clause (1) fails at p1's first read.
-func lemma52Word(rounds int) word.Word {
-	b := word.NewB().Op(0, spec.OpInc, word.Unit{}, word.Unit{})
+func lemma52Word(rounds int) trace.Word {
+	b := trace.NewB().Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
 	for i := 0; i < rounds; i++ {
-		b.Op(1, spec.OpRead, word.Unit{}, word.Int(0))
-		b.Op(0, spec.OpRead, word.Unit{}, word.Int(0))
+		b.Op(1, trace.OpRead, trace.Unit{}, trace.Int(0))
+		b.Op(0, trace.OpRead, trace.Unit{}, trace.Int(0))
 	}
 	return b.Word()
 }
@@ -21,15 +20,15 @@ func lemma52Word(rounds int) word.Word {
 func TestWECSafety(t *testing.T) {
 	tests := []struct {
 		name     string
-		w        word.Word
+		w        trace.Word
 		violates bool
 	}{
-		{"empty", word.Word{}, false},
+		{"empty", trace.Word{}, false},
 		{
 			"own inc then correct read",
-			word.NewB().
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-				Op(0, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
+			trace.NewB().
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
 			false,
 		},
 		{
@@ -40,30 +39,30 @@ func TestWECSafety(t *testing.T) {
 		{
 			"other process may lag",
 			// p1 reads 0 after p0's inc: allowed by WEC (only own incs count).
-			word.NewB().
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(0)).Word(),
+			trace.NewB().
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(0)).Word(),
 			false,
 		},
 		{
 			"non-monotonic reads",
-			word.NewB().
-				Op(0, spec.OpRead, word.Unit{}, word.Int(2)).
-				Op(0, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
+			trace.NewB().
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(2)).
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
 			true,
 		},
 		{
 			"monotonic reads above own incs",
-			word.NewB().
-				Op(0, spec.OpRead, word.Unit{}, word.Int(2)).
-				Op(0, spec.OpRead, word.Unit{}, word.Int(5)).Word(),
+			trace.NewB().
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(2)).
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(5)).Word(),
 			false,
 		},
 		{
 			"pending read ignored",
-			word.NewB().
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-				Inv(0, spec.OpRead, word.Unit{}).Word(),
+			trace.NewB().
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+				Inv(0, trace.OpRead, trace.Unit{}).Word(),
 			false,
 		},
 	}
@@ -80,41 +79,41 @@ func TestWECSafety(t *testing.T) {
 func TestSECSafety(t *testing.T) {
 	tests := []struct {
 		name     string
-		w        word.Word
+		w        trace.Word
 		violates bool
 	}{
 		{
 			"read bounded by concurrent incs",
 			// p0's inc overlaps p1's read: read may return 0 or 1.
-			word.NewB().
-				Inv(0, spec.OpInc, word.Unit{}).
-				Inv(1, spec.OpRead, word.Unit{}).
-				Res(0, spec.OpInc, word.Unit{}).
-				Res(1, spec.OpRead, word.Int(1)).Word(),
+			trace.NewB().
+				Inv(0, trace.OpInc, trace.Unit{}).
+				Inv(1, trace.OpRead, trace.Unit{}).
+				Res(0, trace.OpInc, trace.Unit{}).
+				Res(1, trace.OpRead, trace.Int(1)).Word(),
 			false,
 		},
 		{
 			"clause 4: read above all incs",
 			// No inc anywhere, read returns 1: weakly fine (monotone, above
 			// own 0 incs) but strongly impossible.
-			word.NewB().
-				Op(0, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
+			trace.NewB().
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
 			true,
 		},
 		{
 			"clause 4: read sees inc invoked after its response",
-			word.NewB().
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).Word(),
+			trace.NewB().
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).Word(),
 			true,
 		},
 		{
 			"pending inc counts as concurrent",
-			word.NewB().
-				Inv(0, spec.OpInc, word.Unit{}).
+			trace.NewB().
+				Inv(0, trace.OpInc, trace.Unit{}).
 				Word().Append(
-				word.NewInv(1, spec.OpRead, word.Unit{}),
-				word.NewRes(1, spec.OpRead, word.Int(1))),
+				trace.NewInv(1, trace.OpRead, trace.Unit{}),
+				trace.NewRes(1, trace.OpRead, trace.Int(1))),
 			false,
 		},
 		{
@@ -136,11 +135,11 @@ func TestSECSafety(t *testing.T) {
 func TestSECImpliesWEC(t *testing.T) {
 	// SEC ⊂ WEC on safety clauses: anything passing SECSafety passes
 	// WECSafety (Lemma 5.2 uses SEC_COUNT ⊂ WEC_COUNT).
-	words := []word.Word{
+	words := []trace.Word{
 		lemma52Word(2),
-		word.NewB().Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-			Op(0, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
-		word.NewB().Op(0, spec.OpRead, word.Unit{}, word.Int(3)).Word(),
+		trace.NewB().Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+			Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
+		trace.NewB().Op(0, trace.OpRead, trace.Unit{}, trace.Int(3)).Word(),
 	}
 	for _, w := range words {
 		if SECSafety(w) == nil && WECSafety(w) != nil {
@@ -150,21 +149,21 @@ func TestSECImpliesWEC(t *testing.T) {
 }
 
 func TestConverges(t *testing.T) {
-	conv := word.NewB().
-		Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-		Op(1, spec.OpRead, word.Unit{}, word.Int(0)).
-		Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-		Op(0, spec.OpRead, word.Unit{}, word.Int(1)).Word()
+	conv := trace.NewB().
+		Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+		Op(1, trace.OpRead, trace.Unit{}, trace.Int(0)).
+		Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+		Op(0, trace.OpRead, trace.Unit{}, trace.Int(1)).Word()
 	if !Converges(conv) {
 		t.Error("converged trace reported as diverging")
 	}
-	div := word.NewB().
-		Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-		Op(1, spec.OpRead, word.Unit{}, word.Int(0)).Word()
+	div := trace.NewB().
+		Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+		Op(1, trace.OpRead, trace.Unit{}, trace.Int(0)).Word()
 	if Converges(div) {
 		t.Error("diverging trace reported as converged")
 	}
-	if Converges(word.Word{}) {
+	if Converges(trace.Word{}) {
 		t.Error("empty trace cannot witness convergence")
 	}
 }

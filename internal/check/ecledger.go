@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // ECLedgerSafety checks clause (1) of the eventually consistent ledger
@@ -20,23 +19,23 @@ import (
 // operations (each used at most once). Pending operations and unread appends
 // impose no constraint, since their completions can be placed after every
 // complete get. Returns the first violation found, or nil.
-func ECLedgerSafety(w word.Word) *Violation {
-	ops := word.Operations(w)
-	var gets []word.Operation
-	appends := map[word.Rec]int{} // record -> multiplicity among append ops
+func ECLedgerSafety(w trace.Word) *Violation {
+	ops := trace.Operations(w)
+	var gets []trace.Operation
+	appends := map[trace.Rec]int{} // record -> multiplicity among append ops
 	for _, o := range ops {
 		switch o.Op {
-		case spec.OpAppend:
-			r, ok := o.Arg.(word.Rec)
+		case trace.OpAppend:
+			r, ok := o.Arg.(trace.Rec)
 			if !ok {
 				return &Violation{Op: o, Reason: "append with non-record argument"}
 			}
 			appends[r]++
-		case spec.OpGet:
+		case trace.OpGet:
 			if o.Pending() {
 				continue
 			}
-			if _, ok := o.Ret.(word.Seq); !ok {
+			if _, ok := o.Ret.(trace.Seq); !ok {
 				return &Violation{Op: o, Reason: "get returned a non-sequence value"}
 			}
 			gets = append(gets, o)
@@ -44,11 +43,11 @@ func ECLedgerSafety(w word.Word) *Violation {
 	}
 	// Sort complete gets by return length; each must extend the previous.
 	sort.SliceStable(gets, func(i, j int) bool {
-		return len(gets[i].Ret.(word.Seq)) < len(gets[j].Ret.(word.Seq))
+		return len(gets[i].Ret.(trace.Seq)) < len(gets[j].Ret.(trace.Seq))
 	})
-	var longest word.Seq
+	var longest trace.Seq
 	for _, g := range gets {
-		s := g.Ret.(word.Seq)
+		s := g.Ret.(trace.Seq)
 		if len(s) < len(longest) || !longest.Equal(s[:len(longest)]) {
 			return &Violation{Op: g, Reason: fmt.Sprintf(
 				"clause (1): return %v does not extend %v", s, longest)}
@@ -56,7 +55,7 @@ func ECLedgerSafety(w word.Word) *Violation {
 		longest = s
 	}
 	// The longest return must be realizable from the available appends.
-	used := map[word.Rec]int{}
+	used := map[trace.Rec]int{}
 	for i, r := range longest {
 		used[r]++
 		if used[r] > appends[r] {
@@ -72,32 +71,32 @@ func ECLedgerSafety(w word.Word) *Violation {
 // complete get of every process that performs a get after the last append
 // must contain every record appended in the word. Like Converges it reports
 // on quiescent trace tails only.
-func ECLedgerConverges(w word.Word) bool {
-	ops := word.Operations(w)
-	want := map[word.Rec]int{}
+func ECLedgerConverges(w trace.Word) bool {
+	ops := trace.Operations(w)
+	want := map[trace.Rec]int{}
 	lastAppendEnd := -1
 	for _, o := range ops {
-		if o.Op == spec.OpAppend {
-			want[o.Arg.(word.Rec)]++
+		if o.Op == trace.OpAppend {
+			want[o.Arg.(trace.Rec)]++
 			if o.Res > lastAppendEnd {
 				lastAppendEnd = o.Res
 			}
 		}
 	}
-	finalGet := map[int]word.Seq{}
+	finalGet := map[int]trace.Seq{}
 	sawGet := false
 	for _, o := range ops {
-		if o.Pending() || o.Op != spec.OpGet || o.Inv < lastAppendEnd {
+		if o.Pending() || o.Op != trace.OpGet || o.Inv < lastAppendEnd {
 			continue
 		}
 		sawGet = true
-		finalGet[o.ID.Proc] = o.Ret.(word.Seq)
+		finalGet[o.ID.Proc] = o.Ret.(trace.Seq)
 	}
 	if !sawGet {
 		return false
 	}
 	for _, s := range finalGet {
-		have := map[word.Rec]int{}
+		have := map[trace.Rec]int{}
 		for _, r := range s {
 			have[r]++
 		}

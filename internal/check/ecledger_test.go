@@ -3,76 +3,75 @@ package check
 import (
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 func TestECLedgerSafety(t *testing.T) {
 	tests := []struct {
 		name     string
-		w        word.Word
+		w        trace.Word
 		violates bool
 	}{
-		{"empty", word.Word{}, false},
+		{"empty", trace.Word{}, false},
 		{
 			"lemma 6.5 prefix: append then empty gets",
 			// append(a) completes, gets return ε: clause (1) holds because
 			// the append can be permuted after the gets. (Clause (2) is what
 			// fails in the limit.)
-			word.NewB().
-				Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{}).
-				Op(0, spec.OpGet, word.Unit{}, word.Seq{}).Word(),
+			trace.NewB().
+				Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{}).
+				Op(0, trace.OpGet, trace.Unit{}, trace.Seq{}).Word(),
 			false,
 		},
 		{
 			"chained gets",
-			word.NewB().
-				Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"a"}).
-				Op(0, spec.OpAppend, word.Rec("b"), word.Unit{}).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"a", "b"}).Word(),
+			trace.NewB().
+				Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).
+				Op(0, trace.OpAppend, trace.Rec("b"), trace.Unit{}).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"}).Word(),
 			false,
 		},
 		{
 			"incomparable gets",
 			// One get saw a-then-b, another saw b alone: no single append
 			// order explains both.
-			word.NewB().
-				Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(0, spec.OpAppend, word.Rec("b"), word.Unit{}).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"a", "b"}).
-				Op(2, spec.OpGet, word.Unit{}, word.Seq{"b"}).Word(),
+			trace.NewB().
+				Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(0, trace.OpAppend, trace.Rec("b"), trace.Unit{}).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"}).
+				Op(2, trace.OpGet, trace.Unit{}, trace.Seq{"b"}).Word(),
 			true,
 		},
 		{
 			"get returns phantom record",
-			word.NewB().
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"ghost"}).Word(),
+			trace.NewB().
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"ghost"}).Word(),
 			true,
 		},
 		{
 			"get doubles a single append",
-			word.NewB().
-				Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"a", "a"}).Word(),
+			trace.NewB().
+				Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a", "a"}).Word(),
 			true,
 		},
 		{
 			"pending append visible",
-			word.NewB().
-				Inv(0, spec.OpAppend, word.Rec("a")).
+			trace.NewB().
+				Inv(0, trace.OpAppend, trace.Rec("a")).
 				Word().Append(
-				word.NewInv(1, spec.OpGet, word.Unit{}),
-				word.NewRes(1, spec.OpGet, word.Seq{"a"})),
+				trace.NewInv(1, trace.OpGet, trace.Unit{}),
+				trace.NewRes(1, trace.OpGet, trace.Seq{"a"})),
 			false,
 		},
 		{
 			"duplicate appends allow duplicate records",
-			word.NewB().
-				Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(1, spec.OpAppend, word.Rec("a"), word.Unit{}).
-				Op(2, spec.OpGet, word.Unit{}, word.Seq{"a", "a"}).Word(),
+			trace.NewB().
+				Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(1, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+				Op(2, trace.OpGet, trace.Unit{}, trace.Seq{"a", "a"}).Word(),
 			false,
 		},
 	}
@@ -89,15 +88,15 @@ func TestECLedgerSafety(t *testing.T) {
 func TestECLedgerSafetyAgreesWithSC(t *testing.T) {
 	// Every sequentially consistent ledger word satisfies EC clause (1),
 	// since an SC witness is in particular a valid permutation.
-	words := []word.Word{
-		word.NewB().
-			Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-			Op(1, spec.OpGet, word.Unit{}, word.Seq{"a"}).Word(),
-		word.NewB().
-			Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-			Op(1, spec.OpGet, word.Unit{}, word.Seq{}).Word(),
+	words := []trace.Word{
+		trace.NewB().
+			Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+			Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).Word(),
+		trace.NewB().
+			Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+			Op(1, trace.OpGet, trace.Unit{}, trace.Seq{}).Word(),
 	}
-	l := spec.Ledger()
+	l := trace.Ledger()
 	for _, w := range words {
 		if SeqConsistent(l, w) && ECLedgerSafety(w) != nil {
 			t.Errorf("SC word violates EC clause (1): %v", w)
@@ -106,16 +105,16 @@ func TestECLedgerSafetyAgreesWithSC(t *testing.T) {
 }
 
 func TestECLedgerConverges(t *testing.T) {
-	conv := word.NewB().
-		Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-		Op(1, spec.OpGet, word.Unit{}, word.Seq{}).
-		Op(1, spec.OpGet, word.Unit{}, word.Seq{"a"}).Word()
+	conv := trace.NewB().
+		Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{}).
+		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).Word()
 	if !ECLedgerConverges(conv) {
 		t.Error("converged ledger trace reported diverging")
 	}
-	div := word.NewB().
-		Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-		Op(1, spec.OpGet, word.Unit{}, word.Seq{}).Word()
+	div := trace.NewB().
+		Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{}).Word()
 	if ECLedgerConverges(div) {
 		t.Error("diverging ledger trace reported converged")
 	}

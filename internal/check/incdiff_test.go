@@ -16,34 +16,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/msgnet"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // scratchOK is the from-scratch reference the incremental checker must track
 // on every prefix: the generic subset search, which shares no code with the
 // checker it judges.
-func scratchOK(obj spec.Object, realTime bool, w word.Word) bool {
-	return genericOK(obj, word.Operations(w), realTime)
+func scratchOK(obj trace.Object, realTime bool, w trace.Word) bool {
+	return genericOK(obj, trace.Operations(w), realTime)
 }
 
-// wellFormed reports whether word.Operations accepts w.
-func wellFormed(w word.Word) (ok bool) {
+// wellFormed reports whether trace.Operations accepts w.
+func wellFormed(w trace.Word) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	word.Operations(w)
+	trace.Operations(w)
 	return true
 }
 
 // incrementalDisagrees reports whether feeding w symbol-by-symbol into a
 // fresh Incremental ever disagrees with the from-scratch reference on a
 // prefix, returning the length of the first disagreeing prefix.
-func incrementalDisagrees(obj spec.Object, realTime bool, w word.Word) (int, bool) {
+func incrementalDisagrees(obj trace.Object, realTime bool, w trace.Word) (int, bool) {
 	chk := NewIncremental(obj, realTime, w.Procs())
 	for i, s := range w {
 		chk.Append(s)
@@ -57,12 +56,12 @@ func incrementalDisagrees(obj spec.Object, realTime bool, w word.Word) (int, boo
 // shrinkMismatch greedily removes symbols (keeping the word well-formed)
 // while the incremental/scratch disagreement persists, returning a minimal
 // reproducer.
-func shrinkMismatch(obj spec.Object, realTime bool, w word.Word) word.Word {
-	cur := append(word.Word(nil), w...)
+func shrinkMismatch(obj trace.Object, realTime bool, w trace.Word) trace.Word {
+	cur := append(trace.Word(nil), w...)
 	for {
 		shrunk := false
 		for i := 0; i < len(cur); i++ {
-			cand := append(append(word.Word(nil), cur[:i]...), cur[i+1:]...)
+			cand := append(append(trace.Word(nil), cur[:i]...), cur[i+1:]...)
 			if !wellFormed(cand) {
 				continue
 			}
@@ -82,7 +81,7 @@ func shrinkMismatch(obj spec.Object, realTime bool, w word.Word) word.Word {
 // incremental checker against from-scratch on every prefix (both order
 // modes), against brute on affordable whole words, and the interleaved-query
 // modes (CheckExtending, AnyPrefixViolated) against their scratch forms.
-func checkIncremental(t *testing.T, obj spec.Object, w word.Word, label string) {
+func checkIncremental(t *testing.T, obj trace.Object, w trace.Word, label string) {
 	t.Helper()
 	if !wellFormed(w) {
 		t.Fatalf("%s: generator produced a malformed word:\n%v", label, w)
@@ -98,7 +97,7 @@ func checkIncremental(t *testing.T, obj spec.Object, w word.Word, label string) 
 				label, mode, at, w, min)
 		}
 		// Whole-word agreement with the exhaustive reference, where affordable.
-		if ops := word.Operations(w); len(ops) <= 6 {
+		if ops := trace.Operations(w); len(ops) <= 6 {
 			chk := NewIncremental(obj, realTime, w.Procs())
 			var brute bool
 			if realTime {
@@ -114,7 +113,7 @@ func checkIncremental(t *testing.T, obj spec.Object, w word.Word, label string) 
 		chk := NewIncremental(obj, realTime, w.Procs())
 		wantAny := false
 		for cut := 1; cut <= len(w); cut++ {
-			if cut < len(w) && w[cut-1].Kind != word.Res {
+			if cut < len(w) && w[cut-1].Kind != trace.Res {
 				continue
 			}
 			if !scratchOK(obj, realTime, w[:cut]) {
@@ -133,22 +132,22 @@ func checkIncremental(t *testing.T, obj spec.Object, w word.Word, label string) 
 // most histories are linearizable) with a perturbation rate that manufactures
 // violations, and a truncation that leaves trailing operations pending — the
 // language family's word shapes, including truncated ones.
-func randWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) word.Word {
+func randWord(obj trace.Object, n, steps int, perturb float64, rng *rand.Rand) trace.Word {
 	type open struct {
 		op  string
-		arg word.Value
+		arg trace.Value
 	}
 	pend := make([]*open, n)
 	shadow := obj.Init()
 	sigs := obj.Ops()
-	var w word.Word
+	var w trace.Word
 	for len(w) < steps {
 		p := rng.Intn(n)
 		if pend[p] == nil {
 			sig := sigs[rng.Intn(len(sigs))]
 			arg := obj.RandArg(sig.Name, rng)
 			pend[p] = &open{op: sig.Name, arg: arg}
-			w = append(w, word.Symbol{Proc: p, Kind: word.Inv, Op: sig.Name, Val: arg})
+			w = append(w, trace.Symbol{Proc: p, Kind: trace.Inv, Op: sig.Name, Val: arg})
 			continue
 		}
 		o := pend[p]
@@ -159,9 +158,9 @@ func randWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) wo
 		}
 		shadow = next
 		if rng.Float64() < perturb {
-			ret = word.Int(int64(rng.Intn(5)))
+			ret = trace.Int(int64(rng.Intn(5)))
 		}
-		w = append(w, word.Symbol{Proc: p, Kind: word.Res, Op: o.op, Val: ret})
+		w = append(w, trace.Symbol{Proc: p, Kind: trace.Res, Op: o.op, Val: ret})
 		pend[p] = nil
 	}
 	// Truncate at a random point: trailing invocations stay pending.
@@ -178,17 +177,17 @@ func randWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) wo
 // being refuted and the residual search keeps running — the shape of the
 // sketch histories the predictive monitors re-check. perturb replaces a
 // response with a random value, manufacturing violations.
-func linPointWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand) word.Word {
+func linPointWord(obj trace.Object, n, steps int, perturb float64, rng *rand.Rand) trace.Word {
 	type open struct {
 		op      string
-		arg     word.Value
-		ret     word.Value
+		arg     trace.Value
+		ret     trace.Value
 		applied bool
 	}
 	pend := make([]*open, n)
 	shadow := obj.Init()
 	sigs := obj.Ops()
-	var w word.Word
+	var w trace.Word
 	for len(w) < steps {
 		p := rng.Intn(n)
 		o := pend[p]
@@ -197,7 +196,7 @@ func linPointWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand
 			sig := sigs[rng.Intn(len(sigs))]
 			arg := obj.RandArg(sig.Name, rng)
 			pend[p] = &open{op: sig.Name, arg: arg}
-			w = append(w, word.Symbol{Proc: p, Kind: word.Inv, Op: sig.Name, Val: arg})
+			w = append(w, trace.Symbol{Proc: p, Kind: trace.Inv, Op: sig.Name, Val: arg})
 		case !o.applied:
 			next, ret, ok := shadow.Apply(o.op, o.arg)
 			if !ok {
@@ -205,11 +204,11 @@ func linPointWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand
 				continue
 			}
 			if rng.Float64() < perturb {
-				ret = word.Int(int64(rng.Intn(5)))
+				ret = trace.Int(int64(rng.Intn(5)))
 			}
 			shadow, o.ret, o.applied = next, ret, true
 		default:
-			w = append(w, word.Symbol{Proc: p, Kind: word.Res, Op: o.op, Val: o.ret})
+			w = append(w, trace.Symbol{Proc: p, Kind: trace.Res, Op: o.op, Val: o.ret})
 			pend[p] = nil
 		}
 	}
@@ -217,9 +216,9 @@ func linPointWord(obj spec.Object, n, steps int, perturb float64, rng *rand.Rand
 }
 
 func TestIncrementalMatchesScratchOnRandomWords(t *testing.T) {
-	objs := []spec.Object{
-		spec.Register(), spec.Counter(), spec.Queue(), spec.Stack(),
-		spec.Ledger(), spec.Consensus(),
+	objs := []trace.Object{
+		trace.Register(), trace.Counter(), trace.Queue(), trace.Stack(),
+		trace.Ledger(), trace.Consensus(),
 	}
 	for _, obj := range objs {
 		obj := obj
@@ -239,14 +238,14 @@ func TestIncrementalMatchesScratchOnRandomWords(t *testing.T) {
 func TestIncrementalMatchesScratchOnSUTHistories(t *testing.T) {
 	cases := []struct {
 		name string
-		obj  spec.Object
+		obj  trace.Object
 		mk   func(n int) sut.Impl
 	}{
-		{"queue/lock", spec.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
-		{"queue/lifo", spec.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
-		{"stack/fifo", spec.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
-		{"register/atomic", spec.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
-		{"register/stale", spec.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
+		{"queue/lock", trace.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
+		{"queue/lifo", trace.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
+		{"stack/fifo", trace.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
+		{"register/atomic", trace.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
+		{"register/stale", trace.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
 	}
 	const n, opsPerProc = 2, 3
 	for _, tc := range cases {
@@ -257,7 +256,7 @@ func TestIncrementalMatchesScratchOnSUTHistories(t *testing.T) {
 				// operation stays pending for the rest of the history.
 				for _, crashStep := range []int{0, 9} {
 					h := sutHistory(t, tc.obj, tc.mk(n), n, opsPerProc, seed, crashStep, 1)
-					if len(word.Operations(h)) > 7 {
+					if len(trace.Operations(h)) > 7 {
 						continue
 					}
 					checkIncremental(t, tc.obj, h, tc.name)
@@ -268,7 +267,7 @@ func TestIncrementalMatchesScratchOnSUTHistories(t *testing.T) {
 }
 
 func TestIncrementalMatchesScratchOnABDHistories(t *testing.T) {
-	obj := spec.Register()
+	obj := trace.Register()
 	cases := []struct {
 		name      string
 		drops     []int
@@ -286,7 +285,7 @@ func TestIncrementalMatchesScratchOnABDHistories(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				h := abdHistory(t, n, opsPerProc, seed, 0.4, msgnet.RandomOrder(seed), tc.drops, tc.crashStep, 1, tc.buggy)
-				if len(word.Operations(h)) > 6 {
+				if len(trace.Operations(h)) > 6 {
 					continue
 				}
 				checkIncremental(t, obj, h, tc.name)
@@ -301,14 +300,14 @@ func TestIncrementalMatchesScratchOnABDHistories(t *testing.T) {
 // pins a long linearizable history prefix by prefix against the from-scratch
 // check under real-time order.
 func TestIncrementalMatchesScratchOnLinPointWords(t *testing.T) {
-	for _, obj := range []spec.Object{spec.Register(), spec.Queue(), spec.Counter()} {
+	for _, obj := range []trace.Object{trace.Register(), trace.Queue(), trace.Counter()} {
 		rng := rand.New(rand.NewSource(17))
 		for trial := 0; trial < 80; trial++ {
 			w := linPointWord(obj, 2+rng.Intn(3), 6+rng.Intn(10), []float64{0, 0.1}[trial%2], rng)
 			checkIncremental(t, obj, w, obj.Name()+"/linpoint")
 		}
 	}
-	obj := spec.Register()
+	obj := trace.Register()
 	w := linPointWord(obj, 4, 200, 0, rand.New(rand.NewSource(1)))
 	chk := NewIncremental(obj, true, 4)
 	for i, s := range w {

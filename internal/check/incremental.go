@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // Incremental answers linearizability or sequential-consistency queries over
@@ -63,26 +62,26 @@ import (
 //
 // A history naming a process outside [0,n) permanently falls back to the
 // one-shot search over the accumulated operations. Append mirrors
-// word.Operations' well-formedness contract, panicking on the same malformed
+// trace.Operations' well-formedness contract, panicking on the same malformed
 // inputs at the same positions.
 //
 // An Incremental is not safe for concurrent use; pooled workloads give each
 // worker (or each monitor logic) its own, via Pool.
 type Incremental struct {
-	obj      spec.Object
+	obj      trace.Object
 	realTime bool
 	n        int
 
-	init      spec.State       // initial state (interned root when offered)
-	syms      word.Word        // the fed history
-	ops       []word.Operation // word.Operations(syms), maintained in place
-	byProc    [][]int          // operation indices per row (row p is process p), process order
-	counts    []int            // per-process operations started
-	complete  []int            // per-process complete-operation count
-	pendingOf []int            // per-process index into ops of the pending op, -1 = none
-	outOpen   map[int]int      // pending op of a process outside [0,n) (degenerate histories)
-	outCount  map[int]int      // operation count of a process outside [0,n)
-	nComplete int              // total complete operations
+	init      trace.State       // initial state (interned root when offered)
+	syms      trace.Word        // the fed history
+	ops       []trace.Operation // trace.Operations(syms), maintained in place
+	byProc    [][]int           // operation indices per row (row p is process p), process order
+	counts    []int             // per-process operations started
+	complete  []int             // per-process complete-operation count
+	pendingOf []int             // per-process index into ops of the pending op, -1 = none
+	outOpen   map[int]int       // pending op of a process outside [0,n) (degenerate histories)
+	outCount  map[int]int       // operation count of a process outside [0,n)
+	nComplete int               // total complete operations
 
 	// The cached witness, valid when wValid: an accepting linearization of
 	// the current history, as per-process placed counts, the recorded
@@ -90,8 +89,8 @@ type Incremental struct {
 	// object state after the last placement.
 	wValid bool
 	wFront []int
-	wRets  []word.Value
-	wState spec.State
+	wRets  []trace.Value
+	wState trace.State
 
 	// The witness order: rank[oi] is operation oi's position in the
 	// linearization the last successful search found, -1 if it placed none.
@@ -102,12 +101,12 @@ type Incremental struct {
 
 	// Full-search scratch, retained across searches.
 	sFront   []int
-	sRets    []word.Value
-	sLeft    int        // complete operations not yet placed
-	sPath    []int      // operations placed on the current descent, in order
-	winState spec.State // state at the accepting leaf
-	memo     byteSet    // fruitless (fronts, state) nodes
-	key      []byte     // reused key-building buffer
+	sRets    []trace.Value
+	sLeft    int         // complete operations not yet placed
+	sPath    []int       // operations placed on the current descent, in order
+	winState trace.State // state at the accepting leaf
+	memo     byteSet     // fruitless (fronts, state) nodes
+	key      []byte      // reused key-building buffer
 
 	// Work counters over the checker's lifetime, kept across Reset.
 	searches int // residual searches run
@@ -136,7 +135,7 @@ func (c *Incremental) mutatingOp(op string) bool {
 
 // NewIncremental returns a checker for the object over n processes:
 // realTime true checks linearizability, false sequential consistency.
-func NewIncremental(obj spec.Object, realTime bool, n int) *Incremental {
+func NewIncremental(obj trace.Object, realTime bool, n int) *Incremental {
 	c := &Incremental{obj: obj, realTime: realTime}
 	c.Reset(n)
 	return c
@@ -189,8 +188,8 @@ func (c *Incremental) Reset(n int) {
 // rootState returns the object's initial state: the interned root when the
 // object offers one, so reconverging search branches share states instead of
 // re-allocating them.
-func rootState(obj spec.Object) spec.State {
-	if ri, ok := obj.(spec.RootInterner); ok {
+func rootState(obj trace.Object) trace.State {
+	if ri, ok := obj.(trace.RootInterner); ok {
 		return ri.InternRoot()
 	}
 	return obj.Init()
@@ -209,7 +208,7 @@ func resetInts(s []int, n int, v int) []int {
 }
 
 // resetVals re-sizes a per-process value slice to n nil entries.
-func resetVals(s []word.Value, n int) []word.Value {
+func resetVals(s []trace.Value, n int) []trace.Value {
 	for len(s) < n {
 		s = append(s, nil)
 	}
@@ -221,8 +220,8 @@ func resetVals(s []word.Value, n int) []word.Value {
 }
 
 // Append feeds the next symbol of the history, updating the witness. It
-// enforces word.Operations' well-formedness contract with the same panics.
-func (c *Incremental) Append(sym word.Symbol) {
+// enforces trace.Operations' well-formedness contract with the same panics.
+func (c *Incremental) Append(sym trace.Symbol) {
 	i := len(c.syms)
 	c.syms = append(c.syms, sym)
 	// A cached rejecting verdict often survives the appended symbol, because
@@ -243,19 +242,19 @@ func (c *Incremental) Append(sym word.Symbol) {
 	// acceptance (placed with the specification's response, it may repair the
 	// states later operations observe), so only it forces a re-search.
 	keepNo := c.okValid && !c.okCache && !c.fallback &&
-		(sym.Kind == word.Res || c.realTime || !c.mutatingOp(sym.Op))
+		(sym.Kind == trace.Res || c.realTime || !c.mutatingOp(sym.Op))
 	if !keepNo {
 		c.okValid = false
 	}
 	p := sym.Proc
 	switch sym.Kind {
-	case word.Inv:
+	case trace.Inv:
 		if c.openOf(p) >= 0 {
 			panic(fmt.Sprintf("word: process %d invokes %q at position %d with an operation still pending", p, sym.Op, i))
 		}
 		oi := len(c.ops)
-		c.ops = append(c.ops, word.Operation{
-			ID:  word.OpID{Proc: p, Idx: c.countOf(p)},
+		c.ops = append(c.ops, trace.Operation{
+			ID:  trace.OpID{Proc: p, Idx: c.countOf(p)},
 			Op:  sym.Op,
 			Arg: sym.Val,
 			Inv: i,
@@ -270,7 +269,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 			return
 		}
 		c.byProc[p] = append(c.byProc[p], oi)
-	case word.Res:
+	case trace.Res:
 		oi := c.openOf(p)
 		if oi < 0 {
 			panic(fmt.Sprintf("word: process %d responds %q at position %d with no pending invocation", p, sym.Op, i))
@@ -319,7 +318,7 @@ func (c *Incremental) Append(sym word.Symbol) {
 }
 
 // OK reports whether the history fed so far passes the check — exactly
-// LinearizableOps/SeqConsistentOps(obj, word.Operations(prefix)).
+// LinearizableOps/SeqConsistentOps(obj, trace.Operations(prefix)).
 func (c *Incremental) OK() bool {
 	if c.fallback {
 		if !c.okValid {
@@ -342,7 +341,7 @@ func (c *Incremental) OK() bool {
 }
 
 // CheckWord resets the checker and checks w whole.
-func (c *Incremental) CheckWord(w word.Word) bool {
+func (c *Incremental) CheckWord(w trace.Word) bool {
 	c.Reset(c.n)
 	for _, s := range w {
 		c.Append(s)
@@ -357,7 +356,7 @@ func (c *Incremental) CheckWord(w word.Word) bool {
 // guarantees that w[:same] equals the history already fed, up to its length
 // (a sketch builder reports how much of its last word it kept), so only the
 // symbols from same on are compared; same == 0 compares them all.
-func (c *Incremental) CheckExtending(w word.Word, same int) bool {
+func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 	k := len(c.syms)
 	same = min(same, k)
 	if k > len(w) || !c.syms[same:].Equal(w[same:k]) {
@@ -378,11 +377,11 @@ func (c *Incremental) CheckExtending(w word.Word, same int) bool {
 // forward pass exits at the first violated prefix, so an accepting history
 // costs one witness maintenance sweep and a violating one at most one full
 // search beyond it.
-func (c *Incremental) AnyPrefixViolated(w word.Word) bool {
+func (c *Incremental) AnyPrefixViolated(w trace.Word) bool {
 	c.Reset(c.n)
 	for _, s := range w {
 		c.Append(s)
-		if s.Kind == word.Res && !c.OK() {
+		if s.Kind == trace.Res && !c.OK() {
 			return true
 		}
 	}
@@ -478,13 +477,13 @@ func (c *Incremental) adoptWitness() {
 // Recorded pending responses need no slot: within one search the placed
 // operations' responses are functions of the placement order the fronts
 // already encode, and a pending operation's response is never re-examined.
-func (c *Incremental) buildKey(st spec.State) []byte {
+func (c *Incremental) buildKey(st trace.State) []byte {
 	b := c.key[:0]
 	for _, f := range c.sFront {
 		b = binary.AppendUvarint(b, uint64(f))
 	}
 	b = append(b, '/')
-	if ka, ok := st.(spec.KeyAppender); ok {
+	if ka, ok := st.(trace.KeyAppender); ok {
 		b = ka.AppendKey(b)
 	} else {
 		b = append(b, st.Key()...)
@@ -498,7 +497,7 @@ func (c *Incremental) buildKey(st spec.State) []byte {
 // operation that precedes o. Per row the earliest unplaced response is the
 // front's (responses are increasing along a process), so one front
 // comparison per row decides it.
-func (c *Incremental) placeable(p int, o *word.Operation) bool {
+func (c *Incremental) placeable(p int, o *trace.Operation) bool {
 	if !c.realTime {
 		return true
 	}
@@ -549,7 +548,7 @@ func (c *Incremental) nextFront(last int) (p, key int) {
 // and acceptance requires every complete operation placed. The fronts are
 // back to this node's values after each child returns, so the keys are
 // stable across the loop.
-func (c *Incremental) rec(st spec.State) bool {
+func (c *Incremental) rec(st trace.State) bool {
 	c.nodes++
 	if c.sLeft == 0 {
 		c.winState = st
@@ -611,7 +610,7 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // Get borrows a reset checker for (obj, realTime) over n processes.
-func (p *Pool) Get(obj spec.Object, realTime bool, n int) *Incremental {
+func (p *Pool) Get(obj trace.Object, realTime bool, n int) *Incremental {
 	for i, c := range p.chks {
 		if !p.used[i] && c.realTime == realTime && c.obj.Name() == obj.Name() {
 			p.used[i] = true

@@ -12,8 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // TestIncrementalInterleavedPrefixQueries drives one checker through an
@@ -22,7 +21,7 @@ import (
 // every verdict with a fresh checker fed the same prefix from scratch.
 // Histories include crash-shaped ones (operations pending forever).
 func TestIncrementalInterleavedPrefixQueries(t *testing.T) {
-	objs := []spec.Object{spec.Register(), spec.Queue(), spec.Counter()}
+	objs := []trace.Object{trace.Register(), trace.Queue(), trace.Counter()}
 	for _, obj := range objs {
 		obj := obj
 		t.Run(obj.Name(), func(t *testing.T) {
@@ -55,7 +54,7 @@ func TestIncrementalInterleavedPrefixQueries(t *testing.T) {
 // the second history is not an extension of the first, so CheckExtending
 // must reset and still agree with a fresh checker.
 func TestIncrementalCheckExtendingDivergence(t *testing.T) {
-	obj := spec.Register()
+	obj := trace.Register()
 	rng := rand.New(rand.NewSource(23))
 	chk := NewIncremental(obj, true, 3)
 	for trial := 0; trial < 60; trial++ {
@@ -72,14 +71,14 @@ func TestIncrementalCheckExtendingDivergence(t *testing.T) {
 // and the query gives the verdict, and leaves the searches, nodes and
 // extends counters, that same == 0 does.
 func TestIncrementalCheckExtendingHint(t *testing.T) {
-	objs := []spec.Object{spec.Register(), spec.Queue(), spec.Counter()}
+	objs := []trace.Object{trace.Register(), trace.Queue(), trace.Counter()}
 	rng := rand.New(rand.NewSource(29))
 	hinted := 0
 	for _, obj := range objs {
 		for trial := 0; trial < 12; trial++ {
 			n := 2 + rng.Intn(2)
 			w := randWord(obj, n, 6+rng.Intn(10), []float64{0, 0.3}[trial%2], rng)
-			var qs []word.Word
+			var qs []trace.Word
 			for q := 0; q < 8; q++ {
 				if rng.Intn(4) == 0 {
 					w = randWord(obj, n, 6+rng.Intn(10), 0.2, rng)
@@ -88,7 +87,7 @@ func TestIncrementalCheckExtendingHint(t *testing.T) {
 			}
 			for _, realTime := range []bool{true, false} {
 				ref := NewIncremental(obj, realTime, n)
-				var fed word.Word
+				var fed trace.Word
 				for i, q := range qs {
 					want := ref.CheckExtending(q, 0)
 					wantCtr := [3]int{ref.searches, ref.nodes, ref.extends}
@@ -123,22 +122,22 @@ func TestIncrementalCheckExtendingHint(t *testing.T) {
 // identical to from-scratch checking, including verdicts queried both before
 // and after the crash point.
 func TestIncrementalCrashBoundaryInvalidation(t *testing.T) {
-	obj := spec.Register()
+	obj := trace.Register()
 	// p0 writes 1 (completes), p1's write 2 stays pending (crashed), p0
 	// then reads; the pending write may or may not have taken effect, so
 	// reads of 0 and 2 are both linearizable, a read of 3 is not.
-	base := word.Word{
-		{Proc: 0, Kind: word.Inv, Op: spec.OpWrite, Val: word.Int(1)},
-		{Proc: 0, Kind: word.Res, Op: spec.OpWrite, Val: word.Unit{}},
-		{Proc: 1, Kind: word.Inv, Op: spec.OpWrite, Val: word.Int(2)},
-		{Proc: 0, Kind: word.Inv, Op: spec.OpRead, Val: word.Unit{}},
+	base := trace.Word{
+		{Proc: 0, Kind: trace.Inv, Op: trace.OpWrite, Val: trace.Int(1)},
+		{Proc: 0, Kind: trace.Res, Op: trace.OpWrite, Val: trace.Unit{}},
+		{Proc: 1, Kind: trace.Inv, Op: trace.OpWrite, Val: trace.Int(2)},
+		{Proc: 0, Kind: trace.Inv, Op: trace.OpRead, Val: trace.Unit{}},
 	}
 	for _, tc := range []struct {
 		ret  int64
 		want bool
 	}{{1, true}, {2, true}, {3, false}} {
-		w := append(append(word.Word(nil), base...),
-			word.Symbol{Proc: 0, Kind: word.Res, Op: spec.OpRead, Val: word.Int(tc.ret)})
+		w := append(append(trace.Word(nil), base...),
+			trace.Symbol{Proc: 0, Kind: trace.Res, Op: trace.OpRead, Val: trace.Int(tc.ret)})
 		chk := NewIncremental(obj, true, 2)
 		for _, s := range w {
 			chk.Append(s)
@@ -152,34 +151,34 @@ func TestIncrementalCrashBoundaryInvalidation(t *testing.T) {
 	}
 }
 
-// TestIncrementalPanicsMatchOperations pins Append to word.Operations'
+// TestIncrementalPanicsMatchOperations pins Append to trace.Operations'
 // well-formedness contract: same malformed inputs, same panic messages.
 func TestIncrementalPanicsMatchOperations(t *testing.T) {
-	cases := []word.Word{
-		{{Proc: 0, Kind: word.Inv, Op: "read"}, {Proc: 0, Kind: word.Inv, Op: "read"}},
-		{{Proc: 0, Kind: word.Res, Op: "read"}},
-		{{Proc: 0, Kind: word.Inv, Op: "read"}, {Proc: 0, Kind: word.Res, Op: "write"}},
+	cases := []trace.Word{
+		{{Proc: 0, Kind: trace.Inv, Op: "read"}, {Proc: 0, Kind: trace.Inv, Op: "read"}},
+		{{Proc: 0, Kind: trace.Res, Op: "read"}},
+		{{Proc: 0, Kind: trace.Inv, Op: "read"}, {Proc: 0, Kind: trace.Res, Op: "write"}},
 		{{Proc: 0, Kind: 7, Op: "read"}},
 	}
 	for i, w := range cases {
 		wantMsg := func() (msg interface{}) {
 			defer func() { msg = recover() }()
-			word.Operations(w)
+			trace.Operations(w)
 			return nil
 		}()
 		gotMsg := func() (msg interface{}) {
 			defer func() { msg = recover() }()
-			chk := NewIncremental(spec.Register(), true, 2)
+			chk := NewIncremental(trace.Register(), true, 2)
 			for _, s := range w {
 				chk.Append(s)
 			}
 			return nil
 		}()
 		if wantMsg == nil {
-			t.Fatalf("case %d: word.Operations did not panic", i)
+			t.Fatalf("case %d: trace.Operations did not panic", i)
 		}
 		if gotMsg != wantMsg {
-			t.Errorf("case %d: Append panic %q, word.Operations panic %q", i, gotMsg, wantMsg)
+			t.Errorf("case %d: Append panic %q, trace.Operations panic %q", i, gotMsg, wantMsg)
 		}
 	}
 }
@@ -194,8 +193,8 @@ func TestIncrementalPanicsMatchOperations(t *testing.T) {
 // from-scratch check's and, where the history is small enough, the
 // brute-force reference's.
 func TestIncrementalWitnessOrderedSearch(t *testing.T) {
-	obj := spec.Register()
-	feed := func(c *Incremental, w word.Word, each func(i int, ok bool)) {
+	obj := trace.Register()
+	feed := func(c *Incremental, w trace.Word, each func(i int, ok bool)) {
 		for i, s := range w {
 			c.Append(s)
 			ok := c.OK()
@@ -206,7 +205,7 @@ func TestIncrementalWitnessOrderedSearch(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		w        word.Word
+		w        trace.Word
 		maxNodes int
 		brute    bool
 	}{
@@ -251,12 +250,12 @@ func TestIncrementalWitnessOrderedSearch(t *testing.T) {
 // size, re-checking same-sized histories allocates nothing.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		obj      spec.Object
+		obj      trace.Object
 		realTime bool
 	}{
-		{spec.Register(), true},
-		{spec.Register(), false},
-		{spec.Counter(), true},
+		{trace.Register(), true},
+		{trace.Register(), false},
+		{trace.Counter(), true},
 	} {
 		rng := rand.New(rand.NewSource(5))
 		w := randWord(tc.obj, 3, 24, 0, rng)
@@ -284,7 +283,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 // allocations per symbol of the rejected suffix, so a regression to
 // per-symbol re-checking from scratch (tens of allocations each) fails.
 func TestIncrementalMsgFamilyAllocBudget(t *testing.T) {
-	obj := spec.Consensus()
+	obj := trace.Consensus()
 	rng := rand.New(rand.NewSource(9))
 	w := randWord(obj, 3, 24, 0.2, rng)
 	chk := NewIncremental(obj, true, 3)
@@ -306,7 +305,7 @@ func TestIncrementalMsgFamilyAllocBudget(t *testing.T) {
 // is the contract the pooled explorer relies on; run under -race this pins
 // the absence of hidden shared state (objects and specs must be stateless).
 func TestIncrementalPerGoroutineCheckers(t *testing.T) {
-	objs := []spec.Object{spec.Register(), spec.Queue()}
+	objs := []trace.Object{trace.Register(), trace.Queue()}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -336,32 +335,32 @@ func TestIncrementalPerGoroutineCheckers(t *testing.T) {
 // with no pending operation invokes (even value: write, odd: read), one with
 // a pending operation responds (reads take the data-driven value, so the
 // corpus reaches violating histories).
-func fuzzWord(data []byte) word.Word {
+func fuzzWord(data []byte) trace.Word {
 	const n = 3
 	var pend [n]bool
 	var pendOp [n]string
-	var w word.Word
+	var w trace.Word
 	for i := 0; i+1 < len(data) && len(w) < 24; i += 2 {
 		p := int(data[i]) % n
 		v := int64(data[i+1] % 6)
 		if !pend[p] {
 			if v%2 == 0 {
-				w = append(w, word.Symbol{Proc: p, Kind: word.Inv, Op: spec.OpWrite, Val: word.Int(v)})
-				pendOp[p] = spec.OpWrite
+				w = append(w, trace.Symbol{Proc: p, Kind: trace.Inv, Op: trace.OpWrite, Val: trace.Int(v)})
+				pendOp[p] = trace.OpWrite
 			} else {
-				w = append(w, word.Symbol{Proc: p, Kind: word.Inv, Op: spec.OpRead, Val: word.Unit{}})
-				pendOp[p] = spec.OpRead
+				w = append(w, trace.Symbol{Proc: p, Kind: trace.Inv, Op: trace.OpRead, Val: trace.Unit{}})
+				pendOp[p] = trace.OpRead
 			}
 			pend[p] = true
 			continue
 		}
-		var ret word.Value
-		if pendOp[p] == spec.OpWrite {
-			ret = word.Unit{}
+		var ret trace.Value
+		if pendOp[p] == trace.OpWrite {
+			ret = trace.Unit{}
 		} else {
-			ret = word.Int(v)
+			ret = trace.Int(v)
 		}
-		w = append(w, word.Symbol{Proc: p, Kind: word.Res, Op: pendOp[p], Val: ret})
+		w = append(w, trace.Symbol{Proc: p, Kind: trace.Res, Op: pendOp[p], Val: ret})
 		pend[p] = false
 	}
 	return w
@@ -376,7 +375,7 @@ func FuzzIncrementalFrontSearch(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 3, 1, 5, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := fuzzWord(data)
-		obj := spec.Register()
+		obj := trace.Register()
 		for _, realTime := range []bool{true, false} {
 			if at, bad := incrementalDisagrees(obj, realTime, w); bad {
 				t.Fatalf("realTime=%v: incremental disagrees with from-scratch at prefix %d of\n%v",

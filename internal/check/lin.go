@@ -20,8 +20,7 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // Linearizable reports whether the finite word is linearizable with respect
@@ -30,15 +29,15 @@ import (
 // object's specification determines the appended value), remaining pending
 // operations are removed, and the complete operations must admit a valid
 // sequential order that preserves real-time precedence.
-func Linearizable(obj spec.Object, w word.Word) bool {
-	return LinearizableOps(obj, word.Operations(w))
+func Linearizable(obj trace.Object, w trace.Word) bool {
+	return LinearizableOps(obj, trace.Operations(w))
 }
 
 // LinearizableOps is Linearizable on pre-extracted operations. Operations
-// must carry the invocation/response indices assigned by word.Operations or
+// must carry the invocation/response indices assigned by trace.Operations or
 // an order-isomorphic embedding; a slice that breaks per-process alternation
-// panics, as word.Operations does on a malformed word.
-func LinearizableOps(obj spec.Object, ops []word.Operation) bool {
+// panics, as trace.Operations does on a malformed word.
+func LinearizableOps(obj trace.Object, ops []trace.Operation) bool {
 	return checkOps(obj, ops, true)
 }
 
@@ -46,19 +45,19 @@ func LinearizableOps(obj spec.Object, ops []word.Operation) bool {
 // with respect to the object (Definitions 2.3/2.5): like linearizability but
 // the sequential witness need only respect each process's own operation
 // order, not real-time.
-func SeqConsistent(obj spec.Object, w word.Word) bool {
-	return SeqConsistentOps(obj, word.Operations(w))
+func SeqConsistent(obj trace.Object, w trace.Word) bool {
+	return SeqConsistentOps(obj, trace.Operations(w))
 }
 
 // SeqConsistentOps is SeqConsistent on pre-extracted operations.
-func SeqConsistentOps(obj spec.Object, ops []word.Operation) bool {
+func SeqConsistentOps(obj trace.Object, ops []trace.Operation) bool {
 	return checkOps(obj, ops, false)
 }
 
 // checkOps is the one-shot check: one witness search over a fresh layout of
 // ops, with no witness order, so it visits the front operations in process
 // order.
-func checkOps(obj spec.Object, ops []word.Operation, realTime bool) bool {
+func checkOps(obj trace.Object, ops []trace.Operation, realTime bool) bool {
 	if len(ops) == 0 {
 		return true
 	}
@@ -70,9 +69,9 @@ func checkOps(obj spec.Object, ops []word.Operation, realTime bool) bool {
 // order. Process ids may be negative or sparse. It panics when the slice
 // breaks per-process alternation (strictly increasing ID.Idx, every non-final
 // operation complete and responding before its successor's invocation), the
-// shape the search's front collapse relies on and word.Operations always
+// shape the search's front collapse relies on and trace.Operations always
 // yields.
-func oneShot(obj spec.Object, ops []word.Operation, realTime bool) *Incremental {
+func oneShot(obj trace.Object, ops []trace.Operation, realTime bool) *Incremental {
 	var procs []int // the distinct process ids, ascending
 	for i := range ops {
 		if k, found := slices.BinarySearch(procs, ops[i].ID.Proc); !found {

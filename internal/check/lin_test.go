@@ -4,76 +4,75 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 func TestLinearizableRegister(t *testing.T) {
 	tests := []struct {
 		name string
-		w    word.Word
+		w    trace.Word
 		lin  bool
 		sc   bool
 	}{
 		{
 			name: "empty",
-			w:    word.Word{},
+			w:    trace.Word{},
 			lin:  true, sc: true,
 		},
 		{
 			name: "sequential write then read",
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
 			lin: true, sc: true,
 		},
 		{
 			name: "stale read after completed write",
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(0)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(0)).Word(),
 			lin: false, sc: true, // SC may reorder across processes
 		},
 		{
 			name: "overlapping write and read old value",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Inv(1, spec.OpRead, word.Unit{}).
-				Res(0, spec.OpWrite, word.Unit{}).
-				Res(1, spec.OpRead, word.Int(0)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Inv(1, trace.OpRead, trace.Unit{}).
+				Res(0, trace.OpWrite, trace.Unit{}).
+				Res(1, trace.OpRead, trace.Int(0)).Word(),
 			lin: true, sc: true,
 		},
 		{
 			name: "overlapping write and read new value",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Inv(1, spec.OpRead, word.Unit{}).
-				Res(0, spec.OpWrite, word.Unit{}).
-				Res(1, spec.OpRead, word.Int(1)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Inv(1, trace.OpRead, trace.Unit{}).
+				Res(0, trace.OpWrite, trace.Unit{}).
+				Res(1, trace.OpRead, trace.Int(1)).Word(),
 			lin: true, sc: true,
 		},
 		{
 			name: "read value never written",
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(9)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(9)).Word(),
 			lin: false, sc: false,
 		},
 		{
 			name: "lemma 5.1 swapped execution: read before write invoked",
 			// p2 reads r=1 completely before p1 even invokes write(1).
-			w: word.NewB().
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).Word(),
+			w: trace.NewB().
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).Word(),
 			lin: false, sc: true,
 		},
 		{
 			name: "pending write justifies read",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(4)).
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(4)).
 				Word().Append(
-				word.NewInv(1, spec.OpRead, word.Unit{}),
-				word.NewRes(1, spec.OpRead, word.Int(4))),
+				trace.NewInv(1, trace.OpRead, trace.Unit{}),
+				trace.NewRes(1, trace.OpRead, trace.Int(4))),
 			lin: true, sc: true,
 		},
 		{
@@ -81,22 +80,22 @@ func TestLinearizableRegister(t *testing.T) {
 			// w(1) completes; then p1 reads 1, afterwards p2 reads 0: not SC
 			// for a single register? Process order allows p2's read first, so
 			// SC holds; linearizability fails.
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-				Op(2, spec.OpRead, word.Unit{}, word.Int(0)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+				Op(2, trace.OpRead, trace.Unit{}, trace.Int(0)).Word(),
 			lin: false, sc: true,
 		},
 		{
 			name: "same process cannot unread its own write",
 			// p0 writes 1 then reads 0: violates process order, so not SC.
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(0, spec.OpRead, word.Unit{}, word.Int(0)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(0, trace.OpRead, trace.Unit{}, trace.Int(0)).Word(),
 			lin: false, sc: false,
 		},
 	}
-	reg := spec.Register()
+	reg := trace.Register()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Linearizable(reg, tt.w); got != tt.lin {
@@ -110,23 +109,23 @@ func TestLinearizableRegister(t *testing.T) {
 }
 
 func TestLinearizableQueue(t *testing.T) {
-	q := spec.Queue()
+	q := trace.Queue()
 	// Herlihy–Wing style: two concurrent enqueues, then dequeues see a
 	// consistent FIFO order.
-	ok := word.NewB().
-		Inv(0, spec.OpEnq, word.Int(1)).
-		Inv(1, spec.OpEnq, word.Int(2)).
-		Res(1, spec.OpEnq, word.Unit{}).
-		Res(0, spec.OpEnq, word.Unit{}).
-		Op(0, spec.OpDeq, word.Unit{}, word.Int(2)).
-		Op(1, spec.OpDeq, word.Unit{}, word.Int(1)).Word()
+	ok := trace.NewB().
+		Inv(0, trace.OpEnq, trace.Int(1)).
+		Inv(1, trace.OpEnq, trace.Int(2)).
+		Res(1, trace.OpEnq, trace.Unit{}).
+		Res(0, trace.OpEnq, trace.Unit{}).
+		Op(0, trace.OpDeq, trace.Unit{}, trace.Int(2)).
+		Op(1, trace.OpDeq, trace.Unit{}, trace.Int(1)).Word()
 	if !Linearizable(q, ok) {
 		t.Error("concurrent enqueues: either dequeue order should linearize")
 	}
 	// Dequeue returns an element enqueued strictly later: impossible.
-	bad := word.NewB().
-		Op(0, spec.OpDeq, word.Unit{}, word.Int(5)).
-		Op(1, spec.OpEnq, word.Int(5), word.Unit{}).Word()
+	bad := trace.NewB().
+		Op(0, trace.OpDeq, trace.Unit{}, trace.Int(5)).
+		Op(1, trace.OpEnq, trace.Int(5), trace.Unit{}).Word()
 	if Linearizable(q, bad) {
 		t.Error("deq before matching enq must not linearize")
 	}
@@ -134,29 +133,29 @@ func TestLinearizableQueue(t *testing.T) {
 		t.Error("deq before enq is SC: processes may be reordered")
 	}
 	// FIFO violation visible to one process: enq 1,2 by p0; p0 deqs 2 first.
-	fifoBad := word.NewB().
-		Op(0, spec.OpEnq, word.Int(1), word.Unit{}).
-		Op(0, spec.OpEnq, word.Int(2), word.Unit{}).
-		Op(0, spec.OpDeq, word.Unit{}, word.Int(2)).Word()
+	fifoBad := trace.NewB().
+		Op(0, trace.OpEnq, trace.Int(1), trace.Unit{}).
+		Op(0, trace.OpEnq, trace.Int(2), trace.Unit{}).
+		Op(0, trace.OpDeq, trace.Unit{}, trace.Int(2)).Word()
 	if SeqConsistent(q, fifoBad) {
 		t.Error("single-process FIFO violation must not be SC")
 	}
 }
 
 func TestLinearizableLedger(t *testing.T) {
-	l := spec.Ledger()
-	ok := word.NewB().
-		Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-		Op(1, spec.OpGet, word.Unit{}, word.Seq{"a"}).
-		Op(1, spec.OpAppend, word.Rec("b"), word.Unit{}).
-		Op(0, spec.OpGet, word.Unit{}, word.Seq{"a", "b"}).Word()
+	l := trace.Ledger()
+	ok := trace.NewB().
+		Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).
+		Op(1, trace.OpAppend, trace.Rec("b"), trace.Unit{}).
+		Op(0, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"}).Word()
 	if !Linearizable(l, ok) {
 		t.Error("sequential ledger history should linearize")
 	}
 	// Get misses a completed append.
-	bad := word.NewB().
-		Op(0, spec.OpAppend, word.Rec("a"), word.Unit{}).
-		Op(1, spec.OpGet, word.Unit{}, word.Seq{}).Word()
+	bad := trace.NewB().
+		Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
+		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{}).Word()
 	if Linearizable(l, bad) {
 		t.Error("get missing completed append must not linearize")
 	}
@@ -168,7 +167,7 @@ func TestLinearizableLedger(t *testing.T) {
 func TestCrossValidateWithBrute(t *testing.T) {
 	// The memoized search must agree with the exhaustive reference on random
 	// small histories for every object.
-	objects := []spec.Object{spec.Register(), spec.Counter(), spec.Queue(), spec.Stack()}
+	objects := []trace.Object{trace.Register(), trace.Counter(), trace.Queue(), trace.Stack()}
 	rng := rand.New(rand.NewSource(2025))
 	for _, obj := range objects {
 		for trial := 0; trial < 120; trial++ {
@@ -195,7 +194,7 @@ func TestLinearizablePrefixClosed(t *testing.T) {
 	// word is linearizable, so is every prefix (Section 6.2 uses this to
 	// justify that a non-linearizable prefix can never be fixed).
 	rng := rand.New(rand.NewSource(7))
-	reg := spec.Register()
+	reg := trace.Register()
 	for trial := 0; trial < 60; trial++ {
 		w := randomHistory(rng, reg, 8, 3)
 		if !Linearizable(reg, w) {
@@ -212,18 +211,18 @@ func TestLinearizablePrefixClosed(t *testing.T) {
 // randomHistory generates a random well-formed concurrent history of the
 // object where responses are drawn from plausible values (not necessarily
 // consistent ones, so both accepting and rejecting cases occur).
-func randomHistory(rng *rand.Rand, obj spec.Object, symbols, n int) word.Word {
-	var w word.Word
+func randomHistory(rng *rand.Rand, obj trace.Object, symbols, n int) trace.Word {
+	var w trace.Word
 	sigs := obj.Ops()
 	pendingOp := make([]string, n)
 	for len(w) < symbols {
 		p := rng.Intn(n)
 		if pendingOp[p] == "" {
 			sig := sigs[rng.Intn(len(sigs))]
-			w = append(w, word.NewInv(p, sig.Name, randomArg(rng, sig.Name)))
+			w = append(w, trace.NewInv(p, sig.Name, randomArg(rng, sig.Name)))
 			pendingOp[p] = sig.Name
 		} else {
-			w = append(w, word.NewRes(p, pendingOp[p], randomRet(rng, pendingOp[p])))
+			w = append(w, trace.NewRes(p, pendingOp[p], randomRet(rng, pendingOp[p])))
 			pendingOp[p] = ""
 		}
 	}
@@ -232,34 +231,34 @@ func randomHistory(rng *rand.Rand, obj spec.Object, symbols, n int) word.Word {
 
 // randomArg draws arguments from a small domain so that random histories mix
 // consistent and inconsistent cases.
-func randomArg(rng *rand.Rand, op string) word.Value {
+func randomArg(rng *rand.Rand, op string) trace.Value {
 	switch op {
-	case spec.OpWrite, spec.OpEnq, spec.OpPush:
-		return word.Int(rng.Intn(3))
-	case spec.OpAppend:
-		return word.Rec([]string{"a", "b", "c"}[rng.Intn(3)])
+	case trace.OpWrite, trace.OpEnq, trace.OpPush:
+		return trace.Int(rng.Intn(3))
+	case trace.OpAppend:
+		return trace.Rec([]string{"a", "b", "c"}[rng.Intn(3)])
 	default:
-		return word.Unit{}
+		return trace.Unit{}
 	}
 }
 
-func randomRet(rng *rand.Rand, op string) word.Value {
+func randomRet(rng *rand.Rand, op string) trace.Value {
 	switch op {
-	case spec.OpWrite, spec.OpInc, spec.OpAppend, spec.OpEnq, spec.OpPush:
-		return word.Unit{}
-	case spec.OpRead:
-		return word.Int(rng.Intn(4))
-	case spec.OpDeq, spec.OpPop:
-		return word.Int(rng.Intn(4)*2 - 1) // includes Empty (-1)
-	case spec.OpGet:
+	case trace.OpWrite, trace.OpInc, trace.OpAppend, trace.OpEnq, trace.OpPush:
+		return trace.Unit{}
+	case trace.OpRead:
+		return trace.Int(rng.Intn(4))
+	case trace.OpDeq, trace.OpPop:
+		return trace.Int(rng.Intn(4)*2 - 1) // includes Empty (-1)
+	case trace.OpGet:
 		n := rng.Intn(3)
-		s := make(word.Seq, n)
+		s := make(trace.Seq, n)
 		for i := range s {
-			s[i] = word.Rec([]string{"a", "b", "c"}[rng.Intn(3)])
+			s[i] = trace.Rec([]string{"a", "b", "c"}[rng.Intn(3)])
 		}
 		return s
 	default:
-		return word.Unit{}
+		return trace.Unit{}
 	}
 }
 
@@ -267,13 +266,13 @@ func TestLinearizableTrickyHistories(t *testing.T) {
 	// The explorer uses this checker as its differential oracle, so the
 	// known-tricky corners need direct coverage: operations left pending by
 	// crashes, response/invocation mismatches, and reads racing writes.
-	reg := spec.Register()
-	ctr := spec.Counter()
-	led := spec.Ledger()
+	reg := trace.Register()
+	ctr := trace.Counter()
+	led := trace.Ledger()
 	tests := []struct {
 		name string
-		obj  spec.Object
-		w    word.Word
+		obj  trace.Object
+		w    trace.Word
 		lin  bool
 		sc   bool
 	}{
@@ -282,18 +281,18 @@ func TestLinearizableTrickyHistories(t *testing.T) {
 			obj:  reg,
 			// p0 and p1 both have pending writes (crashed before the
 			// response); p2's read of 2 is justified by completing p1's.
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Inv(1, spec.OpWrite, word.Int(2)).
-				Op(2, spec.OpRead, word.Unit{}, word.Int(2)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Inv(1, trace.OpWrite, trace.Int(2)).
+				Op(2, trace.OpRead, trace.Unit{}, trace.Int(2)).Word(),
 			lin: true, sc: true,
 		},
 		{
 			name: "crashed write cannot justify a third value",
 			obj:  reg,
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Op(2, spec.OpRead, word.Unit{}, word.Int(7)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Op(2, trace.OpRead, trace.Unit{}, trace.Int(7)).Word(),
 			lin: false, sc: false,
 		},
 		{
@@ -302,22 +301,22 @@ func TestLinearizableTrickyHistories(t *testing.T) {
 			// The read of 1 requires linearizing the pending write; the
 			// later read of 0 then regresses for the same reader — the
 			// pending operation cannot be both taken and not taken.
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(0)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(0)).Word(),
 			lin: false, sc: false,
 		},
 		{
 			name: "read racing two overlapping writes may see the later one",
 			obj:  reg,
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Inv(1, spec.OpWrite, word.Int(2)).
-				Inv(2, spec.OpRead, word.Unit{}).
-				Res(0, spec.OpWrite, word.Unit{}).
-				Res(1, spec.OpWrite, word.Unit{}).
-				Res(2, spec.OpRead, word.Int(1)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Inv(1, trace.OpWrite, trace.Int(2)).
+				Inv(2, trace.OpRead, trace.Unit{}).
+				Res(0, trace.OpWrite, trace.Unit{}).
+				Res(1, trace.OpWrite, trace.Unit{}).
+				Res(2, trace.OpRead, trace.Int(1)).Word(),
 			lin: true, sc: true,
 		},
 		{
@@ -325,36 +324,36 @@ func TestLinearizableTrickyHistories(t *testing.T) {
 			obj:  reg,
 			// w(1) ≺ w(2) ≺ read: the read must see 2 under
 			// linearizability but SC may reorder the second write after it.
-			w: word.NewB().
-				Op(0, spec.OpWrite, word.Int(1), word.Unit{}).
-				Op(0, spec.OpWrite, word.Int(2), word.Unit{}).
-				Op(1, spec.OpRead, word.Unit{}, word.Int(1)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).
+				Op(0, trace.OpWrite, trace.Int(2), trace.Unit{}).
+				Op(1, trace.OpRead, trace.Unit{}, trace.Int(1)).Word(),
 			lin: false, sc: true,
 		},
 		{
 			name: "counter read may include a crashed pending inc",
 			obj:  ctr,
-			w: word.NewB().
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-				Inv(1, spec.OpInc, word.Unit{}).
-				Op(2, spec.OpRead, word.Unit{}, word.Int(2)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+				Inv(1, trace.OpInc, trace.Unit{}).
+				Op(2, trace.OpRead, trace.Unit{}, trace.Int(2)).Word(),
 			lin: true, sc: true,
 		},
 		{
 			name: "counter read cannot exceed completed plus pending incs",
 			obj:  ctr,
-			w: word.NewB().
-				Op(0, spec.OpInc, word.Unit{}, word.Unit{}).
-				Inv(1, spec.OpInc, word.Unit{}).
-				Op(2, spec.OpRead, word.Unit{}, word.Int(3)).Word(),
+			w: trace.NewB().
+				Op(0, trace.OpInc, trace.Unit{}, trace.Unit{}).
+				Inv(1, trace.OpInc, trace.Unit{}).
+				Op(2, trace.OpRead, trace.Unit{}, trace.Int(3)).Word(),
 			lin: false, sc: false,
 		},
 		{
 			name: "ledger get sees crashed pending append",
 			obj:  led,
-			w: word.NewB().
-				Inv(0, spec.OpAppend, word.Rec("a")).
-				Op(1, spec.OpGet, word.Unit{}, word.Seq{"a"}).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpAppend, trace.Rec("a")).
+				Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).Word(),
 			lin: true, sc: true,
 		},
 		{
@@ -362,13 +361,13 @@ func TestLinearizableTrickyHistories(t *testing.T) {
 			obj:  led,
 			// Both appends overlap, but the two gets return incomparable
 			// orders — no single witness sequence exists.
-			w: word.NewB().
-				Inv(0, spec.OpAppend, word.Rec("a")).
-				Inv(1, spec.OpAppend, word.Rec("b")).
-				Res(0, spec.OpAppend, word.Unit{}).
-				Res(1, spec.OpAppend, word.Unit{}).
-				Op(2, spec.OpGet, word.Unit{}, word.Seq{"a", "b"}).
-				Op(2, spec.OpGet, word.Unit{}, word.Seq{"b", "a"}).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpAppend, trace.Rec("a")).
+				Inv(1, trace.OpAppend, trace.Rec("b")).
+				Res(0, trace.OpAppend, trace.Unit{}).
+				Res(1, trace.OpAppend, trace.Unit{}).
+				Op(2, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"}).
+				Op(2, trace.OpGet, trace.Unit{}, trace.Seq{"b", "a"}).Word(),
 			lin: false, sc: false,
 		},
 	}
@@ -392,35 +391,35 @@ func TestIllFormedHistoriesRejectedUpstream(t *testing.T) {
 	// Pin the division of labour.
 	cases := []struct {
 		name string
-		w    word.Word
+		w    trace.Word
 	}{
 		{
 			name: "duplicate response",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Res(0, spec.OpWrite, word.Unit{}).
-				Res(0, spec.OpWrite, word.Unit{}).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Res(0, trace.OpWrite, trace.Unit{}).
+				Res(0, trace.OpWrite, trace.Unit{}).Word(),
 		},
 		{
 			name: "response with no invocation",
-			w:    word.NewB().Res(1, spec.OpRead, word.Int(0)).Word(),
+			w:    trace.NewB().Res(1, trace.OpRead, trace.Int(0)).Word(),
 		},
 		{
 			name: "response names a different operation",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Res(0, spec.OpRead, word.Int(1)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Res(0, trace.OpRead, trace.Int(1)).Word(),
 		},
 		{
 			name: "second invocation while pending",
-			w: word.NewB().
-				Inv(0, spec.OpWrite, word.Int(1)).
-				Inv(0, spec.OpWrite, word.Int(2)).Word(),
+			w: trace.NewB().
+				Inv(0, trace.OpWrite, trace.Int(1)).
+				Inv(0, trace.OpWrite, trace.Int(2)).Word(),
 		},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := word.WellFormed(tt.w); err == nil {
+			if err := trace.WellFormed(tt.w); err == nil {
 				t.Fatalf("WellFormed accepted %v", tt.w)
 			}
 		})

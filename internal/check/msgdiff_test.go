@@ -15,18 +15,17 @@ package check
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // abdHistory drives n clients over an aux-served ABD register emulation
 // (optionally the no-write-back bug variant) under the given delivery order,
 // loss schedule and crash schedule, and returns the exhibited history.
-func abdHistory(t *testing.T, n, opsPerProc int, seed int64, bias float64, order msgnet.Order, drops []int, crashStep, crashProc int, buggy bool) word.Word {
+func abdHistory(t *testing.T, n, opsPerProc int, seed int64, bias float64, order msgnet.Order, drops []int, crashStep, crashProc int, buggy bool) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	defer rt.Stop()
@@ -39,7 +38,7 @@ func abdHistory(t *testing.T, n, opsPerProc int, seed int64, bias float64, order
 	}
 	abd.Servers(rt, n, reg)
 	svc := sut.NewService(n, abd.NewRegisterImpl(reg),
-		sut.NewRandomWorkload(spec.Register(), n, opsPerProc, bias, seed))
+		sut.NewRandomWorkload(trace.Register(), n, opsPerProc, bias, seed))
 	for i := 0; i < n; i++ {
 		rt.Spawn(i, func(p *sched.Proc) {
 			for {
@@ -70,7 +69,7 @@ func abdHistory(t *testing.T, n, opsPerProc int, seed int64, bias float64, order
 // predecessor and replays the specification only at full length — a
 // different traversal shape, so a shared blind spot with the brute reference
 // is unlikely.
-func exhaustiveValid(obj spec.Object, ops []word.Operation, precedes func(a, b word.Operation) bool) bool {
+func exhaustiveValid(obj trace.Object, ops []trace.Operation, precedes func(a, b trace.Operation) bool) bool {
 	perm := make([]int, 0, len(ops))
 	used := make([]bool, len(ops))
 	var rec func() bool
@@ -120,8 +119,8 @@ func exhaustiveValid(obj spec.Object, ops []word.Operation, precedes func(a, b w
 // exhaustiveSearch decides the consistency condition given by precedes,
 // trying every subset of pending operations (each independently either took
 // effect before the run ended or did not, as the definitions allow).
-func exhaustiveSearch(obj spec.Object, w word.Word, precedes func(a, b word.Operation) bool) bool {
-	ops := word.Operations(w)
+func exhaustiveSearch(obj trace.Object, w trace.Word, precedes func(a, b trace.Operation) bool) bool {
+	ops := trace.Operations(w)
 	var pend []int
 	for i := range ops {
 		if ops[i].Pending() {
@@ -133,7 +132,7 @@ func exhaustiveSearch(obj spec.Object, w word.Word, precedes func(a, b word.Oper
 		for k, pi := range pend {
 			drop[pi] = mask&(1<<k) == 0
 		}
-		sub := make([]word.Operation, 0, len(ops))
+		sub := make([]trace.Operation, 0, len(ops))
 		for i := range ops {
 			if !drop[i] {
 				sub = append(sub, ops[i])
@@ -148,20 +147,20 @@ func exhaustiveSearch(obj spec.Object, w word.Word, precedes func(a, b word.Oper
 
 // exhaustiveLinearizable is the naive linearizability reference: real-time
 // precedence constrains the order.
-func exhaustiveLinearizable(obj spec.Object, w word.Word) bool {
-	return exhaustiveSearch(obj, w, word.Operation.Precedes)
+func exhaustiveLinearizable(obj trace.Object, w trace.Word) bool {
+	return exhaustiveSearch(obj, w, trace.Operation.Precedes)
 }
 
 // exhaustiveSeqConsistent is the naive sequential-consistency reference:
 // only per-process program order constrains the order.
-func exhaustiveSeqConsistent(obj spec.Object, w word.Word) bool {
-	return exhaustiveSearch(obj, w, func(a, b word.Operation) bool {
+func exhaustiveSeqConsistent(obj trace.Object, w trace.Word) bool {
+	return exhaustiveSearch(obj, w, func(a, b trace.Operation) bool {
 		return a.ID.Proc == b.ID.Proc && a.ID.Idx < b.ID.Idx
 	})
 }
 
 func TestFrontSearchMatchesBruteOnABDHistories(t *testing.T) {
-	obj := spec.Register()
+	obj := trace.Register()
 	cases := []struct {
 		name      string
 		order     func(seed int64) msgnet.Order
@@ -198,7 +197,7 @@ func TestFrontSearchMatchesBruteOnABDHistories(t *testing.T) {
 			}
 			for seed := int64(1); seed <= seeds; seed++ {
 				h := abdHistory(t, n, opsPerProc, seed, bias, tc.order(seed), tc.drops, tc.crashStep, 1, tc.buggy)
-				ops := word.Operations(h)
+				ops := trace.Operations(h)
 				if len(ops) == 0 || len(ops) > 6 {
 					continue
 				}

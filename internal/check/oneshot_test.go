@@ -11,10 +11,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/msgnet"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // TestOneShotMatchesGenericSearch differentially pins the one-shot checkers
@@ -23,14 +22,14 @@ import (
 // orders, across random histories mixing consistent, inconsistent and
 // pending-heavy cases.
 func TestOneShotMatchesGenericSearch(t *testing.T) {
-	objects := []spec.Object{
-		spec.Register(), spec.Counter(), spec.Queue(), spec.Stack(), spec.Ledger(),
+	objects := []trace.Object{
+		trace.Register(), trace.Counter(), trace.Queue(), trace.Stack(), trace.Ledger(),
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, obj := range objects {
 		for trial := 0; trial < 60; trial++ {
 			w := randomHistory(rng, obj, 12+rng.Intn(28), 2+rng.Intn(3))
-			ops := word.Operations(w)
+			ops := trace.Operations(w)
 			for _, realTime := range []bool{true, false} {
 				if got, want := checkOps(obj, ops, realTime), genericOK(obj, ops, realTime); got != want {
 					t.Fatalf("%s realTime=%v: one-shot=%v generic=%v on %v",
@@ -42,8 +41,8 @@ func TestOneShotMatchesGenericSearch(t *testing.T) {
 }
 
 // relabel renames every process of w through f.
-func relabel(w word.Word, f func(int) int) word.Word {
-	out := append(word.Word(nil), w...)
+func relabel(w trace.Word, f func(int) int) trace.Word {
+	out := append(trace.Word(nil), w...)
 	for i := range out {
 		out[i].Proc = f(out[i].Proc)
 	}
@@ -65,14 +64,14 @@ func TestOneShotNegativeAndSparseProcesses(t *testing.T) {
 			return p << 40
 		},
 	}
-	objects := []spec.Object{spec.Register(), spec.Queue(), spec.Ledger()}
+	objects := []trace.Object{trace.Register(), trace.Queue(), trace.Ledger()}
 	for name, f := range relabels {
 		rng := rand.New(rand.NewSource(5))
 		for _, obj := range objects {
 			for trial := 0; trial < 40; trial++ {
 				w := randomHistory(rng, obj, 8+rng.Intn(20), 2+rng.Intn(3))
 				rw := relabel(w, f)
-				ops, rops := word.Operations(w), word.Operations(rw)
+				ops, rops := trace.Operations(w), trace.Operations(rw)
 				for _, realTime := range []bool{true, false} {
 					want := genericOK(obj, rops, realTime)
 					if got := checkOps(obj, rops, realTime); got != want {
@@ -84,7 +83,7 @@ func TestOneShotNegativeAndSparseProcesses(t *testing.T) {
 					chk := NewIncremental(obj, realTime, 2)
 					for i, s := range rw {
 						chk.Append(s)
-						if got, want := chk.OK(), genericOK(obj, word.Operations(rw[:i+1]), realTime); got != want {
+						if got, want := chk.OK(), genericOK(obj, trace.Operations(rw[:i+1]), realTime); got != want {
 							t.Fatalf("%s %s realTime=%v prefix %d: incremental=%v generic=%v on %v", name, obj.Name(), realTime, i+1, got, want, rw)
 						}
 					}
@@ -100,33 +99,33 @@ func TestOneShotNegativeAndSparseProcesses(t *testing.T) {
 // consistent iff its sequential replay is valid, which is the reference.
 func TestOneShotLongProcess(t *testing.T) {
 	const pairs = 35_000 // one write and one read each
-	var w word.Word
+	var w trace.Word
 	for v := int64(0); v < pairs; v++ {
 		w = append(w,
-			word.Symbol{Proc: 0, Kind: word.Inv, Op: spec.OpWrite, Val: word.Int(v)},
-			word.Symbol{Proc: 0, Kind: word.Res, Op: spec.OpWrite, Val: word.Unit{}},
-			word.Symbol{Proc: 0, Kind: word.Inv, Op: spec.OpRead, Val: word.Unit{}},
-			word.Symbol{Proc: 0, Kind: word.Res, Op: spec.OpRead, Val: word.Int(v)})
+			trace.Symbol{Proc: 0, Kind: trace.Inv, Op: trace.OpWrite, Val: trace.Int(v)},
+			trace.Symbol{Proc: 0, Kind: trace.Res, Op: trace.OpWrite, Val: trace.Unit{}},
+			trace.Symbol{Proc: 0, Kind: trace.Inv, Op: trace.OpRead, Val: trace.Unit{}},
+			trace.Symbol{Proc: 0, Kind: trace.Res, Op: trace.OpRead, Val: trace.Int(v)})
 	}
-	bad := append(word.Word(nil), w...)
-	bad[len(bad)-1].Val = word.Int(-1)
+	bad := append(trace.Word(nil), w...)
+	bad[len(bad)-1].Val = trace.Int(-1)
 	for _, tc := range []struct {
 		name string
-		w    word.Word
+		w    trace.Word
 	}{{"valid", w}, {"corrupted", bad}} {
-		ops := word.Operations(tc.w)
+		ops := trace.Operations(tc.w)
 		if len(ops) <= 1<<16-1 {
 			t.Fatalf("%d operations; the history must exceed 65,535", len(ops))
 		}
-		want := spec.Run(spec.Register(), ops)
+		want := trace.SeqValid(trace.Register(), ops)
 		if tc.name == "valid" && !want {
 			t.Fatal("the reference rejects the valid history")
 		}
 		for _, realTime := range []bool{true, false} {
-			if got := checkOps(spec.Register(), ops, realTime); got != want {
+			if got := checkOps(trace.Register(), ops, realTime); got != want {
 				t.Errorf("%s realTime=%v: one-shot=%v, sequential replay=%v", tc.name, realTime, got, want)
 			}
-			if got := NewIncremental(spec.Register(), realTime, 1).CheckWord(tc.w); got != want {
+			if got := NewIncremental(trace.Register(), realTime, 1).CheckWord(tc.w); got != want {
 				t.Errorf("%s realTime=%v: incremental=%v, sequential replay=%v", tc.name, realTime, got, want)
 			}
 		}
@@ -135,12 +134,12 @@ func TestOneShotLongProcess(t *testing.T) {
 
 // TestOneShotPanicsOnNonAlternatingOps pins the layout guard: a hand-built
 // operation slice whose same-process operations overlap is not a history
-// word.Operations can produce, and the one-shot checkers panic on it rather
+// trace.Operations can produce, and the one-shot checkers panic on it rather
 // than mis-search it.
 func TestOneShotPanicsOnNonAlternatingOps(t *testing.T) {
-	ops := []word.Operation{
-		{ID: word.OpID{Proc: 0, Idx: 0}, Op: spec.OpRead, Ret: word.Int(0), Inv: 0, Res: 3},
-		{ID: word.OpID{Proc: 0, Idx: 1}, Op: spec.OpRead, Ret: word.Int(0), Inv: 1, Res: 2},
+	ops := []trace.Operation{
+		{ID: trace.OpID{Proc: 0, Idx: 0}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 0, Res: 3},
+		{ID: trace.OpID{Proc: 0, Idx: 1}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 1, Res: 2},
 	}
 	for _, realTime := range []bool{true, false} {
 		func() {
@@ -149,14 +148,14 @@ func TestOneShotPanicsOnNonAlternatingOps(t *testing.T) {
 					t.Errorf("realTime=%v: overlapping same-process operations did not panic", realTime)
 				}
 			}()
-			checkOps(spec.Register(), ops, realTime)
+			checkOps(trace.Register(), ops, realTime)
 		}()
 	}
 }
 
 // oneShotNodes returns the search nodes the one-shot checkers visit on ops,
 // under real-time order and under process order.
-func oneShotNodes(obj spec.Object, ops []word.Operation) (lin, sc int) {
+func oneShotNodes(obj trace.Object, ops []trace.Operation) (lin, sc int) {
 	if len(ops) == 0 {
 		return 0, 0
 	}
@@ -196,22 +195,22 @@ func TestOneShotNodeCounts(t *testing.T) {
 		"random/ledger":                {406, 12225},
 	}
 	got := map[string][2]int{}
-	add := func(name string, obj spec.Object, w word.Word) {
-		lin, sc := oneShotNodes(obj, word.Operations(w))
+	add := func(name string, obj trace.Object, w trace.Word) {
+		lin, sc := oneShotNodes(obj, trace.Operations(w))
 		got[name] = [2]int{got[name][0] + lin, got[name][1] + sc}
 	}
 	sutCases := []struct {
 		name string
-		obj  spec.Object
+		obj  trace.Object
 		mk   func(n int) sut.Impl
 	}{
-		{"queue/lock", spec.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
-		{"queue/lifo", spec.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
-		{"stack/lock", spec.Stack(), func(n int) sut.Impl { return sut.NewLockStack() }},
-		{"stack/fifo", spec.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
-		{"register/atomic", spec.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
-		{"register/stale", spec.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
-		{"register/split", spec.Register(), func(n int) sut.Impl { return sut.NewSplitRegister(n) }},
+		{"queue/lock", trace.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
+		{"queue/lifo", trace.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
+		{"stack/lock", trace.Stack(), func(n int) sut.Impl { return sut.NewLockStack() }},
+		{"stack/fifo", trace.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
+		{"register/atomic", trace.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
+		{"register/stale", trace.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
+		{"register/split", trace.Register(), func(n int) sut.Impl { return sut.NewSplitRegister(n) }},
 	}
 	for _, tc := range sutCases {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -238,10 +237,10 @@ func TestOneShotNodeCounts(t *testing.T) {
 	}
 	for _, tc := range abdCases {
 		for seed := int64(1); seed <= tc.seeds; seed++ {
-			add("abd/"+tc.name, spec.Register(), abdHistory(t, 3, 2, seed, 0.4, tc.order(seed), tc.drops, tc.crashStep, 1, tc.buggy))
+			add("abd/"+tc.name, trace.Register(), abdHistory(t, 3, 2, seed, 0.4, tc.order(seed), tc.drops, tc.crashStep, 1, tc.buggy))
 		}
 	}
-	for _, obj := range []spec.Object{spec.Register(), spec.Counter(), spec.Queue(), spec.Stack(), spec.Ledger()} {
+	for _, obj := range []trace.Object{trace.Register(), trace.Counter(), trace.Queue(), trace.Stack(), trace.Ledger()} {
 		rng := rand.New(rand.NewSource(42))
 		for trial := 0; trial < 60; trial++ {
 			add("random/"+obj.Name(), obj, randomHistory(rng, obj, 12+rng.Intn(28), 2+rng.Intn(3)))

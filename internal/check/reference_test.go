@@ -3,8 +3,7 @@ package check
 import (
 	"strings"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // The generic subset search: the independent reference the witness search
@@ -17,7 +16,7 @@ import (
 // that must be linearized before it: real-time predecessors when realTime is
 // set (which subsumes process order), otherwise same-process predecessors
 // only.
-func precedenceEdges(ops []word.Operation, realTime bool) [][]int {
+func precedenceEdges(ops []trace.Operation, realTime bool) [][]int {
 	prec := make([][]int, len(ops))
 	for i, oi := range ops {
 		for j, oj := range ops {
@@ -41,7 +40,7 @@ func precedenceEdges(ops []word.Operation, realTime bool) [][]int {
 // operations must reproduce their recorded response, pending operations adopt
 // the specification's response or are dropped. Acceptance requires all
 // complete operations placed.
-func validOrder(obj spec.Object, ops []word.Operation, prec [][]int) bool {
+func validOrder(obj trace.Object, ops []trace.Operation, prec [][]int) bool {
 	n := len(ops)
 	if n == 0 {
 		return true
@@ -74,8 +73,8 @@ func validOrder(obj spec.Object, ops []word.Operation, prec [][]int) bool {
 		return b.String()
 	}
 
-	var rec func(st spec.State) bool
-	rec = func(st spec.State) bool {
+	var rec func(st trace.State) bool
+	rec = func(st trace.State) bool {
 		if completeLeft == 0 {
 			return true // remaining pending operations are dropped
 		}
@@ -121,6 +120,6 @@ func validOrder(obj spec.Object, ops []word.Operation, prec [][]int) bool {
 
 // genericOK is the generic search's verdict on ops: linearizability when
 // realTime is set, sequential consistency otherwise.
-func genericOK(obj spec.Object, ops []word.Operation, realTime bool) bool {
+func genericOK(obj trace.Object, ops []trace.Operation, realTime bool) bool {
 	return validOrder(obj, ops, precedenceEdges(ops, realTime))
 }

@@ -10,17 +10,16 @@ package check
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // sutHistory drives n processes through the implementation under a random
 // workload and schedule, optionally crashing crashProc at step crashStep,
 // and returns the exhibited concurrent history.
-func sutHistory(t *testing.T, obj spec.Object, impl sut.Impl, n, opsPerProc int, seed int64, crashStep, crashProc int) word.Word {
+func sutHistory(t *testing.T, obj trace.Object, impl sut.Impl, n, opsPerProc int, seed int64, crashStep, crashProc int) trace.Word {
 	t.Helper()
 	svc := sut.NewService(n, impl, sut.NewRandomWorkload(obj, n, opsPerProc, 0.6, seed))
 	rt := sched.New(n, sched.Random(seed))
@@ -53,16 +52,16 @@ var _ adversary.Service = (*sut.Service)(nil) // the histories come through the 
 func TestFrontSearchMatchesBruteOnSUTHistories(t *testing.T) {
 	cases := []struct {
 		name string
-		obj  spec.Object
+		obj  trace.Object
 		mk   func(n int) sut.Impl
 	}{
-		{"queue/lock", spec.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
-		{"queue/lifo", spec.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
-		{"stack/lock", spec.Stack(), func(n int) sut.Impl { return sut.NewLockStack() }},
-		{"stack/fifo", spec.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
-		{"register/atomic", spec.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
-		{"register/stale", spec.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
-		{"register/split", spec.Register(), func(n int) sut.Impl { return sut.NewSplitRegister(n) }},
+		{"queue/lock", trace.Queue(), func(n int) sut.Impl { return sut.NewLockQueue() }},
+		{"queue/lifo", trace.Queue(), func(n int) sut.Impl { return sut.NewLIFOQueue() }},
+		{"stack/lock", trace.Stack(), func(n int) sut.Impl { return sut.NewLockStack() }},
+		{"stack/fifo", trace.Stack(), func(n int) sut.Impl { return sut.NewFIFOStack() }},
+		{"register/atomic", trace.Register(), func(n int) sut.Impl { return sut.NewAtomicRegister() }},
+		{"register/stale", trace.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }},
+		{"register/split", trace.Register(), func(n int) sut.Impl { return sut.NewSplitRegister(n) }},
 	}
 	const n, opsPerProc = 2, 3
 	for _, tc := range cases {
@@ -75,7 +74,7 @@ func TestFrontSearchMatchesBruteOnSUTHistories(t *testing.T) {
 				// exact shape pending-completion handling must get right.
 				for _, crashStep := range []int{0, 9} {
 					h := sutHistory(t, tc.obj, tc.mk(n), n, opsPerProc, seed, crashStep, 1)
-					ops := word.Operations(h)
+					ops := trace.Operations(h)
 					if len(ops) == 0 || len(ops) > 7 {
 						continue
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/word"
 )
 
@@ -14,10 +15,10 @@ import (
 // whose membership-preserving shuffle fails the language's safety test.
 type RTOWitness struct {
 	// Alpha is the original prefix (safety-consistent with the language).
-	Alpha word.Word
+	Alpha trace.Word
 	// Shuffled is the interleaving of Alpha's projections that violates
 	// safety.
-	Shuffled word.Word
+	Shuffled trace.Word
 }
 
 // FindRTOWitness searches the shuffles of alpha's per-process projections for
@@ -30,13 +31,13 @@ type RTOWitness struct {
 // Definition 5.3 fails for the word αβ for any continuation β keeping αβ in
 // the language — and therefore, by Theorem 5.2, the language is not
 // P-decidable for any decidability predicate P.
-func FindRTOWitness(safetyViolated func(word.Word) bool, alpha word.Word, n int) *RTOWitness {
+func FindRTOWitness(safetyViolated func(trace.Word) bool, alpha trace.Word, n int) *RTOWitness {
 	if safetyViolated(alpha) {
 		return nil
 	}
 	parts := word.ProcParts(alpha, n)
 	var witness *RTOWitness
-	word.Shuffles(parts, func(cand word.Word) bool {
+	word.Shuffles(parts, func(cand trace.Word) bool {
 		if safetyViolated(cand) {
 			witness = &RTOWitness{Alpha: alpha.Clone(), Shuffled: cand}
 			return false
@@ -50,7 +51,7 @@ func FindRTOWitness(safetyViolated func(word.Word) bool, alpha word.Word, n int)
 // the safety test — the bounded empirical content of real-time obliviousness
 // for one prefix. Languages classified real-time oblivious (WEC_COUNT) must
 // be shuffle-closed on every safety-consistent prefix.
-func ShuffleClosed(safetyViolated func(word.Word) bool, alpha word.Word, n int) bool {
+func ShuffleClosed(safetyViolated func(trace.Word) bool, alpha trace.Word, n int) bool {
 	return FindRTOWitness(safetyViolated, alpha, n) == nil
 }
 
@@ -58,14 +59,14 @@ func ShuffleClosed(safetyViolated func(word.Word) bool, alpha word.Word, n int) 
 // the ledger languages are not real-time oblivious: every process p appends
 // record p, then process n−1 gets all records; the shuffle that defers
 // process 0's append past the get breaks validity for LIN, SC and EC alike.
-func AppendixAWitness(n int) word.Word {
-	b := word.NewB()
-	recs := make(word.Seq, 0, n)
+func AppendixAWitness(n int) trace.Word {
+	b := trace.NewB()
+	recs := make(trace.Seq, 0, n)
 	for p := 0; p < n; p++ {
-		r := word.Rec(word.Int(p).String())
+		r := trace.Rec(trace.Int(p).String())
 		recs = append(recs, r)
-		b.Op(p, "append", r, word.Unit{})
+		b.Op(p, "append", r, trace.Unit{})
 	}
-	b.Op(n-1, "get", word.Unit{}, recs)
+	b.Op(n-1, "get", trace.Unit{}, recs)
 	return b.Word()
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/lang"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/word"
 )
 
@@ -34,9 +34,9 @@ func TestAppendixAWitnessNotRTO(t *testing.T) {
 func TestRegisterWitnessNotRTO(t *testing.T) {
 	// The Lemma 5.1 round: write(1) then read=1 — deferring the write past
 	// the read breaks both register languages.
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
 	for _, l := range []lang.Lang{lang.LinReg(), lang.SCReg()} {
 		if FindRTOWitness(l.SafetyViolated, alpha, 2) == nil {
@@ -48,9 +48,9 @@ func TestRegisterWitnessNotRTO(t *testing.T) {
 func TestSECWitnessNotRTO(t *testing.T) {
 	// Clause (4): inc strictly before read=1; the shuffle deferring the inc
 	// makes the read an over-read.
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
 	sec := lang.SECCount()
 	if FindRTOWitness(sec.SafetyViolated, alpha, 2) == nil {
@@ -63,20 +63,20 @@ func TestWECShuffleClosed(t *testing.T) {
 	// same-process events, so every shuffle of a safety-consistent prefix
 	// stays consistent. Check on several prefixes.
 	wec := lang.WECCount()
-	words := []word.Word{}
+	words := []trace.Word{}
 	{
-		b := word.NewB()
-		b.Op(0, spec.OpInc, nil, word.Unit{})
-		b.Op(1, spec.OpRead, nil, word.Int(0))
-		b.Op(0, spec.OpRead, nil, word.Int(1))
+		b := trace.NewB()
+		b.Op(0, trace.OpInc, nil, trace.Unit{})
+		b.Op(1, trace.OpRead, nil, trace.Int(0))
+		b.Op(0, trace.OpRead, nil, trace.Int(1))
 		words = append(words, b.Word())
 	}
 	{
-		b := word.NewB()
-		b.Op(0, spec.OpInc, nil, word.Unit{})
-		b.Op(1, spec.OpInc, nil, word.Unit{})
-		b.Op(2, spec.OpRead, nil, word.Int(2))
-		b.Op(2, spec.OpRead, nil, word.Int(2))
+		b := trace.NewB()
+		b.Op(0, trace.OpInc, nil, trace.Unit{})
+		b.Op(1, trace.OpInc, nil, trace.Unit{})
+		b.Op(2, trace.OpRead, nil, trace.Int(2))
+		b.Op(2, trace.OpRead, nil, trace.Int(2))
 		words = append(words, b.Word())
 	}
 	for i, alpha := range words {
@@ -89,8 +89,8 @@ func TestWECShuffleClosed(t *testing.T) {
 
 func TestFindRTOWitnessSkipsViolatingAlpha(t *testing.T) {
 	// A word that itself violates safety passes no judgement.
-	b := word.NewB()
-	b.Op(0, spec.OpRead, nil, word.Int(7)) // read of a never-written value
+	b := trace.NewB()
+	b.Op(0, trace.OpRead, nil, trace.Int(7)) // read of a never-written value
 	alpha := b.Word()
 	lr := lang.LinReg()
 	if !lr.SafetyViolated(alpha) {
@@ -106,7 +106,7 @@ func TestLangRTOClassificationMatchesWitnessSearch(t *testing.T) {
 	// witness search finds on the canonical witnesses.
 	cases := []struct {
 		l     lang.Lang
-		alpha word.Word
+		alpha trace.Word
 	}{
 		{lang.LinReg(), regWitness()},
 		{lang.SCReg(), regWitness()},
@@ -130,16 +130,16 @@ func TestLangRTOClassificationMatchesWitnessSearch(t *testing.T) {
 	}
 }
 
-func regWitness() word.Word {
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+func regWitness() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }
 
-func secWitnessWord() word.Word {
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+func secWitnessWord() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }

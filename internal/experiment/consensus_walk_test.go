@@ -3,12 +3,11 @@ package experiment
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // TestWalkAgainstConsensusMonitor runs the Theorem 5.2 chain against the
@@ -22,7 +21,7 @@ func TestWalkAgainstConsensusMonitor(t *testing.T) {
 	if wit == nil {
 		t.Fatal("no RTO witness on the Appendix A word")
 	}
-	m := monitor.NewConsensusOrder(spec.Ledger(), adversary.ArrayAtomic)
+	m := monitor.NewConsensusOrder(trace.Ledger(), adversary.ArrayAtomic)
 	walk, err := RunWalk(m, 3, wit.Alpha, wit.Shuffled)
 	if err != nil {
 		t.Fatalf("walk failed against the consensus monitor: %v", err)
@@ -39,13 +38,13 @@ func TestWalkAgainstConsensusMonitor(t *testing.T) {
 // intermediate To equals the next From — the ordering that lets the paper
 // conclude x(E0) ∈ L ⟺ x(E2x) ∈ L for decidable languages.
 func TestWalkChainConnectsEndpoints(t *testing.T) {
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
-	b2 := word.NewB()
-	b2.Op(1, spec.OpRead, nil, word.Int(1))
-	b2.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
+	b2 := trace.NewB()
+	b2.Op(1, trace.OpRead, nil, trace.Int(1))
+	b2.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	target := b2.Word()
 
 	walk, err := RunWalk(monitor.Constant(monitor.Yes), 2, alpha, target)

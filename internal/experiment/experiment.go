@@ -28,10 +28,10 @@ package experiment
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // ItemKind distinguishes schedule items.
@@ -77,7 +77,7 @@ type Schedule []Item
 // every process finish. The resulting execution is tight — each process
 // executes its send and receive phases with no other symbols in between
 // except those the word itself interleaves.
-func Canonical(w word.Word, n int) Schedule {
+func Canonical(w trace.Word, n int) Schedule {
 	sch := make(Schedule, 0, 2*len(w)+n)
 	for _, s := range w {
 		sch = append(sch, Item{Block, s.Proc}, Item{Emit, s.Proc})
@@ -98,7 +98,7 @@ func (d *director) Next([]int, int) int { return d.target }
 // w, with every step placed by the schedule. It returns the run result and
 // an error if the schedule was inconsistent with the word (an Emit whose
 // symbol owner mismatched or whose owner was not parked at the right gate).
-func ScheduledRun(m monitor.Monitor, n int, w word.Word, sch Schedule) (*monitor.Result, error) {
+func ScheduledRun(m monitor.Monitor, n int, w trace.Word, sch Schedule) (*monitor.Result, error) {
 	adv := adversary.NewA(n, adversary.NewScriptSource(w))
 	return scheduledRun(m, n, adv, func(rt *sched.Runtime) (adversary.Service, []int) {
 		return adv, []int{adv.Register(rt)}
@@ -107,7 +107,7 @@ func ScheduledRun(m monitor.Monitor, n int, w word.Word, sch Schedule) (*monitor
 
 // ScheduledTimedRun is ScheduledRun against the timed adversary Aτ wrapping
 // A. The returned Timed service gives access to views and the inner history.
-func ScheduledTimedRun(mk func(tau *adversary.Timed) monitor.Monitor, n int, w word.Word, kind adversary.ArrayKind, sch Schedule) (*monitor.Result, *adversary.Timed, error) {
+func ScheduledTimedRun(mk func(tau *adversary.Timed) monitor.Monitor, n int, w trace.Word, kind adversary.ArrayKind, sch Schedule) (*monitor.Result, *adversary.Timed, error) {
 	adv := adversary.NewA(n, adversary.NewScriptSource(w))
 	tau := adversary.NewTimed(n, adv, kind)
 	res, err := scheduledRun(mk(tau), n, adv, func(rt *sched.Runtime) (adversary.Service, []int) {
@@ -153,8 +153,8 @@ func scheduledRun(m monitor.Monitor, n int, adv *adversary.A, newSvc func(rt *sc
 						schedErr = fmt.Errorf("experiment: schedule item %d expects a symbol of process %d but the word's next symbol is %v", k, it.Proc, next)
 						return
 					}
-					if (next.Kind == word.Inv && !adv.WaitingSend(next.Proc)) ||
-						(next.Kind == word.Res && !adv.WaitingRecv(next.Proc)) {
+					if (next.Kind == trace.Inv && !adv.WaitingSend(next.Proc)) ||
+						(next.Kind == trace.Res && !adv.WaitingRecv(next.Proc)) {
 						schedErr = fmt.Errorf("experiment: schedule item %d emits %v but its owner is not parked at the matching gate", k, next)
 						return
 					}
@@ -179,8 +179,8 @@ func scheduledRun(m monitor.Monitor, n int, adv *adversary.A, newSvc func(rt *sc
 // indistinguishable to a process exactly when its Observations coincide —
 // deterministic monitors then necessarily report the same verdicts.
 type Observations struct {
-	Invs      []word.Symbol
-	Responses []adversary.Response
+	Invs      []trace.Symbol
+	Responses []trace.Response
 	Verdicts  []monitor.Verdict
 }
 

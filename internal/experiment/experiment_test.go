@@ -3,19 +3,18 @@ package experiment
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // wordOf builds the four-symbol round used by small driver tests.
-func smallWord() word.Word {
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+func smallWord() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }
 
@@ -53,7 +52,7 @@ func TestScheduledRunDetectsBadSchedule(t *testing.T) {
 
 func TestIndistinguishableReflexive(t *testing.T) {
 	w := smallWord()
-	m := monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic)
+	m := monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic)
 	r1, err := ScheduledRun(m, 2, w, Canonical(w, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,9 @@ func TestLemma51AgainstMonitors(t *testing.T) {
 	// The swap defeats every monitor: order-free, consensus-powered, the
 	// WEC monitor (wrong object, still a monitor), and a constant.
 	monitors := []monitor.Monitor{
-		monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic),
-		monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAADGMS),
-		monitor.NewConsensusOrder(spec.Register(), adversary.ArrayAtomic),
+		monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic),
+		monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAADGMS),
+		monitor.NewConsensusOrder(trace.Register(), adversary.ArrayAtomic),
 		monitor.Constant(monitor.Yes),
 	}
 	l := Lemma51{Rounds: 6}
@@ -100,16 +99,16 @@ func TestLemma51WordsMembership(t *testing.T) {
 
 func TestWalkRegisterWitness(t *testing.T) {
 	// Drag the Lemma 5.1 E-word's first round to its F-form via the walk.
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
-	b2 := word.NewB()
-	b2.Op(1, spec.OpRead, nil, word.Int(1))
-	b2.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
+	b2 := trace.NewB()
+	b2.Op(1, trace.OpRead, nil, trace.Int(1))
+	b2.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	target := b2.Word()
 
-	m := monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic)
+	m := monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic)
 	walk, err := RunWalk(m, 2, alpha, target)
 	if err != nil {
 		t.Fatalf("walk failed: %v", err)
@@ -126,13 +125,13 @@ func TestWalkRegisterWitness(t *testing.T) {
 }
 
 func TestWalkRejectsNonShuffle(t *testing.T) {
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(0, spec.OpWrite, word.Int(2), word.Unit{})
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(0, trace.OpWrite, trace.Int(2), trace.Unit{})
 	alpha := b.Word()
 	// Reversing two operations of the same process is not a projection-
 	// preserving shuffle.
-	target := word.Word{alpha[2], alpha[3], alpha[0], alpha[1]}
+	target := trace.Word{alpha[2], alpha[3], alpha[0], alpha[1]}
 	if _, err := RunWalk(monitor.Constant(monitor.Yes), 1, alpha, target); err == nil {
 		t.Error("expected rejection of a same-process reorder")
 	}
@@ -144,7 +143,7 @@ func TestPrefixAttackWEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(func(w word.Word) bool {
+	if err := res.Verify(func(w trace.Word) bool {
 		return check.WECSafety(w) == nil && check.Converges(w)
 	}); err != nil {
 		t.Error(err)
@@ -162,7 +161,7 @@ func TestPrefixAttackTimedSEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(func(w word.Word) bool {
+	if err := res.Verify(func(w trace.Word) bool {
 		return check.SECSafety(w) == nil && check.Converges(w)
 	}); err != nil {
 		t.Error(err)

@@ -3,10 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Lemma51 is the write/read swap experiment of Lemma 5.1, the paper's
@@ -32,7 +31,7 @@ type Lemma51 struct {
 // construction.
 type Lemma51Result struct {
 	// WordE and WordF are the exhibited inputs x(E) and x(F).
-	WordE, WordF word.Word
+	WordE, WordF trace.Word
 	// EInLang and FInLang report the languages' safety tests on the words:
 	// E must pass, F must fail (for both LIN_REG and SC_REG).
 	ELinOK, FLinOK bool
@@ -47,19 +46,19 @@ type Lemma51Result struct {
 }
 
 // Words builds the two input words of the construction.
-func (l Lemma51) Words() (wE, wF word.Word) {
+func (l Lemma51) Words() (wE, wF trace.Word) {
 	rounds := l.Rounds
 	if rounds <= 0 {
 		rounds = 8
 	}
-	bE, bF := word.NewB(), word.NewB()
+	bE, bF := trace.NewB(), trace.NewB()
 	for r := 1; r <= rounds; r++ {
 		// E: write(r) completes, then read returns r.
-		bE.Inv(0, spec.OpWrite, word.Int(r)).Res(0, spec.OpWrite, word.Unit{})
-		bE.Inv(1, spec.OpRead, nil).Res(1, spec.OpRead, word.Int(r))
+		bE.Inv(0, trace.OpWrite, trace.Int(r)).Res(0, trace.OpWrite, trace.Unit{})
+		bE.Inv(1, trace.OpRead, nil).Res(1, trace.OpRead, trace.Int(r))
 		// F: the same two operations with their send/receive events swapped.
-		bF.Inv(1, spec.OpRead, nil).Res(1, spec.OpRead, word.Int(r))
-		bF.Inv(0, spec.OpWrite, word.Int(r)).Res(0, spec.OpWrite, word.Unit{})
+		bF.Inv(1, trace.OpRead, nil).Res(1, trace.OpRead, trace.Int(r))
+		bF.Inv(0, trace.OpWrite, trace.Int(r)).Res(0, trace.OpWrite, trace.Unit{})
 	}
 	return bE.Word(), bF.Word()
 }

@@ -3,11 +3,10 @@ package experiment
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Lemma65 is the alternation attack showing EC_LED ∉ PWD: a behaviour that
@@ -50,7 +49,7 @@ type Lemma65Phase struct {
 // Lemma65Result is the attack outcome.
 type Lemma65Result struct {
 	// Word is the full exhibited behaviour.
-	Word word.Word
+	Word trace.Word
 	// SafetyOK reports the EC ordering clause held on the whole word, and
 	// Converges the convergence diagnostic on its quiescent tail — together
 	// the finite-run evidence that the ω-extension is in EC_LED.
@@ -67,7 +66,7 @@ type Lemma65Result struct {
 }
 
 // Build constructs the staged word and the phase ranges.
-func (l Lemma65) Build() (word.Word, []Lemma65Phase) {
+func (l Lemma65) Build() (trace.Word, []Lemma65Phase) {
 	n, stages := l.N, l.Stages
 	if n < 2 {
 		n = 2
@@ -82,23 +81,23 @@ func (l Lemma65) Build() (word.Word, []Lemma65Phase) {
 	if good < 1 {
 		good = 3
 	}
-	b := word.NewB()
+	b := trace.NewB()
 	var phases []Lemma65Phase
-	var recs word.Seq
+	var recs trace.Seq
 	pos := 0
 	sym := func(k int) int { return 2 * k } // operations → symbol count
 	for s := 0; s < stages; s++ {
 		// Divergence phase: p0 appends a fresh record; gets keep returning
 		// the old ledger.
-		rec := word.Rec(fmt.Sprintf("r%d", s))
+		rec := trace.Rec(fmt.Sprintf("r%d", s))
 		stale := recs.Clone()
 		recs = append(recs, rec)
 		lo := sym(pos)
-		b.Op(0, spec.OpAppend, rec, word.Unit{})
+		b.Op(0, trace.OpAppend, rec, trace.Unit{})
 		pos++
 		for r := 0; r < bad; r++ {
 			for p := n - 1; p >= 0; p-- { // paper order: p2 first, then p1
-				b.Op(p, spec.OpGet, nil, stale)
+				b.Op(p, trace.OpGet, nil, stale)
 				pos++
 			}
 		}
@@ -107,7 +106,7 @@ func (l Lemma65) Build() (word.Word, []Lemma65Phase) {
 		lo = sym(pos)
 		for r := 0; r < good; r++ {
 			for p := 0; p < n; p++ {
-				b.Op(p, spec.OpGet, nil, recs.Clone())
+				b.Op(p, trace.OpGet, nil, recs.Clone())
 				pos++
 			}
 		}

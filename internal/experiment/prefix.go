@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // The prefix-extension attack of Lemmas 5.2 and 6.2: run the monitor on a
@@ -26,13 +26,13 @@ type PrefixAttack struct {
 	N int
 	// Bad is a finite prefix of a behaviour outside the language, long
 	// enough that the monitor reports NO within it.
-	Bad word.Word
+	Bad trace.Word
 	// GoodTail completes the cut prefix into a word inside the language: it
 	// receives the cut (which may end with pending invocations) and returns
 	// the continuation symbols. The concatenation's ω-extension must be in
 	// the language; the attack appends Rounds repetitions via the same
 	// callback contract the paper's x′ uses.
-	GoodTail func(cut word.Word) word.Word
+	GoodTail func(cut trace.Word) trace.Word
 }
 
 // PrefixAttackResult carries the attack's machine-checked facts.
@@ -41,7 +41,7 @@ type PrefixAttackResult struct {
 	// step; Cut how many source symbols the adversary had consumed.
 	NoProc, NoStep, Cut int
 	// Hybrid is the in-language word exhibited by the replay.
-	Hybrid word.Word
+	Hybrid trace.Word
 	// ReplayNO reports that the replay reproduced a NO by NoProc with the
 	// same observation prefix (deterministic replay check).
 	ReplayNO bool
@@ -154,7 +154,7 @@ func (a PrefixAttack) RunTimed(mk func(tau *adversary.Timed) monitor.Monitor, ki
 
 // Verify converts an attack result into a pass/fail judgement for the
 // untimed attack: nil means the impossibility was demonstrated.
-func (r *PrefixAttackResult) Verify(inLang func(word.Word) bool) error {
+func (r *PrefixAttackResult) Verify(inLang func(trace.Word) bool) error {
 	if !r.ReplayNO {
 		return fmt.Errorf("prefix attack: replay lost the NO — execution not deterministic up to the cut")
 	}

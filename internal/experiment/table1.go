@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Params sizes the Table 1 harness. The defaults keep the whole table under
@@ -208,7 +207,7 @@ func (t *plan) sweepUntimed(cell cellKey, mk func() monitor.Monitor, l lang.Lang
 
 // sweepTimed emits one unit per (seed, labelled source) judging a timed
 // monitor factory, with the sketch escape clause evaluated by sketchBad.
-func (t *plan) sweepTimed(cell cellKey, mk func(tau *adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, sketchBad func(sk word.Word) bool) {
+func (t *plan) sweepTimed(cell cellKey, mk func(tau *adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, sketchBad func(sk trace.Word) bool) {
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
@@ -245,8 +244,8 @@ func (t *plan) registerRow(l lang.Lang, lin bool) {
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Lemma 5.1", evidence)
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Lemma 5.1", evidence)
 	for _, mkM := range []func() monitor.Monitor{
-		func() monitor.Monitor { return monitor.NewNaiveOrder(spec.Register(), adversary.ArrayAtomic) },
-		func() monitor.Monitor { return monitor.NewConsensusOrder(spec.Register(), adversary.ArrayAtomic) },
+		func() monitor.Monitor { return monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic) },
+		func() monitor.Monitor { return monitor.NewConsensusOrder(trace.Register(), adversary.ArrayAtomic) },
 	} {
 		t.add(l.Name+" Lemma 5.1 swap", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
 			m := mkM()
@@ -261,15 +260,15 @@ func (t *plan) registerRow(l lang.Lang, lin bool) {
 	// PSD ✓ and PWD ✓: Figure 8 with the LIN or SC check.
 	steps := t.p.TimedSteps
 	mk := func(tau *adversary.Timed) monitor.Monitor {
-		return monitor.NewLin(spec.Register(), tau, adversary.ArrayAtomic)
+		return monitor.NewLin(trace.Register(), tau, adversary.ArrayAtomic)
 	}
 	if !lin {
 		steps = t.p.SCSteps
 		mk = func(tau *adversary.Timed) monitor.Monitor {
-			return monitor.NewSC(spec.Register(), tau, adversary.ArrayAtomic)
+			return monitor.NewSC(trace.Register(), tau, adversary.ArrayAtomic)
 		}
 	}
-	sketchBad := func(sk word.Word) bool { return l.SafetyViolated(sk) }
+	sketchBad := func(sk trace.Word) bool { return l.SafetyViolated(sk) }
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
 	t.sweepTimed(psd, mk, l, core.PSD, steps, sketchBad)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
@@ -293,22 +292,22 @@ func (t *plan) ledgerRow(l lang.Lang, lin bool) {
 		if wit == nil {
 			err = fmt.Errorf("no RTO witness found for %s on the Appendix A word", l.Name)
 		} else {
-			_, err = RunWalk(monitor.NewNaiveOrder(spec.Ledger(), adversary.ArrayAtomic), t.p.Procs, wit.Alpha, wit.Shuffled)
+			_, err = RunWalk(monitor.NewNaiveOrder(trace.Ledger(), adversary.ArrayAtomic), t.p.Procs, wit.Alpha, wit.Shuffled)
 		}
 		return []error{err, err}
 	})
 
 	steps := t.p.TimedSteps
 	mk := func(tau *adversary.Timed) monitor.Monitor {
-		return monitor.NewLin(spec.Ledger(), tau, adversary.ArrayAtomic)
+		return monitor.NewLin(trace.Ledger(), tau, adversary.ArrayAtomic)
 	}
 	if !lin {
 		steps = t.p.SCSteps
 		mk = func(tau *adversary.Timed) monitor.Monitor {
-			return monitor.NewSC(spec.Ledger(), tau, adversary.ArrayAtomic)
+			return monitor.NewSC(trace.Ledger(), tau, adversary.ArrayAtomic)
 		}
 	}
-	sketchBad := func(sk word.Word) bool { return l.SafetyViolated(sk) }
+	sketchBad := func(sk trace.Word) bool { return l.SafetyViolated(sk) }
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
 	t.sweepTimed(psd, mk, l, core.PSD, steps, sketchBad)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
@@ -356,7 +355,7 @@ func (t *plan) wecRow() {
 	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
 		res, err := counterAttack(t.p).Run(monitor.NewWEC(adversary.ArrayAtomic))
 		if err == nil {
-			err = res.Verify(func(w word.Word) bool {
+			err = res.Verify(func(w trace.Word) bool {
 				return check.WECSafety(w) == nil && check.Converges(w)
 			})
 		}
@@ -376,7 +375,7 @@ func (t *plan) wecRow() {
 			return monitor.NewWEC(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
 		if err == nil {
-			err = res.Verify(func(w word.Word) bool {
+			err = res.Verify(func(w trace.Word) bool {
 				return check.WECSafety(w) == nil && check.Converges(w)
 			})
 			if err == nil && !res.TightSketch {
@@ -390,7 +389,7 @@ func (t *plan) wecRow() {
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
 	t.sweepTimed(pwd, func(*adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.Steps, func(sk word.Word) bool {
+	}, l, core.PWD, t.p.Steps, func(sk trace.Word) bool {
 		return check.WECSafety(sk) != nil
 	})
 }
@@ -409,7 +408,7 @@ func (t *plan) secRow() {
 			return monitor.NewSEC(tau, adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
 		if err == nil {
-			err = res.Verify(func(w word.Word) bool {
+			err = res.Verify(func(w trace.Word) bool {
 				return check.SECSafety(w) == nil && check.Converges(w)
 			})
 		}
@@ -451,7 +450,7 @@ func (t *plan) secRow() {
 		"amplified Figure 9 over labelled sources, PWD predicate")
 	t.sweepTimed(pwd, func(tau *adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.TimedSteps, func(sk word.Word) bool {
+	}, l, core.PWD, t.p.TimedSteps, func(sk trace.Word) bool {
 		return check.SECSafety(sk) != nil
 	})
 }
@@ -461,37 +460,37 @@ func (t *plan) secRow() {
 // operations and reads the true total forever.
 func counterAttack(p Params) PrefixAttack {
 	n := 2
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
 	for r := 0; r < p.AttackRounds; r++ {
-		b.Op(1, spec.OpRead, nil, word.Int(0))
-		b.Op(0, spec.OpRead, nil, word.Int(0))
+		b.Op(1, trace.OpRead, nil, trace.Int(0))
+		b.Op(0, trace.OpRead, nil, trace.Int(0))
 	}
 	return PrefixAttack{
 		N:   n,
 		Bad: b.Word(),
-		GoodTail: func(cut word.Word) word.Word {
+		GoodTail: func(cut trace.Word) trace.Word {
 			// Count incs invoked in the cut; every subsequent read returns
 			// that total.
 			incs := 0
 			for _, s := range cut {
-				if s.Kind == word.Inv && s.Op == spec.OpInc {
+				if s.Kind == trace.Inv && s.Op == trace.OpInc {
 					incs++
 				}
 			}
-			tail := word.NewB()
+			tail := trace.NewB()
 			// Complete pending invocations.
-			for _, op := range word.PendingOps(cut) {
+			for _, op := range trace.PendingOps(cut) {
 				switch op.Op {
-				case spec.OpInc:
-					tail.Res(op.ID.Proc, spec.OpInc, word.Unit{})
-				case spec.OpRead:
-					tail.Res(op.ID.Proc, spec.OpRead, word.Int(incs))
+				case trace.OpInc:
+					tail.Res(op.ID.Proc, trace.OpInc, trace.Unit{})
+				case trace.OpRead:
+					tail.Res(op.ID.Proc, trace.OpRead, trace.Int(incs))
 				}
 			}
 			for r := 0; r < p.AttackRounds; r++ {
 				for proc := 0; proc < n; proc++ {
-					tail.Op(proc, spec.OpRead, nil, word.Int(incs))
+					tail.Op(proc, trace.OpRead, nil, trace.Int(incs))
 				}
 			}
 			return tail.Word()
@@ -502,10 +501,10 @@ func counterAttack(p Params) PrefixAttack {
 // secWitness is the 2-process clause-4 witness: p0 incs, then p1 reads 1
 // with the inc strictly preceding — the shuffle that defers the inc past the
 // read over-reads.
-func secWitness() word.Word {
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+func secWitness() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }
 

@@ -3,8 +3,8 @@ package experiment
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // The shuffle walk realizes the proof of Theorem 5.2 (via Claim 5.1): given a
@@ -29,7 +29,7 @@ import (
 type WalkStep struct {
 	// From and To are the words before and after the transposition; To is
 	// From with the symbols at Pos and Pos+1 swapped.
-	From, To word.Word
+	From, To trace.Word
 	// Pos is the index of the transposed pair.
 	Pos int
 	// InputsEqual reports x(E) == x(F).
@@ -43,9 +43,9 @@ type WalkStep struct {
 // Walk is the full chained construction.
 type Walk struct {
 	// Alpha is the start prefix (safety-consistent).
-	Alpha word.Word
+	Alpha trace.Word
 	// Target is the violating shuffle.
-	Target word.Word
+	Target trace.Word
 	// Steps are the verified transpositions, in order.
 	Steps []WalkStep
 }
@@ -54,7 +54,7 @@ type Walk struct {
 // that transforms from into to, where to is a shuffle of from's per-process
 // projections. It bubbles the symbol required at each position leftward.
 // Positions refer to the evolving word.
-func transpositionChain(from, to word.Word) ([]int, error) {
+func transpositionChain(from, to trace.Word) ([]int, error) {
 	if len(from) != len(to) {
 		return nil, fmt.Errorf("experiment: shuffle length mismatch %d vs %d", len(from), len(to))
 	}
@@ -89,7 +89,7 @@ func transpositionChain(from, to word.Word) ([]int, error) {
 // symbol at pos+1 moved before the block of the symbol at pos — the F
 // construction of Claim 5.1. The canonical schedule is [B(s0) E(s0) B(s1)
 // E(s1) …]; entries 2k/2k+1 belong to symbol k.
-func moveBlockBack(w word.Word, n, pos int) Schedule {
+func moveBlockBack(w trace.Word, n, pos int) Schedule {
 	sch := Canonical(w, n)
 	// Items: block of w[pos] at 2pos, emit at 2pos+1, block of w[pos+1] at
 	// 2pos+2, emit at 2pos+3. Move item 2pos+2 before 2pos.
@@ -114,7 +114,7 @@ func swapEmits(sch Schedule, pos int) Schedule {
 }
 
 // transpose returns w with positions pos and pos+1 swapped.
-func transpose(w word.Word, pos int) word.Word {
+func transpose(w trace.Word, pos int) trace.Word {
 	out := w.Clone()
 	out[pos], out[pos+1] = out[pos+1], out[pos]
 	return out
@@ -123,7 +123,7 @@ func transpose(w word.Word, pos int) word.Word {
 // RunWalk performs the full walk from alpha to target against the monitor,
 // verifying every triple. It fails fast on the first construction error or
 // unverified fact.
-func RunWalk(m monitor.Monitor, n int, alpha, target word.Word) (*Walk, error) {
+func RunWalk(m monitor.Monitor, n int, alpha, target trace.Word) (*Walk, error) {
 	chain, err := transpositionChain(alpha, target)
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func RunWalk(m monitor.Monitor, n int, alpha, target word.Word) (*Walk, error) {
 }
 
 // runWalkStep builds and checks one (E, F, E″) triple.
-func runWalkStep(m monitor.Monitor, n int, w word.Word, pos int) (*WalkStep, error) {
+func runWalkStep(m monitor.Monitor, n int, w trace.Word, pos int) (*WalkStep, error) {
 	if w[pos].Proc == w[pos+1].Proc {
 		return nil, fmt.Errorf("experiment: cannot transpose two symbols of process %d", w[pos].Proc)
 	}

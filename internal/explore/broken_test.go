@@ -8,10 +8,9 @@ package explore
 import (
 	"testing"
 
-	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // yesMan wraps a monitor and discards its verdicts, always reporting YES —
@@ -32,8 +31,8 @@ func (m yesMan) New(n int) []monitor.Logic {
 
 type yesLogic struct{ inner monitor.Logic }
 
-func (l yesLogic) PreSend(p *sched.Proc, inv word.Symbol)       { l.inner.PreSend(p, inv) }
-func (l yesLogic) PostRecv(p *sched.Proc, r adversary.Response) { l.inner.PostRecv(p, r) }
+func (l yesLogic) PreSend(p *sched.Proc, inv trace.Symbol)  { l.inner.PreSend(p, inv) }
+func (l yesLogic) PostRecv(p *sched.Proc, r trace.Response) { l.inner.PostRecv(p, r) }
 func (l yesLogic) Decide(p *sched.Proc) monitor.Verdict {
 	l.inner.Decide(p)
 	return monitor.Yes
@@ -60,8 +59,8 @@ type flipFlopLogic struct {
 	round int
 }
 
-func (l *flipFlopLogic) PreSend(p *sched.Proc, inv word.Symbol)       { l.inner.PreSend(p, inv) }
-func (l *flipFlopLogic) PostRecv(p *sched.Proc, r adversary.Response) { l.inner.PostRecv(p, r) }
+func (l *flipFlopLogic) PreSend(p *sched.Proc, inv trace.Symbol)  { l.inner.PreSend(p, inv) }
+func (l *flipFlopLogic) PostRecv(p *sched.Proc, r trace.Response) { l.inner.PostRecv(p, r) }
 func (l *flipFlopLogic) Decide(p *sched.Proc) monitor.Verdict {
 	l.inner.Decide(p)
 	l.round++

@@ -3,13 +3,12 @@ package explore
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Differential check names.
@@ -90,7 +89,7 @@ func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam f
 	crashed := len(s.Crashes) > 0
 
 	out.ran(CheckWellFormed)
-	if err := word.WellFormed(res.History); err != nil {
+	if err := trace.WellFormed(res.History); err != nil {
 		out.diverge(CheckWellFormed, "%v", err)
 	}
 
@@ -151,7 +150,7 @@ func checkCrashQuiet(out *Outcome, res *monitor.Result) {
 // order).
 func checkSourcePrefix(out *Outcome, lb adversary.Labeled, fam family, res *monitor.Result) {
 	src := lb.New()
-	var w word.Word
+	var w trace.Word
 	limit := 8*len(res.History) + 256
 	for len(w) < limit {
 		sym, ok := src.Next()
@@ -192,15 +191,15 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 	for i, sym := range res.History {
 		p := sym.Proc
 		switch {
-		case sym.Kind == word.Inv && sym.Op == spec.OpInc:
+		case sym.Kind == trace.Inv && sym.Op == trace.OpInc:
 			pendingInc[p] = true
-		case sym.Kind == word.Res && sym.Op == spec.OpInc:
+		case sym.Kind == trace.Res && sym.Op == trace.OpInc:
 			if pendingInc[p] {
 				incs[p]++
 				pendingInc[p] = false
 			}
-		case sym.Kind == word.Res && sym.Op == spec.OpRead:
-			v, ok := sym.Val.(word.Int)
+		case sym.Kind == trace.Res && sym.Op == trace.OpRead:
+			v, ok := sym.Val.(trace.Int)
 			if !ok {
 				continue
 			}
@@ -244,7 +243,7 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 // converge) and violations the sketch itself exhibits.
 func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
 	n := out.Spec.N
-	sketchBad := func(bad func(word.Word) bool) bool {
+	sketchBad := func(bad func(trace.Word) bool) bool {
 		sk, err := res.Sketch(n, tau.InvAt)
 		if err != nil {
 			return false
@@ -278,7 +277,7 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 
 	case famSEC:
 		out.ran(CheckClass)
-		secBad := func(w word.Word) bool { return check.SECSafety(w) != nil }
+		secBad := func(w trace.Word) bool { return check.SECSafety(w) != nil }
 		if lb.In {
 			ev := core.Eval{Class: core.PWD, Window: evalWindow,
 				SketchViolated: func() bool { return sketchBad(secBad) }}
@@ -313,7 +312,7 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 
 	case famPred:
 		out.ran(CheckClass)
-		langBad := func(w word.Word) bool { return r.safetyViolated(l, w) }
+		langBad := func(w trace.Word) bool { return r.safetyViolated(l, w) }
 		if lb.In {
 			ev := core.Eval{Class: core.PSD,
 				SketchViolated: func() bool { return sketchBad(langBad) }}

@@ -23,14 +23,13 @@ package explore
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // netSalt derives the network-order stream from the spec seed, independent
@@ -59,9 +58,9 @@ type msgImplDef struct {
 // its secondary safety oracle, and its emulation variants (first correct).
 type msgDef struct {
 	name       string
-	obj        spec.Object
+	obj        trace.Object
 	safetyName string
-	safety     func(obj spec.Object, w word.Word, ops []word.Operation) string
+	safety     func(obj trace.Object, w trace.Word, ops []trace.Operation) string
 	impls      []msgImplDef
 }
 
@@ -78,7 +77,7 @@ type msgDef struct {
 // with distinct values disagree).
 var msgRegistry = []msgDef{
 	{
-		name: "register", obj: spec.Register(), safetyName: OracleSC, safety: scViolation,
+		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: scViolation,
 		impls: []msgImplDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				r := abd.NewRegister("x", n, nt, 0)
@@ -91,7 +90,7 @@ var msgRegistry = []msgDef{
 		},
 	},
 	{
-		name: "counter", obj: spec.Counter(), safetyName: OracleSECSafety, safety: secViolation,
+		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: secViolation,
 		impls: []msgImplDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewCounter("c", n, nt)
@@ -104,7 +103,7 @@ var msgRegistry = []msgDef{
 		},
 	},
 	{
-		name: "consensus", obj: spec.Consensus(), safetyName: OracleSC, safety: scViolation,
+		name: "consensus", obj: trace.Consensus(), safetyName: OracleSC, safety: scViolation,
 		impls: []msgImplDef{
 			{name: "coord", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewConsensus("k", n, nt)

@@ -5,13 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // family groups the languages by the monitor construction the explorer runs
@@ -112,7 +111,7 @@ type Runner struct {
 // processes: borrowed from the session's checker pool when the runner has a
 // session, so the memo table and key buffers grown by earlier scenarios are
 // reused, else fresh. The verdicts are the same either way.
-func (r Runner) checker(obj spec.Object, realTime bool, n int) *check.Incremental {
+func (r Runner) checker(obj trace.Object, realTime bool, n int) *check.Incremental {
 	if r.Session != nil {
 		return r.Session.CheckPool().Get(obj, realTime, n)
 	}
@@ -124,7 +123,7 @@ func (r Runner) checker(obj spec.Object, realTime bool, n int) *check.Incrementa
 // incremental checker — one pass over w even for the per-prefix-quantified
 // conditions, where the closed-over checker re-searches every response-ended
 // prefix. The boolean is the closure's.
-func (r Runner) safetyViolated(l lang.Lang, w word.Word) bool {
+func (r Runner) safetyViolated(l lang.Lang, w trace.Word) bool {
 	c := l.Checker
 	if c == nil {
 		return l.SafetyViolated(w)

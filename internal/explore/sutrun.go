@@ -21,13 +21,12 @@ package explore
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Oracle names reported in OracleFailures (bug findings on seeded-bug
@@ -65,33 +64,33 @@ type implDef struct {
 // secondary safety oracle, and its implementations (first one correct).
 type objDef struct {
 	name string
-	obj  spec.Object
+	obj  trace.Object
 	// safetyName labels the secondary oracle in findings and signatures.
 	safetyName string
 	// safety returns "" when the history satisfies the secondary oracle,
-	// otherwise the violation. ops is word.Operations(w), precomputed.
-	safety func(obj spec.Object, w word.Word, ops []word.Operation) string
+	// otherwise the violation. ops is trace.Operations(w), precomputed.
+	safety func(obj trace.Object, w trace.Word, ops []trace.Operation) string
 	impls  []implDef
 }
 
 // scViolation is the secondary oracle of the strong objects (register,
 // queue, stack): plain sequential consistency, the strongest property an
 // order-free observer can refute.
-func scViolation(obj spec.Object, _ word.Word, ops []word.Operation) string {
+func scViolation(obj trace.Object, _ trace.Word, ops []trace.Operation) string {
 	if !check.SeqConsistentOps(obj, ops) {
 		return "history is not sequentially consistent"
 	}
 	return ""
 }
 
-func secViolation(_ spec.Object, w word.Word, _ []word.Operation) string {
+func secViolation(_ trace.Object, w trace.Word, _ []trace.Operation) string {
 	if v := check.SECSafety(w); v != nil {
 		return v.String()
 	}
 	return ""
 }
 
-func ecViolation(_ spec.Object, w word.Word, _ []word.Operation) string {
+func ecViolation(_ trace.Object, w trace.Word, _ []trace.Operation) string {
 	if v := check.ECLedgerSafety(w); v != nil {
 		return v.String()
 	}
@@ -107,7 +106,7 @@ func ecViolation(_ spec.Object, w word.Word, _ []word.Operation) string {
 // the gets it does answer prefix-compatible.
 var objRegistry = []objDef{
 	{
-		name: "register", obj: spec.Register(), safetyName: OracleSC, safety: scViolation,
+		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: scViolation,
 		impls: []implDef{
 			{name: "atomic", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewAtomicRegister() }},
 			{name: "stale", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewStaleRegister(n, 3) }},
@@ -115,7 +114,7 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "counter", obj: spec.Counter(), safetyName: OracleSECSafety, safety: secViolation,
+		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: secViolation,
 		impls: []implDef{
 			{name: "snapshot", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAtomic) }},
 			{name: "aadgms", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAADGMS) }},
@@ -125,21 +124,21 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "queue", obj: spec.Queue(), safetyName: OracleSC, safety: scViolation,
+		name: "queue", obj: trace.Queue(), safetyName: OracleSC, safety: scViolation,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockQueue() }},
 			{name: "lifo", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewLIFOQueue() }},
 		},
 	},
 	{
-		name: "stack", obj: spec.Stack(), safetyName: OracleSC, safety: scViolation,
+		name: "stack", obj: trace.Stack(), safetyName: OracleSC, safety: scViolation,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockStack() }},
 			{name: "fifo", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewFIFOStack() }},
 		},
 	},
 	{
-		name: "ledger", obj: spec.Ledger(), safetyName: OracleECSafety, safety: ecViolation,
+		name: "ledger", obj: trace.Ledger(), safetyName: OracleECSafety, safety: ecViolation,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockLedger() }},
 			{name: "snapshot", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewSnapshotLedger(n) }},
@@ -279,13 +278,13 @@ func (r Runner) runObjChecks(out *Outcome, od objDef, id implDef, res *monitor.R
 // whose network schedule dropped messages; like a crash, a dropped message
 // can strand the violating operation pending, so it gates the completeness
 // half of the monitor check.
-func (r Runner) runHistoryChecks(out *Outcome, obj spec.Object, safetyName string, safety func(spec.Object, word.Word, []word.Operation) string, linOK, safeOK, lossy bool, res *monitor.Result, tau *adversary.Timed) {
+func (r Runner) runHistoryChecks(out *Outcome, obj trace.Object, safetyName string, safety func(trace.Object, trace.Word, []trace.Operation) string, linOK, safeOK, lossy bool, res *monitor.Result, tau *adversary.Timed) {
 	s := out.Spec
 	crashed := len(s.Crashes) > 0
 	mark := r.stages.start()
 
 	out.ran(CheckWellFormed)
-	if err := word.WellFormed(res.History); err != nil {
+	if err := trace.WellFormed(res.History); err != nil {
 		out.diverge(CheckWellFormed, "%v", err)
 	}
 
@@ -294,7 +293,7 @@ func (r Runner) runHistoryChecks(out *Outcome, obj spec.Object, safetyName strin
 		checkCrashQuiet(out, res)
 	}
 
-	ops := word.Operations(res.History)
+	ops := trace.Operations(res.History)
 	// The offline oracles run on the runner's incremental checkers (see
 	// Runner.checker), the sequential-consistency oracle included: it decides
 	// exactly scViolation's condition.

@@ -4,25 +4,24 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // chunked adapts a chunk generator to an adversary.Source: refill is called
 // whenever the buffer runs dry and must return the next non-empty chunk of
 // the ω-word (fairness: every process appears in every chunk).
 type chunked struct {
-	buf    word.Word
+	buf    trace.Word
 	pos    int
-	refill func() word.Word
+	refill func() trace.Word
 }
 
-func (c *chunked) Next() (word.Symbol, bool) {
+func (c *chunked) Next() (trace.Symbol, bool) {
 	for c.pos >= len(c.buf) {
 		chunk := c.refill()
 		if len(chunk) == 0 {
-			return word.Symbol{}, false
+			return trace.Symbol{}, false
 		}
 		c.buf, c.pos = chunk, 0
 	}
@@ -31,7 +30,7 @@ func (c *chunked) Next() (word.Symbol, bool) {
 	return s, true
 }
 
-func source(refill func() word.Word) func() adversary.Source {
+func source(refill func() trace.Word) func() adversary.Source {
 	return func() adversary.Source {
 		return &chunked{refill: refill}
 	}
@@ -62,17 +61,17 @@ func exactCounter(n int, seed int64, incs int) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed))
 		count := 0
 		proc := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			for i := 0; i < n; i++ {
 				p := proc % n
 				proc++
 				if count < incs && rng.Intn(2) == 0 {
 					count++
-					b.Op(p, spec.OpInc, word.Unit{}, word.Unit{})
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(count))
+					b.Op(p, trace.OpInc, trace.Unit{}, trace.Unit{})
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(count))
 				} else {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(count))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(count))
 				}
 			}
 			return b.Word()
@@ -91,16 +90,16 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 		seen := make([]int, n) // per-reader last reported value
 		incProc := 0           // process 0 performs all incs, others lag
 		round := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			round++
 			if count < incs {
 				count++
-				b.Op(incProc, spec.OpInc, word.Unit{}, word.Unit{})
+				b.Op(incProc, trace.OpInc, trace.Unit{}, trace.Unit{})
 			}
 			for p := 0; p < n; p++ {
 				if p == incProc {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(count))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(count))
 					continue
 				}
 				// Lag behind by a random amount, monotone, converging once
@@ -113,7 +112,7 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 					target = seen[p]
 				}
 				seen[p] = target
-				b.Op(p, spec.OpRead, word.Unit{}, word.Int(target))
+				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(target))
 			}
 			return b.Word()
 		}}
@@ -126,16 +125,16 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 func overReadCounter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			switch phase {
 			case 0:
-				b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(2)) // the over-read
-				b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
+				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(2)) // the over-read
+				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
 			default:
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(2))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(2))
 				}
 			}
 			phase++
@@ -149,14 +148,14 @@ func overReadCounter(n int) func() adversary.Source {
 func lemma52Counter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		started := false
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if !started {
 				started = true
-				b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
+				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
 			}
 			for p := n - 1; p >= 0; p-- { // p2 reads first, as in the paper
-				b.Op(p, spec.OpRead, word.Unit{}, word.Int(0))
+				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(0))
 			}
 			return b.Word()
 		}}
@@ -168,16 +167,16 @@ func lemma52Counter(n int) func() adversary.Source {
 func nonMonotoneCounter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
-				b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
-				b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(2))
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(1)) // violation
+				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
+				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(2))
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(1)) // violation
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(2))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(2))
 				}
 			}
 			phase++
@@ -191,20 +190,20 @@ func nonMonotoneCounter(n int) func() adversary.Source {
 func divergingCounter(n, incs int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
 				for k := 0; k < incs; k++ {
-					b.Op(0, spec.OpInc, word.Unit{}, word.Unit{})
+					b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
 				}
 			}
 			phase++
 			for p := 0; p < n; p++ {
 				if p == 0 {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(incs)) // own incs force ≥
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(incs)) // own incs force ≥
 					continue
 				}
-				b.Op(p, spec.OpRead, word.Unit{}, word.Int(incs-1))
+				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(incs-1))
 			}
 			return b.Word()
 		}}
@@ -232,16 +231,16 @@ func atomicRegister(n int, seed int64) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 2))
 		cur := int64(0)
 		next := int64(1)
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			writer := rng.Intn(n)
 			reader := (writer + 1 + rng.Intn(n-1)) % n
 			if rng.Intn(2) == 0 {
 				// Sequential write then read.
 				cur = next
 				next++
-				b.Op(writer, spec.OpWrite, word.Int(cur), word.Unit{})
-				b.Op(reader, spec.OpRead, word.Unit{}, word.Int(cur))
+				b.Op(writer, trace.OpWrite, trace.Int(cur), trace.Unit{})
+				b.Op(reader, trace.OpRead, trace.Unit{}, trace.Int(cur))
 			} else {
 				// Overlapping write and read; the read returns old or new.
 				old := cur
@@ -251,15 +250,15 @@ func atomicRegister(n int, seed int64) func() adversary.Source {
 				if rng.Intn(2) == 0 {
 					ret = old
 				}
-				b.Inv(writer, spec.OpWrite, word.Int(cur)).
-					Inv(reader, spec.OpRead, word.Unit{}).
-					Res(writer, spec.OpWrite, word.Unit{}).
-					Res(reader, spec.OpRead, word.Int(ret))
+				b.Inv(writer, trace.OpWrite, trace.Int(cur)).
+					Inv(reader, trace.OpRead, trace.Unit{}).
+					Res(writer, trace.OpWrite, trace.Unit{}).
+					Res(reader, trace.OpRead, trace.Int(ret))
 			}
 			// Keep fairness: everyone else reads the current value.
 			for p := 0; p < n; p++ {
 				if p != writer && p != reader {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(cur))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(cur))
 				}
 			}
 			return b.Word()
@@ -275,10 +274,10 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 3))
 		written := int64(0)
 		seen := make([]int64, n)
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			written++
-			b.Op(0, spec.OpWrite, word.Int(written), word.Unit{})
+			b.Op(0, trace.OpWrite, trace.Int(written), trace.Unit{})
 			for p := 1; p < n; p++ {
 				lag := int64(rng.Intn(2) + 1) // always at least one behind
 				v := written - lag
@@ -289,7 +288,7 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 					v = 0
 				}
 				seen[p] = v
-				b.Op(p, spec.OpRead, word.Unit{}, word.Int(v))
+				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(v))
 			}
 			return b.Word()
 		}}
@@ -302,15 +301,15 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 func inversionRegister(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
-				b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(1))
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(0)) // regression
+				b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(1))
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(0)) // regression
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(1))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(1))
 				}
 			}
 			phase++
@@ -323,14 +322,14 @@ func inversionRegister(n int) func() adversary.Source {
 func phantomRegister(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
-				b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-				b.Op(1%n, spec.OpRead, word.Unit{}, word.Int(99))
+				b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(99))
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpRead, word.Unit{}, word.Int(1))
+					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(1))
 				}
 			}
 			phase++
@@ -351,22 +350,22 @@ func ledgerSources(lin bool) func(n int, seed int64) []adversary.Labeled {
 	}
 }
 
-func recName(k int) word.Rec { return word.Rec(fmt.Sprintf("r%d", k)) }
+func recName(k int) trace.Rec { return trace.Rec(fmt.Sprintf("r%d", k)) }
 
 // atomicLedger: sequential appends and exact gets.
 func atomicLedger(n int, seed int64) func() adversary.Source {
 	return func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 4))
-		var ledger word.Seq
+		var ledger trace.Seq
 		k := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			appender := rng.Intn(n)
 			k++
 			ledger = append(ledger.Clone(), recName(k))
-			b.Op(appender, spec.OpAppend, recName(k), word.Unit{})
+			b.Op(appender, trace.OpAppend, recName(k), trace.Unit{})
 			for p := 0; p < n; p++ {
-				b.Op(p, spec.OpGet, word.Unit{}, ledger.Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger.Clone())
 			}
 			return b.Word()
 		}}
@@ -377,22 +376,22 @@ func atomicLedger(n int, seed int64) func() adversary.Source {
 // sequentially consistent, not linearizable.
 func staleLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
-		var ledger word.Seq
+		var ledger trace.Seq
 		k := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			k++
 			ledger = append(ledger.Clone(), recName(k))
-			b.Op(0, spec.OpAppend, recName(k), word.Unit{})
+			b.Op(0, trace.OpAppend, recName(k), trace.Unit{})
 			for p := 1; p < n; p++ {
 				lag := 1
 				cut := len(ledger) - lag
 				if cut < 0 {
 					cut = 0
 				}
-				b.Op(p, spec.OpGet, word.Unit{}, ledger[:cut].Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:cut].Clone())
 			}
-			b.Op(0, spec.OpGet, word.Unit{}, ledger.Clone())
+			b.Op(0, trace.OpGet, trace.Unit{}, ledger.Clone())
 			return b.Word()
 		}}
 	}
@@ -403,15 +402,15 @@ func staleLedger(n int) func() adversary.Source {
 func lostAppendLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
-				b.Op(0, spec.OpAppend, word.Rec("lost"), word.Unit{})
-				b.Op(0, spec.OpAppend, word.Rec("kept"), word.Unit{})
-				b.Op(1%n, spec.OpGet, word.Unit{}, word.Seq{"kept"})
+				b.Op(0, trace.OpAppend, trace.Rec("lost"), trace.Unit{})
+				b.Op(0, trace.OpAppend, trace.Rec("kept"), trace.Unit{})
+				b.Op(1%n, trace.OpGet, trace.Unit{}, trace.Seq{"kept"})
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpGet, word.Unit{}, word.Seq{"kept"})
+					b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{"kept"})
 				}
 			}
 			phase++
@@ -434,15 +433,15 @@ func ecLedgerSources(n int, seed int64) []adversary.Labeled {
 func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 	return func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 5))
-		var ledger word.Seq
+		var ledger trace.Seq
 		prefix := make([]int, n)
 		k := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if k < appends {
 				k++
 				ledger = append(ledger.Clone(), recName(k))
-				b.Op(rng.Intn(n), spec.OpAppend, recName(k), word.Unit{})
+				b.Op(rng.Intn(n), trace.OpAppend, recName(k), trace.Unit{})
 			}
 			for p := 0; p < n; p++ {
 				// Each reader's known prefix grows monotonically and reaches
@@ -454,7 +453,7 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 					}
 					prefix[p] += grow
 				}
-				b.Op(p, spec.OpGet, word.Unit{}, ledger[:prefix[p]].Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:prefix[p]].Clone())
 			}
 			return b.Word()
 		}}
@@ -467,14 +466,14 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 func lemma65Ledger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		started := false
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if !started {
 				started = true
-				b.Op(0, spec.OpAppend, word.Rec("a"), word.Unit{})
+				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
 			}
 			for p := n - 1; p >= 0; p-- {
-				b.Op(p, spec.OpGet, word.Unit{}, word.Seq{})
+				b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{})
 			}
 			return b.Word()
 		}}
@@ -485,16 +484,16 @@ func lemma65Ledger(n int) func() adversary.Source {
 func forkedLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() word.Word {
-			b := word.NewB()
+		return &chunked{refill: func() trace.Word {
+			b := trace.NewB()
 			if phase == 0 {
-				b.Op(0, spec.OpAppend, word.Rec("a"), word.Unit{})
-				b.Op(0, spec.OpAppend, word.Rec("b"), word.Unit{})
-				b.Op(1%n, spec.OpGet, word.Unit{}, word.Seq{"a"})
-				b.Op((2)%n, spec.OpGet, word.Unit{}, word.Seq{"b"})
+				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
+				b.Op(0, trace.OpAppend, trace.Rec("b"), trace.Unit{})
+				b.Op(1%n, trace.OpGet, trace.Unit{}, trace.Seq{"a"})
+				b.Op((2)%n, trace.OpGet, trace.Unit{}, trace.Seq{"b"})
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, spec.OpGet, word.Unit{}, word.Seq{"a", "b"})
+					b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"})
 				}
 			}
 			phase++

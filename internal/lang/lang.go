@@ -7,10 +7,9 @@
 package lang
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Lang describes one distributed language.
@@ -20,12 +19,12 @@ type Lang struct {
 	Name string
 	// Object is the sequential object underlying the language, when there is
 	// one (nil for the counter languages, whose definitions are clause-based).
-	Object spec.Object
+	Object trace.Object
 	// SafetyViolated reports that the finite prefix already falsifies
 	// membership: no continuation of w is in the language. Liveness clauses
 	// (the "eventually" parts of the eventual objects) are not prefix-
 	// falsifiable and are covered by source labels instead.
-	SafetyViolated func(w word.Word) bool
+	SafetyViolated func(w trace.Word) bool
 	// RealTimeOblivious is the Definition 5.3 classification the paper
 	// derives: it determines decidability against A via Theorem 5.2.
 	RealTimeOblivious bool
@@ -53,10 +52,10 @@ func All() []Lang {
 // repair a whole-word check (e.g. a read of r before write(r) is even
 // invoked) — so each prefix ending at a response symbol must be tested.
 // Linearizability is prefix-closed, so LIN languages test the word directly.
-func anyPrefixViolates(violated func(word.Word) bool) func(word.Word) bool {
-	return func(w word.Word) bool {
+func anyPrefixViolates(violated func(trace.Word) bool) func(trace.Word) bool {
+	return func(w trace.Word) bool {
 		for cut := 1; cut <= len(w); cut++ {
-			if cut < len(w) && w[cut-1].Kind != word.Res {
+			if cut < len(w) && w[cut-1].Kind != trace.Res {
 				continue
 			}
 			if violated(w[:cut]) {
@@ -82,11 +81,11 @@ type ObjectChecker struct {
 
 // LinReg is the linearizable register language (Definition 2.4).
 func LinReg() Lang {
-	reg := spec.Register()
+	reg := trace.Register()
 	return Lang{
 		Name:              "LIN_REG",
 		Object:            reg,
-		SafetyViolated:    func(w word.Word) bool { return !check.Linearizable(reg, w) },
+		SafetyViolated:    func(w trace.Word) bool { return !check.Linearizable(reg, w) },
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{RealTime: true},
 		Sources:           registerSources(true),
@@ -95,11 +94,11 @@ func LinReg() Lang {
 
 // SCReg is the sequentially consistent register language (Definition 2.3).
 func SCReg() Lang {
-	reg := spec.Register()
+	reg := trace.Register()
 	return Lang{
 		Name:              "SC_REG",
 		Object:            reg,
-		SafetyViolated:    anyPrefixViolates(func(w word.Word) bool { return !check.SeqConsistent(reg, w) }),
+		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return !check.SeqConsistent(reg, w) }),
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           registerSources(false),
@@ -108,11 +107,11 @@ func SCReg() Lang {
 
 // LinLed is the linearizable ledger language (Definition 2.6).
 func LinLed() Lang {
-	led := spec.Ledger()
+	led := trace.Ledger()
 	return Lang{
 		Name:              "LIN_LED",
 		Object:            led,
-		SafetyViolated:    func(w word.Word) bool { return !check.Linearizable(led, w) },
+		SafetyViolated:    func(w trace.Word) bool { return !check.Linearizable(led, w) },
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{RealTime: true},
 		Sources:           ledgerSources(true),
@@ -121,11 +120,11 @@ func LinLed() Lang {
 
 // SCLed is the sequentially consistent ledger language (Definition 2.5).
 func SCLed() Lang {
-	led := spec.Ledger()
+	led := trace.Ledger()
 	return Lang{
 		Name:              "SC_LED",
 		Object:            led,
-		SafetyViolated:    anyPrefixViolates(func(w word.Word) bool { return !check.SeqConsistent(led, w) }),
+		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return !check.SeqConsistent(led, w) }),
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           ledgerSources(false),
@@ -136,8 +135,8 @@ func SCLed() Lang {
 func ECLed() Lang {
 	return Lang{
 		Name:              "EC_LED",
-		Object:            spec.Ledger(),
-		SafetyViolated:    anyPrefixViolates(func(w word.Word) bool { return check.ECLedgerSafety(w) != nil }),
+		Object:            trace.Ledger(),
+		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return check.ECLedgerSafety(w) != nil }),
 		RealTimeOblivious: false, // Appendix A
 		Sources:           ecLedgerSources,
 	}
@@ -148,8 +147,8 @@ func ECLed() Lang {
 func WECCount() Lang {
 	return Lang{
 		Name:              "WEC_COUNT",
-		Object:            spec.Counter(),
-		SafetyViolated:    func(w word.Word) bool { return check.WECSafety(w) != nil },
+		Object:            trace.Counter(),
+		SafetyViolated:    func(w trace.Word) bool { return check.WECSafety(w) != nil },
 		RealTimeOblivious: true, // noted after Definition 5.3
 		Sources:           counterSources(false),
 	}
@@ -160,8 +159,8 @@ func WECCount() Lang {
 func SECCount() Lang {
 	return Lang{
 		Name:              "SEC_COUNT",
-		Object:            spec.Counter(),
-		SafetyViolated:    func(w word.Word) bool { return check.SECSafety(w) != nil },
+		Object:            trace.Counter(),
+		SafetyViolated:    func(w trace.Word) bool { return check.SECSafety(w) != nil },
 		RealTimeOblivious: false, // clause (4) is a real-time constraint
 		Sources:           counterSources(true),
 	}

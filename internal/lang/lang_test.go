@@ -3,8 +3,7 @@ package lang
 import (
 	"testing"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 func TestAllSevenLanguages(t *testing.T) {
@@ -30,9 +29,9 @@ func TestRegisterSafety(t *testing.T) {
 	lin, sc := LinReg(), SCReg()
 
 	// Write 1, read 1 in real-time order: fine for both.
-	b := word.NewB()
-	b.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(1))
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	good := b.Word()
 	if lin.SafetyViolated(good) {
 		t.Error("LIN_REG rejects a linearizable word")
@@ -43,9 +42,9 @@ func TestRegisterSafety(t *testing.T) {
 
 	// Read 1 before write(1) is even invoked: the first prefix violates
 	// both (no write can serialize before the read in that prefix).
-	b2 := word.NewB()
-	b2.Op(1, spec.OpRead, nil, word.Int(1))
-	b2.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
+	b2 := trace.NewB()
+	b2.Op(1, trace.OpRead, nil, trace.Int(1))
+	b2.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	bad := b2.Word()
 	if !lin.SafetyViolated(bad) {
 		t.Error("LIN_REG accepts a read from the future")
@@ -56,9 +55,9 @@ func TestRegisterSafety(t *testing.T) {
 
 	// Stale read: read 0 after write(1) completed — not linearizable, but
 	// sequentially consistent (the read serializes first).
-	b3 := word.NewB()
-	b3.Op(0, spec.OpWrite, word.Int(1), word.Unit{})
-	b3.Op(1, spec.OpRead, nil, word.Int(0))
+	b3 := trace.NewB()
+	b3.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b3.Op(1, trace.OpRead, nil, trace.Int(0))
 	stale := b3.Word()
 	if !lin.SafetyViolated(stale) {
 		t.Error("LIN_REG accepts a stale read")
@@ -71,9 +70,9 @@ func TestRegisterSafety(t *testing.T) {
 func TestLedgerSafety(t *testing.T) {
 	lin, sc, ec := LinLed(), SCLed(), ECLed()
 
-	b := word.NewB()
-	b.Op(0, spec.OpAppend, word.Rec("a"), word.Unit{})
-	b.Op(1, spec.OpGet, nil, word.Seq{"a"})
+	b := trace.NewB()
+	b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
+	b.Op(1, trace.OpGet, nil, trace.Seq{"a"})
 	good := b.Word()
 	for _, l := range []Lang{lin, sc, ec} {
 		if l.SafetyViolated(good) {
@@ -82,8 +81,8 @@ func TestLedgerSafety(t *testing.T) {
 	}
 
 	// Get returns a record never appended: all three reject.
-	b2 := word.NewB()
-	b2.Op(1, spec.OpGet, nil, word.Seq{"ghost"})
+	b2 := trace.NewB()
+	b2.Op(1, trace.OpGet, nil, trace.Seq{"ghost"})
 	bad := b2.Word()
 	for _, l := range []Lang{lin, sc, ec} {
 		if !l.SafetyViolated(bad) {
@@ -93,11 +92,11 @@ func TestLedgerSafety(t *testing.T) {
 
 	// Forked gets — [a] and [b] with both appended — violate EC's single
 	// permutation clause (and the stronger ones too).
-	b3 := word.NewB()
-	b3.Op(0, spec.OpAppend, word.Rec("a"), word.Unit{})
-	b3.Op(1, spec.OpAppend, word.Rec("b"), word.Unit{})
-	b3.Op(0, spec.OpGet, nil, word.Seq{"a"})
-	b3.Op(1, spec.OpGet, nil, word.Seq{"b"})
+	b3 := trace.NewB()
+	b3.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
+	b3.Op(1, trace.OpAppend, trace.Rec("b"), trace.Unit{})
+	b3.Op(0, trace.OpGet, nil, trace.Seq{"a"})
+	b3.Op(1, trace.OpGet, nil, trace.Seq{"b"})
 	forked := b3.Word()
 	for _, l := range []Lang{lin, sc, ec} {
 		if !l.SafetyViolated(forked) {
@@ -111,9 +110,9 @@ func TestCounterSafety(t *testing.T) {
 
 	// Reads lag behind other processes' incs: fine for both (weak clauses
 	// only bound a process against itself; clause 4 only bounds above).
-	b := word.NewB()
-	b.Op(0, spec.OpInc, nil, word.Unit{})
-	b.Op(1, spec.OpRead, nil, word.Int(0))
+	b := trace.NewB()
+	b.Op(0, trace.OpInc, nil, trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(0))
 	lag := b.Word()
 	if wec.SafetyViolated(lag) {
 		t.Error("WEC_COUNT rejects a lagging read")
@@ -123,9 +122,9 @@ func TestCounterSafety(t *testing.T) {
 	}
 
 	// A process under-counting its own incs: both reject.
-	b2 := word.NewB()
-	b2.Op(0, spec.OpInc, nil, word.Unit{})
-	b2.Op(0, spec.OpRead, nil, word.Int(0))
+	b2 := trace.NewB()
+	b2.Op(0, trace.OpInc, nil, trace.Unit{})
+	b2.Op(0, trace.OpRead, nil, trace.Int(0))
 	own := b2.Word()
 	if !wec.SafetyViolated(own) {
 		t.Error("WEC_COUNT accepts an own-inc undercount")
@@ -135,9 +134,9 @@ func TestCounterSafety(t *testing.T) {
 	}
 
 	// Over-read: read exceeds every inc invoked so far — only SEC rejects.
-	b3 := word.NewB()
-	b3.Op(0, spec.OpInc, nil, word.Unit{})
-	b3.Op(1, spec.OpRead, nil, word.Int(2))
+	b3 := trace.NewB()
+	b3.Op(0, trace.OpInc, nil, trace.Unit{})
+	b3.Op(1, trace.OpRead, nil, trace.Int(2))
 	over := b3.Word()
 	if wec.SafetyViolated(over) {
 		t.Error("WEC_COUNT rejects an over-read it cannot forbid")
@@ -166,7 +165,7 @@ func TestSourcesLabelledConsistently(t *testing.T) {
 				outs++
 			}
 			src := lb.New()
-			var w word.Word
+			var w trace.Word
 			for i := 0; i < steps; i++ {
 				s, ok := src.Next()
 				if !ok {
@@ -211,7 +210,7 @@ func TestSourcesWellFormedPerProcess(t *testing.T) {
 	for _, l := range All() {
 		for _, lb := range l.Sources(procs, 2) {
 			src := lb.New()
-			var w word.Word
+			var w trace.Word
 			for i := 0; i < steps; i++ {
 				s, ok := src.Next()
 				if !ok {
@@ -222,9 +221,9 @@ func TestSourcesWellFormedPerProcess(t *testing.T) {
 			for p := 0; p < procs; p++ {
 				local := w.Project(p)
 				for k, s := range local {
-					want := word.Inv
+					want := trace.Inv
 					if k%2 == 1 {
-						want = word.Res
+						want = trace.Res
 					}
 					if s.Kind != want {
 						t.Errorf("%s/%s: process %d local word breaks alternation at %d", l.Name, lb.Name, p, k)

@@ -5,10 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 func TestRegisterReadWrite(t *testing.T) {
@@ -33,28 +32,28 @@ func TestRegisterReadWrite(t *testing.T) {
 // historyRecorder accumulates a concurrent history while the runtime runs.
 // Only one goroutine executes at a time, so plain appends are race-free.
 type historyRecorder struct {
-	w word.Word
+	w trace.Word
 }
 
-func (h *historyRecorder) inv(proc int, op string, arg word.Value) {
-	h.w = append(h.w, word.NewInv(proc, op, arg))
+func (h *historyRecorder) inv(proc int, op string, arg trace.Value) {
+	h.w = append(h.w, trace.NewInv(proc, op, arg))
 }
 
-func (h *historyRecorder) res(proc int, op string, ret word.Value) {
-	h.w = append(h.w, word.NewRes(proc, op, ret))
+func (h *historyRecorder) res(proc int, op string, ret trace.Value) {
+	h.w = append(h.w, trace.NewRes(proc, op, ret))
 }
 
-func encodeVec(vals []int64) word.Seq {
-	s := make(word.Seq, len(vals))
+func encodeVec(vals []int64) trace.Seq {
+	s := make(trace.Seq, len(vals))
 	for i, v := range vals {
-		s[i] = word.Rec(fmt.Sprintf("%d", v))
+		s[i] = trace.Rec(fmt.Sprintf("%d", v))
 	}
 	return s
 }
 
 // runSnapshotWorkload drives n processes, each alternating updates of its own
 // cell with scans, against the given array, and returns the recorded history.
-func runSnapshotWorkload(t *testing.T, arr Array[int64], n, roundsPerProc int, policy sched.Policy) word.Word {
+func runSnapshotWorkload(t *testing.T, arr Array[int64], n, roundsPerProc int, policy sched.Policy) trace.Word {
 	t.Helper()
 	rt := sched.New(n, policy)
 	rec := &historyRecorder{}
@@ -62,15 +61,15 @@ func runSnapshotWorkload(t *testing.T, arr Array[int64], n, roundsPerProc int, p
 		i := i
 		rt.Spawn(i, func(p *sched.Proc) {
 			for r := 1; r <= roundsPerProc; r++ {
-				upd := spec.OpUpd(i)
+				upd := trace.OpUpd(i)
 				v := int64(10*i + r)
-				rec.inv(i, upd, word.Int(v))
+				rec.inv(i, upd, trace.Int(v))
 				arr.Write(p, i, v)
-				rec.res(i, upd, word.Unit{})
+				rec.res(i, upd, trace.Unit{})
 
-				rec.inv(i, spec.OpScan, word.Unit{})
+				rec.inv(i, trace.OpScan, trace.Unit{})
 				snap := arr.Snapshot(p)
-				rec.res(i, spec.OpScan, encodeVec(snap))
+				rec.res(i, trace.OpScan, encodeVec(snap))
 			}
 		})
 	}
@@ -83,7 +82,7 @@ func TestAtomicArraySnapshotLinearizable(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		arr := NewAtomicArray[int64](3, 0)
 		w := runSnapshotWorkload(t, arr, 3, 3, sched.Random(seed))
-		if !check.Linearizable(spec.Vector(3), w) {
+		if !check.Linearizable(trace.Vector(3), w) {
 			t.Fatalf("seed %d: atomic array produced non-linearizable history:\n%v", seed, w)
 		}
 	}
@@ -96,7 +95,7 @@ func TestAADGMSSnapshotLinearizable(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		arr := NewSnapshotArray[int64](3, 0)
 		w := runSnapshotWorkload(t, arr, 3, 2, sched.Random(seed))
-		if !check.Linearizable(spec.Vector(3), w) {
+		if !check.Linearizable(trace.Vector(3), w) {
 			t.Fatalf("seed %d: AADGMS produced non-linearizable history:\n%v", seed, w)
 		}
 	}
@@ -139,21 +138,21 @@ func TestCollectAnomaly(t *testing.T) {
 	}
 	rt := sched.New(2, sched.Script(script, sched.RoundRobin()))
 	rt.Spawn(0, func(p *sched.Proc) {
-		rec.inv(0, spec.OpScan, word.Unit{})
+		rec.inv(0, trace.OpScan, trace.Unit{})
 		snap := arr.Snapshot(p)
-		rec.res(0, spec.OpScan, encodeVec(snap))
+		rec.res(0, trace.OpScan, encodeVec(snap))
 	})
 	rt.Spawn(1, func(p *sched.Proc) {
-		rec.inv(1, spec.OpUpd(0), word.Int(1))
+		rec.inv(1, trace.OpUpd(0), trace.Int(1))
 		arr.Write(p, 0, 1)
-		rec.res(1, spec.OpUpd(0), word.Unit{})
-		rec.inv(1, spec.OpUpd(1), word.Int(1))
+		rec.res(1, trace.OpUpd(0), trace.Unit{})
+		rec.inv(1, trace.OpUpd(1), trace.Int(1))
 		arr.Write(p, 1, 1)
-		rec.res(1, spec.OpUpd(1), word.Unit{})
+		rec.res(1, trace.OpUpd(1), trace.Unit{})
 	})
 	defer rt.Stop()
 	rt.Run(len(script) + 5)
-	if check.Linearizable(spec.Vector(2), rec.w) {
+	if check.Linearizable(trace.Vector(2), rec.w) {
 		t.Fatalf("collect should have produced a non-linearizable history, got:\n%v", rec.w)
 	}
 }
@@ -252,7 +251,7 @@ func TestRandomSnapshotStress(t *testing.T) {
 			{"aadgms", func() Array[int64] { return NewSnapshotArray[int64](2, 0) }},
 		} {
 			w := runSnapshotWorkload(t, mk.arr(), 2, 3, sched.Random(seed))
-			if !check.Linearizable(spec.Vector(2), w) {
+			if !check.Linearizable(trace.Vector(2), w) {
 				t.Fatalf("%s seed %d: non-linearizable:\n%v", mk.name, seed, w)
 			}
 		}

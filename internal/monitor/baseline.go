@@ -1,12 +1,10 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Constant returns a monitor whose processes always report the given value.
@@ -25,9 +23,9 @@ type constantLogic struct {
 	v Verdict
 }
 
-func (constantLogic) PreSend(*sched.Proc, word.Symbol)         {}
-func (constantLogic) PostRecv(*sched.Proc, adversary.Response) {}
-func (l constantLogic) Decide(*sched.Proc) Verdict             { return l.v }
+func (constantLogic) PreSend(*sched.Proc, trace.Symbol)    {}
+func (constantLogic) PostRecv(*sched.Proc, trace.Response) {}
+func (l constantLogic) Decide(*sched.Proc) Verdict         { return l.v }
 
 // NewNaiveOrder returns the strongest monitor available against the plain
 // adversary A for order-sensitive languages: processes share their observed
@@ -38,7 +36,7 @@ func (l constantLogic) Decide(*sched.Proc) Verdict             { return l.v }
 // the Lemma 5.1 experiment shows its verdicts are identical on a linearizable
 // execution and a non-linearizable one, as Theorem 5.2 predicts for every
 // monitor.
-func NewNaiveOrder(obj spec.Object, kind adversary.ArrayKind) Monitor {
+func NewNaiveOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
 	return NewMonitor("naive-order/"+obj.Name()+"/"+kindName(kind), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
@@ -50,25 +48,25 @@ func NewNaiveOrder(obj spec.Object, kind adversary.ArrayKind) Monitor {
 }
 
 type naiveOrderLogic struct {
-	obj   spec.Object
+	obj   trace.Object
 	board *tripleBoard
 
-	inv     word.Symbol
+	inv     trace.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's delta buffer, reused per round
-	all     []sketch.Triple // every collected triple
+	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	all     []trace.Triple // every collected triple
 	verdict Verdict
 }
 
-func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv word.Symbol) { l.inv = inv }
+func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
-func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
-	if id == (word.OpID{}) {
-		id = word.OpID{Proc: p.ID, Idx: l.count}
+	if id == (trace.OpID{}) {
+		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, sketch.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
+	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
 	l.all = append(l.all, l.tbuf...)
 	// Build the most permissive history consistent with what is known:
 	// per-process order only — all cross-process pairs concurrent.
@@ -86,8 +84,8 @@ func (l *naiveOrderLogic) Decide(*sched.Proc) Verdict { return l.verdict }
 // before every response, erasing all cross-process real-time order while
 // keeping per-process operation order (IDs are per-process indices). The
 // order of the triples does not matter.
-func orderFreeWord(triples []sketch.Triple) word.Word {
-	byProc := map[int][]sketch.Triple{}
+func orderFreeWord(triples []trace.Triple) trace.Word {
+	byProc := map[int][]trace.Triple{}
 	maxProc := 0
 	for _, tr := range triples {
 		byProc[tr.ID.Proc] = append(byProc[tr.ID.Proc], tr)
@@ -95,7 +93,7 @@ func orderFreeWord(triples []sketch.Triple) word.Word {
 			maxProc = tr.ID.Proc
 		}
 	}
-	var out word.Word
+	var out trace.Word
 	for p := 0; p <= maxProc; p++ {
 		trs := byProc[p]
 		// Per-process order by identifier index; one operation at a time so
@@ -131,8 +129,8 @@ type threeValuedLogic struct {
 	wec wecLogic
 }
 
-func (l *threeValuedLogic) PreSend(p *sched.Proc, inv word.Symbol) { l.wec.PreSend(p, inv) }
-func (l *threeValuedLogic) PostRecv(p *sched.Proc, r adversary.Response) {
+func (l *threeValuedLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.wec.PreSend(p, inv) }
+func (l *threeValuedLogic) PostRecv(p *sched.Proc, r trace.Response) {
 	l.wec.PostRecv(p, r)
 }
 
@@ -167,8 +165,8 @@ type threeValuedSECLogic struct {
 	sec secLogic
 }
 
-func (l *threeValuedSECLogic) PreSend(p *sched.Proc, inv word.Symbol) { l.sec.PreSend(p, inv) }
-func (l *threeValuedSECLogic) PostRecv(p *sched.Proc, r adversary.Response) {
+func (l *threeValuedSECLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.sec.PreSend(p, inv) }
+func (l *threeValuedSECLogic) PostRecv(p *sched.Proc, r trace.Response) {
 	l.sec.PostRecv(p, r)
 }
 

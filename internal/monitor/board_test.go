@@ -10,11 +10,11 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 var arrayKinds = []adversary.ArrayKind{adversary.ArrayAtomic, adversary.ArrayAADGMS, adversary.ArrayCollect}
@@ -105,8 +105,8 @@ func TestTripleBoardSnapshotsMonotone(t *testing.T) {
 // previous sketch's last view group plus what the new triples add.
 type roundProbe struct {
 	*predictiveLogic
-	last   word.Word // the last successfully built sketch
-	maxKey [3]int    // the greatest (view total, process, index) collected
+	last   trace.Word // the last successfully built sketch
+	maxKey [3]int     // the greatest (view total, process, index) collected
 	stats  *roundStats
 }
 
@@ -116,7 +116,7 @@ type roundStats struct {
 	bad                string // the first violation; the test reports it after the run
 }
 
-func (l *roundProbe) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *roundProbe) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
 	appendOnly := true
 	for _, tr := range l.tbuf {
@@ -160,12 +160,12 @@ func (s *roundStats) fail(msg string) {
 
 // lastGroupStart returns where a sketch's last view group begins: a group is
 // the view's fresh invocations followed by its responses.
-func lastGroupStart(w word.Word) int {
+func lastGroupStart(w trace.Word) int {
 	i := len(w)
-	for i > 0 && w[i-1].Kind == word.Res {
+	for i > 0 && w[i-1].Kind == trace.Res {
 		i--
 	}
-	for i > 0 && w[i-1].Kind == word.Inv {
+	for i > 0 && w[i-1].Kind == trace.Inv {
 		i--
 	}
 	return i

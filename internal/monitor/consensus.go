@@ -1,12 +1,10 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // NewConsensusOrder returns a monitor that uses unbounded consensus power:
@@ -22,13 +20,13 @@ import (
 // real-time order of events at the adversary — so the Lemma 5.1 experiment
 // drives it to identical verdicts on a linearizable execution and a
 // non-linearizable one. Consensus power does not buy real-time visibility.
-func NewConsensusOrder(obj spec.Object, kind adversary.ArrayKind) Monitor {
+func NewConsensusOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
 	return NewMonitor("consensus-order/"+obj.Name()+"/"+kindName(kind), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		log := &consLog{}
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &consensusLogic{obj: obj, board: board, log: log, known: map[word.OpID]sketch.Triple{}}
+			logics[i] = &consensusLogic{obj: obj, board: board, log: log, known: map[trace.OpID]trace.Triple{}}
 		}
 		return logics
 	})
@@ -52,40 +50,40 @@ func (cl *consLog) cell(k int) *mem.Consensus {
 // opIDEncoding packs an operation identifier into a consensus proposal.
 const opIDStride = 1 << 20
 
-func encodeOpID(id word.OpID) int64 { return int64(id.Proc)*opIDStride + int64(id.Idx) + 1 }
-func decodeOpID(v int64) word.OpID {
+func encodeOpID(id trace.OpID) int64 { return int64(id.Proc)*opIDStride + int64(id.Idx) + 1 }
+func decodeOpID(v int64) trace.OpID {
 	v--
-	return word.OpID{Proc: int(v / opIDStride), Idx: int(v % opIDStride)}
+	return trace.OpID{Proc: int(v / opIDStride), Idx: int(v % opIDStride)}
 }
 
 // consensusLogic is the per-process state of the consensus-order monitor.
 type consensusLogic struct {
-	obj   spec.Object
+	obj   trace.Object
 	board *tripleBoard
 	log   *consLog
 
-	inv     word.Symbol
+	inv     trace.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's delta buffer, reused per round
-	known   map[word.OpID]sketch.Triple
-	agreed  []word.OpID // the process's view of the decided log prefix
+	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	known   map[trace.OpID]trace.Triple
+	agreed  []trace.OpID // the process's view of the decided log prefix
 	flag    bool
 	verdict Verdict
 }
 
 // PreSend implements Line 02.
-func (l *consensusLogic) PreSend(_ *sched.Proc, inv word.Symbol) { l.inv = inv }
+func (l *consensusLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
 // PostRecv implements Line 05: publish the completed operation, then append
 // it to the agreed global order by proposing it at successive log slots
 // until some slot decides it.
-func (l *consensusLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *consensusLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
-	if id == (word.OpID{}) {
-		id = word.OpID{Proc: p.ID, Idx: l.count}
+	if id == (trace.OpID{}) {
+		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, sketch.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
+	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
 	for _, tr := range l.tbuf {
 		l.known[tr.ID] = tr
 	}

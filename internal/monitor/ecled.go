@@ -1,12 +1,10 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // NewECLed returns a best-effort monitor for the eventually consistent
@@ -28,7 +26,7 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &ecledLogic{board: board, prevAppends: map[word.Rec]bool{}}
+			logics[i] = &ecledLogic{board: board, prevAppends: map[trace.Rec]bool{}}
 		}
 		return logics
 	})
@@ -38,33 +36,33 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 type ecledLogic struct {
 	board *tripleBoard
 
-	inv     word.Symbol
+	inv     trace.Symbol
 	count   int
-	tbuf    []sketch.Triple // publish's delta buffer, reused per round
-	all     []sketch.Triple // every collected triple
-	flag    bool            // ordering clause violated: sticky NO
+	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	all     []trace.Triple // every collected triple
+	flag    bool           // ordering clause violated: sticky NO
 	verdict Verdict
 
 	// prevAppends is the set of records whose append invocations were
 	// visible on the board at the previous round; a get that misses one of
 	// them is flagged as divergence (transient NO). The set only grows, so
 	// each round adds its newly collected appends.
-	prevAppends map[word.Rec]bool
+	prevAppends map[trace.Rec]bool
 }
 
 // PreSend implements Line 02: nothing to announce before sending (appends
 // become visible when their triple is published after the response).
-func (l *ecledLogic) PreSend(_ *sched.Proc, inv word.Symbol) { l.inv = inv }
+func (l *ecledLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
 // PostRecv implements Line 05: publish the completed operation, snapshot the
 // board, and evaluate the clauses.
-func (l *ecledLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
-	if id == (word.OpID{}) {
-		id = word.OpID{Proc: p.ID, Idx: l.count}
+	if id == (trace.OpID{}) {
+		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, sketch.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
+	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
 	l.all = append(l.all, l.tbuf...)
 	h := orderFreeWord(l.all)
 
@@ -80,9 +78,9 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	// Divergence test: if this operation was a get, it must contain every
 	// record whose append was known a round ago.
 	l.verdict = Yes
-	if l.inv.Op == spec.OpGet {
-		got := map[word.Rec]bool{}
-		if seq, ok := resp.Sym.Val.(word.Seq); ok {
+	if l.inv.Op == trace.OpGet {
+		got := map[trace.Rec]bool{}
+		if seq, ok := resp.Sym.Val.(trace.Seq); ok {
 			for _, r := range seq {
 				got[r] = true
 			}
@@ -96,8 +94,8 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 	}
 	// Add this round's appends to the known-append set for the next round.
 	for _, tr := range l.tbuf {
-		if tr.Inv.Op == spec.OpAppend {
-			if r, ok := tr.Inv.Val.(word.Rec); ok {
+		if tr.Inv.Op == trace.OpAppend {
+			if r, ok := tr.Inv.Val.(trace.Rec); ok {
 				l.prevAppends[r] = true
 			}
 		}

@@ -3,9 +3,9 @@ package monitor
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/lang"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // TestHistAtRecordsHistoryPrefixes pins the verdict/oracle comparison
@@ -36,7 +36,7 @@ func TestHistAtRecordsHistoryPrefixes(t *testing.T) {
 			// contain at least k+1 responses of process p.
 			responses := 0
 			for _, s := range res.History[:hl] {
-				if s.Proc == p && s.Kind == word.Res {
+				if s.Proc == p && s.Kind == trace.Res {
 					responses++
 				}
 			}

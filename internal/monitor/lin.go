@@ -3,13 +3,11 @@ package monitor
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // tripleBoard is the shared array M of Figures 8 and 9: each process owns an
@@ -18,14 +16,14 @@ import (
 // counts plus the immutable log prefixes reconstructs everyone's sets.
 type tripleBoard struct {
 	counts mem.Array[int]
-	logs   [][]sketch.Triple
+	logs   [][]trace.Triple
 	seen   []int // seen[i*n+j]: how much of log j process i has collected
 }
 
 func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
 	return &tripleBoard{
 		counts: adversary.NewArray(kind, n),
-		logs:   make([][]sketch.Triple, n),
+		logs:   make([][]trace.Triple, n),
 		seen:   make([]int, n*n),
 	}
 }
@@ -41,7 +39,7 @@ func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
 // and panics. The triples are collected into buf, which each logic retains
 // and hands back every round, so the collection stops allocating once the
 // buffer has grown to the largest delta.
-func (b *tripleBoard) publish(p *sched.Proc, tr sketch.Triple, buf []sketch.Triple) []sketch.Triple {
+func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple, buf []trace.Triple) []trace.Triple {
 	id := p.ID
 	b.logs[id] = append(b.logs[id], tr)
 	b.counts.Write(p, id, len(b.logs[id]))
@@ -66,17 +64,17 @@ func (b *tripleBoard) publish(p *sched.Proc, tr sketch.Triple, buf []sketch.Trip
 // is linearizable with respect to obj. tau must be the timed adversary the
 // processes interact with (its announcement log resolves view contents);
 // kind selects the implementation of M.
-func NewLin(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
+func NewLin(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
 	return newPredictive("lin-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, true)
 }
 
 // NewSC is V_O with the sequential-consistency check: the same construction
 // predictively strongly decides SC_O (Table 1 rows SC_REG, SC_LED).
-func NewSC(obj spec.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
+func NewSC(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
 	return newPredictive("sc-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, false)
 }
 
-func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj spec.Object, realTime bool) Monitor {
+func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime bool) Monitor {
 	return NewMonitor(name, func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
@@ -98,17 +96,17 @@ type predictiveLogic struct {
 	n        int
 	board    *tripleBoard
 	tau      *adversary.Timed
-	obj      spec.Object
+	obj      trace.Object
 	realTime bool
 
 	pool *check.Pool        // session pool, when running on a pooled session
 	chk  *check.Incremental // this process's checker, borrowed lazily
 
-	tbuf    []sketch.Triple // publish's delta buffer, reused per round
-	builder sketch.Builder  // the sketch of every collected triple, extended per round
-	same    int             // the last round's sketch prefix unchanged since the one before
+	tbuf    []trace.Triple      // publish's delta buffer, reused per round
+	builder trace.SketchBuilder // the sketch of every collected triple, extended per round
+	same    int                 // the last round's sketch prefix unchanged since the one before
 
-	inv     word.Symbol
+	inv     trace.Symbol
 	verdict Verdict
 }
 
@@ -128,7 +126,7 @@ func (l *predictiveLogic) attachPool(p *check.Pool) {
 // transparently. Its verdicts are the one-shot checks' on every
 // round (pinned against check.Linearizable and check.SeqConsistent by this
 // package's tests).
-func (l *predictiveLogic) accept(h word.Word) bool {
+func (l *predictiveLogic) accept(h trace.Word) bool {
 	if l.chk == nil {
 		if l.pool != nil {
 			l.chk = l.pool.Get(l.obj, l.realTime, l.n)
@@ -140,13 +138,13 @@ func (l *predictiveLogic) accept(h word.Word) bool {
 }
 
 // PreSend implements Line 02: "no communication is needed before sending".
-func (l *predictiveLogic) PreSend(_ *sched.Proc, inv word.Symbol) {
+func (l *predictiveLogic) PreSend(_ *sched.Proc, inv trace.Symbol) {
 	l.inv = inv
 }
 
 // PostRecv implements Line 05: publish the triple, snapshot M, build h_i and
 // decide it.
-func (l *predictiveLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *predictiveLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
 	if err != nil {
 		// Incomparable views (possible only with collect-backed timed
@@ -168,11 +166,11 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 
 // round publishes the process's triple, snapshots M and extends h_i by the
 // newly collected triples, recording how much of the previous h_i it kept.
-func (l *predictiveLogic) round(p *sched.Proc, resp adversary.Response) (word.Word, error) {
+func (l *predictiveLogic) round(p *sched.Proc, resp trace.Response) (trace.Word, error) {
 	if resp.View == nil {
 		panic("monitor: predictive monitor requires a timed service")
 	}
-	l.tbuf = l.board.publish(p, sketch.Triple{
+	l.tbuf = l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,

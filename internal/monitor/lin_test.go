@@ -13,20 +13,20 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 	"github.com/drv-go/drv/internal/sut"
 )
 
 // scratchLogic is predictiveLogic deciding each round from scratch.
 type scratchLogic struct{ *predictiveLogic }
 
-func (l scratchLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l scratchLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
 	ok := err != nil // incomparable views report YES, as in predictiveLogic
 	if !ok {
@@ -43,7 +43,7 @@ func (l scratchLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 }
 
 // newScratchPredictive is V_O over scratchLogic.
-func newScratchPredictive(obj spec.Object, tau *adversary.Timed, realTime bool) Monitor {
+func newScratchPredictive(obj trace.Object, tau *adversary.Timed, realTime bool) Monitor {
 	return NewMonitor("scratch-fig8/"+obj.Name(), func(n int) []Logic {
 		board := newTripleBoard(n, adversary.ArrayAtomic)
 		logics := make([]Logic, n)
@@ -58,7 +58,7 @@ func newScratchPredictive(obj spec.Object, tau *adversary.Timed, realTime bool) 
 // run's configuration, less its monitor.
 type predictiveRun struct {
 	name  string
-	obj   spec.Object
+	obj   trace.Object
 	setup func() (*adversary.Timed, Config)
 }
 
@@ -85,7 +85,7 @@ func langRun(l lang.Lang, src int, seed int64, crash map[int][]int, steps int) p
 }
 
 // objRun drives an implementation of package sut under a random workload.
-func objRun(name string, obj spec.Object, mk func(n int) sut.Impl, seed int64, crash map[int][]int) predictiveRun {
+func objRun(name string, obj trace.Object, mk func(n int) sut.Impl, seed int64, crash map[int][]int) predictiveRun {
 	return predictiveRun{
 		name: fmt.Sprintf("obj/%s/seed=%d", name, seed),
 		obj:  obj,
@@ -107,7 +107,7 @@ func objRun(name string, obj spec.Object, mk func(n int) sut.Impl, seed int64, c
 
 // msgRun drives an emulation of package abd over the message network
 // under a loss schedule.
-func msgRun(name string, obj spec.Object, mk func(*msgnet.Net) (sut.Impl, abd.Server), seed int64, drops []int) predictiveRun {
+func msgRun(name string, obj trace.Object, mk func(*msgnet.Net) (sut.Impl, abd.Server), seed int64, drops []int) predictiveRun {
 	return predictiveRun{
 		name: fmt.Sprintf("msg/%s/seed=%d/drops=%v", name, seed, drops),
 		obj:  obj,
@@ -146,21 +146,21 @@ func TestPredictiveMatchesScratchRounds(t *testing.T) {
 			langRun(lang.SCLed(), 1, 8, nil, scRefSteps),
 		},
 		"obj": {
-			objRun("queue/lifo", spec.Queue(), func(int) sut.Impl { return sut.NewLIFOQueue() }, 1, nil),
-			objRun("queue/lock", spec.Queue(), func(int) sut.Impl { return sut.NewLockQueue() }, 2, crash),
-			objRun("register/stale", spec.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }, 3, nil),
-			objRun("ledger/forked", spec.Ledger(), func(n int) sut.Impl { return sut.NewForkedLedger(n) }, 4, nil),
+			objRun("queue/lifo", trace.Queue(), func(int) sut.Impl { return sut.NewLIFOQueue() }, 1, nil),
+			objRun("queue/lock", trace.Queue(), func(int) sut.Impl { return sut.NewLockQueue() }, 2, crash),
+			objRun("register/stale", trace.Register(), func(n int) sut.Impl { return sut.NewStaleRegister(n, 2) }, 3, nil),
+			objRun("ledger/forked", trace.Ledger(), func(n int) sut.Impl { return sut.NewForkedLedger(n) }, 4, nil),
 		},
 		"msg": {
-			msgRun("register/abd", spec.Register(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
+			msgRun("register/abd", trace.Register(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
 				r := abd.NewRegister("x", testProcs, nt, 0)
 				return abd.NewRegisterImpl(r), r
 			}, 1, []int{1, 4}),
-			msgRun("consensus/coord", spec.Consensus(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
+			msgRun("consensus/coord", trace.Consensus(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
 				c := abd.NewConsensus("k", testProcs, nt)
 				return abd.NewConsensusImpl(c), c
 			}, 2, nil),
-			msgRun("consensus/echo", spec.Consensus(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
+			msgRun("consensus/echo", trace.Consensus(), func(nt *msgnet.Net) (sut.Impl, abd.Server) {
 				c := abd.NewConsensus("k", testProcs, nt).Echo()
 				return abd.NewConsensusImpl(c), c
 			}, 3, nil),

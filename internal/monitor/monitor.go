@@ -12,9 +12,7 @@ package monitor
 
 import (
 	"github.com/drv-go/drv/exp/trace"
-	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Verdict is a value a process reports in Line 06; re-homed in the exported
@@ -35,9 +33,9 @@ const (
 // primitives guarantee by construction.
 type Logic interface {
 	// PreSend is the Line 02 block: communicate before sending invocation v.
-	PreSend(p *sched.Proc, inv word.Symbol)
+	PreSend(p *sched.Proc, inv trace.Symbol)
 	// PostRecv is the Line 05 block: communicate after receiving a response.
-	PostRecv(p *sched.Proc, resp adversary.Response)
+	PostRecv(p *sched.Proc, resp trace.Response)
 	// Decide is the Line 06 block: report one value.
 	Decide(p *sched.Proc) Verdict
 }

@@ -5,13 +5,12 @@ import (
 	"os"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 const (
@@ -121,7 +120,7 @@ func TestFig8LinRegisterIsPSD(t *testing.T) {
 		var tau *adversary.Timed
 		res, gotTau := runTimed(func(tt *adversary.Timed) Monitor {
 			tau = tt
-			return NewLin(spec.Register(), tt, adversary.ArrayAtomic)
+			return NewLin(trace.Register(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 3)
 		_ = gotTau
 		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
@@ -129,7 +128,7 @@ func TestFig8LinRegisterIsPSD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sketch: %v", err)
 			}
-			return !check.Linearizable(spec.Register(), sk)
+			return !check.Linearizable(trace.Register(), sk)
 		}}
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)
@@ -143,14 +142,14 @@ func TestFig8LinLedgerIsPSD(t *testing.T) {
 		var tau *adversary.Timed
 		res, _ := runTimed(func(tt *adversary.Timed) Monitor {
 			tau = tt
-			return NewLin(spec.Ledger(), tt, adversary.ArrayAtomic)
+			return NewLin(trace.Ledger(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 4)
 		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
 			sk, err := res.Sketch(testProcs, tau.InvAt)
 			if err != nil {
 				t.Fatalf("sketch: %v", err)
 			}
-			return !check.Linearizable(spec.Ledger(), sk)
+			return !check.Linearizable(trace.Ledger(), sk)
 		}}
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v", lb.Name, lb.In, err)
@@ -168,7 +167,7 @@ func TestFig8SCRegisterIsPSD(t *testing.T) {
 		var tau *adversary.Timed
 		res, _ := runTimedSteps(func(tt *adversary.Timed) Monitor {
 			tau = tt
-			return NewSC(spec.Register(), tt, adversary.ArrayAtomic)
+			return NewSC(trace.Register(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 5, scSteps)
 		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
 			sk, err := res.Sketch(testProcs, tau.InvAt)
@@ -247,8 +246,8 @@ type onceNoLogic struct {
 	rounds int
 }
 
-func (l *onceNoLogic) PreSend(*sched.Proc, word.Symbol)         {}
-func (l *onceNoLogic) PostRecv(*sched.Proc, adversary.Response) {}
+func (l *onceNoLogic) PreSend(*sched.Proc, trace.Symbol)    {}
+func (l *onceNoLogic) PostRecv(*sched.Proc, trace.Response) {}
 func (l *onceNoLogic) Decide(*sched.Proc) Verdict {
 	l.rounds++
 	if l.id == 0 && l.rounds == 3 {
@@ -360,12 +359,12 @@ func TestNaiveOrderBlindToRealTime(t *testing.T) {
 			phantom = lb
 		}
 	}
-	res := runUntimedSteps(NewNaiveOrder(spec.Register(), adversary.ArrayAtomic), stale.New(), 2, naiveSteps)
+	res := runUntimedSteps(NewNaiveOrder(trace.Register(), adversary.ArrayAtomic), stale.New(), 2, naiveSteps)
 	if res.TotalNO() != 0 {
 		t.Error("naive monitor cannot distinguish stale reads, yet reported NO")
 	}
 	// It still catches order-free violations.
-	res = runUntimedSteps(NewNaiveOrder(spec.Register(), adversary.ArrayAtomic), phantom.New(), 2, naiveSteps)
+	res = runUntimedSteps(NewNaiveOrder(trace.Register(), adversary.ArrayAtomic), phantom.New(), 2, naiveSteps)
 	if res.TotalNO() == 0 {
 		t.Error("naive monitor missed a value never written")
 	}

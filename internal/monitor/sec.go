@@ -1,11 +1,9 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/sketch"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // NewSEC returns the algorithm of Figure 9, which predictively weakly
@@ -36,13 +34,13 @@ type secLogic struct {
 	board *tripleBoard
 	tau   *adversary.Timed
 
-	inv     word.Symbol
-	tbuf    []sketch.Triple // publish's delta buffer, reused per round
-	clause4 bool            // some collected read exceeds its view's incs
+	inv     trace.Symbol
+	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	clause4 bool           // some collected read exceeds its view's incs
 }
 
 // PreSend implements Line 02 of Figure 9 (same as Figure 5).
-func (l *secLogic) PreSend(p *sched.Proc, inv word.Symbol) {
+func (l *secLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
 	l.inv = inv
 	l.wec.PreSend(p, inv)
 }
@@ -53,12 +51,12 @@ func (l *secLogic) PreSend(p *sched.Proc, inv word.Symbol) {
 // collected triples need scanning, and a fired clause stays fired: a
 // triple's view, hence its inc count, never changes once announced, and the
 // set of collected triples only grows.
-func (l *secLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *secLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	l.wec.PostRecv(p, resp)
 	if resp.View == nil {
 		panic("monitor: SEC monitor requires a timed service")
 	}
-	l.tbuf = l.board.publish(p, sketch.Triple{
+	l.tbuf = l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
@@ -68,14 +66,14 @@ func (l *secLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
 		return
 	}
 	for _, tr := range l.tbuf {
-		if tr.Inv.Op != spec.OpRead || tr.Res.Kind != word.Res {
+		if tr.Inv.Op != trace.OpRead || tr.Res.Kind != trace.Res {
 			continue
 		}
-		v, ok := tr.Res.Val.(word.Int)
+		v, ok := tr.Res.Val.(trace.Int)
 		if !ok {
 			continue
 		}
-		if int(v) > l.tau.CountOp(tr.View, spec.OpInc) {
+		if int(v) > l.tau.CountOp(tr.View, trace.OpInc) {
 			l.clause4 = true
 			break
 		}

@@ -3,11 +3,10 @@ package monitor
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Theorem 4.1 (SD ⊆ WAD = WOD) is a chain of monitor transformations. The
@@ -21,10 +20,10 @@ import (
 // zeroLogic reports NO iff the process has received a read response ≠ 0.
 type zeroLogic struct{ bad bool }
 
-func (l *zeroLogic) PreSend(*sched.Proc, word.Symbol) {}
-func (l *zeroLogic) PostRecv(_ *sched.Proc, r adversary.Response) {
-	if r.Sym.Op == spec.OpRead {
-		if v, ok := r.Sym.Val.(word.Int); ok && v != 0 {
+func (l *zeroLogic) PreSend(*sched.Proc, trace.Symbol) {}
+func (l *zeroLogic) PostRecv(_ *sched.Proc, r trace.Response) {
+	if r.Sym.Op == trace.OpRead {
+		if v, ok := r.Sym.Val.(trace.Int); ok && v != 0 {
 			l.bad = true
 		}
 	}
@@ -49,18 +48,18 @@ func zeroMonitor() Monitor {
 // zeroSource emits rounds of reads returning 0; when poison ≥ 0, process 1's
 // poison-th read returns 7 instead, putting the word outside the language.
 func zeroSource(procs, rounds, poison int) adversary.Source {
-	b := word.NewB()
+	b := trace.NewB()
 	k := 0
 	for r := 0; r < rounds; r++ {
 		for p := 0; p < procs; p++ {
-			val := word.Int(0)
+			val := trace.Int(0)
 			if p == 1 && k == poison {
-				val = word.Int(7)
+				val = trace.Int(7)
 			}
 			if p == 1 {
 				k++
 			}
-			b.Op(p, spec.OpRead, nil, val)
+			b.Op(p, trace.OpRead, nil, val)
 		}
 	}
 	return adversary.NewScriptSource(b.Word())

@@ -1,10 +1,10 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Stabilize is the transformation of Figure 2 (Lemma 4.1): wrap a strong
@@ -27,8 +27,8 @@ type stabilizeLogic struct {
 	flag  *mem.Register[bool]
 }
 
-func (l *stabilizeLogic) PreSend(p *sched.Proc, inv word.Symbol) { l.inner.PreSend(p, inv) }
-func (l *stabilizeLogic) PostRecv(p *sched.Proc, r adversary.Response) {
+func (l *stabilizeLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.inner.PreSend(p, inv) }
+func (l *stabilizeLogic) PostRecv(p *sched.Proc, r trace.Response) {
 	l.inner.PostRecv(p, r)
 }
 
@@ -80,8 +80,8 @@ type counterLogic struct {
 	wod   bool // Figure 4 semantics instead of Figure 3
 }
 
-func (l *counterLogic) PreSend(p *sched.Proc, inv word.Symbol) { l.inner.PreSend(p, inv) }
-func (l *counterLogic) PostRecv(p *sched.Proc, r adversary.Response) {
+func (l *counterLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.inner.PreSend(p, inv) }
+func (l *counterLogic) PostRecv(p *sched.Proc, r trace.Response) {
 	l.inner.PostRecv(p, r)
 }
 

@@ -1,11 +1,10 @@
 package monitor
 
 import (
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // NewWEC returns the algorithm of Figure 5, which weakly decides WEC_COUNT
@@ -55,24 +54,24 @@ type wecLogic struct {
 }
 
 // PreSend implements Line 02 of Figure 5: announce inc invocations.
-func (l *wecLogic) PreSend(p *sched.Proc, inv word.Symbol) {
-	if inv.Op == spec.OpInc {
+func (l *wecLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
+	if inv.Op == trace.OpInc {
 		l.count++
 		l.incs.Write(p, p.ID, l.count)
 	}
 }
 
 // PostRecv implements Line 05: snapshot INCS and record read responses.
-func (l *wecLogic) PostRecv(p *sched.Proc, resp adversary.Response) {
+func (l *wecLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	snap := l.incs.Snapshot(p)
 	l.currIncs = 0
 	for _, c := range snap {
 		l.currIncs += c
 	}
 	l.ownIncs = snap[p.ID]
-	l.isRead = resp.Sym.Op == spec.OpRead
+	l.isRead = resp.Sym.Op == trace.OpRead
 	if l.isRead {
-		l.currRead = int64(resp.Sym.Val.(word.Int))
+		l.currRead = int64(resp.Sym.Val.(trace.Int))
 	}
 }
 

@@ -5,28 +5,22 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // triple builds a test triple for process proc, operation idx, with the
 // given per-process announce counts as its view.
-func triple(proc, idx int, op string, counts ...int) Triple {
-	return Triple{
-		ID:   word.OpID{Proc: proc, Idx: idx},
-		Inv:  word.NewInv(proc, op, nil),
-		Res:  word.NewRes(proc, op, word.Unit{}),
-		View: adversary.NewView(counts),
+func triple(proc, idx int, op string, counts ...int) trace.Triple {
+	return trace.Triple{
+		ID:   trace.OpID{Proc: proc, Idx: idx},
+		Inv:  trace.NewInv(proc, op, nil),
+		Res:  trace.NewRes(proc, op, trace.Unit{}),
+		View: trace.NewView(counts),
 	}
 }
 
-// resolver returns invocation symbols for any identifier.
-func resolver(id word.OpID) word.Symbol {
-	return word.NewInv(id.Proc, "op", nil)
-}
-
 func TestBuildEmpty(t *testing.T) {
-	w, err := Build(2, nil, resolver)
+	w, err := trace.BuildSketch(2, nil, resolveOp)
 	if err != nil || len(w) != 0 {
 		t.Errorf("empty build: %v, %v", w, err)
 	}
@@ -34,11 +28,11 @@ func TestBuildEmpty(t *testing.T) {
 
 func TestBuildSequential(t *testing.T) {
 	// Two ops with strictly growing views: full precedence.
-	trs := []Triple{
+	trs := []trace.Triple{
 		triple(0, 0, "op", 1, 0),
 		triple(1, 0, "op", 1, 1),
 	}
-	w, err := Build(2, trs, resolver)
+	w, err := trace.BuildSketch(2, trs, resolveOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +40,7 @@ func TestBuildSequential(t *testing.T) {
 	if len(w) != 4 {
 		t.Fatalf("built word has %d symbols, want 4: %v", len(w), w)
 	}
-	ops := word.Operations(w)
+	ops := trace.Operations(w)
 	if len(ops) != 2 {
 		t.Fatalf("built word has %d operations", len(ops))
 	}
@@ -57,15 +51,15 @@ func TestBuildSequential(t *testing.T) {
 
 func TestBuildSameViewConcurrent(t *testing.T) {
 	// Two ops with the same view: both invocations before both responses.
-	trs := []Triple{
+	trs := []trace.Triple{
 		triple(0, 0, "op", 1, 1),
 		triple(1, 0, "op", 1, 1),
 	}
-	w, err := Build(2, trs, resolver)
+	w, err := trace.BuildSketch(2, trs, resolveOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := word.Operations(w)
+	ops := trace.Operations(w)
 	if len(ops) != 2 {
 		t.Fatalf("%d operations", len(ops))
 	}
@@ -77,36 +71,36 @@ func TestBuildSameViewConcurrent(t *testing.T) {
 func TestBuildPendingInvocations(t *testing.T) {
 	// A view containing an invocation with no published triple yields a
 	// pending operation.
-	trs := []Triple{
+	trs := []trace.Triple{
 		triple(1, 0, "op", 1, 1), // sees p0's announce, p0's op unfinished
 	}
-	w, err := Build(2, trs, resolver)
+	w, err := trace.BuildSketch(2, trs, resolveOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pend := word.PendingOps(w)
+	pend := trace.PendingOps(w)
 	if len(pend) != 1 || pend[0].ID.Proc != 0 {
 		t.Errorf("expected p0's operation pending, got %v (word %v)", pend, w)
 	}
 }
 
 func TestBuildRejectsViewMissingOwnInvocation(t *testing.T) {
-	trs := []Triple{triple(0, 0, "op", 0, 1)} // view says p0 announced nothing
-	if _, err := Build(2, trs, resolver); err == nil {
+	trs := []trace.Triple{triple(0, 0, "op", 0, 1)} // view says p0 announced nothing
+	if _, err := trace.BuildSketch(2, trs, resolveOp); err == nil {
 		t.Error("expected rejection of a view missing its own invocation")
 	}
 }
 
 func TestBuildRejectsIncomparableViews(t *testing.T) {
-	trs := []Triple{
+	trs := []trace.Triple{
 		triple(0, 0, "op", 1, 0),
 		triple(1, 0, "op", 0, 1), // incomparable with the first
 	}
-	_, err := Build(2, trs, resolver)
+	_, err := trace.BuildSketch(2, trs, resolveOp)
 	if err == nil {
 		t.Fatal("expected incomparable-view error")
 	}
-	if !strings.Contains(err.Error(), ErrIncomparableViews.Error()) {
+	if !strings.Contains(err.Error(), trace.ErrIncomparableViews.Error()) {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
@@ -123,7 +117,7 @@ func TestTheorem61PrecedencePreservation(t *testing.T) {
 		// strictly growing views, interleaved with some same-view pairs.
 		k := int(seed%5) + 2
 		counts := []int{0, 0, 0}
-		var trs []Triple
+		var trs []trace.Triple
 		idx := []int{0, 0, 0}
 		for i := 0; i < k; i++ {
 			p := int((seed >> (i % 8)) % 3)
@@ -131,11 +125,11 @@ func TestTheorem61PrecedencePreservation(t *testing.T) {
 			trs = append(trs, triple(p, idx[p], "op", counts[0], counts[1], counts[2]))
 			idx[p]++
 		}
-		w, err := Build(3, trs, resolver)
+		w, err := trace.BuildSketch(3, trs, resolveOp)
 		if err != nil {
 			return false
 		}
-		ops := word.Operations(w)
+		ops := trace.Operations(w)
 		// The triples were created in strictly growing view order, so each
 		// complete operation must precede or be concurrent with later ones —
 		// never follow them.
@@ -153,36 +147,5 @@ func TestTheorem61PrecedencePreservation(t *testing.T) {
 	}
 }
 
-func TestRenderTimeline(t *testing.T) {
-	b := word.NewB()
-	b.Op(0, "write", word.Int(1), word.Unit{})
-	b.Op(1, "read", nil, word.Int(1))
-	out := RenderTimeline(b.Word())
-	if !strings.Contains(out, "p0") || !strings.Contains(out, "p1") {
-		t.Errorf("timeline missing process rows:\n%s", out)
-	}
-	if !strings.Contains(out, "[") || !strings.Contains(out, "]") {
-		t.Errorf("timeline missing interval brackets:\n%s", out)
-	}
-	// Valid UTF-8 with no replacement characters (regression for the
-	// byte-indexed render bug).
-	if strings.ContainsRune(out, '�') {
-		t.Errorf("timeline contains replacement characters:\n%s", out)
-	}
-}
-
-func TestRenderComparison(t *testing.T) {
-	b := word.NewB()
-	b.Op(0, "write", word.Int(1), word.Unit{})
-	w := b.Word()
-	out := RenderComparison(w, w)
-	if !strings.Contains(out, "x(E)") || !strings.Contains(out, "x~(E)") {
-		t.Errorf("comparison missing headings:\n%s", out)
-	}
-}
-
-func TestRenderEmpty(t *testing.T) {
-	if out := RenderTimeline(nil); !strings.Contains(out, "empty") {
-		t.Errorf("empty render: %q", out)
-	}
-}
+// resolveOp returns invocation symbols for any identifier.
+func resolveOp(id trace.OpID) trace.Symbol { return trace.NewInv(id.Proc, "op", nil) }

@@ -1,75 +1,23 @@
-// Package spec defines sequential object specifications: deterministic state
-// machines against which the consistency checkers (package check) and the
-// predictive monitors (package monitor) validate concurrent histories. The
-// paper's examples — register, counter, ledger (Examples 1–4) — are provided,
-// plus the queue and stack used by the linearizability results of [17] that
-// Section 6.2 generalizes.
+// Package spec keeps the three names of the sequential object
+// specifications that bench/probe.go still imports: Object, Queue and
+// Register. The specifications live in exp/trace, and every other package
+// of this module imports them from there.
 //
-// The definitions are re-homed in the exported exp/trace package so external
-// embedders can supply their own objects; this package aliases them (type
-// identity is preserved) for the internal pipeline.
+// The benchmark module is changed separately from the code it measures, so
+// this package stays until bench/probe.go imports exp/trace; then it goes.
 package spec
 
 import (
 	"github.com/drv-go/drv/exp/trace"
 )
 
-// State is an immutable sequential-object state.
-type State = trace.State
-
-// KeyAppender is an optional fast path for State.Key.
-type KeyAppender = trace.KeyAppender
-
-// OpSig describes one operation of an object's interface.
-type OpSig = trace.OpSig
-
-// RootInterner is an optional Object interface for states with internal
-// sharing.
-type RootInterner = trace.RootInterner
-
 // Object is a sequential object: a name, an initial state, and an operation
 // signature set.
 type Object = trace.Object
 
-// Run applies the operations of a sequential word to the object's initial
-// state and reports whether every response matches the specification.
-var Run = trace.SeqValid
-
-// Operation names shared across objects.
-const (
-	OpRead   = trace.OpRead
-	OpWrite  = trace.OpWrite
-	OpInc    = trace.OpInc
-	OpAppend = trace.OpAppend
-	OpGet    = trace.OpGet
-	OpEnq    = trace.OpEnq
-	OpDeq    = trace.OpDeq
-	OpPush   = trace.OpPush
-	OpPop    = trace.OpPop
-	// OpPropose is the propose operation of the Consensus object.
-	OpPropose = trace.OpPropose
-	// OpScan is the scan operation of the Vector object.
-	OpScan = trace.OpScan
-)
-
-// Empty is the return value of deq/pop on an empty queue/stack.
-const Empty = trace.Empty
-
 var (
 	// Register returns the sequential read/write register of Example 1.
 	Register = trace.Register
-	// Counter returns the sequential counter of Example 2.
-	Counter = trace.Counter
-	// Consensus returns the sequential one-shot consensus object.
-	Consensus = trace.Consensus
-	// Ledger returns the sequential append/get ledger of Example 4.
-	Ledger = trace.Ledger
-	// Vector returns the n-cell upd/scan vector object.
-	Vector = trace.Vector
-	// OpUpd returns the update operation name for cell i of a Vector.
-	OpUpd = trace.OpUpd
 	// Queue returns the sequential FIFO queue.
 	Queue = trace.Queue
-	// Stack returns the sequential LIFO stack.
-	Stack = trace.Stack
 )

@@ -3,10 +3,9 @@ package sut
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // SnapshotCounter is the correct counter: per-process increment cells plus an
@@ -58,19 +57,19 @@ func (c *SnapshotCounter) Name() string { return "counter/snapshot" }
 func (c *SnapshotCounter) Reset(n int) { c.cells.Reset(n, 0) }
 
 // Invoke implements Impl.
-func (c *SnapshotCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (c *SnapshotCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpInc:
+	case trace.OpInc:
 		own := c.cells.Read(p, p.ID)
 		c.cells.Write(p, p.ID, own+1)
-		return word.Unit{}
-	case spec.OpRead:
+		return trace.Unit{}
+	case trace.OpRead:
 		snap := c.cells.Snapshot(p)
 		total := 0
 		for _, v := range snap {
 			total += v
 		}
-		return word.Int(total)
+		return trace.Int(total)
 	default:
 		panic(fmt.Sprintf("sut: counter does not implement %q", op))
 	}
@@ -100,19 +99,19 @@ func (c *CollectCounter) Name() string { return "counter/collect" }
 func (c *CollectCounter) Reset(n int) { c.cells.Reset(n, 0) }
 
 // Invoke implements Impl.
-func (c *CollectCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (c *CollectCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpInc:
+	case trace.OpInc:
 		own := c.cells.Read(p, p.ID)
 		c.cells.Write(p, p.ID, own+1)
-		return word.Unit{}
-	case spec.OpRead:
+		return trace.Unit{}
+	case trace.OpRead:
 		vals := c.cells.Snapshot(p) // CollectArray's Snapshot is a collect
 		total := 0
 		for _, v := range vals {
 			total += v
 		}
-		return word.Int(total)
+		return trace.Int(total)
 	default:
 		panic(fmt.Sprintf("sut: counter does not implement %q", op))
 	}
@@ -148,13 +147,13 @@ func (c *InflatedCounter) Name() string { return fmt.Sprintf("counter/inflated-%
 func (c *InflatedCounter) Reset(n int) { c.cells.Reset(n, 0) }
 
 // Invoke implements Impl.
-func (c *InflatedCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (c *InflatedCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpInc:
+	case trace.OpInc:
 		own := c.cells.Read(p, p.ID)
 		c.cells.Write(p, p.ID, own+1)
-		return word.Unit{}
-	case spec.OpRead:
+		return trace.Unit{}
+	case trace.OpRead:
 		snap := c.cells.Snapshot(p)
 		total := 0
 		for _, v := range snap {
@@ -163,7 +162,7 @@ func (c *InflatedCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.
 		if snap[p.ID] > 0 {
 			total += c.bias // phantom speculative inflation
 		}
-		return word.Int(total)
+		return trace.Int(total)
 	default:
 		panic(fmt.Sprintf("sut: counter does not implement %q", op))
 	}
@@ -195,9 +194,9 @@ func (c *StuckCounter) Reset(n int) {
 }
 
 // Invoke implements Impl.
-func (c *StuckCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (c *StuckCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpInc:
+	case trace.OpInc:
 		own := c.cells.Read(p, p.ID)
 		if own == 0 {
 			c.cells.Write(p, p.ID, 1)
@@ -205,14 +204,14 @@ func (c *StuckCounter) Invoke(p *sched.Proc, op string, arg word.Value) word.Val
 			p.Pause()
 			c.shadow[p.ID]++ // lost to readers
 		}
-		return word.Unit{}
-	case spec.OpRead:
+		return trace.Unit{}
+	case trace.OpRead:
 		snap := c.cells.Snapshot(p)
 		total := 0
 		for _, v := range snap {
 			total += v
 		}
-		return word.Int(total)
+		return trace.Int(total)
 	default:
 		panic(fmt.Sprintf("sut: counter does not implement %q", op))
 	}

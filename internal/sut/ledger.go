@@ -3,10 +3,9 @@ package sut
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // LockLedger is the correct ledger implementation (after [3]): a shared
@@ -15,7 +14,7 @@ import (
 // the sequential ledger.
 type LockLedger struct {
 	mu   lock
-	recs mem.Register[word.Seq]
+	recs mem.Register[trace.Seq]
 }
 
 // NewLockLedger returns an empty ledger.
@@ -28,15 +27,15 @@ func (*LockLedger) Name() string { return "ledger/lock" }
 func (l *LockLedger) Reset(int) { *l = LockLedger{} }
 
 // Invoke implements Impl.
-func (l *LockLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (l *LockLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpAppend:
+	case trace.OpAppend:
 		l.mu.acquire(p)
 		cur := l.recs.Read(p)
-		l.recs.Write(p, append(cur.Clone(), arg.(word.Rec)))
+		l.recs.Write(p, append(cur.Clone(), arg.(trace.Rec)))
 		l.mu.release(p)
-		return word.Unit{}
-	case spec.OpGet:
+		return trace.Unit{}
+	case trace.OpGet:
 		l.mu.acquire(p)
 		cur := l.recs.Read(p)
 		l.mu.release(p)
@@ -60,14 +59,14 @@ func (l *LockLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.Value
 // survive sequential testing.
 type SnapshotLedger struct {
 	cells mem.Array[int]
-	logs  [][]word.Rec
+	logs  [][]trace.Rec
 }
 
 // NewSnapshotLedger returns an empty lock-free ledger for n processes.
 func NewSnapshotLedger(n int) *SnapshotLedger {
 	return &SnapshotLedger{
 		cells: mem.NewAtomicArray(n, 0),
-		logs:  make([][]word.Rec, n),
+		logs:  make([][]trace.Rec, n),
 	}
 }
 
@@ -75,12 +74,12 @@ func NewSnapshotLedger(n int) *SnapshotLedger {
 func (*SnapshotLedger) Name() string { return "ledger/snapshot" }
 
 // Reset implements Impl. Truncating the per-process logs in place is safe:
-// gets assemble their result into a fresh word.Seq, so no earlier history
+// gets assemble their result into a fresh trace.Seq, so no earlier history
 // aliases the log backing arrays.
 func (l *SnapshotLedger) Reset(n int) {
 	l.cells.Reset(n, 0)
 	if cap(l.logs) < n {
-		l.logs = make([][]word.Rec, n)
+		l.logs = make([][]trace.Rec, n)
 		return
 	}
 	l.logs = l.logs[:n]
@@ -90,16 +89,16 @@ func (l *SnapshotLedger) Reset(n int) {
 }
 
 // Invoke implements Impl.
-func (l *SnapshotLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (l *SnapshotLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpAppend:
+	case trace.OpAppend:
 		id := p.ID
-		l.logs[id] = append(l.logs[id], arg.(word.Rec)) // local, no step
-		l.cells.Write(p, id, len(l.logs[id]))           // publish
-		return word.Unit{}
-	case spec.OpGet:
+		l.logs[id] = append(l.logs[id], arg.(trace.Rec)) // local, no step
+		l.cells.Write(p, id, len(l.logs[id]))            // publish
+		return trace.Unit{}
+	case trace.OpGet:
 		counts := l.cells.Snapshot(p)
-		var out word.Seq
+		var out trace.Seq
 		// Deterministic round-robin assembly: index k of every process before
 		// index k+1 of any process.
 		for k := 0; ; k++ {
@@ -127,12 +126,12 @@ func (l *SnapshotLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.V
 // another — a violation of even the eventually consistent ledger's ordering
 // clause (1), let alone linearizability.
 type ForkedLedger struct {
-	replicas []mem.Register[word.Seq]
+	replicas []mem.Register[trace.Seq]
 }
 
 // NewForkedLedger returns a forked ledger for n processes.
 func NewForkedLedger(n int) *ForkedLedger {
-	return &ForkedLedger{replicas: make([]mem.Register[word.Seq], n)}
+	return &ForkedLedger{replicas: make([]mem.Register[trace.Seq], n)}
 }
 
 // Name implements Impl.
@@ -141,23 +140,23 @@ func (*ForkedLedger) Name() string { return "ledger/forked" }
 // Reset implements Impl.
 func (l *ForkedLedger) Reset(n int) {
 	if cap(l.replicas) < n {
-		l.replicas = make([]mem.Register[word.Seq], n)
+		l.replicas = make([]mem.Register[trace.Seq], n)
 		return
 	}
 	l.replicas = l.replicas[:n]
 	for i := range l.replicas {
-		l.replicas[i] = mem.Register[word.Seq]{}
+		l.replicas[i] = mem.Register[trace.Seq]{}
 	}
 }
 
 // Invoke implements Impl.
-func (l *ForkedLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (l *ForkedLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpAppend:
+	case trace.OpAppend:
 		cur := l.replicas[p.ID].Read(p)
-		l.replicas[p.ID].Write(p, append(cur.Clone(), arg.(word.Rec)))
-		return word.Unit{}
-	case spec.OpGet:
+		l.replicas[p.ID].Write(p, append(cur.Clone(), arg.(trace.Rec)))
+		return trace.Unit{}
+	case trace.OpGet:
 		return l.replicas[p.ID].Read(p).Clone()
 	default:
 		panic(fmt.Sprintf("sut: ledger does not implement %q", op))
@@ -195,12 +194,12 @@ func (l *LossyLedger) Reset(n int) {
 }
 
 // Invoke implements Impl.
-func (l *LossyLedger) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
-	if op == spec.OpAppend {
+func (l *LossyLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
+	if op == trace.OpAppend {
 		l.appends++
 		if l.appends%l.drop == 0 {
 			p.Pause() // the operation "runs", but the record vanishes
-			return word.Unit{}
+			return trace.Unit{}
 		}
 	}
 	return l.inner.Invoke(p, op, arg)

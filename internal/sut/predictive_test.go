@@ -3,16 +3,16 @@ package sut
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
 )
 
 // monitorImpl wires a SUT implementation into the full predictive stack —
 // Aτ wrapping the service, the Figure 8 monitor V_O on top — and returns
 // the total NO count across seeds.
-func monitorImpl(t *testing.T, obj spec.Object, mk func() Impl, seeds []int64, opsPerProc int) int {
+func monitorImpl(t *testing.T, obj trace.Object, mk func() Impl, seeds []int64, opsPerProc int) int {
 	t.Helper()
 	const procs = 3
 	total := 0
@@ -41,10 +41,10 @@ func monitorImpl(t *testing.T, obj spec.Object, mk func() Impl, seeds []int64, o
 // the wrong-ended queue is caught.
 func TestFig8OnQueues(t *testing.T) {
 	seeds := []int64{1, 2, 3}
-	if nos := monitorImpl(t, spec.Queue(), func() Impl { return NewLockQueue() }, seeds, 5); nos != 0 {
+	if nos := monitorImpl(t, trace.Queue(), func() Impl { return NewLockQueue() }, seeds, 5); nos != 0 {
 		t.Errorf("correct queue drew %d NOs from V_O", nos)
 	}
-	if nos := monitorImpl(t, spec.Queue(), func() Impl { return NewLIFOQueue() }, seeds, 5); nos == 0 {
+	if nos := monitorImpl(t, trace.Queue(), func() Impl { return NewLIFOQueue() }, seeds, 5); nos == 0 {
 		t.Error("LIFO queue bug went unnoticed by V_O")
 	}
 }
@@ -54,7 +54,7 @@ func TestFig8OnQueues(t *testing.T) {
 // operation names — instead we check the lock stack directly.
 func TestFig8OnStacks(t *testing.T) {
 	seeds := []int64{1, 2, 3}
-	if nos := monitorImpl(t, spec.Stack(), func() Impl { return NewLockStack() }, seeds, 5); nos != 0 {
+	if nos := monitorImpl(t, trace.Stack(), func() Impl { return NewLockStack() }, seeds, 5); nos != 0 {
 		t.Errorf("correct stack drew %d NOs from V_O", nos)
 	}
 }
@@ -62,10 +62,10 @@ func TestFig8OnStacks(t *testing.T) {
 // TestFig8OnLedgers exercises V_O on the ledger implementations.
 func TestFig8OnLedgers(t *testing.T) {
 	seeds := []int64{1, 2}
-	if nos := monitorImpl(t, spec.Ledger(), func() Impl { return NewLockLedger() }, seeds, 4); nos != 0 {
+	if nos := monitorImpl(t, trace.Ledger(), func() Impl { return NewLockLedger() }, seeds, 4); nos != 0 {
 		t.Errorf("correct ledger drew %d NOs from V_O", nos)
 	}
-	if nos := monitorImpl(t, spec.Ledger(), func() Impl { return NewForkedLedger(3) }, seeds, 4); nos == 0 {
+	if nos := monitorImpl(t, trace.Ledger(), func() Impl { return NewForkedLedger(3) }, seeds, 4); nos == 0 {
 		t.Error("forked ledger went unnoticed by V_O")
 	}
 }

@@ -3,10 +3,9 @@ package sut
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // LockQueue is the correct FIFO queue: a shared item list guarded by a
@@ -28,28 +27,28 @@ func (*LockQueue) Name() string { return "queue/lock" }
 func (q *LockQueue) Reset(int) { *q = LockQueue{} }
 
 // Invoke implements Impl.
-func (q *LockQueue) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (q *LockQueue) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpEnq:
+	case trace.OpEnq:
 		q.mu.acquire(p)
 		cur := q.items.Read(p)
 		next := make([]int64, len(cur)+1)
 		copy(next, cur)
-		next[len(cur)] = int64(arg.(word.Int))
+		next[len(cur)] = int64(arg.(trace.Int))
 		q.items.Write(p, next)
 		q.mu.release(p)
-		return word.Unit{}
-	case spec.OpDeq:
+		return trace.Unit{}
+	case trace.OpDeq:
 		q.mu.acquire(p)
 		cur := q.items.Read(p)
 		if len(cur) == 0 {
 			q.mu.release(p)
-			return spec.Empty
+			return trace.Empty
 		}
 		head := cur[0]
 		q.items.Write(p, append([]int64(nil), cur[1:]...))
 		q.mu.release(p)
-		return word.Int(head)
+		return trace.Int(head)
 	default:
 		panic(fmt.Sprintf("sut: queue does not implement %q", op))
 	}
@@ -73,28 +72,28 @@ func (*LIFOQueue) Name() string { return "queue/lifo-bug" }
 func (q *LIFOQueue) Reset(int) { *q = LIFOQueue{} }
 
 // Invoke implements Impl.
-func (q *LIFOQueue) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (q *LIFOQueue) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpEnq:
+	case trace.OpEnq:
 		q.mu.acquire(p)
 		cur := q.items.Read(p)
 		next := make([]int64, len(cur)+1)
 		copy(next, cur)
-		next[len(cur)] = int64(arg.(word.Int))
+		next[len(cur)] = int64(arg.(trace.Int))
 		q.items.Write(p, next)
 		q.mu.release(p)
-		return word.Unit{}
-	case spec.OpDeq:
+		return trace.Unit{}
+	case trace.OpDeq:
 		q.mu.acquire(p)
 		cur := q.items.Read(p)
 		if len(cur) == 0 {
 			q.mu.release(p)
-			return spec.Empty
+			return trace.Empty
 		}
 		tail := cur[len(cur)-1] // bug: LIFO pop
 		q.items.Write(p, append([]int64(nil), cur[:len(cur)-1]...))
 		q.mu.release(p)
-		return word.Int(tail)
+		return trace.Int(tail)
 	default:
 		panic(fmt.Sprintf("sut: queue does not implement %q", op))
 	}
@@ -117,28 +116,28 @@ func (*LockStack) Name() string { return "stack/lock" }
 func (s *LockStack) Reset(int) { *s = LockStack{} }
 
 // Invoke implements Impl.
-func (s *LockStack) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (s *LockStack) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpPush:
+	case trace.OpPush:
 		s.mu.acquire(p)
 		cur := s.items.Read(p)
 		next := make([]int64, len(cur)+1)
 		copy(next, cur)
-		next[len(cur)] = int64(arg.(word.Int))
+		next[len(cur)] = int64(arg.(trace.Int))
 		s.items.Write(p, next)
 		s.mu.release(p)
-		return word.Unit{}
-	case spec.OpPop:
+		return trace.Unit{}
+	case trace.OpPop:
 		s.mu.acquire(p)
 		cur := s.items.Read(p)
 		if len(cur) == 0 {
 			s.mu.release(p)
-			return spec.Empty
+			return trace.Empty
 		}
 		top := cur[len(cur)-1]
 		s.items.Write(p, append([]int64(nil), cur[:len(cur)-1]...))
 		s.mu.release(p)
-		return word.Int(top)
+		return trace.Int(top)
 	default:
 		panic(fmt.Sprintf("sut: stack does not implement %q", op))
 	}
@@ -163,28 +162,28 @@ func (*FIFOStack) Name() string { return "stack/fifo-bug" }
 func (s *FIFOStack) Reset(int) { *s = FIFOStack{} }
 
 // Invoke implements Impl.
-func (s *FIFOStack) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (s *FIFOStack) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpPush:
+	case trace.OpPush:
 		s.mu.acquire(p)
 		cur := s.items.Read(p)
 		next := make([]int64, len(cur)+1)
 		copy(next, cur)
-		next[len(cur)] = int64(arg.(word.Int))
+		next[len(cur)] = int64(arg.(trace.Int))
 		s.items.Write(p, next)
 		s.mu.release(p)
-		return word.Unit{}
-	case spec.OpPop:
+		return trace.Unit{}
+	case trace.OpPop:
 		s.mu.acquire(p)
 		cur := s.items.Read(p)
 		if len(cur) == 0 {
 			s.mu.release(p)
-			return spec.Empty
+			return trace.Empty
 		}
 		bottom := cur[0] // bug: FIFO pop
 		s.items.Write(p, append([]int64(nil), cur[1:]...))
 		s.mu.release(p)
-		return word.Int(bottom)
+		return trace.Int(bottom)
 	default:
 		panic(fmt.Sprintf("sut: stack does not implement %q", op))
 	}

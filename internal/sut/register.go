@@ -3,10 +3,9 @@ package sut
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // AtomicRegister is the correct register implementation: a single atomic
@@ -26,13 +25,13 @@ func (*AtomicRegister) Name() string { return "register/atomic" }
 func (r *AtomicRegister) Reset(int) { r.cell = mem.Register[int64]{} }
 
 // Invoke implements Impl.
-func (r *AtomicRegister) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (r *AtomicRegister) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpWrite:
-		r.cell.Write(p, int64(arg.(word.Int)))
-		return word.Unit{}
-	case spec.OpRead:
-		return word.Int(r.cell.Read(p))
+	case trace.OpWrite:
+		r.cell.Write(p, int64(arg.(trace.Int)))
+		return trace.Unit{}
+	case trace.OpRead:
+		return trace.Int(r.cell.Read(p))
 	default:
 		panic(fmt.Sprintf("sut: register does not implement %q", op))
 	}
@@ -102,14 +101,14 @@ func resetInt64s(s []int64, n int) []int64 {
 }
 
 // Invoke implements Impl.
-func (r *StaleRegister) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (r *StaleRegister) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpWrite:
-		v := int64(arg.(word.Int))
+	case trace.OpWrite:
+		v := int64(arg.(trace.Int))
 		r.cell.Write(p, v)
 		r.cache[p.ID] = v // writers see their own writes
-		return word.Unit{}
-	case spec.OpRead:
+		return trace.Unit{}
+	case trace.OpRead:
 		id := p.ID
 		if r.reads[id]%r.refresh == 0 {
 			r.cache[id] = r.cell.Read(p)
@@ -117,7 +116,7 @@ func (r *StaleRegister) Invoke(p *sched.Proc, op string, arg word.Value) word.Va
 			p.Pause() // a local step, so reads still take time
 		}
 		r.reads[id]++
-		return word.Int(r.cache[id])
+		return trace.Int(r.cache[id])
 	default:
 		panic(fmt.Sprintf("sut: register does not implement %q", op))
 	}
@@ -157,13 +156,13 @@ func (r *SplitRegister) Reset(n int) {
 }
 
 // Invoke implements Impl.
-func (r *SplitRegister) Invoke(p *sched.Proc, op string, arg word.Value) word.Value {
+func (r *SplitRegister) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value {
 	switch op {
-	case spec.OpWrite:
-		r.replicas[p.ID].Write(p, int64(arg.(word.Int)))
-		return word.Unit{}
-	case spec.OpRead:
-		return word.Int(r.replicas[p.ID].Read(p))
+	case trace.OpWrite:
+		r.replicas[p.ID].Write(p, int64(arg.(trace.Int)))
+		return trace.Unit{}
+	case trace.OpRead:
+		return trace.Int(r.replicas[p.ID].Read(p))
 	default:
 		panic(fmt.Sprintf("sut: register does not implement %q", op))
 	}

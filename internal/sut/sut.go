@@ -13,9 +13,9 @@ package sut
 import (
 	"fmt"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // Impl is a concurrent object implementation. Invoke executes one operation
@@ -35,7 +35,7 @@ type Impl interface {
 	// Name identifies the implementation in experiment reports.
 	Name() string
 	// Invoke runs op(arg) for process p and returns its response value.
-	Invoke(p *sched.Proc, op string, arg word.Value) word.Value
+	Invoke(p *sched.Proc, op string, arg trace.Value) trace.Value
 	// Reset restores the freshly constructed state for n processes.
 	Reset(n int)
 }
@@ -46,7 +46,7 @@ type Impl interface {
 type Workload interface {
 	// Next returns the id-th process's next operation, or ok=false when the
 	// process's budget is exhausted and it should stop iterating.
-	Next(id int) (op string, arg word.Value, ok bool)
+	Next(id int) (op string, arg trace.Value, ok bool)
 }
 
 // Service adapts an Impl plus a Workload to the adversary.Service interface:
@@ -60,8 +60,8 @@ type Service struct {
 	impl Impl
 	wl   Workload
 
-	history word.Word
-	pending []word.Symbol
+	history trace.Word
+	pending []trace.Symbol
 	opCount []int
 }
 
@@ -84,11 +84,11 @@ func (s *Service) Reset(n int, impl Impl, wl Workload) {
 		s.pending = s.pending[:n]
 		s.opCount = s.opCount[:n]
 	} else {
-		s.pending = make([]word.Symbol, n)
+		s.pending = make([]trace.Symbol, n)
 		s.opCount = make([]int, n)
 	}
 	for i := 0; i < n; i++ {
-		s.pending[i] = word.Symbol{}
+		s.pending[i] = trace.Symbol{}
 		s.opCount[i] = 0
 	}
 }
@@ -97,17 +97,17 @@ func (s *Service) Reset(n int, impl Impl, wl Workload) {
 func (s *Service) Name() string { return s.impl.Name() }
 
 // NextInv implements adversary.Service using the workload.
-func (s *Service) NextInv(id int) (word.Symbol, bool) {
+func (s *Service) NextInv(id int) (trace.Symbol, bool) {
 	op, arg, ok := s.wl.Next(id)
 	if !ok {
-		return word.Symbol{}, false
+		return trace.Symbol{}, false
 	}
-	return word.NewInv(id, op, arg), true
+	return trace.NewInv(id, op, arg), true
 }
 
 // Send implements adversary.Service: the invocation event of the operation.
 // It consumes one scheduler step, which is the event's position in real time.
-func (s *Service) Send(p *sched.Proc, v word.Symbol) {
+func (s *Service) Send(p *sched.Proc, v trace.Symbol) {
 	if v.Proc != p.ID {
 		panic(fmt.Sprintf("sut: process %d sending symbol of process %d", p.ID, v.Proc))
 	}
@@ -119,17 +119,17 @@ func (s *Service) Send(p *sched.Proc, v word.Symbol) {
 // Recv implements adversary.Service: it executes the operation body on the
 // shared-memory substrate (consuming the caller's steps) and then delivers
 // the response event.
-func (s *Service) Recv(p *sched.Proc) adversary.Response {
+func (s *Service) Recv(p *sched.Proc) trace.Response {
 	inv := s.pending[p.ID]
 	ret := s.impl.Invoke(p, inv.Op, inv.Val)
 	p.Pause()
-	res := word.NewRes(p.ID, inv.Op, ret)
+	res := trace.NewRes(p.ID, inv.Op, ret)
 	s.history = append(s.history, res)
-	id := word.OpID{Proc: p.ID, Idx: s.opCount[p.ID]}
+	id := trace.OpID{Proc: p.ID, Idx: s.opCount[p.ID]}
 	s.opCount[p.ID]++
-	return adversary.Response{Sym: res, ID: id}
+	return trace.Response{Sym: res, ID: id}
 }
 
 // History implements adversary.Service: the concurrent history the
 // implementation exhibited, in real-time event order.
-func (s *Service) History() word.Word { return s.history.Clone() }
+func (s *Service) History() trace.Word { return s.history.Clone() }

@@ -3,16 +3,15 @@ package sut
 import (
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/sched"
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
 )
 
 // run drives n processes through the service with the given policy seed and
 // returns the exhibited history.
-func run(t *testing.T, n int, svc adversary.Service, seed int64, maxSteps int) word.Word {
+func run(t *testing.T, n int, svc adversary.Service, seed int64, maxSteps int) trace.Word {
 	t.Helper()
 	rt := sched.New(n, sched.Random(seed))
 	for i := 0; i < n; i++ {
@@ -41,12 +40,12 @@ func seeds() []int64 { return []int64{1, 2, 3, 4, 5} }
 
 func TestAtomicRegisterLinearizable(t *testing.T) {
 	for _, seed := range seeds() {
-		svc := NewService(3, NewAtomicRegister(), NewRandomWorkload(spec.Register(), 3, 8, 0.5, seed))
+		svc := NewService(3, NewAtomicRegister(), NewRandomWorkload(trace.Register(), 3, 8, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
 		if len(h) == 0 {
 			t.Fatalf("seed %d: empty history", seed)
 		}
-		if !check.Linearizable(spec.Register(), h) {
+		if !check.Linearizable(trace.Register(), h) {
 			t.Errorf("seed %d: atomic register produced non-linearizable history:\n%v", seed, h)
 		}
 	}
@@ -57,9 +56,9 @@ func TestStaleRegisterViolatesLinearizability(t *testing.T) {
 	// "plausible" to an order-free observer (values really were written).
 	caught := false
 	for _, seed := range seeds() {
-		svc := NewService(3, NewStaleRegister(3, 4), NewRandomWorkload(spec.Register(), 3, 8, 0.5, seed))
+		svc := NewService(3, NewStaleRegister(3, 4), NewRandomWorkload(trace.Register(), 3, 8, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if !check.Linearizable(spec.Register(), h) {
+		if !check.Linearizable(trace.Register(), h) {
 			caught = true
 		}
 	}
@@ -74,28 +73,28 @@ func TestSplitRegisterSCButNotLinearizable(t *testing.T) {
 	// per-process blocks), yet a read of 0 after a completed foreign write
 	// breaks linearizability. Drive p2's reads after both writers finish by
 	// letting every process run its script to completion.
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpWrite, Val: word.Int(1)},
-			{Op: spec.OpRead},
+			{Op: trace.OpWrite, Val: trace.Int(1)},
+			{Op: trace.OpRead},
 		},
 		{
-			{Op: spec.OpWrite, Val: word.Int(2)},
-			{Op: spec.OpRead},
+			{Op: trace.OpWrite, Val: trace.Int(2)},
+			{Op: trace.OpRead},
 		},
 		{
-			{Op: spec.OpRead},
-			{Op: spec.OpRead},
+			{Op: trace.OpRead},
+			{Op: trace.OpRead},
 		},
 	}
 	linViolated := false
 	for _, seed := range seeds() {
 		svc := NewService(3, NewSplitRegister(3), NewScriptWorkload(scripts))
 		h := run(t, 3, svc, seed, 100_000)
-		if !check.SeqConsistent(spec.Register(), h) {
+		if !check.SeqConsistent(trace.Register(), h) {
 			t.Errorf("seed %d: split register history not sequentially consistent:\n%v", seed, h)
 		}
-		if !check.Linearizable(spec.Register(), h) {
+		if !check.Linearizable(trace.Register(), h) {
 			linViolated = true
 		}
 	}
@@ -107,9 +106,9 @@ func TestSplitRegisterSCButNotLinearizable(t *testing.T) {
 func TestSnapshotCounterLinearizable(t *testing.T) {
 	for _, kind := range []CounterArray{CounterAtomic, CounterAADGMS} {
 		for _, seed := range seeds() {
-			svc := NewService(3, NewSnapshotCounter(3, kind), NewRandomWorkload(spec.Counter(), 3, 6, 0.5, seed))
+			svc := NewService(3, NewSnapshotCounter(3, kind), NewRandomWorkload(trace.Counter(), 3, 6, 0.5, seed))
 			h := run(t, 3, svc, seed, 100_000)
-			if !check.Linearizable(spec.Counter(), h) {
+			if !check.Linearizable(trace.Counter(), h) {
 				t.Errorf("kind %d seed %d: snapshot counter non-linearizable:\n%v", kind, seed, h)
 			}
 		}
@@ -120,7 +119,7 @@ func TestCollectCounterSECSafe(t *testing.T) {
 	// Collect reads need not linearize, but they satisfy the SEC safety
 	// clauses: no under-read, monotone, no over-read.
 	for _, seed := range seeds() {
-		svc := NewService(3, NewCollectCounter(3), NewRandomWorkload(spec.Counter(), 3, 10, 0.5, seed))
+		svc := NewService(3, NewCollectCounter(3), NewRandomWorkload(trace.Counter(), 3, 10, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
 		if v := check.SECSafety(h); v != nil {
 			t.Errorf("seed %d: collect counter violated SEC safety: %v\n%v", seed, v, h)
@@ -132,7 +131,7 @@ func TestInflatedCounterOverReads(t *testing.T) {
 	// The inflation must eventually violate SEC clause (4).
 	caught := false
 	for _, seed := range seeds() {
-		svc := NewService(3, NewInflatedCounter(3, 2), NewRandomWorkload(spec.Counter(), 3, 10, 0.6, seed))
+		svc := NewService(3, NewInflatedCounter(3, 2), NewRandomWorkload(trace.Counter(), 3, 10, 0.6, seed))
 		h := run(t, 3, svc, seed, 100_000)
 		if v := check.SECSafety(h); v != nil {
 			caught = true
@@ -151,11 +150,11 @@ func TestStuckCounterDoesNotConverge(t *testing.T) {
 	// Quiescent tail: everyone incs twice, then reads repeatedly. The
 	// published total stalls at n, never reaching 2n.
 	n := 3
-	script := make([][]word.Symbol, n)
+	script := make([][]trace.Symbol, n)
 	for i := range script {
-		script[i] = []word.Symbol{
-			{Op: spec.OpInc}, {Op: spec.OpInc},
-			{Op: spec.OpRead}, {Op: spec.OpRead}, {Op: spec.OpRead},
+		script[i] = []trace.Symbol{
+			{Op: trace.OpInc}, {Op: trace.OpInc},
+			{Op: trace.OpRead}, {Op: trace.OpRead}, {Op: trace.OpRead},
 		}
 	}
 	svc := NewService(n, NewStuckCounter(n), NewScriptWorkload(script))
@@ -170,9 +169,9 @@ func TestStuckCounterDoesNotConverge(t *testing.T) {
 
 func TestLockLedgerLinearizable(t *testing.T) {
 	for _, seed := range seeds() {
-		svc := NewService(3, NewLockLedger(), NewRandomWorkload(spec.Ledger(), 3, 6, 0.5, seed))
+		svc := NewService(3, NewLockLedger(), NewRandomWorkload(trace.Ledger(), 3, 6, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if !check.Linearizable(spec.Ledger(), h) {
+		if !check.Linearizable(trace.Ledger(), h) {
 			t.Errorf("seed %d: lock ledger non-linearizable:\n%v", seed, h)
 		}
 	}
@@ -182,20 +181,20 @@ func TestSnapshotLedgerReordersUnderInterleaving(t *testing.T) {
 	// The round-robin assembly returns non-prefix-compatible gets once
 	// processes' appends interleave; some schedule must expose an EC-clause-1
 	// violation.
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpAppend, Val: word.Rec("a1")},
-			{Op: spec.OpAppend, Val: word.Rec("a2")},
-			{Op: spec.OpGet},
+			{Op: trace.OpAppend, Val: trace.Rec("a1")},
+			{Op: trace.OpAppend, Val: trace.Rec("a2")},
+			{Op: trace.OpGet},
 		},
 		{
-			{Op: spec.OpGet},
-			{Op: spec.OpAppend, Val: word.Rec("b")},
-			{Op: spec.OpGet},
+			{Op: trace.OpGet},
+			{Op: trace.OpAppend, Val: trace.Rec("b")},
+			{Op: trace.OpGet},
 		},
 		{
-			{Op: spec.OpGet},
-			{Op: spec.OpGet},
+			{Op: trace.OpGet},
+			{Op: trace.OpGet},
 		},
 	}
 	caught := false
@@ -212,14 +211,14 @@ func TestSnapshotLedgerReordersUnderInterleaving(t *testing.T) {
 }
 
 func TestForkedLedgerForks(t *testing.T) {
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpAppend, Val: word.Rec("a")},
-			{Op: spec.OpGet},
+			{Op: trace.OpAppend, Val: trace.Rec("a")},
+			{Op: trace.OpGet},
 		},
 		{
-			{Op: spec.OpAppend, Val: word.Rec("b")},
-			{Op: spec.OpGet},
+			{Op: trace.OpAppend, Val: trace.Rec("b")},
+			{Op: trace.OpGet},
 		},
 	}
 	caught := false
@@ -237,15 +236,15 @@ func TestForkedLedgerForks(t *testing.T) {
 
 func TestLossyLedgerDoesNotConverge(t *testing.T) {
 	n := 2
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpAppend, Val: word.Rec("a1")},
-			{Op: spec.OpAppend, Val: word.Rec("a2")},
-			{Op: spec.OpGet},
+			{Op: trace.OpAppend, Val: trace.Rec("a1")},
+			{Op: trace.OpAppend, Val: trace.Rec("a2")},
+			{Op: trace.OpGet},
 		},
 		{
-			{Op: spec.OpGet},
-			{Op: spec.OpGet},
+			{Op: trace.OpGet},
+			{Op: trace.OpGet},
 		},
 	}
 	svc := NewService(n, NewLossyLedger(2), NewScriptWorkload(scripts))
@@ -260,9 +259,9 @@ func TestLossyLedgerDoesNotConverge(t *testing.T) {
 
 func TestLockQueueLinearizable(t *testing.T) {
 	for _, seed := range seeds() {
-		svc := NewService(3, NewLockQueue(), NewRandomWorkload(spec.Queue(), 3, 6, 0.5, seed))
+		svc := NewService(3, NewLockQueue(), NewRandomWorkload(trace.Queue(), 3, 6, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if !check.Linearizable(spec.Queue(), h) {
+		if !check.Linearizable(trace.Queue(), h) {
 			t.Errorf("seed %d: lock queue non-linearizable:\n%v", seed, h)
 		}
 	}
@@ -271,17 +270,17 @@ func TestLockQueueLinearizable(t *testing.T) {
 func TestLIFOQueueCaught(t *testing.T) {
 	// Sequential script: enq 1, enq 2, deq must return 1; the bug returns 2,
 	// violating even sequential consistency.
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpEnq, Val: word.Int(1)},
-			{Op: spec.OpEnq, Val: word.Int(2)},
-			{Op: spec.OpDeq},
-			{Op: spec.OpDeq},
+			{Op: trace.OpEnq, Val: trace.Int(1)},
+			{Op: trace.OpEnq, Val: trace.Int(2)},
+			{Op: trace.OpDeq},
+			{Op: trace.OpDeq},
 		},
 	}
 	svc := NewService(1, NewLIFOQueue(), NewScriptWorkload(scripts))
 	h := run(t, 1, svc, 1, 100_000)
-	if check.SeqConsistent(spec.Queue(), h) {
+	if check.SeqConsistent(trace.Queue(), h) {
 		t.Errorf("LIFO queue bug not caught:\n%v", h)
 	}
 }
@@ -290,40 +289,40 @@ func TestFIFOStackCaught(t *testing.T) {
 	// Sequential script: push 1, push 2, pop must return 2; the bug returns
 	// 1, violating even sequential consistency — the mirror image of the
 	// LIFO queue.
-	scripts := [][]word.Symbol{
+	scripts := [][]trace.Symbol{
 		{
-			{Op: spec.OpPush, Val: word.Int(1)},
-			{Op: spec.OpPush, Val: word.Int(2)},
-			{Op: spec.OpPop},
-			{Op: spec.OpPop},
+			{Op: trace.OpPush, Val: trace.Int(1)},
+			{Op: trace.OpPush, Val: trace.Int(2)},
+			{Op: trace.OpPop},
+			{Op: trace.OpPop},
 		},
 	}
 	svc := NewService(1, NewFIFOStack(), NewScriptWorkload(scripts))
 	h := run(t, 1, svc, 1, 100_000)
-	if check.SeqConsistent(spec.Stack(), h) {
+	if check.SeqConsistent(trace.Stack(), h) {
 		t.Errorf("FIFO stack bug not caught:\n%v", h)
 	}
 }
 
 func TestLockStackLinearizable(t *testing.T) {
 	for _, seed := range seeds() {
-		svc := NewService(3, NewLockStack(), NewRandomWorkload(spec.Stack(), 3, 6, 0.5, seed))
+		svc := NewService(3, NewLockStack(), NewRandomWorkload(trace.Stack(), 3, 6, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if !check.Linearizable(spec.Stack(), h) {
+		if !check.Linearizable(trace.Stack(), h) {
 			t.Errorf("seed %d: lock stack non-linearizable:\n%v", seed, h)
 		}
 	}
 }
 
 func TestServiceHistoryWellFormedPerProcess(t *testing.T) {
-	svc := NewService(3, NewAtomicRegister(), NewRandomWorkload(spec.Register(), 3, 10, 0.5, 77))
+	svc := NewService(3, NewAtomicRegister(), NewRandomWorkload(trace.Register(), 3, 10, 0.5, 77))
 	h := run(t, 3, svc, 77, 100_000)
 	for p := 0; p < 3; p++ {
 		local := h.Project(p)
 		for k, s := range local {
-			wantKind := word.Inv
+			wantKind := trace.Inv
 			if k%2 == 1 {
-				wantKind = word.Res
+				wantKind = trace.Res
 			}
 			if s.Kind != wantKind {
 				t.Fatalf("process %d local word does not alternate at %d: %v", p, k, local)
@@ -339,7 +338,7 @@ func TestServiceHistoryWellFormedPerProcess(t *testing.T) {
 func TestTimedWrapsSUT(t *testing.T) {
 	n := 3
 	for _, seed := range seeds() {
-		inner := NewService(n, NewAtomicRegister(), NewRandomWorkload(spec.Register(), n, 6, 0.5, seed))
+		inner := NewService(n, NewAtomicRegister(), NewRandomWorkload(trace.Register(), n, 6, 0.5, seed))
 		tau := adversary.NewTimed(n, inner, adversary.ArrayAtomic)
 
 		rt := sched.New(n, sched.Random(seed))
@@ -370,10 +369,10 @@ func TestTimedWrapsSUT(t *testing.T) {
 
 		outer := tau.History()
 		innerH := tau.InnerHistory()
-		if !check.Linearizable(spec.Register(), outer) {
+		if !check.Linearizable(trace.Register(), outer) {
 			t.Errorf("seed %d: outer history of wrapped atomic register not linearizable", seed)
 		}
-		if !check.Linearizable(spec.Register(), innerH) {
+		if !check.Linearizable(trace.Register(), innerH) {
 			t.Errorf("seed %d: inner history of wrapped atomic register not linearizable", seed)
 		}
 		if views == 0 {
@@ -389,7 +388,7 @@ func TestTimedWrapsSUT(t *testing.T) {
 func TestInnerLinImpliesOuterLin(t *testing.T) {
 	n := 3
 	for _, seed := range seeds() {
-		inner := NewService(n, NewStaleRegister(n, 3), NewRandomWorkload(spec.Register(), n, 6, 0.5, seed))
+		inner := NewService(n, NewStaleRegister(n, 3), NewRandomWorkload(trace.Register(), n, 6, 0.5, seed))
 		tau := adversary.NewTimed(n, inner, adversary.ArrayAtomic)
 		rt := sched.New(n, sched.Random(seed))
 		for i := 0; i < n; i++ {
@@ -410,8 +409,8 @@ func TestInnerLinImpliesOuterLin(t *testing.T) {
 			}
 		}
 		rt.Stop()
-		if check.Linearizable(spec.Register(), tau.InnerHistory()) &&
-			!check.Linearizable(spec.Register(), tau.History()) {
+		if check.Linearizable(trace.Register(), tau.InnerHistory()) &&
+			!check.Linearizable(trace.Register(), tau.History()) {
 			t.Errorf("seed %d: inner linearizable but outer not — contradicts operation nesting", seed)
 		}
 	}

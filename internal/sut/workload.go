@@ -3,8 +3,7 @@ package sut
 import (
 	"math/rand"
 
-	"github.com/drv-go/drv/internal/spec"
-	"github.com/drv-go/drv/internal/word"
+	"github.com/drv-go/drv/exp/trace"
 )
 
 // RandomWorkload draws each process's operations independently from the
@@ -12,17 +11,17 @@ import (
 // come from the object's RandArg with a per-process generator, so workloads
 // replay deterministically per (seed, process).
 type RandomWorkload struct {
-	obj      spec.Object
+	obj      trace.Object
 	bias     float64
-	mutating []spec.OpSig
-	reading  []spec.OpSig
+	mutating []trace.OpSig
+	reading  []trace.OpSig
 	budget   []int
 	rngs     []*rand.Rand
 }
 
 // NewRandomWorkload builds a workload of opsPerProc operations per process
 // with the given mutate bias in [0,1].
-func NewRandomWorkload(obj spec.Object, n, opsPerProc int, bias float64, seed int64) *RandomWorkload {
+func NewRandomWorkload(obj trace.Object, n, opsPerProc int, bias float64, seed int64) *RandomWorkload {
 	w := &RandomWorkload{}
 	w.Reset(obj, n, opsPerProc, bias, seed)
 	return w
@@ -33,7 +32,7 @@ func NewRandomWorkload(obj spec.Object, n, opsPerProc int, bias float64, seed in
 // rand.Rand.Seed restores exactly the state a fresh rand.NewSource would
 // start from, so a reset workload draws the same operation stream as a fresh
 // one with the same parameters.
-func (w *RandomWorkload) Reset(obj spec.Object, n, opsPerProc int, bias float64, seed int64) {
+func (w *RandomWorkload) Reset(obj trace.Object, n, opsPerProc int, bias float64, seed int64) {
 	if w.obj == nil || w.obj.Name() != obj.Name() {
 		w.mutating, w.reading = w.mutating[:0], w.reading[:0]
 		for _, sig := range obj.Ops() {
@@ -62,7 +61,7 @@ func (w *RandomWorkload) Reset(obj spec.Object, n, opsPerProc int, bias float64,
 }
 
 // Next implements Workload.
-func (w *RandomWorkload) Next(id int) (string, word.Value, bool) {
+func (w *RandomWorkload) Next(id int) (string, trace.Value, bool) {
 	if w.budget[id] <= 0 {
 		return "", nil, false
 	}
@@ -74,7 +73,7 @@ func (w *RandomWorkload) Next(id int) (string, word.Value, bool) {
 	}
 	sig := pool[rng.Intn(len(pool))]
 	arg := w.obj.RandArg(sig.Name, rng)
-	if _, ok := arg.(word.Unit); ok && sig.Name != spec.OpWrite {
+	if _, ok := arg.(trace.Unit); ok && sig.Name != trace.OpWrite {
 		// Reads/gets/incs carry no argument symbolically; use nil like the
 		// scripted sources so histories compare equal.
 		arg = nil
@@ -85,18 +84,18 @@ func (w *RandomWorkload) Next(id int) (string, word.Value, bool) {
 // ScriptWorkload replays fixed per-process operation scripts; used by
 // regression tests that need a specific interleaving potential.
 type ScriptWorkload struct {
-	scripts [][]word.Symbol
+	scripts [][]trace.Symbol
 	pos     []int
 }
 
 // NewScriptWorkload builds a workload from per-process invocation scripts.
 // Only the Op and Val fields of the symbols are used.
-func NewScriptWorkload(scripts [][]word.Symbol) *ScriptWorkload {
+func NewScriptWorkload(scripts [][]trace.Symbol) *ScriptWorkload {
 	return &ScriptWorkload{scripts: scripts, pos: make([]int, len(scripts))}
 }
 
 // Next implements Workload.
-func (w *ScriptWorkload) Next(id int) (string, word.Value, bool) {
+func (w *ScriptWorkload) Next(id int) (string, trace.Value, bool) {
 	if w.pos[id] >= len(w.scripts[id]) {
 		return "", nil, false
 	}

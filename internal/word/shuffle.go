@@ -1,24 +1,25 @@
+// Package word holds the shuffle operator over the distributed words of
+// exp/trace: Definition 5.2's shuffle x1 ⧢ ... ⧢ xm is the set of all
+// interleavings of the words, and the real-time obliviousness
+// characterization in internal/core (Definition 5.3) ranges over it. The
+// shuffles of interest are always of the per-process projections
+// α|1, ..., α|n of a finite prefix α, so the functions below take the parts
+// directly.
 package word
 
-import "math/rand"
-
-// Shuffle machinery for Definition 5.2 (the shuffle x1 ⧢ ... ⧢ xm is the set
-// of all interleavings of the words) and Definition 5.3 (real-time oblivious
-// languages). The shuffles of interest are always of the per-process
-// projections α|1, ..., α|n of a finite prefix α, so the functions below take
-// the parts directly.
+import "github.com/drv-go/drv/exp/trace"
 
 // Shuffles enumerates every interleaving of the given parts, invoking visit
 // on each. Enumeration stops early if visit returns false. The number of
 // interleavings is the multinomial coefficient of the part lengths, so
 // callers should bound part sizes (tests use |α| ≤ ~12).
-func Shuffles(parts []Word, visit func(Word) bool) {
+func Shuffles(parts []trace.Word, visit func(trace.Word) bool) {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
 	idx := make([]int, len(parts))
-	cur := make(Word, 0, total)
+	cur := make(trace.Word, 0, total)
 	var rec func() bool
 	rec = func() bool {
 		if len(cur) == total {
@@ -41,32 +42,24 @@ func Shuffles(parts []Word, visit func(Word) bool) {
 	rec()
 }
 
-// CountShuffles returns the number of interleavings of the parts (the
-// multinomial coefficient). It overflows for large inputs; intended for the
-// small words used in characterization experiments.
-func CountShuffles(parts []Word) int {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+// ProcParts splits a word into its per-process projections α|0, ..., α|n−1
+// for an n-process alphabet, the parts whose shuffle Definition 5.3 ranges
+// over.
+func ProcParts(w trace.Word, n int) []trace.Word {
+	parts := make([]trace.Word, n)
+	for i := 0; i < n; i++ {
+		parts[i] = w.Project(i)
 	}
-	// multinomial(total; len(p1), ..., len(pm)) computed incrementally.
-	result := 1
-	acc := 0
-	for _, p := range parts {
-		for k := 1; k <= len(p); k++ {
-			acc++
-			result = result * acc / k
-		}
-	}
-	return result
+	return parts
 }
 
 // InShuffle reports whether cand is an interleaving of the parts, i.e.
-// cand ∈ parts[0] ⧢ ... ⧢ parts[m-1]. Because symbols carry their process
-// index and each part is a single process's local word in experiments, the
-// common case is resolved greedily; the general case (several parts sharing a
-// process) falls back to search.
-func InShuffle(cand Word, parts []Word) bool {
+// cand ∈ parts[0] ⧢ ... ⧢ parts[m-1]. It always runs a backtracking search
+// over which part supplies each next symbol. The search is exponential in
+// the worst case, when several parts' heads carry equal symbols; for
+// projections of distinct processes no two heads are equal, so it never
+// backtracks.
+func InShuffle(cand trace.Word, parts []trace.Word) bool {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -93,45 +86,4 @@ func InShuffle(cand Word, parts []Word) bool {
 		return false
 	}
 	return rec(0)
-}
-
-// RandomShuffle samples one interleaving of the parts uniformly at random
-// using rng, by repeatedly drawing the next part weighted by its remaining
-// length.
-func RandomShuffle(parts []Word, rng *rand.Rand) Word {
-	total := 0
-	rem := make([]int, len(parts))
-	for i, p := range parts {
-		rem[i] = len(p)
-		total += len(p)
-	}
-	idx := make([]int, len(parts))
-	out := make(Word, 0, total)
-	for len(out) < total {
-		k := rng.Intn(total - len(out))
-		for i := range parts {
-			if rem[i] == 0 {
-				continue
-			}
-			if k < rem[i] {
-				out = append(out, parts[i][idx[i]])
-				idx[i]++
-				rem[i]--
-				break
-			}
-			k -= rem[i]
-		}
-	}
-	return out
-}
-
-// ProcParts splits a word into its per-process projections α|0, ..., α|n−1
-// for an n-process alphabet, the parts whose shuffle Definition 5.3 ranges
-// over.
-func ProcParts(w Word, n int) []Word {
-	parts := make([]Word, n)
-	for i := 0; i < n; i++ {
-		parts[i] = w.Project(i)
-	}
-	return parts
 }
