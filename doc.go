@@ -119,10 +119,12 @@
 // worker plus one reusable workload, service, timed adversary and message
 // network (msgnet.Schedule.Reset re-arms order, inboxes and loss in place),
 // with steady-state per-scenario allocations pinned by AllocsPerRun budget
-// tests. Pooling is always on and byte-identical to fresh substrate
-// (tested per registered implementation, seeded-bug variants included, and
-// scenario by scenario against a fresh explore.Runner); -cpuprofile profiles
-// either command, and -stage-stats on drvexplore adds an opt-in per-family
-// generate/execute/monitor/check wall-time and allocation breakdown to the
-// report.
+// tests. Every scenario runs down one path: a zero-value explore.Runner
+// opens a session and a substrate for its one Execute call, so it differs
+// from a pooled runner only in how long they live. Reuse is byte-identical
+// to first use (tested per registered implementation, seeded-bug variants
+// included, and scenario by scenario against a zero-value explore.Runner);
+// -cpuprofile profiles either command, and -stage-stats on drvexplore adds
+// an opt-in per-family generate/execute/monitor/check wall-time and
+// allocation breakdown to the report.
 package drv

@@ -4,7 +4,7 @@
 // decidability claims quantify over all asynchronous fault-prone executions;
 // this package samples that space. Each scenario draws a random scheduling
 // policy (package sched), a random crash schedule, and a labelled adversary
-// source (package lang), runs a real monitor through monitor.Run, and
+// source (package lang), runs a real monitor on a monitor.Session, and
 // differentially checks the verdict stream against ground-truth oracles: the
 // languages' safety checkers (package check), the sources' ω-membership
 // labels, and structural invariants of the adversary construction.

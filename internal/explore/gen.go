@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/drv-go/drv/internal/lang"
@@ -12,17 +13,18 @@ import (
 // GenConfig constrains random scenario generation.
 type GenConfig struct {
 	// Families restricts scenarios to these scenario families (FamLang,
-	// FamObj); empty means the language family alone, which keeps every
-	// pre-drv2 sweep byte-identical.
+	// FamObj, FamMsg); empty means the language family alone, which keeps
+	// every pre-drv2 sweep byte-identical.
 	Families []string
 	// Langs restricts language scenarios to these language names; empty
 	// means all seven Table 1 languages.
 	Langs []string
-	// Objects restricts object scenarios to these object names; empty means
-	// every registered object.
+	// Objects restricts object and message-passing scenarios to these object
+	// names; empty means every object registered in the drawn family.
 	Objects []string
-	// Impls restricts object scenarios to these implementation slugs; empty
-	// means every implementation of the drawn object.
+	// Impls restricts object and message-passing scenarios to these
+	// implementation slugs; empty means every implementation of the drawn
+	// object.
 	Impls []string
 	// MaxCrashes bounds the crash count per scenario (further capped at
 	// n−1: the paper's fault model keeps at least one process alive).
@@ -61,24 +63,28 @@ func (g GenConfig) validate() error {
 			return err
 		}
 	}
-	msg := g.hasFamily(FamMsg)
+	// Object and impl filters resolve against the object registry, plus the
+	// message registry when the msg family is selected.
+	registries := []string{FamObj}
+	if slices.Contains(g.families(), FamMsg) {
+		registries = append(registries, FamMsg)
+	}
 	for _, name := range g.Objects {
-		if ImplsOf(name) == nil && !(msg && MsgImplsOf(name) != nil) {
+		known := false
+		for _, fam := range registries {
+			if implsOf(fam, name) != nil {
+				known = true
+			}
+		}
+		if !known {
 			return fmt.Errorf("explore: unknown object %q", name)
 		}
 	}
 	for _, impl := range g.Impls {
 		found := false
-		for _, object := range g.objects() {
-			for _, have := range ImplsOf(object) {
-				if have == impl {
-					found = true
-				}
-			}
-		}
-		if msg {
-			for _, object := range g.msgObjects() {
-				for _, have := range MsgImplsOf(object) {
+		for _, fam := range registries {
+			for _, object := range g.objects(fam) {
+				for _, have := range implsOf(fam, object) {
 					if have == impl {
 						found = true
 					}
@@ -92,11 +98,8 @@ func (g GenConfig) validate() error {
 	// A selected family must have something to draw: object filters naming
 	// only the other family's objects would otherwise panic deep in NewSpec.
 	for _, fam := range g.families() {
-		switch {
-		case fam == FamObj && len(g.drawableObjects()) == 0:
-			return fmt.Errorf("explore: no selected object is drawable in the %s family", FamObj)
-		case fam == FamMsg && len(g.drawableMsgObjects()) == 0:
-			return fmt.Errorf("explore: no selected object is drawable in the %s family", FamMsg)
+		if fam != FamLang && len(g.drawableObjects(fam)) == 0 {
+			return fmt.Errorf("explore: no selected object is drawable in the %s family", fam)
 		}
 	}
 	for _, order := range g.NetOrders {
@@ -110,67 +113,33 @@ func (g GenConfig) validate() error {
 	return nil
 }
 
-// hasFamily reports whether the resolved family set includes fam.
-func (g GenConfig) hasFamily(fam string) bool {
-	for _, have := range g.families() {
-		if have == fam {
-			return true
-		}
+// implsOf returns the implementation slugs the family's registry holds for
+// the object — the message registry for FamMsg, the object registry
+// otherwise — or nil for an object the registry lacks.
+func implsOf(fam, object string) []string {
+	if fam == FamMsg {
+		return MsgImplsOf(object)
 	}
-	return false
+	return ImplsOf(object)
 }
 
-// objects resolves the object set, defaulting to the whole registry.
-func (g GenConfig) objects() []string {
-	if len(g.Objects) == 0 {
-		return Objects()
-	}
-	return g.Objects
-}
-
-// implsFor returns the object's implementation slugs allowed by the config's
-// Impls filter (all of them when the filter is empty), in registry order.
-func (g GenConfig) implsFor(object string) []string {
-	all := ImplsOf(object)
-	if len(g.Impls) == 0 {
-		return all
-	}
-	var keep []string
-	for _, name := range all {
-		for _, want := range g.Impls {
-			if name == want {
-				keep = append(keep, name)
-			}
-		}
-	}
-	return keep
-}
-
-// drawableObjects returns the objects that still have at least one allowed
-// implementation under the filters.
-func (g GenConfig) drawableObjects() []string {
-	var keep []string
-	for _, object := range g.objects() {
-		if len(g.implsFor(object)) > 0 {
-			keep = append(keep, object)
-		}
-	}
-	return keep
-}
-
-// msgObjects resolves the emulated-object set, defaulting to the whole
-// message registry.
-func (g GenConfig) msgObjects() []string {
-	if len(g.Objects) == 0 {
+// objects resolves the family's object set, defaulting to its whole
+// registry.
+func (g GenConfig) objects(fam string) []string {
+	switch {
+	case len(g.Objects) > 0:
+		return g.Objects
+	case fam == FamMsg:
 		return MsgObjects()
 	}
-	return g.Objects
+	return Objects()
 }
 
-// msgImplsFor returns the object's emulation slugs allowed by the Impls
-// filter, in registry order.
-func (g GenConfig) msgImplsFor(object string) []string {
-	all := MsgImplsOf(object)
+// implsFor returns the object's implementation slugs in the family's
+// registry allowed by the config's Impls filter (all of them when the filter
+// is empty), in registry order.
+func (g GenConfig) implsFor(fam, object string) []string {
+	all := implsOf(fam, object)
 	if len(g.Impls) == 0 {
 		return all
 	}
@@ -185,12 +154,12 @@ func (g GenConfig) msgImplsFor(object string) []string {
 	return keep
 }
 
-// drawableMsgObjects returns the emulated objects that still have at least
-// one allowed emulation under the filters.
-func (g GenConfig) drawableMsgObjects() []string {
+// drawableObjects returns the family's objects that still have at least one
+// allowed implementation under the filters.
+func (g GenConfig) drawableObjects(fam string) []string {
 	var keep []string
-	for _, object := range g.msgObjects() {
-		if len(g.msgImplsFor(object)) > 0 {
+	for _, object := range g.objects(fam) {
+		if len(g.implsFor(fam, object)) > 0 {
 			keep = append(keep, object)
 		}
 	}
@@ -322,9 +291,9 @@ func objStepRange() (lo, hi int) { return 160, 1600 }
 
 // newObjSpec draws one object-execution scenario from the rng.
 func newObjSpec(rng *rand.Rand, cfg GenConfig) Spec {
-	objects := cfg.drawableObjects()
+	objects := cfg.drawableObjects(FamObj)
 	object := objects[rng.Intn(len(objects))]
-	impls := cfg.implsFor(object)
+	impls := cfg.implsFor(FamObj, object)
 	s := Spec{
 		Family: FamObj,
 		Object: object,
@@ -375,9 +344,9 @@ func msgStepRange() (lo, hi int) { return 600, 6000 }
 // other), and the loss schedule is a contiguous run of send indices (dropping
 // the tail of one broadcast, which a uniform scatter almost never does).
 func newMsgSpec(rng *rand.Rand, cfg GenConfig) Spec {
-	objects := cfg.drawableMsgObjects()
+	objects := cfg.drawableObjects(FamMsg)
 	object := objects[rng.Intn(len(objects))]
-	impls := cfg.msgImplsFor(object)
+	impls := cfg.implsFor(FamMsg, object)
 	s := Spec{
 		Family: FamMsg,
 		Object: object,

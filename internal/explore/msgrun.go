@@ -49,7 +49,7 @@ type msgImplDef struct {
 	safe bool
 	// make builds a fresh emulation for n processes on the network. The
 	// second return re-derives the replica servers from the live emulation:
-	// pooled runners call it again after every Reset, because a counter's
+	// the run scratch calls it again after every Reset, because a counter's
 	// cell set (hence its server list) can grow when n does.
 	make func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server)
 }
@@ -192,85 +192,34 @@ func msgSchedule(s Spec) msgnet.Schedule {
 // executeMsg runs one message-passing scenario: the emulated object's clients
 // under a seeded random workload, its replicas as aux actors, the network
 // delivering under the spec's schedule, all wrapped in Aτ and monitored by
-// V_O on the runner's pooled session when it has one. With scratch the
-// substrate is reused: the network re-arms in place (Schedule.Reset), the
-// cached emulation resets against it, and workload, service and Aτ recycle
-// their buffers; the Reset contracts make the outcomes byte-identical.
+// V_O. The substrate comes from the runner's scratch: the network re-arms in
+// place (Schedule.Reset), the cached emulation resets against it, and
+// workload, service and Aτ recycle their buffers, so a reused scratch runs
+// exactly as a new one.
 func (r Runner) executeMsg(s Spec) (*Outcome, error) {
 	md, id, err := msgImplByName(s.Object, s.Impl)
 	if err != nil {
 		return nil, err
 	}
-	crash := r.crashMap(s)
-
-	var nt *msgnet.Net
-	var servers []abd.Server
-	var inner *msgService
-	var tau *adversary.Timed
-	if sc := r.scratch; sc != nil {
-		nt, err = sc.network(s)
-		if err != nil {
-			return nil, err
-		}
-		var impl sut.Impl
-		impl, servers = sc.msgImpl(id, s)
-		sc.wl.Reset(md.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
-		sc.svc.Reset(s.N, impl, &sc.wl)
-		sc.msgSvc = msgService{Service: &sc.svc, net: nt}
-		inner = &sc.msgSvc
-		tau = sc.timed(s.N, inner)
-	} else {
-		nt, err = msgSchedule(s).New(s.N)
-		if err != nil {
-			return nil, err
-		}
-		var impl sut.Impl
-		var srvFn func() []abd.Server
-		impl, srvFn = id.make(s.N, nt)
-		servers = srvFn()
-		wl := sut.NewRandomWorkload(md.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
-		inner = &msgService{Service: sut.NewService(s.N, impl, wl), net: nt}
-		tau = adversary.NewTimed(s.N, inner, adversary.ArrayAtomic)
+	sc := r.scratch
+	nt, err := sc.network(s)
+	if err != nil {
+		return nil, err
 	}
-	m := monitor.NewLin(md.obj, tau, adversary.ArrayAtomic)
-	if r.Wrap != nil {
-		m = r.Wrap(m)
-	}
-	cfg := monitor.Config{
-		N:       s.N,
-		Monitor: m,
-		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
-			// The delivery actor leads the aux list, so a biased policy's
-			// cursor lands on it: biased schedules are delivery-eager, the
-			// network-side counterpart of the language family's cursor bias.
-			aux := []int{nt.Register(rt)}
-			aux = append(aux, abd.Servers(rt, s.N, servers...)...)
-			return tau, aux
-		},
-		Policy:   func(aux []int) sched.Policy { return s.policy(aux) },
-		MaxSteps: s.Steps,
-		Crash:    crash,
-	}
-	mark := r.stages.start()
-	var res *monitor.Result
-	if r.Session != nil {
-		res = r.Session.Run(cfg)
-	} else {
-		res = monitor.Run(cfg)
-	}
-	r.stages.stop(FamMsg, stageExecute, mark)
-
-	out := &Outcome{
-		Spec:    s,
-		Monitor: m.Name(),
-		Label:   id.lin && id.safe,
-		Steps:   res.Steps,
-		NOs:     res.TotalNO(),
-		Digest:  digest(res),
-	}
-	for p := range res.Verdicts {
-		out.Verdicts += len(res.Verdicts[p])
-	}
+	impl, servers := sc.msgImpl(id, s)
+	sc.wl.Reset(md.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
+	sc.svc.Reset(s.N, impl, &sc.wl)
+	sc.msgSvc = msgService{Service: &sc.svc, net: nt}
+	tau := sc.timed(s.N, &sc.msgSvc)
+	out, res := r.run(s, monitor.NewLin(md.obj, tau, adversary.ArrayAtomic), func(rt *sched.Runtime) (adversary.Service, []int) {
+		// The delivery actor leads the aux list, so a biased policy's
+		// cursor lands on it: biased schedules are delivery-eager, the
+		// network-side counterpart of the language family's cursor bias.
+		aux := []int{nt.Register(rt)}
+		aux = append(aux, abd.Servers(rt, s.N, servers...)...)
+		return tau, aux
+	})
+	out.Label = id.lin && id.safe
 	r.runHistoryChecks(out, md.obj, md.safetyName, md.safety, id.lin, id.safe, len(s.Drops) > 0, res, tau)
 	out.Signature = msgSignature(out, res)
 	return out, nil

@@ -257,10 +257,7 @@ func mutProcs(s *Spec, rng *rand.Rand, _ GenConfig) bool {
 // a seeded-bug one and back. A draw that lands on the current implementation
 // is not a mutation. Message-passing parents swap within their own registry.
 func mutImpl(s *Spec, rng *rand.Rand, _ GenConfig) bool {
-	impls := ImplsOf(s.Object)
-	if s.Fam() == FamMsg {
-		impls = MsgImplsOf(s.Object)
-	}
+	impls := implsOf(s.Fam(), s.Object)
 	if len(impls) < 2 {
 		return false
 	}

@@ -1,17 +1,17 @@
 package explore
 
-// Pooled per-run transient state. A Runner without scratch allocates every
-// piece of a scenario's execution substrate fresh — workload, service, timed
-// adversary, crash schedule, network, implementation instance — and drops it
-// all on the floor when the scenario ends. A Runner with scratch (see
-// Runner.Pooled) instead keeps one instance of each per worker and re-arms it
-// through the Reset contracts (sut.Impl.Reset, sut.Service.Reset,
-// sut.RandomWorkload.Reset, adversary.Timed.Reset, msgnet.Schedule.Reset):
-// the pooled counterpart, on the execution side, of what monitor.Session is
-// on the runtime side and check.Pool is on the oracle side. Outcomes are
-// byte-identical either way — the Reset contracts guarantee a reused instance
-// exhibits exactly a fresh one's behaviour — which the reuse-vs-fresh
-// differential tests pin per registered implementation.
+// Per-run transient state. A Runner executes every scenario on a scratch
+// that holds one instance of each piece of the execution substrate —
+// workload, service, timed adversary, crash schedule, network,
+// implementation instances — and re-arms it per scenario through the Reset
+// contracts (sut.Impl.Reset, sut.Service.Reset, sut.RandomWorkload.Reset,
+// adversary.Timed.Reset, msgnet.Schedule.Reset): the execution-side
+// counterpart of what monitor.Session is on the runtime side and check.Pool
+// is on the oracle side. A runner without scratch starts a new one for each
+// Execute call; a pooled runner (see Runner.Pooled) keeps one per worker.
+// Outcomes are byte-identical either way — the Reset contracts guarantee a
+// reused instance exhibits exactly a new one's behaviour — which the
+// reuse-vs-first-use differential tests pin per registered implementation.
 
 import (
 	"github.com/drv-go/drv/internal/abd"
@@ -63,29 +63,21 @@ func newRunScratch() *runScratch {
 	}
 }
 
-// Pooled returns a copy of the runner that reuses one execution substrate
+// Pooled returns a copy of the runner that keeps one execution substrate
 // across the scenarios it runs — object and emulation instances (reset per
 // scenario through the sut.Impl Reset contract), workload, service, timed
-// adversary, crash map and network. Outcomes are byte-identical to a
-// scratch-less runner's; the copy must not be used concurrently (explore
-// gives each worker its own).
+// adversary, crash map and network — instead of starting one per Execute
+// call. Outcomes are byte-identical either way; the copy must not be used
+// concurrently (explore gives each worker its own).
 func (r Runner) Pooled() Runner {
 	r.scratch = newRunScratch()
 	return r
 }
 
-// crashMap builds the spec's crash schedule, reusing the scratch map when the
-// runner has one.
+// crashMap builds the spec's crash schedule in the scratch's reusable map.
 func (r Runner) crashMap(s Spec) map[int][]int {
-	var crash map[int][]int
-	if r.scratch != nil {
-		crash = r.scratch.crash
-		for k := range crash {
-			delete(crash, k)
-		}
-	} else {
-		crash = map[int][]int{}
-	}
+	crash := r.scratch.crash
+	clear(crash)
 	for _, c := range s.Crashes {
 		crash[c.Step] = append(crash[c.Step], c.Proc)
 	}

@@ -138,6 +138,25 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 	}
 }
 
+func TestExecuteReleasesPerCallSession(t *testing.T) {
+	// A runner without a session opens one per Execute call; its process
+	// coroutines must be torn down before the call returns, or every
+	// zero-value execution (drvexplore -replay, the fresh side of the
+	// differentials) would leak n goroutines.
+	specs := []Spec{NewSpec(91, 0, GenConfig{}), NewSpec(91, 0, objGen()), NewSpec(91, 0, msgGen())}
+	base := runtime.NumGoroutine()
+	for _, s := range specs {
+		for i := 0; i < 20; i++ {
+			if _, err := Execute(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("%s: %d goroutines after 20 executions, %d before", s, got, base)
+		}
+	}
+}
+
 // Steady-state allocation budgets for one pooled scenario execution,
 // workload through verdict. The values pin the pooled substrate: remaining
 // allocations are per-scenario results (monitor state, sketches, oracle
@@ -145,8 +164,8 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 // regression that reintroduces per-scenario substrate construction (fresh
 // runtime, implementation, workload or network) blows well past them.
 const (
-	objAllocBudget = 2000 // measured steady state ~1536 (fresh runner: ~1849)
-	msgAllocBudget = 1100 // measured steady state ~681 (fresh runner: ~1267)
+	objAllocBudget = 2000 // measured steady state ~1527 (fresh runner: ~1938)
+	msgAllocBudget = 1100 // measured steady state ~666 (fresh runner: ~1207)
 )
 
 func TestPooledExecuteAllocBudgetObj(t *testing.T) {

@@ -87,20 +87,22 @@ type Outcome struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Runner executes scenarios. The zero value runs the shipped monitors on a
-// fresh runtime per scenario; Wrap lets tests swap in broken ones, Session
-// lets a worker reuse one pooled runtime for its whole batch.
+// Runner executes scenarios. The zero value runs the shipped monitors,
+// setting up a runtime+session pair and an execution substrate for each
+// Execute call; Wrap lets tests swap in broken monitors, and Session plus
+// Pooled let a worker keep both for its whole batch.
 type Runner struct {
 	// Wrap, when non-nil, wraps the scenario's monitor before the run.
 	Wrap func(monitor.Monitor) monitor.Monitor
 	// Session, when non-nil, executes every scenario on this pooled
-	// runtime+session pair. Outcomes are byte-identical to unpooled runs,
-	// but the runner must not be used concurrently (explore gives each
-	// worker its own).
+	// runtime+session pair; when nil, each Execute call opens and closes its
+	// own. A runner with a session must not be used concurrently (explore
+	// gives each worker its own).
 	Session *monitor.Session
-	// scratch, when non-nil (see Pooled), reuses one execution substrate —
+	// scratch, when non-nil (see Pooled), keeps one execution substrate —
 	// SUT instances, workload, service, timed adversary, crash map, network —
-	// across the runner's scenarios instead of allocating it per run.
+	// across the runner's scenarios; when nil, each Execute call starts a
+	// new one.
 	scratch *runScratch
 	// stages, when non-nil, accumulates per-stage wall time and allocations
 	// (see StageStats); nil costs nothing on the hot path.
@@ -108,14 +110,10 @@ type Runner struct {
 }
 
 // checker returns a reset incremental checker for (obj, realTime) over n
-// processes: borrowed from the session's checker pool when the runner has a
-// session, so the memo table and key buffers grown by earlier scenarios are
-// reused, else fresh. The verdicts are the same either way.
+// processes, borrowed from the session's checker pool so the memo table and
+// key buffers grown by earlier scenarios are reused.
 func (r Runner) checker(obj trace.Object, realTime bool, n int) *check.Incremental {
-	if r.Session != nil {
-		return r.Session.CheckPool().Get(obj, realTime, n)
-	}
-	return check.NewIncremental(obj, realTime, n)
+	return r.Session.CheckPool().Get(obj, realTime, n)
 }
 
 // safetyViolated evaluates the language's safety test on w. Languages whose
@@ -140,15 +138,24 @@ func (r Runner) safetyViolated(l lang.Lang, w trace.Word) bool {
 // oracle mismatches are reported as Divergences in the outcome.
 func Execute(s Spec) (*Outcome, error) { return Runner{}.Execute(s) }
 
-// Execute runs the scenario under the runner's monitor wrapping.
+// Execute runs the scenario under the runner's monitor wrapping. A runner
+// without a session or scratch gets both for this call alone, so every
+// scenario runs down the same path.
 func (r Runner) Execute(s Spec) (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.Fam() == FamObj {
-		return r.executeObj(s)
+	if r.Session == nil {
+		r.Session = monitor.NewSession()
+		defer r.Session.Close()
 	}
-	if s.Fam() == FamMsg {
+	if r.scratch == nil {
+		r.scratch = newRunScratch()
+	}
+	switch s.Fam() {
+	case FamObj:
+		return r.executeObj(s)
+	case FamMsg:
 		return r.executeMsg(s)
 	}
 	l, err := langByName(s.Lang)
@@ -168,8 +175,6 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 	}
 
 	fam := famOf(s.Lang)
-	crash := r.crashMap(s)
-
 	adv := adversary.NewA(s.N, lb.New())
 	var tau *adversary.Timed
 	var svc adversary.Service = adv
@@ -177,67 +182,66 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 		tau = adversary.NewTimed(s.N, adv, adversary.ArrayAtomic)
 		svc = tau
 	}
-	m := r.buildMonitor(fam, l, tau)
-	cfg := monitor.Config{
-		N:       s.N,
-		Monitor: m,
-		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
-			return svc, []int{adv.Register(rt)}
-		},
-		Policy:   func(aux []int) sched.Policy { return s.policy(aux) },
-		MaxSteps: s.Steps,
-		Crash:    crash,
-	}
+	out, res := r.run(s, buildMonitor(fam, l, tau), func(rt *sched.Runtime) (adversary.Service, []int) {
+		return svc, []int{adv.Register(rt)}
+	})
+	out.Label = lb.In
+	out.Cursor = adv.CursorStats()
 	mark := r.stages.start()
-	var res *monitor.Result
-	if r.Session != nil {
-		res = r.Session.Run(cfg)
-	} else {
-		res = monitor.Run(cfg)
-	}
-	r.stages.stop(FamLang, stageExecute, mark)
-
-	out := &Outcome{
-		Spec:    s,
-		Monitor: m.Name(),
-		Label:   lb.In,
-		Steps:   res.Steps,
-		NOs:     res.TotalNO(),
-		Digest:  digest(res),
-		Cursor:  adv.CursorStats(),
-	}
-	for p := range res.Verdicts {
-		out.Verdicts += len(res.Verdicts[p])
-	}
-	mark = r.stages.start()
 	r.runChecks(out, l, lb, fam, res, tau)
 	r.stages.stop(FamLang, stageCheck, mark)
 	out.Signature = signatureOf(out, res)
 	return out, nil
 }
 
-// buildMonitor constructs the family's monitor for the language, applying
-// the runner's wrapping.
-func (r Runner) buildMonitor(fam family, l lang.Lang, tau *adversary.Timed) monitor.Monitor {
-	var m monitor.Monitor
-	switch fam {
-	case famWEC:
-		m = monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	case famSEC:
-		m = monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	case famECLed:
-		m = monitor.NewECLed(adversary.ArrayAtomic)
-	default:
-		if l.Name == "LIN_REG" || l.Name == "LIN_LED" {
-			m = monitor.NewLin(l.Object, tau, adversary.ArrayAtomic)
-		} else {
-			m = monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
-		}
-	}
+// run executes the scenario's Figure 1 loop once on the runner's session:
+// monitor m, after the runner's wrapping, against the service newService
+// installs, under the spec's policy, step bound and crash schedule. It
+// returns the outcome with the run-level fields every family shares filled
+// in, and the session-owned result, valid until the runner's next run.
+func (r Runner) run(s Spec, m monitor.Monitor, newService func(*sched.Runtime) (adversary.Service, []int)) (*Outcome, *monitor.Result) {
 	if r.Wrap != nil {
 		m = r.Wrap(m)
 	}
-	return m
+	cfg := monitor.Config{
+		N:          s.N,
+		Monitor:    m,
+		NewService: newService,
+		Policy:     func(aux []int) sched.Policy { return s.policy(aux) },
+		MaxSteps:   s.Steps,
+		Crash:      r.crashMap(s),
+	}
+	mark := r.stages.start()
+	res := r.Session.Run(cfg)
+	r.stages.stop(s.Fam(), stageExecute, mark)
+
+	out := &Outcome{
+		Spec:    s,
+		Monitor: m.Name(),
+		Steps:   res.Steps,
+		NOs:     res.TotalNO(),
+		Digest:  digest(res),
+	}
+	for p := range res.Verdicts {
+		out.Verdicts += len(res.Verdicts[p])
+	}
+	return out, res
+}
+
+// buildMonitor constructs the family's monitor for the language.
+func buildMonitor(fam family, l lang.Lang, tau *adversary.Timed) monitor.Monitor {
+	switch fam {
+	case famWEC:
+		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
+	case famSEC:
+		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
+	case famECLed:
+		return monitor.NewECLed(adversary.ArrayAtomic)
+	}
+	if l.Name == "LIN_REG" || l.Name == "LIN_LED" {
+		return monitor.NewLin(l.Object, tau, adversary.ArrayAtomic)
+	}
+	return monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
 }
 
 // policy builds the scenario's scheduling policy. The policy seed is an

@@ -194,66 +194,26 @@ func implByName(object, impl string) (objDef, implDef, error) {
 const wlSalt = 0x3ead
 
 // executeObj runs one object-execution scenario: the implementation under a
-// seeded random workload, wrapped in Aτ, monitored by V_O, on the runner's
-// pooled session when it has one. With scratch the whole substrate — the
-// implementation instance (one live copy per object/impl pair, reset per
-// scenario), the workload, the service, Aτ — is reused instead of rebuilt;
-// the Reset contracts make the outcomes byte-identical.
+// seeded random workload, wrapped in Aτ, monitored by V_O. The substrate
+// comes from the runner's scratch: the implementation instance (one live
+// copy per object/impl pair, reset per scenario), the workload, the service
+// and Aτ are re-armed through their Reset contracts, so a reused scratch
+// runs exactly as a new one.
 func (r Runner) executeObj(s Spec) (*Outcome, error) {
 	od, id, err := implByName(s.Object, s.Impl)
 	if err != nil {
 		return nil, err
 	}
-	crash := r.crashMap(s)
-
-	var inner adversary.Service
-	var tau *adversary.Timed
-	if sc := r.scratch; sc != nil {
-		impl := sc.objImpl(id, s)
-		sc.wl.Reset(od.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
-		sc.svc.Reset(s.N, impl, &sc.wl)
-		inner = &sc.svc
-		tau = sc.timed(s.N, inner)
-	} else {
-		wl := sut.NewRandomWorkload(od.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
-		inner = sut.NewService(s.N, id.make(s.N), wl)
-		tau = adversary.NewTimed(s.N, inner, adversary.ArrayAtomic)
-	}
-	m := monitor.NewLin(od.obj, tau, adversary.ArrayAtomic)
-	if r.Wrap != nil {
-		m = r.Wrap(m)
-	}
-	cfg := monitor.Config{
-		N:       s.N,
-		Monitor: m,
-		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
-			return tau, nil
-		},
-		Policy:   func(aux []int) sched.Policy { return s.policy(aux) },
-		MaxSteps: s.Steps,
-		Crash:    crash,
-	}
-	mark := r.stages.start()
-	var res *monitor.Result
-	if r.Session != nil {
-		res = r.Session.Run(cfg)
-	} else {
-		res = monitor.Run(cfg)
-	}
-	r.stages.stop(FamObj, stageExecute, mark)
-
-	out := &Outcome{
-		Spec:    s,
-		Monitor: m.Name(),
-		Label:   id.lin && id.safe,
-		Steps:   res.Steps,
-		NOs:     res.TotalNO(),
-		Digest:  digest(res),
-	}
-	for p := range res.Verdicts {
-		out.Verdicts += len(res.Verdicts[p])
-	}
-	r.runObjChecks(out, od, id, res, tau)
+	sc := r.scratch
+	impl := sc.objImpl(id, s)
+	sc.wl.Reset(od.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
+	sc.svc.Reset(s.N, impl, &sc.wl)
+	tau := sc.timed(s.N, &sc.svc)
+	out, res := r.run(s, monitor.NewLin(od.obj, tau, adversary.ArrayAtomic), func(*sched.Runtime) (adversary.Service, []int) {
+		return tau, nil
+	})
+	out.Label = id.lin && id.safe
+	r.runHistoryChecks(out, od.obj, od.safetyName, od.safety, id.lin, id.safe, false, res, tau)
 	out.Signature = objSignature(out, res)
 	return out, nil
 }
@@ -262,13 +222,6 @@ func (r Runner) executeObj(s Spec) (*Outcome, error) {
 // enumerates pending subsets × permutations, so only small histories can
 // afford it. Histories above the cap skip the check.
 const bruteOpsCap = 7
-
-// runObjChecks evaluates the object family's differential checks, appending
-// divergences (guaranteed properties violated, checker disagreement, monitor
-// unsoundness) and oracle failures (planted bugs exposed) to the outcome.
-func (r Runner) runObjChecks(out *Outcome, od objDef, id implDef, res *monitor.Result, tau *adversary.Timed) {
-	r.runHistoryChecks(out, od.obj, od.safetyName, od.safety, id.lin, id.safe, false, res, tau)
-}
 
 // runHistoryChecks is the check battery shared by the object and
 // message-passing families: the exhibited history against the class oracles
