@@ -25,7 +25,11 @@
 //     search's state space and verdict but visits operations in the last
 //     witness's order, so a refuted witness is re-found within a few nodes;
 //     differential tests pin it symbol-for-symbol to the from-scratch
-//     checkers.
+//     checkers. check.ECLedger is the eventual ledger's counterpart for
+//     clause (1), which is order-free: an append multiset that only grows
+//     and a longest returned sequence that only extends, so each symbol
+//     costs only itself; EC_LED's per-prefix safety oracle is one forward
+//     pass of it.
 //   - internal/adversary — the adversary A (a word cursor realizing Claim
 //     3.1) and the timed adversary Aτ of Figure 6.
 //   - exp/trace's SketchBuilder — the view-to-history construction x~(E) of
@@ -38,7 +42,10 @@
 //     transformations of Figures 2–4, and the concrete monitors of Figures
 //     5, 8 and 9, plus baselines (order-free, consensus-powered, 3-valued).
 //     The shared triple board of Figures 8 and 9 hands each process only
-//     the triples it has not collected yet, so a round costs its new input.
+//     the triples it has not collected yet, so a round costs its new input:
+//     V_O extends its sketch and checker, and the order-free logics (the
+//     EC_LED candidate and the naive-order baseline) feed the new triples
+//     to a check.ECLedger or a sequential-consistency check.Incremental.
 //   - internal/word — the shuffle operator of Definition 5.2 over
 //     exp/trace's words.
 //   - internal/core — the decidability notions SD, WD, PSD, PWD and the

@@ -192,6 +192,15 @@ func (a *A) Recv(p *sched.Proc) trace.Response {
 // History implements Service.
 func (a *A) History() trace.Word { return a.history.Clone() }
 
+// Peek returns the next unemitted symbol of the adversary's word without
+// consuming it.
+func (a *A) Peek() (trace.Symbol, bool) {
+	if len(a.queue) == 0 && !a.pull() {
+		return trace.Symbol{}, false
+	}
+	return a.queue[0], true
+}
+
 // HistLen returns the number of symbols emitted so far — len(History())
 // without the clone, cheap enough to record at every verdict.
 func (a *A) HistLen() int { return len(a.history) }

@@ -143,35 +143,70 @@ func checkCrashQuiet(out *Outcome, res *monitor.Result) {
 	}
 }
 
-// checkSourcePrefix re-generates the source and compares the exhibited
-// history against it: per-process projections must be prefixes of the
-// source's projections, and on untimed crash-free runs the history must be a
-// verbatim prefix of the source word (the cursor emits symbols in source
-// order).
+// checkSourcePrefix re-generates the source and streams it against the
+// exhibited history, one source symbol at a time. On untimed crash-free runs
+// the history must be a verbatim prefix of the source word (the cursor emits
+// symbols in source order), so the stream stops after len(History) symbols.
+// Otherwise each process's history projection must be a prefix of its source
+// projection: one cursor per process points at the process's next unmatched
+// history symbol, and the stream stops once every process has matched its
+// whole projection or mismatched, or after 8·len(History)+256 source
+// symbols, the bound beyond which a still-unmatched process counts as
+// diverged. Divergences are reported in ascending process order.
 func checkSourcePrefix(out *Outcome, lb adversary.Labeled, fam family, res *monitor.Result) {
 	src := lb.New()
-	var w trace.Word
-	limit := 8*len(res.History) + 256
-	for len(w) < limit {
+	h := res.History
+	if !fam.timed() && len(out.Spec.Crashes) == 0 {
+		for i := range h {
+			sym, ok := src.Next()
+			if !ok || !h[i].Equal(sym) {
+				out.diverge(CheckSourcePrefix, "history is not a verbatim prefix of the source word")
+				return
+			}
+		}
+		return
+	}
+	n := out.Spec.N
+	// next[p] is the history index of process p's next unmatched symbol:
+	// len(h) once its projection is matched, -1 once it has mismatched.
+	next := make([]int, n)
+	open := 0
+	for p := range next {
+		next[p] = nextOf(h, p, 0)
+		if next[p] < len(h) {
+			open++
+		}
+	}
+	for k := 8*len(h) + 256; open > 0 && k > 0; k-- {
 		sym, ok := src.Next()
 		if !ok {
 			break
 		}
-		w = append(w, sym)
-	}
-	if !fam.timed() && len(out.Spec.Crashes) == 0 {
-		if len(w) < len(res.History) || !res.History.Equal(w[:len(res.History)]) {
-			out.diverge(CheckSourcePrefix, "history is not a verbatim prefix of the source word")
+		p := sym.Proc
+		if p < 0 || p >= n || next[p] < 0 || next[p] == len(h) {
+			continue
 		}
-		return
+		if !h[next[p]].Equal(sym) {
+			next[p] = -1
+			open--
+		} else if next[p] = nextOf(h, p, next[p]+1); next[p] == len(h) {
+			open--
+		}
 	}
-	for p := 0; p < out.Spec.N; p++ {
-		hp := res.History.Project(p)
-		sp := w.Project(p)
-		if len(hp) > len(sp) || !hp.Equal(sp[:len(hp)]) {
+	for p, i := range next {
+		if i != len(h) {
 			out.diverge(CheckSourcePrefix, "process %d history projection is not a prefix of the source projection", p)
 		}
 	}
+}
+
+// nextOf returns the index of process p's first symbol in h at or after i,
+// or len(h).
+func nextOf(h trace.Word, p, i int) int {
+	for i < len(h) && h[i].Proc != p {
+		i++
+	}
+	return i
 }
 
 // checkOwnSafety evaluates the per-verdict counter oracle: scan the history

@@ -131,12 +131,14 @@ func SCLed() Lang {
 	}
 }
 
-// ECLed is the eventually consistent ledger language (Definition 2.9).
+// ECLed is the eventually consistent ledger language (Definition 2.9). Its
+// safety test is anyPrefixViolates over check.ECLedgerSafety, run as one
+// forward pass of the incremental clause-(1) checker.
 func ECLed() Lang {
 	return Lang{
 		Name:              "EC_LED",
 		Object:            trace.Ledger(),
-		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return check.ECLedgerSafety(w) != nil }),
+		SafetyViolated:    func(w trace.Word) bool { return check.NewECLedger().AnyPrefixViolated(w) },
 		RealTimeOblivious: false, // Appendix A
 		Sources:           ecLedgerSources,
 	}

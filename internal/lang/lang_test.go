@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/check"
 )
 
 func TestAllSevenLanguages(t *testing.T) {
@@ -232,5 +233,75 @@ func TestSourcesWellFormedPerProcess(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestECLedOracleMatchesPerPrefixSafety pins EC_LED's one-pass safety test
+// to the definition it replaces, anyPrefixViolates over ECLedgerSafety, and
+// the incremental checker to ECLedgerSafety, on every prefix of every
+// EC_LED source's word.
+func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
+	const procs = 3
+	steps := 300
+	if testing.Short() {
+		steps = 120
+	}
+	l := ECLed()
+	perPrefix := anyPrefixViolates(func(w trace.Word) bool { return check.ECLedgerSafety(w) != nil })
+	violating := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, lb := range l.Sources(procs, seed) {
+			src := lb.New()
+			var w trace.Word
+			for i := 0; i < steps; i++ {
+				s, ok := src.Next()
+				if !ok {
+					break
+				}
+				w = append(w, s)
+			}
+			chk := check.NewECLedger()
+			before := false // anyPrefixViolates on the longest response-ended proper prefix
+			for k := 1; k <= len(w); k++ {
+				chk.Append(w[k-1])
+				p := w[:k]
+				whole := check.ECLedgerSafety(p) == nil
+				fresh := check.NewECLedger()
+				for _, s := range p {
+					fresh.Append(s)
+				}
+				if fresh.OK() != whole {
+					t.Fatalf("%s seed %d prefix %d: checker OK = %v, ECLedgerSafety = %v", lb.Name, seed, k, fresh.OK(), check.ECLedgerSafety(p))
+				}
+				// anyPrefixViolates(p) is before || !whole: it tests every
+				// response-ended proper prefix and p itself. Running the
+				// quadratic lift itself on every prefix would be cubic, so
+				// it is sampled.
+				want := before || !whole
+				if k%16 == 0 || k == len(w) {
+					if ref := perPrefix(p); ref != want {
+						t.Fatalf("%s seed %d prefix %d: anyPrefixViolates = %v, test bookkeeping says %v", lb.Name, seed, k, ref, want)
+					}
+				}
+				if got := l.SafetyViolated(p); got != want {
+					t.Fatalf("%s seed %d prefix %d: SafetyViolated = %v, anyPrefixViolates(ECLedgerSafety) = %v", lb.Name, seed, k, got, want)
+				}
+				if w[k-1].Kind == trace.Res {
+					if chk.OK() == want {
+						t.Fatalf("%s seed %d prefix %d: streamed OK = %v, anyPrefixViolates = %v", lb.Name, seed, k, chk.OK(), want)
+					}
+					before = want
+				}
+			}
+			if before {
+				violating++
+				if lb.In {
+					t.Errorf("%s seed %d: a prefix of an in-language word violates clause (1)", lb.Name, seed)
+				}
+			}
+		}
+	}
+	if violating == 0 {
+		t.Error("no source violates clause (1); the differential never sees a NO")
 	}
 }

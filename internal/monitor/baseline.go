@@ -41,25 +41,31 @@ func NewNaiveOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &naiveOrderLogic{obj: obj, board: board}
+			logics[i] = &naiveOrderLogic{board: board, chk: check.NewIncremental(obj, false, n)}
 		}
 		return logics
 	})
 }
 
 type naiveOrderLogic struct {
-	obj   trace.Object
 	board *tripleBoard
+	chk   *check.Incremental // sequential consistency of every collected triple
 
 	inv     trace.Symbol
 	count   int
 	tbuf    []trace.Triple // publish's delta buffer, reused per round
-	all     []trace.Triple // every collected triple
 	verdict Verdict
 }
 
 func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
+// PostRecv publishes the operation and feeds the checker this round's newly
+// collected triples. Sequential consistency ignores cross-process order, so
+// the fed word — the collected triples in collection order — checks exactly
+// as the most permissive history consistent with what is known, the one
+// with every invocation before every response. Per-process order is kept
+// because the board delivers each writer's triples in its log order, which
+// is the order of their indices.
 func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
 	if id == (trace.OpID{}) {
@@ -67,11 +73,11 @@ func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	}
 	l.count++
 	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	l.all = append(l.all, l.tbuf...)
-	// Build the most permissive history consistent with what is known:
-	// per-process order only — all cross-process pairs concurrent.
-	h := orderFreeWord(l.all)
-	if check.SeqConsistent(l.obj, h) {
+	for _, tr := range l.tbuf {
+		l.chk.Append(tr.Inv)
+		l.chk.Append(tr.Res)
+	}
+	if l.chk.OK() {
 		l.verdict = Yes
 	} else {
 		l.verdict = No
@@ -79,35 +85,6 @@ func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 }
 
 func (l *naiveOrderLogic) Decide(*sched.Proc) Verdict { return l.verdict }
-
-// orderFreeWord lays out the collected operations with every invocation
-// before every response, erasing all cross-process real-time order while
-// keeping per-process operation order (IDs are per-process indices). The
-// order of the triples does not matter.
-func orderFreeWord(triples []trace.Triple) trace.Word {
-	byProc := map[int][]trace.Triple{}
-	maxProc := 0
-	for _, tr := range triples {
-		byProc[tr.ID.Proc] = append(byProc[tr.ID.Proc], tr)
-		if tr.ID.Proc > maxProc {
-			maxProc = tr.ID.Proc
-		}
-	}
-	var out trace.Word
-	for p := 0; p <= maxProc; p++ {
-		trs := byProc[p]
-		// Per-process order by identifier index; one operation at a time so
-		// the local word alternates invocation/response.
-		for i := 0; i < len(trs); i++ {
-			for _, tr := range trs {
-				if tr.ID.Idx == i {
-					out = append(out, tr.Inv, tr.Res)
-				}
-			}
-		}
-	}
-	return out
-}
 
 // ThreeValuedWEC is the Section 7 adaptation of Figure 5 to the three-valued
 // weak-decidability variant: NO is reserved for prefix-determined violations

@@ -2,8 +2,9 @@ package monitor
 
 // The triple board hands each process only the triples it has not collected
 // yet, which is exact only if a process's successive snapshots of the
-// board's counts never go back; and V_O's round then costs only the view
-// groups its new triples touch. These tests pin both, for every ArrayKind.
+// board's counts never go back; V_O's round then costs only the view groups
+// its new triples touch, and an order-free logic's round only its new
+// triples. These tests pin all three, for every ArrayKind.
 
 import (
 	"fmt"
@@ -194,6 +195,91 @@ func TestPredictiveRoundCostTracksNewTriples(t *testing.T) {
 		if 10*stats.reemitted > stats.emitted {
 			t.Errorf("%s: re-emitted %d of %d sketch symbols, want at most a tenth",
 				kindName(kind), stats.reemitted, stats.emitted)
+		}
+	}
+}
+
+// feedProbe wraps an order-free logic and checks, every round, that its
+// checker was fed exactly the round's newly collected triples, and that
+// over the run it has been fed every triple its snapshots collected, once.
+type feedProbe struct {
+	Logic
+	stats *feedStats
+}
+
+type feedStats struct {
+	rounds int
+	fed    int    // symbols fed to the checkers
+	refeed int    // symbols a whole-history re-feed every round would have fed
+	bad    string // the first violation
+}
+
+// state returns the logic's checker length, its round's delta and its board.
+func (f *feedProbe) state() (int, []trace.Triple, *tripleBoard) {
+	switch l := f.Logic.(type) {
+	case *ecledLogic:
+		return l.chk.Len(), l.tbuf, l.board
+	case *naiveOrderLogic:
+		return l.chk.Len(), l.tbuf, l.board
+	}
+	panic(fmt.Sprintf("feedProbe: %T is not an order-free logic", f.Logic))
+}
+
+func (f *feedProbe) PostRecv(p *sched.Proc, resp trace.Response) {
+	before, _, _ := f.state()
+	f.Logic.PostRecv(p, resp)
+	after, delta, board := f.state()
+	n := len(board.logs)
+	collected := 0
+	for _, c := range board.seen[p.ID*n : (p.ID+1)*n] {
+		collected += c
+	}
+	if f.stats.bad == "" && (after-before != 2*len(delta) || after != 2*collected) {
+		f.stats.bad = fmt.Sprintf("process %d: round fed %d symbols for %d new triples; %d fed in all for %d collected",
+			p.ID, after-before, len(delta), after, collected)
+	}
+	f.stats.rounds++
+	f.stats.fed += after - before
+	f.stats.refeed += 2 * collected
+}
+
+// TestOrderFreeRoundCostTracksNewTriples is the order-free logics'
+// counterpart of TestPredictiveRoundCostTracksNewTriples: over each
+// ArrayKind, ecledLogic and naiveOrderLogic feed their checkers each
+// collected triple exactly once per run, so a round costs its new triples
+// rather than a re-feed of the whole collected history.
+func TestOrderFreeRoundCostTracksNewTriples(t *testing.T) {
+	setups := []struct {
+		l  lang.Lang
+		mk func(adversary.ArrayKind) Monitor
+	}{
+		{lang.ECLed(), NewECLed},
+		{lang.SCLed(), func(kind adversary.ArrayKind) Monitor { return NewNaiveOrder(trace.Ledger(), kind) }},
+	}
+	for _, su := range setups {
+		for _, kind := range arrayKinds {
+			inner := su.mk(kind)
+			stats := &feedStats{}
+			m := NewMonitor("probe-"+inner.Name(), func(n int) []Logic {
+				logics := inner.New(n)
+				for i, l := range logics {
+					logics[i] = &feedProbe{Logic: l, stats: stats}
+				}
+				return logics
+			})
+			for seed := int64(1); seed <= 2; seed++ {
+				for _, lb := range su.l.Sources(testProcs, seed) {
+					runUntimedSteps(m, lb.New(), seed, naiveSteps)
+				}
+			}
+			if stats.bad != "" {
+				t.Fatalf("%s: %s", inner.Name(), stats.bad)
+			}
+			t.Logf("%s: %d rounds fed %d symbols; re-feeding each round's whole history would feed %d",
+				inner.Name(), stats.rounds, stats.fed, stats.refeed)
+			if stats.rounds < 100 {
+				t.Errorf("%s: %d rounds; the runs are too short", inner.Name(), stats.rounds)
+			}
 		}
 	}
 }

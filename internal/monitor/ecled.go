@@ -26,7 +26,7 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &ecledLogic{board: board, prevAppends: map[trace.Rec]bool{}}
+			logics[i] = &ecledLogic{board: board, chk: check.NewECLedger(), prevAppends: map[trace.Rec]bool{}}
 		}
 		return logics
 	})
@@ -38,9 +38,9 @@ type ecledLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    []trace.Triple // publish's delta buffer, reused per round
-	all     []trace.Triple // every collected triple
-	flag    bool           // ordering clause violated: sticky NO
+	tbuf    []trace.Triple  // publish's delta buffer, reused per round
+	chk     *check.ECLedger // clause (1) over every collected triple
+	flag    bool            // ordering clause violated: sticky NO
 	verdict Verdict
 
 	// prevAppends is the set of records whose append invocations were
@@ -55,7 +55,9 @@ type ecledLogic struct {
 func (l *ecledLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
 // PostRecv implements Line 05: publish the completed operation, snapshot the
-// board, and evaluate the clauses.
+// board, and evaluate the clauses. Clause (1) is order-free — its verdict on
+// the collected operations does not depend on how they are laid out — so the
+// round feeds the checker only its newly collected triples.
 func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
 	if id == (trace.OpID{}) {
@@ -63,14 +65,16 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	}
 	l.count++
 	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	l.all = append(l.all, l.tbuf...)
-	h := orderFreeWord(l.all)
+	for _, tr := range l.tbuf {
+		l.chk.Append(tr.Inv)
+		l.chk.Append(tr.Res)
+	}
 
 	if l.flag {
 		l.verdict = No
 		return
 	}
-	if check.ECLedgerSafety(h) != nil {
+	if !l.chk.OK() {
 		l.flag = true
 		l.verdict = No
 		return
