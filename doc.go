@@ -73,13 +73,15 @@
 //     splitting oracle outcomes into divergences (guaranteed properties
 //     violated) and shrunk bug findings (seeded bugs exposed); its corpus
 //     lives under testdata/corpus-obj. A third family (drvexplore -family
-//     msg, the drv3 grammar) explores objects emulated over message passing
-//     — the internal/abd register, counter and consensus walks on
-//     internal/msgnet — under seeded delivery orders (-net
-//     fifo/lifo/random/starve), message loss (drop=) and crashes; the
-//     emulated object's history is judged by the same oracles, bug
-//     reproducers also shrink along the loss-schedule axis, coverage
-//     signatures gain a network axis, and its corpus lives under
+//     msg, the drv3 grammar) is the object family plus a network: objects
+//     emulated over message passing — the internal/abd register, counter
+//     and consensus walks — run down the same object-scenario path, whose
+//     one message-passing step arms internal/msgnet under seeded delivery
+//     orders (-net fifo/lifo/random/starve) and message loss (drop=) and
+//     registers the replica servers as aux actors. The emulated object's
+//     history is judged by the same oracles, bug reproducers also shrink
+//     along the loss-schedule axis, the shared coverage signature gains a
+//     network axis for these scenarios, and the corpus lives under
 //     testdata/corpus-msg.
 //
 // The stable core — histories, sequential specifications, sketches, the

@@ -35,9 +35,13 @@ type Result struct {
 	// Verdicts holds each process's reported values in report order.
 	Verdicts [][]Verdict
 	// Responses holds each process's received responses (with views when the
-	// service is timed), for sketch reconstruction.
+	// service is timed), for sketch reconstruction. A response is recorded as
+	// soon as it is received, before the round's verdict, so a run cut
+	// between the two leaves a process with one more entry here than in
+	// Verdicts; otherwise the two are aligned.
 	Responses [][]Response
-	// Invs holds each process's sent invocations, aligned with Responses.
+	// Invs holds each process's sent invocations, aligned with Responses
+	// (and so possibly one entry longer than Verdicts).
 	Invs [][]Symbol
 	// StepAt records the global scheduler step at which each verdict was
 	// reported, aligned with Verdicts.

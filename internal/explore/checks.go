@@ -42,7 +42,7 @@ const (
 	// CheckReplay: re-executing the spec must reproduce the digest.
 	CheckReplay = "replay"
 
-	// Object-family checks (see sutrun.go):
+	// Object-scenario checks, message passing included (see sutrun.go):
 	//
 	// CheckOracle: every property the implementation guarantees must hold on
 	// the exhibited history (violations of non-guaranteed properties are
@@ -69,10 +69,11 @@ type Divergence struct {
 const evalWindow = 4
 
 // labelSafetyCap bounds how many history symbols the label-safety oracle
-// checks: the sequential-consistency and eventual-ledger checkers test every
-// prefix with an exponential-time witness search, so unbounded histories
-// would dominate a sweep. A capped check is still sound — any prefix of an
-// in-language word must be clean.
+// checks. The per-prefix checks run in one incremental pass, and most
+// symbols only extend the cached witness, but a symbol that refutes it
+// falls back to the residual witness search, which is exponential in the
+// worst case, so unbounded histories could still dominate a sweep. A capped
+// check is still sound — any prefix of an in-language word must be clean.
 const labelSafetyCap = 600
 
 func (o *Outcome) ran(name string)     { o.Ran = append(o.Ran, name) }
@@ -130,7 +131,7 @@ func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam f
 }
 
 // checkCrashQuiet asserts a crashed process reports no verdict after its
-// crash step; shared by both scenario families.
+// crash step; shared by every scenario family.
 func checkCrashQuiet(out *Outcome, res *monitor.Result) {
 	for _, c := range out.Spec.Crashes {
 		for k, step := range res.StepAt[c.Proc] {

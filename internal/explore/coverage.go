@@ -173,17 +173,22 @@ func writeNameFold(b *strings.Builder, prefix string, findings []Divergence, ord
 	}
 }
 
-// objSignature is the object family's coverage signature: the same
-// granularity philosophy as signatureOf, with the family/object/impl triple
-// anchoring the class and a workload axis replacing the cursor axis (object
-// runs have no word cursor). Failed oracles fold like divergences — a spec
-// whose schedule exposes a planted bug is a coverage class of its own, which
-// is what steers the guided explorer toward bug-adjacent schedules.
+// objSignature is the coverage signature of the object and message-passing
+// families: the same granularity philosophy as signatureOf, with the
+// family/object/impl triple anchoring the class and a workload axis replacing
+// the cursor axis (object runs have no word cursor). Message-passing outcomes
+// add a network axis, so schedules that differ in delivery order or loss
+// pressure land in distinct classes and guided mutation explores the network
+// dimension too. Failed oracles fold like divergences — a spec whose schedule
+// exposes a planted bug is a coverage class of its own, which is what steers
+// the guided explorer toward bug-adjacent schedules. Language signatures fold
+// over their own check list and never gain an axis here, so every committed
+// corpus entry keeps its signature bit for bit.
 func objSignature(o *Outcome, res *monitor.Result) string {
 	var b strings.Builder
 	b.WriteString(sigVersion)
 	b.WriteByte(':')
-	b.WriteString(FamObj)
+	b.WriteString(o.Spec.Fam())
 	b.WriteByte('/')
 	b.WriteString(o.Spec.Object)
 	b.WriteByte('/')
@@ -205,50 +210,18 @@ func objSignature(o *Outcome, res *monitor.Result) string {
 		b.WriteByte('t') // truncated at the step bound
 	}
 
-	// Exposed planted bugs fold by oracle name, divergences by check name.
-	writeNameFold(&b, "|bug=", o.OracleFailures, oracleNames())
-	writeNameFold(&b, "|dv=", o.Divergences, ObjCheckNames())
-	return b.String()
-}
-
-// msgSignature is the message-passing family's coverage signature: the object
-// family's axes — anchored by the msg/object/impl triple — plus a network
-// axis, so schedules that differ in delivery order or loss pressure land in
-// distinct classes and guided mutation explores the network dimension too.
-// Language and object signatures fold over their own check lists and never
-// gain an axis here, so every committed drv1/drv2 corpus entry keeps its
-// signature bit for bit.
-func msgSignature(o *Outcome, res *monitor.Result) string {
-	var b strings.Builder
-	b.WriteString(sigVersion)
-	b.WriteByte(':')
-	b.WriteString(FamMsg)
-	b.WriteByte('/')
-	b.WriteString(o.Spec.Object)
-	b.WriteByte('/')
-	b.WriteString(o.Spec.Impl)
-
-	writeVerdictShape(&b, res)
-	writeCrashAxis(&b, o, res)
-
-	b.WriteString("|ck=")
-	writeCheckVector(&b, o, MsgCheckNames())
-
-	b.WriteString("|wl=")
-	b.WriteString(strconv.Itoa(capBucket(log2Bucket(o.Spec.OpsPerProc), 4)))
-	if !res.Drained {
-		b.WriteByte('t')
-	}
-
 	// Network axis: the delivery-order kind and a capped log₂ bucket of the
 	// loss-schedule length — none/light/heavy loss behave differently long
 	// before the exact indices matter.
-	b.WriteString("|nt=")
-	b.WriteString(o.Spec.NetOrder)
-	b.WriteString(strconv.Itoa(capBucket(log2Bucket(len(o.Spec.Drops)), 3)))
+	if o.Spec.Fam() == FamMsg {
+		b.WriteString("|nt=")
+		b.WriteString(o.Spec.NetOrder)
+		b.WriteString(strconv.Itoa(capBucket(log2Bucket(len(o.Spec.Drops)), 3)))
+	}
 
+	// Exposed planted bugs fold by oracle name, divergences by check name.
 	writeNameFold(&b, "|bug=", o.OracleFailures, oracleNames())
-	writeNameFold(&b, "|dv=", o.Divergences, MsgCheckNames())
+	writeNameFold(&b, "|dv=", o.Divergences, ObjCheckNames())
 	return b.String()
 }
 

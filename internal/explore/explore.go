@@ -454,8 +454,9 @@ func langCheckNames() []string {
 	return names
 }
 
-// ObjCheckNames returns the object family's differential checks, sorted;
-// the object coverage signature's check vector folds over this list.
+// ObjCheckNames returns the differential checks of the object and
+// message-passing families, sorted; their coverage signature's check vector
+// folds over this list.
 func ObjCheckNames() []string {
 	names := []string{
 		CheckWellFormed, CheckCrashQuiet, CheckOracle, CheckBrute,
@@ -465,27 +466,13 @@ func ObjCheckNames() []string {
 	return names
 }
 
-// MsgCheckNames returns the message-passing family's differential checks,
-// sorted; the msg coverage signature's check vector folds over this list. The
-// family runs the object family's battery (the emulated object's history is
-// judged by the same oracles), but the list is its own so either family can
-// gain a check without re-classifying the other's committed corpus.
-func MsgCheckNames() []string {
-	names := []string{
-		CheckWellFormed, CheckCrashQuiet, CheckOracle, CheckBrute,
-		CheckMonitorLin, CheckReplay,
-	}
-	sort.Strings(names)
-	return names
-}
-
 // CheckNames returns the names of every differential check the explorer can
-// run across both scenario families, sorted and deduplicated; reports index
+// run across every scenario family, sorted and deduplicated; reports index
 // their Checks/Skipped maps by these.
 func CheckNames() []string {
 	seen := map[string]bool{}
 	var names []string
-	for _, name := range append(append(langCheckNames(), ObjCheckNames()...), MsgCheckNames()...) {
+	for _, name := range append(langCheckNames(), ObjCheckNames()...) {
 		if !seen[name] {
 			seen[name] = true
 			names = append(names, name)

@@ -32,11 +32,6 @@ type GenConfig struct {
 	// MaxSteps caps the scheduler step bound a scenario may draw (0 = the
 	// per-family defaults only).
 	MaxSteps int
-	// CrashProb is the probability a scenario has any crashes at all
-	// (default 0.5 when MaxCrashes > 0). Crash-free scenarios carry the
-	// label-based differential checks, so the generator keeps both kinds in
-	// the mix.
-	CrashProb float64
 	// NetOrders restricts message-passing scenarios to these delivery-order
 	// kinds (msgnet.OrderFIFO etc.); empty means all four.
 	NetOrders []string
@@ -72,7 +67,7 @@ func (g GenConfig) validate() error {
 	for _, name := range g.Objects {
 		known := false
 		for _, fam := range registries {
-			if implsOf(fam, name) != nil {
+			if ImplsOf(fam, name) != nil {
 				known = true
 			}
 		}
@@ -84,7 +79,7 @@ func (g GenConfig) validate() error {
 		found := false
 		for _, fam := range registries {
 			for _, object := range g.objects(fam) {
-				for _, have := range implsOf(fam, object) {
+				for _, have := range ImplsOf(fam, object) {
 					if have == impl {
 						found = true
 					}
@@ -113,33 +108,20 @@ func (g GenConfig) validate() error {
 	return nil
 }
 
-// implsOf returns the implementation slugs the family's registry holds for
-// the object — the message registry for FamMsg, the object registry
-// otherwise — or nil for an object the registry lacks.
-func implsOf(fam, object string) []string {
-	if fam == FamMsg {
-		return MsgImplsOf(object)
-	}
-	return ImplsOf(object)
-}
-
 // objects resolves the family's object set, defaulting to its whole
 // registry.
 func (g GenConfig) objects(fam string) []string {
-	switch {
-	case len(g.Objects) > 0:
+	if len(g.Objects) > 0 {
 		return g.Objects
-	case fam == FamMsg:
-		return MsgObjects()
 	}
-	return Objects()
+	return Objects(fam)
 }
 
 // implsFor returns the object's implementation slugs in the family's
 // registry allowed by the config's Impls filter (all of them when the filter
 // is empty), in registry order.
 func (g GenConfig) implsFor(fam, object string) []string {
-	all := implsOf(fam, object)
+	all := ImplsOf(fam, object)
 	if len(g.Impls) == 0 {
 		return all
 	}
@@ -188,8 +170,11 @@ func langByName(name string) (lang.Lang, error) {
 // from. The floors keep the finite-run proxies meaningful (a weak decider
 // needs to get past the sources' transient phases before its verdict tail is
 // judged); the ceilings keep 500-scenario sweeps interactive — the predictive
-// monitors re-check a growing history every round, the sequential-consistency
-// ones with an exponential-time witness search.
+// monitors re-check a growing history every round. The incremental checkers
+// make most rounds cheap, but a round that refutes the cached witness falls
+// back to the residual search, worst-case exponential, and the
+// sequential-consistency search, with no real-time order to prune it, gets
+// the shortest runs.
 func stepRange(fam family, langName string) (lo, hi int) {
 	switch fam {
 	case famWEC:
@@ -202,7 +187,7 @@ func stepRange(fam family, langName string) (lo, hi int) {
 		switch langName {
 		case "LIN_REG", "LIN_LED":
 			return 400, 1200
-		default: // SC_REG, SC_LED: exponential witness search, shortest runs
+		default: // SC_REG, SC_LED: the least-pruned residual search, shortest runs
 			return 300, 700
 		}
 	}
@@ -230,11 +215,8 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	if len(fams) > 1 {
 		fam = fams[rng.Intn(len(fams))]
 	}
-	if fam == FamObj {
-		return newObjSpec(rng, cfg)
-	}
-	if fam == FamMsg {
-		return newMsgSpec(rng, cfg)
+	if fam != FamLang {
+		return newObjSpec(rng, cfg, fam)
 	}
 	names := cfg.Langs
 	if len(names) == 0 {
@@ -281,31 +263,52 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	return s
 }
 
-// objStepRange is the scheduler-step band object scenarios draw from. An
-// operation costs roughly a dozen steps through the full stack (impl shared-
-// memory steps, Aτ announce/snapshot, V_O publish/snapshot), so the ceiling
-// comfortably drains the largest workloads while the floor keeps truncated
-// runs — crashes parking a spinlock forever, schedules starving a process —
-// in the mix.
-func objStepRange() (lo, hi int) { return 160, 1600 }
+// drawBand is the per-family band object and message-passing scenarios draw
+// their shape from: processes in [2, maxN], operations per process in
+// [1, maxOps], scheduler steps in [lo, hi].
+type drawBand struct{ maxN, maxOps, lo, hi int }
 
-// newObjSpec draws one object-execution scenario from the rng.
-func newObjSpec(rng *rand.Rand, cfg GenConfig) Spec {
-	objects := cfg.drawableObjects(FamObj)
+// bandOf returns the family's draw band. An object operation costs roughly a
+// dozen steps through the full stack (impl shared-memory steps, Aτ
+// announce/snapshot, V_O publish/snapshot), so the object ceiling comfortably
+// drains the largest workloads while the floor keeps truncated runs — crashes
+// parking a spinlock forever, schedules starving a process — in the mix. One
+// emulated operation costs tens of steps (two quorum RPCs, each a broadcast
+// plus parked receives, with one delivery-actor step per message), so the
+// message-passing band sits well above it, and its process count reaches 5:
+// partial-propagation races need quorums that can miss each other.
+func bandOf(fam string) drawBand {
+	if fam == FamMsg {
+		return drawBand{maxN: 5, maxOps: 6, lo: 600, hi: 6000}
+	}
+	return drawBand{maxN: 4, maxOps: 8, lo: 160, hi: 1600}
+}
+
+// newObjSpec draws one object or message-passing scenario of the family from
+// the rng. A message-passing scenario also draws its network between the
+// workload and the step bound; its loss schedule is deliberately skewed
+// toward the protocol bugs' exposure windows — a contiguous run of send
+// indices, dropping the tail of one broadcast, which a uniform scatter almost
+// never does.
+func newObjSpec(rng *rand.Rand, cfg GenConfig, fam string) Spec {
+	band := bandOf(fam)
+	objects := cfg.drawableObjects(fam)
 	object := objects[rng.Intn(len(objects))]
-	impls := cfg.implsFor(FamObj, object)
+	impls := cfg.implsFor(fam, object)
 	s := Spec{
-		Family: FamObj,
+		Family: fam,
 		Object: object,
 		Impl:   impls[rng.Intn(len(impls))],
-		N:      2 + rng.Intn(3), // 2..4 processes
+		N:      2 + rng.Intn(band.maxN-1),
 		Seed:   rng.Int63(),
 	}
 
 	// No word cursor exists to prioritize, so the cursor policy (which would
-	// degenerate to the random one) stays out of the draw; biased policies
-	// target no actor and act as a differently-seeded uniform draw, kept for
-	// schedule diversity under mutation.
+	// degenerate to the random one) stays out of the draw. A biased policy
+	// targets no actor in the object family and acts as a differently-seeded
+	// uniform draw, kept for schedule diversity under mutation; in the
+	// message-passing family its cursor lands on the network delivery actor
+	// (see executeObj), making it a delivery-eager schedule.
 	switch rng.Intn(3) {
 	case 0:
 		s.Policy = PolRandom
@@ -316,72 +319,21 @@ func newObjSpec(rng *rand.Rand, cfg GenConfig) Spec {
 		s.Bias = float64(30+5*rng.Intn(11)) / 100 // 0.30..0.80
 	}
 
-	s.OpsPerProc = 1 + rng.Intn(8)          // 1..8 operations per process
+	s.OpsPerProc = 1 + rng.Intn(band.maxOps)
 	s.MutBias = float64(2+rng.Intn(7)) / 10 // 0.2..0.8, exact decimals
 
-	lo, hi := objStepRange()
-	s.Steps = lo + rng.Intn(hi-lo+1)
-	if cfg.MaxSteps > 0 && s.Steps > cfg.MaxSteps {
-		s.Steps = cfg.MaxSteps
-	}
-
-	genCrashes(&s, rng, cfg)
-	return s
-}
-
-// msgStepRange is the scheduler-step band message-passing scenarios draw
-// from. One emulated operation costs tens of steps (two quorum RPCs, each a
-// broadcast plus parked receives, with one delivery-actor step per message),
-// so the band sits well above the object family's; the ceiling drains the
-// largest workloads at n=5 while the floor keeps truncated runs — loss
-// schedules starving a quorum forever, crashes parking clients mid-RPC — in
-// the mix.
-func msgStepRange() (lo, hi int) { return 600, 6000 }
-
-// newMsgSpec draws one message-passing scenario from the rng. Two draws are
-// deliberately skewed toward the protocol bugs' exposure windows: the process
-// count reaches 5 (partial-propagation races need quorums that can miss each
-// other), and the loss schedule is a contiguous run of send indices (dropping
-// the tail of one broadcast, which a uniform scatter almost never does).
-func newMsgSpec(rng *rand.Rand, cfg GenConfig) Spec {
-	objects := cfg.drawableObjects(FamMsg)
-	object := objects[rng.Intn(len(objects))]
-	impls := cfg.implsFor(FamMsg, object)
-	s := Spec{
-		Family: FamMsg,
-		Object: object,
-		Impl:   impls[rng.Intn(len(impls))],
-		N:      2 + rng.Intn(4), // 2..5 processes
-		Seed:   rng.Int63(),
-	}
-
-	// Same policy menu as the object family: no word cursor exists, so the
-	// cursor policy stays out; a biased policy's cursor lands on the network
-	// delivery actor (see executeMsg), making it a delivery-eager schedule.
-	switch rng.Intn(3) {
-	case 0:
-		s.Policy = PolRandom
-	case 1:
-		s.Policy = PolBursty
-	default:
-		s.Policy = PolBiased
-		s.Bias = float64(30+5*rng.Intn(11)) / 100 // 0.30..0.80
-	}
-
-	s.OpsPerProc = 1 + rng.Intn(6)          // 1..6 operations per process
-	s.MutBias = float64(2+rng.Intn(7)) / 10 // 0.2..0.8, exact decimals
-
-	orders := cfg.netOrders()
-	s.NetOrder = orders[rng.Intn(len(orders))]
-	if rng.Intn(5) < 2 { // 40% of scenarios are lossy
-		start := rng.Intn(40)
-		for k, run := 0, 1+rng.Intn(6); k < run; k++ {
-			s.Drops = append(s.Drops, start+k)
+	if fam == FamMsg {
+		orders := cfg.netOrders()
+		s.NetOrder = orders[rng.Intn(len(orders))]
+		if rng.Intn(5) < 2 { // 40% of scenarios are lossy
+			start := rng.Intn(40)
+			for k, run := 0, 1+rng.Intn(6); k < run; k++ {
+				s.Drops = append(s.Drops, start+k)
+			}
 		}
 	}
 
-	lo, hi := msgStepRange()
-	s.Steps = lo + rng.Intn(hi-lo+1)
+	s.Steps = band.lo + rng.Intn(band.hi-band.lo+1)
 	if cfg.MaxSteps > 0 && s.Steps > cfg.MaxSteps {
 		s.Steps = cfg.MaxSteps
 	}
@@ -390,17 +342,18 @@ func newMsgSpec(rng *rand.Rand, cfg GenConfig) Spec {
 	return s
 }
 
-// genCrashes draws the crash schedule shared by both families: with
-// probability CrashProb, 1..MaxCrashes distinct processes crash at uniform
+// crashProb is the probability a scenario has any crashes at all. Crash-free
+// scenarios carry the label-based differential checks, so the generator keeps
+// both kinds in the mix.
+const crashProb = 0.5
+
+// genCrashes draws the crash schedule shared by every family: with
+// probability crashProb, 1..MaxCrashes distinct processes crash at uniform
 // steps in [1, Steps−1], canonically ordered.
 func genCrashes(s *Spec, rng *rand.Rand, cfg GenConfig) {
 	maxCrashes := cfg.MaxCrashes
 	if maxCrashes > s.N-1 {
 		maxCrashes = s.N - 1
-	}
-	crashProb := cfg.CrashProb
-	if crashProb == 0 {
-		crashProb = 0.5
 	}
 	if maxCrashes > 0 && s.Steps > 1 && rng.Float64() < crashProb {
 		k := 1 + rng.Intn(maxCrashes)

@@ -123,8 +123,8 @@ func TestMsgCorrectImplsClean(t *testing.T) {
 	// The correct emulation of every object must run clean across seeds,
 	// network orders, crash schedules and lossy networks: no divergence (the
 	// emulation's guarantees hold) and no oracle failure (nothing planted).
-	for _, object := range MsgObjects() {
-		impl := MsgImplsOf(object)[0] // correct variant first, by convention
+	for _, object := range Objects(FamMsg) {
+		impl := ImplsOf(FamMsg, object)[0] // correct variant first, by convention
 		for seed := int64(1); seed <= 4; seed++ {
 			s := Spec{Family: FamMsg, Object: object, Impl: impl, N: 3, Seed: seed,
 				Policy: PolRandom, Steps: 4000, OpsPerProc: 3, MutBias: 0.5,

@@ -239,8 +239,8 @@ func mutProcs(s *Spec, rng *rand.Rand, _ GenConfig) bool {
 		n++
 	}
 	hi := 4
-	if s.Fam() == FamMsg {
-		hi = 5
+	if s.Fam() != FamLang {
+		hi = bandOf(s.Fam()).maxN
 	}
 	if n < 2 || n > hi || n == s.N {
 		return false
@@ -257,7 +257,7 @@ func mutProcs(s *Spec, rng *rand.Rand, _ GenConfig) bool {
 // a seeded-bug one and back. A draw that lands on the current implementation
 // is not a mutation. Message-passing parents swap within their own registry.
 func mutImpl(s *Spec, rng *rand.Rand, _ GenConfig) bool {
-	impls := implsOf(s.Fam(), s.Object)
+	impls := ImplsOf(s.Fam(), s.Object)
 	if len(impls) < 2 {
 		return false
 	}

@@ -20,15 +20,15 @@ import (
 	"github.com/drv-go/drv/internal/sut"
 )
 
-// implKey identifies one registered implementation within its family's
-// registry; object and impl slugs never collide across families.
-type implKey struct{ object, impl string }
+// implKey identifies one registered implementation: its family's registry
+// and its object/impl slug pair.
+type implKey struct{ fam, object, impl string }
 
-// msgEntry caches one message-passing emulation bound to the scratch's
-// pooled network: the client-side impl plus the closure re-deriving its
-// replica servers (a counter's cell set can grow when Reset raises n, so the
-// server list cannot be cached once and for all).
-type msgEntry struct {
+// implEntry caches one live implementation: the instance plus, for a
+// message-passing emulation bound to the scratch's pooled network, the
+// closure re-deriving its replica servers (a counter's cell set can grow when
+// Reset raises n, so the server list cannot be cached once and for all).
+type implEntry struct {
 	impl    sut.Impl
 	servers func() []abd.Server
 }
@@ -36,12 +36,10 @@ type msgEntry struct {
 // runScratch holds a Runner's reusable execution substrate. It is owned by
 // exactly one worker and never shared, so no synchronization is needed.
 type runScratch struct {
-	// impls caches one live instance per object/impl pair (object family),
-	// reset per scenario instead of rebuilt.
-	impls map[implKey]sut.Impl
-	// msgImpls caches one live emulation per object/impl pair (msg family),
-	// each bound to the pooled network nt.
-	msgImpls map[implKey]msgEntry
+	// impls caches one live instance per family/object/impl, reset per
+	// scenario instead of rebuilt; emulations are bound to the pooled
+	// network nt.
+	impls map[implKey]implEntry
 	// wl, svc and tau are the per-scenario pipeline stages every family
 	// shares; msgSvc couples svc to the pooled network for the msg family.
 	wl     sut.RandomWorkload
@@ -57,9 +55,8 @@ type runScratch struct {
 
 func newRunScratch() *runScratch {
 	return &runScratch{
-		impls:    map[implKey]sut.Impl{},
-		msgImpls: map[implKey]msgEntry{},
-		crash:    map[int][]int{},
+		impls: map[implKey]implEntry{},
+		crash: map[int][]int{},
 	}
 }
 
@@ -84,17 +81,23 @@ func (r Runner) crashMap(s Spec) map[int][]int {
 	return crash
 }
 
-// objImpl returns the cached instance for the scenario's object/impl pair,
-// reset for s.N processes, creating it on first use.
-func (sc *runScratch) objImpl(id implDef, s Spec) sut.Impl {
-	key := implKey{s.Object, s.Impl}
-	if impl, ok := sc.impls[key]; ok {
-		impl.Reset(s.N)
-		return impl
+// impl returns the cached instance for the scenario's implementation, reset
+// for s.N processes, creating it on first use, and its replica servers (nil
+// for shared memory). For a message-passing scenario, arm the network first
+// so a new emulation binds the re-armed net.
+func (sc *runScratch) impl(id implDef, s Spec) (sut.Impl, []abd.Server) {
+	key := implKey{s.Fam(), s.Object, s.Impl}
+	e, ok := sc.impls[key]
+	if ok {
+		e.impl.Reset(s.N)
+	} else {
+		e.impl, e.servers = id.make(s.N, sc.nt)
+		sc.impls[key] = e
 	}
-	impl := id.make(s.N)
-	sc.impls[key] = impl
-	return impl
+	if e.servers == nil {
+		return e.impl, nil
+	}
+	return e.impl, e.servers()
 }
 
 // timed returns the pooled timed adversary re-armed around inner.
@@ -107,9 +110,13 @@ func (sc *runScratch) timed(n int, inner adversary.Service) *adversary.Timed {
 	return sc.tau
 }
 
-// network re-arms the pooled network for the scenario's schedule, creating it
-// on the first msg scenario.
+// network re-arms the pooled network for a message-passing scenario's
+// schedule, creating it on the first one; other scenarios run without a
+// network (nil).
 func (sc *runScratch) network(s Spec) (*msgnet.Net, error) {
+	if s.Fam() != FamMsg {
+		return nil, nil
+	}
 	sch := msgSchedule(s)
 	if sc.nt == nil {
 		nt, err := sch.New(s.N)
@@ -123,18 +130,4 @@ func (sc *runScratch) network(s Spec) (*msgnet.Net, error) {
 		return nil, err
 	}
 	return sc.nt, nil
-}
-
-// msgImpl returns the cached emulation for the scenario's object/impl pair,
-// reset for s.N processes, creating it (bound to the pooled network) on first
-// use. Call network first so the emulation binds the re-armed net.
-func (sc *runScratch) msgImpl(id msgImplDef, s Spec) (sut.Impl, []abd.Server) {
-	key := implKey{s.Object, s.Impl}
-	if e, ok := sc.msgImpls[key]; ok {
-		e.impl.Reset(s.N)
-		return e.impl, e.servers()
-	}
-	impl, servers := id.make(s.N, sc.nt)
-	sc.msgImpls[key] = msgEntry{impl: impl, servers: servers}
-	return impl, servers()
 }

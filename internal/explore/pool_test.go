@@ -66,15 +66,15 @@ func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 				target, got.Digest, got.Signature, fresh.Digest, fresh.Signature)
 		}
 	}
-	for _, object := range Objects() {
-		for _, impl := range ImplsOf(object) {
+	for _, object := range Objects(FamObj) {
+		for _, impl := range ImplsOf(FamObj, object) {
 			t.Run(fmt.Sprintf("obj/%s/%s", object, impl), func(t *testing.T) {
 				check(t, reuseObjSpec(object, impl, 6, 2), reuseObjSpec(object, impl, 3, 3))
 			})
 		}
 	}
-	for _, object := range MsgObjects() {
-		for _, impl := range MsgImplsOf(object) {
+	for _, object := range Objects(FamMsg) {
+		for _, impl := range ImplsOf(FamMsg, object) {
 			t.Run(fmt.Sprintf("msg/%s/%s", object, impl), func(t *testing.T) {
 				// Shrinking n across reuse (3 then 2 then 3) plus crossing
 				// network orders is the hard case for the emulations: cell

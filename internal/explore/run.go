@@ -76,9 +76,9 @@ type Outcome struct {
 	// Divergences are the failed differential checks, empty when the
 	// scenario is clean.
 	Divergences []Divergence `json:"divergences,omitempty"`
-	// OracleFailures (object family only) are oracle violations on
-	// properties the implementation does not guarantee: the seeded bug was
-	// exposed. They are findings about the system under test, not about the
+	// OracleFailures (object and message-passing scenarios) are oracle
+	// violations on properties the implementation does not guarantee: the
+	// seeded bug was exposed. They are findings about the system under test, not about the
 	// monitoring stack, so they are reported separately from Divergences.
 	OracleFailures []Divergence `json:"oracle_failures,omitempty"`
 	// Ran and Skipped name the checks that ran and those that did not
@@ -152,11 +152,8 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 	if r.scratch == nil {
 		r.scratch = newRunScratch()
 	}
-	switch s.Fam() {
-	case FamObj:
+	if s.Fam() != FamLang {
 		return r.executeObj(s)
-	case FamMsg:
-		return r.executeMsg(s)
 	}
 	l, err := langByName(s.Lang)
 	if err != nil {

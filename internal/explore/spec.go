@@ -375,16 +375,14 @@ func (s Spec) validateFamily() error {
 		if s.NetOrder != "" || len(s.Drops) > 0 {
 			return fmt.Errorf("explore: object spec carries network fields net=%q drop=%v", s.NetOrder, s.Drops)
 		}
-		_, _, err := implByName(s.Object, s.Impl)
+	} else if err := (msgnet.Schedule{Order: s.NetOrder, Drops: s.Drops}).Validate(); err != nil {
+		// The network schedule validates through the msgnet codec itself, so
+		// the spec grammar and the schedule grammar cannot drift apart. The
+		// order's seed derives from Seed at execution time; 0 stands in for
+		// it here.
 		return err
 	}
-	// The network schedule validates through the msgnet codec itself, so the
-	// spec grammar and the schedule grammar cannot drift apart. The order's
-	// seed derives from Seed at execution time; 0 stands in for it here.
-	if err := (msgnet.Schedule{Order: s.NetOrder, Drops: s.Drops}).Validate(); err != nil {
-		return err
-	}
-	_, _, err := msgImplByName(s.Object, s.Impl)
+	_, _, err := implByName(s.Fam(), s.Object, s.Impl)
 	return err
 }
 

@@ -17,14 +17,20 @@ package explore
 // violated property a seeded-bug implementation does not guarantee is an
 // OracleFailure — the explorer found the planted bug, the object family's
 // figure of merit.
+//
+// The message-passing family (FamMsg, see msgrun.go) runs down this same
+// path: its registry holds emulated objects, and executeObj arms a network
+// for them.
 
 import (
 	"fmt"
 
 	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/monitor"
+	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
 	"github.com/drv-go/drv/internal/sut"
 )
@@ -49,15 +55,26 @@ const (
 // satisfy. Guaranteed properties are divergence-checked; non-guaranteed ones
 // are the planted bugs the explorer hunts.
 type implDef struct {
-	// name is the spec slug (drv2:obj/<object>/<name>).
+	// name is the spec slug (drv2:obj/<object>/<name>, drv3:msg/<object>/<name>).
 	name string
 	// lin guarantees every exhibited history is linearizable.
 	lin bool
 	// safe guarantees the object's secondary safety oracle (SC for register,
-	// queue and stack; SEC safety for counters; EC ordering for ledgers).
+	// queue, stack and consensus; SEC safety for counters; EC ordering for
+	// ledgers).
 	safe bool
-	// make builds a fresh instance for n processes.
-	make func(n int) sut.Impl
+	// make builds a fresh instance for n processes. A message-passing
+	// emulation binds to the network nt and also returns the closure that
+	// re-derives its replica servers from the live emulation: the run scratch
+	// calls it again after every Reset, because a counter's cell set (hence
+	// its server list) can grow when n does. A shared-memory implementation
+	// ignores nt and returns nil.
+	make func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server)
+}
+
+// shared adapts a shared-memory constructor to implDef.make.
+func shared(newImpl func(n int) sut.Impl) func(int, *msgnet.Net) (sut.Impl, func() []abd.Server) {
+	return func(n int, _ *msgnet.Net) (sut.Impl, func() []abd.Server) { return newImpl(n), nil }
 }
 
 // objDef is one registered object: its sequential specification, its
@@ -68,29 +85,22 @@ type objDef struct {
 	// safetyName labels the secondary oracle in findings and signatures.
 	safetyName string
 	// safety returns "" when the history satisfies the secondary oracle,
-	// otherwise the violation. ops is trace.Operations(w), precomputed.
-	safety func(obj trace.Object, w trace.Word, ops []trace.Operation) string
+	// otherwise the violation. It is nil for the strong objects, whose
+	// secondary oracle is plain sequential consistency — the strongest
+	// property an order-free observer can refute — decided on the runner's
+	// incremental checker (see runHistoryChecks).
+	safety func(w trace.Word) string
 	impls  []implDef
 }
 
-// scViolation is the secondary oracle of the strong objects (register,
-// queue, stack): plain sequential consistency, the strongest property an
-// order-free observer can refute.
-func scViolation(obj trace.Object, _ trace.Word, ops []trace.Operation) string {
-	if !check.SeqConsistentOps(obj, ops) {
-		return "history is not sequentially consistent"
-	}
-	return ""
-}
-
-func secViolation(_ trace.Object, w trace.Word, _ []trace.Operation) string {
+func secViolation(w trace.Word) string {
 	if v := check.SECSafety(w); v != nil {
 		return v.String()
 	}
 	return ""
 }
 
-func ecViolation(_ trace.Object, w trace.Word, _ []trace.Operation) string {
+func ecViolation(w trace.Word) string {
 	if v := check.ECLedgerSafety(w); v != nil {
 		return v.String()
 	}
@@ -106,61 +116,72 @@ func ecViolation(_ trace.Object, w trace.Word, _ []trace.Operation) string {
 // the gets it does answer prefix-compatible.
 var objRegistry = []objDef{
 	{
-		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: scViolation,
+		name: "register", obj: trace.Register(), safetyName: OracleSC,
 		impls: []implDef{
-			{name: "atomic", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewAtomicRegister() }},
-			{name: "stale", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewStaleRegister(n, 3) }},
-			{name: "split", lin: false, safe: true, make: func(n int) sut.Impl { return sut.NewSplitRegister(n) }},
+			{name: "atomic", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewAtomicRegister() })},
+			{name: "stale", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewStaleRegister(n, 3) })},
+			{name: "split", lin: false, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSplitRegister(n) })},
 		},
 	},
 	{
 		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: secViolation,
 		impls: []implDef{
-			{name: "snapshot", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAtomic) }},
-			{name: "aadgms", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAADGMS) }},
-			{name: "collect", lin: false, safe: true, make: func(n int) sut.Impl { return sut.NewCollectCounter(n) }},
-			{name: "inflated", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewInflatedCounter(n, 2) }},
-			{name: "stuck", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewStuckCounter(n) }},
+			{name: "snapshot", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAtomic) })},
+			{name: "aadgms", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAADGMS) })},
+			{name: "collect", lin: false, safe: true, make: shared(func(n int) sut.Impl { return sut.NewCollectCounter(n) })},
+			{name: "inflated", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewInflatedCounter(n, 2) })},
+			{name: "stuck", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewStuckCounter(n) })},
 		},
 	},
 	{
-		name: "queue", obj: trace.Queue(), safetyName: OracleSC, safety: scViolation,
+		name: "queue", obj: trace.Queue(), safetyName: OracleSC,
 		impls: []implDef{
-			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockQueue() }},
-			{name: "lifo", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewLIFOQueue() }},
+			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockQueue() })},
+			{name: "lifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewLIFOQueue() })},
 		},
 	},
 	{
-		name: "stack", obj: trace.Stack(), safetyName: OracleSC, safety: scViolation,
+		name: "stack", obj: trace.Stack(), safetyName: OracleSC,
 		impls: []implDef{
-			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockStack() }},
-			{name: "fifo", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewFIFOStack() }},
+			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockStack() })},
+			{name: "fifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewFIFOStack() })},
 		},
 	},
 	{
 		name: "ledger", obj: trace.Ledger(), safetyName: OracleECSafety, safety: ecViolation,
 		impls: []implDef{
-			{name: "lock", lin: true, safe: true, make: func(n int) sut.Impl { return sut.NewLockLedger() }},
-			{name: "snapshot", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewSnapshotLedger(n) }},
-			{name: "forked", lin: false, safe: false, make: func(n int) sut.Impl { return sut.NewForkedLedger(n) }},
-			{name: "lossy", lin: false, safe: true, make: func(n int) sut.Impl { return sut.NewLossyLedger(2) }},
+			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockLedger() })},
+			{name: "snapshot", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewSnapshotLedger(n) })},
+			{name: "forked", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewForkedLedger(n) })},
+			{name: "lossy", lin: false, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLossyLedger(2) })},
 		},
 	},
 }
 
-// Objects returns the registered object names, in registry order.
-func Objects() []string {
-	names := make([]string, 0, len(objRegistry))
-	for _, od := range objRegistry {
+// registry returns the family's object table: msgRegistry for FamMsg,
+// objRegistry otherwise.
+func registry(fam string) []objDef {
+	if fam == FamMsg {
+		return msgRegistry
+	}
+	return objRegistry
+}
+
+// Objects returns the object names registered in the family (FamObj or
+// FamMsg), in registry order.
+func Objects(fam string) []string {
+	reg := registry(fam)
+	names := make([]string, 0, len(reg))
+	for _, od := range reg {
 		names = append(names, od.name)
 	}
 	return names
 }
 
-// ImplsOf returns the implementation slugs of the object, correct variant
-// first, or nil for an unknown object.
-func ImplsOf(object string) []string {
-	for _, od := range objRegistry {
+// ImplsOf returns the implementation slugs the family registers for the
+// object, correct variant first, or nil for an object the family lacks.
+func ImplsOf(fam, object string) []string {
+	for _, od := range registry(fam) {
 		if od.name != object {
 			continue
 		}
@@ -173,9 +194,13 @@ func ImplsOf(object string) []string {
 	return nil
 }
 
-// implByName resolves an object/impl slug pair.
-func implByName(object, impl string) (objDef, implDef, error) {
-	for _, od := range objRegistry {
+// implByName resolves an object/impl slug pair in the family's registry.
+func implByName(fam, object, impl string) (objDef, implDef, error) {
+	noun := "object"
+	if fam == FamMsg {
+		noun = "emulated object"
+	}
+	for _, od := range registry(fam) {
 		if od.name != object {
 			continue
 		}
@@ -184,36 +209,57 @@ func implByName(object, impl string) (objDef, implDef, error) {
 				return od, id, nil
 			}
 		}
-		return objDef{}, implDef{}, fmt.Errorf("explore: object %q has no implementation %q", object, impl)
+		return objDef{}, implDef{}, fmt.Errorf("explore: %s %q has no implementation %q", noun, object, impl)
 	}
-	return objDef{}, implDef{}, fmt.Errorf("explore: unknown object %q", object)
+	return objDef{}, implDef{}, fmt.Errorf("explore: unknown %s %q", noun, object)
 }
 
 // wlSalt derives the workload stream from the spec seed, independent of the
 // policy stream (0x5eed) and the guidance stream (0x9ded).
 const wlSalt = 0x3ead
 
-// executeObj runs one object-execution scenario: the implementation under a
-// seeded random workload, wrapped in Aτ, monitored by V_O. The substrate
-// comes from the runner's scratch: the implementation instance (one live
-// copy per object/impl pair, reset per scenario), the workload, the service
-// and Aτ are re-armed through their Reset contracts, so a reused scratch
-// runs exactly as a new one.
+// executeObj runs one object or message-passing scenario: the implementation
+// under a seeded random workload, wrapped in Aτ, monitored by V_O. The one
+// message-passing step arms the network: it re-arms under the spec's
+// schedule, couples to the service so crashes reach it, and registers its
+// delivery actor and the emulation's replica servers as aux actors. The
+// substrate comes from the runner's scratch: the implementation instance
+// (one live copy per family/object/impl, reset per scenario), the workload,
+// the service, Aτ and the network are re-armed through their Reset
+// contracts, so a reused scratch runs exactly as a new one.
 func (r Runner) executeObj(s Spec) (*Outcome, error) {
-	od, id, err := implByName(s.Object, s.Impl)
+	od, id, err := implByName(s.Fam(), s.Object, s.Impl)
 	if err != nil {
 		return nil, err
 	}
 	sc := r.scratch
-	impl := sc.objImpl(id, s)
+	// Arm the network first so a new emulation binds the re-armed net.
+	nt, err := sc.network(s)
+	if err != nil {
+		return nil, err
+	}
+	impl, servers := sc.impl(id, s)
 	sc.wl.Reset(od.obj, s.N, s.OpsPerProc, s.MutBias, mix(s.Seed, wlSalt))
 	sc.svc.Reset(s.N, impl, &sc.wl)
-	tau := sc.timed(s.N, &sc.svc)
-	out, res := r.run(s, monitor.NewLin(od.obj, tau, adversary.ArrayAtomic), func(*sched.Runtime) (adversary.Service, []int) {
-		return tau, nil
+	var inner adversary.Service = &sc.svc
+	if nt != nil {
+		sc.msgSvc = msgService{Service: &sc.svc, net: nt}
+		inner = &sc.msgSvc
+	}
+	tau := sc.timed(s.N, inner)
+	n := s.N // the closure captures the count, not the whole spec
+	out, res := r.run(s, monitor.NewLin(od.obj, tau, adversary.ArrayAtomic), func(rt *sched.Runtime) (adversary.Service, []int) {
+		if nt == nil {
+			return tau, nil
+		}
+		// The delivery actor leads the aux list, so a biased policy's
+		// cursor lands on it: biased schedules are delivery-eager, the
+		// network-side counterpart of the language family's cursor bias.
+		aux := []int{nt.Register(rt)}
+		return tau, append(aux, abd.Servers(rt, n, servers...)...)
 	})
 	out.Label = id.lin && id.safe
-	r.runHistoryChecks(out, od.obj, od.safetyName, od.safety, id.lin, id.safe, false, res, tau)
+	r.runHistoryChecks(out, od, id, res, tau)
 	out.Signature = objSignature(out, res)
 	return out, nil
 }
@@ -223,17 +269,19 @@ func (r Runner) executeObj(s Spec) (*Outcome, error) {
 // afford it. Histories above the cap skip the check.
 const bruteOpsCap = 7
 
-// runHistoryChecks is the check battery shared by the object and
-// message-passing families: the exhibited history against the class oracles
+// runHistoryChecks is the check battery of the object scenarios, shared-memory
+// and message-passing alike: the exhibited history against the class oracles
 // (split into divergences and bug findings by the implementation's ground
-// truth linOK/safeOK), the brute-force differential on small histories, and
-// the monitor's verdict stream against the offline oracle. lossy marks runs
-// whose network schedule dropped messages; like a crash, a dropped message
-// can strand the violating operation pending, so it gates the completeness
-// half of the monitor check.
-func (r Runner) runHistoryChecks(out *Outcome, obj trace.Object, safetyName string, safety func(trace.Object, trace.Word, []trace.Operation) string, linOK, safeOK, lossy bool, res *monitor.Result, tau *adversary.Timed) {
+// truth), the brute-force differential on small histories, and the monitor's
+// verdict stream against the offline oracle.
+func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monitor.Result, tau *adversary.Timed) {
 	s := out.Spec
+	obj := od.obj
 	crashed := len(s.Crashes) > 0
+	// Like a crash, a dropped message can strand the violating operation
+	// pending, so a lossy network schedule gates the completeness half of
+	// the monitor check.
+	lossy := len(s.Drops) > 0
 	mark := r.stages.start()
 
 	out.ran(CheckWellFormed)
@@ -248,21 +296,20 @@ func (r Runner) runHistoryChecks(out *Outcome, obj trace.Object, safetyName stri
 
 	ops := trace.Operations(res.History)
 	// The offline oracles run on the runner's incremental checkers (see
-	// Runner.checker), the sequential-consistency oracle included: it decides
-	// exactly scViolation's condition.
+	// Runner.checker), the sequential-consistency oracle included.
 	lin := r.checker(obj, true, s.N).CheckWord(res.History)
 	var violation string
-	if safetyName == OracleSC {
+	if od.safety == nil {
 		if !r.checker(obj, false, s.N).CheckWord(res.History) {
 			violation = "history is not sequentially consistent"
 		}
 	} else {
-		violation = safety(obj, res.History, ops)
+		violation = od.safety(res.History)
 	}
 
 	out.ran(CheckOracle)
 	if !lin {
-		if linOK {
+		if id.lin {
 			out.diverge(CheckOracle,
 				"correct implementation %s/%s exhibited a non-linearizable history", s.Object, s.Impl)
 		} else {
@@ -270,11 +317,11 @@ func (r Runner) runHistoryChecks(out *Outcome, obj trace.Object, safetyName stri
 		}
 	}
 	if violation != "" {
-		if safeOK {
+		if id.safe {
 			out.diverge(CheckOracle,
-				"%s/%s guarantees %s but violated it: %s", s.Object, s.Impl, safetyName, violation)
+				"%s/%s guarantees %s but violated it: %s", s.Object, s.Impl, od.safetyName, violation)
 		} else {
-			out.bug(safetyName, "%s", violation)
+			out.bug(od.safetyName, "%s", violation)
 		}
 	}
 
@@ -287,7 +334,7 @@ func (r Runner) runHistoryChecks(out *Outcome, obj trace.Object, safetyName stri
 			out.diverge(CheckBrute,
 				"witness search says linearizable=%v, brute force says %v", lin, got)
 		}
-		if safetyName == OracleSC {
+		if od.safety == nil {
 			fast := violation == ""
 			if got := check.BruteSeqConsistent(obj, res.History); got != fast {
 				out.diverge(CheckBrute,

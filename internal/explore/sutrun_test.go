@@ -124,8 +124,8 @@ func TestObjCorrectImplsClean(t *testing.T) {
 	// The correct implementation of every object must run clean across
 	// seeds and crash schedules: no divergence (its guarantees hold) and no
 	// oracle failure (it has no planted bug to find).
-	for _, object := range Objects() {
-		impl := ImplsOf(object)[0] // correct variant first, by convention
+	for _, object := range Objects(FamObj) {
+		impl := ImplsOf(FamObj, object)[0] // correct variant first, by convention
 		for seed := int64(1); seed <= 4; seed++ {
 			s := Spec{Family: FamObj, Object: object, Impl: impl, N: 3, Seed: seed,
 				Policy: PolRandom, Steps: 1200, OpsPerProc: 4, MutBias: 0.5}
@@ -146,6 +146,29 @@ func TestObjCorrectImplsClean(t *testing.T) {
 				t.Errorf("%s: correct implementation not labelled correct", s)
 			}
 		}
+	}
+}
+
+func TestMonitorLinRoundCutShortReplaysClean(t *testing.T) {
+	// Regression: the step bound stops two processes after V_O's Line 05
+	// published their triples but before their verdicts, and a third process
+	// judges those triples and reports NO. The offline sketch must see every
+	// published triple, or monitor-lin reports a false divergence ("history
+	// and sketch are both linearizable but ... reported 1 NO").
+	const spec = "drv2:obj/register/stale:n=4:seed=6980093484764410535:pol=random:steps=83:ops=4:mb=0.7"
+	s, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Execute(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Divergences) > 0 {
+		t.Errorf("%s diverged: %v", spec, out.Divergences)
+	}
+	if out.NOs == 0 {
+		t.Errorf("%s: no NO verdict; the scenario no longer exercises the cut round", spec)
 	}
 }
 

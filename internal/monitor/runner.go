@@ -18,10 +18,6 @@ type Config struct {
 	// Policy builds the scheduling policy, given the service's auxiliary
 	// actor IDs. Nil defaults to a cursor-prioritizing round-robin.
 	Policy func(aux []int) sched.Policy
-	// Gate, when non-nil, is called at the top of every loop iteration
-	// (between Line 01 and Line 02); tight-execution drivers use it to
-	// control exactly when a process starts its send block.
-	Gate func(p *sched.Proc, round int)
 	// MaxSteps bounds the execution; the run also ends when the service's
 	// behaviour script is exhausted and all processes are parked or exited.
 	MaxSteps int

@@ -33,7 +33,6 @@ type Session struct {
 	svc    adversary.Service
 	stats  adversary.Stats
 	logics []Logic
-	gate   func(p *sched.Proc, round int)
 }
 
 // NewSession returns an empty session; its runtime is created lazily at the
@@ -67,21 +66,21 @@ func (s *Session) body(i int) func(p *sched.Proc) {
 	return func(p *sched.Proc) {
 		logic := s.logics[i]
 		res := &s.res
-		for round := 0; ; round++ {
+		for {
 			v, ok := s.svc.NextInv(p.ID) // Line 01
 			if !ok {
 				return
 			}
-			if s.gate != nil {
-				s.gate(p, round)
-			}
-			logic.PreSend(p, v)     // Line 02
-			s.svc.Send(p, v)        // Line 03
-			resp := s.svc.Recv(p)   // Line 04
-			logic.PostRecv(p, resp) // Line 05
-			d := logic.Decide(p)    // Line 06
+			logic.PreSend(p, v)   // Line 02
+			s.svc.Send(p, v)      // Line 03
+			resp := s.svc.Recv(p) // Line 04
+			// Record the round's observation before Line 05 publishes it:
+			// PostRecv's snapshot can yield, and a run cut there has still
+			// shared the triple other processes may judge.
 			res.Invs[i] = append(res.Invs[i], v)
 			res.Responses[i] = append(res.Responses[i], resp)
+			logic.PostRecv(p, resp) // Line 05
+			d := logic.Decide(p)    // Line 06
 			res.Verdicts[i] = append(res.Verdicts[i], d)
 			res.StepAt[i] = append(res.StepAt[i], s.rt.Steps())
 			src, hl := 0, 0
@@ -153,7 +152,6 @@ func (s *Session) Run(cfg Config) *Result {
 			pl.attachPool(pool)
 		}
 	}
-	s.gate = cfg.Gate
 	s.resetResult(cfg.N)
 	for len(s.bodies) < cfg.N {
 		s.bodies = append(s.bodies, s.body(len(s.bodies)))

@@ -86,3 +86,33 @@ func TestSessionAcrossProcessCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundObservationRecordedAtReceive cuts runs at every step bound in a
+// range and checks the per-process observation buffers: a round's invocation
+// and response are recorded as soon as Line 04 returns, so a run stopped
+// between the receive and the verdict keeps them (one entry more than
+// Verdicts), and the two buffers stay aligned with each other.
+func TestRoundObservationRecordedAtReceive(t *testing.T) {
+	s := monitor.NewSession()
+	defer s.Close()
+	cut := 0
+	for steps := 1; steps <= 300; steps++ {
+		res := s.Run(sessionCfg(3, 7, nil, steps))
+		for p := range res.Verdicts {
+			inv, resp, verd := len(res.Invs[p]), len(res.Responses[p]), len(res.Verdicts[p])
+			if inv != resp {
+				t.Fatalf("steps=%d p%d: %d invocations but %d responses", steps, p, inv, resp)
+			}
+			switch inv - verd {
+			case 0:
+			case 1:
+				cut++
+			default:
+				t.Fatalf("steps=%d p%d: %d observations for %d verdicts", steps, p, inv, verd)
+			}
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no step bound cut a round between its receive and its verdict")
+	}
+}
