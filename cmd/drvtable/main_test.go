@@ -111,6 +111,24 @@ func TestVerboseListsEveryCell(t *testing.T) {
 	}
 }
 
+func TestVerboseGolden(t *testing.T) {
+	// The per-cell listing pins methods, evidence and status for all 28
+	// cells, sequentially and across a worker pool.
+	golden, err := os.ReadFile("testdata/table_small_v.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []string{"1", "4"} {
+		code, out, errOut := runTable(t, "-j", j, "-v")
+		if code != 0 {
+			t.Fatalf("-j %s -v: exit %d, stderr:\n%s", j, code, errOut)
+		}
+		if out != string(golden) {
+			t.Errorf("-j %s -v output does not match golden file:\n%s\nwant:\n%s", j, out, golden)
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {

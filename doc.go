@@ -46,10 +46,9 @@
 //     V_O extends its sketch and checker, and the order-free logics (the
 //     EC_LED candidate and the naive-order baseline) feed the new triples
 //     to a check.ECLedger or a sequential-consistency check.Incremental.
-//   - internal/word — the shuffle operator of Definition 5.2 over
-//     exp/trace's words.
 //   - internal/core — the decidability notions SD, WD, PSD, PWD and the
-//     real-time obliviousness characterization of Theorem 5.2.
+//     real-time obliviousness characterization of Theorem 5.2, with the
+//     shuffle operator of Definition 5.2 it ranges over.
 //   - internal/experiment — the proofs as executable constructions: the
 //     Lemma 5.1 swap, the prefix-extension attacks of Lemmas 5.2/6.2, the
 //     Theorem 5.2 shuffle walk, the Lemma 6.5 alternation attack, and the

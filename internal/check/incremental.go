@@ -370,8 +370,8 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 }
 
 // AnyPrefixViolated reports whether some finite prefix of w fails the check
-// — the incremental form of the anyPrefixViolates lift the non-prefix-closed
-// languages (sequential consistency) need. Only prefixes ending at a
+// — the per-prefix quantifier the non-prefix-closed languages (sequential
+// consistency) need, checked in one forward pass. Only prefixes ending at a
 // response symbol (and w itself) can introduce a violation: a trailing
 // pending invocation is droppable, so it never invalidates a witness. The
 // forward pass exits at the first violated prefix, so an accepting history

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/drv-go/drv/exp/trace"
-	"github.com/drv-go/drv/internal/word"
-)
+import "github.com/drv-go/drv/exp/trace"
 
 // Real-time obliviousness (Definition 5.3): L is real-time oblivious if for
 // every αβ ∈ L with α finite, α′β ∈ L for every shuffle α′ of α's
@@ -35,9 +32,9 @@ func FindRTOWitness(safetyViolated func(trace.Word) bool, alpha trace.Word, n in
 	if safetyViolated(alpha) {
 		return nil
 	}
-	parts := word.ProcParts(alpha, n)
+	parts := procParts(alpha, n)
 	var witness *RTOWitness
-	word.Shuffles(parts, func(cand trace.Word) bool {
+	shuffles(parts, func(cand trace.Word) bool {
 		if safetyViolated(cand) {
 			witness = &RTOWitness{Alpha: alpha.Clone(), Shuffled: cand}
 			return false
@@ -69,4 +66,49 @@ func AppendixAWitness(n int) trace.Word {
 	}
 	b.Op(n-1, "get", trace.Unit{}, recs)
 	return b.Word()
+}
+
+// shuffles enumerates every interleaving of the given parts — the shuffle
+// x1 ⧢ ... ⧢ xm of Definition 5.2 — invoking visit on each. Enumeration stops
+// early if visit returns false. The number of interleavings is the
+// multinomial coefficient of the part lengths, so callers should bound part
+// sizes (tests use |α| ≤ ~12).
+func shuffles(parts []trace.Word, visit func(trace.Word) bool) {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	idx := make([]int, len(parts))
+	cur := make(trace.Word, 0, total)
+	var rec func() bool
+	rec = func() bool {
+		if len(cur) == total {
+			return visit(cur.Clone())
+		}
+		for i, p := range parts {
+			if idx[i] < len(p) {
+				cur = append(cur, p[idx[i]])
+				idx[i]++
+				ok := rec()
+				idx[i]--
+				cur = cur[:len(cur)-1]
+				if !ok {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rec()
+}
+
+// procParts splits a word into its per-process projections α|0, ..., α|n−1
+// for an n-process alphabet, the parts whose shuffle Definition 5.3 ranges
+// over.
+func procParts(w trace.Word, n int) []trace.Word {
+	parts := make([]trace.Word, n)
+	for i := 0; i < n; i++ {
+		parts[i] = w.Project(i)
+	}
+	return parts
 }

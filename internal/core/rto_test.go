@@ -5,7 +5,6 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/lang"
-	"github.com/drv-go/drv/internal/word"
 )
 
 func TestAppendixAWitnessNotRTO(t *testing.T) {
@@ -24,7 +23,7 @@ func TestAppendixAWitnessNotRTO(t *testing.T) {
 			if !l.SafetyViolated(wit.Shuffled) {
 				t.Errorf("n=%d %s: witness shuffle does not violate safety", n, l.Name)
 			}
-			if !word.InShuffle(wit.Shuffled, word.ProcParts(wit.Alpha, n)) {
+			if !inShuffle(wit.Shuffled, procParts(wit.Alpha, n)) {
 				t.Errorf("n=%d %s: witness shuffle is not a shuffle of alpha's projections", n, l.Name)
 			}
 		}

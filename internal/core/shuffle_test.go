@@ -1,4 +1,4 @@
-package word
+package core
 
 import (
 	"math/rand"
@@ -8,10 +8,45 @@ import (
 	"github.com/drv-go/drv/exp/trace"
 )
 
-// CountShuffles returns the number of interleavings of the parts (the
+// inShuffle reports whether cand is an interleaving of the parts, i.e.
+// cand ∈ parts[0] ⧢ ... ⧢ parts[m-1]. It always runs a backtracking search
+// over which part supplies each next symbol. The search is exponential in
+// the worst case, when several parts' heads carry equal symbols; for
+// projections of distinct processes no two heads are equal, so it never
+// backtracks.
+func inShuffle(cand trace.Word, parts []trace.Word) bool {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	if len(cand) != total {
+		return false
+	}
+	idx := make([]int, len(parts))
+	var rec func(pos int) bool
+	rec = func(pos int) bool {
+		if pos == len(cand) {
+			return true
+		}
+		for i, p := range parts {
+			if idx[i] < len(p) && p[idx[i]].Equal(cand[pos]) {
+				idx[i]++
+				if rec(pos + 1) {
+					idx[i]--
+					return true
+				}
+				idx[i]--
+			}
+		}
+		return false
+	}
+	return rec(0)
+}
+
+// countShuffles returns the number of interleavings of the parts (the
 // multinomial coefficient). It overflows for large inputs; intended for the
 // small words used in these tests.
-func CountShuffles(parts []trace.Word) int {
+func countShuffles(parts []trace.Word) int {
 	// multinomial(total; len(p1), ..., len(pm)) computed incrementally.
 	result := 1
 	acc := 0
@@ -24,10 +59,10 @@ func CountShuffles(parts []trace.Word) int {
 	return result
 }
 
-// RandomShuffle samples one interleaving of the parts uniformly at random
+// randomShuffle samples one interleaving of the parts uniformly at random
 // using rng, by repeatedly drawing the next part weighted by its remaining
 // length.
-func RandomShuffle(parts []trace.Word, rng *rand.Rand) trace.Word {
+func randomShuffle(parts []trace.Word, rng *rand.Rand) trace.Word {
 	total := 0
 	rem := make([]int, len(parts))
 	for i, p := range parts {
@@ -57,16 +92,16 @@ func RandomShuffle(parts []trace.Word, rng *rand.Rand) trace.Word {
 func TestShufflesEnumeration(t *testing.T) {
 	a := trace.NewB().Op(0, "inc", trace.Unit{}, trace.Unit{}).Word()  // 2 symbols
 	b := trace.NewB().Op(1, "read", trace.Unit{}, trace.Int(0)).Word() // 2 symbols
-	want := CountShuffles([]trace.Word{a, b})                          // C(4,2) = 6
+	want := countShuffles([]trace.Word{a, b})                          // C(4,2) = 6
 	if want != 6 {
-		t.Fatalf("CountShuffles = %d, want 6", want)
+		t.Fatalf("countShuffles = %d, want 6", want)
 	}
 	seen := map[string]bool{}
-	Shuffles([]trace.Word{a, b}, func(w trace.Word) bool {
+	shuffles([]trace.Word{a, b}, func(w trace.Word) bool {
 		if len(w) != 4 {
 			t.Fatalf("shuffle has wrong length: %v", w)
 		}
-		if !InShuffle(w, []trace.Word{a, b}) {
+		if !inShuffle(w, []trace.Word{a, b}) {
 			t.Fatalf("enumerated shuffle not recognized: %v", w)
 		}
 		seen[w.String()] = true
@@ -81,7 +116,7 @@ func TestShufflesEarlyStop(t *testing.T) {
 	a := trace.NewB().Op(0, "inc", trace.Unit{}, trace.Unit{}).Word()
 	b := trace.NewB().Op(1, "read", trace.Unit{}, trace.Int(0)).Word()
 	count := 0
-	Shuffles([]trace.Word{a, b}, func(trace.Word) bool {
+	shuffles([]trace.Word{a, b}, func(trace.Word) bool {
 		count++
 		return count < 3
 	})
@@ -94,12 +129,12 @@ func TestInShuffleRejects(t *testing.T) {
 	a := trace.NewB().Op(0, "inc", trace.Unit{}, trace.Unit{}).Word()
 	b := trace.NewB().Op(1, "read", trace.Unit{}, trace.Int(0)).Word()
 	// Wrong length.
-	if InShuffle(a, []trace.Word{a, b}) {
+	if inShuffle(a, []trace.Word{a, b}) {
 		t.Error("short candidate should be rejected")
 	}
 	// Reordered within one part (response before invocation).
 	bad := trace.Word{a[1], a[0], b[0], b[1]}
-	if InShuffle(bad, []trace.Word{a, b}) {
+	if inShuffle(bad, []trace.Word{a, b}) {
 		t.Error("part-order-violating candidate should be rejected")
 	}
 }
@@ -111,9 +146,9 @@ func TestRandomShuffleIsShuffle(t *testing.T) {
 	c := trace.NewB().Op(2, "read", trace.Unit{}, trace.Int(2)).Word()
 	parts := []trace.Word{a, b, c}
 	for i := 0; i < 100; i++ {
-		s := RandomShuffle(parts, rng)
-		if !InShuffle(s, parts) {
-			t.Fatalf("RandomShuffle produced non-shuffle: %v", s)
+		s := randomShuffle(parts, rng)
+		if !inShuffle(s, parts) {
+			t.Fatalf("randomShuffle produced non-shuffle: %v", s)
 		}
 	}
 }
@@ -124,8 +159,8 @@ func TestProcPartsRoundTrip(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := randomWellFormed(rng, int(size%10)+2, 3)
-		parts := ProcParts(w, 3)
-		return InShuffle(w, parts)
+		parts := procParts(w, 3)
+		return inShuffle(w, parts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -137,8 +172,8 @@ func TestShufflePreservesProjections(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		w := randomWellFormed(rng, 6, 2)
-		parts := ProcParts(w, 2)
-		s := RandomShuffle(parts, rng)
+		parts := procParts(w, 2)
+		s := randomShuffle(parts, rng)
 		for i := 0; i < 2; i++ {
 			if !s.Project(i).Equal(w.Project(i)) {
 				t.Fatalf("projection %d changed: %v vs %v", i, s.Project(i), w.Project(i))
@@ -178,7 +213,7 @@ func randomWellFormed(rng *rand.Rand, symbols, n int) trace.Word {
 // wordFromBytes deterministically builds a well-formed word from fuzz input:
 // each byte picks a process and either opens its next operation or closes
 // the pending one, so per-process alternation holds by construction. The
-// word length is capped — InShuffle's membership search is exponential in
+// word length is capped — inShuffle's membership search is exponential in
 // the worst case, and the properties under test do not need long words.
 func wordFromBytes(data []byte, n int) trace.Word {
 	const maxSymbols = 40
@@ -219,7 +254,7 @@ func FuzzWordProjectionRoundTrip(f *testing.F) {
 			t.Fatalf("builder produced an ill-formed word: %v", err)
 		}
 
-		parts := ProcParts(w, n)
+		parts := procParts(w, n)
 		total := 0
 		for p, part := range parts {
 			total += len(part)
@@ -238,7 +273,7 @@ func FuzzWordProjectionRoundTrip(f *testing.F) {
 
 		// The round trip: the word is a member of the shuffle of its own
 		// projections.
-		if !InShuffle(w, parts) {
+		if !inShuffle(w, parts) {
 			t.Errorf("word %v not in the shuffle of its projections", w)
 		}
 

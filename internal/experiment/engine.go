@@ -133,24 +133,14 @@ func WorkerCount(total, workers int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every index in [0, total) on a bounded worker pool
-// of the given size; values ≤ 1 run the indices sequentially on the calling
-// goroutine, in order. It returns when every call has finished. ForEach is
-// the engine's scheduling core, exported so that other independent-unit
-// workloads — the scenario explorer fans its random executions through it —
-// reuse the same pool discipline: indices are dispatched in order, results
-// must be folded by index (not completion order) for deterministic output,
-// and fn must confine its writes to per-index state or its own
-// synchronization.
-func ForEach(total, workers int, fn func(i int)) {
-	ForEachWorker(total, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with worker identity: fn receives the stable
-// index w (0 ≤ w < WorkerCount(total, workers)) of the worker running it, so
-// callers can give each worker exclusive per-batch state — a pooled
-// runtime+session pair — without locking. With workers ≤ 1 every index runs
-// on the calling goroutine as worker 0.
+// ForEachWorker runs fn(w, i) for every index i in [0, total) on a bounded
+// worker pool of the given size and returns when every call has finished.
+// fn receives the stable index w (0 ≤ w < WorkerCount(total, workers)) of
+// the worker running it, so callers can give each worker exclusive
+// per-batch state — a pooled runtime+session pair — without locking. With
+// workers ≤ 1 every index runs on the calling goroutine as worker 0, in
+// order. It is the engine's scheduling core; see Pool.Run for the folding
+// discipline deterministic output needs.
 func ForEachWorker(total, workers int, fn func(worker, i int)) {
 	p := NewPool(WorkerCount(total, workers))
 	defer p.Close()
@@ -200,9 +190,9 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Run dispatches indices 0..total−1 onto the pool and blocks until every
-// call has finished. Indices are dispatched in order; as with ForEach,
-// results must be folded by index (not completion order) for deterministic
-// output, and fn must confine its writes to per-index or per-worker state.
+// call has finished. Indices are dispatched in order; results must be
+// folded by index (not completion order) for deterministic output, and fn
+// must confine its writes to per-index or per-worker state.
 func (p *Pool) Run(total int, fn func(worker, i int)) {
 	if p.jobs == nil {
 		for i := 0; i < total; i++ {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -249,11 +251,48 @@ func TestPlanCoversAllCells(t *testing.T) {
 	}
 }
 
+// planListing renders a plan's units as "name -> targets" lines in plan
+// order: the order that decides which failure a cell reports.
+func planListing(pl *plan) string {
+	var sb strings.Builder
+	for _, u := range pl.units {
+		fmt.Fprintf(&sb, "%s ->", u.name)
+		for _, k := range u.targets {
+			fmt.Fprintf(&sb, " %s/%s", pl.rows[k.row].Lang, pl.rows[k.row].Cells[k.col].Class)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func TestPlanPinned(t *testing.T) {
+	// Unit names, targets and order are part of the output contract: the
+	// lowest-ordered failing unit names a cell's error.
+	for _, tc := range []struct {
+		golden string
+		p      Params
+	}{
+		{"testdata/plan_default.golden", DefaultParams()},
+		{"testdata/plan_short.golden", ShortParams()},
+	} {
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := planListing(buildPlan(tc.p)); got != string(want) {
+			t.Errorf("%s: plan differs:\n%s\nwant:\n%s", tc.golden, got, want)
+		}
+	}
+}
+
 func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 64} {
 		var mu sync.Mutex
 		counts := make([]int, 37)
-		ForEach(len(counts), workers, func(i int) {
+		ForEachWorker(len(counts), workers, func(w, i int) {
+			if w < 0 || w >= WorkerCount(len(counts), workers) {
+				t.Errorf("workers=%d: worker id %d out of range", workers, w)
+			}
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
@@ -268,14 +307,19 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 
 func TestForEachSequentialOrder(t *testing.T) {
 	var order []int
-	ForEach(10, 1, func(i int) { order = append(order, i) })
+	ForEachWorker(10, 1, func(w, i int) {
+		if w != 0 {
+			t.Fatalf("sequential ForEachWorker used worker %d", w)
+		}
+		order = append(order, i)
+	})
 	for i, got := range order {
 		if got != i {
-			t.Fatalf("sequential ForEach visited %v", order)
+			t.Fatalf("sequential ForEachWorker visited %v", order)
 		}
 	}
 	// Zero work is a no-op for any worker count.
-	ForEach(0, 4, func(int) { t.Fatal("fn called for empty range") })
+	ForEachWorker(0, 4, func(int, int) { t.Fatal("fn called for empty range") })
 }
 
 func TestPoolReusableAcrossBatches(t *testing.T) {

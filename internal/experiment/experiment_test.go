@@ -171,6 +171,38 @@ func TestPrefixAttackTimedSEC(t *testing.T) {
 	}
 }
 
+// twoRounds builds a one-process run with two reported rounds, the first
+// response carrying id and view.
+func twoRounds(id trace.OpID, view []int) *monitor.Result {
+	v := trace.NewView(view)
+	read := trace.NewInv(0, trace.OpRead, nil)
+	resp := trace.NewRes(0, trace.OpRead, trace.Int(0))
+	return &monitor.Result{
+		Invs:      [][]trace.Symbol{{read, read}},
+		Responses: [][]trace.Response{{{Sym: resp, ID: id, View: &v}, {Sym: resp, ID: trace.OpID{Proc: 0, Idx: 1}}}},
+		Verdicts:  [][]monitor.Verdict{{monitor.Yes, monitor.No}},
+	}
+}
+
+func TestPrefixesMatchComparesIDsAndViews(t *testing.T) {
+	// Lemma 6.2's indistinguishability needs the whole observation up to
+	// the NO: a response that differs only in its view or its operation id
+	// makes the two runs distinguishable to the process.
+	base := twoRounds(trace.OpID{Proc: 0, Idx: 0}, []int{1, 0})
+	if !prefixesMatch(base, twoRounds(trace.OpID{Proc: 0, Idx: 0}, []int{1, 0}), 0, 1) {
+		t.Fatal("identical runs compare unequal")
+	}
+	if prefixesMatch(base, twoRounds(trace.OpID{Proc: 0, Idx: 0}, []int{1, 1}), 0, 1) {
+		t.Error("runs differing in one response's view compare equal")
+	}
+	if prefixesMatch(base, twoRounds(trace.OpID{Proc: 0, Idx: 7}, []int{1, 0}), 0, 1) {
+		t.Error("runs differing in one response's OpID compare equal")
+	}
+	if prefixesMatch(base, base, 0, 2) {
+		t.Error("a report index past the run compares equal")
+	}
+}
+
 func TestLemma65Attack(t *testing.T) {
 	l := Lemma65{N: 2, Stages: 3}
 	err := l.Verify(func(*adversary.Timed) monitor.Monitor {

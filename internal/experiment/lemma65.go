@@ -128,13 +128,11 @@ func (l Lemma65) Run(mk func(tau *adversary.Timed) monitor.Monitor, kind adversa
 		return nil, fmt.Errorf("lemma 6.5 run: %w", err)
 	}
 	out := &Lemma65Result{
-		Word:      res.History,
-		SafetyOK:  check.ECLedgerSafety(res.History) == nil,
-		Converges: check.ECLedgerConverges(res.History),
-		Run:       res,
-	}
-	if sk, err := res.Sketch(n, tau.InvAt); err == nil {
-		out.TightSketch = sk.Equal(res.History)
+		Word:        res.History,
+		SafetyOK:    check.ECLedgerSafety(res.History) == nil,
+		Converges:   check.ECLedgerConverges(res.History),
+		TightSketch: tight(res, n, tau),
+		Run:         res,
 	}
 	// Attribute NOs to phases by the source position consumed when each
 	// verdict was reported. A verdict for the operation whose response sits

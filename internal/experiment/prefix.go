@@ -74,82 +74,82 @@ func firstNO(res *monitor.Result) (proc, idx, step, pulled int, ok bool) {
 	return proc, idx, step, pulled, step >= 0
 }
 
-// observationsPrefixEqual compares process p's observations in two runs up
-// to and including report index idx.
-func observationsPrefixEqual(a, b *monitor.Result, p, idx int) bool {
-	if len(b.Verdicts[p]) <= idx || len(a.Verdicts[p]) <= idx {
-		return false
-	}
-	for k := 0; k <= idx; k++ {
-		if a.Verdicts[p][k] != b.Verdicts[p][k] {
-			return false
+// prefixesMatch reports whether process p's observations in two runs —
+// invocations, responses with their identifiers and views, and verdicts —
+// coincide up to and including report index idx.
+func prefixesMatch(a, b *monitor.Result, p, idx int) bool {
+	cut := func(res *monitor.Result) (Observations, bool) {
+		o := Observe(res, p)
+		if len(o.Verdicts) <= idx {
+			return Observations{}, false
 		}
-		if !a.Invs[p][k].Equal(b.Invs[p][k]) || !a.Responses[p][k].Sym.Equal(b.Responses[p][k].Sym) {
-			return false
-		}
+		return Observations{Invs: o.Invs[:idx+1], Responses: o.Responses[:idx+1], Verdicts: o.Verdicts[:idx+1]}, true
 	}
-	return true
+	oa, okA := cut(a)
+	ob, okB := cut(b)
+	return okA && okB && oa.Equal(ob)
 }
 
 // Run mounts the attack on a monitor against the plain adversary A, using
 // the canonical tight schedule for determinism (the construction of Claim
 // 3.1, as in the proof of Lemma 5.2).
 func (a PrefixAttack) Run(m monitor.Monitor) (*PrefixAttackResult, error) {
-	badRes, err := ScheduledRun(m, a.N, a.Bad, Canonical(a.Bad, a.N))
-	if err != nil {
-		return nil, fmt.Errorf("prefix attack bad run: %w", err)
-	}
-	noProc, noIdx, noStep, cut, ok := firstNO(badRes)
-	if !ok {
-		return nil, fmt.Errorf("prefix attack: the monitor never reported NO on the bad behaviour %v — it already fails soundness", a.Bad)
-	}
-	prefix := a.Bad[:cut].Clone()
-	hybrid := append(prefix, a.GoodTail(prefix)...)
-	hybRes, err := ScheduledRun(m, a.N, hybrid, Canonical(hybrid, a.N))
-	if err != nil {
-		return nil, fmt.Errorf("prefix attack hybrid run: %w", err)
-	}
-	res := &PrefixAttackResult{
-		NoProc: noProc, NoStep: noStep, Cut: cut,
-		Hybrid:    hybRes.History,
-		BadRun:    badRes,
-		HybridRun: hybRes,
-	}
-	res.PrefixesMatch = observationsPrefixEqual(badRes, hybRes, noProc, noIdx)
-	res.ReplayNO = len(hybRes.Verdicts[noProc]) > noIdx && hybRes.Verdicts[noProc][noIdx] == monitor.No
-	return res, nil
+	return a.mount("prefix attack", func(w trace.Word) (*monitor.Result, *adversary.Timed, error) {
+		res, err := ScheduledRun(m, a.N, w, Canonical(w, a.N))
+		return res, nil, err
+	})
 }
 
 // RunTimed mounts the attack against the timed adversary Aτ (Lemma 6.2): the
 // canonical schedule produces tight executions, for which x(E) = x~(E), so a
 // NO on the in-language hybrid word has no sketch justification.
 func (a PrefixAttack) RunTimed(mk func(tau *adversary.Timed) monitor.Monitor, kind adversary.ArrayKind) (*PrefixAttackResult, error) {
-	badRes, _, err := ScheduledTimedRun(mk, a.N, a.Bad, kind, Canonical(a.Bad, a.N))
+	return a.mount("prefix attack (timed)", func(w trace.Word) (*monitor.Result, *adversary.Timed, error) {
+		return ScheduledTimedRun(mk, a.N, w, kind, Canonical(w, a.N))
+	})
+}
+
+// mount runs the attack with run executing a word on the canonical
+// schedule; what prefixes the errors. When run returns Aτ, the result also
+// records whether the hybrid execution is tight.
+func (a PrefixAttack) mount(what string, run func(trace.Word) (*monitor.Result, *adversary.Timed, error)) (*PrefixAttackResult, error) {
+	badRes, tau, err := run(a.Bad)
 	if err != nil {
-		return nil, fmt.Errorf("prefix attack (timed) bad run: %w", err)
+		return nil, fmt.Errorf("%s bad run: %w", what, err)
 	}
 	noProc, noIdx, noStep, cut, ok := firstNO(badRes)
 	if !ok {
-		return nil, fmt.Errorf("prefix attack (timed): the monitor never reported NO on the bad behaviour — it already fails soundness")
+		shown := " " + a.Bad.String() // only the untimed message names the word
+		if tau != nil {
+			shown = ""
+		}
+		return nil, fmt.Errorf("%s: the monitor never reported NO on the bad behaviour%s — it already fails soundness", what, shown)
 	}
 	prefix := a.Bad[:cut].Clone()
 	hybrid := append(prefix, a.GoodTail(prefix)...)
-	hybRes, tau, err := ScheduledTimedRun(mk, a.N, hybrid, kind, Canonical(hybrid, a.N))
+	hybRes, tau, err := run(hybrid)
 	if err != nil {
-		return nil, fmt.Errorf("prefix attack (timed) hybrid run: %w", err)
+		return nil, fmt.Errorf("%s hybrid run: %w", what, err)
 	}
 	res := &PrefixAttackResult{
 		NoProc: noProc, NoStep: noStep, Cut: cut,
-		Hybrid:    hybRes.History,
-		BadRun:    badRes,
-		HybridRun: hybRes,
+		Hybrid:        hybRes.History,
+		BadRun:        badRes,
+		HybridRun:     hybRes,
+		PrefixesMatch: prefixesMatch(badRes, hybRes, noProc, noIdx),
+		ReplayNO:      len(hybRes.Verdicts[noProc]) > noIdx && hybRes.Verdicts[noProc][noIdx] == monitor.No,
 	}
-	res.PrefixesMatch = observationsPrefixEqual(badRes, hybRes, noProc, noIdx)
-	res.ReplayNO = len(hybRes.Verdicts[noProc]) > noIdx && hybRes.Verdicts[noProc][noIdx] == monitor.No
-	if sk, err := hybRes.Sketch(a.N, tau.InvAt); err == nil {
-		res.TightSketch = sk.Equal(hybRes.History)
+	if tau != nil {
+		res.TightSketch = tight(hybRes, a.N, tau)
 	}
 	return res, nil
+}
+
+// tight reports whether a run against Aτ is tight: its sketch x~(E) equals
+// its input x(E), which closes the predictive escape clause.
+func tight(res *monitor.Result, n int, tau *adversary.Timed) bool {
+	sk, err := res.Sketch(n, tau.InvAt)
+	return err == nil && sk.Equal(res.History)
 }
 
 // Verify converts an attack result into a pass/fail judgement for the

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -149,33 +150,22 @@ func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context,
 
 // ---------------------------------------------------------------- running
 
-// runUntimed executes a monitor against A exhibiting the source's word, on
-// the worker's pooled session.
-func runUntimed(sess *monitor.Session, p Params, m monitor.Monitor, src adversary.Source, seed int64, steps int) *monitor.Result {
+// run executes a monitor against A exhibiting the source's word, on the
+// worker's pooled session. When timed, Aτ wraps A and is returned; mk
+// receives it, or nil for an untimed run.
+func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Monitor, timed bool, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
 	adv := adversary.NewA(p.Procs, src)
-	return sess.Run(monitor.Config{
-		N:       p.Procs,
-		Monitor: m,
-		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
-			return adv, []int{adv.Register(rt)}
-		},
-		Policy: func(aux []int) sched.Policy {
-			return sched.Biased(seed, aux[0], 0.5)
-		},
-		MaxSteps: steps,
-	})
-}
-
-// runTimed executes a monitor factory against Aτ wrapping A, on the worker's
-// pooled session.
-func runTimed(sess *monitor.Session, p Params, mk func(tau *adversary.Timed) monitor.Monitor, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
-	adv := adversary.NewA(p.Procs, src)
-	tau := adversary.NewTimed(p.Procs, adv, adversary.ArrayAtomic)
+	var svc adversary.Service = adv
+	var tau *adversary.Timed
+	if timed {
+		tau = adversary.NewTimed(p.Procs, adv, adversary.ArrayAtomic)
+		svc = tau
+	}
 	res := sess.Run(monitor.Config{
 		N:       p.Procs,
 		Monitor: mk(tau),
 		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
-			return tau, []int{adv.Register(rt)}
+			return svc, []int{adv.Register(rt)}
 		},
 		Policy: func(aux []int) sched.Policy {
 			return sched.Biased(seed, aux[0], 0.5)
@@ -185,17 +175,24 @@ func runTimed(sess *monitor.Session, p Params, mk func(tau *adversary.Timed) mon
 	return res, tau
 }
 
-// sweepUntimed emits one unit per (seed, labelled source): each unit runs a
-// freshly built untimed monitor against the source and judges it under the
-// class's predicate. Every unit allocates its own monitor, adversary and
-// runtime, so units are safe to run concurrently.
-func (t *plan) sweepUntimed(cell cellKey, mk func() monitor.Monitor, l lang.Lang, class core.Class, steps int) {
+// sweep emits one unit per (seed, labelled source): each unit runs a freshly
+// built monitor against the source and judges it under the class's
+// predicate. The run is timed exactly when sketchBad is non-nil, which then
+// decides the sketch escape clause. Every unit allocates its own monitor,
+// adversary and runtime, so units are safe to run concurrently.
+func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, sketchBad func(sk trace.Word) bool) {
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
 				func(_ context.Context, sess *monitor.Session) []error {
-					res := runUntimed(sess, t.p, mk(), lb.New(), seed, steps)
+					res, tau := run(sess, t.p, mk, sketchBad != nil, lb.New(), seed, steps)
 					ev := core.Eval{Class: class, Window: t.p.Window}
+					if tau != nil {
+						ev.SketchViolated = func() bool {
+							sk, err := res.Sketch(t.p.Procs, tau.InvAt)
+							return err == nil && sketchBad(sk)
+						}
+					}
 					if err := ev.Check(res, lb.In); err != nil {
 						return []error{fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)}
 					}
@@ -205,28 +202,42 @@ func (t *plan) sweepUntimed(cell cellKey, mk func() monitor.Monitor, l lang.Lang
 	}
 }
 
-// sweepTimed emits one unit per (seed, labelled source) judging a timed
-// monitor factory, with the sketch escape clause evaluated by sketchBad.
-func (t *plan) sweepTimed(cell cellKey, mk func(tau *adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, sketchBad func(sk trace.Word) bool) {
-	for _, seed := range t.p.Seeds {
-		for _, lb := range l.Sources(t.p.Procs, seed) {
-			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
-				func(_ context.Context, sess *monitor.Session) []error {
-					res, tau := runTimed(sess, t.p, mk, lb.New(), seed, steps)
-					ev := core.Eval{Class: class, Window: t.p.Window, SketchViolated: func() bool {
-						sk, err := res.Sketch(t.p.Procs, tau.InvAt)
-						if err != nil {
-							return false
-						}
-						return sketchBad(sk)
-					}}
-					if err := ev.Check(res, lb.In); err != nil {
-						return []error{fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)}
-					}
-					return []error{nil}
-				})
-		}
+// predictiveCells lays out the PSD ✓ and PWD ✓ cells of a register or
+// ledger row: Figure 8's V_O over l's object with the LIN or SC check (lin
+// selects which), judged with l's safety test as the sketch escape clause.
+func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
+	steps, newV := t.p.TimedSteps, monitor.NewLin
+	if !lin {
+		steps, newV = t.p.SCSteps, monitor.NewSC
 	}
+	mk := func(tau *adversary.Timed) monitor.Monitor {
+		return newV(l.Object, tau, adversary.ArrayAtomic)
+	}
+	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
+	t.sweep(psd, mk, l, core.PSD, steps, l.SafetyViolated)
+	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
+	t.sweep(pwd, mk, l, core.PWD, steps, l.SafetyViolated)
+}
+
+// walkUnit adds the Theorem 5.2 walk unit: it searches the shuffles of
+// alpha's projections for a witness that l is not real-time oblivious and
+// realizes the proof's execution chain on it against a fresh monitor from
+// mk. Every target receives the same error; noWitness is the error when the
+// search finds nothing.
+func (t *plan) walkUnit(targets []cellKey, l lang.Lang, alpha trace.Word, n int, mk func() monitor.Monitor, noWitness string) {
+	t.add(l.Name+" Theorem 5.2 walk", targets, func(_ context.Context, _ *monitor.Session) []error {
+		var err error
+		if wit := core.FindRTOWitness(l.SafetyViolated, alpha, n); wit == nil {
+			err = errors.New(noWitness)
+		} else {
+			_, err = RunWalk(mk(), n, wit.Alpha, wit.Shuffled)
+		}
+		errs := make([]error, len(targets))
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
+	})
 }
 
 // ---------------------------------------------------------------- rows
@@ -258,21 +269,7 @@ func (t *plan) registerRow(l lang.Lang, lin bool) {
 	}
 
 	// PSD ✓ and PWD ✓: Figure 8 with the LIN or SC check.
-	steps := t.p.TimedSteps
-	mk := func(tau *adversary.Timed) monitor.Monitor {
-		return monitor.NewLin(trace.Register(), tau, adversary.ArrayAtomic)
-	}
-	if !lin {
-		steps = t.p.SCSteps
-		mk = func(tau *adversary.Timed) monitor.Monitor {
-			return monitor.NewSC(trace.Register(), tau, adversary.ArrayAtomic)
-		}
-	}
-	sketchBad := func(sk trace.Word) bool { return l.SafetyViolated(sk) }
-	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweepTimed(psd, mk, l, core.PSD, steps, sketchBad)
-	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweepTimed(pwd, mk, l, core.PWD, steps, sketchBad)
+	t.predictiveCells(row, l, lin)
 }
 
 // ledgerRow lays out the LIN_LED or SC_LED row.
@@ -285,33 +282,10 @@ func (t *plan) ledgerRow(l lang.Lang, lin bool) {
 	evidence := "Appendix A witness + Theorem 5.2 shuffle walk (E,F,E″ triples verified)"
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Thm 5.2", evidence)
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2", evidence)
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
-		alpha := core.AppendixAWitness(t.p.Procs)
-		wit := core.FindRTOWitness(l.SafetyViolated, alpha, t.p.Procs)
-		var err error
-		if wit == nil {
-			err = fmt.Errorf("no RTO witness found for %s on the Appendix A word", l.Name)
-		} else {
-			_, err = RunWalk(monitor.NewNaiveOrder(trace.Ledger(), adversary.ArrayAtomic), t.p.Procs, wit.Alpha, wit.Shuffled)
-		}
-		return []error{err, err}
-	})
-
-	steps := t.p.TimedSteps
-	mk := func(tau *adversary.Timed) monitor.Monitor {
-		return monitor.NewLin(trace.Ledger(), tau, adversary.ArrayAtomic)
-	}
-	if !lin {
-		steps = t.p.SCSteps
-		mk = func(tau *adversary.Timed) monitor.Monitor {
-			return monitor.NewSC(trace.Ledger(), tau, adversary.ArrayAtomic)
-		}
-	}
-	sketchBad := func(sk trace.Word) bool { return l.SafetyViolated(sk) }
-	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweepTimed(psd, mk, l, core.PSD, steps, sketchBad)
-	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweepTimed(pwd, mk, l, core.PWD, steps, sketchBad)
+	t.walkUnit([]cellKey{sd, wd}, l, core.AppendixAWitness(t.p.Procs), t.p.Procs, func() monitor.Monitor {
+		return monitor.NewNaiveOrder(trace.Ledger(), adversary.ArrayAtomic)
+	}, fmt.Sprintf("no RTO witness found for %s on the Appendix A word", l.Name))
+	t.predictiveCells(row, l, lin)
 }
 
 // ecLedRow lays out the EC_LED row: undecidable everywhere.
@@ -322,17 +296,9 @@ func (t *plan) ecLedRow() {
 	evidence := "Appendix A witness + Theorem 5.2 shuffle walk"
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Thm 5.2", evidence)
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2", evidence)
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
-		alpha := core.AppendixAWitness(t.p.Procs)
-		wit := core.FindRTOWitness(l.SafetyViolated, alpha, t.p.Procs)
-		var err error
-		if wit == nil {
-			err = fmt.Errorf("no RTO witness found for %s on the Appendix A word", l.Name)
-		} else {
-			_, err = RunWalk(monitor.NewECLed(adversary.ArrayAtomic), t.p.Procs, wit.Alpha, wit.Shuffled)
-		}
-		return []error{err, err}
-	})
+	t.walkUnit([]cellKey{sd, wd}, l, core.AppendixAWitness(t.p.Procs), t.p.Procs, func() monitor.Monitor {
+		return monitor.NewECLed(adversary.ArrayAtomic)
+	}, fmt.Sprintf("no RTO witness found for %s on the Appendix A word", l.Name))
 
 	evidence = "Lemma 6.5 alternation attack: unbounded NOs on an in-language tight behaviour"
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.5", evidence)
@@ -364,9 +330,10 @@ func (t *plan) wecRow() {
 
 	wd := t.setCell(row, 1, l.Name, core.WD, true, "Figure 5",
 		"amplified Figure 5 over labelled sources, WD predicate")
-	t.sweepUntimed(wd, func() monitor.Monitor {
+	amplified := func(*adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.WD, t.p.Steps)
+	}
+	t.sweep(wd, amplified, l, core.WD, t.p.Steps, nil)
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
@@ -387,9 +354,7 @@ func (t *plan) wecRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 5",
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
-	t.sweepTimed(pwd, func(*adversary.Timed) monitor.Monitor {
-		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.Steps, func(sk trace.Word) bool {
+	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, func(sk trace.Word) bool {
 		return check.WECSafety(sk) != nil
 	})
 }
@@ -425,16 +390,9 @@ func (t *plan) secRow() {
 	// sensitive; the walk realizes the chain on the witness.
 	wd := t.setCell(row, 1, l.Name, core.WD, false, "Thm 5.2",
 		"clause-4 witness + shuffle walk")
-	t.add(l.Name+" Theorem 5.2 walk", []cellKey{wd}, func(_ context.Context, _ *monitor.Session) []error {
-		wit := core.FindRTOWitness(l.SafetyViolated, secWitness(), 2)
-		var err error
-		if wit == nil {
-			err = fmt.Errorf("no RTO witness on the clause-4 word")
-		} else {
-			_, err = RunWalk(monitor.NewWEC(adversary.ArrayAtomic), 2, wit.Alpha, wit.Shuffled)
-		}
-		return []error{err}
-	})
+	t.walkUnit([]cellKey{wd}, l, secWitness(), 2, func() monitor.Monitor {
+		return monitor.NewWEC(adversary.ArrayAtomic)
+	}, "no RTO witness on the clause-4 word")
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack on Figure 9")
@@ -448,7 +406,7 @@ func (t *plan) secRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 9",
 		"amplified Figure 9 over labelled sources, PWD predicate")
-	t.sweepTimed(pwd, func(tau *adversary.Timed) monitor.Monitor {
+	t.sweep(pwd, func(tau *adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
 	}, l, core.PWD, t.p.TimedSteps, func(sk trace.Word) bool {
 		return check.SECSafety(sk) != nil

@@ -11,7 +11,7 @@
 //
 // Everything is deterministic in the master seed: scenario i of master seed m
 // is the same execution no matter how many workers run (scenarios fan out on
-// the experiment package's ForEach pool and fold back by index), so an
+// the experiment package's worker Pool and fold back by index), so an
 // explorer report is byte-reproducible and any divergence is replayable from
 // its one-line seed spec. A divergent scenario is shrunk — fewer crashes,
 // fewer processes, fewer scheduler steps — to a minimal reproducer before it

@@ -45,32 +45,17 @@ func All() []Lang {
 	}
 }
 
-// anyPrefixViolates lifts a per-word violation test to the language
-// definitions that quantify over all finite prefixes (Definitions 2.3, 2.5,
-// 2.9: "every finite prefix of it is ..."). Sequential consistency and the
-// eventual ledger's clause (1) are not prefix-closed — a later symbol can
-// repair a whole-word check (e.g. a read of r before write(r) is even
-// invoked) — so each prefix ending at a response symbol must be tested.
-// Linearizability is prefix-closed, so LIN languages test the word directly.
-func anyPrefixViolates(violated func(trace.Word) bool) func(trace.Word) bool {
-	return func(w trace.Word) bool {
-		for cut := 1; cut <= len(w); cut++ {
-			if cut < len(w) && w[cut-1].Kind != trace.Res {
-				continue
-			}
-			if violated(w[:cut]) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // ObjectChecker maps a language's safety test onto the witness-search
 // checkers of package check: SafetyViolated(w) equals, for RealTime,
-// !Linearizable(Object, w) (respectively !SeqConsistent), lifted by
-// anyPrefixViolates when PerPrefix is set. The equivalence is pinned by the
-// explorer's differential tests.
+// !Linearizable(Object, w), and otherwise the sequential-consistency
+// checker's AnyPrefixViolated(w). Sequential consistency is not
+// prefix-closed — a later symbol can repair a whole-word check (e.g. a read
+// of r before write(r) is even invoked) — so the definitions that quantify
+// over every finite prefix (Definitions 2.3 and 2.5) test each prefix ending
+// at a response, in one forward pass of check.Incremental. Linearizability
+// is prefix-closed, so LIN languages test the word directly. The
+// equivalences are pinned by this package's and the explorer's
+// differential tests.
 type ObjectChecker struct {
 	// RealTime selects linearizability; false selects sequential consistency.
 	RealTime bool
@@ -98,7 +83,7 @@ func SCReg() Lang {
 	return Lang{
 		Name:              "SC_REG",
 		Object:            reg,
-		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return !check.SeqConsistent(reg, w) }),
+		SafetyViolated:    func(w trace.Word) bool { return check.NewIncremental(reg, false, w.Procs()).AnyPrefixViolated(w) },
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           registerSources(false),
@@ -124,7 +109,7 @@ func SCLed() Lang {
 	return Lang{
 		Name:              "SC_LED",
 		Object:            led,
-		SafetyViolated:    anyPrefixViolates(func(w trace.Word) bool { return !check.SeqConsistent(led, w) }),
+		SafetyViolated:    func(w trace.Word) bool { return check.NewIncremental(led, false, w.Procs()).AnyPrefixViolated(w) },
 		RealTimeOblivious: false,
 		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           ledgerSources(false),
@@ -132,8 +117,10 @@ func SCLed() Lang {
 }
 
 // ECLed is the eventually consistent ledger language (Definition 2.9). Its
-// safety test is anyPrefixViolates over check.ECLedgerSafety, run as one
-// forward pass of the incremental clause-(1) checker.
+// clause (1), like sequential consistency, is not prefix-closed, so its
+// safety test asks whether any response-ended prefix violates
+// check.ECLedgerSafety, in one forward pass of the incremental clause-(1)
+// checker.
 func ECLed() Lang {
 	return Lang{
 		Name:              "EC_LED",

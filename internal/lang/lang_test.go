@@ -236,6 +236,94 @@ func TestSourcesWellFormedPerProcess(t *testing.T) {
 	}
 }
 
+// anyPrefixViolates lifts a per-word violation test to the language
+// definitions that quantify over all finite prefixes (Definitions 2.3, 2.5,
+// 2.9: "every finite prefix of it is ..."), testing each prefix ending at a
+// response symbol and the word itself. It is the reference the one-pass
+// safety tests of the non-prefix-closed languages are pinned to.
+func anyPrefixViolates(violated func(trace.Word) bool) func(trace.Word) bool {
+	return func(w trace.Word) bool {
+		for cut := 1; cut <= len(w); cut++ {
+			if cut < len(w) && w[cut-1].Kind != trace.Res {
+				continue
+			}
+			if violated(w[:cut]) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestSCOracleMatchesPerPrefixSafety pins SC_REG's and SC_LED's one-pass
+// safety tests to the definition they replace, anyPrefixViolates over
+// check.SeqConsistent, on every prefix of every source's word.
+func TestSCOracleMatchesPerPrefixSafety(t *testing.T) {
+	const procs = 3
+	steps := 120
+	if testing.Short() {
+		steps = 60
+	}
+	// A read (get) returning a value before its write (append) is even
+	// invoked: the whole word is sequentially consistent, the prefix ending
+	// at the read is not. The sources rarely produce such a repair.
+	repaired := map[string]trace.Word{
+		"SC_REG": trace.NewB().Op(0, trace.OpRead, nil, trace.Int(1)).Op(1, trace.OpWrite, trace.Int(1), trace.Unit{}).Word(),
+		"SC_LED": trace.NewB().Op(0, trace.OpGet, nil, trace.Seq{trace.Rec("r")}).Op(1, trace.OpAppend, trace.Rec("r"), trace.Unit{}).Word(),
+	}
+	for _, l := range []Lang{SCReg(), SCLed()} {
+		perPrefix := anyPrefixViolates(func(w trace.Word) bool { return !check.SeqConsistent(l.Object, w) })
+		w := repaired[l.Name]
+		if !check.SeqConsistent(l.Object, w) || !perPrefix(w) {
+			t.Fatalf("%s: %v is not a repaired word", l.Name, w)
+		}
+		if !l.SafetyViolated(w) {
+			t.Errorf("%s: SafetyViolated misses the violating prefix of %v", l.Name, w)
+		}
+		violating := 0
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, lb := range l.Sources(procs, seed) {
+				src := lb.New()
+				var w trace.Word
+				for i := 0; i < steps; i++ {
+					s, ok := src.Next()
+					if !ok {
+						break
+					}
+					w = append(w, s)
+				}
+				before := false // anyPrefixViolates on the longest response-ended proper prefix
+				for k := 1; k <= len(w); k++ {
+					p := w[:k]
+					// anyPrefixViolates(p) is before || !SeqConsistent(p);
+					// the quadratic lift itself is sampled.
+					want := before || !check.SeqConsistent(l.Object, p)
+					if k%16 == 0 || k == len(w) {
+						if ref := perPrefix(p); ref != want {
+							t.Fatalf("%s/%s seed %d prefix %d: anyPrefixViolates = %v, test bookkeeping says %v", l.Name, lb.Name, seed, k, ref, want)
+						}
+					}
+					if got := l.SafetyViolated(p); got != want {
+						t.Fatalf("%s/%s seed %d prefix %d: SafetyViolated = %v, anyPrefixViolates(SeqConsistent) = %v", l.Name, lb.Name, seed, k, got, want)
+					}
+					if w[k-1].Kind == trace.Res {
+						before = want
+					}
+				}
+				if before {
+					violating++
+					if lb.In {
+						t.Errorf("%s/%s seed %d: a prefix of an in-language word is not sequentially consistent", l.Name, lb.Name, seed)
+					}
+				}
+			}
+		}
+		if violating == 0 {
+			t.Errorf("%s: no source violates sequential consistency; the differential never sees a violation", l.Name)
+		}
+	}
+}
+
 // TestECLedOracleMatchesPerPrefixSafety pins EC_LED's one-pass safety test
 // to the definition it replaces, anyPrefixViolates over ECLedgerSafety, and
 // the incremental checker to ECLedgerSafety, on every prefix of every
