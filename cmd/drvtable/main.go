@@ -8,8 +8,12 @@
 //
 // Usage:
 //
-//	drvtable [-procs n] [-seeds k] [-steps s] [-window w] [-j workers]
+//	drvtable [-procs n] [-seeds k] [-steps s] [-timed-steps s] [-sc-steps s]
+//	         [-window w] [-rounds r] [-stages k] [-j workers]
 //	         [-progress] [-fail-fast] [-timeout d] [-cpuprofile f] [-v]
+//
+// -procs must be at least 2 and the other sizes at least 1; below that
+// drvtable exits 2 before running anything.
 package main
 
 import (
@@ -25,6 +29,19 @@ import (
 
 	"github.com/drv-go/drv/internal/experiment"
 )
+
+// paramFlags names the flag that sets each experiment.Params field.
+var paramFlags = map[string]string{
+	"Procs":        "procs",
+	"Seeds":        "seeds",
+	"Steps":        "steps",
+	"TimedSteps":   "timed-steps",
+	"SCSteps":      "sc-steps",
+	"Window":       "window",
+	"SwapRounds":   "rounds",
+	"AttackRounds": "rounds",
+	"Stages":       "stages",
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -56,20 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "drvtable: cpuprofile: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "drvtable: cpuprofile: %v\n", err)
-			return 2
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	p := experiment.Params{
 		Procs:        *procs,
 		Steps:        *steps,
@@ -82,6 +85,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for s := int64(1); s <= int64(*seeds); s++ {
 		p.Seeds = append(p.Seeds, s)
+	}
+	var perr *experiment.ParamError
+	if err := p.Validate(); errors.As(err, &perr) {
+		name := paramFlags[perr.Field]
+		fmt.Fprintf(stderr, "drvtable: -%s %s: must be at least %d\n", name, fs.Lookup(name).Value, perr.Min)
+		return 2
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(stderr, "drvtable: cpuprofile: %v\n", err)
+			return 2
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "drvtable: cpuprofile: %v\n", err)
+			return 2
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	ctx := context.Background()

@@ -148,3 +148,37 @@ func TestBadFlag(t *testing.T) {
 		t.Errorf("no flag diagnostic on stderr: %s", stderr.String())
 	}
 }
+
+// TestDegenerateParamsRejected pins the parameter floor: each flag below its
+// minimum exits 2 before any cell runs, with a message naming the flag and
+// nothing on stdout. Below the floor a run would panic or print a reproduced
+// table from empty evidence.
+func TestDegenerateParamsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-procs", "1"}, "-procs 1: must be at least 2"},
+		{[]string{"-procs", "0"}, "-procs 0: must be at least 2"},
+		{[]string{"-procs", "-1"}, "-procs -1: must be at least 2"},
+		{[]string{"-seeds", "0"}, "-seeds 0: must be at least 1"},
+		{[]string{"-seeds", "-3"}, "-seeds -3: must be at least 1"},
+		{[]string{"-steps", "0"}, "-steps 0: must be at least 1"},
+		{[]string{"-timed-steps", "0"}, "-timed-steps 0: must be at least 1"},
+		{[]string{"-sc-steps", "-5"}, "-sc-steps -5: must be at least 1"},
+		{[]string{"-window", "0"}, "-window 0: must be at least 1"},
+		{[]string{"-rounds", "0"}, "-rounds 0: must be at least 1"},
+		{[]string{"-stages", "0"}, "-stages 0: must be at least 1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", tc.args, stdout.String())
+		}
+		if got := stderr.String(); got != "drvtable: "+tc.want+"\n" {
+			t.Errorf("%v: stderr %q, want %q", tc.args, got, "drvtable: "+tc.want+"\n")
+		}
+	}
+}

@@ -33,8 +33,9 @@ type OpSig struct {
 	// Mutating operations change the object state (write, inc, append, enq,
 	// push); generators use this to balance workloads. The flag is a
 	// contract, not a hint: Apply of a non-mutating operation must return
-	// the state unchanged — the incremental checker's verdict caching
-	// (check.Incremental) relies on it.
+	// the state unchanged — the incremental checker's verdict caching and
+	// the witness search's placement of matching reads (package check) rely
+	// on it.
 	Mutating bool
 }
 

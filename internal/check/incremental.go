@@ -75,6 +75,7 @@ type Incremental struct {
 	init      trace.State       // initial state (interned root when offered)
 	syms      trace.Word        // the fed history
 	ops       []trace.Operation // trace.Operations(syms), maintained in place
+	readOnly  []bool            // readOnly[oi]: ops[oi] is non-mutating (OpSig.Mutating false)
 	byProc    [][]int           // operation indices per row (row p is process p), process order
 	counts    []int             // per-process operations started
 	complete  []int             // per-process complete-operation count
@@ -113,24 +114,26 @@ type Incremental struct {
 	nodes    int // search nodes visited (rec calls)
 	extends  int // responses the cached witness absorbed without a search
 
-	muts map[string]bool // operation name -> OpSig.Mutating, built lazily
+	sigs []trace.OpSig // obj.Ops(), fetched lazily
 
 	fallback bool
 	okCache  bool
 	okValid  bool
 }
 
-// mutatingOp reports whether the named operation is mutating per the
-// object's signatures; unknown operations are conservatively mutating.
-func (c *Incremental) mutatingOp(op string) bool {
-	if c.muts == nil {
-		c.muts = map[string]bool{}
-		for _, sig := range c.obj.Ops() {
-			c.muts[sig.Name] = sig.Mutating
+// readOnlyOp reports whether the named operation is non-mutating per the
+// object's signatures; unknown operations are conservatively mutating. The
+// signature lists are a handful of entries, so a scan beats a map lookup.
+func (c *Incremental) readOnlyOp(op string) bool {
+	if c.sigs == nil {
+		c.sigs = c.obj.Ops()
+	}
+	for i := range c.sigs {
+		if c.sigs[i].Name == op {
+			return !c.sigs[i].Mutating
 		}
 	}
-	m, known := c.muts[op]
-	return !known || m
+	return false
 }
 
 // NewIncremental returns a checker for the object over n processes:
@@ -154,6 +157,7 @@ func (c *Incremental) Reset(n int) {
 	c.n = n
 	c.syms = c.syms[:0]
 	c.ops = c.ops[:0]
+	c.readOnly = c.readOnly[:0]
 	for len(c.byProc) < n {
 		c.byProc = append(c.byProc, nil)
 	}
@@ -224,6 +228,7 @@ func resetVals(s []trace.Value, n int) []trace.Value {
 func (c *Incremental) Append(sym trace.Symbol) {
 	i := len(c.syms)
 	c.syms = append(c.syms, sym)
+	readOnly := sym.Kind == trace.Inv && c.readOnlyOp(sym.Op)
 	// A cached rejecting verdict often survives the appended symbol, because
 	// a witness for the extension would project to one for the old history:
 	//
@@ -242,7 +247,7 @@ func (c *Incremental) Append(sym trace.Symbol) {
 	// acceptance (placed with the specification's response, it may repair the
 	// states later operations observe), so only it forces a re-search.
 	keepNo := c.okValid && !c.okCache && !c.fallback &&
-		(sym.Kind == trace.Res || c.realTime || !c.mutatingOp(sym.Op))
+		(sym.Kind == trace.Res || c.realTime || readOnly)
 	if !keepNo {
 		c.okValid = false
 	}
@@ -260,6 +265,7 @@ func (c *Incremental) Append(sym trace.Symbol) {
 			Inv: i,
 			Res: -1,
 		})
+		c.readOnly = append(c.readOnly, readOnly)
 		c.rank = append(c.rank, -1)
 		c.setOpen(p, oi)
 		if p < 0 || p >= c.n {
@@ -492,12 +498,12 @@ func (c *Incremental) buildKey(st trace.State) []byte {
 	return b
 }
 
-// placeable reports whether the front operation o of row p may be placed
-// next: under real-time precedence, no other row may still hold an unplaced
-// operation that precedes o. Per row the earliest unplaced response is the
-// front's (responses are increasing along a process), so one front
-// comparison per row decides it.
-func (c *Incremental) placeable(p int, o *trace.Operation) bool {
+// placeable reports whether the front operation of row p, invoked at inv, may
+// be placed next: under real-time precedence, no other row may still hold an
+// unplaced operation that precedes it. Per row the earliest unplaced response
+// is the front's (responses are increasing along a process), so one front
+// comparison per row decides it: a complete front responding before inv.
+func (c *Incremental) placeable(p, inv int) bool {
 	if !c.realTime {
 		return true
 	}
@@ -505,7 +511,7 @@ func (c *Incremental) placeable(p int, o *trace.Operation) bool {
 		if q == p || c.sFront[q] >= len(row) {
 			continue
 		}
-		if f := &c.ops[row[c.sFront[q]]]; f.Precedes(*o) {
+		if res := c.ops[row[c.sFront[q]]].Res; res >= 0 && res < inv {
 			return false
 		}
 	}
@@ -542,12 +548,13 @@ func (c *Incremental) nextFront(last int) (p, key int) {
 	return p, key
 }
 
-// rec is the memoized descent, trying the front operations in ascending key
-// (nextFront) order. Complete operations must reproduce their recorded
-// response; pending ones adopt the specification's response or are dropped,
-// and acceptance requires every complete operation placed. The fronts are
-// back to this node's values after each child returns, so the keys are
-// stable across the loop.
+// rec is the memoized descent. A node first tries to place a matching read
+// (placeRead); failing that it branches over the front operations in
+// ascending key (nextFront) order. Complete operations must reproduce their
+// recorded response; pending ones adopt the specification's response or are
+// dropped, and acceptance requires every complete operation placed. The
+// fronts are back to this node's values after each child returns, so the
+// keys are stable across the loop.
 func (c *Incremental) rec(st trace.State) bool {
 	c.nodes++
 	if c.sLeft == 0 {
@@ -557,17 +564,23 @@ func (c *Incremental) rec(st trace.State) bool {
 	if c.memo.Contains(c.buildKey(st)) {
 		return false
 	}
+	if ok, placed := c.placeRead(st); placed {
+		return ok
+	}
 	for p, last := c.nextFront(-1); p >= 0; p, last = c.nextFront(last) {
 		oi := c.byProc[p][c.sFront[p]]
 		o := &c.ops[oi]
-		if !c.placeable(p, o) {
+		pending := o.Pending()
+		if !pending && c.readOnly[oi] {
+			continue // placeRead refused it, and this loop's tests would too
+		}
+		if !c.placeable(p, o.Inv) {
 			continue
 		}
 		nxt, ret, ok := st.Apply(o.Op, o.Arg)
 		if !ok {
 			continue
 		}
-		pending := o.Pending()
 		if !pending && !ret.Equal(o.Ret) {
 			continue
 		}
@@ -593,6 +606,60 @@ func (c *Incremental) rec(st trace.State) bool {
 	// and state are back to this node's values, so the encoding is too.
 	c.memo.Insert(c.buildKey(st))
 	return false
+}
+
+// placeRead places the first front operation, in process order, that is a
+// matching read: complete, non-mutating (OpSig.Mutating false), placeable,
+// and answered by the specification from st with its recorded response. It
+// reports placed false when no front qualifies, and otherwise the verdict of
+// the child node, for which it stands in: no sibling is tried (Gibbons &
+// Korach, "Testing shared memories", 1997, place such reads greedily too).
+//
+// That is sound and complete. Take any accepting completion from this node;
+// it places the read r somewhere, since r is complete. Move r to its front:
+//
+//   - The state sequence does not change: r leaves the state unchanged (the
+//     OpSig.Mutating contract), so every later operation is applied to the
+//     state it saw before, and r itself returns its recorded response from
+//     st.
+//   - Process order holds: r is its process's front, so its process
+//     predecessors are already placed, and its successors stay after it.
+//   - Real-time order holds: placeable means nothing unplaced precedes r,
+//     and moving r earlier breaks no constraint r ≺ x.
+//   - Placed pending operations keep their specification responses, which
+//     are functions of the unchanged state sequence.
+//
+// So some accepting completion starts with r, and the child decides the
+// node. Checking the response before placeable keeps the pass cheap where it
+// rarely fires, and the branching loop skips the complete read-only fronts
+// this pass refused, since it would refuse them too.
+func (c *Incremental) placeRead(st trace.State) (ok, placed bool) {
+	for p, row := range c.byProc {
+		if c.sFront[p] >= len(row) {
+			continue
+		}
+		oi := row[c.sFront[p]]
+		o := &c.ops[oi]
+		if !c.readOnly[oi] || o.Pending() {
+			continue
+		}
+		nxt, ret, applied := st.Apply(o.Op, o.Arg)
+		if !applied || !ret.Equal(o.Ret) || !c.placeable(p, o.Inv) {
+			continue
+		}
+		c.sFront[p]++
+		c.sLeft--
+		c.sPath = append(c.sPath, oi)
+		if c.rec(nxt) {
+			return true, true
+		}
+		c.sPath = c.sPath[:len(c.sPath)-1]
+		c.sFront[p]--
+		c.sLeft++
+		c.memo.Insert(c.buildKey(st))
+		return false, true
+	}
+	return false, false
 }
 
 // Pool recycles Incremental checkers across the runs of one worker: Get

@@ -373,6 +373,8 @@ func FuzzIncrementalFrontSearch(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 1, 1, 1, 3, 0, 1, 2, 0, 0, 5})
 	f.Add([]byte{1, 2, 2, 1, 1, 0, 0, 3, 2, 3, 1, 1})
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 3, 1, 5, 2, 5})
+	// Read-heavy: six reads around one write(2), ending in a stale read of 0.
+	f.Add([]byte{0, 2, 1, 1, 2, 3, 1, 2, 0, 0, 2, 0, 1, 5, 2, 1, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := fuzzWord(data)
 		obj := trace.Register()

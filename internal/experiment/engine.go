@@ -73,14 +73,15 @@ type unit struct {
 // order. The returned error is nil when every unit ran; it reports the
 // cancellation cause when ctx was cancelled (or FailFast tripped), in which
 // case the skipped cells carry that cause as their Err. The rows themselves
-// are always complete and renderable.
+// are then complete and renderable. Params that fail Validate run nothing:
+// Run returns no rows and the *ParamError.
 //
 // Cancellation is checked at unit boundaries: units already in flight run to
 // their step bound (each is bounded by Params' step limits), so a deadline
 // can be overshot by the duration of the slowest in-flight units.
 func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
-	if p.Procs == 0 {
-		p = DefaultParams()
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	pl := buildPlan(p)
 	a := newAgg(pl, opts.OnCell)

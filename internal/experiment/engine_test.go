@@ -373,3 +373,46 @@ func TestPoolInlineWhenSingleWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsDegenerateParams pins Run's parameter floor: a field below
+// its minimum runs no unit and returns no rows and a *ParamError naming the
+// field, including the zero Params.
+func TestRunRejectsDegenerateParams(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*Params)
+	}{
+		{"Procs", func(p *Params) { p.Procs = 1 }},
+		{"Procs", func(p *Params) { *p = Params{} }},
+		{"Seeds", func(p *Params) { p.Seeds = nil }},
+		{"Steps", func(p *Params) { p.Steps = 0 }},
+		{"TimedSteps", func(p *Params) { p.TimedSteps = -1 }},
+		{"SCSteps", func(p *Params) { p.SCSteps = 0 }},
+		{"Window", func(p *Params) { p.Window = 0 }},
+		{"SwapRounds", func(p *Params) { p.SwapRounds = 0 }},
+		{"AttackRounds", func(p *Params) { p.AttackRounds = 0 }},
+		{"Stages", func(p *Params) { p.Stages = 0 }},
+	} {
+		p := ShortParams()
+		tc.edit(&p)
+		ran := false
+		rows, err := Run(context.Background(), p, Options{OnCell: func(CellUpdate) { ran = true }})
+		var perr *ParamError
+		if !errors.As(err, &perr) || perr.Field != tc.field {
+			t.Errorf("%s: error %v, want a *ParamError for %s", tc.field, err, tc.field)
+		}
+		if rows != nil || ran {
+			t.Errorf("%s: %d rows returned, cells ran=%v; want none", tc.field, len(rows), ran)
+		}
+	}
+	if err := ShortParams().Validate(); err != nil {
+		t.Errorf("ShortParams: %v", err)
+	}
+	floor := Params{Procs: 2, Seeds: []int64{1}, Steps: 1, TimedSteps: 1, SCSteps: 1, Window: 1, SwapRounds: 1, AttackRounds: 1, Stages: 1}
+	if err := floor.Validate(); err != nil {
+		t.Errorf("the floor itself: %v", err)
+	}
+	if err := DefaultParams().Validate(); err != nil {
+		t.Errorf("DefaultParams: %v", err)
+	}
+}

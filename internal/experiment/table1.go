@@ -69,6 +69,40 @@ func ShortParams() Params {
 	}
 }
 
+// ParamError reports a Params field below its minimum.
+type ParamError struct {
+	Field      string // the Params field, e.g. "Procs"; "Seeds" counts the seeds
+	Value, Min int
+}
+
+func (e *ParamError) Error() string {
+	return fmt.Sprintf("experiment: %s is %d, want at least %d", e.Field, e.Value, e.Min)
+}
+
+// Validate returns a *ParamError for the first field below its minimum: two
+// processes (the generators and the impossibility constructions schedule
+// against a second process), and one seed, step, window slot, round and
+// stage. Below them a run either panics or reproduces every cell from empty
+// evidence.
+func (p Params) Validate() error {
+	for _, f := range []ParamError{
+		{"Procs", p.Procs, 2},
+		{"Seeds", len(p.Seeds), 1},
+		{"Steps", p.Steps, 1},
+		{"TimedSteps", p.TimedSteps, 1},
+		{"SCSteps", p.SCSteps, 1},
+		{"Window", p.Window, 1},
+		{"SwapRounds", p.SwapRounds, 1},
+		{"AttackRounds", p.AttackRounds, 1},
+		{"Stages", p.Stages, 1},
+	} {
+		if f.Value < f.Min {
+			return &f
+		}
+	}
+	return nil
+}
+
 // Cell is one entry of Table 1.
 type Cell struct {
 	// Lang and Class locate the cell.
@@ -104,6 +138,7 @@ type Row struct {
 // Table1 reproduces every cell of Table 1 sequentially and returns the rows
 // in paper order. It is Run with a single worker and no cancellation; use
 // Run directly for the parallel engine, progress streaming and fail-fast.
+// Params that fail Validate yield no rows.
 func Table1(p Params) []Row {
 	rows, _ := Run(context.Background(), p, Options{})
 	return rows
