@@ -20,7 +20,7 @@ func WellFormed(w Word) error {
 		op  string
 		pos int
 	}
-	open := map[int]*pend{}
+	open := map[int]pend{}
 	for i, s := range w {
 		switch s.Kind {
 		case Inv:
@@ -28,7 +28,7 @@ func WellFormed(w Word) error {
 				return fmt.Errorf("%w: process %d invokes %q at position %d while %q from position %d is pending",
 					ErrNotWellFormed, s.Proc, s.Op, i, p.op, p.pos)
 			}
-			open[s.Proc] = &pend{op: s.Op, pos: i}
+			open[s.Proc] = pend{op: s.Op, pos: i}
 		case Res:
 			p, ok := open[s.Proc]
 			if !ok {

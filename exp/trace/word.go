@@ -243,3 +243,7 @@ func (b *B) Op(proc int, op string, arg, ret Value) *B {
 
 // Word returns the built word.
 func (b *B) Word() Word { return b.w }
+
+// Reset empties the builder for reuse, keeping its buffer: a word returned
+// by an earlier Word call is overwritten by the next appends.
+func (b *B) Reset() { b.w = b.w[:0] }

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -98,6 +99,51 @@ func TestWellFormed(t *testing.T) {
 				t.Errorf("WellFormed(%v) error = %v, want ok=%v", tt.w, err, tt.ok)
 			}
 		})
+	}
+}
+
+func TestWellFormedErrors(t *testing.T) {
+	// The error text is part of the contract: drvmon and the explorer's
+	// well-formedness divergences print it verbatim.
+	tests := []struct {
+		w    trace.Word
+		want string
+	}{
+		{trace.NewB().Inv(0, "write", trace.Int(1)).Inv(0, "read", trace.Unit{}).Word(),
+			`word is not well-formed: process 0 invokes "read" at position 1 while "write" from position 0 is pending`},
+		{trace.NewB().Op(1, "read", trace.Unit{}, trace.Int(0)).Res(1, "read", trace.Int(0)).Word(),
+			`word is not well-formed: process 1 responds "read" at position 2 with no pending invocation`},
+		{trace.NewB().Inv(2, "write", trace.Int(1)).Res(2, "read", trace.Int(1)).Word(),
+			`word is not well-formed: process 2 response "read" at position 1 does not match pending invocation "write"`},
+		{trace.Word{{Proc: 0, Op: "read"}},
+			`word is not well-formed: symbol at position 0 has invalid kind 0`},
+	}
+	for _, tt := range tests {
+		err := trace.WellFormed(tt.w)
+		if err == nil || err.Error() != tt.want || !errors.Is(err, trace.ErrNotWellFormed) {
+			t.Errorf("WellFormed(%v) = %v, want %q", tt.w, err, tt.want)
+		}
+	}
+}
+
+func TestWellFormedAllocs(t *testing.T) {
+	// Pending invocations are stored by value, so checking a word allocates
+	// nothing per invocation (today the small pending map stays off the heap
+	// entirely; the bound leaves room for one map allocation).
+	b := trace.NewB()
+	for k := 0; len(b.Word()) < 1000; k++ {
+		p := k % 4
+		b.Inv(p, "write", trace.Int(k))
+		b.Inv((p+1)%4, "read", trace.Unit{})
+		b.Res(p, "write", trace.Unit{})
+		b.Res((p+1)%4, "read", trace.Int(k))
+	}
+	w := b.Word()
+	if err := trace.WellFormed(w); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() { _ = trace.WellFormed(w) }); avg > 1 {
+		t.Errorf("WellFormed on %d symbols averages %.0f allocs, want at most 1", len(w), avg)
 	}
 }
 

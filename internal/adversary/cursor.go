@@ -30,7 +30,8 @@ type A struct {
 	n   int
 	src Source
 
-	queue     trace.Word // pulled but not yet emitted symbols
+	queue     trace.Word // queue[head:] are pulled but not yet emitted symbols
+	head      int
 	exhausted bool
 	history   trace.Word // emitted symbols: the x(E) prefix
 
@@ -42,6 +43,9 @@ type A struct {
 	handed  []int // invocations handed out via NextInv
 	opCount []int // completed send events per process, for OpIDs
 	crashed []bool
+	// gates[id] is process id's Await condition (its gate flag is set),
+	// built once per process so Send and Recv allocate no closure.
+	gates []func() bool
 }
 
 var (
@@ -51,18 +55,48 @@ var (
 
 // NewA returns an adversary for n processes exhibiting the source's word.
 func NewA(n int, src Source) *A {
-	return &A{
-		n:       n,
-		src:     src,
-		phase:   make([]procPhase, n),
-		outbox:  make([]trace.Symbol, n),
-		granted: make([]bool, n),
-		inbox:   make([]trace.Symbol, n),
-		invs:    make([][]trace.Symbol, n),
-		handed:  make([]int, n),
-		opCount: make([]int, n),
-		crashed: make([]bool, n),
+	a := &A{}
+	a.Reset(n, src)
+	return a
+}
+
+// Reset re-arms the adversary for another run over n processes exhibiting
+// src's word, exactly as NewA(n, src) would, but keeping the queue, history,
+// per-process and invocation-log buffers and the gate closures. Safe because
+// History clones: no earlier run's result aliases the recycled buffers.
+func (a *A) Reset(n int, src Source) {
+	a.n, a.src = n, src
+	a.queue, a.head = a.queue[:0], 0
+	a.exhausted = false
+	a.history = a.history[:0]
+	a.phase = zeroed(a.phase, n)
+	a.outbox = zeroed(a.outbox, n)
+	a.granted = zeroed(a.granted, n)
+	a.inbox = zeroed(a.inbox, n)
+	a.handed = zeroed(a.handed, n)
+	a.opCount = zeroed(a.opCount, n)
+	a.crashed = zeroed(a.crashed, n)
+	for len(a.invs) < n {
+		a.invs = append(a.invs, nil)
 	}
+	a.invs = a.invs[:n]
+	for i := range a.invs {
+		a.invs[i] = a.invs[i][:0]
+	}
+	for id := len(a.gates); id < n; id++ {
+		a.gates = append(a.gates, func() bool { return a.granted[id] })
+	}
+}
+
+// zeroed returns s resized to n zero values, reusing its backing array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Crash tells the adversary the process has crashed: its remaining symbols
@@ -75,15 +109,16 @@ func (a *A) Crash(id int) {
 	a.dropCrashed()
 }
 
-// dropCrashed removes queued symbols owned by crashed processes.
+// dropCrashed removes queued symbols owned by crashed processes, compacting
+// the queue to the front of its buffer.
 func (a *A) dropCrashed() {
 	kept := a.queue[:0]
-	for _, s := range a.queue {
+	for _, s := range a.queue[a.head:] {
 		if !a.crashed[s.Proc] {
 			kept = append(kept, s)
 		}
 	}
-	a.queue = kept
+	a.queue, a.head = kept, 0
 }
 
 // Register installs the adversary's word cursor as an auxiliary actor on the
@@ -119,10 +154,10 @@ func (a *A) pull() bool {
 }
 
 func (a *A) cursorRunnable() bool {
-	if len(a.queue) == 0 && !a.pull() {
+	if a.head == len(a.queue) && !a.pull() {
 		return false
 	}
-	s := a.queue[0]
+	s := a.queue[a.head]
 	switch s.Kind {
 	case trace.Inv:
 		return a.phase[s.Proc] == phaseWaitSend && !a.granted[s.Proc]
@@ -134,8 +169,11 @@ func (a *A) cursorRunnable() bool {
 
 // cursorStep emits the next symbol of the word: the send or receive event.
 func (a *A) cursorStep() {
-	s := a.queue[0]
-	a.queue = a.queue[1:]
+	s := a.queue[a.head]
+	a.head++
+	if a.head == len(a.queue) {
+		a.queue, a.head = a.queue[:0], 0 // drained: refill from the front
+	}
 	a.history = append(a.history, s)
 	switch s.Kind {
 	case trace.Inv:
@@ -169,7 +207,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 	id := p.ID
 	a.outbox[id] = v
 	a.phase[id] = phaseWaitSend
-	p.Await(func() bool { return a.granted[id] })
+	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
 }
@@ -178,7 +216,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 func (a *A) Recv(p *sched.Proc) trace.Response {
 	id := p.ID
 	a.phase[id] = phaseWaitRecv
-	p.Await(func() bool { return a.granted[id] })
+	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
 	resp := trace.Response{
@@ -195,10 +233,10 @@ func (a *A) History() trace.Word { return a.history.Clone() }
 // Peek returns the next unemitted symbol of the adversary's word without
 // consuming it.
 func (a *A) Peek() (trace.Symbol, bool) {
-	if len(a.queue) == 0 && !a.pull() {
+	if a.head == len(a.queue) && !a.pull() {
 		return trace.Symbol{}, false
 	}
-	return a.queue[0], true
+	return a.queue[a.head], true
 }
 
 // HistLen returns the number of symbols emitted so far — len(History())
@@ -209,7 +247,7 @@ func (a *A) HistLen() int { return len(a.history) }
 // everything that can have influenced the execution so far. Prefix-extension
 // attacks (Lemmas 5.2, 6.2, 6.5) cut their hybrid words at this boundary so
 // the attacked execution replays deterministically up to the cut.
-func (a *A) Pulled() int { return len(a.history) + len(a.queue) }
+func (a *A) Pulled() int { return len(a.history) + len(a.queue) - a.head }
 
 // CursorStats is a deterministic snapshot of the word cursor's drive state:
 // how far into the source the execution got, how much of the pulled word was
@@ -238,7 +276,7 @@ func (a *A) CursorStats() CursorStats {
 	s := CursorStats{
 		Pulled:    a.Pulled(),
 		Emitted:   len(a.history),
-		Queued:    len(a.queue),
+		Queued:    len(a.queue) - a.head,
 		Exhausted: a.exhausted,
 	}
 	for _, c := range a.crashed {

@@ -6,6 +6,7 @@ package explore
 // minimizer shrinks the finding to a tiny reproducer.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -202,5 +203,28 @@ func TestExploreEndToEndCatchesBrokenMonitor(t *testing.T) {
 	}
 	if !shrunkSeen {
 		t.Error("no failure carried a shrunk reproducer")
+	}
+}
+
+func TestBrokenYesMonitorCaughtOnCutLedger(t *testing.T) {
+	// The covered-sketch oracle still bites: on the cut ledger spec run long
+	// enough for the shipped monitor to report NO, a monitor that never does
+	// diverges on the class check.
+	s, err := ParseSpec(fmt.Sprintf(cutLedgerSpec, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Runner{Wrap: wrapYes}.Execute(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, d := range out.Divergences {
+		if d.Check == CheckClass {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("never-NO monitor not caught by the class oracle: %v", out.Divergences)
 	}
 }

@@ -276,7 +276,10 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 // schedules reach these executions; the curated Table 1 schedules do not).
 // No such excuse exists for violations the monitors observe without
 // real-time information: liveness violations (announced counts never
-// converge) and violations the sketch itself exhibits.
+// converge) and violations the sketch itself exhibits. The PSD Out-side
+// obliges a NO only for the sketch of responses some verdict judged: a run
+// cut between a response and its round's verdict must not blame the monitor
+// for a violation only that last response shows.
 func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
 	n := out.Spec.N
 	sketchBad := func(bad func(trace.Word) bool) bool {
@@ -285,6 +288,10 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 			return false
 		}
 		return bad(sk)
+	}
+	coveredSketchBad := func(bad func(trace.Word) bool) bool {
+		sk, err := coveredSketch(res, n, tau.InvAt)
+		return err == nil && bad(sk)
 	}
 	cappedHistory := res.History
 	if len(cappedHistory) > labelSafetyCap {
@@ -357,7 +364,7 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 			}
 			return
 		}
-		if res.TotalNO() == 0 && langBad(cappedHistory) && sketchBad(langBad) {
+		if res.TotalNO() == 0 && langBad(cappedHistory) && coveredSketchBad(langBad) {
 			out.diverge(CheckClass,
 				"PSD source %s: exhibited word and sketch both violate %s safety but no process ever reported NO", lb.Name, l.Name)
 		}
@@ -365,4 +372,17 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 	default: // famECLed: undecidable in every class, no verdict oracle
 		out.skipped(CheckClass)
 	}
+}
+
+// coveredSketch builds the sketch from the responses some verdict covered:
+// the first len(Verdicts[p]) responses of each process p. A response is
+// recorded before its round's verdict, so a run cut between the two leaves
+// each process at most one response no verdict has judged yet.
+func coveredSketch(res *monitor.Result, n int, resolve trace.Resolver) (trace.Word, error) {
+	cut := *res
+	cut.Responses = make([][]trace.Response, len(res.Responses))
+	for p, rs := range res.Responses {
+		cut.Responses[p] = rs[:min(len(rs), len(res.Verdicts[p]))]
+	}
+	return cut.Sketch(n, resolve)
 }

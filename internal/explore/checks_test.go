@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -153,4 +154,30 @@ func TestCheckSourcePrefixMatchesProjection(t *testing.T) {
 		t.Error("no perturbed history diverged; the differential compares only clean runs")
 	}
 	t.Logf("%d perturbed histories diverged", diverged)
+}
+
+// cutLedgerSpec is a stale-gets LIN_LED run whose cursor schedule cuts it,
+// at 462 steps, between a response that first exposes the stale get and the
+// round that would judge it: 56 verdicts, none NO. A few steps later the
+// same spec draws its first NO (470 steps), and many by 1000 steps.
+const cutLedgerSpec = "drv1:LIN_LED/stale-gets:n=4:seed=8391272313533008978:pol=cursor:steps=%d"
+
+func TestClassJudgesOnlyVerdictCoveredSketch(t *testing.T) {
+	// The PSD Out-side oracle obliges a NO only for the sketch of responses
+	// some verdict covered; a response received after its process's last
+	// verdict must not turn an honest cut run into a class divergence.
+	s, err := ParseSpec(fmt.Sprintf(cutLedgerSpec, 462))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Execute(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Verdicts != 56 || out.NOs != 0 {
+		t.Fatalf("premise: want 56 verdicts and 0 NO, got %d and %d", out.Verdicts, out.NOs)
+	}
+	if len(out.Divergences) != 0 {
+		t.Errorf("cut run diverged: %v", out.Divergences)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 )
 
@@ -34,6 +35,32 @@ func reuseMsgSpec(object, impl string, seed int64, n int) Spec {
 	return s
 }
 
+// reuseLangSpec builds a fixed language-family spec for one source, run to
+// its language's generator step floor so the class oracles get to run.
+func reuseLangSpec(langName, source string, seed int64, n int, crash bool) Spec {
+	lo, _ := stepRange(famOf(langName), langName)
+	s := Spec{Lang: langName, Source: source, N: n, Seed: seed, Policy: PolRandom, Steps: lo}
+	if crash {
+		s.Crashes = []Crash{{Step: 40, Proc: 1}}
+	}
+	return s
+}
+
+// dirtyLangSpec builds the spec that dirties a pooled runner before target
+// runs: a language on the other side of the timed/untimed divide (the WD
+// weak decider for a PSD or PWD target, alternately PSD and PWD for an
+// untimed one), at a different process count, with a crash schedule.
+func dirtyLangSpec(target lang.Lang, k int) Spec {
+	other := "WEC_COUNT"
+	if !famOf(target.Name).timed() {
+		other = []string{"LIN_LED", "SEC_COUNT"}[k%2]
+	}
+	l, _ := langByName(other)
+	n := []int{2, 4}[k%2]
+	srcs := l.Sources(n, 0)
+	return reuseLangSpec(other, srcs[k%len(srcs)].Name, 9, n, true)
+}
+
 func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 	// The Reset contract, pinned per registered implementation: executing a
 	// spec on a pooled runner whose cached instance already ran a *different*
@@ -41,7 +68,9 @@ func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 	// reproduce a fresh instance's digest and signature exactly. This is the
 	// reuse-vs-fresh differential for every impl in both registries,
 	// seeded-bug variants included — a bug variant whose planted state leaked
-	// across runs would shift its signature here.
+	// across runs would shift its signature here — and for every language
+	// source, whose adversary cursor, timed wrapper and digest buffer the
+	// runner reuses.
 	sess := monitor.NewSession()
 	defer sess.Close()
 	pooled := Runner{Session: sess}.Pooled()
@@ -83,6 +112,13 @@ func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 			})
 		}
 	}
+	for _, l := range lang.All() {
+		for k, src := range l.Sources(3, 0) {
+			t.Run(fmt.Sprintf("lang/%s/%s", l.Name, src.Name), func(t *testing.T) {
+				check(t, dirtyLangSpec(l, k), reuseLangSpec(l.Name, src.Name, 3, 3, false))
+			})
+		}
+	}
 }
 
 func TestPooledRunnersPerGoroutine(t *testing.T) {
@@ -90,10 +126,11 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 	// way Explore wires its pool, and concurrent pooled execution agrees with
 	// sequential fresh execution. The race tier runs this under -race; a
 	// scratch accidentally shared across workers would trip it.
-	specs := make([]Spec, 0, 12)
+	specs := make([]Spec, 0, 18)
 	for i := 0; i < 6; i++ {
 		specs = append(specs, NewSpec(91, i, objGen()))
 		specs = append(specs, NewSpec(91, i, msgGen()))
+		specs = append(specs, NewSpec(91, i, GenConfig{MaxCrashes: 2}))
 	}
 	want := make([]string, len(specs))
 	for i, s := range specs {
@@ -162,15 +199,16 @@ func TestExecuteReleasesPerCallSession(t *testing.T) {
 // allocations are per-scenario results (monitor state, sketches, oracle
 // scratch growth, history clones, the Outcome itself), not setup — a
 // regression that reintroduces per-scenario substrate construction (fresh
-// runtime, implementation, workload or network) blows well past them. Lang
-// still builds A and Aτ per scenario (A has no Reset), so its budget pins the
-// checking side instead: before the EC-ledger monitor and the source-prefix
-// oracle cost only their new input, the same batch averaged ~7790 (fresh
-// runner: ~8120).
+// runtime, implementation, workload, network, adversary cursor or timed
+// adversary) blows well past them. Lang reuses the cursor and Aτ like obj and
+// msg reuse theirs, its sources refill one chunk builder, and the digest
+// hashes a reused buffer; before those, the same batch averaged ~5180
+// pooled, with a budget of 7000. Lang's budget keeps obj's headroom, about
+// 1.3× its steady state.
 const (
-	objAllocBudget  = 2000 // measured steady state ~1527 (fresh runner: ~1938)
-	msgAllocBudget  = 1100 // measured steady state ~666 (fresh runner: ~1207)
-	langAllocBudget = 7000 // measured steady state ~5187 (fresh runner: ~5517)
+	objAllocBudget  = 2000 // measured steady state ~1408 (fresh runner: ~1829)
+	msgAllocBudget  = 1100 // measured steady state ~535 (fresh runner: ~1078)
+	langAllocBudget = 1550 // measured steady state ~1189 (fresh runner: ~1589)
 )
 
 func TestPooledExecuteAllocBudgetObj(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
@@ -100,9 +101,9 @@ type Runner struct {
 	// gives each worker its own).
 	Session *monitor.Session
 	// scratch, when non-nil (see Pooled), keeps one execution substrate —
-	// SUT instances, workload, service, timed adversary, crash map, network —
-	// across the runner's scenarios; when nil, each Execute call starts a
-	// new one.
+	// SUT instances, workload, service, adversary cursor, timed adversary,
+	// crash map, network — across the runner's scenarios; when nil, each
+	// Execute call starts a new one.
 	scratch *runScratch
 	// stages, when non-nil, accumulates per-stage wall time and allocations
 	// (see StageStats); nil costs nothing on the hot path.
@@ -172,11 +173,11 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 	}
 
 	fam := famOf(s.Lang)
-	adv := adversary.NewA(s.N, lb.New())
+	adv := r.scratch.cursor(s.N, lb.New())
 	var tau *adversary.Timed
 	var svc adversary.Service = adv
 	if fam.timed() {
-		tau = adversary.NewTimed(s.N, adv, adversary.ArrayAtomic)
+		tau = r.scratch.timed(s.N, adv)
 		svc = tau
 	}
 	out, res := r.run(s, buildMonitor(fam, l, tau), func(rt *sched.Runtime) (adversary.Service, []int) {
@@ -217,7 +218,7 @@ func (r Runner) run(s Spec, m monitor.Monitor, newService func(*sched.Runtime) (
 		Monitor: m.Name(),
 		Steps:   res.Steps,
 		NOs:     res.TotalNO(),
-		Digest:  digest(res),
+		Digest:  r.scratch.digest(res),
 	}
 	for p := range res.Verdicts {
 		out.Verdicts += len(res.Verdicts[p])
@@ -264,17 +265,81 @@ func (s Spec) policy(aux []int) sched.Policy {
 
 // digest fingerprints everything the differential checks see: the exhibited
 // history and the per-process verdict streams with their step and history
-// indices. Replaying a spec must reproduce the digest bit for bit.
-func digest(res *monitor.Result) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "steps=%d\nhist=%s\n", res.Steps, res.History)
-	for p := range res.Verdicts {
-		fmt.Fprintf(h, "p%d:", p)
-		for k, v := range res.Verdicts[p] {
-			fmt.Fprintf(h, " %s@%d/%d", v, res.StepAt[p][k], res.HistAt[p][k])
+// indices. Replaying a spec must reproduce the digest bit for bit. The hashed
+// text is
+//
+//	steps=<steps>\nhist=<History.String()>\n
+//	p<p>: <verdict>@<step>/<hist> …\n   (one line per process)
+//
+// written into the scratch's reusable buffer without fmt.
+func (sc *runScratch) digest(res *monitor.Result) string {
+	b := append(sc.digestBuf[:0], "steps="...)
+	b = strconv.AppendInt(b, int64(res.Steps), 10)
+	b = append(b, "\nhist="...)
+	for i, sym := range res.History {
+		if i > 0 {
+			b = append(b, ' ')
 		}
-		fmt.Fprintln(h)
+		b = appendSymbol(b, sym)
 	}
-	sum := h.Sum(nil)
+	b = append(b, '\n')
+	for p := range res.Verdicts {
+		b = append(b, 'p')
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, ':')
+		for k, v := range res.Verdicts[p] {
+			b = append(b, ' ')
+			b = append(b, v.String()...)
+			b = append(b, '@')
+			b = strconv.AppendInt(b, int64(res.StepAt[p][k]), 10)
+			b = append(b, '/')
+			b = strconv.AppendInt(b, int64(res.HistAt[p][k]), 10)
+		}
+		b = append(b, '\n')
+	}
+	sc.digestBuf = b
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// appendSymbol appends exactly s.String() to b.
+func appendSymbol(b []byte, s trace.Symbol) []byte {
+	if s.Kind == trace.Res {
+		b = append(b, '>')
+	} else {
+		b = append(b, '<')
+	}
+	b = strconv.AppendInt(b, int64(s.Proc), 10)
+	b = append(b, ':')
+	b = append(b, s.Op...)
+	if s.Kind != trace.Inv {
+		return appendValue(append(b, '='), s.Val)
+	}
+	return append(appendValue(append(b, '('), s.Val), ')')
+}
+
+// appendValue appends the value's String() to b ("" for nil), encoding the
+// built-in value types directly and falling back to String for others.
+func appendValue(b []byte, v trace.Value) []byte {
+	switch v := v.(type) {
+	case nil:
+		return b
+	case trace.Int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case trace.Rec:
+		return append(b, v...)
+	case trace.Seq:
+		b = append(b, '[')
+		for i, r := range v {
+			if i > 0 {
+				b = append(b, "·"...)
+			}
+			b = append(b, r...)
+		}
+		return append(b, ']')
+	case trace.Unit:
+		return append(b, "()"...)
+	default:
+		return append(b, v.String()...)
+	}
 }

@@ -8,32 +8,29 @@ import (
 	"github.com/drv-go/drv/internal/adversary"
 )
 
-// chunked adapts a chunk generator to an adversary.Source: refill is called
-// whenever the buffer runs dry and must return the next non-empty chunk of
-// the ω-word (fairness: every process appears in every chunk).
+// chunked adapts a chunk generator to an adversary.Source: whenever the
+// buffer runs dry, refill appends the next chunk of the ω-word to the
+// source's one builder, emptied first, and must append at least one symbol
+// (fairness: every process appears in every chunk). Next hands symbols out by
+// value, so the builder's buffer is reused chunk after chunk.
 type chunked struct {
-	buf    trace.Word
+	b      trace.B
 	pos    int
-	refill func() trace.Word
+	refill func(b *trace.B)
 }
 
 func (c *chunked) Next() (trace.Symbol, bool) {
-	for c.pos >= len(c.buf) {
-		chunk := c.refill()
-		if len(chunk) == 0 {
+	for c.pos >= len(c.b.Word()) {
+		c.b.Reset()
+		c.refill(&c.b)
+		if len(c.b.Word()) == 0 {
 			return trace.Symbol{}, false
 		}
-		c.buf, c.pos = chunk, 0
+		c.pos = 0
 	}
-	s := c.buf[c.pos]
+	s := c.b.Word()[c.pos]
 	c.pos++
 	return s, true
-}
-
-func source(refill func() trace.Word) func() adversary.Source {
-	return func() adversary.Source {
-		return &chunked{refill: refill}
-	}
 }
 
 // -------------------------------------------------------------- counters
@@ -61,8 +58,7 @@ func exactCounter(n int, seed int64, incs int) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed))
 		count := 0
 		proc := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			for i := 0; i < n; i++ {
 				p := proc % n
 				proc++
@@ -74,7 +70,6 @@ func exactCounter(n int, seed int64, incs int) func() adversary.Source {
 					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(count))
 				}
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -90,8 +85,7 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 		seen := make([]int, n) // per-reader last reported value
 		incProc := 0           // process 0 performs all incs, others lag
 		round := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			round++
 			if count < incs {
 				count++
@@ -114,7 +108,6 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 				seen[p] = target
 				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(target))
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -125,8 +118,7 @@ func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 func overReadCounter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			switch phase {
 			case 0:
 				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
@@ -138,7 +130,6 @@ func overReadCounter(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
@@ -148,8 +139,7 @@ func overReadCounter(n int) func() adversary.Source {
 func lemma52Counter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		started := false
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if !started {
 				started = true
 				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
@@ -157,7 +147,6 @@ func lemma52Counter(n int) func() adversary.Source {
 			for p := n - 1; p >= 0; p-- { // p2 reads first, as in the paper
 				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(0))
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -167,8 +156,7 @@ func lemma52Counter(n int) func() adversary.Source {
 func nonMonotoneCounter(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
 				b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
@@ -180,7 +168,6 @@ func nonMonotoneCounter(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
@@ -190,8 +177,7 @@ func nonMonotoneCounter(n int) func() adversary.Source {
 func divergingCounter(n, incs int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				for k := 0; k < incs; k++ {
 					b.Op(0, trace.OpInc, trace.Unit{}, trace.Unit{})
@@ -205,7 +191,6 @@ func divergingCounter(n, incs int) func() adversary.Source {
 				}
 				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(incs-1))
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -231,8 +216,7 @@ func atomicRegister(n int, seed int64) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 2))
 		cur := int64(0)
 		next := int64(1)
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			writer := rng.Intn(n)
 			reader := (writer + 1 + rng.Intn(n-1)) % n
 			if rng.Intn(2) == 0 {
@@ -261,7 +245,6 @@ func atomicRegister(n int, seed int64) func() adversary.Source {
 					b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(cur))
 				}
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -274,8 +257,7 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 3))
 		written := int64(0)
 		seen := make([]int64, n)
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			written++
 			b.Op(0, trace.OpWrite, trace.Int(written), trace.Unit{})
 			for p := 1; p < n; p++ {
@@ -290,7 +272,6 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 				seen[p] = v
 				b.Op(p, trace.OpRead, trace.Unit{}, trace.Int(v))
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -301,8 +282,7 @@ func staleRegister(n int, seed int64) func() adversary.Source {
 func inversionRegister(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(1))
@@ -313,7 +293,6 @@ func inversionRegister(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
@@ -322,8 +301,7 @@ func inversionRegister(n int) func() adversary.Source {
 func phantomRegister(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 				b.Op(1%n, trace.OpRead, trace.Unit{}, trace.Int(99))
@@ -333,7 +311,6 @@ func phantomRegister(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
@@ -358,8 +335,7 @@ func atomicLedger(n int, seed int64) func() adversary.Source {
 		rng := rand.New(rand.NewSource(seed + 4))
 		var ledger trace.Seq
 		k := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			appender := rng.Intn(n)
 			k++
 			ledger = append(ledger.Clone(), recName(k))
@@ -367,7 +343,6 @@ func atomicLedger(n int, seed int64) func() adversary.Source {
 			for p := 0; p < n; p++ {
 				b.Op(p, trace.OpGet, trace.Unit{}, ledger.Clone())
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -378,8 +353,7 @@ func staleLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		var ledger trace.Seq
 		k := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			k++
 			ledger = append(ledger.Clone(), recName(k))
 			b.Op(0, trace.OpAppend, recName(k), trace.Unit{})
@@ -392,7 +366,6 @@ func staleLedger(n int) func() adversary.Source {
 				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:cut].Clone())
 			}
 			b.Op(0, trace.OpGet, trace.Unit{}, ledger.Clone())
-			return b.Word()
 		}}
 	}
 }
@@ -402,8 +375,7 @@ func staleLedger(n int) func() adversary.Source {
 func lostAppendLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpAppend, trace.Rec("lost"), trace.Unit{})
 				b.Op(0, trace.OpAppend, trace.Rec("kept"), trace.Unit{})
@@ -414,7 +386,6 @@ func lostAppendLedger(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
@@ -436,8 +407,7 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 		var ledger trace.Seq
 		prefix := make([]int, n)
 		k := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if k < appends {
 				k++
 				ledger = append(ledger.Clone(), recName(k))
@@ -455,7 +425,6 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 				}
 				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:prefix[p]].Clone())
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -466,8 +435,7 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 func lemma65Ledger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		started := false
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if !started {
 				started = true
 				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
@@ -475,7 +443,6 @@ func lemma65Ledger(n int) func() adversary.Source {
 			for p := n - 1; p >= 0; p-- {
 				b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{})
 			}
-			return b.Word()
 		}}
 	}
 }
@@ -484,8 +451,7 @@ func lemma65Ledger(n int) func() adversary.Source {
 func forkedLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
-		return &chunked{refill: func() trace.Word {
-			b := trace.NewB()
+		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
 				b.Op(0, trace.OpAppend, trace.Rec("b"), trace.Unit{})
@@ -497,7 +463,6 @@ func forkedLedger(n int) func() adversary.Source {
 				}
 			}
 			phase++
-			return b.Word()
 		}}
 	}
 }
