@@ -169,9 +169,13 @@ func (ledger) Name() string { return "ledger" }
 func (ledger) Init() State  { return ledState{} }
 
 // InternRoot implements RootInterner: the returned root node anchors a
-// private interned tree of append children, so one checker's searches share
-// ledger states across reconverging branches.
-func (ledger) InternRoot() State { return ledState{n: &ledNode{root: true}} }
+// private interned tree of ledger states, one node per distinct record list.
+func (ledger) InternRoot() State {
+	t := &slab[ledNode]{}
+	n, id := t.alloc()
+	*n = ledNode{tree: t, id: id, root: true}
+	return ledState{n: n}
+}
 func (ledger) Ops() []OpSig {
 	return []OpSig{{Name: OpAppend, Mutating: true}, {Name: OpGet}}
 }
@@ -186,27 +190,34 @@ func (ledger) RandArg(op string, rng *rand.Rand) Value {
 // links, so Apply(append) is one small allocation instead of a full record
 // copy — checker searches apply every candidate operation at every visited
 // node, which made copying the dominant cost of SC_LED/LIN_LED scenarios.
-// The canonical encoding and the materialized record list are cached on the
-// node the first time they are needed; states remain immutable values (the
-// cache fills in idempotently, and states never cross goroutines mid-search).
+// Each node interns its append children, one per distinct record, so a node
+// is a record list: in an InternRoot tree the node's id names the state. The
+// canonical encoding and the materialized record list are cached on the node
+// the first time they are needed; states remain immutable values (the caches
+// fill in idempotently, and states never cross goroutines mid-search).
 type ledState struct {
 	n *ledNode // nil = empty ledger
 }
 
 type ledNode struct {
-	parent *ledNode
-	rec    Rec
-	root   bool       // an empty-ledger anchor from InternRoot
-	enc    string     // lazy: "l" + rec + "|" per record, prefix-shared
-	seq    Seq        // lazy: materialized record list
-	val    Value      // lazy: seq boxed once, so get never re-boxes
-	kids   []*ledNode // interned append children, one per distinct record
+	tree     *slab[ledNode] // the interned tree's allocator; nil from Init
+	id       uint64         // Interned id; 0 from Init
+	parent   *ledNode
+	kid, sib *ledNode // first interned append child; next sibling
+	rec      Rec
+	root     bool   // an empty-ledger anchor from InternRoot
+	enc      string // lazy: Key, prefix-shared
+	seq      Seq    // lazy: materialized record list
+	val      Value  // lazy: seq boxed once, so get never re-boxes
 }
 
 // emptyRecs is the boxed return of get on the empty ledger, shared so the
 // hot checker loop never re-boxes the slice header.
 var emptyRecs Value = Seq(nil)
 
+// Key is "l" followed by len(rec) + ":" + rec per record, oldest first. The
+// length prefix makes the code prefix-free: records may hold any byte, so a
+// plain separator would let [a, a|a] and [a|a, a] share a key.
 func (s ledState) Key() string {
 	if s.n == nil {
 		return "l"
@@ -219,7 +230,7 @@ func (n *ledNode) key() string {
 		if n.root {
 			n.enc = "l"
 		} else {
-			n.enc = ledState{n.parent}.Key() + string(n.rec) + "|"
+			n.enc = ledState{n.parent}.Key() + strconv.Itoa(len(n.rec)) + ":" + string(n.rec)
 		}
 	}
 	return n.enc
@@ -241,6 +252,32 @@ func (s ledState) recs() Seq {
 // AppendKey implements KeyAppender with the Key encoding.
 func (s ledState) AppendKey(b []byte) []byte { return append(b, s.Key()...) }
 
+// ID implements Interned.
+func (s ledState) ID() uint64 {
+	if s.n == nil {
+		return 0
+	}
+	return s.n.id
+}
+
+// child returns the interned node for n with r appended. Like the enc/seq
+// caches, the child links rely on states staying within one goroutine
+// between appends.
+func (n *ledNode) child(r Rec) *ledNode {
+	if n == nil {
+		return &ledNode{rec: r}
+	}
+	for k := n.kid; k != nil; k = k.sib {
+		if k.rec == r {
+			return k
+		}
+	}
+	k, id := n.tree.alloc()
+	*k = ledNode{tree: n.tree, id: id, parent: n, sib: n.kid, rec: r}
+	n.kid = k
+	return k
+}
+
 func (s ledState) Apply(op string, arg Value) (State, Value, bool) {
 	switch op {
 	case OpAppend:
@@ -248,22 +285,7 @@ func (s ledState) Apply(op string, arg Value) (State, Value, bool) {
 		if !ok {
 			return s, nil, false
 		}
-		// Checker searches re-apply the same appends along reconverging
-		// branches; interning children per (parent, record) makes those
-		// branches share one node instead of allocating per visit. Like the
-		// enc/seq caches, the kids list relies on states staying within one
-		// goroutine between appends.
-		if s.n != nil {
-			for _, k := range s.n.kids {
-				if k.rec == r {
-					return ledState{n: k}, Unit{}, true
-				}
-			}
-			k := &ledNode{parent: s.n, rec: r}
-			s.n.kids = append(s.n.kids, k)
-			return ledState{n: k}, Unit{}, true
-		}
-		return ledState{n: &ledNode{parent: s.n, rec: r}}, Unit{}, true
+		return ledState{n: s.n.child(r)}, Unit{}, true
 	case OpGet:
 		// States are immutable and Values are never mutated by consumers, so
 		// the cached record list can be returned without a defensive clone —
@@ -365,10 +387,9 @@ type queue struct{}
 func (queue) Name() string { return "queue" }
 func (queue) Init() State  { return queueState{} }
 
-// InternRoot implements RootInterner: the returned root anchors a
-// private interned tree of queue states, so one checker's searches share
-// states across reconverging branches instead of re-encoding per visit.
-func (queue) InternRoot() State { return queueState{n: &queueNode{}} }
+// InternRoot implements RootInterner: the returned root anchors a private
+// interned tree of queue states, one node per distinct item list.
+func (queue) InternRoot() State { return queueState{n: newListRoot()} }
 func (queue) Ops() []OpSig {
 	return []OpSig{{Name: OpEnq, Mutating: true}, {Name: OpDeq, Mutating: true}}
 }
@@ -379,67 +400,103 @@ func (queue) RandArg(op string, rng *rand.Rand) Value {
 	return Unit{}
 }
 
-// queueState is a persistent queue in the ledState mould: nodes record the
-// enqueue/dequeue path and intern their children, so checker searches — which
-// re-apply every candidate operation at every visited node — share one node
-// per distinct reachable queue instead of building a fresh encoding string
-// (and fmt.Sscanf-decoding the head item) on every visit. The abstract state
-// is the remaining-item sequence; the key encodes exactly that, so paths that
-// reconverge on the same remaining items still hit the same memo entry.
-type queueState struct {
-	n *queueNode // nil = the never-touched empty queue
+// listNode is a persistent, interned list of integers — the state of a queue
+// or a stack. A node is its contents: parent is the list without its last
+// item, and each node interns its children, one per distinct appended item,
+// so checker searches — which re-apply every candidate operation at every
+// visited node — share one node per distinct reachable list (named by its
+// id in an InternRoot tree) instead of re-encoding the contents per visit.
+// Push and enq append a child and pop returns to the parent; deq follows the
+// tail link, the list without its first item, interned lazily as
+// child(tail(parent), last item). Like ledNode's, the links fill in
+// idempotently and rely on states staying within one goroutine mid-search.
+type listNode struct {
+	tree     *slab[listNode] // the interned tree's allocator; nil from Init
+	id       uint64          // Interned id; 0 from Init
+	parent   *listNode       // the list without its last item
+	kid, sib *listNode       // first interned child; next sibling
+	tail     *listNode       // lazy: the list without its first item
+	last     Int
+	first    Int
+	size     int // items; 0 = an empty-list anchor from InternRoot
 }
 
-type queueNode struct {
-	parent *queueNode
-	val    Int          // the item this node enqueued (enq nodes only)
-	enq    bool         // true: enqueued val; false: dequeued one (or the root)
-	enqs   int          // enqueues along the path
-	head   int          // dequeues along the path
-	kids   []*queueNode // interned enqueue children, one per distinct item
-	deq    *queueNode   // interned dequeue child
+// newListRoot returns the empty-list anchor of a fresh interned tree.
+func newListRoot() *listNode {
+	t := &slab[listNode]{}
+	n, id := t.alloc()
+	*n = listNode{tree: t, id: id}
+	return n
 }
 
-// itemAt walks the path to the enqueue with index i (0-based). The walk is
-// bounded by the path length — paying a pointer chase per lookup instead of
-// materializing an item slice per node keeps the search's working set flat.
-func (n *queueNode) itemAt(i int) Int {
-	m := n
-	for !m.enq || m.enqs != i+1 {
-		m = m.parent
+func (n *listNode) empty() bool { return n == nil || n.size == 0 }
+
+func (n *listNode) ID() uint64 {
+	if n == nil {
+		return 0
 	}
-	return m.val
+	return n.id
 }
 
-// appendItems appends the comma-joined decimal items with enqueue index head
-// and above, in enqueue order, by recursing to the front of the path first.
-func (n *queueNode) appendItems(b []byte, head int) []byte {
-	m := n
-	for m != nil && !m.enq {
-		m = m.parent
+// child returns the interned node for n with v appended.
+func (n *listNode) child(v Int) *listNode {
+	if n == nil {
+		return &listNode{last: v, first: v, size: 1}
 	}
-	if m == nil || m.enqs <= head {
+	for k := n.kid; k != nil; k = k.sib {
+		if k.last == v {
+			return k
+		}
+	}
+	first := v
+	if n.size > 0 {
+		first = n.first
+	}
+	k, id := n.tree.alloc()
+	*k = listNode{tree: n.tree, id: id, parent: n, sib: n.kid, last: v, first: first, size: n.size + 1}
+	n.kid = k
+	return k
+}
+
+// deq returns the node of the non-empty list n without its first item.
+func (n *listNode) deq() *listNode {
+	if n.size == 1 {
+		return n.parent // the anchor, or nil from Init
+	}
+	if n.tail == nil {
+		n.tail = n.parent.deq().child(n.last)
+	}
+	return n.tail
+}
+
+// appendItems appends the comma-joined decimal items first to last,
+// recursing to the front of the list first.
+func (n *listNode) appendItems(b []byte) []byte {
+	if n.empty() {
 		return b
 	}
-	b = m.parent.appendItems(b, head)
-	if m.enqs-1 > head {
+	b = n.parent.appendItems(b)
+	if n.size > 1 {
 		b = append(b, ',')
 	}
-	return strconv.AppendInt(b, int64(m.val), 10)
+	return strconv.AppendInt(b, int64(n.last), 10)
+}
+
+type queueState struct {
+	n *listNode // nil = the never-touched empty queue
 }
 
 func (s queueState) Key() string { return string(s.AppendKey(nil)) }
 
 // AppendKey implements KeyAppender: "q" plus the comma-joined decimal
-// encoding of the remaining items, byte-identical to the historical flat
+// encoding of the items head first, byte-identical to the historical flat
 // string encoding.
 func (s queueState) AppendKey(b []byte) []byte {
-	b = append(b, 'q')
-	if s.n == nil {
-		return b
-	}
-	return s.n.appendItems(b, s.n.head)
+	return s.n.appendItems(append(b, 'q'))
 }
+
+// ID implements Interned.
+func (s queueState) ID() uint64 { return s.n.ID() }
 
 func (s queueState) Apply(op string, arg Value) (State, Value, bool) {
 	switch op {
@@ -448,27 +505,12 @@ func (s queueState) Apply(op string, arg Value) (State, Value, bool) {
 		if !ok {
 			return s, nil, false
 		}
-		if s.n != nil {
-			for _, k := range s.n.kids {
-				if k.val == v {
-					return queueState{n: k}, Unit{}, true
-				}
-			}
-			k := &queueNode{parent: s.n, val: v, enq: true, enqs: s.n.enqs + 1, head: s.n.head}
-			s.n.kids = append(s.n.kids, k)
-			return queueState{n: k}, Unit{}, true
-		}
-		return queueState{n: &queueNode{val: v, enq: true, enqs: 1}}, Unit{}, true
+		return queueState{n: s.n.child(v)}, Unit{}, true
 	case OpDeq:
-		n := s.n
-		if n == nil || n.enqs == n.head {
+		if s.n.empty() {
 			return s, Empty, true
 		}
-		v := n.itemAt(n.head)
-		if n.deq == nil {
-			n.deq = &queueNode{parent: n, enqs: n.enqs, head: n.head + 1}
-		}
-		return queueState{n: n.deq}, v, true
+		return queueState{n: s.n.deq()}, s.n.first, true
 	default:
 		return s, nil, false
 	}
@@ -485,9 +527,9 @@ type stack struct{}
 func (stack) Name() string { return "stack" }
 func (stack) Init() State  { return stackState{} }
 
-// InternRoot implements RootInterner: the returned root anchors a
-// private interned tree of stack states, like Queue's.
-func (stack) InternRoot() State { return stackState{n: &stackNode{}} }
+// InternRoot implements RootInterner: the returned root anchors a private
+// interned tree of stack states, like Queue's.
+func (stack) InternRoot() State { return stackState{n: newListRoot()} }
 func (stack) Ops() []OpSig {
 	return []OpSig{{Name: OpPush, Mutating: true}, {Name: OpPop, Mutating: true}}
 }
@@ -498,32 +540,10 @@ func (stack) RandArg(op string, rng *rand.Rand) Value {
 	return Unit{}
 }
 
-// stackState is a persistent stack: push interns a child node, pop walks back
-// to the parent — the exact ledState shape, since a stack *is* a ledger whose
-// get is destructive. Checker searches share one node per distinct reachable
-// stack instead of re-encoding strings per visit.
+// stackState is a persistent stack over the queue's list nodes, top last:
+// push interns a child node, pop walks back to the parent.
 type stackState struct {
-	n *stackNode // nil = the never-touched empty stack
-}
-
-type stackNode struct {
-	parent *stackNode
-	val    Int
-	depth  int          // pushed items along the path; 0 = an empty-stack anchor
-	kids   []*stackNode // interned push children, one per distinct item
-}
-
-// appendItems appends the comma-joined decimal items bottom to top, recursing
-// to the bottom of the stack first.
-func (n *stackNode) appendItems(b []byte) []byte {
-	if n == nil || n.depth == 0 {
-		return b
-	}
-	b = n.parent.appendItems(b)
-	if n.depth > 1 {
-		b = append(b, ',')
-	}
-	return strconv.AppendInt(b, int64(n.val), 10)
+	n *listNode // nil = the never-touched empty stack
 }
 
 func (s stackState) Key() string { return string(s.AppendKey(nil)) }
@@ -535,6 +555,9 @@ func (s stackState) AppendKey(b []byte) []byte {
 	return s.n.appendItems(append(b, 's'))
 }
 
+// ID implements Interned.
+func (s stackState) ID() uint64 { return s.n.ID() }
+
 func (s stackState) Apply(op string, arg Value) (State, Value, bool) {
 	switch op {
 	case OpPush:
@@ -542,22 +565,12 @@ func (s stackState) Apply(op string, arg Value) (State, Value, bool) {
 		if !ok {
 			return s, nil, false
 		}
-		if s.n != nil {
-			for _, k := range s.n.kids {
-				if k.val == v {
-					return stackState{n: k}, Unit{}, true
-				}
-			}
-			k := &stackNode{parent: s.n, val: v, depth: s.n.depth + 1}
-			s.n.kids = append(s.n.kids, k)
-			return stackState{n: k}, Unit{}, true
-		}
-		return stackState{n: &stackNode{val: v, depth: 1}}, Unit{}, true
+		return stackState{n: s.n.child(v)}, Unit{}, true
 	case OpPop:
-		if s.n == nil || s.n.depth == 0 {
+		if s.n.empty() {
 			return s, Empty, true
 		}
-		return stackState{n: s.n.parent}, s.n.val, true
+		return stackState{n: s.n.parent}, s.n.last, true
 	default:
 		return s, nil, false
 	}

@@ -120,6 +120,24 @@ func TestStateKeysDistinguish(t *testing.T) {
 	if c.Key() == d.Key() {
 		t.Errorf("ambiguous encoding: %q vs %q", c.Key(), d.Key())
 	}
+	// Records may hold any byte: [a, a|a] must differ from [a|a, a], and
+	// [""] from the empty ledger.
+	l := trace.Ledger().Init()
+	appendAll := func(recs ...trace.Rec) trace.State {
+		st := l
+		for _, r := range recs {
+			st, _, _ = st.Apply(trace.OpAppend, r)
+		}
+		return st
+	}
+	ledgers := []trace.State{appendAll(), appendAll(""), appendAll("a", "a|a"), appendAll("a|a", "a"), appendAll("a", "a", "a")}
+	ledKeys := map[string]bool{}
+	for _, st := range ledgers {
+		ledKeys[st.Key()] = true
+	}
+	if len(ledKeys) != len(ledgers) {
+		t.Errorf("ledger state keys collide: %d distinct of %d", len(ledKeys), len(ledgers))
+	}
 }
 
 func TestRun(t *testing.T) {

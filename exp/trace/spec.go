@@ -43,10 +43,20 @@ type OpSig struct {
 // sharing: InternRoot returns a fresh state equivalent to Init whose
 // reachable states are interned privately for the caller, so a search that
 // re-applies the same operations along reconverging branches gets the same
-// state value back instead of an allocation. The returned state (and
-// everything reached from it) must stay within one goroutine.
+// state value back instead of an allocation. When those states are also
+// Interned, a checker's memo keys one by its small ID instead of its Key
+// bytes. The returned state (and everything reached from it) must stay
+// within one goroutine.
 type RootInterner interface {
 	InternRoot() State
+}
+
+// Interned is an optional State interface for states of an interned tree:
+// two states reached from one InternRoot root have equal IDs exactly when
+// their Keys are equal, and a state outside an interned tree (one reached
+// from Init) reports 0. IDs of states from different roots are unrelated.
+type Interned interface {
+	ID() uint64
 }
 
 // Object is a sequential object: a name, an initial state, and an operation

@@ -191,7 +191,7 @@ func (c *Incremental) Reset(n int) {
 
 // rootState returns the object's initial state: the interned root when the
 // object offers one, so reconverging search branches share states instead of
-// re-allocating them.
+// re-allocating them, and buildKey keys Interned ones by id.
 func rootState(obj trace.Object) trace.State {
 	if ri, ok := obj.(trace.RootInterner); ok {
 		return ri.InternRoot()
@@ -478,8 +478,12 @@ func (c *Incremental) adoptWitness() {
 
 // buildKey encodes (fronts, state) into the reused buffer. Front counters
 // are uvarints, a prefix-free code, so distinct vectors cannot collide and no
-// per-process operation count is too large; the state encoding is State.Key's
-// (via the allocation-free AppendKey when available).
+// per-process operation count is too large. An Interned state with a
+// non-zero id — every state of an interned tree, which the search reaches
+// from its InternRoot root — follows as '#' plus the id as a uvarint: within
+// one tree ids are equal exactly when keys are, so the memo relation is the
+// key path's at a fixed, small width. Any other state follows as '/' plus
+// State.Key's encoding (via the allocation-free AppendKey when available).
 // Recorded pending responses need no slot: within one search the placed
 // operations' responses are functions of the placement order the fronts
 // already encode, and a pending operation's response is never re-examined.
@@ -488,11 +492,16 @@ func (c *Incremental) buildKey(st trace.State) []byte {
 	for _, f := range c.sFront {
 		b = binary.AppendUvarint(b, uint64(f))
 	}
-	b = append(b, '/')
-	if ka, ok := st.(trace.KeyAppender); ok {
-		b = ka.AppendKey(b)
+	var id uint64
+	if in, ok := st.(trace.Interned); ok {
+		id = in.ID()
+	}
+	if id != 0 {
+		b = binary.AppendUvarint(append(b, '#'), id)
+	} else if ka, ok := st.(trace.KeyAppender); ok {
+		b = ka.AppendKey(append(b, '/'))
 	} else {
-		b = append(b, st.Key()...)
+		b = append(append(b, '/'), st.Key()...)
 	}
 	c.key = b
 	return b

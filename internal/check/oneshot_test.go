@@ -196,10 +196,23 @@ func TestOneShotNodeCounts(t *testing.T) {
 		"random/ledger":                {379, 11652},
 	}
 	got := map[string][2]int{}
-	add := func(name string, obj trace.Object, w trace.Word) {
+	nodeCountHistories(t, func(name string, obj trace.Object, w trace.Word) {
 		lin, sc := oneShotNodes(obj, trace.Operations(w))
 		got[name] = [2]int{got[name][0] + lin, got[name][1] + sc}
+	})
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: (lin, sc) nodes = %v, want %v", name, got[name], w)
+		}
 	}
+	if len(got) != len(want) {
+		t.Errorf("%d history sets, want %d", len(got), len(want))
+	}
+}
+
+// nodeCountHistories feeds add the history sets TestOneShotNodeCounts pins,
+// each history under its set's name.
+func nodeCountHistories(t *testing.T, add func(name string, obj trace.Object, w trace.Word)) {
 	sutCases := []struct {
 		name string
 		obj  trace.Object
@@ -246,13 +259,5 @@ func TestOneShotNodeCounts(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			add("random/"+obj.Name(), obj, randomHistory(rng, obj, 12+rng.Intn(28), 2+rng.Intn(3)))
 		}
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("%s: (lin, sc) nodes = %v, want %v", name, got[name], w)
-		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("%d history sets, want %d", len(got), len(want))
 	}
 }

@@ -203,12 +203,15 @@ func TestExecuteReleasesPerCallSession(t *testing.T) {
 // adversary) blows well past them. Lang reuses the cursor and Aτ like obj and
 // msg reuse theirs, its sources refill one chunk builder, and the digest
 // hashes a reused buffer; before those, the same batch averaged ~5180
-// pooled, with a budget of 7000. Lang's budget keeps obj's headroom, about
-// 1.3× its steady state.
+// pooled. The oracle searches intern queue, stack and ledger states into
+// slab-allocated trees keyed by id; before that, each visited state cost its
+// own node and memo-key bytes, and the batch averaged ~1408 obj and ~1189
+// lang allocations, with budgets of 2000 and 1550. Obj and lang keep about
+// 1.3× their steady state.
 const (
-	objAllocBudget  = 2000 // measured steady state ~1408 (fresh runner: ~1829)
+	objAllocBudget  = 300  // measured steady state ~230
 	msgAllocBudget  = 1100 // measured steady state ~535 (fresh runner: ~1078)
-	langAllocBudget = 1550 // measured steady state ~1189 (fresh runner: ~1589)
+	langAllocBudget = 1460 // measured steady state ~1122
 )
 
 func TestPooledExecuteAllocBudgetObj(t *testing.T) {
