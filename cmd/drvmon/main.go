@@ -1,9 +1,9 @@
 // Command drvmon re-checks recorded traces offline: it reads a JSON-lines
-// trace (from drvtrace) and runs the language's consistency checkers over
-// the recorded word — the safety clauses, the convergence diagnostics, and
-// for the register/ledger languages the full linearizability and sequential
-// consistency searches. The verdict is compared against the trace's
-// ground-truth label when one is present.
+// trace (from drvtrace) and runs the judge of every language over the trace
+// language's object on the recorded word — each reports the first violating
+// response-ended prefix — plus the language's convergence diagnostic, if it
+// has a liveness clause. The trace language's own verdict is compared
+// against the trace's ground-truth label when one is present.
 //
 // Usage:
 //
@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"github.com/drv-go/drv/exp/trace"
-	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/lang"
 )
 
@@ -74,9 +73,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "trace: %d symbols, %d processes, language %s\n", len(tr.Word), tr.Meta.N, name)
-	violated := l.SafetyViolated(tr.Word)
+	violated := l.Judge.Violation(tr.Word, nil) != nil
 	fmt.Fprintf(stdout, "safety clauses: violated=%v\n", violated)
-	printDiagnostics(stdout, name, tr.Word)
+	for _, other := range lang.All() {
+		if other.Object.Name() != l.Object.Name() {
+			continue
+		}
+		verdict := "ok"
+		if v := other.Judge.Violation(tr.Word, nil); v != nil {
+			verdict = fmt.Sprintf("violated at prefix %d", v.Prefix)
+			if v.Detail != "" {
+				verdict += ": " + v.Detail
+			}
+		}
+		fmt.Fprintf(stdout, "%s safety: %s\n", other.Name, verdict)
+	}
+	if converged, ok := l.Judge.Converges(tr.Word); ok {
+		fmt.Fprintf(stdout, "convergence (quiescent tail): %v\n", converged)
+	}
 
 	if tr.Meta.Member != nil {
 		fmt.Fprintf(stdout, "ground truth (ω-word): in-language=%v\n", *tr.Meta.Member)
@@ -89,37 +103,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// printDiagnostics runs the language-specific extra checkers.
-func printDiagnostics(stdout io.Writer, name string, w trace.Word) {
-	switch name {
-	case "LIN_REG", "SC_REG":
-		fmt.Fprintf(stdout, "linearizable (register): %v\n", check.Linearizable(trace.Register(), w))
-		fmt.Fprintf(stdout, "seq. consistent (register): %v\n", check.SeqConsistent(trace.Register(), w))
-	case "LIN_LED", "SC_LED":
-		fmt.Fprintf(stdout, "linearizable (ledger): %v\n", check.Linearizable(trace.Ledger(), w))
-		fmt.Fprintf(stdout, "seq. consistent (ledger): %v\n", check.SeqConsistent(trace.Ledger(), w))
-	case "EC_LED":
-		if v := check.ECLedgerSafety(w); v != nil {
-			fmt.Fprintf(stdout, "EC ordering clause: violated (%v)\n", v)
-		} else {
-			fmt.Fprintln(stdout, "EC ordering clause: ok")
-		}
-		fmt.Fprintf(stdout, "EC convergence (quiescent tail): %v\n", check.ECLedgerConverges(w))
-	case "WEC_COUNT", "SEC_COUNT":
-		if v := check.WECSafety(w); v != nil {
-			fmt.Fprintf(stdout, "WEC safety: violated (%v)\n", v)
-		} else {
-			fmt.Fprintln(stdout, "WEC safety: ok")
-		}
-		if name == "SEC_COUNT" {
-			if v := check.SECSafety(w); v != nil {
-				fmt.Fprintf(stdout, "SEC safety (clause 4): violated (%v)\n", v)
-			} else {
-				fmt.Fprintln(stdout, "SEC safety (clause 4): ok")
-			}
-		}
-		fmt.Fprintf(stdout, "counter convergence (quiescent tail): %v\n", check.Converges(w))
-	}
 }

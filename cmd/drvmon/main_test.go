@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,8 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite the stdout goldens")
 
 func runMon(args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
@@ -125,5 +128,34 @@ func TestLangOverride(t *testing.T) {
 	}
 	if code, _, _ := runMon("-lang", "NOPE", path); code != 2 {
 		t.Errorf("unknown language exited %d, want 2", code)
+	}
+}
+
+// TestGoldenStdout pins drvmon's full report on one register, one ledger and
+// one counter trace (recorded with drvtrace, the command in each golden's
+// name: -lang SC_REG -source stale-reads -n 2 -steps 60, -lang EC_LED -source
+// forked -n 2 -steps 80, -lang SEC_COUNT -source over-read -n 2 -steps 80):
+// one line per judge over the trace language's object, then the language's
+// convergence diagnostic where it has one.
+func TestGoldenStdout(t *testing.T) {
+	for _, name := range []string{"register", "ledger", "counter"} {
+		code, out, errOut := runMon(filepath.Join("testdata", name+".jsonl"))
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", name, code, errOut)
+		}
+		golden := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%s: stdout differs from %s:\n%s", name, golden, out)
+		}
 	}
 }

@@ -28,8 +28,11 @@
 //     checkers. check.ECLedger is the eventual ledger's counterpart for
 //     clause (1), which is order-free: an append multiset that only grows
 //     and a longest returned sequence that only extends, so each symbol
-//     costs only itself; EC_LED's per-prefix safety oracle is one forward
-//     pass of it.
+//     costs only itself.
+//   - internal/lang's Judge — the one test of a finite word that Table 1,
+//     the explorer and drvmon ask: like the definitions, it reports the
+//     first prefix ending at a response that violates the language's
+//     safety condition, in one forward pass.
 //   - internal/adversary — the adversary A (a word cursor realizing Claim
 //     3.1) and the timed adversary Aτ of Figure 6.
 //   - exp/trace's SketchBuilder — the view-to-history construction x~(E) of

@@ -25,9 +25,9 @@ import (
 // repair it, and ECLedgerSafety, being order-free, must not flag a get that
 // precedes its append in the same batch. So the checker keeps only the count
 // of over-used records and judges it in OK. OK's answer is sticky once
-// false, which makes OK after every response exactly "some response-ended
-// prefix violates clause (1)" (see AnyPrefixViolated), and OK after a batch
-// ECLedgerSafety on the whole batch.
+// false, which makes OK after every response exactly "no response-ended
+// prefix violates clause (1)", and OK after a batch ECLedgerSafety on the
+// whole batch.
 //
 // The checker trusts the word to be well formed (trace.WellFormed): a get
 // response is read as completing a get. An ECLedger is not safe for
@@ -112,18 +112,4 @@ func (c *ECLedger) OK() bool {
 		c.bad = true
 	}
 	return !c.bad
-}
-
-// AnyPrefixViolated reports whether some finite prefix of w violates clause
-// (1) — one forward pass that queries after every response and at the end,
-// the prefixes the language definition's quantifier can fail at.
-func (c *ECLedger) AnyPrefixViolated(w trace.Word) bool {
-	c.Reset()
-	for _, s := range w {
-		c.Append(s)
-		if s.Kind == trace.Res && !c.OK() {
-			return true
-		}
-	}
-	return !c.OK()
 }

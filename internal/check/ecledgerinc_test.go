@@ -10,7 +10,7 @@ import (
 
 // diffECLedgerPrefixes compares the incremental checker with ECLedgerSafety
 // and with its per-prefix lift on every prefix of w: a checker fed the
-// prefix answers ECLedgerSafety, AnyPrefixViolated answers the lift, and one
+// prefix answers ECLedgerSafety, the forward pass answers the lift, and one
 // checker queried after every response (the monitor's and the label
 // oracle's calling pattern) tracks the lift as the prefix grows.
 func diffECLedgerPrefixes(t *testing.T, name string, w trace.Word) {
@@ -31,8 +31,8 @@ func diffECLedgerPrefixes(t *testing.T, name string, w trace.Word) {
 			t.Fatalf("%s: prefix %d: Len = %d", name, k, fresh.Len())
 		}
 		wantAny := k > 0 && (anyBefore || !whole)
-		if got := NewECLedger().AnyPrefixViolated(p); got != wantAny {
-			t.Fatalf("%s: prefix %d: AnyPrefixViolated = %v, per-prefix ECLedgerSafety says %v\n%v", name, k, got, wantAny, p)
+		if got := firstViolation(NewECLedger(), p) > 0; got != wantAny {
+			t.Fatalf("%s: prefix %d: forward pass violated = %v, per-prefix ECLedgerSafety says %v\n%v", name, k, got, wantAny, p)
 		}
 		if k == 0 {
 			continue
@@ -125,7 +125,7 @@ func TestECLedgerIncrementalMatchesSafetyOnRandomWords(t *testing.T) {
 		w := randomLedgerWord(rng, 1+rng.Intn(3), 2+rng.Intn(40))
 		if ECLedgerSafety(w) != nil {
 			violating++
-		} else if NewECLedger().AnyPrefixViolated(w) {
+		} else if firstViolation(NewECLedger(), w) > 0 {
 			repaired++
 		}
 		diffECLedgerPrefixes(t, fmt.Sprintf("word %d", i), w)
@@ -145,10 +145,11 @@ func TestECLedgerResetForgetsHistory(t *testing.T) {
 		Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{}).
 		Op(1, trace.OpGet, trace.Unit{}, trace.Seq{"a"}).Word()
 	c := NewECLedger()
-	if !c.AnyPrefixViolated(bad) {
+	if firstViolation(c, bad) != len(bad) {
 		t.Fatal("phantom record accepted")
 	}
-	if c.AnyPrefixViolated(good) || c.Len() != len(good) {
-		t.Fatalf("after Reset: violated = %v, Len = %d", c.AnyPrefixViolated(good), c.Len())
+	c.Reset()
+	if k := firstViolation(c, good); k != 0 || c.Len() != len(good) {
+		t.Fatalf("after Reset: first violation = %d, Len = %d", k, c.Len())
 	}
 }

@@ -28,6 +28,34 @@ func scratchOK(obj trace.Object, realTime bool, w trace.Word) bool {
 	return genericOK(obj, trace.Operations(w), realTime)
 }
 
+// checkWord resets c and checks w whole.
+func checkWord(c *Incremental, w trace.Word) bool {
+	c.Reset(c.n)
+	for _, s := range w {
+		c.Append(s)
+	}
+	return c.OK()
+}
+
+// firstViolation is the forward pass lang.Judge runs: it feeds w to a
+// checker of the empty history and returns the length of the first prefix
+// ending at a response, or of w, that it rejects; 0 if none.
+func firstViolation(c interface {
+	Append(trace.Symbol)
+	OK() bool
+}, w trace.Word) int {
+	for i, s := range w {
+		c.Append(s)
+		if s.Kind == trace.Res && !c.OK() {
+			return i + 1
+		}
+	}
+	if !c.OK() {
+		return len(w)
+	}
+	return 0
+}
+
 // wellFormed reports whether trace.Operations accepts w.
 func wellFormed(w trace.Word) (ok bool) {
 	defer func() {
@@ -80,7 +108,7 @@ func shrinkMismatch(obj trace.Object, realTime bool, w trace.Word) trace.Word {
 // checkIncremental runs the full differential battery on one history: the
 // incremental checker against from-scratch on every prefix (both order
 // modes), against brute on affordable whole words, and the interleaved-query
-// modes (CheckExtending, AnyPrefixViolated) against their scratch forms.
+// modes (CheckExtending, the judge's forward pass) against their scratch forms.
 func checkIncremental(t *testing.T, obj trace.Object, w trace.Word, label string) {
 	t.Helper()
 	if !wellFormed(w) {
@@ -105,24 +133,24 @@ func checkIncremental(t *testing.T, obj trace.Object, w trace.Word, label string
 			} else {
 				brute = BruteSeqConsistent(obj, w)
 			}
-			if got := chk.CheckWord(w); got != brute {
+			if got := checkWord(chk, w); got != brute {
 				t.Fatalf("%s: incremental %s=%v, brute=%v on\n%v", label, mode, got, brute, w)
 			}
 		}
-		// AnyPrefixViolated must match the literal per-prefix loop.
+		// The forward pass must match the literal per-prefix loop.
 		chk := NewIncremental(obj, realTime, w.Procs())
-		wantAny := false
+		wantFirst := 0
 		for cut := 1; cut <= len(w); cut++ {
 			if cut < len(w) && w[cut-1].Kind != trace.Res {
 				continue
 			}
 			if !scratchOK(obj, realTime, w[:cut]) {
-				wantAny = true
+				wantFirst = cut
 				break
 			}
 		}
-		if got := chk.AnyPrefixViolated(w); got != wantAny {
-			t.Fatalf("%s: incremental %s AnyPrefixViolated=%v, scratch=%v on\n%v", label, mode, got, wantAny, w)
+		if got := firstViolation(chk, w); got != wantFirst {
+			t.Fatalf("%s: incremental %s forward pass=%d, scratch=%d on\n%v", label, mode, got, wantFirst, w)
 		}
 	}
 }

@@ -51,7 +51,7 @@ import (
 // as the history: a successful search re-ranks every operation from its
 // accepting path, a rejecting search keeps the old ranks, and Reset clears
 // them all. The append-at-end repair leaves the appended operation unranked:
-// ranking it too made the first search of a whole-history check (CheckWord)
+// ranking it too made the first search of a whole-history check
 // follow the response order of a long accepted prefix, which sent some
 // sequential-consistency searches twenty times deeper than process order
 // does, for no gain on the verdict streams.
@@ -346,15 +346,6 @@ func (c *Incremental) OK() bool {
 	return c.okCache
 }
 
-// CheckWord resets the checker and checks w whole.
-func (c *Incremental) CheckWord(w trace.Word) bool {
-	c.Reset(c.n)
-	for _, s := range w {
-		c.Append(s)
-	}
-	return c.OK()
-}
-
 // CheckExtending checks w, reusing the witness when w extends the history
 // already fed (the predictive monitors' verdict stream: successive sketch
 // histories usually extend each other, but view reordering can rebuild the
@@ -373,25 +364,6 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 		c.Append(s)
 	}
 	return c.OK()
-}
-
-// AnyPrefixViolated reports whether some finite prefix of w fails the check
-// — the per-prefix quantifier the non-prefix-closed languages (sequential
-// consistency) need, checked in one forward pass. Only prefixes ending at a
-// response symbol (and w itself) can introduce a violation: a trailing
-// pending invocation is droppable, so it never invalidates a witness. The
-// forward pass exits at the first violated prefix, so an accepting history
-// costs one witness maintenance sweep and a violating one at most one full
-// search beyond it.
-func (c *Incremental) AnyPrefixViolated(w trace.Word) bool {
-	c.Reset(c.n)
-	for _, s := range w {
-		c.Append(s)
-		if s.Kind == trace.Res && !c.OK() {
-			return true
-		}
-	}
-	return !c.OK()
 }
 
 // openOf returns the index into ops of the process's pending operation, or

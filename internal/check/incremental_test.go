@@ -260,7 +260,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		w := randWord(tc.obj, 3, 24, 0, rng)
 		chk := NewIncremental(tc.obj, tc.realTime, 3)
-		chk.CheckWord(w) // grow every buffer to the workload's size
+		checkWord(chk, w) // grow every buffer to the workload's size
 		avg := testing.AllocsPerRun(64, func() {
 			chk.Reset(3)
 			for _, s := range w {
@@ -287,7 +287,7 @@ func TestIncrementalMsgFamilyAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := randWord(obj, 3, 24, 0.2, rng)
 	chk := NewIncremental(obj, true, 3)
-	chk.CheckWord(w)
+	checkWord(chk, w)
 	avg := testing.AllocsPerRun(32, func() {
 		chk.Reset(3)
 		for k := 1; k <= len(w); k++ {

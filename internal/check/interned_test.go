@@ -79,8 +79,8 @@ func TestLedgerRecordsWithSeparator(t *testing.T) {
 			t.Errorf("%s: SeqConsistentOps = false, brute force true", name)
 		}
 		for _, realTime := range []bool{true, false} {
-			if !NewIncremental(obj, realTime, 3).CheckWord(w) {
-				t.Errorf("%s realTime=%v: Incremental.CheckWord = false, brute force true", name, realTime)
+			if !checkWord(NewIncremental(obj, realTime, 3), w) {
+				t.Errorf("%s realTime=%v: checkWord = false, brute force true", name, realTime)
 			}
 		}
 	}

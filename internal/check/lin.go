@@ -9,11 +9,18 @@
 // operations (plus any subset of pending ones, which may be assigned their
 // specification response) admit a valid sequential order that extends a
 // required partial order — process order ∪ real-time order for
-// linearizability, process order alone for sequential consistency. The search
-// has two entry points: the one-shot checkers (Linearizable, SeqConsistent
-// and their Ops forms) run it once over a whole history, and Incremental
-// keeps a witness across a growing history and runs it only when an append
-// refutes that witness.
+// linearizability, process order alone for sequential consistency.
+//
+// Entry points: Incremental (pooled by Pool) keeps a witness across a
+// growing history and searches only when an append refutes it; the one-shot
+// Linearizable and SeqConsistent, and their Ops forms, search a whole
+// history once, for exp/monitor's whole-history contract and the benchmarks;
+// WECSafety, SECSafety and ECLedgerSafety (with ECLedger, its incremental
+// form) check the eventual objects' clauses, and Converges and
+// ECLedgerConverges their liveness diagnostics; BruteLinearizable and
+// BruteSeqConsistent are the tests' exhaustive references. Package lang's
+// Judge turns these into the verdict on a finite word that the rest of the
+// repository asks for.
 //
 // The search branches only where it must. A complete non-mutating operation
 // (a read: OpSig.Mutating false) whose recorded response the specification

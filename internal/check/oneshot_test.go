@@ -125,7 +125,7 @@ func TestOneShotLongProcess(t *testing.T) {
 			if got := checkOps(trace.Register(), ops, realTime); got != want {
 				t.Errorf("%s realTime=%v: one-shot=%v, sequential replay=%v", tc.name, realTime, got, want)
 			}
-			if got := NewIncremental(trace.Register(), realTime, 1).CheckWord(tc.w); got != want {
+			if got := checkWord(NewIncremental(trace.Register(), realTime, 1), tc.w); got != want {
 				t.Errorf("%s realTime=%v: incremental=%v, sequential replay=%v", tc.name, realTime, got, want)
 			}
 		}

@@ -140,7 +140,7 @@ func TestPlaceReadRequiresPlaceable(t *testing.T) {
 		if got := checkOps(trace.Register(), ops, tc.realTime); got != tc.want {
 			t.Errorf("realTime=%v: one-shot=%v, want %v", tc.realTime, got, tc.want)
 		}
-		if got := NewIncremental(trace.Register(), tc.realTime, 2).CheckWord(w); got != tc.want {
+		if got := checkWord(NewIncremental(trace.Register(), tc.realTime, 2), w); got != tc.want {
 			t.Errorf("realTime=%v: incremental=%v, want %v", tc.realTime, got, tc.want)
 		}
 	}
@@ -176,7 +176,7 @@ func TestPlaceReadRequiresResponse(t *testing.T) {
 			if got := checkOps(trace.Register(), ops, realTime); got != tc.want {
 				t.Errorf("%s realTime=%v: one-shot=%v, want %v", tc.name, realTime, got, tc.want)
 			}
-			if got := NewIncremental(trace.Register(), realTime, 2).CheckWord(tc.w); got != tc.want {
+			if got := checkWord(NewIncremental(trace.Register(), realTime, 2), tc.w); got != tc.want {
 				t.Errorf("%s realTime=%v: incremental=%v, want %v", tc.name, realTime, got, tc.want)
 			}
 		}

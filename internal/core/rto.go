@@ -1,6 +1,9 @@
 package core
 
-import "github.com/drv-go/drv/exp/trace"
+import (
+	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/lang"
+)
 
 // Real-time obliviousness (Definition 5.3): L is real-time oblivious if for
 // every αβ ∈ L with α finite, α′β ∈ L for every shuffle α′ of α's
@@ -19,16 +22,16 @@ type RTOWitness struct {
 }
 
 // FindRTOWitness searches the shuffles of alpha's per-process projections for
-// one that violates the language's safety test, given that alpha itself does
-// not. It returns nil when alpha passes no judgement (alpha itself violates
-// safety) or no violating shuffle exists. safetyViolated must be the
-// language's prefix-falsification test; n is the process count.
+// one that the language's judge rejects, given that alpha itself passes. It
+// returns nil when alpha passes no judgement (alpha itself violates safety)
+// or no violating shuffle exists; n is the process count.
 //
 // A non-nil witness proves the language is not real-time oblivious —
 // Definition 5.3 fails for the word αβ for any continuation β keeping αβ in
 // the language — and therefore, by Theorem 5.2, the language is not
 // P-decidable for any decidability predicate P.
-func FindRTOWitness(safetyViolated func(trace.Word) bool, alpha trace.Word, n int) *RTOWitness {
+func FindRTOWitness(judge lang.Judge, alpha trace.Word, n int) *RTOWitness {
+	safetyViolated := func(w trace.Word) bool { return judge.Violation(w, nil) != nil }
 	if safetyViolated(alpha) {
 		return nil
 	}
@@ -48,8 +51,8 @@ func FindRTOWitness(safetyViolated func(trace.Word) bool, alpha trace.Word, n in
 // the safety test — the bounded empirical content of real-time obliviousness
 // for one prefix. Languages classified real-time oblivious (WEC_COUNT) must
 // be shuffle-closed on every safety-consistent prefix.
-func ShuffleClosed(safetyViolated func(trace.Word) bool, alpha trace.Word, n int) bool {
-	return FindRTOWitness(safetyViolated, alpha, n) == nil
+func ShuffleClosed(judge lang.Judge, alpha trace.Word, n int) bool {
+	return FindRTOWitness(judge, alpha, n) == nil
 }
 
 // AppendixAWitness constructs the n-process witness of Appendix A showing

@@ -12,15 +12,15 @@ func TestAppendixAWitnessNotRTO(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		alpha := AppendixAWitness(n)
 		for _, l := range []lang.Lang{lang.LinLed(), lang.SCLed(), lang.ECLed()} {
-			wit := FindRTOWitness(l.SafetyViolated, alpha, n)
+			wit := FindRTOWitness(l.Judge, alpha, n)
 			if wit == nil {
 				t.Errorf("n=%d: no RTO witness for %s on the Appendix A word", n, l.Name)
 				continue
 			}
-			if l.SafetyViolated(wit.Alpha) {
+			if l.Judge.Violation(wit.Alpha, nil) != nil {
 				t.Errorf("n=%d %s: witness alpha itself violates safety", n, l.Name)
 			}
-			if !l.SafetyViolated(wit.Shuffled) {
+			if l.Judge.Violation(wit.Shuffled, nil) == nil {
 				t.Errorf("n=%d %s: witness shuffle does not violate safety", n, l.Name)
 			}
 			if !inShuffle(wit.Shuffled, procParts(wit.Alpha, n)) {
@@ -38,7 +38,7 @@ func TestRegisterWitnessNotRTO(t *testing.T) {
 	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
 	for _, l := range []lang.Lang{lang.LinReg(), lang.SCReg()} {
-		if FindRTOWitness(l.SafetyViolated, alpha, 2) == nil {
+		if FindRTOWitness(l.Judge, alpha, 2) == nil {
 			t.Errorf("no RTO witness for %s", l.Name)
 		}
 	}
@@ -52,7 +52,7 @@ func TestSECWitnessNotRTO(t *testing.T) {
 	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	alpha := b.Word()
 	sec := lang.SECCount()
-	if FindRTOWitness(sec.SafetyViolated, alpha, 2) == nil {
+	if FindRTOWitness(sec.Judge, alpha, 2) == nil {
 		t.Error("no RTO witness for SEC_COUNT on the clause-4 word")
 	}
 }
@@ -80,7 +80,7 @@ func TestWECShuffleClosed(t *testing.T) {
 	}
 	for i, alpha := range words {
 		n := alpha.Procs()
-		if !ShuffleClosed(wec.SafetyViolated, alpha, n) {
+		if !ShuffleClosed(wec.Judge, alpha, n) {
 			t.Errorf("word %d: WEC_COUNT not shuffle-closed — contradicts its RTO classification", i)
 		}
 	}
@@ -92,10 +92,10 @@ func TestFindRTOWitnessSkipsViolatingAlpha(t *testing.T) {
 	b.Op(0, trace.OpRead, nil, trace.Int(7)) // read of a never-written value
 	alpha := b.Word()
 	lr := lang.LinReg()
-	if !lr.SafetyViolated(alpha) {
+	if lr.Judge.Violation(alpha, nil) == nil {
 		t.Fatal("setup: alpha should violate safety")
 	}
-	if FindRTOWitness(lr.SafetyViolated, alpha, 1) != nil {
+	if FindRTOWitness(lr.Judge, alpha, 1) != nil {
 		t.Error("witness reported for an already-violating alpha")
 	}
 }
@@ -120,7 +120,7 @@ func TestLangRTOClassificationMatchesWitnessSearch(t *testing.T) {
 			continue
 		}
 		n := c.alpha.Procs()
-		if FindRTOWitness(c.l.SafetyViolated, c.alpha, n) == nil {
+		if FindRTOWitness(c.l.Judge, c.alpha, n) == nil {
 			t.Errorf("%s: classification says non-RTO but no witness found on its canonical word", c.l.Name)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // consensus just as for the read/write baseline.
 func TestWalkAgainstConsensusMonitor(t *testing.T) {
 	alpha := core.AppendixAWitness(3)
-	wit := core.FindRTOWitness(lang.LinLed().SafetyViolated, alpha, 3)
+	wit := core.FindRTOWitness(lang.LinLed().Judge, alpha, 3)
 	if wit == nil {
 		t.Fatal("no RTO witness on the Appendix A word")
 	}

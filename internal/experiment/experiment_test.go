@@ -86,13 +86,13 @@ func TestLemma51AgainstMonitors(t *testing.T) {
 func TestLemma51WordsMembership(t *testing.T) {
 	l := Lemma51{Rounds: 4}
 	wE, wF := l.Words()
-	if lang.LinReg().SafetyViolated(wE) {
+	if lang.LinReg().Judge.Violation(wE, nil) != nil {
 		t.Error("x(E) should be linearizable")
 	}
-	if !lang.LinReg().SafetyViolated(wF) {
+	if lang.LinReg().Judge.Violation(wF, nil) == nil {
 		t.Error("x(F) should violate linearizability")
 	}
-	if !lang.SCReg().SafetyViolated(wF) {
+	if lang.SCReg().Judge.Violation(wF, nil) == nil {
 		t.Error("x(F) should violate sequential consistency prefix-wise")
 	}
 }
@@ -116,10 +116,10 @@ func TestWalkRegisterWitness(t *testing.T) {
 	if len(walk.Steps) == 0 {
 		t.Fatal("walk has no steps")
 	}
-	if lang.LinReg().SafetyViolated(alpha) {
+	if lang.LinReg().Judge.Violation(alpha, nil) != nil {
 		t.Error("alpha should be in the language")
 	}
-	if !lang.LinReg().SafetyViolated(target) {
+	if lang.LinReg().Judge.Violation(target, nil) == nil {
 		t.Error("target should violate the language")
 	}
 }
@@ -143,9 +143,7 @@ func TestPrefixAttackWEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(func(w trace.Word) bool {
-		return check.WECSafety(w) == nil && check.Converges(w)
-	}); err != nil {
+	if err := res.Verify(lang.WECCount().Judge); err != nil {
 		t.Error(err)
 	}
 	if res.Cut <= 0 || res.Cut >= len(attack.Bad) {
@@ -161,9 +159,7 @@ func TestPrefixAttackTimedSEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(func(w trace.Word) bool {
-		return check.SECSafety(w) == nil && check.Converges(w)
-	}); err != nil {
+	if err := res.Verify(lang.SECCount().Judge); err != nil {
 		t.Error(err)
 	}
 	if !res.TightSketch {

@@ -110,12 +110,11 @@ func (l Lemma51) Run(m monitor.Monitor) (*Lemma51Result, error) {
 		return nil, fmt.Errorf("lemma 5.1 execution F: %w", err)
 	}
 	ind, diff := Indistinguishable(resE, resF)
-	linViol := lang.LinReg().SafetyViolated
-	scViol := lang.SCReg().SafetyViolated
+	lin, sc := lang.LinReg().Judge, lang.SCReg().Judge
 	return &Lemma51Result{
 		WordE: resE.History, WordF: resF.History,
-		ELinOK: !linViol(resE.History), FLinOK: !linViol(resF.History),
-		ESCOK: !scViol(resE.History), FSCOK: !scViol(resF.History),
+		ELinOK: lin.Violation(resE.History, nil) == nil, FLinOK: lin.Violation(resF.History, nil) == nil,
+		ESCOK: sc.Violation(resE.History, nil) == nil, FSCOK: sc.Violation(resF.History, nil) == nil,
 		Indistinguishable: ind, DiffProc: diff,
 		ResE: resE, ResF: resF,
 	}, nil

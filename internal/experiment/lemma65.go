@@ -5,7 +5,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 )
 
@@ -50,7 +50,7 @@ type Lemma65Phase struct {
 type Lemma65Result struct {
 	// Word is the full exhibited behaviour.
 	Word trace.Word
-	// SafetyOK reports the EC ordering clause held on the whole word, and
+	// SafetyOK reports the EC ordering clause held on every prefix, and
 	// Converges the convergence diagnostic on its quiescent tail — together
 	// the finite-run evidence that the ω-extension is in EC_LED.
 	SafetyOK, Converges bool
@@ -127,10 +127,12 @@ func (l Lemma65) Run(mk func(tau *adversary.Timed) monitor.Monitor, kind adversa
 	if err != nil {
 		return nil, fmt.Errorf("lemma 6.5 run: %w", err)
 	}
+	judge := lang.ECLed().Judge
+	converges, _ := judge.Converges(res.History)
 	out := &Lemma65Result{
 		Word:        res.History,
-		SafetyOK:    check.ECLedgerSafety(res.History) == nil,
-		Converges:   check.ECLedgerConverges(res.History),
+		SafetyOK:    judge.Violation(res.History, nil) == nil,
+		Converges:   converges,
 		TightSketch: tight(res, n, tau),
 		Run:         res,
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 )
 
@@ -153,15 +154,17 @@ func tight(res *monitor.Result, n int, tau *adversary.Timed) bool {
 }
 
 // Verify converts an attack result into a pass/fail judgement for the
-// untimed attack: nil means the impossibility was demonstrated.
-func (r *PrefixAttackResult) Verify(inLang func(trace.Word) bool) error {
+// untimed attack: nil means the impossibility was demonstrated. The hybrid
+// word stands in for an in-language ω-word when no prefix violates the
+// counter language's judge and it converges.
+func (r *PrefixAttackResult) Verify(j lang.Judge) error {
 	if !r.ReplayNO {
 		return fmt.Errorf("prefix attack: replay lost the NO — execution not deterministic up to the cut")
 	}
 	if !r.PrefixesMatch {
 		return fmt.Errorf("prefix attack: observation prefixes diverged before the NO")
 	}
-	if !inLang(r.Hybrid) {
+	if converged, _ := j.Converges(r.Hybrid); !converged || j.Violation(r.Hybrid, nil) != nil {
 		return fmt.Errorf("prefix attack: hybrid word is not in the language — the GoodTail construction is wrong")
 	}
 	return nil

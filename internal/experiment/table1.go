@@ -8,7 +8,6 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
@@ -212,20 +211,20 @@ func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Moni
 
 // sweep emits one unit per (seed, labelled source): each unit runs a freshly
 // built monitor against the source and judges it under the class's
-// predicate. The run is timed exactly when sketchBad is non-nil, which then
-// decides the sketch escape clause. Every unit allocates its own monitor,
-// adversary and runtime, so units are safe to run concurrently.
-func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, sketchBad func(sk trace.Word) bool) {
+// predicate. A timed run against Aτ decides the sketch escape clause with
+// l's judge. Every unit allocates its own monitor, adversary and runtime, so
+// units are safe to run concurrently.
+func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, timed bool) {
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
 				func(_ context.Context, sess *monitor.Session) []error {
-					res, tau := run(sess, t.p, mk, sketchBad != nil, lb.New(), seed, steps)
+					res, tau := run(sess, t.p, mk, timed, lb.New(), seed, steps)
 					ev := core.Eval{Class: class, Window: t.p.Window}
 					if tau != nil {
 						ev.SketchViolated = func() bool {
 							sk, err := res.Sketch(t.p.Procs, tau.InvAt)
-							return err == nil && sketchBad(sk)
+							return err == nil && l.Judge.Violation(sk, sess.CheckPool()) != nil
 						}
 					}
 					if err := ev.Check(res, lb.In); err != nil {
@@ -239,7 +238,7 @@ func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l 
 
 // predictiveCells lays out the PSD ✓ and PWD ✓ cells of a register or
 // ledger row: Figure 8's V_O over l's object with the LIN or SC check (lin
-// selects which), judged with l's safety test as the sketch escape clause.
+// selects which), judged with l's judge as the sketch escape clause.
 func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
 	steps, newV := t.p.TimedSteps, monitor.NewLin
 	if !lin {
@@ -249,9 +248,9 @@ func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
 		return newV(l.Object, tau, adversary.ArrayAtomic)
 	}
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweep(psd, mk, l, core.PSD, steps, l.SafetyViolated)
+	t.sweep(psd, mk, l, core.PSD, steps, true)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweep(pwd, mk, l, core.PWD, steps, l.SafetyViolated)
+	t.sweep(pwd, mk, l, core.PWD, steps, true)
 }
 
 // walkUnit adds the Theorem 5.2 walk unit: it searches the shuffles of
@@ -262,7 +261,7 @@ func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
 func (t *plan) walkUnit(targets []cellKey, l lang.Lang, alpha trace.Word, n int, mk func() monitor.Monitor, noWitness string) {
 	t.add(l.Name+" Theorem 5.2 walk", targets, func(_ context.Context, _ *monitor.Session) []error {
 		var err error
-		if wit := core.FindRTOWitness(l.SafetyViolated, alpha, n); wit == nil {
+		if wit := core.FindRTOWitness(l.Judge, alpha, n); wit == nil {
 			err = errors.New(noWitness)
 		} else {
 			_, err = RunWalk(mk(), n, wit.Alpha, wit.Shuffled)
@@ -356,9 +355,7 @@ func (t *plan) wecRow() {
 	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
 		res, err := counterAttack(t.p).Run(monitor.NewWEC(adversary.ArrayAtomic))
 		if err == nil {
-			err = res.Verify(func(w trace.Word) bool {
-				return check.WECSafety(w) == nil && check.Converges(w)
-			})
+			err = res.Verify(l.Judge)
 		}
 		return []error{err}
 	})
@@ -368,7 +365,7 @@ func (t *plan) wecRow() {
 	amplified := func(*adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
 	}
-	t.sweep(wd, amplified, l, core.WD, t.p.Steps, nil)
+	t.sweep(wd, amplified, l, core.WD, t.p.Steps, false)
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
@@ -377,9 +374,7 @@ func (t *plan) wecRow() {
 			return monitor.NewWEC(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
 		if err == nil {
-			err = res.Verify(func(w trace.Word) bool {
-				return check.WECSafety(w) == nil && check.Converges(w)
-			})
+			err = res.Verify(l.Judge)
 			if err == nil && !res.TightSketch {
 				err = fmt.Errorf("execution not tight: sketch escape clause remains open")
 			}
@@ -389,9 +384,7 @@ func (t *plan) wecRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 5",
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
-	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, func(sk trace.Word) bool {
-		return check.WECSafety(sk) != nil
-	})
+	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, true)
 }
 
 // secRow lays out the SEC_COUNT row: ✗ ✗ ✗ ✓.
@@ -408,9 +401,7 @@ func (t *plan) secRow() {
 			return monitor.NewSEC(tau, adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
 		if err == nil {
-			err = res.Verify(func(w trace.Word) bool {
-				return check.SECSafety(w) == nil && check.Converges(w)
-			})
+			err = res.Verify(l.Judge)
 		}
 		return res, err
 	}
@@ -443,9 +434,7 @@ func (t *plan) secRow() {
 		"amplified Figure 9 over labelled sources, PWD predicate")
 	t.sweep(pwd, func(tau *adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.TimedSteps, func(sk trace.Word) bool {
-		return check.SECSafety(sk) != nil
-	})
+	}, l, core.PWD, t.p.TimedSteps, true)
 }
 
 // counterAttack builds the Lemma 5.2 instance: one inc, then reads of 0

@@ -121,7 +121,7 @@ func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam f
 		if len(prefix) > labelSafetyCap {
 			prefix = prefix[:labelSafetyCap]
 		}
-		if r.safetyViolated(l, prefix) {
+		if l.Judge.Violation(prefix, r.Session.CheckPool()) != nil {
 			out.diverge(CheckLabelSafety,
 				"source %s is labelled in-language but its exhibited prefix fails the %s safety checker", lb.Name, l.Name)
 		}
@@ -282,14 +282,12 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 // for a violation only that last response shows.
 func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
 	n := out.Spec.N
-	sketchBad := func(bad func(trace.Word) bool) bool {
+	bad := func(w trace.Word) bool { return l.Judge.Violation(w, r.Session.CheckPool()) != nil }
+	sketchBad := func() bool {
 		sk, err := res.Sketch(n, tau.InvAt)
-		if err != nil {
-			return false
-		}
-		return bad(sk)
+		return err == nil && bad(sk)
 	}
-	coveredSketchBad := func(bad func(trace.Word) bool) bool {
+	coveredSketchBad := func() bool {
 		sk, err := coveredSketch(res, n, tau.InvAt)
 		return err == nil && bad(sk)
 	}
@@ -320,10 +318,8 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 
 	case famSEC:
 		out.ran(CheckClass)
-		secBad := func(w trace.Word) bool { return check.SECSafety(w) != nil }
 		if lb.In {
-			ev := core.Eval{Class: core.PWD, Window: evalWindow,
-				SketchViolated: func() bool { return sketchBad(secBad) }}
+			ev := core.Eval{Class: core.PWD, Window: evalWindow, SketchViolated: sketchBad}
 			if err := ev.Check(res, true); err != nil {
 				out.diverge(CheckClass, "PWD source %s: %v", lb.Name, err)
 			}
@@ -338,8 +334,8 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 		// the monitor when it visibly fails to converge (the view-independent
 		// liveness clause).
 		switch {
-		case secBad(res.History):
-			if !sketchBad(secBad) {
+		case bad(res.History):
+			if !sketchBad() {
 				return // real-time violation invisible in the sketch: excused
 			}
 		case check.Converges(res.History):
@@ -355,16 +351,14 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam 
 
 	case famPred:
 		out.ran(CheckClass)
-		langBad := func(w trace.Word) bool { return r.safetyViolated(l, w) }
 		if lb.In {
-			ev := core.Eval{Class: core.PSD,
-				SketchViolated: func() bool { return sketchBad(langBad) }}
+			ev := core.Eval{Class: core.PSD, SketchViolated: sketchBad}
 			if err := ev.Check(res, true); err != nil {
 				out.diverge(CheckClass, "PSD source %s: %v", lb.Name, err)
 			}
 			return
 		}
-		if res.TotalNO() == 0 && langBad(cappedHistory) && coveredSketchBad(langBad) {
+		if res.TotalNO() == 0 && bad(cappedHistory) && coveredSketchBad() {
 			out.diverge(CheckClass,
 				"PSD source %s: exhibited word and sketch both violate %s safety but no process ever reported NO", lb.Name, l.Name)
 		}

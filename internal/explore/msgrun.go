@@ -24,6 +24,7 @@ package explore
 import (
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sut"
 )
@@ -45,7 +46,7 @@ const netSalt = 0x0abd
 // with distinct values disagree).
 var msgRegistry = []objDef{
 	{
-		name: "register", obj: trace.Register(), safetyName: OracleSC,
+		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: lang.SC,
 		impls: []implDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				r := abd.NewRegister("x", n, nt, 0)
@@ -58,7 +59,7 @@ var msgRegistry = []objDef{
 		},
 	},
 	{
-		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: secViolation,
+		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: lang.SEC,
 		impls: []implDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewCounter("c", n, nt)
@@ -71,7 +72,7 @@ var msgRegistry = []objDef{
 		},
 	},
 	{
-		name: "consensus", obj: trace.Consensus(), safetyName: OracleSC,
+		name: "consensus", obj: trace.Consensus(), safetyName: OracleSC, safety: lang.SC,
 		impls: []implDef{
 			{name: "coord", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewConsensus("k", n, nt)

@@ -8,7 +8,6 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
@@ -108,30 +107,6 @@ type Runner struct {
 	// stages, when non-nil, accumulates per-stage wall time and allocations
 	// (see StageStats); nil costs nothing on the hot path.
 	stages *stageRecorder
-}
-
-// checker returns a reset incremental checker for (obj, realTime) over n
-// processes, borrowed from the session's checker pool so the memo table and
-// key buffers grown by earlier scenarios are reused.
-func (r Runner) checker(obj trace.Object, realTime bool, n int) *check.Incremental {
-	return r.Session.CheckPool().Get(obj, realTime, n)
-}
-
-// safetyViolated evaluates the language's safety test on w. Languages whose
-// test is a witness-search condition (Lang.Checker) run through an
-// incremental checker — one pass over w even for the per-prefix-quantified
-// conditions, where the closed-over checker re-searches every response-ended
-// prefix. The boolean is the closure's.
-func (r Runner) safetyViolated(l lang.Lang, w trace.Word) bool {
-	c := l.Checker
-	if c == nil {
-		return l.SafetyViolated(w)
-	}
-	chk := r.checker(l.Object, c.RealTime, w.Procs())
-	if c.PerPrefix {
-		return chk.AnyPrefixViolated(w)
-	}
-	return !chk.CheckWord(w)
 }
 
 // Execute runs the scenario and differentially checks its verdicts. The

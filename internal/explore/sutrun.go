@@ -8,8 +8,8 @@ package explore
 // the full deployment stack: the timed adversary Aτ wraps the service and
 // the Figure 8 predictive monitor V_O watches it, exactly as in the paper's
 // deployment story. The exhibited history is then judged offline by the
-// matching package check oracle, differentially against the brute-force
-// reference checker, and against the monitor's own verdict stream.
+// object's lang judges, differentially against the brute-force reference
+// checker, and against the monitor's own verdict stream.
 //
 // Oracle outcomes split by the implementation's ground truth, mirroring the
 // language family's source labels: a violated property the implementation
@@ -29,6 +29,7 @@ import (
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
@@ -84,27 +85,11 @@ type objDef struct {
 	obj  trace.Object
 	// safetyName labels the secondary oracle in findings and signatures.
 	safetyName string
-	// safety returns "" when the history satisfies the secondary oracle,
-	// otherwise the violation. It is nil for the strong objects, whose
-	// secondary oracle is plain sequential consistency — the strongest
-	// property an order-free observer can refute — decided on the runner's
-	// incremental checker (see runHistoryChecks).
-	safety func(w trace.Word) string
+	// safety is the secondary oracle's condition, judged over obj: SC for
+	// the strong objects — the strongest property an order-free observer can
+	// refute — SEC safety for counters, EC clause (1) for ledgers.
+	safety lang.Cond
 	impls  []implDef
-}
-
-func secViolation(w trace.Word) string {
-	if v := check.SECSafety(w); v != nil {
-		return v.String()
-	}
-	return ""
-}
-
-func ecViolation(w trace.Word) string {
-	if v := check.ECLedgerSafety(w); v != nil {
-		return v.String()
-	}
-	return ""
 }
 
 // objRegistry lists the object-execution scenarios, in deterministic order.
@@ -116,7 +101,7 @@ func ecViolation(w trace.Word) string {
 // the gets it does answer prefix-compatible.
 var objRegistry = []objDef{
 	{
-		name: "register", obj: trace.Register(), safetyName: OracleSC,
+		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: lang.SC,
 		impls: []implDef{
 			{name: "atomic", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewAtomicRegister() })},
 			{name: "stale", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewStaleRegister(n, 3) })},
@@ -124,7 +109,7 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: secViolation,
+		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: lang.SEC,
 		impls: []implDef{
 			{name: "snapshot", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAtomic) })},
 			{name: "aadgms", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAADGMS) })},
@@ -134,21 +119,21 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "queue", obj: trace.Queue(), safetyName: OracleSC,
+		name: "queue", obj: trace.Queue(), safetyName: OracleSC, safety: lang.SC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockQueue() })},
 			{name: "lifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewLIFOQueue() })},
 		},
 	},
 	{
-		name: "stack", obj: trace.Stack(), safetyName: OracleSC,
+		name: "stack", obj: trace.Stack(), safetyName: OracleSC, safety: lang.SC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockStack() })},
 			{name: "fifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewFIFOStack() })},
 		},
 	},
 	{
-		name: "ledger", obj: trace.Ledger(), safetyName: OracleECSafety, safety: ecViolation,
+		name: "ledger", obj: trace.Ledger(), safetyName: OracleECSafety, safety: lang.EC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockLedger() })},
 			{name: "snapshot", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewSnapshotLedger(n) })},
@@ -294,17 +279,16 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 		checkCrashQuiet(out, res)
 	}
 
-	ops := trace.Operations(res.History)
-	// The offline oracles run on the runner's incremental checkers (see
-	// Runner.checker), the sequential-consistency oracle included.
-	lin := r.checker(obj, true, s.N).CheckWord(res.History)
+	// The offline oracles borrow their checkers from the session's pool.
+	pool := r.Session.CheckPool()
+	linJudge := lang.Judge{Cond: lang.LIN, Object: obj}
+	lin := linJudge.Violation(res.History, pool) == nil
 	var violation string
-	if od.safety == nil {
-		if !r.checker(obj, false, s.N).CheckWord(res.History) {
+	if v := (lang.Judge{Cond: od.safety, Object: obj}).Violation(res.History, pool); v != nil {
+		violation = v.Detail
+		if od.safety == lang.SC {
 			violation = "history is not sequentially consistent"
 		}
-	} else {
-		violation = od.safety(res.History)
 	}
 
 	out.ran(CheckOracle)
@@ -328,15 +312,15 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 	// The memoized witness search against the exhaustive reference, on the
 	// histories real implementations (not synthetic words) produce, including
 	// pending-at-crash operations.
-	if len(ops) <= bruteOpsCap {
+	if len(trace.Operations(res.History)) <= bruteOpsCap {
 		out.ran(CheckBrute)
 		if got := check.BruteLinearizable(obj, res.History); got != lin {
 			out.diverge(CheckBrute,
 				"witness search says linearizable=%v, brute force says %v", lin, got)
 		}
-		if od.safety == nil {
+		if od.safety == lang.SC {
 			fast := violation == ""
-			if got := check.BruteSeqConsistent(obj, res.History); got != fast {
+			if got := bruteSeqConsistentPrefixes(obj, res.History); got != fast {
 				out.diverge(CheckBrute,
 					"witness search says sequentially-consistent=%v, brute force says %v", fast, got)
 			}
@@ -363,18 +347,29 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 	switch {
 	case lin && res.TotalNO() > 0:
 		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && r.checker(obj, true, s.N).CheckWord(sk) {
+		if err == nil && linJudge.Violation(sk, pool) == nil {
 			out.diverge(CheckMonitorLin,
 				"history and sketch are both linearizable but %s reported %d NO verdict(s)", out.Monitor, res.TotalNO())
 		}
 	case !lin && !crashed && !lossy && res.Drained && res.TotalNO() == 0:
 		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && !r.checker(obj, true, s.N).CheckWord(sk) {
+		if err == nil && linJudge.Violation(sk, pool) != nil {
 			out.diverge(CheckMonitorLin,
 				"history and sketch are both non-linearizable but no process ever reported NO")
 		}
 	}
 	r.stages.stop(s.Fam(), stageMonitor, mark)
+}
+
+// bruteSeqConsistentPrefixes is the exhaustive reference for the SC judge:
+// BruteSeqConsistent on every prefix of w that ends at a response, and on w.
+func bruteSeqConsistentPrefixes(obj trace.Object, w trace.Word) bool {
+	for k := 1; k <= len(w); k++ {
+		if (k == len(w) || w[k-1].Kind == trace.Res) && !check.BruteSeqConsistent(obj, w[:k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // bug records an oracle failure: a property violation the implementation

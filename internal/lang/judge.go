@@ -1,0 +1,111 @@
+package lang
+
+import (
+	"sort"
+
+	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/check"
+)
+
+// Cond names the safety condition a Judge decides.
+type Cond uint8
+
+const (
+	LIN Cond = iota + 1 // linearizability over the object (Definitions 2.4, 2.6)
+	SC                  // sequential consistency over the object (Definitions 2.3, 2.5)
+	EC                  // EC_LED clause (1) (Definition 2.9)
+	WEC                 // WEC_COUNT clauses (1)–(2) (Definition 2.7)
+	SEC                 // SEC_COUNT clauses (1), (2) and (4) (Definition 2.8)
+)
+
+// A Judge decides one safety condition on finite words. Like the
+// definitions, it tests every prefix of the word that ends at a response,
+// and the word itself: an invocation only adds a pending operation, which
+// never has to be placed. For SC and EC this is stronger than a whole-word
+// test, since a later symbol can repair a violating prefix. LIN, WEC and SEC
+// are prefix-closed — a violating prefix makes every extension violate — so
+// for them the per-prefix answer is the whole-word answer.
+type Judge struct {
+	Cond   Cond
+	Object trace.Object // the object LIN and SC range over
+}
+
+// Violation is a judge's report: Prefix is the length of the shortest
+// violating prefix, and Detail, for the clause conditions only, names the
+// failed clause and operation — on the whole word if it fails, else on the
+// prefix.
+type Violation struct {
+	Prefix int
+	Detail string
+}
+
+// Violation reports whether, and at which response-ended prefix, w first
+// violates the condition; nil means no prefix does. LIN and SC run one
+// forward pass of a check.Incremental borrowed from pool (nil: a new one),
+// EC one of a check.ECLedger; WEC and SEC call their clause checker.
+func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
+	switch j.Cond {
+	case LIN, SC:
+		var chk *check.Incremental
+		if pool != nil {
+			chk = pool.Get(j.Object, j.Cond == LIN, w.Procs())
+		} else {
+			chk = check.NewIncremental(j.Object, j.Cond == LIN, w.Procs())
+		}
+		if k := firstViolation(chk, w); k > 0 {
+			return &Violation{Prefix: k}
+		}
+	case EC:
+		if k := firstViolation(check.NewECLedger(), w); k > 0 {
+			v := check.ECLedgerSafety(w)
+			if v == nil {
+				v = check.ECLedgerSafety(w[:k])
+			}
+			return &Violation{Prefix: k, Detail: v.String()}
+		}
+	case WEC, SEC:
+		clauses := check.WECSafety
+		if j.Cond == SEC {
+			clauses = check.SECSafety
+		}
+		if v := clauses(w); v != nil {
+			// Prefix-closed, and failing on the prefix ending at the
+			// reported read's response: bisect below it.
+			k := sort.Search(v.Op.Res+1, func(k int) bool { return clauses(w[:k]) != nil })
+			return &Violation{Prefix: k, Detail: v.String()}
+		}
+	}
+	return nil
+}
+
+// firstViolation feeds w to a checker of the empty history and returns the
+// length of the first prefix ending at a response, or of w, that it rejects,
+// or 0: a violating word costs one search beyond its last accepted prefix.
+func firstViolation(c interface {
+	Append(trace.Symbol)
+	OK() bool
+}, w trace.Word) int {
+	for i, s := range w {
+		c.Append(s)
+		if s.Kind == trace.Res && !c.OK() {
+			return i + 1
+		}
+	}
+	if !c.OK() {
+		return len(w)
+	}
+	return 0
+}
+
+// Converges runs the condition's convergence diagnostic on w's quiescent
+// tail, the finite stand-in for an eventual language's liveness clause; ok
+// is false for LIN and SC, which have none.
+func (j Judge) Converges(w trace.Word) (converged, ok bool) {
+	switch j.Cond {
+	case EC:
+		return check.ECLedgerConverges(w), true
+	case WEC, SEC:
+		return check.Converges(w), true
+	}
+	return false, false
+}

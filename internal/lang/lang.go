@@ -1,15 +1,21 @@
 // Package lang defines the paper's distributed languages (Definitions
-// 2.3–2.9) operationally: for each language, a finite-prefix safety test, its
-// real-time obliviousness classification (Definition 5.3), and labelled
-// ω-word generators used by the possibility experiments — finite runs cannot
-// decide ω-membership, so each source carries ground truth about the word it
-// samples.
+// 2.3–2.9) operationally: for each language, a finite-word safety test (its
+// Judge), its real-time obliviousness classification (Definition 5.3), and
+// labelled ω-word generators used by the possibility experiments — finite
+// runs cannot decide ω-membership, so each source carries ground truth about
+// the word it samples.
+//
+// A Judge is the repository's one answer to "does this finite word violate
+// the language's safety condition?". Like the definitions, it tests every
+// prefix that ends at a response: a later symbol can repair a violation of
+// sequential consistency or EC clause (1), while linearizability and the
+// counter clauses are prefix-closed, so their per-prefix answer is the
+// whole-word answer.
 package lang
 
 import (
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
 )
 
 // Lang describes one distributed language.
@@ -17,22 +23,17 @@ type Lang struct {
 	// Name matches Table 1: LIN_REG, SC_REG, LIN_LED, SC_LED, EC_LED,
 	// WEC_COUNT, SEC_COUNT.
 	Name string
-	// Object is the sequential object underlying the language, when there is
-	// one (nil for the counter languages, whose definitions are clause-based).
+	// Object is the sequential object underlying the language (the counter
+	// for the counter languages, whose definitions are clause-based).
 	Object trace.Object
-	// SafetyViolated reports that the finite prefix already falsifies
-	// membership: no continuation of w is in the language. Liveness clauses
-	// (the "eventually" parts of the eventual objects) are not prefix-
-	// falsifiable and are covered by source labels instead.
-	SafetyViolated func(w trace.Word) bool
+	// Judge is the language's safety test: a word whose prefix it reports
+	// falsifies membership, since no continuation is in the language.
+	// Liveness clauses (the "eventually" parts of the eventual objects) are
+	// not prefix-falsifiable and are covered by source labels instead.
+	Judge Judge
 	// RealTimeOblivious is the Definition 5.3 classification the paper
 	// derives: it determines decidability against A via Theorem 5.2.
 	RealTimeOblivious bool
-	// Checker, when non-nil, states that SafetyViolated is exactly the
-	// witness-search consistency condition over Object described by its
-	// fields, so callers that check many prefixes of one history may run it
-	// through an incremental checker instead of the closed-over functions.
-	Checker *ObjectChecker
 	// Sources returns labelled behaviour generators over n processes.
 	// Deterministic in seed.
 	Sources func(n int, seed int64) []adversary.Labeled
@@ -45,34 +46,14 @@ func All() []Lang {
 	}
 }
 
-// ObjectChecker maps a language's safety test onto the witness-search
-// checkers of package check: SafetyViolated(w) equals, for RealTime,
-// !Linearizable(Object, w), and otherwise the sequential-consistency
-// checker's AnyPrefixViolated(w). Sequential consistency is not
-// prefix-closed — a later symbol can repair a whole-word check (e.g. a read
-// of r before write(r) is even invoked) — so the definitions that quantify
-// over every finite prefix (Definitions 2.3 and 2.5) test each prefix ending
-// at a response, in one forward pass of check.Incremental. Linearizability
-// is prefix-closed, so LIN languages test the word directly. The
-// equivalences are pinned by this package's and the explorer's
-// differential tests.
-type ObjectChecker struct {
-	// RealTime selects linearizability; false selects sequential consistency.
-	RealTime bool
-	// PerPrefix marks the non-prefix-closed conditions, which quantify the
-	// violation test over every response-ended prefix.
-	PerPrefix bool
-}
-
 // LinReg is the linearizable register language (Definition 2.4).
 func LinReg() Lang {
 	reg := trace.Register()
 	return Lang{
 		Name:              "LIN_REG",
 		Object:            reg,
-		SafetyViolated:    func(w trace.Word) bool { return !check.Linearizable(reg, w) },
+		Judge:             Judge{Cond: LIN, Object: reg},
 		RealTimeOblivious: false,
-		Checker:           &ObjectChecker{RealTime: true},
 		Sources:           registerSources(true),
 	}
 }
@@ -83,9 +64,8 @@ func SCReg() Lang {
 	return Lang{
 		Name:              "SC_REG",
 		Object:            reg,
-		SafetyViolated:    func(w trace.Word) bool { return check.NewIncremental(reg, false, w.Procs()).AnyPrefixViolated(w) },
+		Judge:             Judge{Cond: SC, Object: reg},
 		RealTimeOblivious: false,
-		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           registerSources(false),
 	}
 }
@@ -96,9 +76,8 @@ func LinLed() Lang {
 	return Lang{
 		Name:              "LIN_LED",
 		Object:            led,
-		SafetyViolated:    func(w trace.Word) bool { return !check.Linearizable(led, w) },
+		Judge:             Judge{Cond: LIN, Object: led},
 		RealTimeOblivious: false,
-		Checker:           &ObjectChecker{RealTime: true},
 		Sources:           ledgerSources(true),
 	}
 }
@@ -109,23 +88,21 @@ func SCLed() Lang {
 	return Lang{
 		Name:              "SC_LED",
 		Object:            led,
-		SafetyViolated:    func(w trace.Word) bool { return check.NewIncremental(led, false, w.Procs()).AnyPrefixViolated(w) },
+		Judge:             Judge{Cond: SC, Object: led},
 		RealTimeOblivious: false,
-		Checker:           &ObjectChecker{PerPrefix: true},
 		Sources:           ledgerSources(false),
 	}
 }
 
 // ECLed is the eventually consistent ledger language (Definition 2.9). Its
-// clause (1), like sequential consistency, is not prefix-closed, so its
-// safety test asks whether any response-ended prefix violates
-// check.ECLedgerSafety, in one forward pass of the incremental clause-(1)
-// checker.
+// judge tests clause (1), which like sequential consistency is not
+// prefix-closed, on every response-ended prefix in one forward pass of the
+// incremental clause-(1) checker.
 func ECLed() Lang {
 	return Lang{
 		Name:              "EC_LED",
 		Object:            trace.Ledger(),
-		SafetyViolated:    func(w trace.Word) bool { return check.NewECLedger().AnyPrefixViolated(w) },
+		Judge:             Judge{Cond: EC},
 		RealTimeOblivious: false, // Appendix A
 		Sources:           ecLedgerSources,
 	}
@@ -137,7 +114,7 @@ func WECCount() Lang {
 	return Lang{
 		Name:              "WEC_COUNT",
 		Object:            trace.Counter(),
-		SafetyViolated:    func(w trace.Word) bool { return check.WECSafety(w) != nil },
+		Judge:             Judge{Cond: WEC},
 		RealTimeOblivious: true, // noted after Definition 5.3
 		Sources:           counterSources(false),
 	}
@@ -149,7 +126,7 @@ func SECCount() Lang {
 	return Lang{
 		Name:              "SEC_COUNT",
 		Object:            trace.Counter(),
-		SafetyViolated:    func(w trace.Word) bool { return check.SECSafety(w) != nil },
+		Judge:             Judge{Cond: SEC},
 		RealTimeOblivious: false, // clause (4) is a real-time constraint
 		Sources:           counterSources(true),
 	}

@@ -1,11 +1,17 @@
 package lang
 
 import (
+	"os"
 	"testing"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/check"
 )
+
+// violated adapts a language's judge to a word test.
+func violated(l Lang) func(trace.Word) bool {
+	return func(w trace.Word) bool { return l.Judge.Violation(w, nil) != nil }
+}
 
 func TestAllSevenLanguages(t *testing.T) {
 	names := []string{"LIN_REG", "SC_REG", "LIN_LED", "SC_LED", "EC_LED", "WEC_COUNT", "SEC_COUNT"}
@@ -17,8 +23,8 @@ func TestAllSevenLanguages(t *testing.T) {
 		if l.Name != names[i] {
 			t.Errorf("language %d is %s, want %s (Table 1 order)", i, l.Name, names[i])
 		}
-		if l.SafetyViolated == nil {
-			t.Errorf("%s has no safety test", l.Name)
+		if l.Judge.Cond == 0 {
+			t.Errorf("%s has no judge", l.Name)
 		}
 		if l.Sources == nil {
 			t.Errorf("%s has no sources", l.Name)
@@ -34,10 +40,10 @@ func TestRegisterSafety(t *testing.T) {
 	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	good := b.Word()
-	if lin.SafetyViolated(good) {
+	if violated(lin)(good) {
 		t.Error("LIN_REG rejects a linearizable word")
 	}
-	if sc.SafetyViolated(good) {
+	if violated(sc)(good) {
 		t.Error("SC_REG rejects a linearizable word")
 	}
 
@@ -47,10 +53,10 @@ func TestRegisterSafety(t *testing.T) {
 	b2.Op(1, trace.OpRead, nil, trace.Int(1))
 	b2.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	bad := b2.Word()
-	if !lin.SafetyViolated(bad) {
+	if !violated(lin)(bad) {
 		t.Error("LIN_REG accepts a read from the future")
 	}
-	if !sc.SafetyViolated(bad) {
+	if !violated(sc)(bad) {
 		t.Error("SC_REG accepts a read from the future")
 	}
 
@@ -60,10 +66,10 @@ func TestRegisterSafety(t *testing.T) {
 	b3.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
 	b3.Op(1, trace.OpRead, nil, trace.Int(0))
 	stale := b3.Word()
-	if !lin.SafetyViolated(stale) {
+	if !violated(lin)(stale) {
 		t.Error("LIN_REG accepts a stale read")
 	}
-	if sc.SafetyViolated(stale) {
+	if violated(sc)(stale) {
 		t.Error("SC_REG rejects a reorderable stale read")
 	}
 }
@@ -76,7 +82,7 @@ func TestLedgerSafety(t *testing.T) {
 	b.Op(1, trace.OpGet, nil, trace.Seq{"a"})
 	good := b.Word()
 	for _, l := range []Lang{lin, sc, ec} {
-		if l.SafetyViolated(good) {
+		if violated(l)(good) {
 			t.Errorf("%s rejects a valid ledger word", l.Name)
 		}
 	}
@@ -86,7 +92,7 @@ func TestLedgerSafety(t *testing.T) {
 	b2.Op(1, trace.OpGet, nil, trace.Seq{"ghost"})
 	bad := b2.Word()
 	for _, l := range []Lang{lin, sc, ec} {
-		if !l.SafetyViolated(bad) {
+		if !violated(l)(bad) {
 			t.Errorf("%s accepts a phantom record", l.Name)
 		}
 	}
@@ -100,7 +106,7 @@ func TestLedgerSafety(t *testing.T) {
 	b3.Op(1, trace.OpGet, nil, trace.Seq{"b"})
 	forked := b3.Word()
 	for _, l := range []Lang{lin, sc, ec} {
-		if !l.SafetyViolated(forked) {
+		if !violated(l)(forked) {
 			t.Errorf("%s accepts forked gets", l.Name)
 		}
 	}
@@ -115,10 +121,10 @@ func TestCounterSafety(t *testing.T) {
 	b.Op(0, trace.OpInc, nil, trace.Unit{})
 	b.Op(1, trace.OpRead, nil, trace.Int(0))
 	lag := b.Word()
-	if wec.SafetyViolated(lag) {
+	if violated(wec)(lag) {
 		t.Error("WEC_COUNT rejects a lagging read")
 	}
-	if sec.SafetyViolated(lag) {
+	if violated(sec)(lag) {
 		t.Error("SEC_COUNT rejects a lagging read")
 	}
 
@@ -127,10 +133,10 @@ func TestCounterSafety(t *testing.T) {
 	b2.Op(0, trace.OpInc, nil, trace.Unit{})
 	b2.Op(0, trace.OpRead, nil, trace.Int(0))
 	own := b2.Word()
-	if !wec.SafetyViolated(own) {
+	if !violated(wec)(own) {
 		t.Error("WEC_COUNT accepts an own-inc undercount")
 	}
-	if !sec.SafetyViolated(own) {
+	if !violated(sec)(own) {
 		t.Error("SEC_COUNT accepts an own-inc undercount")
 	}
 
@@ -139,10 +145,10 @@ func TestCounterSafety(t *testing.T) {
 	b3.Op(0, trace.OpInc, nil, trace.Unit{})
 	b3.Op(1, trace.OpRead, nil, trace.Int(2))
 	over := b3.Word()
-	if wec.SafetyViolated(over) {
+	if violated(wec)(over) {
 		t.Error("WEC_COUNT rejects an over-read it cannot forbid")
 	}
-	if !sec.SafetyViolated(over) {
+	if !violated(sec)(over) {
 		t.Error("SEC_COUNT accepts an over-read (clause 4)")
 	}
 }
@@ -178,7 +184,7 @@ func TestSourcesLabelledConsistently(t *testing.T) {
 				t.Errorf("%s/%s produced no symbols", l.Name, lb.Name)
 				continue
 			}
-			if lb.In && l.SafetyViolated(w) {
+			if lb.In && violated(l)(w) {
 				t.Errorf("%s/%s: prefix of an in-language word violates safety", l.Name, lb.Name)
 			}
 		}
@@ -241,13 +247,13 @@ func TestSourcesWellFormedPerProcess(t *testing.T) {
 // 2.9: "every finite prefix of it is ..."), testing each prefix ending at a
 // response symbol and the word itself. It is the reference the one-pass
 // safety tests of the non-prefix-closed languages are pinned to.
-func anyPrefixViolates(violated func(trace.Word) bool) func(trace.Word) bool {
+func anyPrefixViolates(bad func(trace.Word) bool) func(trace.Word) bool {
 	return func(w trace.Word) bool {
 		for cut := 1; cut <= len(w); cut++ {
 			if cut < len(w) && w[cut-1].Kind != trace.Res {
 				continue
 			}
-			if violated(w[:cut]) {
+			if bad(w[:cut]) {
 				return true
 			}
 		}
@@ -277,8 +283,8 @@ func TestSCOracleMatchesPerPrefixSafety(t *testing.T) {
 		if !check.SeqConsistent(l.Object, w) || !perPrefix(w) {
 			t.Fatalf("%s: %v is not a repaired word", l.Name, w)
 		}
-		if !l.SafetyViolated(w) {
-			t.Errorf("%s: SafetyViolated misses the violating prefix of %v", l.Name, w)
+		if !violated(l)(w) {
+			t.Errorf("%s: the judge misses the violating prefix of %v", l.Name, w)
 		}
 		violating := 0
 		for seed := int64(1); seed <= 3; seed++ {
@@ -303,8 +309,8 @@ func TestSCOracleMatchesPerPrefixSafety(t *testing.T) {
 							t.Fatalf("%s/%s seed %d prefix %d: anyPrefixViolates = %v, test bookkeeping says %v", l.Name, lb.Name, seed, k, ref, want)
 						}
 					}
-					if got := l.SafetyViolated(p); got != want {
-						t.Fatalf("%s/%s seed %d prefix %d: SafetyViolated = %v, anyPrefixViolates(SeqConsistent) = %v", l.Name, lb.Name, seed, k, got, want)
+					if got := violated(l)(p); got != want {
+						t.Fatalf("%s/%s seed %d prefix %d: judge violated = %v, anyPrefixViolates(SeqConsistent) = %v", l.Name, lb.Name, seed, k, got, want)
 					}
 					if w[k-1].Kind == trace.Res {
 						before = want
@@ -371,8 +377,8 @@ func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
 						t.Fatalf("%s seed %d prefix %d: anyPrefixViolates = %v, test bookkeeping says %v", lb.Name, seed, k, ref, want)
 					}
 				}
-				if got := l.SafetyViolated(p); got != want {
-					t.Fatalf("%s seed %d prefix %d: SafetyViolated = %v, anyPrefixViolates(ECLedgerSafety) = %v", lb.Name, seed, k, got, want)
+				if got := violated(l)(p); got != want {
+					t.Fatalf("%s seed %d prefix %d: judge violated = %v, anyPrefixViolates(ECLedgerSafety) = %v", lb.Name, seed, k, got, want)
 				}
 				if w[k-1].Kind == trace.Res {
 					if chk.OK() == want {
@@ -391,5 +397,26 @@ func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
 	}
 	if violating == 0 {
 		t.Error("no source violates clause (1); the differential never sees a NO")
+	}
+}
+
+// TestSCJudgeAcceptsStackLockHistory runs the SC judge on the correct lock
+// stack's 64-symbol history, whose per-prefix search cost package check pins:
+// a whole-word check of it takes seconds, the judge's forward pass a few
+// hundred search nodes.
+func TestSCJudgeAcceptsStackLockHistory(t *testing.T) {
+	f, err := os.Open("../check/testdata/stack-lock-sc.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []*check.Pool{nil, check.NewPool()} {
+		if v := (Judge{Cond: SC, Object: trace.Stack()}).Violation(tr.Word, pool); v != nil {
+			t.Errorf("SC judge rejects the lock stack's history at prefix %d", v.Prefix)
+		}
 	}
 }

@@ -174,7 +174,7 @@ func TestFig8SCRegisterIsPSD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sketch: %v", err)
 			}
-			return sr.SafetyViolated(sk)
+			return sr.Judge.Violation(sk, nil) != nil
 		}}
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)

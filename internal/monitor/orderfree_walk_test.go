@@ -46,7 +46,7 @@ func TestOrderFreeLogicsMatchReferenceOnLemmaWalks(t *testing.T) {
 		{lang.SCLed(), monitor.NewShadowNaiveOrder(trace.Ledger(), adversary.ArrayAtomic, fail)},
 		{lang.ECLed(), monitor.NewShadowECLed(adversary.ArrayAtomic, fail)},
 	} {
-		wit := core.FindRTOWitness(tc.l.SafetyViolated, alpha, procs)
+		wit := core.FindRTOWitness(tc.l.Judge, alpha, procs)
 		if wit == nil {
 			t.Fatalf("no RTO witness for %s on the Appendix A word", tc.l.Name)
 		}
