@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -220,7 +221,13 @@ func sendTrace(addr, path string, o options, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer conn.Close()
-	if err := encodeRequest(conn, tr, o); err != nil {
+	// Buffered: the request leaves in a few large writes, not one per line.
+	bw := bufio.NewWriter(conn)
+	if err := encodeRequest(bw, tr, o); err != nil {
+		fmt.Fprintln(stderr, "drvserve: send:", err)
+		return 1
+	}
+	if err := bw.Flush(); err != nil {
 		fmt.Fprintln(stderr, "drvserve: send:", err)
 		return 1
 	}

@@ -25,23 +25,23 @@ type Request struct {
 // kind names the set request field for error messages, and errors unless
 // exactly one field is set.
 func (r *Request) kind() (string, error) {
-	set := []string{}
+	n, kind := 0, ""
 	if r.Config != nil {
-		set = append(set, "config")
+		n, kind = n+1, "config"
 	}
 	if r.Open != nil {
-		set = append(set, "open")
+		n, kind = n+1, "open"
 	}
 	if r.Event != nil {
-		set = append(set, "event")
+		n, kind = n+1, "event"
 	}
 	if r.Close != nil {
-		set = append(set, "close")
+		n, kind = n+1, "close"
 	}
-	if len(set) != 1 {
-		return "", fmt.Errorf("request line must set exactly one of config/open/event/close, got %d", len(set))
+	if n != 1 {
+		return "", fmt.Errorf("request line must set exactly one of config/open/event/close, got %d", n)
 	}
-	return set[0], nil
+	return kind, nil
 }
 
 // ClientConfig is the handshake: the first line of every connection.

@@ -6,7 +6,11 @@
 // back incrementally as they are produced.
 //
 // The protocol is line-oriented in both directions; see envelope.go for the
-// message set. Backpressure is bounded queues end to end: per-shard job
+// message set. encoding/json defines the line format, but the two lines that
+// dominate the traffic — a history symbol in, a verdict or done line out —
+// are parsed and written by hand (wire.go), to the same bytes and values. A
+// connection's responses are flushed whenever its outbound queue runs empty,
+// not once per line. Backpressure is bounded queues end to end: per-shard job
 // queues (a burst of closed streams blocks the connections that sent them,
 // not the server), per-connection outbound queues (a slow reader stalls only
 // the shards serving its streams), and a per-stream event cap (a stream
@@ -22,7 +26,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -174,25 +177,30 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 	}
 
 	// The writer goroutine serializes all response lines — the reader's acks
-	// and the shard workers' verdicts — and flushes per line so clients see
+	// and the shard workers' verdicts — and flushes whenever the queue runs
+	// empty: a burst of lines leaves in as few writes as the buffer allows,
+	// and no line waits while the queue is idle, so clients still see
 	// verdicts as they are produced. On a transport error it keeps draining
 	// (discarding) so no worker blocks on a dead connection.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		bw := bufio.NewWriter(rw)
-		enc := json.NewEncoder(bw)
+		var line []byte
 		broken := false
 		for resp := range c.out {
 			if broken {
 				continue
 			}
-			if err := enc.Encode(resp); err != nil {
+			line = appendResponse(line[:0], resp)
+			if _, err := bw.Write(line); err != nil {
 				broken = true
 				continue
 			}
-			if err := bw.Flush(); err != nil {
-				broken = true
+			if len(c.out) == 0 {
+				if err := bw.Flush(); err != nil {
+					broken = true
+				}
 			}
 		}
 	}()
@@ -317,14 +325,15 @@ func (c *conn) read(r io.Reader) error {
 	sc.Buffer(make([]byte, 0, trace.ReadBufferSize), trace.ReadMaxLineBytes)
 	line := 0
 	configured := false
+	var req Request // reused: no handler keeps a pointer into it
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(raw, &req); err != nil {
+		req = Request{}
+		if err := decodeRequest(raw, &req); err != nil {
 			return c.fatal(line, fmt.Sprintf("malformed request: %v", err))
 		}
 		kind, err := req.kind()

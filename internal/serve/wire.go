@@ -1,0 +1,234 @@
+package serve
+
+import (
+	"encoding/json"
+	"strconv"
+
+	"github.com/drv-go/drv/exp/trace"
+)
+
+// The wire path without reflection. Almost every request line is one
+// history symbol and almost every response line is a verdict, so those two
+// shapes are parsed and written by hand; every other line goes through
+// encoding/json, which stays the definition of the protocol. The hand paths
+// only take lines on which encoding/json is known to agree byte for byte,
+// and FuzzDecodeRequest and FuzzAppendResponse check that agreement.
+
+// decodeRequest decodes one request line into req, which must be zero. The
+// canonical symbol line — exactly what json.Marshal emits for a
+// Request{Event: …} of kind "sym" — takes decodeSymLine; every other line
+// goes through json.Unmarshal, so accepted inputs, decoded values and error
+// texts are encoding/json's.
+func decodeRequest(raw []byte, req *Request) error {
+	if decodeSymLine(raw, req) {
+		return nil
+	}
+	return json.Unmarshal(raw, req)
+}
+
+// decodeSymLine parses the line
+//
+//	{"event":{"stream":S,"kind":"sym"[,"proc":N],"sym":S,"op":S[,"val":{"t":S[,"int":N][,"str":S]}]}}
+//
+// with no whitespace, escapes or non-ASCII bytes in it, and reports whether
+// it did. On any other line it reports false and leaves req untouched.
+func decodeSymLine(raw []byte, req *Request) bool {
+	p := symLine{b: raw, ok: true}
+	p.lit(`{"event":{"stream":`)
+	stream := p.str()
+	p.lit(`,"kind":"sym"`)
+	var proc int64
+	if p.opt(`,"proc":`) {
+		proc = p.num(9)
+	}
+	p.lit(`,"sym":`)
+	sym := p.str()
+	p.lit(`,"op":`)
+	op := p.str()
+	var tag, str []byte
+	var n int64
+	hasVal := p.opt(`,"val":{"t":`)
+	if hasVal {
+		tag = p.str()
+		if p.opt(`,"int":`) {
+			n = p.num(18)
+		}
+		if p.opt(`,"str":`) {
+			str = p.str()
+		}
+		p.lit(`}`)
+	}
+	p.lit(`}}`)
+	if !p.ok || len(p.b) != 0 {
+		return false
+	}
+
+	// One allocation holds the event and its value.
+	box := new(struct {
+		ev  StreamEvent
+		val trace.WireValue
+	})
+	box.ev = StreamEvent{Stream: string(stream), Event: trace.Event{
+		Kind: trace.KindSym, Proc: int(proc), Sym: name(sym), Op: name(op),
+	}}
+	if hasVal {
+		box.val = trace.WireValue{T: name(tag), Int: n, Str: string(str)}
+		box.ev.Val = &box.val
+	}
+	req.Event = &box.ev
+	return true
+}
+
+// symLine is a cursor over a candidate symbol line. Once a step fails, ok
+// is false and every later step is a no-op, so a parse reads as the grammar
+// and checks ok once at the end.
+type symLine struct {
+	b  []byte
+	ok bool
+}
+
+// opt consumes s if the input continues with it, and reports whether it did.
+func (p *symLine) opt(s string) bool {
+	if p.ok && len(p.b) >= len(s) && string(p.b[:len(s)]) == s {
+		p.b = p.b[len(s):]
+		return true
+	}
+	return false
+}
+
+// lit consumes s, which the input must continue with.
+func (p *symLine) lit(s string) {
+	if !p.opt(s) {
+		p.ok = false
+	}
+}
+
+// str consumes a JSON string of printable ASCII without '"' or '\\' — one
+// that encoding/json decodes to its bytes verbatim — and returns its bytes.
+func (p *symLine) str() []byte {
+	if !p.ok || len(p.b) == 0 || p.b[0] != '"' {
+		p.ok = false
+		return nil
+	}
+	for i := 1; i < len(p.b); i++ {
+		switch c := p.b[i]; {
+		case c == '"':
+			s := p.b[1:i]
+			p.b = p.b[i+1:]
+			return s
+		case c < 0x20 || c > 0x7e || c == '\\':
+			p.ok = false
+			return nil
+		}
+	}
+	p.ok = false
+	return nil
+}
+
+// num consumes an integer literal of at most digits digits. With 9 digits
+// it fits any Go int and with 18 an int64, so encoding/json decodes it to the
+// same value; fractions, exponents and leading zeros are refused.
+func (p *symLine) num(digits int) int64 {
+	if !p.ok {
+		return 0
+	}
+	i := 0
+	if len(p.b) > 0 && p.b[0] == '-' {
+		i = 1
+	}
+	start := i
+	var n int64
+	for ; i < len(p.b) && '0' <= p.b[i] && p.b[i] <= '9'; i++ {
+		n = n*10 + int64(p.b[i]-'0')
+	}
+	if d := i - start; d == 0 || d > digits || (d > 1 && p.b[start] == '0') {
+		p.ok = false
+		return 0
+	}
+	if start == 1 {
+		n = -n
+	}
+	p.b = p.b[i:]
+	return n
+}
+
+// names interns the strings symbol lines repeat: the symbol kinds, the value
+// tags and the built-in objects' operations.
+var names = func() map[string]string {
+	m := map[string]string{}
+	for _, s := range []string{
+		"inv", "res", "unit", "int", "rec", "seq",
+		trace.OpRead, trace.OpWrite, trace.OpInc, trace.OpAppend, trace.OpGet,
+		trace.OpEnq, trace.OpDeq, trace.OpPush, trace.OpPop, trace.OpPropose, trace.OpScan,
+	} {
+		m[s] = s
+	}
+	return m
+}()
+
+// name returns b as a string, allocating only when it is not in names.
+func name(b []byte) string {
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// appendResponse appends r's line, newline included, to b: the bytes
+// json.Encoder.Encode writes for r. Verdict and done lines whose strings
+// encoding/json copies verbatim are written directly; every other line is
+// json.Marshal's.
+func appendResponse(b []byte, r Response) []byte {
+	if v, d := r.Verdict, r.Done; r.Config == nil && r.Opened == nil && r.Error == nil {
+		switch {
+		case v != nil && d == nil && plain(v.Stream) && plain(v.Verdict):
+			b = append(b, `{"verdict":{"stream":"`...)
+			b = append(b, v.Stream...)
+			b = append(b, `","proc":`...)
+			b = strconv.AppendInt(b, int64(v.Proc), 10)
+			b = append(b, `,"index":`...)
+			b = strconv.AppendInt(b, int64(v.Index), 10)
+			b = append(b, `,"verdict":"`...)
+			b = append(b, v.Verdict...)
+			b = append(b, `","step":`...)
+			b = strconv.AppendInt(b, int64(v.Step), 10)
+			if v.Hist != 0 {
+				b = append(b, `,"hist":`...)
+				b = strconv.AppendInt(b, int64(v.Hist), 10)
+			}
+			return append(b, "}}\n"...)
+		case d != nil && v == nil && plain(d.Stream):
+			b = append(b, `{"done":{"stream":"`...)
+			b = append(b, d.Stream...)
+			b = append(b, `","events":`...)
+			b = strconv.AppendInt(b, int64(d.Events), 10)
+			b = append(b, `,"steps":`...)
+			b = strconv.AppendInt(b, int64(d.Steps), 10)
+			b = append(b, `,"verdicts":`...)
+			b = strconv.AppendInt(b, int64(d.Verdicts), 10)
+			b = append(b, `,"no":`...)
+			b = strconv.AppendInt(b, int64(d.NO), 10)
+			if d.Truncated {
+				b = append(b, `,"truncated":true`...)
+			}
+			return append(b, "}}\n"...)
+		}
+	}
+	line, err := json.Marshal(r)
+	if err != nil {
+		panic(err) // a Response holds only strings, ints and bools
+	}
+	return append(append(b, line...), '\n')
+}
+
+// plain reports whether encoding/json writes s verbatim inside quotes:
+// printable ASCII other than '"', '\\' and the HTML-escaped '<', '>', '&'.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
