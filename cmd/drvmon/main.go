@@ -50,6 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "parse: %v\n", err)
 		return 1
 	}
+	if err := trace.WellFormed(tr.Word); err != nil {
+		fmt.Fprintf(stderr, "trace: %v\n", err)
+		return 1
+	}
 
 	name := *langName
 	if name == "" {

@@ -80,6 +80,23 @@ func TestMissingFile(t *testing.T) {
 	}
 }
 
+// TestMalformedTraceRejected feeds a trace whose first symbol is a response:
+// the judges assume a well-formed word, so drvmon must report the defect and
+// exit 1 before judging.
+func TestMalformedTraceRejected(t *testing.T) {
+	w := trace.Word{trace.NewRes(0, trace.OpRead, trace.Int(0))}
+	code, out, errOut := runMon(writeTrace(t, "LIN_REG", true, w))
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut, "not well-formed") {
+		t.Errorf("missing well-formedness diagnostic: %s", errOut)
+	}
+	if out != "" {
+		t.Errorf("judged a malformed trace:\n%s", out)
+	}
+}
+
 func TestChecksConsistentTrace(t *testing.T) {
 	path := writeTrace(t, "WEC_COUNT", true, goodCounterWord())
 	code, out, errOut := runMon(path)

@@ -129,6 +129,52 @@ func TestStdioMode(t *testing.T) {
 	}
 }
 
+// TestNegativeProcessStreamFailsAlone sends a stream whose symbols name
+// process -1 ahead of a valid stream on one -stdio connection. The bad
+// stream must get one stream-level error line instead of crashing a shard
+// worker, and the valid stream's lines must still equal its golden.
+func TestNegativeProcessStreamFailsAlone(t *testing.T) {
+	valid, err := os.ReadFile(filepath.Join("testdata", "chan_queue_request.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "chan_queue_response.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	config, rest, _ := bytes.Cut(valid, []byte("\n"))
+	req := bytes.Join([][]byte{
+		config,
+		[]byte(`{"open":{"stream":"neg","logic":"lin","object":"queue"}}`),
+		[]byte(`{"event":{"stream":"neg","kind":"meta","meta":{"n":1}}}`),
+		[]byte(`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"inv","op":"deq"}}`),
+		[]byte(`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`),
+		[]byte(`{"close":{"stream":"neg"}}`),
+		rest,
+	}, []byte("\n"))
+	var out, errb bytes.Buffer
+	if code := run([]string{"-stdio", "-shards", "1"}, bytes.NewReader(req), &out, &errb); code != 0 {
+		t.Fatalf("-stdio exited %d: %s", code, errb.Bytes())
+	}
+	// The two streams' lines may interleave; split them by stream id.
+	var neg []string
+	var others bytes.Buffer
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if strings.Contains(line, `"stream":"neg"`) {
+			neg = append(neg, line)
+		} else {
+			others.WriteString(line)
+		}
+	}
+	if len(neg) != 2 || !strings.HasPrefix(neg[0], `{"opened":`) ||
+		!strings.HasPrefix(neg[1], `{"error":`) || !strings.Contains(neg[1], "process -1") {
+		t.Fatalf("negative-process stream got %q, want an opened line and one error line naming process -1", neg)
+	}
+	if !bytes.Equal(others.Bytes(), want) {
+		t.Fatalf("valid stream drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", others.Bytes(), want)
+	}
+}
+
 // TestSendMode drives the -send client against an in-process TCP server and
 // checks the copied responses equal the golden.
 func TestSendMode(t *testing.T) {

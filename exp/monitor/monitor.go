@@ -6,7 +6,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
+	"github.com/drv-go/drv/internal/lang"
 	imonitor "github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
 )
@@ -148,6 +148,11 @@ func (cfg *Config) validate() (adversary.ArrayKind, error) {
 	if err := trace.WellFormed(cfg.History); err != nil {
 		return 0, fmt.Errorf("monitor: %w", err)
 	}
+	for _, sym := range cfg.History {
+		if sym.Proc < 0 {
+			return 0, fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
+		}
+	}
 	if p := cfg.History.Procs(); p > cfg.N {
 		return 0, fmt.Errorf("monitor: history mentions %d processes but N is %d", p, cfg.N)
 	}
@@ -238,21 +243,29 @@ func Run(cfg Config) (*Result, error) {
 var errNotWellFormed = errors.New("monitor: history is not well-formed")
 
 // Linearizable reports whether the history is linearizable with respect to
-// the object — the offline ground-truth oracle (a Wing–Gill search), as
-// opposed to the online verdict stream of LogicLin.
+// the object — the offline ground-truth oracle, as opposed to the online
+// verdict stream of LogicLin. It asks the same judge as the rest of the
+// module: no prefix of the history ending at a response may violate the
+// condition. Linearizability is prefix-closed, so this is also the
+// whole-history answer.
 func Linearizable(obj Object, h trace.Word) (bool, error) {
-	if err := trace.WellFormed(h); err != nil {
-		return false, fmt.Errorf("%w: %v", errNotWellFormed, err)
-	}
-	return check.Linearizable(obj, h), nil
+	return judge(lang.LIN, obj, h)
 }
 
 // SeqConsistent reports whether the history is sequentially consistent with
 // respect to the object — the offline ground-truth oracle, as opposed to the
-// online verdict stream of LogicSC.
+// online verdict stream of LogicSC. Like Linearizable it judges every prefix
+// of the history that ends at a response, as the definition does: a history
+// whose prefix violates sequential consistency is rejected even when a later
+// operation would repair the whole history.
 func SeqConsistent(obj Object, h trace.Word) (bool, error) {
+	return judge(lang.SC, obj, h)
+}
+
+// judge runs the module's one test of a finite history for cond.
+func judge(cond lang.Cond, obj Object, h trace.Word) (bool, error) {
 	if err := trace.WellFormed(h); err != nil {
 		return false, fmt.Errorf("%w: %v", errNotWellFormed, err)
 	}
-	return check.SeqConsistent(obj, h), nil
+	return lang.Judge{Cond: cond, Object: obj}.Violation(h, nil) == nil, nil
 }

@@ -121,6 +121,10 @@ func TestRunValidation(t *testing.T) {
 		{"too few procs", monitor.Config{N: 1, Logic: monitor.LogicWEC, History: counterHistory()}, "mentions 2 processes"},
 		{"ill-formed", monitor.Config{N: 2, Logic: monitor.LogicWEC,
 			History: trace.Word{trace.NewRes(0, "read", trace.Int(0))}}, "not well-formed"},
+		// Word.Procs ignores negative ids, so only validate stands between
+		// this history and a replay that panics in the adversary.
+		{"negative proc", monitor.Config{N: 1, Logic: monitor.LogicLin, Object: trace.Queue(),
+			History: trace.NewB().Op(-1, "deq", nil, trace.Empty).Word()}, "process -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,6 +140,30 @@ func TestRunValidation(t *testing.T) {
 		if _, err := monitor.SeqConsistent(trace.Queue(), h); err == nil {
 			t.Fatal("SeqConsistent accepted ill-formed history")
 		}
+	}
+}
+
+// TestOfflineOraclesJudgePrefixes pins the offline oracles to the judge's
+// per-prefix reading of the definitions: the read returns 1 before any write
+// is invoked, so the prefix ending at its response is not sequentially
+// consistent, although the whole history is (the write may be placed
+// first).
+func TestOfflineOraclesJudgePrefixes(t *testing.T) {
+	w := trace.NewB().
+		Op(0, trace.OpRead, nil, trace.Int(1)).
+		Op(1, trace.OpWrite, trace.Int(1), trace.Unit{}).
+		Word()
+	if got := w.String(); got != "<0:read() >0:read=1 <1:write(1) >1:write=()" {
+		t.Fatalf("history = %s", got)
+	}
+	if ok, err := monitor.SeqConsistent(trace.Register(), w); err != nil || ok {
+		t.Errorf("SeqConsistent = %v, %v; want false, nil", ok, err)
+	}
+	if ok, err := monitor.Linearizable(trace.Register(), w); err != nil || ok {
+		t.Errorf("Linearizable = %v, %v; want false, nil", ok, err)
+	}
+	if ok, err := monitor.SeqConsistent(trace.Register(), w[2:]); err != nil || !ok {
+		t.Errorf("SeqConsistent(write alone) = %v, %v; want true, nil", ok, err)
 	}
 }
 

@@ -23,7 +23,11 @@
 // An Object is a deterministic state machine — Register, Counter, Queue,
 // Stack, Ledger, Consensus, Vector — against which checkers and monitors
 // validate histories. Custom objects implement the Object and State
-// interfaces.
+// interfaces: a state is Apply plus AppendKey, its one canonical encoding,
+// which checker searches use as a memo key. An object whose Init roots a
+// private interned tree of states may also implement Interned on them, so
+// searches key the memo by a small ID instead of the encoding; Queue, Stack
+// and Ledger do.
 //
 // # Verdicts and results
 //

@@ -9,13 +9,27 @@ import (
 )
 
 // internCase is an interned object with a flat slice model of its state:
-// add appends an item, take is the object's other operation, and model
-// returns take's result on the items, oldest first, and the items after it.
+// add appends an item, take is the object's other operation, model returns
+// take's result on the items, oldest first, and the items after it, and
+// encode is the AppendKey encoding of the items.
 type internCase struct {
 	obj       trace.Object
 	add, take string
 	items     []trace.Value // the argument domain of add, duplicates included
 	model     func(items []trace.Value) (ret trace.Value, rest []trace.Value)
+	encode    func(items []trace.Value) string
+}
+
+// joinItems is the queue and stack encoding: tag plus the comma-joined
+// decimal items, oldest first.
+func joinItems(tag string) func([]trace.Value) string {
+	return func(items []trace.Value) string {
+		parts := make([]string, len(items))
+		for i, v := range items {
+			parts[i] = v.String()
+		}
+		return tag + strings.Join(parts, ",")
+	}
 }
 
 var internCases = []internCase{
@@ -28,6 +42,7 @@ var internCases = []internCase{
 			}
 			return items[0], items[1:]
 		},
+		encode: joinItems("q"),
 	},
 	{
 		obj: trace.Stack(), add: trace.OpPush, take: trace.OpPop,
@@ -38,6 +53,7 @@ var internCases = []internCase{
 			}
 			return items[len(items)-1], items[:len(items)-1]
 		},
+		encode: joinItems("s"),
 	},
 	{
 		obj: trace.Ledger(), add: trace.OpAppend, take: trace.OpGet,
@@ -50,6 +66,14 @@ var internCases = []internCase{
 				recs = append(recs, v.(trace.Rec))
 			}
 			return recs, items
+		},
+		encode: func(items []trace.Value) string {
+			enc := "l"
+			for _, v := range items {
+				r := string(v.(trace.Rec))
+				enc += strconv.Itoa(len(r)) + ":" + r
+			}
+			return enc
 		},
 	},
 }
@@ -64,14 +88,14 @@ func modelKey(items []trace.Value) string {
 	return b.String()
 }
 
-// FuzzInternedStateIDs drives queue, stack and ledger states of one
-// InternRoot tree, and the same operations from Init, with fuzz-chosen
+// FuzzInternedStateIDs drives queue, stack and ledger states of two
+// interned trees, each rooted by its own Init call, with fuzz-chosen
 // operations: each byte picks one of four cursors (all starting empty, so
 // their paths reconverge), the operation, and an item from a domain with
 // duplicates; take on an empty queue or stack is included. It checks the
-// Interned contract — within the tree, IDs are equal exactly when Keys are,
-// and Keys exactly when the flat models are — that both trees return the
-// model's values and agree on Keys, and that Init-rooted states report 0.
+// Interned contract per tree — IDs are non-zero, and equal exactly when
+// encodings are — that both trees return the model's values, and that
+// their encodings equal each other and the model's.
 func FuzzInternedStateIDs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0x0c, 0x00, 0x01, 0x0d, 0x05, 0x00, 0x02})
@@ -87,42 +111,57 @@ func FuzzInternedStateIDs(f *testing.F) {
 	})
 }
 
+// idIndex records one tree's ID and encoding pairs, to check that they
+// determine each other.
+type idIndex struct {
+	idOf  map[string]uint64 // encoding → ID
+	keyOf map[uint64]string // ID → encoding
+}
+
+func (x idIndex) record(t *testing.T, name string, st trace.State) string {
+	t.Helper()
+	key, id := string(st.AppendKey(nil)), st.(trace.Interned).ID()
+	if id == 0 {
+		t.Fatalf("%s: interned state %q reports id 0", name, key)
+	}
+	if prev, ok := x.idOf[key]; ok && prev != id {
+		t.Fatalf("%s: encoding %q has ids %d and %d", name, key, prev, id)
+	}
+	if prev, ok := x.keyOf[id]; ok && prev != key {
+		t.Fatalf("%s: id %d has encodings %q and %q", name, id, prev, key)
+	}
+	x.idOf[key], x.keyOf[id] = id, key
+	return key
+}
+
 func checkInterned(t *testing.T, tc internCase, data []byte) {
 	type cursor struct {
-		st, flat trace.State
-		items    []trace.Value
+		st    [2]trace.State // one state per tree
+		items []trace.Value
 	}
 	name := tc.obj.Name()
-	root := tc.obj.(trace.RootInterner).InternRoot()
+	roots := [2]trace.State{tc.obj.Init(), tc.obj.Init()}
 	var cur [4]cursor
 	for i := range cur {
-		cur[i] = cursor{st: root, flat: tc.obj.Init()}
+		cur[i] = cursor{st: roots}
 	}
-	idOf := map[string]uint64{}  // Key → ID
-	keyOf := map[uint64]string{} // ID → Key
+	var trees [2]idIndex
+	for i := range trees {
+		trees[i] = idIndex{idOf: map[string]uint64{}, keyOf: map[uint64]string{}}
+	}
 	modelOf := map[string]string{}
 	record := func(c cursor) {
-		key, id := c.st.Key(), c.st.(trace.Interned).ID()
-		if id == 0 {
-			t.Fatalf("%s: interned state %q reports id 0", name, key)
-		}
-		if got := c.flat.(trace.Interned).ID(); got != 0 {
-			t.Fatalf("%s: Init-rooted state %q reports id %d", name, key, got)
-		}
-		if flat := c.flat.Key(); flat != key {
-			t.Fatalf("%s: interned key %q, Init-rooted key %q", name, key, flat)
-		}
-		if prev, ok := idOf[key]; ok && prev != id {
-			t.Fatalf("%s: key %q has ids %d and %d", name, key, prev, id)
-		}
-		if prev, ok := keyOf[id]; ok && prev != key {
-			t.Fatalf("%s: id %d has keys %q and %q", name, id, prev, key)
+		want := tc.encode(c.items)
+		for i, st := range c.st {
+			if key := trees[i].record(t, name, st); key != want {
+				t.Fatalf("%s: tree %d encodes %s as %q, want %q", name, i, modelKey(c.items), key, want)
+			}
 		}
 		m := modelKey(c.items)
-		if prev, ok := modelOf[key]; ok && prev != m {
-			t.Fatalf("%s: key %q encodes both %s and %s", name, key, prev, m)
+		if prev, ok := modelOf[want]; ok && prev != m {
+			t.Fatalf("%s: encoding %q encodes both %s and %s", name, want, prev, m)
 		}
-		idOf[key], keyOf[id], modelOf[key] = id, key, m
+		modelOf[want] = m
 	}
 	record(cur[0])
 	for _, b := range data {
@@ -136,15 +175,18 @@ func checkInterned(t *testing.T, tc internCase, data []byte) {
 		} else {
 			want, items = tc.model(items)
 		}
-		st, ret, ok := c.st.Apply(op, arg)
-		flat, fret, fok := c.flat.Apply(op, arg)
-		if !ok || !fok {
-			t.Fatalf("%s: %s(%v) rejected", name, op, arg)
+		next := cursor{items: items}
+		for i, st := range c.st {
+			st, ret, ok := st.Apply(op, arg)
+			if !ok {
+				t.Fatalf("%s: %s(%v) rejected", name, op, arg)
+			}
+			if !ret.Equal(want) {
+				t.Fatalf("%s: tree %d: %s(%v) on %s returned %v, model %v", name, i, op, arg, modelKey(c.items), ret, want)
+			}
+			next.st[i] = st
 		}
-		if !ret.Equal(want) || !fret.Equal(want) {
-			t.Fatalf("%s: %s(%v) on %s returned %v (Init-rooted %v), model %v", name, op, arg, modelKey(c.items), ret, fret, want)
-		}
-		*c = cursor{st: st, flat: flat, items: items}
+		*c = next
 		record(*c)
 	}
 }

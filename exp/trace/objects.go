@@ -45,9 +45,7 @@ func (register) RandArg(op string, rng *rand.Rand) Value {
 
 type regState Int
 
-func (s regState) Key() string { return fmt.Sprintf("r%d", int64(s)) }
-
-// AppendKey implements KeyAppender with the Key encoding.
+// AppendKey is "r" plus the decimal value.
 func (s regState) AppendKey(b []byte) []byte {
 	return strconv.AppendInt(append(b, 'r'), int64(s), 10)
 }
@@ -83,9 +81,7 @@ func (counter) RandArg(string, *rand.Rand) Value { return Unit{} }
 
 type ctrState Int
 
-func (s ctrState) Key() string { return fmt.Sprintf("c%d", int64(s)) }
-
-// AppendKey implements KeyAppender with the Key encoding.
+// AppendKey is "c" plus the decimal count.
 func (s ctrState) AppendKey(b []byte) []byte {
 	return strconv.AppendInt(append(b, 'c'), int64(s), 10)
 }
@@ -128,14 +124,7 @@ type consState struct {
 	val     Int
 }
 
-func (s consState) Key() string {
-	if !s.decided {
-		return "u"
-	}
-	return fmt.Sprintf("d%d", int64(s.val))
-}
-
-// AppendKey implements KeyAppender with the Key encoding.
+// AppendKey is "u" while undecided, else "d" plus the decimal decision.
 func (s consState) AppendKey(b []byte) []byte {
 	if !s.decided {
 		return append(b, 'u')
@@ -166,14 +155,13 @@ func Ledger() Object { return ledger{} }
 type ledger struct{}
 
 func (ledger) Name() string { return "ledger" }
-func (ledger) Init() State  { return ledState{} }
 
-// InternRoot implements RootInterner: the returned root node anchors a
-// private interned tree of ledger states, one node per distinct record list.
-func (ledger) InternRoot() State {
+// Init returns the empty-ledger root of a fresh interned tree of ledger
+// states, one node per distinct record list.
+func (ledger) Init() State {
 	t := &slab[ledNode]{}
 	n, id := t.alloc()
-	*n = ledNode{tree: t, id: id, root: true}
+	*n = ledNode{tree: t, id: id}
 	return ledState{n: n}
 }
 func (ledger) Ops() []OpSig {
@@ -191,82 +179,62 @@ func (ledger) RandArg(op string, rng *rand.Rand) Value {
 // copy — checker searches apply every candidate operation at every visited
 // node, which made copying the dominant cost of SC_LED/LIN_LED scenarios.
 // Each node interns its append children, one per distinct record, so a node
-// is a record list: in an InternRoot tree the node's id names the state. The
-// canonical encoding and the materialized record list are cached on the node
-// the first time they are needed; states remain immutable values (the caches
-// fill in idempotently, and states never cross goroutines mid-search).
+// is a record list and its id names the state within its tree. The
+// materialized record list is cached on the node the first time get needs
+// it; states remain immutable values (the caches fill in idempotently, and
+// states never cross goroutines mid-search).
 type ledState struct {
-	n *ledNode // nil = empty ledger
+	n *ledNode
 }
 
 type ledNode struct {
-	tree     *slab[ledNode] // the interned tree's allocator; nil from Init
-	id       uint64         // Interned id; 0 from Init
-	parent   *ledNode
-	kid, sib *ledNode // first interned append child; next sibling
+	tree     *slab[ledNode] // the interned tree's allocator
+	id       uint64         // Interned id
+	parent   *ledNode       // the ledger without its last record; nil at the root
+	kid, sib *ledNode       // first interned append child; next sibling
 	rec      Rec
-	root     bool   // an empty-ledger anchor from InternRoot
-	enc      string // lazy: Key, prefix-shared
-	seq      Seq    // lazy: materialized record list
-	val      Value  // lazy: seq boxed once, so get never re-boxes
+	seq      Seq   // lazy: materialized record list
+	val      Value // lazy: seq boxed once, so get never re-boxes
 }
 
 // emptyRecs is the boxed return of get on the empty ledger, shared so the
 // hot checker loop never re-boxes the slice header.
 var emptyRecs Value = Seq(nil)
 
-// Key is "l" followed by len(rec) + ":" + rec per record, oldest first. The
-// length prefix makes the code prefix-free: records may hold any byte, so a
-// plain separator would let [a, a|a] and [a|a, a] share a key.
-func (s ledState) Key() string {
-	if s.n == nil {
-		return "l"
+// AppendKey is "l" followed by len(rec) + ":" + rec per record, oldest
+// first. The length prefix makes the code prefix-free: records may hold any
+// byte, so a plain separator would let [a, a|a] and [a|a, a] share a key.
+func (s ledState) AppendKey(b []byte) []byte { return s.n.appendRecs(append(b, 'l')) }
+
+// appendRecs appends the records' encoding oldest first, walking to the
+// root before appending its own record.
+func (n *ledNode) appendRecs(b []byte) []byte {
+	if n.parent == nil {
+		return b
 	}
-	return s.n.key()
+	b = strconv.AppendInt(n.parent.appendRecs(b), int64(len(n.rec)), 10)
+	return append(append(b, ':'), n.rec...)
 }
 
-func (n *ledNode) key() string {
-	if n.enc == "" {
-		if n.root {
-			n.enc = "l"
-		} else {
-			n.enc = ledState{n.parent}.Key() + strconv.Itoa(len(n.rec)) + ":" + string(n.rec)
-		}
-	}
-	return n.enc
-}
-
-func (s ledState) recs() Seq {
-	if s.n == nil || s.n.root {
+func (n *ledNode) recs() Seq {
+	if n.parent == nil {
 		return nil
 	}
-	n := s.n
 	if n.seq == nil {
-		parent := ledState{n.parent}.recs()
+		parent := n.parent.recs()
 		// Cap the parent's slice so sibling appends cannot share growth.
 		n.seq = append(parent[:len(parent):len(parent)], n.rec)
 	}
 	return n.seq
 }
 
-// AppendKey implements KeyAppender with the Key encoding.
-func (s ledState) AppendKey(b []byte) []byte { return append(b, s.Key()...) }
-
 // ID implements Interned.
-func (s ledState) ID() uint64 {
-	if s.n == nil {
-		return 0
-	}
-	return s.n.id
-}
+func (s ledState) ID() uint64 { return s.n.id }
 
-// child returns the interned node for n with r appended. Like the enc/seq
-// caches, the child links rely on states staying within one goroutine
+// child returns the interned node for n with r appended. Like the seq
+// cache, the child links rely on states staying within one goroutine
 // between appends.
 func (n *ledNode) child(r Rec) *ledNode {
-	if n == nil {
-		return &ledNode{rec: r}
-	}
 	for k := n.kid; k != nil; k = k.sib {
 		if k.rec == r {
 			return k
@@ -291,11 +259,11 @@ func (s ledState) Apply(op string, arg Value) (State, Value, bool) {
 		// the cached record list can be returned without a defensive clone —
 		// and without re-boxing it into a Value on every call, which was the
 		// dominant allocation of checker searches.
-		if s.n == nil || s.n.root {
+		if s.n.parent == nil {
 			return s, emptyRecs, true
 		}
 		if s.n.val == nil {
-			s.n.val = s.recs()
+			s.n.val = s.n.recs()
 		}
 		return s, s.n.val, true
 	default:
@@ -347,9 +315,7 @@ type vecState struct {
 	cells Seq
 }
 
-func (s vecState) Key() string { return "v" + s.cells.String() }
-
-// AppendKey implements KeyAppender with the Key encoding.
+// AppendKey is "v" plus the cells' Seq encoding.
 func (s vecState) AppendKey(b []byte) []byte {
 	return append(append(b, 'v'), s.cells.String()...)
 }
@@ -385,11 +351,10 @@ func Queue() Object { return queue{} }
 type queue struct{}
 
 func (queue) Name() string { return "queue" }
-func (queue) Init() State  { return queueState{} }
 
-// InternRoot implements RootInterner: the returned root anchors a private
-// interned tree of queue states, one node per distinct item list.
-func (queue) InternRoot() State { return queueState{n: newListRoot()} }
+// Init returns the empty-list root of a fresh interned tree of queue states,
+// one node per distinct item list.
+func (queue) Init() State { return queueState{n: newListRoot()} }
 func (queue) Ops() []OpSig {
 	return []OpSig{{Name: OpEnq, Mutating: true}, {Name: OpDeq, Mutating: true}}
 }
@@ -404,24 +369,24 @@ func (queue) RandArg(op string, rng *rand.Rand) Value {
 // or a stack. A node is its contents: parent is the list without its last
 // item, and each node interns its children, one per distinct appended item,
 // so checker searches — which re-apply every candidate operation at every
-// visited node — share one node per distinct reachable list (named by its
-// id in an InternRoot tree) instead of re-encoding the contents per visit.
+// visited node — share one node per distinct reachable list, named by its
+// id within the tree, instead of re-encoding the contents per visit.
 // Push and enq append a child and pop returns to the parent; deq follows the
 // tail link, the list without its first item, interned lazily as
 // child(tail(parent), last item). Like ledNode's, the links fill in
 // idempotently and rely on states staying within one goroutine mid-search.
 type listNode struct {
-	tree     *slab[listNode] // the interned tree's allocator; nil from Init
-	id       uint64          // Interned id; 0 from Init
+	tree     *slab[listNode] // the interned tree's allocator
+	id       uint64          // Interned id
 	parent   *listNode       // the list without its last item
 	kid, sib *listNode       // first interned child; next sibling
 	tail     *listNode       // lazy: the list without its first item
 	last     Int
 	first    Int
-	size     int // items; 0 = an empty-list anchor from InternRoot
+	size     int // items; 0 = the tree's empty-list root
 }
 
-// newListRoot returns the empty-list anchor of a fresh interned tree.
+// newListRoot returns the empty-list root of a fresh interned tree.
 func newListRoot() *listNode {
 	t := &slab[listNode]{}
 	n, id := t.alloc()
@@ -429,20 +394,8 @@ func newListRoot() *listNode {
 	return n
 }
 
-func (n *listNode) empty() bool { return n == nil || n.size == 0 }
-
-func (n *listNode) ID() uint64 {
-	if n == nil {
-		return 0
-	}
-	return n.id
-}
-
 // child returns the interned node for n with v appended.
 func (n *listNode) child(v Int) *listNode {
-	if n == nil {
-		return &listNode{last: v, first: v, size: 1}
-	}
 	for k := n.kid; k != nil; k = k.sib {
 		if k.last == v {
 			return k
@@ -461,7 +414,7 @@ func (n *listNode) child(v Int) *listNode {
 // deq returns the node of the non-empty list n without its first item.
 func (n *listNode) deq() *listNode {
 	if n.size == 1 {
-		return n.parent // the anchor, or nil from Init
+		return n.parent // the root
 	}
 	if n.tail == nil {
 		n.tail = n.parent.deq().child(n.last)
@@ -472,7 +425,7 @@ func (n *listNode) deq() *listNode {
 // appendItems appends the comma-joined decimal items first to last,
 // recursing to the front of the list first.
 func (n *listNode) appendItems(b []byte) []byte {
-	if n.empty() {
+	if n.size == 0 {
 		return b
 	}
 	b = n.parent.appendItems(b)
@@ -483,20 +436,17 @@ func (n *listNode) appendItems(b []byte) []byte {
 }
 
 type queueState struct {
-	n *listNode // nil = the never-touched empty queue
+	n *listNode
 }
 
-func (s queueState) Key() string { return string(s.AppendKey(nil)) }
-
-// AppendKey implements KeyAppender: "q" plus the comma-joined decimal
-// encoding of the items head first, byte-identical to the historical flat
-// string encoding.
+// AppendKey is "q" plus the comma-joined decimal encoding of the items head
+// first.
 func (s queueState) AppendKey(b []byte) []byte {
 	return s.n.appendItems(append(b, 'q'))
 }
 
 // ID implements Interned.
-func (s queueState) ID() uint64 { return s.n.ID() }
+func (s queueState) ID() uint64 { return s.n.id }
 
 func (s queueState) Apply(op string, arg Value) (State, Value, bool) {
 	switch op {
@@ -507,7 +457,7 @@ func (s queueState) Apply(op string, arg Value) (State, Value, bool) {
 		}
 		return queueState{n: s.n.child(v)}, Unit{}, true
 	case OpDeq:
-		if s.n.empty() {
+		if s.n.size == 0 {
 			return s, Empty, true
 		}
 		return queueState{n: s.n.deq()}, s.n.first, true
@@ -525,11 +475,10 @@ func Stack() Object { return stack{} }
 type stack struct{}
 
 func (stack) Name() string { return "stack" }
-func (stack) Init() State  { return stackState{} }
 
-// InternRoot implements RootInterner: the returned root anchors a private
-// interned tree of stack states, like Queue's.
-func (stack) InternRoot() State { return stackState{n: newListRoot()} }
+// Init returns the empty-list root of a fresh interned tree of stack states,
+// like Queue's.
+func (stack) Init() State { return stackState{n: newListRoot()} }
 func (stack) Ops() []OpSig {
 	return []OpSig{{Name: OpPush, Mutating: true}, {Name: OpPop, Mutating: true}}
 }
@@ -543,20 +492,17 @@ func (stack) RandArg(op string, rng *rand.Rand) Value {
 // stackState is a persistent stack over the queue's list nodes, top last:
 // push interns a child node, pop walks back to the parent.
 type stackState struct {
-	n *listNode // nil = the never-touched empty stack
+	n *listNode
 }
 
-func (s stackState) Key() string { return string(s.AppendKey(nil)) }
-
-// AppendKey implements KeyAppender: "s" plus the comma-joined decimal
-// encoding of the items bottom to top, byte-identical to the historical flat
-// string encoding.
+// AppendKey is "s" plus the comma-joined decimal encoding of the items
+// bottom to top.
 func (s stackState) AppendKey(b []byte) []byte {
 	return s.n.appendItems(append(b, 's'))
 }
 
 // ID implements Interned.
-func (s stackState) ID() uint64 { return s.n.ID() }
+func (s stackState) ID() uint64 { return s.n.id }
 
 func (s stackState) Apply(op string, arg Value) (State, Value, bool) {
 	switch op {
@@ -567,7 +513,7 @@ func (s stackState) Apply(op string, arg Value) (State, Value, bool) {
 		}
 		return stackState{n: s.n.child(v)}, Unit{}, true
 	case OpPop:
-		if s.n.empty() {
+		if s.n.size == 0 {
 			return s, Empty, true
 		}
 		return stackState{n: s.n.parent}, s.n.last, true

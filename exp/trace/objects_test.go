@@ -112,31 +112,77 @@ func TestStateKeysDistinguish(t *testing.T) {
 	b, _, _ := a.Apply(trace.OpEnq, trace.Int(1))
 	c, _, _ := b.Apply(trace.OpEnq, trace.Int(2))
 	d, _, _ := a.Apply(trace.OpEnq, trace.Int(12))
-	keys := map[string]bool{a.Key(): true, b.Key(): true, c.Key(): true, d.Key(): true}
+	keys := map[string]bool{key(a): true, key(b): true, key(c): true, key(d): true}
 	if len(keys) != 4 {
-		t.Errorf("queue state keys collide: %v %v %v %v", a.Key(), b.Key(), c.Key(), d.Key())
+		t.Errorf("queue state keys collide: %v %v %v %v", key(a), key(b), key(c), key(d))
 	}
 	// enq(1);enq(2) must differ from enq(12).
-	if c.Key() == d.Key() {
-		t.Errorf("ambiguous encoding: %q vs %q", c.Key(), d.Key())
+	if key(c) == key(d) {
+		t.Errorf("ambiguous encoding: %q vs %q", key(c), key(d))
 	}
 	// Records may hold any byte: [a, a|a] must differ from [a|a, a], and
 	// [""] from the empty ledger.
 	l := trace.Ledger().Init()
-	appendAll := func(recs ...trace.Rec) trace.State {
-		st := l
-		for _, r := range recs {
-			st, _, _ = st.Apply(trace.OpAppend, r)
-		}
-		return st
-	}
-	ledgers := []trace.State{appendAll(), appendAll(""), appendAll("a", "a|a"), appendAll("a|a", "a"), appendAll("a", "a", "a")}
+	appendAll := func(recs ...trace.Value) trace.State { return applyAll(l, trace.OpAppend, recs...) }
+	ledgers := []trace.State{appendAll(), appendAll(trace.Rec("")), appendAll(trace.Rec("a"), trace.Rec("a|a")),
+		appendAll(trace.Rec("a|a"), trace.Rec("a")), appendAll(trace.Rec("a"), trace.Rec("a"), trace.Rec("a"))}
 	ledKeys := map[string]bool{}
 	for _, st := range ledgers {
-		ledKeys[st.Key()] = true
+		ledKeys[key(st)] = true
 	}
 	if len(ledKeys) != len(ledgers) {
 		t.Errorf("ledger state keys collide: %d distinct of %d", len(ledKeys), len(ledgers))
+	}
+}
+
+// key is a state's AppendKey encoding as a string.
+func key(st trace.State) string { return string(st.AppendKey(nil)) }
+
+// applyAll applies op once per argument, in order, starting from st.
+func applyAll(st trace.State, op string, args ...trace.Value) trace.State {
+	for _, a := range args {
+		st, _, _ = st.Apply(op, a)
+	}
+	return st
+}
+
+// TestAppendKeyEncodings pins every built-in state encoding byte for byte:
+// the memo keys of checker searches are built from these bytes, so a change
+// to one must be deliberate.
+func TestAppendKeyEncodings(t *testing.T) {
+	u := trace.Unit{}
+	q := applyAll(trace.Queue().Init(), trace.OpEnq, trace.Int(1), trace.Int(12), trace.Int(-3), trace.Int(4))
+	q, _, _ = q.Apply(trace.OpDeq, u)
+	s := applyAll(trace.Stack().Init(), trace.OpPush, trace.Int(1), trace.Int(12), trace.Int(-3))
+	s, _, _ = s.Apply(trace.OpPop, u)
+	v := trace.Vector(3).Init()
+	v, _, _ = v.Apply(trace.OpUpd(1), trace.Int(42))
+	for _, tc := range []struct {
+		st   trace.State
+		want string
+	}{
+		{trace.Register().Init(), "r0"},
+		{applyAll(trace.Register().Init(), trace.OpWrite, trace.Int(-7)), "r-7"},
+		{trace.Counter().Init(), "c0"},
+		{applyAll(trace.Counter().Init(), trace.OpInc, u, u, u), "c3"},
+		{trace.Consensus().Init(), "u"},
+		{applyAll(trace.Consensus().Init(), trace.OpPropose, trace.Int(5), trace.Int(9)), "d5"},
+		{trace.Vector(3).Init(), "v[0·0·0]"},
+		{v, "v[0·42·0]"},
+		{trace.Queue().Init(), "q"},
+		{q, "q12,-3,4"},
+		{trace.Stack().Init(), "s"},
+		{s, "s1,12"},
+		{trace.Ledger().Init(), "l"},
+		{applyAll(trace.Ledger().Init(), trace.OpAppend, trace.Rec("")), "l0:"},
+		{applyAll(trace.Ledger().Init(), trace.OpAppend, trace.Rec("r1"), trace.Rec("a:b"), trace.Rec("a|a"), trace.Rec(""), trace.Rec("|")),
+			"l2:r13:a:b3:a|a0:1:|"},
+	} {
+		// Append to a non-empty buffer: the encoding must extend b, not
+		// replace it.
+		if got := string(tc.st.AppendKey([]byte("x"))); got != "x"+tc.want {
+			t.Errorf("AppendKey = %q, want %q", got, "x"+tc.want)
+		}
 	}
 }
 

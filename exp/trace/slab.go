@@ -4,9 +4,7 @@ package trace
 // 3, … in allocation order. Nodes come from chunks that start small and
 // double up to maxSlabChunk, so a tiny search pays for a handful of nodes
 // rather than a full chunk, and a large one pays one allocation per chunk
-// rather than per node. A nil slab — the tree of an Init-rooted state —
-// allocates each node alone and numbers it 0, the Interned "outside a tree"
-// id.
+// rather than per node.
 type slab[T any] struct {
 	free []T    // the unused rest of the current chunk
 	size int    // length of the current chunk
@@ -20,9 +18,6 @@ const (
 
 // alloc returns a zeroed node and its id.
 func (s *slab[T]) alloc() (*T, uint64) {
-	if s == nil {
-		return new(T), 0
-	}
 	if len(s.free) == 0 {
 		s.size = min(max(2*s.size, minSlabChunk), maxSlabChunk)
 		s.free = make([]T, s.size)

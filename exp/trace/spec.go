@@ -12,17 +12,10 @@ type State interface {
 	// is unknown; total objects (footnote 3 of the paper) accept every
 	// operation in every state.
 	Apply(op string, arg Value) (next State, ret Value, ok bool)
-	// Key is a canonical encoding of the state used to memoize checker
-	// searches. Two states with equal keys must be behaviourally identical.
-	Key() string
-}
-
-// KeyAppender is an optional fast path for State.Key: AppendKey appends the
-// exact bytes Key would return to b and returns the extended slice, letting
-// checker searches build memo keys into reused buffers instead of allocating
-// a string per visited node. Implementations must keep the two encodings
-// identical.
-type KeyAppender interface {
+	// AppendKey appends a canonical encoding of the state to b and returns
+	// the extended slice; checker searches build their memo keys from it
+	// into reused buffers. Two states with equal encodings must be
+	// behaviourally identical.
 	AppendKey(b []byte) []byte
 }
 
@@ -39,22 +32,14 @@ type OpSig struct {
 	Mutating bool
 }
 
-// RootInterner is an optional Object interface for states with internal
-// sharing: InternRoot returns a fresh state equivalent to Init whose
-// reachable states are interned privately for the caller, so a search that
-// re-applies the same operations along reconverging branches gets the same
-// state value back instead of an allocation. When those states are also
-// Interned, a checker's memo keys one by its small ID instead of its Key
-// bytes. The returned state (and everything reached from it) must stay
-// within one goroutine.
-type RootInterner interface {
-	InternRoot() State
-}
-
-// Interned is an optional State interface for states of an interned tree:
-// two states reached from one InternRoot root have equal IDs exactly when
-// their Keys are equal, and a state outside an interned tree (one reached
-// from Init) reports 0. IDs of states from different roots are unrelated.
+// Interned is an optional State interface for objects whose Init roots a
+// private interned tree, so that a search re-applying the same operations
+// along reconverging branches gets the same state value back instead of an
+// allocation: states reached from one Init call have equal non-zero IDs
+// exactly when their encodings are equal, and a checker's memo keys them by
+// the small ID instead of the AppendKey bytes. IDs of states from different
+// Init calls are unrelated, and such states (everything reached from one
+// Init call) must stay within one goroutine.
 type Interned interface {
 	ID() uint64
 }
@@ -64,7 +49,8 @@ type Interned interface {
 type Object interface {
 	// Name returns the object's name, e.g. "register".
 	Name() string
-	// Init returns the initial state.
+	// Init returns the initial state. An object whose states are Interned
+	// returns the root of a fresh interned tree on every call.
 	Init() State
 	// Ops lists the object's operations.
 	Ops() []OpSig

@@ -172,12 +172,12 @@ func (c *Incremental) Reset(n int) {
 	c.outCount = nil
 	c.nComplete = 0
 
-	// The empty history's witness: nothing placed, initial state. An object
-	// with an interning root gets a fresh one per Reset: the checker is
+	// The empty history's witness: nothing placed, initial state. An
+	// interned object's Init roots a fresh tree per Reset: the checker is
 	// single-goroutine, so every search of this history can share states
 	// across reconverging branches, and the interned tree is released with
 	// the history it served.
-	c.init = rootState(c.obj)
+	c.init = c.obj.Init()
 	c.wValid = true
 	c.wFront = resetInts(c.wFront, n, 0)
 	c.wRets = resetVals(c.wRets, n)
@@ -187,16 +187,6 @@ func (c *Incremental) Reset(n int) {
 
 	c.fallback = false
 	c.okValid = false
-}
-
-// rootState returns the object's initial state: the interned root when the
-// object offers one, so reconverging search branches share states instead of
-// re-allocating them, and buildKey keys Interned ones by id.
-func rootState(obj trace.Object) trace.State {
-	if ri, ok := obj.(trace.RootInterner); ok {
-		return ri.InternRoot()
-	}
-	return obj.Init()
 }
 
 // resetInts re-sizes a per-process counter slice to n entries of v.
@@ -450,12 +440,11 @@ func (c *Incremental) adoptWitness() {
 
 // buildKey encodes (fronts, state) into the reused buffer. Front counters
 // are uvarints, a prefix-free code, so distinct vectors cannot collide and no
-// per-process operation count is too large. An Interned state with a
-// non-zero id — every state of an interned tree, which the search reaches
-// from its InternRoot root — follows as '#' plus the id as a uvarint: within
-// one tree ids are equal exactly when keys are, so the memo relation is the
-// key path's at a fixed, small width. Any other state follows as '/' plus
-// State.Key's encoding (via the allocation-free AppendKey when available).
+// per-process operation count is too large. An Interned state — every state
+// of the tree the search's Init call rooted — follows as '#' plus its id as
+// a uvarint: within one tree ids are equal exactly when encodings are, so
+// the memo relation is the encoding path's at a fixed, small width. Any
+// other state follows as '/' plus its AppendKey encoding.
 // Recorded pending responses need no slot: within one search the placed
 // operations' responses are functions of the placement order the fronts
 // already encode, and a pending operation's response is never re-examined.
@@ -464,16 +453,10 @@ func (c *Incremental) buildKey(st trace.State) []byte {
 	for _, f := range c.sFront {
 		b = binary.AppendUvarint(b, uint64(f))
 	}
-	var id uint64
 	if in, ok := st.(trace.Interned); ok {
-		id = in.ID()
-	}
-	if id != 0 {
-		b = binary.AppendUvarint(append(b, '#'), id)
-	} else if ka, ok := st.(trace.KeyAppender); ok {
-		b = ka.AppendKey(append(b, '/'))
+		b = binary.AppendUvarint(append(b, '#'), in.ID())
 	} else {
-		b = append(append(b, '/'), st.Key()...)
+		b = st.AppendKey(append(b, '/'))
 	}
 	c.key = b
 	return b

@@ -98,7 +98,7 @@ func oneShot(obj trace.Object, ops []trace.Operation, realTime bool) *Incrementa
 		obj:      obj,
 		realTime: realTime,
 		n:        len(procs),
-		init:     rootState(obj),
+		init:     obj.Init(),
 		ops:      ops,
 		byProc:   make([][]int, len(procs)),
 		readOnly: make([]bool, len(ops)),

@@ -78,7 +78,7 @@ func validOrder(obj trace.Object, ops []trace.Operation, prec [][]int) bool {
 		if completeLeft == 0 {
 			return true // remaining pending operations are dropped
 		}
-		key := maskKey(st.Key())
+		key := maskKey(string(st.AppendKey(nil)))
 		if memo[key] {
 			return false
 		}
