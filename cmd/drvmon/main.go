@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/lang"
@@ -54,6 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "trace: %v\n", err)
 		return 1
 	}
+	for _, sym := range tr.Word {
+		if sym.Proc < 0 || sym.Proc >= tr.Meta.N {
+			fmt.Fprintf(stderr, "trace: history mentions process %d; the trace's %d processes are numbered from 0\n", sym.Proc, tr.Meta.N)
+			return 1
+		}
+	}
 
 	name := *langName
 	if name == "" {
@@ -77,21 +84,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "trace: %d symbols, %d processes, language %s\n", len(tr.Word), tr.Meta.N, name)
-	violated := l.Judge.Violation(tr.Word, nil) != nil
-	fmt.Fprintf(stdout, "safety clauses: violated=%v\n", violated)
+	// Each judge over the object runs once, the trace language's among them.
+	var judged strings.Builder
+	violated := false
 	for _, other := range lang.All() {
 		if other.Object.Name() != l.Object.Name() {
 			continue
 		}
 		verdict := "ok"
 		if v := other.Judge.Violation(tr.Word, nil); v != nil {
+			violated = violated || other.Name == l.Name
 			verdict = fmt.Sprintf("violated at prefix %d", v.Prefix)
 			if v.Detail != "" {
 				verdict += ": " + v.Detail
 			}
 		}
-		fmt.Fprintf(stdout, "%s safety: %s\n", other.Name, verdict)
+		fmt.Fprintf(&judged, "%s safety: %s\n", other.Name, verdict)
 	}
+	fmt.Fprintf(stdout, "safety clauses: violated=%v\n%s", violated, judged.String())
 	if converged, ok := l.Judge.Converges(tr.Word); ok {
 		fmt.Fprintf(stdout, "convergence (quiescent tail): %v\n", converged)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,6 +95,25 @@ func TestMalformedTraceRejected(t *testing.T) {
 	}
 	if out != "" {
 		t.Errorf("judged a malformed trace:\n%s", out)
+	}
+}
+
+// TestProcessOutOfRangeRejected feeds n: 2 traces whose symbols name
+// process -1 or 2: the trace's alphabet has processes 0 and 1 only, so
+// drvmon must name the stray process and exit 1 before judging.
+func TestProcessOutOfRangeRejected(t *testing.T) {
+	for _, p := range []int{-1, 2} {
+		w := trace.NewB().Op(0, trace.OpInc, nil, trace.Unit{}).Op(p, trace.OpRead, nil, trace.Int(1)).Word()
+		code, out, errOut := runMon(writeTrace(t, "WEC_COUNT", true, w))
+		if code != 1 {
+			t.Errorf("process %d: exit %d, want 1", p, code)
+		}
+		if want := fmt.Sprintf("history mentions process %d", p); !strings.Contains(errOut, want) {
+			t.Errorf("process %d: stderr lacks %q: %s", p, want, errOut)
+		}
+		if out != "" {
+			t.Errorf("process %d: judged the trace:\n%s", p, out)
+		}
 	}
 }
 

@@ -16,10 +16,11 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"github.com/drv-go/drv/exp/monitor"
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/abd"
-	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
 	"github.com/drv-go/drv/internal/sut"
@@ -96,8 +97,11 @@ func main() {
 		fmt.Printf("p%d=%d ", p, perProc[p])
 	}
 	fmt.Println()
-	fmt.Printf("history linearizable (ABD emulation is atomic): %v\n",
-		check.Linearizable(trace.Register(), h))
+	lin, err := monitor.Linearizable(trace.Register(), h)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("history linearizable (ABD emulation is atomic): %v\n", lin)
 	fmt.Println()
 	fmt.Println("the same monitors that run on shared memory run unchanged here — the ABD")
 	fmt.Println("registers implement the exact register interface the monitors use.")

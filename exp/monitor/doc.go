@@ -26,11 +26,21 @@
 //	})
 //
 // The replay drives the paper's machinery end to end: a word-cursor
-// adversary (Claim 3.1) exhibits exactly the recorded history, the timed
-// adversary Aτ (Figure 6) attaches views to responses, and N monitor
-// processes run the generic algorithm of Figure 1, reporting the verdict
-// stream collected in the Result. Replay is deterministic: the same history
-// yields a byte-identical Result.
+// adversary (Claim 3.1) hands each process its recorded operations in order,
+// the timed adversary Aτ (Figure 6) attaches views to responses, and N
+// monitor processes run the generic algorithm of Figure 1, reporting the
+// verdict stream collected in the Result. Replay is deterministic: the same
+// history yields a byte-identical Result.
+//
+// Result.History is Aτ's outer word, the history the monitors observe. Each
+// process's projection of it is the recorded one, but symbols of different
+// processes may be interleaved differently, and the verdicts judge this
+// exhibited history. Aτ's operations contain the recorded ones (Lemma 6.1),
+// so a linearizable recorded history exhibits a linearizable one, and a NO
+// from LogicLin refutes the recorded history too. A YES certifies nothing
+// about the recorded history: it may violate the condition where the
+// exhibited one does not. Linearizable and SeqConsistent judge the recorded
+// history itself.
 //
 // Workloads monitoring many histories should hold a Session and reuse it —
 // the session pools the scheduler runtime and checker state, making the

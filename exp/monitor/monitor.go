@@ -184,10 +184,13 @@ var ErrTruncated = errors.New("monitor: replay truncated by MaxSteps before the 
 
 // Run replays cfg.History through the selected monitor and returns the
 // verdict stream. The replay is deterministic: the word-cursor adversary
-// exhibits exactly the recorded history (Claim 3.1), so the same Config
-// yields a byte-identical Result. The returned Result is owned by the
-// session and overwritten by the next Run; callers that keep it across runs
-// must copy what they need.
+// hands each process its recorded operations in order (Claim 3.1), so the
+// same Config yields a byte-identical Result. Result.History, the word the
+// verdicts judge, keeps each process's recorded projection but may
+// interleave processes differently from cfg.History; see the package doc
+// for what a YES does and does not certify. The returned Result is owned by
+// the session and overwritten by the next Run; callers that keep it across
+// runs must copy what they need.
 //
 // When the step bound cuts the replay short, Run returns the partial Result
 // together with an error wrapping ErrTruncated; Result.Drained reports the

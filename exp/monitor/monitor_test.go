@@ -167,6 +167,66 @@ func TestOfflineOraclesJudgePrefixes(t *testing.T) {
 	}
 }
 
+// TestOfflineOraclesAcceptAnyProcessIDs pins that the offline oracles judge
+// a history by its operations, not by how its processes are numbered: a
+// history naming process 1<<40 is decided like its densely numbered
+// original, without sizing anything by the id.
+func TestOfflineOraclesAcceptAnyProcessIDs(t *testing.T) {
+	const far = 1 << 40
+	for _, tc := range []struct {
+		w    trace.Word
+		want bool
+	}{
+		{trace.NewB().Op(far, trace.OpWrite, trace.Int(1), trace.Unit{}).Op(0, trace.OpRead, nil, trace.Int(1)).Word(), true},
+		{trace.NewB().Op(0, trace.OpRead, nil, trace.Int(1)).Op(far, trace.OpWrite, trace.Int(1), trace.Unit{}).Word(), false},
+	} {
+		if ok, err := monitor.Linearizable(trace.Register(), tc.w); err != nil || ok != tc.want {
+			t.Errorf("Linearizable(%v) = %v, %v; want %v, nil", tc.w, ok, err, tc.want)
+		}
+		if ok, err := monitor.SeqConsistent(trace.Register(), tc.w); err != nil || ok != tc.want {
+			t.Errorf("SeqConsistent(%v) = %v, %v; want %v, nil", tc.w, ok, err, tc.want)
+		}
+	}
+}
+
+// TestReplayKeepsEachProcessHistory pins what the replay exhibits: the word
+// cursor hands each process its recorded operations in order, but
+// Result.History is the timed adversary's outer word, which may interleave
+// the processes differently. On the register word the offline oracles
+// reject, the replay moves the write's invocation before the read's
+// response, so each process's projection is the recorded one while the
+// history as a whole is not, and both predictive logics answer YES
+// throughout: a YES speaks of the exhibited history.
+func TestReplayKeepsEachProcessHistory(t *testing.T) {
+	w := trace.NewB().
+		Op(0, trace.OpRead, nil, trace.Int(1)).
+		Op(1, trace.OpWrite, trace.Int(1), trace.Unit{}).
+		Word()
+	for _, logic := range []monitor.Logic{monitor.LogicLin, monitor.LogicSC} {
+		res, err := monitor.Run(monitor.Config{N: 2, Object: trace.Register(), Logic: logic, History: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.History.String(); got != "<0:read() <1:write(1) >0:read=1 >1:write=()" {
+			t.Errorf("%v: exhibited history = %s", logic, got)
+		}
+		if res.History.Equal(w) {
+			t.Errorf("%v: exhibited history equals the recorded one; the pin no longer shows the reordering", logic)
+		}
+		for p := 0; p < 2; p++ {
+			if got, want := res.History.Project(p), w.Project(p); !got.Equal(want) {
+				t.Errorf("%v: process %d exhibited %v, recorded %v", logic, p, got, want)
+			}
+			for _, v := range res.Verdicts[p] {
+				if v != monitor.Yes {
+					t.Errorf("%v: process %d verdicts %v, want YES only", logic, p, res.Verdicts[p])
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestSessionReplayDeterministic pins the embedder determinism contract: the
 // same history replayed through a reused session, a fresh session, and the
 // one-shot Run yields byte-identical results.

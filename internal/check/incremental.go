@@ -60,10 +60,10 @@ import (
 // operation simply stays pending forever, which the witness already models
 // (pending operations are placeable or droppable at every query).
 //
-// A history naming a process outside [0,n) permanently falls back to the
-// one-shot search over the accumulated operations. Append mirrors
-// trace.Operations' well-formedness contract, panicking on the same malformed
-// inputs at the same positions.
+// Processes are numbered [0,n): the checker keeps one row per process, and
+// Append panics on a symbol naming any other. It also mirrors
+// trace.Operations' well-formedness contract, panicking on the same
+// malformed inputs at the same positions.
 //
 // An Incremental is not safe for concurrent use; pooled workloads give each
 // worker (or each monitor logic) its own, via Pool.
@@ -80,8 +80,6 @@ type Incremental struct {
 	counts    []int             // per-process operations started
 	complete  []int             // per-process complete-operation count
 	pendingOf []int             // per-process index into ops of the pending op, -1 = none
-	outOpen   map[int]int       // pending op of a process outside [0,n) (degenerate histories)
-	outCount  map[int]int       // operation count of a process outside [0,n)
 	nComplete int               // total complete operations
 
 	// The cached witness, valid when wValid: an accepting linearization of
@@ -116,9 +114,8 @@ type Incremental struct {
 
 	sigs []trace.OpSig // obj.Ops(), fetched lazily
 
-	fallback bool
-	okCache  bool
-	okValid  bool
+	okCache bool
+	okValid bool
 }
 
 // readOnlyOp reports whether the named operation is non-mutating per the
@@ -168,8 +165,6 @@ func (c *Incremental) Reset(n int) {
 	c.counts = resetInts(c.counts, n, 0)
 	c.complete = resetInts(c.complete, n, 0)
 	c.pendingOf = resetInts(c.pendingOf, n, -1)
-	c.outOpen = nil
-	c.outCount = nil
 	c.nComplete = 0
 
 	// The empty history's witness: nothing placed, initial state. An
@@ -184,8 +179,6 @@ func (c *Incremental) Reset(n int) {
 	c.wState = c.init
 	c.rank = c.rank[:0]
 	c.ranked = false
-
-	c.fallback = false
 	c.okValid = false
 }
 
@@ -214,9 +207,14 @@ func resetVals(s []trace.Value, n int) []trace.Value {
 }
 
 // Append feeds the next symbol of the history, updating the witness. It
-// enforces trace.Operations' well-formedness contract with the same panics.
+// panics on a process outside [0,n), and enforces trace.Operations'
+// well-formedness contract with the same panics.
 func (c *Incremental) Append(sym trace.Symbol) {
 	i := len(c.syms)
+	p := sym.Proc
+	if p < 0 || p >= c.n {
+		panic(fmt.Sprintf("check: symbol at position %d names process %d outside [0,%d)", i, p, c.n))
+	}
 	c.syms = append(c.syms, sym)
 	readOnly := sym.Kind == trace.Inv && c.readOnlyOp(sym.Op)
 	// A cached rejecting verdict often survives the appended symbol, because
@@ -236,20 +234,19 @@ func (c *Incremental) Append(sym trace.Symbol) {
 	// Only a mutating invocation under sequential consistency can resurrect
 	// acceptance (placed with the specification's response, it may repair the
 	// states later operations observe), so only it forces a re-search.
-	keepNo := c.okValid && !c.okCache && !c.fallback &&
+	keepNo := c.okValid && !c.okCache &&
 		(sym.Kind == trace.Res || c.realTime || readOnly)
 	if !keepNo {
 		c.okValid = false
 	}
-	p := sym.Proc
 	switch sym.Kind {
 	case trace.Inv:
-		if c.openOf(p) >= 0 {
+		if c.pendingOf[p] >= 0 {
 			panic(fmt.Sprintf("word: process %d invokes %q at position %d with an operation still pending", p, sym.Op, i))
 		}
 		oi := len(c.ops)
 		c.ops = append(c.ops, trace.Operation{
-			ID:  trace.OpID{Proc: p, Idx: c.countOf(p)},
+			ID:  trace.OpID{Proc: p, Idx: c.counts[p]},
 			Op:  sym.Op,
 			Arg: sym.Val,
 			Inv: i,
@@ -257,16 +254,11 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		})
 		c.readOnly = append(c.readOnly, readOnly)
 		c.rank = append(c.rank, -1)
-		c.setOpen(p, oi)
-		if p < 0 || p >= c.n {
-			c.fallback = true
-		}
-		if c.fallback {
-			return
-		}
+		c.pendingOf[p] = oi
+		c.counts[p]++
 		c.byProc[p] = append(c.byProc[p], oi)
 	case trace.Res:
-		oi := c.openOf(p)
+		oi := c.pendingOf[p]
 		if oi < 0 {
 			panic(fmt.Sprintf("word: process %d responds %q at position %d with no pending invocation", p, sym.Op, i))
 		}
@@ -276,10 +268,7 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		}
 		o.Ret = sym.Val
 		o.Res = i
-		c.clearOpen(p)
-		if c.fallback {
-			return
-		}
+		c.pendingOf[p] = -1
 		c.complete[p]++
 		c.nComplete++
 		if !c.wValid {
@@ -316,13 +305,6 @@ func (c *Incremental) Append(sym trace.Symbol) {
 // OK reports whether the history fed so far passes the check — exactly
 // LinearizableOps/SeqConsistentOps(obj, trace.Operations(prefix)).
 func (c *Incremental) OK() bool {
-	if c.fallback {
-		if !c.okValid {
-			c.okCache = checkOps(c.obj, c.ops, c.realTime)
-			c.okValid = true
-		}
-		return c.okCache
-	}
 	if c.wValid {
 		return true
 	}
@@ -354,48 +336,6 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 		c.Append(s)
 	}
 	return c.OK()
-}
-
-// openOf returns the index into ops of the process's pending operation, or
-// -1; processes outside [0,n) are tracked in the degenerate side maps.
-func (c *Incremental) openOf(p int) int {
-	if p >= 0 && p < c.n {
-		return c.pendingOf[p]
-	}
-	if oi, ok := c.outOpen[p]; ok {
-		return oi
-	}
-	return -1
-}
-
-func (c *Incremental) setOpen(p, oi int) {
-	if p >= 0 && p < c.n {
-		c.pendingOf[p] = oi
-		c.counts[p]++
-		return
-	}
-	if c.outOpen == nil {
-		c.outOpen = map[int]int{}
-		c.outCount = map[int]int{}
-	}
-	c.outOpen[p] = oi
-	c.outCount[p]++
-}
-
-func (c *Incremental) clearOpen(p int) {
-	if p >= 0 && p < c.n {
-		c.pendingOf[p] = -1
-		return
-	}
-	delete(c.outOpen, p)
-}
-
-// countOf returns how many operations the process has started.
-func (c *Incremental) countOf(p int) int {
-	if p >= 0 && p < c.n {
-		return c.counts[p]
-	}
-	return c.outCount[p]
 }
 
 // search runs the memoized witness search over the current operations, from
@@ -640,8 +580,12 @@ type Pool struct {
 // NewPool returns an empty checker pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get borrows a reset checker for (obj, realTime) over n processes.
+// Get borrows a reset checker for (obj, realTime) over n processes. A nil
+// pool lends a fresh checker, which nothing reclaims.
 func (p *Pool) Get(obj trace.Object, realTime bool, n int) *Incremental {
+	if p == nil {
+		return NewIncremental(obj, realTime, n)
+	}
 	for i, c := range p.chks {
 		if !p.used[i] && c.realTime == realTime && c.obj.Name() == obj.Name() {
 			p.used[i] = true

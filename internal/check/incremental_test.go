@@ -8,6 +8,7 @@ package check
 // relies on, and per-goroutine checker ownership under the race detector.
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -179,6 +180,33 @@ func TestIncrementalPanicsMatchOperations(t *testing.T) {
 		}
 		if gotMsg != wantMsg {
 			t.Errorf("case %d: Append panic %q, trace.Operations panic %q", i, gotMsg, wantMsg)
+		}
+	}
+}
+
+// TestIncrementalPanicsOnProcessOutOfRange pins the checker's one process
+// numbering: a symbol naming a process outside [0,n) panics at its position,
+// whichever its kind. trace.Operations knows no n, so these inputs are not
+// TestIncrementalPanicsMatchOperations cases.
+func TestIncrementalPanicsOnProcessOutOfRange(t *testing.T) {
+	for _, w := range []trace.Word{
+		{trace.NewInv(-1, trace.OpRead, trace.Unit{})},
+		{trace.NewInv(2, trace.OpRead, trace.Unit{})},
+		{trace.NewInv(0, trace.OpRead, trace.Unit{}), trace.NewRes(2, trace.OpRead, trace.Int(0))},
+		{trace.NewInv(1<<40, trace.OpWrite, trace.Int(1))},
+	} {
+		last := w[len(w)-1]
+		want := fmt.Sprintf("check: symbol at position %d names process %d outside [0,2)", len(w)-1, last.Proc)
+		got := func() (msg interface{}) {
+			defer func() { msg = recover() }()
+			chk := NewIncremental(trace.Register(), true, 2)
+			for _, s := range w {
+				chk.Append(s)
+			}
+			return nil
+		}()
+		if got != want {
+			t.Errorf("%v: Append panic %v, want %q", w, got, want)
 		}
 	}
 }

@@ -13,14 +13,15 @@
 //
 // Entry points: Incremental (pooled by Pool) keeps a witness across a
 // growing history and searches only when an append refutes it; the one-shot
-// Linearizable and SeqConsistent, and their Ops forms, search a whole
-// history once, for exp/monitor's whole-history contract and the benchmarks;
+// Linearizable and SeqConsistent, and their Ops forms, search a whole history
+// once, as the tests' from-scratch reference and for the benchmark harness;
 // WECSafety, SECSafety and ECLedgerSafety (with ECLedger, its incremental
 // form) check the eventual objects' clauses, and Converges and
 // ECLedgerConverges their liveness diagnostics; BruteLinearizable and
 // BruteSeqConsistent are the tests' exhaustive references. Package lang's
 // Judge turns these into the verdict on a finite word that the rest of the
-// repository asks for.
+// repository asks for. The search knows only processes [0,n), one row each;
+// Judge is the one place that renumbers a word's processes.
 //
 // The search branches only where it must. A complete non-mutating operation
 // (a read: OpSig.Mutating false) whose recorded response the specification
@@ -34,7 +35,6 @@ package check
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/drv-go/drv/exp/trace"
 )
@@ -80,39 +80,40 @@ func checkOps(obj trace.Object, ops []trace.Operation, realTime bool) bool {
 	return oneShot(obj, ops, realTime).search()
 }
 
-// oneShot lays ops out for a single search: one row per process that occurs,
-// in ascending process id, each holding its process's operations in slice
-// order. Process ids may be negative or sparse. It panics when the slice
+// oneShot lays ops out for a single search the way an Incremental does: row
+// p holds process p's operations in slice order, so a history over processes
+// [0,n) takes n rows. It panics on a negative process id, and when the slice
 // breaks per-process alternation (strictly increasing ID.Idx, every non-final
 // operation complete and responding before its successor's invocation), the
 // shape the search's front collapse relies on and trace.Operations always
 // yields.
 func oneShot(obj trace.Object, ops []trace.Operation, realTime bool) *Incremental {
-	var procs []int // the distinct process ids, ascending
+	n := 0
 	for i := range ops {
-		if k, found := slices.BinarySearch(procs, ops[i].ID.Proc); !found {
-			procs = slices.Insert(procs, k, ops[i].ID.Proc)
+		p := ops[i].ID.Proc
+		if p < 0 {
+			panic(fmt.Sprintf("check: operation %v names negative process %d; processes are numbered from 0", ops[i].ID, p))
 		}
+		n = max(n, p+1)
 	}
 	c := &Incremental{
 		obj:      obj,
 		realTime: realTime,
-		n:        len(procs),
+		n:        n,
 		init:     obj.Init(),
 		ops:      ops,
-		byProc:   make([][]int, len(procs)),
+		byProc:   make([][]int, n),
 		readOnly: make([]bool, len(ops)),
 	}
 	for i := range ops {
 		o := &ops[i]
-		r, _ := slices.BinarySearch(procs, o.ID.Proc)
-		row := c.byProc[r]
+		row := c.byProc[o.ID.Proc]
 		if len(row) > 0 {
 			if prev := &ops[row[len(row)-1]]; prev.ID.Idx >= o.ID.Idx || prev.Pending() || prev.Res >= o.Inv {
 				panic(fmt.Sprintf("check: operations %v and %v of process %d break per-process alternation", prev.ID, o.ID, o.ID.Proc))
 			}
 		}
-		c.byProc[r] = append(row, i)
+		c.byProc[o.ID.Proc] = append(row, i)
 		c.readOnly[i] = c.readOnlyOp(o.Op)
 		if !o.Pending() {
 			c.nComplete++

@@ -1,11 +1,10 @@
 package check
 
 // Tests of the one-shot entry points (LinearizableOps, SeqConsistentOps):
-// agreement with the independent generic search, the inputs that once took
-// a separate fallback search (negative or sparse process ids, more than
-// 65,535 operations on one process, out-of-range processes fed to an
-// Incremental), the alternation panic, and a pin of the search's node
-// counts.
+// agreement with the independent generic search, a process of more than
+// 65,535 operations, the layout panics, and a pin of the search's node
+// counts. Words over negative or sparse process ids are package lang's
+// Judge's to renumber; its tests pin that.
 
 import (
 	"math/rand"
@@ -34,59 +33,6 @@ func TestOneShotMatchesGenericSearch(t *testing.T) {
 				if got, want := checkOps(obj, ops, realTime), genericOK(obj, ops, realTime); got != want {
 					t.Fatalf("%s realTime=%v: one-shot=%v generic=%v on %v",
 						obj.Name(), realTime, got, want, w)
-				}
-			}
-		}
-	}
-}
-
-// relabel renames every process of w through f.
-func relabel(w trace.Word, f func(int) int) trace.Word {
-	out := append(trace.Word(nil), w...)
-	for i := range out {
-		out[i].Proc = f(out[i].Proc)
-	}
-	return out
-}
-
-// TestOneShotNegativeAndSparseProcesses pins the dense row layout: histories
-// whose process ids are negative, sparse or both are decided exactly as the
-// generic search and the densely numbered original decide them, by the
-// one-shot checkers and by an Incremental whose range [0,n) misses them.
-func TestOneShotNegativeAndSparseProcesses(t *testing.T) {
-	relabels := map[string]func(int) int{
-		"negative": func(p int) int { return -1 - p },
-		"sparse":   func(p int) int { return 1000*p + 3 },
-		"mixed": func(p int) int {
-			if p%2 == 0 {
-				return -7*p - 1
-			}
-			return p << 40
-		},
-	}
-	objects := []trace.Object{trace.Register(), trace.Queue(), trace.Ledger()}
-	for name, f := range relabels {
-		rng := rand.New(rand.NewSource(5))
-		for _, obj := range objects {
-			for trial := 0; trial < 40; trial++ {
-				w := randomHistory(rng, obj, 8+rng.Intn(20), 2+rng.Intn(3))
-				rw := relabel(w, f)
-				ops, rops := trace.Operations(w), trace.Operations(rw)
-				for _, realTime := range []bool{true, false} {
-					want := genericOK(obj, rops, realTime)
-					if got := checkOps(obj, rops, realTime); got != want {
-						t.Fatalf("%s %s realTime=%v: one-shot=%v generic=%v on %v", name, obj.Name(), realTime, got, want, rw)
-					}
-					if dense := checkOps(obj, ops, realTime); dense != want {
-						t.Fatalf("%s %s realTime=%v: relabelled verdict %v, original %v on %v", name, obj.Name(), realTime, want, dense, w)
-					}
-					chk := NewIncremental(obj, realTime, 2)
-					for i, s := range rw {
-						chk.Append(s)
-						if got, want := chk.OK(), genericOK(obj, trace.Operations(rw[:i+1]), realTime); got != want {
-							t.Fatalf("%s %s realTime=%v prefix %d: incremental=%v generic=%v on %v", name, obj.Name(), realTime, i+1, got, want, rw)
-						}
-					}
 				}
 			}
 		}
@@ -132,24 +78,31 @@ func TestOneShotLongProcess(t *testing.T) {
 	}
 }
 
-// TestOneShotPanicsOnNonAlternatingOps pins the layout guard: a hand-built
+// TestOneShotPanicsOnNonAlternatingOps pins the layout guards: a hand-built
 // operation slice whose same-process operations overlap is not a history
-// trace.Operations can produce, and the one-shot checkers panic on it rather
-// than mis-search it.
+// trace.Operations can produce, and one naming a negative process has no
+// row, so the one-shot checkers panic on both rather than mis-search them.
 func TestOneShotPanicsOnNonAlternatingOps(t *testing.T) {
-	ops := []trace.Operation{
-		{ID: trace.OpID{Proc: 0, Idx: 0}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 0, Res: 3},
-		{ID: trace.OpID{Proc: 0, Idx: 1}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 1, Res: 2},
+	cases := map[string][]trace.Operation{
+		"overlapping same-process operations": {
+			{ID: trace.OpID{Proc: 0, Idx: 0}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 0, Res: 3},
+			{ID: trace.OpID{Proc: 0, Idx: 1}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 1, Res: 2},
+		},
+		"a negative process": {
+			{ID: trace.OpID{Proc: -1, Idx: 0}, Op: trace.OpRead, Ret: trace.Int(0), Inv: 0, Res: 1},
+		},
 	}
-	for _, realTime := range []bool{true, false} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("realTime=%v: overlapping same-process operations did not panic", realTime)
-				}
+	for name, ops := range cases {
+		for _, realTime := range []bool{true, false} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("realTime=%v: %s did not panic", realTime, name)
+					}
+				}()
+				checkOps(trace.Register(), ops, realTime)
 			}()
-			checkOps(trace.Register(), ops, realTime)
-		}()
+		}
 	}
 }
 

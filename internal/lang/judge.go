@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -41,18 +42,14 @@ type Violation struct {
 
 // Violation reports whether, and at which response-ended prefix, w first
 // violates the condition; nil means no prefix does. LIN and SC run one
-// forward pass of a check.Incremental borrowed from pool (nil: a new one),
-// EC one of a check.ECLedger; WEC and SEC call their clause checker.
+// forward pass of a check.Incremental borrowed from pool (nil: a new one) on
+// w numbered densely (see dense), EC one of a check.ECLedger; WEC and SEC
+// call their clause checker.
 func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
 	switch j.Cond {
 	case LIN, SC:
-		var chk *check.Incremental
-		if pool != nil {
-			chk = pool.Get(j.Object, j.Cond == LIN, w.Procs())
-		} else {
-			chk = check.NewIncremental(j.Object, j.Cond == LIN, w.Procs())
-		}
-		if k := firstViolation(chk, w); k > 0 {
+		w, n := dense(w)
+		if k := firstViolation(pool.Get(j.Object, j.Cond == LIN, n), w); k > 0 {
 			return &Violation{Prefix: k}
 		}
 	case EC:
@@ -76,6 +73,27 @@ func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
 		}
 	}
 	return nil
+}
+
+// dense returns w and its process count when every process id lies in
+// [0,len(w)), which bounds the checker's rows by the word's length, and
+// otherwise a copy of w numbered 0..k-1 in ascending id order, and k. Symbols
+// keep their positions, so prefix lengths carry over.
+func dense(w trace.Word) (trace.Word, int) {
+	if !slices.ContainsFunc(w, func(s trace.Symbol) bool { return s.Proc < 0 || s.Proc >= len(w) }) {
+		return w, w.Procs()
+	}
+	ids := make([]int, len(w))
+	for i, s := range w {
+		ids[i] = s.Proc
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := w.Clone()
+	for i := range out {
+		out[i].Proc, _ = slices.BinarySearch(ids, out[i].Proc)
+	}
+	return out, len(ids)
 }
 
 // firstViolation feeds w to a checker of the empty history and returns the

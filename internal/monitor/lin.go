@@ -128,11 +128,7 @@ func (l *predictiveLogic) attachPool(p *check.Pool) {
 // package's tests).
 func (l *predictiveLogic) accept(h trace.Word) bool {
 	if l.chk == nil {
-		if l.pool != nil {
-			l.chk = l.pool.Get(l.obj, l.realTime, l.n)
-		} else {
-			l.chk = check.NewIncremental(l.obj, l.realTime, l.n)
-		}
+		l.chk = l.pool.Get(l.obj, l.realTime, l.n)
 	}
 	return l.chk.CheckExtending(h, l.same)
 }
