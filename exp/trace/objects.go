@@ -179,10 +179,12 @@ func (ledger) RandArg(op string, rng *rand.Rand) Value {
 // copy — checker searches apply every candidate operation at every visited
 // node, which made copying the dominant cost of SC_LED/LIN_LED scenarios.
 // Each node interns its append children, one per distinct record, so a node
-// is a record list and its id names the state within its tree. The
-// materialized record list is cached on the node the first time get needs
-// it; states remain immutable values (the caches fill in idempotently, and
-// states never cross goroutines mid-search).
+// is a record list and its id names the state within its tree. No node
+// caches its record list: a node costs O(1) memory whatever its depth, get
+// builds the list with one parent walk, and Answers tests a recorded get
+// response against the parent links without building it. States remain
+// immutable values (the child links fill in idempotently, and states never
+// cross goroutines mid-search).
 type ledState struct {
 	n *ledNode
 }
@@ -193,12 +195,11 @@ type ledNode struct {
 	parent   *ledNode       // the ledger without its last record; nil at the root
 	kid, sib *ledNode       // first interned append child; next sibling
 	rec      Rec
-	seq      Seq   // lazy: materialized record list
-	val      Value // lazy: seq boxed once, so get never re-boxes
+	depth    int // records; 0 = the tree's empty-ledger root
 }
 
 // emptyRecs is the boxed return of get on the empty ledger, shared so the
-// hot checker loop never re-boxes the slice header.
+// empty case never re-boxes the slice header.
 var emptyRecs Value = Seq(nil)
 
 // AppendKey is "l" followed by len(rec) + ":" + rec per record, oldest
@@ -216,24 +217,22 @@ func (n *ledNode) appendRecs(b []byte) []byte {
 	return append(append(b, ':'), n.rec...)
 }
 
+// recs returns a new list of the records, oldest first, filled by one walk
+// from the newest record up the parent links.
 func (n *ledNode) recs() Seq {
-	if n.parent == nil {
-		return nil
+	seq := make(Seq, n.depth)
+	for i := len(seq) - 1; i >= 0; i-- {
+		seq[i] = n.rec
+		n = n.parent
 	}
-	if n.seq == nil {
-		parent := n.parent.recs()
-		// Cap the parent's slice so sibling appends cannot share growth.
-		n.seq = append(parent[:len(parent):len(parent)], n.rec)
-	}
-	return n.seq
+	return seq
 }
 
 // ID implements Interned.
 func (s ledState) ID() uint64 { return s.n.id }
 
-// child returns the interned node for n with r appended. Like the seq
-// cache, the child links rely on states staying within one goroutine
-// between appends.
+// child returns the interned node for n with r appended. The child links
+// rely on states staying within one goroutine between appends.
 func (n *ledNode) child(r Rec) *ledNode {
 	for k := n.kid; k != nil; k = k.sib {
 		if k.rec == r {
@@ -241,7 +240,7 @@ func (n *ledNode) child(r Rec) *ledNode {
 		}
 	}
 	k, id := n.tree.alloc()
-	*k = ledNode{tree: n.tree, id: id, parent: n, sib: n.kid, rec: r}
+	*k = ledNode{tree: n.tree, id: id, parent: n, sib: n.kid, rec: r, depth: n.depth + 1}
 	n.kid = k
 	return k
 }
@@ -255,20 +254,40 @@ func (s ledState) Apply(op string, arg Value) (State, Value, bool) {
 		}
 		return ledState{n: s.n.child(r)}, Unit{}, true
 	case OpGet:
-		// States are immutable and Values are never mutated by consumers, so
-		// the cached record list can be returned without a defensive clone —
-		// and without re-boxing it into a Value on every call, which was the
-		// dominant allocation of checker searches.
-		if s.n.parent == nil {
+		// Values are never mutated by consumers, so the empty list is shared;
+		// any other list is new, and the state keeps no copy of it.
+		if s.n.depth == 0 {
 			return s, emptyRecs, true
 		}
-		if s.n.val == nil {
-			s.n.val = s.n.recs()
-		}
-		return s, s.n.val, true
+		return s, s.n.recs(), true
 	default:
 		return s, nil, false
 	}
+}
+
+// Answers reports whether op(arg) applied to s may return ret, and the state
+// after it: exactly Apply followed by the returned value's Equal(ret). A get
+// is answered without building the record list: ret must be a Seq as long
+// as the ledger, and its records are compared newest first along the parent
+// links, with no allocation. Checker searches test every complete operation
+// this way.
+func (s ledState) Answers(op string, arg, ret Value) (State, bool) {
+	if op != OpGet {
+		nxt, got, ok := s.Apply(op, arg)
+		return nxt, ok && got.Equal(ret)
+	}
+	t, ok := ret.(Seq)
+	if !ok || len(t) != s.n.depth {
+		return s, false
+	}
+	n := s.n
+	for i := len(t) - 1; i >= 0; i-- {
+		if t[i] != n.rec {
+			return s, false
+		}
+		n = n.parent
+	}
+	return s, true
 }
 
 // ---------------------------------------------------------------- vector

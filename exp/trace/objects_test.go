@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -214,5 +215,131 @@ func TestRandArgTypes(t *testing.T) {
 				t.Errorf("%s.%s rejects its own RandArg %v", obj.Name(), sig.Name, v)
 			}
 		}
+	}
+}
+
+// answerer is the optional response test the ledger state offers checker
+// searches.
+type answerer interface {
+	Answers(op string, arg, ret trace.Value) (trace.State, bool)
+}
+
+// checkAnswers asserts that st answers op(arg) with ret exactly as Apply
+// followed by Equal does, reaching the same state.
+func checkAnswers(t *testing.T, st trace.State, op string, arg, ret trace.Value) bool {
+	t.Helper()
+	a, ok := st.(answerer)
+	if !ok {
+		t.Fatalf("%T has no Answers", st)
+	}
+	wantNext, got, applied := st.Apply(op, arg)
+	want := applied && got.Equal(ret)
+	next, ok := a.Answers(op, arg, ret)
+	if ok != want {
+		t.Fatalf("state %q: Answers(%s, %v, %v) = %v, Apply+Equal = %v", key(st), op, arg, ret, ok, want)
+	}
+	if ok && next.(trace.Interned).ID() != wantNext.(trace.Interned).ID() {
+		t.Fatalf("state %q: Answers(%s, %v) reaches %q, Apply reaches %q", key(st), op, arg, key(next), key(wantNext))
+	}
+	return ok
+}
+
+// TestLedgerAnswersMatchesApply pins the ledger's Answers to Apply followed
+// by Equal: on the cases the parent-link walk could get wrong, and on every
+// node of random interned ledgers up to depth 64, against responses drawn
+// from the tree itself, their off-by-one truncations and extensions, single
+// record changes and values that are not record lists.
+func TestLedgerAnswersMatchesApply(t *testing.T) {
+	u := trace.Unit{}
+	root := trace.Ledger().Init()
+	ambiguous := applyAll(root, trace.OpAppend, trace.Rec("a"), trace.Rec("a|a"))
+	for _, tc := range []struct {
+		name string
+		st   trace.State
+		op   string
+		arg  trace.Value
+		ret  trace.Value
+		want bool
+	}{
+		{"[a, a|a] answers itself", ambiguous, trace.OpGet, u, trace.Seq{"a", "a|a"}, true},
+		{"[a, a|a] is not [a|a, a]", ambiguous, trace.OpGet, u, trace.Seq{"a|a", "a"}, false},
+		{"[a, a|a] is not [a, a, a]", ambiguous, trace.OpGet, u, trace.Seq{"a", "a", "a"}, false},
+		{"empty answers nil", root, trace.OpGet, u, trace.Seq(nil), true},
+		{"empty answers []", root, trace.OpGet, u, trace.Seq{}, true},
+		{"empty is not [a]", root, trace.OpGet, u, trace.Seq{"a"}, false},
+		{"one short", ambiguous, trace.OpGet, u, trace.Seq{"a"}, false},
+		{"one long", ambiguous, trace.OpGet, u, trace.Seq{"a", "a|a", "a"}, false},
+		{"a record is not a list", ambiguous, trace.OpGet, u, trace.Rec("a"), false},
+		{"unit is not a list", root, trace.OpGet, u, u, false},
+		{"nil is not a list", root, trace.OpGet, u, nil, false},
+		{"append answers unit", ambiguous, trace.OpAppend, trace.Rec("b"), u, true},
+		{"append does not answer a list", ambiguous, trace.OpAppend, trace.Rec("b"), trace.Seq{"a"}, false},
+		{"append needs a record", ambiguous, trace.OpAppend, trace.Int(1), u, false},
+		{"unknown operation", ambiguous, "bogus", u, u, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkAnswers(t, tc.st, tc.op, tc.arg, tc.ret); got != tc.want {
+				t.Errorf("answered %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for tree := 0; tree < 20; tree++ {
+		// A small record alphabet makes appends reconverge on interned
+		// nodes, so sibling lists share long prefixes.
+		recs := []trace.Rec{"a", "b", "a|a", "", "ab"}
+		states := []trace.State{trace.Ledger().Init()}
+		lists := []trace.Seq{nil}
+		for len(states) < 200 {
+			i := rng.Intn(len(states))
+			if len(lists[i]) >= 64 {
+				continue
+			}
+			r := recs[rng.Intn(len(recs))]
+			if !checkAnswers(t, states[i], trace.OpAppend, r, u) {
+				t.Fatal("append refused unit")
+			}
+			next, _, _ := states[i].Apply(trace.OpAppend, r)
+			states = append(states, next)
+			lists = append(lists, append(lists[i][:len(lists[i]):len(lists[i])], r))
+		}
+		for i, st := range states {
+			if !checkAnswers(t, st, trace.OpGet, u, lists[i]) {
+				t.Fatalf("state %q refused its own list %v", key(st), lists[i])
+			}
+			checkAnswers(t, st, trace.OpGet, u, lists[rng.Intn(len(lists))])
+			if l := lists[i]; len(l) > 0 {
+				checkAnswers(t, st, trace.OpGet, u, l[:len(l)-1])
+				checkAnswers(t, st, trace.OpGet, u, l[1:])
+				changed := l.Clone()
+				changed[rng.Intn(len(changed))] = recs[rng.Intn(len(recs))]
+				checkAnswers(t, st, trace.OpGet, u, changed)
+			}
+			checkAnswers(t, st, trace.OpGet, u, append(lists[i].Clone(), recs[rng.Intn(len(recs))]))
+			checkAnswers(t, st, trace.OpGet, u, recs[rng.Intn(len(recs))])
+		}
+	}
+}
+
+// TestLedgerAnswersDoesNotAllocate pins the point of Answers: a complete get
+// is tested against a deep ledger without building its record list.
+func TestLedgerAnswersDoesNotAllocate(t *testing.T) {
+	st := trace.Ledger().Init()
+	recs := make(trace.Seq, 100)
+	for i := range recs {
+		recs[i] = trace.Rec(fmt.Sprintf("r%d", i))
+		st, _, _ = st.Apply(trace.OpAppend, recs[i])
+	}
+	a := st.(answerer)
+	var ret trace.Value = recs
+	var arg trace.Value = trace.Unit{}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := a.Answers(trace.OpGet, arg, ret); !ok {
+			t.Fatal("depth-100 ledger refused its own list")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Answers(get) at depth 100 allocates %v times, want 0", allocs)
 	}
 }

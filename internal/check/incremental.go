@@ -287,7 +287,7 @@ func (c *Incremental) Append(sym trace.Symbol) {
 			}
 		case idx:
 			// The witness dropped the operation; append it at the end.
-			if nxt, ret, ok := c.wState.Apply(o.Op, o.Arg); ok && ret.Equal(sym.Val) {
+			if nxt, ok := answers(c.wState, o); ok {
 				c.wState = nxt
 				c.wFront[p] = idx + 1
 				c.extends++
@@ -481,11 +481,15 @@ func (c *Incremental) rec(st trace.State) bool {
 		if !c.placeable(p, o.Inv) {
 			continue
 		}
-		nxt, ret, ok := st.Apply(o.Op, o.Arg)
-		if !ok {
-			continue
+		var nxt trace.State
+		var ret trace.Value
+		ok := false
+		if pending {
+			nxt, ret, ok = st.Apply(o.Op, o.Arg)
+		} else {
+			nxt, ok = answers(st, o)
 		}
-		if !pending && !ret.Equal(o.Ret) {
+		if !ok {
 			continue
 		}
 		c.sFront[p]++
@@ -547,8 +551,8 @@ func (c *Incremental) placeRead(st trace.State) (ok, placed bool) {
 		if !c.readOnly[oi] || o.Pending() {
 			continue
 		}
-		nxt, ret, applied := st.Apply(o.Op, o.Arg)
-		if !applied || !ret.Equal(o.Ret) || !c.placeable(p, o.Inv) {
+		nxt, answered := answers(st, o)
+		if !answered || !c.placeable(p, o.Inv) {
 			continue
 		}
 		c.sFront[p]++
@@ -564,6 +568,24 @@ func (c *Incremental) placeRead(st trace.State) (ok, placed bool) {
 		return false, true
 	}
 	return false, false
+}
+
+// answerer is an optional State interface: a state that tests a recorded
+// response itself, cheaper than Apply followed by Equal. The ledger answers a
+// get against its parent links without building the record list.
+type answerer interface {
+	Answers(op string, arg, ret trace.Value) (trace.State, bool)
+}
+
+// answers reports whether the complete operation o, applied to st, returns
+// its recorded response, and the state after it: the state's own answer when
+// it has one, Apply followed by Equal otherwise.
+func answers(st trace.State, o *trace.Operation) (trace.State, bool) {
+	if a, ok := st.(answerer); ok {
+		return a.Answers(o.Op, o.Arg, o.Ret)
+	}
+	nxt, ret, ok := st.Apply(o.Op, o.Arg)
+	return nxt, ok && ret.Equal(o.Ret)
 }
 
 // Pool recycles Incremental checkers across the runs of one worker: Get

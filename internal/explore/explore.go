@@ -104,10 +104,12 @@ type Options struct {
 	// mutating corpus entries instead of drawing fresh random specs. 0, or
 	// an empty corpus, reproduces the blind sweep scenario for scenario.
 	MutateFrac float64
-	// Round is the number of scenarios run between corpus folds (0 = the
-	// default). Smaller rounds feed discoveries back into mutation sooner at
-	// slightly more fold overhead; the round size must be identical for two
-	// runs to compare byte-for-byte, and is independent of Workers.
+	// Round is the number of scenarios a guided sweep runs between corpus
+	// folds (0 = the default): rounds pace corpus growth. Smaller rounds
+	// feed discoveries back into mutation sooner at slightly more fold
+	// overhead; the round size must be identical for two guided runs to
+	// compare byte-for-byte, and is independent of Workers. A blind sweep
+	// (Corpus nil) has nothing to feed back and runs as one round.
 	Round int
 	// Wrap, when non-nil, wraps every scenario's monitor; tests use it to
 	// inject synthetically broken monitors and assert the explorer catches
@@ -218,11 +220,14 @@ const guidedSalt = 0x9ded
 
 // Explore runs the configured number of scenarios on a bounded worker pool
 // and folds the outcomes into a report that is identical for every worker
-// count. With a corpus and MutateFrac > 0 the sweep is coverage-guided: it
-// runs in rounds, splitting each round's budget between fresh random specs
-// and mutations of corpus entries, and folds novel-signature specs into the
+// count. With a corpus the sweep runs in rounds, and with MutateFrac > 0 it
+// is coverage-guided: each round's budget splits between fresh random specs
+// and mutations of corpus entries, and novel-signature specs fold into the
 // corpus between rounds (in scenario-index order, so guidance is as
-// deterministic as generation).
+// deterministic as generation). A blind sweep is one round. The fold queues
+// one shrink per new Bug and per Failure, in scenario-index order; after the
+// last round the shrinks run on the same pool, each writing only its own
+// report entry.
 func Explore(opts Options) (*Report, error) {
 	if opts.Scenarios < 0 {
 		return nil, fmt.Errorf("explore: negative scenario count %d", opts.Scenarios)
@@ -233,9 +238,12 @@ func Explore(opts Options) (*Report, error) {
 	if err := opts.Gen.validate(); err != nil {
 		return nil, err
 	}
-	round := opts.Round
-	if round <= 0 {
-		round = defaultRound
+	round := opts.Scenarios
+	if opts.Corpus != nil {
+		round = opts.Round
+		if round <= 0 {
+			round = defaultRound
+		}
 	}
 
 	// One runner per worker: each owns a pooled runtime+session pair and a
@@ -279,6 +287,7 @@ func Explore(opts Options) (*Report, error) {
 	outcomes := make([]*Outcome, opts.Scenarios)
 	errs := make([]error, opts.Scenarios)
 	seen := map[string]bool{}
+	var shrinks []shrinkJob
 	var mu sync.Mutex
 	// The generator and guidance rngs are reused across indices by reseeding:
 	// rand.Rand.Seed reproduces exactly the stream a fresh rand.NewSource
@@ -340,9 +349,8 @@ func Explore(opts Options) (*Report, error) {
 		})
 
 		// Fold the round in scenario-index order: aggregate counters, record
-		// coverage, grow the corpus with novel-signature specs, and shrink
-		// divergences (every worker has drained, so worker 0's pooled runner
-		// is free to replay shrink candidates).
+		// coverage, grow the corpus with novel-signature specs, and queue the
+		// shrinks of new bugs and divergences.
 		for i := next; i < next+batch; i++ {
 			if errs[i] != nil {
 				return nil, fmt.Errorf("explore: scenario %d (%s): %w", i, specs[i], errs[i])
@@ -379,23 +387,20 @@ func Explore(opts Options) (*Report, error) {
 			}
 			if len(out.OracleFailures) > 0 {
 				rep.BugScenarios++
-				rep.foldBug(out, runners[0], opts)
+				if rep.foldBug(out) && opts.Shrink {
+					shrinks = append(shrinks, shrinkJob{bug: true, slot: len(rep.Bugs) - 1, spec: out.Spec, found: out.OracleFailures})
+				}
 			}
 			if len(out.Divergences) == 0 {
 				continue
 			}
-			f := Failure{Spec: out.Spec.String(), Divergences: out.Divergences}
+			rep.Failures = append(rep.Failures, Failure{Spec: out.Spec.String(), Divergences: out.Divergences})
 			if opts.Shrink {
-				shrunk, still := ShrinkSpec(out.Spec, runners[0], opts.ShrinkBudget)
-				if len(still) > 0 {
-					f.Shrunk = shrunk.String()
-					f.ShrunkSteps = shrunk.Steps
-					f.ShrunkDivergences = still
-				}
+				shrinks = append(shrinks, shrinkJob{slot: len(rep.Failures) - 1, spec: out.Spec, found: firstRun(out.Divergences)})
 			}
-			rep.Failures = append(rep.Failures, f)
 		}
 	}
+	pool.Run(len(shrinks), func(w, j int) { shrinks[j].run(rep, runners[w], opts.ShrinkBudget) })
 	if opts.Corpus != nil {
 		rep.CorpusNew = opts.Corpus.Len() - rep.CorpusSeeds
 	}
@@ -411,34 +416,62 @@ func Explore(opts Options) (*Report, error) {
 }
 
 // foldBug accounts one bug-exposing object scenario: the first hit per
-// object/impl pair becomes a Bug entry (shrunk to a minimal reproducer when
-// shrinking is on — one shrink per impl, so a sweep saturated with findings
-// stays cheap), later hits only bump its count. Called in scenario-index
-// order, so the Bugs list is as worker-count-independent as the rest of the
-// report.
-func (r *Report) foldBug(out *Outcome, runner Runner, opts Options) {
+// object/impl pair becomes a Bug entry, and foldBug reports true (the sweep
+// shrinks that entry — one shrink per impl, so a sweep saturated with
+// findings stays cheap); later hits only bump its count. Called in
+// scenario-index order, so the Bugs list is as worker-count-independent as
+// the rest of the report.
+func (r *Report) foldBug(out *Outcome) bool {
 	for i := range r.Bugs {
 		if r.Bugs[i].Object == out.Spec.Object && r.Bugs[i].Impl == out.Spec.Impl {
 			r.Bugs[i].Count++
-			return
+			return false
 		}
 	}
-	b := Bug{
+	r.Bugs = append(r.Bugs, Bug{
 		Object:   out.Spec.Object,
 		Impl:     out.Spec.Impl,
 		Spec:     out.Spec.String(),
 		Failures: out.OracleFailures,
 		Count:    1,
-	}
-	if opts.Shrink {
-		shrunk, still := ShrinkBugSpec(out.Spec, runner, opts.ShrinkBudget)
-		if len(still) > 0 {
-			b.Shrunk = shrunk.String()
-			b.ShrunkSteps = shrunk.Steps
-			b.ShrunkFailures = still
+	})
+	return true
+}
+
+// shrinkJob is one queued shrink of a report entry: Bugs[slot] when bug is
+// set, else Failures[slot]. spec is the entry's scenario and found the
+// findings its sweep execution produced, so the shrink starts from them
+// instead of re-running the scenario.
+type shrinkJob struct {
+	bug   bool
+	slot  int
+	spec  Spec
+	found []Divergence
+}
+
+// run shrinks the job's scenario on the runner and fills in its report
+// entry's reproducer. It writes that entry alone, so jobs run concurrently.
+func (j shrinkJob) run(rep *Report, r Runner, budget int) {
+	if j.bug {
+		shrunk, still := shrinkWhere(j.spec, j.found, r, budget, oracleFailures)
+		if b := &rep.Bugs[j.slot]; len(still) > 0 {
+			b.Shrunk, b.ShrunkSteps, b.ShrunkFailures = shrunk.String(), shrunk.Steps, still
 		}
+		return
 	}
-	r.Bugs = append(r.Bugs, b)
+	shrunk, still := shrinkWhere(j.spec, j.found, r, budget, divergences)
+	if f := &rep.Failures[j.slot]; len(still) > 0 {
+		f.Shrunk, f.ShrunkSteps, f.ShrunkDivergences = shrunk.String(), shrunk.Steps, still
+	}
+}
+
+// firstRun drops the replay check's divergence, which only a second
+// execution can produce, leaving what one execution of the spec found.
+func firstRun(ds []Divergence) []Divergence {
+	if n := len(ds); n > 0 && ds[n-1].Check == CheckReplay {
+		return ds[:n-1]
+	}
+	return ds
 }
 
 // langCheckNames returns the language family's differential checks, sorted.

@@ -206,12 +206,15 @@ func TestExecuteReleasesPerCallSession(t *testing.T) {
 // pooled. The oracle searches intern queue, stack and ledger states into
 // slab-allocated trees keyed by id; before that, each visited state cost its
 // own node and memo-key bytes, and the batch averaged ~1408 obj and ~1189
-// lang allocations, with budgets of 2000 and 1550. Obj and lang keep about
-// 1.3× their steady state.
+// lang allocations, with budgets of 2000 and 1550. Ledger states stopped
+// caching their record lists, and searches answer a complete get without
+// building one; before that, the batch averaged ~233 obj and ~1119 lang
+// allocations, with budgets of 300 and 1460. Obj and lang keep about 1.3×
+// their steady state.
 const (
-	objAllocBudget  = 300  // measured steady state ~230
-	msgAllocBudget  = 1100 // measured steady state ~535 (fresh runner: ~1078)
-	langAllocBudget = 1460 // measured steady state ~1122
+	objAllocBudget  = 250  // measured steady state ~193
+	msgAllocBudget  = 1100 // measured steady state ~585 (fresh runner: ~1078)
+	langAllocBudget = 1400 // measured steady state ~1071
 )
 
 func TestPooledExecuteAllocBudgetObj(t *testing.T) {

@@ -12,7 +12,8 @@ package explore
 // The same machinery minimizes object-family bug findings: shrinkWhere
 // parameterizes what counts as "still interesting" — stack divergences for
 // ShrinkSpec, exposed implementation bugs (OracleFailures) for the Bug
-// entries of a report.
+// entries of a report. A sweep shrinks from the findings its own execution
+// of the scenario produced; the exported forms execute the scenario first.
 
 // defaultShrinkBudget bounds candidate executions per shrink.
 const defaultShrinkBudget = 200
@@ -21,11 +22,11 @@ const defaultShrinkBudget = 200
 // fewer crashes, fewer dropped messages (message-passing family), fewer
 // processes, fewer workload operations (object and message-passing families),
 // fewer scheduler steps. It returns the smallest divergent spec found
-// together with its divergences; when the original spec itself no longer
-// diverges (a nondeterministic monitor — in itself a finding the replay
-// check reports), the returned divergence list is empty.
+// together with its divergences; when the original spec, executed afresh, no
+// longer diverges (a nondeterministic monitor — in itself a finding the
+// replay check reports), the returned divergence list is empty.
 func ShrinkSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
-	return shrinkWhere(s, r, budget, func(o *Outcome) []Divergence { return o.Divergences })
+	return shrinkFresh(s, r, budget, divergences)
 }
 
 // ShrinkBugSpec minimizes an object scenario that exposed a planted
@@ -33,17 +34,39 @@ func ShrinkSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
 // "some divergence survives" — the reproducer shows the bug, in as few
 // scheduler steps (and workload operations) as the seed's schedule allows.
 func ShrinkBugSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
-	return shrinkWhere(s, r, budget, func(o *Outcome) []Divergence { return o.OracleFailures })
+	return shrinkFresh(s, r, budget, oracleFailures)
 }
 
-// shrinkWhere is the generic minimizer: pick extracts the findings that must
-// survive shrinking (non-empty = the candidate is still interesting), and
-// the smallest interesting spec is returned with its surviving findings.
-func shrinkWhere(s Spec, r Runner, budget int, pick func(*Outcome) []Divergence) (Spec, []Divergence) {
+func divergences(o *Outcome) []Divergence    { return o.Divergences }
+func oracleFailures(o *Outcome) []Divergence { return o.OracleFailures }
+
+// shrinkFresh executes s once for the findings pick extracts, then shrinks
+// from them.
+func shrinkFresh(s Spec, r Runner, budget int, pick func(*Outcome) []Divergence) (Spec, []Divergence) {
+	out, err := r.Execute(s)
+	if err != nil {
+		return s, nil
+	}
+	return shrinkWhere(s, pick(out), r, budget, pick)
+}
+
+// shrinkWhere is the generic minimizer. found are the findings an execution
+// of s produced, and pick extracts a candidate's findings that must survive
+// shrinking (non-empty = the candidate is still interesting); the smallest
+// interesting spec is returned with its surviving findings. An empty found
+// returns s with none. The budget counts the execution that produced found,
+// which shrinkWhere does not repeat, so a budget of 1 returns s as is. Since
+// found is taken as given, the exported forms' nondeterministic-monitor
+// remark does not apply here.
+func shrinkWhere(s Spec, found []Divergence, r Runner, budget int, pick func(*Outcome) []Divergence) (Spec, []Divergence) {
 	if budget <= 0 {
 		budget = defaultShrinkBudget
 	}
-	var last []Divergence
+	if len(found) == 0 {
+		return s, nil
+	}
+	budget-- // the execution that produced found
+	last := found
 	diverges := func(cand Spec) bool {
 		if budget <= 0 {
 			return false
@@ -55,9 +78,6 @@ func shrinkWhere(s Spec, r Runner, budget int, pick func(*Outcome) []Divergence)
 		}
 		last = pick(out)
 		return true
-	}
-	if !diverges(s) {
-		return s, nil
 	}
 	best := s
 
