@@ -12,7 +12,7 @@
 //     processes as coroutines under a deterministic cooperative scheduler.
 //   - internal/mem — the shared-memory substrate: atomic registers, arrays,
 //     snapshots (one-step and the AADGMS wait-free protocol), collects,
-//     test&set, compare&swap and consensus.
+//     compare&swap and consensus.
 //   - exp/trace, internal/check, internal/lang — the distributed-language
 //     machinery of Section 2: alphabets, ω-word prefixes, sequential
 //     objects, consistency checkers, and the seven Table 1 languages with
@@ -58,7 +58,9 @@
 //     complete Table 1 harness.
 //   - internal/sut — real object implementations (correct and seeded-bug)
 //     monitored end to end; internal/msgnet and internal/abd port the stack
-//     to message passing via the ABD register emulation.
+//     to message passing via the ABD register emulation. Replicas are
+//     served only by abd.Servers aux actors, one per process, and a client
+//     waiting for its quorum parks on msgnet.Net.RecvAwait.
 //   - internal/explore — the coverage-guided scenario explorer: seeded
 //     random schedules, crash schedules and adversary behaviours run through
 //     the real monitors, with every verdict stream differentially checked

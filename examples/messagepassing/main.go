@@ -36,44 +36,32 @@ func main() {
 	)
 
 	rt := sched.New(procs, sched.Random(seed))
+	defer rt.Stop()
 	nt := msgnet.New(procs, msgnet.RandomOrder(seed))
 	nt.Register(rt)
 	reg := abd.NewRegister("x", procs, nt, 0)
+	// Replicas answer from one aux actor per process, so a finished client
+	// simply returns and the others' majorities stay reachable.
+	abd.Servers(rt, procs, reg)
 	svc := sut.NewService(procs, abd.NewRegisterImpl(reg),
 		sut.NewRandomWorkload(trace.Register(), procs, opsPerProc, 0.5, seed))
 
-	done := make([]bool, procs)
 	for i := 0; i < procs; i++ {
-		i := i
 		rt.Spawn(i, func(p *sched.Proc) {
 			for {
 				v, ok := svc.NextInv(p.ID)
 				if !ok {
-					done[i] = true
-					// Finished processes keep serving their replica so the
-					// others' majorities stay reachable.
-					for {
-						if !reg.Serve(p) {
-							p.Pause()
-						}
-					}
+					return
 				}
 				svc.Send(p, v)
 				svc.Recv(p)
 			}
 		})
 	}
-	defer rt.Stop()
 
-	allDone := func() bool {
-		for i, d := range done {
-			if !d && !rt.Crashed(i) {
-				return false
-			}
-		}
-		return true
-	}
-	for rt.Steps() < 3_000_000 && !allDone() {
+	// The run drains on its own: once every live client has returned and
+	// the network is empty, no actor is runnable.
+	for rt.Steps() < 3_000_000 {
 		if rt.Steps() == crashStep {
 			fmt.Printf("step %d: crashing process %d (still a minority)\n", crashStep, crashProc)
 			rt.Crash(crashProc)

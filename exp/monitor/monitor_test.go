@@ -284,6 +284,34 @@ func TestSessionReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestSessionReusableAfterClose pins Close's contract: a closed session runs
+// again with the result a never-closed session gives, and closing it twice is
+// safe.
+func TestSessionReusableAfterClose(t *testing.T) {
+	cfg := monitor.Config{N: 3, Object: trace.Queue(), Logic: monitor.LogicLin, History: queueHistory()}
+	ref := monitor.NewSession()
+	defer ref.Close()
+	want, err := ref.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := monitor.NewSession()
+	if _, err := s.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	got, err := s.Run(cfg)
+	if err != nil {
+		t.Fatalf("Run after Close: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("Run after Close diverged:\n%+v\nvs\n%+v", *want, *got)
+	}
+	s.Close()
+	s.Close()
+}
+
 func TestRecorderMisusePanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

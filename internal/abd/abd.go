@@ -15,6 +15,12 @@
 // read queries a majority for the highest triple and then writes it back to
 // a majority before returning — the write-back is what makes reads atomic
 // rather than merely regular.
+//
+// Replicas are served only by scheduler aux actors, one per process,
+// installed by Servers; a client waiting for its quorum parks on
+// msgnet.Net.RecvAwait. A deployment therefore calls Servers once per run
+// before stepping it, and the run drains on its own once every live client
+// has finished.
 package abd
 
 import (
@@ -47,7 +53,8 @@ func (a triple) newer(b triple) bool {
 
 // Register is one emulated multi-writer multi-reader atomic register. A
 // deployment creates one Register per shared variable, all multiplexed over
-// the same network via distinct register names.
+// the same network via distinct register names, and serves their replicas
+// through Servers.
 type Register struct {
 	name string
 	n    int
@@ -56,10 +63,6 @@ type Register struct {
 	replicas []triple
 	seq      []int // per-process RPC sequence numbers
 
-	// auxServed is set by Servers: replicas answer from aux actors, so
-	// clients park on the scheduler gate instead of busy-polling and
-	// self-serving while they wait for a quorum.
-	auxServed bool
 	// noWriteBack is the seeded bug of DropReadWriteBack: reads skip the
 	// write-back phase, demoting the register from atomic to regular.
 	noWriteBack bool
@@ -78,11 +81,9 @@ func NewRegister(name string, n int, net *msgnet.Net, init int64) *Register {
 
 // Reset restores the register to its freshly constructed state for n
 // processes, reusing the replica and sequence buffers. The name, the network
-// binding and the seeded-bug flags (construction parameters) survive;
-// auxServed is cleared and re-armed by the next Servers call.
+// binding and the seeded-bug flags (construction parameters) survive.
 func (r *Register) Reset(n int) {
 	r.n = n
-	r.auxServed = false
 	if cap(r.replicas) >= n {
 		r.replicas = r.replicas[:n]
 		r.seq = r.seq[:n]
@@ -115,20 +116,6 @@ func (r *Register) DropWriteStore() *Register {
 	return r
 }
 
-// Serve handles one incoming protocol message addressed to p's replica, if
-// any is pending; returns false when nothing was handled. Deployments call
-// Serve from each process's main loop (or from a dedicated server pass) so
-// replicas answer while clients are blocked in their own operations —
-// the standard way ABD is layered under a local algorithm.
-func (r *Register) Serve(p *sched.Proc) bool {
-	m, ok := r.net.TryRecv(p, r.isRequest)
-	if !ok {
-		return false
-	}
-	r.handle(p.ID, m, func(mm msgnet.Message) { r.net.Send(p, mm) })
-	return true
-}
-
 // isRequest filters this register's replica-side protocol messages.
 func (r *Register) isRequest(m msgnet.Message) bool {
 	b, isB := m.Body.(body)
@@ -159,12 +146,12 @@ func anyRequest(regs []*Register, id int) bool {
 }
 
 // handle answers one replica-side request on behalf of replica id, sending
-// the reply through send (a stepped Proc send or an inline aux send).
-func (r *Register) handle(id int, m msgnet.Message, send func(msgnet.Message)) {
+// the reply inline from the replica's aux actor.
+func (r *Register) handle(id int, m msgnet.Message) {
 	b := m.Body.(body)
 	switch m.Tag {
 	case tagQueryReq:
-		send(msgnet.Message{
+		r.net.AuxSend(id, msgnet.Message{
 			To: m.From, Tag: tagQueryAck, Seq: m.Seq,
 			Body: body{Reg: r.name, Trip: r.replicas[id]},
 		})
@@ -172,7 +159,7 @@ func (r *Register) handle(id int, m msgnet.Message, send func(msgnet.Message)) {
 		if b.Trip.newer(r.replicas[id]) {
 			r.replicas[id] = b.Trip
 		}
-		send(msgnet.Message{
+		r.net.AuxSend(id, msgnet.Message{
 			To: m.From, Tag: tagStoreAck, Seq: m.Seq,
 			Body: body{Reg: r.name},
 		})
@@ -201,7 +188,7 @@ func (r *Register) ServeStep(id int) bool {
 	if !ok {
 		return false
 	}
-	r.handle(id, m, func(mm msgnet.Message) { r.net.AuxSend(id, mm) })
+	r.handle(id, m)
 	return true
 }
 
@@ -213,10 +200,10 @@ type Server interface {
 }
 
 // Servers installs one aux actor per process that serves every given
-// emulation's replica at that process, and switches ABD registers among them
-// to Await-based ack gathering (with replicas served out-of-process, parked
-// clients no longer deadlock the emulation, and parking beats busy-polling
-// by orders of magnitude in scheduler steps). Crashes need no extra wiring:
+// emulation's replica at that process — the only way replicas answer, so a
+// deployment calls it once per run before stepping. Clients parked on their
+// quorums therefore cannot deadlock the emulation: the aux actors answer
+// while every process waits. Crashes need no extra wiring:
 // msgnet.Net.Crash empties the process's inbox, so its server actor is never
 // runnable again. Returns the aux actor IDs in process order.
 func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
@@ -254,11 +241,6 @@ func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
 		}
 		ids = append(ids, rt.AddAux(fmt.Sprintf("abd-server-%d", i), runnable, step))
 	}
-	for _, s := range srvs {
-		if r, ok := s.(*Register); ok {
-			r.auxServed = true
-		}
-	}
 	return ids
 }
 
@@ -271,9 +253,10 @@ type body struct {
 // quorum returns the majority size.
 func (r *Register) quorum() int { return r.n/2 + 1 }
 
-// rpc broadcasts a request and gathers acks from a majority, serving the
-// process's own replica while waiting so the emulation stays live when
-// everyone is a client simultaneously. Returns the collected ack triples.
+// rpc broadcasts a request and gathers acks from a majority, parking until
+// each ack arrives: replicas answer from their Servers aux actors, and a
+// client whose quorum can never form (too many crashes, dropped messages)
+// quiesces instead of spinning. Returns the collected ack triples.
 //
 // Gathering stops at a quorum, so up to n−quorum acks of every round arrive
 // late and would sit in the client's inbox forever, rescanned by every later
@@ -301,22 +284,8 @@ func (r *Register) rpc(p *sched.Proc, reqTag, ackTag string, trip triple) []trip
 	}
 	acks := make([]triple, 0, r.quorum())
 	for len(acks) < r.quorum() {
-		if r.auxServed {
-			// Replicas answer from aux actors; park until the next ack. A
-			// client whose quorum can never form (too many crashes, dropped
-			// messages) quiesces here instead of spinning.
-			m := r.net.RecvAwait(p, matchAck)
-			acks = append(acks, m.Body.(body).Trip)
-			continue
-		}
-		m, ok := r.net.TryRecv(p, matchAck)
-		if ok {
-			acks = append(acks, m.Body.(body).Trip)
-			continue
-		}
-		// No ack yet: act as a server so the system cannot deadlock with all
-		// processes blocked as clients.
-		r.Serve(p)
+		m := r.net.RecvAwait(p, matchAck)
+		acks = append(acks, m.Body.(body).Trip)
 	}
 	return acks
 }
@@ -366,6 +335,3 @@ func (r *Register) Read(p *sched.Proc) int64 {
 	r.rpc(p, tagStoreReq, tagStoreAck, cur)
 	return cur.Value
 }
-
-// String identifies the register in logs.
-func (r *Register) String() string { return fmt.Sprintf("abd:%s", r.name) }

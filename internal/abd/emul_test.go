@@ -69,7 +69,7 @@ func runRegisterCfg(t *testing.T, n int, seed int64, ops int, bias float64, orde
 
 func TestAuxServedABDLinearizable(t *testing.T) {
 	// The aux-served deployment must preserve ABD's guarantee: linearizable
-	// histories at every n, with clients parking instead of self-serving.
+	// histories at every n, with clients parked on their quorums.
 	for _, n := range []int{2, 3, 5} {
 		for _, seed := range []int64{1, 2, 3, 4} {
 			h := runRegister(t, n, seed, 4, nil, nil, nil)

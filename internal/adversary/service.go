@@ -74,12 +74,6 @@ func (s *ScriptSource) Next() (trace.Symbol, bool) {
 	return sym, true
 }
 
-// FuncSource adapts a generator function to a Source.
-type FuncSource func() (trace.Symbol, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (trace.Symbol, bool) { return f() }
-
 // Labeled couples a source with ground truth about the infinite word it
 // samples: whether that word belongs to the language under verification.
 // Finite runs cannot decide ω-membership, so possibility experiments carry

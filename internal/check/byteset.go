@@ -21,9 +21,6 @@ type byteSet struct {
 	arena []byte
 }
 
-// Len returns the number of keys in the set.
-func (s *byteSet) Len() int { return len(s.offs) }
-
 // Clear empties the set in constant time, keeping every backing array.
 func (s *byteSet) Clear() {
 	s.gen += 1 << 32

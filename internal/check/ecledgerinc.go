@@ -52,15 +52,6 @@ func NewECLedger() *ECLedger {
 // Len returns the number of symbols fed since the last Reset.
 func (c *ECLedger) Len() int { return c.fed }
 
-// Reset rewinds the checker to the empty history, keeping its map.
-func (c *ECLedger) Reset() {
-	c.fed = 0
-	c.bad = false
-	c.longest = nil
-	clear(c.recs)
-	c.over = 0
-}
-
 // Append feeds the next symbol of the history.
 func (c *ECLedger) Append(sym trace.Symbol) {
 	c.fed++

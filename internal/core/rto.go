@@ -47,14 +47,6 @@ func FindRTOWitness(judge lang.Judge, alpha trace.Word, n int) *RTOWitness {
 	return witness
 }
 
-// ShuffleClosed reports whether every shuffle of alpha's projections passes
-// the safety test — the bounded empirical content of real-time obliviousness
-// for one prefix. Languages classified real-time oblivious (WEC_COUNT) must
-// be shuffle-closed on every safety-consistent prefix.
-func ShuffleClosed(judge lang.Judge, alpha trace.Word, n int) bool {
-	return FindRTOWitness(judge, alpha, n) == nil
-}
-
 // AppendixAWitness constructs the n-process witness of Appendix A showing
 // the ledger languages are not real-time oblivious: every process p appends
 // record p, then process n−1 gets all records; the shuffle that defers

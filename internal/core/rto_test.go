@@ -142,3 +142,11 @@ func secWitnessWord() trace.Word {
 	b.Op(1, trace.OpRead, nil, trace.Int(1))
 	return b.Word()
 }
+
+// ShuffleClosed reports whether every shuffle of alpha's projections passes
+// the safety test — the bounded empirical content of real-time obliviousness
+// for one prefix. Languages classified real-time oblivious (WEC_COUNT) must
+// be shuffle-closed on every safety-consistent prefix.
+func ShuffleClosed(judge lang.Judge, alpha trace.Word, n int) bool {
+	return FindRTOWitness(judge, alpha, n) == nil
+}

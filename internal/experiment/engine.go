@@ -106,7 +106,9 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 		}
 	}
 
-	sessions := make([]*monitor.Session, WorkerCount(len(pl.units), opts.Workers))
+	pool := NewPool(WorkerCount(len(pl.units), opts.Workers))
+	defer pool.Close()
+	sessions := make([]*monitor.Session, pool.Workers())
 	for w := range sessions {
 		sessions[w] = monitor.NewSession()
 	}
@@ -115,15 +117,15 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 			sess.Close()
 		}
 	}()
-	ForEachWorker(len(pl.units), opts.Workers, func(w, i int) { execUnit(sessions[w], pl.units[i]) })
+	pool.Run(len(pl.units), func(w, i int) { execUnit(sessions[w], pl.units[i]) })
 	return a.rows, context.Cause(ctx)
 }
 
 // WorkerCount normalizes a requested pool size against the work size: at
-// least one worker, at most one per unit of work. It is exactly the worker
-// count ForEachWorker uses, so callers that allocate per-worker state (one
-// pooled runtime+session pair per worker) size their slice with it and index
-// it safely with the worker ids fn receives.
+// least one worker, at most one per unit of work. Callers size a Pool with
+// it, and any per-worker state (one pooled runtime+session pair per worker)
+// by the pool's Workers, and index that state safely with the worker ids fn
+// receives.
 func WorkerCount(total, workers int) int {
 	if workers < 1 || total < 1 {
 		return 1
@@ -134,27 +136,12 @@ func WorkerCount(total, workers int) int {
 	return workers
 }
 
-// ForEachWorker runs fn(w, i) for every index i in [0, total) on a bounded
-// worker pool of the given size and returns when every call has finished.
-// fn receives the stable index w (0 ≤ w < WorkerCount(total, workers)) of
-// the worker running it, so callers can give each worker exclusive
-// per-batch state — a pooled runtime+session pair — without locking. With
-// workers ≤ 1 every index runs on the calling goroutine as worker 0, in
-// order. It is the engine's scheduling core; see Pool.Run for the folding
-// discipline deterministic output needs.
-func ForEachWorker(total, workers int, fn func(worker, i int)) {
-	p := NewPool(WorkerCount(total, workers))
-	defer p.Close()
-	p.Run(total, fn)
-}
-
 // Pool is a reusable bounded worker pool: the worker goroutines persist
 // across Run batches, so round-structured workloads — the explorer's guided
 // exploration runs one batch per round, growing its corpus between rounds —
 // pay goroutine startup once per sweep instead of once per round, and
 // per-worker state (a pooled runtime+session pair indexed by the worker id
 // fn receives) stays owned by the same workers for the pool's whole life.
-// ForEachWorker is the one-batch convenience wrapper.
 type Pool struct {
 	workers int
 	jobs    chan func(worker int)

@@ -289,7 +289,8 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 64} {
 		var mu sync.Mutex
 		counts := make([]int, 37)
-		ForEachWorker(len(counts), workers, func(w, i int) {
+		p := NewPool(WorkerCount(len(counts), workers))
+		p.Run(len(counts), func(w, i int) {
 			if w < 0 || w >= WorkerCount(len(counts), workers) {
 				t.Errorf("workers=%d: worker id %d out of range", workers, w)
 			}
@@ -297,6 +298,7 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 			counts[i]++
 			mu.Unlock()
 		})
+		p.Close()
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -307,19 +309,23 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 
 func TestForEachSequentialOrder(t *testing.T) {
 	var order []int
-	ForEachWorker(10, 1, func(w, i int) {
+	seq := NewPool(WorkerCount(10, 1))
+	defer seq.Close()
+	seq.Run(10, func(w, i int) {
 		if w != 0 {
-			t.Fatalf("sequential ForEachWorker used worker %d", w)
+			t.Fatalf("sequential pool used worker %d", w)
 		}
 		order = append(order, i)
 	})
 	for i, got := range order {
 		if got != i {
-			t.Fatalf("sequential ForEachWorker visited %v", order)
+			t.Fatalf("sequential pool visited %v", order)
 		}
 	}
 	// Zero work is a no-op for any worker count.
-	ForEachWorker(0, 4, func(int, int) { t.Fatal("fn called for empty range") })
+	empty := NewPool(WorkerCount(0, 4))
+	defer empty.Close()
+	empty.Run(0, func(int, int) { t.Fatal("fn called for empty range") })
 }
 
 func TestPoolReusableAcrossBatches(t *testing.T) {

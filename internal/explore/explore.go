@@ -214,8 +214,8 @@ func (r *Report) Divergent() bool { return len(r.Failures) > 0 }
 const defaultRound = 64
 
 // guidedSalt decorrelates the guidance stream (the mutate-or-fresh coin and
-// the mutation draws for scenario i) from the generation stream NewSpec
-// consumes, so a blind sweep's scenarios are untouched by guidance being on.
+// the mutation draws for scenario i) from the generation stream
+// newSpecSeeded consumes, so a blind sweep's scenarios are untouched by guidance being on.
 const guidedSalt = 0x9ded
 
 // Explore runs the configured number of scenarios on a bounded worker pool
@@ -303,7 +303,7 @@ func Explore(opts Options) (*Report, error) {
 		}
 		// Build the round's specs sequentially: the mutate-or-fresh coin and
 		// the mutation itself draw from a per-index stream independent of
-		// the one NewSpec consumes, so MutateFrac 0 reproduces the blind
+		// the one newSpecSeeded consumes, so MutateFrac 0 reproduces the blind
 		// sweep exactly and worker count never enters.
 		for i := next; i < next+batch; i++ {
 			mark := genStages.start()

@@ -38,6 +38,14 @@ func FuzzParseSpecRoundTrip(f *testing.F) {
 		"drv2:obj/queue/lifo:n=2:seed=7:pol=random:steps=900:ops=4:mb=0.5:net=fifo",
 		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5",
 		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=lifo:drop=9,3",
+		// Loss-schedule near-misses: a repeated index, a decreasing pair, a
+		// non-canonical index, one entry past the length cap, and an index
+		// past the range cap.
+		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=random:drop=5,5",
+		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=random:drop=7,3",
+		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=fifo:drop=03",
+		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=fifo:drop=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",
+		"drv3:msg/register/abd:n=3:seed=7:pol=random:steps=2000:ops=4:mb=0.5:net=starve:drop=1048577",
 	} {
 		f.Add(seed)
 	}

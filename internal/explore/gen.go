@@ -91,7 +91,7 @@ func (g GenConfig) validate() error {
 		}
 	}
 	// A selected family must have something to draw: object filters naming
-	// only the other family's objects would otherwise panic deep in NewSpec.
+	// only the other family's objects would otherwise panic deep in newSpecSeeded.
 	for _, fam := range g.families() {
 		if fam != FamLang && len(g.drawableObjects(fam)) == 0 {
 			return fmt.Errorf("explore: no selected object is drawable in the %s family", fam)
@@ -193,22 +193,18 @@ func stepRange(fam family, langName string) (lo, hi int) {
 	}
 }
 
-// NewSpec derives scenario index of the master seed under the config. The
+// newSpecSeeded derives scenario index of the master seed under the config,
+// drawing from a caller-owned rng already seeded with mix(master, index). The
 // same (master, index, cfg) triple always yields the same spec, and distinct
 // indices draw from independent random streams, so a sweep's scenario list
-// does not depend on worker count or on how many scenarios run.
+// does not depend on worker count or on how many scenarios run. Explore's
+// generator loop reseeds one reusable rng per index instead of building a
+// fresh source each time — rand.Rand.Seed reproduces rand.NewSource's stream
+// exactly, so the draws are identical.
 //
 // With the default (language-only) family set the draw sequence is exactly
 // the pre-drv2 one, so existing sweeps replay byte-for-byte; a multi-family
 // config spends one extra draw picking the family first.
-func NewSpec(master int64, index int, cfg GenConfig) Spec {
-	return newSpecSeeded(rand.New(rand.NewSource(mix(master, int64(index)))), cfg)
-}
-
-// newSpecSeeded is NewSpec on a caller-owned rng already seeded with
-// mix(master, index). Explore's generator loop reseeds one reusable rng per
-// index instead of building a fresh source each time — rand.Rand.Seed
-// reproduces rand.NewSource's stream exactly, so the draws are identical.
 func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	fams := cfg.families()
 	fam := fams[0]

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -65,4 +66,10 @@ func TestNewSpecPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// NewSpec derives scenario index of the master seed under the config on a
+// fresh rng: the sweep's draw, one scenario at a time.
+func NewSpec(master int64, index int, cfg GenConfig) Spec {
+	return newSpecSeeded(rand.New(rand.NewSource(mix(master, int64(index)))), cfg)
 }

@@ -139,13 +139,15 @@ func TestCommittedCorpusEntriesReplayClean(t *testing.T) {
 		n = 12 // spot-check the head; the full tier replays everything
 	}
 	workers := 8
-	runners := make([]Runner, experiment.WorkerCount(n, workers))
+	pool := experiment.NewPool(experiment.WorkerCount(n, workers))
+	defer pool.Close()
+	runners := make([]Runner, pool.Workers())
 	for w := range runners {
 		runners[w].Session = monitor.NewSession()
 		defer runners[w].Session.Close()
 	}
 	errs := make([]string, n)
-	experiment.ForEachWorker(n, workers, func(w, i int) {
+	pool.Run(n, func(w, i int) {
 		s := c.At(i)
 		out, err := runners[w].Execute(s)
 		switch {

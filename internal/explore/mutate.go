@@ -215,7 +215,7 @@ func mutSteps(s *Spec, rng *rand.Rand, cfg GenConfig) bool {
 		s.Steps = mutateStepFloor
 	}
 	// The cap applies after the floor: a user-supplied MaxSteps below the
-	// floor must still win, exactly as NewSpec honors it.
+	// floor must still win, exactly as newSpecSeeded honors it.
 	lim := mutateStepCap
 	if cfg.MaxSteps > 0 && cfg.MaxSteps < lim {
 		lim = cfg.MaxSteps

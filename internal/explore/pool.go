@@ -53,8 +53,8 @@ type runScratch struct {
 	tau    *adversary.Timed
 	// crash is the reusable crash-schedule map.
 	crash map[int][]int
-	// nt is the pooled network; created on the first msg scenario and re-armed
-	// by Schedule.Reset afterwards. The cached emulations hold this pointer.
+	// nt is the pooled network; allocated on the first msg scenario and armed
+	// by Schedule.Reset for every one. The cached emulations hold this pointer.
 	nt *msgnet.Net
 	// digestBuf holds the text the outcome digest hashes.
 	digestBuf []byte
@@ -136,16 +136,10 @@ func (sc *runScratch) network(s Spec) (*msgnet.Net, error) {
 	if s.Fam() != FamMsg {
 		return nil, nil
 	}
-	sch := msgSchedule(s)
 	if sc.nt == nil {
-		nt, err := sch.New(s.N)
-		if err != nil {
-			return nil, err
-		}
-		sc.nt = nt
-		return nt, nil
+		sc.nt = new(msgnet.Net)
 	}
-	if err := sch.Reset(sc.nt, s.N); err != nil {
+	if err := msgSchedule(s).Reset(sc.nt, s.N); err != nil {
 		return nil, err
 	}
 	return sc.nt, nil

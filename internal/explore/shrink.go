@@ -11,23 +11,13 @@ package explore
 //
 // The same machinery minimizes object-family bug findings: shrinkWhere
 // parameterizes what counts as "still interesting" — stack divergences for
-// ShrinkSpec, exposed implementation bugs (OracleFailures) for the Bug
-// entries of a report. A sweep shrinks from the findings its own execution
-// of the scenario produced; the exported forms execute the scenario first.
+// a report's divergent scenarios, exposed implementation bugs
+// (OracleFailures) for its Bug entries. A sweep shrinks from the findings its
+// own execution of the scenario produced; ShrinkBugSpec executes the scenario
+// first.
 
 // defaultShrinkBudget bounds candidate executions per shrink.
 const defaultShrinkBudget = 200
-
-// ShrinkSpec minimizes the divergent spec along up to five axes, in order:
-// fewer crashes, fewer dropped messages (message-passing family), fewer
-// processes, fewer workload operations (object and message-passing families),
-// fewer scheduler steps. It returns the smallest divergent spec found
-// together with its divergences; when the original spec, executed afresh, no
-// longer diverges (a nondeterministic monitor — in itself a finding the
-// replay check reports), the returned divergence list is empty.
-func ShrinkSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
-	return shrinkFresh(s, r, budget, divergences)
-}
 
 // ShrinkBugSpec minimizes an object scenario that exposed a planted
 // implementation bug, preserving "some oracle failure survives" instead of

@@ -172,3 +172,14 @@ func TestPooledShrinkSkipsTheKnownExecution(t *testing.T) {
 		})
 	}
 }
+
+// ShrinkSpec minimizes the divergent spec along up to five axes, in order:
+// fewer crashes, fewer dropped messages (message-passing family), fewer
+// processes, fewer workload operations (object and message-passing families),
+// fewer scheduler steps. It returns the smallest divergent spec found
+// together with its divergences; when the original spec, executed afresh, no
+// longer diverges (a nondeterministic monitor — in itself a finding the
+// replay check reports), the returned divergence list is empty.
+func ShrinkSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
+	return shrinkFresh(s, r, budget, divergences)
+}

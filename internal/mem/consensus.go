@@ -2,26 +2,6 @@ package mem
 
 import "github.com/drv-go/drv/internal/sched"
 
-// TAS is an atomic test-and-set cell, consensus number 2.
-type TAS struct {
-	set bool
-}
-
-// TestAndSet atomically sets the cell and returns its previous value; one
-// step. The first caller observes false.
-func (t *TAS) TestAndSet(p *sched.Proc) bool {
-	p.Pause()
-	old := t.set
-	t.set = true
-	return old
-}
-
-// Set reads the cell without modifying it; one step.
-func (t *TAS) Set(p *sched.Proc) bool {
-	p.Pause()
-	return t.set
-}
-
 // CAS is an atomic compare-and-swap cell over int64, consensus number ∞. Its
 // presence in the substrate backs the paper's remark that the impossibility
 // results "hold under operations with arbitrarily high consensus number

@@ -3,9 +3,9 @@
 // step per primitive operation, an atomic snapshot (the paper's default,
 // implementable wait-free from read/write registers [1]), the actual
 // AADGMS wait-free snapshot protocol built from single-writer registers, the
-// weaker collect operation discussed in Section 6.2, and test&set /
-// compare&swap cells used to exercise the claim that the impossibility
-// results hold under primitives of arbitrarily high consensus number.
+// weaker collect operation discussed in Section 6.2, and compare&swap cells
+// used to exercise the claim that the impossibility results hold under
+// primitives of arbitrarily high consensus number.
 //
 // Every exported operation consumes scheduler steps via the calling process's
 // Proc handle, so asynchrony between operations is entirely under the

@@ -257,3 +257,23 @@ func TestRandomSnapshotStress(t *testing.T) {
 		}
 	}
 }
+
+// TAS is an atomic test-and-set cell, consensus number 2.
+type TAS struct {
+	set bool
+}
+
+// TestAndSet atomically sets the cell and returns its previous value; one
+// step. The first caller observes false.
+func (t *TAS) TestAndSet(p *sched.Proc) bool {
+	p.Pause()
+	old := t.set
+	t.set = true
+	return old
+}
+
+// Set reads the cell without modifying it; one step.
+func (t *TAS) Set(p *sched.Proc) bool {
+	p.Pause()
+	return t.set
+}

@@ -52,10 +52,13 @@ func (s *Session) CheckPool() *check.Pool {
 	return s.checks
 }
 
-// Close tears down the pooled runtime. The session cannot run afterwards.
+// Close tears down the pooled runtime and drops it. The session may run
+// again afterwards: the next Run builds a fresh runtime. Closing twice is
+// safe.
 func (s *Session) Close() {
 	if s.rt != nil {
 		s.rt.Stop()
+		s.rt = nil
 	}
 }
 

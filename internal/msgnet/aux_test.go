@@ -7,6 +7,10 @@ import (
 	"github.com/drv-go/drv/internal/sched"
 )
 
+// Dropped returns how many sends the loss schedule discarded: every counted
+// send is delivered, still pending or dropped.
+func (nt *Net) Dropped() int { return nt.sent - nt.deliv - len(nt.pending) }
+
 // TestDropScheduleIsDeterministic checks the loss schedule drops exactly the
 // named send indices, identically on every run.
 func TestDropScheduleIsDeterministic(t *testing.T) {

@@ -20,7 +20,6 @@
 package msgnet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/drv-go/drv/internal/sched"
@@ -36,11 +35,6 @@ type Message struct {
 	Seq int
 	// Body is the payload; opaque to the network.
 	Body any
-}
-
-// String renders the message for experiment logs.
-func (m Message) String() string {
-	return fmt.Sprintf("%d→%d %s#%d", m.From, m.To, m.Tag, m.Seq)
 }
 
 // Order decides which pending message the network delivers next.
@@ -145,7 +139,6 @@ type Net struct {
 	drops   map[int]bool
 	sent    int
 	deliv   int
-	dropped int
 }
 
 // tagCount is one inbox's number of waiting messages carrying tag.
@@ -176,7 +169,7 @@ func (nt *Net) Reset(n int, order Order) {
 	nt.n, nt.order = n, order
 	nt.pending = nt.pending[:0]
 	nt.drops = nil
-	nt.sent, nt.deliv, nt.dropped = 0, 0, 0
+	nt.sent, nt.deliv = 0, 0
 	if cap(nt.inboxes) >= n {
 		nt.inboxes = nt.inboxes[:n]
 		nt.waiting = nt.waiting[:n]
@@ -262,7 +255,6 @@ func (nt *Net) enqueue(m Message) {
 	k := nt.sent
 	nt.sent++
 	if nt.drops[k] {
-		nt.dropped++
 		return
 	}
 	nt.pending = append(nt.pending, m)
@@ -295,22 +287,6 @@ func (nt *Net) Broadcast(p *sched.Proc, m Message) {
 		mm := m
 		mm.To = to
 		nt.Send(p, mm)
-	}
-}
-
-// TryRecv dequeues the oldest inbox message matching the filter, without
-// blocking; one step. A nil filter matches everything.
-func (nt *Net) TryRecv(p *sched.Proc, match func(Message) bool) (Message, bool) {
-	p.Pause()
-	return nt.AuxRecv(p.ID, match)
-}
-
-// Recv blocks (consuming steps) until a matching message arrives.
-func (nt *Net) Recv(p *sched.Proc, match func(Message) bool) Message {
-	for {
-		if m, ok := nt.TryRecv(p, match); ok {
-			return m
-		}
 	}
 }
 
@@ -367,9 +343,10 @@ func (nt *Net) Discard(id int, match func(Message) bool) int {
 }
 
 // RecvAwait parks p on the scheduler gate until a matching message waits in
-// its inbox, then dequeues it. The whole receive costs one step (the grant);
-// unlike Recv it never busy-waits, so a process starved of its quorum
-// quiesces instead of burning the step budget.
+// its inbox, then dequeues it: the one receive a process makes. The whole
+// receive costs one step (the grant) and never busy-waits, so a process
+// starved of its quorum quiesces instead of burning the step budget. A nil
+// filter matches everything.
 func (nt *Net) RecvAwait(p *sched.Proc, match func(Message) bool) Message {
 	p.Await(func() bool { return nt.InboxHas(p.ID, match) })
 	m, _ := nt.AuxRecv(p.ID, match)
@@ -386,9 +363,6 @@ func (nt *Net) Crash(id int) {
 
 // Stats returns how many messages were sent and delivered.
 func (nt *Net) Stats() (sent, delivered int) { return nt.sent, nt.deliv }
-
-// Dropped returns how many sends the loss schedule discarded.
-func (nt *Net) Dropped() int { return nt.dropped }
 
 // PendingCount returns the number of in-flight messages.
 func (nt *Net) PendingCount() int { return len(nt.pending) }

@@ -28,9 +28,7 @@ func TestFIFODeliversInOrder(t *testing.T) {
 	})
 	rt.Spawn(1, func(p *sched.Proc) {
 		for len(got) < 5 {
-			if m, ok := nt.TryRecv(p, nil); ok {
-				got = append(got, m.Seq)
-			}
+			got = append(got, nt.RecvAwait(p, nil).Seq)
 		}
 	})
 	defer rt.Stop()
@@ -59,12 +57,11 @@ func TestRandomOrderDeliversEverything(t *testing.T) {
 	})
 	rt.Spawn(1, func(p *sched.Proc) {
 		for len(seen) < total {
-			if m, ok := nt.TryRecv(p, nil); ok {
-				if seen[m.Seq] {
-					t.Errorf("duplicate delivery of seq %d", m.Seq)
-				}
-				seen[m.Seq] = true
+			m := nt.RecvAwait(p, nil)
+			if seen[m.Seq] {
+				t.Errorf("duplicate delivery of seq %d", m.Seq)
 			}
+			seen[m.Seq] = true
 		}
 	})
 	defer rt.Stop()
@@ -89,7 +86,7 @@ func TestRecvFilter(t *testing.T) {
 		nt.Send(p, Message{To: 1, Tag: "want", Seq: 2})
 	})
 	rt.Spawn(1, func(p *sched.Proc) {
-		tagged = nt.Recv(p, func(m Message) bool { return m.Tag == "want" })
+		tagged = nt.RecvAwait(p, func(m Message) bool { return m.Tag == "want" })
 	})
 	defer rt.Stop()
 	pump(rt, 10_000)

@@ -14,8 +14,8 @@ const (
 	OrderStarve = "starve"
 )
 
-// Schedule bounds for ParseSchedule; explorer specs obey the same limits so
-// every spec-carried schedule parses back.
+// Schedule bounds, shared by ParseDrops and Validate so every spec-carried
+// loss schedule parses back.
 const (
 	// MaxScheduleDrops caps the loss schedule's length.
 	MaxScheduleDrops = 16
@@ -34,75 +34,12 @@ type Schedule struct {
 	Drops []int
 }
 
-// String renders the schedule canonically: "fifo", "lifo", "random/7",
-// "starve/7", with an optional "!k1,k2,..." loss suffix. The deterministic
-// orders carry no seed.
-func (s Schedule) String() string {
-	var b strings.Builder
-	b.WriteString(s.Order)
-	if s.Order != OrderFIFO && s.Order != OrderLIFO {
-		b.WriteByte('/')
-		b.WriteString(strconv.FormatInt(s.Seed, 10))
-	}
-	for i, k := range s.Drops {
-		if i == 0 {
-			b.WriteByte('!')
-		} else {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(k))
-	}
-	return b.String()
-}
-
-// ParseSchedule parses the String encoding. Accepted schedules are exactly
-// the canonical ones: re-rendering an accepted schedule reproduces the input
-// byte for byte, so corpora carrying schedules cannot drift.
-func ParseSchedule(line string) (Schedule, error) {
-	var s Schedule
-	head, tail, hasDrops := strings.Cut(line, "!")
-	order, seedStr, hasSeed := strings.Cut(head, "/")
-	s.Order = order
-	switch order {
-	case OrderFIFO, OrderLIFO:
-		if hasSeed {
-			return Schedule{}, fmt.Errorf("msgnet: %s schedule carries no seed: %q", order, line)
-		}
-	case OrderRandom, OrderStarve:
-		if !hasSeed {
-			return Schedule{}, fmt.Errorf("msgnet: %s schedule needs a seed: %q", order, line)
-		}
-		seed, err := strconv.ParseInt(seedStr, 10, 64)
-		if err != nil {
-			return Schedule{}, fmt.Errorf("msgnet: bad schedule seed %q: %v", seedStr, err)
-		}
-		if canon := strconv.FormatInt(seed, 10); canon != seedStr {
-			return Schedule{}, fmt.Errorf("msgnet: non-canonical schedule seed %q", seedStr)
-		}
-		s.Seed = seed
-	default:
-		return Schedule{}, fmt.Errorf("msgnet: unknown delivery order %q", order)
-	}
-	if hasDrops {
-		drops, err := ParseDrops(tail)
-		if err != nil {
-			return Schedule{}, err
-		}
-		s.Drops = drops
-	}
-	return s, nil
-}
-
 // ParseDrops parses a comma-separated loss schedule ("3,17"): strictly
 // increasing canonical decimal send indices within the schedule bounds. It is
-// shared with the explorer's drv3 spec grammar (the drop= field).
+// the explorer's drv3 spec grammar for the drop= field.
 func ParseDrops(list string) ([]int, error) {
 	parts := strings.Split(list, ",")
-	if len(parts) > MaxScheduleDrops {
-		return nil, fmt.Errorf("msgnet: %d drops exceed the maximum %d", len(parts), MaxScheduleDrops)
-	}
 	drops := make([]int, 0, len(parts))
-	prev := -1
 	for _, part := range parts {
 		k, err := strconv.Atoi(part)
 		if err != nil {
@@ -111,16 +48,32 @@ func ParseDrops(list string) ([]int, error) {
 		if canon := strconv.Itoa(k); canon != part {
 			return nil, fmt.Errorf("msgnet: non-canonical drop index %q", part)
 		}
-		if k < 0 || k > MaxScheduleDropIdx {
-			return nil, fmt.Errorf("msgnet: drop index %d out of range [0,%d]", k, MaxScheduleDropIdx)
-		}
-		if k <= prev {
-			return nil, fmt.Errorf("msgnet: drop indices must be strictly increasing, got %d after %d", k, prev)
-		}
 		drops = append(drops, k)
-		prev = k
+	}
+	if err := checkDrops(drops); err != nil {
+		return nil, err
 	}
 	return drops, nil
+}
+
+// checkDrops is the one loss-schedule check ParseDrops and Validate share: at
+// most MaxScheduleDrops strictly increasing send indices in
+// [0, MaxScheduleDropIdx].
+func checkDrops(drops []int) error {
+	if len(drops) > MaxScheduleDrops {
+		return fmt.Errorf("msgnet: %d drops exceed the maximum %d", len(drops), MaxScheduleDrops)
+	}
+	prev := -1
+	for _, k := range drops {
+		if k < 0 || k > MaxScheduleDropIdx {
+			return fmt.Errorf("msgnet: drop index %d out of range [0,%d]", k, MaxScheduleDropIdx)
+		}
+		if k <= prev {
+			return fmt.Errorf("msgnet: drop indices must be strictly increasing, got %d after %d", k, prev)
+		}
+		prev = k
+	}
+	return nil
 }
 
 // FormatDrops renders a loss schedule the way ParseDrops reads it.
@@ -139,51 +92,16 @@ func (s Schedule) Validate() error {
 	default:
 		return fmt.Errorf("msgnet: unknown delivery order %q", s.Order)
 	}
-	if len(s.Drops) > MaxScheduleDrops {
-		return fmt.Errorf("msgnet: %d drops exceed the maximum %d", len(s.Drops), MaxScheduleDrops)
-	}
-	prev := -1
-	for _, k := range s.Drops {
-		if k < 0 || k > MaxScheduleDropIdx {
-			return fmt.Errorf("msgnet: drop index %d out of range [0,%d]", k, MaxScheduleDropIdx)
-		}
-		if k <= prev {
-			return fmt.Errorf("msgnet: drop indices must be strictly increasing, got %d after %d", k, prev)
-		}
-		prev = k
-	}
-	return nil
+	return checkDrops(s.Drops)
 }
 
-// New builds the scheduled network for n processes. The starve order starves
+// Reset arms nt for this schedule and n processes, reusing its buffers — and,
+// when the network's current order has the same kind, the order object itself
+// (seeded orders are reseeded in place, which reproduces exactly the delivery
+// sequence a fresh order yields). A zero Net is armed from scratch, so
+// Reset(new(Net), n) builds the scheduled network. The starve order starves
 // process 0 (the explorer's cursor-like victim) over a seeded random inner
 // order.
-func (s Schedule) New(n int) (*Net, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	var order Order
-	switch s.Order {
-	case OrderFIFO:
-		order = FIFOOrder()
-	case OrderLIFO:
-		order = LIFOOrder()
-	case OrderRandom:
-		order = RandomOrder(s.Seed)
-	case OrderStarve:
-		order = StarveOrder(0, RandomOrder(s.Seed))
-	}
-	nt := New(n, order)
-	nt.orderKind = s.Order
-	nt.SetDrops(s.Drops)
-	return nt, nil
-}
-
-// Reset re-arms an existing network for this schedule and n processes,
-// reusing its buffers — and, when the network's current order has the same
-// kind, the order object itself (seeded orders are reseeded in place, which
-// reproduces exactly the delivery sequence a fresh order yields). The pooled
-// counterpart of New.
 func (s Schedule) Reset(nt *Net, n int) error {
 	if err := s.Validate(); err != nil {
 		return err

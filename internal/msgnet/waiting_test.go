@@ -19,9 +19,10 @@ func recount(nt *Net, id int, tag string) int {
 }
 
 // TestWaitingMatchesRecount is the per-tag count's invariant: after every
-// operation of seeded random sequences of sends, deliveries, stepped TryRecv,
-// AuxRecv, Discard, Crash and Reset, Waiting(id, tag) equals a recount of the
-// inbox, for every process and every tag (one never sent included).
+// operation of seeded random sequences of sends, deliveries, stepped
+// RecvAwait, AuxRecv, Discard, Crash and Reset, Waiting(id, tag) equals a
+// recount of the inbox, for every process and every tag (one never sent
+// included).
 func TestWaitingMatchesRecount(t *testing.T) {
 	tags := []string{"a", "b", "c", "never-sent"}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -29,16 +30,18 @@ func TestWaitingMatchesRecount(t *testing.T) {
 		n := 1 + rng.Intn(4)
 		nt := New(n, RandomOrder(seed))
 
-		// Every process loops on TryRecv, so a step granted to process id
-		// completes one stepped receive from id's inbox; the first grant
-		// only starts the body, which parks in TryRecv's Pause.
+		// Every process loops on RecvAwait under the current filter, so a
+		// step granted to process id completes one stepped receive from id's
+		// inbox; the first grant only starts the body, which parks in
+		// RecvAwait's gate.
 		var filter func(Message) bool
+		current := func(m Message) bool { return filter == nil || filter(m) }
 		want := 0
 		rt := sched.New(n, sched.PolicyFunc(func([]int, int) int { return want }))
 		for id := 0; id < n; id++ {
 			rt.Spawn(id, func(p *sched.Proc) {
 				for {
-					nt.TryRecv(p, filter)
+					nt.RecvAwait(p, current)
 				}
 			})
 		}
@@ -69,8 +72,10 @@ func TestWaitingMatchesRecount(t *testing.T) {
 					nt.deliverStep()
 				}
 			case k < 15:
-				filter, want = pickFilter(), id
-				rt.Step()
+				// A parked process is runnable exactly when its gate holds.
+				if filter, want = pickFilter(), id; nt.InboxHas(id, filter) {
+					rt.Step()
+				}
 			case k < 17:
 				nt.AuxRecv(id, pickFilter())
 			case k < 19:

@@ -134,17 +134,6 @@ func (p *scriptPolicy) Next(runnable []int, step int) int {
 	return p.fallback.Next(runnable, step)
 }
 
-// Exhausted reports whether a Script policy consumed its whole sequence;
-// other policies report true. Experiment drivers assert this to catch
-// truncated constructions.
-func Exhausted(p Policy) bool {
-	sp, ok := p.(*scriptPolicy)
-	if !ok {
-		return true
-	}
-	return sp.pos >= len(sp.seq)
-}
-
 // Prioritize returns a policy that always schedules the given actor when
 // runnable and otherwise delegates. Claim 3.1's sequential executions use
 // this with the adversary cursor: the word advances whenever it can, and

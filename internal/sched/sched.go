@@ -62,7 +62,6 @@ type Proc struct {
 	stop    func()
 	state   procState
 	gate    func() bool
-	steps   int
 	spawned bool
 	body    func(p *Proc)
 	live    bool // coroutine created (parked at its body-exit yield between runs)
@@ -76,7 +75,6 @@ type Proc struct {
 func (p *Proc) Pause() {
 	p.yield(struct{}{})
 	p.checkStopped()
-	p.steps++
 }
 
 // Await parks the process until cond reports true, then consumes one step.
@@ -89,11 +87,7 @@ func (p *Proc) Await(cond func() bool) {
 	p.gate = nil
 	p.state = stateReady
 	p.checkStopped()
-	p.steps++
 }
-
-// Steps returns the number of steps the process has taken.
-func (p *Proc) Steps() int { return p.steps }
 
 func (p *Proc) checkStopped() {
 	if p.rt.stopped {
@@ -124,7 +118,6 @@ func (p *Proc) runBody() {
 		}
 	}()
 	p.checkStopped()
-	p.steps++
 	p.body(p)
 }
 
@@ -203,7 +196,6 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 	for _, p := range rt.procs[:n] {
 		p.state = stateReady
 		p.gate = nil
-		p.steps = 0
 		p.spawned = false
 		p.body = nil
 	}
@@ -211,9 +203,6 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 		rt.scratch = make([]int, 0, n+4)
 	}
 }
-
-// N returns the number of processes.
-func (rt *Runtime) N() int { return rt.n }
 
 // SetPolicy installs or replaces the scheduling policy. It must be called
 // before the first step; New may be given a nil policy when the final policy

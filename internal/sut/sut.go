@@ -93,9 +93,6 @@ func (s *Service) Reset(n int, impl Impl, wl Workload) {
 	}
 }
 
-// Name returns the implementation's name.
-func (s *Service) Name() string { return s.impl.Name() }
-
 // NextInv implements adversary.Service using the workload.
 func (s *Service) NextInv(id int) (trace.Symbol, bool) {
 	op, arg, ok := s.wl.Next(id)

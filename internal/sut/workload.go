@@ -80,26 +80,3 @@ func (w *RandomWorkload) Next(id int) (string, trace.Value, bool) {
 	}
 	return sig.Name, arg, true
 }
-
-// ScriptWorkload replays fixed per-process operation scripts; used by
-// regression tests that need a specific interleaving potential.
-type ScriptWorkload struct {
-	scripts [][]trace.Symbol
-	pos     []int
-}
-
-// NewScriptWorkload builds a workload from per-process invocation scripts.
-// Only the Op and Val fields of the symbols are used.
-func NewScriptWorkload(scripts [][]trace.Symbol) *ScriptWorkload {
-	return &ScriptWorkload{scripts: scripts, pos: make([]int, len(scripts))}
-}
-
-// Next implements Workload.
-func (w *ScriptWorkload) Next(id int) (string, trace.Value, bool) {
-	if w.pos[id] >= len(w.scripts[id]) {
-		return "", nil, false
-	}
-	s := w.scripts[id][w.pos[id]]
-	w.pos[id]++
-	return s.Op, s.Val, true
-}
