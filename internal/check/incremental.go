@@ -104,7 +104,9 @@ type Incremental struct {
 	sLeft    int         // complete operations not yet placed
 	sPath    []int       // operations placed on the current descent, in order
 	winState trace.State // state at the accepting leaf
-	memo     byteSet     // fruitless (fronts, state) nodes
+	width    uint        // bits per front in a packed memo key: 64/n
+	packed   pairSet     // fruitless nodes whose key packs (packKey)
+	memo     byteSet     // every other fruitless node, by buildKey
 	key      []byte      // reused key-building buffer
 
 	// Work counters over the checker's lifetime, kept across Reset.
@@ -302,6 +304,19 @@ func (c *Incremental) Append(sym trace.Symbol) {
 	}
 }
 
+// DropRealTime turns a linearizability checker into a sequential-consistency
+// checker of the same history, partway through it: every later Append and OK
+// judges without real-time order. Everything the checker holds carries over,
+// because every linearization respects process order and so witnesses
+// sequential consistency: the cached witness, the ranks, the rows and the
+// interned tree. A cached rejection does not: a history with no
+// linearization may still be sequentially consistent, so the next OK
+// searches again.
+func (c *Incremental) DropRealTime() {
+	c.realTime = false
+	c.okValid = c.okValid && c.okCache
+}
+
 // OK reports whether the history fed so far passes the check — exactly
 // LinearizableOps/SeqConsistentOps(obj, trace.Operations(prefix)).
 func (c *Incremental) OK() bool {
@@ -356,6 +371,8 @@ func (c *Incremental) search() bool {
 	c.sRets = resetVals(c.sRets, c.n)
 	c.sLeft = c.nComplete
 	c.sPath = c.sPath[:0]
+	c.width = 64 / uint(max(c.n, 1))
+	c.packed.Clear()
 	c.memo.Clear()
 	return c.rec(c.init)
 }
@@ -378,9 +395,35 @@ func (c *Incremental) adoptWitness() {
 	c.ranked = len(c.sPath) > 0
 }
 
-// buildKey encodes (fronts, state) into the reused buffer. Front counters
-// are uvarints, a prefix-free code, so distinct vectors cannot collide and no
-// per-process operation count is too large. An Interned state — every state
+// packKey returns the two-word memo key of the node (fronts, st) when it has
+// one: st is Interned with an id below 1<<32, and every front fits width
+// bits, so the fronts concatenate into one word that no other front vector
+// of this search shares. Whether a node packs depends only on the node, so
+// each node has one home — the pairSet when it packs, the byteSet through
+// buildKey otherwise — and one search may use both.
+func (c *Incremental) packKey(st trace.State) (fronts, id uint64, ok bool) {
+	in, ok := st.(trace.Interned)
+	if !ok {
+		return 0, 0, false
+	}
+	id = in.ID()
+	if id>>32 != 0 {
+		return 0, 0, false
+	}
+	for _, f := range c.sFront {
+		if uint64(f)>>c.width != 0 {
+			return 0, 0, false
+		}
+		fronts = fronts<<c.width | uint64(f)
+	}
+	return fronts, id, true
+}
+
+// buildKey encodes (fronts, state) into the reused buffer: the byteSet key
+// of a node packKey does not pack, because its state is not Interned or a
+// front outgrows its width (a long process, or more than 64 processes).
+// Front counters are uvarints, a prefix-free code, so distinct vectors cannot
+// collide and no per-process operation count is too large. An Interned state — every state
 // of the tree the search's Init call rooted — follows as '#' plus its id as
 // a uvarint: within one tree ids are equal exactly when encodings are, so
 // the memo relation is the encoding path's at a fixed, small width. Any
@@ -465,10 +508,14 @@ func (c *Incremental) rec(st trace.State) bool {
 		c.winState = st
 		return true // remaining pending operations are dropped
 	}
-	if c.memo.Contains(c.buildKey(st)) {
+	fronts, id, packs := c.packKey(st)
+	if packs && c.packed.Contains(fronts, id) || !packs && c.memo.Contains(c.buildKey(st)) {
 		return false
 	}
 	if ok, placed := c.placeRead(st); placed {
+		if !ok {
+			c.remember(st, fronts, id, packs)
+		}
 		return ok
 	}
 	for p, last := c.nextFront(-1); p >= 0; p, last = c.nextFront(last) {
@@ -510,10 +557,19 @@ func (c *Incremental) rec(st trace.State) bool {
 			c.sLeft++
 		}
 	}
-	// Rebuild the key: the buffer was clobbered by the descent, but fronts
-	// and state are back to this node's values, so the encoding is too.
-	c.memo.Insert(c.buildKey(st))
+	c.remember(st, fronts, id, packs)
 	return false
+}
+
+// remember memoizes a fruitless node in its home: the pairSet under its
+// packed key, else the byteSet. The fronts and state are back to the node's
+// values, so buildKey rebuilds the bytes the descent clobbered.
+func (c *Incremental) remember(st trace.State, fronts, id uint64, packs bool) {
+	if packs {
+		c.packed.Insert(fronts, id)
+		return
+	}
+	c.memo.Insert(c.buildKey(st))
 }
 
 // placeRead places the first front operation, in process order, that is a
@@ -564,7 +620,6 @@ func (c *Incremental) placeRead(st trace.State) (ok, placed bool) {
 		c.sPath = c.sPath[:len(c.sPath)-1]
 		c.sFront[p]--
 		c.sLeft++
-		c.memo.Insert(c.buildKey(st))
 		return false, true
 	}
 	return false, false
@@ -589,11 +644,13 @@ func answers(st trace.State, o *trace.Operation) (trace.State, bool) {
 }
 
 // Pool recycles Incremental checkers across the runs of one worker: Get
-// borrows a reset checker (reusing a reclaimed one whose object and order
-// mode match), Reclaim returns every borrowed checker at once — callers
-// reclaim at the start of each run, so a borrowed checker stays valid for
-// the rest of its run, like a pooled session's Result. A Pool is not safe
-// for concurrent use: pooled workloads give each worker its own.
+// borrows a reset checker, reusing a reclaimed one of the same object in
+// whichever order mode it was left (a judge's SC pass leaves its checker
+// without real-time order) and setting the mode asked for. Reclaim returns
+// every borrowed checker at once — callers reclaim at the start of each run,
+// so a borrowed checker stays valid for the rest of its run, like a pooled
+// session's Result. A Pool is not safe for concurrent use: pooled workloads
+// give each worker its own.
 type Pool struct {
 	chks []*Incremental
 	used []bool
@@ -609,9 +666,9 @@ func (p *Pool) Get(obj trace.Object, realTime bool, n int) *Incremental {
 		return NewIncremental(obj, realTime, n)
 	}
 	for i, c := range p.chks {
-		if !p.used[i] && c.realTime == realTime && c.obj.Name() == obj.Name() {
+		if !p.used[i] && c.obj.Name() == obj.Name() {
 			p.used[i] = true
-			c.obj = obj
+			c.obj, c.realTime = obj, realTime
 			c.Reset(n)
 			return c
 		}

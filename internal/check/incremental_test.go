@@ -358,6 +358,36 @@ func TestIncrementalPerGoroutineCheckers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPoolLendsByObject pins that Pool.Get reuses a reclaimed checker of the
+// same object in either order mode and lends it in the mode asked for, so a
+// checker DropRealTime left judging sequential consistency comes back
+// judging linearizability. The word is sequentially consistent but not
+// linearizable: a read returns the initial value after a write completed.
+func TestPoolLendsByObject(t *testing.T) {
+	w := trace.NewB().Op(0, trace.OpWrite, trace.Int(1), trace.Unit{}).Op(1, trace.OpRead, nil, trace.Int(0)).Word()
+	pool := NewPool()
+	c := pool.Get(trace.Register(), true, 2)
+	if checkWord(c, w) {
+		t.Fatal("LIN checker accepts a stale read after a completed write")
+	}
+	c.DropRealTime()
+	if !c.OK() {
+		t.Fatal("after DropRealTime the checker still rejects a sequentially consistent word")
+	}
+	for _, realTime := range []bool{true, false, true} {
+		pool.Reclaim()
+		if got := pool.Get(trace.Register(), realTime, 2); got != c {
+			t.Fatalf("realTime=%v: the pool lent a new checker, not the reclaimed register checker", realTime)
+		}
+		if got := checkWord(c, w); got == realTime {
+			t.Fatalf("realTime=%v: lent checker accepts=%v", realTime, got)
+		}
+	}
+	if pool.Get(trace.Queue(), false, 2) == c {
+		t.Fatal("the pool lent the register checker for a queue")
+	}
+}
+
 // fuzzWord decodes a byte string into a well-formed register history over 3
 // processes: each byte pair picks a process and a small value; a process
 // with no pending operation invokes (even value: write, odd: read), one with

@@ -21,7 +21,15 @@
 // BruteSeqConsistent are the tests' exhaustive references. Package lang's
 // Judge turns these into the verdict on a finite word that the rest of the
 // repository asks for. The search knows only processes [0,n), one row each;
-// Judge is the one place that renumbers a word's processes.
+// Judge is the one place that renumbers a word's processes. An Incremental
+// may drop real-time order partway through a history (DropRealTime), since
+// every linearization witnesses sequential consistency: Judge's SC test
+// rides the LIN pass's checker from LIN's first violation on.
+//
+// The memo holds the search's fruitless nodes, each a front vector and an
+// object state. A node whose state is Interned and whose fronts fit 64/n
+// bits each is two words, kept inline in an open-addressing table (pairSet);
+// any other is a byte key (byteSet). The choice depends only on the node.
 //
 // The search branches only where it must. A complete non-mutating operation
 // (a read: OpSig.Mutating false) whose recorded response the specification

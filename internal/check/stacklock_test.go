@@ -62,3 +62,27 @@ func TestSCPerPrefixStackLockHistory(t *testing.T) {
 		t.Errorf("on the %d-symbol prefix: per-prefix pass accepts=%v, brute force accepts=%v (want both true)", len(short), got, want)
 	}
 }
+
+// TestLinThenSCQueueLockHistory pins the cost of the SC judge on the
+// 64-symbol history the correct lock queue exhibits under the scenario in
+// the trace's note. The judge runs LIN's per-prefix pass and drops real-time
+// order only at LIN's first violation; the lock queue is linearizable, so
+// the LIN pass accepts every prefix and the judge runs no SC search. It visits
+// 136,874 nodes, 136,270 of them in the whole word's residual search. The
+// plain per-prefix SC pass, which this test does not run, visits 10,016,816
+// nodes on the word: 6 s on a 2-vCPU machine, most of the 10 s its explorer
+// replay took.
+func TestLinThenSCQueueLockHistory(t *testing.T) {
+	tr := readTrace(t, "queue-lock-sc.jsonl")
+	w := tr.Word
+	if len(w) != 64 {
+		t.Fatalf("history has %d symbols, want 64", len(w))
+	}
+	chk := NewIncremental(trace.Queue(), true, tr.Meta.N)
+	if k := firstViolation(chk, w); k != 0 {
+		t.Fatalf("lock-queue history rejected at prefix %d; the lock queue is linearizable", k)
+	}
+	if chk.nodes > 150000 {
+		t.Errorf("LIN pass visited %d search nodes, want at most 150,000 (136,874 measured)", chk.nodes)
+	}
+}

@@ -453,6 +453,7 @@ type shrinkJob struct {
 // entry's reproducer. It writes that entry alone, so jobs run concurrently.
 func (j shrinkJob) run(rep *Report, r Runner, budget int) {
 	if j.bug {
+		r.classOnly = true // a bug shrink reads only OracleFailures
 		shrunk, still := shrinkWhere(j.spec, j.found, r, budget, oracleFailures)
 		if b := &rep.Bugs[j.slot]; len(still) > 0 {
 			b.Shrunk, b.ShrunkSteps, b.ShrunkFailures = shrunk.String(), shrunk.Steps, still

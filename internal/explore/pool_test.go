@@ -209,10 +209,12 @@ func TestExecuteReleasesPerCallSession(t *testing.T) {
 // lang allocations, with budgets of 2000 and 1550. Ledger states stopped
 // caching their record lists, and searches answer a complete get without
 // building one; before that, the batch averaged ~233 obj and ~1119 lang
-// allocations, with budgets of 300 and 1460. Obj and lang keep about 1.3×
-// their steady state.
+// allocations, with budgets of 300 and 1460. The SC oracle then rode the LIN
+// oracle's checker, and the brute-force size test stopped building the
+// operation list; before that, obj averaged ~193 with a budget of 250. Obj
+// and lang keep about 1.3× their steady state.
 const (
-	objAllocBudget  = 250  // measured steady state ~193
+	objAllocBudget  = 240  // measured steady state ~186
 	msgAllocBudget  = 1100 // measured steady state ~585 (fresh runner: ~1078)
 	langAllocBudget = 1400 // measured steady state ~1071
 )

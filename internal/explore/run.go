@@ -107,6 +107,11 @@ type Runner struct {
 	// stages, when non-nil, accumulates per-stage wall time and allocations
 	// (see StageStats); nil costs nothing on the hot path.
 	stages *stageRecorder
+	// classOnly stops an object scenario's checks after the class oracles,
+	// skipping the brute-force differential and the monitor check. A bug
+	// shrink sets it: it reads only a candidate's OracleFailures, which
+	// those checks never write.
+	classOnly bool
 }
 
 // Execute runs the scenario and differentially checks its verdicts. The

@@ -24,6 +24,7 @@ const defaultShrinkBudget = 200
 // "some divergence survives" — the reproducer shows the bug, in as few
 // scheduler steps (and workload operations) as the seed's schedule allows.
 func ShrinkBugSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
+	r.classOnly = true
 	return shrinkFresh(s, r, budget, oracleFailures)
 }
 

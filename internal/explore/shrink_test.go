@@ -7,6 +7,7 @@ package explore
 // same reproducers at every worker count, one execution fewer each.
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -182,4 +183,42 @@ func TestPooledShrinkSkipsTheKnownExecution(t *testing.T) {
 // replay check reports), the returned divergence list is empty.
 func ShrinkSpec(s Spec, r Runner, budget int) (Spec, []Divergence) {
 	return shrinkFresh(s, r, budget, divergences)
+}
+
+// TestClassOnlyRunKeepsOracleFailures pins what a bug shrink's runner skips:
+// on object and message-passing scenarios, a class-only execution reports
+// the same OracleFailures as a full one, and runs neither the brute-force
+// differential nor the monitor check.
+func TestClassOnlyRunKeepsOracleFailures(t *testing.T) {
+	sess := monitor.NewSession()
+	defer sess.Close()
+	full := Runner{Session: sess}.Pooled()
+	classOnly := full
+	classOnly.classOnly = true
+	bugs := 0
+	for _, cfg := range []GenConfig{objGen(), msgGen()} {
+		for i := 0; i < 60; i++ {
+			s := NewSpec(5, i, cfg)
+			want, err := full.Execute(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := classOnly.Execute(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mustJSON(t, got.OracleFailures) != mustJSON(t, want.OracleFailures) {
+				t.Fatalf("%s: class-only run found %v, full run %v", s, got.OracleFailures, want.OracleFailures)
+			}
+			if slices.Contains(got.Ran, CheckBrute) || slices.Contains(got.Ran, CheckMonitorLin) {
+				t.Fatalf("%s: class-only run ran %v", s, got.Ran)
+			}
+			if len(want.OracleFailures) > 0 {
+				bugs++
+			}
+		}
+	}
+	if bugs == 0 {
+		t.Fatal("no scenario exposed a bug; the comparison is vacuous")
+	}
 }

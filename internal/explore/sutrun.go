@@ -258,7 +258,8 @@ const bruteOpsCap = 7
 // and message-passing alike: the exhibited history against the class oracles
 // (split into divergences and bug findings by the implementation's ground
 // truth), the brute-force differential on small histories, and the monitor's
-// verdict stream against the offline oracle.
+// verdict stream against the offline oracle. A classOnly runner stops after
+// the class oracles.
 func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monitor.Result, tau *adversary.Timed) {
 	s := out.Spec
 	obj := od.obj
@@ -279,12 +280,13 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 		checkCrashQuiet(out, res)
 	}
 
-	// The offline oracles borrow their checkers from the session's pool.
+	// The offline oracles borrow their checkers from the session's pool. An
+	// SC oracle reads both verdicts off one checker's pass.
 	pool := r.Session.CheckPool()
-	linJudge := lang.Judge{Cond: lang.LIN, Object: obj}
-	lin := linJudge.Violation(res.History, pool) == nil
+	linV, v := lang.Judge{Cond: od.safety, Object: obj}.Violations(res.History, pool)
+	lin := linV == nil
 	var violation string
-	if v := (lang.Judge{Cond: od.safety, Object: obj}).Violation(res.History, pool); v != nil {
+	if v != nil {
 		violation = v.Detail
 		if od.safety == lang.SC {
 			violation = "history is not sequentially consistent"
@@ -309,10 +311,15 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 		}
 	}
 
+	if r.classOnly {
+		r.stages.stop(s.Fam(), stageCheck, mark)
+		return
+	}
+
 	// The memoized witness search against the exhaustive reference, on the
 	// histories real implementations (not synthetic words) produce, including
 	// pending-at-crash operations.
-	if len(trace.Operations(res.History)) <= bruteOpsCap {
+	if invocations(res.History) <= bruteOpsCap {
 		out.ran(CheckBrute)
 		if got := check.BruteLinearizable(obj, res.History); got != lin {
 			out.diverge(CheckBrute,
@@ -344,6 +351,7 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 	// message can separate the violating response from the verdict that
 	// would have judged it.
 	out.ran(CheckMonitorLin)
+	linJudge := lang.Judge{Cond: lang.LIN, Object: obj}
 	switch {
 	case lin && res.TotalNO() > 0:
 		sk, err := res.Sketch(s.N, tau.InvAt)
@@ -359,6 +367,18 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 		}
 	}
 	r.stages.stop(s.Fam(), stageMonitor, mark)
+}
+
+// invocations counts w's invocations: its operations, pending ones included,
+// without building them.
+func invocations(w trace.Word) int {
+	k := 0
+	for _, s := range w {
+		if s.Kind == trace.Inv {
+			k++
+		}
+	}
+	return k
 }
 
 // bruteSeqConsistentPrefixes is the exhaustive reference for the SC judge:

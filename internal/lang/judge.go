@@ -26,6 +26,11 @@ const (
 // test, since a later symbol can repair a violating prefix. LIN, WEC and SEC
 // are prefix-closed — a violating prefix makes every extension violate — so
 // for them the per-prefix answer is the whole-word answer.
+//
+// The object conditions nest: every prefix LIN accepts, SC accepts. So the
+// SC judge runs LIN's pass and searches without real-time order only from
+// LIN's first violation on, on the same checker, and Violations reads both
+// verdicts off that pass.
 type Judge struct {
 	Cond   Cond
 	Object trace.Object // the object LIN and SC range over
@@ -43,17 +48,15 @@ type Violation struct {
 // Violation reports whether, and at which response-ended prefix, w first
 // violates the condition; nil means no prefix does. LIN and SC run one
 // forward pass of a check.Incremental borrowed from pool (nil: a new one) on
-// w numbered densely (see dense), EC one of a check.ECLedger; WEC and SEC
-// call their clause checker.
+// w numbered densely (see dense), SC riding LIN's (see objectPass), EC one of
+// a check.ECLedger; WEC and SEC call their clause checker.
 func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
 	switch j.Cond {
 	case LIN, SC:
-		w, n := dense(w)
-		if k := firstViolation(pool.Get(j.Object, j.Cond == LIN, n), w); k > 0 {
-			return &Violation{Prefix: k}
-		}
+		_, own := j.Violations(w, pool)
+		return own
 	case EC:
-		if k := firstViolation(check.NewECLedger(), w); k > 0 {
+		if k := firstViolation(check.NewECLedger(), w, 0); k > 0 {
 			v := check.ECLedgerSafety(w)
 			if v == nil {
 				v = check.ECLedgerSafety(w[:k])
@@ -73,6 +76,48 @@ func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
 		}
 	}
 	return nil
+}
+
+// Violations returns LIN's violation of w over the judge's object and the
+// judge's own, as two Violation calls would. An SC judge reads both off one
+// pass of one checker (objectPass), and a LIN judge returns its one verdict
+// twice.
+func (j Judge) Violations(w trace.Word, pool *check.Pool) (lin, own *Violation) {
+	if j.Cond != LIN && j.Cond != SC {
+		return Judge{Cond: LIN, Object: j.Object}.Violation(w, pool), j.Violation(w, pool)
+	}
+	l, sc := objectPass(j.Object, w, pool, j.Cond == SC)
+	if j.Cond == LIN {
+		sc = l
+	}
+	return violationAt(l), violationAt(sc)
+}
+
+// violationAt is the violation at prefix k, nil for 0.
+func violationAt(k int) *Violation {
+	if k == 0 {
+		return nil
+	}
+	return &Violation{Prefix: k}
+}
+
+// objectPass runs LIN's forward pass over w on one checker borrowed from pool
+// and returns its first violating prefix, 0 if none. With withSC set it also
+// returns SC's, from the same checker: the languages nest — a linearization
+// respects process order, so every prefix LIN accepts, SC accepts — and SC's
+// first violation is at or after LIN's. So when LIN accepts every prefix, so
+// does SC, with no search; otherwise the checker drops real-time order at
+// LIN's first violating prefix k and the per-prefix SC test resumes at k,
+// keeping the witness, ranks and interned states the LIN pass built.
+func objectPass(obj trace.Object, w trace.Word, pool *check.Pool, withSC bool) (lin, sc int) {
+	w, n := dense(w)
+	c := pool.Get(obj, true, n)
+	lin = firstViolation(c, w, 0)
+	if lin == 0 || !withSC {
+		return lin, 0
+	}
+	c.DropRealTime()
+	return lin, firstViolation(c, w, lin)
 }
 
 // dense returns w and its process count when every process id lies in
@@ -96,16 +141,21 @@ func dense(w trace.Word) (trace.Word, int) {
 	return out, len(ids)
 }
 
-// firstViolation feeds w to a checker of the empty history and returns the
-// length of the first prefix ending at a response, or of w, that it rejects,
-// or 0: a violating word costs one search beyond its last accepted prefix.
+// firstViolation feeds w[from:] to a checker already fed w[:from] and
+// returns the length of the first prefix ending at a response, or of w, that
+// it rejects, or 0: a violating word costs one search beyond its last
+// accepted prefix. A resumed pass (from > 0, where w[:from] ends at a
+// response or is w) judges w[:from] first.
 func firstViolation(c interface {
 	Append(trace.Symbol)
 	OK() bool
-}, w trace.Word) int {
-	for i, s := range w {
-		c.Append(s)
-		if s.Kind == trace.Res && !c.OK() {
+}, w trace.Word, from int) int {
+	if from > 0 && !c.OK() {
+		return from
+	}
+	for i := from; i < len(w); i++ {
+		c.Append(w[i])
+		if w[i].Kind == trace.Res && !c.OK() {
 			return i + 1
 		}
 	}

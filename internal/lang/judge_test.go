@@ -114,3 +114,254 @@ func TestDenseKeepsInRangeWords(t *testing.T) {
 		t.Errorf("out-of-range word %v renumbered to %v over %d processes; want a copy over 2", w, got, n)
 	}
 }
+
+// judgeWord draws a word over obj for the SC judge's differential. Its core
+// is a legal sequential run of up to ops operations by n processes, with
+// arguments from small domains so values repeat. The run is laid out either
+// around its linearization points, a linearizable word, or as a random merge
+// of the processes' symbols, which keeps process order and so stays
+// sequentially consistent. Then, each drawn at random: two responses of the
+// same operation swap values, which can break both conditions; the word is
+// cut short, leaving a pending tail; one process crashes, sending nothing
+// from some point on; and the processes are renumbered to negative or sparse
+// ids.
+func judgeWord(rng *rand.Rand, obj trace.Object, n, ops int) trace.Word {
+	type op struct {
+		p        int
+		name     string
+		arg, ret trace.Value
+	}
+	sigs := obj.Ops()
+	recs := []trace.Rec{"a", "b", "c"}
+	st := obj.Init()
+	var run []op
+	for len(run) < ops {
+		name := sigs[rng.Intn(len(sigs))].Name
+		var arg trace.Value = trace.Unit{}
+		switch name {
+		case trace.OpWrite, trace.OpEnq, trace.OpPush:
+			arg = trace.Int(rng.Intn(3))
+		case trace.OpAppend:
+			arg = recs[rng.Intn(len(recs))]
+		}
+		nxt, ret, ok := st.Apply(name, arg)
+		if !ok {
+			continue
+		}
+		st = nxt
+		run = append(run, op{rng.Intn(n), name, arg, ret})
+	}
+	if rng.Intn(2) == 0 {
+		i, j := rng.Intn(len(run)), rng.Intn(len(run))
+		if run[i].name == run[j].name {
+			run[i].ret, run[j].ret = run[j].ret, run[i].ret
+		}
+	}
+
+	per := make([][]op, n) // each process's operations, in run order
+	for _, o := range run {
+		per[o.p] = append(per[o.p], o)
+	}
+	inv := func(o op) trace.Symbol { return trace.NewInv(o.p, o.name, o.arg) }
+	res := func(o op) trace.Symbol { return trace.NewRes(o.p, o.name, o.ret) }
+	var w trace.Word
+	invoked, done := make([]int, n), make([]int, n)
+	if rng.Intn(2) == 0 {
+		// Around the linearization points: an operation is invoked before
+		// its point and responds after it.
+		linned := make([]int, n)
+		for _, o := range run {
+			p := o.p
+			if done[p] < linned[p] {
+				w = append(w, res(per[p][done[p]]))
+				done[p]++
+			}
+			if invoked[p] == linned[p] {
+				w = append(w, inv(o))
+				invoked[p]++
+			}
+			linned[p]++
+			for q := range per {
+				switch {
+				case rng.Intn(3) != 0:
+				case done[q] < invoked[q] && done[q] < linned[q]:
+					w = append(w, res(per[q][done[q]]))
+					done[q]++
+				case done[q] == invoked[q] && invoked[q] < len(per[q]):
+					w = append(w, inv(per[q][invoked[q]]))
+					invoked[q]++
+				}
+			}
+		}
+		for p := range per {
+			if done[p] < invoked[p] {
+				w = append(w, res(per[p][done[p]]))
+			}
+		}
+	} else {
+		// A random merge of the processes' symbol sequences.
+		for left := 2 * len(run); left > 0; left-- {
+			p := rng.Intn(n)
+			for invoked[p] == len(per[p]) && done[p] == invoked[p] {
+				p = (p + 1) % n
+			}
+			if done[p] < invoked[p] {
+				w = append(w, res(per[p][done[p]]))
+				done[p]++
+			} else {
+				w = append(w, inv(per[p][invoked[p]]))
+				invoked[p]++
+			}
+		}
+	}
+
+	if rng.Intn(3) == 0 {
+		w = w[:rng.Intn(len(w)+1)]
+	}
+	if rng.Intn(3) == 0 && len(w) > 0 {
+		crashed, at := rng.Intn(n), rng.Intn(len(w))
+		kept := w[:at]
+		for _, s := range w[at:] {
+			if s.Proc != crashed {
+				kept = append(kept, s)
+			}
+		}
+		w = kept
+	}
+	switch rng.Intn(3) {
+	case 1:
+		for i := range w {
+			w[i].Proc = -1 - w[i].Proc
+		}
+	case 2:
+		for i := range w {
+			w[i].Proc = 1000*w[i].Proc + 3
+		}
+	}
+	return w
+}
+
+// plainSC is the per-prefix SC pass the judge ran before SC rode LIN's pass:
+// one sequential-consistency checker from the first symbol on.
+func plainSC(obj trace.Object, w trace.Word) int {
+	w, n := dense(w)
+	return firstViolation(check.NewIncremental(obj, false, n), w, 0)
+}
+
+// bruteSC is the exhaustive reference: the first response-ended prefix, or
+// w, that BruteSeqConsistent rejects, 0 if none.
+func bruteSC(obj trace.Object, w trace.Word) int {
+	w, _ = dense(w)
+	for k := 1; k <= len(w); k++ {
+		if (k == len(w) || w[k-1].Kind == trace.Res) && !check.BruteSeqConsistent(obj, w[:k]) {
+			return k
+		}
+	}
+	return 0
+}
+
+// diffSCJudge checks the SC judge on one word against the plain per-prefix
+// pass, on a fresh checker and on pool, and against brute force when w has
+// at most 7 operations. It returns the judge's LIN and SC prefixes.
+func diffSCJudge(t testing.TB, obj trace.Object, w trace.Word, pool *check.Pool) (linK, scK int) {
+	t.Helper()
+	j := Judge{Cond: SC, Object: obj}
+	want := plainSC(obj, w)
+	if len(trace.Operations(w)) <= 7 {
+		if b := bruteSC(obj, w); b != want {
+			t.Fatalf("%s: plain SC pass says prefix %d, brute force %d on %v", obj.Name(), want, b, w)
+		}
+	}
+	for _, p := range []*check.Pool{nil, pool} {
+		if p != nil {
+			p.Reclaim()
+		}
+		lin, sc := j.Violations(w, p)
+		if got := prefixOf(sc); got != want {
+			t.Fatalf("%s: SC judge says prefix %d, plain SC pass %d on %v", obj.Name(), got, want, w)
+		}
+		if v := j.Violation(w, p); prefixOf(v) != want || v != nil && v.Detail != "" {
+			t.Fatalf("%s: SC Violation %+v, plain SC pass %d on %v", obj.Name(), v, want, w)
+		}
+		if l := (Judge{Cond: LIN, Object: obj}).Violation(w, p); prefixOf(l) != prefixOf(lin) {
+			t.Fatalf("%s: Violations says LIN prefix %d, the LIN judge %d on %v", obj.Name(), prefixOf(lin), prefixOf(l), w)
+		}
+		linK, scK = prefixOf(lin), prefixOf(sc)
+	}
+	return linK, scK
+}
+
+// prefixOf is v's prefix, 0 for nil.
+func prefixOf(v *Violation) int {
+	if v == nil {
+		return 0
+	}
+	return v.Prefix
+}
+
+// TestSCJudgeMatchesPlainPass is the differential of the SC judge, which runs
+// LIN's pass and drops real-time order at LIN's first violation: on random
+// register, queue, stack and ledger words (see judgeWord) its verdict and
+// prefix must equal the plain per-prefix SC pass's, and brute force's on
+// words of at most 7 operations. The words must reach every case: LIN and SC
+// both accept, only SC accepts, both reject at one prefix, and SC rejects
+// after LIN.
+func TestSCJudgeMatchesPlainPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := check.NewPool()
+	var both, scOnly, same, later, brute int
+	for _, obj := range []trace.Object{trace.Register(), trace.Queue(), trace.Stack(), trace.Ledger()} {
+		for trial := 0; trial < 1000; trial++ {
+			w := judgeWord(rng, obj, 2+rng.Intn(3), 3+rng.Intn(10))
+			if len(trace.Operations(w)) <= 7 {
+				brute++
+			}
+			switch lin, sc := diffSCJudge(t, obj, w, pool); {
+			case lin == 0:
+				both++
+			case sc == 0:
+				scOnly++
+			case sc == lin:
+				same++
+			default:
+				later++
+			}
+		}
+	}
+	t.Logf("accepted by both %d, by SC only %d, rejected at LIN's prefix %d, after it %d; %d checked by brute force",
+		both, scOnly, same, later, brute)
+	if both == 0 || scOnly == 0 || same == 0 || later == 0 || brute == 0 {
+		t.Fatal("a case of the differential was never drawn")
+	}
+}
+
+// byteSource is a rand.Source that reads a fuzz input eight bytes at a time
+// and then yields zeros, so the fuzzer's mutations steer judgeWord's draws.
+type byteSource []byte
+
+func (b *byteSource) Int63() int64 {
+	var v uint64
+	for i := 0; i < 8 && len(*b) > 0; i++ {
+		v = v<<8 | uint64((*b)[0])
+		*b = (*b)[1:]
+	}
+	return int64(v >> 1)
+}
+
+func (b *byteSource) Seed(int64) {}
+
+// FuzzSCJudge drives the SC judge's differential (diffSCJudge) with words
+// judgeWord draws from the fuzz input.
+func FuzzSCJudge(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte("\x01\x02queue-like bytes\xff\x10\x20\x30\x40\x50\x60\x70\x80\x90"))
+	f.Add([]byte("\x03\x01\x07\x7f\xfe\x00\x11\x22\x33\x44\x55\x66\x77\x88\x99\xaa\xbb\xcc\xdd\xee"))
+	objects := []trace.Object{trace.Register(), trace.Queue(), trace.Stack(), trace.Ledger()}
+	pool := check.NewPool()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteSource(data)
+		rng := rand.New(&src)
+		obj := objects[rng.Intn(len(objects))]
+		diffSCJudge(t, obj, judgeWord(rng, obj, 1+rng.Intn(4), 1+rng.Intn(9)), pool)
+	})
+}
