@@ -150,3 +150,42 @@ func overflowWord(rng *rand.Rand, obj trace.Object) trace.Word {
 	}
 	return w
 }
+
+// TestLedgerRecordsWithSeparator pins a history whose two record lists
+// [a, a|a] and [a|a, a] once shared the memo key "la|a|a|": appends of "a"
+// and "a|a" run concurrently with a get that returns [a|a, a]. Placing "a"
+// first fails the get and memoized the shared key, so the other order was
+// never tried and every memoized checker said NO. The history is
+// linearizable and sequentially consistent; the memoized checkers must
+// agree with brute force on the interned path and the key path alike.
+func TestLedgerRecordsWithSeparator(t *testing.T) {
+	w := trace.Word{
+		trace.NewInv(0, trace.OpAppend, trace.Rec("a")),
+		trace.NewInv(1, trace.OpAppend, trace.Rec("a|a")),
+		trace.NewInv(2, trace.OpGet, trace.Unit{}),
+		trace.NewRes(0, trace.OpAppend, trace.Unit{}),
+		trace.NewRes(1, trace.OpAppend, trace.Unit{}),
+		trace.NewRes(2, trace.OpGet, trace.Seq{"a|a", "a"}),
+	}
+	if !BruteLinearizable(trace.Ledger(), w) || !BruteSeqConsistent(trace.Ledger(), w) {
+		t.Fatal("brute force rejects the history")
+	}
+	ops := trace.Operations(w)
+	for _, obj := range []trace.Object{trace.Ledger(), keyPathObject{trace.Ledger()}} {
+		name := "interned"
+		if _, ok := obj.(keyPathObject); ok {
+			name = "key path"
+		}
+		if !LinearizableOps(obj, ops) {
+			t.Errorf("%s: LinearizableOps = false, brute force true", name)
+		}
+		if !SeqConsistentOps(obj, ops) {
+			t.Errorf("%s: SeqConsistentOps = false, brute force true", name)
+		}
+		for _, realTime := range []bool{true, false} {
+			if !checkWord(NewIncremental(obj, realTime, 3), w) {
+				t.Errorf("%s realTime=%v: checkWord = false, brute force true", name, realTime)
+			}
+		}
+	}
+}
