@@ -196,3 +196,26 @@ func TestGoldenStdout(t *testing.T) {
 		}
 	}
 }
+
+// TestIllTypedTracesJudged runs traces whose values do not fit their
+// object: a counter read that returns a unit, a ledger append of an integer
+// and a ledger get that returns a record. Each is a safety violation and
+// does not converge; none may panic.
+func TestIllTypedTracesJudged(t *testing.T) {
+	u := trace.Unit{}
+	traces := []struct {
+		lang string
+		w    trace.Word
+	}{
+		{"SEC_COUNT", trace.NewB().Op(0, trace.OpInc, nil, u).Op(1, trace.OpRead, nil, u).Word()},
+		{"EC_LED", trace.NewB().Op(0, trace.OpAppend, trace.Int(1), u).Op(1, trace.OpGet, nil, trace.Seq{}).Word()},
+		{"EC_LED", trace.NewB().Op(0, trace.OpAppend, trace.Rec("a"), u).Op(1, trace.OpGet, nil, trace.Rec("a")).Word()},
+	}
+	for _, tc := range traces {
+		code, out, errOut := runMon(writeTrace(t, tc.lang, false, tc.w))
+		if code != 0 || !strings.Contains(out, "safety clauses: violated=true") ||
+			!strings.Contains(out, "convergence (quiescent tail): false") {
+			t.Errorf("%s %v: exit %d\n%s%s", tc.lang, tc.w, code, out, errOut)
+		}
+	}
+}

@@ -28,7 +28,8 @@
 //     checkers. check.ECLedger is the eventual ledger's counterpart for
 //     clause (1), which is order-free: an append multiset that only grows
 //     and a longest returned sequence that only extends, so each symbol
-//     costs only itself.
+//     costs only itself; check.Counter does the same for the eventual
+//     counters' clauses, each of which judges one read at its response.
 //   - internal/lang's Judge — the one test of a finite word that Table 1,
 //     the explorer and drvmon ask: like the definitions, it reports the
 //     first prefix ending at a response that violates the language's

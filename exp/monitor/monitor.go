@@ -148,9 +148,13 @@ func (cfg *Config) validate() (adversary.ArrayKind, error) {
 	if err := trace.WellFormed(cfg.History); err != nil {
 		return 0, fmt.Errorf("monitor: %w", err)
 	}
-	for _, sym := range cfg.History {
+	counter := cfg.Logic == LogicWEC || cfg.Logic == LogicSEC
+	for i, sym := range cfg.History {
 		if sym.Proc < 0 {
 			return 0, fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
+		}
+		if _, ok := sym.Val.(trace.Int); counter && sym.Kind == trace.Res && sym.Op == trace.OpRead && !ok {
+			return 0, fmt.Errorf("monitor: history symbol %d: a counter read returns an integer, not %v", i, sym.Val)
 		}
 	}
 	if p := cfg.History.Procs(); p > cfg.N {

@@ -125,6 +125,11 @@ func TestRunValidation(t *testing.T) {
 		// this history and a replay that panics in the adversary.
 		{"negative proc", monitor.Config{N: 1, Logic: monitor.LogicLin, Object: trace.Queue(),
 			History: trace.NewB().Op(-1, "deq", nil, trace.Empty).Word()}, "process -1"},
+		// The counter monitors read every read response as an integer.
+		{"non-integer read", monitor.Config{N: 1, Logic: monitor.LogicWEC,
+			History: trace.NewB().Op(0, "inc", nil, trace.Unit{}).Op(0, "read", nil, trace.Unit{}).Word()}, "symbol 3"},
+		{"read without value", monitor.Config{N: 1, Logic: monitor.LogicSEC,
+			History: trace.NewB().Op(0, "read", nil, nil).Word()}, "symbol 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

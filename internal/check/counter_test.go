@@ -72,6 +72,9 @@ func TestWECSafety(t *testing.T) {
 			if (v != nil) != tt.violates {
 				t.Errorf("WECSafety = %v, want violation=%v", v, tt.violates)
 			}
+			if got := firstViolation(NewCounter(false), tt.w) > 0; got != tt.violates {
+				t.Errorf("Counter violated = %v, want %v", got, tt.violates)
+			}
 		})
 	}
 }
@@ -127,6 +130,9 @@ func TestSECSafety(t *testing.T) {
 			v := SECSafety(tt.w)
 			if (v != nil) != tt.violates {
 				t.Errorf("SECSafety = %v, want violation=%v", v, tt.violates)
+			}
+			if got := firstViolation(NewCounter(true), tt.w) > 0; got != tt.violates {
+				t.Errorf("strong Counter violated = %v, want %v", got, tt.violates)
 			}
 		})
 	}

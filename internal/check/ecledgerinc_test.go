@@ -157,7 +157,7 @@ func TestECLedgerResetForgetsHistory(t *testing.T) {
 // Reset rewinds the checker to the empty history, keeping its map.
 func (c *ECLedger) Reset() {
 	c.fed = 0
-	c.bad = false
+	c.fault = nil
 	c.longest = nil
 	clear(c.recs)
 	c.over = 0

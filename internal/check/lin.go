@@ -15,12 +15,13 @@
 // growing history and searches only when an append refutes it; the one-shot
 // Linearizable and SeqConsistent, and their Ops forms, search a whole history
 // once, as the tests' from-scratch reference and for the benchmark harness;
-// WECSafety, SECSafety and ECLedgerSafety (with ECLedger, its incremental
-// form) check the eventual objects' clauses, and Converges and
-// ECLedgerConverges their liveness diagnostics; BruteLinearizable and
-// BruteSeqConsistent are the tests' exhaustive references. Package lang's
-// Judge turns these into the verdict on a finite word that the rest of the
-// repository asks for. The search knows only processes [0,n), one row each;
+// Counter and ECLedger check the eventual objects' safety clauses one symbol
+// at a time, recording the Fault that first fails one, and Converges and
+// ECLedgerConverges are their liveness diagnostics; BruteLinearizable and
+// BruteSeqConsistent are the tests' exhaustive references, and the tests
+// keep batch clause checkers as the per-symbol ones' reference. Package
+// lang's Judge turns these into the verdict on a finite word that the rest
+// of the repository asks for, each condition in one forward pass. The search knows only processes [0,n), one row each;
 // Judge is the one place that renumbers a word's processes. An Incremental
 // may drop real-time order partway through a history (DropRealTime), since
 // every linearization witnesses sequential consistency: Judge's SC test

@@ -212,7 +212,7 @@ func TestLemma65Attack(t *testing.T) {
 func TestLemma65WordInLanguage(t *testing.T) {
 	l := Lemma65{N: 2, Stages: 2}
 	w, phases := l.Build()
-	if check.ECLedgerSafety(w) != nil {
+	if lang.ECLed().Judge.Violation(w, nil) != nil {
 		t.Error("staged word violates EC ordering safety")
 	}
 	if !check.ECLedgerConverges(w) {

@@ -210,40 +210,21 @@ func nextOf(h trace.Word, p, i int) int {
 	return i
 }
 
-// checkOwnSafety evaluates the per-verdict counter oracle: scan the history
-// once, recording for each process the earliest history index at which its
-// own projection violates WEC clause (1) (read below own preceding incs) or
-// clause (2) (read below previous read) — violations the process fully
-// observes itself, so any sound weak decider for the counter languages holds
-// NO from there on. Then every verdict whose HistAt is past that index must
-// be NO.
+// checkOwnSafety evaluates the per-verdict counter oracle: feed the history
+// once to a WEC clause checker, recording for each process the earliest
+// history index at which its own read violates WEC clause (1) (read below
+// own preceding incs) or clause (2) (read below previous read) — violations
+// the process fully observes itself, so any sound weak decider for the
+// counter languages holds NO from there on. Then every verdict whose HistAt
+// is past that index must be NO.
 func checkOwnSafety(out *Outcome, res *monitor.Result) {
 	n := out.Spec.N
 	violAt := make([]int, n) // earliest violating history index +1, 0 = none
-	incs := make([]int64, n)
-	lastRead := make([]int64, n)
-	hasRead := make([]bool, n)
-	pendingInc := make([]bool, n)
+	c := check.NewCounter(false)
 	for i, sym := range res.History {
-		p := sym.Proc
-		switch {
-		case sym.Kind == trace.Inv && sym.Op == trace.OpInc:
-			pendingInc[p] = true
-		case sym.Kind == trace.Res && sym.Op == trace.OpInc:
-			if pendingInc[p] {
-				incs[p]++
-				pendingInc[p] = false
-			}
-		case sym.Kind == trace.Res && sym.Op == trace.OpRead:
-			v, ok := sym.Val.(trace.Int)
-			if !ok {
-				continue
-			}
-			if violAt[p] == 0 && (int64(v) < incs[p] || (hasRead[p] && int64(v) < lastRead[p])) {
-				violAt[p] = i + 1
-			}
-			lastRead[p] = int64(v)
-			hasRead[p] = true
+		c.Append(sym)
+		if c.Shown() != nil && violAt[sym.Proc] == 0 {
+			violAt[sym.Proc] = i + 1
 		}
 	}
 	for p := 0; p < n; p++ {

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/check"
@@ -38,44 +37,42 @@ type Judge struct {
 
 // Violation is a judge's report: Prefix is the length of the shortest
 // violating prefix, and Detail, for the clause conditions only, names the
-// failed clause and operation — on the whole word if it fails, else on the
-// prefix.
+// failed clause and the operation of w[:Prefix] that failed it.
 type Violation struct {
 	Prefix int
 	Detail string
 }
 
 // Violation reports whether, and at which response-ended prefix, w first
-// violates the condition; nil means no prefix does. LIN and SC run one
-// forward pass of a check.Incremental borrowed from pool (nil: a new one) on
-// w numbered densely (see dense), SC riding LIN's (see objectPass), EC one of
-// a check.ECLedger; WEC and SEC call their clause checker.
+// violates the condition; nil means no prefix does. Every condition is one
+// forward pass of one checker: LIN and SC of a check.Incremental borrowed
+// from pool (nil: a new one) on w numbered densely (see dense), SC riding
+// LIN's (see objectPass); EC of a check.ECLedger, and WEC and SEC of a
+// check.Counter, whose first violation is the detail.
 func (j Judge) Violation(w trace.Word, pool *check.Pool) *Violation {
 	switch j.Cond {
 	case LIN, SC:
 		_, own := j.Violations(w, pool)
 		return own
-	case EC:
-		if k := firstViolation(check.NewECLedger(), w, 0); k > 0 {
-			v := check.ECLedgerSafety(w)
-			if v == nil {
-				v = check.ECLedgerSafety(w[:k])
-			}
-			return &Violation{Prefix: k, Detail: v.String()}
-		}
-	case WEC, SEC:
-		clauses := check.WECSafety
-		if j.Cond == SEC {
-			clauses = check.SECSafety
-		}
-		if v := clauses(w); v != nil {
-			// Prefix-closed, and failing on the prefix ending at the
-			// reported read's response: bisect below it.
-			k := sort.Search(v.Op.Res+1, func(k int) bool { return clauses(w[:k]) != nil })
-			return &Violation{Prefix: k, Detail: v.String()}
+	case EC, WEC, SEC:
+		c := clauses(j.Cond)
+		if k := firstViolation(c, w, 0); k > 0 {
+			return &Violation{Prefix: k, Detail: c.Violation().In(w[:k]).String()}
 		}
 	}
 	return nil
+}
+
+// clauses returns a clause condition's per-symbol checker.
+func clauses(cond Cond) interface {
+	Append(trace.Symbol)
+	OK() bool
+	Violation() *check.Fault
+} {
+	if cond == EC {
+		return check.NewECLedger()
+	}
+	return check.NewCounter(cond == SEC)
 }
 
 // Violations returns LIN's violation of w over the judge's object and the

@@ -365,3 +365,43 @@ func FuzzSCJudge(f *testing.F) {
 		diffSCJudge(t, obj, judgeWord(rng, obj, 1+rng.Intn(4), 1+rng.Intn(9)), pool)
 	})
 }
+
+// TestClauseDetailsNameOperationsInPrefix pins the clause conditions'
+// details to the prefix they report: each probe word's whole-word check
+// names an operation beyond its first violating prefix, and the judge must
+// name the one inside.
+func TestClauseDetailsNameOperationsInPrefix(t *testing.T) {
+	u := trace.Unit{}
+	probes := []struct {
+		cond   Cond
+		w      trace.Word
+		prefix int
+		detail string
+	}{
+		{SEC, trace.NewB().
+			Op(1, trace.OpRead, u, trace.Int(5)).
+			Op(0, trace.OpInc, u, u).
+			Op(0, trace.OpRead, u, trace.Int(0)).Word(),
+			2, "p1#0 read(())=5 [0,1]: clause (4): returned 5 > 0 incs preceding or concurrent"},
+		{WEC, trace.NewB().
+			Op(0, trace.OpInc, u, u).
+			Op(1, trace.OpInc, u, u).
+			Inv(0, trace.OpRead, u).
+			Inv(1, trace.OpRead, u).
+			Res(1, trace.OpRead, trace.Int(0)).
+			Res(0, trace.OpRead, trace.Int(0)).Word(),
+			7, "p1#1 read(())=0 [5,6]: clause (1): returned 0 < 1 own preceding incs"},
+		{EC, trace.NewB().
+			Op(0, trace.OpGet, u, trace.Seq{"a"}).
+			Op(1, trace.OpAppend, trace.Rec("a"), u).
+			Op(1, trace.OpAppend, trace.Rec("b"), u).
+			Op(1, trace.OpGet, u, trace.Seq{"b"}).Word(),
+			2, `p0#0 get(())=[a] [0,1]: clause (1): position 0 returns record "a" appended fewer than 1 times`},
+	}
+	for _, p := range probes {
+		v := Judge{Cond: p.cond}.Violation(p.w, nil)
+		if v == nil || v.Prefix != p.prefix || v.Detail != p.detail {
+			t.Errorf("cond %d on %v: got %+v, want prefix %d, detail %q", p.cond, p.w, v, p.prefix, p.detail)
+		}
+	}
+}

@@ -331,9 +331,11 @@ func TestSCOracleMatchesPerPrefixSafety(t *testing.T) {
 }
 
 // TestECLedOracleMatchesPerPrefixSafety pins EC_LED's one-pass safety test
-// to the definition it replaces, anyPrefixViolates over ECLedgerSafety, and
-// the incremental checker to ECLedgerSafety, on every prefix of every
-// EC_LED source's word.
+// to the definition it replaces, anyPrefixViolates over clause (1) judged on
+// a whole word, on every prefix of every EC_LED source's word; a checker
+// queried after every response must track it too. A fresh check.ECLedger fed
+// a whole word and asked once judges it, as package check's tests pin
+// against a batch reference.
 func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
 	const procs = 3
 	steps := 300
@@ -341,7 +343,14 @@ func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
 		steps = 120
 	}
 	l := ECLed()
-	perPrefix := anyPrefixViolates(func(w trace.Word) bool { return check.ECLedgerSafety(w) != nil })
+	whole := func(w trace.Word) bool {
+		c := check.NewECLedger()
+		for _, s := range w {
+			c.Append(s)
+		}
+		return c.OK()
+	}
+	perPrefix := anyPrefixViolates(func(w trace.Word) bool { return !whole(w) })
 	violating := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, lb := range l.Sources(procs, seed) {
@@ -359,26 +368,18 @@ func TestECLedOracleMatchesPerPrefixSafety(t *testing.T) {
 			for k := 1; k <= len(w); k++ {
 				chk.Append(w[k-1])
 				p := w[:k]
-				whole := check.ECLedgerSafety(p) == nil
-				fresh := check.NewECLedger()
-				for _, s := range p {
-					fresh.Append(s)
-				}
-				if fresh.OK() != whole {
-					t.Fatalf("%s seed %d prefix %d: checker OK = %v, ECLedgerSafety = %v", lb.Name, seed, k, fresh.OK(), check.ECLedgerSafety(p))
-				}
-				// anyPrefixViolates(p) is before || !whole: it tests every
+				// anyPrefixViolates(p) is before || !whole(p): it tests every
 				// response-ended proper prefix and p itself. Running the
 				// quadratic lift itself on every prefix would be cubic, so
 				// it is sampled.
-				want := before || !whole
+				want := before || !whole(p)
 				if k%16 == 0 || k == len(w) {
 					if ref := perPrefix(p); ref != want {
 						t.Fatalf("%s seed %d prefix %d: anyPrefixViolates = %v, test bookkeeping says %v", lb.Name, seed, k, ref, want)
 					}
 				}
 				if got := violated(l)(p); got != want {
-					t.Fatalf("%s seed %d prefix %d: judge violated = %v, anyPrefixViolates(ECLedgerSafety) = %v", lb.Name, seed, k, got, want)
+					t.Fatalf("%s seed %d prefix %d: judge violated = %v, anyPrefixViolates = %v", lb.Name, seed, k, got, want)
 				}
 				if w[k-1].Kind == trace.Res {
 					if chk.OK() == want {

@@ -198,7 +198,7 @@ func TestFig9SECIsPWD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sketch: %v", err)
 			}
-			return check.SECSafety(sk) != nil
+			return lang.Judge{Cond: lang.SEC}.Violation(sk, nil) != nil
 		}}
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)

@@ -46,6 +46,16 @@ func orderFreeWord(triples []trace.Triple) trace.Word {
 	return out
 }
 
+// wholeECLedger answers clause (1) on w as one batch: a fresh checker fed
+// all of w before its one OK.
+func wholeECLedger(w trace.Word) bool {
+	c := check.NewECLedger()
+	for _, s := range w {
+		c.Append(s)
+	}
+	return c.OK()
+}
+
 // orderFreeRef accumulates one process's collected triples for the
 // reference check. It also pins what the incremental feeds rely on: the
 // board delivers each writer's triples once each, in index order from 0, so
@@ -72,7 +82,8 @@ func (r *orderFreeRef) add(p int, delta []trace.Triple) {
 }
 
 // ecledShadow is ecledLogic with every round's clause (1) flag compared to
-// ECLedgerSafety over orderFreeWord of every collected triple.
+// a fresh check.ECLedger's answer on orderFreeWord of every collected triple,
+// fed whole.
 type ecledShadow struct {
 	*ecledLogic
 	ref  orderFreeRef
@@ -82,7 +93,7 @@ type ecledShadow struct {
 func (s *ecledShadow) PostRecv(p *sched.Proc, resp trace.Response) {
 	s.ecledLogic.PostRecv(p, resp)
 	s.ref.add(p.ID, s.tbuf)
-	s.flag = s.flag || check.ECLedgerSafety(orderFreeWord(s.ref.all)) != nil
+	s.flag = s.flag || !wholeECLedger(orderFreeWord(s.ref.all))
 	if s.ecledLogic.flag != s.flag || (s.flag && s.verdict != No) {
 		s.ref.fail(fmt.Sprintf("process %d after %d triples: flag %v verdict %v, reference flag %v",
 			p.ID, len(s.ref.all), s.ecledLogic.flag, s.verdict, s.flag))

@@ -307,6 +307,37 @@ func TestServeMultiStreamPerStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestIllTypedCounterStreamFailsAlone sends a counter stream whose read
+// returns no integer ahead of a valid queue stream on one shard, for both
+// counter logics. The bad stream must get one error line naming the symbol
+// instead of crashing the shard worker, and the valid stream must still get
+// the lines it gets alone.
+func TestIllTypedCounterStreamFailsAlone(t *testing.T) {
+	good := streamRequest(t, Open{Stream: "q", Logic: "lin", Object: "queue"}, 2, queueWord())
+	alone := serveOnce(t, Config{Shards: 1}, request(t, good...))
+	for logic, read := range map[string]trace.Value{"wec": trace.Unit{}, "sec": nil} {
+		bad := trace.NewB().Op(0, trace.OpInc, nil, trace.Unit{}).Op(0, trace.OpRead, nil, read).Word()
+		msgs := append(streamRequest(t, Open{Stream: "bad", Logic: logic}, 1, bad), good...)
+		var badLines []Response
+		var others bytes.Buffer
+		raw := serveOnce(t, Config{Shards: 1}, request(t, msgs...))
+		for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+			if r := parseResponses(t, line); len(r) == 1 && (r[0].Opened != nil && r[0].Opened.Stream == "bad" ||
+				r[0].Error != nil && r[0].Error.Stream == "bad") {
+				badLines = append(badLines, r[0])
+				continue
+			}
+			others.Write(line)
+		}
+		if len(badLines) != 2 || badLines[1].Error == nil || !strings.Contains(badLines[1].Error.Msg, "symbol 3") {
+			t.Fatalf("%s: bad stream got %+v, want an opened line and one error line naming symbol 3", logic, badLines)
+		}
+		if !bytes.Equal(others.Bytes(), alone) {
+			t.Fatalf("%s: valid stream drifted:\n--- got ---\n%s\n--- alone ---\n%s", logic, others.Bytes(), alone)
+		}
+	}
+}
+
 // TestServeTruncation pins honest partial verdicts: a max_steps bound that
 // cuts the replay still delivers the prefix's verdicts, flagged truncated.
 func TestServeTruncation(t *testing.T) {

@@ -6,7 +6,16 @@ import (
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/sched"
+)
+
+// The eventual objects' safety clauses, judged on every response-ended
+// prefix.
+var (
+	wecJudge = lang.Judge{Cond: lang.WEC}
+	secJudge = lang.Judge{Cond: lang.SEC}
+	ecJudge  = lang.Judge{Cond: lang.EC}
 )
 
 // run drives n processes through the service with the given policy seed and
@@ -121,7 +130,7 @@ func TestCollectCounterSECSafe(t *testing.T) {
 	for _, seed := range seeds() {
 		svc := NewService(3, NewCollectCounter(3), NewRandomWorkload(trace.Counter(), 3, 10, 0.5, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if v := check.SECSafety(h); v != nil {
+		if v := secJudge.Violation(h, nil); v != nil {
 			t.Errorf("seed %d: collect counter violated SEC safety: %v\n%v", seed, v, h)
 		}
 	}
@@ -133,11 +142,11 @@ func TestInflatedCounterOverReads(t *testing.T) {
 	for _, seed := range seeds() {
 		svc := NewService(3, NewInflatedCounter(3, 2), NewRandomWorkload(trace.Counter(), 3, 10, 0.6, seed))
 		h := run(t, 3, svc, seed, 100_000)
-		if v := check.SECSafety(h); v != nil {
+		if secJudge.Violation(h, nil) != nil {
 			caught = true
 		}
 		// But never under-read or lose monotonicity (WEC clauses hold).
-		if v := check.WECSafety(h); v != nil {
+		if v := wecJudge.Violation(h, nil); v != nil {
 			t.Errorf("seed %d: inflated counter violated WEC safety clause: %v", seed, v)
 		}
 	}
@@ -162,7 +171,7 @@ func TestStuckCounterDoesNotConverge(t *testing.T) {
 	if check.Converges(h) {
 		t.Error("stuck counter converged to the true total despite lost increments")
 	}
-	if v := check.WECSafety(h); v != nil {
+	if v := wecJudge.Violation(h, nil); v != nil {
 		t.Errorf("stuck counter broke a safety clause it should preserve: %v", v)
 	}
 }
@@ -201,7 +210,7 @@ func TestSnapshotLedgerReordersUnderInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 40 && !caught; seed++ {
 		svc := NewService(3, NewSnapshotLedger(3), NewScriptWorkload(scripts))
 		h := run(t, 3, svc, seed, 100_000)
-		if check.ECLedgerSafety(h) != nil {
+		if ecJudge.Violation(h, nil) != nil {
 			caught = true
 		}
 	}
@@ -225,7 +234,7 @@ func TestForkedLedgerForks(t *testing.T) {
 	for _, seed := range seeds() {
 		svc := NewService(2, NewForkedLedger(2), NewScriptWorkload(scripts))
 		h := run(t, 2, svc, seed, 100_000)
-		if check.ECLedgerSafety(h) != nil {
+		if ecJudge.Violation(h, nil) != nil {
 			caught = true
 		}
 	}
@@ -252,7 +261,7 @@ func TestLossyLedgerDoesNotConverge(t *testing.T) {
 	if check.ECLedgerConverges(h) {
 		t.Error("lossy ledger converged despite dropping records")
 	}
-	if v := check.ECLedgerSafety(h); v != nil {
+	if v := ecJudge.Violation(h, nil); v != nil {
 		t.Errorf("lossy ledger broke ordering safety it should preserve: %v", v)
 	}
 }
