@@ -116,33 +116,13 @@ func (r *Register) DropWriteStore() *Register {
 	return r
 }
 
-// isRequest filters this register's replica-side protocol messages.
-func (r *Register) isRequest(m msgnet.Message) bool {
-	b, isB := m.Body.(body)
-	return isB && b.Reg == r.name && (m.Tag == tagQueryReq || m.Tag == tagStoreReq)
-}
-
-// anyRequest reports whether a request for any of regs — registers on one
-// network, such as a counter's cells — waits in id's inbox. One scan answers
-// for the whole group where asking each register would scan once per
-// register.
-func anyRequest(regs []*Register, id int) bool {
-	nt := regs[0].net
-	return requestsWaiting(nt, id) && nt.InboxHas(id, func(m msgnet.Message) bool {
-		if m.Tag != tagQueryReq && m.Tag != tagStoreReq {
-			return false
-		}
-		b, isB := m.Body.(body)
-		if !isB {
-			return false
-		}
-		for _, r := range regs {
-			if b.Reg == r.name {
-				return true
-			}
-		}
+// request reports whether m is a request for this register's replica.
+func (r *Register) request(_ int, m msgnet.Message) bool {
+	if m.Tag != tagQueryReq && m.Tag != tagStoreReq {
 		return false
-	})
+	}
+	b, isB := m.Body.(body)
+	return isB && b.Reg == r.name
 }
 
 // handle answers one replica-side request on behalf of replica id, sending
@@ -166,37 +146,17 @@ func (r *Register) handle(id int, m msgnet.Message) {
 	}
 }
 
-// HasRequest reports whether a protocol request for replica id is waiting —
-// the runnable gate of the replica's aux actor. The scheduler evaluates it on
-// every step, so the common negative answer comes from the network's per-tag
-// counts without scanning the inbox.
-func (r *Register) HasRequest(id int) bool {
-	return requestsWaiting(r.net, id) && r.net.InboxHas(id, r.isRequest)
-}
+func (r *Register) network() *msgnet.Net { return r.net }
 
-// requestsWaiting reports whether any replica-side request, of any register,
-// waits in id's inbox.
-func requestsWaiting(nt *msgnet.Net, id int) bool {
-	return nt.Waiting(id, tagQueryReq)+nt.Waiting(id, tagStoreReq) > 0
-}
-
-// ServeStep answers one pending request for replica id inline, without a
-// Proc — the step body of the replica's aux actor. Returns false when
-// nothing was pending.
-func (r *Register) ServeStep(id int) bool {
-	m, ok := r.net.AuxRecv(id, r.isRequest)
-	if !ok {
-		return false
-	}
-	r.handle(id, m)
-	return true
-}
-
-// Server is the replica side of a message-passing emulation, servable from a
-// scheduler aux actor: HasRequest gates the actor, ServeStep is its step.
+// Server is the replica side of a message-passing emulation, served by the
+// aux actors Servers installs.
 type Server interface {
-	HasRequest(id int) bool
-	ServeStep(id int) bool
+	// request reports whether m is a request replica id serves.
+	request(id int, m msgnet.Message) bool
+	// handle answers request m on behalf of replica id, inline.
+	handle(id int, m msgnet.Message)
+	// network is the network the replica's requests arrive on.
+	network() *msgnet.Net
 }
 
 // Servers installs one aux actor per process that serves every given
@@ -205,43 +165,75 @@ type Server interface {
 // quorums therefore cannot deadlock the emulation: the aux actors answer
 // while every process waits. Crashes need no extra wiring:
 // msgnet.Net.Crash empties the process's inbox, so its server actor is never
-// runnable again. Returns the aux actor IDs in process order.
+// runnable again. The servers must share one network. Returns the aux actor
+// IDs in process order.
+//
+// A step serves one request: the oldest request of the first server, in srvs
+// order, that has one waiting. Each actor picks that message with one scan of
+// its inbox and keeps the pick until the inbox's stamp moves, so the
+// scheduler's runnable test between changes reads a cached answer.
 func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
-	// The gate is an OR over the servers, so it may ask in any order: the
-	// registers on one network are asked together with a single inbox scan.
-	var regs []*Register
-	var others []Server
-	for _, s := range srvs {
-		if r, ok := s.(*Register); ok && (len(regs) == 0 || r.net == regs[0].net) {
-			regs = append(regs, r)
-		} else {
-			others = append(others, s)
-		}
-	}
-	ids := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		i := i
-		runnable := func() bool {
-			if len(regs) > 0 && anyRequest(regs, i) {
-				return true
-			}
-			for _, s := range others {
-				if s.HasRequest(i) {
-					return true
-				}
-			}
-			return false
-		}
-		step := func() {
-			for _, s := range srvs {
-				if s.ServeStep(i) {
-					return
-				}
-			}
-		}
-		ids = append(ids, rt.AddAux(fmt.Sprintf("abd-server-%d", i), runnable, step))
+	actors := make([]replica, n)
+	ids := make([]int, n)
+	for i := range actors {
+		a := &actors[i]
+		*a = replica{nt: srvs[0].network(), id: i, srvs: srvs}
+		ids[i] = rt.AddAux(fmt.Sprintf("abd-server-%d", i), a.runnable, a.step)
 	}
 	return ids
+}
+
+// replica is the aux actor of one process's replicas, with its cached pick.
+type replica struct {
+	nt   *msgnet.Net
+	id   int
+	srvs []Server
+	seen uint64 // inbox stamp the pick was made at; 0, which no stamp takes, forces a scan
+	at   int    // inbox index of the request the next step serves, or −1
+	srv  Server // the server that request belongs to
+}
+
+// runnable is the actor's gate: whether a request waits, rescanning the inbox
+// only when its stamp has moved.
+func (a *replica) runnable() bool {
+	if st := a.nt.Stamp(a.id); st != a.seen {
+		a.seen = st
+		a.at, a.srv = pick(a.nt.Inbox(a.id), a.id, a.srvs)
+	}
+	return a.at >= 0
+}
+
+// step serves the picked request. The scheduler steps an actor only right
+// after its gate held, so the pick is current.
+func (a *replica) step() {
+	a.srv.handle(a.id, a.nt.Take(a.id, a.at))
+}
+
+// pick returns the inbox index of the oldest request of the first server in
+// srvs that has one for replica id, with that server, or −1 when no server
+// has a request. Most of an inbox is acks for the process's own client, so
+// a message is offered to the servers only if it carries one of the request
+// tags this package's servers use.
+func pick(box []msgnet.Message, id int, srvs []Server) (int, Server) {
+	at, rank := -1, len(srvs)
+	for i, m := range box {
+		if m.Tag != tagQueryReq && m.Tag != tagStoreReq && m.Tag != tagProposeReq {
+			continue
+		}
+		for k, s := range srvs[:rank] {
+			if s.request(id, m) {
+				at, rank = i, k
+				break
+			}
+		}
+		if rank == 0 {
+			break
+		}
+	}
+	if at < 0 {
+		return -1, nil
+	}
+	return at, srvs[rank]
 }
 
 // body is the payload of every protocol message.
@@ -268,19 +260,23 @@ func (r *Register) quorum() int { return r.n/2 + 1 }
 func (r *Register) rpc(p *sched.Proc, reqTag, ackTag string, trip triple) []triple {
 	r.seq[p.ID]++
 	seq := r.seq[p.ID]
-	if r.net.Waiting(p.ID, tagQueryAck)+r.net.Waiting(p.ID, tagStoreAck) > 0 {
-		r.net.Discard(p.ID, func(m msgnet.Message) bool {
-			b, isB := m.Body.(body)
-			return isB && b.Reg == r.name && (m.Tag == tagQueryAck || m.Tag == tagStoreAck) && m.Seq < seq
-		})
-	}
+	r.net.Discard(p.ID, func(m msgnet.Message) bool {
+		if m.Seq >= seq || (m.Tag != tagQueryAck && m.Tag != tagStoreAck) {
+			return false
+		}
+		b, isB := m.Body.(body)
+		return isB && b.Reg == r.name
+	})
 	r.net.Broadcast(p, msgnet.Message{
 		Tag: reqTag, Seq: seq,
 		Body: body{Reg: r.name, Trip: trip},
 	})
 	matchAck := func(m msgnet.Message) bool {
+		if m.Seq != seq || m.Tag != ackTag {
+			return false
+		}
 		b, isB := m.Body.(body)
-		return isB && b.Reg == r.name && m.Tag == ackTag && m.Seq == seq
+		return isB && b.Reg == r.name
 	}
 	acks := make([]triple, 0, r.quorum())
 	for len(acks) < r.quorum() {

@@ -88,26 +88,18 @@ func (c *Consensus) Propose(p *sched.Proc, v int64) int64 {
 	return m.Body.(cbody).Val
 }
 
-// isRequest filters this instance's proposals.
-func (c *Consensus) isRequest(m msgnet.Message) bool {
+// request reports whether m is a proposal to this instance; only the
+// coordinator's replica serves.
+func (c *Consensus) request(id int, m msgnet.Message) bool {
+	if id != 0 || m.Tag != tagProposeReq {
+		return false
+	}
 	b, isB := m.Body.(cbody)
-	return isB && b.Name == c.name && m.Tag == tagProposeReq
+	return isB && b.Name == c.name
 }
 
-// HasRequest implements Server: only the coordinator's replica serves.
-func (c *Consensus) HasRequest(id int) bool {
-	return id == 0 && c.net.Waiting(0, tagProposeReq) > 0 && c.net.InboxHas(0, c.isRequest)
-}
-
-// ServeStep implements Server: decide on the first proposal, acknowledge.
-func (c *Consensus) ServeStep(id int) bool {
-	if id != 0 {
-		return false
-	}
-	m, ok := c.net.AuxRecv(0, c.isRequest)
-	if !ok {
-		return false
-	}
+// handle decides on the first proposal served and acknowledges m.
+func (c *Consensus) handle(id int, m msgnet.Message) {
 	b := m.Body.(cbody)
 	if !c.decided {
 		c.decided, c.val = true, b.Val
@@ -116,12 +108,13 @@ func (c *Consensus) ServeStep(id int) bool {
 	if c.echo {
 		reply = b.Val
 	}
-	c.net.AuxSend(0, msgnet.Message{
+	c.net.AuxSend(id, msgnet.Message{
 		To: m.From, Tag: tagProposeAck, Seq: m.Seq,
 		Body: cbody{Name: c.name, Val: reply},
 	})
-	return true
 }
+
+func (c *Consensus) network() *msgnet.Net { return c.net }
 
 // ConsensusImpl adapts an emulated consensus instance to sut.Impl.
 type ConsensusImpl struct {

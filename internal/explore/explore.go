@@ -64,6 +64,7 @@ import (
 	"sync"
 
 	"github.com/drv-go/drv/internal/experiment"
+	"github.com/drv-go/drv/internal/lazyrand"
 	"github.com/drv-go/drv/internal/monitor"
 )
 
@@ -290,12 +291,12 @@ func Explore(opts Options) (*Report, error) {
 	var shrinks []shrinkJob
 	var mu sync.Mutex
 	// The generator and guidance rngs are reused across indices by reseeding:
-	// rand.Rand.Seed reproduces exactly the stream a fresh rand.NewSource
-	// yields, so the draw sequences — hence the specs — are byte-identical to
-	// per-index construction, without the two rng+source allocations per
-	// scenario. Spec building is sequential, so sharing them is race-free.
-	genRng := rand.New(rand.NewSource(0))
-	guideRng := rand.New(rand.NewSource(0))
+	// a reseeded lazyrand source yields exactly a fresh one's stream, so the
+	// draw sequences — hence the specs — are byte-identical to per-index
+	// construction, without the two rng+source allocations per scenario.
+	// Spec building is sequential, so sharing them is race-free.
+	genRng := rand.New(lazyrand.NewSource(0))
+	guideRng := rand.New(lazyrand.NewSource(0))
 	for next := 0; next < opts.Scenarios; next += round {
 		batch := round
 		if next+batch > opts.Scenarios {

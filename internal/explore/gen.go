@@ -199,8 +199,8 @@ func stepRange(fam family, langName string) (lo, hi int) {
 // indices draw from independent random streams, so a sweep's scenario list
 // does not depend on worker count or on how many scenarios run. Explore's
 // generator loop reseeds one reusable rng per index instead of building a
-// fresh source each time — rand.Rand.Seed reproduces rand.NewSource's stream
-// exactly, so the draws are identical.
+// fresh source each time — a reseeded lazyrand source draws exactly a fresh
+// one's stream, so the draws are identical.
 //
 // With the default (language-only) family set the draw sequence is exactly
 // the pre-drv2 one, so existing sweeps replay byte-for-byte; a multi-family

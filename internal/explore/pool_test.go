@@ -211,11 +211,13 @@ func TestExecuteReleasesPerCallSession(t *testing.T) {
 // building one; before that, the batch averaged ~233 obj and ~1119 lang
 // allocations, with budgets of 300 and 1460. The SC oracle then rode the LIN
 // oracle's checker, and the brute-force size test stopped building the
-// operation list; before that, obj averaged ~193 with a budget of 250. Obj
-// and lang keep about 1.3× their steady state.
+// operation list; before that, obj averaged ~193 with a budget of 250. A
+// crashed process's inbox then kept its buffer, and a receive stopped
+// building a gate closure; before that, msg averaged ~574 with a budget of
+// 1100. Every family keeps about 1.3× its steady state.
 const (
 	objAllocBudget  = 240  // measured steady state ~186
-	msgAllocBudget  = 1100 // measured steady state ~585 (fresh runner: ~1078)
+	msgAllocBudget  = 650  // measured steady state ~499
 	langAllocBudget = 1400 // measured steady state ~1071
 )
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/lazyrand"
 )
 
 // chunked adapts a chunk generator to an adversary.Source: whenever the
@@ -55,7 +56,7 @@ func counterSources(strong bool) func(n int, seed int64) []adversary.Labeled {
 // all four clauses.
 func exactCounter(n int, seed int64, incs int) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(lazyrand.NewSource(seed))
 		count := 0
 		proc := 0
 		return &chunked{refill: func(b *trace.B) {
@@ -80,7 +81,7 @@ func exactCounter(n int, seed int64, incs int) func() adversary.Source {
 // clause (4) is an upper bound).
 func laggingCounter(n int, seed int64, incs int) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed + 1))
+		rng := rand.New(lazyrand.NewSource(seed + 1))
 		count := 0
 		seen := make([]int, n) // per-reader last reported value
 		incProc := 0           // process 0 performs all incs, others lag
@@ -213,7 +214,7 @@ func registerSources(lin bool) func(n int, seed int64) []adversary.Labeled {
 // linearizable either way.
 func atomicRegister(n int, seed int64) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed + 2))
+		rng := rand.New(lazyrand.NewSource(seed + 2))
 		cur := int64(0)
 		next := int64(1)
 		return &chunked{refill: func(b *trace.B) {
@@ -254,7 +255,7 @@ func atomicRegister(n int, seed int64) func() adversary.Source {
 // overwritten value.
 func staleRegister(n int, seed int64) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed + 3))
+		rng := rand.New(lazyrand.NewSource(seed + 3))
 		written := int64(0)
 		seen := make([]int64, n)
 		return &chunked{refill: func(b *trace.B) {
@@ -332,7 +333,7 @@ func recName(k int) trace.Rec { return trace.Rec(fmt.Sprintf("r%d", k)) }
 // atomicLedger: sequential appends and exact gets.
 func atomicLedger(n int, seed int64) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed + 4))
+		rng := rand.New(lazyrand.NewSource(seed + 4))
 		var ledger trace.Seq
 		k := 0
 		return &chunked{refill: func(b *trace.B) {
@@ -403,7 +404,7 @@ func ecLedgerSources(n int, seed int64) []adversary.Labeled {
 // canonical order and eventually contain everything.
 func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 	return func() adversary.Source {
-		rng := rand.New(rand.NewSource(seed + 5))
+		rng := rand.New(lazyrand.NewSource(seed + 5))
 		var ledger trace.Seq
 		prefix := make([]int, n)
 		k := 0

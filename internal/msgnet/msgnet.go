@@ -22,6 +22,7 @@ package msgnet
 import (
 	"math/rand"
 
+	"github.com/drv-go/drv/internal/lazyrand"
 	"github.com/drv-go/drv/internal/sched"
 )
 
@@ -64,7 +65,7 @@ func (lifoOrder) Pick(pending []Message, _ int) int { return len(pending) - 1 }
 // RandomOrder delivers a uniformly random pending message: the standard
 // asynchronous adversary.
 func RandomOrder(seed int64) Order {
-	return &randomOrder{rng: rand.New(rand.NewSource(seed))}
+	return &randomOrder{rng: rand.New(lazyrand.NewSource(seed))}
 }
 
 type randomOrder struct{ rng *rand.Rand }
@@ -74,9 +75,9 @@ func (o *randomOrder) Pick(pending []Message, _ int) int {
 }
 
 // reseeder is the optional Order extension Net.Reset uses to re-arm a seeded
-// order in place instead of rebuilding it: rand.Rand.Seed restores exactly
-// the state a fresh rand.NewSource yields, so a reseeded order picks the same
-// delivery sequence as a fresh one.
+// order in place instead of rebuilding it: reseeding a lazyrand source
+// re-arms, in O(1), the stream a fresh one yields, so a reseeded order picks
+// the same delivery sequence as a fresh one.
 type reseeder interface{ reseed(seed int64) }
 
 func (o *randomOrder) reseed(seed int64) { o.rng.Seed(seed) }
@@ -132,19 +133,35 @@ type Net struct {
 	orderKind string
 	pending   []Message
 	inboxes   [][]Message
-	// waiting[id] counts the messages in inboxes[id] per tag, kept exact by
-	// every insert and removal, so Waiting answers without a scan.
-	waiting [][]tagCount
+	// stamps[id] changes whenever inboxes[id] does. Values come from clock,
+	// which only counts up, Reset included, so a stamp never repeats: a cache
+	// keyed by a stamp is stale exactly when the inbox has changed since.
+	stamps []uint64
+	clock  uint64
+	// gates[id] is process id's RecvAwait gate, built once per Net.
+	gates   []*recvGate
 	crashed []bool
 	drops   map[int]bool
 	sent    int
 	deliv   int
 }
 
-// tagCount is one inbox's number of waiting messages carrying tag.
-type tagCount struct {
-	tag string
-	n   int
+// recvGate is the condition a process parked in RecvAwait waits on. It scans
+// the inbox only when the inbox's stamp has moved since its last scan.
+type recvGate struct {
+	nt    *Net
+	id    int
+	match func(Message) bool
+	seen  uint64 // stamp the last scan saw; 0, which no stamp takes, forces one
+	has   bool   // whether that scan found a match
+	cond  func() bool
+}
+
+func (g *recvGate) open() bool {
+	if st := g.nt.stamps[g.id]; st != g.seen {
+		g.seen, g.has = st, g.nt.InboxHas(g.id, g.match)
+	}
+	return g.has
 }
 
 // New builds a network for n processes with the given delivery order.
@@ -172,18 +189,54 @@ func (nt *Net) Reset(n int, order Order) {
 	nt.sent, nt.deliv = 0, 0
 	if cap(nt.inboxes) >= n {
 		nt.inboxes = nt.inboxes[:n]
-		nt.waiting = nt.waiting[:n]
+		nt.stamps = nt.stamps[:n]
 		nt.crashed = nt.crashed[:n]
 	} else {
 		nt.inboxes = make([][]Message, n)
-		nt.waiting = make([][]tagCount, n)
+		nt.stamps = make([]uint64, n)
 		nt.crashed = make([]bool, n)
 	}
-	for i := 0; i < n; i++ {
-		nt.inboxes[i] = nt.inboxes[i][:0]
-		nt.waiting[i] = nt.waiting[i][:0]
-		nt.crashed[i] = false
+	for len(nt.gates) < n {
+		g := &recvGate{nt: nt, id: len(nt.gates)}
+		g.cond = g.open
+		nt.gates = append(nt.gates, g)
 	}
+	for i := 0; i < n; i++ {
+		clear(nt.inboxes[i])
+		nt.inboxes[i] = nt.inboxes[i][:0]
+		nt.crashed[i] = false
+		nt.touch(i)
+	}
+}
+
+// touch gives id's inbox a fresh stamp: the inbox has changed.
+func (nt *Net) touch(id int) {
+	nt.clock++
+	nt.stamps[id] = nt.clock
+}
+
+// Stamp returns id's inbox stamp. It changes whenever the inbox does — by a
+// delivery, a receive, a Discard that removes something, a Crash or a Reset —
+// and never returns to an earlier value, so a caller may cache any answer it
+// computed from the inbox for as long as the stamp stays the same.
+func (nt *Net) Stamp(id int) uint64 { return nt.stamps[id] }
+
+// Inbox returns id's waiting messages in arrival order. The slice is the
+// network's own: read it, do not modify or keep it past the next change of
+// the inbox's stamp.
+func (nt *Net) Inbox(id int) []Message { return nt.inboxes[id] }
+
+// Take dequeues the i-th message of id's inbox without consuming a step — the
+// receive half of an aux actor's serve, once it has picked a message by
+// reading Inbox.
+func (nt *Net) Take(id, i int) Message {
+	box := nt.inboxes[id]
+	m := box[i]
+	copy(box[i:], box[i+1:])
+	box[len(box)-1] = Message{}
+	nt.inboxes[id] = box[:len(box)-1]
+	nt.touch(id)
+	return m
 }
 
 // Register installs the delivery actor on the runtime and returns its actor
@@ -205,32 +258,7 @@ func (nt *Net) deliverStep() {
 		return // messages to crashed processes vanish
 	}
 	nt.inboxes[m.To] = append(nt.inboxes[m.To], m)
-	nt.count(m.To, m.Tag, 1)
-}
-
-// count adds d to id's waiting count for tag. A process's protocol uses a
-// handful of tags, so the linear scan beats a map.
-func (nt *Net) count(id int, tag string, d int) {
-	w := nt.waiting[id]
-	for i := range w {
-		if w[i].tag == tag {
-			w[i].n += d
-			return
-		}
-	}
-	nt.waiting[id] = append(w, tagCount{tag: tag, n: d})
-}
-
-// Waiting returns how many messages tagged tag wait in id's inbox, in O(#tags)
-// without scanning the inbox: the cheap negative answer runnable gates check
-// before they scan with a full filter.
-func (nt *Net) Waiting(id int, tag string) int {
-	for _, c := range nt.waiting[id] {
-		if c.tag == tag {
-			return c.n
-		}
-	}
-	return 0
+	nt.touch(m.To)
 }
 
 // SetDrops installs a deterministic loss schedule: the k-th send (indexing
@@ -306,14 +334,9 @@ func (nt *Net) InboxHas(id int, match func(Message) bool) bool {
 // step — the receive half of an aux actor's serve, or the dequeue after an
 // Await grant (the grant is the step).
 func (nt *Net) AuxRecv(id int, match func(Message) bool) (Message, bool) {
-	box := nt.inboxes[id]
-	for i, m := range box {
+	for i, m := range nt.inboxes[id] {
 		if match == nil || match(m) {
-			copy(box[i:], box[i+1:])
-			box[len(box)-1] = Message{}
-			nt.inboxes[id] = box[:len(box)-1]
-			nt.count(id, m.Tag, -1)
-			return m, true
+			return nt.Take(id, i), true
 		}
 	}
 	return Message{}, false
@@ -331,14 +354,15 @@ func (nt *Net) Discard(id int, match func(Message) bool) int {
 	box := nt.inboxes[id]
 	kept := box[:0]
 	for _, m := range box {
-		if match == nil || match(m) {
-			nt.count(id, m.Tag, -1)
-			continue
+		if match != nil && !match(m) {
+			kept = append(kept, m)
 		}
-		kept = append(kept, m)
 	}
 	clear(box[len(kept):])
 	nt.inboxes[id] = kept
+	if len(kept) < len(box) {
+		nt.touch(id)
+	}
 	return len(box) - len(kept)
 }
 
@@ -347,18 +371,29 @@ func (nt *Net) Discard(id int, match func(Message) bool) int {
 // receive costs one step (the grant) and never busy-waits, so a process
 // starved of its quorum quiesces instead of burning the step budget. A nil
 // filter matches everything.
+//
+// The gate rescans the inbox only when its stamp has moved, so the filter
+// must be a pure function of the message for the whole wait: its answer for
+// a message may not change while the message waits, since nothing would
+// rescan it. Filters that close over a round's sequence number, fixed before
+// the wait, qualify.
 func (nt *Net) RecvAwait(p *sched.Proc, match func(Message) bool) Message {
-	p.Await(func() bool { return nt.InboxHas(p.ID, match) })
+	g := nt.gates[p.ID]
+	g.match, g.seen = match, 0
+	p.Await(g.cond)
+	g.match = nil
 	m, _ := nt.AuxRecv(p.ID, match)
 	return m
 }
 
-// Crash marks a process crashed: its inbox is discarded and future messages
-// to it vanish. Call together with Runtime.Crash.
+// Crash marks a process crashed: its inbox is emptied, keeping its buffer for
+// the next run, and future messages to it vanish. Call together with
+// Runtime.Crash.
 func (nt *Net) Crash(id int) {
 	nt.crashed[id] = true
-	nt.inboxes[id] = nil
-	nt.waiting[id] = nt.waiting[id][:0]
+	clear(nt.inboxes[id])
+	nt.inboxes[id] = nt.inboxes[id][:0]
+	nt.touch(id)
 }
 
 // Stats returns how many messages were sent and delivered.

@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/drv-go/drv/internal/lazyrand"
 )
 
 // RoundRobin returns a fair policy that cycles through runnable actors in
@@ -30,7 +32,7 @@ func (p *roundRobin) Next(runnable []int, _ int) int {
 // runnable actors is fair with probability one, and the seed makes every
 // execution replayable.
 func Random(seed int64) Policy {
-	return &randomPolicy{rng: rand.New(rand.NewSource(seed))}
+	return &randomPolicy{rng: rand.New(lazyrand.NewSource(seed))}
 }
 
 type randomPolicy struct {
@@ -47,7 +49,7 @@ func (p *randomPolicy) Next(runnable []int, _ int) int {
 // monitor's memory steps — the knob that turns "almost synchronous"
 // executions (Lemma 5.1) into heavily skewed ones.
 func Biased(seed int64, actor int, bias float64) Policy {
-	return &biasedPolicy{rng: rand.New(rand.NewSource(seed)), actor: actor, bias: bias}
+	return &biasedPolicy{rng: rand.New(lazyrand.NewSource(seed)), actor: actor, bias: bias}
 }
 
 type biasedPolicy struct {
@@ -96,7 +98,7 @@ func Bursty(seed int64, mean int) Policy {
 	if mean < 1 {
 		mean = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(lazyrand.NewSource(seed))
 	cur := -1
 	return PolicyFunc(func(runnable []int, _ int) int {
 		if cur >= 0 && contains(runnable, cur) && rng.Float64() < 1-1/float64(mean) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/lazyrand"
 )
 
 // RandomWorkload draws each process's operations independently from the
@@ -28,9 +29,9 @@ func NewRandomWorkload(obj trace.Object, n, opsPerProc int, bias float64, seed i
 }
 
 // Reset re-arms the workload for another run, reusing the budget and
-// signature buffers and re-seeding the per-process generators in place —
-// rand.Rand.Seed restores exactly the state a fresh rand.NewSource would
-// start from, so a reset workload draws the same operation stream as a fresh
+// signature buffers and re-seeding the per-process generators in place — a
+// reseeded lazyrand source draws, at O(1) cost per Seed, the stream a fresh
+// one would, so a reset workload draws the same operation stream as a fresh
 // one with the same parameters.
 func (w *RandomWorkload) Reset(obj trace.Object, n, opsPerProc int, bias float64, seed int64) {
 	if w.obj == nil || w.obj.Name() != obj.Name() {
@@ -56,7 +57,7 @@ func (w *RandomWorkload) Reset(obj trace.Object, n, opsPerProc int, bias float64
 		w.rngs[i].Seed(seed + int64(i)*7919)
 	}
 	for i := len(w.rngs); i < n; i++ {
-		w.rngs = append(w.rngs, rand.New(rand.NewSource(seed+int64(i)*7919)))
+		w.rngs = append(w.rngs, rand.New(lazyrand.NewSource(seed+int64(i)*7919)))
 	}
 }
 
