@@ -26,16 +26,8 @@
 // emulation bugs (a read that skips its write-back, a lost increment, an
 // echoing coordinator).
 //
-// With -corpus the sweep is coverage-guided: a directory of one-line seed
-// specs is loaded, a -mutate-frac share of the budget mutates those seeds
-// instead of drawing fresh random specs, and scenarios that reach a novel
-// coverage signature are saved back as new seeds. Corpus entries keep their
-// family and object even when the -family/-obj/-impl filters would not
-// generate them fresh, so keep corpora per family.
-//
-// The sweep is deterministic: the same flags (including the same corpus
-// contents) produce a byte-identical report (and -out file) for every
-// worker count.
+// The sweep is deterministic: the same flags produce a byte-identical report
+// (and -out file) for every worker count.
 //
 // Usage:
 //
@@ -43,7 +35,6 @@
 //	           [-lang L1,L2] [-obj O1,O2] [-impl I1,I2] [-net N1,N2]
 //	           [-crashes c] [-max-steps s] [-replay-check]
 //	           [-no-shrink] [-progress] [-stage-stats]
-//	           [-corpus dir] [-mutate-frac f] [-corpus-save]
 //	           [-out seeds.json] [-cpuprofile f]
 //	drvexplore -replay "drv1:WEC_COUNT/exact:n=3:seed=7:pol=random:steps=2600"
 //	drvexplore -replay "drv2:obj/queue/lifo:n=2:seed=7:pol=random:steps=900:ops=4:mb=0.5"
@@ -91,9 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "stream per-scenario completion to stderr")
 	out := fs.String("out", "", "write the JSON report to this file")
 	replay := fs.String("replay", "", "replay a single seed spec and print its outcome (ignores sweep flags)")
-	corpusDir := fs.String("corpus", "", "seed-corpus directory: load it before the sweep, save novel-signature specs back after")
-	mutateFrac := fs.Float64("mutate-frac", 0.5, "fraction of the budget spent mutating corpus entries (needs -corpus; 0 = blind sweep)")
-	corpusSave := fs.Bool("corpus-save", true, "with -corpus, write novel entries back to the directory after the sweep")
 	stageStats := fs.Bool("stage-stats", false, "profile per-stage wall time and allocations (adds a stages map to the report and summary; timing is nondeterministic)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	if err := fs.Parse(args); err != nil {
@@ -129,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Replay:     *replayCheck,
 		Shrink:     !*noShrink,
 		StageStats: *stageStats,
-		MutateFrac: *mutateFrac,
 	}
 	if *family != "" {
 		opts.Gen.Families = strings.Split(*family, ",")
@@ -168,14 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *impls != "" {
 		opts.Gen.Impls = strings.Split(*impls, ",")
 	}
-	if *corpusDir != "" {
-		corpus, err := explore.LoadCorpus(*corpusDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "drvexplore: %v\n", err)
-			return 2
-		}
-		opts.Corpus = corpus
-	}
 	if *progress {
 		done := 0
 		opts.OnScenario = func(i int, o *explore.Outcome) {
@@ -196,12 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "explored %d scenarios (master seed %d): %d crashed runs, %d steps, %d verdicts\n",
 		rep.Scenarios, rep.Master, rep.Crashed, rep.TotalSteps, rep.TotalVerdicts)
-	if opts.Corpus != nil {
-		fmt.Fprintf(stdout, "coverage: %d distinct signatures (%d mutated scenarios from %d corpus seeds, %d novel seeds found)\n",
-			rep.Coverage, rep.Mutated, rep.CorpusSeeds, rep.CorpusNew)
-	} else {
-		fmt.Fprintf(stdout, "coverage: %d distinct signatures\n", rep.Coverage)
-	}
 	fmt.Fprintf(stdout, "checks run: %s\n", countList(rep.Checks))
 	fmt.Fprintf(stdout, "checks skipped: %s\n", countList(rep.Skipped))
 	if *stageStats && len(rep.Stages) > 0 {
@@ -258,15 +231,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintf(stderr, "drvexplore: writing report: %v\n", err)
 			writeFailed = true
-		}
-	}
-	if opts.Corpus != nil && *corpusSave {
-		n, err := opts.Corpus.SaveNew(*corpusDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "drvexplore: saving corpus: %v\n", err)
-			writeFailed = true
-		} else if n > 0 {
-			fmt.Fprintf(stdout, "saved %d new corpus seed(s) to %s\n", n, *corpusDir)
 		}
 	}
 

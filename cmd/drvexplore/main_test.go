@@ -131,6 +131,26 @@ func TestUnknownLangRejected(t *testing.T) {
 	}
 }
 
+func TestNegativeBoundsRejected(t *testing.T) {
+	// A negative -max-steps ran uncapped without a word; like a negative
+	// -crashes it is a usage error that runs nothing.
+	for _, tc := range []struct{ flag, want string }{
+		{"-max-steps", "negative MaxSteps -5"},
+		{"-crashes", "negative MaxCrashes -5"},
+	} {
+		code, out, errOut := runExplore(t, tc.flag, "-5")
+		if code != 2 {
+			t.Errorf("%s -5 exited %d, want 2", tc.flag, code)
+		}
+		if !strings.Contains(errOut, tc.want) {
+			t.Errorf("%s -5: no diagnostic %q: %s", tc.flag, tc.want, errOut)
+		}
+		if out != "" {
+			t.Errorf("%s -5 ran a sweep:\n%s", tc.flag, out)
+		}
+	}
+}
+
 func TestReplaySpec(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	spec := "drv1:WEC_COUNT/exact:n=3:seed=7:pol=random:steps=2600"
@@ -184,109 +204,6 @@ func TestCountList(t *testing.T) {
 		if got := countList(tc.m); got != tc.want {
 			t.Errorf("countList(%v) = %q, want %q", tc.m, got, tc.want)
 		}
-	}
-}
-
-// writeSeedCorpus writes a small hand-rolled corpus and returns its dir.
-func writeSeedCorpus(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	seeds := `drv1:WEC_COUNT/exact:n=3:seed=7:pol=random:steps=2600
-drv1:LIN_REG/atomic:n=3:seed=7:pol=bursty:steps=500:crash=1@120
-drv1:SEC_COUNT/over-read:n=2:seed=7:pol=biased/0.6:steps=2100
-`
-	if err := os.WriteFile(filepath.Join(dir, "hand.seed"), []byte(seeds), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-func TestCorpusGuidedSweep(t *testing.T) {
-	// A guided sweep must exit clean, report coverage, and save the novel
-	// seeds it found back into the corpus directory.
-	dir := writeSeedCorpus(t)
-	code, out, errOut := runExplore(t, "-j", "2", "-corpus", dir, "-mutate-frac", "0.5")
-	if code != 0 {
-		t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "coverage: ") || !strings.Contains(out, "corpus seeds") {
-		t.Errorf("missing coverage summary:\n%s", out)
-	}
-	if !strings.Contains(out, "saved ") {
-		t.Errorf("guided sweep saved nothing:\n%s", out)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "batch-*.seed"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no batch file saved (err %v); sweep output:\n%s", err, out)
-	}
-}
-
-func TestCorpusSweepDeterministicAcrossWorkers(t *testing.T) {
-	// Guided runs fold signatures in scenario-index order, so -j must not
-	// leak into the report or into what gets saved.
-	var outs, reports, batches []string
-	for _, j := range []string{"1", "4"} {
-		dir := writeSeedCorpus(t)
-		f := filepath.Join(t.TempDir(), "rep.json")
-		code, out, errOut := runExplore(t, "-j", j, "-corpus", dir, "-mutate-frac", "0.6", "-out", f)
-		if code != 0 {
-			t.Fatalf("-j %s: exit %d, stderr:\n%s", j, code, errOut)
-		}
-		js, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files, err := filepath.Glob(filepath.Join(dir, "batch-*.seed"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("-j %s: batch files %v (err %v)", j, files, err)
-		}
-		batch, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The save line names the per-run corpus directory; normalize it so
-		// the comparison sees only the sweep output.
-		outs = append(outs, strings.ReplaceAll(out, dir, "CORPUS"))
-		reports = append(reports, string(js))
-		batches = append(batches, string(batch))
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("stdout differs between -j 1 and -j 4:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-	if reports[0] != reports[1] {
-		t.Errorf("report JSON differs between -j 1 and -j 4")
-	}
-	if batches[0] != batches[1] {
-		t.Errorf("saved corpus batch differs between -j 1 and -j 4:\n%s\nvs\n%s", batches[0], batches[1])
-	}
-}
-
-func TestCorpusSaveDisabled(t *testing.T) {
-	dir := writeSeedCorpus(t)
-	code, _, errOut := runExplore(t, "-corpus", dir, "-corpus-save=false")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errOut)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "batch-*.seed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Errorf("-corpus-save=false still wrote %v", files)
-	}
-}
-
-func TestCorpusBadDirRejected(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.seed"), []byte("not a spec\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errOut := runExplore(t, "-corpus", dir)
-	if code != 2 {
-		t.Fatalf("malformed corpus exited %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "bad.seed") {
-		t.Errorf("no diagnostic naming the bad file: %s", errOut)
 	}
 }
 
@@ -401,29 +318,6 @@ func TestObjReplaySpec(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("object replay output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestLegacyDrv1CorpusStillLoads(t *testing.T) {
-	// Regression for the drv1→drv2 version bump: a corpus written before the
-	// object family existed must load and sweep unchanged — including the
-	// committed repository corpus, which deliberately stays in drv1 form.
-	dir := t.TempDir()
-	legacy := `# a pre-drv2 corpus file
-# sig: c1:WEC_COUNT/out|vs=3n2200|ck=r-rr-rr|cu=2
-drv1:WEC_COUNT/own-inc-violation:n=3:seed=5116376774559743294:pol=random:steps=5044
-drv1:LIN_REG/atomic:n=3:seed=7:pol=bursty:steps=500:crash=1@120
-drv1:SEC_COUNT/over-read:n=2:seed=7:pol=biased/0.60:steps=2100
-`
-	if err := os.WriteFile(filepath.Join(dir, "legacy.seed"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, errOut := runExplore(t, "-corpus", dir, "-corpus-save=false")
-	if code != 0 {
-		t.Fatalf("legacy corpus sweep exited %d, stdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "from 3 corpus seeds") {
-		t.Errorf("legacy corpus entries were not all loaded:\n%s", out)
 	}
 }
 

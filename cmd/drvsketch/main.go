@@ -43,6 +43,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The behaviour sources need at least two processes, and a negative
+	// step bound would lift the cap: reject both before running anything.
+	if *n < 2 {
+		fmt.Fprintf(stderr, "drvsketch: -n %d: must be at least 2\n", *n)
+		return 2
+	}
+	if *steps < 0 {
+		fmt.Fprintf(stderr, "drvsketch: -steps %d: must be at least 0\n", *steps)
+		return 2
+	}
+
 	var kind adversary.ArrayKind
 	switch *kindName {
 	case "atomic":

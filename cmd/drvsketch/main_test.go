@@ -55,3 +55,28 @@ func TestBadFlag(t *testing.T) {
 		t.Errorf("bad flag exited %d, want 2", code)
 	}
 }
+
+func TestSizesBelowMinimumRejected(t *testing.T) {
+	// -n 0 and -n 1 panicked inside a source and a negative -steps ran
+	// without a bound; now they are usage errors that run nothing.
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "drvsketch: -n 0: must be at least 2"},
+		{[]string{"-n", "1"}, "drvsketch: -n 1: must be at least 2"},
+		{[]string{"-steps", "-5"}, "drvsketch: -steps -5: must be at least 0"},
+	}
+	for _, tc := range cases {
+		code, out, errOut := runSketch(tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if strings.TrimSpace(errOut) != tc.want {
+			t.Errorf("%v: stderr %q, want %q", tc.args, errOut, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: wrote to stdout:\n%s", tc.args, out)
+		}
+	}
+}

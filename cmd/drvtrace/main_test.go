@@ -86,3 +86,31 @@ func TestTraceToStdout(t *testing.T) {
 		t.Errorf("stdout trace lacks meta line:\n%s", out)
 	}
 }
+
+func TestSizesBelowMinimumRejected(t *testing.T) {
+	// Each of these panicked inside the scheduler or a source before the
+	// flags were checked; now they are usage errors that run nothing.
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "drvtrace: -n 0: must be at least 2"},
+		{[]string{"-n", "-1"}, "drvtrace: -n -1: must be at least 2"},
+		{[]string{"-lang", "LIN_REG", "-source", "atomic", "-n", "1"}, "drvtrace: -n 1: must be at least 2"},
+		{[]string{"-lang", "SC_REG", "-source", "atomic", "-n", "1"}, "drvtrace: -n 1: must be at least 2"},
+		{[]string{"-list", "-n", "1"}, "drvtrace: -n 1: must be at least 2"},
+		{[]string{"-steps", "-3"}, "drvtrace: -steps -3: must be at least 0"},
+	}
+	for _, tc := range cases {
+		code, out, errOut := runTrace(tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if strings.TrimSpace(errOut) != tc.want {
+			t.Errorf("%v: stderr %q, want %q", tc.args, errOut, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: wrote to stdout:\n%s", tc.args, out)
+		}
+	}
+}

@@ -62,32 +62,25 @@
 //     to message passing via the ABD register emulation. Replicas are
 //     served only by abd.Servers aux actors, one per process, and a client
 //     waiting for its quorum parks on msgnet.Net.RecvAwait.
-//   - internal/explore — the coverage-guided scenario explorer: seeded
-//     random schedules, crash schedules and adversary behaviours run through
-//     the real monitors, with every verdict stream differentially checked
-//     against the ground-truth oracles; divergences shrink to one-line seed
-//     specs. Every outcome folds into a deterministic coverage signature,
-//     a corpus (persisted under testdata/corpus, one seed spec per novel
-//     signature) feeds seeded spec mutators, and each round splits its
-//     budget between fresh random specs and mutations of corpus entries —
-//     drvexplore -corpus/-mutate-frac — while staying byte-deterministic in
-//     the master seed and independent of the worker count. A second scenario
-//     family (drvexplore -family obj, the drv2 seed-spec grammar; drv1 specs
-//     still parse) explores the real internal/sut implementations under
-//     random workloads and crashes through Aτ and the Figure 8 monitor,
-//     splitting oracle outcomes into divergences (guaranteed properties
-//     violated) and shrunk bug findings (seeded bugs exposed); its corpus
-//     lives under testdata/corpus-obj. A third family (drvexplore -family
-//     msg, the drv3 grammar) is the object family plus a network: objects
-//     emulated over message passing — the internal/abd register, counter
-//     and consensus walks — run down the same object-scenario path, whose
-//     one message-passing step arms internal/msgnet under seeded delivery
+//   - internal/explore — the scenario explorer: seeded random schedules,
+//     crash schedules and adversary behaviours run through the real
+//     monitors, with every verdict stream differentially checked against
+//     the ground-truth oracles; divergences shrink to one-line seed specs.
+//     A sweep is byte-deterministic in the master seed and independent of
+//     the worker count. A second scenario family (drvexplore -family obj,
+//     the drv2 seed-spec grammar; drv1 specs still parse) explores the real
+//     internal/sut implementations under random workloads and crashes
+//     through Aτ and the Figure 8 monitor, splitting oracle outcomes into
+//     divergences (guaranteed properties violated) and shrunk bug findings
+//     (seeded bugs exposed). A third family (drvexplore -family msg, the
+//     drv3 grammar) is the object family plus a network: objects emulated
+//     over message passing — the internal/abd register, counter and
+//     consensus walks — run down the same object-scenario path, whose one
+//     message-passing step arms internal/msgnet under seeded delivery
 //     orders (-net fifo/lifo/random/starve) and message loss (drop=) and
 //     registers the replica servers as aux actors. The emulated object's
-//     history is judged by the same oracles, bug reproducers also shrink
-//     along the loss-schedule axis, the shared coverage signature gains a
-//     network axis for these scenarios, and the corpus lives under
-//     testdata/corpus-msg.
+//     history is judged by the same oracles, and bug reproducers also
+//     shrink along the loss-schedule axis.
 //
 // The stable core — histories, sequential specifications, sketches, the
 // trace wire format and the monitors — is exported under exp/trace and

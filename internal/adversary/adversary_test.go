@@ -52,37 +52,6 @@ func TestClaim31AnyWordRealizable(t *testing.T) {
 	}
 }
 
-func TestCursorStatsSnapshot(t *testing.T) {
-	// The drive-state snapshot must be consistent with the cursor's public
-	// accessors at every stage: fresh, fully exhibited, and after a crash.
-	rng := rand.New(rand.NewSource(77))
-	script := randomCounterWord(rng, 3, 8)
-	adv := NewA(3, NewScriptSource(script))
-
-	fresh := adv.CursorStats()
-	if fresh != (CursorStats{}) {
-		t.Fatalf("fresh cursor has non-zero stats %+v", fresh)
-	}
-
-	runPlainLoop(t, 3, adv,
-		func(rt *sched.Runtime) []int { return []int{adv.Register(rt)} },
-		func(cursor []int) sched.Policy { return sched.Prioritize(cursor[0], sched.RoundRobin()) },
-		10_000)
-	st := adv.CursorStats()
-	if st.Pulled != adv.Pulled() || st.Emitted != adv.HistLen() {
-		t.Errorf("stats %+v disagree with Pulled()=%d HistLen()=%d", st, adv.Pulled(), adv.HistLen())
-	}
-	if st.Emitted != len(script) || st.Queued != 0 || !st.Exhausted || st.CrashedProcs != 0 {
-		t.Errorf("fully-exhibited run has stats %+v, want emitted=%d queued=0 exhausted", st, len(script))
-	}
-
-	adv.Crash(1)
-	adv.Crash(2)
-	if got := adv.CursorStats().CrashedProcs; got != 2 {
-		t.Errorf("CrashedProcs = %d after two crashes", got)
-	}
-}
-
 func TestCursorRespectsWordOrderUnderRandomPolicies(t *testing.T) {
 	// Whatever the schedule, the emitted history is exactly the script: the
 	// adversary controls the real-time order of events.

@@ -249,44 +249,6 @@ func (a *A) HistLen() int { return len(a.history) }
 // the attacked execution replays deterministically up to the cut.
 func (a *A) Pulled() int { return len(a.history) + len(a.queue) - a.head }
 
-// CursorStats is a deterministic snapshot of the word cursor's drive state:
-// how far into the source the execution got, how much of the pulled word was
-// actually exhibited, and what the cursor dropped. Two executions of the
-// same spec report identical stats, so coverage signatures (package explore)
-// can fold them without touching the history itself.
-type CursorStats struct {
-	// Pulled counts symbols consumed from the source (emitted + queued).
-	Pulled int `json:"pulled"`
-	// Emitted counts symbols emitted into the exhibited word x(E).
-	Emitted int `json:"emitted"`
-	// Queued counts symbols pulled but not yet emitted — the cursor's
-	// backlog when the run ended, a measure of how far the schedule starved
-	// the gated processes.
-	Queued int `json:"queued"`
-	// Exhausted reports whether the source's finite script ended.
-	Exhausted bool `json:"exhausted"`
-	// CrashedProcs counts processes whose remaining symbols the cursor
-	// dropped from the word.
-	CrashedProcs int `json:"crashed_procs"`
-}
-
-// CursorStats snapshots the cursor's drive state; call between steps or
-// after the run.
-func (a *A) CursorStats() CursorStats {
-	s := CursorStats{
-		Pulled:    a.Pulled(),
-		Emitted:   len(a.history),
-		Queued:    len(a.queue) - a.head,
-		Exhausted: a.exhausted,
-	}
-	for _, c := range a.crashed {
-		if c {
-			s.CrashedProcs++
-		}
-	}
-	return s
-}
-
 // WaitingSend reports whether the process is parked at the send gate; used by
 // the phase-structured policies that drive proof constructions.
 func (a *A) WaitingSend(id int) bool { return a.phase[id] == phaseWaitSend && !a.granted[id] }

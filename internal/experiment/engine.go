@@ -137,11 +137,11 @@ func WorkerCount(total, workers int) int {
 }
 
 // Pool is a reusable bounded worker pool: the worker goroutines persist
-// across Run batches, so round-structured workloads — the explorer's guided
-// exploration runs one batch per round, growing its corpus between rounds —
-// pay goroutine startup once per sweep instead of once per round, and
-// per-worker state (a pooled runtime+session pair indexed by the worker id
-// fn receives) stays owned by the same workers for the pool's whole life.
+// across Run batches, so a workload of several batches — the explorer runs
+// its sweep and then its shrinks — pays goroutine startup once instead of
+// once per batch, and per-worker state (a pooled runtime+session pair
+// indexed by the worker id fn receives) stays owned by the same workers for
+// the pool's whole life.
 type Pool struct {
 	workers int
 	jobs    chan func(worker int)

@@ -17,15 +17,6 @@
 // fewer processes, fewer scheduler steps — to a minimal reproducer before it
 // is reported.
 //
-// Exploration can be coverage-guided: every outcome folds into a compact
-// deterministic signature (coverage.go — verdict-stream shape, crash/verdict
-// interleaving class, the ran/skipped check vector, adversary cursor stats),
-// a corpus (corpus.go) keeps one spec per novel signature, and each round
-// splits its budget between fresh random specs and seeded mutations of
-// corpus entries (mutate.go). Signatures fold in scenario-index order
-// between rounds, so a guided sweep stays byte-deterministic in the master
-// seed and independent of the worker count, exactly like a blind one.
-//
 // A second scenario family — the object family, spec grammar drv2 — swaps
 // the scripted adversary for the real concurrent implementations of package
 // sut: each scenario runs a correct or seeded-bug implementation (queue,
@@ -46,15 +37,11 @@
 // seeded network schedule (delivery order, delay, reorder and explicit
 // message loss) plus the usual crash schedule. The same Aτ + V_O stack
 // monitors the emulated object's history, the same oracle battery judges it,
-// and coverage signatures gain a network axis; shrinking gains a
-// message-schedule axis, dropping loss entries before crashes, processes,
-// operations and steps (see msgrun.go).
+// and shrinking gains a message-schedule axis, dropping loss entries before
+// crashes, processes, operations and steps (see msgrun.go).
 //
 // cmd/drvexplore is the command-line front end; corpus_test.go pins a
-// regression corpus of interesting specs, and testdata/corpus
-// (language family), testdata/corpus-obj (object family) and
-// testdata/corpus-msg (message-passing family) hold the committed seed
-// corpora guided runs start from.
+// regression list of interesting specs.
 package explore
 
 import (
@@ -94,24 +81,6 @@ type Options struct {
 	// so reports with it on are not byte-comparable, and the allocation deltas
 	// are process-global (exact only at Workers <= 1).
 	StageStats bool
-	// Corpus, when non-nil, turns the sweep coverage-guided: mutation draws
-	// take parents from it, and specs producing coverage signatures no
-	// corpus entry covers are added to it as the sweep runs (the caller owns
-	// persistence via Corpus.SaveNew). Growth is folded in scenario-index
-	// order between rounds, so a guided report is as worker-count-
-	// independent as a blind one.
-	Corpus *Corpus
-	// MutateFrac ∈ [0,1] is the fraction of the scenario budget spent
-	// mutating corpus entries instead of drawing fresh random specs. 0, or
-	// an empty corpus, reproduces the blind sweep scenario for scenario.
-	MutateFrac float64
-	// Round is the number of scenarios a guided sweep runs between corpus
-	// folds (0 = the default): rounds pace corpus growth. Smaller rounds
-	// feed discoveries back into mutation sooner at slightly more fold
-	// overhead; the round size must be identical for two guided runs to
-	// compare byte-for-byte, and is independent of Workers. A blind sweep
-	// (Corpus nil) has nothing to feed back and runs as one round.
-	Round int
 	// Wrap, when non-nil, wraps every scenario's monitor; tests use it to
 	// inject synthetically broken monitors and assert the explorer catches
 	// them.
@@ -160,16 +129,6 @@ type Report struct {
 	// excluded).
 	TotalSteps    int64 `json:"total_steps"`
 	TotalVerdicts int64 `json:"total_verdicts"`
-	// Coverage counts the distinct coverage signatures the sweep produced —
-	// the guided explorer's figure of merit.
-	Coverage int `json:"coverage"`
-	// Mutated counts scenarios derived by mutating corpus entries (the rest
-	// were fresh random draws).
-	Mutated int `json:"mutated"`
-	// CorpusSeeds is the corpus size when the sweep started; CorpusNew is
-	// how many novel-signature specs the sweep added to it.
-	CorpusSeeds int `json:"corpus_seeds,omitempty"`
-	CorpusNew   int `json:"corpus_new,omitempty"`
 	// BugScenarios counts object scenarios whose schedule exposed a planted
 	// implementation bug (an oracle failure on a non-guaranteed property).
 	BugScenarios int `json:"bug_scenarios,omitempty"`
@@ -208,51 +167,25 @@ type Bug struct {
 // Divergent reports whether the exploration found any divergence.
 func (r *Report) Divergent() bool { return len(r.Failures) > 0 }
 
-// defaultRound is the scenarios-per-round fold granularity of a guided
-// sweep: small enough that discoveries feed back into mutation within a few
-// hundred scenarios, large enough that every worker of a typical pool has a
-// full batch per round.
-const defaultRound = 64
-
-// guidedSalt decorrelates the guidance stream (the mutate-or-fresh coin and
-// the mutation draws for scenario i) from the generation stream
-// newSpecSeeded consumes, so a blind sweep's scenarios are untouched by guidance being on.
-const guidedSalt = 0x9ded
-
 // Explore runs the configured number of scenarios on a bounded worker pool
 // and folds the outcomes into a report that is identical for every worker
-// count. With a corpus the sweep runs in rounds, and with MutateFrac > 0 it
-// is coverage-guided: each round's budget splits between fresh random specs
-// and mutations of corpus entries, and novel-signature specs fold into the
-// corpus between rounds (in scenario-index order, so guidance is as
-// deterministic as generation). A blind sweep is one round. The fold queues
-// one shrink per new Bug and per Failure, in scenario-index order; after the
-// last round the shrinks run on the same pool, each writing only its own
+// count. Every spec is built up front, one pool run executes them, and the
+// fold — in scenario-index order — queues one shrink per new Bug and per
+// Failure; the shrinks then run on the same pool, each writing only its own
 // report entry.
 func Explore(opts Options) (*Report, error) {
 	if opts.Scenarios < 0 {
 		return nil, fmt.Errorf("explore: negative scenario count %d", opts.Scenarios)
 	}
-	if opts.MutateFrac < 0 || opts.MutateFrac > 1 {
-		return nil, fmt.Errorf("explore: MutateFrac %v outside [0,1]", opts.MutateFrac)
-	}
 	if err := opts.Gen.validate(); err != nil {
 		return nil, err
-	}
-	round := opts.Scenarios
-	if opts.Corpus != nil {
-		round = opts.Round
-		if round <= 0 {
-			round = defaultRound
-		}
 	}
 
 	// One runner per worker: each owns a pooled runtime+session pair and a
 	// pooled execution substrate (SUT instances, workload, service, timed
 	// adversary, network — see Runner.Pooled) for the whole sweep, so
 	// scenario setup stops paying per-execution coroutine spawns, result
-	// allocations and substrate rebuilds. The pool itself
-	// persists across rounds too.
+	// allocations and substrate rebuilds.
 	pool := experiment.NewPool(experiment.WorkerCount(opts.Scenarios, opts.Workers))
 	defer pool.Close()
 	runners := make([]Runner, pool.Workers())
@@ -280,131 +213,94 @@ func Explore(opts Options) (*Report, error) {
 		Skipped:   map[string]int{},
 		ByLang:    map[string]int{},
 	}
-	if opts.Corpus != nil {
-		rep.CorpusSeeds = opts.Corpus.Len()
+
+	// The generator rng is reused across indices by reseeding: a reseeded
+	// lazyrand source yields exactly a fresh one's stream, so the draw
+	// sequences — hence the specs — are byte-identical to per-index
+	// construction, without an rng+source allocation per scenario. Spec
+	// building is sequential, so sharing it is race-free, and worker count
+	// never enters.
+	specs := make([]Spec, opts.Scenarios)
+	genRng := rand.New(lazyrand.NewSource(0))
+	for i := range specs {
+		mark := genStages.start()
+		genRng.Seed(mix(opts.Master, int64(i)))
+		specs[i] = newSpecSeeded(genRng, opts.Gen)
+		genStages.stop(specs[i].Fam(), stageGenerate, mark)
 	}
 
-	specs := make([]Spec, opts.Scenarios)
 	outcomes := make([]*Outcome, opts.Scenarios)
 	errs := make([]error, opts.Scenarios)
-	seen := map[string]bool{}
-	var shrinks []shrinkJob
 	var mu sync.Mutex
-	// The generator and guidance rngs are reused across indices by reseeding:
-	// a reseeded lazyrand source yields exactly a fresh one's stream, so the
-	// draw sequences — hence the specs — are byte-identical to per-index
-	// construction, without the two rng+source allocations per scenario.
-	// Spec building is sequential, so sharing them is race-free.
-	genRng := rand.New(lazyrand.NewSource(0))
-	guideRng := rand.New(lazyrand.NewSource(0))
-	for next := 0; next < opts.Scenarios; next += round {
-		batch := round
-		if next+batch > opts.Scenarios {
-			batch = opts.Scenarios - next
-		}
-		// Build the round's specs sequentially: the mutate-or-fresh coin and
-		// the mutation itself draw from a per-index stream independent of
-		// the one newSpecSeeded consumes, so MutateFrac 0 reproduces the blind
-		// sweep exactly and worker count never enters.
-		for i := next; i < next+batch; i++ {
-			mark := genStages.start()
-			if opts.Corpus != nil && opts.Corpus.Len() > 0 {
-				guideRng.Seed(mix(mix(opts.Master, guidedSalt), int64(i)))
-				if guideRng.Float64() < opts.MutateFrac {
-					parent := opts.Corpus.At(guideRng.Intn(opts.Corpus.Len()))
-					specs[i] = Mutate(parent, guideRng, opts.Gen)
-					rep.Mutated++
-					genStages.stop(specs[i].Fam(), stageGenerate, mark)
-					continue
-				}
-			}
-			genRng.Seed(mix(opts.Master, int64(i)))
-			specs[i] = newSpecSeeded(genRng, opts.Gen)
-			genStages.stop(specs[i].Fam(), stageGenerate, mark)
-		}
-
-		pool.Run(batch, func(w, j int) {
-			i := next + j
-			runner := runners[w]
-			out, err := runner.Execute(specs[i])
-			if err == nil && opts.Replay {
-				again, err2 := runner.Execute(specs[i])
-				if err2 != nil {
-					err = err2
-				} else {
-					out.Ran = append(out.Ran, CheckReplay)
-					if again.Digest != out.Digest {
-						out.Divergences = append(out.Divergences, Divergence{
-							Check:  CheckReplay,
-							Detail: fmt.Sprintf("digest %s on first run, %s on replay", out.Digest, again.Digest),
-						})
-					}
-				}
-			}
-			outcomes[i], errs[i] = out, err
-			if opts.OnScenario != nil && out != nil {
-				mu.Lock()
-				opts.OnScenario(i, out)
-				mu.Unlock()
-			}
-		})
-
-		// Fold the round in scenario-index order: aggregate counters, record
-		// coverage, grow the corpus with novel-signature specs, and queue the
-		// shrinks of new bugs and divergences.
-		for i := next; i < next+batch; i++ {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("explore: scenario %d (%s): %w", i, specs[i], errs[i])
-			}
-			out := outcomes[i]
-			if out.Spec.Fam() == FamObj || out.Spec.Fam() == FamMsg {
-				if rep.ByObject == nil {
-					rep.ByObject = map[string]int{}
-				}
-				// Keys stay unambiguous across families: the emulation slugs
-				// (abd, nowriteback, lost, coord, ...) never collide with the
-				// shared-memory ones.
-				rep.ByObject[out.Spec.Object+"/"+out.Spec.Impl]++
+	pool.Run(opts.Scenarios, func(w, i int) {
+		runner := runners[w]
+		out, err := runner.Execute(specs[i])
+		if err == nil && opts.Replay {
+			again, err2 := runner.Execute(specs[i])
+			if err2 != nil {
+				err = err2
 			} else {
-				rep.ByLang[out.Spec.Lang]++
-			}
-			if len(out.Spec.Crashes) > 0 {
-				rep.Crashed++
-			}
-			for _, c := range out.Ran {
-				rep.Checks[c]++
-			}
-			for _, c := range out.Skipped {
-				rep.Skipped[c]++
-			}
-			rep.TotalSteps += int64(out.Steps)
-			rep.TotalVerdicts += int64(out.Verdicts)
-			if !seen[out.Signature] {
-				seen[out.Signature] = true
-				rep.Coverage++
-				if opts.Corpus != nil && !opts.Corpus.HasSig(out.Signature) {
-					opts.Corpus.Add(out.Spec, out.Signature)
+				out.Ran = append(out.Ran, CheckReplay)
+				if again.Digest != out.Digest {
+					out.Divergences = append(out.Divergences, Divergence{
+						Check:  CheckReplay,
+						Detail: fmt.Sprintf("digest %s on first run, %s on replay", out.Digest, again.Digest),
+					})
 				}
 			}
-			if len(out.OracleFailures) > 0 {
-				rep.BugScenarios++
-				if rep.foldBug(out) && opts.Shrink {
-					shrinks = append(shrinks, shrinkJob{bug: true, slot: len(rep.Bugs) - 1, spec: out.Spec, found: out.OracleFailures})
-				}
+		}
+		outcomes[i], errs[i] = out, err
+		if opts.OnScenario != nil && out != nil {
+			mu.Lock()
+			opts.OnScenario(i, out)
+			mu.Unlock()
+		}
+	})
+
+	// Fold in scenario-index order: aggregate counters and queue the shrinks
+	// of new bugs and divergences.
+	var shrinks []shrinkJob
+	for i, out := range outcomes {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("explore: scenario %d (%s): %w", i, specs[i], errs[i])
+		}
+		if out.Spec.Fam() == FamObj || out.Spec.Fam() == FamMsg {
+			if rep.ByObject == nil {
+				rep.ByObject = map[string]int{}
 			}
-			if len(out.Divergences) == 0 {
-				continue
+			// Keys stay unambiguous across families: the emulation slugs
+			// (abd, nowriteback, lost, coord, ...) never collide with the
+			// shared-memory ones.
+			rep.ByObject[out.Spec.Object+"/"+out.Spec.Impl]++
+		} else {
+			rep.ByLang[out.Spec.Lang]++
+		}
+		if len(out.Spec.Crashes) > 0 {
+			rep.Crashed++
+		}
+		for _, c := range out.Ran {
+			rep.Checks[c]++
+		}
+		for _, c := range out.Skipped {
+			rep.Skipped[c]++
+		}
+		rep.TotalSteps += int64(out.Steps)
+		rep.TotalVerdicts += int64(out.Verdicts)
+		if len(out.OracleFailures) > 0 {
+			rep.BugScenarios++
+			if rep.foldBug(out) && opts.Shrink {
+				shrinks = append(shrinks, shrinkJob{bug: true, slot: len(rep.Bugs) - 1, spec: out.Spec, found: out.OracleFailures})
 			}
-			rep.Failures = append(rep.Failures, Failure{Spec: out.Spec.String(), Divergences: out.Divergences})
-			if opts.Shrink {
-				shrinks = append(shrinks, shrinkJob{slot: len(rep.Failures) - 1, spec: out.Spec, found: firstRun(out.Divergences)})
-			}
+		}
+		if len(out.Divergences) == 0 {
+			continue
+		}
+		rep.Failures = append(rep.Failures, Failure{Spec: out.Spec.String(), Divergences: out.Divergences})
+		if opts.Shrink {
+			shrinks = append(shrinks, shrinkJob{slot: len(rep.Failures) - 1, spec: out.Spec, found: firstRun(out.Divergences)})
 		}
 	}
 	pool.Run(len(shrinks), func(w, j int) { shrinks[j].run(rep, runners[w], opts.ShrinkBudget) })
-	if opts.Corpus != nil {
-		rep.CorpusNew = opts.Corpus.Len() - rep.CorpusSeeds
-	}
 	if opts.StageStats {
 		stats := StageStats{}
 		stats.merge(genStages.stats)
@@ -476,42 +372,14 @@ func firstRun(ds []Divergence) []Divergence {
 	return ds
 }
 
-// langCheckNames returns the language family's differential checks, sorted.
-// The coverage signature's check vector folds over exactly this list, so it
-// must never change shape when other families gain checks — a longer vector
-// would re-classify every committed corpus entry.
-func langCheckNames() []string {
+// CheckNames returns the names of every differential check the explorer can
+// run across every scenario family, sorted; reports index their
+// Checks/Skipped maps by these.
+func CheckNames() []string {
 	names := []string{
 		CheckWellFormed, CheckSourcePrefix, CheckOwnSafety, CheckCrashQuiet,
-		CheckLabelSafety, CheckClass, CheckReplay,
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ObjCheckNames returns the differential checks of the object and
-// message-passing families, sorted; their coverage signature's check vector
-// folds over this list.
-func ObjCheckNames() []string {
-	names := []string{
-		CheckWellFormed, CheckCrashQuiet, CheckOracle, CheckBrute,
-		CheckMonitorLin, CheckReplay,
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CheckNames returns the names of every differential check the explorer can
-// run across every scenario family, sorted and deduplicated; reports index
-// their Checks/Skipped maps by these.
-func CheckNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, name := range append(langCheckNames(), ObjCheckNames()...) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
+		CheckLabelSafety, CheckClass, CheckOracle, CheckBrute, CheckMonitorLin,
+		CheckReplay,
 	}
 	sort.Strings(names)
 	return names

@@ -66,8 +66,8 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 
 func TestSpecBiasExactRoundTrip(t *testing.T) {
 	// The FormatFloat('g', -1) encoding must make String↔ParseSpec exact for
-	// ANY bias in [0,1] — in particular the off-grid biases mutation
-	// produces, which the old %.2f quantization rejected.
+	// ANY bias in [0,1] — in particular off-grid biases, which the old %.2f
+	// quantization rejected.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {
 		s := Spec{Lang: "WEC_COUNT", Source: "exact", N: 3, Seed: rng.Int63(),

@@ -105,6 +105,9 @@ func (g GenConfig) validate() error {
 	if g.MaxCrashes < 0 {
 		return fmt.Errorf("explore: negative MaxCrashes %d", g.MaxCrashes)
 	}
+	if g.MaxSteps < 0 {
+		return fmt.Errorf("explore: negative MaxSteps %d", g.MaxSteps)
+	}
 	return nil
 }
 
@@ -244,8 +247,8 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	default:
 		s.Policy = PolBiased
 		// Fresh specs draw from a coarse bias grid (the encoding itself is
-		// exact for any float64 since the FormatFloat move — mutators perturb
-		// off-grid); the grid keeps blind sweeps reproducible across PRs.
+		// exact for any float64 since the FormatFloat move); the grid keeps
+		// sweeps reproducible across explorer versions.
 		s.Bias = float64(30+5*rng.Intn(11)) / 100 // 0.30..0.80
 	}
 
@@ -302,9 +305,9 @@ func newObjSpec(rng *rand.Rand, cfg GenConfig, fam string) Spec {
 	// No word cursor exists to prioritize, so the cursor policy (which would
 	// degenerate to the random one) stays out of the draw. A biased policy
 	// targets no actor in the object family and acts as a differently-seeded
-	// uniform draw, kept for schedule diversity under mutation; in the
-	// message-passing family its cursor lands on the network delivery actor
-	// (see executeObj), making it a delivery-eager schedule.
+	// uniform draw, kept for schedule diversity; in the message-passing
+	// family its cursor lands on the network delivery actor (see
+	// executeObj), making it a delivery-eager schedule.
 	switch rng.Intn(3) {
 	case 0:
 		s.Policy = PolRandom

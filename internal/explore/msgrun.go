@@ -7,7 +7,7 @@ package explore
 // and coordinator-consensus walks built on it. Both run down one path,
 // executeObj: the same workload, the same deployment stack (the timed
 // adversary Aτ, the Figure 8 predictive monitor V_O), the same check battery
-// and the same coverage signature. The one message-passing step is the
+// and the same findings split. The one message-passing step is the
 // network: internal/msgnet under a seeded deterministic schedule (delivery
 // order, delay, reorder and loss) is armed per scenario, and its delivery
 // actor and the emulation's replica servers run as scheduler aux actors. This
@@ -30,7 +30,7 @@ import (
 )
 
 // netSalt derives the network-order stream from the spec seed, independent
-// of the policy (0x5eed), workload (0x3ead) and guidance (0x9ded) streams.
+// of the policy (0x5eed) and workload (0x3ead) streams.
 const netSalt = 0x0abd
 
 // msgRegistry lists the message-passing scenarios, in deterministic order.

@@ -61,14 +61,22 @@ func dirtyLangSpec(target lang.Lang, k int) Spec {
 	return reuseLangSpec(other, srcs[k%len(srcs)].Name, 9, n, true)
 }
 
+// outcomeKey renders what a pooled execution must reproduce of a fresh one:
+// the digest of the whole execution, the checks that ran or were skipped,
+// and every divergence and oracle failure with its detail.
+func outcomeKey(o *Outcome) string {
+	return fmt.Sprintf("%s ran=%v skipped=%v divergences=%v oracle=%v",
+		o.Digest, o.Ran, o.Skipped, o.Divergences, o.OracleFailures)
+}
+
 func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 	// The Reset contract, pinned per registered implementation: executing a
 	// spec on a pooled runner whose cached instance already ran a *different*
 	// spec (different seed, process count, crash and network schedule) must
-	// reproduce a fresh instance's digest and signature exactly. This is the
-	// reuse-vs-fresh differential for every impl in both registries,
+	// reproduce a fresh instance's digest, checks and findings exactly. This
+	// is the reuse-vs-fresh differential for every impl in both registries,
 	// seeded-bug variants included — a bug variant whose planted state leaked
-	// across runs would shift its signature here — and for every language
+	// across runs would shift its outcome here — and for every language
 	// source, whose adversary cursor, timed wrapper and digest buffer the
 	// runner reuses.
 	sess := monitor.NewSession()
@@ -90,9 +98,8 @@ func TestPooledReuseMatchesFreshAcrossImpls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Digest != fresh.Digest || got.Signature != fresh.Signature {
-			t.Errorf("%s: reused %s/%s vs fresh %s/%s",
-				target, got.Digest, got.Signature, fresh.Digest, fresh.Signature)
+		if g, f := outcomeKey(got), outcomeKey(fresh); g != f {
+			t.Errorf("%s: reused %s vs fresh %s", target, g, f)
 		}
 	}
 	for _, object := range Objects(FamObj) {
@@ -138,7 +145,7 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = out.Digest + "|" + out.Signature
+		want[i] = outcomeKey(out)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 4 {
@@ -160,7 +167,7 @@ func TestPooledRunnersPerGoroutine(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if got := out.Digest + "|" + out.Signature; got != want[i] {
+				if got := outcomeKey(out); got != want[i] {
 					errs[w] = fmt.Errorf("worker %d: %s: got %s want %s", w, s, got, want[i])
 					return
 				}

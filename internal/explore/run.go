@@ -66,13 +66,6 @@ type Outcome struct {
 	// Digest fingerprints the full execution (history, verdict streams,
 	// step and history indices); equal specs must produce equal digests.
 	Digest string `json:"digest"`
-	// Cursor snapshots the adversary cursor's drive state at the end of the
-	// run (source depth, gate backlog, exhaustion) — one of the signature's
-	// coverage axes.
-	Cursor adversary.CursorStats `json:"cursor"`
-	// Signature is the outcome's coverage class (see coverage.go): the
-	// guided explorer corpus-keeps one spec per distinct signature.
-	Signature string `json:"signature"`
 	// Divergences are the failed differential checks, empty when the
 	// scenario is clean.
 	Divergences []Divergence `json:"divergences,omitempty"`
@@ -164,11 +157,9 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 		return svc, []int{adv.Register(rt)}
 	})
 	out.Label = lb.In
-	out.Cursor = adv.CursorStats()
 	mark := r.stages.start()
 	r.runChecks(out, l, lb, fam, res, tau)
 	r.stages.stop(FamLang, stageCheck, mark)
-	out.Signature = signatureOf(out, res)
 	return out, nil
 }
 

@@ -124,7 +124,8 @@ type Spec struct {
 }
 
 // maxOpsPerProc bounds an object workload; generation draws far below it,
-// mutation may push toward it, and anything above is a mis-pasted spec.
+// a hand-written spec may go up to it, and anything above is a mis-pasted
+// spec.
 const maxOpsPerProc = 64
 
 // String renders the one-line seed spec, e.g.
@@ -150,9 +151,9 @@ func (s Spec) String() string {
 	fmt.Fprintf(&b, ":n=%d:seed=%d:pol=%s", s.N, s.Seed, s.Policy)
 	if s.Policy == PolBiased {
 		// 'g'/-1 renders the shortest decimal that parses back to exactly
-		// this float64, so String↔ParseSpec is exact for every bias a
-		// mutator can produce (the old %.2f encoding forced biases onto a
-		// hundredths grid); old two-decimal specs still parse.
+		// this float64, so String↔ParseSpec is exact for every bias (the
+		// old %.2f encoding forced biases onto a hundredths grid); old
+		// two-decimal specs still parse.
 		b.WriteByte('/')
 		b.WriteString(strconv.FormatFloat(s.Bias, 'g', -1, 64))
 	}
@@ -326,7 +327,7 @@ func (s Spec) validate() error {
 			return fmt.Errorf("explore: crash step %d outside [1,%d]", c.Step, s.Steps-1)
 		}
 		// The schedule must be in the canonical step-then-process order the
-		// generator and the mutators emit (ties broken by process), with each
+		// generator emits (ties broken by process), with each
 		// process crashing at most once — an out-of-order or duplicated
 		// schedule would make two spec strings name one execution.
 		if i > 0 {
