@@ -22,6 +22,8 @@
 //	    drvtrace), stream it to a drvserve server as one verdict stream,
 //	    and copy the server's response lines to stdout verbatim.
 //
+// A negative -shards, -queue or -max-steps is a usage error: exit 2.
+//
 // Served verdict streams inherit the replay determinism contract: the same
 // input yields byte-identical response lines regardless of pool size, and
 // re-running the recorded history through exp/monitor reproduces exactly the
@@ -73,6 +75,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxSteps := fs.Int("max-steps", 0, "client: replay step bound (0 = monitor default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	// Zero selects a default; a negative size would silently do the same.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"queue", *queue}, {"max-steps", *maxSteps}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "drvserve: -%s %d: must be at least 0\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	modes := 0

@@ -264,3 +264,25 @@ func TestSIGINTRightAfterListenDrains(t *testing.T) {
 		t.Fatalf("server exited 0 without draining; stderr:\n%s", out)
 	}
 }
+
+// TestNegativeSizesExitTwo pins that a negative size is a usage error that
+// names its flag, before anything runs.
+func TestNegativeSizesExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stdio", "-shards", "-1"}, "drvserve: -shards -1: must be at least 0\n"},
+		{[]string{"-stdio", "-queue", "-5"}, "drvserve: -queue -5: must be at least 0\n"},
+		{[]string{"-stdio", "-shards", "2", "-queue", "-1"}, "drvserve: -queue -1: must be at least 0\n"},
+		{[]string{"-send", "127.0.0.1:1", "-max-steps", "-3", "trace.jsonl"}, "drvserve: -max-steps -3: must be at least 0\n"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, strings.NewReader(""), &out, &errb); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", tc.args, code)
+		}
+		if errb.String() != tc.want || out.Len() != 0 {
+			t.Errorf("run(%v): stderr %q, stdout %q; want stderr %q and no stdout", tc.args, errb.String(), out.String(), tc.want)
+		}
+	}
+}

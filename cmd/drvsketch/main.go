@@ -54,16 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var kind adversary.ArrayKind
-	switch *kindName {
-	case "atomic":
-		kind = adversary.ArrayAtomic
-	case "aadgms":
-		kind = adversary.ArrayAADGMS
-	case "collect":
-		kind = adversary.ArrayCollect
-	default:
-		fmt.Fprintf(stderr, "unknown array kind %q\n", *kindName)
+	kind, err := adversary.ParseArrayKind(*kindName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 

@@ -228,3 +228,18 @@ func randomCounterWord(rng *rand.Rand, n, ops int) trace.Word {
 	}
 	return b.Word()
 }
+
+func TestArrayKindNames(t *testing.T) {
+	// Monitor names and drvsketch's -kind flag spell the kinds this way.
+	for k, name := range map[ArrayKind]string{ArrayAtomic: "atomic", ArrayAADGMS: "aadgms", ArrayCollect: "collect"} {
+		if k.String() != name {
+			t.Errorf("%d.String() = %q, want %q", k, k.String(), name)
+		}
+		if got, err := ParseArrayKind(name); got != k || err != nil {
+			t.Errorf("ParseArrayKind(%q) = %d, %v; want %d", name, got, err, k)
+		}
+	}
+	if _, err := ParseArrayKind("snapshot"); err == nil || err.Error() != `unknown array kind "snapshot"` {
+		t.Errorf("ParseArrayKind(\"snapshot\"): %v", err)
+	}
+}

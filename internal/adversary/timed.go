@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/mem"
 	"github.com/drv-go/drv/internal/sched"
@@ -19,6 +21,29 @@ const (
 	// ArrayCollect uses a plain collect; views may become incomparable.
 	ArrayCollect
 )
+
+// String names the kind as drvsketch's -kind flag does. A kind outside the
+// three builds the atomic array (see NewArray), so it is named "atomic".
+func (k ArrayKind) String() string {
+	switch k {
+	case ArrayAADGMS:
+		return "aadgms"
+	case ArrayCollect:
+		return "collect"
+	default:
+		return "atomic"
+	}
+}
+
+// ParseArrayKind returns the kind String names name.
+func ParseArrayKind(name string) (ArrayKind, error) {
+	for k := ArrayAtomic; k <= ArrayCollect; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown array kind %q", name)
+}
 
 // NewArray builds an n-cell integer array of the requested kind.
 func NewArray(kind ArrayKind, n int) mem.Array[int] {

@@ -83,7 +83,7 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pl := buildPlan(p)
+	pl := buildPlan(p, nil)
 	a := newAgg(pl, opts.OnCell)
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)

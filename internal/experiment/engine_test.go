@@ -9,7 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/drv-go/drv/internal/core"
+	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
+	"github.com/drv-go/drv/internal/sched"
 )
 
 // cellErrsEqual compares two row slices cell by cell, including error text.
@@ -147,7 +150,7 @@ func TestRunFailFast(t *testing.T) {
 // policies).
 func TestCellDeterministicAcrossGoroutines(t *testing.T) {
 	p := ShortParams()
-	pl := buildPlan(p)
+	pl := buildPlan(p, nil)
 	// LIN_REG × PSD: a timed sweep cell with one unit per (seed, source).
 	target := cellKey{0, 2}
 	var units []unit
@@ -226,7 +229,7 @@ func TestConcurrentRunsIndependent(t *testing.T) {
 }
 
 func TestPlanCoversAllCells(t *testing.T) {
-	pl := buildPlan(ShortParams())
+	pl := buildPlan(ShortParams(), nil)
 	if len(pl.rows) != 7 {
 		t.Fatalf("plan has %d rows, want 7", len(pl.rows))
 	}
@@ -279,7 +282,7 @@ func TestPlanPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := planListing(buildPlan(tc.p)); got != string(want) {
+		if got := planListing(buildPlan(tc.p, nil)); got != string(want) {
 			t.Errorf("%s: plan differs:\n%s\nwant:\n%s", tc.golden, got, want)
 		}
 	}
@@ -420,5 +423,72 @@ func TestRunRejectsDegenerateParams(t *testing.T) {
 	}
 	if err := DefaultParams().Validate(); err != nil {
 		t.Errorf("DefaultParams: %v", err)
+	}
+}
+
+// neverNO wraps a monitor so that its logic runs but every verdict reads
+// YES: the canonical unsound decider.
+func neverNO(m monitor.Monitor) monitor.Monitor {
+	return monitor.NewMonitor("never-no("+m.Name()+")", func(n int) []monitor.Logic {
+		logics := m.New(n)
+		for i, l := range logics {
+			logics[i] = yesLogic{l}
+		}
+		return logics
+	})
+}
+
+type yesLogic struct{ monitor.Logic }
+
+func (l yesLogic) Decide(p *sched.Proc) monitor.Verdict {
+	l.Logic.Decide(p)
+	return monitor.Yes
+}
+
+func TestNeverNOFailsEveryOutOfLanguageUnit(t *testing.T) {
+	// With every possibility cell's monitor made to answer YES, each
+	// in-language unit still passes, and each out-of-language unit fails its
+	// predicate on what x(E) shows: none is excused and none is too short to
+	// judge.
+	p := ShortParams()
+	in := map[string]bool{} // "lang seed source" → the source's label
+	for _, l := range lang.All() {
+		for _, seed := range p.Seeds {
+			for _, lb := range l.Sources(p.Procs, seed) {
+				in[fmt.Sprintf("%s %d %s", l.Name, seed, lb.Name)] = lb.In
+			}
+		}
+	}
+	sess := monitor.NewSession()
+	defer sess.Close()
+	cells := map[string]bool{}
+	outs := 0
+	for _, u := range buildPlan(p, neverNO).units {
+		var name, class, source string
+		var seed int64
+		if n, _ := fmt.Sscanf(u.name, "%s × %s seed %d source %s", &name, &class, &seed, &source); n != 4 {
+			continue // an impossibility construction
+		}
+		cells[name+" × "+class] = true
+		label, ok := in[fmt.Sprintf("%s %d %s", name, seed, source)]
+		if !ok {
+			t.Fatalf("%s: no such labelled source", u.name)
+		}
+		err := u.run(context.Background(), sess)[0]
+		var short *core.ShortRunError
+		switch {
+		case label && err != nil:
+			t.Errorf("%s: in-language unit failed: %v", u.name, err)
+		case label:
+		case err == nil:
+			t.Errorf("%s: never-NO monitor passed an out-of-language unit", u.name)
+		case errors.As(err, &short):
+			t.Errorf("%s: x(E) shows no violation: %v", u.name, err)
+		default:
+			outs++
+		}
+	}
+	if len(cells) != 11 || outs == 0 {
+		t.Errorf("swept %d possibility cells and %d out-of-language units, want all 11 cells and some units", len(cells), outs)
 	}
 }

@@ -150,11 +150,14 @@ type plan struct {
 	p     Params
 	rows  []Row
 	units []unit
+	// wrap, when non-nil, wraps every possibility sweep's monitor; tests use
+	// it to break the monitors.
+	wrap func(monitor.Monitor) monitor.Monitor
 }
 
-// buildPlan lays out every cell of Table 1.
-func buildPlan(p Params) *plan {
-	t := &plan{p: p}
+// buildPlan lays out every cell of Table 1, with wrap as the plan's wrap.
+func buildPlan(p Params, wrap func(monitor.Monitor) monitor.Monitor) *plan {
+	t := &plan{p: p, wrap: wrap}
 	t.registerRow(lang.LinReg(), true)
 	t.registerRow(lang.SCReg(), false)
 	t.ledgerRow(lang.LinLed(), true)
@@ -210,24 +213,32 @@ func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Moni
 }
 
 // sweep emits one unit per (seed, labelled source): each unit runs a freshly
-// built monitor against the source and judges it under the class's
-// predicate. A timed run against Aτ decides the sketch escape clause with
-// l's judge. Every unit allocates its own monitor, adversary and runtime, so
-// units are safe to run concurrently.
-func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, timed bool) {
+// built monitor against the source for at most steps scheduler steps and
+// judges the run under the class's predicate with l's judge; a timed run
+// against Aτ also decides the sketch escape clause. A run too short to judge
+// fails with an error that names the bound and drvtable's -flag that raises
+// it. Every unit allocates its own monitor, adversary and runtime, so units
+// are safe to run concurrently.
+func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, flag string, timed bool) {
+	if t.wrap != nil {
+		inner := mk
+		mk = func(tau *adversary.Timed) monitor.Monitor { return t.wrap(inner(tau)) }
+	}
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
 				func(_ context.Context, sess *monitor.Session) []error {
 					res, tau := run(sess, t.p, mk, timed, lb.New(), seed, steps)
-					ev := core.Eval{Class: class, Window: t.p.Window}
+					ev := core.Eval{Class: class, Window: t.p.Window, Judge: l.Judge, Pool: sess.CheckPool(), Word: res.History}
 					if tau != nil {
-						ev.SketchViolated = func() bool {
-							sk, err := res.Sketch(t.p.Procs, tau.InvAt)
-							return err == nil && l.Judge.Violation(sk, sess.CheckPool()) != nil
-						}
+						ev.Sketch = core.SketchOf(res, tau.InvAt)
 					}
-					if err := ev.Check(res, lb.In); err != nil {
+					err := ev.Check(res, lb.In)
+					var short *core.ShortRunError
+					if errors.As(err, &short) {
+						err = fmt.Errorf("%w at the %d-step bound; raise -%s", err, steps, flag)
+					}
+					if err != nil {
 						return []error{fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)}
 					}
 					return []error{nil}
@@ -240,17 +251,17 @@ func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l 
 // ledger row: Figure 8's V_O over l's object with the LIN or SC check (lin
 // selects which), judged with l's judge as the sketch escape clause.
 func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
-	steps, newV := t.p.TimedSteps, monitor.NewLin
+	steps, flag, newV := t.p.TimedSteps, "timed-steps", monitor.NewLin
 	if !lin {
-		steps, newV = t.p.SCSteps, monitor.NewSC
+		steps, flag, newV = t.p.SCSteps, "sc-steps", monitor.NewSC
 	}
 	mk := func(tau *adversary.Timed) monitor.Monitor {
 		return newV(l.Object, tau, adversary.ArrayAtomic)
 	}
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweep(psd, mk, l, core.PSD, steps, true)
+	t.sweep(psd, mk, l, core.PSD, steps, flag, true)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweep(pwd, mk, l, core.PWD, steps, true)
+	t.sweep(pwd, mk, l, core.PWD, steps, flag, true)
 }
 
 // walkUnit adds the Theorem 5.2 walk unit: it searches the shuffles of
@@ -365,7 +376,7 @@ func (t *plan) wecRow() {
 	amplified := func(*adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
 	}
-	t.sweep(wd, amplified, l, core.WD, t.p.Steps, false)
+	t.sweep(wd, amplified, l, core.WD, t.p.Steps, "steps", false)
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
@@ -384,7 +395,7 @@ func (t *plan) wecRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 5",
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
-	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, true)
+	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, "steps", true)
 }
 
 // secRow lays out the SEC_COUNT row: ✗ ✗ ✗ ✓.
@@ -434,7 +445,7 @@ func (t *plan) secRow() {
 		"amplified Figure 9 over labelled sources, PWD predicate")
 	t.sweep(pwd, func(tau *adversary.Timed) monitor.Monitor {
 		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.TimedSteps, true)
+	}, l, core.PWD, t.p.TimedSteps, "timed-steps", true)
 }
 
 // counterAttack builds the Lemma 5.2 instance: one inc, then reads of 0

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -34,10 +35,10 @@ const (
 	// exhibited prefix must pass the language's safety checker — the
 	// generator-versus-checker axis of the differential.
 	CheckLabelSafety = "label-safety"
-	// CheckClass: the family's decidability predicate (WD, PWD or PSD)
-	// judged against the source label on crash-free runs — the monitor-
-	// versus-oracle axis. Crashes invalidate the ω-label (dropped events
-	// change membership), so crashed runs skip it.
+	// CheckClass: the family's decidability predicate (WD, PWD or PSD),
+	// judged by core.Eval on crash-free runs — the monitor-versus-oracle
+	// axis. Crashes invalidate the ω-label (dropped events change
+	// membership), so crashed runs skip it.
 	CheckClass = "class"
 	// CheckReplay: re-executing the spec must reproduce the digest.
 	CheckReplay = "replay"
@@ -242,122 +243,36 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 	}
 }
 
-// checkClass judges the family's decidability predicate against the source
-// label. The weak predicates read verdict tails, which is only meaningful
-// once every process got past the sources' transient phases; runs whose
-// verdict streams are too short for the window proxy are skipped rather than
-// misjudged.
-//
-// For the predictive families the Out-side carries the escape clause of
-// Definitions 6.1/6.2, mirrored from the In-side: a predictive monitor
-// answers for the sketch x~(E), not for x(E), so it is excused from
-// reporting a real-time-sensitive safety violation of the exhibited word
-// exactly when the execution's sketch is clean — the views genuinely lost
-// the real-time order that made the word violating (the explorer's random
-// schedules reach these executions; the curated Table 1 schedules do not).
-// No such excuse exists for violations the monitors observe without
-// real-time information: liveness violations (announced counts never
-// converge) and violations the sketch itself exhibits. The PSD Out-side
-// obliges a NO only for the sketch of responses some verdict judged: a run
-// cut between a response and its round's verdict must not blame the monitor
-// for a violation only that last response shows.
+// checkClass judges the family's decidability predicate with core.Eval,
+// the judge Table 1 uses: in-language runs by the source label,
+// out-of-language runs by what the exhibited word shows (a run too short to
+// show a violation is no divergence). The weak predicates read verdict
+// tails, which is only meaningful once every process got past the sources'
+// transient phases; runs whose verdict streams are too short for the window
+// proxy are skipped rather than misjudged.
 func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
-	n := out.Spec.N
-	bad := func(w trace.Word) bool { return l.Judge.Violation(w, r.Session.CheckPool()) != nil }
-	sketchBad := func() bool {
-		sk, err := res.Sketch(n, tau.InvAt)
-		return err == nil && bad(sk)
-	}
-	coveredSketchBad := func() bool {
-		sk, err := coveredSketch(res, n, tau.InvAt)
-		return err == nil && bad(sk)
-	}
-	cappedHistory := res.History
-	if len(cappedHistory) > labelSafetyCap {
-		cappedHistory = cappedHistory[:labelSafetyCap]
+	class := fam.class()
+	if class == 0 { // famECLed: undecidable in every class, no verdict oracle
+		out.skipped(CheckClass)
+		return
 	}
 	minVerdicts := 1
-	if fam == famWEC || fam == famSEC {
+	if class != core.PSD {
 		minVerdicts = evalWindow + 1
 	}
-	for p := 0; p < n; p++ {
+	for p := range res.Verdicts {
 		if len(res.Verdicts[p]) < minVerdicts {
 			out.skipped(CheckClass)
 			return
 		}
 	}
-
-	switch fam {
-	case famWEC:
-		// WEC_COUNT is real-time oblivious: Figure 5 needs no views and has
-		// no escape, so the plain WD predicate applies.
-		out.ran(CheckClass)
-		ev := core.Eval{Class: core.WD, Window: evalWindow}
-		if err := ev.Check(res, lb.In); err != nil {
-			out.diverge(CheckClass, "WD source %s: %v", lb.Name, err)
-		}
-
-	case famSEC:
-		out.ran(CheckClass)
-		if lb.In {
-			ev := core.Eval{Class: core.PWD, Window: evalWindow, SketchViolated: sketchBad}
-			if err := ev.Check(res, true); err != nil {
-				out.diverge(CheckClass, "PWD source %s: %v", lb.Name, err)
-			}
-			return
-		}
-		// Out-side. The label describes the source word; the monitor's
-		// input is the outer word of Aτ, whose wider operation intervals
-		// can legitimately repair a real-time-sensitive violation (the
-		// clause-4 over-read becomes concurrent with its inc). Judge what
-		// was exhibited: a safety-violating outer word must draw NO unless
-		// even the sketch lost the violation; a safety-clean one only obliges
-		// the monitor when it visibly fails to converge (the view-independent
-		// liveness clause).
-		switch {
-		case bad(res.History):
-			if !sketchBad() {
-				return // real-time violation invisible in the sketch: excused
-			}
-		case check.Converges(res.History):
-			return // the exhibited word was repaired into the language
-		}
-		for p := 0; p < n; p++ {
-			if !res.NOInTail(p, evalWindow) {
-				out.diverge(CheckClass,
-					"PWD source %s: exhibited word outside language (violation visible to the monitor) but process %d stopped reporting NO", lb.Name, p)
-				return
-			}
-		}
-
-	case famPred:
-		out.ran(CheckClass)
-		if lb.In {
-			ev := core.Eval{Class: core.PSD, SketchViolated: sketchBad}
-			if err := ev.Check(res, true); err != nil {
-				out.diverge(CheckClass, "PSD source %s: %v", lb.Name, err)
-			}
-			return
-		}
-		if res.TotalNO() == 0 && bad(cappedHistory) && coveredSketchBad() {
-			out.diverge(CheckClass,
-				"PSD source %s: exhibited word and sketch both violate %s safety but no process ever reported NO", lb.Name, l.Name)
-		}
-
-	default: // famECLed: undecidable in every class, no verdict oracle
-		out.skipped(CheckClass)
+	out.ran(CheckClass)
+	ev := core.Eval{Class: class, Window: evalWindow, Judge: l.Judge, Pool: r.Session.CheckPool(), Word: res.History}
+	if tau != nil {
+		ev.Sketch = core.SketchOf(res, tau.InvAt)
 	}
-}
-
-// coveredSketch builds the sketch from the responses some verdict covered:
-// the first len(Verdicts[p]) responses of each process p. A response is
-// recorded before its round's verdict, so a run cut between the two leaves
-// each process at most one response no verdict has judged yet.
-func coveredSketch(res *monitor.Result, n int, resolve trace.Resolver) (trace.Word, error) {
-	cut := *res
-	cut.Responses = make([][]trace.Response, len(res.Responses))
-	for p, rs := range res.Responses {
-		cut.Responses[p] = rs[:min(len(rs), len(res.Verdicts[p]))]
+	var short *core.ShortRunError
+	if err := ev.Check(res, lb.In); err != nil && !errors.As(err, &short) {
+		out.diverge(CheckClass, "%s source %s: %v", class, lb.Name, err)
 	}
-	return cut.Sketch(n, resolve)
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
@@ -48,6 +49,20 @@ func famOf(langName string) family {
 
 // timed reports whether the family monitors against the timed adversary Aτ.
 func (f family) timed() bool { return f == famSEC || f == famPred }
+
+// class is the decidability notion the family's monitor is judged under; 0
+// for famECLed, which has none.
+func (f family) class() core.Class {
+	switch f {
+	case famWEC:
+		return core.WD // real-time oblivious: Figure 5 needs no views
+	case famSEC:
+		return core.PWD
+	case famPred:
+		return core.PSD
+	}
+	return 0
+}
 
 // Outcome is the result of executing one scenario.
 type Outcome struct {

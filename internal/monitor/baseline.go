@@ -37,7 +37,7 @@ func (l constantLogic) Decide(*sched.Proc) Verdict         { return l.v }
 // execution and a non-linearizable one, as Theorem 5.2 predicts for every
 // monitor.
 func NewNaiveOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
-	return NewMonitor("naive-order/"+obj.Name()+"/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("naive-order/"+obj.Name()+"/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
@@ -92,7 +92,7 @@ func (l *naiveOrderLogic) Decide(*sched.Proc) Verdict { return l.verdict }
 // behaviour is in WEC_COUNT no process ever reports NO; if it is not, no
 // process ever reports YES.
 func ThreeValuedWEC(kind adversary.ArrayKind) Monitor {
-	return NewMonitor("wec-3valued/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("wec-3valued/"+kind.String(), func(n int) []Logic {
 		incs := adversary.NewArray(kind, n)
 		logics := make([]Logic, n)
 		for i := range logics {
@@ -125,7 +125,7 @@ func (l *threeValuedLogic) Decide(p *sched.Proc) Verdict {
 // class: NO only on safety clauses (1)–(2) and the view-witnessed clause (4),
 // MAYBE otherwise.
 func ThreeValuedSEC(tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return NewMonitor("sec-3valued/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("sec-3valued/"+kind.String(), func(n int) []Logic {
 		incs := adversary.NewArray(kind, n)
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)

@@ -48,7 +48,7 @@ func (r *snapshotRecorder) Snapshot(p *sched.Proc) []int {
 func predictiveSetup(tau *adversary.Timed, kind adversary.ArrayKind,
 	onBoard func(*tripleBoard), wrap func(*predictiveLogic) Logic) Monitor {
 	obj := lang.LinReg().Object
-	return NewMonitor("probe-fig8/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("probe-fig8/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		onBoard(board)
 		logics := make([]Logic, n)
@@ -90,11 +90,11 @@ func TestTripleBoardSnapshotsMonotone(t *testing.T) {
 					func(l *predictiveLogic) Logic { return l })
 			})
 			if len(rec.shrank) > 0 {
-				t.Fatalf("%s seed %d: a reader's snapshot went back: %v", kindName(kind), seed, rec.shrank[0])
+				t.Fatalf("%s seed %d: a reader's snapshot went back: %v", kind, seed, rec.shrank[0])
 			}
 			if rec.snapshots < 100 {
 				t.Errorf("%s seed %d: %d snapshots; the run is too short to interleave publishers",
-					kindName(kind), seed, rec.snapshots)
+					kind, seed, rec.snapshots)
 			}
 		}
 	}
@@ -185,16 +185,16 @@ func TestPredictiveRoundCostTracksNewTriples(t *testing.T) {
 			})
 		}
 		if stats.bad != "" {
-			t.Fatalf("%s: %s", kindName(kind), stats.bad)
+			t.Fatalf("%s: %s", kind, stats.bad)
 		}
 		t.Logf("%s: %d rounds, %d append-only; re-emitted %d of %d sketch symbols",
-			kindName(kind), stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted)
+			kind, stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted)
 		if stats.appendOnly == 0 {
-			t.Errorf("%s: no append-only round", kindName(kind))
+			t.Errorf("%s: no append-only round", kind)
 		}
 		if 10*stats.reemitted > stats.emitted {
 			t.Errorf("%s: re-emitted %d of %d sketch symbols, want at most a tenth",
-				kindName(kind), stats.reemitted, stats.emitted)
+				kind, stats.reemitted, stats.emitted)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // drives it to identical verdicts on a linearizable execution and a
 // non-linearizable one. Consensus power does not buy real-time visibility.
 func NewConsensusOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
-	return NewMonitor("consensus-order/"+obj.Name()+"/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("consensus-order/"+obj.Name()+"/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		log := &consLog{}
 		logics := make([]Logic, n)

@@ -22,7 +22,7 @@ import (
 // on which every process reports NO unboundedly often, with tight executions
 // removing the sketch escape clause.
 func NewECLed(kind adversary.ArrayKind) Monitor {
-	return NewMonitor("ecled-candidate/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("ecled-candidate/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {

@@ -65,13 +65,13 @@ func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple, buf []trace.Triple
 // processes interact with (its announcement log resolves view contents);
 // kind selects the implementation of M.
 func NewLin(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("lin-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, true)
+	return newPredictive("lin-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, true)
 }
 
 // NewSC is V_O with the sequential-consistency check: the same construction
 // predictively strongly decides SC_O (Table 1 rows SC_REG, SC_LED).
 func NewSC(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("sc-fig8/"+obj.Name()+"/"+kindName(kind), tau, kind, obj, false)
+	return newPredictive("sc-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, false)
 }
 
 func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime bool) Monitor {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
-	"github.com/drv-go/drv/internal/check"
 	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/sched"
@@ -83,6 +82,19 @@ func runTimedSteps(mk func(tau *adversary.Timed) Monitor, src adversary.Source, 
 	return res, tau
 }
 
+// timedEval returns the Eval of a run of l against tau: l's judge, x(E) and
+// the run's sketch, which must build.
+func timedEval(t *testing.T, class core.Class, l lang.Lang, res *Result, tau *adversary.Timed) core.Eval {
+	sketch := core.SketchOf(res, tau.InvAt)
+	return core.Eval{Class: class, Window: testWindow, Judge: l.Judge, Word: res.History, Sketch: func(covered bool) (trace.Word, error) {
+		sk, err := sketch(covered)
+		if err != nil {
+			t.Fatalf("sketch: %v", err)
+		}
+		return sk, nil
+	}}
+}
+
 func TestFig5WECIsWAD(t *testing.T) {
 	// Lemma 5.3 upper half: Figure 5 weakly-all decides WEC_COUNT. Every
 	// labelled source must satisfy the WAD conditions.
@@ -90,7 +102,7 @@ func TestFig5WECIsWAD(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		for _, lb := range wec.Sources(testProcs, seed) {
 			res := runUntimed(NewWEC(adversary.ArrayAtomic), lb.New(), seed)
-			ev := core.Eval{Class: core.WAD, Window: testWindow}
+			ev := core.Eval{Class: core.WAD, Window: testWindow, Judge: wec.Judge, Word: res.History}
 			if err := ev.Check(res, lb.In); err != nil {
 				t.Errorf("seed %d source %s (in=%v): %v", seed, lb.Name, lb.In, err)
 			}
@@ -105,7 +117,7 @@ func TestFig3AmplifiedWECIsWD(t *testing.T) {
 	m := AmplifyWAD(NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
 	for _, lb := range wec.Sources(testProcs, 7) {
 		res := runUntimed(m, lb.New(), 7)
-		ev := core.Eval{Class: core.WD, Window: testWindow}
+		ev := core.Eval{Class: core.WD, Window: testWindow, Judge: wec.Judge, Word: res.History}
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v", lb.Name, lb.In, err)
 		}
@@ -123,13 +135,7 @@ func TestFig8LinRegisterIsPSD(t *testing.T) {
 			return NewLin(trace.Register(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 3)
 		_ = gotTau
-		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
-			sk, err := res.Sketch(testProcs, tau.InvAt)
-			if err != nil {
-				t.Fatalf("sketch: %v", err)
-			}
-			return !check.Linearizable(trace.Register(), sk)
-		}}
+		ev := timedEval(t, core.PSD, lr, res, tau)
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)
 		}
@@ -144,13 +150,7 @@ func TestFig8LinLedgerIsPSD(t *testing.T) {
 			tau = tt
 			return NewLin(trace.Ledger(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 4)
-		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
-			sk, err := res.Sketch(testProcs, tau.InvAt)
-			if err != nil {
-				t.Fatalf("sketch: %v", err)
-			}
-			return !check.Linearizable(trace.Ledger(), sk)
-		}}
+		ev := timedEval(t, core.PSD, ll, res, tau)
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v", lb.Name, lb.In, err)
 		}
@@ -169,13 +169,7 @@ func TestFig8SCRegisterIsPSD(t *testing.T) {
 			tau = tt
 			return NewSC(trace.Register(), tt, adversary.ArrayAtomic)
 		}, lb.New(), 5, scSteps)
-		ev := core.Eval{Class: core.PSD, Window: testWindow, SketchViolated: func() bool {
-			sk, err := res.Sketch(testProcs, tau.InvAt)
-			if err != nil {
-				t.Fatalf("sketch: %v", err)
-			}
-			return sr.Judge.Violation(sk, nil) != nil
-		}}
+		ev := timedEval(t, core.PSD, sr, res, tau)
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)
 		}
@@ -193,13 +187,7 @@ func TestFig9SECIsPWD(t *testing.T) {
 			tau = tt
 			return AmplifyWAD(NewSEC(tt, adversary.ArrayAtomic), adversary.ArrayAtomic)
 		}, lb.New(), 6)
-		ev := core.Eval{Class: core.PWD, Window: testWindow, SketchViolated: func() bool {
-			sk, err := res.Sketch(testProcs, tau.InvAt)
-			if err != nil {
-				t.Fatalf("sketch: %v", err)
-			}
-			return lang.Judge{Cond: lang.SEC}.Violation(sk, nil) != nil
-		}}
+		ev := timedEval(t, core.PWD, sec, res, tau)
 		if err := ev.Check(res, lb.In); err != nil {
 			t.Errorf("source %s (in=%v): %v\nhistory: %v", lb.Name, lb.In, err, res.History)
 		}

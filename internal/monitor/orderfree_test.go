@@ -170,11 +170,11 @@ func TestOrderFreeLogicsMatchReferenceOnBoardRuns(t *testing.T) {
 				}
 			}
 			if len(bad) > 0 {
-				t.Fatalf("%s seed %d: %d mismatches, first: %s", kindName(kind), seed, len(bad), bad[0])
+				t.Fatalf("%s seed %d: %d mismatches, first: %s", kind, seed, len(bad), bad[0])
 			}
 			if ecledNOs == 0 || naiveNOs == 0 {
 				t.Errorf("%s seed %d: %d ecled and %d naive-order NO verdicts; the differential must compare violations of both",
-					kindName(kind), seed, ecledNOs, naiveNOs)
+					kind.String(), seed, ecledNOs, naiveNOs)
 			}
 		}
 	}

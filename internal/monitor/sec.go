@@ -13,7 +13,7 @@ import (
 // of inc invocations visible at their response, the real-time-sensitive
 // clause (4) of the strong eventual counter.
 func NewSEC(tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return NewMonitor("sec-fig9/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("sec-fig9/"+kind.String(), func(n int) []Logic {
 		incs := adversary.NewArray(kind, n)
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)

@@ -17,7 +17,7 @@ import (
 // kind selects the INCS array implementation (Section 6.2's snapshot-versus-
 // collect ablation).
 func NewWEC(kind adversary.ArrayKind) Monitor {
-	return NewMonitor("wec-fig5/"+kindName(kind), func(n int) []Logic {
+	return NewMonitor("wec-fig5/"+kind.String(), func(n int) []Logic {
 		incs := adversary.NewArray(kind, n)
 		logics := make([]Logic, n)
 		for i := range logics {
@@ -25,17 +25,6 @@ func NewWEC(kind adversary.ArrayKind) Monitor {
 		}
 		return logics
 	})
-}
-
-func kindName(kind adversary.ArrayKind) string {
-	switch kind {
-	case adversary.ArrayAADGMS:
-		return "aadgms"
-	case adversary.ArrayCollect:
-		return "collect"
-	default:
-		return "atomic"
-	}
 }
 
 // wecLogic is the per-process state of Figure 5.
