@@ -94,6 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *replay != "" {
 		return replayOne(*replay, stdout, stderr)
 	}
+	if workers < 1 {
+		fmt.Fprintf(stderr, "drvexplore: -%s %d: must be at least 1\n", workerFlag(fs), workers)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -313,4 +317,16 @@ func countList(m map[string]int) string {
 		return "none"
 	}
 	return strings.Join(parts, " ")
+}
+
+// workerFlag names the worker-count flag the command line used: -parallel
+// when that alias was given, -j otherwise.
+func workerFlag(fs *flag.FlagSet) string {
+	name := "j"
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "parallel" {
+			name = f.Name
+		}
+	})
+	return name
 }

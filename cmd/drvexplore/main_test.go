@@ -131,6 +131,23 @@ func TestUnknownLangRejected(t *testing.T) {
 	}
 }
 
+func TestWorkerCountBelowOneRejected(t *testing.T) {
+	// A worker count below 1 ran the sweep sequentially without a word;
+	// like every other size flag it is a usage error that runs nothing.
+	for _, args := range [][]string{{"-j", "0"}, {"-j", "-1"}, {"-parallel", "-1"}} {
+		code, out, errOut := runExplore(t, args...)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if want := "drvexplore: " + args[0] + " " + args[1] + ": must be at least 1\n"; errOut != want {
+			t.Errorf("%v: stderr %q, want %q", args, errOut, want)
+		}
+		if out != "" {
+			t.Errorf("%v ran a sweep:\n%s", args, out)
+		}
+	}
+}
+
 func TestNegativeBoundsRejected(t *testing.T) {
 	// A negative -max-steps ran uncapped without a word; like a negative
 	// -crashes it is a usage error that runs nothing.

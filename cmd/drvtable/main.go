@@ -73,6 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if workers < 1 {
+		fmt.Fprintf(stderr, "drvtable: -%s %d: must be at least 1\n", workerFlag(fs), workers)
+		return 2
+	}
+
 	p := experiment.Params{
 		Procs:        *procs,
 		Steps:        *steps,
@@ -160,4 +165,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nall 28 cells reproduced")
 	return 0
+}
+
+// workerFlag names the worker-count flag the command line used: -parallel
+// when that alias was given, -j otherwise.
+func workerFlag(fs *flag.FlagSet) string {
+	name := "j"
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "parallel" {
+			name = f.Name
+		}
+	})
+	return name
 }

@@ -169,6 +169,9 @@ func TestDegenerateParamsRejected(t *testing.T) {
 		{[]string{"-window", "0"}, "-window 0: must be at least 1"},
 		{[]string{"-rounds", "0"}, "-rounds 0: must be at least 1"},
 		{[]string{"-stages", "0"}, "-stages 0: must be at least 1"},
+		{[]string{"-j", "0"}, "-j 0: must be at least 1"},
+		{[]string{"-j", "-1"}, "-j -1: must be at least 1"},
+		{[]string{"-parallel", "-1"}, "-parallel -1: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -164,8 +164,10 @@ func (cfg *Config) validate() (adversary.ArrayKind, error) {
 }
 
 // Session replays histories through pooled monitor machinery: the scheduler
-// runtime, checker state, and result buffers are reused across Run calls, so
-// the steady state of a long-lived monitoring loop is allocation-free. A
+// runtime, the adversaries that replay the history, the monitor logics'
+// buffers and checker state, and the result buffers are reused across Run
+// calls, so the steady state of a long-lived monitoring loop allocates
+// little beyond what the history itself needs. A
 // Session is not safe for concurrent use; use one per goroutine.
 type Session struct {
 	s *imonitor.Session
@@ -204,8 +206,8 @@ func (s *Session) Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	adv := adversary.NewA(cfg.N, adversary.NewScriptSource(cfg.History))
-	tau := adversary.NewTimed(cfg.N, adv, kind)
+	adv := s.s.Cursor(cfg.N, adversary.NewScriptSource(cfg.History))
+	tau := s.s.Timed(cfg.N, adv, kind)
 	var m imonitor.Monitor
 	switch cfg.Logic {
 	case LogicLin:

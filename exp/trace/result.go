@@ -30,7 +30,11 @@ func (v Verdict) String() string {
 // Result is the outcome of a monitored execution.
 type Result struct {
 	// History is the input word x(E): all send/receive events in real-time
-	// order as recorded by the service.
+	// order as recorded by the service. It aliases the service's own
+	// buffer rather than copying it, so it has the lifetime of the rest of
+	// the Result: a pooled session's Result, and its History, are valid
+	// until that session's next run (which re-arms the service); clone
+	// what must outlive it, and never modify it in place.
 	History Word
 	// Verdicts holds each process's reported values in report order.
 	Verdicts [][]Verdict

@@ -62,8 +62,8 @@ func NewA(n int, src Source) *A {
 
 // Reset re-arms the adversary for another run over n processes exhibiting
 // src's word, exactly as NewA(n, src) would, but keeping the queue, history,
-// per-process and invocation-log buffers and the gate closures. Safe because
-// History clones: no earlier run's result aliases the recycled buffers.
+// per-process and invocation-log buffers and the gate closures. The word
+// History returned before the Reset is overwritten by the next run.
 func (a *A) Reset(n int, src Source) {
 	a.n, a.src = n, src
 	a.queue, a.head = a.queue[:0], 0
@@ -76,13 +76,7 @@ func (a *A) Reset(n int, src Source) {
 	a.handed = zeroed(a.handed, n)
 	a.opCount = zeroed(a.opCount, n)
 	a.crashed = zeroed(a.crashed, n)
-	for len(a.invs) < n {
-		a.invs = append(a.invs, nil)
-	}
-	a.invs = a.invs[:n]
-	for i := range a.invs {
-		a.invs[i] = a.invs[i][:0]
-	}
+	a.invs = rows(a.invs, n)
 	for id := len(a.gates); id < n; id++ {
 		a.gates = append(a.gates, func() bool { return a.granted[id] })
 	}
@@ -227,8 +221,9 @@ func (a *A) Recv(p *sched.Proc) trace.Response {
 	return resp
 }
 
-// History implements Service.
-func (a *A) History() trace.Word { return a.history.Clone() }
+// History implements Service. The word aliases the adversary's buffer: it is
+// valid until the next Reset.
+func (a *A) History() trace.Word { return a.history[:len(a.history):len(a.history)] }
 
 // Peek returns the next unemitted symbol of the adversary's word without
 // consuming it.
@@ -239,8 +234,8 @@ func (a *A) Peek() (trace.Symbol, bool) {
 	return a.queue[a.head], true
 }
 
-// HistLen returns the number of symbols emitted so far — len(History())
-// without the clone, cheap enough to record at every verdict.
+// HistLen returns the number of symbols emitted so far: len(History()),
+// cheap enough to record at every verdict.
 func (a *A) HistLen() int { return len(a.history) }
 
 // Pulled returns how many symbols have been consumed from the source —

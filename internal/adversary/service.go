@@ -29,7 +29,9 @@ type Service interface {
 	Recv(p *sched.Proc) trace.Response
 	// History returns the input word x(E) emitted so far: the subsequence of
 	// send/receive events in global real-time order. Call only between steps
-	// or after the run.
+	// or after the run. The word may alias the service's own buffer: callers
+	// must not modify it, and a service that is re-armed for another run
+	// (Reset) overwrites it, so callers that keep it across runs clone it.
 	History() trace.Word
 }
 
@@ -42,7 +44,7 @@ type Stats interface {
 	// source — everything that can have influenced the execution so far.
 	Pulled() int
 	// HistLen returns the number of input-word symbols emitted so far:
-	// len(History()) without the clone.
+	// len(History()).
 	HistLen() int
 }
 

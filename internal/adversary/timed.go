@@ -68,6 +68,8 @@ type Timed struct {
 	m       mem.Array[int]
 	logs    [][]trace.Symbol // per-process announced invocations, append-only
 	history trace.Word       // outer events: monitor↔Aτ sends and receives
+	snaps   [][]int          // per-process snapshot buffers of M
+	views   []trace.View     // the run's response views, in receive order
 }
 
 var (
@@ -78,29 +80,38 @@ var (
 // NewTimed wraps the inner service for n processes using the given array
 // kind for the announcement array M.
 func NewTimed(n int, inner Service, kind ArrayKind) *Timed {
-	return &Timed{
-		inner: inner,
-		m:     NewArray(kind, n),
-		logs:  make([][]trace.Symbol, n),
-	}
+	t := &Timed{m: NewArray(kind, n)}
+	t.Reset(n, inner)
+	return t
 }
 
 // Reset re-arms the wrapper for another run around inner, for n processes,
 // keeping the announcement array's kind (it resets in place) and reusing the
-// log and history buffers. Safe because History()/InnerHistory() clone: no
-// earlier run's result aliases the recycled backing arrays.
+// log, history, snapshot and view buffers. The word History returned and the
+// views Recv attached before the Reset are overwritten by the next run, so a
+// result of an earlier run is valid only until then: callers that keep one
+// across runs copy what they keep.
 func (t *Timed) Reset(n int, inner Service) {
 	t.inner = inner
 	t.m.Reset(n, 0)
 	t.history = t.history[:0]
-	if cap(t.logs) < n {
-		t.logs = make([][]trace.Symbol, n)
-		return
+	t.views = t.views[:0]
+	t.logs = rows(t.logs, n)
+	t.snaps = rows(t.snaps, n)
+}
+
+// rows re-sizes a per-process buffer family to n rows, each truncated in
+// place, keeping the rows beyond n (and their backing arrays) for a later
+// run with more processes.
+func rows[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
 	}
-	t.logs = t.logs[:n]
-	for i := range t.logs {
-		t.logs[i] = t.logs[i][:0]
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
 	}
+	return s
 }
 
 // NextInv implements Service by delegation; the wrapper adds nothing before
@@ -125,22 +136,27 @@ func (t *Timed) Send(p *sched.Proc, v trace.Symbol) {
 // arrives, the process snapshots M, attaches the resulting view, and only
 // then does the outer response event occur — responses "move backward to the
 // previous snapshot" in the sketch.
+//
+// The snapshot lands in the process's reused buffer, and the view is taken
+// from the run's view slab, so over an atomic M the round allocates only the
+// view's own copy of the counts.
 func (t *Timed) Recv(p *sched.Proc) trace.Response {
 	resp := t.inner.Recv(p)
-	counts := t.m.Snapshot(p)
-	view := trace.NewView(counts)
-	resp.View = &view
+	t.snaps[p.ID] = t.m.SnapshotInto(p, t.snaps[p.ID])
+	t.views = append(t.views, trace.NewView(t.snaps[p.ID]))
+	resp.View = &t.views[len(t.views)-1]
 	t.history = append(t.history, resp.Sym) // the outer receive event
 	return resp
 }
 
 // History implements Service: the input word x(E) of the monitor's execution
 // is the sequence of outer events — invocations received by and responses
-// returned by Aτ — ignoring views.
-func (t *Timed) History() trace.Word { return t.history.Clone() }
+// returned by Aτ — ignoring views. The word aliases the wrapper's buffer: it
+// is valid until the next Reset.
+func (t *Timed) History() trace.Word { return t.history[:len(t.history):len(t.history)] }
 
-// HistLen returns the number of outer events so far — len(History()) without
-// the clone, cheap enough to record at every verdict.
+// HistLen returns the number of outer events so far: len(History()), cheap
+// enough to record at every verdict.
 func (t *Timed) HistLen() int { return len(t.history) }
 
 // InnerHistory returns the behaviour the wrapped service exhibited, for

@@ -51,7 +51,23 @@ type recUse struct{ appended, used int }
 
 // NewECLedger returns a checker for the empty history.
 func NewECLedger() *ECLedger {
-	return &ECLedger{recs: map[trace.Rec]recUse{}}
+	c := &ECLedger{}
+	c.Reset()
+	return c
+}
+
+// Reset rewinds the checker to the empty history, keeping its map. The zero
+// ECLedger is ready after a Reset.
+func (c *ECLedger) Reset() {
+	c.fed = 0
+	c.fault = nil
+	c.longest = nil
+	if c.recs == nil {
+		c.recs = map[trace.Rec]recUse{}
+	} else {
+		clear(c.recs)
+	}
+	c.over = 0
 }
 
 // Len returns the number of symbols fed since the last Reset.

@@ -153,12 +153,3 @@ func TestECLedgerResetForgetsHistory(t *testing.T) {
 		t.Fatalf("after Reset: first violation = %d, Len = %d", k, c.Len())
 	}
 }
-
-// Reset rewinds the checker to the empty history, keeping its map.
-func (c *ECLedger) Reset() {
-	c.fed = 0
-	c.fault = nil
-	c.longest = nil
-	clear(c.recs)
-	c.over = 0
-}

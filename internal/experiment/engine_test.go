@@ -440,6 +440,8 @@ func neverNO(m monitor.Monitor) monitor.Monitor {
 
 type yesLogic struct{ monitor.Logic }
 
+func (l yesLogic) Unwrap() monitor.Logic { return l.Logic }
+
 func (l yesLogic) Decide(p *sched.Proc) monitor.Verdict {
 	l.Logic.Decide(p)
 	return monitor.Yes

@@ -188,14 +188,15 @@ func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context,
 // ---------------------------------------------------------------- running
 
 // run executes a monitor against A exhibiting the source's word, on the
-// worker's pooled session. When timed, Aτ wraps A and is returned; mk
-// receives it, or nil for an untimed run.
+// worker's pooled session and its pooled adversaries. When timed, Aτ wraps A
+// and is returned; mk receives it, or nil for an untimed run. The result and
+// Aτ are the session's, valid until its next run.
 func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Monitor, timed bool, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
-	adv := adversary.NewA(p.Procs, src)
+	adv := sess.Cursor(p.Procs, src)
 	var svc adversary.Service = adv
 	var tau *adversary.Timed
 	if timed {
-		tau = adversary.NewTimed(p.Procs, adv, adversary.ArrayAtomic)
+		tau = sess.Timed(p.Procs, adv, adversary.ArrayAtomic)
 		svc = tau
 	}
 	res := sess.Run(monitor.Config{
@@ -217,8 +218,9 @@ func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Moni
 // judges the run under the class's predicate with l's judge; a timed run
 // against Aτ also decides the sketch escape clause. A run too short to judge
 // fails with an error that names the bound and drvtable's -flag that raises
-// it. Every unit allocates its own monitor, adversary and runtime, so units
-// are safe to run concurrently.
+// it. Every unit builds its own monitor and runs on its worker's session,
+// whose runtime and adversaries no other worker touches, so units are safe
+// to run concurrently.
 func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, flag string, timed bool) {
 	if t.wrap != nil {
 		inner := mk

@@ -32,6 +32,7 @@ func (m yesMan) New(n int) []monitor.Logic {
 
 type yesLogic struct{ inner monitor.Logic }
 
+func (l yesLogic) Unwrap() monitor.Logic                    { return l.inner }
 func (l yesLogic) PreSend(p *sched.Proc, inv trace.Symbol)  { l.inner.PreSend(p, inv) }
 func (l yesLogic) PostRecv(p *sched.Proc, r trace.Response) { l.inner.PostRecv(p, r) }
 func (l yesLogic) Decide(p *sched.Proc) monitor.Verdict {
@@ -60,6 +61,7 @@ type flipFlopLogic struct {
 	round int
 }
 
+func (l *flipFlopLogic) Unwrap() monitor.Logic                    { return l.inner }
 func (l *flipFlopLogic) PreSend(p *sched.Proc, inv trace.Symbol)  { l.inner.PreSend(p, inv) }
 func (l *flipFlopLogic) PostRecv(p *sched.Proc, r trace.Response) { l.inner.PostRecv(p, r) }
 func (l *flipFlopLogic) Decide(p *sched.Proc) monitor.Verdict {

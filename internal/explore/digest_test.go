@@ -80,7 +80,7 @@ func TestDigestMatchesFmtReference(t *testing.T) {
 				NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
 					return svc, []int{adv.Register(rt)}
 				},
-				Policy:   func(aux []int) sched.Policy { return s.policy(aux) },
+				Policy:   func(aux []int) sched.Policy { return s.policy(sc.rng, aux) },
 				MaxSteps: s.Steps,
 			})
 			if got, want := sc.digest(res), fmtDigest(res); got != want {

@@ -2,22 +2,25 @@ package explore
 
 // Per-run transient state. A Runner executes every scenario on a scratch
 // that holds one instance of each piece of the execution substrate —
-// workload, service, adversary cursor, timed adversary, crash schedule,
-// network, implementation instances, digest buffer — and re-arms it per
-// scenario through the Reset contracts (sut.Impl.Reset, sut.Service.Reset,
-// sut.RandomWorkload.Reset, adversary.A.Reset, adversary.Timed.Reset,
-// msgnet.Schedule.Reset): the execution-side counterpart of what
-// monitor.Session is on the runtime side and check.Pool is on the oracle
-// side. A runner without scratch starts a new one for each Execute call; a
-// pooled runner (see Runner.Pooled) keeps one per worker.
+// workload, service, scheduling-policy source, crash schedule, network,
+// implementation instances, digest buffer — and re-arms it per scenario
+// through the Reset contracts (sut.Impl.Reset, sut.Service.Reset,
+// sut.RandomWorkload.Reset, msgnet.Schedule.Reset, a reseeded lazyrand
+// source): the execution-side counterpart of what monitor.Session is on the
+// runtime side, where the adversary cursor and the timed adversary are
+// pooled (Session.Cursor, Session.Timed). A runner without scratch starts a
+// new one for each Execute call; a pooled runner (see Runner.Pooled) keeps
+// one per worker.
 // Outcomes are byte-identical either way — the Reset contracts guarantee a
 // reused instance exhibits exactly a new one's behaviour — which the
 // reuse-vs-first-use differential tests pin per registered implementation
 // and per language source.
 
 import (
+	"math/rand"
+
 	"github.com/drv-go/drv/internal/abd"
-	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/lazyrand"
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sut"
 )
@@ -42,15 +45,13 @@ type runScratch struct {
 	// scenario instead of rebuilt; emulations are bound to the pooled
 	// network nt.
 	impls map[implKey]implEntry
-	// wl, svc and tau are the per-scenario pipeline stages the object
-	// families share; msgSvc couples svc to the pooled network for the msg
-	// family. Lang scenarios run the adversary cursor adv, under tau for the
-	// timed languages.
+	// wl and svc are the per-scenario pipeline stages the object families
+	// share; msgSvc couples svc to the pooled network for the msg family.
 	wl     sut.RandomWorkload
 	svc    sut.Service
 	msgSvc msgService
-	adv    *adversary.A
-	tau    *adversary.Timed
+	// rng draws the scheduling policy's choices; each scenario reseeds it.
+	rng *rand.Rand
 	// crash is the reusable crash-schedule map.
 	crash map[int][]int
 	// nt is the pooled network; allocated on the first msg scenario and armed
@@ -64,13 +65,14 @@ func newRunScratch() *runScratch {
 	return &runScratch{
 		impls: map[implKey]implEntry{},
 		crash: map[int][]int{},
+		rng:   rand.New(lazyrand.NewSource(0)),
 	}
 }
 
 // Pooled returns a copy of the runner that keeps one execution substrate
 // across the scenarios it runs — object and emulation instances (reset per
 // scenario through the sut.Impl Reset contract), workload, service,
-// adversary cursor, timed adversary, crash map, network and digest buffer —
+// policy source, crash map, network and digest buffer —
 // instead of starting one per Execute call. Outcomes are byte-identical
 // either way; the copy must not be used concurrently (explore gives each
 // worker its own).
@@ -106,27 +108,6 @@ func (sc *runScratch) impl(id implDef, s Spec) (sut.Impl, []abd.Server) {
 		return e.impl, nil
 	}
 	return e.impl, e.servers()
-}
-
-// cursor returns the pooled adversary cursor re-armed for n processes
-// exhibiting src's word.
-func (sc *runScratch) cursor(n int, src adversary.Source) *adversary.A {
-	if sc.adv == nil {
-		sc.adv = adversary.NewA(n, src)
-	} else {
-		sc.adv.Reset(n, src)
-	}
-	return sc.adv
-}
-
-// timed returns the pooled timed adversary re-armed around inner.
-func (sc *runScratch) timed(n int, inner adversary.Service) *adversary.Timed {
-	if sc.tau == nil {
-		sc.tau = adversary.NewTimed(n, inner, adversary.ArrayAtomic)
-	} else {
-		sc.tau.Reset(n, inner)
-	}
-	return sc.tau
 }
 
 // network re-arms the pooled network for a message-passing scenario's

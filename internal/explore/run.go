@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strconv"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -108,9 +109,10 @@ type Runner struct {
 	// gives each worker its own).
 	Session *monitor.Session
 	// scratch, when non-nil (see Pooled), keeps one execution substrate —
-	// SUT instances, workload, service, adversary cursor, timed adversary,
-	// crash map, network — across the runner's scenarios; when nil, each
-	// Execute call starts a new one.
+	// SUT instances, workload, service, policy source, crash map, network —
+	// across the runner's scenarios; when nil, each Execute call starts a
+	// new one. The adversary cursor and the timed adversary are the
+	// session's.
 	scratch *runScratch
 	// stages, when non-nil, accumulates per-stage wall time and allocations
 	// (see StageStats); nil costs nothing on the hot path.
@@ -161,11 +163,11 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 	}
 
 	fam := famOf(s.Lang)
-	adv := r.scratch.cursor(s.N, lb.New())
+	adv := r.Session.Cursor(s.N, lb.New())
 	var tau *adversary.Timed
 	var svc adversary.Service = adv
 	if fam.timed() {
-		tau = r.scratch.timed(s.N, adv)
+		tau = r.Session.Timed(s.N, adv, adversary.ArrayAtomic)
 		svc = tau
 	}
 	out, res := r.run(s, buildMonitor(fam, l, tau), func(rt *sched.Runtime) (adversary.Service, []int) {
@@ -191,7 +193,7 @@ func (r Runner) run(s Spec, m monitor.Monitor, newService func(*sched.Runtime) (
 		N:          s.N,
 		Monitor:    m,
 		NewService: newService,
-		Policy:     func(aux []int) sched.Policy { return s.policy(aux) },
+		Policy:     func(aux []int) sched.Policy { return s.policy(r.scratch.rng, aux) },
 		MaxSteps:   s.Steps,
 		Crash:      r.crashMap(s),
 	}
@@ -228,24 +230,26 @@ func buildMonitor(fam family, l lang.Lang, tau *adversary.Timed) monitor.Monitor
 	return monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
 }
 
-// policy builds the scenario's scheduling policy. The policy seed is an
-// independent stream derived from the spec seed, so schedule randomness and
-// source randomness never correlate.
-func (s Spec) policy(aux []int) sched.Policy {
-	pseed := mix(s.Seed, 0x5eed)
+// policy builds the scenario's scheduling policy, drawing from rng reseeded
+// with the policy seed: an independent stream derived from the spec seed, so
+// schedule randomness and source randomness never correlate. A reseeded
+// lazyrand source draws exactly a fresh one's stream, so the schedule is the
+// one sched.Random(seed) and its siblings would draw.
+func (s Spec) policy(rng *rand.Rand, aux []int) sched.Policy {
+	rng.Seed(mix(s.Seed, 0x5eed))
 	cursor := -1
 	if len(aux) > 0 {
 		cursor = aux[0]
 	}
 	switch s.Policy {
 	case PolRandom:
-		return sched.Random(pseed)
+		return sched.RandomFrom(rng)
 	case PolBursty:
-		return sched.Bursty(pseed, 4)
+		return sched.BurstyFrom(rng, 4)
 	case PolCursor:
-		return sched.Prioritize(cursor, sched.Random(pseed))
+		return sched.Prioritize(cursor, sched.RandomFrom(rng))
 	default:
-		return sched.Biased(pseed, cursor, s.Bias)
+		return sched.BiasedFrom(rng, cursor, s.Bias)
 	}
 }
 

@@ -63,7 +63,7 @@ const (
 	PolBiased = "biased"
 	// PolRandom is sched.Random, uniform over runnable actors.
 	PolRandom = "random"
-	// PolBursty is sched.Bursty: geometric bursts of one actor.
+	// PolBursty is sched.BurstyFrom: geometric bursts of one actor.
 	PolBursty = "bursty"
 	// PolCursor is sched.Prioritize(cursor) over a random fallback: the
 	// most synchronous schedule, the Claim 3.1 shape.

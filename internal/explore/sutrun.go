@@ -231,7 +231,7 @@ func (r Runner) executeObj(s Spec) (*Outcome, error) {
 		sc.msgSvc = msgService{Service: &sc.svc, net: nt}
 		inner = &sc.msgSvc
 	}
-	tau := sc.timed(s.N, inner)
+	tau := r.Session.Timed(s.N, inner, adversary.ArrayAtomic)
 	n := s.N // the closure captures the count, not the whole spec
 	out, res := r.run(s, monitor.NewLin(od.obj, tau, adversary.ArrayAtomic), func(rt *sched.Runtime) (adversary.Service, []int) {
 		if nt == nil {

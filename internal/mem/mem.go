@@ -55,6 +55,11 @@ type Array[T any] interface {
 	Write(p *sched.Proc, i int, v T)
 	// Snapshot returns a copy of all cells.
 	Snapshot(p *sched.Proc) []T
+	// SnapshotInto is Snapshot into the caller's buffer: it takes the same
+	// steps, returns dst resized to Len() cells holding the copy, and
+	// allocates only when dst lacks the capacity. Call sites that do not
+	// keep the copy past their next snapshot pass the previous result back.
+	SnapshotInto(p *sched.Proc, dst []T) []T
 	// Reset restores the array to n cells all holding init, reusing the
 	// backing storage where capacity allows — the pooled-lifecycle hook that
 	// lets a system under test be re-deployed without reallocating its
@@ -102,11 +107,23 @@ func (a *AtomicArray[T]) Write(p *sched.Proc, i int, v T) {
 }
 
 // Snapshot implements Array; one atomic step.
-func (a *AtomicArray[T]) Snapshot(p *sched.Proc) []T {
+func (a *AtomicArray[T]) Snapshot(p *sched.Proc) []T { return a.SnapshotInto(p, nil) }
+
+// SnapshotInto implements Array; one atomic step.
+func (a *AtomicArray[T]) SnapshotInto(p *sched.Proc, dst []T) []T {
 	p.Pause()
-	out := make([]T, len(a.cells))
-	copy(out, a.cells)
-	return out
+	dst = resize(dst, len(a.cells))
+	copy(dst, a.cells)
+	return dst
+}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough; the contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // CollectArray implements Array with a non-atomic snapshot: a collect reads
@@ -138,10 +155,13 @@ func (a *CollectArray[T]) Read(p *sched.Proc, i int) T { return a.inner.Read(p, 
 func (a *CollectArray[T]) Write(p *sched.Proc, i int, v T) { a.inner.Write(p, i, v) }
 
 // Snapshot implements Array as a collect: n reads, n steps, no atomicity.
-func (a *CollectArray[T]) Snapshot(p *sched.Proc) []T {
-	out := make([]T, a.inner.Len())
-	for i := range out {
-		out[i] = a.inner.Read(p, i)
+func (a *CollectArray[T]) Snapshot(p *sched.Proc) []T { return a.SnapshotInto(p, nil) }
+
+// SnapshotInto implements Array as a collect into dst.
+func (a *CollectArray[T]) SnapshotInto(p *sched.Proc, dst []T) []T {
+	dst = resize(dst, a.inner.Len())
+	for i := range dst {
+		dst[i] = a.inner.Read(p, i)
 	}
-	return out
+	return dst
 }

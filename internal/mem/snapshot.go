@@ -86,7 +86,11 @@ func (a *SnapshotArray[T]) Write(p *sched.Proc, i int, v T) {
 // Snapshot implements Array as an AADGMS scan. Wait-free: at most n+1 double
 // collects are needed, since each retry is caused by a distinct mover and a
 // second move by the same process yields a borrowable view.
-func (a *SnapshotArray[T]) Snapshot(p *sched.Proc) []T {
+func (a *SnapshotArray[T]) Snapshot(p *sched.Proc) []T { return a.SnapshotInto(p, nil) }
+
+// SnapshotInto implements Array as an AADGMS scan whose result lands in dst.
+// The scan's own collects still allocate.
+func (a *SnapshotArray[T]) SnapshotInto(p *sched.Proc, dst []T) []T {
 	n := len(a.cells)
 	moved := make(map[int]uint64, n) // process -> seq at first observed move
 	first := a.collect(p)
@@ -99,19 +103,19 @@ func (a *SnapshotArray[T]) Snapshot(p *sched.Proc) []T {
 				if prev, ok := moved[j]; ok && prev != second[j].seq {
 					// j moved twice during this scan: its embedded view was
 					// obtained inside our interval.
-					out := make([]T, n)
-					copy(out, second[j].view)
-					return out
+					dst = resize(dst, n)
+					copy(dst, second[j].view)
+					return dst
 				}
 				moved[j] = second[j].seq
 			}
 		}
 		if clean {
-			out := make([]T, n)
+			dst = resize(dst, n)
 			for j := 0; j < n; j++ {
-				out[j] = second[j].val
+				dst[j] = second[j].val
 			}
-			return out
+			return dst
 		}
 		first = second
 	}

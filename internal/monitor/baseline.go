@@ -41,20 +41,30 @@ func NewNaiveOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &naiveOrderLogic{board: board, chk: check.NewIncremental(obj, false, n)}
+			logics[i] = &naiveOrderLogic{n: n, obj: obj, board: board}
 		}
 		return logics
 	})
 }
 
 type naiveOrderLogic struct {
+	n     int
+	obj   trace.Object
 	board *tripleBoard
 	chk   *check.Incremental // sequential consistency of every collected triple
 
 	inv     trace.Symbol
 	count   int
-	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	verdict Verdict
+}
+
+// attach attaches the board, borrows the checker from the session's pool
+// and claims the process's delta buffer.
+func (l *naiveOrderLogic) attach(sc *scratch, i int) {
+	l.board.attach(sc)
+	l.chk = sc.checks.Get(l.obj, false, l.n)
+	l.tbuf = sc.procs[i].triples.claim()
 }
 
 func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
@@ -72,8 +82,8 @@ func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	for _, tr := range l.tbuf {
+	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
+	for _, tr := range *l.tbuf {
 		l.chk.Append(tr.Inv)
 		l.chk.Append(tr.Res)
 	}
@@ -105,6 +115,8 @@ func ThreeValuedWEC(kind adversary.ArrayKind) Monitor {
 type threeValuedLogic struct {
 	wec wecLogic
 }
+
+func (l *threeValuedLogic) attach(sc *scratch, i int) { l.wec.attach(sc, i) }
 
 func (l *threeValuedLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.wec.PreSend(p, inv) }
 func (l *threeValuedLogic) PostRecv(p *sched.Proc, r trace.Response) {
@@ -141,6 +153,8 @@ func ThreeValuedSEC(tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
 type threeValuedSECLogic struct {
 	sec secLogic
 }
+
+func (l *threeValuedSECLogic) attach(sc *scratch, i int) { l.sec.attach(sc, i) }
 
 func (l *threeValuedSECLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.sec.PreSend(p, inv) }
 func (l *threeValuedSECLogic) PostRecv(p *sched.Proc, r trace.Response) {

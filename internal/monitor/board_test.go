@@ -30,8 +30,8 @@ type snapshotRecorder struct {
 	shrank    []string
 }
 
-func (r *snapshotRecorder) Snapshot(p *sched.Proc) []int {
-	snap := r.Array.Snapshot(p)
+func (r *snapshotRecorder) SnapshotInto(p *sched.Proc, dst []int) []int {
+	snap := r.Array.SnapshotInto(p, dst)
 	r.snapshots++
 	prev := r.last[p.ID]
 	for j, c := range snap {
@@ -120,7 +120,7 @@ type roundStats struct {
 func (l *roundProbe) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
 	appendOnly := true
-	for _, tr := range l.tbuf {
+	for _, tr := range *l.tbuf {
 		k := [3]int{tr.View.Total(), tr.ID.Proc, tr.ID.Idx}
 		appendOnly = appendOnly && slices.Compare(k[:], l.maxKey[:]) > 0
 		if slices.Compare(k[:], l.maxKey[:]) > 0 {
@@ -207,6 +207,8 @@ type feedProbe struct {
 	stats *feedStats
 }
 
+func (f *feedProbe) Unwrap() Logic { return f.Logic }
+
 type feedStats struct {
 	rounds int
 	fed    int    // symbols fed to the checkers
@@ -218,9 +220,9 @@ type feedStats struct {
 func (f *feedProbe) state() (int, []trace.Triple, *tripleBoard) {
 	switch l := f.Logic.(type) {
 	case *ecledLogic:
-		return l.chk.Len(), l.tbuf, l.board
+		return l.chk.Len(), *l.tbuf, l.board
 	case *naiveOrderLogic:
-		return l.chk.Len(), l.tbuf, l.board
+		return l.chk.Len(), *l.tbuf, l.board
 	}
 	panic(fmt.Sprintf("feedProbe: %T is not an order-free logic", f.Logic))
 }
@@ -229,9 +231,8 @@ func (f *feedProbe) PostRecv(p *sched.Proc, resp trace.Response) {
 	before, _, _ := f.state()
 	f.Logic.PostRecv(p, resp)
 	after, delta, board := f.state()
-	n := len(board.logs)
 	collected := 0
-	for _, c := range board.seen[p.ID*n : (p.ID+1)*n] {
+	for _, c := range board.seen[p.ID] {
 		collected += c
 	}
 	if f.stats.bad == "" && (after-before != 2*len(delta) || after != 2*collected) {

@@ -64,11 +64,17 @@ type consensusLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    []trace.Triple // publish's delta buffer, reused per round
+	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	known   map[trace.OpID]trace.Triple
 	agreed  []trace.OpID // the process's view of the decided log prefix
 	flag    bool
 	verdict Verdict
+}
+
+// attach attaches the board and claims the process's delta buffer.
+func (l *consensusLogic) attach(sc *scratch, i int) {
+	l.board.attach(sc)
+	l.tbuf = sc.procs[i].triples.claim()
 }
 
 // PreSend implements Line 02.
@@ -83,8 +89,8 @@ func (l *consensusLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	for _, tr := range l.tbuf {
+	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
+	for _, tr := range *l.tbuf {
 		l.known[tr.ID] = tr
 	}
 	// Catch up with the decided prefix, then install our operation at the

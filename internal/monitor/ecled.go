@@ -26,7 +26,7 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &ecledLogic{board: board, chk: check.NewECLedger(), prevAppends: map[trace.Rec]bool{}}
+			logics[i] = &ecledLogic{board: board}
 		}
 		return logics
 	})
@@ -38,7 +38,7 @@ type ecledLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    []trace.Triple  // publish's delta buffer, reused per round
+	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	chk     *check.ECLedger // clause (1) over every collected triple
 	flag    bool            // ordering clause violated: sticky NO
 	verdict Verdict
@@ -48,6 +48,19 @@ type ecledLogic struct {
 	// them is flagged as divergence (transient NO). The set only grows, so
 	// each round adds its newly collected appends.
 	prevAppends map[trace.Rec]bool
+	got         map[trace.Rec]bool // the records of this round's get response
+}
+
+// attach attaches the board and claims the process's delta buffer, checker
+// and record sets.
+func (l *ecledLogic) attach(sc *scratch, i int) {
+	l.board.attach(sc)
+	ps := &sc.procs[i]
+	l.tbuf = ps.triples.claim()
+	l.chk = ps.ledgers.claim()
+	l.chk.Reset()
+	l.prevAppends = emptySet(ps.recs.claim())
+	l.got = emptySet(ps.recs.claim())
 }
 
 // PreSend implements Line 02: nothing to announce before sending (appends
@@ -64,8 +77,8 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, l.tbuf)
-	for _, tr := range l.tbuf {
+	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
+	for _, tr := range *l.tbuf {
 		l.chk.Append(tr.Inv)
 		l.chk.Append(tr.Res)
 	}
@@ -83,21 +96,21 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	// record whose append was known a round ago.
 	l.verdict = Yes
 	if l.inv.Op == trace.OpGet {
-		got := map[trace.Rec]bool{}
+		clear(l.got)
 		if seq, ok := resp.Sym.Val.(trace.Seq); ok {
 			for _, r := range seq {
-				got[r] = true
+				l.got[r] = true
 			}
 		}
 		for r := range l.prevAppends {
-			if !got[r] {
+			if !l.got[r] {
 				l.verdict = No
 				break
 			}
 		}
 	}
 	// Add this round's appends to the known-append set for the next round.
-	for _, tr := range l.tbuf {
+	for _, tr := range *l.tbuf {
 		if tr.Inv.Op == trace.OpAppend {
 			if r, ok := tr.Inv.Val.(trace.Rec); ok {
 				l.prevAppends[r] = true

@@ -13,18 +13,38 @@ import (
 // tripleBoard is the shared array M of Figures 8 and 9: each process owns an
 // append-only log of observed (invocation, response, view) triples and
 // publishes its length through a shared counts array, so a snapshot of the
-// counts plus the immutable log prefixes reconstructs everyone's sets.
+// counts plus the immutable log prefixes reconstructs everyone's sets. The
+// logs, the collection marks and the snapshot buffers are rows the board
+// claims from the session's scratch when its first logic attaches.
 type tripleBoard struct {
+	n      int
 	counts mem.Array[int]
-	logs   [][]trace.Triple
-	seen   []int // seen[i*n+j]: how much of log j process i has collected
+	*boardRows
+}
+
+// boardRows is a triple board's per-process storage, reused run after run.
+type boardRows struct {
+	logs  [][]trace.Triple // logs[i]: the triples process i published
+	seen  [][]int          // seen[i][j]: how much of log j process i has collected
+	snaps [][]int          // snaps[i]: process i's snapshot buffer
 }
 
 func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
-	return &tripleBoard{
-		counts: adversary.NewArray(kind, n),
-		logs:   make([][]trace.Triple, n),
-		seen:   make([]int, n*n),
+	return &tripleBoard{n: n, counts: adversary.NewArray(kind, n)}
+}
+
+// attach claims the board's rows from the session's scratch, once per run:
+// every logic sharing the board attaches it, and the first one claims.
+func (b *tripleBoard) attach(sc *scratch) {
+	if b.boardRows != nil {
+		return
+	}
+	b.boardRows = sc.boards.claim()
+	grow(&b.logs, b.n)
+	grow(&b.snaps, b.n)
+	grow(&b.seen, b.n)
+	for i := range b.seen {
+		b.seen[i] = append(b.seen[i], make([]int, b.n)...)
 	}
 }
 
@@ -43,11 +63,10 @@ func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple, buf []trace.Triple
 	id := p.ID
 	b.logs[id] = append(b.logs[id], tr)
 	b.counts.Write(p, id, len(b.logs[id]))
-	snap := b.counts.Snapshot(p)
-	n := len(b.logs)
-	seen := b.seen[id*n : (id+1)*n]
+	b.snaps[id] = b.counts.SnapshotInto(p, b.snaps[id])
+	seen := b.seen[id]
 	out := buf[:0]
-	for j, c := range snap {
+	for j, c := range b.snaps[id] {
 		if c < seen[j] {
 			panic(fmt.Sprintf("monitor: process %d snapshot shows %d triples of process %d after showing %d", id, c, j, seen[j]))
 		}
@@ -85,12 +104,6 @@ func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, 
 	})
 }
 
-// poolable is implemented by logics that can borrow per-run scratch state
-// from a session-owned pool; Session.Run attaches its pool after Monitor.New.
-type poolable interface {
-	attachPool(*check.Pool)
-}
-
 // predictiveLogic is the per-process body of Figure 8.
 type predictiveLogic struct {
 	n        int
@@ -99,23 +112,27 @@ type predictiveLogic struct {
 	obj      trace.Object
 	realTime bool
 
-	pool *check.Pool        // session pool, when running on a pooled session
+	pool *check.Pool        // the session's checker pool
 	chk  *check.Incremental // this process's checker, borrowed lazily
 
-	tbuf    []trace.Triple      // publish's delta buffer, reused per round
-	builder trace.SketchBuilder // the sketch of every collected triple, extended per round
-	same    int                 // the last round's sketch prefix unchanged since the one before
+	tbuf    *[]trace.Triple      // publish's delta buffer, reused per round
+	builder *trace.SketchBuilder // the sketch of every collected triple, extended per round
+	same    int                  // the last round's sketch prefix unchanged since the one before
 
 	inv     trace.Symbol
 	verdict Verdict
 }
 
-// attachPool hands the logic the running session's checker pool. Logics are
-// built fresh per run, so the nil chk makes the next accept borrow a reset
-// (likely recycled) checker from the pool.
-func (l *predictiveLogic) attachPool(p *check.Pool) {
-	l.pool = p
+// attach hands the logic the session's checker pool, the board's rows and
+// its process's delta buffer and sketch builder. The nil chk makes the first
+// accept borrow a reset (likely recycled) checker from the pool.
+func (l *predictiveLogic) attach(sc *scratch, i int) {
+	l.board.attach(sc)
+	l.pool = sc.checks
 	l.chk = nil
+	l.tbuf = sc.procs[i].triples.claim()
+	l.builder = sc.procs[i].sketches.claim()
+	l.builder.Reset()
 }
 
 // accept decides the consistency condition on one sketch history. A
@@ -166,13 +183,13 @@ func (l *predictiveLogic) round(p *sched.Proc, resp trace.Response) (trace.Word,
 	if resp.View == nil {
 		panic("monitor: predictive monitor requires a timed service")
 	}
-	l.tbuf = l.board.publish(p, trace.Triple{
+	*l.tbuf = l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
 		View: *resp.View,
-	}, l.tbuf)
-	h, same, err := l.builder.Extend(l.n, l.tbuf, l.tau.InvAt)
+	}, *l.tbuf)
+	h, same, err := l.builder.Extend(l.n, *l.tbuf, l.tau.InvAt)
 	l.same = same
 	return h, err
 }

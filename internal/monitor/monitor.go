@@ -44,7 +44,9 @@ type Logic interface {
 type Monitor interface {
 	// Name identifies the monitor in experiment reports.
 	Name() string
-	// New returns n logics sharing freshly allocated state.
+	// New returns n logics sharing freshly built state. Their buffers come
+	// from the running session's scratch, which Session.Run attaches after
+	// New, before the first step.
 	New(n int) []Logic
 }
 

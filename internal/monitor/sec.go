@@ -35,8 +35,16 @@ type secLogic struct {
 	tau   *adversary.Timed
 
 	inv     trace.Symbol
-	tbuf    []trace.Triple // publish's delta buffer, reused per round
-	clause4 bool           // some collected read exceeds its view's incs
+	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
+	clause4 bool            // some collected read exceeds its view's incs
+}
+
+// attach attaches the Figure 5 state and the board, and claims the delta
+// buffer.
+func (l *secLogic) attach(sc *scratch, i int) {
+	l.wec.attach(sc, i)
+	l.board.attach(sc)
+	l.tbuf = sc.procs[i].triples.claim()
 }
 
 // PreSend implements Line 02 of Figure 9 (same as Figure 5).
@@ -56,16 +64,16 @@ func (l *secLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	if resp.View == nil {
 		panic("monitor: SEC monitor requires a timed service")
 	}
-	l.tbuf = l.board.publish(p, trace.Triple{
+	*l.tbuf = l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
 		View: *resp.View,
-	}, l.tbuf)
+	}, *l.tbuf)
 	if l.clause4 {
 		return
 	}
-	for _, tr := range l.tbuf {
+	for _, tr := range *l.tbuf {
 		if tr.Inv.Op != trace.OpRead || tr.Res.Kind != trace.Res {
 			continue
 		}

@@ -13,10 +13,13 @@ const DefaultMaxSteps = 1_000_000
 
 // Session executes monitored runs on one reusable runtime. Where Run pays a
 // fresh runtime — N spawned-and-torn-down process coroutines plus freshly allocated
-// result buffers — per execution, a Session resets its pooled runtime and
-// appends into the same pre-sized Result buffers run after run, so workloads
-// that execute thousands of scenarios (the explorer, the Table 1 sweeps) set
-// up each execution without allocating.
+// result buffers — per execution, a Session resets its pooled runtime,
+// appends into the same pre-sized Result buffers run after run, and hands
+// every monitor logic the buffers the same logic grew in earlier runs (its
+// board rows, snapshot and delta buffers, sketch builder and checkers), so
+// workloads that execute thousands of scenarios (the explorer, the Table 1
+// sweeps, drvserve's replays) set up each execution, and run its rounds,
+// without allocating once the session is warm.
 //
 // A Session is not safe for concurrent use: pooled workloads give each
 // worker its own. Run returns the session-owned Result, which is valid until
@@ -27,7 +30,11 @@ type Session struct {
 	rt     *sched.Runtime
 	res    Result
 	bodies []func(p *sched.Proc)
-	checks *check.Pool
+	sc     scratch
+
+	// The session's adversaries, re-armed by Cursor and Timed.
+	adv  *adversary.A
+	taus map[adversary.ArrayKind]*adversary.Timed
 
 	// Per-run state read by the pooled process bodies.
 	svc    adversary.Service
@@ -46,10 +53,41 @@ func NewSession() *Session { return &Session{} }
 // borrowing is allocation-free. Like the session itself, the pool is
 // single-owner state — it must only be used from this session's runs.
 func (s *Session) CheckPool() *check.Pool {
-	if s.checks == nil {
-		s.checks = check.NewPool()
+	if s.sc.checks == nil {
+		s.sc.checks = check.NewPool()
 	}
-	return s.checks
+	return s.sc.checks
+}
+
+// Cursor returns the session's adversary cursor re-armed for n processes
+// exhibiting src's word (adversary.A.Reset), creating it on the first call.
+// A run's Result.History aliases its service's word, so the word of a run
+// against the cursor is valid until the next Cursor call, like the Result.
+func (s *Session) Cursor(n int, src adversary.Source) *adversary.A {
+	if s.adv == nil {
+		s.adv = adversary.NewA(n, src)
+	} else {
+		s.adv.Reset(n, src)
+	}
+	return s.adv
+}
+
+// Timed returns the session's timed adversary with an announcement array of
+// the given kind, re-armed around inner for n processes
+// (adversary.Timed.Reset); the session keeps one per kind. Its words and
+// views are valid until the next Timed call for the kind.
+func (s *Session) Timed(n int, inner adversary.Service, kind adversary.ArrayKind) *adversary.Timed {
+	tau := s.taus[kind]
+	if tau == nil {
+		if s.taus == nil {
+			s.taus = map[adversary.ArrayKind]*adversary.Timed{}
+		}
+		tau = adversary.NewTimed(n, inner, kind)
+		s.taus[kind] = tau
+	} else {
+		tau.Reset(n, inner)
+	}
+	return tau
 }
 
 // Close tears down the pooled runtime and drops it. The session may run
@@ -115,10 +153,11 @@ func (s *Session) resetResult(n int) {
 }
 
 // grow re-sizes a per-process buffer family to n rows, truncating each row in
-// place so its backing array is reused by the next run's appends.
+// place so its backing array is reused by the next run's appends. Rows beyond
+// n keep their arrays for a later run with more processes.
 func grow[T any](s *[][]T, n int) {
-	for len(*s) < n {
-		*s = append(*s, nil)
+	if cap(*s) < n {
+		*s = append((*s)[:cap(*s)], make([][]T, n-cap(*s))...)
 	}
 	*s = (*s)[:n]
 	for i := range *s {
@@ -148,13 +187,9 @@ func (s *Session) Run(cfg Config) *Result {
 	s.svc = svc
 	s.stats, _ = svc.(adversary.Stats)
 	s.logics = cfg.Monitor.New(cfg.N)
-	pool := s.CheckPool()
-	pool.Reclaim()
-	for _, l := range s.logics {
-		if pl, ok := l.(poolable); ok {
-			pl.attachPool(pool)
-		}
-	}
+	s.CheckPool() // rewind reclaims the pool's checkers
+	s.sc.rewind(cfg.N)
+	attachAll(s.logics, &s.sc)
 	s.resetResult(cfg.N)
 	for len(s.bodies) < cfg.N {
 		s.bodies = append(s.bodies, s.body(len(s.bodies)))

@@ -27,6 +27,7 @@ type stabilizeLogic struct {
 	flag  *mem.Register[bool]
 }
 
+func (l *stabilizeLogic) Unwrap() Logic                           { return l.inner }
 func (l *stabilizeLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.inner.PreSend(p, inv) }
 func (l *stabilizeLogic) PostRecv(p *sched.Proc, r trace.Response) {
 	l.inner.PostRecv(p, r)
@@ -68,7 +69,7 @@ func counterLogics(inners []Logic, n int, kind adversary.ArrayKind, wod bool) []
 	c := adversary.NewArray(kind, n)
 	logics := make([]Logic, n)
 	for i := range logics {
-		logics[i] = &counterLogic{inner: inners[i], c: c, prev: make([]int, n), wod: wod}
+		logics[i] = &counterLogic{inner: inners[i], c: c, wod: wod}
 	}
 	return logics
 }
@@ -76,9 +77,20 @@ func counterLogics(inners []Logic, n int, kind adversary.ArrayKind, wod bool) []
 type counterLogic struct {
 	inner Logic
 	c     mem.Array[int]
-	prev  []int
-	wod   bool // Figure 4 semantics instead of Figure 3
+	snap  *[]int // the snapshot buffer, reused per round
+	prev  *[]int // the previous round's snapshot
+	wod   bool   // Figure 4 semantics instead of Figure 3
 }
+
+// attach claims the snapshot buffer and the previous snapshot, which starts
+// as C's initial all-zero state.
+func (l *counterLogic) attach(sc *scratch, i int) {
+	ints := &sc.procs[i].ints
+	l.snap, l.prev = ints.claim(), ints.claim()
+	*l.prev = append((*l.prev)[:0], make([]int, l.c.Len())...)
+}
+
+func (l *counterLogic) Unwrap() Logic { return l.inner }
 
 func (l *counterLogic) PreSend(p *sched.Proc, inv trace.Symbol) { l.inner.PreSend(p, inv) }
 func (l *counterLogic) PostRecv(p *sched.Proc, r trace.Response) {
@@ -87,15 +99,17 @@ func (l *counterLogic) PostRecv(p *sched.Proc, r trace.Response) {
 
 func (l *counterLogic) Decide(p *sched.Proc) Verdict {
 	d := l.inner.Decide(p)
+	prev := *l.prev
 	if d == No {
-		l.c.Write(p, p.ID, l.prev[p.ID]+1)
+		l.c.Write(p, p.ID, prev[p.ID]+1)
 	}
-	snap := l.c.Snapshot(p)
-	defer copy(l.prev, snap)
+	snap := l.c.SnapshotInto(p, *l.snap)
+	*l.snap = snap
+	defer copy(prev, snap)
 	if l.wod {
 		// Figure 4: YES when some entry stabilized.
 		for j := range snap {
-			if snap[j] == l.prev[j] {
+			if snap[j] == prev[j] {
 				return Yes
 			}
 		}
@@ -103,7 +117,7 @@ func (l *counterLogic) Decide(p *sched.Proc) Verdict {
 	}
 	// Figure 3: NO when some entry grew.
 	for j := range snap {
-		if snap[j] > l.prev[j] {
+		if snap[j] > prev[j] {
 			return No
 		}
 	}

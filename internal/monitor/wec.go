@@ -30,6 +30,7 @@ func NewWEC(kind adversary.ArrayKind) Monitor {
 // wecLogic is the per-process state of Figure 5.
 type wecLogic struct {
 	incs mem.Array[int]
+	snap *[]int // the INCS snapshot buffer, reused per round
 
 	prevRead int64
 	prevIncs int
@@ -42,6 +43,9 @@ type wecLogic struct {
 	isRead   bool
 }
 
+// attach claims the process's snapshot buffer.
+func (l *wecLogic) attach(sc *scratch, i int) { l.snap = sc.procs[i].ints.claim() }
+
 // PreSend implements Line 02 of Figure 5: announce inc invocations.
 func (l *wecLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
 	if inv.Op == trace.OpInc {
@@ -52,7 +56,8 @@ func (l *wecLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
 
 // PostRecv implements Line 05: snapshot INCS and record read responses.
 func (l *wecLogic) PostRecv(p *sched.Proc, resp trace.Response) {
-	snap := l.incs.Snapshot(p)
+	snap := l.incs.SnapshotInto(p, *l.snap)
+	*l.snap = snap
 	l.currIncs = 0
 	for _, c := range snap {
 		l.currIncs += c

@@ -31,9 +31,15 @@ func (p *roundRobin) Next(runnable []int, _ int) int {
 // Random returns a seeded uniformly random policy. Uniform choice over
 // runnable actors is fair with probability one, and the seed makes every
 // execution replayable.
-func Random(seed int64) Policy {
-	return &randomPolicy{rng: rand.New(lazyrand.NewSource(seed))}
-}
+func Random(seed int64) Policy { return RandomFrom(newRand(seed)) }
+
+// RandomFrom is Random drawing from rng, which the policy owns for the run:
+// a caller that reseeds one rng per run (rng.Seed) gets Random(seed)'s
+// schedule without building a source.
+func RandomFrom(rng *rand.Rand) Policy { return &randomPolicy{rng: rng} }
+
+// newRand returns a rand.Rand over a lazyrand source seeded with seed.
+func newRand(seed int64) *rand.Rand { return rand.New(lazyrand.NewSource(seed)) }
 
 type randomPolicy struct {
 	rng *rand.Rand
@@ -49,7 +55,12 @@ func (p *randomPolicy) Next(runnable []int, _ int) int {
 // monitor's memory steps — the knob that turns "almost synchronous"
 // executions (Lemma 5.1) into heavily skewed ones.
 func Biased(seed int64, actor int, bias float64) Policy {
-	return &biasedPolicy{rng: rand.New(lazyrand.NewSource(seed)), actor: actor, bias: bias}
+	return BiasedFrom(newRand(seed), actor, bias)
+}
+
+// BiasedFrom is Biased drawing from rng (see RandomFrom).
+func BiasedFrom(rng *rand.Rand, actor int, bias float64) Policy {
+	return &biasedPolicy{rng: rng, actor: actor, bias: bias}
 }
 
 type biasedPolicy struct {
@@ -88,17 +99,16 @@ type PolicyFunc func(runnable []int, step int) int
 // Next implements Policy.
 func (f PolicyFunc) Next(runnable []int, step int) int { return f(runnable, step) }
 
-// Bursty returns a seeded policy that sticks with one actor for a geometric
-// burst (mean length mean ≥ 1) before picking a new one uniformly at random.
-// Bursts produce the heavily skewed interleavings — one process racing far
-// ahead while the others are frozen — that uniform choice almost never
-// samples, yet remain fair with probability one since every actor is
-// re-drawn infinitely often.
-func Bursty(seed int64, mean int) Policy {
+// BurstyFrom returns a policy drawing from rng (see RandomFrom) that sticks
+// with one actor for a geometric burst (mean length mean ≥ 1) before picking
+// a new one uniformly at random. Bursts produce the heavily skewed
+// interleavings — one process racing far ahead while the others are frozen —
+// that uniform choice almost never samples, yet remain fair with probability
+// one since every actor is re-drawn infinitely often.
+func BurstyFrom(rng *rand.Rand, mean int) Policy {
 	if mean < 1 {
 		mean = 1
 	}
-	rng := rand.New(lazyrand.NewSource(seed))
 	cur := -1
 	return PolicyFunc(func(runnable []int, _ int) int {
 		if cur >= 0 && contains(runnable, cur) && rng.Float64() < 1-1/float64(mean) {

@@ -297,7 +297,7 @@ func TestPolicyFunc(t *testing.T) {
 func TestBurstyPolicySticksAndIsFair(t *testing.T) {
 	// Bursts: consecutive grants go to the same actor far more often than
 	// uniform choice would, yet every actor still runs.
-	rt := New(3, Bursty(7, 8))
+	rt := New(3, BurstyFrom(newRand(7), 8))
 	last, repeats, total := -1, 0, 0
 	steps := make([]int, 3)
 	for i := 0; i < 3; i++ {
@@ -330,7 +330,7 @@ func TestBurstyPolicySticksAndIsFair(t *testing.T) {
 
 func TestBurstyDeterministicPerSeed(t *testing.T) {
 	run := func() []int {
-		rt := New(2, Bursty(42, 4))
+		rt := New(2, BurstyFrom(newRand(42), 4))
 		var order []int
 		for i := 0; i < 2; i++ {
 			i := i

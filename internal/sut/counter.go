@@ -15,6 +15,7 @@ import (
 // WEC_COUNT.
 type SnapshotCounter struct {
 	cells mem.Array[int]
+	snaps snapshots
 }
 
 // NewSnapshotCounter returns a counter for n processes backed by the given
@@ -64,7 +65,7 @@ func (c *SnapshotCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trac
 		c.cells.Write(p, p.ID, own+1)
 		return trace.Unit{}
 	case trace.OpRead:
-		snap := c.cells.Snapshot(p)
+		snap := c.snaps.take(p, c.cells)
 		total := 0
 		for _, v := range snap {
 			total += v
@@ -85,6 +86,7 @@ func (c *SnapshotCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trac
 // SEC_COUNT safety clauses: the classic eventually consistent counter of [2].
 type CollectCounter struct {
 	cells *mem.CollectArray[int]
+	snaps snapshots
 }
 
 // NewCollectCounter returns a collect-read counter for n processes.
@@ -106,7 +108,7 @@ func (c *CollectCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace
 		c.cells.Write(p, p.ID, own+1)
 		return trace.Unit{}
 	case trace.OpRead:
-		vals := c.cells.Snapshot(p) // CollectArray's Snapshot is a collect
+		vals := c.snaps.take(p, c.cells) // CollectArray's snapshot is a collect
 		total := 0
 		for _, v := range vals {
 			total += v
@@ -128,6 +130,7 @@ func (c *CollectCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace
 // separation.
 type InflatedCounter struct {
 	cells mem.Array[int]
+	snaps snapshots
 	bias  int
 }
 
@@ -154,7 +157,7 @@ func (c *InflatedCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trac
 		c.cells.Write(p, p.ID, own+1)
 		return trace.Unit{}
 	case trace.OpRead:
-		snap := c.cells.Snapshot(p)
+		snap := c.snaps.take(p, c.cells)
 		total := 0
 		for _, v := range snap {
 			total += v
@@ -175,6 +178,7 @@ func (c *InflatedCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trac
 // that only the convergence diagnostics catch.
 type StuckCounter struct {
 	cells  mem.Array[int]
+	snaps  snapshots
 	shadow []int
 }
 
@@ -206,7 +210,7 @@ func (c *StuckCounter) Invoke(p *sched.Proc, op string, arg trace.Value) trace.V
 		}
 		return trace.Unit{}
 	case trace.OpRead:
-		snap := c.cells.Snapshot(p)
+		snap := c.snaps.take(p, c.cells)
 		total := 0
 		for _, v := range snap {
 			total += v

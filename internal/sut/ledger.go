@@ -60,6 +60,7 @@ func (l *LockLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace.Val
 type SnapshotLedger struct {
 	cells mem.Array[int]
 	logs  [][]trace.Rec
+	snaps snapshots
 }
 
 // NewSnapshotLedger returns an empty lock-free ledger for n processes.
@@ -97,7 +98,7 @@ func (l *SnapshotLedger) Invoke(p *sched.Proc, op string, arg trace.Value) trace
 		l.cells.Write(p, id, len(l.logs[id]))            // publish
 		return trace.Unit{}
 	case trace.OpGet:
-		counts := l.cells.Snapshot(p)
+		counts := l.snaps.take(p, l.cells)
 		var out trace.Seq
 		// Deterministic round-robin assembly: index k of every process before
 		// index k+1 of any process.

@@ -75,6 +75,23 @@ func (r *StaleRegister) Reset(n int) {
 	r.reads = resetInts(r.reads, n)
 }
 
+// snapshots holds one reusable snapshot buffer per process, for operations
+// that consume a snapshot before they return.
+type snapshots [][]int
+
+// take snapshots arr into process p's buffer and returns it; the slice is
+// valid until p's next take.
+func (s *snapshots) take(p *sched.Proc, arr mem.Array[int]) []int {
+	for len(*s) <= p.ID {
+		*s = append(*s, nil)
+	}
+	// The snapshot can yield, and another process's take can grow *s
+	// meanwhile, so index *s only after it returns.
+	snap := arr.SnapshotInto(p, (*s)[p.ID])
+	(*s)[p.ID] = snap
+	return snap
+}
+
 // resetInts returns s resized to n zeroed entries, reusing its backing array
 // where capacity allows.
 func resetInts(s []int, n int) []int {

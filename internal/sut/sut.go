@@ -75,8 +75,8 @@ func NewService(n int, impl Impl, wl Workload) *Service {
 }
 
 // Reset rewires the service for n processes around impl and wl, truncating
-// the history and reusing the per-process buffers. Safe because History()
-// clones: outcomes of earlier runs never alias the recycled backing arrays.
+// the history and reusing the per-process buffers. The word History returned
+// before the Reset is overwritten by the next run.
 func (s *Service) Reset(n int, impl Impl, wl Workload) {
 	s.n, s.impl, s.wl = n, impl, wl
 	s.history = s.history[:0]
@@ -128,5 +128,6 @@ func (s *Service) Recv(p *sched.Proc) trace.Response {
 }
 
 // History implements adversary.Service: the concurrent history the
-// implementation exhibited, in real-time event order.
-func (s *Service) History() trace.Word { return s.history.Clone() }
+// implementation exhibited, in real-time event order. The word aliases the
+// service's buffer: it is valid until the next Reset.
+func (s *Service) History() trace.Word { return s.history[:len(s.history):len(s.history)] }
