@@ -46,6 +46,8 @@ var callerAllowlist = map[string]string{
 	"(*internal/check.Incremental).Len":        "the monitor board tests read how far the checker was fed",
 	"(*internal/sched.Runtime).Crashed":        "the check package's differential runs crash a process once",
 	"(*internal/sched.Runtime).Run":            "the step loop the sched, mem, adversary and monitor tests drive",
+	"(*internal/msgnet.Net).Inbox":             "the abd tests bound how many messages a process's inboxes hold",
+	"internal/sched.VerifyRunnable":            "the maintained ≡ polled runnable-set differential, which the sched, msgnet, adversary, abd, experiment and explore tests switch on",
 }
 
 // TestEveryInternalFuncHasAProductionCaller guards against code only tests

@@ -18,14 +18,13 @@
 //
 // Replicas are served only by scheduler aux actors, one per process,
 // installed by Servers; a client waiting for its quorum parks on
-// msgnet.Net.RecvAwait. A deployment therefore calls Servers once per run
-// before stepping it, and the run drains on its own once every live client
-// has finished.
+// msgnet.Net.RecvAwait. Requests travel to a process's replica inbox and acks
+// to its client inbox, so neither side rescans the other's traffic. A
+// deployment calls Servers once per run before stepping it, and the run
+// drains on its own once every live client has finished.
 package abd
 
 import (
-	"fmt"
-
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
 )
@@ -164,62 +163,56 @@ type Server interface {
 // deployment calls it once per run before stepping. Clients parked on their
 // quorums therefore cannot deadlock the emulation: the aux actors answer
 // while every process waits. Crashes need no extra wiring:
-// msgnet.Net.Crash empties the process's inbox, so its server actor is never
-// runnable again. The servers must share one network. Returns the aux actor
-// IDs in process order.
+// msgnet.Net.Crash empties the process's inboxes, so its server actor is
+// never runnable again. The servers must share one network. Returns the aux
+// actor IDs in process order.
 //
 // A step serves one request: the oldest request of the first server, in srvs
-// order, that has one waiting. Each actor picks that message with one scan of
-// its inbox and keeps the pick until the inbox's stamp moves, so the
-// scheduler's runnable test between changes reads a cached answer.
+// order, that has one waiting. Each actor watches its process's replica
+// inbox (msgnet.Net.Serve), so the scheduler re-reads it — one pick over the
+// waiting requests — only when a request arrives, is served or is dropped by
+// a crash.
 func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
 	actors := make([]replica, n)
 	ids := make([]int, n)
+	nt := srvs[0].network()
 	for i := range actors {
 		a := &actors[i]
-		*a = replica{nt: srvs[0].network(), id: i, srvs: srvs}
-		ids[i] = rt.AddAux(fmt.Sprintf("abd-server-%d", i), a.runnable, a.step)
+		*a = replica{nt: nt, id: i, srvs: srvs}
+		ids[i] = nt.Serve(rt, i, a.runnable, a.step)
 	}
 	return ids
 }
 
-// replica is the aux actor of one process's replicas, with its cached pick.
+// replica is the aux actor of one process's replicas, with its pick.
 type replica struct {
 	nt   *msgnet.Net
 	id   int
 	srvs []Server
-	seen uint64 // inbox stamp the pick was made at; 0, which no stamp takes, forces a scan
-	at   int    // inbox index of the request the next step serves, or −1
+	at   int    // index in the replica inbox of the request the next step serves, or −1
 	srv  Server // the server that request belongs to
 }
 
-// runnable is the actor's gate: whether a request waits, rescanning the inbox
-// only when its stamp has moved.
+// runnable is the actor's gate: whether a request waits. It picks the
+// request the next step serves.
 func (a *replica) runnable() bool {
-	if st := a.nt.Stamp(a.id); st != a.seen {
-		a.seen = st
-		a.at, a.srv = pick(a.nt.Inbox(a.id), a.id, a.srvs)
-	}
+	a.at, a.srv = pick(a.nt.Requests(a.id), a.id, a.srvs)
 	return a.at >= 0
 }
 
-// step serves the picked request. The scheduler steps an actor only right
-// after its gate held, so the pick is current.
+// step serves the picked request. Every change to the replica inbox wakes
+// the actor, and the scheduler re-reads a woken actor before its next
+// choice, so the pick is current.
 func (a *replica) step() {
-	a.srv.handle(a.id, a.nt.Take(a.id, a.at))
+	a.srv.handle(a.id, a.nt.TakeRequest(a.id, a.at))
 }
 
-// pick returns the inbox index of the oldest request of the first server in
-// srvs that has one for replica id, with that server, or −1 when no server
-// has a request. Most of an inbox is acks for the process's own client, so
-// a message is offered to the servers only if it carries one of the request
-// tags this package's servers use.
-func pick(box []msgnet.Message, id int, srvs []Server) (int, Server) {
+// pick returns the index in requests of the oldest request of the first
+// server in srvs that has one for replica id, with that server, or −1 when
+// no server has a request.
+func pick(requests []msgnet.Message, id int, srvs []Server) (int, Server) {
 	at, rank := -1, len(srvs)
-	for i, m := range box {
-		if m.Tag != tagQueryReq && m.Tag != tagStoreReq && m.Tag != tagProposeReq {
-			continue
-		}
+	for i, m := range requests {
 		for k, s := range srvs[:rank] {
 			if s.request(id, m) {
 				at, rank = i, k

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"math/rand"
 	"testing"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -13,41 +12,34 @@ import (
 	"github.com/drv-go/drv/internal/sut"
 )
 
-// refServers installs replica actors that rescan on every call, the way
-// Servers worked before its actors cached their pick: the gate asks each
-// server in turn whether a request waits, and the step receives the oldest
-// request of the first server in srvs order that has one. It is the
-// reference Servers is compared against.
+// refServers installs replica actors that rescan on every re-read, the way
+// Servers worked before its actors picked with one pass: the gate asks each
+// server in turn whether a request waits, and the step serves the oldest
+// request of the first server in srvs order that has one. Each actor watches
+// its process's replica inbox, as Servers' do. It is the reference Servers is
+// compared against.
 func refServers(rt *sched.Runtime, n int, srvs ...Server) []int {
 	nt := srvs[0].network()
 	ids := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		runnable := func() bool {
-			for _, s := range srvs {
-				if nt.InboxHas(i, func(m msgnet.Message) bool { return s.request(i, m) }) {
-					return true
-				}
-			}
-			return false
+			at, _ := refPick(nt, i, srvs)
+			return at >= 0
 		}
 		step := func() {
-			for _, s := range srvs {
-				if m, ok := nt.AuxRecv(i, func(m msgnet.Message) bool { return s.request(i, m) }); ok {
-					s.handle(i, m)
-					return
-				}
-			}
+			at, s := refPick(nt, i, srvs)
+			s.handle(i, nt.TakeRequest(i, at))
 		}
-		ids = append(ids, rt.AddAux(fmt.Sprintf("abd-server-%d", i), runnable, step))
+		ids = append(ids, nt.Serve(rt, i, runnable, step))
 	}
 	return ids
 }
 
-// refPick is the request refServers' step would serve at replica id: the
-// inbox index of the first server's oldest request, and that server.
+// refPick is the request refServers' step serves at replica id: the index of
+// the first server's oldest request in the replica inbox, and that server.
 func refPick(nt *msgnet.Net, id int, srvs []Server) (int, Server) {
 	for _, s := range srvs {
-		for i, m := range nt.Inbox(id) {
+		for i, m := range nt.Requests(id) {
 			if s.request(id, m) {
 				return i, s
 			}
@@ -147,97 +139,5 @@ func TestServersMatchReferenceLoop(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestReplicaPickMatchesRescan deploys a register, a counter and consensus on
-// one network, served by one replica actor per process, and checks after
-// every scheduler step and every interjected AuxRecv, Discard, Crash and
-// Reset that each actor whose pick is keyed by its inbox's current stamp
-// holds the pick a fresh scan makes. Servers builds its actors the same way.
-func TestReplicaPickMatchesRescan(t *testing.T) {
-	steps := 0
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		rt := sched.New(n, sched.Random(seed))
-		nt := msgnet.New(n, msgnet.RandomOrder(seed))
-		nt.Register(rt)
-		reg := NewRegister("x", n, nt, 0)
-		ctr := NewCounter("c", n, nt)
-		cons := NewConsensus("k", n, nt)
-		srvs := []Server{reg}
-		for _, cell := range ctr.Cells() {
-			srvs = append(srvs, cell)
-		}
-		srvs = append(srvs, cons)
-		actors := make([]*replica, n)
-		for i := range actors {
-			actors[i] = &replica{nt: nt, id: i, srvs: srvs}
-			rt.AddAux("replica", actors[i].runnable, actors[i].step)
-		}
-		for i := 0; i < n; i++ {
-			ops := rand.New(rand.NewSource(seed*31 + int64(i)))
-			rt.Spawn(i, func(p *sched.Proc) {
-				for k := 0; k < 8; k++ {
-					switch ops.Intn(5) {
-					case 0:
-						reg.Write(p, int64(k))
-					case 1:
-						reg.Read(p)
-					case 2:
-						ctr.Inc(p)
-					case 3:
-						ctr.Read(p)
-					default:
-						cons.Propose(p, int64(p.ID))
-					}
-				}
-			})
-		}
-
-		check := func(what string) {
-			t.Helper()
-			for i, a := range actors {
-				if a.seen != nt.Stamp(i) {
-					continue
-				}
-				if at, srv := refPick(nt, i, srvs); a.at != at || (at >= 0 && a.srv != srv) {
-					t.Fatalf("seed %d step %d after %s: replica %d caches index %d at the current stamp, a rescan picks %d", seed, rt.Steps(), what, i, a.at, at)
-				}
-			}
-		}
-		// The interjections can strand a client (a stolen ack, a crashed
-		// coordinator), so they are rare enough for most runs to go on for
-		// hundreds of steps.
-		crashed := 0
-		for rt.Steps() < 20_000 {
-			id := rng.Intn(n)
-			switch k := rng.Intn(1000); {
-			case k < 5:
-				nt.AuxRecv(id, nil)
-				check("AuxRecv")
-			case k < 10:
-				nt.Discard(id, func(m msgnet.Message) bool { return m.Tag == tagQueryAck })
-				check("Discard")
-			case k < 12 && crashed < (n-1)/2:
-				crashed++
-				rt.Crash(id)
-				nt.Crash(id)
-				check("Crash")
-			case k < 13:
-				nt.Reset(n, msgnet.RandomOrder(seed+int64(rt.Steps())))
-				check("Reset")
-			}
-			if !rt.Step() {
-				break
-			}
-			check("a step")
-		}
-		steps += rt.Steps()
-		rt.Stop()
-	}
-	if steps < 10_000 {
-		t.Fatalf("the deployments took %d steps in all; too few to exercise the picks", steps)
 	}
 }

@@ -26,9 +26,21 @@ const (
 // Claim 3.1 falls out of the construction: for any well-formed word, driving
 // the cursor with a Prioritize policy yields an execution whose input is that
 // word.
+//
+// The cursor's runnable test reads the queue's head and its owner's gate
+// state, so everything that changes them wakes the cursor: a process parking
+// at a gate (Send, Recv) and a Crash. The cursor's own step empties the
+// queue or moves its head, and the scheduler re-reads it after that step
+// anyway. The test pulls from the source only when the queue is empty, and
+// only those two events empty it, so a re-read happens at every step where
+// a polling scheduler would have pulled, and at no other.
 type A struct {
 	n   int
 	src Source
+	// rt and cursor are the runtime the cursor is registered on and its
+	// actor ID there; rt is nil until Register.
+	rt     *sched.Runtime
+	cursor int
 
 	queue     trace.Word // queue[head:] are pulled but not yet emitted symbols
 	head      int
@@ -66,6 +78,7 @@ func NewA(n int, src Source) *A {
 // History returned before the Reset is overwritten by the next run.
 func (a *A) Reset(n int, src Source) {
 	a.n, a.src = n, src
+	a.rt = nil
 	a.queue, a.head = a.queue[:0], 0
 	a.exhausted = false
 	a.history = a.history[:0]
@@ -101,6 +114,14 @@ func zeroed[T any](s []T, n int) []T {
 func (a *A) Crash(id int) {
 	a.crashed[id] = true
 	a.dropCrashed()
+	a.wakeCursor()
+}
+
+// wakeCursor tells the scheduler the cursor's runnable test may have changed.
+func (a *A) wakeCursor() {
+	if a.rt != nil {
+		a.rt.Wake(a.cursor)
+	}
 }
 
 // dropCrashed removes queued symbols owned by crashed processes, compacting
@@ -118,7 +139,9 @@ func (a *A) dropCrashed() {
 // Register installs the adversary's word cursor as an auxiliary actor on the
 // runtime and returns its actor ID (usable in scripted policies).
 func (a *A) Register(rt *sched.Runtime) int {
-	return rt.AddAux("adversary-cursor", a.cursorRunnable, a.cursorStep)
+	a.rt = rt
+	a.cursor = rt.AddAux("adversary-cursor", a.cursorRunnable, a.cursorStep)
+	return a.cursor
 }
 
 // pull transfers one symbol from the source into the queue; reports whether
@@ -161,7 +184,8 @@ func (a *A) cursorRunnable() bool {
 	return false
 }
 
-// cursorStep emits the next symbol of the word: the send or receive event.
+// cursorStep emits the next symbol of the word: the send or receive event,
+// which opens the owner's gate.
 func (a *A) cursorStep() {
 	s := a.queue[a.head]
 	a.head++
@@ -179,6 +203,7 @@ func (a *A) cursorStep() {
 		a.inbox[s.Proc] = s
 	}
 	a.granted[s.Proc] = true
+	a.rt.Wake(s.Proc)
 }
 
 // NextInv implements Service: it reveals the process's next invocation, which
@@ -201,6 +226,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 	id := p.ID
 	a.outbox[id] = v
 	a.phase[id] = phaseWaitSend
+	a.wakeCursor()
 	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
@@ -210,6 +236,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 func (a *A) Recv(p *sched.Proc) trace.Response {
 	id := p.ID
 	a.phase[id] = phaseWaitRecv
+	a.wakeCursor()
 	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"github.com/drv-go/drv/internal/sched"
 )
 
 // sweepDigestPins are, per scenario family, the SHA-256 over the replay
@@ -44,7 +46,12 @@ func sweepDigests(t *testing.T, fam string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestSweepDigestsPinned runs the three pinned sweeps with the maintained ≡
+// polled differential on: at every step of every scenario, the runtime's
+// maintained runnable set must equal a full re-poll of every gate, and the
+// runs must still be the pinned ones.
 func TestSweepDigestsPinned(t *testing.T) {
+	defer sched.VerifyRunnable(sched.VerifyRunnable(true))
 	for _, fam := range []string{FamLang, FamObj, FamMsg} {
 		if got := sweepDigests(t, fam); got != sweepDigestPins[fam] {
 			t.Errorf("%s sweep digests hash to %s, pinned %s", fam, got, sweepDigestPins[fam])

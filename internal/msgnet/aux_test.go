@@ -1,7 +1,6 @@
 package msgnet
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/drv-go/drv/internal/sched"
@@ -61,18 +60,16 @@ func TestAuxSendSuppressedAfterCrash(t *testing.T) {
 	}
 }
 
-// TestAuxRecvAndInboxHas checks the no-step receive pair used by replica aux
-// actors: InboxHas is a pure read, AuxRecv dequeues the oldest match.
+// TestAuxRecvAndInboxHas checks the no-step pair that reads a client inbox:
+// InboxHas is a pure read, AuxRecv dequeues the oldest match.
 func TestAuxRecvAndInboxHas(t *testing.T) {
 	rt := sched.New(1, sched.RoundRobin())
 	defer rt.Stop()
 	nt := New(1, FIFOOrder())
 	nt.Register(rt)
-	rt.Spawn(0, func(p *sched.Proc) {
-		nt.Send(p, Message{To: 0, Tag: "x", Seq: 1})
-		nt.Send(p, Message{To: 0, Tag: "y", Seq: 2})
-		nt.Send(p, Message{To: 0, Tag: "x", Seq: 3})
-	})
+	nt.AuxSend(0, Message{To: 0, Tag: "x", Seq: 1})
+	nt.AuxSend(0, Message{To: 0, Tag: "y", Seq: 2})
+	nt.AuxSend(0, Message{To: 0, Tag: "x", Seq: 3})
 	pump(rt, 50)
 	isX := func(m Message) bool { return m.Tag == "x" }
 	if !nt.InboxHas(0, isX) {
@@ -98,43 +95,46 @@ func TestAuxRecvAndInboxHas(t *testing.T) {
 // echo aux servers over a seeded random order — the shape of the explorer's
 // emulation runs, and the -race tier's concurrent-delivery coverage: the
 // scheduler hands control between client coroutines and inline aux steps, so
-// a missing handoff barrier would trip the race detector here.
+// a missing handoff barrier would trip the race detector here. Each server
+// watches its process's replica inbox, which the clients' requests reach.
 func TestAuxEchoServersDeliverEverything(t *testing.T) {
-	const n = 4
-	const msgs = 6
-	rt := sched.New(n, sched.Random(11))
+	const n, msgs = 4, 6
+	rt, rounds := echoDeployment(n, msgs, nil)
 	defer rt.Stop()
-	nt := New(n, RandomOrder(7))
-	nt.Register(rt)
-	for i := 0; i < n; i++ {
-		i := i
-		isReq := func(m Message) bool { return m.Tag == "req" }
-		rt.AddAux(fmt.Sprintf("echo-%d", i), func() bool {
-			return nt.InboxHas(i, isReq)
-		}, func() {
-			m, ok := nt.AuxRecv(i, isReq)
-			if !ok {
-				t.Error("echo server stepped with no request")
-				return
-			}
-			nt.AuxSend(i, Message{To: m.From, Tag: "ack", Seq: m.Seq})
-		})
-	}
-	got := make([]int, n)
-	for id := 0; id < n; id++ {
-		id := id
-		rt.Spawn(id, func(p *sched.Proc) {
-			for k := 0; k < msgs; k++ {
-				nt.Send(p, Message{To: (id + 1) % n, Tag: "req", Seq: k})
-				m := nt.RecvAwait(p, func(m Message) bool { return m.Tag == "ack" && m.Seq == k })
-				got[id] = m.Seq + 1
-			}
-		})
-	}
 	pump(rt, 10_000)
-	for id, g := range got {
+	for id, g := range rounds {
 		if g != msgs {
 			t.Errorf("process %d completed %d echo rounds, want %d", id, g, msgs)
 		}
+	}
+}
+
+// TestDiscardKeepsOrderAndCostsNoStep checks Discard removes exactly the
+// matching messages, keeps the survivors in arrival order, and consumes no
+// scheduler step.
+func TestDiscardKeepsOrderAndCostsNoStep(t *testing.T) {
+	rt := sched.New(1, sched.RoundRobin())
+	defer rt.Stop()
+	nt := New(1, FIFOOrder())
+	nt.Register(rt)
+	for i := 1; i <= 6; i++ {
+		nt.AuxSend(0, Message{To: 0, Tag: "t", Seq: i})
+	}
+	pump(rt, 100)
+	steps := rt.Steps()
+	if got := nt.Discard(0, func(m Message) bool { return m.Seq%2 == 0 }); got != 3 {
+		t.Fatalf("Discard removed %d messages, want 3", got)
+	}
+	if rt.Steps() != steps {
+		t.Fatal("Discard consumed a scheduler step")
+	}
+	for _, want := range []int{1, 3, 5} {
+		m, ok := nt.AuxRecv(0, nil)
+		if !ok || m.Seq != want {
+			t.Fatalf("after Discard got %v %v, want seq %d", m, ok, want)
+		}
+	}
+	if nt.InboxHas(0, nil) || len(nt.Inbox(0)) != 0 {
+		t.Fatal("inbox not empty after receiving the survivors")
 	}
 }

@@ -20,25 +20,20 @@ func TestFIFODeliversInOrder(t *testing.T) {
 	nt := New(2, FIFOOrder())
 	nt.Register(rt)
 
-	var got []int
 	rt.Spawn(0, func(p *sched.Proc) {
 		for i := 1; i <= 5; i++ {
 			nt.Send(p, Message{To: 1, Tag: "t", Seq: i})
 		}
 	})
-	rt.Spawn(1, func(p *sched.Proc) {
-		for len(got) < 5 {
-			got = append(got, nt.RecvAwait(p, nil).Seq)
-		}
-	})
 	defer rt.Stop()
 	pump(rt, 10_000)
+	got := nt.Requests(1)
 	if len(got) != 5 {
 		t.Fatalf("delivered %d messages, want 5", len(got))
 	}
-	for i, s := range got {
-		if s != i+1 {
-			t.Errorf("delivery %d has seq %d, want %d", i, s, i+1)
+	for i, m := range got {
+		if m.Seq != i+1 {
+			t.Errorf("delivery %d has seq %d, want %d", i, m.Seq, i+1)
 		}
 	}
 }
@@ -55,17 +50,14 @@ func TestRandomOrderDeliversEverything(t *testing.T) {
 			nt.Send(p, Message{To: 1, Tag: "t", Seq: i})
 		}
 	})
-	rt.Spawn(1, func(p *sched.Proc) {
-		for len(seen) < total {
-			m := nt.RecvAwait(p, nil)
-			if seen[m.Seq] {
-				t.Errorf("duplicate delivery of seq %d", m.Seq)
-			}
-			seen[m.Seq] = true
-		}
-	})
 	defer rt.Stop()
 	pump(rt, 100_000)
+	for _, m := range nt.Requests(1) {
+		if seen[m.Seq] {
+			t.Errorf("duplicate delivery of seq %d", m.Seq)
+		}
+		seen[m.Seq] = true
+	}
 	if len(seen) != total {
 		t.Fatalf("delivered %d distinct messages, want %d", len(seen), total)
 	}
@@ -81,10 +73,8 @@ func TestRecvFilter(t *testing.T) {
 	nt.Register(rt)
 
 	var tagged Message
-	rt.Spawn(0, func(p *sched.Proc) {
-		nt.Send(p, Message{To: 1, Tag: "noise", Seq: 1})
-		nt.Send(p, Message{To: 1, Tag: "want", Seq: 2})
-	})
+	nt.AuxSend(0, Message{To: 1, Tag: "noise", Seq: 1})
+	nt.AuxSend(0, Message{To: 1, Tag: "want", Seq: 2})
 	rt.Spawn(1, func(p *sched.Proc) {
 		tagged = nt.RecvAwait(p, func(m Message) bool { return m.Tag == "want" })
 	})
@@ -117,8 +107,8 @@ func TestCrashDropsMessages(t *testing.T) {
 	if nt.PendingCount() != 0 {
 		t.Errorf("%d messages still pending; deliveries to crashed process should vanish", nt.PendingCount())
 	}
-	if len(nt.inboxes[1]) != 0 {
-		t.Errorf("crashed inbox holds %d messages", len(nt.inboxes[1]))
+	if len(nt.inboxes[1])+len(nt.requests[1]) != 0 {
+		t.Errorf("crashed inboxes hold %d messages", len(nt.inboxes[1])+len(nt.requests[1]))
 	}
 }
 
@@ -126,11 +116,13 @@ func TestStarveOrderPrefersOthers(t *testing.T) {
 	// With messages pending to both 1 and 2 and victim 1, deliveries to 2
 	// happen first; victim messages arrive only once nothing else is left.
 	nt := New(3, StarveOrder(1, FIFOOrder()))
-	nt.pending = []Message{
+	for _, m := range []Message{
 		{To: 1, Seq: 1},
 		{To: 2, Seq: 2},
 		{To: 1, Seq: 3},
 		{To: 2, Seq: 4},
+	} {
+		nt.enqueue(m, false)
 	}
 	nt.deliverStep()
 	nt.deliverStep()

@@ -234,7 +234,7 @@ func TestResetZeroAlloc(t *testing.T) {
 		}
 		rt.Run(30)
 	}
-	cycle() // warm up: grow procs, scratch, aux capacity, start coroutines
+	cycle() // warm up: grow procs, runnable-set buffers, aux capacity, start coroutines
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Errorf("pooled execution cycle allocates %.1f objects, want 0", avg)
 	}

@@ -14,6 +14,17 @@
 // and is not runnable until the gate opens. Crashing a process simply stops
 // scheduling it, which is exactly the crash model of the paper.
 //
+// The runtime keeps the set of runnable actors as state instead of polling
+// every gate at every step. An actor's runnability — a process's gate, an
+// auxiliary actor's runnable function — is re-read only when the actor is
+// spawned or registered, right after its own step, when it is crashed, and
+// when some step wakes it (Runtime.Wake). A step on one object changes no
+// answer of an actor that does not read that object, so only the actors it
+// touched need a re-read: whoever writes state a gate reads must Wake the
+// gate's actor. Woken actors are re-read at the start of the next Step, where
+// a polling scheduler read every gate, so gates that pull from a source pull
+// at the same steps either way.
+//
 // Each process body runs on an iter.Pull coroutine: a step is a direct
 // coroutine switch from the scheduler into the process and back at its next
 // Pause, Await or exit, with no channel round trip between goroutines. A
@@ -21,8 +32,8 @@
 // it, on the caller's goroutine.
 //
 // Runtimes are poolable: Reset rewinds a runtime for a fresh execution while
-// reusing its Proc structs, parked process coroutines, and runnable scratch
-// buffer, so workloads that run thousands of short executions (the scenario
+// reusing its Proc structs, parked process coroutines, and runnable-set
+// buffers, so workloads that run thousands of short executions (the scenario
 // explorer, the Table 1 sweeps) pay coroutine creation/teardown once per
 // worker instead of once per execution, and the steady-state step loop
 // allocates nothing.
@@ -78,8 +89,10 @@ func (p *Proc) Pause() {
 }
 
 // Await parks the process until cond reports true, then consumes one step.
-// The condition is evaluated by the scheduler between steps, so it must only
-// read state that is written by other actors' steps.
+// The scheduler reads cond when the process parks and again only when some
+// actor wakes the process (Runtime.Wake), so cond must only read state that
+// other actors' steps write, and every step that writes it must Wake the
+// process: an un-woken gate keeps its last answer.
 func (p *Proc) Await(cond func() bool) {
 	p.state = stateGated
 	p.gate = cond
@@ -135,7 +148,8 @@ func (p *Proc) resume() {
 // Policy chooses the next actor to schedule among the runnable ones. IDs
 // 0..n−1 are processes; IDs ≥ n are auxiliary actors in registration order.
 // runnable is sorted ascending and non-empty; implementations must return one
-// of its elements.
+// of its elements. The slice is the runtime's own runnable set: read it, but
+// do not modify it or keep it past the call.
 type Policy interface {
 	Next(runnable []int, step int) int
 }
@@ -144,15 +158,23 @@ type Policy interface {
 // runtime can be reused for many executions via Reset; Stop tears it down for
 // good.
 type Runtime struct {
-	n       int
-	procs   []*Proc
-	aux     []auxActor
-	policy  Policy
-	scratch []int // runnable-ID buffer reused across Steps
-	steps   int
-	stopped bool // current execution halted; bodies unwind at next grant
-	killed  bool // runtime dead for good; coroutines have been stopped
-	started bool
+	n      int
+	procs  []*Proc
+	aux    []auxActor
+	policy Policy
+	// runnable is the sorted set of runnable actor IDs as of the last
+	// refresh, and in[id] says whether id is in it. woken lists the actors
+	// whose runnability the next Step re-reads, and isWoken flags them, so
+	// an actor is listed once however often it is woken. in and isWoken
+	// span every actor: n processes, then the aux actors.
+	runnable []int
+	in       []bool
+	woken    []int
+	isWoken  []bool
+	steps    int
+	stopped  bool // current execution halted; bodies unwind at next grant
+	killed   bool // runtime dead for good; coroutines have been stopped
+	started  bool
 }
 
 type auxActor struct {
@@ -172,7 +194,7 @@ func New(n int, policy Policy) *Runtime {
 // policy: any in-flight execution is halted (its process bodies unwind and
 // their coroutines park for reuse), auxiliary actors are dropped, and the
 // step count rewinds to zero. Proc structs, parked coroutines and the
-// runnable scratch buffer are reused, so resetting an already-grown runtime
+// runnable-set buffers are reused, so resetting an already-grown runtime
 // allocates nothing. The runtime behaves exactly like a fresh New(n, policy):
 // schedules are byte-for-byte deterministic across reuse.
 func (rt *Runtime) Reset(n int, policy Policy) {
@@ -199,9 +221,20 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 		p.spawned = false
 		p.body = nil
 	}
-	if cap(rt.scratch) < n {
-		rt.scratch = make([]int, 0, n+4)
+	rt.runnable = rt.runnable[:0]
+	rt.woken = rt.woken[:0]
+	rt.in = resize(rt.in, n)
+	rt.isWoken = resize(rt.isWoken, n)
+}
+
+// resize returns s with n false entries, reusing its backing array.
+func resize(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n, n+4)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetPolicy installs or replaces the scheduling policy. It must be called
@@ -236,18 +269,37 @@ func (rt *Runtime) Spawn(id int, body func(p *Proc)) {
 		p.live = true
 		p.next, p.stop = iter.Pull(p.loop)
 	}
+	rt.Wake(id)
 }
 
 // AddAux registers an auxiliary actor — a step function scheduled like a
 // process but executed inline (the adversary's word cursor is one). Its
 // actor ID is n plus the registration index, returned for use in scripted
-// policies.
+// policies and for Wake. Like a process's gate, runnable is re-read only
+// after the actor's own steps and when it is woken, so every step that
+// changes runnable's answer must Wake the actor.
 func (rt *Runtime) AddAux(name string, runnable func() bool, step func()) int {
 	if rt.started {
 		panic("sched: AddAux after Run")
 	}
 	rt.aux = append(rt.aux, auxActor{name: name, runnable: runnable, step: step})
-	return rt.n + len(rt.aux) - 1
+	rt.in = append(rt.in, false)
+	rt.isWoken = append(rt.isWoken, false)
+	id := rt.n + len(rt.aux) - 1
+	rt.Wake(id)
+	return id
+}
+
+// Wake marks actor id's runnability for a re-read before the next scheduling
+// choice: the caller changed state that the actor's gate or runnable
+// function reads. Waking an actor whose answer did not change is harmless;
+// failing to wake one whose answer did leaves the runtime scheduling on the
+// stale answer.
+func (rt *Runtime) Wake(id int) {
+	if !rt.isWoken[id] {
+		rt.isWoken[id] = true
+		rt.woken = append(rt.woken, id)
+	}
 }
 
 // Crash marks the process as crashed: it is never scheduled again. Its
@@ -257,6 +309,7 @@ func (rt *Runtime) Crash(id int) {
 	if rt.procs[id].state != stateExited {
 		rt.procs[id].state = stateCrashed
 	}
+	rt.Wake(id)
 }
 
 // Crashed reports whether the process has been crashed.
@@ -266,27 +319,49 @@ func (rt *Runtime) Crashed(id int) bool { return rt.procs[id].state == stateCras
 // use it to stop directing steps at finished processes.
 func (rt *Runtime) Exited(id int) bool { return rt.procs[id].state == stateExited }
 
-func (rt *Runtime) runnableIDs(buf []int) []int {
-	buf = buf[:0]
-	for i, p := range rt.procs[:rt.n] {
-		if !p.spawned {
+// canRun reads actor id's runnability: a spawned process that is ready or
+// whose gate holds, or an aux actor whose runnable function holds.
+func (rt *Runtime) canRun(id int) bool {
+	if id >= rt.n {
+		return rt.aux[id-rt.n].runnable()
+	}
+	p := rt.procs[id]
+	if !p.spawned {
+		return false
+	}
+	switch p.state {
+	case stateReady:
+		return true
+	case stateGated:
+		return p.gate()
+	}
+	return false
+}
+
+// refresh re-reads every woken actor and updates the runnable set. A gate
+// read may wake further actors; they are re-read in the same pass.
+func (rt *Runtime) refresh() {
+	for i := 0; i < len(rt.woken); i++ {
+		id := rt.woken[i]
+		rt.isWoken[id] = false
+		ok := rt.canRun(id)
+		if ok == rt.in[id] {
 			continue
 		}
-		switch p.state {
-		case stateReady:
-			buf = append(buf, i)
-		case stateGated:
-			if p.gate() {
-				buf = append(buf, i)
-			}
+		rt.in[id] = ok
+		k := 0
+		for k < len(rt.runnable) && rt.runnable[k] < id {
+			k++
+		}
+		if ok {
+			rt.runnable = append(rt.runnable, 0)
+			copy(rt.runnable[k+1:], rt.runnable[k:])
+			rt.runnable[k] = id
+		} else {
+			rt.runnable = append(rt.runnable[:k], rt.runnable[k+1:]...)
 		}
 	}
-	for j := range rt.aux {
-		if rt.aux[j].runnable() {
-			buf = append(buf, rt.n+j)
-		}
-	}
-	return buf
+	rt.woken = rt.woken[:0]
 }
 
 // Step schedules one actor step. It returns false — without scheduling —
@@ -296,16 +371,19 @@ func (rt *Runtime) Step() bool {
 		panic("sched: no policy installed")
 	}
 	rt.started = true
-	runnable := rt.runnableIDs(rt.scratch)
-	rt.scratch = runnable
-	if len(runnable) == 0 {
+	rt.refresh()
+	if verifying.Load() {
+		rt.verify()
+	}
+	if len(rt.runnable) == 0 {
 		return false
 	}
-	id := rt.policy.Next(runnable, rt.steps)
-	if !contains(runnable, id) {
-		panic(fmt.Sprintf("sched: policy chose non-runnable actor %d from %v", id, runnable))
+	id := rt.policy.Next(rt.runnable, rt.steps)
+	if id < 0 || id >= len(rt.in) || !rt.in[id] {
+		panic(fmt.Sprintf("sched: policy chose non-runnable actor %d from %v", id, rt.runnable))
 	}
 	rt.steps++
+	rt.Wake(id)
 	if id >= rt.n {
 		rt.aux[id-rt.n].step()
 		return true

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -93,7 +94,11 @@ func TestCrashStopsScheduling(t *testing.T) {
 	}
 }
 
+// TestAwaitGate opens a gate from another process's step, which wakes the
+// gated process as the Await contract requires; the maintained runnable set
+// is checked against a full re-poll at every step.
 func TestAwaitGate(t *testing.T) {
+	defer VerifyRunnable(VerifyRunnable(true))
 	rt := New(2, RoundRobin())
 	ready := false
 	var got int
@@ -106,6 +111,7 @@ func TestAwaitGate(t *testing.T) {
 			p.Pause()
 		}
 		ready = true
+		rt.Wake(0)
 		p.Pause()
 	})
 	defer rt.Stop()
@@ -113,6 +119,38 @@ func TestAwaitGate(t *testing.T) {
 	if got != 42 {
 		t.Error("gated process never resumed after gate opened")
 	}
+}
+
+// TestUnwokenGateStaysClosed is the wake contract's other half: a gate
+// opened without a Wake keeps its last answer, so the process stays parked,
+// and the maintained ≡ polled differential reports the missing wake.
+func TestUnwokenGateStaysClosed(t *testing.T) {
+	run := func() (got int) {
+		rt := New(2, RoundRobin())
+		defer rt.Stop()
+		ready := false
+		rt.Spawn(0, func(p *Proc) {
+			p.Await(func() bool { return ready })
+			got = 42
+		})
+		rt.Spawn(1, func(p *Proc) {
+			ready = true
+			p.Pause()
+		})
+		rt.Run(100)
+		return got
+	}
+	if got := run(); got != 0 {
+		t.Fatal("a gate opened without a Wake was re-read")
+	}
+	defer VerifyRunnable(VerifyRunnable(true))
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "without waking") {
+			t.Fatalf("the differential missed the unwoken gate: recovered %v", r)
+		}
+	}()
+	run()
 }
 
 func TestStallDetected(t *testing.T) {
