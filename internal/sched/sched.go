@@ -17,8 +17,9 @@
 // The runtime keeps the set of runnable actors as state instead of polling
 // every gate at every step. An actor's runnability — a process's gate, an
 // auxiliary actor's runnable function — is re-read only when the actor is
-// spawned or registered, right after its own step, when it is crashed, and
-// when some step wakes it (Runtime.Wake). A step on one object changes no
+// spawned or registered, right after its own step (unless a process paused,
+// which leaves it ready), when it is crashed, and when some step wakes it
+// (Runtime.Wake). A step on one object changes no
 // answer of an actor that does not read that object, so only the actors it
 // touched need a re-read: whoever writes state a gate reads must Wake the
 // gate's actor. Woken actors are re-read at the start of the next Step, where
@@ -383,12 +384,18 @@ func (rt *Runtime) Step() bool {
 		panic(fmt.Sprintf("sched: policy chose non-runnable actor %d from %v", id, rt.runnable))
 	}
 	rt.steps++
-	rt.Wake(id)
 	if id >= rt.n {
 		rt.aux[id-rt.n].step()
+		rt.Wake(id)
 		return true
 	}
-	rt.procs[id].resume()
+	p := rt.procs[id]
+	p.resume()
+	// A process that paused is still ready, so still runnable; one that
+	// parked at a gate or exited needs a re-read.
+	if p.state != stateReady {
+		rt.Wake(id)
+	}
 	return true
 }
 
