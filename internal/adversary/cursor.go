@@ -28,12 +28,12 @@ const (
 // word.
 //
 // The cursor's runnable test reads the queue's head and its owner's gate
-// state, so everything that changes them wakes the cursor: a process parking
-// at a gate (Send, Recv) and a Crash. The cursor's own step empties the
-// queue or moves its head, and the scheduler re-reads it after that step
+// state, so everything that changes them wakes the cursor: a Crash, and the
+// head's owner parking at a gate (Send, Recv). The cursor's own step empties
+// the queue or moves its head, and the scheduler re-reads it after that step
 // anyway. The test pulls from the source only when the queue is empty, and
-// only those two events empty it, so a re-read happens at every step where
-// a polling scheduler would have pulled, and at no other.
+// a re-read follows each of the two events that empty it, so the cursor
+// pulls at exactly the steps a polling scheduler would.
 type A struct {
 	n   int
 	src Source
@@ -121,6 +121,16 @@ func (a *A) Crash(id int) {
 func (a *A) wakeCursor() {
 	if a.rt != nil {
 		a.rt.Wake(a.cursor)
+	}
+}
+
+// parked wakes the cursor if process id, which has just parked at a gate,
+// owns the queue's head symbol: only that owner's gate state is read by the
+// cursor's test. An empty queue means the source is exhausted, since the
+// cursor was re-read after whatever emptied it, so its test stays false.
+func (a *A) parked(id int) {
+	if a.head < len(a.queue) && a.queue[a.head].Proc == id {
+		a.wakeCursor()
 	}
 }
 
@@ -226,7 +236,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 	id := p.ID
 	a.outbox[id] = v
 	a.phase[id] = phaseWaitSend
-	a.wakeCursor()
+	a.parked(id)
 	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
@@ -236,7 +246,7 @@ func (a *A) Send(p *sched.Proc, v trace.Symbol) {
 func (a *A) Recv(p *sched.Proc) trace.Response {
 	id := p.ID
 	a.phase[id] = phaseWaitRecv
-	a.wakeCursor()
+	a.parked(id)
 	p.Await(a.gates[id])
 	a.granted[id] = false
 	a.phase[id] = phaseIdle
