@@ -1,16 +1,18 @@
 // Command drvserve is the monitoring-as-a-service front end: a long-running
 // server that accepts recorded histories as NDJSON trace streams (the
 // exp/trace line format inside the internal/serve request envelope), replays
-// each stream through a sharded pool of monitor sessions, and streams the
-// verdict events back incrementally.
+// each stream through a monitor session while its events arrive, and streams
+// the verdict events back as they become final: process 0's verdicts as the
+// replay reports them, the other processes' verdicts and the done summary
+// once the stream closes.
 //
 // Three modes, exactly one of which must be selected:
 //
-//	drvserve -addr HOST:PORT [-shards N] [-queue D]
-//	    Serve TCP until SIGINT/SIGTERM, then drain gracefully: in-flight
-//	    replays finish and deliver their verdicts before exit.
+//	drvserve -addr HOST:PORT
+//	    Serve TCP until SIGINT/SIGTERM, then drain gracefully: closed
+//	    streams' replays finish and deliver their verdicts before exit.
 //
-//	drvserve -stdio [-shards N] [-queue D]
+//	drvserve -stdio
 //	    Serve exactly one connection on stdin/stdout and exit when the
 //	    input is exhausted and every response has been written. This is
 //	    the scriptable form: requests in, responses out, byte-for-byte
@@ -20,14 +22,15 @@
 //	         [-array A] [-max-steps K] trace.jsonl
 //	    Client mode: read a trace file (e.g. written by extsut -trace or
 //	    drvtrace), stream it to a drvserve server as one verdict stream,
-//	    and copy the server's response lines to stdout verbatim.
+//	    and copy the server's response lines to stdout verbatim as they
+//	    arrive, while the request is still being sent.
 //
-// A negative -shards, -queue or -max-steps is a usage error: exit 2.
+// A negative -max-steps is a usage error: exit 2.
 //
 // Served verdict streams inherit the replay determinism contract: the same
-// input yields byte-identical response lines regardless of pool size, and
-// re-running the recorded history through exp/monitor reproduces exactly the
-// served verdicts.
+// input yields byte-identical response lines however it is paced or
+// chunked, and re-running the recorded history through exp/monitor
+// reproduces exactly the served verdicts.
 package main
 
 import (
@@ -65,8 +68,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "", "serve TCP on this address (e.g. :7077)")
 	stdio := fs.Bool("stdio", false, "serve one connection on stdin/stdout")
-	shards := fs.Int("shards", 0, "session-pool width (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "per-shard pending-run queue depth (0 = default)")
 	send := fs.String("send", "", "client mode: stream a trace file to a drvserve at this address")
 	stream := fs.String("stream", "trace", "client: stream id")
 	logic := fs.String("logic", "lin", "client: monitor logic (lin, sc, wec, sec, ecledger)")
@@ -76,15 +77,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Zero selects a default; a negative size would silently do the same.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"shards", *shards}, {"queue", *queue}, {"max-steps", *maxSteps}} {
-		if f.v < 0 {
-			fmt.Fprintf(stderr, "drvserve: -%s %d: must be at least 0\n", f.name, f.v)
-			return 2
-		}
+	// Zero selects the default; a negative bound would silently do the same.
+	if *maxSteps < 0 {
+		fmt.Fprintf(stderr, "drvserve: -max-steps %d: must be at least 0\n", *maxSteps)
+		return 2
 	}
 
 	modes := 0
@@ -97,7 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, usage)
 		return 2
 	}
-	cfg := serve.Config{Shards: *shards, QueueDepth: *queue}
+	var cfg serve.Config
 	switch {
 	case *stdio:
 		return serveStdio(cfg, stdin, stdout, stderr)
@@ -213,7 +209,9 @@ func dialRetry(addr string) (net.Conn, error) {
 }
 
 // sendTrace streams one trace file to a server and copies the response lines
-// to stdout.
+// to stdout as they arrive. The copy runs while the request is sent: once a
+// server answers mid-stream, a long trace would otherwise fill both socket
+// buffers, the server's writes blocking on a client that is not reading.
 func sendTrace(addr, path string, o options, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
@@ -233,23 +231,29 @@ func sendTrace(addr, path string, o options, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer conn.Close()
+	recv := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(stdout, conn)
+		recv <- err
+	}()
 	// Buffered: the request leaves in a few large writes, not one per line.
 	bw := bufio.NewWriter(conn)
-	if err := encodeRequest(bw, tr, o); err != nil {
-		fmt.Fprintln(stderr, "drvserve: send:", err)
-		return 1
+	err = encodeRequest(bw, tr, o)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		fmt.Fprintln(stderr, "drvserve: send:", err)
-		return 1
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		if err := tc.CloseWrite(); err != nil {
-			fmt.Fprintln(stderr, "drvserve:", err)
-			return 1
+	if err == nil {
+		if tc, ok := conn.(*net.TCPConn); ok {
+			err = tc.CloseWrite()
 		}
 	}
-	if _, err := io.Copy(stdout, conn); err != nil {
+	if err != nil {
+		conn.Close() // ends the copy
+		<-recv
+		fmt.Fprintln(stderr, "drvserve: send:", err)
+		return 1
+	}
+	if err := <-recv; err != nil {
 		fmt.Fprintln(stderr, "drvserve: recv:", err)
 		return 1
 	}

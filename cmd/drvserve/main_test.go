@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -87,23 +89,31 @@ func serveBytes(t *testing.T, cfg serve.Config, req []byte) []byte {
 }
 
 // TestResponseGolden is the acceptance pin: the served verdict stream for a
-// fixed input is byte-identical across two runs and across pool sizes, and
-// matches the committed golden.
+// fixed input is byte-identical across two runs, whether the server is
+// fresh or warm, and matches the committed golden.
 func TestResponseGolden(t *testing.T) {
 	for _, slug := range slugs {
 		req, err := os.ReadFile(filepath.Join("testdata", slug+"_request.ndjson"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := serveBytes(t, serve.Config{Shards: 1}, req)
+		first := serveBytes(t, serve.Config{}, req)
 		checkGolden(t, filepath.Join("testdata", slug+"_response.golden"), first)
-		if again := serveBytes(t, serve.Config{Shards: 1}, req); !bytes.Equal(first, again) {
+		if again := serveBytes(t, serve.Config{}, req); !bytes.Equal(first, again) {
 			t.Fatalf("%s: two runs over the same input diverged", slug)
 		}
-		for _, shards := range []int{2, 4} {
-			if got := serveBytes(t, serve.Config{Shards: shards}, req); !bytes.Equal(first, got) {
-				t.Fatalf("%s: responses differ between shards=1 and shards=%d", slug, shards)
+		srv := serve.New(serve.Config{})
+		for rep := 0; rep < 2; rep++ {
+			var out bytes.Buffer
+			if err := srv.ServeConn(rw{bytes.NewReader(req), &out}); err != nil {
+				t.Fatal(err)
 			}
+			if !bytes.Equal(first, out.Bytes()) {
+				t.Fatalf("%s: a warm server's responses differ (round %d)", slug, rep)
+			}
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -120,7 +130,7 @@ func TestStdioMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out, errb bytes.Buffer
-		if code := run([]string{"-stdio", "-shards", "1"}, bytes.NewReader(req), &out, &errb); code != 0 {
+		if code := run([]string{"-stdio"}, bytes.NewReader(req), &out, &errb); code != 0 {
 			t.Fatalf("%s: -stdio exited %d: %s", slug, code, errb.Bytes())
 		}
 		if !bytes.Equal(out.Bytes(), want) {
@@ -131,8 +141,8 @@ func TestStdioMode(t *testing.T) {
 
 // TestNegativeProcessStreamFailsAlone sends a stream whose symbols name
 // process -1 ahead of a valid stream on one -stdio connection. The bad
-// stream must get one stream-level error line instead of crashing a shard
-// worker, and the valid stream's lines must still equal its golden.
+// stream must get one stream-level error line instead of crashing its
+// replay, and the valid stream's lines must still equal its golden.
 func TestNegativeProcessStreamFailsAlone(t *testing.T) {
 	valid, err := os.ReadFile(filepath.Join("testdata", "chan_queue_request.ndjson"))
 	if err != nil {
@@ -153,7 +163,7 @@ func TestNegativeProcessStreamFailsAlone(t *testing.T) {
 		rest,
 	}, []byte("\n"))
 	var out, errb bytes.Buffer
-	if code := run([]string{"-stdio", "-shards", "1"}, bytes.NewReader(req), &out, &errb); code != 0 {
+	if code := run([]string{"-stdio"}, bytes.NewReader(req), &out, &errb); code != 0 {
 		t.Fatalf("-stdio exited %d: %s", code, errb.Bytes())
 	}
 	// The two streams' lines may interleave; split them by stream id.
@@ -178,7 +188,7 @@ func TestNegativeProcessStreamFailsAlone(t *testing.T) {
 // TestSendMode drives the -send client against an in-process TCP server and
 // checks the copied responses equal the golden.
 func TestSendMode(t *testing.T) {
-	srv := serve.New(serve.Config{Shards: 2})
+	srv := serve.New(serve.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,9 +282,6 @@ func TestNegativeSizesExitTwo(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-stdio", "-shards", "-1"}, "drvserve: -shards -1: must be at least 0\n"},
-		{[]string{"-stdio", "-queue", "-5"}, "drvserve: -queue -5: must be at least 0\n"},
-		{[]string{"-stdio", "-shards", "2", "-queue", "-1"}, "drvserve: -queue -1: must be at least 0\n"},
 		{[]string{"-send", "127.0.0.1:1", "-max-steps", "-3", "trace.jsonl"}, "drvserve: -max-steps -3: must be at least 0\n"},
 	} {
 		var out, errb bytes.Buffer
@@ -284,5 +291,156 @@ func TestNegativeSizesExitTwo(t *testing.T) {
 		if errb.String() != tc.want || out.Len() != 0 {
 			t.Errorf("run(%v): stderr %q, stdout %q; want stderr %q and no stdout", tc.args, errb.String(), out.String(), tc.want)
 		}
+	}
+}
+
+// TestHugeMetaStreamFailsAlone sends a stream whose meta line asks for more
+// than serve.MaxProcs processes ahead of a valid stream on one -stdio
+// connection. The big stream must fail at its meta line, before any replay
+// runs, and the valid stream's lines must still equal its golden.
+func TestHugeMetaStreamFailsAlone(t *testing.T) {
+	valid, err := os.ReadFile(filepath.Join("testdata", "chan_queue_request.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "chan_queue_response.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	config, rest, _ := bytes.Cut(valid, []byte("\n"))
+	req := bytes.Join([][]byte{
+		config,
+		[]byte(`{"open":{"stream":"big","logic":"wec"}}`),
+		[]byte(fmt.Sprintf(`{"event":{"stream":"big","kind":"meta","meta":{"n":%d}}}`, serve.MaxProcs+1)),
+		[]byte(`{"event":{"stream":"big","kind":"sym","proc":0,"sym":"inv","op":"read"}}`),
+		[]byte(`{"event":{"stream":"big","kind":"sym","proc":0,"sym":"res","op":"read","val":{"t":"int","int":0}}}`),
+		[]byte(`{"close":{"stream":"big"}}`),
+		rest,
+	}, []byte("\n"))
+	var out, errb bytes.Buffer
+	if code := run([]string{"-stdio"}, bytes.NewReader(req), &out, &errb); code != 0 {
+		t.Fatalf("-stdio exited %d: %s", code, errb.Bytes())
+	}
+	var big []string
+	var others bytes.Buffer
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if strings.Contains(line, `"stream":"big"`) {
+			big = append(big, line)
+		} else {
+			others.WriteString(line)
+		}
+	}
+	wantErr := fmt.Sprintf(`{"error":{"stream":"big","line":3,"msg":"meta n must be ≤ %d, got %d"}}`+"\n", serve.MaxProcs, serve.MaxProcs+1)
+	if len(big) != 2 || !strings.HasPrefix(big[0], `{"opened":`) || big[1] != wantErr {
+		t.Fatalf("big stream got %q, want an opened line and %q", big, wantErr)
+	}
+	if !bytes.Equal(others.Bytes(), want) {
+		t.Fatalf("valid stream drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", others.Bytes(), want)
+	}
+}
+
+// pacedLines feeds b to w one line at a time, sleeping gap before each, and
+// closes w.
+func pacedLines(w *io.PipeWriter, b []byte, gap time.Duration) {
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		time.Sleep(gap)
+		if _, err := w.Write(line); err != nil {
+			return
+		}
+	}
+	w.Close()
+}
+
+// TestPacedStdioMatchesGolden writes each line of the golden requests to
+// -stdio 2 ms apart, so the replay keeps waiting for input: the output must
+// still equal the golden byte for byte.
+func TestPacedStdioMatchesGolden(t *testing.T) {
+	for _, slug := range slugs {
+		req, err := os.ReadFile(filepath.Join("testdata", slug+"_request.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", slug+"_response.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, pw := io.Pipe()
+		go pacedLines(pw, req, 2*time.Millisecond)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-stdio"}, pr, &out, &errb); code != 0 {
+			t.Fatalf("%s: -stdio exited %d: %s", slug, code, errb.Bytes())
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s: paced -stdio output drifted:\n--- got ---\n%s\n--- want ---\n%s", slug, out.Bytes(), want)
+		}
+	}
+}
+
+// TestSendModeLongTrace sends a trace whose request and mid-stream verdict
+// lines each run to megabytes, more than the connection's socket buffers
+// hold: -send must read responses while it sends, and complete with the
+// lines the same request gets over -stdio.
+func TestSendModeLongTrace(t *testing.T) {
+	b := trace.NewB()
+	for i := 0; i < 12000; i++ {
+		b.Op(0, trace.OpInc, nil, trace.Unit{}).Op(1, trace.OpRead, nil, trace.Int(int64(i+1)))
+	}
+	var tf bytes.Buffer
+	w := trace.NewWriter(&tf)
+	if err := w.WriteMeta(trace.Meta{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteWord(b.Word()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "long.jsonl")
+	if err := os.WriteFile(path, tf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := options{stream: "long", logic: "wec"}
+	var req bytes.Buffer
+	tr, err := trace.Read(bytes.NewReader(tf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeRequest(&req, tr, o); err != nil {
+		t.Fatal(err)
+	}
+	want := serveBytes(t, serve.Config{}, req.Bytes())
+
+	srv := serve.New(serve.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		<-serveDone
+	}()
+	var out, errb bytes.Buffer
+	code := make(chan int, 1)
+	go func() {
+		code <- run([]string{"-send", ln.Addr().String(), "-stream", "long", "-logic", "wec", path}, nil, &out, &errb)
+	}()
+	select {
+	case c := <-code:
+		if c != 0 {
+			t.Fatalf("-send exited %d: %s", c, errb.Bytes())
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("-send did not complete")
+	}
+	if req.Len() < 1<<20 || bytes.Count(want, []byte(`"proc":0,`)) < 10000 {
+		t.Fatalf("request of %d bytes, %d bytes of responses: too short to fill the socket buffers", req.Len(), len(want))
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("-send output (%d bytes) differs from the -stdio responses (%d bytes)", out.Len(), len(want))
 	}
 }

@@ -94,11 +94,11 @@
 // The cmd directory holds the reproduction tools (drvtable, drvtrace,
 // drvmon, drvsketch, drvexplore) and drvserve, the monitoring-as-a-service
 // front end: internal/serve accepts recorded histories as NDJSON trace
-// streams over a versioned request envelope, routes each stream through a
-// sharded pool of monitor sessions keyed by stream id, and streams verdict
-// events back incrementally, with bounded queues end to end and graceful
-// drain on shutdown; served verdict streams are byte-identical across runs
-// and pool sizes, pinned by goldens under cmd/drvserve/testdata. examples
+// streams over a versioned request envelope, replays each stream through a
+// monitor session while its events arrive, and streams each verdict back as
+// soon as it is final, with bounded queues end to end and graceful drain on
+// shutdown; served verdict streams are byte-identical across runs however
+// the input is paced, pinned by goldens under cmd/drvserve/testdata. examples
 // holds six runnable walkthroughs, including examples/extsut, an outside
 // consumer that monitors queues of its own using only the exp surface (and
 // records them to trace files with -trace, ready to stream to drvserve). The root test

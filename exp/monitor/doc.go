@@ -42,6 +42,17 @@
 // exhibited one does not. Linearizable and SeqConsistent judge the recorded
 // history itself.
 //
+// # Streaming replay
+//
+// Session.Stream replays a history that is still arriving: the caller
+// supplies events through a function that blocks until the next one exists,
+// and receives each verdict as the run reports it. The replay makes the
+// scheduling choices Run makes for the same history, however the events are
+// paced, so it reports exactly Run's verdicts; Run is Stream fed the
+// recorded history. A process's verdict can be reported once the replay has
+// pulled the events the run needed so far (Result.PulledAt); its verdict
+// stream is complete only when the history ends.
+//
 // Workloads monitoring many histories should hold a Session and reuse it —
 // the session pools the scheduler runtime and checker state, making the
 // steady state allocation-free.

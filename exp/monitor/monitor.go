@@ -128,7 +128,37 @@ type Config struct {
 	MaxSteps int
 }
 
+// validate checks the whole configuration, history included, before a batch
+// replay.
 func (cfg *Config) validate() (adversary.ArrayKind, error) {
+	kind, err := cfg.settings()
+	if err != nil {
+		return 0, err
+	}
+	if err := trace.WellFormed(cfg.History); err != nil {
+		return 0, fmt.Errorf("monitor: %w", err)
+	}
+	counter := cfg.counter()
+	for i, sym := range cfg.History {
+		if sym.Proc < 0 {
+			return 0, fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
+		}
+		if _, ok := sym.Val.(trace.Int); counter && sym.Kind == trace.Res && sym.Op == trace.OpRead && !ok {
+			return 0, fmt.Errorf("monitor: history symbol %d: a counter read returns an integer, not %v", i, sym.Val)
+		}
+	}
+	if p := cfg.History.Procs(); p > cfg.N {
+		return 0, fmt.Errorf("monitor: history mentions %d processes but N is %d", p, cfg.N)
+	}
+	return kind, nil
+}
+
+// counter reports whether the logic reads every counter read's response as
+// an integer.
+func (cfg *Config) counter() bool { return cfg.Logic == LogicWEC || cfg.Logic == LogicSEC }
+
+// settings checks everything but the history.
+func (cfg *Config) settings() (adversary.ArrayKind, error) {
 	if cfg.N < 1 {
 		return 0, fmt.Errorf("monitor: N must be ≥ 1, got %d", cfg.N)
 	}
@@ -145,22 +175,96 @@ func (cfg *Config) validate() (adversary.ArrayKind, error) {
 	default:
 		return 0, fmt.Errorf("monitor: unknown logic %d", uint8(cfg.Logic))
 	}
-	if err := trace.WellFormed(cfg.History); err != nil {
-		return 0, fmt.Errorf("monitor: %w", err)
-	}
-	counter := cfg.Logic == LogicWEC || cfg.Logic == LogicSEC
-	for i, sym := range cfg.History {
-		if sym.Proc < 0 {
-			return 0, fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
-		}
-		if _, ok := sym.Val.(trace.Int); counter && sym.Kind == trace.Res && sym.Op == trace.OpRead && !ok {
-			return 0, fmt.Errorf("monitor: history symbol %d: a counter read returns an integer, not %v", i, sym.Val)
-		}
-	}
-	if p := cfg.History.Procs(); p > cfg.N {
-		return 0, fmt.Errorf("monitor: history mentions %d processes but N is %d", p, cfg.N)
-	}
 	return kind, nil
+}
+
+// source is the adversary source of a replay: it takes the events a
+// Stream's caller supplies and checks each against the prefix-closed
+// conditions validate checks of a whole history — a well-formed word over
+// processes 0..n-1 whose counter reads return integers. The first event
+// that fails ends the replay's input and is kept as err.
+type source struct {
+	next    func() (trace.Symbol, bool)
+	n       int
+	counter bool
+	pending []pendingOp // per process: its invocation awaiting a response
+	events  int         // events taken from next
+	err     error
+}
+
+type pendingOp struct {
+	op   string
+	pos  int
+	open bool
+}
+
+// Next implements the adversary's Source.
+func (s *source) Next() (trace.Symbol, bool) {
+	if s.err != nil {
+		return trace.Symbol{}, false
+	}
+	sym, ok := s.next()
+	if !ok {
+		return trace.Symbol{}, false
+	}
+	if s.err = s.check(sym); s.err != nil {
+		return trace.Symbol{}, false
+	}
+	return sym, true
+}
+
+// drain takes the rest of the caller's events, checking them while no event
+// has failed yet.
+func (s *source) drain() {
+	for {
+		sym, ok := s.next()
+		if !ok {
+			return
+		}
+		if s.err == nil {
+			s.err = s.check(sym)
+		} else {
+			s.events++
+		}
+	}
+}
+
+// check validates the next event; its messages are those of validate and
+// trace.WellFormed, naming the event's position in the history.
+func (s *source) check(sym trace.Symbol) error {
+	i := s.events
+	s.events++
+	if sym.Proc < 0 {
+		return fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
+	}
+	if sym.Proc >= s.n {
+		return fmt.Errorf("monitor: history symbol %d names process %d but N is %d", i, sym.Proc, s.n)
+	}
+	p := &s.pending[sym.Proc]
+	switch sym.Kind {
+	case trace.Inv:
+		if p.open {
+			return fmt.Errorf("monitor: %w: process %d invokes %q at position %d while %q from position %d is pending",
+				trace.ErrNotWellFormed, sym.Proc, sym.Op, i, p.op, p.pos)
+		}
+		*p = pendingOp{op: sym.Op, pos: i, open: true}
+	case trace.Res:
+		if !p.open {
+			return fmt.Errorf("monitor: %w: process %d responds %q at position %d with no pending invocation",
+				trace.ErrNotWellFormed, sym.Proc, sym.Op, i)
+		}
+		if p.op != sym.Op {
+			return fmt.Errorf("monitor: %w: process %d response %q at position %d does not match pending invocation %q",
+				trace.ErrNotWellFormed, sym.Proc, sym.Op, i, p.op)
+		}
+		p.open = false
+	default:
+		return fmt.Errorf("monitor: %w: symbol at position %d has invalid kind %d", trace.ErrNotWellFormed, i, sym.Kind)
+	}
+	if _, ok := sym.Val.(trace.Int); s.counter && sym.Kind == trace.Res && sym.Op == trace.OpRead && !ok {
+		return fmt.Errorf("monitor: history symbol %d: a counter read returns an integer, not %v", i, sym.Val)
+	}
+	return nil
 }
 
 // Session replays histories through pooled monitor machinery: the scheduler
@@ -201,12 +305,58 @@ var ErrTruncated = errors.New("monitor: replay truncated by MaxSteps before the 
 // When the step bound cuts the replay short, Run returns the partial Result
 // together with an error wrapping ErrTruncated; Result.Drained reports the
 // same condition (false on a cutoff). All other errors return a nil Result.
+//
+// Run is Stream fed cfg.History, after the whole history has been checked.
 func (s *Session) Run(cfg Config) (*Result, error) {
-	kind, err := cfg.validate()
+	if _, err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	h := cfg.History
+	cfg.History = nil
+	return s.Stream(cfg, func() (trace.Symbol, bool) {
+		if len(h) == 0 {
+			return trace.Symbol{}, false
+		}
+		sym := h[0]
+		h = h[1:]
+		return sym, true
+	}, nil)
+}
+
+// Stream replays a history that arrives while the replay runs. next supplies
+// the history one event at a time and returns false at its end; it may
+// block until its next event exists, and the whole replay waits with it.
+// report, when non-nil, receives each verdict as the run reports it: the
+// process, the verdict's index in that process's stream, the verdict, and
+// the step and exhibited-history length that Result.StepAt and
+// Result.HistAt record for it. Stream calls both synchronously, one call at
+// a time, and returns only after the last; the caller's goroutine is the one
+// that blocks.
+//
+// The replay pulls events only as the word-cursor adversary needs them, and
+// makes the same scheduling choices whenever they arrive, so Stream yields
+// the Result Run yields for the same history, and reports that Result's
+// verdicts, each process's in index order. A process's verdict stream is
+// final once the process has exited, which it does only when the history
+// ends: until next returns false, every process may still report.
+//
+// cfg.History must be empty. Unless the rest of cfg is invalid, Stream
+// calls next until it returns false, even after MaxSteps has cut the
+// replay, so a truncated Result reports the whole history's length. Stream
+// checks each event as Run checks a whole history; the first event that
+// fails ends the replay's input, no verdict is reported after it, and
+// Stream returns a nil Result and an error naming that event. Errors are
+// otherwise Run's, and so is the Result, which is owned by the session.
+func (s *Session) Stream(cfg Config, next func() (trace.Symbol, bool), report func(proc, index int, v Verdict, step, hist int)) (*Result, error) {
+	if len(cfg.History) > 0 {
+		return nil, errors.New("monitor: Stream reads its history from next; Config.History must be empty")
+	}
+	kind, err := cfg.settings()
 	if err != nil {
 		return nil, err
 	}
-	adv := s.s.Cursor(cfg.N, adversary.NewScriptSource(cfg.History))
+	src := &source{next: next, n: cfg.N, counter: cfg.counter(), pending: make([]pendingOp, cfg.N)}
+	adv := s.s.Cursor(cfg.N, src)
 	tau := s.s.Timed(cfg.N, adv, kind)
 	var m imonitor.Monitor
 	switch cfg.Logic {
@@ -221,6 +371,14 @@ func (s *Session) Run(cfg Config) (*Result, error) {
 	case LogicECLedger:
 		m = imonitor.NewECLed(kind)
 	}
+	var onVerdict func(proc, index int, v Verdict, step, hist int)
+	if report != nil {
+		onVerdict = func(proc, index int, v Verdict, step, hist int) {
+			if src.err == nil {
+				report(proc, index, v, step, hist)
+			}
+		}
+	}
 	res := s.s.Run(imonitor.Config{
 		N:       cfg.N,
 		Monitor: m,
@@ -228,14 +386,19 @@ func (s *Session) Run(cfg Config) (*Result, error) {
 			return tau, []int{adv.Register(rt)}
 		},
 		MaxSteps: cfg.MaxSteps,
+		Report:   onVerdict,
 	})
+	src.drain()
+	if src.err != nil {
+		return nil, src.err
+	}
 	if !res.Drained {
 		maxSteps := cfg.MaxSteps
 		if maxSteps <= 0 {
 			maxSteps = DefaultMaxSteps
 		}
 		return res, fmt.Errorf("%w: %d of %d history events exhibited in %d steps (MaxSteps %d)",
-			ErrTruncated, len(res.History), len(cfg.History), res.Steps, maxSteps)
+			ErrTruncated, len(res.History), src.events, res.Steps, maxSteps)
 	}
 	return res, nil
 }

@@ -150,7 +150,7 @@ func (a *A) dropCrashed() {
 // runtime and returns its actor ID (usable in scripted policies).
 func (a *A) Register(rt *sched.Runtime) int {
 	a.rt = rt
-	a.cursor = rt.AddAux("adversary-cursor", a.cursorRunnable, a.cursorStep)
+	a.cursor = rt.AddAux(a.cursorRunnable, a.cursorStep)
 	return a.cursor
 }
 

@@ -30,6 +30,12 @@ type Config struct {
 	// Section 5) use it to place every step explicitly. MaxSteps and Crash
 	// are ignored when Drive is set.
 	Drive func(rt *sched.Runtime)
+	// Report, when non-nil, is called with each verdict as its process
+	// appends it to the Result: the process, the verdict's index in that
+	// process's stream, the verdict, and the step and exhibited-history
+	// length recorded with it. It runs inside the reporting process's step,
+	// so a Report that blocks holds the whole run.
+	Report func(proc, index int, v Verdict, step, hist int)
 }
 
 // Result is the outcome of a monitored execution; re-homed in the exported

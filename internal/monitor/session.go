@@ -40,6 +40,7 @@ type Session struct {
 	svc    adversary.Service
 	stats  adversary.Stats
 	logics []Logic
+	report func(proc, index int, v Verdict, step, hist int)
 }
 
 // NewSession returns an empty session; its runtime is created lazily at the
@@ -122,8 +123,9 @@ func (s *Session) body(i int) func(p *sched.Proc) {
 			res.Responses[i] = append(res.Responses[i], resp)
 			logic.PostRecv(p, resp) // Line 05
 			d := logic.Decide(p)    // Line 06
+			step := s.rt.Steps()
 			res.Verdicts[i] = append(res.Verdicts[i], d)
-			res.StepAt[i] = append(res.StepAt[i], s.rt.Steps())
+			res.StepAt[i] = append(res.StepAt[i], step)
 			src, hl := 0, 0
 			if s.stats != nil {
 				src = s.stats.Pulled()
@@ -131,6 +133,9 @@ func (s *Session) body(i int) func(p *sched.Proc) {
 			}
 			res.PulledAt[i] = append(res.PulledAt[i], src)
 			res.HistAt[i] = append(res.HistAt[i], hl)
+			if s.report != nil {
+				s.report(i, len(res.Verdicts[i])-1, d, step, hl)
+			}
 		}
 	}
 }
@@ -186,6 +191,7 @@ func (s *Session) Run(cfg Config) *Result {
 	}
 	s.svc = svc
 	s.stats, _ = svc.(adversary.Stats)
+	s.report = cfg.Report
 	s.logics = cfg.Monitor.New(cfg.N)
 	s.CheckPool() // rewind reclaims the pool's checkers
 	s.sc.rewind(cfg.N)

@@ -295,7 +295,7 @@ func (nt *Net) TakeRequest(id, i int) Message {
 // ID for use in scheduling policies.
 func (nt *Net) Register(rt *sched.Runtime) int {
 	nt.rt = rt
-	nt.delivery = rt.AddAux("msgnet-delivery", nt.deliverable, nt.deliverStep)
+	nt.delivery = rt.AddAux(nt.deliverable, nt.deliverStep)
 	return nt.delivery
 }
 
@@ -306,7 +306,7 @@ func (nt *Net) Register(rt *sched.Runtime) int {
 // must read nothing else that changes during a run.
 func (nt *Net) Serve(rt *sched.Runtime, id int, runnable func() bool, step func()) int {
 	nt.rt = rt
-	nt.servers[id] = rt.AddAux("msgnet-server", runnable, step)
+	nt.servers[id] = rt.AddAux(runnable, step)
 	return nt.servers[id]
 }
 

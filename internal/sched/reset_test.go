@@ -143,7 +143,7 @@ func TestResetAcrossSizes(t *testing.T) {
 // spawning, and that aux IDs restart at n.
 func TestResetReusesProcsAndAux(t *testing.T) {
 	rt := New(2, RoundRobin())
-	rt.AddAux("a", func() bool { return false }, func() {})
+	rt.AddAux(func() bool { return false }, func() {})
 	rt.Spawn(0, func(p *Proc) {
 		for {
 			p.Pause()
@@ -159,7 +159,7 @@ func TestResetReusesProcsAndAux(t *testing.T) {
 	if rt.Steps() != 0 {
 		t.Errorf("Steps after Reset = %d, want 0", rt.Steps())
 	}
-	if id := rt.AddAux("b", func() bool { return false }, func() {}); id != 2 {
+	if id := rt.AddAux(func() bool { return false }, func() {}); id != 2 {
 		t.Errorf("first aux ID after Reset = %d, want 2", id)
 	}
 	// Spawning the same process again must not panic: Reset re-armed it.
@@ -204,7 +204,7 @@ func TestStepZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-	rt.AddAux("aux", func() bool { return true }, func() {})
+	rt.AddAux(func() bool { return true }, func() {})
 	if avg := testing.AllocsPerRun(1000, func() { rt.Step() }); avg != 0 {
 		t.Errorf("Step allocates %.1f objects per call, want 0", avg)
 	}
@@ -228,7 +228,7 @@ func TestResetZeroAlloc(t *testing.T) {
 	}
 	cycle := func() {
 		rt.Reset(3, pol)
-		rt.AddAux("aux", func() bool { return false }, func() {})
+		rt.AddAux(func() bool { return false }, func() {})
 		for i, b := range bodies {
 			rt.Spawn(i, b)
 		}

@@ -179,7 +179,6 @@ type Runtime struct {
 }
 
 type auxActor struct {
-	name     string
 	runnable func() bool
 	step     func()
 }
@@ -279,11 +278,11 @@ func (rt *Runtime) Spawn(id int, body func(p *Proc)) {
 // policies and for Wake. Like a process's gate, runnable is re-read only
 // after the actor's own steps and when it is woken, so every step that
 // changes runnable's answer must Wake the actor.
-func (rt *Runtime) AddAux(name string, runnable func() bool, step func()) int {
+func (rt *Runtime) AddAux(runnable func() bool, step func()) int {
 	if rt.started {
 		panic("sched: AddAux after Run")
 	}
-	rt.aux = append(rt.aux, auxActor{name: name, runnable: runnable, step: step})
+	rt.aux = append(rt.aux, auxActor{runnable: runnable, step: step})
 	rt.in = append(rt.in, false)
 	rt.isWoken = append(rt.isWoken, false)
 	id := rt.n + len(rt.aux) - 1

@@ -188,7 +188,7 @@ func TestAuxActor(t *testing.T) {
 	rt := New(1, RoundRobin())
 	fired := 0
 	budget := 3
-	id := rt.AddAux("cursor", func() bool { return budget > 0 }, func() {
+	id := rt.AddAux(func() bool { return budget > 0 }, func() {
 		budget--
 		fired++
 	})
@@ -254,7 +254,7 @@ func TestScriptPolicyPanicsOnNonRunnable(t *testing.T) {
 func TestPrioritize(t *testing.T) {
 	rt := New(1, Prioritize(1, RoundRobin()))
 	budget := 5
-	rt.AddAux("hot", func() bool { return budget > 0 }, func() { budget-- })
+	rt.AddAux(func() bool { return budget > 0 }, func() { budget-- })
 	steps0 := 0
 	rt.Spawn(0, func(p *Proc) {
 		for {
@@ -275,7 +275,7 @@ func TestPrioritize(t *testing.T) {
 func TestBiasedPolicyDistribution(t *testing.T) {
 	rt := New(1, Biased(3, 1, 0.9))
 	auxSteps, procSteps := 0, 0
-	rt.AddAux("adv", func() bool { return true }, func() { auxSteps++ })
+	rt.AddAux(func() bool { return true }, func() { auxSteps++ })
 	rt.Spawn(0, func(p *Proc) {
 		for {
 			procSteps++

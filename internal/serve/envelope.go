@@ -54,9 +54,8 @@ type ClientConfig struct {
 // Open starts a verdict stream: it names the stream and selects the monitor
 // that will judge its history. The history itself follows as event lines in
 // the exp/trace wire format (one meta header, then symbols). Stream ids may
-// be reused once the stream is closed: runs for one id always execute on the
-// same pooled session, in order, and every response about a reopened id
-// follows the earlier run's done line.
+// be reused once the stream is closed: every response about a reopened id
+// follows the earlier run's last line.
 type Open struct {
 	// Stream is the client-chosen stream id; all later lines of this stream
 	// name it.
@@ -92,8 +91,12 @@ type CloseStream struct {
 // Response is one server→client line. Exactly one field is set per line: a
 // config ack first, then per-stream opened/verdict/done/error lines. For a
 // given stream the order is opened, then every verdict in (proc, index)
-// order, then done — deterministic for a given input, so a served verdict
-// stream can be byte-compared against a replay of its recorded input.
+// order, then done — deterministic for a given input however it is paced,
+// so a served verdict stream can be byte-compared against a replay of its
+// recorded input. Process 0's verdicts leave while the stream is still open;
+// the rest leave at close. A stream that fails keeps the verdict lines
+// already sent and ends with its error line; one abandoned before close
+// (the connection's input ended) ends with whatever was already sent.
 type Response struct {
 	Config  *ServerConfig `json:"config,omitempty"`
 	Opened  *Opened       `json:"opened,omitempty"`

@@ -100,7 +100,7 @@ func queueWord() trace.Word {
 
 func TestServeSingleStream(t *testing.T) {
 	req := request(t, streamRequest(t, Open{Stream: "s1", Logic: "lin", Object: "queue"}, 2, queueWord())...)
-	raw := serveOnce(t, Config{Shards: 2}, req)
+	raw := serveOnce(t, Config{}, req)
 	resps := parseResponses(t, raw)
 
 	if len(resps) < 3 {
@@ -153,7 +153,7 @@ func TestServeSingleStream(t *testing.T) {
 func TestServeMatchesDirectReplay(t *testing.T) {
 	h := queueWord()
 	req := request(t, streamRequest(t, Open{Stream: "audit", Logic: "lin", Object: "queue"}, 2, h)...)
-	resps := parseResponses(t, serveOnce(t, Config{Shards: 3}, req))
+	resps := parseResponses(t, serveOnce(t, Config{}, req))
 
 	res, err := monitor.Run(monitor.Config{N: 2, Object: trace.Queue(), Logic: monitor.LogicLin, History: h})
 	if err != nil {
@@ -185,22 +185,36 @@ func TestServeMatchesDirectReplay(t *testing.T) {
 }
 
 // TestServeDeterministicAcrossPools pins byte-identical responses across
-// runs and across session-pool sizes.
+// runs and across the server's session pool: a fresh server, and one whose
+// idle sessions were warmed by other logics and process counts, serve the
+// same bytes.
 func TestServeDeterministicAcrossPools(t *testing.T) {
 	req := request(t,
 		append(streamRequest(t, Open{Stream: "a", Logic: "lin", Object: "queue"}, 2, queueWord()),
 			streamRequest(t, Open{Stream: "a", Logic: "sc", Object: "queue"}, 2, queueWord())...)...)
-	first := serveOnce(t, Config{Shards: 1}, req)
-	for _, shards := range []int{1, 4, 16} {
-		got := serveOnce(t, Config{Shards: shards}, req)
-		if !bytes.Equal(first, got) {
-			t.Fatalf("responses differ between shards=1 and shards=%d:\n%s\nvs\n%s", shards, first, got)
+	first := serveOnce(t, Config{}, req)
+
+	warm := New(Config{})
+	defer warm.Shutdown(context.Background())
+	counter := trace.NewB().Inv(0, "inc", nil).Op(1, "read", nil, trace.Int(0)).Res(0, "inc", trace.Unit{}).Word()
+	warmup := request(t, append(streamRequest(t, Open{Stream: "w1", Logic: "wec"}, 3, counter),
+		streamRequest(t, Open{Stream: "w2", Logic: "lin", Object: "queue"}, 4, queueWord())...)...)
+	for rep := 0; rep < 3; rep++ {
+		if err := warm.ServeConn(rw{bytes.NewReader(warmup), io.Discard}); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := warm.ServeConn(rw{bytes.NewReader(req), &got}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, got.Bytes()) {
+			t.Fatalf("responses differ between a fresh and a warm server (round %d):\n%s\nvs\n%s", rep, first, got.Bytes())
 		}
 	}
 }
 
 // TestServeReopenBehindLongRun reopens a stream id while the id's earlier
-// run is still replaying on its shard: every response about the reopened id
+// run is still replaying: every response about the reopened id
 // — its opened ack, or its open error — must follow the earlier run's done
 // line, so a client reusing an id can tell which run each line belongs to.
 func TestServeReopenBehindLongRun(t *testing.T) {
@@ -220,22 +234,20 @@ func TestServeReopenBehindLongRun(t *testing.T) {
 			func(r Response) bool { return r.Error != nil }},
 	} {
 		req := request(t, append(append([]Request(nil), long...), tc.reopen...)...)
-		for _, shards := range []int{1, 4} {
-			for rep := 0; rep < 10; rep++ {
-				resps := parseResponses(t, serveOnce(t, Config{Shards: shards}, req))
-				firstDone, reopened := -1, -1
-				for i, r := range resps {
-					if r.Done != nil && firstDone < 0 {
-						firstDone = i
-					}
-					if i > 1 && tc.want(r) && reopened < 0 {
-						reopened = i
-					}
+		for rep := 0; rep < 20; rep++ {
+			resps := parseResponses(t, serveOnce(t, Config{}, req))
+			firstDone, reopened := -1, -1
+			for i, r := range resps {
+				if r.Done != nil && firstDone < 0 {
+					firstDone = i
 				}
-				if firstDone < 0 || reopened < 0 || reopened < firstDone {
-					t.Fatalf("%s, shards=%d: reopened id's first response at line %d, earlier run's done at line %d:\n%+v",
-						tc.name, shards, reopened, firstDone, resps)
+				if i > 1 && tc.want(r) && reopened < 0 {
+					reopened = i
 				}
+			}
+			if firstDone < 0 || reopened < 0 || reopened < firstDone {
+				t.Fatalf("%s: reopened id's first response at line %d, earlier run's done at line %d:\n%+v",
+					tc.name, reopened, firstDone, resps)
 			}
 		}
 	}
@@ -275,7 +287,7 @@ func TestServeMultiStreamPerStreamDeterminism(t *testing.T) {
 			break
 		}
 	}
-	interleaved := parseResponses(t, serveOnce(t, Config{Shards: 2}, request(t, msgs...)))
+	interleaved := parseResponses(t, serveOnce(t, Config{}, request(t, msgs...)))
 
 	project := func(resps []Response, id string) []string {
 		var out []string
@@ -295,7 +307,7 @@ func TestServeMultiStreamPerStreamDeterminism(t *testing.T) {
 		return out
 	}
 	for _, id := range ids {
-		solo := parseResponses(t, serveOnce(t, Config{Shards: 2}, request(t, streamRequest(t, open[id], 2, words[id])...)))
+		solo := parseResponses(t, serveOnce(t, Config{}, request(t, streamRequest(t, open[id], 2, words[id])...)))
 		want := project(solo, id)
 		got := project(interleaved, id)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -308,29 +320,38 @@ func TestServeMultiStreamPerStreamDeterminism(t *testing.T) {
 }
 
 // TestIllTypedCounterStreamFailsAlone sends a counter stream whose read
-// returns no integer ahead of a valid queue stream on one shard, for both
-// counter logics. The bad stream must get one error line naming the symbol
-// instead of crashing the shard worker, and the valid stream must still get
-// the lines it gets alone.
+// returns no integer ahead of a valid queue stream on one connection, for
+// both counter logics. The bad stream must end in one error line naming the
+// symbol instead of crashing its replay, and the valid stream must still
+// get the lines it gets alone. The bad stream's replay may report process
+// 0's verdict on the increment before it reaches the bad read; that line
+// is kept, ahead of the error.
 func TestIllTypedCounterStreamFailsAlone(t *testing.T) {
 	good := streamRequest(t, Open{Stream: "q", Logic: "lin", Object: "queue"}, 2, queueWord())
-	alone := serveOnce(t, Config{Shards: 1}, request(t, good...))
+	alone := serveOnce(t, Config{}, request(t, good...))
 	for logic, read := range map[string]trace.Value{"wec": trace.Unit{}, "sec": nil} {
 		bad := trace.NewB().Op(0, trace.OpInc, nil, trace.Unit{}).Op(0, trace.OpRead, nil, read).Word()
 		msgs := append(streamRequest(t, Open{Stream: "bad", Logic: logic}, 1, bad), good...)
 		var badLines []Response
 		var others bytes.Buffer
-		raw := serveOnce(t, Config{Shards: 1}, request(t, msgs...))
+		raw := serveOnce(t, Config{}, request(t, msgs...))
 		for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
 			if r := parseResponses(t, line); len(r) == 1 && (r[0].Opened != nil && r[0].Opened.Stream == "bad" ||
+				r[0].Verdict != nil && r[0].Verdict.Stream == "bad" ||
 				r[0].Error != nil && r[0].Error.Stream == "bad") {
 				badLines = append(badLines, r[0])
 				continue
 			}
 			others.Write(line)
 		}
-		if len(badLines) != 2 || badLines[1].Error == nil || !strings.Contains(badLines[1].Error.Msg, "symbol 3") {
-			t.Fatalf("%s: bad stream got %+v, want an opened line and one error line naming symbol 3", logic, badLines)
+		n := len(badLines)
+		if n < 2 || badLines[0].Opened == nil || badLines[n-1].Error == nil || !strings.Contains(badLines[n-1].Error.Msg, "symbol 3") {
+			t.Fatalf("%s: bad stream got %+v, want an opened line first and one error line naming symbol 3 last", logic, badLines)
+		}
+		for _, r := range badLines[1 : n-1] {
+			if r.Verdict == nil || r.Verdict.Proc != 0 {
+				t.Fatalf("%s: bad stream got %+v between its opened and error lines, want only process 0's verdicts", logic, r)
+			}
 		}
 		if !bytes.Equal(others.Bytes(), alone) {
 			t.Fatalf("%s: valid stream drifted:\n--- got ---\n%s\n--- alone ---\n%s", logic, others.Bytes(), alone)
@@ -347,7 +368,7 @@ func TestServeTruncation(t *testing.T) {
 	}
 	h := b.Word()
 	req := request(t, streamRequest(t, Open{Stream: "cut", Logic: "lin", Object: "queue", MaxSteps: 30}, 1, h)...)
-	resps := parseResponses(t, serveOnce(t, Config{Shards: 1}, req))
+	resps := parseResponses(t, serveOnce(t, Config{}, req))
 	last := resps[len(resps)-1]
 	if last.Done == nil || !last.Done.Truncated {
 		t.Fatalf("cut replay did not report truncated: %+v", last)
@@ -408,7 +429,7 @@ func TestServeProtocolErrors(t *testing.T) {
 			if raw == nil {
 				raw = request(t, tc.msgs...)
 			}
-			resps := parseResponses(t, serveOnce(t, Config{Shards: 1}, raw))
+			resps := parseResponses(t, serveOnce(t, Config{}, raw))
 			found := false
 			for _, r := range resps {
 				if r.Error == nil {
@@ -441,7 +462,7 @@ func TestServeFailedStreamIsQuiet(t *testing.T) {
 		{Close: &CloseStream{Stream: "s"}}, // swallowed
 	}
 	msgs = append(msgs, streamRequest(t, Open{Stream: "s", Logic: "lin", Object: "queue"}, 2, queueWord())...)
-	resps := parseResponses(t, serveOnce(t, Config{Shards: 1}, request(t, msgs...)))
+	resps := parseResponses(t, serveOnce(t, Config{}, request(t, msgs...)))
 
 	errs, dones := 0, 0
 	for _, r := range resps {
@@ -472,7 +493,7 @@ func TestServeStreamEventCap(t *testing.T) {
 		}
 		msgs = append(msgs, Request{Event: &StreamEvent{Stream: "s", Event: ev}})
 	}
-	resps := parseResponses(t, serveOnce(t, Config{Shards: 1, MaxStreamEvents: 3}, request(t, msgs...)))
+	resps := parseResponses(t, serveOnce(t, Config{MaxStreamEvents: 3}, request(t, msgs...)))
 	found := false
 	for _, r := range resps {
 		if r.Error != nil && strings.Contains(r.Error.Msg, "exceeds the 3-event bound") {
@@ -488,7 +509,7 @@ func TestServeStreamEventCap(t *testing.T) {
 // streams on several connections and checks every stream is served: bounded
 // queues may stall producers but must not deadlock or drop.
 func TestServeBackpressureCompletes(t *testing.T) {
-	srv := New(Config{Shards: 2, QueueDepth: 1, WriteDepth: 1})
+	srv := New(Config{WriteDepth: 1})
 	defer srv.Shutdown(context.Background())
 
 	const conns, streamsPer = 3, 8
@@ -574,7 +595,7 @@ func parseResponsesRaw(raw []byte) []Response {
 // stream's run is in flight, and checks the verdicts are still delivered
 // before the server stops.
 func TestServeTCPGracefulDrain(t *testing.T) {
-	srv := New(Config{Shards: 2})
+	srv := New(Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,26 +1,41 @@
 // Package serve implements monitoring-as-a-service over the exported exp/
 // surface: a long-running server that accepts recorded histories as NDJSON
 // trace streams (the exp/trace Writer/Read line format inside a versioned
-// request/response envelope), routes each stream through a sharded pool of
-// exp/monitor sessions keyed by stream id, and streams the verdict events
-// back incrementally as they are produced.
+// request/response envelope), replays each stream through an exp/monitor
+// session while the stream's events arrive, and streams the verdict events
+// back as they become final.
 //
 // The protocol is line-oriented in both directions; see envelope.go for the
 // message set. encoding/json defines the line format, but the two lines that
 // dominate the traffic — a history symbol in, a verdict or done line out —
 // are parsed and written by hand (wire.go), to the same bytes and values. A
 // connection's responses are flushed whenever its outbound queue runs empty,
-// not once per line. Backpressure is bounded queues end to end: per-shard job
-// queues (a burst of closed streams blocks the connections that sent them,
-// not the server), per-connection outbound queues (a slow reader stalls only
-// the shards serving its streams), and a per-stream event cap (a stream
-// cannot buffer an unbounded history). Shutdown drains: in-flight runs
-// finish and their verdicts are delivered before the server stops.
+// not once per line.
+//
+// Each stream's replay starts at its first symbol, on a goroutine holding a
+// pooled exp/monitor.Session, and blocks whenever it has consumed every
+// event received so far; close ends its input. The replay makes the batch
+// replay's scheduling choices whatever the pacing, so a stream's lines keep
+// the batch order — every verdict in (proc, index) order, then done — and a
+// line leaves as soon as every line before it is final. Process 0's
+// verdicts therefore leave as the replay reports them; a later process's
+// stream is final only once it exits, at the end of the history, so its
+// lines and done leave at close.
+//
+// Backpressure is bounded queues end to end: per-connection outbound queues
+// (a slow reader stalls only the replays of its own streams) and a
+// per-stream event cap (a stream cannot buffer an unbounded history), and a
+// stream's meta n is bounded by MaxProcs. Shutdown drains: closed streams'
+// replays finish and their verdicts are delivered before the server stops.
 //
 // Served verdict streams inherit the replay determinism contract: the same
-// input stream yields byte-identical response lines, regardless of pool
-// size or how the input was chunked, and re-running the recorded history
-// through exp/monitor.Run reproduces exactly the served verdicts.
+// input stream yields byte-identical response lines, regardless of how the
+// input was paced or chunked, and re-running the recorded history through
+// exp/monitor.Run reproduces exactly the served verdicts. Streams that fail
+// or are abandoned keep the lines already sent: a stream that turns out
+// malformed after some of its verdicts left gets its error line after them,
+// and a stream still open when its connection's input ends gets nothing
+// more.
 package serve
 
 import (
@@ -30,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 
 	"github.com/drv-go/drv/exp/monitor"
@@ -39,23 +53,25 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	// DefaultQueueDepth bounds each shard's pending-run queue.
-	DefaultQueueDepth = 16
 	// DefaultWriteDepth bounds each connection's outbound response queue.
 	DefaultWriteDepth = 64
 	// DefaultMaxStreamEvents bounds the history one stream may buffer.
 	DefaultMaxStreamEvents = 1 << 20
 )
 
+// MaxProcs bounds a stream's meta n, the number of monitor processes its
+// replay runs. A replay's cost grows faster than linearly in n, so one
+// stream naming a huge n could exhaust the server's memory and take every
+// other stream with it; the module's own tools use at most 12.
+const MaxProcs = 256
+
+// maxIdleSessions bounds the sessions a server keeps for later replays once
+// their streams are done; a burst of concurrent streams beyond it closes the
+// extra sessions instead of holding them.
+const maxIdleSessions = 64
+
 // Config sizes a Server.
 type Config struct {
-	// Shards is the session-pool width: the number of worker goroutines,
-	// each owning one exp/monitor.Session. Streams are keyed to shards by
-	// stream id. Zero means GOMAXPROCS.
-	Shards int
-	// QueueDepth bounds each shard's pending-run queue; zero means
-	// DefaultQueueDepth.
-	QueueDepth int
 	// WriteDepth bounds each connection's outbound response queue; zero
 	// means DefaultWriteDepth.
 	WriteDepth int
@@ -65,12 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
 	if c.WriteDepth <= 0 {
 		c.WriteDepth = DefaultWriteDepth
 	}
@@ -87,26 +97,51 @@ var ErrServerClosed = errors.New("serve: server closed")
 // with New, run with Serve (TCP) and/or ServeConn (any byte stream), stop
 // with Shutdown.
 type Server struct {
-	cfg  Config
-	pool *pool
+	cfg Config
 
 	mu        sync.Mutex
 	closing   bool
 	listeners map[net.Listener]struct{}
 	conns     map[io.Closer]struct{}
 	connWG    sync.WaitGroup
+	// idle holds sessions whose replays are done, for later replays to
+	// reuse warm; Shutdown closes them.
+	idle []*monitor.Session
 }
 
-// New returns a running server (its session pool is live; connections can be
-// served immediately). Stop it with Shutdown.
+// New returns a server ready to serve connections. Stop it with Shutdown.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:       cfg,
-		pool:      newPool(cfg.Shards, cfg.QueueDepth),
+		cfg:       cfg.withDefaults(),
 		listeners: map[net.Listener]struct{}{},
 		conns:     map[io.Closer]struct{}{},
 	}
+}
+
+// session takes an idle session, or a new one when none is idle.
+func (s *Server) session() *monitor.Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		sess := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return sess
+	}
+	return monitor.NewSession()
+}
+
+// release returns a session whose replay is done. A closing server, or one
+// already holding maxIdleSessions, closes it instead: an idle session keeps
+// its parked process coroutines.
+func (s *Server) release(sess *monitor.Session) {
+	s.mu.Lock()
+	if !s.closing && len(s.idle) < maxIdleSessions {
+		s.idle = append(s.idle, sess)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	sess.Close()
 }
 
 // Serve accepts connections on l until Shutdown, serving each on its own
@@ -170,18 +205,18 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 
 func (s *Server) serveConn(rw io.ReadWriter) error {
 	c := &conn{
-		srv:      s,
-		out:      make(chan Response, s.cfg.WriteDepth),
-		streams:  map[string]*stream{},
-		inflight: map[string]int{},
+		srv:     s,
+		out:     make(chan Response, s.cfg.WriteDepth),
+		streams: map[string]*stream{},
+		tails:   map[string]chan struct{}{},
 	}
 
 	// The writer goroutine serializes all response lines — the reader's acks
-	// and the shard workers' verdicts — and flushes whenever the queue runs
-	// empty: a burst of lines leaves in as few writes as the buffer allows,
-	// and no line waits while the queue is idle, so clients still see
-	// verdicts as they are produced. On a transport error it keeps draining
-	// (discarding) so no worker blocks on a dead connection.
+	// and the replays' verdicts — and flushes whenever the queue runs empty:
+	// a burst of lines leaves in as few writes as the buffer allows, and no
+	// line waits while the queue is idle, so clients see verdicts as they
+	// are produced. On a transport error it keeps draining (discarding) so
+	// no replay blocks on a dead connection.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -206,7 +241,14 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 	}()
 
 	err := c.read(rw)
-	c.jobs.Wait() // every enqueued run has delivered its responses
+	// Streams still open have no more input: their replays end at once and
+	// send nothing more. Closed streams' replays finish and deliver.
+	for _, st := range c.streams {
+		if st.running {
+			st.end(true)
+		}
+	}
+	c.pending.Wait()
 	close(c.out)
 	<-writerDone
 	if errors.Is(err, errConnFatal) {
@@ -217,10 +259,11 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 }
 
 // Shutdown stops the server gracefully: it stops accepting, waits for every
-// connection to finish (their in-flight runs drain and deliver), then stops
-// the session pool. If ctx expires first, remaining connections are
-// force-closed — their queued runs still drain, but undelivered responses
-// are discarded — and ctx's error is returned.
+// connection to finish (their closed streams' replays drain and deliver),
+// then closes the idle sessions. If ctx expires first, remaining
+// connections are force-closed — their closed streams' replays still
+// finish, but undelivered responses are discarded — and ctx's error is
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -250,68 +293,265 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.pool.stop()
+	s.mu.Lock()
+	idle := s.idle
+	s.idle = nil
+	s.mu.Unlock()
+	for _, sess := range idle {
+		sess.Close()
+	}
 	return err
 }
 
 // conn is the per-connection state: the protocol reader's stream table, the
-// shared outbound queue, and the count of queued or running jobs per stream
-// id.
+// shared outbound queue, and per stream id the line that must leave before
+// the id's next one.
 type conn struct {
-	srv     *Server
-	out     chan Response
-	jobs    sync.WaitGroup
-	streams map[string]*stream
+	srv *Server
+	out chan Response
+	// pending counts the replays and deferred lines not yet delivered.
+	pending sync.WaitGroup
+	streams map[string]*stream // reader-owned: the open streams by id
 
-	mu       sync.Mutex
-	inflight map[string]int
+	mu sync.Mutex
+	// tails maps a stream id to a channel closed once every line queued
+	// for the id so far has left; ids with nothing queued have no entry.
+	tails map[string]chan struct{}
 }
 
-// enqueue hands a job for stream id to its shard, counting it in flight
-// until the worker is done with it.
-func (c *conn) enqueue(id string, j *job) {
-	c.mu.Lock()
-	c.inflight[id]++
-	c.mu.Unlock()
-	c.jobs.Add(1)
-	j.stream = id
-	j.respond = func(resp Response) { c.out <- resp }
-	j.done = func() {
-		c.mu.Lock()
-		if c.inflight[id]--; c.inflight[id] == 0 {
-			delete(c.inflight, id)
-		}
-		c.mu.Unlock()
-		c.jobs.Done()
-	}
-	c.srv.pool.shard(id) <- j
-}
-
-// send writes a response about stream id. While an earlier run of the id is
-// still queued or running on its shard, the response goes through the same
-// shard queue, so it leaves after that run's done: a client reusing an id
-// can tell which run each line belongs to. Otherwise it is written at once.
+// send writes a line about stream id. While an earlier line of the id is
+// still queued — an earlier run's replay is still sending — the line waits
+// behind it on its own goroutine, so a client reusing an id can tell which
+// run each line belongs to. Otherwise it is written at once.
 func (c *conn) send(id string, resp Response) {
 	c.mu.Lock()
-	busy := c.inflight[id] > 0
+	prev := c.tails[id]
+	if prev == nil {
+		c.mu.Unlock()
+		c.out <- resp
+		return
+	}
+	done := make(chan struct{})
+	c.tails[id] = done
 	c.mu.Unlock()
-	if busy {
-		c.enqueue(id, &job{note: &resp})
+	c.pending.Add(1)
+	go func() {
+		defer c.pending.Done()
+		<-prev
+		c.out <- resp
+		c.settle(id, done)
+	}()
+}
+
+// settle marks the id's line or run whose queue slot is done as delivered.
+func (c *conn) settle(id string, done chan struct{}) {
+	c.mu.Lock()
+	if c.tails[id] == done {
+		delete(c.tails, id)
+	}
+	c.mu.Unlock()
+	close(done)
+}
+
+// start launches st's replay, queued behind every line of its id sent so
+// far.
+func (c *conn) start(st *stream) {
+	st.running = true
+	st.done = make(chan struct{})
+	c.mu.Lock()
+	st.turn = c.tails[st.id]
+	c.tails[st.id] = st.done
+	c.mu.Unlock()
+	c.pending.Add(1)
+	go c.replay(st)
+}
+
+// replay runs st's replay as its events arrive and sends its lines: every
+// verdict in (proc, index) order, then the done summary — a deterministic
+// byte sequence for a given input. Process 0's verdicts leave as they are
+// reported; the rest follow once the history has ended. A replay cut by the
+// stream's MaxSteps still delivers its partial verdicts, flagged Truncated;
+// any other replay error becomes a stream-level error line at close.
+func (c *conn) replay(st *stream) {
+	defer c.pending.Done()
+	defer func() {
+		st.await()
+		c.settle(st.id, st.done)
+	}()
+	sess := c.srv.session()
+	defer c.srv.release(sess)
+
+	cfg := monitor.Config{
+		N:        st.meta.N,
+		Object:   st.object,
+		Logic:    st.logic,
+		Array:    st.array,
+		MaxSteps: st.open.MaxSteps,
+	}
+	res, err := sess.Stream(cfg, st.next, func(proc, index int, v monitor.Verdict, step, hist int) {
+		if proc == 0 {
+			c.emit(st, verdictLine(st.id, proc, index, v, step, hist))
+		}
+	})
+	truncated := false
+	if err != nil {
+		if !errors.Is(err, monitor.ErrTruncated) || res == nil {
+			// The error line leaves at the end of the input, as it did
+			// when streams were replayed at close. A history that failed
+			// Stream's check of each event is reported with the message
+			// the whole history's check gives, which Run returns before
+			// it replays anything.
+			if !st.wait() {
+				return
+			}
+			cfg.History = st.hist
+			if _, werr := sess.Run(cfg); werr != nil {
+				err = werr
+			}
+			c.emit(st, Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}})
+			return
+		}
+		truncated = true
+	}
+	verdicts, no := 0, 0
+	for p := range res.Verdicts {
+		for k, v := range res.Verdicts[p] {
+			verdicts++
+			if v == monitor.No {
+				no++
+			}
+			if p > 0 {
+				c.emit(st, verdictLine(st.id, p, k, v, res.StepAt[p][k], res.HistAt[p][k]))
+			}
+		}
+	}
+	c.emit(st, Response{Done: &Done{
+		Stream:    st.id,
+		Events:    len(res.History),
+		Steps:     res.Steps,
+		Verdicts:  verdicts,
+		NO:        no,
+		Truncated: truncated,
+	}})
+}
+
+// emit sends one of st's lines from its replay, once every earlier line of
+// the id has left; an abandoned stream's lines are dropped.
+func (c *conn) emit(st *stream, resp Response) {
+	st.await()
+	if st.abandoned() {
 		return
 	}
 	c.out <- resp
 }
 
-// stream is one open verdict stream: its monitor selection and the history
-// collected so far under the trace-format discipline.
+func verdictLine(id string, proc, index int, v monitor.Verdict, step, hist int) Response {
+	return Response{Verdict: &VerdictEvent{
+		Stream:  id,
+		Proc:    proc,
+		Index:   index,
+		Verdict: v.String(),
+		Step:    step,
+		Hist:    hist,
+	}}
+}
+
+// stream is one opening of a stream id: its monitor selection and the
+// history received so far under the trace-format discipline. From its first
+// symbol (or its close, if it has none) a replay goroutine consumes the
+// history as it grows.
 type stream struct {
-	open   Open
-	logic  monitor.Logic
-	object trace.Object
-	array  monitor.Array
-	meta   *trace.Meta
-	hist   trace.Word
-	failed bool
+	id      string
+	open    Open
+	logic   monitor.Logic
+	object  trace.Object
+	array   monitor.Array
+	meta    *trace.Meta
+	failed  bool
+	running bool // the replay has started
+
+	// turn is closed once every earlier line of the id has left (nil: none
+	// was pending when the replay started); done is closed once the
+	// replay's own lines have. waited is replay-owned: turn has closed.
+	turn   <-chan struct{}
+	done   chan struct{}
+	waited bool
+
+	// Shared between the reader, which appends and ends, and the replay,
+	// which consumes.
+	mu    sync.Mutex
+	more  *sync.Cond // signalled on every append and at the end
+	hist  trace.Word // every symbol received, in order
+	read  int        // how many of hist the replay has taken
+	ended bool       // no more input: the stream closed, failed or was cut off
+	quiet bool       // the stream failed or was abandoned: send nothing more
+}
+
+func newStream(id string) *stream {
+	st := &stream{id: id}
+	st.more = sync.NewCond(&st.mu)
+	return st
+}
+
+// push appends a received symbol, waking the replay if it waits for one.
+func (st *stream) push(sym trace.Symbol) {
+	st.mu.Lock()
+	st.hist = append(st.hist, sym)
+	st.mu.Unlock()
+	st.more.Signal()
+}
+
+// end ends the stream's input; quiet also drops every line the replay has
+// not sent yet.
+func (st *stream) end(quiet bool) {
+	st.mu.Lock()
+	st.ended = true
+	st.quiet = st.quiet || quiet
+	st.mu.Unlock()
+	st.more.Signal()
+}
+
+// next is the replay's event supply: it blocks until a symbol the replay
+// has not taken arrives, and reports false once the input has ended — at
+// once, buffered symbols or not, for an abandoned stream.
+func (st *stream) next() (trace.Symbol, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.read == len(st.hist) && !st.ended {
+		st.more.Wait()
+	}
+	if st.read == len(st.hist) || st.quiet {
+		return trace.Symbol{}, false
+	}
+	sym := st.hist[st.read]
+	st.read++
+	return sym, true
+}
+
+// wait blocks until the input has ended and reports whether the stream's
+// lines are still wanted.
+func (st *stream) wait() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for !st.ended {
+		st.more.Wait()
+	}
+	return !st.quiet
+}
+
+// abandoned reports whether the stream's remaining lines are dropped.
+func (st *stream) abandoned() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.quiet
+}
+
+// await blocks the replay until every earlier line of the id has left.
+func (st *stream) await() {
+	if !st.waited && st.turn != nil {
+		<-st.turn
+	}
+	st.waited = true
 }
 
 // errConnFatal marks protocol failures that were already reported in-band.
@@ -377,10 +617,14 @@ func (c *conn) fatal(line int, msg string) error {
 	return errConnFatal
 }
 
-// fail reports a stream-level error and marks the stream dead: its further
-// input is discarded (no error flood), its close is swallowed, and its id
-// may be reopened.
+// fail reports a stream-level error and marks the stream dead: its replay,
+// if running, ends its input and sends nothing more; its further input is
+// discarded (no error flood), its close is swallowed, and its id may be
+// reopened. The error line follows every line the replay has sent.
 func (c *conn) fail(id string, line int, msg string) {
+	if st := c.streams[id]; st != nil && st.running {
+		st.end(true)
+	}
 	c.send(id, Response{Error: &StreamError{Stream: id, Line: line, Msg: msg}})
 	c.streams[id] = &stream{failed: true}
 }
@@ -409,7 +653,9 @@ func (c *conn) handleOpen(line int, o *Open) {
 		c.fail(o.Stream, line, err.Error())
 		return
 	}
-	c.streams[o.Stream] = &stream{open: *o, logic: logic, object: object, array: array}
+	st := newStream(o.Stream)
+	st.open, st.logic, st.object, st.array = *o, logic, object, array
+	c.streams[o.Stream] = st
 	c.send(o.Stream, Response{Opened: &Opened{Stream: o.Stream}})
 }
 
@@ -436,6 +682,10 @@ func (c *conn) handleEvent(line int, ev *StreamEvent) {
 			c.fail(ev.Stream, line, fmt.Sprintf("meta n must be ≥ 1, got %d", ev.Meta.N))
 			return
 		}
+		if ev.Meta.N > MaxProcs {
+			c.fail(ev.Stream, line, fmt.Sprintf("meta n must be ≤ %d, got %d", MaxProcs, ev.Meta.N))
+			return
+		}
 		m := *ev.Meta
 		st.meta = &m
 	case trace.KindSym:
@@ -452,7 +702,10 @@ func (c *conn) handleEvent(line int, ev *StreamEvent) {
 			c.fail(ev.Stream, line, err.Error())
 			return
 		}
-		st.hist = append(st.hist, sym)
+		if !st.running {
+			c.start(st)
+		}
+		st.push(sym)
 	case trace.KindVerdict:
 		c.fail(ev.Stream, line, "verdict lines are server output, not stream input")
 	default:
@@ -467,7 +720,7 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 		delete(c.streams, cl.Stream)
 		return
 	}
-	delete(c.streams, cl.Stream) // the id may be reopened; runs stay ordered per shard
+	delete(c.streams, cl.Stream) // the id may be reopened; its lines stay ordered
 	if st.failed {
 		return
 	}
@@ -475,14 +728,10 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 		c.send(cl.Stream, Response{Error: &StreamError{Stream: cl.Stream, Line: line, Msg: "stream closed without a meta header"}})
 		return
 	}
-	c.enqueue(cl.Stream, &job{cfg: monitor.Config{
-		N:        st.meta.N,
-		Object:   st.object,
-		Logic:    st.logic,
-		History:  st.hist,
-		Array:    st.array,
-		MaxSteps: st.open.MaxSteps,
-	}})
+	if !st.running {
+		c.start(st)
+	}
+	st.end(false)
 }
 
 // logicByName maps the wire name to the monitor logic.

@@ -235,7 +235,7 @@ func BenchmarkAppendResponse(b *testing.B) {
 // server started must exit.
 func TestServeLockStepFlushOnDrain(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := New(Config{Shards: 2})
+	srv := New(Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestServeLockStepFlushOnDrain(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		open := Open{Stream: fmt.Sprintf("s%02d", i), Logic: "lin", Object: "queue"}
 		msgs := streamRequest(t, open, 2, queueWord())
-		solo := serveOnce(t, Config{Shards: 1}, request(t, msgs...))
+		solo := serveOnce(t, Config{}, request(t, msgs...))
 		want = append(want, solo[len(ack):]...)
 
 		req := request(t, msgs...)
