@@ -19,13 +19,16 @@
 //     labelled behaviour generators. Verdict-stream
 //     workloads use check.Incremental, which re-checks each growing prefix
 //     of one history by caching the last accepting linearization as a
-//     witness (extended in constant time on most appends) plus standing
-//     rejecting verdicts, falling back to a memoized residual search only
-//     when neither cache applies. That search has the from-scratch front
-//     search's state space and verdict but visits operations in the last
-//     witness's order, so a refuted witness is re-found within a few nodes;
-//     differential tests pin it symbol-for-symbol to the from-scratch
-//     checkers. check.ECLedger is the eventual ledger's counterpart for
+//     witness path (extended in constant time on most appends) plus
+//     standing rejecting verdicts, falling back to a memoized residual
+//     search only when neither cache applies. A history whose last few
+//     symbols changed is rewound to the first changed symbol, not re-fed.
+//     The search first resumes, under a node budget, from the deepest node
+//     of the refuted path that the refuted operation can still reach, then
+//     searches from the root in the last witness's order, so a refuted
+//     witness is usually re-found within a few nodes and the verdict is the
+//     from-scratch front search's; differential tests pin it
+//     symbol-for-symbol to the from-scratch checkers. check.ECLedger is the eventual ledger's counterpart for
 //     clause (1), which is order-free: an append multiset that only grows
 //     and a longest returned sequence that only extends, so each symbol
 //     costs only itself; check.Counter does the same for the eventual

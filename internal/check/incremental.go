@@ -9,11 +9,14 @@ import (
 
 // Incremental answers linearizability or sequential-consistency queries over
 // every prefix of one growing history without re-running the witness search
-// from scratch per prefix. The device is a cached witness: the last accepting
-// linearization found, kept as per-process placed-operation fronts, the
-// object state after its final placement, and the specification response
-// recorded for each placed-but-pending operation. Appending symbols updates
-// the witness in constant time in the common cases:
+// from scratch per prefix. The device is a cached witness: one ordered path
+// of placements, each an operation and the object state after it. The path
+// is always valid for the current history: it respects process order and,
+// when checked, real-time order, and the specification returns each placed
+// complete operation's real response. A placed pending operation gets the
+// specification's response. When the path also places every complete
+// operation it is an accepting linearization, and the history passes. Appending symbols updates the path
+// in constant time in the common cases:
 //
 //   - An invocation leaves the witness intact. The new operation is pending,
 //     and a pending operation may always be dropped from a linearization, so
@@ -22,16 +25,16 @@ import (
 //     accepting, by being placed with the specification's response — so a
 //     rejecting verdict is re-checked, lazily, at the next query.)
 //
-//   - A response completes the process's pending operation. If the witness
-//     placed it, the recorded specification response either matches the real
-//     one (the witness still stands) or refutes the placement. If the
-//     witness dropped it, the operation is appended at the end of the
-//     witness when the specification's response from the witness's final
-//     state matches the real one — always legal there: per-process order is
-//     respected (the operation is its process's last), and under real-time
-//     precedence every operation that precedes it is complete, hence already
-//     placed, while the new operation precedes nothing (its response is the
-//     history's last symbol).
+//   - A response completes the process's pending operation. If the path
+//     placed it, the specification's response there either matches the real
+//     one (the witness still stands) or refutes the placement, and the path
+//     is cut just before it. If the path dropped it, the operation is
+//     appended at the end of the path when the specification's response from
+//     the last state matches the real one — always legal there: per-process
+//     order is respected (the operation is its process's last), and under
+//     real-time precedence every operation that precedes it is complete,
+//     hence already placed, while the new operation precedes nothing (its
+//     response is the history's last symbol).
 //
 // Only when no cheap update applies does the next query run the residual
 // search: the package's memoized witness search (see search), over buffers
@@ -41,20 +44,28 @@ import (
 // witness, and once a round rejects, repeated queries of the unchanged
 // history cost nothing.
 //
-// The residual search is witness-ordered. A refuted witness is usually one
-// placement away from a new one, so the search visits each node's candidate
+// The residual search first resumes from the path. A refuted witness is
+// usually one placement away from a new one, so the search descends first
+// from the deepest path node the refuted operation can still reach, under a
+// node budget of about the path's length, and only then, sharing the memo,
+// from the initial state. The root search visits each node's candidate
 // front operations in ascending rank — their position in the linearization
 // the last successful search found — and the operations that linearization
-// never placed last, in process order. Only the visit order differs from the
-// one-shot search's, which cannot change an exhaustive memoized search's
-// verdict; it changes which witness is found and how soon. Ranks live as long
-// as the history: a successful search re-ranks every operation from its
-// accepting path, a rejecting search keeps the old ranks, and Reset clears
-// them all. The append-at-end repair leaves the appended operation unranked:
-// ranking it too made the first search of a whole-history check
-// follow the response order of a long accepted prefix, which sent some
-// sequential-consistency searches twenty times deeper than process order
-// does, for no gain on the verdict streams.
+// never placed last, in process order. Neither changes an exhaustive
+// memoized search's verdict, only which witness is found and how soon.
+// Ranks live as long as the operations they rank: a successful search
+// re-ranks every operation from its accepting path, a rejecting search
+// keeps the old ranks, and Reset clears them all. The append-at-end repair
+// leaves the appended operation's rank unchanged: ranking it too made the
+// first search of a whole-history check follow the response order of a long
+// accepted prefix, which sent some sequential-consistency searches twenty
+// times deeper than process order does, for no gain on the verdict streams.
+//
+// A history that changes near its end is rewound rather than re-fed
+// (CheckExtending): each undone response makes its operation pending again,
+// and its placement stands, with the real response as the specification's
+// there; each undone invocation cuts the path at the operation's placement. The
+// ranks of the surviving operations and the interned state tree carry over.
 //
 // Crash boundaries need no special casing: a crashed process's last
 // operation simply stays pending forever, which the witness already models
@@ -82,14 +93,14 @@ type Incremental struct {
 	pendingOf []int             // per-process index into ops of the pending op, -1 = none
 	nComplete int               // total complete operations
 
-	// The cached witness, valid when wValid: an accepting linearization of
-	// the current history, as per-process placed counts, the recorded
-	// specification response of each placed pending operation, and the
-	// object state after the last placement.
+	// The cached witness: path, valid for the current history, and at[oi],
+	// operation oi's index in it (-1 when unplaced). wValid: the path places
+	// every complete operation. While it does not, from is the path node the
+	// next search first descends from; 0 leaves only the root search.
+	path   []placement
+	at     []int
 	wValid bool
-	wFront []int
-	wRets  []trace.Value
-	wState trace.State
+	from   int
 
 	// The witness order: rank[oi] is operation oi's position in the
 	// linearization the last successful search found, -1 if it placed none.
@@ -98,16 +109,15 @@ type Incremental struct {
 	rank   []int
 	ranked bool
 
-	// Full-search scratch, retained across searches.
-	sFront   []int
-	sRets    []trace.Value
-	sLeft    int         // complete operations not yet placed
-	sPath    []int       // operations placed on the current descent, in order
-	winState trace.State // state at the accepting leaf
-	width    uint        // bits per front in a packed memo key: 64/n
-	packed   pairSet     // fruitless nodes whose key packs (packKey)
-	memo     byteSet     // every other fruitless node, by buildKey
-	key      []byte      // reused key-building buffer
+	// Search scratch, retained across searches.
+	sFront []int
+	sLeft  int     // complete operations not yet placed
+	sPath  []int   // operations placed on the current descent, in order
+	spare  int     // nodes the descent may still visit; negative: unbounded
+	width  uint    // bits per front in a packed memo key: 64/n
+	packed pairSet // fruitless nodes whose key packs (packKey)
+	memo   byteSet // every other fruitless node, by buildKey
+	key    []byte  // reused key-building buffer
 
 	// Work counters over the checker's lifetime, kept across Reset.
 	searches int // residual searches run
@@ -118,6 +128,15 @@ type Incremental struct {
 
 	okCache bool
 	okValid bool
+}
+
+// placement is one step of the cached witness: an operation and the object
+// state after it. The response the witness gives an operation pending when
+// placed is the specification's from the state before it, which is the
+// real one once the operation responds and the placement stands.
+type placement struct {
+	op int         // index into ops
+	st trace.State // object state after the operation
 }
 
 // readOnlyOp reports whether the named operation is non-mutating per the
@@ -143,7 +162,7 @@ func NewIncremental(obj trace.Object, realTime bool, n int) *Incremental {
 	return c
 }
 
-// Len returns the number of symbols fed since the last Reset.
+// Len returns the length of the history the checker holds.
 func (c *Incremental) Len() int { return len(c.syms) }
 
 // Reset rewinds the checker to the empty history over n processes, keeping
@@ -171,14 +190,15 @@ func (c *Incremental) Reset(n int) {
 
 	// The empty history's witness: nothing placed, initial state. An
 	// interned object's Init roots a fresh tree per Reset: the checker is
-	// single-goroutine, so every search of this history can share states
-	// across reconverging branches, and the interned tree is released with
-	// the history it served.
+	// single-goroutine, so every search of this history, and of what
+	// rewinds make of it, can share states across reconverging branches,
+	// and the interned tree is released at the next Reset.
 	c.init = c.obj.Init()
+	clear(c.path)
+	c.path = c.path[:0]
+	c.at = c.at[:0]
 	c.wValid = true
-	c.wFront = resetInts(c.wFront, n, 0)
-	c.wRets = resetVals(c.wRets, n)
-	c.wState = c.init
+	c.from = 0
 	c.rank = c.rank[:0]
 	c.ranked = false
 	c.okValid = false
@@ -192,18 +212,6 @@ func resetInts(s []int, n int, v int) []int {
 	s = s[:n]
 	for i := range s {
 		s[i] = v
-	}
-	return s
-}
-
-// resetVals re-sizes a per-process value slice to n nil entries.
-func resetVals(s []trace.Value, n int) []trace.Value {
-	for len(s) < n {
-		s = append(s, nil)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
 	}
 	return s
 }
@@ -256,6 +264,7 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		})
 		c.readOnly = append(c.readOnly, readOnly)
 		c.rank = append(c.rank, -1)
+		c.at = append(c.at, -1)
 		c.pendingOf[p] = oi
 		c.counts[p]++
 		c.byProc[p] = append(c.byProc[p], oi)
@@ -273,35 +282,117 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		c.pendingOf[p] = -1
 		c.complete[p]++
 		c.nComplete++
+		j := c.at[oi]
+		if j >= 0 {
+			// The path placed the operation while it was pending; the
+			// specification's response there either matches the real one
+			// or refutes the placement.
+			if _, ok := answers(c.before(j), o); ok {
+				if c.wValid {
+					c.extends++
+				}
+				return
+			}
+			if c.wValid {
+				c.wValid, c.from = false, j
+			}
+			c.truncate(j)
+			return
+		}
 		if !c.wValid {
 			return
 		}
-		switch idx := c.complete[p] - 1; c.wFront[p] {
-		case idx + 1:
-			// The witness placed the operation while it was pending; the
-			// recorded specification response either matches the real one
-			// or refutes the placement.
-			if c.wRets[p] != nil && c.wRets[p].Equal(sym.Val) {
-				c.wRets[p] = nil
-				c.extends++
-			} else {
-				c.wValid = false
-			}
-		case idx:
-			// The witness dropped the operation; append it at the end.
-			if nxt, ok := answers(c.wState, o); ok {
-				c.wState = nxt
-				c.wFront[p] = idx + 1
-				c.extends++
-			} else {
-				c.wValid = false
-			}
-		default:
-			c.wValid = false // unreachable: a valid witness places every complete operation
+		// The path dropped the operation; append it at the end.
+		if nxt, ok := answers(c.before(len(c.path)), o); ok {
+			c.place(oi, nxt)
+			c.extends++
+		} else {
+			c.wValid, c.from = false, c.lowest(oi)
 		}
 	default:
 		panic(fmt.Sprintf("word: symbol at position %d has invalid kind %d", i, sym.Kind))
 	}
+}
+
+// before returns the object state before path node j: after the path's
+// first j placements.
+func (c *Incremental) before(j int) trace.State {
+	if j > 0 {
+		return c.path[j-1].st
+	}
+	return c.init
+}
+
+// place appends operation oi to the path, leaving state st.
+func (c *Incremental) place(oi int, st trace.State) {
+	c.at[oi] = len(c.path)
+	c.path = append(c.path, placement{op: oi, st: st})
+}
+
+// truncate cuts the path to its first j placements, and reports whether it
+// cut a complete operation.
+func (c *Incremental) truncate(j int) (cutComplete bool) {
+	for _, pl := range c.path[j:] {
+		c.at[pl.op] = -1
+		cutComplete = cutComplete || !c.ops[pl.op].Pending()
+	}
+	clear(c.path[j:])
+	c.path = c.path[:j]
+	c.from = min(c.from, j)
+	return cutComplete
+}
+
+// lowest returns the first path node where the complete operation oi, its
+// process's last and unplaced, may go: after its process predecessor and,
+// under real-time order, after the last placed operation that responded
+// before its invocation.
+func (c *Incremental) lowest(oi int) int {
+	o := &c.ops[oi]
+	lo := 0
+	if row := c.byProc[o.ID.Proc]; len(row) > 1 {
+		lo = c.at[row[len(row)-2]] + 1
+	}
+	if c.realTime {
+		for j := len(c.path) - 1; j >= lo; j-- {
+			if res := c.ops[c.path[j].op].Res; res >= 0 && res < o.Inv {
+				return j + 1
+			}
+		}
+	}
+	return lo
+}
+
+// rewind cuts the history back to its first k symbols, undoing the later
+// ones last first. An undone response makes its operation pending again;
+// its placement, if any, stands, so the path stays valid. An undone invocation removes its operation and cuts
+// the path at the operation's placement; the witness survives unless the
+// cut took a complete operation.
+func (c *Incremental) rewind(k int) {
+	for i := len(c.syms) - 1; i >= k; i-- {
+		p := c.syms[i].Proc
+		row := c.byProc[p]
+		oi := row[len(row)-1]
+		if c.syms[i].Kind == trace.Res {
+			o := &c.ops[oi]
+			o.Ret, o.Res = nil, -1
+			c.pendingOf[p] = oi
+			c.complete[p]--
+			c.nComplete--
+			continue
+		}
+		if j := c.at[oi]; j >= 0 && c.truncate(j) && c.wValid {
+			c.wValid, c.from = false, j
+		}
+		c.ops = c.ops[:oi]
+		c.readOnly = c.readOnly[:oi]
+		c.rank = c.rank[:oi]
+		c.at = c.at[:oi]
+		c.byProc[p] = row[:len(row)-1]
+		c.counts[p]--
+		c.pendingOf[p] = -1
+	}
+	c.syms = c.syms[:k]
+	c.okValid = false
 }
 
 // DropRealTime turns a linearizability checker into a sequential-consistency
@@ -333,19 +424,22 @@ func (c *Incremental) OK() bool {
 	return c.okCache
 }
 
-// CheckExtending checks w, reusing the witness when w extends the history
-// already fed (the predictive monitors' verdict stream: successive sketch
+// CheckExtending checks w, reusing the witness for the part of w the checker
+// already holds (the predictive monitors' verdict stream: successive sketch
 // histories usually extend each other, but view reordering can rebuild the
-// past, in which case the checker resets and re-feeds). The caller
-// guarantees that w[:same] equals the history already fed, up to its length
-// (a sketch builder reports how much of its last word it kept), so only the
-// symbols from same on are compared; same == 0 compares them all.
+// recent past). The checker rewinds to the first symbol at or after same
+// where w differs from the history already fed, then appends the rest of w.
+// The caller guarantees that w[:same] equals the history already fed, up to
+// its length (a sketch builder reports how much of its last word it kept),
+// so only the symbols from same on are compared; same == 0 compares them
+// all.
 func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
-	k := len(c.syms)
-	same = min(same, k)
-	if k > len(w) || !c.syms[same:].Equal(w[same:k]) {
-		c.Reset(c.n)
-		k = 0
+	k := min(same, len(c.syms), len(w))
+	for k < len(c.syms) && k < len(w) && c.syms[k].Equal(w[k]) {
+		k++
+	}
+	if k < len(c.syms) {
+		c.rewind(k)
 	}
 	for _, s := range w[k:] {
 		c.Append(s)
@@ -353,10 +447,10 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 	return c.OK()
 }
 
-// search runs the memoized witness search over the current operations, from
-// the initial state, over the checker's retained buffers. It is the package's
-// only search: the one-shot checkers (see checkOps) run it once on a fresh
-// layout, the incremental checker whenever its cached witness is refuted.
+// search runs the memoized witness search over the current operations, over
+// the checker's retained buffers. It is the package's only search: the
+// one-shot checkers (see checkOps) run it once on a fresh layout, the
+// incremental checker whenever its cached witness is refuted.
 //
 // Within one process operations never overlap (per-process alternation), so
 // an operation is only ever placeable as the first unplaced operation of its
@@ -365,26 +459,66 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 // candidates are the front operations. The placed sets reachable this way are
 // exactly the per-process prefix unions a subset search over the precedence
 // order would reach, so the verdict is the subset search's.
+//
+// A refuted witness first gets a bounded descent from path node from, the
+// deepest node the refuted operation can reach (for a placement refuted by
+// its response, that placement's own position): it usually finds the
+// repaired witness within a few nodes. Greedy read placement (placeRead) can
+// leave a path prefix off every accepting completion the root search would
+// find, so the descent stops after about the path's length in nodes, and its
+// abandoned frames memoize nothing. Every node it did memoize is fruitless
+// from anywhere, so the root search that follows shares the memo, and the
+// verdict is the root search's alone.
 func (c *Incremental) search() bool {
 	c.searches++
-	c.sFront = resetInts(c.sFront, c.n, 0)
-	c.sRets = resetVals(c.sRets, c.n)
-	c.sLeft = c.nComplete
-	c.sPath = c.sPath[:0]
 	c.width = 64 / uint(max(c.n, 1))
 	c.packed.Clear()
 	c.memo.Clear()
-	return c.rec(c.init)
+	if c.from > 0 && c.descend(c.from, len(c.path)+1) {
+		return true
+	}
+	return c.descend(0, -1)
+}
+
+// descend searches from path node k, the fronts and state after the path's
+// first k placements, visiting at most spare nodes (negative: no bound).
+func (c *Incremental) descend(k, spare int) bool {
+	c.sFront = resetInts(c.sFront, c.n, 0)
+	c.sLeft = c.nComplete
+	c.sPath = c.sPath[:0]
+	for _, pl := range c.path[:k] {
+		o := &c.ops[pl.op]
+		c.sFront[o.ID.Proc]++
+		if !o.Pending() {
+			c.sLeft--
+		}
+		c.sPath = append(c.sPath, pl.op)
+	}
+	c.spare = spare
+	return c.rec(c.before(k))
 }
 
 // adoptWitness makes a successful search's accepting linearization the cached
 // witness and re-ranks every operation by it. A success returns through every
-// rec frame without unwinding, so sFront, sRets and sPath hold the accepting
-// leaf's values.
+// rec frame without unwinding, so sPath holds the accepting placements. The
+// path keeps its prefix in common with them and replays only the rest, so
+// rec records nothing per node but the operations it places.
 func (c *Incremental) adoptWitness() {
-	copy(c.wFront, c.sFront)
-	copy(c.wRets, c.sRets)
-	c.wState = c.winState
+	k := 0
+	for k < len(c.path) && k < len(c.sPath) && c.path[k].op == c.sPath[k] {
+		k++
+	}
+	c.truncate(k)
+	st := c.before(k)
+	for _, oi := range c.sPath[k:] {
+		switch o := &c.ops[oi]; {
+		case !o.Pending():
+			st, _ = answers(st, o)
+		case !c.readOnly[oi]:
+			st, _, _ = st.Apply(o.Op, o.Arg)
+		}
+		c.place(oi, st)
+	}
 	c.wValid = true
 	for oi := range c.rank {
 		c.rank[oi] = -1
@@ -501,11 +635,15 @@ func (c *Incremental) nextFront(last int) (p, key int) {
 // recorded response; pending ones adopt the specification's response or are
 // dropped, and acceptance requires every complete operation placed. The
 // fronts are back to this node's values after each child returns, so the
-// keys are stable across the loop.
+// keys are stable across the loop. Once a bounded descent has spent its
+// nodes, every frame returns false and memoizes nothing.
 func (c *Incremental) rec(st trace.State) bool {
+	if c.spare == 0 {
+		return false
+	}
+	c.spare--
 	c.nodes++
 	if c.sLeft == 0 {
-		c.winState = st
 		return true // remaining pending operations are dropped
 	}
 	fronts, id, packs := c.packKey(st)
@@ -513,7 +651,7 @@ func (c *Incremental) rec(st trace.State) bool {
 		return false
 	}
 	if ok, placed := c.placeRead(st); placed {
-		if !ok {
+		if !ok && c.spare != 0 {
 			c.remember(st, fronts, id, packs)
 		}
 		return ok
@@ -529,10 +667,9 @@ func (c *Incremental) rec(st trace.State) bool {
 			continue
 		}
 		var nxt trace.State
-		var ret trace.Value
 		ok := false
 		if pending {
-			nxt, ret, ok = st.Apply(o.Op, o.Arg)
+			nxt, _, ok = st.Apply(o.Op, o.Arg)
 		} else {
 			nxt, ok = answers(st, o)
 		}
@@ -540,9 +677,7 @@ func (c *Incremental) rec(st trace.State) bool {
 			continue
 		}
 		c.sFront[p]++
-		if pending {
-			c.sRets[p] = ret
-		} else {
+		if !pending {
 			c.sLeft--
 		}
 		c.sPath = append(c.sPath, oi)
@@ -551,10 +686,11 @@ func (c *Incremental) rec(st trace.State) bool {
 		}
 		c.sPath = c.sPath[:len(c.sPath)-1]
 		c.sFront[p]--
-		if pending {
-			c.sRets[p] = nil
-		} else {
+		if !pending {
 			c.sLeft++
+		}
+		if c.spare == 0 {
+			return false
 		}
 	}
 	c.remember(st, fronts, id, packs)

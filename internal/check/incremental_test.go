@@ -3,7 +3,7 @@ package check
 // Unit, property, fuzz, allocation and race coverage for the incremental
 // checker beyond the differential battery of incdiff_test.go: interleaved
 // prefix queries (the monitors re-check prefixes out of lockstep and repeat
-// them), the CheckExtending reset path when successive histories are not
+// them), the CheckExtending rewind when successive histories are not
 // extensions, the steady-state allocation pins the explorer's hot path
 // relies on, and per-goroutine checker ownership under the race detector.
 
@@ -53,7 +53,7 @@ func TestIncrementalInterleavedPrefixQueries(t *testing.T) {
 
 // TestIncrementalCheckExtendingDivergence rebuilds the past between queries:
 // the second history is not an extension of the first, so CheckExtending
-// must reset and still agree with a fresh checker.
+// must rewind and still agree with a fresh checker.
 func TestIncrementalCheckExtendingDivergence(t *testing.T) {
 	obj := trace.Register()
 	rng := rand.New(rand.NewSource(23))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/msgnet"
@@ -160,8 +161,12 @@ func (g GenConfig) netOrders() []string {
 	return g.NetOrders
 }
 
+// tableLangs is lang.All, built once: a Lang holds only stateless objects
+// and constructors, so every spec and scenario can share the seven.
+var tableLangs = sync.OnceValue(lang.All)
+
 func langByName(name string) (lang.Lang, error) {
-	for _, l := range lang.All() {
+	for _, l := range tableLangs() {
 		if l.Name == name {
 			return l, nil
 		}
@@ -217,17 +222,17 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	if fam != FamLang {
 		return newObjSpec(rng, cfg, fam)
 	}
-	names := cfg.Langs
-	if len(names) == 0 {
-		for _, l := range lang.All() {
-			names = append(names, l.Name)
+	var l lang.Lang
+	if names := cfg.Langs; len(names) > 0 {
+		var err error
+		if l, err = langByName(names[rng.Intn(len(names))]); err != nil {
+			panic(err) // cfg was validated
 		}
+	} else {
+		all := tableLangs()
+		l = all[rng.Intn(len(all))]
 	}
-	name := names[rng.Intn(len(names))]
-	l, err := langByName(name)
-	if err != nil {
-		panic(err) // cfg was validated
-	}
+	name := l.Name
 
 	s := Spec{
 		Lang: name,

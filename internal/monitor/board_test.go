@@ -103,18 +103,43 @@ func TestTripleBoardSnapshotsMonotone(t *testing.T) {
 // roundProbe is predictiveLogic checking each round's re-emission: the
 // prefix the builder reports unchanged really is, and a round whose new
 // triples all sort after the ones already collected re-emits at most the
-// previous sketch's last view group plus what the new triples add.
+// previous sketch's last view group plus what the new triples add. It also
+// counts the symbols each round appends to the checker, which must stay
+// within what the builder re-emitted: the checker's Len() after the round,
+// less the prefix it kept. A checker keeps its history unless it resets,
+// and a reset calls its object's Init, which the probe's object counts, so
+// a round with a reset appended the whole sketch.
 type roundProbe struct {
 	*predictiveLogic
-	last   trace.Word // the last successfully built sketch
+	last   trace.Word // the last successfully built sketch, the history the checker holds
 	maxKey [3]int     // the greatest (view total, process, index) collected
+	inits  int        // Init calls on the checker's object: its resets
 	stats  *roundStats
 }
 
 type roundStats struct {
 	rounds, appendOnly int
 	emitted, reemitted int    // symbols of every sketch, and of their changed suffixes
+	fed                int    // symbols appended to the checkers
 	bad                string // the first violation; the test reports it after the run
+}
+
+// initCounter is an object that counts its Init calls.
+type initCounter struct {
+	trace.Object
+	inits *int
+}
+
+func (o initCounter) Init() trace.State {
+	*o.inits++
+	return o.Object.Init()
+}
+
+// newRoundProbe wraps l, giving its checker an object that counts resets.
+func newRoundProbe(l *predictiveLogic, stats *roundStats) *roundProbe {
+	rp := &roundProbe{predictiveLogic: l, stats: stats}
+	l.obj = initCounter{Object: l.obj, inits: &rp.inits}
+	return rp
 }
 
 func (l *roundProbe) PostRecv(p *sched.Proc, resp trace.Response) {
@@ -146,11 +171,30 @@ func (l *roundProbe) PostRecv(p *sched.Proc, resp trace.Response) {
 	l.stats.rounds++
 	l.stats.emitted += len(h)
 	l.stats.reemitted += len(h) - same
-	l.last = append(l.last[:0], h...)
+	held, inits := 0, l.inits
+	if l.chk != nil {
+		held = l.chk.Len()
+	}
+	if held != len(l.last) {
+		l.stats.fail(fmt.Sprintf("process %d: the checker holds %d symbols, the last sketch has %d", p.ID, held, len(l.last)))
+	}
 	l.verdict = No
 	if l.accept(h) {
 		l.verdict = Yes
 	}
+	kept := 0
+	if l.inits == inits {
+		for kept < len(l.last) && kept < len(h) && l.last[kept].Equal(h[kept]) {
+			kept++
+		}
+	}
+	fed := l.chk.Len() - kept
+	l.stats.fed += fed
+	if fed > len(h)-same {
+		l.stats.fail(fmt.Sprintf("process %d: the checker was fed %d symbols of a %d-symbol sketch whose first %d the builder kept",
+			p.ID, fed, len(h), same))
+	}
+	l.last = append(l.last[:0], h...)
 }
 
 func (s *roundStats) fail(msg string) {
@@ -174,21 +218,22 @@ func lastGroupStart(w trace.Word) int {
 
 // TestPredictiveRoundCostTracksNewTriples runs V_O over each ArrayKind with
 // every round checked by roundProbe, and pins that the symbols re-emitted
-// per round are a small share of the sketches built.
+// per round are a small share of the sketches built, and that no round
+// appends more symbols to the checker than the builder re-emitted.
 func TestPredictiveRoundCostTracksNewTriples(t *testing.T) {
 	for _, kind := range arrayKinds {
 		stats := &roundStats{}
 		for seed := int64(1); seed <= 4; seed++ {
 			runKind(kind, seed, func(tau *adversary.Timed) Monitor {
 				return predictiveSetup(tau, kind, func(*tripleBoard) {},
-					func(l *predictiveLogic) Logic { return &roundProbe{predictiveLogic: l, stats: stats} })
+					func(l *predictiveLogic) Logic { return newRoundProbe(l, stats) })
 			})
 		}
 		if stats.bad != "" {
 			t.Fatalf("%s: %s", kind, stats.bad)
 		}
-		t.Logf("%s: %d rounds, %d append-only; re-emitted %d of %d sketch symbols",
-			kind, stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted)
+		t.Logf("%s: %d rounds, %d append-only; re-emitted %d of %d sketch symbols; fed the checkers %d",
+			kind, stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted, stats.fed)
 		if stats.appendOnly == 0 {
 			t.Errorf("%s: no append-only round", kind)
 		}

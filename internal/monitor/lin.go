@@ -139,10 +139,10 @@ func (l *predictiveLogic) attach(sc *scratch, i int) {
 // per-process incremental checker stays alive across the verdict stream:
 // successive sketch histories usually extend each other, so each round costs
 // only the new suffix, and the builder's unchanged prefix spares comparing
-// the rest; non-extensions (views can reorder the reconstructed past) reset
-// transparently. Its verdicts are the one-shot checks' on every
-// round (pinned against check.Linearizable and check.SeqConsistent by this
-// package's tests).
+// the rest; where views reorder the reconstructed past, the checker rewinds
+// to the first changed symbol and re-feeds only from there. Its verdicts
+// are the one-shot checks' on every round (pinned against
+// check.Linearizable and check.SeqConsistent by this package's tests).
 func (l *predictiveLogic) accept(h trace.Word) bool {
 	if l.chk == nil {
 		l.chk = l.pool.Get(l.obj, l.realTime, l.n)
