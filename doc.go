@@ -28,7 +28,11 @@
 //     searches from the root in the last witness's order, so a refuted
 //     witness is usually re-found within a few nodes and the verdict is the
 //     from-scratch front search's; differential tests pin it
-//     symbol-for-symbol to the from-scratch checkers. check.ECLedger is the eventual ledger's counterpart for
+//     symbol-for-symbol to the from-scratch checkers. On queues, stacks and
+//     ledgers the search also returns at any node whose unplaced operations
+//     no reachable state can answer (say, more complete dequeues of a value
+//     than items of it left to leave), a necessary condition for a witness,
+//     so no verdict moves and the searches that prove NO stay short. check.ECLedger is the eventual ledger's counterpart for
 //     clause (1), which is order-free: an append multiset that only grows
 //     and a longest returned sequence that only extends, so each symbol
 //     costs only itself; check.Counter does the same for the eventual

@@ -47,6 +47,7 @@ var callerAllowlist = map[string]string{
 	"(*internal/sched.Runtime).Crashed":        "the check package's differential runs crash a process once",
 	"(*internal/sched.Runtime).Run":            "the step loop the sched, mem, adversary and monitor tests drive",
 	"(*internal/msgnet.Net).Inbox":             "the abd tests bound how many messages a process's inboxes hold",
+	"internal/check.SearchNodes":               "the explore tests bound the residual-search masters' search nodes with it",
 	"internal/sched.VerifyRunnable":            "the maintained ≡ polled runnable-set differential, which the sched, msgnet, adversary, abd, experiment and explore tests switch on",
 }
 

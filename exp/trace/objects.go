@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 )
 
@@ -290,6 +291,10 @@ func (s ledState) Answers(op string, arg, ret Value) (State, bool) {
 	return s, true
 }
 
+// LogOps names the ledger's appending and reading operations, for checker
+// searches that prune states the unplaced operations can no longer explain.
+func (ledState) LogOps() (add, get string) { return OpAppend, OpGet }
+
 // ---------------------------------------------------------------- vector
 
 // OpScan is the scan operation of the Vector object.
@@ -458,6 +463,21 @@ type queueState struct {
 	n *listNode
 }
 
+// ListOps names the queue's adding and removing operations and says deq
+// takes the oldest item, for checker searches that prune states the
+// unplaced operations can no longer explain.
+func (queueState) ListOps() (add, remove string, oldest bool) { return OpEnq, OpDeq, true }
+
+// AppendItems appends the items to dst head first, the order deq takes them.
+func (s queueState) AppendItems(dst []Int) []Int {
+	k := len(dst)
+	dst = slices.Grow(dst, s.n.size)[:k+s.n.size]
+	for n, i := s.n, len(dst)-1; i >= k; n, i = n.parent, i-1 {
+		dst[i] = n.last
+	}
+	return dst
+}
+
 // AppendKey is "q" plus the comma-joined decimal encoding of the items head
 // first.
 func (s queueState) AppendKey(b []byte) []byte {
@@ -512,6 +532,18 @@ func (stack) RandArg(op string, rng *rand.Rand) Value {
 // push interns a child node, pop walks back to the parent.
 type stackState struct {
 	n *listNode
+}
+
+// ListOps names the stack's adding and removing operations and says pop
+// takes the newest item, like queueState's.
+func (stackState) ListOps() (add, remove string, oldest bool) { return OpPush, OpPop, false }
+
+// AppendItems appends the items to dst top first, the order pop takes them.
+func (s stackState) AppendItems(dst []Int) []Int {
+	for n := s.n; n.size > 0; n = n.parent {
+		dst = append(dst, n.last)
+	}
+	return dst
 }
 
 // AppendKey is "s" plus the comma-joined decimal encoding of the items

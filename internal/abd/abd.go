@@ -25,6 +25,8 @@
 package abd
 
 import (
+	"slices"
+
 	"github.com/drv-go/drv/internal/msgnet"
 	"github.com/drv-go/drv/internal/sched"
 )
@@ -171,7 +173,8 @@ type Server interface {
 // order, that has one waiting. Each actor watches its process's replica
 // inbox (msgnet.Net.Serve), so the scheduler re-reads it — one pick over the
 // waiting requests — only when a request arrives, is served or is dropped by
-// a crash.
+// a crash. A request is routed to its server once, when the first re-read
+// after its arrival sees it, so a pick compares server ranks only.
 func Servers(rt *sched.Runtime, n int, srvs ...Server) []int {
 	actors := make([]replica, n)
 	ids := make([]int, n)
@@ -189,14 +192,24 @@ type replica struct {
 	nt   *msgnet.Net
 	id   int
 	srvs []Server
-	at   int    // index in the replica inbox of the request the next step serves, or −1
-	srv  Server // the server that request belongs to
+	// rank[i] is the index in srvs of the server the i-th request of the
+	// replica inbox is for, len(srvs) when it is for none.
+	rank []int
+	at   int // index in the replica inbox of the request the next step serves, or −1
 }
 
-// runnable is the actor's gate: whether a request waits. It picks the
-// request the next step serves.
+// runnable is the actor's gate: whether a request waits. It routes the
+// requests that arrived since the last re-read and picks the request the
+// next step serves.
 func (a *replica) runnable() bool {
-	a.at, a.srv = pick(a.nt.Requests(a.id), a.id, a.srvs)
+	requests := a.nt.Requests(a.id)
+	if len(requests) < len(a.rank) {
+		a.rank = a.rank[:0] // a crash emptied the inbox
+	}
+	for _, m := range requests[len(a.rank):] {
+		a.rank = append(a.rank, route(m, a.id, a.srvs))
+	}
+	a.at = pick(a.rank, len(a.srvs))
 	return a.at >= 0
 }
 
@@ -204,29 +217,36 @@ func (a *replica) runnable() bool {
 // the actor, and the scheduler re-reads a woken actor before its next
 // choice, so the pick is current.
 func (a *replica) step() {
-	a.srv.handle(a.id, a.nt.TakeRequest(a.id, a.at))
+	k := a.rank[a.at]
+	a.rank = slices.Delete(a.rank, a.at, a.at+1)
+	a.srvs[k].handle(a.id, a.nt.TakeRequest(a.id, a.at))
 }
 
-// pick returns the index in requests of the oldest request of the first
-// server in srvs that has one for replica id, with that server, or −1 when
-// no server has a request.
-func pick(requests []msgnet.Message, id int, srvs []Server) (int, Server) {
-	at, rank := -1, len(srvs)
-	for i, m := range requests {
-		for k, s := range srvs[:rank] {
-			if s.request(id, m) {
-				at, rank = i, k
+// route returns the index in srvs of the first server m is a request for
+// at replica id, len(srvs) when there is none.
+func route(m msgnet.Message, id int, srvs []Server) int {
+	for k, s := range srvs {
+		if s.request(id, m) {
+			return k
+		}
+	}
+	return len(srvs)
+}
+
+// pick returns the index of the oldest request of the first server that has
+// one, given each waiting request's server rank, or −1 when no rank is
+// below none.
+func pick(rank []int, none int) int {
+	at := -1
+	for i, k := range rank {
+		if k < none && (at < 0 || k < rank[at]) {
+			at = i
+			if k == 0 {
 				break
 			}
 		}
-		if rank == 0 {
-			break
-		}
 	}
-	if at < 0 {
-		return -1, nil
-	}
-	return at, srvs[rank]
+	return at
 }
 
 // body is the payload of every protocol message.

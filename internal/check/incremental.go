@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/drv-go/drv/exp/trace"
 )
@@ -60,6 +61,19 @@ import (
 // first search of a whole-history check follow the response order of a long
 // accepted prefix, which sent some sequential-consistency searches twenty
 // times deeper than process order does, for no gain on the verdict streams.
+//
+// The search also stops where no witness can lie (prune.go). When the
+// object's states are queues, stacks or ledgers, a node is dead as soon as
+// the operations it leaves unplaced can no longer all be answered from any
+// state reachable from it: some value's complete removers outnumber the
+// items of it that can still leave plus the later adds of it that can, a
+// remover that returned Empty waits behind an item that never leaves, or a
+// complete get is shorter than the ledger or the longest one does not
+// extend it. Every rule is a necessary condition for an accepting
+// completion, so a dead node has none and no verdict changes; the rules
+// only shorten the searches that prove a history inconsistent, which
+// otherwise try every order of the operations left. Append and rewind keep
+// the counts the rules read, in constant time per symbol.
 //
 // A history that changes near its end is rewound rather than re-fed
 // (CheckExtending): each undone response makes its operation pending again,
@@ -128,6 +142,8 @@ type Incremental struct {
 
 	okCache bool
 	okValid bool
+
+	pr pruning // dead-state pruning (prune.go)
 }
 
 // placement is one step of the cached witness: an operation and the object
@@ -194,6 +210,7 @@ func (c *Incremental) Reset(n int) {
 	// rewinds make of it, can share states across reconverging branches,
 	// and the interned tree is released at the next Reset.
 	c.init = c.obj.Init()
+	c.pr.reset(c.init)
 	clear(c.path)
 	c.path = c.path[:0]
 	c.at = c.at[:0]
@@ -268,6 +285,9 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		c.pendingOf[p] = oi
 		c.counts[p]++
 		c.byProc[p] = append(c.byProc[p], oi)
+		if c.pr.dead != nil {
+			c.pr.add(c.ops, oi, c.byProc[p])
+		}
 	case trace.Res:
 		oi := c.pendingOf[p]
 		if oi < 0 {
@@ -282,6 +302,9 @@ func (c *Incremental) Append(sym trace.Symbol) {
 		c.pendingOf[p] = -1
 		c.complete[p]++
 		c.nComplete++
+		if c.pr.dead != nil {
+			c.pr.recount(c.ops, oi, c.byProc[p])
+		}
 		j := c.at[oi]
 		if j >= 0 {
 			// The path placed the operation while it was pending; the
@@ -378,10 +401,16 @@ func (c *Incremental) rewind(k int) {
 			c.pendingOf[p] = oi
 			c.complete[p]--
 			c.nComplete--
+			if c.pr.dead != nil {
+				c.pr.recount(c.ops, oi, row)
+			}
 			continue
 		}
 		if j := c.at[oi]; j >= 0 && c.truncate(j) && c.wValid {
 			c.wValid, c.from = false, j
+		}
+		if c.pr.dead != nil {
+			c.pr.remove(c.ops, oi)
 		}
 		c.ops = c.ops[:oi]
 		c.readOnly = c.readOnly[:oi]
@@ -393,6 +422,9 @@ func (c *Incremental) rewind(k int) {
 	}
 	c.syms = c.syms[:k]
 	c.okValid = false
+	if c.pr.gStale {
+		c.pr.longest(c.ops, c.byProc)
+	}
 }
 
 // DropRealTime turns a linearizability checker into a sequential-consistency
@@ -469,23 +501,44 @@ func (c *Incremental) CheckExtending(w trace.Word, same int) bool {
 // abandoned frames memoize nothing. Every node it did memoize is fruitless
 // from anywhere, so the root search that follows shares the memo, and the
 // verdict is the root search's alone.
+//
+// Both descents test their start node, and every child before entering it,
+// against the object's dead-state rule (pruning.dead). A dead node has no
+// accepting completion, so skipping it changes only how soon the search
+// answers; the memo stays sound because whether a node is dead depends only
+// on its fronts, which fix the unplaced operations, and its state.
 func (c *Incremental) search() bool {
 	c.searches++
 	c.width = 64 / uint(max(c.n, 1))
 	c.packed.Clear()
 	c.memo.Clear()
-	if c.from > 0 && c.descend(c.from, len(c.path)+1) {
-		return true
-	}
-	return c.descend(0, -1)
+	start := c.nodes
+	ok := c.from > 0 && c.descend(c.from, len(c.path)+1) || c.descend(0, -1)
+	searchNodes.Add(int64(c.nodes - start))
+	return ok
 }
+
+// searchNodes counts the nodes every search of the process has visited,
+// added once per search.
+var searchNodes atomic.Int64
+
+// SearchNodes returns the number of witness-search nodes every checker of
+// the process has visited so far: the cost a history's residual searches
+// paid, whatever checker or entry point ran them.
+func SearchNodes() int64 { return searchNodes.Load() }
 
 // descend searches from path node k, the fronts and state after the path's
 // first k placements, visiting at most spare nodes (negative: no bound).
+// The pruning counts start from the history's totals less the placements of
+// the path prefix it walks.
 func (c *Incremental) descend(k, spare int) bool {
 	c.sFront = resetInts(c.sFront, c.n, 0)
 	c.sLeft = c.nComplete
 	c.sPath = c.sPath[:0]
+	prune := c.pr.dead != nil
+	if prune {
+		c.pr.begin()
+	}
 	for _, pl := range c.path[:k] {
 		o := &c.ops[pl.op]
 		c.sFront[o.ID.Proc]++
@@ -493,9 +546,16 @@ func (c *Incremental) descend(k, spare int) bool {
 			c.sLeft--
 		}
 		c.sPath = append(c.sPath, pl.op)
+		if prune {
+			c.pr.pass(o, pl.op)
+		}
 	}
 	c.spare = spare
-	return c.rec(c.before(k))
+	st := c.before(k)
+	if prune && c.pr.dead(c, st, -1) {
+		return false
+	}
+	return c.rec(st)
 }
 
 // adoptWitness makes a successful search's accepting linearization the cached
@@ -635,8 +695,10 @@ func (c *Incremental) nextFront(last int) (p, key int) {
 // recorded response; pending ones adopt the specification's response or are
 // dropped, and acceptance requires every complete operation placed. The
 // fronts are back to this node's values after each child returns, so the
-// keys are stable across the loop. Once a bounded descent has spent its
-// nodes, every frame returns false and memoizes nothing.
+// keys are stable across the loop. A child the dead-state rule refuses
+// (enter) is skipped like one whose response does not match, and is not
+// counted as a node. Once a bounded descent has spent its nodes, every frame
+// returns false and memoizes nothing.
 func (c *Incremental) rec(st trace.State) bool {
 	if c.spare == 0 {
 		return false
@@ -681,8 +743,11 @@ func (c *Incremental) rec(st trace.State) bool {
 			c.sLeft--
 		}
 		c.sPath = append(c.sPath, oi)
-		if c.rec(nxt) {
+		if (c.pr.dead == nil || c.enter(oi, nxt)) && c.rec(nxt) {
 			return true
+		}
+		if c.pr.dead != nil {
+			c.leave(oi)
 		}
 		c.sPath = c.sPath[:len(c.sPath)-1]
 		c.sFront[p]--
@@ -750,8 +815,11 @@ func (c *Incremental) placeRead(st trace.State) (ok, placed bool) {
 		c.sFront[p]++
 		c.sLeft--
 		c.sPath = append(c.sPath, oi)
-		if c.rec(nxt) {
+		if (c.pr.dead == nil || c.enter(oi, nxt)) && c.rec(nxt) {
 			return true, true
+		}
+		if c.pr.dead != nil {
+			c.leave(oi)
 		}
 		c.sPath = c.sPath[:len(c.sPath)-1]
 		c.sFront[p]--

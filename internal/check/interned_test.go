@@ -15,17 +15,40 @@ import (
 // so a search over it keys its memo by the AppendKey encoding.
 type keyPathObject struct{ trace.Object }
 
-func (o keyPathObject) Init() trace.State { return keyPathState{o.Object.Init()} }
+func (o keyPathObject) Init() trace.State { return keyPath(o.Object.Init()) }
 
 // keyPathState forwards Apply and AppendKey to its state but not ID.
 type keyPathState struct{ st trace.State }
 
+// keyPath wraps st, forwarding the pruning interface it implements too, so
+// both paths prune alike.
+func keyPath(st trace.State) trace.State {
+	switch st.(type) {
+	case listState:
+		return keyPathList{keyPathState{st}}
+	case logState:
+		return keyPathLog{keyPathState{st}}
+	}
+	return keyPathState{st}
+}
+
 func (s keyPathState) Apply(op string, arg trace.Value) (trace.State, trace.Value, bool) {
 	next, ret, ok := s.st.Apply(op, arg)
-	return keyPathState{next}, ret, ok
+	return keyPath(next), ret, ok
 }
 
 func (s keyPathState) AppendKey(b []byte) []byte { return s.st.AppendKey(b) }
+
+type keyPathList struct{ keyPathState }
+
+func (s keyPathList) ListOps() (string, string, bool) { return s.st.(listState).ListOps() }
+func (s keyPathList) AppendItems(dst []trace.Int) []trace.Int {
+	return s.st.(listState).AppendItems(dst)
+}
+
+type keyPathLog struct{ keyPathState }
+
+func (s keyPathLog) LogOps() (string, string) { return s.st.(logState).LogOps() }
 
 // TestIDPathMatchesKeyPath runs the one-shot search over the histories
 // TestOneShotNodeCounts pins, once as is and once through keyPathObject:

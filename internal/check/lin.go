@@ -114,6 +114,7 @@ func oneShot(obj trace.Object, ops []trace.Operation, realTime bool) *Incrementa
 		byProc:   make([][]int, n),
 		readOnly: make([]bool, len(ops)),
 	}
+	c.pr.reset(c.init)
 	for i := range ops {
 		o := &ops[i]
 		row := c.byProc[o.ID.Proc]
@@ -124,6 +125,9 @@ func oneShot(obj trace.Object, ops []trace.Operation, realTime bool) *Incrementa
 		}
 		c.byProc[o.ID.Proc] = append(row, i)
 		c.readOnly[i] = c.readOnlyOp(o.Op)
+		if c.pr.dead != nil {
+			c.pr.add(ops, i, c.byProc[o.ID.Proc])
+		}
 		if !o.Pending() {
 			c.nComplete++
 		}
