@@ -131,6 +131,22 @@ func TestUnknownLangRejected(t *testing.T) {
 	}
 }
 
+func TestRepeatedFilterEntryRejected(t *testing.T) {
+	// A repeated entry would reweigh the sweep's draws.
+	for _, args := range [][]string{{"-lang", "LIN_REG,LIN_REG,SC_REG"}, {"-family", "lang,lang"}} {
+		code, out, errOut := runExplore(t, args...)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut, "listed twice") {
+			t.Errorf("%v: no diagnostic: %s", args, errOut)
+		}
+		if out != "" {
+			t.Errorf("%v ran a sweep:\n%s", args, out)
+		}
+	}
+}
+
 func TestWorkerCountBelowOneRejected(t *testing.T) {
 	// A worker count below 1 ran the sweep sequentially without a word;
 	// like every other size flag it is a usage error that runs nothing.

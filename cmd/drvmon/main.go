@@ -3,7 +3,9 @@
 // language's object on the recorded word — each reports the first violating
 // response-ended prefix — plus the language's convergence diagnostic, if it
 // has a liveness clause. The trace language's own verdict is compared
-// against the trace's ground-truth label when one is present.
+// against the trace's ground-truth label when one is present; the label
+// describes that language only, so -lang may name another language over the
+// same object, whose verdict is not compared.
 //
 // Usage:
 //
@@ -70,16 +72,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trace has no language; pass -lang")
 		return 2
 	}
-	found := false
-	var l lang.Lang
-	for _, cand := range lang.All() {
-		if cand.Name == name {
-			l, found = cand, true
-			break
-		}
+	l, err := lang.ByName(name)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	if !found {
-		fmt.Fprintf(stderr, "unknown language %q\n", name)
+	if own, err := lang.ByName(tr.Meta.Lang); err == nil && own.Object.Name() != l.Object.Name() {
+		fmt.Fprintf(stderr, "-lang %s judges %s histories, but the trace's language %s is over a %s\n",
+			l.Name, l.Object.Name(), own.Name, own.Object.Name())
 		return 2
 	}
 
@@ -106,7 +106,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "convergence (quiescent tail): %v\n", converged)
 	}
 
-	if tr.Meta.Member != nil {
+	switch {
+	case tr.Meta.Member == nil:
+	case tr.Meta.Lang != "" && tr.Meta.Lang != l.Name:
+		fmt.Fprintf(stdout, "ground truth (ω-word) labels %s, not %s: not compared\n", tr.Meta.Lang, l.Name)
+	default:
 		fmt.Fprintf(stdout, "ground truth (ω-word): in-language=%v\n", *tr.Meta.Member)
 		if *tr.Meta.Member && violated {
 			fmt.Fprintln(stdout, "MISMATCH: safety violation on an in-language trace")

@@ -168,6 +168,54 @@ func TestLangOverride(t *testing.T) {
 	}
 }
 
+// staleReadWord is sequentially consistent but not linearizable: process 1
+// reads the initial 0 after process 0's write of 1 has completed.
+func staleReadWord() trace.Word {
+	b := trace.NewB()
+	b.Op(0, trace.OpWrite, trace.Int(1), trace.Unit{})
+	b.Op(1, trace.OpRead, nil, trace.Int(0))
+	return b.Word()
+}
+
+func TestOtherLangOverSameObjectNotComparedWithLabel(t *testing.T) {
+	// The label says the word is in SC_REG. LIN_REG's violation is real and
+	// is reported, but the label says nothing about LIN_REG.
+	path := writeTrace(t, "SC_REG", true, staleReadWord())
+	code, out, errOut := runMon("-lang", "LIN_REG", path)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s%s", code, out, errOut)
+	}
+	for _, want := range []string{"language LIN_REG", "safety clauses: violated=true", "LIN_REG safety: violated at prefix 4",
+		"SC_REG safety: ok", "ground truth (ω-word) labels SC_REG, not LIN_REG: not compared"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "MISMATCH") {
+		t.Errorf("LIN_REG's verdict was compared with SC_REG's label:\n%s", out)
+	}
+	// The trace's own language is still compared with its label.
+	code, out, _ = runMon("-lang", "SC_REG", path)
+	if code != 0 || !strings.Contains(out, "in-language=true") {
+		t.Errorf("-lang SC_REG: exit %d:\n%s", code, out)
+	}
+}
+
+func TestLangOverOtherObjectRejected(t *testing.T) {
+	// A counter judge would read the register's reads as counter reads.
+	path := writeTrace(t, "SC_REG", true, staleReadWord())
+	code, out, errOut := runMon("-lang", "WEC_COUNT", path)
+	if code != 2 {
+		t.Errorf("exit %d, want 2:\n%s", code, out)
+	}
+	if want := "-lang WEC_COUNT judges counter histories, but the trace's language SC_REG is over a register\n"; errOut != want {
+		t.Errorf("stderr %q, want %q", errOut, want)
+	}
+	if out != "" {
+		t.Errorf("judged the trace:\n%s", out)
+	}
+}
+
 // TestGoldenStdout pins drvmon's full report on one register, one ledger and
 // one counter trace (recorded with drvtrace, the command in each golden's
 // name: -lang SC_REG -source stale-reads -n 2 -steps 60, -lang EC_LED -source

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
@@ -29,7 +30,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drvtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	langName := fs.String("lang", "WEC_COUNT", "language: LIN_REG, SC_REG, LIN_LED, SC_LED, EC_LED, WEC_COUNT, SEC_COUNT")
+	var names []string
+	for _, l := range lang.All() {
+		names = append(names, l.Name)
+	}
+	langName := fs.String("lang", lang.WECCount().Name, "language: "+strings.Join(names, ", "))
 	list := fs.Bool("list", false, "list the language's behaviour sources and exit")
 	source := fs.String("source", "", "behaviour source name (default: first source)")
 	n := fs.Int("n", 3, "process count")
@@ -54,16 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var l lang.Lang
-	found := false
-	for _, cand := range lang.All() {
-		if cand.Name == *langName {
-			l, found = cand, true
-			break
-		}
-	}
-	if !found {
-		fmt.Fprintf(stderr, "unknown language %q\n", *langName)
+	l, err := lang.ByName(*langName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 

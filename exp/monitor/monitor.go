@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
@@ -62,22 +63,15 @@ const (
 	LogicECLedger
 )
 
-// String names the logic.
+// logicNames is the logic table: String prints it and ParseLogic reads it.
+var logicNames = [...]string{LogicLin: "lin", LogicSC: "sc", LogicWEC: "wec", LogicSEC: "sec", LogicECLedger: "ecledger"}
+
+// String names the logic as ParseLogic reads it.
 func (l Logic) String() string {
-	switch l {
-	case LogicLin:
-		return "lin"
-	case LogicSC:
-		return "sc"
-	case LogicWEC:
-		return "wec"
-	case LogicSEC:
-		return "sec"
-	case LogicECLedger:
-		return "ecledger"
-	default:
-		return fmt.Sprintf("logic(%d)", uint8(l))
+	if l >= LogicLin && l <= LogicECLedger {
+		return logicNames[l]
 	}
+	return fmt.Sprintf("logic(%d)", uint8(l))
 }
 
 // Array selects the shared announcement-array implementation the timed
@@ -95,17 +89,52 @@ const (
 	ArrayCollect
 )
 
+// ParseLogic returns the logic String names name.
+func ParseLogic(name string) (Logic, error) {
+	return parse("logic", name, LogicLin, LogicECLedger)
+}
+
+// String names the array as ParseArray reads it, and as the internal
+// adversary names its kind; a value outside the three prints as array(N).
+func (a Array) String() string {
+	if k, err := a.kind(); err == nil {
+		return k.String()
+	}
+	return fmt.Sprintf("array(%d)", uint8(a))
+}
+
+// ParseArray returns the array String names name; empty names the default,
+// ArrayAtomic.
+func ParseArray(name string) (Array, error) {
+	if name == "" {
+		return ArrayAtomic, nil
+	}
+	return parse("array", name, ArrayAtomic, ArrayCollect)
+}
+
+// parse returns the value of first..last that String names name, or an
+// error that lists their names.
+func parse[T interface {
+	~uint8
+	fmt.Stringer
+}](noun, name string, first, last T) (T, error) {
+	var names []string
+	for v := first; v <= last; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+		names = append(names, v.String())
+	}
+	return 0, fmt.Errorf("unknown %s %q (want %s or %s)", noun, name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+}
+
+// kind converts the array to the adversary's kind, which numbers the three
+// arrays alike; zero means ArrayAtomic.
 func (a Array) kind() (adversary.ArrayKind, error) {
-	switch a {
-	case 0, ArrayAtomic:
-		return adversary.ArrayAtomic, nil
-	case ArrayAADGMS:
-		return adversary.ArrayAADGMS, nil
-	case ArrayCollect:
-		return adversary.ArrayCollect, nil
-	default:
+	if a > ArrayCollect {
 		return 0, fmt.Errorf("monitor: unknown array kind %d", uint8(a))
 	}
+	return adversary.ArrayKind(max(a, ArrayAtomic)), nil
 }
 
 // Config describes one monitored replay of a recorded history.

@@ -107,6 +107,49 @@ func TestRunFlagsViolation(t *testing.T) {
 	}
 }
 
+// TestNameTables pins the logic and array names: each value's String
+// parses back to it, in declaration order, the parse errors list exactly
+// those names, and a value outside the table prints as no name.
+func TestNameTables(t *testing.T) {
+	logics := []monitor.Logic{monitor.LogicLin, monitor.LogicSC, monitor.LogicWEC, monitor.LogicSEC, monitor.LogicECLedger}
+	for i, name := range []string{"lin", "sc", "wec", "sec", "ecledger"} {
+		if l := logics[i]; l.String() != name {
+			t.Errorf("logic %d prints %q, want %q", l, l.String(), name)
+		}
+		if got, err := monitor.ParseLogic(name); got != logics[i] || err != nil {
+			t.Errorf("ParseLogic(%q) = %v, %v; want %v", name, got, err, logics[i])
+		}
+	}
+	arrays := []monitor.Array{monitor.ArrayAtomic, monitor.ArrayAADGMS, monitor.ArrayCollect}
+	for i, name := range []string{"atomic", "aadgms", "collect"} {
+		if a := arrays[i]; a.String() != name {
+			t.Errorf("array %d prints %q, want %q", a, a.String(), name)
+		}
+		if got, err := monitor.ParseArray(name); got != arrays[i] || err != nil {
+			t.Errorf("ParseArray(%q) = %v, %v; want %v", name, got, err, arrays[i])
+		}
+	}
+	if got, err := monitor.ParseArray(""); got != monitor.ArrayAtomic || err != nil {
+		t.Errorf("ParseArray(\"\") = %v, %v; want the default atomic", got, err)
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{second(monitor.ParseLogic("x")), `unknown logic "x" (want lin, sc, wec, sec or ecledger)`},
+		{second(monitor.ParseLogic(monitor.Logic(42).String())), `unknown logic "logic(42)" (want lin, sc, wec, sec or ecledger)`},
+		{second(monitor.ParseArray("z")), `unknown array "z" (want atomic, aadgms or collect)`},
+		{second(monitor.ParseArray(monitor.Array(42).String())), `unknown array "array(42)" (want atomic, aadgms or collect)`},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("parse error %v, want %s", tc.err, tc.want)
+		}
+	}
+}
+
+// second returns a two-result call's second result.
+func second[T any](_ T, err error) error { return err }
+
 func TestRunValidation(t *testing.T) {
 	good := queueHistory()
 	cases := []struct {

@@ -87,6 +87,11 @@ func (c Class) String() string {
 	}
 }
 
+// Predictive reports whether c is one of the predictive notions, PSD and
+// PWD, whose monitors run against the timed adversary Aτ and are judged with
+// the sketch escape clause.
+func (c Class) Predictive() bool { return c == PSD || c == PWD }
+
 // Eval describes how a finite run is judged against a decidability notion.
 type Eval struct {
 	// Class under evaluation.
@@ -147,7 +152,7 @@ func (e Eval) Check(res Stats, in bool) error {
 		return nil
 	case !in:
 		return e.shown(err)
-	case e.Class != PSD && e.Class != PWD:
+	case !e.Class.Predictive():
 		return err
 	}
 	bad, serr := e.sketchViolated(false)
@@ -208,7 +213,7 @@ func (e Eval) predicate(res Stats, in bool) error {
 // none.
 func (e Eval) shown(err error) error {
 	if e.Judge.Violation(e.Word, e.Pool) != nil {
-		if e.Class != PSD && e.Class != PWD {
+		if !e.Class.Predictive() {
 			return err
 		}
 		bad, serr := e.sketchViolated(e.Class == PSD)

@@ -158,10 +158,10 @@ type plan struct {
 // buildPlan lays out every cell of Table 1, with wrap as the plan's wrap.
 func buildPlan(p Params, wrap func(monitor.Monitor) monitor.Monitor) *plan {
 	t := &plan{p: p, wrap: wrap}
-	t.registerRow(lang.LinReg(), true)
-	t.registerRow(lang.SCReg(), false)
-	t.ledgerRow(lang.LinLed(), true)
-	t.ledgerRow(lang.SCLed(), false)
+	t.registerRow(lang.LinReg())
+	t.registerRow(lang.SCReg())
+	t.ledgerRow(lang.LinLed())
+	t.ledgerRow(lang.SCLed())
 	t.ecLedRow()
 	t.wecRow()
 	t.secRow()
@@ -187,21 +187,44 @@ func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context,
 
 // ---------------------------------------------------------------- running
 
-// run executes a monitor against A exhibiting the source's word, on the
-// worker's pooled session and its pooled adversaries. When timed, Aτ wraps A
-// and is returned; mk receives it, or nil for an untimed run. The result and
-// Aτ are the session's, valid until its next run.
-func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Monitor, timed bool, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
-	adv := sess.Cursor(p.Procs, src)
+// Decider builds the monitor that proves l's ✓ cells: Figure 8's V_O over
+// l's object with l's LIN or SC check, or the amplified Figure 5 (WEC_COUNT)
+// or Figure 9 (SEC_COUNT) decider. EC_LED, with no ✓ cell, gets the
+// best-effort EC-ledger monitor. tau is Aτ, nil for an untimed run.
+func Decider(l lang.Lang, tau *adversary.Timed) monitor.Monitor {
+	switch l.Judge.Cond {
+	case lang.LIN:
+		return monitor.NewLin(l.Object, tau, adversary.ArrayAtomic)
+	case lang.SC:
+		return monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
+	case lang.WEC:
+		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
+	case lang.SEC:
+		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
+	}
+	return monitor.NewECLed(adversary.ArrayAtomic)
+}
+
+// run executes l's Decider, after the plan's wrap, against A exhibiting the
+// source's word, on the worker's pooled session and its pooled adversaries.
+// A predictive class runs against Aτ, which wraps A and is returned; an
+// untimed run returns nil. The result and Aτ are the session's, valid until
+// its next run.
+func (t *plan) run(sess *monitor.Session, l lang.Lang, class core.Class, src adversary.Source, seed int64, steps int) (*monitor.Result, *adversary.Timed) {
+	adv := sess.Cursor(t.p.Procs, src)
 	var svc adversary.Service = adv
 	var tau *adversary.Timed
-	if timed {
-		tau = sess.Timed(p.Procs, adv, adversary.ArrayAtomic)
+	if class.Predictive() {
+		tau = sess.Timed(t.p.Procs, adv, adversary.ArrayAtomic)
 		svc = tau
 	}
+	m := Decider(l, tau)
+	if t.wrap != nil {
+		m = t.wrap(m)
+	}
 	res := sess.Run(monitor.Config{
-		N:       p.Procs,
-		Monitor: mk(tau),
+		N:       t.p.Procs,
+		Monitor: m,
 		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
 			return svc, []int{adv.Register(rt)}
 		},
@@ -214,23 +237,19 @@ func run(sess *monitor.Session, p Params, mk func(*adversary.Timed) monitor.Moni
 }
 
 // sweep emits one unit per (seed, labelled source): each unit runs a freshly
-// built monitor against the source for at most steps scheduler steps and
-// judges the run under the class's predicate with l's judge; a timed run
-// against Aτ also decides the sketch escape clause. A run too short to judge
-// fails with an error that names the bound and drvtable's -flag that raises
-// it. Every unit builds its own monitor and runs on its worker's session,
-// whose runtime and adversaries no other worker touches, so units are safe
-// to run concurrently.
-func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l lang.Lang, class core.Class, steps int, flag string, timed bool) {
-	if t.wrap != nil {
-		inner := mk
-		mk = func(tau *adversary.Timed) monitor.Monitor { return t.wrap(inner(tau)) }
-	}
+// built Decider for l against the source for at most steps scheduler steps
+// and judges the run under the class's predicate with l's judge; a
+// predictive class runs against Aτ and also decides the sketch escape
+// clause. A run too short to judge fails with an error that names the bound
+// and drvtable's -flag that raises it. Every unit builds its own monitor and
+// runs on its worker's session, whose runtime and adversaries no other
+// worker touches, so units are safe to run concurrently.
+func (t *plan) sweep(cell cellKey, l lang.Lang, class core.Class, steps int, flag string) {
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
 				func(_ context.Context, sess *monitor.Session) []error {
-					res, tau := run(sess, t.p, mk, timed, lb.New(), seed, steps)
+					res, tau := t.run(sess, l, class, lb.New(), seed, steps)
 					ev := core.Eval{Class: class, Window: t.p.Window, Judge: l.Judge, Pool: sess.CheckPool(), Word: res.History}
 					if tau != nil {
 						ev.Sketch = core.SketchOf(res, tau.InvAt)
@@ -250,20 +269,18 @@ func (t *plan) sweep(cell cellKey, mk func(*adversary.Timed) monitor.Monitor, l 
 }
 
 // predictiveCells lays out the PSD ✓ and PWD ✓ cells of a register or
-// ledger row: Figure 8's V_O over l's object with the LIN or SC check (lin
-// selects which), judged with l's judge as the sketch escape clause.
-func (t *plan) predictiveCells(row int, l lang.Lang, lin bool) {
-	steps, flag, newV := t.p.TimedSteps, "timed-steps", monitor.NewLin
-	if !lin {
-		steps, flag, newV = t.p.SCSteps, "sc-steps", monitor.NewSC
-	}
-	mk := func(tau *adversary.Timed) monitor.Monitor {
-		return newV(l.Object, tau, adversary.ArrayAtomic)
+// ledger row: Figure 8's V_O over l's object with l's LIN or SC check,
+// judged with l's judge as the sketch escape clause. The SC search, with no
+// real-time order to prune it, gets the shorter runs.
+func (t *plan) predictiveCells(row int, l lang.Lang) {
+	steps, flag := t.p.TimedSteps, "timed-steps"
+	if l.Judge.Cond == lang.SC {
+		steps, flag = t.p.SCSteps, "sc-steps"
 	}
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweep(psd, mk, l, core.PSD, steps, flag, true)
+	t.sweep(psd, l, core.PSD, steps, flag)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweep(pwd, mk, l, core.PWD, steps, flag, true)
+	t.sweep(pwd, l, core.PWD, steps, flag)
 }
 
 // walkUnit adds the Theorem 5.2 walk unit: it searches the shuffles of
@@ -289,8 +306,8 @@ func (t *plan) walkUnit(targets []cellKey, l lang.Lang, alpha trace.Word, n int,
 
 // ---------------------------------------------------------------- rows
 
-// registerRow lays out the LIN_REG or SC_REG row (lin selects which).
-func (t *plan) registerRow(l lang.Lang, lin bool) {
+// registerRow lays out the LIN_REG or SC_REG row.
+func (t *plan) registerRow(l lang.Lang) {
 	row := t.newRow(l.Name)
 
 	// SD ✗ and WD ✗: the Lemma 5.1 swap defeats both an order-free monitor
@@ -316,11 +333,11 @@ func (t *plan) registerRow(l lang.Lang, lin bool) {
 	}
 
 	// PSD ✓ and PWD ✓: Figure 8 with the LIN or SC check.
-	t.predictiveCells(row, l, lin)
+	t.predictiveCells(row, l)
 }
 
 // ledgerRow lays out the LIN_LED or SC_LED row.
-func (t *plan) ledgerRow(l lang.Lang, lin bool) {
+func (t *plan) ledgerRow(l lang.Lang) {
 	row := t.newRow(l.Name)
 
 	// SD ✗ and WD ✗ via Theorem 5.2: the Appendix A witness word is not
@@ -332,7 +349,7 @@ func (t *plan) ledgerRow(l lang.Lang, lin bool) {
 	t.walkUnit([]cellKey{sd, wd}, l, core.AppendixAWitness(t.p.Procs), t.p.Procs, func() monitor.Monitor {
 		return monitor.NewNaiveOrder(trace.Ledger(), adversary.ArrayAtomic)
 	}, fmt.Sprintf("no RTO witness found for %s on the Appendix A word", l.Name))
-	t.predictiveCells(row, l, lin)
+	t.predictiveCells(row, l)
 }
 
 // ecLedRow lays out the EC_LED row: undecidable everywhere.
@@ -375,10 +392,7 @@ func (t *plan) wecRow() {
 
 	wd := t.setCell(row, 1, l.Name, core.WD, true, "Figure 5",
 		"amplified Figure 5 over labelled sources, WD predicate")
-	amplified := func(*adversary.Timed) monitor.Monitor {
-		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}
-	t.sweep(wd, amplified, l, core.WD, t.p.Steps, "steps", false)
+	t.sweep(wd, l, core.WD, t.p.Steps, "steps")
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
@@ -397,7 +411,7 @@ func (t *plan) wecRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 5",
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
-	t.sweep(pwd, amplified, l, core.PWD, t.p.Steps, "steps", true)
+	t.sweep(pwd, l, core.PWD, t.p.Steps, "steps")
 }
 
 // secRow lays out the SEC_COUNT row: ✗ ✗ ✗ ✓.
@@ -445,9 +459,7 @@ func (t *plan) secRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 9",
 		"amplified Figure 9 over labelled sources, PWD predicate")
-	t.sweep(pwd, func(tau *adversary.Timed) monitor.Monitor {
-		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	}, l, core.PWD, t.p.TimedSteps, "timed-steps", true)
+	t.sweep(pwd, l, core.PWD, t.p.TimedSteps, "timed-steps")
 }
 
 // counterAttack builds the Lemma 5.2 instance: one inc, then reads of 0

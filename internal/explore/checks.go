@@ -35,10 +35,10 @@ const (
 	// exhibited prefix must pass the language's safety checker — the
 	// generator-versus-checker axis of the differential.
 	CheckLabelSafety = "label-safety"
-	// CheckClass: the family's decidability predicate (WD, PWD or PSD),
-	// judged by core.Eval on crash-free runs — the monitor-versus-oracle
-	// axis. Crashes invalidate the ω-label (dropped events change
-	// membership), so crashed runs skip it.
+	// CheckClass: the language's decidability predicate (WD, PWD or PSD;
+	// see classOf), judged by core.Eval on crash-free runs — the
+	// monitor-versus-oracle axis. Crashes invalidate the ω-label (dropped
+	// events change membership), so crashed runs skip it.
 	CheckClass = "class"
 	// CheckReplay: re-executing the spec must reproduce the digest.
 	CheckReplay = "replay"
@@ -86,7 +86,7 @@ func (o *Outcome) diverge(name, format string, args ...any) {
 
 // runChecks evaluates every applicable differential check, appending
 // divergences and bookkeeping to the outcome.
-func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
+func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, res *monitor.Result, tau *adversary.Timed) {
 	s := out.Spec
 	crashed := len(s.Crashes) > 0
 
@@ -96,9 +96,9 @@ func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam f
 	}
 
 	out.ran(CheckSourcePrefix)
-	checkSourcePrefix(out, lb, fam, res)
+	checkSourcePrefix(out, lb, tau != nil, res)
 
-	if fam == famWEC || fam == famSEC {
+	if c := l.Judge.Cond; c == lang.WEC || c == lang.SEC {
 		out.ran(CheckOwnSafety)
 		checkOwnSafety(out, res)
 	}
@@ -128,7 +128,7 @@ func (r Runner) runChecks(out *Outcome, l lang.Lang, lb adversary.Labeled, fam f
 		}
 	}
 
-	r.checkClass(out, l, lb, fam, res, tau)
+	r.checkClass(out, l, lb, res, tau)
 }
 
 // checkCrashQuiet asserts a crashed process reports no verdict after its
@@ -155,10 +155,10 @@ func checkCrashQuiet(out *Outcome, res *monitor.Result) {
 // whole projection or mismatched, or after 8·len(History)+256 source
 // symbols, the bound beyond which a still-unmatched process counts as
 // diverged. Divergences are reported in ascending process order.
-func checkSourcePrefix(out *Outcome, lb adversary.Labeled, fam family, res *monitor.Result) {
+func checkSourcePrefix(out *Outcome, lb adversary.Labeled, timed bool, res *monitor.Result) {
 	src := lb.New()
 	h := res.History
-	if !fam.timed() && len(out.Spec.Crashes) == 0 {
+	if !timed && len(out.Spec.Crashes) == 0 {
 		for i := range h {
 			sym, ok := src.Next()
 			if !ok || !h[i].Equal(sym) {
@@ -243,16 +243,16 @@ func checkOwnSafety(out *Outcome, res *monitor.Result) {
 	}
 }
 
-// checkClass judges the family's decidability predicate with core.Eval,
+// checkClass judges the language's decidability predicate with core.Eval,
 // the judge Table 1 uses: in-language runs by the source label,
 // out-of-language runs by what the exhibited word shows (a run too short to
 // show a violation is no divergence). The weak predicates read verdict
 // tails, which is only meaningful once every process got past the sources'
 // transient phases; runs whose verdict streams are too short for the window
 // proxy are skipped rather than misjudged.
-func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, fam family, res *monitor.Result, tau *adversary.Timed) {
-	class := fam.class()
-	if class == 0 { // famECLed: undecidable in every class, no verdict oracle
+func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, res *monitor.Result, tau *adversary.Timed) {
+	class := classOf(l)
+	if class == 0 { // EC_LED: undecidable in every class, no verdict oracle
 		out.skipped(CheckClass)
 		return
 	}

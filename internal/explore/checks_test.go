@@ -15,7 +15,7 @@ import (
 // projectedSourcePrefix is the source-prefix oracle checkSourcePrefix
 // streams: materialise the first 8·len(History)+256 source symbols, then
 // compare per-process projections. It is the differential reference.
-func projectedSourcePrefix(out *Outcome, lb adversary.Labeled, fam family, res *monitor.Result) {
+func projectedSourcePrefix(out *Outcome, lb adversary.Labeled, timed bool, res *monitor.Result) {
 	src := lb.New()
 	var w trace.Word
 	limit := 8*len(res.History) + 256
@@ -26,7 +26,7 @@ func projectedSourcePrefix(out *Outcome, lb adversary.Labeled, fam family, res *
 		}
 		w = append(w, sym)
 	}
-	if !fam.timed() && len(out.Spec.Crashes) == 0 {
+	if !timed && len(out.Spec.Crashes) == 0 {
 		if len(w) < len(res.History) || !res.History.Equal(w[:len(res.History)]) {
 			out.diverge(CheckSourcePrefix, "history is not a verbatim prefix of the source word")
 		}
@@ -118,14 +118,14 @@ func TestCheckSourcePrefixMatchesProjection(t *testing.T) {
 		for _, n := range []int{2, 3} {
 			for _, lb := range l.Sources(n, int64(n)) {
 				for trial := 0; trial < 12; trial++ {
-					fam, crashes := famPred, []Crash(nil)
+					timed, crashes := true, []Crash(nil)
 					switch trial % 3 {
 					case 0:
-						fam = famWEC
+						timed = false
 					case 1:
-						fam, crashes = famWEC, []Crash{{Step: 1, Proc: 0}}
+						timed, crashes = false, []Crash{{Step: 1, Proc: 0}}
 					}
-					verbatim := fam == famWEC && crashes == nil
+					verbatim := !timed && crashes == nil
 					h := exhibited(rng, lb, n, 1+rng.Intn(120), verbatim)
 					if trial >= 6 {
 						h = perturb(rng, h, n)
@@ -133,8 +133,8 @@ func TestCheckSourcePrefixMatchesProjection(t *testing.T) {
 					spec := Spec{N: n, Crashes: crashes}
 					res := &monitor.Result{History: h}
 					got, want := &Outcome{Spec: spec}, &Outcome{Spec: spec}
-					checkSourcePrefix(got, lb, fam, res)
-					projectedSourcePrefix(want, lb, fam, res)
+					checkSourcePrefix(got, lb, timed, res)
+					projectedSourcePrefix(want, lb, timed, res)
 					if !reflect.DeepEqual(got.Divergences, want.Divergences) {
 						t.Fatalf("%s/%s n=%d trial %d: streamed %v, projected %v\nhistory %v",
 							l.Name, lb.Name, n, trial, got.Divergences, want.Divergences, h)

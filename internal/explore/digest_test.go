@@ -8,6 +8,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/experiment"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
@@ -65,18 +66,17 @@ func TestDigestMatchesFmtReference(t *testing.T) {
 	// the fmt reference computes.
 	sc := newRunScratch()
 	for _, l := range lang.All() {
-		fam := famOf(l.Name)
 		for _, lb := range l.Sources(3, 5) {
 			s := Spec{Lang: l.Name, Source: lb.Name, N: 3, Seed: 5, Policy: PolRandom, Steps: 300}
 			adv := adversary.NewA(s.N, lb.New())
 			tau := adversary.NewTimed(s.N, adv, adversary.ArrayAtomic)
 			var svc adversary.Service = adv
-			if fam.timed() {
+			if classOf(l).Predictive() {
 				svc = tau
 			}
 			res := monitor.Run(monitor.Config{
 				N:       s.N,
-				Monitor: buildMonitor(fam, l, tau),
+				Monitor: experiment.Decider(l, tau),
 				NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
 					return svc, []int{adv.Register(rt)}
 				},

@@ -281,8 +281,21 @@ func TestGeneratedSpecsRespectConfig(t *testing.T) {
 			t.Fatalf("spec %d invalid: %v", i, err)
 		}
 	}
-	if err := (GenConfig{Langs: []string{"NOPE"}}).validate(); err == nil {
-		t.Error("unknown language in config accepted")
+	for _, tc := range []struct {
+		cfg  GenConfig
+		want string
+	}{
+		{GenConfig{Langs: []string{"NOPE"}}, `unknown language "NOPE"`},
+		// A repeated filter entry would reweigh the draws.
+		{GenConfig{Families: []string{FamLang, FamLang}}, `scenario family "lang" listed twice`},
+		{GenConfig{Langs: []string{"LIN_REG", "LIN_REG", "SC_REG"}}, `language "LIN_REG" listed twice`},
+		{GenConfig{Families: []string{FamObj}, Objects: []string{"queue", "stack", "queue"}}, `object "queue" listed twice`},
+		{GenConfig{Families: []string{FamObj}, Impls: []string{"lock", "lock"}}, `implementation "lock" listed twice`},
+		{GenConfig{Families: []string{FamMsg}, NetOrders: []string{"fifo", "lifo", "fifo"}}, `network order "fifo" listed twice`},
+	} {
+		if err := tc.cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: validate() = %v, want an error naming %s", tc.cfg, err, tc.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/msgnet"
@@ -47,16 +46,25 @@ func (g GenConfig) families() []string {
 }
 
 // validate checks the config against the known language, family and object
-// sets.
+// sets. A filter may name each entry once: a repeated one would weigh its
+// draws, and a repeated family would spend an extra draw on picking it.
 func (g GenConfig) validate() error {
+	filters := [][]string{g.Families, g.Langs, g.Objects, g.Impls, g.NetOrders}
+	for k, noun := range []string{"scenario family", "language", "object", "implementation", "network order"} {
+		for i, name := range filters[k] {
+			if slices.Contains(filters[k][:i], name) {
+				return fmt.Errorf("explore: %s %q listed twice", noun, name)
+			}
+		}
+	}
 	for _, fam := range g.Families {
 		if fam != FamLang && fam != FamObj && fam != FamMsg {
 			return fmt.Errorf("explore: unknown scenario family %q", fam)
 		}
 	}
 	for _, name := range g.Langs {
-		if _, err := langByName(name); err != nil {
-			return err
+		if _, err := lang.ByName(name); err != nil {
+			return fmt.Errorf("explore: %w", err)
 		}
 	}
 	// Object and impl filters resolve against the object registry, plus the
@@ -68,9 +76,7 @@ func (g GenConfig) validate() error {
 	for _, name := range g.Objects {
 		known := false
 		for _, fam := range registries {
-			if ImplsOf(fam, name) != nil {
-				known = true
-			}
+			known = known || ImplsOf(fam, name) != nil
 		}
 		if !known {
 			return fmt.Errorf("explore: unknown object %q", name)
@@ -80,11 +86,7 @@ func (g GenConfig) validate() error {
 		found := false
 		for _, fam := range registries {
 			for _, object := range g.objects(fam) {
-				for _, have := range ImplsOf(fam, object) {
-					if have == impl {
-						found = true
-					}
-				}
+				found = found || slices.Contains(ImplsOf(fam, object), impl)
 			}
 		}
 		if !found {
@@ -131,10 +133,8 @@ func (g GenConfig) implsFor(fam, object string) []string {
 	}
 	var keep []string
 	for _, name := range all {
-		for _, want := range g.Impls {
-			if name == want {
-				keep = append(keep, name)
-			}
+		if slices.Contains(g.Impls, name) {
+			keep = append(keep, name)
 		}
 	}
 	return keep
@@ -161,43 +161,27 @@ func (g GenConfig) netOrders() []string {
 	return g.NetOrders
 }
 
-// tableLangs is lang.All, built once: a Lang holds only stateless objects
-// and constructors, so every spec and scenario can share the seven.
-var tableLangs = sync.OnceValue(lang.All)
-
-func langByName(name string) (lang.Lang, error) {
-	for _, l := range tableLangs() {
-		if l.Name == name {
-			return l, nil
-		}
-	}
-	return lang.Lang{}, fmt.Errorf("explore: unknown language %q", name)
-}
-
-// stepRange returns the scheduler-step bounds scenarios of the family draw
-// from. The floors keep the finite-run proxies meaningful (a weak decider
-// needs to get past the sources' transient phases before its verdict tail is
-// judged); the ceilings keep 500-scenario sweeps interactive — the predictive
-// monitors re-check a growing history every round. The incremental checkers
+// stepRange returns the scheduler-step bounds scenarios of a language with
+// the condition draw from. The floors keep the finite-run proxies meaningful
+// (a weak decider needs to get past the sources' transient phases before its
+// verdict tail is judged); the ceilings keep 500-scenario sweeps interactive
+// — the predictive monitors re-check a growing history every round. The incremental checkers
 // make most rounds cheap, but a round that refutes the cached witness falls
 // back to the residual search, worst-case exponential, and the
 // sequential-consistency search, with no real-time order to prune it, gets
 // the shortest runs.
-func stepRange(fam family, langName string) (lo, hi int) {
-	switch fam {
-	case famWEC:
+func stepRange(cond lang.Cond) (lo, hi int) {
+	switch cond {
+	case lang.WEC:
 		return 2500, 6000
-	case famSEC:
+	case lang.SEC:
 		return 2000, 3600
-	case famECLed:
+	case lang.EC:
 		return 500, 1500
-	default:
-		switch langName {
-		case "LIN_REG", "LIN_LED":
-			return 400, 1200
-		default: // SC_REG, SC_LED: the least-pruned residual search, shortest runs
-			return 300, 700
-		}
+	case lang.LIN:
+		return 400, 1200
+	default: // SC: the least-pruned residual search, shortest runs
+		return 300, 700
 	}
 }
 
@@ -224,18 +208,14 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 	}
 	var l lang.Lang
 	if names := cfg.Langs; len(names) > 0 {
-		var err error
-		if l, err = langByName(names[rng.Intn(len(names))]); err != nil {
-			panic(err) // cfg was validated
-		}
+		l, _ = lang.ByName(names[rng.Intn(len(names))]) // cfg was validated
 	} else {
-		all := tableLangs()
+		all := lang.All()
 		l = all[rng.Intn(len(all))]
 	}
-	name := l.Name
 
 	s := Spec{
-		Lang: name,
+		Lang: l.Name,
 		N:    2 + rng.Intn(3), // 2..4 processes
 		Seed: rng.Int63(),
 	}
@@ -257,7 +237,7 @@ func newSpecSeeded(rng *rand.Rand, cfg GenConfig) Spec {
 		s.Bias = float64(30+5*rng.Intn(11)) / 100 // 0.30..0.80
 	}
 
-	lo, hi := stepRange(famOf(name), name)
+	lo, hi := stepRange(l.Judge.Cond)
 	s.Steps = lo + rng.Intn(hi-lo+1)
 	if cfg.MaxSteps > 0 && s.Steps > cfg.MaxSteps {
 		s.Steps = cfg.MaxSteps

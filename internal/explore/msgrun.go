@@ -46,7 +46,7 @@ const netSalt = 0x0abd
 // with distinct values disagree).
 var msgRegistry = []objDef{
 	{
-		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: lang.SC,
+		obj: trace.Register(), safety: lang.SC,
 		impls: []implDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				r := abd.NewRegister("x", n, nt, 0)
@@ -59,7 +59,7 @@ var msgRegistry = []objDef{
 		},
 	},
 	{
-		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: lang.SEC,
+		obj: trace.Counter(), safety: lang.SEC,
 		impls: []implDef{
 			{name: "abd", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewCounter("c", n, nt)
@@ -72,7 +72,7 @@ var msgRegistry = []objDef{
 		},
 	},
 	{
-		name: "consensus", obj: trace.Consensus(), safetyName: OracleSC, safety: lang.SC,
+		obj: trace.Consensus(), safety: lang.SC,
 		impls: []implDef{
 			{name: "coord", lin: true, safe: true, make: func(n int, nt *msgnet.Net) (sut.Impl, func() []abd.Server) {
 				c := abd.NewConsensus("k", n, nt)

@@ -38,7 +38,8 @@ func reuseMsgSpec(object, impl string, seed int64, n int) Spec {
 // reuseLangSpec builds a fixed language-family spec for one source, run to
 // its language's generator step floor so the class oracles get to run.
 func reuseLangSpec(langName, source string, seed int64, n int, crash bool) Spec {
-	lo, _ := stepRange(famOf(langName), langName)
+	l, _ := lang.ByName(langName)
+	lo, _ := stepRange(l.Judge.Cond)
 	s := Spec{Lang: langName, Source: source, N: n, Seed: seed, Policy: PolRandom, Steps: lo}
 	if crash {
 		s.Crashes = []Crash{{Step: 40, Proc: 1}}
@@ -52,10 +53,10 @@ func reuseLangSpec(langName, source string, seed int64, n int, crash bool) Spec 
 // untimed one), at a different process count, with a crash schedule.
 func dirtyLangSpec(target lang.Lang, k int) Spec {
 	other := "WEC_COUNT"
-	if !famOf(target.Name).timed() {
+	if !classOf(target).Predictive() {
 		other = []string{"LIN_LED", "SEC_COUNT"}[k%2]
 	}
-	l, _ := langByName(other)
+	l, _ := lang.ByName(other)
 	n := []int{2, 4}[k%2]
 	srcs := l.Sources(n, 0)
 	return reuseLangSpec(other, srcs[k%len(srcs)].Name, 9, n, true)

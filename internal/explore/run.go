@@ -5,61 +5,28 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/core"
+	"github.com/drv-go/drv/internal/experiment"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/sched"
 )
 
-// family groups the languages by the monitor construction the explorer runs
-// against them, which in turn fixes the decidability predicate used as the
-// verdict oracle.
-type family uint8
-
-const (
-	// famWEC runs the amplified Figure 5 weak decider (untimed, WD oracle).
-	famWEC family = iota + 1
-	// famSEC runs the amplified Figure 9 decider (timed, PWD oracle).
-	famSEC
-	// famPred runs the Figure 8 predictive monitor with the LIN or SC
-	// acceptance check (timed, PSD oracle).
-	famPred
-	// famECLed runs the best-effort EC-ledger monitor; EC_LED is
-	// undecidable in every class, so only the structural and label-safety
-	// oracles apply.
-	famECLed
-)
-
-// famOf maps a Table 1 language name to its monitor family.
-func famOf(langName string) family {
-	switch langName {
-	case "WEC_COUNT":
-		return famWEC
-	case "SEC_COUNT":
-		return famSEC
-	case "EC_LED":
-		return famECLed
-	default:
-		return famPred
-	}
-}
-
-// timed reports whether the family monitors against the timed adversary Aτ.
-func (f family) timed() bool { return f == famSEC || f == famPred }
-
-// class is the decidability notion the family's monitor is judged under; 0
-// for famECLed, which has none.
-func (f family) class() core.Class {
-	switch f {
-	case famWEC:
-		return core.WD // real-time oblivious: Figure 5 needs no views
-	case famSEC:
+// classOf is the notion the explorer judges l's Decider under, the first ✓
+// of l's Table 1 row: WD runs untimed, PSD and PWD against Aτ. EC_LED has
+// none (0), so only the structural and label-safety oracles apply.
+func classOf(l lang.Lang) core.Class {
+	switch l.Judge.Cond {
+	case lang.WEC:
+		return core.WD
+	case lang.SEC:
 		return core.PWD
-	case famPred:
+	case lang.LIN, lang.SC:
 		return core.PSD
 	}
 	return 0
@@ -146,36 +113,30 @@ func (r Runner) Execute(s Spec) (*Outcome, error) {
 	if s.Fam() != FamLang {
 		return r.executeObj(s)
 	}
-	l, err := langByName(s.Lang)
+	l, err := lang.ByName(s.Lang)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	var lb adversary.Labeled
-	found := false
-	for _, cand := range l.Sources(s.N, s.Seed) {
-		if cand.Name == s.Source {
-			lb, found = cand, true
-			break
-		}
-	}
-	if !found {
+	sources := l.Sources(s.N, s.Seed)
+	i := slices.IndexFunc(sources, func(lb adversary.Labeled) bool { return lb.Name == s.Source })
+	if i < 0 {
 		return nil, fmt.Errorf("explore: language %s has no source %q", s.Lang, s.Source)
 	}
+	lb := sources[i]
 
-	fam := famOf(s.Lang)
 	adv := r.Session.Cursor(s.N, lb.New())
 	var tau *adversary.Timed
 	var svc adversary.Service = adv
-	if fam.timed() {
+	if classOf(l).Predictive() {
 		tau = r.Session.Timed(s.N, adv, adversary.ArrayAtomic)
 		svc = tau
 	}
-	out, res := r.run(s, buildMonitor(fam, l, tau), func(rt *sched.Runtime) (adversary.Service, []int) {
+	out, res := r.run(s, experiment.Decider(l, tau), func(rt *sched.Runtime) (adversary.Service, []int) {
 		return svc, []int{adv.Register(rt)}
 	})
 	out.Label = lb.In
 	mark := r.stages.start()
-	r.runChecks(out, l, lb, fam, res, tau)
+	r.runChecks(out, l, lb, res, tau)
 	r.stages.stop(FamLang, stageCheck, mark)
 	return out, nil
 }
@@ -212,22 +173,6 @@ func (r Runner) run(s Spec, m monitor.Monitor, newService func(*sched.Runtime) (
 		out.Verdicts += len(res.Verdicts[p])
 	}
 	return out, res
-}
-
-// buildMonitor constructs the family's monitor for the language.
-func buildMonitor(fam family, l lang.Lang, tau *adversary.Timed) monitor.Monitor {
-	switch fam {
-	case famWEC:
-		return monitor.AmplifyWAD(monitor.NewWEC(adversary.ArrayAtomic), adversary.ArrayAtomic)
-	case famSEC:
-		return monitor.AmplifyWAD(monitor.NewSEC(tau, adversary.ArrayAtomic), adversary.ArrayAtomic)
-	case famECLed:
-		return monitor.NewECLed(adversary.ArrayAtomic)
-	}
-	if l.Name == "LIN_REG" || l.Name == "LIN_LED" {
-		return monitor.NewLin(l.Object, tau, adversary.ArrayAtomic)
-	}
-	return monitor.NewSC(l.Object, tau, adversary.ArrayAtomic)
 }
 
 // policy builds the scenario's scheduling policy, drawing from rng reseeded

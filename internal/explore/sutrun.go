@@ -78,19 +78,21 @@ func shared(newImpl func(n int) sut.Impl) func(int, *msgnet.Net) (sut.Impl, func
 	return func(n int, _ *msgnet.Net) (sut.Impl, func() []abd.Server) { return newImpl(n), nil }
 }
 
-// objDef is one registered object: its sequential specification, its
-// secondary safety oracle, and its implementations (first one correct).
+// objDef is one registered object: its sequential specification, named by
+// obj.Name() in specs, its secondary safety oracle, and its implementations
+// (first one correct).
 type objDef struct {
-	name string
-	obj  trace.Object
-	// safetyName labels the secondary oracle in findings and signatures.
-	safetyName string
+	obj trace.Object
 	// safety is the secondary oracle's condition, judged over obj: SC for
 	// the strong objects — the strongest property an order-free observer can
 	// refute — SEC safety for counters, EC clause (1) for ledgers.
 	safety lang.Cond
 	impls  []implDef
 }
+
+// safetyOracle labels each secondary oracle condition in findings and
+// signatures.
+var safetyOracle = map[lang.Cond]string{lang.SC: OracleSC, lang.SEC: OracleSECSafety, lang.EC: OracleECSafety}
 
 // objRegistry lists the object-execution scenarios, in deterministic order.
 // The ground-truth flags restate what package sut's tests pin: e.g. the
@@ -101,7 +103,7 @@ type objDef struct {
 // the gets it does answer prefix-compatible.
 var objRegistry = []objDef{
 	{
-		name: "register", obj: trace.Register(), safetyName: OracleSC, safety: lang.SC,
+		obj: trace.Register(), safety: lang.SC,
 		impls: []implDef{
 			{name: "atomic", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewAtomicRegister() })},
 			{name: "stale", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewStaleRegister(n, 3) })},
@@ -109,7 +111,7 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "counter", obj: trace.Counter(), safetyName: OracleSECSafety, safety: lang.SEC,
+		obj: trace.Counter(), safety: lang.SEC,
 		impls: []implDef{
 			{name: "snapshot", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAtomic) })},
 			{name: "aadgms", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewSnapshotCounter(n, sut.CounterAADGMS) })},
@@ -119,21 +121,21 @@ var objRegistry = []objDef{
 		},
 	},
 	{
-		name: "queue", obj: trace.Queue(), safetyName: OracleSC, safety: lang.SC,
+		obj: trace.Queue(), safety: lang.SC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockQueue() })},
 			{name: "lifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewLIFOQueue() })},
 		},
 	},
 	{
-		name: "stack", obj: trace.Stack(), safetyName: OracleSC, safety: lang.SC,
+		obj: trace.Stack(), safety: lang.SC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockStack() })},
 			{name: "fifo", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewFIFOStack() })},
 		},
 	},
 	{
-		name: "ledger", obj: trace.Ledger(), safetyName: OracleECSafety, safety: lang.EC,
+		obj: trace.Ledger(), safety: lang.EC,
 		impls: []implDef{
 			{name: "lock", lin: true, safe: true, make: shared(func(n int) sut.Impl { return sut.NewLockLedger() })},
 			{name: "snapshot", lin: false, safe: false, make: shared(func(n int) sut.Impl { return sut.NewSnapshotLedger(n) })},
@@ -158,7 +160,7 @@ func Objects(fam string) []string {
 	reg := registry(fam)
 	names := make([]string, 0, len(reg))
 	for _, od := range reg {
-		names = append(names, od.name)
+		names = append(names, od.obj.Name())
 	}
 	return names
 }
@@ -167,7 +169,7 @@ func Objects(fam string) []string {
 // object, correct variant first, or nil for an object the family lacks.
 func ImplsOf(fam, object string) []string {
 	for _, od := range registry(fam) {
-		if od.name != object {
+		if od.obj.Name() != object {
 			continue
 		}
 		names := make([]string, 0, len(od.impls))
@@ -186,7 +188,7 @@ func implByName(fam, object, impl string) (objDef, implDef, error) {
 		noun = "emulated object"
 	}
 	for _, od := range registry(fam) {
-		if od.name != object {
+		if od.obj.Name() != object {
 			continue
 		}
 		for _, id := range od.impls {
@@ -304,9 +306,9 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 	if violation != "" {
 		if id.safe {
 			out.diverge(CheckOracle,
-				"%s/%s guarantees %s but violated it: %s", s.Object, s.Impl, od.safetyName, violation)
+				"%s/%s guarantees %s but violated it: %s", s.Object, s.Impl, safetyOracle[od.safety], violation)
 		} else {
-			out.bug(od.safetyName, "%s", violation)
+			out.bug(safetyOracle[od.safety], "%s", violation)
 		}
 	}
 

@@ -14,6 +14,8 @@
 package lang
 
 import (
+	"fmt"
+
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 )
@@ -39,11 +41,23 @@ type Lang struct {
 	Sources func(n int, seed int64) []adversary.Labeled
 }
 
-// All returns the seven languages of Table 1, in table order.
-func All() []Lang {
-	return []Lang{
-		LinReg(), SCReg(), LinLed(), SCLed(), ECLed(), WECCount(), SECCount(),
+// table is the seven languages of Table 1, in table order, built once: a
+// Lang holds only stateless objects and constructors, so every caller can
+// share them.
+var table = []Lang{LinReg(), SCReg(), LinLed(), SCLed(), ECLed(), WECCount(), SECCount()}
+
+// All returns the seven languages of Table 1, in table order. The slice is
+// shared; callers must not modify it.
+func All() []Lang { return table }
+
+// ByName returns the language of All named name.
+func ByName(name string) (Lang, error) {
+	for _, l := range table {
+		if l.Name == name {
+			return l, nil
+		}
 	}
+	return Lang{}, fmt.Errorf("unknown language %q", name)
 }
 
 // LinReg is the linearizable register language (Definition 2.4).

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -28,6 +29,14 @@ func TestAllSevenLanguages(t *testing.T) {
 		}
 		if l.Sources == nil {
 			t.Errorf("%s has no sources", l.Name)
+		}
+		if got, err := ByName(l.Name); err != nil || got.Name != l.Name || got.Judge != l.Judge {
+			t.Errorf("ByName(%q) = %s, %v; want the table's %s", l.Name, got.Name, err, l.Name)
+		}
+	}
+	for _, name := range []string{"", "lin_reg", "NOPE"} {
+		if _, err := ByName(name); err == nil || err.Error() != fmt.Sprintf("unknown language %q", name) {
+			t.Errorf("ByName(%q): %v", name, err)
 		}
 	}
 }

@@ -60,13 +60,16 @@ type Open struct {
 	// Stream is the client-chosen stream id; all later lines of this stream
 	// name it.
 	Stream string `json:"stream"`
-	// Logic selects the monitor: "lin", "sc", "wec", "sec" or "ecledger".
+	// Logic selects the monitor by its exp/monitor name (Logic.String, read
+	// by monitor.ParseLogic): "lin", "sc", "wec", "sec" or "ecledger".
 	Logic string `json:"logic"`
-	// Object names the sequential specification for the lin and sc logics:
-	// "register", "counter", "queue", "stack", "ledger" or "consensus".
+	// Object names the sequential specification for the lin and sc logics,
+	// by its exp/trace Object.Name: "register", "counter", "queue", "stack",
+	// "ledger" or "consensus".
 	Object string `json:"object,omitempty"`
-	// Array selects the announcement array: "atomic" (default), "aadgms" or
-	// "collect".
+	// Array selects the announcement array by its exp/monitor name
+	// (Array.String, read by monitor.ParseArray): "atomic" (the default,
+	// also when empty), "aadgms" or "collect".
 	Array string `json:"array,omitempty"`
 	// MaxSteps bounds the replay; ≤ 0 means monitor.DefaultMaxSteps. A
 	// replay cut by the bound is reported with Done.Truncated.

@@ -59,7 +59,7 @@ func randomHistory(rng *rand.Rand, n, ops int, counter bool) trace.Word {
 // order, then done.
 func batchLines(t *testing.T, open Open, n int, w trace.Word) []string {
 	t.Helper()
-	logic, err := logicByName(open.Logic)
+	logic, err := monitor.ParseLogic(open.Logic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"github.com/drv-go/drv/exp/monitor"
 	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/explore"
 )
 
 // rw glues a buffered request to a response buffer for one-shot ServeConn
@@ -407,9 +408,9 @@ func TestServeProtocolErrors(t *testing.T) {
 		{name: "two fields set", raw: append(request(t), []byte(`{"open":{"stream":"s","logic":"lin"},"close":{"stream":"s"}}`+"\n")...), wantErr: "exactly one of", conn: true},
 		{name: "empty line object", raw: append(request(t), []byte("{}\n")...), wantErr: "exactly one of", conn: true},
 		{name: "duplicate handshake", msgs: []Request{{Config: &ClientConfig{Protocol: ProtocolVersion}}}, wantErr: "duplicate config handshake", conn: true},
-		{name: "unknown logic", msgs: []Request{{Open: &Open{Stream: "s", Logic: "wat"}}}, wantErr: `unknown logic "wat"`},
-		{name: "unknown object", msgs: []Request{{Open: &Open{Stream: "s", Logic: "lin", Object: "wat"}}}, wantErr: `unknown object "wat"`},
-		{name: "unknown array", msgs: []Request{{Open: &Open{Stream: "s", Logic: "lin", Object: "queue", Array: "wat"}}}, wantErr: `unknown array "wat"`},
+		{name: "unknown logic", msgs: []Request{{Open: &Open{Stream: "s", Logic: "wat"}}}, wantErr: `unknown logic "wat" (want lin, sc, wec, sec or ecledger)`},
+		{name: "unknown object", msgs: []Request{{Open: &Open{Stream: "s", Logic: "lin", Object: "wat"}}}, wantErr: `unknown object "wat" (want register, counter, queue, stack, ledger or consensus)`},
+		{name: "unknown array", msgs: []Request{{Open: &Open{Stream: "s", Logic: "lin", Object: "queue", Array: "wat"}}}, wantErr: `unknown array "wat" (want atomic, aadgms or collect)`},
 		{name: "duplicate open", msgs: []Request{openQ("s"), openQ("s")}, wantErr: `stream "s" is already open`},
 		{name: "event for unopened stream", msgs: []Request{sym("ghost")}, wantErr: `event for unopened stream "ghost"`},
 		{name: "close for unopened stream", msgs: []Request{{Close: &CloseStream{Stream: "ghost"}}}, wantErr: `close for unopened stream "ghost"`},
@@ -447,6 +448,23 @@ func TestServeProtocolErrors(t *testing.T) {
 				t.Fatalf("no error response containing %q in:\n%+v", tc.wantErr, resps)
 			}
 		})
+	}
+}
+
+// TestObjectNames pins the wire's object table: every object resolves by
+// its Name, and so does every object the explorer's registries run.
+func TestObjectNames(t *testing.T) {
+	names := []string{"register", "counter", "queue", "stack", "ledger", "consensus"}
+	for _, fam := range []string{explore.FamObj, explore.FamMsg} {
+		names = append(names, explore.Objects(fam)...)
+	}
+	for _, name := range names {
+		if obj, err := objectByName(name); err != nil || obj.Name() != name {
+			t.Errorf("objectByName(%q) = %v, %v", name, obj, err)
+		}
+	}
+	if obj, err := objectByName(""); obj != nil || err != nil {
+		t.Errorf("objectByName(\"\") = %v, %v; want no object", obj, err)
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 
 	"github.com/drv-go/drv/exp/monitor"
@@ -638,7 +639,7 @@ func (c *conn) handleOpen(line int, o *Open) {
 		c.fail(o.Stream, line, fmt.Sprintf("stream %q is already open", o.Stream))
 		return
 	}
-	logic, err := logicByName(o.Logic)
+	logic, err := monitor.ParseLogic(o.Logic)
 	if err != nil {
 		c.fail(o.Stream, line, err.Error())
 		return
@@ -648,7 +649,7 @@ func (c *conn) handleOpen(line int, o *Open) {
 		c.fail(o.Stream, line, err.Error())
 		return
 	}
-	array, err := arrayByName(o.Array)
+	array, err := monitor.ParseArray(o.Array)
 	if err != nil {
 		c.fail(o.Stream, line, err.Error())
 		return
@@ -734,54 +735,22 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 	st.end(false)
 }
 
-// logicByName maps the wire name to the monitor logic.
-func logicByName(name string) (monitor.Logic, error) {
-	switch name {
-	case "lin":
-		return monitor.LogicLin, nil
-	case "sc":
-		return monitor.LogicSC, nil
-	case "wec":
-		return monitor.LogicWEC, nil
-	case "sec":
-		return monitor.LogicSEC, nil
-	case "ecledger":
-		return monitor.LogicECLedger, nil
-	}
-	return 0, fmt.Errorf("unknown logic %q (want lin, sc, wec, sec or ecledger)", name)
-}
+// objects are the sequential specifications a stream may name, by Name().
+var objects = []trace.Object{trace.Register(), trace.Counter(), trace.Queue(), trace.Stack(), trace.Ledger(), trace.Consensus()}
 
-// objectByName maps the wire name to a sequential specification. Empty is
+// objectByName returns the specification of objects named name. Empty is
 // allowed (the counter and ledger logics carry their own specification).
 func objectByName(name string) (trace.Object, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return nil, nil
-	case "register":
-		return trace.Register(), nil
-	case "counter":
-		return trace.Counter(), nil
-	case "queue":
-		return trace.Queue(), nil
-	case "stack":
-		return trace.Stack(), nil
-	case "ledger":
-		return trace.Ledger(), nil
-	case "consensus":
-		return trace.Consensus(), nil
 	}
-	return nil, fmt.Errorf("unknown object %q (want register, counter, queue, stack, ledger or consensus)", name)
-}
-
-// arrayByName maps the wire name to an announcement-array kind.
-func arrayByName(name string) (monitor.Array, error) {
-	switch name {
-	case "", "atomic":
-		return monitor.ArrayAtomic, nil
-	case "aadgms":
-		return monitor.ArrayAADGMS, nil
-	case "collect":
-		return monitor.ArrayCollect, nil
+	var names []string
+	for _, obj := range objects {
+		if obj.Name() == name {
+			return obj, nil
+		}
+		names = append(names, obj.Name())
 	}
-	return 0, fmt.Errorf("unknown array %q (want atomic, aadgms or collect)", name)
+	last := len(names) - 1
+	return nil, fmt.Errorf("unknown object %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
 }
