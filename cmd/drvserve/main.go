@@ -43,10 +43,13 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"github.com/drv-go/drv/exp/monitor"
 	"github.com/drv-go/drv/exp/trace"
+	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/serve"
 )
 
@@ -70,9 +73,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	stdio := fs.Bool("stdio", false, "serve one connection on stdin/stdout")
 	send := fs.String("send", "", "client mode: stream a trace file to a drvserve at this address")
 	stream := fs.String("stream", "trace", "client: stream id")
-	logic := fs.String("logic", "lin", "client: monitor logic (lin, sc, wec, sec, ecledger)")
-	object := fs.String("object", "queue", "client: sequential object (register, counter, queue, stack, ledger, consensus)")
-	array := fs.String("array", "", "client: announcement array (atomic, aadgms, collect)")
+	logic := fs.String("logic", "lin", "client: monitor logic ("+list(monitor.LogicLin, monitor.LogicECLedger)+")")
+	object := fs.String("object", "queue", "client: sequential object ("+strings.Join(serve.ObjectNames(), ", ")+")")
+	array := fs.String("array", "", "client: announcement array ("+list(adversary.ArrayAtomic, adversary.ArrayCollect)+")")
 	maxSteps := fs.Int("max-steps", 0, "client: replay step bound (0 = monitor default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -113,6 +116,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 type rw struct {
 	io.Reader
 	io.Writer
+}
+
+// list joins the names of first..last, a name table's entries in order.
+func list[T interface {
+	~uint8
+	fmt.Stringer
+}](first, last T) string {
+	var names []string
+	for v := first; v <= last; v++ {
+		names = append(names, v.String())
+	}
+	return strings.Join(names, ", ")
 }
 
 // serveStdio serves exactly one connection on stdin/stdout.

@@ -19,7 +19,7 @@ import (
 	"github.com/drv-go/drv/internal/serve"
 )
 
-var update = flag.Bool("update", false, "rewrite the request and response goldens")
+var update = flag.Bool("update", false, "rewrite the request, response and help goldens")
 
 // slugs are the extsut workloads whose recorded histories are committed
 // under testdata (regenerate with: go run ../../examples/extsut -trace testdata).
@@ -234,6 +234,19 @@ func TestModeSelection(t *testing.T) {
 			t.Fatalf("run(%v) = %d, want 2", args, code)
 		}
 	}
+}
+
+// TestHelpPinned pins drvserve -h byte for byte: the -logic, -object and
+// -array texts list the names the logic, object and array tables hold.
+func TestHelpPinned(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, nil, &out, &errb); code != 2 {
+		t.Fatalf("run(-h) = %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-h wrote to stdout: %q", out.String())
+	}
+	checkGolden(t, filepath.Join("testdata", "help.golden"), errb.Bytes())
 }
 
 // TestSIGINTRightAfterListenDrains re-executes the test binary as a

@@ -113,9 +113,9 @@
 // times every workload end to end and per layer.
 //
 // Table 1 runs on a parallel experiment engine (internal/experiment.Run):
-// the table decomposes into independent units — one per (cell, seed,
-// labelled source) possibility run, one per impossibility construction —
-// that fan out onto a bounded worker pool with deterministic, order-stable
+// the table decomposes into independent units — one per (seed, labelled
+// source) possibility run, judged for every cell that shares it, and one
+// per impossibility construction — that fan out onto a bounded worker pool with deterministic, order-stable
 // result folding, so drvtable -j N prints a byte-identical table for every
 // worker count. See README.md for the module setup, the short/full/race
 // test tiers, and parallel usage.

@@ -9,15 +9,16 @@ import (
 )
 
 // The parallel experiment engine. Table 1 decomposes into independent units
-// of work — one per (cell, seed, labelled source) for the possibility
-// sweeps, one per impossibility construction — because every run seeds its
-// own scheduling policy and allocates its own runtime, adversary and monitor
-// state (no package in this module holds mutable package-level state). The
-// engine fans the units onto a bounded worker pool and folds their errors
-// back into cells deterministically: each cell's error is the one produced
-// by the unit that comes first in the sequential plan order, so the rendered
-// table is byte-identical no matter how many workers run or how they
-// interleave.
+// of work — one per (seed, labelled source) of a row's possibility sweep,
+// feeding every cell that judges the same run (a register or ledger row's
+// PSD and PWD cells share theirs), and one per impossibility construction —
+// because every run seeds its own scheduling policy and allocates its own
+// runtime, adversary and monitor state (no package in this module holds
+// mutable package-level state). The engine fans the units onto a bounded
+// worker pool and folds their errors back into cells deterministically:
+// each cell's error is the one produced by the unit that comes first in the
+// sequential plan order, so the rendered table is byte-identical no matter
+// how many workers run or how they interleave.
 
 // Options configures how the Table 1 plan is executed.
 type Options struct {

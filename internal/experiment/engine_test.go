@@ -465,29 +465,34 @@ func TestNeverNOFailsEveryOutOfLanguageUnit(t *testing.T) {
 	defer sess.Close()
 	cells := map[string]bool{}
 	outs := 0
-	for _, u := range buildPlan(p, neverNO).units {
-		var name, class, source string
+	pl := buildPlan(p, neverNO)
+	for _, u := range pl.units {
+		var name, classes, source string
 		var seed int64
-		if n, _ := fmt.Sscanf(u.name, "%s × %s seed %d source %s", &name, &class, &seed, &source); n != 4 {
+		if n, _ := fmt.Sscanf(u.name, "%s × %s seed %d source %s", &name, &classes, &seed, &source); n != 4 {
 			continue // an impossibility construction
 		}
-		cells[name+" × "+class] = true
 		label, ok := in[fmt.Sprintf("%s %d %s", name, seed, source)]
 		if !ok {
 			t.Fatalf("%s: no such labelled source", u.name)
 		}
-		err := u.run(context.Background(), sess)[0]
-		var short *core.ShortRunError
-		switch {
-		case label && err != nil:
-			t.Errorf("%s: in-language unit failed: %v", u.name, err)
-		case label:
-		case err == nil:
-			t.Errorf("%s: never-NO monitor passed an out-of-language unit", u.name)
-		case errors.As(err, &short):
-			t.Errorf("%s: x(E) shows no violation: %v", u.name, err)
-		default:
-			outs++
+		errs := u.run(context.Background(), sess)
+		for i, k := range u.targets {
+			cell := pl.rows[k.row].Cells[k.col]
+			cells[cell.Lang+" × "+cell.Class.String()] = true
+			err := errs[i]
+			var short *core.ShortRunError
+			switch {
+			case label && err != nil:
+				t.Errorf("%s, %s: in-language unit failed: %v", u.name, cell.Class, err)
+			case label:
+			case err == nil:
+				t.Errorf("%s, %s: never-NO monitor passed an out-of-language unit", u.name, cell.Class)
+			case errors.As(err, &short):
+				t.Errorf("%s, %s: x(E) shows no violation: %v", u.name, cell.Class, err)
+			default:
+				outs++
+			}
 		}
 	}
 	if len(cells) != 11 || outs == 0 {

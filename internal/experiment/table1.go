@@ -238,31 +238,43 @@ func (t *plan) run(sess *monitor.Session, l lang.Lang, class core.Class, src adv
 
 // sweep emits one unit per (seed, labelled source): each unit runs a freshly
 // built Decider for l against the source for at most steps scheduler steps
-// and judges the run under the class's predicate with l's judge; a
-// predictive class runs against Aτ and also decides the sketch escape
-// clause. A run too short to judge fails with an error that names the bound
-// and drvtable's -flag that raises it. Every unit builds its own monitor and
-// runs on its worker's session, whose runtime and adversaries no other
-// worker touches, so units are safe to run concurrently.
-func (t *plan) sweep(cell cellKey, l lang.Lang, class core.Class, steps int, flag string) {
+// and judges the run under each target's class predicate with l's judge.
+// Every class of one sweep must be predictive or every one untimed: a
+// predictive run goes against Aτ and also decides the sketch escape clause,
+// and one run serves every class. A run too short to judge fails with an
+// error that names the bound and drvtable's -flag that raises it. Every unit
+// builds its own monitor and runs on its worker's session, whose runtime and
+// adversaries no other worker touches, so units are safe to run
+// concurrently.
+func (t *plan) sweep(cells []cellKey, l lang.Lang, steps int, flag string) {
+	classes := make([]core.Class, len(cells))
+	names := make([]string, len(cells))
+	for i, k := range cells {
+		classes[i] = t.rows[k.row].Cells[k.col].Class
+		names[i] = classes[i].String()
+	}
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
-			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, class, seed, lb.Name), []cellKey{cell},
+			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, strings.Join(names, "+"), seed, lb.Name), cells,
 				func(_ context.Context, sess *monitor.Session) []error {
-					res, tau := t.run(sess, l, class, lb.New(), seed, steps)
-					ev := core.Eval{Class: class, Window: t.p.Window, Judge: l.Judge, Pool: sess.CheckPool(), Word: res.History}
+					res, tau := t.run(sess, l, classes[0], lb.New(), seed, steps)
+					ev := core.Eval{Window: t.p.Window, Judge: l.Judge, Pool: sess.CheckPool(), Word: res.History}
 					if tau != nil {
 						ev.Sketch = core.SketchOf(res, tau.InvAt)
 					}
-					err := ev.Check(res, lb.In)
-					var short *core.ShortRunError
-					if errors.As(err, &short) {
-						err = fmt.Errorf("%w at the %d-step bound; raise -%s", err, steps, flag)
+					errs := make([]error, len(classes))
+					for i, class := range classes {
+						ev.Class = class
+						err := ev.Check(res, lb.In)
+						var short *core.ShortRunError
+						if errors.As(err, &short) {
+							err = fmt.Errorf("%w at the %d-step bound; raise -%s", err, steps, flag)
+						}
+						if err != nil {
+							errs[i] = fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)
+						}
 					}
-					if err != nil {
-						return []error{fmt.Errorf("seed %d source %s: %w", seed, lb.Name, err)}
-					}
-					return []error{nil}
+					return errs
 				})
 		}
 	}
@@ -270,17 +282,18 @@ func (t *plan) sweep(cell cellKey, l lang.Lang, class core.Class, steps int, fla
 
 // predictiveCells lays out the PSD ✓ and PWD ✓ cells of a register or
 // ledger row: Figure 8's V_O over l's object with l's LIN or SC check,
-// judged with l's judge as the sketch escape clause. The SC search, with no
-// real-time order to prune it, gets the shorter runs.
+// judged with l's judge as the sketch escape clause. The two cells run the
+// same Decider against the same Aτ, seed and source, so one sweep judges
+// each run under both predicates. The SC search, with no real-time order to
+// prune it, gets the shorter runs.
 func (t *plan) predictiveCells(row int, l lang.Lang) {
 	steps, flag := t.p.TimedSteps, "timed-steps"
 	if l.Judge.Cond == lang.SC {
 		steps, flag = t.p.SCSteps, "sc-steps"
 	}
 	psd := t.setCell(row, 2, l.Name, core.PSD, true, "Figure 8", "V_O over labelled sources, PSD predicate with sketch escape")
-	t.sweep(psd, l, core.PSD, steps, flag)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 8", "V_O over labelled sources, PWD predicate")
-	t.sweep(pwd, l, core.PWD, steps, flag)
+	t.sweep([]cellKey{psd, pwd}, l, steps, flag)
 }
 
 // walkUnit adds the Theorem 5.2 walk unit: it searches the shuffles of
@@ -392,7 +405,7 @@ func (t *plan) wecRow() {
 
 	wd := t.setCell(row, 1, l.Name, core.WD, true, "Figure 5",
 		"amplified Figure 5 over labelled sources, WD predicate")
-	t.sweep(wd, l, core.WD, t.p.Steps, "steps")
+	t.sweep([]cellKey{wd}, l, t.p.Steps, "steps")
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
@@ -411,7 +424,7 @@ func (t *plan) wecRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 5",
 		"amplified Figure 5 against Aτ over labelled sources, PWD predicate")
-	t.sweep(pwd, l, core.PWD, t.p.Steps, "steps")
+	t.sweep([]cellKey{pwd}, l, t.p.Steps, "steps")
 }
 
 // secRow lays out the SEC_COUNT row: ✗ ✗ ✗ ✓.
@@ -459,7 +472,7 @@ func (t *plan) secRow() {
 
 	pwd := t.setCell(row, 3, l.Name, core.PWD, true, "Figure 9",
 		"amplified Figure 9 over labelled sources, PWD predicate")
-	t.sweep(pwd, l, core.PWD, t.p.TimedSteps, "timed-steps")
+	t.sweep([]cellKey{pwd}, l, t.p.TimedSteps, "timed-steps")
 }
 
 // counterAttack builds the Lemma 5.2 instance: one inc, then reads of 0

@@ -41,6 +41,11 @@ type Session struct {
 	stats  adversary.Stats
 	logics []Logic
 	report func(proc, index int, v Verdict, step, hist int)
+
+	// The default loop's crash schedule, and crashAt bound once as the
+	// runtime's before-step hook.
+	crash     map[int][]int
+	crashHook func(step int)
 }
 
 // NewSession returns an empty session; its runtime is created lazily at the
@@ -140,6 +145,19 @@ func (s *Session) body(i int) func(p *sched.Proc) {
 	}
 }
 
+// crashAt crashes the processes the crash schedule lists at step, before
+// the step is scheduled.
+func (s *Session) crashAt(step int) {
+	for _, id := range s.crash[step] {
+		s.rt.Crash(id)
+		// Tell the service too: a crashed process has no further events in
+		// the exhibited word.
+		if c, ok := s.svc.(interface{ Crash(id int) }); ok {
+			c.Crash(id)
+		}
+	}
+}
+
 // resetResult re-sizes the reusable result buffers for an n-process run:
 // outer slices keep their backing arrays, inner ones rewind to length zero
 // with capacity retained, so steady-state appends stop allocating once the
@@ -211,23 +229,15 @@ func (s *Session) Run(cfg Config) *Result {
 		if maxSteps <= 0 {
 			maxSteps = DefaultMaxSteps
 		}
-		crashable, _ := svc.(interface{ Crash(id int) })
-		for rt.Steps() < maxSteps {
-			if ids, ok := cfg.Crash[rt.Steps()]; ok {
-				for _, id := range ids {
-					rt.Crash(id)
-					if crashable != nil {
-						// Tell the service too: a crashed process has no
-						// further events in the exhibited word.
-						crashable.Crash(id)
-					}
-				}
+		var before func(step int)
+		if len(cfg.Crash) > 0 {
+			s.crash = cfg.Crash
+			if s.crashHook == nil {
+				s.crashHook = s.crashAt
 			}
-			if !rt.Step() {
-				s.res.Drained = true
-				break
-			}
+			before = s.crashHook
 		}
+		s.res.Drained = rt.RunWith(maxSteps, before) < maxSteps
 	}
 	s.res.Steps = rt.Steps()
 	s.res.History = svc.History()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
@@ -114,5 +115,99 @@ func TestRoundObservationRecordedAtReceive(t *testing.T) {
 	}
 	if cut == 0 {
 		t.Fatal("no step bound cut a round between its receive and its verdict")
+	}
+}
+
+// finite cuts a source after k symbols, so a run against it drains.
+type finite struct {
+	src adversary.Source
+	k   int
+}
+
+func (f *finite) Next() (trace.Symbol, bool) {
+	if f.k == 0 {
+		return trace.Symbol{}, false
+	}
+	f.k--
+	return f.src.Next()
+}
+
+// TestDefaultLoopMatchesSingleSteps is the session's drive differential:
+// for every logic over each array kind, the default loop, whose crash
+// schedule runs as the runtime's before-step hook, and a Drive that hands
+// the runtime one Step at a time, crashing the schedule's processes ahead of
+// each step, give equal Results: verdicts, StepAt, PulledAt, HistAt,
+// History, Drained and the observations. The last schedule runs against a
+// word cut short, so the run drains.
+func TestDefaultLoopMatchesSingleSteps(t *testing.T) {
+	const n, steps = 3, 900
+	s := monitor.NewSession()
+	defer s.Close()
+	kinds := []adversary.ArrayKind{adversary.ArrayAtomic, adversary.ArrayAADGMS, adversary.ArrayCollect}
+	cases := pooledCases()
+	cases = append(cases, pooledCase{lang.WECCount(), false, func(_ *adversary.Timed, k adversary.ArrayKind) monitor.Monitor {
+		return monitor.AmplifyWOD(monitor.NewWEC(k), k)
+	}})
+	crashes := []map[int][]int{
+		nil,
+		{57: {1}, 301: {2}},
+		{3: {0}, 140: {1}},
+		{20: {2}},
+	}
+	drained := 0
+	for _, kind := range kinds {
+		for ci, c := range cases {
+			for xi, crash := range crashes {
+				seed := int64(ci*10 + xi)
+				sources := c.l.Sources(n, seed)
+				lb := sources[xi%len(sources)]
+				src := func() adversary.Source {
+					if xi == len(crashes)-1 {
+						return &finite{lb.New(), 90}
+					}
+					return lb.New()
+				}
+				cfg := pooledConfig(c, n, kind, src(), seed, s.Cursor, s.Timed)
+				cfg.MaxSteps, cfg.Crash = steps, crash
+				want := resultText(s.Run(cfg))
+
+				cfg = pooledConfig(c, n, kind, src(), seed, s.Cursor, s.Timed)
+				newService := cfg.NewService
+				var svc adversary.Service
+				cfg.NewService = func(rt *sched.Runtime) (adversary.Service, []int) {
+					var aux []int
+					svc, aux = newService(rt)
+					return svc, aux
+				}
+				drain := false
+				cfg.Drive = func(rt *sched.Runtime) {
+					crashable, _ := svc.(interface{ Crash(id int) })
+					for rt.Steps() < steps {
+						for _, id := range crash[rt.Steps()] {
+							rt.Crash(id)
+							if crashable != nil {
+								crashable.Crash(id)
+							}
+						}
+						if !rt.Step() {
+							drain = true
+							break
+						}
+					}
+				}
+				res := s.Run(cfg)
+				res.Drained = drain // the session sets Drained only in its own loop
+				if got := resultText(res); got != want {
+					t.Fatalf("%s %s source %s crash %v: single steps differ from the default loop\n got %s\nwant %s",
+						kind, c.l.Name, lb.Name, crash, got, want)
+				}
+				if drain {
+					drained++
+				}
+			}
+		}
+	}
+	if drained == 0 {
+		t.Error("no run drained: the stall path went unchecked")
 	}
 }

@@ -193,7 +193,8 @@ func TestResetAfterStopPanics(t *testing.T) {
 
 // TestStepZeroAlloc asserts the steady-state step loop allocates nothing:
 // with processes spawned and an aux actor registered, scheduling a step is
-// allocation-free.
+// allocation-free, one Step at a time and in a Run or RunWith of many steps
+// whose choices the parked processes make.
 func TestStepZeroAlloc(t *testing.T) {
 	rt := New(3, RoundRobin())
 	defer rt.Stop()
@@ -207,6 +208,17 @@ func TestStepZeroAlloc(t *testing.T) {
 	rt.AddAux(func() bool { return true }, func() {})
 	if avg := testing.AllocsPerRun(1000, func() { rt.Step() }); avg != 0 {
 		t.Errorf("Step allocates %.1f objects per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { rt.Run(50) }); avg != 0 {
+		t.Errorf("Run allocates %.1f objects per call, want 0", avg)
+	}
+	hooks := 0
+	before := func(int) { hooks++ }
+	if avg := testing.AllocsPerRun(100, func() { rt.RunWith(50, before) }); avg != 0 {
+		t.Errorf("RunWith allocates %.1f objects per call, want 0", avg)
+	}
+	if hooks != 101*50 {
+		t.Errorf("before-step hook ran %d times over 101 runs of 50 steps", hooks)
 	}
 }
 

@@ -22,15 +22,25 @@
 // (Runtime.Wake). A step on one object changes no
 // answer of an actor that does not read that object, so only the actors it
 // touched need a re-read: whoever writes state a gate reads must Wake the
-// gate's actor. Woken actors are re-read at the start of the next Step, where
-// a polling scheduler read every gate, so gates that pull from a source pull
-// at the same steps either way.
+// gate's actor. Woken actors are re-read ahead of the next scheduling
+// choice, where a polling scheduler read every gate, so gates that pull from
+// a source pull at the same steps either way.
 //
-// Each process body runs on an iter.Pull coroutine: a step is a direct
-// coroutine switch from the scheduler into the process and back at its next
-// Pause, Await or exit, with no channel round trip between goroutines. A
-// panic in a process body therefore surfaces from the Runtime.Step that ran
-// it, on the caller's goroutine.
+// Each process body runs on an iter.Pull coroutine, and a step switches
+// coroutines only when control passes to another process. A process that
+// pauses or parks at a gate makes the runtime's next scheduling choice
+// itself, on its own coroutine: it runs the before-step hook, re-reads the
+// woken actors and asks the Policy, exactly as the caller's loop would. It
+// runs a chosen auxiliary actor's step inline and returns from Pause or
+// Await without a switch when it is chosen again, so a run of consecutive
+// steps by one process (aux steps between them included) costs one round
+// trip between the caller and the process. Only when another process is
+// chosen, the step limit is reached or nothing is runnable does it yield to
+// the caller, which resumes the chosen process. Step and Run drive the same
+// loop; Step's limit is one step, so driving a runtime Step by Step takes
+// the same steps as Run. A panic in a process body, in the Policy or in an
+// aux step surfaces from the Runtime.Step or Run that was driving, on the
+// caller's goroutine, with its original value.
 //
 // Runtimes are poolable: Reset rewinds a runtime for a fresh execution while
 // reusing its Proc structs, parked process coroutines, and runnable-set
@@ -44,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 )
 
 // errStopped is the sentinel panic value used to unwind process coroutines
@@ -85,7 +96,7 @@ type Proc struct {
 // between pauses is free, matching the model where local steps are absorbed
 // into the surrounding shared-memory step.
 func (p *Proc) Pause() {
-	p.yield(struct{}{})
+	p.park()
 	p.checkStopped()
 }
 
@@ -97,10 +108,36 @@ func (p *Proc) Pause() {
 func (p *Proc) Await(cond func() bool) {
 	p.state = stateGated
 	p.gate = cond
-	p.yield(struct{}{})
+	p.park()
 	p.gate = nil
 	p.state = stateReady
 	p.checkStopped()
+}
+
+// park ends the process's step and makes the scheduling choices that follow
+// it on the process's own coroutine, until the policy picks the process
+// again (park returns without a switch) or control must leave it: another
+// process is chosen, the step limit is reached or nothing is runnable. Then
+// it records the outcome for the driver in rt.next and yields.
+func (p *Proc) park() {
+	rt := p.rt
+	// A process that paused is still ready, so still runnable; one that
+	// parked at a gate needs a re-read.
+	if p.state != stateReady {
+		rt.Wake(p.ID)
+	}
+	for {
+		id := rt.choose()
+		if id == p.ID {
+			return
+		}
+		if id < rt.n {
+			rt.next = id
+			break
+		}
+		rt.stepAux(id)
+	}
+	p.yield(struct{}{})
 }
 
 func (p *Proc) checkStopped() {
@@ -173,9 +210,15 @@ type Runtime struct {
 	woken    []int
 	isWoken  []bool
 	steps    int
-	stopped  bool // current execution halted; bodies unwind at next grant
-	killed   bool // runtime dead for good; coroutines have been stopped
-	started  bool
+	// limit and before are the running drive's step limit and before-step
+	// hook; next is the outcome a process hands the driver when it yields
+	// from park: the process chosen to run next, chooseLimit or chooseStall.
+	limit   int
+	before  func(step int)
+	next    int
+	stopped bool // current execution halted; bodies unwind at next grant
+	killed  bool // runtime dead for good; coroutines have been stopped
+	started bool
 }
 
 type auxActor struct {
@@ -364,50 +407,110 @@ func (rt *Runtime) refresh() {
 	rt.woken = rt.woken[:0]
 }
 
-// Step schedules one actor step. It returns false — without scheduling —
-// when no actor is runnable (the execution has stalled or completed).
-func (rt *Runtime) Step() bool {
-	if rt.policy == nil {
-		panic("sched: no policy installed")
+// The outcomes of a scheduling choice that schedule nothing.
+const (
+	chooseLimit = -1 // the step count reached the drive's limit
+	chooseStall = -2 // no actor is runnable
+)
+
+// choose makes one scheduling choice: unless the step count has reached the
+// limit, it calls the before-step hook, re-reads the woken actors and asks
+// the policy, then counts the step. It returns the chosen actor, or
+// chooseLimit or chooseStall without counting a step.
+func (rt *Runtime) choose() int {
+	if rt.steps >= rt.limit {
+		return chooseLimit
 	}
-	rt.started = true
+	if rt.before != nil {
+		rt.before(rt.steps)
+	}
 	rt.refresh()
 	if verifying.Load() {
 		rt.verify()
 	}
 	if len(rt.runnable) == 0 {
-		return false
+		return chooseStall
 	}
 	id := rt.policy.Next(rt.runnable, rt.steps)
 	if id < 0 || id >= len(rt.in) || !rt.in[id] {
 		panic(fmt.Sprintf("sched: policy chose non-runnable actor %d from %v", id, rt.runnable))
 	}
 	rt.steps++
-	if id >= rt.n {
-		rt.aux[id-rt.n].step()
-		rt.Wake(id)
-		return true
+	return id
+}
+
+// stepAux runs aux actor id's step; its runnability is re-read before the
+// next choice.
+func (rt *Runtime) stepAux(id int) {
+	rt.aux[id-rt.n].step()
+	rt.Wake(id)
+}
+
+// drive schedules steps until the step count reaches limit or no actor is
+// runnable, and reports whether it reached the limit. It resumes each
+// process chosen here or by a parking process; a process that exits hands
+// the choice back to drive.
+func (rt *Runtime) drive(limit int, before func(step int)) bool {
+	if rt.policy == nil {
+		panic("sched: no policy installed")
 	}
-	p := rt.procs[id]
-	p.resume()
-	// A process that paused is still ready, so still runnable; one that
-	// parked at a gate or exited needs a re-read.
-	if p.state != stateReady {
+	rt.started = true
+	rt.limit, rt.before = limit, before
+	id := rt.choose()
+	for id >= 0 {
+		if id >= rt.n {
+			rt.stepAux(id)
+			id = rt.choose()
+			continue
+		}
+		p := rt.procs[id]
+		p.resume()
+		if p.state != stateExited {
+			id = rt.next
+			continue
+		}
 		rt.Wake(id)
+		id = rt.choose()
 	}
-	return true
+	return id == chooseLimit
+}
+
+// Step schedules one actor step. It returns false — without scheduling —
+// when no actor is runnable (the execution has stalled or completed).
+func (rt *Runtime) Step() bool {
+	return rt.drive(rt.steps+1, nil)
 }
 
 // Run schedules up to maxSteps steps and returns the number scheduled; fewer
 // than maxSteps means the execution stalled (every process parked on a gate
 // that never opens, crashed, or exited).
-func (rt *Runtime) Run(maxSteps int) int {
-	for i := 0; i < maxSteps; i++ {
-		if !rt.Step() {
-			return i
-		}
+func (rt *Runtime) Run(maxSteps int) int { return rt.RunWith(maxSteps, nil) }
+
+// RunWith is Run with a before-step hook: before, when non-nil, is called
+// with the step count ahead of every scheduling choice, so RunWith takes
+// exactly the steps of the loop
+//
+//	for i := 0; i < maxSteps; i++ {
+//		before(rt.Steps())
+//		if !rt.Step() {
+//			break
+//		}
+//	}
+//
+// The hook may Crash processes, the one whose step just ended included. It
+// runs on whichever coroutine makes the choice, and must not call back into
+// Step, Run or RunWith.
+func (rt *Runtime) RunWith(maxSteps int, before func(step int)) int {
+	if maxSteps <= 0 {
+		return 0
 	}
-	return maxSteps
+	start := rt.steps
+	limit := start + maxSteps
+	if limit < start {
+		limit = math.MaxInt
+	}
+	rt.drive(limit, before)
+	return rt.steps - start
 }
 
 // halt unwinds the current execution: every spawned, non-exited process is

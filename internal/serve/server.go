@@ -738,19 +738,27 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 // objects are the sequential specifications a stream may name, by Name().
 var objects = []trace.Object{trace.Register(), trace.Counter(), trace.Queue(), trace.Stack(), trace.Ledger(), trace.Consensus()}
 
+// ObjectNames lists the names an open's object may take, in table order.
+func ObjectNames() []string {
+	names := make([]string, len(objects))
+	for i, obj := range objects {
+		names[i] = obj.Name()
+	}
+	return names
+}
+
 // objectByName returns the specification of objects named name. Empty is
 // allowed (the counter and ledger logics carry their own specification).
 func objectByName(name string) (trace.Object, error) {
 	if name == "" {
 		return nil, nil
 	}
-	var names []string
 	for _, obj := range objects {
 		if obj.Name() == name {
 			return obj, nil
 		}
-		names = append(names, obj.Name())
 	}
+	names := ObjectNames()
 	last := len(names) - 1
 	return nil, fmt.Errorf("unknown object %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
 }
