@@ -55,6 +55,7 @@ type A struct {
 	handed  []int // invocations handed out via NextInv
 	opCount []int // completed send events per process, for OpIDs
 	crashed []bool
+	live    int // processes not crashed
 	// gates[id] is process id's Await condition (its gate flag is set),
 	// built once per process so Send and Recv allocate no closure.
 	gates []func() bool
@@ -89,6 +90,7 @@ func (a *A) Reset(n int, src Source) {
 	a.handed = zeroed(a.handed, n)
 	a.opCount = zeroed(a.opCount, n)
 	a.crashed = zeroed(a.crashed, n)
+	a.live = n
 	a.invs = rows(a.invs, n)
 	for id := len(a.gates); id < n; id++ {
 		a.gates = append(a.gates, func() bool { return a.granted[id] })
@@ -112,6 +114,9 @@ func zeroed[T any](s []T, n int) []T {
 // waiting for it. Call together with Runtime.Crash (the monitor runner's
 // Crash map does both).
 func (a *A) Crash(id int) {
+	if !a.crashed[id] {
+		a.live--
+	}
 	a.crashed[id] = true
 	a.dropCrashed()
 	a.wakeCursor()
@@ -126,8 +131,9 @@ func (a *A) wakeCursor() {
 
 // parked wakes the cursor if process id, which has just parked at a gate,
 // owns the queue's head symbol: only that owner's gate state is read by the
-// cursor's test. An empty queue means the source is exhausted, since the
-// cursor was re-read after whatever emptied it, so its test stays false.
+// cursor's test. An empty queue means the source is exhausted or every
+// process has crashed, since the cursor was re-read after whatever emptied
+// it, so its test stays false.
 func (a *A) parked(id int) {
 	if a.head < len(a.queue) && a.queue[a.head].Proc == id {
 		a.wakeCursor()
@@ -155,10 +161,12 @@ func (a *A) Register(rt *sched.Runtime) int {
 }
 
 // pull transfers one symbol from the source into the queue; reports whether
-// anything was pulled.
+// anything was pulled. Once every process has crashed nothing can be: the
+// source may be infinite, and its symbols would all be skipped, so pull
+// gives up without pulling and without marking the source exhausted.
 func (a *A) pull() bool {
 	for {
-		if a.exhausted {
+		if a.exhausted || a.live == 0 {
 			return false
 		}
 		s, ok := a.src.Next()

@@ -330,19 +330,26 @@ func ledgerSources(lin bool) func(n int, seed int64) []adversary.Labeled {
 
 func recName(k int) trace.Rec { return trace.Rec(fmt.Sprintf("r%d", k)) }
 
+// The ledger sources keep one append-only ledger each and hand out capped
+// prefixes of it, ledger[:k:k], as get responses: a later append cannot
+// write into a prefix already handed out, and no reader of a word mutates
+// a Seq it holds, so the responses can share the ledger's storage. A
+// non-nil empty ledger keeps the empty responses non-nil, as copies were.
+
 // atomicLedger: sequential appends and exact gets.
 func atomicLedger(n int, seed int64) func() adversary.Source {
 	return func() adversary.Source {
 		rng := rand.New(lazyrand.NewSource(seed + 4))
-		var ledger trace.Seq
+		ledger := trace.Seq{}
 		k := 0
 		return &chunked{refill: func(b *trace.B) {
 			appender := rng.Intn(n)
 			k++
-			ledger = append(ledger.Clone(), recName(k))
-			b.Op(appender, trace.OpAppend, recName(k), trace.Unit{})
+			r := recName(k)
+			ledger = append(ledger, r)
+			b.Op(appender, trace.OpAppend, r, trace.Unit{})
 			for p := 0; p < n; p++ {
-				b.Op(p, trace.OpGet, trace.Unit{}, ledger.Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:k:k])
 			}
 		}}
 	}
@@ -352,21 +359,22 @@ func atomicLedger(n int, seed int64) func() adversary.Source {
 // sequentially consistent, not linearizable.
 func staleLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
-		var ledger trace.Seq
+		ledger := trace.Seq{}
 		k := 0
 		return &chunked{refill: func(b *trace.B) {
 			k++
-			ledger = append(ledger.Clone(), recName(k))
-			b.Op(0, trace.OpAppend, recName(k), trace.Unit{})
+			r := recName(k)
+			ledger = append(ledger, r)
+			b.Op(0, trace.OpAppend, r, trace.Unit{})
 			for p := 1; p < n; p++ {
 				lag := 1
 				cut := len(ledger) - lag
 				if cut < 0 {
 					cut = 0
 				}
-				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:cut].Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:cut:cut])
 			}
-			b.Op(0, trace.OpGet, trace.Unit{}, ledger.Clone())
+			b.Op(0, trace.OpGet, trace.Unit{}, ledger[:k:k])
 		}}
 	}
 }
@@ -376,14 +384,15 @@ func staleLedger(n int) func() adversary.Source {
 func lostAppendLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
+		kept := trace.Seq{"kept"}
 		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpAppend, trace.Rec("lost"), trace.Unit{})
 				b.Op(0, trace.OpAppend, trace.Rec("kept"), trace.Unit{})
-				b.Op(1%n, trace.OpGet, trace.Unit{}, trace.Seq{"kept"})
+				b.Op(1%n, trace.OpGet, trace.Unit{}, kept)
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{"kept"})
+					b.Op(p, trace.OpGet, trace.Unit{}, kept)
 				}
 			}
 			phase++
@@ -405,14 +414,15 @@ func ecLedgerSources(n int, seed int64) []adversary.Labeled {
 func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 	return func() adversary.Source {
 		rng := rand.New(lazyrand.NewSource(seed + 5))
-		var ledger trace.Seq
+		ledger := trace.Seq{}
 		prefix := make([]int, n)
 		k := 0
 		return &chunked{refill: func(b *trace.B) {
 			if k < appends {
 				k++
-				ledger = append(ledger.Clone(), recName(k))
-				b.Op(rng.Intn(n), trace.OpAppend, recName(k), trace.Unit{})
+				r := recName(k)
+				ledger = append(ledger, r)
+				b.Op(rng.Intn(n), trace.OpAppend, r, trace.Unit{})
 			}
 			for p := 0; p < n; p++ {
 				// Each reader's known prefix grows monotonically and reaches
@@ -424,7 +434,7 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 					}
 					prefix[p] += grow
 				}
-				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:prefix[p]].Clone())
+				b.Op(p, trace.OpGet, trace.Unit{}, ledger[:prefix[p]:prefix[p]])
 			}
 		}}
 	}
@@ -436,13 +446,14 @@ func gossipLedger(n int, seed int64, appends int) func() adversary.Source {
 func lemma65Ledger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		started := false
+		empty := trace.Seq{}
 		return &chunked{refill: func(b *trace.B) {
 			if !started {
 				started = true
 				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
 			}
 			for p := n - 1; p >= 0; p-- {
-				b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{})
+				b.Op(p, trace.OpGet, trace.Unit{}, empty)
 			}
 		}}
 	}
@@ -452,15 +463,16 @@ func lemma65Ledger(n int) func() adversary.Source {
 func forkedLedger(n int) func() adversary.Source {
 	return func() adversary.Source {
 		phase := 0
+		seqA, seqB, seqAB := trace.Seq{"a"}, trace.Seq{"b"}, trace.Seq{"a", "b"}
 		return &chunked{refill: func(b *trace.B) {
 			if phase == 0 {
 				b.Op(0, trace.OpAppend, trace.Rec("a"), trace.Unit{})
 				b.Op(0, trace.OpAppend, trace.Rec("b"), trace.Unit{})
-				b.Op(1%n, trace.OpGet, trace.Unit{}, trace.Seq{"a"})
-				b.Op((2)%n, trace.OpGet, trace.Unit{}, trace.Seq{"b"})
+				b.Op(1%n, trace.OpGet, trace.Unit{}, seqA)
+				b.Op((2)%n, trace.OpGet, trace.Unit{}, seqB)
 			} else {
 				for p := 0; p < n; p++ {
-					b.Op(p, trace.OpGet, trace.Unit{}, trace.Seq{"a", "b"})
+					b.Op(p, trace.OpGet, trace.Unit{}, seqAB)
 				}
 			}
 			phase++

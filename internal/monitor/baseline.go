@@ -55,16 +55,14 @@ type naiveOrderLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	verdict Verdict
 }
 
-// attach attaches the board, borrows the checker from the session's pool
-// and claims the process's delta buffer.
-func (l *naiveOrderLogic) attach(sc *scratch, i int) {
+// attach attaches the board and borrows the checker from the session's
+// pool.
+func (l *naiveOrderLogic) attach(sc *scratch, _ int) {
 	l.board.attach(sc)
 	l.chk = sc.checks.Get(l.obj, false, l.n)
-	l.tbuf = sc.procs[i].triples.claim()
 }
 
 func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
@@ -82,8 +80,7 @@ func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
-	for _, tr := range *l.tbuf {
+	for _, tr := range l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta {
 		l.chk.Append(tr.Inv)
 		l.chk.Append(tr.Res)
 	}

@@ -50,6 +50,7 @@ func predictiveSetup(tau *adversary.Timed, kind adversary.ArrayKind,
 	obj := lang.LinReg().Object
 	return NewMonitor("probe-fig8/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
+		board.shared = kind == adversary.ArrayAtomic // as in NewLin
 		onBoard(board)
 		logics := make([]Logic, n)
 		for i := range logics {
@@ -102,22 +103,28 @@ func TestTripleBoardSnapshotsMonotone(t *testing.T) {
 
 // roundProbe is predictiveLogic checking each round's re-emission: the
 // prefix the builder reports unchanged really is, and a round whose new
-// triples all sort after the ones already collected re-emits at most the
-// previous sketch's last view group plus what the new triples add. It also
-// counts the symbols each round appends to the checker, which must stay
-// within what the builder re-emitted: the checker's Len() after the round,
-// less the prefix it kept. A checker keeps its history unless it resets,
-// and a reset calls its object's Init, which the probe's object counts, so
-// a round with a reset appended the whole sketch.
+// triples all sort after the ones its chain already held re-emits at most
+// the chain's previous sketch's last view group plus what the new triples
+// add. It also counts the symbols each round appends to the chain's
+// checker, which must stay within what the builder re-emitted: the
+// checker's Len() after the round, less the prefix it kept. A checker keeps
+// its history unless it resets, and a reset calls its object's Init, which
+// the probe's object counts, so a round with a reset appended the whole
+// sketch.
 type roundProbe struct {
 	*predictiveLogic
+	stats *roundStats
+}
+
+// chainProbe is what the probes know of one chain.
+type chainProbe struct {
 	last   trace.Word // the last successfully built sketch, the history the checker holds
-	maxKey [3]int     // the greatest (view total, process, index) collected
-	inits  int        // Init calls on the checker's object: its resets
-	stats  *roundStats
+	maxKey [3]int     // the greatest (view total, process, index) the chain holds
 }
 
 type roundStats struct {
+	chains             map[*chain]*chainProbe
+	inits              int // Init calls on the checkers' objects: their resets
 	rounds, appendOnly int
 	emitted, reemitted int    // symbols of every sketch, and of their changed suffixes
 	fed                int    // symbols appended to the checkers
@@ -135,66 +142,72 @@ func (o initCounter) Init() trace.State {
 	return o.Object.Init()
 }
 
-// newRoundProbe wraps l, giving its checker an object that counts resets.
+// newRoundProbe wraps l, giving the checker its chain borrows an object
+// that counts resets.
 func newRoundProbe(l *predictiveLogic, stats *roundStats) *roundProbe {
-	rp := &roundProbe{predictiveLogic: l, stats: stats}
-	l.obj = initCounter{Object: l.obj, inits: &rp.inits}
-	return rp
+	l.obj = initCounter{Object: l.obj, inits: &stats.inits}
+	return &roundProbe{predictiveLogic: l, stats: stats}
 }
 
 func (l *roundProbe) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
+	c := l.chain
+	cp := l.stats.chains[c]
+	if cp == nil {
+		cp = &chainProbe{}
+		l.stats.chains[c] = cp
+	}
 	appendOnly := true
-	for _, tr := range *l.tbuf {
+	for _, tr := range c.delta {
 		k := [3]int{tr.View.Total(), tr.ID.Proc, tr.ID.Idx}
-		appendOnly = appendOnly && slices.Compare(k[:], l.maxKey[:]) > 0
-		if slices.Compare(k[:], l.maxKey[:]) > 0 {
-			l.maxKey = k
+		appendOnly = appendOnly && slices.Compare(k[:], cp.maxKey[:]) > 0
+		if slices.Compare(k[:], cp.maxKey[:]) > 0 {
+			cp.maxKey = k
 		}
 	}
 	if err != nil {
 		l.verdict = Yes // as predictiveLogic does on incomparable views
 		return
 	}
-	same := l.same
-	if same > len(l.last) || !h[:same].Equal(l.last[:same]) {
-		l.stats.fail(fmt.Sprintf("process %d: builder reports %d symbols unchanged, but the last sketch was\n%v\nand this one is\n%v",
-			p.ID, same, l.last, h))
+	same := c.same
+	if same > len(cp.last) || !h[:same].Equal(cp.last[:same]) {
+		l.stats.fail(fmt.Sprintf("process %d: builder reports %d symbols unchanged, but the chain's last sketch was\n%v\nand this one is\n%v",
+			p.ID, same, cp.last, h))
 	}
 	if appendOnly {
 		l.stats.appendOnly++
-		if start := lastGroupStart(l.last); same < start {
+		if start := lastGroupStart(cp.last); same < start {
 			l.stats.fail(fmt.Sprintf("process %d: an append-only round re-emitted from %d, before the last view group at %d of\n%v",
-				p.ID, same, start, l.last))
+				p.ID, same, start, cp.last))
 		}
 	}
 	l.stats.rounds++
 	l.stats.emitted += len(h)
 	l.stats.reemitted += len(h) - same
-	held, inits := 0, l.inits
-	if l.chk != nil {
-		held = l.chk.Len()
+	held, inits := 0, l.stats.inits
+	if c.chk != nil {
+		held = c.chk.Len()
 	}
-	if held != len(l.last) {
-		l.stats.fail(fmt.Sprintf("process %d: the checker holds %d symbols, the last sketch has %d", p.ID, held, len(l.last)))
+	if held != len(cp.last) {
+		l.stats.fail(fmt.Sprintf("process %d: the checker holds %d symbols, the chain's last sketch has %d", p.ID, held, len(cp.last)))
 	}
 	l.verdict = No
 	if l.accept(h) {
 		l.verdict = Yes
 	}
 	kept := 0
-	if l.inits == inits {
-		for kept < len(l.last) && kept < len(h) && l.last[kept].Equal(h[kept]) {
+	if l.stats.inits == inits {
+		for kept < len(cp.last) && kept < len(h) && cp.last[kept].Equal(h[kept]) {
 			kept++
 		}
 	}
-	fed := l.chk.Len() - kept
+	fed := c.chk.Len() - kept
 	l.stats.fed += fed
 	if fed > len(h)-same {
 		l.stats.fail(fmt.Sprintf("process %d: the checker was fed %d symbols of a %d-symbol sketch whose first %d the builder kept",
 			p.ID, fed, len(h), same))
 	}
-	l.last = append(l.last[:0], h...)
+	cp.last = append(cp.last[:0], h...)
 }
 
 func (s *roundStats) fail(msg string) {
@@ -219,27 +232,46 @@ func lastGroupStart(w trace.Word) int {
 // TestPredictiveRoundCostTracksNewTriples runs V_O over each ArrayKind with
 // every round checked by roundProbe, and pins that the symbols re-emitted
 // per round are a small share of the sketches built, and that no round
-// appends more symbols to the checker than the builder re-emitted.
+// feeds its chain's checker more symbols than the builder re-emitted. Over
+// an atomic board the processes share one chain, whose checker is fed
+// about one sketch per run, not one per process; the other kinds keep a
+// chain per process.
 func TestPredictiveRoundCostTracksNewTriples(t *testing.T) {
 	for _, kind := range arrayKinds {
-		stats := &roundStats{}
+		stats := &roundStats{chains: map[*chain]*chainProbe{}}
+		final := 0 // symbols of every chain's last sketch
 		for seed := int64(1); seed <= 4; seed++ {
+			clear(stats.chains)
 			runKind(kind, seed, func(tau *adversary.Timed) Monitor {
 				return predictiveSetup(tau, kind, func(*tripleBoard) {},
 					func(l *predictiveLogic) Logic { return newRoundProbe(l, stats) })
 			})
+			want := testProcs
+			if kind == adversary.ArrayAtomic {
+				want = 1
+			}
+			if len(stats.chains) != want {
+				t.Fatalf("%s seed %d: the processes fed %d chains, want %d", kind, seed, len(stats.chains), want)
+			}
+			for _, cp := range stats.chains {
+				final += len(cp.last)
+			}
 		}
 		if stats.bad != "" {
 			t.Fatalf("%s: %s", kind, stats.bad)
 		}
-		t.Logf("%s: %d rounds, %d append-only; re-emitted %d of %d sketch symbols; fed the checkers %d",
-			kind, stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted, stats.fed)
+		t.Logf("%s: %d rounds, %d append-only; re-emitted %d of %d sketch symbols; fed the checkers %d for final sketches of %d",
+			kind, stats.rounds, stats.appendOnly, stats.reemitted, stats.emitted, stats.fed, final)
 		if stats.appendOnly == 0 {
 			t.Errorf("%s: no append-only round", kind)
 		}
 		if 10*stats.reemitted > stats.emitted {
 			t.Errorf("%s: re-emitted %d of %d sketch symbols, want at most a tenth",
 				kind, stats.reemitted, stats.emitted)
+		}
+		if 2*final < stats.fed {
+			t.Errorf("%s: fed the checkers %d symbols, more than twice their chains' final sketches (%d)",
+				kind, stats.fed, final)
 		}
 	}
 }
@@ -261,24 +293,25 @@ type feedStats struct {
 	bad    string // the first violation
 }
 
-// state returns the logic's checker length, its round's delta and its board.
-func (f *feedProbe) state() (int, []trace.Triple, *tripleBoard) {
+// state returns the logic's checker length and the chain process id feeds.
+func (f *feedProbe) state(id int) (int, *chain) {
 	switch l := f.Logic.(type) {
 	case *ecledLogic:
-		return l.chk.Len(), *l.tbuf, l.board
+		return l.chk.Len(), l.board.chain(id)
 	case *naiveOrderLogic:
-		return l.chk.Len(), *l.tbuf, l.board
+		return l.chk.Len(), l.board.chain(id)
 	}
 	panic(fmt.Sprintf("feedProbe: %T is not an order-free logic", f.Logic))
 }
 
 func (f *feedProbe) PostRecv(p *sched.Proc, resp trace.Response) {
-	before, _, _ := f.state()
+	before, _ := f.state(p.ID)
 	f.Logic.PostRecv(p, resp)
-	after, delta, board := f.state()
+	after, c := f.state(p.ID)
+	delta := c.delta
 	collected := 0
-	for _, c := range board.seen[p.ID] {
-		collected += c
+	for _, n := range c.fed {
+		collected += n
 	}
 	if f.stats.bad == "" && (after-before != 2*len(delta) || after != 2*collected) {
 		f.stats.bad = fmt.Sprintf("process %d: round fed %d symbols for %d new triples; %d fed in all for %d collected",

@@ -64,18 +64,14 @@ type consensusLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	known   map[trace.OpID]trace.Triple
 	agreed  []trace.OpID // the process's view of the decided log prefix
 	flag    bool
 	verdict Verdict
 }
 
-// attach attaches the board and claims the process's delta buffer.
-func (l *consensusLogic) attach(sc *scratch, i int) {
-	l.board.attach(sc)
-	l.tbuf = sc.procs[i].triples.claim()
-}
+// attach attaches the board.
+func (l *consensusLogic) attach(sc *scratch, _ int) { l.board.attach(sc) }
 
 // PreSend implements Line 02.
 func (l *consensusLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
@@ -89,8 +85,7 @@ func (l *consensusLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
-	for _, tr := range *l.tbuf {
+	for _, tr := range l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta {
 		l.known[tr.ID] = tr
 	}
 	// Catch up with the decided prefix, then install our operation at the

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"testing"
+	"time"
 
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/lang"
@@ -104,5 +105,42 @@ func TestTimedMonitorSurvivesCrashes(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestAllCrashedRunEnds crashes every process of a run against an infinite
+// LIN_REG source, beyond the n−1 crashes the model allows: with no process
+// left to own a symbol, the cursor must stop pulling rather than skip the
+// source's symbols forever, so the run ends, drained, long before its step
+// bound. The run gets its own goroutine and a deadline, so a hang fails the
+// test instead of stalling the package.
+func TestAllCrashedRunEnds(t *testing.T) {
+	const maxSteps = 100_000
+	done := make(chan *Result, 1)
+	go func() {
+		adv := adversary.NewA(testProcs, lang.LinReg().Sources(testProcs, 1)[0].New())
+		tau := adversary.NewTimed(testProcs, adv, adversary.ArrayAtomic)
+		done <- Run(Config{
+			N:       testProcs,
+			Monitor: NewLin(lang.LinReg().Object, tau, adversary.ArrayAtomic),
+			NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
+				return tau, []int{adv.Register(rt)}
+			},
+			MaxSteps: maxSteps,
+			Crash:    map[int][]int{3: {0}, 140: {1, 2}},
+		})
+	}()
+	select {
+	case res := <-done:
+		if !res.Drained || res.Steps >= maxSteps {
+			t.Errorf("the run took %d of %d steps, drained %v: want it to end when the last process crashed",
+				res.Steps, maxSteps, res.Drained)
+		}
+		if len(res.Verdicts[1]) == 0 || len(res.Verdicts[2]) == 0 {
+			t.Errorf("processes 1 and 2 reported %d and %d verdicts before their crash, want some",
+				len(res.Verdicts[1]), len(res.Verdicts[2]))
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the run did not end within 20 s of every process crashing")
 	}
 }

@@ -38,7 +38,6 @@ type ecledLogic struct {
 
 	inv     trace.Symbol
 	count   int
-	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
 	chk     *check.ECLedger // clause (1) over every collected triple
 	flag    bool            // ordering clause violated: sticky NO
 	verdict Verdict
@@ -51,12 +50,11 @@ type ecledLogic struct {
 	got         map[trace.Rec]bool // the records of this round's get response
 }
 
-// attach attaches the board and claims the process's delta buffer, checker
-// and record sets.
+// attach attaches the board and claims the process's checker and record
+// sets.
 func (l *ecledLogic) attach(sc *scratch, i int) {
 	l.board.attach(sc)
 	ps := &sc.procs[i]
-	l.tbuf = ps.triples.claim()
 	l.chk = ps.ledgers.claim()
 	l.chk.Reset()
 	l.prevAppends = emptySet(ps.recs.claim())
@@ -77,8 +75,8 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		id = trace.OpID{Proc: p.ID, Idx: l.count}
 	}
 	l.count++
-	*l.tbuf = l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}, *l.tbuf)
-	for _, tr := range *l.tbuf {
+	delta := l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta
+	for _, tr := range delta {
 		l.chk.Append(tr.Inv)
 		l.chk.Append(tr.Res)
 	}
@@ -110,7 +108,7 @@ func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		}
 	}
 	// Add this round's appends to the known-append set for the next round.
-	for _, tr := range *l.tbuf {
+	for _, tr := range delta {
 		if tr.Inv.Op == trace.OpAppend {
 			if r, ok := tr.Inv.Val.(trace.Rec); ok {
 				l.prevAppends[r] = true

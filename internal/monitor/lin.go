@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/drv-go/drv/exp/trace"
@@ -14,19 +15,42 @@ import (
 // append-only log of observed (invocation, response, view) triples and
 // publishes its length through a shared counts array, so a snapshot of the
 // counts plus the immutable log prefixes reconstructs everyone's sets. The
-// logs, the collection marks and the snapshot buffers are rows the board
-// claims from the session's scratch when its first logic attaches.
+// logs, the snapshot buffers and the chains are rows the board claims from
+// the session's scratch when its first logic attaches.
 type tripleBoard struct {
 	n      int
 	counts mem.Array[int]
+	// shared makes every process feed one chain instead of its own. It is
+	// exact only where the snapshots reach the chain in containment order,
+	// which V_O's atomic boards guarantee (see newPredictive).
+	shared bool
 	*boardRows
 }
 
-// boardRows is a triple board's per-process storage, reused run after run.
+// boardRows is a triple board's storage, reused run after run.
 type boardRows struct {
-	logs  [][]trace.Triple // logs[i]: the triples process i published
-	seen  [][]int          // seen[i][j]: how much of log j process i has collected
-	snaps [][]int          // snaps[i]: process i's snapshot buffer
+	logs   [][]trace.Triple // logs[i]: the triples process i published
+	snaps  [][]int          // snaps[i]: process i's snapshot buffer
+	chains []chain          // one per process, or the one every process feeds
+}
+
+// chain is a collected set of published triples, grown snapshot by
+// snapshot. Its fed counts say how much of each log it holds and its delta
+// what the last feed added, in a buffer that stops allocating once it has
+// grown to the largest delta. V_O keeps the set's sketch and the checker of
+// that sketch with the chain, so each set is built and checked once per
+// chain, however many processes feed it.
+type chain struct {
+	fed     []int               // fed[j]: how much of log j the chain holds
+	shown   []int               // shown[j]: the most operations of process j a fed view shows
+	delta   []trace.Triple      // the triples the last feed added
+	builder trace.SketchBuilder // V_O: the sketch of every triple fed
+	same    int                 // V_O: the sketch prefix the last feed kept
+	chk     *check.Incremental  // V_O: the sketch's checker, borrowed lazily
+	// unchecked is set while the builder's last sketch is one the checker
+	// never got, so the prefix the builder reports kept is not the
+	// checker's (V_O, see errTornSet).
+	unchecked bool
 }
 
 func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
@@ -34,7 +58,8 @@ func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
 }
 
 // attach claims the board's rows from the session's scratch, once per run:
-// every logic sharing the board attaches it, and the first one claims.
+// every logic sharing the board attaches it, and the first one claims. The
+// nil checkers make each chain's first check borrow a reset one.
 func (b *tripleBoard) attach(sc *scratch) {
 	if b.boardRows != nil {
 		return
@@ -42,38 +67,94 @@ func (b *tripleBoard) attach(sc *scratch) {
 	b.boardRows = sc.boards.claim()
 	grow(&b.logs, b.n)
 	grow(&b.snaps, b.n)
-	grow(&b.seen, b.n)
-	for i := range b.seen {
-		b.seen[i] = append(b.seen[i], make([]int, b.n)...)
+	k := b.n
+	if b.shared {
+		k = 1
+	}
+	if cap(b.chains) < k {
+		b.chains = append(b.chains[:cap(b.chains)], make([]chain, k-cap(b.chains))...)
+	}
+	b.chains = b.chains[:k]
+	for i := range b.chains {
+		c := &b.chains[i]
+		c.fed = append(c.fed[:0], make([]int, b.n)...)
+		c.shown = append(c.shown[:0], make([]int, b.n)...)
+		c.delta = c.delta[:0]
+		c.builder.Reset()
+		c.same = 0
+		c.chk = nil
+		c.unchecked = false
 	}
 }
 
 // publish appends the process's triple and makes it visible; then snapshots
-// the board (Figure 8, Line 05) and returns the published triples this
-// process had not collected yet — its own among them. The union of a
-// process's deltas is the full published set of its latest snapshot, because
-// a process's successive snapshot counts are pointwise non-decreasing for
-// every ArrayKind: counts only grow, and each snapshot is atomic (ArrayAtomic),
-// linearizable (ArrayAADGMS), or a collect reading every cell after the
-// previous collect read it (ArrayCollect). A decrease is a bug in the array,
-// and panics. The triples are collected into buf, which each logic retains
-// and hands back every round, so the collection stops allocating once the
-// buffer has grown to the largest delta.
-func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple, buf []trace.Triple) []trace.Triple {
+// the board (Figure 8, Line 05), feeds the process's chain the published
+// triples it does not hold yet — the process's own among them — and returns
+// the chain.
+func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple) *chain {
 	id := p.ID
 	b.logs[id] = append(b.logs[id], tr)
 	b.counts.Write(p, id, len(b.logs[id]))
 	b.snaps[id] = b.counts.SnapshotInto(p, b.snaps[id])
-	seen := b.seen[id]
-	out := buf[:0]
-	for j, c := range b.snaps[id] {
-		if c < seen[j] {
-			panic(fmt.Sprintf("monitor: process %d snapshot shows %d triples of process %d after showing %d", id, c, j, seen[j]))
-		}
-		out = append(out, b.logs[j][seen[j]:c]...)
-		seen[j] = c
+	c := b.chain(id)
+	c.feed(id, b.snaps[id], b.logs)
+	return c
+}
+
+// chain returns the chain process id feeds.
+func (b *tripleBoard) chain(id int) *chain {
+	if b.shared {
+		return &b.chains[0]
 	}
-	return out
+	return &b.chains[id]
+}
+
+// feed sets the chain's delta to the triples of logs that process id's
+// snapshot shows and the chain does not hold yet, and takes them. The chain
+// then holds exactly the snapshot's published set, provided it held a subset
+// of it before: for a process's own chain that holds because its successive
+// snapshot counts are pointwise non-decreasing for every ArrayKind — counts
+// only grow, and each snapshot is atomic (ArrayAtomic), linearizable
+// (ArrayAADGMS), or a collect reading every cell after the previous collect
+// read it (ArrayCollect). A snapshot below the chain's counts is a bug in
+// the array or in the chain's sharing, and panics.
+func (c *chain) feed(id int, snap []int, logs [][]trace.Triple) {
+	c.delta = c.delta[:0]
+	for j, n := range snap {
+		if n < c.fed[j] {
+			panic(fmt.Sprintf("monitor: process %d snapshot shows %d triples of process %d after its chain took %d", id, n, j, c.fed[j]))
+		}
+		c.delta = append(c.delta, logs[j][c.fed[j]:n]...)
+		c.fed[j] = n
+	}
+	for _, tr := range c.delta {
+		for j := range tr.View.Procs() {
+			c.shown[j] = max(c.shown[j], tr.View.Count(j))
+		}
+	}
+}
+
+// errTornSet reports a collected set that is not a cut of the execution: a
+// fed view shows an operation of some process whose previous operation's
+// triple the set lacks. Its sketch would leave two operations of that
+// process pending, which is no history. Only a collect can tear a set so:
+// it may read a process's count before that process publishes a triple,
+// and another count after a process whose view shows the next operation
+// published. An atomic or AADGMS snapshot shows every triple published
+// before its (linearization) point, and a view's operations were all
+// invoked before it, so their earlier triples were published before it too.
+var errTornSet = errors.New("monitor: collected set shows a view past a missing triple")
+
+// torn reports whether the chain holds a torn set (errTornSet): some
+// process has more than one operation a view shows and no fed triple
+// answers.
+func (c *chain) torn() bool {
+	for j, k := range c.shown {
+		if k > c.fed[j]+1 {
+			return true
+		}
+	}
+	return false
 }
 
 // NewLin returns the algorithm V_O of Figure 8, which predictively strongly
@@ -84,18 +165,37 @@ func (b *tripleBoard) publish(p *sched.Proc, tr trace.Triple, buf []trace.Triple
 // processes interact with (its announcement log resolves view contents);
 // kind selects the implementation of M.
 func NewLin(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("lin-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, true)
+	return newPredictive("lin-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, true, kind == adversary.ArrayAtomic)
 }
 
 // NewSC is V_O with the sequential-consistency check: the same construction
 // predictively strongly decides SC_O (Table 1 rows SC_REG, SC_LED).
 func NewSC(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("sc-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, false)
+	return newPredictive("sc-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, false, kind == adversary.ArrayAtomic)
 }
 
-func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime bool) Monitor {
+// newPredictive builds V_O's logics over one board of the given kind, whose
+// processes feed one shared chain if shared is set and their own chains
+// otherwise.
+//
+// A process's verdict is a function of its collected set S_i alone: the
+// sketch BuildSketch(S_i) and its check. Over an atomic board the processes
+// can share one chain and still get exactly that. Each snapshot is one
+// scheduler step, and the local computation after it — feeding the chain,
+// extending the sketch, checking it — runs within the same step, before any
+// other process takes a snapshot. So the snapshots reach the chain in the
+// order they were taken, which over an atomic array is containment order;
+// each feed brings the chain's set up to exactly S_i, and the chain's sketch
+// is BuildSketch(S_i), since a sketch depends on its set and not on the
+// order it was fed in. Each set is then built and checked once per run, not
+// once per process. The AADGMS and collect boards keep one chain per
+// process: their snapshots take several steps, so a process can finish an
+// older snapshot after another process fed the chain a newer one, and a
+// shared chain would hold triples the older set lacks.
+func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime, shared bool) Monitor {
 	return NewMonitor(name, func(n int) []Logic {
 		board := newTripleBoard(n, kind)
+		board.shared = shared
 		logics := make([]Logic, n)
 		for i := range logics {
 			logics[i] = &predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime}
@@ -112,42 +212,34 @@ type predictiveLogic struct {
 	obj      trace.Object
 	realTime bool
 
-	pool *check.Pool        // the session's checker pool
-	chk  *check.Incremental // this process's checker, borrowed lazily
-
-	tbuf    *[]trace.Triple      // publish's delta buffer, reused per round
-	builder *trace.SketchBuilder // the sketch of every collected triple, extended per round
-	same    int                  // the last round's sketch prefix unchanged since the one before
+	pool  *check.Pool // the session's checker pool
+	chain *chain      // the chain this round fed
 
 	inv     trace.Symbol
 	verdict Verdict
 }
 
-// attach hands the logic the session's checker pool, the board's rows and
-// its process's delta buffer and sketch builder. The nil chk makes the first
-// accept borrow a reset (likely recycled) checker from the pool.
-func (l *predictiveLogic) attach(sc *scratch, i int) {
+// attach hands the logic the session's checker pool and the board's rows.
+func (l *predictiveLogic) attach(sc *scratch, _ int) {
 	l.board.attach(sc)
 	l.pool = sc.checks
-	l.chk = nil
-	l.tbuf = sc.procs[i].triples.claim()
-	l.builder = sc.procs[i].sketches.claim()
-	l.builder.Reset()
 }
 
-// accept decides the consistency condition on one sketch history. A
-// per-process incremental checker stays alive across the verdict stream:
-// successive sketch histories usually extend each other, so each round costs
-// only the new suffix, and the builder's unchanged prefix spares comparing
-// the rest; where views reorder the reconstructed past, the checker rewinds
-// to the first changed symbol and re-feeds only from there. Its verdicts
-// are the one-shot checks' on every round (pinned against
+// accept decides the consistency condition on the round's sketch history
+// with its chain's checker, borrowed from the pool at the chain's first
+// check of the run. The checker stays alive across the chain's verdict
+// stream: successive sketch histories usually extend each other, so each
+// round costs only the new suffix, and the builder's unchanged prefix spares
+// comparing the rest; where views reorder the reconstructed past, the
+// checker rewinds to the first changed symbol and re-feeds only from there.
+// Its verdicts are the one-shot checks' on every round (pinned against
 // check.Linearizable and check.SeqConsistent by this package's tests).
 func (l *predictiveLogic) accept(h trace.Word) bool {
-	if l.chk == nil {
-		l.chk = l.pool.Get(l.obj, l.realTime, l.n)
+	c := l.chain
+	if c.chk == nil {
+		c.chk = l.pool.Get(l.obj, l.realTime, l.n)
 	}
-	return l.chk.CheckExtending(h, l.same)
+	return c.chk.CheckExtending(h, c.same)
 }
 
 // PreSend implements Line 02: "no communication is needed before sending".
@@ -161,9 +253,10 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	h, err := l.round(p, resp)
 	if err != nil {
 		// Incomparable views (possible only with collect-backed timed
-		// adversaries) leave the process without a usable history this
-		// round; Section 6.2 notes the construction in [41] handles this at
-		// the cost of extra local computation. Report NO conservatively? A
+		// adversaries), or a torn set (only on a collect-backed board),
+		// leave the process without a usable history this round; Section
+		// 6.2 notes the construction in [41] handles this at the cost of
+		// extra local computation. Report NO conservatively? A
 		// false NO would break predictive soundness, so report the previous
 		// verdict's best guess: YES keeps soundness (missed detections are
 		// retried next round with fresh views).
@@ -177,20 +270,30 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	}
 }
 
-// round publishes the process's triple, snapshots M and extends h_i by the
-// newly collected triples, recording how much of the previous h_i it kept.
+// round publishes the process's triple, snapshots M and extends the sketch
+// of its chain by the newly collected triples, giving h_i and recording how
+// much of the chain's previous sketch it kept.
 func (l *predictiveLogic) round(p *sched.Proc, resp trace.Response) (trace.Word, error) {
 	if resp.View == nil {
 		panic("monitor: predictive monitor requires a timed service")
 	}
-	*l.tbuf = l.board.publish(p, trace.Triple{
+	c := l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
 		View: *resp.View,
-	}, *l.tbuf)
-	h, same, err := l.builder.Extend(l.n, *l.tbuf, l.tau.InvAt)
-	l.same = same
+	})
+	h, same, err := c.builder.Extend(l.n, c.delta, l.tau.InvAt)
+	if err == nil {
+		if c.unchecked {
+			same = 0
+		}
+		if c.unchecked = c.torn(); c.unchecked {
+			err = errTornSet
+		}
+	}
+	c.same = same
+	l.chain = c
 	return h, err
 }
 

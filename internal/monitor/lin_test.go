@@ -3,7 +3,7 @@ package monitor
 // The from-scratch reference for V_O's verdict stream: a predictive logic
 // that publishes and builds the sketch exactly as predictiveLogic does, then
 // decides every round with the one-shot check.Linearizable or
-// check.SeqConsistent on the round's sketch instead of a per-process
+// check.SeqConsistent on the round's sketch instead of its chain's
 // incremental checker. NewLin and NewSC must report the same verdicts, at
 // the same steps and history lengths, on language-, object- and
 // message-shaped runs.
@@ -42,10 +42,11 @@ func (l scratchLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	}
 }
 
-// newScratchPredictive is V_O over scratchLogic.
-func newScratchPredictive(obj trace.Object, tau *adversary.Timed, realTime bool) Monitor {
+// newScratchPredictive is V_O over scratchLogic, on a board of the given
+// kind with a chain per process.
+func newScratchPredictive(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind, realTime bool) Monitor {
 	return NewMonitor("scratch-fig8/"+obj.Name(), func(n int) []Logic {
-		board := newTripleBoard(n, adversary.ArrayAtomic)
+		board := newTripleBoard(n, kind)
 		logics := make([]Logic, n)
 		for i := range logics {
 			logics[i] = scratchLogic{&predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime}}
@@ -180,7 +181,7 @@ func TestPredictiveMatchesScratchRounds(t *testing.T) {
 					name := cfg.Monitor.Name()
 					got := Run(cfg)
 					tau, cfg = r.setup()
-					cfg.Monitor = newScratchPredictive(r.obj, tau, realTime)
+					cfg.Monitor = newScratchPredictive(r.obj, tau, adversary.ArrayAtomic, realTime)
 					want := Run(cfg)
 					if !reflect.DeepEqual(got.Verdicts, want.Verdicts) ||
 						!reflect.DeepEqual(got.StepAt, want.StepAt) ||

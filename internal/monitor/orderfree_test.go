@@ -92,7 +92,7 @@ type ecledShadow struct {
 
 func (s *ecledShadow) PostRecv(p *sched.Proc, resp trace.Response) {
 	s.ecledLogic.PostRecv(p, resp)
-	s.ref.add(p.ID, *s.tbuf)
+	s.ref.add(p.ID, s.board.chain(p.ID).delta)
 	s.flag = s.flag || !wholeECLedger(orderFreeWord(s.ref.all))
 	if s.ecledLogic.flag != s.flag || (s.flag && s.verdict != No) {
 		s.ref.fail(fmt.Sprintf("process %d after %d triples: flag %v verdict %v, reference flag %v",
@@ -110,7 +110,7 @@ type naiveShadow struct {
 
 func (s *naiveShadow) PostRecv(p *sched.Proc, resp trace.Response) {
 	s.naiveOrderLogic.PostRecv(p, resp)
-	s.ref.add(p.ID, *s.tbuf)
+	s.ref.add(p.ID, s.board.chain(p.ID).delta)
 	want := No
 	if check.SeqConsistent(s.obj, orderFreeWord(s.ref.all)) {
 		want = Yes

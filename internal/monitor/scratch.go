@@ -5,9 +5,9 @@ import (
 	"github.com/drv-go/drv/internal/check"
 )
 
-// scratch is a session's reusable logic state: the checker pool, the rows of
-// the triple boards, and per process index the buffers its logics fill round
-// by round. Monitor.New builds fresh logics for every run; Session.Run then
+// scratch is a session's reusable logic state: the checker pool, the rows
+// and chains of the triple boards, and per process index the buffers its
+// logics fill round by round. Monitor.New builds fresh logics for every run; Session.Run then
 // attaches each of them to the scratch, so the buffers a logic grows stay
 // with the session and the next run's logics start from their capacity.
 type scratch struct {
@@ -18,11 +18,9 @@ type scratch struct {
 
 // procScratch is one process index's buffers.
 type procScratch struct {
-	ints     slots[[]int]
-	triples  slots[[]trace.Triple]
-	sketches slots[trace.SketchBuilder]
-	recs     slots[map[trace.Rec]bool]
-	ledgers  slots[check.ECLedger]
+	ints    slots[[]int]
+	recs    slots[map[trace.Rec]bool]
+	ledgers slots[check.ECLedger]
 }
 
 // slots holds a session's reusable values of one type, claimed in order
@@ -57,8 +55,6 @@ func (sc *scratch) rewind(n int) {
 	for i := range sc.procs {
 		ps := &sc.procs[i]
 		ps.ints.rewind()
-		ps.triples.rewind()
-		ps.sketches.rewind()
 		ps.recs.rewind()
 		ps.ledgers.rewind()
 	}

@@ -35,16 +35,13 @@ type secLogic struct {
 	tau   *adversary.Timed
 
 	inv     trace.Symbol
-	tbuf    *[]trace.Triple // publish's delta buffer, reused per round
-	clause4 bool            // some collected read exceeds its view's incs
+	clause4 bool // some collected read exceeds its view's incs
 }
 
-// attach attaches the Figure 5 state and the board, and claims the delta
-// buffer.
+// attach attaches the Figure 5 state and the board.
 func (l *secLogic) attach(sc *scratch, i int) {
 	l.wec.attach(sc, i)
 	l.board.attach(sc)
-	l.tbuf = sc.procs[i].triples.claim()
 }
 
 // PreSend implements Line 02 of Figure 9 (same as Figure 5).
@@ -58,22 +55,23 @@ func (l *secLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
 // read returned more than the inc invocations in its view. Only the newly
 // collected triples need scanning, and a fired clause stays fired: a
 // triple's view, hence its inc count, never changes once announced, and the
-// set of collected triples only grows.
+// set of collected triples only grows. The flag is the process's own, so
+// the board keeps a chain per process whatever its kind.
 func (l *secLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	l.wec.PostRecv(p, resp)
 	if resp.View == nil {
 		panic("monitor: SEC monitor requires a timed service")
 	}
-	*l.tbuf = l.board.publish(p, trace.Triple{
+	delta := l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
 		View: *resp.View,
-	}, *l.tbuf)
+	}).delta
 	if l.clause4 {
 		return
 	}
-	for _, tr := range *l.tbuf {
+	for _, tr := range delta {
 		if tr.Inv.Op != trace.OpRead || tr.Res.Kind != trace.Res {
 			continue
 		}

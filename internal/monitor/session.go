@@ -16,10 +16,10 @@ const DefaultMaxSteps = 1_000_000
 // result buffers — per execution, a Session resets its pooled runtime,
 // appends into the same pre-sized Result buffers run after run, and hands
 // every monitor logic the buffers the same logic grew in earlier runs (its
-// board rows, snapshot and delta buffers, sketch builder and checkers), so
-// workloads that execute thousands of scenarios (the explorer, the Table 1
-// sweeps, drvserve's replays) set up each execution, and run its rounds,
-// without allocating once the session is warm.
+// board rows, snapshot buffers, chains with their sketch builders, and
+// checkers), so workloads that execute thousands of scenarios (the
+// explorer, the Table 1 sweeps, drvserve's replays) set up each execution,
+// and run its rounds, without allocating once the session is warm.
 //
 // A Session is not safe for concurrent use: pooled workloads give each
 // worker its own. Run returns the session-owned Result, which is valid until

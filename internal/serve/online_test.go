@@ -341,6 +341,25 @@ func connFrames() string {
 	return strings.Join(out, "\n\n")
 }
 
+// connSettle waits for every goroutine of a connection to end. A replay
+// goroutine that ServeConn waited for has run its deferred wg.Done, but
+// may still be unwinding when ServeConn returns; one that leaked never
+// ends, and the deadline reports it.
+func connSettle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		frames := connFrames()
+		if frames == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("connection goroutines still running 10 s after ServeConn returned:\n%s", frames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // settle waits for the goroutine count to return to base.
 func settle(t *testing.T, base int) {
 	t.Helper()
@@ -356,9 +375,9 @@ func settle(t *testing.T, base int) {
 
 // TestServeLeavesNoGoroutines ends connections with replays in every state —
 // streams still open at EOF, a replay abandoned mid-run when its stream
-// fails, replays waiting for input — and checks that ServeConn leaves no
-// goroutine of the connection running, and Shutdown, which closes the idle
-// sessions, returns the goroutine count to its baseline.
+// fails, replays waiting for input — and checks that every goroutine of
+// the connection ends once ServeConn returns, and Shutdown, which closes the
+// idle sessions, returns the goroutine count to its baseline.
 func TestServeLeavesNoGoroutines(t *testing.T) {
 	b := trace.NewB()
 	for i := 0; i < 60; i++ {
@@ -391,9 +410,7 @@ func TestServeLeavesNoGoroutines(t *testing.T) {
 				if err := srv.ServeConn(rw{in, &out}); err != nil {
 					t.Fatal(err)
 				}
-				if frames := connFrames(); frames != "" {
-					t.Fatalf("connection goroutines still running after ServeConn returned:\n%s", frames)
-				}
+				connSettle(t)
 				got := byStream(t, out.Bytes())
 				for _, id := range tc.wantDone {
 					if lines := got[id]; len(lines) == 0 || !strings.HasPrefix(lines[len(lines)-1], `{"done":`) {
