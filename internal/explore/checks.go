@@ -53,9 +53,10 @@ const (
 	// exhaustive brute-force reference on small histories.
 	CheckBrute = "brute"
 	// CheckMonitorLin: V_O's verdict stream against the offline
-	// linearizability oracle — no NO on a linearizable history, and (modulo
-	// the predictive sketch escape) some NO when the drained crash-free
-	// history and its sketch both violate.
+	// linearizability oracle, judged by core.Eval under PSD — no NO on a
+	// linearizable history unless its sketch violates, and some NO when the
+	// history and its covered sketch (of the responses some verdict judged)
+	// both violate, on crashed, lossy and step-cut runs too.
 	CheckMonitorLin = "monitor-lin"
 )
 
@@ -267,12 +268,21 @@ func (r Runner) checkClass(out *Outcome, l lang.Lang, lb adversary.Labeled, res 
 		}
 	}
 	out.ran(CheckClass)
-	ev := core.Eval{Class: class, Window: evalWindow, Judge: l.Judge, Pool: r.Session.CheckPool(), Word: res.History}
+	ev := core.Eval{Class: class, Judge: l.Judge}
 	if tau != nil {
 		ev.Sketch = core.SketchOf(res, tau.InvAt)
 	}
+	r.judge(out, CheckClass, class.String()+" source "+lb.Name+": ", ev, res, lb.In)
+}
+
+// judge completes ev with the explorer's window, the session's checker pool
+// and x(E) = res.History, and records a failure of ev.Check(res, in) as a
+// divergence of the named check, its detail after prefix. A run too short to
+// judge (*core.ShortRunError) is no divergence.
+func (r Runner) judge(out *Outcome, name, prefix string, ev core.Eval, res *monitor.Result, in bool) {
+	ev.Window, ev.Pool, ev.Word = evalWindow, r.Session.CheckPool(), res.History
 	var short *core.ShortRunError
-	if err := ev.Check(res, lb.In); err != nil && !errors.As(err, &short) {
-		out.diverge(CheckClass, "%s source %s: %v", class, lb.Name, err)
+	if err := ev.Check(res, in); err != nil && !errors.As(err, &short) {
+		out.diverge(name, "%s%v", prefix, err)
 	}
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/drv-go/drv/exp/trace"
 	"github.com/drv-go/drv/internal/adversary"
+	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 )
@@ -179,5 +181,37 @@ func TestClassJudgesOnlyVerdictCoveredSketch(t *testing.T) {
 	}
 	if len(out.Divergences) != 0 {
 		t.Errorf("cut run diverged: %v", out.Divergences)
+	}
+}
+
+func TestJudgeCountsUnjustifiedNOWithoutSketch(t *testing.T) {
+	// One rule for every check that reaches core.Eval: a NO on a word in the
+	// language is justified only by a sketch that violates it, and a sketch
+	// that cannot be built (incomparable views, a torn collected set)
+	// justifies nothing.
+	read := func(v int) trace.Word {
+		return trace.Word{
+			trace.NewInv(0, trace.OpWrite, trace.Int(1)), trace.NewRes(0, trace.OpWrite, trace.Unit{}),
+			trace.NewInv(1, trace.OpRead, nil), trace.NewRes(1, trace.OpRead, trace.Int(v)),
+		}
+	}
+	res := &monitor.Result{History: read(1), Verdicts: [][]trace.Verdict{{trace.Yes}, {trace.No}}}
+	r := Runner{Session: monitor.NewSession()}
+	defer r.Session.Close()
+	judgeLIN := lang.Judge{Cond: lang.LIN, Object: trace.Register()}
+	for _, c := range []struct {
+		name   string
+		sketch func(bool) (trace.Word, error)
+		want   bool
+	}{
+		{"unbuildable sketch", func(bool) (trace.Word, error) { return nil, errors.New("incomparable views") }, true},
+		{"linearizable sketch", func(bool) (trace.Word, error) { return read(1), nil }, true},
+		{"violating sketch", func(bool) (trace.Word, error) { return read(7), nil }, false},
+	} {
+		out := &Outcome{}
+		r.judge(out, CheckMonitorLin, "", core.Eval{Class: core.PSD, Judge: judgeLIN, Sketch: c.sketch}, res, true)
+		if got := len(out.Divergences) > 0; got != c.want {
+			t.Errorf("%s: divergences %v, want diverged=%v", c.name, out.Divergences, c.want)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"github.com/drv-go/drv/internal/abd"
 	"github.com/drv-go/drv/internal/adversary"
 	"github.com/drv-go/drv/internal/check"
+	"github.com/drv-go/drv/internal/core"
 	"github.com/drv-go/drv/internal/lang"
 	"github.com/drv-go/drv/internal/monitor"
 	"github.com/drv-go/drv/internal/msgnet"
@@ -264,11 +265,6 @@ const bruteOpsCap = 7
 func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monitor.Result, tau *adversary.Timed) {
 	s := out.Spec
 	obj := od.obj
-	crashed := len(s.Crashes) > 0
-	// Like a crash, a dropped message can strand the violating operation
-	// pending, so a lossy network schedule gates the completeness half of
-	// the monitor check.
-	lossy := len(s.Drops) > 0
 	mark := r.stages.start()
 
 	out.ran(CheckWellFormed)
@@ -276,7 +272,7 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 		out.diverge(CheckWellFormed, "%v", err)
 	}
 
-	if crashed {
+	if len(s.Crashes) > 0 {
 		out.ran(CheckCrashQuiet)
 		checkCrashQuiet(out, res)
 	}
@@ -340,33 +336,18 @@ func (r Runner) runHistoryChecks(out *Outcome, od objDef, id implDef, res *monit
 	mark = r.stages.start()
 
 	// The monitor axis: V_O's verdict stream against the offline oracle,
-	// under the predictive escape of Definition 6.1 — the monitor answers
-	// for the sketch x~(E), not for x(E), in both directions. Soundness: on
-	// a linearizable history a NO is only justified when the sketch itself
-	// is non-linearizable (operations shrink in the sketch, so it can gain
-	// precedence pairs the word never had and legitimately fall outside
-	// LIN_O — the mirror image of the Out-side escape the language family
-	// pins in its corpus). Completeness: a violation both the word and the
-	// sketch exhibit must draw a NO; it only applies when the run drained
-	// crash-free and loss-free — a step-bound cutoff, a crash or a dropped
-	// message can separate the violating response from the verdict that
-	// would have judged it.
+	// judged by core.Eval under PSD, the escape of Definition 6.1 — the
+	// monitor answers for the sketch x~(E), not for x(E). A NO on a
+	// linearizable history needs a non-linearizable sketch (operations shrink
+	// in the sketch, so it can gain precedence pairs the word never had). A
+	// violating history needs a NO unless the covered sketch, built from the
+	// responses some verdict judged, is linearizable: a crash, a dropped
+	// message or a step cutoff can strand the violating response before any
+	// verdict saw it.
 	out.ran(CheckMonitorLin)
-	linJudge := lang.Judge{Cond: lang.LIN, Object: obj}
-	switch {
-	case lin && res.TotalNO() > 0:
-		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && linJudge.Violation(sk, pool) == nil {
-			out.diverge(CheckMonitorLin,
-				"history and sketch are both linearizable but %s reported %d NO verdict(s)", out.Monitor, res.TotalNO())
-		}
-	case !lin && !crashed && !lossy && res.Drained && res.TotalNO() == 0:
-		sk, err := res.Sketch(s.N, tau.InvAt)
-		if err == nil && linJudge.Violation(sk, pool) != nil {
-			out.diverge(CheckMonitorLin,
-				"history and sketch are both non-linearizable but no process ever reported NO")
-		}
-	}
+	r.judge(out, CheckMonitorLin, "", core.Eval{
+		Class: core.PSD, Judge: lang.Judge{Cond: lang.LIN, Object: obj}, Sketch: core.SketchOf(res, tau.InvAt),
+	}, res, lin)
 	r.stages.stop(s.Fam(), stageMonitor, mark)
 }
 

@@ -351,4 +351,29 @@ func TestObjBrokenMonitorCaught(t *testing.T) {
 	if !caught {
 		t.Error("yes-man monitor on the forked ledger never tripped monitor-lin")
 	}
+
+	// Crashed, lossy and step-cut runs are judged too, by the sketch of the
+	// responses some verdict covered: on each of these runs of a buggy
+	// implementation that sketch is not linearizable, so the yes-man's
+	// silence diverges.
+	for _, c := range []struct{ why, spec string }{
+		{"crashed", "drv2:obj/ledger/forked:n=3:seed=9018080679818860085:pol=bursty:steps=720:ops=8:mb=0.7:crash=2@2"},
+		{"lossy", "drv3:msg/counter/lost:n=4:seed=1892037277204621684:pol=random:steps=1256:ops=6:mb=0.6:net=fifo:drop=26,27"},
+		{"step-cut", "drv2:obj/queue/lifo:n=4:seed=5905475931312135114:pol=bursty:steps=215:ops=5:mb=0.7"},
+	} {
+		s, err := ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Runner{Wrap: wrapYes}.Execute(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.why == "step-cut" && out.Steps < s.Steps {
+			t.Fatalf("premise: %s ran %d of %d steps, want a cut run", c.spec, out.Steps, s.Steps)
+		}
+		if !slices.ContainsFunc(out.Divergences, func(d Divergence) bool { return d.Check == CheckMonitorLin }) {
+			t.Errorf("yes-man monitor on the %s run %s did not trip %s: %v", c.why, c.spec, CheckMonitorLin, out.Divergences)
+		}
+	}
 }

@@ -121,12 +121,11 @@ func (l *threeValuedLogic) PostRecv(p *sched.Proc, r trace.Response) {
 }
 
 func (l *threeValuedLogic) Decide(p *sched.Proc) Verdict {
-	d := l.wec.Decide(p)
+	l.wec.Decide(p) // for its side effects: the safety flag and the previous round
 	if l.wec.flag {
 		// Safety clause violated: this is conclusive.
 		return No
 	}
-	_ = d
 	return Maybe
 }
 

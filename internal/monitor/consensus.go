@@ -47,7 +47,8 @@ func (cl *consLog) cell(k int) *mem.Consensus {
 	return cl.cells[k]
 }
 
-// opIDEncoding packs an operation identifier into a consensus proposal.
+// opIDStride is the per-process stride of encodeOpID, which packs an
+// operation identifier into a consensus proposal as Proc·opIDStride + Idx + 1.
 const opIDStride = 1 << 20
 
 func encodeOpID(id trace.OpID) int64 { return int64(id.Proc)*opIDStride + int64(id.Idx) + 1 }

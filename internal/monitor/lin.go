@@ -256,10 +256,9 @@ func (l *predictiveLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 		// adversaries), or a torn set (only on a collect-backed board),
 		// leave the process without a usable history this round; Section
 		// 6.2 notes the construction in [41] handles this at the cost of
-		// extra local computation. Report NO conservatively? A
-		// false NO would break predictive soundness, so report the previous
-		// verdict's best guess: YES keeps soundness (missed detections are
-		// retried next round with fresh views).
+		// extra local computation. The round reports YES: a NO without a
+		// sketch to justify it would break predictive soundness, and a
+		// missed detection is retried next round with fresh views.
 		l.verdict = Yes
 		return
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/drv-go/drv/internal/lazyrand"
 )
@@ -111,7 +112,7 @@ func BurstyFrom(rng *rand.Rand, mean int) Policy {
 	}
 	cur := -1
 	return PolicyFunc(func(runnable []int, _ int) int {
-		if cur >= 0 && contains(runnable, cur) && rng.Float64() < 1-1/float64(mean) {
+		if cur >= 0 && slices.Contains(runnable, cur) && rng.Float64() < 1-1/float64(mean) {
 			return cur
 		}
 		cur = runnable[rng.Intn(len(runnable))]
@@ -138,7 +139,7 @@ func (p *scriptPolicy) Next(runnable []int, step int) int {
 	if p.pos < len(p.seq) {
 		id := p.seq[p.pos]
 		p.pos++
-		if !contains(runnable, id) {
+		if !slices.Contains(runnable, id) {
 			panic(fmt.Sprintf("sched: script step %d requires actor %d but runnable=%v", p.pos-1, id, runnable))
 		}
 		return id
@@ -160,7 +161,7 @@ type priorityPolicy struct {
 }
 
 func (p *priorityPolicy) Next(runnable []int, step int) int {
-	if contains(runnable, p.actor) {
+	if slices.Contains(runnable, p.actor) {
 		return p.actor
 	}
 	return p.fallback.Next(runnable, step)

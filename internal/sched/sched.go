@@ -544,12 +544,3 @@ func (rt *Runtime) Stop() {
 		}
 	}
 }
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
