@@ -32,15 +32,14 @@ import (
 
 // paramFlags names the flag that sets each experiment.Params field.
 var paramFlags = map[string]string{
-	"Procs":        "procs",
-	"Seeds":        "seeds",
-	"Steps":        "steps",
-	"TimedSteps":   "timed-steps",
-	"SCSteps":      "sc-steps",
-	"Window":       "window",
-	"SwapRounds":   "rounds",
-	"AttackRounds": "rounds",
-	"Stages":       "stages",
+	"Procs":      "procs",
+	"Seeds":      "seeds",
+	"Steps":      "steps",
+	"TimedSteps": "timed-steps",
+	"SCSteps":    "sc-steps",
+	"Window":     "window",
+	"Rounds":     "rounds",
+	"Stages":     "stages",
 }
 
 func main() {
@@ -79,14 +78,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	p := experiment.Params{
-		Procs:        *procs,
-		Steps:        *steps,
-		TimedSteps:   *timedSteps,
-		SCSteps:      *scSteps,
-		Window:       *window,
-		SwapRounds:   *rounds,
-		AttackRounds: *rounds,
-		Stages:       *stages,
+		Procs:      *procs,
+		Steps:      *steps,
+		TimedSteps: *timedSteps,
+		SCSteps:    *scSteps,
+		Window:     *window,
+		Rounds:     *rounds,
+		Stages:     *stages,
 	}
 	for s := int64(1); s <= int64(*seeds); s++ {
 		p.Seeds = append(p.Seeds, s)

@@ -58,7 +58,7 @@ const (
 	LogicSEC
 	// LogicECLedger is the best-effort eventually-consistent-ledger monitor
 	// (ledger histories: append/get operations). EC_LED is not predictively
-	// weakly decidable (Theorem 7.2); the monitor exists to exhibit that
+	// weakly decidable (Lemma 6.5); the monitor exists to exhibit that
 	// impossibility.
 	LogicECLedger
 )

@@ -25,7 +25,11 @@ type Service interface {
 	// service absorbs it, which is the send event of the execution.
 	Send(p *sched.Proc, v trace.Symbol)
 	// Recv blocks until the service delivers the response to the process's
-	// outstanding invocation and returns it.
+	// outstanding invocation and returns it. The response's ID is the
+	// operation's process and its per-process index: the k-th response
+	// process p receives has ID {p, k}, counting from 0. The monitors'
+	// triple board relies on it to find an operation's triple in its
+	// process's log.
 	Recv(p *sched.Proc) trace.Response
 	// History returns the input word x(E) emitted so far: the subsequence of
 	// send/receive events in global real-time order. Call only between steps

@@ -134,5 +134,10 @@ func (c *ECLedger) OK() bool {
 	return c.fault == nil
 }
 
+// Holds reports whether the history fed so far satisfies clause (1). Unlike
+// OK it is not sticky: a record over-used by the history fed so far may be
+// covered by a later append.
+func (c *ECLedger) Holds() bool { return c.fault == nil && c.over == 0 }
+
 // Violation returns the violation behind OK's first false answer, or nil.
 func (c *ECLedger) Violation() *Fault { return c.fault }

@@ -67,7 +67,7 @@ type unit struct {
 	// pooled runtime+session pair: each engine worker owns one for its whole
 	// batch, so consecutive units stop spawning and tearing down process
 	// coroutines per monitored run.
-	run func(ctx context.Context, sess *monitor.Session) []error
+	run func(sess *monitor.Session) []error
 }
 
 // Run executes the full Table 1 plan under ctx and returns the rows in paper
@@ -97,7 +97,7 @@ func Run(ctx context.Context, p Params, opts Options) ([]Row, error) {
 				errs[i] = fmt.Errorf("%s skipped: %w", u.name, cause)
 			}
 		} else {
-			errs = u.run(ctx, sess)
+			errs = u.run(sess)
 			if len(errs) != len(u.targets) {
 				panic(fmt.Sprintf("experiment: unit %q reported %d errors for %d targets", u.name, len(errs), len(u.targets)))
 			}

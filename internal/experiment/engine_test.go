@@ -178,7 +178,7 @@ func TestCellDeterministicAcrossGoroutines(t *testing.T) {
 			defer sess.Close()
 			var first error
 			for _, u := range units {
-				errs := u.run(context.Background(), sess)
+				errs := u.run(sess)
 				for i, k := range u.targets {
 					if k == target && errs[i] != nil && first == nil {
 						first = errs[i]
@@ -398,8 +398,7 @@ func TestRunRejectsDegenerateParams(t *testing.T) {
 		{"TimedSteps", func(p *Params) { p.TimedSteps = -1 }},
 		{"SCSteps", func(p *Params) { p.SCSteps = 0 }},
 		{"Window", func(p *Params) { p.Window = 0 }},
-		{"SwapRounds", func(p *Params) { p.SwapRounds = 0 }},
-		{"AttackRounds", func(p *Params) { p.AttackRounds = 0 }},
+		{"Rounds", func(p *Params) { p.Rounds = 0 }},
 		{"Stages", func(p *Params) { p.Stages = 0 }},
 	} {
 		p := ShortParams()
@@ -417,7 +416,7 @@ func TestRunRejectsDegenerateParams(t *testing.T) {
 	if err := ShortParams().Validate(); err != nil {
 		t.Errorf("ShortParams: %v", err)
 	}
-	floor := Params{Procs: 2, Seeds: []int64{1}, Steps: 1, TimedSteps: 1, SCSteps: 1, Window: 1, SwapRounds: 1, AttackRounds: 1, Stages: 1}
+	floor := Params{Procs: 2, Seeds: []int64{1}, Steps: 1, TimedSteps: 1, SCSteps: 1, Window: 1, Rounds: 1, Stages: 1}
 	if err := floor.Validate(); err != nil {
 		t.Errorf("the floor itself: %v", err)
 	}
@@ -476,7 +475,7 @@ func TestNeverNOFailsEveryOutOfLanguageUnit(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no such labelled source", u.name)
 		}
-		errs := u.run(context.Background(), sess)
+		errs := u.run(sess)
 		for i, k := range u.targets {
 			cell := pl.rows[k.row].Cells[k.col]
 			cells[cell.Lang+" × "+cell.Class.String()] = true

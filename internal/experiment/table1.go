@@ -14,9 +14,9 @@ import (
 	"github.com/drv-go/drv/internal/sched"
 )
 
-// Params sizes the Table 1 harness. The defaults keep the whole table under
-// a minute; larger values sharpen the finite-run proxies for the ω-word
-// quantifiers.
+// Params sizes the Table 1 harness. The defaults run the whole table in
+// well under a second; larger values sharpen the finite-run proxies for the
+// ω-word quantifiers.
 type Params struct {
 	// Procs is the monitor process count for possibility cells.
 	Procs int
@@ -28,24 +28,22 @@ type Params struct {
 	Steps, TimedSteps, SCSteps int
 	// Window is the verdict-tail length interpreting "finitely many NOs".
 	Window int
-	// SwapRounds sizes the Lemma 5.1 construction; AttackRounds the bad
-	// prefix of the prefix-extension attacks; Stages the Lemma 6.5
-	// alternation count.
-	SwapRounds, AttackRounds, Stages int
+	// Rounds sizes the Lemma 5.1 construction and the bad prefix of the
+	// prefix-extension attacks; Stages is the Lemma 6.5 alternation count.
+	Rounds, Stages int
 }
 
 // DefaultParams returns the harness defaults.
 func DefaultParams() Params {
 	return Params{
-		Procs:        3,
-		Seeds:        []int64{1, 2},
-		Steps:        30_000,
-		TimedSteps:   4_000,
-		SCSteps:      1_500,
-		Window:       4,
-		SwapRounds:   8,
-		AttackRounds: 6,
-		Stages:       3,
+		Procs:      3,
+		Seeds:      []int64{1, 2},
+		Steps:      30_000,
+		TimedSteps: 4_000,
+		SCSteps:    1_500,
+		Window:     4,
+		Rounds:     8,
+		Stages:     3,
 	}
 }
 
@@ -56,15 +54,14 @@ func DefaultParams() Params {
 // only seed 1 is swept (seed 2 needs longer runs for the PWD proxies).
 func ShortParams() Params {
 	return Params{
-		Procs:        3,
-		Seeds:        []int64{1},
-		Steps:        3_000,
-		TimedSteps:   600,
-		SCSteps:      300,
-		Window:       4,
-		SwapRounds:   3,
-		AttackRounds: 3,
-		Stages:       2,
+		Procs:      3,
+		Seeds:      []int64{1},
+		Steps:      3_000,
+		TimedSteps: 600,
+		SCSteps:    300,
+		Window:     4,
+		Rounds:     3,
+		Stages:     2,
 	}
 }
 
@@ -91,8 +88,7 @@ func (p Params) Validate() error {
 		{"TimedSteps", p.TimedSteps, 1},
 		{"SCSteps", p.SCSteps, 1},
 		{"Window", p.Window, 1},
-		{"SwapRounds", p.SwapRounds, 1},
-		{"AttackRounds", p.AttackRounds, 1},
+		{"Rounds", p.Rounds, 1},
 		{"Stages", p.Stages, 1},
 	} {
 		if f.Value < f.Min {
@@ -181,7 +177,7 @@ func (t *plan) setCell(row, col int, lang string, class core.Class, expected boo
 }
 
 // add appends a unit in plan order.
-func (t *plan) add(name string, targets []cellKey, run func(ctx context.Context, sess *monitor.Session) []error) {
+func (t *plan) add(name string, targets []cellKey, run func(sess *monitor.Session) []error) {
 	t.units = append(t.units, unit{ord: len(t.units), name: name, targets: targets, run: run})
 }
 
@@ -256,7 +252,7 @@ func (t *plan) sweep(cells []cellKey, l lang.Lang, steps int, flag string) {
 	for _, seed := range t.p.Seeds {
 		for _, lb := range l.Sources(t.p.Procs, seed) {
 			t.add(fmt.Sprintf("%s × %s seed %d source %s", l.Name, strings.Join(names, "+"), seed, lb.Name), cells,
-				func(_ context.Context, sess *monitor.Session) []error {
+				func(sess *monitor.Session) []error {
 					res, tau := t.run(sess, l, classes[0], lb.New(), seed, steps)
 					ev := core.Eval{Window: t.p.Window, Judge: l.Judge, Pool: sess.CheckPool(), Word: res.History}
 					if tau != nil {
@@ -302,7 +298,7 @@ func (t *plan) predictiveCells(row int, l lang.Lang) {
 // mk. Every target receives the same error; noWitness is the error when the
 // search finds nothing.
 func (t *plan) walkUnit(targets []cellKey, l lang.Lang, alpha trace.Word, n int, mk func() monitor.Monitor, noWitness string) {
-	t.add(l.Name+" Theorem 5.2 walk", targets, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Theorem 5.2 walk", targets, func(*monitor.Session) []error {
 		var err error
 		if wit := core.FindRTOWitness(l.Judge, alpha, n); wit == nil {
 			err = errors.New(noWitness)
@@ -335,10 +331,10 @@ func (t *plan) registerRow(l lang.Lang) {
 		func() monitor.Monitor { return monitor.NewNaiveOrder(trace.Register(), adversary.ArrayAtomic) },
 		func() monitor.Monitor { return monitor.NewConsensusOrder(trace.Register(), adversary.ArrayAtomic) },
 	} {
-		t.add(l.Name+" Lemma 5.1 swap", []cellKey{sd, wd}, func(_ context.Context, _ *monitor.Session) []error {
+		t.add(l.Name+" Lemma 5.1 swap", []cellKey{sd, wd}, func(*monitor.Session) []error {
 			m := mkM()
 			var err error
-			if e := (Lemma51{Rounds: t.p.SwapRounds}).Verify(m); e != nil {
+			if e := (Lemma51{Rounds: t.p.Rounds}).Verify(m); e != nil {
 				err = fmt.Errorf("%s: %w", m.Name(), e)
 			}
 			return []error{err, err}
@@ -380,7 +376,7 @@ func (t *plan) ecLedRow() {
 	evidence = "Lemma 6.5 alternation attack: unbounded NOs on an in-language tight behaviour"
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.5", evidence)
 	pwd := t.setCell(row, 3, l.Name, core.PWD, false, "Lemma 6.5", evidence)
-	t.add(l.Name+" Lemma 6.5 alternation", []cellKey{psd, pwd}, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Lemma 6.5 alternation", []cellKey{psd, pwd}, func(*monitor.Session) []error {
 		err := (Lemma65{N: 2, Stages: t.p.Stages}).Verify(func(*adversary.Timed) monitor.Monitor {
 			return monitor.NewECLed(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
@@ -395,7 +391,7 @@ func (t *plan) wecRow() {
 
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Lemma 5.2",
 		"prefix-extension attack on Figure 5: replayed NO on an in-language word")
-	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(*monitor.Session) []error {
 		res, err := counterAttack(t.p).Run(monitor.NewWEC(adversary.ArrayAtomic))
 		if err == nil {
 			err = res.Verify(l.Judge)
@@ -409,7 +405,7 @@ func (t *plan) wecRow() {
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack: NO on in-language word with x(E)=x~(E)")
-	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(*monitor.Session) []error {
 		res, err := counterAttack(t.p).RunTimed(func(*adversary.Timed) monitor.Monitor {
 			return monitor.NewWEC(adversary.ArrayAtomic)
 		}, adversary.ArrayAtomic)
@@ -447,7 +443,7 @@ func (t *plan) secRow() {
 	}
 	sd := t.setCell(row, 0, l.Name, core.SD, false, "Lemma 5.2",
 		"prefix-extension attack on Figure 9: replayed NO on an in-language word")
-	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Lemma 5.2 attack", []cellKey{sd}, func(*monitor.Session) []error {
 		_, err := runAttack()
 		return []error{err}
 	})
@@ -462,7 +458,7 @@ func (t *plan) secRow() {
 
 	psd := t.setCell(row, 2, l.Name, core.PSD, false, "Lemma 6.2",
 		"tight prefix-extension attack on Figure 9")
-	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(_ context.Context, _ *monitor.Session) []error {
+	t.add(l.Name+" Lemma 6.2 tight attack", []cellKey{psd}, func(*monitor.Session) []error {
 		res, err := runAttack()
 		if err == nil && !res.TightSketch {
 			err = fmt.Errorf("execution not tight")
@@ -482,7 +478,7 @@ func counterAttack(p Params) PrefixAttack {
 	n := 2
 	b := trace.NewB()
 	b.Op(0, trace.OpInc, nil, trace.Unit{})
-	for r := 0; r < p.AttackRounds; r++ {
+	for r := 0; r < p.Rounds; r++ {
 		b.Op(1, trace.OpRead, nil, trace.Int(0))
 		b.Op(0, trace.OpRead, nil, trace.Int(0))
 	}
@@ -508,7 +504,7 @@ func counterAttack(p Params) PrefixAttack {
 					tail.Res(op.ID.Proc, trace.OpRead, trace.Int(incs))
 				}
 			}
-			for r := 0; r < p.AttackRounds; r++ {
+			for r := 0; r < p.Rounds; r++ {
 				for proc := 0; proc < n; proc++ {
 					tail.Op(proc, trace.OpRead, nil, trace.Int(incs))
 				}

@@ -51,40 +51,38 @@ type naiveOrderLogic struct {
 	n     int
 	obj   trace.Object
 	board *tripleBoard
-	chk   *check.Incremental // sequential consistency of every collected triple
+	pool  *check.Pool // the session's checker pool
 
 	inv     trace.Symbol
-	count   int
 	verdict Verdict
 }
 
-// attach attaches the board and borrows the checker from the session's
-// pool.
+// attach attaches the board and takes the session's checker pool.
 func (l *naiveOrderLogic) attach(sc *scratch, _ int) {
 	l.board.attach(sc)
-	l.chk = sc.checks.Get(l.obj, false, l.n)
+	l.pool = sc.checks
 }
 
 func (l *naiveOrderLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 
-// PostRecv publishes the operation and feeds the checker this round's newly
-// collected triples. Sequential consistency ignores cross-process order, so
-// the fed word — the collected triples in collection order — checks exactly
-// as the most permissive history consistent with what is known, the one
-// with every invocation before every response. Per-process order is kept
+// PostRecv publishes the operation and feeds its chain's checker, borrowed
+// at the chain's first feed of the run, the chain's newly collected
+// triples. Sequential consistency ignores cross-process order, so the fed
+// word — the collected triples in collection order — checks exactly as the
+// most permissive history consistent with what is known, the one with
+// every invocation before every response. Per-process order is kept
 // because the board delivers each writer's triples in its log order, which
 // is the order of their indices.
 func (l *naiveOrderLogic) PostRecv(p *sched.Proc, resp trace.Response) {
-	id := resp.ID
-	if id == (trace.OpID{}) {
-		id = trace.OpID{Proc: p.ID, Idx: l.count}
+	c := l.board.publish(p, trace.Triple{ID: resp.ID, Inv: l.inv, Res: resp.Sym})
+	if c.chk == nil {
+		c.chk = l.pool.Get(l.obj, false, l.n)
 	}
-	l.count++
-	for _, tr := range l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta {
-		l.chk.Append(tr.Inv)
-		l.chk.Append(tr.Res)
+	for _, tr := range c.delta {
+		c.chk.Append(tr.Inv)
+		c.chk.Append(tr.Res)
 	}
-	if l.chk.OK() {
+	if c.chk.OK() {
 		l.verdict = Yes
 	} else {
 		l.verdict = No

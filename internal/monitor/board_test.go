@@ -50,7 +50,6 @@ func predictiveSetup(tau *adversary.Timed, kind adversary.ArrayKind,
 	obj := lang.LinReg().Object
 	return NewMonitor("probe-fig8/"+kind.String(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
-		board.shared = kind == adversary.ArrayAtomic // as in NewLin
 		onBoard(board)
 		logics := make([]Logic, n)
 		for i := range logics {
@@ -276,9 +275,13 @@ func TestPredictiveRoundCostTracksNewTriples(t *testing.T) {
 	}
 }
 
-// feedProbe wraps an order-free logic and checks, every round, that its
-// checker was fed exactly the round's newly collected triples, and that
-// over the run it has been fed every triple its snapshots collected, once.
+// feedProbe wraps an order-free logic and checks, every round, that the
+// checker of the chain the process fed was fed exactly the chain's newly
+// collected triples, and that it holds every triple of the process's
+// collected set, once. A shared chain's checker is measured against its
+// length at its last feed, by whichever process: other processes can feed
+// the chain while this one's round waits for its snapshot, but not between
+// a feed and the end of its round.
 type feedProbe struct {
 	Logic
 	stats *feedStats
@@ -288,45 +291,61 @@ func (f *feedProbe) Unwrap() Logic { return f.Logic }
 
 type feedStats struct {
 	rounds int
-	fed    int    // symbols fed to the checkers
-	refeed int    // symbols a whole-history re-feed every round would have fed
-	bad    string // the first violation
+	fed    int            // symbols fed to the checkers
+	refeed int            // symbols a whole-history re-feed every round would have fed
+	bad    string         // the first violation
+	last   map[*chain]int // each chain's checker length at the end of its last feed's round
+	// sets holds, per process, the size of the run's last collected set,
+	// and largest the largest set the run collected.
+	sets    map[int]int
+	largest int
 }
 
-// state returns the logic's checker length and the chain process id feeds.
-func (f *feedProbe) state(id int) (int, *chain) {
+// fedLen returns the length of the checker of the chain process id feeds,
+// and the chain.
+func (f *feedProbe) fedLen(id int) (int, *chain) {
 	switch l := f.Logic.(type) {
 	case *ecledLogic:
-		return l.chk.Len(), l.board.chain(id)
+		if c := l.board.chain(id); c.ledger != nil {
+			return c.ledger.Len(), c
+		}
 	case *naiveOrderLogic:
-		return l.chk.Len(), l.board.chain(id)
+		if c := l.board.chain(id); c.chk != nil {
+			return c.chk.Len(), c
+		}
+	default:
+		panic(fmt.Sprintf("feedProbe: %T is not an order-free logic", f.Logic))
 	}
-	panic(fmt.Sprintf("feedProbe: %T is not an order-free logic", f.Logic))
+	panic("feedProbe: a round left its chain without a checker")
 }
 
 func (f *feedProbe) PostRecv(p *sched.Proc, resp trace.Response) {
-	before, _ := f.state(p.ID)
 	f.Logic.PostRecv(p, resp)
-	after, c := f.state(p.ID)
-	delta := c.delta
+	after, c := f.fedLen(p.ID)
 	collected := 0
-	for _, n := range c.fed {
+	for _, n := range boardOf(f.Logic).snaps[p.ID] {
 		collected += n
 	}
-	if f.stats.bad == "" && (after-before != 2*len(delta) || after != 2*collected) {
+	fed := after - f.stats.last[c]
+	if f.stats.bad == "" && (fed != 2*len(c.delta) || after != 2*collected) {
 		f.stats.bad = fmt.Sprintf("process %d: round fed %d symbols for %d new triples; %d fed in all for %d collected",
-			p.ID, after-before, len(delta), after, collected)
+			p.ID, fed, len(c.delta), after, collected)
 	}
+	f.stats.last[c] = after
 	f.stats.rounds++
-	f.stats.fed += after - before
+	f.stats.fed += fed
 	f.stats.refeed += 2 * collected
+	f.stats.sets[p.ID] = collected
+	f.stats.largest = max(f.stats.largest, collected)
 }
 
 // TestOrderFreeRoundCostTracksNewTriples is the order-free logics'
 // counterpart of TestPredictiveRoundCostTracksNewTriples: over each
-// ArrayKind, ecledLogic and naiveOrderLogic feed their checkers each
-// collected triple exactly once per run, so a round costs its new triples
-// rather than a re-feed of the whole collected history.
+// ArrayKind, ecledLogic and naiveOrderLogic feed their chains' checkers each
+// collected triple exactly once per chain, so a round costs its new triples
+// rather than a re-feed of the whole collected history. Over an atomic
+// board the processes share one chain, fed each triple once per run; the
+// other kinds feed each process's chain its own set.
 func TestOrderFreeRoundCostTracksNewTriples(t *testing.T) {
 	setups := []struct {
 		l  lang.Lang
@@ -346,18 +365,31 @@ func TestOrderFreeRoundCostTracksNewTriples(t *testing.T) {
 				}
 				return logics
 			})
+			union, each := 0, 0 // triples of the runs' largest sets, and of every process's last set
 			for seed := int64(1); seed <= 2; seed++ {
 				for _, lb := range su.l.Sources(testProcs, seed) {
+					stats.last, stats.sets, stats.largest = map[*chain]int{}, map[int]int{}, 0
 					runUntimedSteps(m, lb.New(), seed, naiveSteps)
+					union += stats.largest
+					for _, k := range stats.sets {
+						each += k
+					}
 				}
 			}
 			if stats.bad != "" {
 				t.Fatalf("%s: %s", inner.Name(), stats.bad)
 			}
-			t.Logf("%s: %d rounds fed %d symbols; re-feeding each round's whole history would feed %d",
-				inner.Name(), stats.rounds, stats.fed, stats.refeed)
+			t.Logf("%s: %d rounds fed %d symbols; re-feeding each round's whole history would feed %d, a chain per process %d",
+				inner.Name(), stats.rounds, stats.fed, stats.refeed, 2*each)
 			if stats.rounds < 100 {
 				t.Errorf("%s: %d rounds; the runs are too short", inner.Name(), stats.rounds)
+			}
+			want := 2 * each
+			if kind == adversary.ArrayAtomic {
+				want = 2 * union
+			}
+			if stats.fed != want {
+				t.Errorf("%s: the checkers were fed %d symbols, want %d", inner.Name(), stats.fed, want)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func NewConsensusOrder(obj trace.Object, kind adversary.ArrayKind) Monitor {
 		log := &consLog{}
 		logics := make([]Logic, n)
 		for i := range logics {
-			logics[i] = &consensusLogic{obj: obj, board: board, log: log, known: map[trace.OpID]trace.Triple{}}
+			logics[i] = &consensusLogic{obj: obj, board: board, log: log}
 		}
 		return logics
 	})
@@ -64,8 +64,6 @@ type consensusLogic struct {
 	log   *consLog
 
 	inv     trace.Symbol
-	count   int
-	known   map[trace.OpID]trace.Triple
 	agreed  []trace.OpID // the process's view of the decided log prefix
 	flag    bool
 	verdict Verdict
@@ -82,13 +80,7 @@ func (l *consensusLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv 
 // until some slot decides it.
 func (l *consensusLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	id := resp.ID
-	if id == (trace.OpID{}) {
-		id = trace.OpID{Proc: p.ID, Idx: l.count}
-	}
-	l.count++
-	for _, tr := range l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta {
-		l.known[tr.ID] = tr
-	}
+	l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym})
 	// Catch up with the decided prefix, then install our operation at the
 	// first free slot (wait-free: each retry decides some operation, and
 	// only finitely many precede ours).
@@ -102,19 +94,22 @@ func (l *consensusLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 			break
 		}
 	}
-	l.validate()
+	l.validate(p.ID)
 }
 
-// validate replays the agreed order against the specification; the verdict
-// is NO once the agreed order is invalid (sticky — the log is append-only).
-func (l *consensusLogic) validate() {
+// validate replays the agreed order against the specification, as far as
+// process me's last snapshot collected its operations: the proposals above
+// pause, and other processes publish meanwhile, but the process decides on
+// the set it collected. The verdict is NO once the agreed order is invalid
+// (sticky — the log is append-only).
+func (l *consensusLogic) validate(me int) {
 	if l.flag {
 		l.verdict = No
 		return
 	}
 	st := l.obj.Init()
 	for _, id := range l.agreed {
-		tr, ok := l.known[id]
+		tr, ok := l.board.collected(me, id)
 		if !ok {
 			break // not yet resolvable; validate the visible prefix only
 		}

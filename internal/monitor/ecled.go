@@ -32,34 +32,19 @@ func NewECLed(kind adversary.ArrayKind) Monitor {
 	})
 }
 
-// ecledLogic is the per-process state of the candidate EC_LED monitor.
+// ecledLogic is the per-process state of the candidate EC_LED monitor; what
+// it derives from the collected set is on the chain (tripleBoard).
 type ecledLogic struct {
 	board *tripleBoard
 
 	inv     trace.Symbol
-	count   int
-	chk     *check.ECLedger // clause (1) over every collected triple
-	flag    bool            // ordering clause violated: sticky NO
+	flag    bool // ordering clause violated: sticky NO
+	known   int  // the chain's appends the previous round's set held
 	verdict Verdict
-
-	// prevAppends is the set of records whose append invocations were
-	// visible on the board at the previous round; a get that misses one of
-	// them is flagged as divergence (transient NO). The set only grows, so
-	// each round adds its newly collected appends.
-	prevAppends map[trace.Rec]bool
-	got         map[trace.Rec]bool // the records of this round's get response
 }
 
-// attach attaches the board and claims the process's checker and record
-// sets.
-func (l *ecledLogic) attach(sc *scratch, i int) {
-	l.board.attach(sc)
-	ps := &sc.procs[i]
-	l.chk = ps.ledgers.claim()
-	l.chk.Reset()
-	l.prevAppends = emptySet(ps.recs.claim())
-	l.got = emptySet(ps.recs.claim())
-}
+// attach attaches the board.
+func (l *ecledLogic) attach(sc *scratch, _ int) { l.board.attach(sc) }
 
 // PreSend implements Line 02: nothing to announce before sending (appends
 // become visible when their triple is published after the response).
@@ -68,50 +53,49 @@ func (l *ecledLogic) PreSend(_ *sched.Proc, inv trace.Symbol) { l.inv = inv }
 // PostRecv implements Line 05: publish the completed operation, snapshot the
 // board, and evaluate the clauses. Clause (1) is order-free — its verdict on
 // the collected operations does not depend on how they are laid out — so the
-// round feeds the checker only its newly collected triples.
+// round feeds the chain's checker only the chain's newly collected triples,
+// and reads the clause on the set the chain now holds: a record over-used
+// there may be covered by an append a later set holds, so the checker's
+// answer is not sticky, and the process's flag is.
 func (l *ecledLogic) PostRecv(p *sched.Proc, resp trace.Response) {
-	id := resp.ID
-	if id == (trace.OpID{}) {
-		id = trace.OpID{Proc: p.ID, Idx: l.count}
+	c := l.board.publish(p, trace.Triple{ID: resp.ID, Inv: l.inv, Res: resp.Sym})
+	if c.ledger == nil {
+		c.ledger = check.NewECLedger()
 	}
-	l.count++
-	delta := l.board.publish(p, trace.Triple{ID: id, Inv: l.inv, Res: resp.Sym}).delta
-	for _, tr := range delta {
-		l.chk.Append(tr.Inv)
-		l.chk.Append(tr.Res)
+	for _, tr := range c.delta {
+		c.ledger.Append(tr.Inv)
+		c.ledger.Append(tr.Res)
+		if tr.Inv.Op == trace.OpAppend {
+			if r, ok := tr.Inv.Val.(trace.Rec); ok {
+				c.appends = append(c.appends, r)
+			}
+		}
 	}
-
-	if l.flag {
-		l.verdict = No
-		return
-	}
-	if !l.chk.OK() {
-		l.flag = true
+	known := l.known
+	l.known = len(c.appends)
+	if l.flag = l.flag || !c.ledger.Holds(); l.flag {
 		l.verdict = No
 		return
 	}
 	// Divergence test: if this operation was a get, it must contain every
-	// record whose append was known a round ago.
+	// record whose append the previous round's set held. Those are the
+	// chain's first known appends: the chain held exactly that set then,
+	// and its appends only grow.
 	l.verdict = Yes
 	if l.inv.Op == trace.OpGet {
-		clear(l.got)
+		if c.got == nil {
+			c.got = map[trace.Rec]bool{}
+		}
+		clear(c.got)
 		if seq, ok := resp.Sym.Val.(trace.Seq); ok {
 			for _, r := range seq {
-				l.got[r] = true
+				c.got[r] = true
 			}
 		}
-		for r := range l.prevAppends {
-			if !l.got[r] {
+		for _, r := range c.appends[:known] {
+			if !c.got[r] {
 				l.verdict = No
 				break
-			}
-		}
-	}
-	// Add this round's appends to the known-append set for the next round.
-	for _, tr := range delta {
-		if tr.Inv.Op == trace.OpAppend {
-			if r, ok := tr.Inv.Val.(trace.Rec); ok {
-				l.prevAppends[r] = true
 			}
 		}
 	}

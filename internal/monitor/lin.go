@@ -17,12 +17,28 @@ import (
 // counts plus the immutable log prefixes reconstructs everyone's sets. The
 // logs, the snapshot buffers and the chains are rows the board claims from
 // the session's scratch when its first logic attaches.
+//
+// The board owns each process's collected set S_i: a round may decide on
+// S_i alone, and every logic keeps what it derives from S_i on the chain
+// the round fed. Over an atomic board the processes feed one shared chain
+// and still get exactly that. Each snapshot is one scheduler step, and the
+// local computation after it — feeding the chain and deriving from it —
+// runs within the same step, before any other process takes a snapshot. So
+// the snapshots reach the chain in the order they were taken, which over an
+// atomic array is containment order, and each feed brings the chain's set
+// up to exactly S_i. What a logic derives from the chain then depends on
+// S_i alone, provided it depends on the set and not on the order it was fed
+// in; each set is then built and checked once per run, not once per
+// process. The AADGMS and collect boards keep one chain per process: their
+// snapshots take several steps, so a process can finish an older snapshot
+// after another process fed the chain a newer one, and a shared chain would
+// hold triples the older set lacks.
 type tripleBoard struct {
 	n      int
 	counts mem.Array[int]
-	// shared makes every process feed one chain instead of its own. It is
-	// exact only where the snapshots reach the chain in containment order,
-	// which V_O's atomic boards guarantee (see newPredictive).
+	// shared makes every process feed one chain instead of its own; it is
+	// set on atomic boards. Tests clear it to build the per-process
+	// reference.
 	shared bool
 	*boardRows
 }
@@ -37,29 +53,36 @@ type boardRows struct {
 // chain is a collected set of published triples, grown snapshot by
 // snapshot. Its fed counts say how much of each log it holds and its delta
 // what the last feed added, in a buffer that stops allocating once it has
-// grown to the largest delta. V_O keeps the set's sketch and the checker of
-// that sketch with the chain, so each set is built and checked once per
-// chain, however many processes feed it.
+// grown to the largest delta. The logics keep what they derive from the set
+// with the chain, so each set is derived from once per chain, however many
+// processes feed it.
 type chain struct {
 	fed     []int               // fed[j]: how much of log j the chain holds
 	shown   []int               // shown[j]: the most operations of process j a fed view shows
 	delta   []trace.Triple      // the triples the last feed added
 	builder trace.SketchBuilder // V_O: the sketch of every triple fed
 	same    int                 // V_O: the sketch prefix the last feed kept
-	chk     *check.Incremental  // V_O: the sketch's checker, borrowed lazily
+	// chk checks the set: V_O its sketch, naive-order its order-free word.
+	// It is borrowed lazily.
+	chk *check.Incremental
 	// unchecked is set while the builder's last sketch is one the checker
 	// never got, so the prefix the builder reports kept is not the
 	// checker's (V_O, see errTornSet).
 	unchecked bool
+	ledger    *check.ECLedger    // ecled: clause (1) on the set, allocated lazily
+	appends   []trace.Rec        // ecled: the set's appended records, in feed order
+	got       map[trace.Rec]bool // ecled: the records of the round's get response
+	clause4   bool               // SEC: some read in the set exceeds its view's incs
 }
 
 func newTripleBoard(n int, kind adversary.ArrayKind) *tripleBoard {
-	return &tripleBoard{n: n, counts: adversary.NewArray(kind, n)}
+	return &tripleBoard{n: n, counts: adversary.NewArray(kind, n), shared: kind == adversary.ArrayAtomic}
 }
 
 // attach claims the board's rows from the session's scratch, once per run:
 // every logic sharing the board attaches it, and the first one claims. The
-// nil checkers make each chain's first check borrow a reset one.
+// nil checkers make each chain's first check borrow a reset one; the got
+// sets are cleared where they are filled.
 func (b *tripleBoard) attach(sc *scratch) {
 	if b.boardRows != nil {
 		return
@@ -84,6 +107,11 @@ func (b *tripleBoard) attach(sc *scratch) {
 		c.same = 0
 		c.chk = nil
 		c.unchecked = false
+		if c.ledger != nil {
+			c.ledger.Reset()
+		}
+		c.appends = c.appends[:0]
+		c.clause4 = false
 	}
 }
 
@@ -107,6 +135,17 @@ func (b *tripleBoard) chain(id int) *chain {
 		return &b.chains[0]
 	}
 	return &b.chains[id]
+}
+
+// collected returns the triple of operation id if process me's last
+// snapshot showed it. It relies on the OpID contract of
+// adversary.Service.Recv: an ID is its operation's process and per-process
+// index, which is the triple's index in that process's log.
+func (b *tripleBoard) collected(me int, id trace.OpID) (trace.Triple, bool) {
+	if id.Idx >= b.snaps[me][id.Proc] {
+		return trace.Triple{}, false
+	}
+	return b.logs[id.Proc][id.Idx], true
 }
 
 // feed sets the chain's delta to the triples of logs that process id's
@@ -165,37 +204,24 @@ func (c *chain) torn() bool {
 // processes interact with (its announcement log resolves view contents);
 // kind selects the implementation of M.
 func NewLin(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("lin-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, true, kind == adversary.ArrayAtomic)
+	return newPredictive("lin-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, true)
 }
 
 // NewSC is V_O with the sequential-consistency check: the same construction
 // predictively strongly decides SC_O (Table 1 rows SC_REG, SC_LED).
 func NewSC(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind) Monitor {
-	return newPredictive("sc-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, false, kind == adversary.ArrayAtomic)
+	return newPredictive("sc-fig8/"+obj.Name()+"/"+kind.String(), tau, kind, obj, false)
 }
 
-// newPredictive builds V_O's logics over one board of the given kind, whose
-// processes feed one shared chain if shared is set and their own chains
-// otherwise.
+// newPredictive builds V_O's logics over one board of the given kind.
 //
 // A process's verdict is a function of its collected set S_i alone: the
-// sketch BuildSketch(S_i) and its check. Over an atomic board the processes
-// can share one chain and still get exactly that. Each snapshot is one
-// scheduler step, and the local computation after it — feeding the chain,
-// extending the sketch, checking it — runs within the same step, before any
-// other process takes a snapshot. So the snapshots reach the chain in the
-// order they were taken, which over an atomic array is containment order;
-// each feed brings the chain's set up to exactly S_i, and the chain's sketch
-// is BuildSketch(S_i), since a sketch depends on its set and not on the
-// order it was fed in. Each set is then built and checked once per run, not
-// once per process. The AADGMS and collect boards keep one chain per
-// process: their snapshots take several steps, so a process can finish an
-// older snapshot after another process fed the chain a newer one, and a
-// shared chain would hold triples the older set lacks.
-func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime, shared bool) Monitor {
+// sketch BuildSketch(S_i) and its check. The sketch depends on its set and
+// not on the order it was fed in, so V_O keeps both with the chain (see
+// tripleBoard).
+func newPredictive(name string, tau *adversary.Timed, kind adversary.ArrayKind, obj trace.Object, realTime bool) Monitor {
 	return NewMonitor(name, func(n int) []Logic {
 		board := newTripleBoard(n, kind)
-		board.shared = shared
 		logics := make([]Logic, n)
 		for i := range logics {
 			logics[i] = &predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime}

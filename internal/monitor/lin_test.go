@@ -47,6 +47,7 @@ func (l scratchLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 func newScratchPredictive(obj trace.Object, tau *adversary.Timed, kind adversary.ArrayKind, realTime bool) Monitor {
 	return NewMonitor("scratch-fig8/"+obj.Name(), func(n int) []Logic {
 		board := newTripleBoard(n, kind)
+		board.shared = false
 		logics := make([]Logic, n)
 		for i := range logics {
 			logics[i] = scratchLogic{&predictiveLogic{n: n, board: board, tau: tau, obj: obj, realTime: realTime}}

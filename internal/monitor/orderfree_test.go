@@ -56,29 +56,34 @@ func wholeECLedger(w trace.Word) bool {
 	return c.OK()
 }
 
-// orderFreeRef accumulates one process's collected triples for the
-// reference check. It also pins what the incremental feeds rely on: the
-// board delivers each writer's triples once each, in index order from 0, so
-// the collection order keeps per-process order and orderFreeWord drops
-// nothing.
+// orderFreeRef accumulates one process's collected set for the reference
+// check, reading it from the board: the triples the process's last snapshot
+// shows. It also pins the OpID contract the logics rely on: each writer's
+// triple at log index i is its operation i, so the collection order keeps
+// per-process order, orderFreeWord drops nothing, and an agreed operation
+// can be looked up in the logs.
 type orderFreeRef struct {
 	all  []trace.Triple
-	next map[int]int // per writer, the index of its next expected triple
+	seen []int // per writer, how many of its triples all holds
 	fail func(string)
 }
 
-func (r *orderFreeRef) add(p int, delta []trace.Triple) {
-	if r.next == nil {
-		r.next = map[int]int{}
+// sync adds the triples of process p's collected set that all lacks.
+func (r *orderFreeRef) sync(p int, b *tripleBoard) {
+	snap := b.snaps[p]
+	if r.seen == nil {
+		r.seen = make([]int, len(snap))
 	}
-	for _, tr := range delta {
-		if want := r.next[tr.ID.Proc]; tr.ID.Idx != want || tr.Inv.Proc != tr.ID.Proc || tr.Res.Proc != tr.ID.Proc {
-			r.fail(fmt.Sprintf("process %d collected %v (%v, %v) where operation %d of process %d was due",
-				p, tr.ID, tr.Inv, tr.Res, want, tr.ID.Proc))
+	for j, k := range snap {
+		for i, tr := range b.logs[j][r.seen[j]:k] {
+			if want := (trace.OpID{Proc: j, Idx: r.seen[j] + i}); tr.ID != want || tr.Inv.Proc != j || tr.Res.Proc != j {
+				r.fail(fmt.Sprintf("process %d collected %v (%v, %v) where operation %v was due",
+					p, tr.ID, tr.Inv, tr.Res, want))
+			}
 		}
-		r.next[tr.ID.Proc]++
+		r.all = append(r.all, b.logs[j][r.seen[j]:k]...)
+		r.seen[j] = k
 	}
-	r.all = append(r.all, delta...)
 }
 
 // ecledShadow is ecledLogic with every round's clause (1) flag compared to
@@ -92,7 +97,7 @@ type ecledShadow struct {
 
 func (s *ecledShadow) PostRecv(p *sched.Proc, resp trace.Response) {
 	s.ecledLogic.PostRecv(p, resp)
-	s.ref.add(p.ID, s.board.chain(p.ID).delta)
+	s.ref.sync(p.ID, s.board)
 	s.flag = s.flag || !wholeECLedger(orderFreeWord(s.ref.all))
 	if s.ecledLogic.flag != s.flag || (s.flag && s.verdict != No) {
 		s.ref.fail(fmt.Sprintf("process %d after %d triples: flag %v verdict %v, reference flag %v",
@@ -110,7 +115,7 @@ type naiveShadow struct {
 
 func (s *naiveShadow) PostRecv(p *sched.Proc, resp trace.Response) {
 	s.naiveOrderLogic.PostRecv(p, resp)
-	s.ref.add(p.ID, s.board.chain(p.ID).delta)
+	s.ref.sync(p.ID, s.board)
 	want := No
 	if check.SeqConsistent(s.obj, orderFreeWord(s.ref.all)) {
 		want = Yes

@@ -1,9 +1,6 @@
 package monitor
 
-import (
-	"github.com/drv-go/drv/exp/trace"
-	"github.com/drv-go/drv/internal/check"
-)
+import "github.com/drv-go/drv/internal/check"
 
 // scratch is a session's reusable logic state: the checker pool, the rows
 // and chains of the triple boards, and per process index the buffers its
@@ -18,9 +15,7 @@ type scratch struct {
 
 // procScratch is one process index's buffers.
 type procScratch struct {
-	ints    slots[[]int]
-	recs    slots[map[trace.Rec]bool]
-	ledgers slots[check.ECLedger]
+	ints slots[[]int]
 }
 
 // slots holds a session's reusable values of one type, claimed in order
@@ -53,10 +48,7 @@ func (sc *scratch) rewind(n int) {
 		sc.procs = append(sc.procs, make([]procScratch, n-len(sc.procs))...)
 	}
 	for i := range sc.procs {
-		ps := &sc.procs[i]
-		ps.ints.rewind()
-		ps.recs.rewind()
-		ps.ledgers.rewind()
+		sc.procs[i].ints.rewind()
 	}
 }
 
@@ -90,15 +82,4 @@ func attachAll(logics []Logic, sc *scratch) {
 			l = w.Unwrap()
 		}
 	}
-}
-
-// emptySet returns the claimed set, allocated on first use and cleared
-// after.
-func emptySet(m *map[trace.Rec]bool) map[trace.Rec]bool {
-	if *m == nil {
-		*m = map[trace.Rec]bool{}
-	} else {
-		clear(*m)
-	}
-	return *m
 }

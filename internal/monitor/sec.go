@@ -35,7 +35,7 @@ type secLogic struct {
 	tau   *adversary.Timed
 
 	inv     trace.Symbol
-	clause4 bool // some collected read exceeds its view's incs
+	clause4 bool // the round's chain's clause-4 flag
 }
 
 // attach attaches the Figure 5 state and the board.
@@ -52,38 +52,29 @@ func (l *secLogic) PreSend(p *sched.Proc, inv trace.Symbol) {
 
 // PostRecv implements Line 05: the Figure 5 snapshot of INCS plus publishing
 // the triple in M and snapshotting it. Clause 4 fires when some collected
-// read returned more than the inc invocations in its view. Only the newly
-// collected triples need scanning, and a fired clause stays fired: a
-// triple's view, hence its inc count, never changes once announced, and the
-// set of collected triples only grows. The flag is the process's own, so
-// the board keeps a chain per process whatever its kind.
+// read returned more than the inc invocations in its view. Its flag is the
+// chain's: only the chain's newly collected triples need scanning, and a
+// fired flag stays fired, since a triple's view, hence its inc count, never
+// changes once announced, and the set of collected triples only grows.
 func (l *secLogic) PostRecv(p *sched.Proc, resp trace.Response) {
 	l.wec.PostRecv(p, resp)
 	if resp.View == nil {
 		panic("monitor: SEC monitor requires a timed service")
 	}
-	delta := l.board.publish(p, trace.Triple{
+	c := l.board.publish(p, trace.Triple{
 		ID:   resp.ID,
 		Inv:  l.inv,
 		Res:  resp.Sym,
 		View: *resp.View,
-	}).delta
-	if l.clause4 {
-		return
-	}
-	for _, tr := range delta {
-		if tr.Inv.Op != trace.OpRead || tr.Res.Kind != trace.Res {
-			continue
-		}
-		v, ok := tr.Res.Val.(trace.Int)
-		if !ok {
-			continue
-		}
-		if int(v) > l.tau.CountOp(tr.View, trace.OpInc) {
-			l.clause4 = true
+	})
+	for _, tr := range c.delta {
+		if c.clause4 {
 			break
 		}
+		v, ok := tr.Res.Val.(trace.Int)
+		c.clause4 = ok && tr.Inv.Op == trace.OpRead && tr.Res.Kind == trace.Res && int(v) > l.tau.CountOp(tr.View, trace.OpInc)
 	}
+	l.clause4 = c.clause4
 }
 
 // Decide implements Line 06 of Figure 9: the three Figure 5 cases, then the
