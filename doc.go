@@ -10,6 +10,10 @@
 //
 //   - internal/sched — the asynchronous computation model: crash-prone
 //     processes as coroutines under a deterministic cooperative scheduler.
+//     A process that ends its step makes the next scheduling choice itself
+//     and resumes the chosen process directly, so a hand-over between
+//     processes is one coroutine switch, not a round trip through the
+//     caller.
 //   - internal/mem — the shared-memory substrate: atomic registers, arrays,
 //     snapshots (one-step and the AADGMS wait-free protocol), collects,
 //     compare&swap and consensus.

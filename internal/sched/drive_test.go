@@ -39,6 +39,37 @@ type world struct {
 	auxIDs []int
 	order  []int // the actor of each step, in step order
 	hooks  []int // the step counts the before-step hook was called with
+	chain  chainStats
+}
+
+// chainStats records the chains of resumers an execution built: they differ
+// between drive modes (single Steps never build one), so they are kept out
+// of the outcome the modes must agree on.
+type chainStats struct {
+	// deepest is the longest chain a step ran on top of, counting the
+	// running process.
+	deepest int
+	// crashedCalling counts the crashes the hook made of a process waiting
+	// inside another's next; exitedResumed counts the bodies that returned
+	// on a process that another process had resumed.
+	crashedCalling, exitedResumed int
+}
+
+// depth is the length of the chain the running process is on top of.
+func (wd *world) depth() int {
+	d := 1
+	for _, p := range wd.rt.procs[:wd.rt.n] {
+		if p.calling {
+			d++
+		}
+	}
+	return d
+}
+
+// stepStarts records that process i's step starts.
+func (wd *world) stepStarts(i int) {
+	wd.order = append(wd.order, i)
+	wd.chain.deepest = max(wd.chain.deepest, wd.depth())
 }
 
 // outcome is everything the two drive modes must agree on.
@@ -48,11 +79,12 @@ type outcome struct {
 	Exited, Crashed []bool
 }
 
-// body is process i's body: it records each of its steps as the step starts.
+// body is process i's body: it records each of its steps as the step
+// starts, and whether another process had resumed it when it returns.
 func (wd *world) body(i int) func(p *Proc) {
 	n := len(wd.w.bodies)
-	return func(p *Proc) {
-		wd.order = append(wd.order, i)
+	run := func(p *Proc) {
+		wd.stepStarts(i)
 		for r := 0; wd.w.rounds == 0 || r < wd.w.rounds; r++ {
 			for _, o := range wd.w.bodies[i] {
 				switch o {
@@ -73,11 +105,17 @@ func (wd *world) body(i int) func(p *Proc) {
 				case opExit:
 					return
 				}
-				wd.order = append(wd.order, i)
+				wd.stepStarts(i)
 				if o == opAwait {
 					wd.tokens[i]--
 				}
 			}
+		}
+	}
+	return func(p *Proc) {
+		run(p)
+		if wd.depth() > 1 {
+			wd.chain.exitedResumed++
 		}
 	}
 }
@@ -87,6 +125,9 @@ func (wd *world) body(i int) func(p *Proc) {
 func (wd *world) before(step int) {
 	wd.hooks = append(wd.hooks, step)
 	for _, id := range wd.w.crash[step] {
+		if wd.rt.procs[id].calling {
+			wd.chain.crashedCalling++
+		}
 		wd.rt.Crash(id)
 	}
 }
@@ -103,7 +144,7 @@ const (
 // drive executes w under the policy mk builds for its aux IDs for up to
 // limit steps, handing the runtime its steps in mode m, with the world's
 // before-step hook when hooked.
-func drive(w workload, mk func(aux []int) Policy, hooked bool, limit int, m driveMode) outcome {
+func drive(w workload, mk func(aux []int) Policy, hooked bool, limit int, m driveMode) (outcome, chainStats) {
 	n := len(w.bodies)
 	rt := New(n, nil)
 	defer rt.Stop()
@@ -170,7 +211,7 @@ func drive(w workload, mk func(aux []int) Policy, hooked bool, limit int, m driv
 		o.Exited = append(o.Exited, rt.Exited(i))
 		o.Crashed = append(o.Crashed, rt.Crashed(i))
 	}
-	return o
+	return o, wd.chain
 }
 
 // drivePolicies are the policies the differential covers. favourite is the
@@ -197,12 +238,14 @@ func favourite(aux []int) int {
 // driveStats counts what the differential's cases covered.
 type driveStats struct {
 	stalled, exited, crashedCurrent, switchless int
+	chainStats
 }
 
 // checkRunMatchesSteps runs workload w under policy pi for up to limit
 // steps, with no hook and then with a crash schedule that crashes the
-// process whose step just ended, and requires Run, RunWith and chunked
-// driving to reproduce single Step calls exactly.
+// process whose step just ended and one that is likely on the chain of
+// resumers, and requires Run, RunWith and chunked driving to reproduce
+// single Step calls exactly.
 func checkRunMatchesSteps(t testing.TB, w workload, pi int, seed int64, limit int, st *driveStats) {
 	t.Helper()
 	pol := drivePolicies[pi]
@@ -212,19 +255,23 @@ func checkRunMatchesSteps(t testing.TB, w workload, pi int, seed int64, limit in
 		if pol.name == "script" {
 			// Replay the first half of a random schedule of the same run:
 			// every entry is runnable when consumed.
-			base := drive(w, func([]int) Policy { return Random(seed) }, hooked, limit, bySteps)
+			base, _ := drive(w, func([]int) Policy { return Random(seed) }, hooked, limit, bySteps)
 			script = base.Order[:len(base.Order)/2]
 		}
 		return func(aux []int) Policy { return pol.mk(seed, aux, script) }
 	}
 	compare := func(w workload, hooked bool) outcome {
 		t.Helper()
-		want := drive(w, policy(hooked, w), hooked, limit, bySteps)
+		want, _ := drive(w, policy(hooked, w), hooked, limit, bySteps)
 		for _, m := range []driveMode{byRun, byChunks} {
-			if got := drive(w, policy(hooked, w), hooked, limit, m); !reflect.DeepEqual(got, want) {
+			got, cs := drive(w, policy(hooked, w), hooked, limit, m)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s seed %d limit %d hooked=%t crash=%v mode %d:\n got %+v\nwant %+v",
 					pol.name, seed, limit, hooked, w.crash, m, got, want)
 			}
+			st.deepest = max(st.deepest, cs.deepest)
+			st.crashedCalling += cs.crashedCalling
+			st.exitedResumed += cs.exitedResumed
 		}
 		if want.Ran < limit {
 			st.stalled++
@@ -244,12 +291,18 @@ func checkRunMatchesSteps(t testing.TB, w workload, pi int, seed int64, limit in
 	}
 	base := compare(w, false)
 	// Crash the process whose step ended just before a third and two thirds
-	// of the run: the hook fires while that process makes the choice.
+	// of the run: the hook fires while that process makes the choice. At
+	// half the run, crash the process of the step before, when it differs:
+	// a Run that handed that step over directly waits inside the next of
+	// the process that now chooses.
 	crash := map[int][]int{}
 	for _, s := range []int{len(base.Order) / 3, 2 * len(base.Order) / 3} {
 		if s > 0 && base.Order[s-1] < n {
 			crash[s] = append(crash[s], base.Order[s-1])
 		}
+	}
+	if s := len(base.Order) / 2; s > 1 && base.Order[s-2] < n && base.Order[s-2] != base.Order[s-1] && crash[s] == nil {
+		crash[s] = []int{base.Order[s-2]}
 	}
 	w.crash = crash
 	hooked := compare(w, true)
@@ -271,13 +324,16 @@ var driveWorkloads = []workload{
 	{bodies: [][]op{{opAwait}, {opAwait}}, budget: []int{5, 5}},
 	{bodies: [][]op{{opPause, opOpen, opAwait}, {opPause}}, rounds: 7, budget: []int{1}},
 	{bodies: [][]op{{opExit}, {opPause, opAwait}}, budget: []int{2}},
+	{bodies: [][]op{{opPause}, {opPause, opOpen}, {opAwait}, {opPause}, {opPause, opExit}, {opPause}}, rounds: 6, budget: []int{2}},
 }
 
 // TestRunMatchesSteps is the drive differential: for every policy, Run(N)
 // and RunWith(N, before) take exactly the steps of N single Step calls (with
 // before called ahead of each) — the same actors in the same order, the same
 // hook calls, step count, stall point and final process states — while the
-// maintained ≡ polled check re-polls every choice.
+// maintained ≡ polled check re-polls every choice. The runs build chains of
+// resumers at least four deep, crash processes waiting on them and return
+// bodies of processes that another process resumed.
 func TestRunMatchesSteps(t *testing.T) {
 	defer VerifyRunnable(VerifyRunnable(true))
 	var st driveStats
@@ -291,8 +347,53 @@ func TestRunMatchesSteps(t *testing.T) {
 			}
 		}
 	}
-	if st.stalled == 0 || st.exited == 0 || st.crashedCurrent == 0 || st.switchless == 0 {
+	if st.stalled == 0 || st.exited == 0 || st.crashedCurrent == 0 || st.switchless == 0 ||
+		st.deepest < 4 || st.crashedCalling == 0 || st.exitedResumed == 0 {
 		t.Errorf("differential left a path uncovered: %+v", st)
+	}
+}
+
+// chainSeed is a FuzzRunMatchesSteps input of six free-running processes
+// under Random that builds a chain of resumers at least four deep.
+var chainSeed = []byte{5, 0, 0, 0, 11, 119, 0, 0, 0, 0, 0, 0}
+
+// decodeDrive derives a drive-differential case from a fuzz input: one to six
+// processes with one to four ops each, up to two aux actors, rounds, a
+// policy, a seed and a step limit.
+func decodeDrive(data []byte) (w workload, pi int, seed int64, limit int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 1 + next()%6
+	auxN := next() % 3
+	w.rounds = next() % 4
+	pi = next() % len(drivePolicies)
+	seed = int64(next())
+	limit = 1 + next()%120
+	for i := 0; i < n; i++ {
+		ops := make([]op, 1+next()%4)
+		for k := range ops {
+			ops[k] = op(next() % int(numOps))
+		}
+		w.bodies = append(w.bodies, ops)
+	}
+	for k := 0; k < auxN; k++ {
+		w.budget = append(w.budget, next()%6)
+	}
+	return w, pi, seed, limit
+}
+
+// TestChainSeedIsDeep keeps chainSeed's promise.
+func TestChainSeedIsDeep(t *testing.T) {
+	w, pi, seed, limit := decodeDrive(chainSeed)
+	_, cs := drive(w, func(aux []int) Policy { return drivePolicies[pi].mk(seed, aux, nil) }, false, limit, byRun)
+	if cs.deepest < 4 {
+		t.Fatalf("chainSeed's deepest chain is %d processes, want at least 4", cs.deepest)
 	}
 }
 
@@ -304,31 +405,9 @@ func FuzzRunMatchesSteps(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 4, 9, 90, 0, 1, 2, 1, 2, 3, 0, 2, 1, 4, 4})
 	f.Add([]byte{0, 0, 1, 2, 1, 5, 3})
 	f.Add([]byte{3, 1, 2, 3, 200, 255, 1, 1, 2, 2, 3, 0, 1, 1, 2, 0, 3, 2})
+	f.Add(chainSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		n := 1 + next()%4
-		auxN := next() % 3
-		w := workload{rounds: next() % 4}
-		pi := next() % len(drivePolicies)
-		seed := int64(next())
-		limit := 1 + next()%120
-		for i := 0; i < n; i++ {
-			ops := make([]op, 1+next()%4)
-			for k := range ops {
-				ops[k] = op(next() % int(numOps))
-			}
-			w.bodies = append(w.bodies, ops)
-		}
-		for k := 0; k < auxN; k++ {
-			w.budget = append(w.budget, next()%6)
-		}
+		w, pi, seed, limit := decodeDrive(data)
 		defer VerifyRunnable(VerifyRunnable(true))
 		checkRunMatchesSteps(t, w, pi, seed, limit, &driveStats{})
 	})

@@ -33,14 +33,27 @@
 // woken actors and asks the Policy, exactly as the caller's loop would. It
 // runs a chosen auxiliary actor's step inline and returns from Pause or
 // Await without a switch when it is chosen again, so a run of consecutive
-// steps by one process (aux steps between them included) costs one round
-// trip between the caller and the process. Only when another process is
-// chosen, the step limit is reached or nothing is runnable does it yield to
-// the caller, which resumes the chosen process. Step and Run drive the same
-// loop; Step's limit is one step, so driving a runtime Step by Step takes
-// the same steps as Run. A panic in a process body, in the Policy or in an
-// aux step surfaces from the Runtime.Step or Run that was driving, on the
-// caller's goroutine, with its original value.
+// steps by one process (aux steps between them included) costs no switch.
+//
+// When another process is chosen, the parked process hands it the step
+// directly: it resumes the chosen process from its own coroutine and waits
+// inside that process's next. The processes waiting this way form a chain
+// of resumers below the running one, each process on it at most once, so
+// the chain is at most n deep. A process on the chain cannot be resumed
+// again (it is calling another's next), so when the running process picks
+// one, reaches the step limit or finds nothing runnable, it records the
+// outcome and yields; each process below it on the chain sees that it was
+// not the one chosen and yields in turn, until control reaches the chosen
+// process or the caller. A resumed process that exits yields to its
+// resumer, which wakes it and makes the next choice. Only the first process
+// of a Step or Run is resumed by the caller, so a hand-over to a process
+// parked at its yield costs one switch rather than a round trip through the
+// caller. Step and Run drive the same loop; Step's limit is one step, so it
+// never builds a chain, and driving a runtime Step by Step takes the same
+// steps as Run. A panic in a process body, in the Policy or in an aux step
+// unwinds down the chain, ending every coroutine on it, and surfaces from
+// the Runtime.Step or Run that was driving, on the caller's goroutine, with
+// its original value.
 //
 // Runtimes are poolable: Reset rewinds a runtime for a fresh execution while
 // reusing its Proc structs, parked process coroutines, and runnable-set
@@ -55,6 +68,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"sync/atomic"
 )
 
 // errStopped is the sentinel panic value used to unwind process coroutines
@@ -88,6 +102,11 @@ type Proc struct {
 	spawned bool
 	body    func(p *Proc)
 	live    bool // coroutine created (parked at its body-exit yield between runs)
+	// calling is set while the process, parked, waits inside another
+	// process's next: it is on the chain of resumers and must be yielded
+	// down to, not resumed. A panic that unwinds the chain leaves it set
+	// on dead coroutines; Reset clears it.
+	calling bool
 }
 
 // Pause yields control and blocks until the scheduler grants the process its
@@ -116,9 +135,13 @@ func (p *Proc) Await(cond func() bool) {
 
 // park ends the process's step and makes the scheduling choices that follow
 // it on the process's own coroutine, until the policy picks the process
-// again (park returns without a switch) or control must leave it: another
-// process is chosen, the step limit is reached or nothing is runnable. Then
-// it records the outcome for the driver in rt.next and yields.
+// again (park returns without a switch) or control must leave it. A chosen
+// process that is parked at its yield is resumed from here, and park waits
+// inside its next; when that returns, the resumed process has either exited
+// (park wakes it and chooses again) or yielded down the chain with the
+// outcome in rt.next, which park returns on when it names this process and
+// otherwise passes further down. When the choice is a process on the chain,
+// the step limit or a stall, park records it in rt.next and yields.
 func (p *Proc) park() {
 	rt := p.rt
 	// A process that paused is still ready, so still runnable; one that
@@ -131,11 +154,26 @@ func (p *Proc) park() {
 		if id == p.ID {
 			return
 		}
-		if id < rt.n {
+		if id >= rt.n {
+			rt.stepAux(id)
+			continue
+		}
+		if id < 0 || rt.procs[id].calling {
 			rt.next = id
 			break
 		}
-		rt.stepAux(id)
+		q := rt.procs[id]
+		p.calling = true
+		q.resume()
+		p.calling = false
+		if q.state == stateExited {
+			rt.Wake(id)
+			continue
+		}
+		if rt.next == p.ID {
+			return
+		}
+		break
 	}
 	p.yield(struct{}{})
 }
@@ -177,6 +215,7 @@ func (p *Proc) runBody() {
 // so the next resume finds it finished, retires the process for this
 // execution, and lets the next Spawn make a fresh coroutine.
 func (p *Proc) resume() {
+	p.rt.trips++
 	if _, ok := p.next(); !ok {
 		p.live = false
 		p.state = stateExited
@@ -211,11 +250,15 @@ type Runtime struct {
 	isWoken  []bool
 	steps    int
 	// limit and before are the running drive's step limit and before-step
-	// hook; next is the outcome a process hands the driver when it yields
-	// from park: the process chosen to run next, chooseLimit or chooseStall.
-	limit   int
-	before  func(step int)
-	next    int
+	// hook; next is the outcome a process hands down the chain when it
+	// yields from park: the process chosen to run next, chooseLimit or
+	// chooseStall.
+	limit  int
+	before func(step int)
+	next   int
+	// trips counts the execution's coroutine round trips (Proc.resume
+	// calls, the unwinding at its end included); halt adds it to tally.
+	trips   int
 	stopped bool // current execution halted; bodies unwind at next grant
 	killed  bool // runtime dead for good; coroutines have been stopped
 	started bool
@@ -263,6 +306,7 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 		p.gate = nil
 		p.spawned = false
 		p.body = nil
+		p.calling = false
 	}
 	rt.runnable = rt.runnable[:0]
 	rt.woken = rt.woken[:0]
@@ -447,9 +491,10 @@ func (rt *Runtime) stepAux(id int) {
 }
 
 // drive schedules steps until the step count reaches limit or no actor is
-// runnable, and reports whether it reached the limit. It resumes each
-// process chosen here or by a parking process; a process that exits hands
-// the choice back to drive.
+// runnable, and reports whether it reached the limit. It resumes the first
+// process chosen; that process and the ones it resumes in turn make every
+// further choice until the outcome yields back down the chain to here. A
+// process that exits hands the choice back to its resumer, drive included.
 func (rt *Runtime) drive(limit int, before func(step int)) bool {
 	if rt.policy == nil {
 		panic("sched: no policy installed")
@@ -515,7 +560,8 @@ func (rt *Runtime) RunWith(maxSteps int, before func(step int)) int {
 
 // halt unwinds the current execution: every spawned, non-exited process is
 // resumed one final time, at which its body panics out (errStopped) and its
-// coroutine parks, ready for the next Reset/Spawn cycle.
+// coroutine parks, ready for the next Reset/Spawn cycle. It then adds the
+// execution's round trips and steps to tally.
 func (rt *Runtime) halt() {
 	if rt.stopped {
 		return
@@ -527,7 +573,15 @@ func (rt *Runtime) halt() {
 		}
 		p.resume()
 	}
+	tally.trips.Add(int64(rt.trips))
+	tally.steps.Add(int64(rt.steps))
+	rt.trips = 0
 }
+
+// tally sums the round trips and steps of every execution that has ended,
+// by Reset or Stop, in any runtime of the process: the cost of a hand-over
+// measured over a whole workload. Tests read it; nothing else does.
+var tally struct{ trips, steps atomic.Int64 }
 
 // Stop ends every process coroutine; when it returns none is left running.
 // The runtime cannot be used (or Reset) afterwards. Safe to call multiple
