@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,7 +81,9 @@ func batchLines(t *testing.T, open Open, n int, w trace.Word) []string {
 			if v == monitor.No {
 				no++
 			}
-			lines = append(lines, string(appendResponse(nil, verdictLine(open.Stream, p, k, v, res.StepAt[p][k], res.HistAt[p][k]))))
+			lines = append(lines, string(appendVerdict(nil, VerdictEvent{
+				Stream: open.Stream, Proc: p, Index: k, Verdict: v.String(), Step: res.StepAt[p][k], Hist: res.HistAt[p][k],
+			})))
 		}
 	}
 	return append(lines, string(appendResponse(nil, Response{Done: &Done{
@@ -457,11 +460,14 @@ func TestServeMetaProcsBound(t *testing.T) {
 	}
 }
 
-// FuzzServeConn serves arbitrary request bytes on one connection: ServeConn
-// must return, nothing may panic, and once the server shuts down no
-// goroutine may be left. The seeds are the committed golden requests, a
-// negative-process stream, an ill-typed counter read, a reused id and a
-// stream abandoned at EOF.
+// FuzzServeConn serves arbitrary request bytes once on a fresh server and
+// then twice on one warm server, whose later connections take its pooled
+// sessions and recycled history buffers. ServeConn must return each time,
+// nothing may panic, each stream's lines and the connection-level lines
+// must be the same in all three transcripts (settledLines), and once both
+// servers shut down no goroutine may be left. The seeds are the committed
+// golden requests, a negative-process stream, an ill-typed counter read, a
+// reused id and a stream abandoned at EOF.
 func FuzzServeConn(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "cmd", "drvserve", "testdata", "*_request.ndjson"))
 	if err != nil || len(paths) == 0 {
@@ -494,17 +500,62 @@ func FuzzServeConn(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		base := runtime.NumGoroutine()
-		srv := New(Config{MaxStreamEvents: 1 << 12})
-		served := make(chan error, 1)
-		go func() { served <- srv.ServeConn(rw{bytes.NewReader(req), io.Discard}) }()
-		select {
-		case <-served:
-		case <-time.After(30 * time.Second):
-			t.Fatal("ServeConn did not return")
+		serve := func(srv *Server) map[string][]string {
+			var out bytes.Buffer
+			served := make(chan error, 1)
+			go func() { served <- srv.ServeConn(rw{bytes.NewReader(req), &out}) }()
+			select {
+			case <-served:
+			case <-time.After(30 * time.Second):
+				t.Fatal("ServeConn did not return")
+			}
+			return settledLines(t, out.Bytes())
 		}
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
+		shutdown := func(srv *Server) {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 		}
+		cfg := Config{MaxStreamEvents: 1 << 12}
+		fresh := New(cfg)
+		want := serve(fresh)
+		shutdown(fresh)
+		warm := New(cfg)
+		for run := 1; run <= 2; run++ {
+			if got := serve(warm); !reflect.DeepEqual(got, want) {
+				t.Fatalf("warm server's run %d differs from a fresh server's:\n got %q\nwant %q", run, got, want)
+			}
+		}
+		shutdown(warm)
 		settle(t, base)
 	})
+}
+
+// settledLines splits response bytes into each stream's lines, keyed by id
+// (connection-level lines under ""), without the lines whose presence
+// depends on the pacing: process 0's verdicts leave while the stream is
+// open, so a stream that fails or is abandoned mid-run keeps however many
+// had left. A run of process 0's verdict lines is kept only when a later
+// process's verdict or done follows it, which only a replay that ran to
+// close sends.
+func settledLines(t *testing.T, raw []byte) map[string][]string {
+	t.Helper()
+	out := byStream(t, raw)
+	for id, lines := range out {
+		var kept, proc0 []string
+		for _, l := range lines {
+			r := parseResponses(t, []byte(l))[0]
+			switch {
+			case r.Verdict != nil && r.Verdict.Proc == 0:
+				proc0 = append(proc0, l)
+				continue
+			case r.Verdict != nil || r.Done != nil:
+				kept = append(kept, proc0...)
+			}
+			kept = append(kept, l)
+			proc0 = nil
+		}
+		out[id] = kept
+	}
+	return out
 }

@@ -8,9 +8,12 @@
 // The protocol is line-oriented in both directions; see envelope.go for the
 // message set. encoding/json defines the line format, but the two lines that
 // dominate the traffic — a history symbol in, a verdict or done line out —
-// are parsed and written by hand (wire.go), to the same bytes and values. A
-// connection's responses are flushed whenever its outbound queue runs empty,
-// not once per line.
+// are parsed and written by hand (wire.go), to the same bytes and values.
+// Neither makes a heap object per line: a symbol line decodes straight onto
+// its stream's history, verdicts travel to the writer by value, and the
+// server pools history buffers, the lines a replay sends at close and the
+// connections' read buffers. A connection's responses are flushed whenever
+// its outbound queue runs empty, not once per line.
 //
 // Each stream's replay starts at its first symbol, on a goroutine holding a
 // pooled exp/monitor.Session, and blocks whenever it has consumed every
@@ -41,6 +44,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -70,6 +74,16 @@ const MaxProcs = 256
 // their streams are done; a burst of concurrent streams beyond it closes the
 // extra sessions instead of holding them.
 const maxIdleSessions = 64
+
+// maxPooledHist bounds the capacity, in symbols, of the history buffers a
+// server keeps for later streams: a buffer one long stream grew past it is
+// left to the garbage collector, so a 2²⁰-event stream cannot pin about
+// 48 MB for the server's lifetime.
+const maxPooledHist = 4096
+
+// maxPooledLines bounds the capacity, in bytes, of the line buffers a
+// server keeps for the lines replays encode at close.
+const maxPooledLines = 64 << 10
 
 // Config sizes a Server.
 type Config struct {
@@ -108,6 +122,13 @@ type Server struct {
 	// idle holds sessions whose replays are done, for later replays to
 	// reuse warm; Shutdown closes them.
 	idle []*monitor.Session
+
+	// hists holds empty history buffers (*trace.Word), zeroed up to their
+	// capacity; lines holds empty line buffers (*[]byte), and reads the
+	// connections' initial read buffers (*[]byte).
+	hists sync.Pool
+	lines sync.Pool
+	reads sync.Pool
 }
 
 // New returns a server ready to serve connections. Stop it with Shutdown.
@@ -143,6 +164,44 @@ func (s *Server) release(sess *monitor.Session) {
 	}
 	s.mu.Unlock()
 	sess.Close()
+}
+
+// history takes an empty history buffer, or nil when none is pooled.
+func (s *Server) history() trace.Word {
+	if h, ok := s.hists.Get().(*trace.Word); ok {
+		return *h
+	}
+	return nil
+}
+
+// recycle pools a history buffer nothing reads any more, cleared so that it
+// holds no symbol's strings and values alive. One above maxPooledHist is
+// dropped.
+func (s *Server) recycle(h trace.Word) {
+	if cap(h) == 0 || cap(h) > maxPooledHist {
+		return
+	}
+	clear(h)
+	h = h[:0]
+	s.hists.Put(&h)
+}
+
+// lineBuf takes an empty line buffer.
+func (s *Server) lineBuf() *[]byte {
+	if b, ok := s.lines.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
+// releaseLines pools a line buffer once its lines are written; one above
+// maxPooledLines is dropped.
+func (s *Server) releaseLines(b *[]byte) {
+	if cap(*b) > maxPooledLines {
+		return
+	}
+	*b = (*b)[:0]
+	s.lines.Put(b)
 }
 
 // Serve accepts connections on l until Shutdown, serving each on its own
@@ -207,7 +266,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 func (s *Server) serveConn(rw io.ReadWriter) error {
 	c := &conn{
 		srv:     s,
-		out:     make(chan Response, s.cfg.WriteDepth),
+		out:     make(chan outLine, s.cfg.WriteDepth),
 		streams: map[string]*stream{},
 		tails:   map[string]chan struct{}{},
 	}
@@ -224,19 +283,27 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 		bw := bufio.NewWriter(rw)
 		var line []byte
 		broken := false
-		for resp := range c.out {
-			if broken {
-				continue
-			}
-			line = appendResponse(line[:0], resp)
-			if _, err := bw.Write(line); err != nil {
-				broken = true
-				continue
-			}
-			if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					broken = true
+		for l := range c.out {
+			if !broken {
+				var data []byte
+				switch {
+				case l.batch != nil:
+					data = *l.batch
+				case l.resp != (Response{}):
+					line = appendResponse(line[:0], l.resp)
+					data = line
+				default:
+					line = appendVerdict(line[:0], l.verdict)
+					data = line
 				}
+				if _, err := bw.Write(data); err != nil {
+					broken = true
+				} else if len(c.out) == 0 {
+					broken = bw.Flush() != nil
+				}
+			}
+			if l.batch != nil {
+				s.releaseLines(l.batch)
 			}
 		}
 	}()
@@ -309,7 +376,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // the id's next one.
 type conn struct {
 	srv *Server
-	out chan Response
+	out chan outLine
 	// pending counts the replays and deferred lines not yet delivered.
 	pending sync.WaitGroup
 	streams map[string]*stream // reader-owned: the open streams by id
@@ -318,6 +385,15 @@ type conn struct {
 	// tails maps a stream id to a channel closed once every line queued
 	// for the id so far has left; ids with nothing queued have no entry.
 	tails map[string]chan struct{}
+}
+
+// outLine is one element of a connection's outbound queue, passed by value:
+// a batch of lines a replay encoded at its close, a response, or else a
+// verdict.
+type outLine struct {
+	batch   *[]byte // from Server.lineBuf; the writer pools it again
+	resp    Response
+	verdict VerdictEvent
 }
 
 // send writes a line about stream id. While an earlier line of the id is
@@ -329,7 +405,7 @@ func (c *conn) send(id string, resp Response) {
 	prev := c.tails[id]
 	if prev == nil {
 		c.mu.Unlock()
-		c.out <- resp
+		c.out <- outLine{resp: resp}
 		return
 	}
 	done := make(chan struct{})
@@ -339,7 +415,7 @@ func (c *conn) send(id string, resp Response) {
 	go func() {
 		defer c.pending.Done()
 		<-prev
-		c.out <- resp
+		c.out <- outLine{resp: resp}
 		c.settle(id, done)
 	}()
 }
@@ -358,6 +434,7 @@ func (c *conn) settle(id string, done chan struct{}) {
 // far.
 func (c *conn) start(st *stream) {
 	st.running = true
+	st.hist = c.srv.history()
 	st.done = make(chan struct{})
 	c.mu.Lock()
 	st.turn = c.tails[st.id]
@@ -379,6 +456,8 @@ func (c *conn) replay(st *stream) {
 		st.await()
 		c.settle(st.id, st.done)
 	}()
+	// After the error re-run below, the history's last reader.
+	defer func() { c.srv.recycle(st.detach()) }()
 	sess := c.srv.session()
 	defer c.srv.release(sess)
 
@@ -391,7 +470,9 @@ func (c *conn) replay(st *stream) {
 	}
 	res, err := sess.Stream(cfg, st.next, func(proc, index int, v monitor.Verdict, step, hist int) {
 		if proc == 0 {
-			c.emit(st, verdictLine(st.id, proc, index, v, step, hist))
+			c.emit(st, outLine{verdict: VerdictEvent{
+				Stream: st.id, Proc: proc, Index: index, Verdict: v.String(), Step: step, Hist: hist,
+			}})
 		}
 	})
 	truncated := false
@@ -409,11 +490,14 @@ func (c *conn) replay(st *stream) {
 			if _, werr := sess.Run(cfg); werr != nil {
 				err = werr
 			}
-			c.emit(st, Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}})
+			c.emit(st, outLine{resp: Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}}})
 			return
 		}
 		truncated = true
 	}
+	// The lines left at close leave as one batch.
+	buf := c.srv.lineBuf()
+	b := *buf
 	verdicts, no := 0, 0
 	for p := range res.Verdicts {
 		for k, v := range res.Verdicts[p] {
@@ -422,11 +506,13 @@ func (c *conn) replay(st *stream) {
 				no++
 			}
 			if p > 0 {
-				c.emit(st, verdictLine(st.id, p, k, v, res.StepAt[p][k], res.HistAt[p][k]))
+				b = appendVerdict(b, VerdictEvent{
+					Stream: st.id, Proc: p, Index: k, Verdict: v.String(), Step: res.StepAt[p][k], Hist: res.HistAt[p][k],
+				})
 			}
 		}
 	}
-	c.emit(st, Response{Done: &Done{
+	*buf = appendResponse(b, Response{Done: &Done{
 		Stream:    st.id,
 		Events:    len(res.History),
 		Steps:     res.Steps,
@@ -434,27 +520,20 @@ func (c *conn) replay(st *stream) {
 		NO:        no,
 		Truncated: truncated,
 	}})
+	c.emit(st, outLine{batch: buf})
 }
 
 // emit sends one of st's lines from its replay, once every earlier line of
 // the id has left; an abandoned stream's lines are dropped.
-func (c *conn) emit(st *stream, resp Response) {
+func (c *conn) emit(st *stream, l outLine) {
 	st.await()
 	if st.abandoned() {
+		if l.batch != nil {
+			c.srv.releaseLines(l.batch)
+		}
 		return
 	}
-	c.out <- resp
-}
-
-func verdictLine(id string, proc, index int, v monitor.Verdict, step, hist int) Response {
-	return Response{Verdict: &VerdictEvent{
-		Stream:  id,
-		Proc:    proc,
-		Index:   index,
-		Verdict: v.String(),
-		Step:    step,
-		Hist:    hist,
-	}}
+	c.out <- l
 }
 
 // stream is one opening of a stream id: its monitor selection and the
@@ -482,7 +561,7 @@ type stream struct {
 	// which consumes.
 	mu    sync.Mutex
 	more  *sync.Cond // signalled on every append and at the end
-	hist  trace.Word // every symbol received, in order
+	hist  trace.Word // every symbol received, in order: a pooled buffer from start to detach
 	read  int        // how many of hist the replay has taken
 	ended bool       // no more input: the stream closed, failed or was cut off
 	quiet bool       // the stream failed or was abandoned: send nothing more
@@ -540,6 +619,20 @@ func (st *stream) wait() bool {
 	return !st.quiet
 }
 
+// detach takes the history buffer from the stream once the replay is done
+// with it. It waits for the input to end, after which the reader appends
+// nothing more.
+func (st *stream) detach() trace.Word {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for !st.ended {
+		st.more.Wait()
+	}
+	h := st.hist
+	st.hist = nil
+	return h
+}
+
 // abandoned reports whether the stream's remaining lines are dropped.
 func (st *stream) abandoned() bool {
 	st.mu.Lock()
@@ -562,8 +655,15 @@ var errConnFatal = errors.New("serve: connection-fatal protocol error")
 // returns nil on EOF, errConnFatal after an in-band connection-level error,
 // or the transport error.
 func (c *conn) read(r io.Reader) error {
+	buf, ok := c.srv.reads.Get().(*[]byte)
+	if !ok {
+		b := make([]byte, 0, trace.ReadBufferSize)
+		buf = &b
+	}
+	// No line outlives the loop: whatever the reader keeps, it copies.
+	defer c.srv.reads.Put(buf)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, trace.ReadBufferSize), trace.ReadMaxLineBytes)
+	sc.Buffer(*buf, trace.ReadMaxLineBytes)
 	line := 0
 	configured := false
 	var req Request // reused: no handler keeps a pointer into it
@@ -573,8 +673,11 @@ func (c *conn) read(r io.Reader) error {
 		if len(raw) == 0 {
 			continue
 		}
+		if configured && c.pushSymbol(raw) {
+			continue
+		}
 		req = Request{}
-		if err := decodeRequest(raw, &req); err != nil {
+		if err := json.Unmarshal(raw, &req); err != nil {
 			return c.fatal(line, fmt.Sprintf("malformed request: %v", err))
 		}
 		kind, err := req.kind()
@@ -589,7 +692,7 @@ func (c *conn) read(r io.Reader) error {
 				return c.fatal(line, fmt.Sprintf("protocol %q not supported (server speaks %s)", req.Config.Protocol, ProtocolVersion))
 			}
 			configured = true
-			c.out <- Response{Config: &ServerConfig{Protocol: ProtocolVersion}}
+			c.out <- outLine{resp: Response{Config: &ServerConfig{Protocol: ProtocolVersion}}}
 			continue
 		}
 		switch kind {
@@ -614,7 +717,7 @@ func (c *conn) read(r io.Reader) error {
 
 // fatal reports a connection-level error in-band and stops the reader.
 func (c *conn) fatal(line int, msg string) error {
-	c.out <- Response{Error: &StreamError{Line: line, Msg: msg}}
+	c.out <- outLine{resp: Response{Error: &StreamError{Line: line, Msg: msg}}}
 	return errConnFatal
 }
 
@@ -632,7 +735,7 @@ func (c *conn) fail(id string, line int, msg string) {
 
 func (c *conn) handleOpen(line int, o *Open) {
 	if o.Stream == "" {
-		c.out <- Response{Error: &StreamError{Line: line, Msg: "open without a stream id"}}
+		c.out <- outLine{resp: Response{Error: &StreamError{Line: line, Msg: "open without a stream id"}}}
 		return
 	}
 	if st, ok := c.streams[o.Stream]; ok && !st.failed {
@@ -703,15 +806,38 @@ func (c *conn) handleEvent(line int, ev *StreamEvent) {
 			c.fail(ev.Stream, line, err.Error())
 			return
 		}
-		if !st.running {
-			c.start(st)
-		}
-		st.push(sym)
+		c.symbol(st, sym)
 	case trace.KindVerdict:
 		c.fail(ev.Stream, line, "verdict lines are server output, not stream input")
 	default:
 		c.fail(ev.Stream, line, fmt.Sprintf("unknown event kind %q", ev.Kind))
 	}
+}
+
+// pushSymbol takes a canonical symbol line straight onto its stream's
+// history, and reports whether it did. It declines the line unless the
+// stream is open, live, has its meta header and is under its event cap:
+// such a line is decoded whole, and handleEvent gives it its error.
+func (c *conn) pushSymbol(raw []byte) bool {
+	id, sym, ok := decodeSymbol(raw)
+	if !ok {
+		return false
+	}
+	st := c.streams[string(id)]
+	if st == nil || st.failed || st.meta == nil || len(st.hist) >= c.srv.cfg.MaxStreamEvents {
+		return false
+	}
+	c.symbol(st, sym)
+	return true
+}
+
+// symbol appends sym to st's history, starting the replay at its first
+// symbol.
+func (c *conn) symbol(st *stream, sym trace.Symbol) {
+	if !st.running {
+		c.start(st)
+	}
+	st.push(sym)
 }
 
 func (c *conn) handleClose(line int, cl *CloseStream) {

@@ -7,42 +7,44 @@ import (
 	"github.com/drv-go/drv/exp/trace"
 )
 
-// The wire path without reflection. Almost every request line is one
-// history symbol and almost every response line is a verdict, so those two
-// shapes are parsed and written by hand; every other line goes through
-// encoding/json, which stays the definition of the protocol. The hand paths
-// only take lines on which encoding/json is known to agree byte for byte,
-// and FuzzDecodeRequest and FuzzAppendResponse check that agreement.
+// The wire path without reflection or per-line heap objects. Almost every
+// request line is one history symbol and almost every response line is a
+// verdict, so those two shapes are parsed and written by hand; every other
+// line goes through encoding/json, which stays the definition of the
+// protocol. A canonical symbol line decodes straight into the stream id's
+// bytes and a trace.Symbol, which the reader pushes onto the stream's
+// history without building a Request; a verdict line is written from a
+// VerdictEvent passed by value. The hand paths only take lines on which
+// encoding/json is known to agree byte for byte, and FuzzDecodeRequest and
+// FuzzAppendResponse check that agreement.
 
-// decodeRequest decodes one request line into req, which must be zero. The
-// canonical symbol line — exactly what json.Marshal emits for a
-// Request{Event: …} of kind "sym" — takes decodeSymLine; every other line
-// goes through json.Unmarshal, so accepted inputs, decoded values and error
-// texts are encoding/json's.
-func decodeRequest(raw []byte, req *Request) error {
-	if decodeSymLine(raw, req) {
-		return nil
-	}
-	return json.Unmarshal(raw, req)
-}
-
-// decodeSymLine parses the line
+// decodeSymbol parses the canonical symbol line
 //
-//	{"event":{"stream":S,"kind":"sym"[,"proc":N],"sym":S,"op":S[,"val":{"t":S[,"int":N][,"str":S]}]}}
+//	{"event":{"stream":S,"kind":"sym"[,"proc":N],"sym":"inv"|"res","op":S[,"val":{"t":T[,"int":N][,"str":S]}]}}
 //
-// with no whitespace, escapes or non-ASCII bytes in it, and reports whether
-// it did. On any other line it reports false and leaves req untouched.
-func decodeSymLine(raw []byte, req *Request) bool {
+// with T one of "unit", "int" or "rec", and no whitespace, escapes or
+// non-ASCII bytes in it. It returns the stream id's bytes, which alias raw,
+// and the symbol json.Unmarshal and trace.DecodeSymbol give for the line.
+// On any other line it reports false. Only an int outside 0–255 and a rec
+// value allocate: boxing them into the symbol's Value.
+func decodeSymbol(raw []byte) (stream []byte, sym trace.Symbol, ok bool) {
 	p := symLine{b: raw, ok: true}
 	p.lit(`{"event":{"stream":`)
-	stream := p.str()
+	stream = p.str()
 	p.lit(`,"kind":"sym"`)
 	var proc int64
 	if p.opt(`,"proc":`) {
 		proc = p.num(9)
 	}
 	p.lit(`,"sym":`)
-	sym := p.str()
+	switch {
+	case p.opt(`"inv"`):
+		sym.Kind = trace.Inv
+	case p.opt(`"res"`):
+		sym.Kind = trace.Res
+	default:
+		p.ok = false
+	}
 	p.lit(`,"op":`)
 	op := p.str()
 	var tag, str []byte
@@ -60,23 +62,24 @@ func decodeSymLine(raw []byte, req *Request) bool {
 	}
 	p.lit(`}}`)
 	if !p.ok || len(p.b) != 0 {
-		return false
+		return nil, trace.Symbol{}, false
 	}
-
-	// One allocation holds the event and its value.
-	box := new(struct {
-		ev  StreamEvent
-		val trace.WireValue
-	})
-	box.ev = StreamEvent{Stream: string(stream), Event: trace.Event{
-		Kind: trace.KindSym, Proc: int(proc), Sym: name(sym), Op: name(op),
-	}}
 	if hasVal {
-		box.val = trace.WireValue{T: name(tag), Int: n, Str: string(str)}
-		box.ev.Val = &box.val
+		// The tag alone picks the value, as in trace.DecodeValue; seq values
+		// and unknown tags take the json.Unmarshal path.
+		switch string(tag) {
+		case "unit":
+			sym.Val = trace.Unit{}
+		case "int":
+			sym.Val = trace.Int(n)
+		case "rec":
+			sym.Val = trace.Rec(str)
+		default:
+			return nil, trace.Symbol{}, false
+		}
 	}
-	req.Event = &box.ev
-	return true
+	sym.Proc, sym.Op = int(proc), opName(op)
+	return stream, sym, true
 }
 
 // symLine is a cursor over a candidate symbol line. Once a step fails, ok
@@ -152,51 +155,45 @@ func (p *symLine) num(digits int) int64 {
 	return n
 }
 
-// names interns the strings symbol lines repeat: the symbol kinds, the value
-// tags and the built-in objects' operations.
-var names = func() map[string]string {
-	m := map[string]string{}
-	for _, s := range []string{
-		"inv", "res", "unit", "int", "rec", "seq",
-		trace.OpRead, trace.OpWrite, trace.OpInc, trace.OpAppend, trace.OpGet,
-		trace.OpEnq, trace.OpDeq, trace.OpPush, trace.OpPop, trace.OpPropose, trace.OpScan,
-	} {
-		m[s] = s
-	}
-	return m
-}()
-
-// name returns b as a string, allocating only when it is not in names.
-func name(b []byte) string {
-	if s, ok := names[string(b)]; ok {
-		return s
+// opName returns b as a string, allocating only when it is not the
+// operation name of a built-in object.
+func opName(b []byte) string {
+	switch string(b) {
+	case trace.OpRead:
+		return trace.OpRead
+	case trace.OpWrite:
+		return trace.OpWrite
+	case trace.OpInc:
+		return trace.OpInc
+	case trace.OpAppend:
+		return trace.OpAppend
+	case trace.OpGet:
+		return trace.OpGet
+	case trace.OpEnq:
+		return trace.OpEnq
+	case trace.OpDeq:
+		return trace.OpDeq
+	case trace.OpPush:
+		return trace.OpPush
+	case trace.OpPop:
+		return trace.OpPop
+	case trace.OpPropose:
+		return trace.OpPropose
+	case trace.OpScan:
+		return trace.OpScan
 	}
 	return string(b)
 }
 
 // appendResponse appends r's line, newline included, to b: the bytes
-// json.Encoder.Encode writes for r. Verdict and done lines whose strings
-// encoding/json copies verbatim are written directly; every other line is
-// json.Marshal's.
+// json.Encoder.Encode writes for r. Verdict lines take appendVerdict, and
+// done lines whose stream id encoding/json copies verbatim are written
+// directly; every other line is json.Marshal's.
 func appendResponse(b []byte, r Response) []byte {
 	if v, d := r.Verdict, r.Done; r.Config == nil && r.Opened == nil && r.Error == nil {
 		switch {
-		case v != nil && d == nil && plain(v.Stream) && plain(v.Verdict):
-			b = append(b, `{"verdict":{"stream":"`...)
-			b = append(b, v.Stream...)
-			b = append(b, `","proc":`...)
-			b = strconv.AppendInt(b, int64(v.Proc), 10)
-			b = append(b, `,"index":`...)
-			b = strconv.AppendInt(b, int64(v.Index), 10)
-			b = append(b, `,"verdict":"`...)
-			b = append(b, v.Verdict...)
-			b = append(b, `","step":`...)
-			b = strconv.AppendInt(b, int64(v.Step), 10)
-			if v.Hist != 0 {
-				b = append(b, `,"hist":`...)
-				b = strconv.AppendInt(b, int64(v.Hist), 10)
-			}
-			return append(b, "}}\n"...)
+		case v != nil && d == nil:
+			return appendVerdict(b, *v)
 		case d != nil && v == nil && plain(d.Stream):
 			b = append(b, `{"done":{"stream":"`...)
 			b = append(b, d.Stream...)
@@ -214,6 +211,36 @@ func appendResponse(b []byte, r Response) []byte {
 			return append(b, "}}\n"...)
 		}
 	}
+	return appendMarshal(b, r)
+}
+
+// appendVerdict appends the line of Response{Verdict: &v}, newline included,
+// to b. Taking v by value, it writes a verdict whose strings encoding/json
+// copies verbatim without allocating.
+func appendVerdict(b []byte, v VerdictEvent) []byte {
+	if !plain(v.Stream) || !plain(v.Verdict) {
+		esc := v // only this copy escapes, so the common path stays on the stack
+		return appendMarshal(b, Response{Verdict: &esc})
+	}
+	b = append(b, `{"verdict":{"stream":"`...)
+	b = append(b, v.Stream...)
+	b = append(b, `","proc":`...)
+	b = strconv.AppendInt(b, int64(v.Proc), 10)
+	b = append(b, `,"index":`...)
+	b = strconv.AppendInt(b, int64(v.Index), 10)
+	b = append(b, `,"verdict":"`...)
+	b = append(b, v.Verdict...)
+	b = append(b, `","step":`...)
+	b = strconv.AppendInt(b, int64(v.Step), 10)
+	if v.Hist != 0 {
+		b = append(b, `,"hist":`...)
+		b = strconv.AppendInt(b, int64(v.Hist), 10)
+	}
+	return append(b, "}}\n"...)
+}
+
+// appendMarshal appends json.Marshal's line for r and a newline to b.
+func appendMarshal(b []byte, r Response) []byte {
 	line, err := json.Marshal(r)
 	if err != nil {
 		panic(err) // a Response holds only strings, ints and bools

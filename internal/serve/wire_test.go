@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/drv-go/drv/exp/monitor"
 	"github.com/drv-go/drv/exp/trace"
 )
 
@@ -67,15 +68,14 @@ var symLineMisses = []string{
 // TestDecodeSymLineTakesCanonicalLines pins which lines the hand parser
 // takes: every symbol line json.Marshal emits (bar seq values and integers
 // past 18 digits) and no near miss. The fuzz target then shows that what it
-// takes decodes as json.Unmarshal would.
+// takes decodes as json.Unmarshal and trace.DecodeSymbol would.
 func TestDecodeSymLineTakesCanonicalLines(t *testing.T) {
 	lines := requestLines(t)
 	syms := 0
 	for _, raw := range lines {
-		var req Request
 		want := bytes.Contains(raw, []byte(`"kind":"sym"`))
-		if decodeSymLine(raw, &req) != want {
-			t.Fatalf("decodeSymLine took=%v, want %v on %s", !want, want, raw)
+		if _, _, took := decodeSymbol(raw); took != want {
+			t.Fatalf("decodeSymbol took=%v, want %v on %s", took, want, raw)
 		}
 		if want {
 			syms++
@@ -90,40 +90,52 @@ func TestDecodeSymLineTakesCanonicalLines(t *testing.T) {
 		trace.NewRes(3, "get", trace.Rec("a b/c")),
 		trace.NewInv(1, "custom-op", nil),
 		trace.NewRes(2, "read", trace.Int(-999999999999999999)),
+		trace.NewRes(0, "scan", trace.Int(255)),
 	} {
-		ev, err := trace.EncodeSymbol(sym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.Marshal(Request{Event: &StreamEvent{Stream: "stream-1", Event: ev}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want Request
-		if !decodeSymLine(raw, &got) {
+		raw := symbolRequest(t, "stream-1", sym)
+		id, got, ok := decodeSymbol(raw)
+		if !ok {
 			t.Fatalf("canonical line declined: %s", raw)
 		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s decoded to %+v, json.Unmarshal gives %+v", raw, got.Event, want.Event)
+		if string(id) != "stream-1" || !reflect.DeepEqual(got, sym) {
+			t.Fatalf("%s decoded to stream %q, %#v; want stream-1, %#v", raw, id, got, sym)
 		}
 	}
+	if raw := symbolRequest(t, "s", trace.NewRes(0, "scan", trace.Seq{})); symbolTaken(raw) {
+		t.Fatalf("seq value taken: %s", raw)
+	}
 	for _, raw := range symLineMisses {
-		var req Request
-		if decodeSymLine([]byte(raw), &req) {
+		if symbolTaken([]byte(raw)) {
 			t.Fatalf("near miss taken: %s", raw)
-		}
-		if !reflect.DeepEqual(req, Request{}) {
-			t.Fatalf("declined line %s touched the request: %+v", raw, req)
 		}
 	}
 }
 
-// FuzzDecodeRequest checks decodeRequest against json.Unmarshal on
-// arbitrary bytes: the same error or none, the same error text and the same
-// decoded Request.
+// symbolRequest is json.Marshal's request line for sym on stream id.
+func symbolRequest(tb testing.TB, id string, sym trace.Symbol) []byte {
+	tb.Helper()
+	ev, err := trace.EncodeSymbol(sym)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := json.Marshal(Request{Event: &StreamEvent{Stream: id, Event: ev}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// symbolTaken reports whether decodeSymbol takes raw.
+func symbolTaken(raw []byte) bool {
+	_, _, ok := decodeSymbol(raw)
+	return ok
+}
+
+// FuzzDecodeRequest checks the hand parser against encoding/json on
+// arbitrary bytes: on every line it takes, json.Unmarshal must give a
+// Request holding only an event of kind sym on the same stream, and
+// trace.DecodeSymbol must give the same symbol from that event — so the
+// reader's straight path pushes what handleEvent would.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, raw := range requestLines(f) {
 		f.Add(raw)
@@ -132,29 +144,43 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(raw))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var got, want Request
-		gotErr := decodeRequest(raw, &got)
-		wantErr := json.Unmarshal(raw, &want)
-		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%q: decodeRequest error %v, json.Unmarshal error %v", raw, gotErr, wantErr)
+		id, sym, ok := decodeSymbol(raw)
+		if !ok {
+			return
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decodeRequest gives %#v, json.Unmarshal gives %#v", raw, got, want)
+		var req Request
+		if err := json.Unmarshal(raw, &req); err != nil {
+			t.Fatalf("%q: taken by decodeSymbol, json.Unmarshal fails: %v", raw, err)
+		}
+		ev := req.Event
+		if ev == nil || !reflect.DeepEqual(req, Request{Event: ev}) || ev.Kind != trace.KindSym {
+			t.Fatalf("%q: taken by decodeSymbol, json.Unmarshal gives %#v", raw, req)
+		}
+		if ev.Stream != string(id) {
+			t.Fatalf("%q: decodeSymbol gives stream %q, json.Unmarshal %q", raw, id, ev.Stream)
+		}
+		want, err := trace.DecodeSymbol(ev.Event)
+		if err != nil {
+			t.Fatalf("%q: taken by decodeSymbol, trace.DecodeSymbol fails: %v", raw, err)
+		}
+		if !reflect.DeepEqual(sym, want) {
+			t.Fatalf("%q: decodeSymbol gives %#v, trace.DecodeSymbol %#v", raw, sym, want)
 		}
 	})
 }
 
 // FuzzAppendResponse checks appendResponse against json.Marshal plus a
 // newline for verdict, done and error lines with arbitrary strings, appended
-// after existing bytes.
+// after existing bytes, and appendVerdict against it for the same verdict.
 func FuzzAppendResponse(f *testing.F) {
 	f.Add("chan_queue", "YES", "msg", 0, 3, 39, 10, false)
 	f.Add("s", "NO", "", 2, 0, 0, 0, true)
-	f.Add("a<b>&c", "MAYBE", "  ", -1, 7, 1<<40, -5, false)
+	f.Add("a<b>&c", "MAYBE", "  ", -1, 7, 1<<40, -5, false)
 	f.Add("\xff\xfe", "\"\\", "\x00\x1f\x7f", 1, 1, 1, 1, true)
 	f.Fuzz(func(t *testing.T, stream, verdict, msg string, a, b, c, d int, truncated bool) {
+		v := VerdictEvent{Stream: stream, Proc: a, Index: b, Verdict: verdict, Step: c, Hist: d}
 		for _, r := range []Response{
-			{Verdict: &VerdictEvent{Stream: stream, Proc: a, Index: b, Verdict: verdict, Step: c, Hist: d}},
+			{Verdict: &v},
 			{Done: &Done{Stream: stream, Events: a, Steps: b, Verdicts: c, NO: d, Truncated: truncated}},
 			{Error: &StreamError{Stream: stream, Line: a, Msg: msg}},
 		} {
@@ -166,6 +192,12 @@ func FuzzAppendResponse(f *testing.F) {
 			if got := appendResponse([]byte("prefix"), r); !bytes.Equal(got, want) {
 				t.Fatalf("appendResponse:\n got %q\nwant %q", got, want)
 			}
+			if r.Verdict == nil {
+				continue
+			}
+			if got := appendVerdict([]byte("prefix"), v); !bytes.Equal(got, want) {
+				t.Fatalf("appendVerdict:\n got %q\nwant %q", got, want)
+			}
 		}
 	})
 }
@@ -173,20 +205,37 @@ func FuzzAppendResponse(f *testing.F) {
 // canonicalSymLine is a typical history line of the serve-tcp traffic.
 const canonicalSymLine = `{"event":{"stream":"chan_queue","kind":"sym","proc":2,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`
 
-// TestDecodeEventLineAllocs gates the hand parser's allocations on a
-// canonical symbol line: the event with its value, and the stream id.
-// json.Unmarshal takes 16 on the same line.
+// TestDecodeEventLineAllocs gates the reader's straight path for a symbol
+// line — decode, stream lookup, push onto a history with room — at one
+// allocation on the canonical line, which boxes the Int(-1) value, and at
+// none for a line with no value, a unit value or an int in 0–255, which the
+// runtime boxes without allocating. json.Unmarshal takes 16 on the
+// canonical line.
 func TestDecodeEventLineAllocs(t *testing.T) {
-	raw := []byte(canonicalSymLine)
-	var req Request
-	allocs := testing.AllocsPerRun(200, func() {
-		req = Request{}
-		if err := decodeRequest(raw, &req); err != nil {
-			t.Fatal(err)
+	c := &conn{srv: New(Config{}), streams: map[string]*stream{}}
+	st := newStream("chan_queue")
+	st.meta, st.running = &trace.Meta{N: 3}, true
+	st.hist = make(trace.Word, 0, 1)
+	c.streams[st.id] = st
+	for _, tc := range []struct {
+		line   string
+		budget float64
+	}{
+		{canonicalSymLine, 1},
+		{`{"event":{"stream":"chan_queue","kind":"sym","proc":2,"sym":"inv","op":"deq"}}`, 0},
+		{`{"event":{"stream":"chan_queue","kind":"sym","sym":"res","op":"enq","val":{"t":"unit"}}}`, 0},
+		{`{"event":{"stream":"chan_queue","kind":"sym","proc":1,"sym":"inv","op":"enq","val":{"t":"int","int":255}}}`, 0},
+	} {
+		raw := []byte(tc.line)
+		allocs := testing.AllocsPerRun(200, func() {
+			if !c.pushSymbol(raw) {
+				t.Fatalf("straight path declined %s", raw)
+			}
+			st.hist = st.hist[:0]
+		})
+		if allocs > tc.budget {
+			t.Fatalf("pushing %s takes %v allocations, budget %v", raw, allocs, tc.budget)
 		}
-	})
-	if allocs > 4 {
-		t.Fatalf("decoding a canonical symbol line takes %v allocations, budget 4", allocs)
 	}
 }
 
@@ -207,23 +256,39 @@ func TestAppendResponseAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendVerdictAllocs gates the by-value verdict line, the writer's
+// path for process 0's online verdicts and a replay's lines at close, at
+// zero allocations into a reused buffer.
+func TestAppendVerdictAllocs(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	v := *verdictAndDone[0].Verdict
+	for _, verdict := range []monitor.Verdict{monitor.Yes, monitor.No, monitor.Maybe} {
+		allocs := testing.AllocsPerRun(200, func() {
+			v.Verdict = verdict.String()
+			buf = appendVerdict(buf[:0], v)
+		})
+		if allocs != 0 {
+			t.Fatalf("appending %s takes %v allocations, budget 0", buf, allocs)
+		}
+	}
+}
+
 func BenchmarkDecodeRequest(b *testing.B) {
 	raw := []byte(canonicalSymLine)
 	b.ReportAllocs()
-	var req Request
 	for b.Loop() {
-		req = Request{}
-		if err := decodeRequest(raw, &req); err != nil {
-			b.Fatal(err)
+		if _, _, ok := decodeSymbol(raw); !ok {
+			b.Fatal("canonical line declined")
 		}
 	}
 }
 
 func BenchmarkAppendResponse(b *testing.B) {
 	buf := make([]byte, 0, 256)
+	v := *verdictAndDone[0].Verdict
 	b.ReportAllocs()
 	for b.Loop() {
-		buf = appendResponse(buf[:0], verdictAndDone[0])
+		buf = appendVerdict(buf[:0], v)
 	}
 }
 
