@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	master := fs.Int64("master", 1, "master seed; scenario i derives its own stream from (master, i)")
 	var workers int
 	fs.IntVar(&workers, "j", runtime.NumCPU(), "worker-pool size; 1 runs scenarios sequentially")
-	fs.IntVar(&workers, "parallel", runtime.NumCPU(), "alias for -j")
 	family := fs.String("family", "", "comma-separated scenario families: lang, obj, msg (default: lang)")
 	langs := fs.String("lang", "", "comma-separated language filter (default: all seven)")
 	objects := fs.String("obj", "", "comma-separated object filter for -family obj/msg (default: all)")
@@ -95,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replayOne(*replay, stdout, stderr)
 	}
 	if workers < 1 {
-		fmt.Fprintf(stderr, "drvexplore: -%s %d: must be at least 1\n", workerFlag(fs), workers)
+		fmt.Fprintf(stderr, "drvexplore: -j %d: must be at least 1\n", workers)
 		return 2
 	}
 
@@ -317,16 +316,4 @@ func countList(m map[string]int) string {
 		return "none"
 	}
 	return strings.Join(parts, " ")
-}
-
-// workerFlag names the worker-count flag the command line used: -parallel
-// when that alias was given, -j otherwise.
-func workerFlag(fs *flag.FlagSet) string {
-	name := "j"
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			name = f.Name
-		}
-	})
-	return name
 }

@@ -150,7 +150,7 @@ func TestRepeatedFilterEntryRejected(t *testing.T) {
 func TestWorkerCountBelowOneRejected(t *testing.T) {
 	// A worker count below 1 ran the sweep sequentially without a word;
 	// like every other size flag it is a usage error that runs nothing.
-	for _, args := range [][]string{{"-j", "0"}, {"-j", "-1"}, {"-parallel", "-1"}} {
+	for _, args := range [][]string{{"-j", "0"}, {"-j", "-1"}} {
 		code, out, errOut := runExplore(t, args...)
 		if code != 2 {
 			t.Errorf("%v exited %d, want 2", args, code)

@@ -29,8 +29,10 @@
 //
 // Served verdict streams inherit the replay determinism contract: the same
 // input yields byte-identical response lines however it is paced or
-// chunked, and re-running the recorded history through exp/monitor
-// reproduces exactly the served verdicts.
+// chunked, and re-running the recorded history through exp/monitor.Run
+// reproduces exactly the served verdicts. Each stream is replayed once, and
+// its replay checks each event as it arrives: a malformed history's error
+// line is Run's error for it, naming its first bad event.
 package main
 
 import (

@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "print per-cell method and evidence")
 	var workers int
 	fs.IntVar(&workers, "j", runtime.NumCPU(), "worker-pool size; 1 runs the cells sequentially")
-	fs.IntVar(&workers, "parallel", runtime.NumCPU(), "alias for -j")
 	progress := fs.Bool("progress", false, "stream per-cell completion to stderr")
 	failFast := fs.Bool("fail-fast", false, "cancel outstanding cells after the first failure")
 	timeout := fs.Duration("timeout", 0, "overall deadline, checked between cell units — in-flight runs finish their step bound (0 = none)")
@@ -73,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if workers < 1 {
-		fmt.Fprintf(stderr, "drvtable: -%s %d: must be at least 1\n", workerFlag(fs), workers)
+		fmt.Fprintf(stderr, "drvtable: -j %d: must be at least 1\n", workers)
 		return 2
 	}
 
@@ -163,16 +162,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nall 28 cells reproduced")
 	return 0
-}
-
-// workerFlag names the worker-count flag the command line used: -parallel
-// when that alias was given, -j otherwise.
-func workerFlag(fs *flag.FlagSet) string {
-	name := "j"
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			name = f.Name
-		}
-	})
-	return name
 }

@@ -71,17 +71,6 @@ func TestPooledOutputByteIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelAlias(t *testing.T) {
-	_, seq, _ := runTable(t, "-j", "1")
-	code, par, _ := runTable(t, "-parallel", "4")
-	if code != 0 {
-		t.Fatalf("-parallel 4 exited %d", code)
-	}
-	if par != seq {
-		t.Error("-parallel output differs from -j output")
-	}
-}
-
 func TestProgressGoesToStderrOnly(t *testing.T) {
 	code, out, errOut := runTable(t, "-j", "4", "-progress")
 	if code != 0 {
@@ -171,7 +160,6 @@ func TestDegenerateParamsRejected(t *testing.T) {
 		{[]string{"-stages", "0"}, "-stages 0: must be at least 1"},
 		{[]string{"-j", "0"}, "-j 0: must be at least 1"},
 		{[]string{"-j", "-1"}, "-j -1: must be at least 1"},
-		{[]string{"-parallel", "-1"}, "-parallel -1: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/doc"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -84,6 +85,70 @@ func TestEveryInternalFuncHasAProductionCaller(t *testing.T) {
 	}
 }
 
+// exportAllowlist names the exported exp/ functions and methods that no
+// other package's non-test code references and no runnable Example
+// documents, each with the reason it stays. Keys are types.Func.FullName,
+// with the module path trimmed.
+var exportAllowlist = map[string]string{
+	// The benchmark harness is its own module, which the guard cannot load.
+	"exp/monitor.Run":             "bench/ imports it (bench/gen_test.go replays its histories with it)",
+	"(*exp/monitor.Recorder).Len": "bench/ imports it (bench/gen.go sizes its recorded histories with it)",
+	"(*exp/trace.Result).Triples": "bench/ imports it (bench/probe.go times BuildSketch over a run's triples)",
+	"exp/trace.BuildSketch":       "bench/ imports it (bench/probe.go times it)",
+	"exp/trace.IsWellFormed":      "bench/ imports it (bench/gen_test.go checks its generated histories with it)",
+
+	// Helpers and references other packages' tests need.
+	"(exp/trace.Operation).ConcurrentWith": "the internal/sketch tests check that the sketch keeps two operations overlapping with it",
+	"(exp/trace.View).Comparable":          "the internal/adversary tests check that Aτ's views form a chain with it",
+	"(exp/trace.View).Contains":            "the internal/adversary tests check that each view holds its own operation with it",
+	"(exp/trace.View).Diff":                "the internal/adversary tests enumerate a view's new operations with it",
+	"(exp/trace.View).Key":                 "the internal/adversary and internal/monitor tests compare views by it",
+	"(exp/trace.View).Leq":                 "the internal/adversary tests check views' containment order with it",
+	"(exp/trace.View).Total":               "the internal/adversary and internal/monitor tests order views by it",
+	"(*exp/trace.Writer).WriteVerdict":     "the exp/monitor tests write verdict transcripts with it, which Read parses back",
+	"exp/trace.Vector":                     "the snapshot specification the internal/mem tests check the snapshot protocols against",
+	"exp/trace.OpUpd":                      "names the Vector updates the internal/mem tests record",
+
+	// fmt.Stringer methods: fmt calls them on values of their own package.
+	"(exp/monitor.Array).String": "fmt.Stringer: ParseArray reads the name it prints, and parse's constraint needs it",
+	"(exp/trace.View).String":    "fmt.Stringer: the sketch errors print views through it",
+}
+
+// TestEveryExpExportHasAnOutsideUse extends the guard to exp/, which carries
+// no compatibility promise (exp/README.md): an exported function of an exp
+// package, or an exported method of one of its exported types, counts as
+// used when non-test code of another package of the module references it,
+// or when a runnable Example of its package documents it by name. Anything
+// else must be deleted, unexported, or on exportAllowlist with a reason; a
+// stale entry fails too. Types, variables and constants are the vocabulary
+// the exported signatures and values speak in, and are not checked.
+func TestEveryExpExportHasAnOutsideUse(t *testing.T) {
+	m, err := loadModule("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := map[string]bool{}
+	unused, err := m.unusedExports("exp/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range unused {
+		if _, ok := exportAllowlist[key]; !ok {
+			t.Errorf("%s has no use outside its package and no runnable Example; delete it, unexport it, or allowlist it with a reason", key)
+			continue
+		}
+		covered[key] = true
+	}
+	for entry, reason := range exportAllowlist {
+		switch {
+		case strings.TrimSpace(reason) == "":
+			t.Errorf("allowlist entry %s gives no reason", entry)
+		case !covered[entry]:
+			t.Errorf("allowlist entry %s covers nothing unused; remove it", entry)
+		}
+	}
+}
+
 // module is the root module's non-test code, type-checked package by
 // package into one shared types.Info.
 type module struct {
@@ -93,7 +158,8 @@ type module struct {
 	info       *types.Info
 	pkgs       map[string]*types.Package
 	files      map[string][]*ast.File
-	order      []string // import paths in load order
+	pkgOf      map[*token.File]string // each loaded file's import path
+	order      []string               // import paths in load order
 }
 
 // loadModule type-checks every package of the module rooted at root, skipping
@@ -116,6 +182,7 @@ func loadModule(root string) (*module, error) {
 		},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
+		pkgOf: map[*token.File]string{},
 	}
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -188,6 +255,7 @@ func (m *module) load(path string) (*types.Package, error) {
 			return nil, err
 		}
 		files = append(files, f)
+		m.pkgOf[m.fset.File(f.Pos())] = path
 	}
 	conf := types.Config{Importer: m}
 	pkg, err := conf.Check(path, m.fset, files, m.info)
@@ -238,7 +306,7 @@ func (m *module) unreferenced(prefix string) []string {
 		}
 	}
 	referenced := map[*types.Func]bool{}
-	ref := func(obj types.Object, at token.Pos) {
+	m.references(func(obj types.Object, at token.Pos) {
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			return
@@ -248,7 +316,117 @@ func (m *module) unreferenced(prefix string) []string {
 			return
 		}
 		referenced[fn] = true
+	})
+	var out []string
+	for fn := range own {
+		if !referenced[fn] {
+			out = append(out, strings.ReplaceAll(fn.FullName(), m.path+"/", ""))
+		}
 	}
+	sort.Strings(out)
+	return out
+}
+
+// unusedExports returns the keys of the exported functions and methods of
+// the packages under prefix (a path relative to the module) that no non-test
+// code of another package references and no runnable Example of their own
+// package documents, sorted.
+func (m *module) unusedExports(prefix string) ([]string, error) {
+	used := map[types.Object]bool{}
+	var own []*types.Func
+	for _, path := range m.order {
+		if !strings.HasPrefix(path, m.path+"/"+prefix) {
+			continue
+		}
+		pkg := m.pkgs[path]
+		for _, name := range pkg.Scope().Names() {
+			if !token.IsExported(name) {
+				continue
+			}
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				own = append(own, obj)
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+					for i := 0; i < named.NumMethods(); i++ {
+						if fn := named.Method(i); fn.Exported() {
+							own = append(own, fn)
+						}
+					}
+				}
+			}
+		}
+		documented, err := m.examples(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, obj := range documented {
+			used[obj] = true
+		}
+	}
+	m.references(func(obj types.Object, at token.Pos) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if obj.Pkg() != nil && m.pkgOf[m.fset.File(at)] != obj.Pkg().Path() {
+			used[obj] = true
+		}
+	})
+	var out []string
+	for _, fn := range own {
+		if !used[fn] {
+			out = append(out, strings.ReplaceAll(fn.FullName(), m.path+"/", ""))
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// examples returns the identifiers of the package at path that its runnable
+// Examples (those with an output comment) document by name: ExampleF
+// documents F, and ExampleT_M documents T's method M.
+func (m *module) examples(path string) ([]types.Object, error) {
+	pkg := m.pkgs[path]
+	dir := filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(path, m.path+"/")))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range append(bp.TestGoFiles, bp.XTestGoFiles...) {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	var out []types.Object
+	for _, ex := range doc.Examples(files...) {
+		if ex.Output == "" && !ex.EmptyOutput {
+			continue
+		}
+		parts := strings.Split(ex.Name, "_")
+		obj := pkg.Scope().Lookup(parts[0])
+		if obj == nil {
+			continue
+		}
+		if len(parts) > 1 && token.IsExported(parts[1]) {
+			obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, pkg, parts[1])
+			if obj == nil {
+				continue
+			}
+		}
+		out = append(out, obj)
+	}
+	return out, nil
+}
+
+// references reports, through ref, every object the module's non-test code
+// references and where: each identifier's use, and each method that a
+// conversion to an interface makes callable (at the conversion, or at
+// token.NoPos when only a type assertion reaches it).
+func (m *module) references(ref func(obj types.Object, at token.Pos)) {
 	for id, obj := range m.info.Uses {
 		ref(obj, id.Pos())
 	}
@@ -259,14 +437,6 @@ func (m *module) unreferenced(prefix string) []string {
 		}
 	}
 	d.assertions(ref)
-	var out []string
-	for fn := range own {
-		if !referenced[fn] {
-			out = append(out, strings.ReplaceAll(fn.FullName(), m.path+"/", ""))
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // dynamicMethods are the methods fmt calls on a value passed as an empty

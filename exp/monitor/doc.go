@@ -49,7 +49,10 @@
 // and receives each verdict as the run reports it. The replay makes the
 // scheduling choices Run makes for the same history, however the events are
 // paced, so it reports exactly Run's verdicts; Run is Stream fed the
-// recorded history. A process's verdict can be reported once the replay has
+// recorded history. Both check the history event by event, the one check a
+// replayed history gets: a history that is not a well-formed word over
+// processes 0..N-1 fails with an error naming its first bad event, and no
+// verdict is reported after it. A process's verdict can be reported once the replay has
 // pulled the events the run needed so far (Result.PulledAt); its verdict
 // stream is complete only when the history ends.
 //

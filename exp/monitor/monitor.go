@@ -157,31 +157,6 @@ type Config struct {
 	MaxSteps int
 }
 
-// validate checks the whole configuration, history included, before a batch
-// replay.
-func (cfg *Config) validate() (adversary.ArrayKind, error) {
-	kind, err := cfg.settings()
-	if err != nil {
-		return 0, err
-	}
-	if err := trace.WellFormed(cfg.History); err != nil {
-		return 0, fmt.Errorf("monitor: %w", err)
-	}
-	counter := cfg.counter()
-	for i, sym := range cfg.History {
-		if sym.Proc < 0 {
-			return 0, fmt.Errorf("monitor: history mentions process %d; processes are numbered from 0", sym.Proc)
-		}
-		if _, ok := sym.Val.(trace.Int); counter && sym.Kind == trace.Res && sym.Op == trace.OpRead && !ok {
-			return 0, fmt.Errorf("monitor: history symbol %d: a counter read returns an integer, not %v", i, sym.Val)
-		}
-	}
-	if p := cfg.History.Procs(); p > cfg.N {
-		return 0, fmt.Errorf("monitor: history mentions %d processes but N is %d", p, cfg.N)
-	}
-	return kind, nil
-}
-
 // counter reports whether the logic reads every counter read's response as
 // an integer.
 func (cfg *Config) counter() bool { return cfg.Logic == LogicWEC || cfg.Logic == LogicSEC }
@@ -207,11 +182,12 @@ func (cfg *Config) settings() (adversary.ArrayKind, error) {
 	return kind, nil
 }
 
-// source is the adversary source of a replay: it takes the events a
-// Stream's caller supplies and checks each against the prefix-closed
-// conditions validate checks of a whole history — a well-formed word over
+// source is the adversary source of a replay: it takes the events Run's
+// history or a Stream's caller supplies and checks each against the
+// finite-prefix conditions of a monitor's input — a well-formed word over
 // processes 0..n-1 whose counter reads return integers. The first event
-// that fails ends the replay's input and is kept as err.
+// that fails ends the replay's input and is kept as err. It is the one
+// check of a replayed history.
 type source struct {
 	next    func() (trace.Symbol, bool)
 	n       int
@@ -258,8 +234,8 @@ func (s *source) drain() {
 	}
 }
 
-// check validates the next event; its messages are those of validate and
-// trace.WellFormed, naming the event's position in the history.
+// check validates the next event; its messages name the event's position in
+// the history, and a well-formedness fault wraps trace.ErrNotWellFormed.
 func (s *source) check(sym trace.Symbol) error {
 	i := s.events
 	s.events++
@@ -335,11 +311,11 @@ var ErrTruncated = errors.New("monitor: replay truncated by MaxSteps before the 
 // together with an error wrapping ErrTruncated; Result.Drained reports the
 // same condition (false on a cutoff). All other errors return a nil Result.
 //
-// Run is Stream fed cfg.History, after the whole history has been checked.
+// Run is Stream fed cfg.History, so it checks the history as Stream does,
+// event by event: a history that is not a well-formed word over processes
+// 0..N-1 (with integer counter reads, for the counter logics) fails with an
+// error naming its first bad event.
 func (s *Session) Run(cfg Config) (*Result, error) {
-	if _, err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	h := cfg.History
 	cfg.History = nil
 	return s.Stream(cfg, func() (trace.Symbol, bool) {
@@ -372,10 +348,10 @@ func (s *Session) Run(cfg Config) (*Result, error) {
 // cfg.History must be empty. Unless the rest of cfg is invalid, Stream
 // calls next until it returns false, even after MaxSteps has cut the
 // replay, so a truncated Result reports the whole history's length. Stream
-// checks each event as Run checks a whole history; the first event that
-// fails ends the replay's input, no verdict is reported after it, and
-// Stream returns a nil Result and an error naming that event. Errors are
-// otherwise Run's, and so is the Result, which is owned by the session.
+// checks each event as it arrives; the first event that fails ends the
+// replay's input, no verdict is reported after it, and Stream returns a nil
+// Result and an error naming that event — the error Run returns for the
+// same history. The Result is owned by the session.
 func (s *Session) Stream(cfg Config, next func() (trace.Symbol, bool), report func(proc, index int, v Verdict, step, hist int)) (*Result, error) {
 	if len(cfg.History) > 0 {
 		return nil, errors.New("monitor: Stream reads its history from next; Config.History must be empty")

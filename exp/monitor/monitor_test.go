@@ -161,11 +161,11 @@ func TestRunValidation(t *testing.T) {
 		{"missing object", monitor.Config{N: 3, Logic: monitor.LogicLin, History: good}, "requires an Object"},
 		{"unknown logic", monitor.Config{N: 3, History: good}, "unknown logic"},
 		{"unknown array", monitor.Config{N: 3, Logic: monitor.LogicWEC, History: good, Array: 42}, "unknown array"},
-		{"too few procs", monitor.Config{N: 1, Logic: monitor.LogicWEC, History: counterHistory()}, "mentions 2 processes"},
+		{"too few procs", monitor.Config{N: 1, Logic: monitor.LogicWEC, History: counterHistory()}, "names process 1 but N is 1"},
 		{"ill-formed", monitor.Config{N: 2, Logic: monitor.LogicWEC,
 			History: trace.Word{trace.NewRes(0, "read", trace.Int(0))}}, "not well-formed"},
-		// Word.Procs ignores negative ids, so only validate stands between
-		// this history and a replay that panics in the adversary.
+		// Only the per-event check stands between this history and a
+		// replay that panics in the adversary.
 		{"negative proc", monitor.Config{N: 1, Logic: monitor.LogicLin, Object: trace.Queue(),
 			History: trace.NewB().Op(-1, "deq", nil, trace.Empty).Word()}, "process -1"},
 		// The counter monitors read every read response as an integer.
@@ -377,8 +377,8 @@ func TestRecorderMisusePanics(t *testing.T) {
 	rec.Invoke(0, "op", nil)
 	mustPanic("double Invoke", func() { rec.Invoke(0, "op", nil) })
 	rec.Respond(0, nil)
-	if rec.Len() != 2 || rec.Procs() != 2 {
-		t.Fatalf("Len=%d Procs=%d after one operation", rec.Len(), rec.Procs())
+	if rec.Len() != 2 {
+		t.Fatalf("Len=%d after one operation", rec.Len())
 	}
 }
 

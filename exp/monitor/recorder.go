@@ -36,9 +36,6 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{pending: make([]string, n), open: make([]bool, n), aborted: make([]string, n)}
 }
 
-// Procs returns the number of logical processes.
-func (r *Recorder) Procs() int { return len(r.pending) }
-
 // Invoke records that process proc is invoking op with the given argument
 // (nil for none). It must be followed by Respond on the same process before
 // that process's next Invoke.

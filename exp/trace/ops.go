@@ -120,21 +120,3 @@ func PendingOps(w Word) []Operation {
 	}
 	return out
 }
-
-// TruncateComplete returns the word with all pending invocations removed:
-// the history of only the complete operations, preserving symbol order.
-func TruncateComplete(w Word) Word {
-	drop := map[int]bool{}
-	for _, o := range Operations(w) {
-		if o.Pending() {
-			drop[o.Inv] = true
-		}
-	}
-	out := make(Word, 0, len(w))
-	for i, s := range w {
-		if !drop[i] {
-			out = append(out, s)
-		}
-	}
-	return out
-}

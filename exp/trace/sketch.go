@@ -39,10 +39,12 @@ type Resolver func(OpID) Symbol
 // appended, then the responses of all operations carrying exactly that view.
 // Within a batch, symbols are appended in operation-identifier order — one
 // canonical representative of the construction's equivalence class (any
-// batch order yields the same precedence relations).
+// batch order yields the same precedence relations). The triples slice is
+// not modified.
 func BuildSketch(n int, triples []Triple, resolve Resolver) (Word, error) {
 	var b SketchBuilder
-	return b.BuildSketch(n, triples, resolve)
+	w, _, err := b.Extend(n, triples, resolve)
+	return w, err
 }
 
 // SketchBuilder builds the sketch of a growing set of triples. It retains
@@ -50,9 +52,9 @@ func BuildSketch(n int, triples []Triple, resolve Resolver) (Word, error) {
 // last built, so a monitor logic that feeds each round's new triples through
 // Extend pays for the view groups those triples touch, not for the whole
 // history. Reset keeps the grown buffers, so a warmed builder allocates
-// nothing per build. The word Extend or BuildSketch returns aliases the
-// builder's scratch and is valid until the next call on the same
-// SketchBuilder. The zero value is an empty builder.
+// nothing per build. The word Extend returns aliases the builder's scratch
+// and is valid until the next call on the same SketchBuilder. The zero value
+// is an empty builder.
 type SketchBuilder struct {
 	tris  []Triple    // every triple fed since the last Reset, in feeding order
 	keys  []sketchKey // their sort keys, ascending
@@ -97,14 +99,6 @@ func (b *SketchBuilder) Reset() {
 	b.out = b.out[:0]
 	b.same = 0
 	b.bad = nil
-}
-
-// BuildSketch is the buffer-reusing form of the package-level BuildSketch: a
-// Reset followed by one Extend. The triples slice is not modified.
-func (b *SketchBuilder) BuildSketch(n int, triples []Triple, resolve Resolver) (Word, error) {
-	b.Reset()
-	w, _, err := b.Extend(n, triples, resolve)
-	return w, err
 }
 
 // Extend adds the triples to those fed since the last Reset and returns the

@@ -109,12 +109,12 @@ func randTriples(n int, bad bool, rng *rand.Rand) []trace.Triple {
 // TestSketchBuilderMatchesReference differentially tests the key-sorted
 // builder against the reference on random triple sets over 1–4 processes,
 // reusing one builder across every call, comparing words and error texts:
-// once as a one-shot BuildSketch of the whole set, and once fed through
-// Extend in random batches, after every one of which the word must be the
-// reference's sketch of the union so far and the reported prefix must be
-// unchanged from the last successfully returned word. Trials alternate
-// between valid chains, collect-style sets whose views are not a chain, and
-// so a builder that just failed must recover after its Reset.
+// once as the whole set fed after a Reset, and once fed through Extend in
+// random batches, after every one of which the word must be the reference's
+// sketch of the union so far and the reported prefix must be unchanged from
+// the last successfully returned word. Trials alternate between valid
+// chains, collect-style sets whose views are not a chain, and so a builder
+// that just failed must recover after its Reset.
 func TestSketchBuilderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var b, ext trace.SketchBuilder
@@ -124,14 +124,15 @@ func TestSketchBuilderMatchesReference(t *testing.T) {
 		trs := randTriples(n, trial%3 == 2, rng)
 		orig := slices.Clone(trs)
 		want, wantErr := referenceSketch(trs, resolveOp)
-		got, gotErr := b.BuildSketch(n, trs, resolveOp)
+		b.Reset()
+		got, _, gotErr := b.Extend(n, trs, resolveOp)
 		sameResult(t, fmt.Sprintf("trial %d", trial), trs, got, gotErr, want, wantErr)
 		if wantErr != nil {
 			errs++
 		}
 		for i := range trs {
 			if trs[i].ID != orig[i].ID || !trs[i].View.Equal(orig[i].View) {
-				t.Fatalf("trial %d: BuildSketch reordered or changed its input", trial)
+				t.Fatalf("trial %d: Extend reordered or changed its input", trial)
 			}
 		}
 		splits += checkExtendSplits(t, fmt.Sprintf("trial %d", trial), &ext, n, trs, rng)
@@ -325,8 +326,7 @@ func TestSketchBuilderIncomparableViewsText(t *testing.T) {
 			"sketch: views are not totally ordered by containment: view[1,0] vs view[0,2]",
 		},
 	} {
-		var b trace.SketchBuilder
-		_, err := b.BuildSketch(2, tc.trs, resolveOp)
+		_, err := trace.BuildSketch(2, tc.trs, resolveOp)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("error %v, want %q", err, tc.want)
 		}
@@ -348,10 +348,10 @@ func TestSketchBuilderSteadyStateAllocs(t *testing.T) {
 		trs = randTriples(4, false, rng)
 	}
 	var b trace.SketchBuilder
-	if _, err := b.BuildSketch(4, trs, resolveOp); err != nil {
+	if _, _, err := b.Extend(4, trs, resolveOp); err != nil {
 		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(100, func() { b.BuildSketch(4, trs, resolveOp) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { b.Reset(); b.Extend(4, trs, resolveOp) }); avg != 0 {
 		t.Errorf("warmed SketchBuilder allocates %.1f per build, want 0", avg)
 	}
 }

@@ -78,9 +78,9 @@ type WireValue struct {
 	Seq []string `json:"seq,omitempty"` // t == "seq"
 }
 
-// EncodeValue converts a Value to its trace representation. A nil value
+// encodeValue converts a Value to its trace representation. A nil value
 // encodes to nil.
-func EncodeValue(v Value) (*WireValue, error) {
+func encodeValue(v Value) (*WireValue, error) {
 	switch x := v.(type) {
 	case nil:
 		return nil, nil
@@ -107,9 +107,9 @@ func EncodeValue(v Value) (*WireValue, error) {
 	}
 }
 
-// DecodeValue converts a trace representation back to a Value. A nil
+// decodeValue converts a trace representation back to a Value. A nil
 // input decodes to nil.
-func DecodeValue(v *WireValue) (Value, error) {
+func decodeValue(v *WireValue) (Value, error) {
 	if v == nil {
 		return nil, nil
 	}
@@ -136,7 +136,7 @@ func DecodeValue(v *WireValue) (Value, error) {
 
 // EncodeSymbol converts a Symbol to a trace event.
 func EncodeSymbol(s Symbol) (Event, error) {
-	val, err := EncodeValue(s.Val)
+	val, err := encodeValue(s.Val)
 	if err != nil {
 		return Event{}, err
 	}
@@ -152,7 +152,7 @@ func DecodeSymbol(e Event) (Symbol, error) {
 	if e.Kind != KindSym {
 		return Symbol{}, fmt.Errorf("trace: event kind %q is not a symbol", e.Kind)
 	}
-	val, err := DecodeValue(e.Val)
+	val, err := decodeValue(e.Val)
 	if err != nil {
 		return Symbol{}, err
 	}
@@ -186,19 +186,14 @@ func (w *Writer) WriteMeta(m Meta) error {
 	return w.enc.Encode(Event{Kind: KindMeta, Meta: &m})
 }
 
-// WriteSymbol emits one input-word symbol.
-func (w *Writer) WriteSymbol(s Symbol) error {
-	e, err := EncodeSymbol(s)
-	if err != nil {
-		return err
-	}
-	return w.enc.Encode(e)
-}
-
-// WriteWord emits every symbol of a word in order.
+// WriteWord emits every symbol of a word in order, one line each.
 func (w *Writer) WriteWord(ww Word) error {
 	for _, s := range ww {
-		if err := w.WriteSymbol(s); err != nil {
+		e, err := EncodeSymbol(s)
+		if err != nil {
+			return err
+		}
+		if err := w.enc.Encode(e); err != nil {
 			return err
 		}
 	}

@@ -100,15 +100,27 @@ func TestReadErrorPaths(t *testing.T) {
 	}
 }
 
+// encodeValue and decodeValue reach the value codec through a response
+// symbol's value, where the wire format carries one.
+func encodeValue(v trace.Value) (*trace.WireValue, error) {
+	e, err := trace.EncodeSymbol(trace.NewRes(0, "op", v))
+	return e.Val, err
+}
+
+func decodeValue(v *trace.WireValue) (trace.Value, error) {
+	sym, err := trace.DecodeSymbol(trace.Event{Kind: trace.KindSym, Sym: "res", Op: "op", Val: v})
+	return sym.Val, err
+}
+
 // TestEmptySeqCanonical pins the canonical wire representation of empty and
 // nested-empty sequence values: Encode∘Decode is the identity on the wire
 // form, and both Seq(nil) and Seq{} encode to the same line.
 func TestEmptySeqCanonical(t *testing.T) {
-	encNil, err := trace.EncodeValue(trace.Seq(nil))
+	encNil, err := encodeValue(trace.Seq(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	encEmpty, err := trace.EncodeValue(trace.Seq{})
+	encEmpty, err := encodeValue(trace.Seq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestEmptySeqCanonical(t *testing.T) {
 		{T: "seq"},
 		{T: "seq", Seq: []string{}},
 	} {
-		v, err := trace.DecodeValue(wire)
+		v, err := decodeValue(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +140,7 @@ func TestEmptySeqCanonical(t *testing.T) {
 		if !ok || s == nil || len(s) != 0 {
 			t.Fatalf("decode %+v = %#v, want canonical non-nil empty Seq", wire, v)
 		}
-		back, err := trace.EncodeValue(v)
+		back, err := encodeValue(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,18 +151,18 @@ func TestEmptySeqCanonical(t *testing.T) {
 	// Nested-empty: empty records inside a non-empty sequence round-trip
 	// exactly.
 	nested := trace.Seq{"", "x", ""}
-	enc, err := trace.EncodeValue(nested)
+	enc, err := encodeValue(nested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := trace.DecodeValue(enc)
+	dec, err := decodeValue(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dec, nested) {
 		t.Fatalf("nested-empty round trip changed %#v into %#v", nested, dec)
 	}
-	again, err := trace.EncodeValue(dec)
+	again, err := encodeValue(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +240,11 @@ func TestValueRoundTrip(t *testing.T) {
 		trace.Seq{"a", "b", "c"},
 	}
 	for _, v := range vals {
-		enc, err := trace.EncodeValue(v)
+		enc, err := encodeValue(v)
 		if err != nil {
 			t.Fatalf("encode %v: %v", v, err)
 		}
-		dec, err := trace.DecodeValue(enc)
+		dec, err := decodeValue(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", v, err)
 		}
@@ -251,7 +263,7 @@ func TestValueRoundTrip(t *testing.T) {
 
 func TestEncodeValueUnknownType(t *testing.T) {
 	type alien struct{ trace.Value }
-	if _, err := trace.EncodeValue(alien{}); err == nil {
+	if _, err := encodeValue(alien{}); err == nil {
 		t.Error("expected error for unknown value type")
 	}
 }
@@ -271,7 +283,7 @@ func TestReadSkipsBlankLines(t *testing.T) {
 	if err := w.WriteMeta(trace.Meta{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSymbol(trace.NewInv(0, "inc", nil)); err != nil {
+	if err := w.WriteWord(trace.Word{trace.NewInv(0, "inc", nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

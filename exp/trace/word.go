@@ -205,15 +205,6 @@ func (w Word) Procs() int {
 	return n
 }
 
-// Append returns w extended with the given symbols. The receiver may be
-// shared; the result never aliases future appends of the receiver.
-func (w Word) Append(syms ...Symbol) Word {
-	out := make(Word, 0, len(w)+len(syms))
-	out = append(out, w...)
-	out = append(out, syms...)
-	return out
-}
-
 // B is a fluent builder for words used heavily in tests and in scripted
 // adversaries: B().Inv(0,"write",Int(1)).Res(0,"write",Unit{}).Word().
 type B struct {

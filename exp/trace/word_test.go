@@ -174,10 +174,6 @@ func TestOperations(t *testing.T) {
 	if len(trace.PendingOps(w)) != 1 {
 		t.Errorf("PendingOps = %v", trace.PendingOps(w))
 	}
-	trunc := trace.TruncateComplete(w)
-	if len(trunc) != 4 || len(trace.PendingOps(trunc)) != 0 {
-		t.Errorf("TruncateComplete = %v", trunc)
-	}
 }
 
 func TestPrecedence(t *testing.T) {

@@ -114,9 +114,9 @@ func TestSECSafety(t *testing.T) {
 			"pending inc counts as concurrent",
 			trace.NewB().
 				Inv(0, trace.OpInc, trace.Unit{}).
-				Word().Append(
-				trace.NewInv(1, trace.OpRead, trace.Unit{}),
-				trace.NewRes(1, trace.OpRead, trace.Int(1))),
+				Inv(1, trace.OpRead, trace.Unit{}).
+				Res(1, trace.OpRead, trace.Int(1)).
+				Word(),
 			false,
 		},
 		{

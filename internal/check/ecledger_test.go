@@ -62,9 +62,9 @@ var ecLedgerCases = []struct {
 		"pending append visible",
 		trace.NewB().
 			Inv(0, trace.OpAppend, trace.Rec("a")).
-			Word().Append(
-			trace.NewInv(1, trace.OpGet, trace.Unit{}),
-			trace.NewRes(1, trace.OpGet, trace.Seq{"a"})),
+			Inv(1, trace.OpGet, trace.Unit{}).
+			Res(1, trace.OpGet, trace.Seq{"a"}).
+			Word(),
 		false,
 	},
 	{

@@ -70,9 +70,9 @@ func TestLinearizableRegister(t *testing.T) {
 			name: "pending write justifies read",
 			w: trace.NewB().
 				Inv(0, trace.OpWrite, trace.Int(4)).
-				Word().Append(
-				trace.NewInv(1, trace.OpRead, trace.Unit{}),
-				trace.NewRes(1, trace.OpRead, trace.Int(4))),
+				Inv(1, trace.OpRead, trace.Unit{}).
+				Res(1, trace.OpRead, trace.Int(4)).
+				Word(),
 			lin: true, sc: true,
 		},
 		{

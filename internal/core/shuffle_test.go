@@ -299,15 +299,5 @@ func FuzzWordProjectionRoundTrip(f *testing.F) {
 		if got := len(trace.PendingOps(w)); got != pendingOps {
 			t.Errorf("PendingOps returned %d operations, want %d", got, pendingOps)
 		}
-
-		// Truncating pending invocations leaves a well-formed word of only
-		// complete operations.
-		tc := trace.TruncateComplete(w)
-		if err := trace.WellFormed(tc); err != nil {
-			t.Errorf("TruncateComplete ill-formed: %v", err)
-		}
-		if len(trace.PendingOps(tc)) != 0 {
-			t.Errorf("TruncateComplete left pending operations in %v", tc)
-		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -356,6 +357,55 @@ func TestIllTypedCounterStreamFailsAlone(t *testing.T) {
 		}
 		if !bytes.Equal(others.Bytes(), alone) {
 			t.Fatalf("%s: valid stream drifted:\n--- got ---\n%s\n--- alone ---\n%s", logic, others.Bytes(), alone)
+		}
+	}
+}
+
+// TestMalformedStreamErrorIsRuns pins a failed stream's error line to
+// exp/monitor.Run's error for the same history: the replay checks each event
+// as it arrives and the stream is replayed once. One stream names a process
+// beyond its meta n; in the other, a counter read returning a unit comes
+// before a response with no invocation, so the first bad event is the read.
+// The stream after each must get the lines it gets alone.
+func TestMalformedStreamErrorIsRuns(t *testing.T) {
+	good := streamRequest(t, Open{Stream: "q", Logic: "lin", Object: "queue"}, 2, queueWord())
+	alone := byStream(t, serveOnce(t, Config{}, request(t, good...)))["q"]
+	for _, tc := range []struct {
+		open Open
+		cfg  monitor.Config
+		want string
+	}{
+		{
+			Open{Stream: "bad", Logic: "lin", Object: "queue"},
+			monitor.Config{N: 2, Logic: monitor.LogicLin, Object: trace.Queue(),
+				History: trace.NewB().Op(0, trace.OpEnq, trace.Int(1), trace.Unit{}).Op(2, trace.OpDeq, nil, trace.Int(1)).Word()},
+			"names process 2 but N is 2",
+		},
+		{
+			Open{Stream: "bad", Logic: "wec"},
+			monitor.Config{N: 2, Logic: monitor.LogicWEC,
+				History: trace.NewB().Op(0, trace.OpRead, nil, trace.Unit{}).Res(1, trace.OpInc, trace.Unit{}).Word()},
+			"symbol 1: a counter read returns an integer",
+		},
+	} {
+		_, runErr := monitor.Run(tc.cfg)
+		if runErr == nil || !strings.Contains(runErr.Error(), tc.want) {
+			t.Fatalf("%v: Run error %v, want one containing %q", tc.cfg.History, runErr, tc.want)
+		}
+		msgs := append(streamRequest(t, tc.open, tc.cfg.N, tc.cfg.History), good...)
+		lines := byStream(t, serveOnce(t, Config{}, request(t, msgs...)))
+		bad := parseResponses(t, []byte(strings.Join(lines["bad"], "")))
+		n := len(bad)
+		if n < 2 || bad[0].Opened == nil || bad[n-1].Error == nil || bad[n-1].Error.Msg != runErr.Error() {
+			t.Fatalf("%v: bad stream got %+v, want an opened line first and Run's error %q last", tc.cfg.History, bad, runErr)
+		}
+		for _, r := range bad[1 : n-1] {
+			if r.Verdict == nil || r.Verdict.Proc != 0 {
+				t.Fatalf("%v: bad stream got %+v between its opened and error lines, want only process 0's verdicts", tc.cfg.History, r)
+			}
+		}
+		if !slices.Equal(lines["q"], alone) {
+			t.Fatalf("%v: next stream drifted:\n--- got ---\n%s\n--- alone ---\n%s", tc.cfg.History, lines["q"], alone)
 		}
 	}
 }

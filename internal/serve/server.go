@@ -34,7 +34,9 @@
 // Served verdict streams inherit the replay determinism contract: the same
 // input stream yields byte-identical response lines, regardless of how the
 // input was paced or chunked, and re-running the recorded history through
-// exp/monitor.Run reproduces exactly the served verdicts. Streams that fail
+// exp/monitor.Run reproduces exactly the served verdicts, or the served
+// error of a malformed history: each stream is replayed once, and its
+// replay checks each event as it arrives, as Run does. Streams that fail
 // or are abandoned keep the lines already sent: a stream that turns out
 // malformed after some of its verdicts left gets its error line after them,
 // and a stream still open when its connection's input ends gets nothing
@@ -456,7 +458,6 @@ func (c *conn) replay(st *stream) {
 		st.await()
 		c.settle(st.id, st.done)
 	}()
-	// After the error re-run below, the history's last reader.
 	defer func() { c.srv.recycle(st.detach()) }()
 	sess := c.srv.session()
 	defer c.srv.release(sess)
@@ -478,17 +479,11 @@ func (c *conn) replay(st *stream) {
 	truncated := false
 	if err != nil {
 		if !errors.Is(err, monitor.ErrTruncated) || res == nil {
-			// The error line leaves at the end of the input, as it did
-			// when streams were replayed at close. A history that failed
-			// Stream's check of each event is reported with the message
-			// the whole history's check gives, which Run returns before
-			// it replays anything.
+			// The error line leaves at the end of the input, whatever the
+			// pacing. It is Stream's, which names the history's first bad
+			// event, as Run does.
 			if !st.wait() {
 				return
-			}
-			cfg.History = st.hist
-			if _, werr := sess.Run(cfg); werr != nil {
-				err = werr
 			}
 			c.emit(st, outLine{resp: Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}}})
 			return

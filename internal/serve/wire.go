@@ -65,7 +65,7 @@ func decodeSymbol(raw []byte) (stream []byte, sym trace.Symbol, ok bool) {
 		return nil, trace.Symbol{}, false
 	}
 	if hasVal {
-		// The tag alone picks the value, as in trace.DecodeValue; seq values
+		// The tag alone picks the value, as in trace.DecodeSymbol; seq values
 		// and unknown tags take the json.Unmarshal path.
 		switch string(tag) {
 		case "unit":
