@@ -56,9 +56,11 @@ import (
 	"time"
 
 	"github.com/drv-go/drv/internal/explore"
+	"github.com/drv-go/drv/internal/startheap"
 )
 
 func main() {
+	startheap.Adjust()
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/drv-go/drv/internal/experiment"
+	"github.com/drv-go/drv/internal/startheap"
 )
 
 // paramFlags names the flag that sets each experiment.Params field.
@@ -43,6 +44,7 @@ var paramFlags = map[string]string{
 }
 
 func main() {
+	startheap.Adjust()
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 

@@ -121,8 +121,11 @@
 // source) possibility run, judged for every cell that shares it, and one
 // per impossibility construction — that fan out onto a bounded worker pool with deterministic, order-stable
 // result folding, so drvtable -j N prints a byte-identical table for every
-// worker count. See README.md for the module setup, the short/full/race
-// test tiers, and parallel usage.
+// worker count. drvtable and drvexplore start with the collector off under a
+// 64 MiB soft memory limit (internal/startheap, called from their main
+// only), so a run whose heap stays under it never collects; GOGC or
+// GOMEMLIMIT in the environment overrides it. See README.md for the module
+// setup, the short/full/race test tiers, and parallel usage.
 //
 // All workloads share one pooled execution core. internal/sched.Runtime is
 // resettable (Runtime.Reset reuses Proc structs and parked coroutines; the

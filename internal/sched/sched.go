@@ -257,8 +257,12 @@ type Runtime struct {
 	before func(step int)
 	next   int
 	// trips counts the execution's coroutine round trips (Proc.resume
-	// calls, the unwinding at its end included); halt adds it to tally.
+	// calls, the unwinding at its end included), rereads the runnability
+	// re-reads refresh makes and noops those that change nothing; halt adds
+	// them to tally.
 	trips   int
+	rereads int
+	noops   int
 	stopped bool // current execution halted; bodies unwind at next grant
 	killed  bool // runtime dead for good; coroutines have been stopped
 	started bool
@@ -432,7 +436,9 @@ func (rt *Runtime) refresh() {
 		id := rt.woken[i]
 		rt.isWoken[id] = false
 		ok := rt.canRun(id)
+		rt.rereads++
 		if ok == rt.in[id] {
+			rt.noops++
 			continue
 		}
 		rt.in[id] = ok
@@ -561,7 +567,7 @@ func (rt *Runtime) RunWith(maxSteps int, before func(step int)) int {
 // halt unwinds the current execution: every spawned, non-exited process is
 // resumed one final time, at which its body panics out (errStopped) and its
 // coroutine parks, ready for the next Reset/Spawn cycle. It then adds the
-// execution's round trips and steps to tally.
+// execution's round trips, re-reads and steps to tally.
 func (rt *Runtime) halt() {
 	if rt.stopped {
 		return
@@ -574,14 +580,17 @@ func (rt *Runtime) halt() {
 		p.resume()
 	}
 	tally.trips.Add(int64(rt.trips))
+	tally.rereads.Add(int64(rt.rereads))
+	tally.noops.Add(int64(rt.noops))
 	tally.steps.Add(int64(rt.steps))
-	rt.trips = 0
+	rt.trips, rt.rereads, rt.noops = 0, 0, 0
 }
 
-// tally sums the round trips and steps of every execution that has ended,
-// by Reset or Stop, in any runtime of the process: the cost of a hand-over
-// measured over a whole workload. Tests read it; nothing else does.
-var tally struct{ trips, steps atomic.Int64 }
+// tally sums the round trips, re-reads and steps of every execution that has
+// ended, by Reset or Stop, in any runtime of the process: the cost of a
+// hand-over and of refresh measured over a whole workload. Tests read it;
+// nothing else does.
+var tally struct{ trips, rereads, noops, steps atomic.Int64 }
 
 // Stop ends every process coroutine; when it returns none is left running.
 // The runtime cannot be used (or Reset) afterwards. Safe to call multiple

@@ -9,11 +9,12 @@ import (
 	"github.com/drv-go/drv/internal/sched"
 )
 
-// BenchmarkWorkloadRoundTrips counts the coroutine round trips and the
-// scheduler steps of whole workloads on one worker: drvtable at its
-// defaults, and drvexplore sweeps of each family at master seed 7. The
-// counts are deterministic; they are reported per op as trips/op and
-// steps/op, so
+// BenchmarkWorkloadRoundTrips counts the coroutine round trips, the
+// runnability re-reads of refresh, the re-reads among them that change
+// nothing, and the scheduler steps of whole workloads on one worker: drvtable
+// at its defaults, and drvexplore sweeps of each family at master seed 7. The
+// counts are deterministic; they are reported per op as trips/op,
+// rereads/op, noop-rereads/op and steps/op, so
 //
 //	go test -run '^$' -bench WorkloadRoundTrips -benchtime 1x ./internal/sched
 //
@@ -44,14 +45,16 @@ func BenchmarkWorkloadRoundTrips(b *testing.B) {
 		{"explore-msg", sweep(explore.FamMsg, 1000)},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			trips0, steps0 := sched.Tally()
+			trips0, rereads0, noops0, steps0 := sched.Tally()
 			for i := 0; i < b.N; i++ {
 				if err := w.run(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			trips, steps := sched.Tally()
+			trips, rereads, noops, steps := sched.Tally()
 			b.ReportMetric(float64(trips-trips0)/float64(b.N), "trips/op")
+			b.ReportMetric(float64(rereads-rereads0)/float64(b.N), "rereads/op")
+			b.ReportMetric(float64(noops-noops0)/float64(b.N), "noop-rereads/op")
 			b.ReportMetric(float64(steps-steps0)/float64(b.N), "steps/op")
 		})
 	}
