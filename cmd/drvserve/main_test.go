@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,11 +140,13 @@ func TestStdioMode(t *testing.T) {
 	}
 }
 
-// TestNegativeProcessStreamFailsAlone sends a stream whose symbols name
-// process -1 ahead of a valid stream on one -stdio connection. The bad
-// stream must get one stream-level error line instead of crashing its
-// replay, and the valid stream's lines must still equal its golden.
-func TestNegativeProcessStreamFailsAlone(t *testing.T) {
+// failsAlone serves, on one -stdio connection, the stream the lines give
+// (open, meta, symbols, close of stream id) ahead of the chan_queue golden
+// request. The connection must carry exactly one error line, the other
+// stream's lines must still equal its golden, and failsAlone returns the bad
+// stream's lines.
+func failsAlone(t *testing.T, id string, lines ...string) []string {
+	t.Helper()
 	valid, err := os.ReadFile(filepath.Join("testdata", "chan_queue_request.ndjson"))
 	if err != nil {
 		t.Fatal(err)
@@ -153,35 +156,133 @@ func TestNegativeProcessStreamFailsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	config, rest, _ := bytes.Cut(valid, []byte("\n"))
-	req := bytes.Join([][]byte{
-		config,
-		[]byte(`{"open":{"stream":"neg","logic":"lin","object":"queue"}}`),
-		[]byte(`{"event":{"stream":"neg","kind":"meta","meta":{"n":1}}}`),
-		[]byte(`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"inv","op":"deq"}}`),
-		[]byte(`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`),
-		[]byte(`{"close":{"stream":"neg"}}`),
-		rest,
-	}, []byte("\n"))
+	req := append(append([]byte(nil), config...), '\n')
+	for _, l := range lines {
+		req = append(append(req, l...), '\n')
+	}
+	req = append(req, rest...)
 	var out, errb bytes.Buffer
 	if code := run([]string{"-stdio"}, bytes.NewReader(req), &out, &errb); code != 0 {
 		t.Fatalf("-stdio exited %d: %s", code, errb.Bytes())
 	}
+	if n := strings.Count(out.String(), "\n{\"error\":"); n != 1 {
+		t.Fatalf("%d error lines, want 1:\n%s", n, out.Bytes())
+	}
 	// The two streams' lines may interleave; split them by stream id.
-	var neg []string
+	var bad []string
 	var others bytes.Buffer
 	for _, line := range strings.SplitAfter(out.String(), "\n") {
-		if strings.Contains(line, `"stream":"neg"`) {
-			neg = append(neg, line)
+		if strings.Contains(line, `"stream":"`+id+`"`) {
+			bad = append(bad, line)
 		} else {
 			others.WriteString(line)
 		}
 	}
+	if !bytes.Equal(others.Bytes(), want) {
+		t.Fatalf("valid stream drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", others.Bytes(), want)
+	}
+	return bad
+}
+
+// TestNegativeProcessStreamFailsAlone sends a stream whose symbols name
+// process -1 ahead of a valid stream on one -stdio connection. The bad
+// stream must get one stream-level error line instead of crashing its
+// replay, and the valid stream's lines must still equal its golden.
+func TestNegativeProcessStreamFailsAlone(t *testing.T) {
+	neg := failsAlone(t, "neg",
+		`{"open":{"stream":"neg","logic":"lin","object":"queue"}}`,
+		`{"event":{"stream":"neg","kind":"meta","meta":{"n":1}}}`,
+		`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"inv","op":"deq"}}`,
+		`{"event":{"stream":"neg","kind":"sym","proc":-1,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`,
+		`{"close":{"stream":"neg"}}`)
 	if len(neg) != 2 || !strings.HasPrefix(neg[0], `{"opened":`) ||
 		!strings.HasPrefix(neg[1], `{"error":`) || !strings.Contains(neg[1], "process -1") {
 		t.Fatalf("negative-process stream got %q, want an opened line and one error line naming process -1", neg)
 	}
-	if !bytes.Equal(others.Bytes(), want) {
-		t.Fatalf("valid stream drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", others.Bytes(), want)
+}
+
+// TestBeyondMetaNStreamFailsAlone sends a stream whose symbols name process
+// 1 under meta n = 1 ahead of a valid stream on one -stdio connection: it
+// must end in one error line naming the process, and the valid stream's
+// lines must still equal its golden.
+func TestBeyondMetaNStreamFailsAlone(t *testing.T) {
+	wide := failsAlone(t, "wide",
+		`{"open":{"stream":"wide","logic":"lin","object":"queue"}}`,
+		`{"event":{"stream":"wide","kind":"meta","meta":{"n":1}}}`,
+		`{"event":{"stream":"wide","kind":"sym","proc":1,"sym":"inv","op":"deq"}}`,
+		`{"event":{"stream":"wide","kind":"sym","proc":1,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`,
+		`{"close":{"stream":"wide"}}`)
+	if last := wide[len(wide)-1]; !strings.HasPrefix(last, `{"error":`) || !strings.Contains(last, "names process 1 but N is 1") {
+		t.Fatalf("beyond-meta-n stream got %q, want an error line naming process 1 last", wide)
+	}
+}
+
+// TestIllTypedCounterStreamFailsAlone sends a wec stream whose reads return
+// a unit ahead of a valid stream on one -stdio connection: it must end in
+// one error line, and the valid stream's lines must still equal its golden.
+func TestIllTypedCounterStreamFailsAlone(t *testing.T) {
+	lines := []string{`{"open":{"stream":"badread","logic":"wec"}}`, `{"event":{"stream":"badread","kind":"meta","meta":{"n":1}}}`}
+	for i := 0; i < 2; i++ {
+		lines = append(lines,
+			`{"event":{"stream":"badread","kind":"sym","proc":0,"sym":"inv","op":"read"}}`,
+			`{"event":{"stream":"badread","kind":"sym","proc":0,"sym":"res","op":"read","val":{"t":"unit"}}}`)
+	}
+	bad := failsAlone(t, "badread", append(lines, `{"close":{"stream":"badread"}}`)...)
+	want := `{"error":{"stream":"badread","msg":"monitor: history symbol 1: a counter read returns an integer, not ()"}}` + "\n"
+	if bad[len(bad)-1] != want {
+		t.Fatalf("ill-typed counter stream got %q, want %q last", bad, want)
+	}
+}
+
+// TestEveryArrayEndsInDone serves the chan_queue golden request under each
+// announcement array: each ends in the stream's done line, and the atomic
+// array, the default, gives the golden itself. Unknown logic, object and
+// array names fail their opens with the error lines that list their tables.
+func TestEveryArrayEndsInDone(t *testing.T) {
+	req, err := os.ReadFile(filepath.Join("testdata", "chan_queue_request.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "chan_queue_response.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdio := func(req []byte) string {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-stdio"}, bytes.NewReader(req), &out, &errb); code != 0 {
+			t.Fatalf("-stdio exited %d: %s", code, errb.Bytes())
+		}
+		return out.String()
+	}
+	for _, array := range []string{"atomic", "aadgms", "collect"} {
+		withArray := bytes.Replace(req, []byte(`"object":"queue"}`), []byte(`"object":"queue","array":"`+array+`"}`), 1)
+		if bytes.Equal(withArray, req) {
+			t.Fatal("the request's open line names no queue object")
+		}
+		out := stdio(withArray)
+		lines := strings.SplitAfter(strings.TrimSuffix(out, "\n"), "\n")
+		if !strings.HasPrefix(lines[len(lines)-1], `{"done":{"stream":"chan_queue"`) {
+			t.Fatalf("array %s: last line %q, want the stream's done", array, lines[len(lines)-1])
+		}
+		if array == "atomic" && out != string(golden) {
+			t.Fatalf("array atomic drifted from the golden:\n%s", out)
+		}
+	}
+
+	config, _, _ := bytes.Cut(req, []byte("\n"))
+	names := stdio([]byte(string(config) + `
+{"open":{"stream":"a","logic":"bogus"}}
+{"open":{"stream":"b","logic":"lin","object":"bogus"}}
+{"open":{"stream":"c","logic":"lin","object":"queue","array":"bogus"}}
+`))
+	for _, want := range []string{
+		`unknown logic \"bogus\" (want lin, sc, wec, sec or ecledger)`,
+		`unknown object \"bogus\" (want register, counter, queue, stack, ledger or consensus)`,
+		`unknown array \"bogus\" (want atomic, aadgms or collect)`,
+	} {
+		if !strings.Contains(names, want) {
+			t.Errorf("no error line holds %s:\n%s", want, names)
+		}
 	}
 }
 
@@ -285,6 +386,95 @@ func TestSIGINTRightAfterListenDrains(t *testing.T) {
 	}
 	if !strings.Contains(out, "drvserve: draining") {
 		t.Fatalf("server exited 0 without draining; stderr:\n%s", out)
+	}
+}
+
+// TestTCPRoundTripsOnOneServer re-executes the test binary as a `drvserve
+// -addr` server and sends it four streams with -send, one after another:
+// chan_queue, a wec stream whose reads return a unit, chan_queue again and
+// stale_queue, each later stream on the sessions the earlier ones handed
+// back. The golden streams must equal their goldens, the bad one must get
+// one error line naming its first bad read and no done, and on SIGINT the
+// server must drain and exit 0.
+func TestTCPRoundTripsOnOneServer(t *testing.T) {
+	if os.Getenv("DRVSERVE_TEST_SERVER") == "1" {
+		os.Exit(run([]string{"-addr", "127.0.0.1:0"}, nil, os.Stdout, os.Stderr))
+	}
+	badread := filepath.Join(t.TempDir(), "badread.jsonl")
+	var tf bytes.Buffer
+	w := trace.NewWriter(&tf)
+	if err := w.WriteMeta(trace.Meta{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteWord(trace.NewB().Op(0, trace.OpRead, nil, trace.Unit{}).Op(0, trace.OpRead, nil, trace.Unit{}).Word()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badread, tf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTCPRoundTripsOnOneServer$")
+	cmd.Env = append(os.Environ(), "DRVSERVE_TEST_SERVER=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	kill := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	sc := bufio.NewScanner(stderr)
+	var log []string
+	addr := ""
+	for addr == "" && sc.Scan() {
+		log = append(log, sc.Text())
+		addr, _ = strings.CutPrefix(sc.Text(), "drvserve: listening on ")
+	}
+	if addr == "" {
+		cmd.Process.Kill()
+		t.Fatalf("the server announced no address:\n%s", strings.Join(log, "\n"))
+	}
+
+	send := func(stream, logic, object, path string) string {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-send", addr, "-stream", stream, "-logic", logic, "-object", object, path}, nil, &out, &errb); code != 0 {
+			t.Errorf("-send %s exited %d: %s", stream, code, errb.Bytes())
+		}
+		return out.String()
+	}
+	golden := func(slug string) {
+		want, err := os.ReadFile(filepath.Join("testdata", slug+"_response.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := send(slug, "lin", "queue", filepath.Join("testdata", slug+".jsonl")); got != string(want) {
+			t.Errorf("%s over TCP drifted from its golden:\n%s", slug, got)
+		}
+	}
+	golden("chan_queue")
+	bad := send("badread", "wec", "", badread)
+	wantErr := `{"error":{"stream":"badread","msg":"monitor: history symbol 1: a counter read returns an integer, not ()"}}` + "\n"
+	if strings.Count(bad, `{"error":`) != 1 || !strings.Contains(bad, wantErr) || strings.Contains(bad, `{"done":`) {
+		t.Errorf("badread over TCP got\n%s\nwant one error line %s and no done", bad, wantErr)
+	}
+	golden("chan_queue")
+	golden("stale_queue")
+
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() {
+		log = append(log, sc.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("server exited with %v; stderr:\n%s", err, strings.Join(log, "\n"))
+	}
+	if !slices.Contains(log, "drvserve: draining") {
+		t.Fatalf("server exited 0 without draining; stderr:\n%s", strings.Join(log, "\n"))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -102,6 +103,29 @@ func TestOnlyExpImports(t *testing.T) {
 		}
 		if !strings.HasPrefix(path, "github.com/drv-go/drv/exp/") {
 			t.Errorf("import %q is neither std nor exp/...; extsut must consume only the exported surface", path)
+		}
+	}
+}
+
+// TestTraceOutMatchesServeTestdata pins the histories drvserve's tests and
+// goldens replay: -trace at the default flags writes, byte for byte, the
+// files committed under cmd/drvserve/testdata.
+func TestTraceOutMatchesServeTestdata(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(io.Discard, dir, 3, 60, 1); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, slug := range []string{"chan_queue", "stale_queue"} {
+		got, err := os.ReadFile(filepath.Join(dir, slug+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "cmd", "drvserve", "testdata", slug+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: -trace wrote a history other than the committed one (regenerate cmd/drvserve/testdata with extsut -trace)", slug)
 		}
 	}
 }

@@ -1,9 +1,16 @@
 // Package monitor exports the distributed monitors of the paper for external
 // embedders: the Figure-8 predictive linearizability monitor V_O and its
-// sequential-consistency variant, the Figure-5 weak decider for WEC_COUNT,
-// the Figure-9 predictive-weak decider for SEC_COUNT, and the best-effort
+// sequential-consistency variant, the bare Figure-5 monitor for WEC_COUNT,
+// the bare Figure-9 monitor for SEC_COUNT, and the best-effort
 // eventually-consistent-ledger monitor — attached to a recorded history of
 // any concurrent object, including ones defined outside this module.
+//
+// The two counter monitors are the figures as drawn, not the deciders
+// Table 1 credits. Bare Figure 5 is a weak-all decider (WAD). Table 1's WD
+// and PWD cells for WEC_COUNT and SEC_COUNT credit the figures wrapped in
+// the Figure-3 amplification (AmplifyWAD, as internal/experiment.Decider
+// builds them); swapped into Table 1, the bare monitors fail WEC_COUNT's WD
+// and PWD checks and SEC_COUNT's PWD check.
 //
 // WARNING: this package is experimental and carries no compatibility
 // promise; see the README in the exp directory.
@@ -44,17 +51,23 @@
 //
 // # Streaming replay
 //
-// Session.Stream replays a history that is still arriving: the caller
-// supplies events through a function that blocks until the next one exists,
-// and receives each verdict as the run reports it. The replay makes the
-// scheduling choices Run makes for the same history, however the events are
-// paced, so it reports exactly Run's verdicts; Run is Stream fed the
-// recorded history. Both check the history event by event, the one check a
-// replayed history gets: a history that is not a well-formed word over
-// processes 0..N-1 fails with an error naming its first bad event, and no
-// verdict is reported after it. A process's verdict can be reported once the replay has
-// pulled the events the run needed so far (Result.PulledAt); its verdict
-// stream is complete only when the history ends.
+// Session.Open replays a history that is still arriving: Feed.Push hands
+// the replay the next event, and runs it until it needs an event that has
+// not arrived; Feed.Close ends the history and returns what Run returns. A
+// Feed lasts until its session's next Open, Run or Close, after which its
+// Push and Close panic.
+// Between pushes the replay is suspended in its session, holding its
+// processes' coroutines and no goroutine of its own, and a report function
+// receives each verdict during the Push that let the run reach it. The
+// replay makes the scheduling choices Run makes for the same history,
+// however the events are paced, so it reports exactly Run's verdicts; Run
+// is Open on the whole history, then Close. Both check the history event by
+// event, the one check a replayed history gets: a history that is not a
+// well-formed word over processes 0..N-1 fails with an error naming its
+// first bad event, and no verdict is reported after it. A process's verdict
+// is reported once the replay has taken the events the run needed so far
+// (Result.PulledAt); its verdict stream is complete only when the history
+// ends.
 //
 // Workloads monitoring many histories should hold a Session and reuse it —
 // the session pools the scheduler runtime and checker state, making the

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/drv-go/drv/exp/monitor"
 	"github.com/drv-go/drv/exp/trace"
@@ -37,39 +36,30 @@ func snap(res *monitor.Result) *snapshot {
 	return s
 }
 
-// report is one verdict as Stream reported it.
+// report is one verdict as a Feed reported it, with the number of events
+// pushed when it was reported; a report during Close counts one more.
 type report struct {
 	proc, index int
 	v           monitor.Verdict
 	step, hist  int
+	pushed      int
 }
 
-// paced supplies w's events from another goroutine that sleeps a random few
-// microseconds before some of them, so the replay often waits for input. It
-// also counts the calls that returned an event.
-func paced(w trace.Word, rng *rand.Rand) (next func() (trace.Symbol, bool), calls *int) {
-	ch := make(chan trace.Symbol)
-	gaps := make([]time.Duration, len(w))
-	for i := range gaps {
-		if rng.Intn(3) == 0 {
-			gaps[i] = time.Duration(rng.Intn(200)) * time.Microsecond
-		}
+// feed replays w through a Feed of s, one Push per event, and returns Close's
+// Result and error with the reports.
+func feed(s *monitor.Session, cfg monitor.Config, w trace.Word) (*monitor.Result, error, []report) {
+	var got []report
+	pushed := 0
+	f := s.Open(cfg, func(proc, index int, v monitor.Verdict, step, hist int) {
+		got = append(got, report{proc, index, v, step, hist, pushed})
+	})
+	for _, sym := range w {
+		pushed++
+		f.Push(sym)
 	}
-	go func() {
-		for i, sym := range w {
-			time.Sleep(gaps[i])
-			ch <- sym
-		}
-		close(ch)
-	}()
-	n := 0
-	return func() (trace.Symbol, bool) {
-		sym, ok := <-ch
-		if ok {
-			n++
-		}
-		return sym, ok
-	}, &n
+	pushed++
+	res, err := f.Close()
+	return res, err, got
 }
 
 // randomOps builds a random well-formed history of n processes over the
@@ -113,11 +103,14 @@ func randomOps(rng *rand.Rand, n, ops int, counter bool) trace.Word {
 	return b.Word()
 }
 
-// TestStreamMatchesRun is the streaming entry point's differential: fed the
-// same history at a random pace, Stream returns the Result Run returns, with
+// TestFeedMatchesRun is the push entry point's differential: fed the same
+// history one event at a time, a Feed returns the Result Run returns, with
 // the same error, and reports exactly that Result's verdicts, each
 // process's in index order, with the steps and history lengths it records.
-func TestStreamMatchesRun(t *testing.T) {
+// Each verdict is reported during the Push of the last event the replay had
+// taken when it reported it (Result.PulledAt), or at Close if that is the
+// history's last.
+func TestFeedMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	type tc struct {
 		cfg monitor.Config
@@ -164,19 +157,12 @@ func TestStreamMatchesRun(t *testing.T) {
 		cfg := c.cfg
 		h := cfg.History
 		cfg.History = nil
-		next, calls := paced(h, rng)
-		var got []report
-		res, err := s.Stream(cfg, next, func(proc, index int, v monitor.Verdict, step, hist int) {
-			got = append(got, report{proc, index, v, step, hist})
-		})
+		res, err, got := feed(s, cfg, h)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-			t.Fatalf("case %d: Stream error %v, Run error %v", i, err, wantErr)
-		}
-		if *calls != len(h) {
-			t.Fatalf("case %d: Stream took %d of %d events", i, *calls, len(h))
+			t.Fatalf("case %d: Feed error %v, Run error %v", i, err, wantErr)
 		}
 		if gotSnap := snap(res); !reflect.DeepEqual(gotSnap, wantSnap) {
-			t.Fatalf("case %d: Stream result differs from Run's:\n got %+v\nwant %+v", i, gotSnap, wantSnap)
+			t.Fatalf("case %d: Feed result differs from Run's:\n got %+v\nwant %+v", i, gotSnap, wantSnap)
 		}
 		seen := make([]int, len(wantSnap.Verdicts))
 		for _, r := range got {
@@ -187,6 +173,9 @@ func TestStreamMatchesRun(t *testing.T) {
 			if r.v != wantSnap.Verdicts[r.proc][r.index] || r.step != wantSnap.StepAt[r.proc][r.index] ||
 				r.hist != wantSnap.HistAt[r.proc][r.index] {
 				t.Fatalf("case %d: report %+v differs from the Result", i, r)
+			}
+			if pulled := wantSnap.PulledAt[r.proc][r.index]; r.pushed != pulled && (r.pushed != len(h)+1 || pulled != len(h)) {
+				t.Fatalf("case %d: report %+v came after %d pushes; the replay had taken %d events", i, r, r.pushed, pulled)
 			}
 		}
 		for p := range seen {
@@ -200,30 +189,20 @@ func TestStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestStreamChecksEachEvent pins what Stream does with a history that turns
-// out invalid: it takes every event next supplies, reports no verdict after
-// the first bad event, and returns a nil Result with an error naming it.
+// TestFeedChecksEachEvent pins what a Feed does with a history that turns
+// out invalid: it takes every event pushed, reports no verdict after the
+// first bad event, and Close returns a nil Result with an error naming it.
 // Run checks a history the same way, so random words, often ill-formed and
-// sometimes naming a process beyond N, must be rejected by Stream exactly
-// when Run rejects them, with Run's error.
-func TestStreamChecksEachEvent(t *testing.T) {
+// sometimes naming a process beyond N, must be rejected by a Feed exactly
+// when Run rejects them, with Run's error. A Feed opened on part of a
+// history and pushed the rest returns Run's Result for the whole.
+func TestFeedChecksEachEvent(t *testing.T) {
 	s := monitor.NewSession()
 	defer s.Close()
-	stream := func(cfg monitor.Config) (*monitor.Result, error, []report, int) {
+	pushAll := func(cfg monitor.Config) (*monitor.Result, error, []report) {
 		h := cfg.History
 		cfg.History = nil
-		i := 0
-		var got []report
-		res, err := s.Stream(cfg, func() (trace.Symbol, bool) {
-			if i == len(h) {
-				return trace.Symbol{}, false
-			}
-			i++
-			return h[i-1], true
-		}, func(proc, index int, v monitor.Verdict, step, hist int) {
-			got = append(got, report{proc, index, v, step, hist})
-		})
-		return res, err, got, i
+		return feed(s, cfg, h)
 	}
 
 	// Two good operations of process 0, then a counter read returning a
@@ -236,20 +215,32 @@ func TestStreamChecksEachEvent(t *testing.T) {
 		Op(0, trace.OpInc, nil, trace.Unit{}).
 		Word()
 	cfg := monitor.Config{N: 1, Logic: monitor.LogicWEC, History: bad}
-	res, err, got, took := stream(cfg)
+	res, err, got := pushAll(cfg)
 	_, runErr := monitor.Run(cfg)
 	if res != nil || err == nil || runErr == nil || err.Error() != runErr.Error() || !strings.Contains(err.Error(), "symbol 5") {
-		t.Fatalf("Stream = %v, %v; want a nil Result and Run's error %v", res, err, runErr)
-	}
-	if took != len(bad) {
-		t.Fatalf("Stream took %d of %d events", took, len(bad))
+		t.Fatalf("Feed = %v, %v; want a nil Result and Run's error %v", res, err, runErr)
 	}
 	if len(got) > 2 {
-		t.Fatalf("Stream reported %d verdicts; the good prefix has 2 operations", len(got))
+		t.Fatalf("Feed reported %d verdicts; the good prefix has 2 operations", len(got))
+	}
+	for _, r := range got {
+		if r.pushed > 5 {
+			t.Fatalf("report %+v after the bad event", r)
+		}
 	}
 
-	if _, err := s.Stream(monitor.Config{N: 1, Logic: monitor.LogicWEC, History: bad}, nil, nil); err == nil {
-		t.Fatal("Stream accepted a Config with a History")
+	good := bad[:4]
+	want, err := s.Run(monitor.Config{N: 1, Logic: monitor.LogicWEC, History: good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := snap(want)
+	f := s.Open(monitor.Config{N: 1, Logic: monitor.LogicWEC, History: good[:1]}, nil)
+	for _, sym := range good[1:] {
+		f.Push(sym)
+	}
+	if res, err := f.Close(); err != nil || !reflect.DeepEqual(snap(res), wantSnap) {
+		t.Fatalf("Feed opened on a prefix = %+v, %v; want %+v", snap(res), err, wantSnap)
 	}
 
 	rng := rand.New(rand.NewSource(2))
@@ -265,15 +256,68 @@ func TestStreamChecksEachEvent(t *testing.T) {
 		}
 		cfg := monitor.Config{N: 2, Logic: monitor.LogicLin, Object: trace.Queue(), History: w}
 		_, runErr := monitor.Run(cfg)
-		_, err, _, took := stream(cfg)
+		_, err, _ := pushAll(cfg)
 		if (err == nil) != (runErr == nil) {
-			t.Fatalf("%v: Stream error %v, Run error %v", w, err, runErr)
-		}
-		if took != len(w) {
-			t.Fatalf("%v: Stream took %d of %d events", w, took, len(w))
+			t.Fatalf("%v: Feed error %v, Run error %v", w, err, runErr)
 		}
 		if runErr != nil && err.Error() != runErr.Error() {
-			t.Fatalf("%v: Stream error %q, Run error %q", w, err, runErr)
+			t.Fatalf("%v: Feed error %q, Run error %q", w, err, runErr)
 		}
+	}
+}
+
+// TestFeedEndsWithItsRun pins that a Feed whose session has moved on — to
+// another Open, a Run or Close — panics on Push and Close rather than
+// driving the session's current run, and that the current run is
+// unharmed.
+func TestFeedEndsWithItsRun(t *testing.T) {
+	w := trace.NewB().
+		Op(0, trace.OpInc, nil, trace.Unit{}).
+		Op(1, trace.OpRead, nil, trace.Int(1)).
+		Word()
+	cfg := monitor.Config{N: 2, Logic: monitor.LogicWEC}
+	want, err := monitor.Run(monitor.Config{N: 2, Logic: monitor.LogicWEC, History: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := snap(want)
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+
+	s := monitor.NewSession()
+	defer s.Close()
+	for _, next := range []struct {
+		name string
+		move func()
+	}{
+		{"Open", func() { s.Open(cfg, nil) }},
+		{"Run", func() { s.Run(cfg) }},
+		{"Close", s.Close},
+	} {
+		old := s.Open(cfg, nil)
+		old.Push(w[0])
+		next.move()
+		panics("Push after the session's "+next.name, func() { old.Push(w[1]) })
+		panics("Close after the session's "+next.name, func() { old.Close() })
+	}
+
+	// A stale Feed's attempts leave the live one's run as it was.
+	old := s.Open(cfg, nil)
+	live := s.Open(cfg, nil)
+	live.Push(w[0])
+	panics("a replaced Feed's Push", func() { old.Push(w[1]) })
+	for _, sym := range w[1:] {
+		live.Push(sym)
+	}
+	panics("a replaced Feed's Close", func() { old.Close() })
+	if res, err := live.Close(); err != nil || !reflect.DeepEqual(snap(res), wantSnap) {
+		t.Fatalf("live Feed = %+v, %v; want %+v", snap(res), err, wantSnap)
 	}
 }

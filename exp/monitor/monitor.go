@@ -50,11 +50,14 @@ const (
 	// LogicSC is V_O's sequential-consistency variant (Section 6.2); it
 	// requires Config.Object.
 	LogicSC
-	// LogicWEC is the Figure-5 weak decider for WEC_COUNT (counter
-	// histories: inc/read operations).
+	// LogicWEC is the bare Figure-5 monitor for WEC_COUNT (counter
+	// histories: inc/read operations): a weak-all decider. Table 1's WD and
+	// PWD cells credit it wrapped in the Figure-3 amplification, not bare
+	// (see the package doc).
 	LogicWEC
-	// LogicSEC is the Figure-9 predictive-weak decider for SEC_COUNT
-	// (counter histories).
+	// LogicSEC is the bare Figure-9 monitor for SEC_COUNT (counter
+	// histories). Table 1's PWD cell credits it wrapped in the Figure-3
+	// amplification, not bare (see the package doc).
 	LogicSEC
 	// LogicECLedger is the best-effort eventually-consistent-ledger monitor
 	// (ledger histories: append/get operations). EC_LED is not predictively
@@ -182,18 +185,19 @@ func (cfg *Config) settings() (adversary.ArrayKind, error) {
 	return kind, nil
 }
 
-// source is the adversary source of a replay: it takes the events Run's
-// history or a Stream's caller supplies and checks each against the
+// source is the adversary source of a replay: it holds the events a Feed
+// has taken and the replay has not, and checks each event against the
 // finite-prefix conditions of a monitor's input — a well-formed word over
-// processes 0..n-1 whose counter reads return integers. The first event
-// that fails ends the replay's input and is kept as err. It is the one
-// check of a replayed history.
+// processes 0..n-1 whose counter reads return integers. The first event that
+// fails ends the replay's input and is kept as err. It is the one check of a
+// replayed history.
 type source struct {
-	next    func() (trace.Symbol, bool)
+	arrived trace.Word // taken, checked and not yet pulled: Push's events
+	ended   bool       // Close: no more events
 	n       int
 	counter bool
 	pending []pendingOp // per process: its invocation awaiting a response
-	events  int         // events taken from next
+	events  int         // events taken
 	err     error
 }
 
@@ -205,33 +209,27 @@ type pendingOp struct {
 
 // Next implements the adversary's Source.
 func (s *source) Next() (trace.Symbol, bool) {
-	if s.err != nil {
+	if len(s.arrived) == 0 {
 		return trace.Symbol{}, false
 	}
-	sym, ok := s.next()
-	if !ok {
-		return trace.Symbol{}, false
-	}
-	if s.err = s.check(sym); s.err != nil {
-		return trace.Symbol{}, false
-	}
+	sym := s.arrived[0]
+	s.arrived = s.arrived[1:]
 	return sym, true
 }
 
-// drain takes the rest of the caller's events, checking them while no event
-// has failed yet.
-func (s *source) drain() {
-	for {
-		sym, ok := s.next()
-		if !ok {
-			return
-		}
-		if s.err == nil {
-			s.err = s.check(sym)
-		} else {
-			s.events++
-		}
+// Dry implements the adversary's Arriving: the replay has taken every event
+// so far, and more may come.
+func (s *source) Dry() bool { return !s.ended }
+
+// take checks the next event and reports whether it is good, counting it
+// either way; once one event has failed, no later one is checked.
+func (s *source) take(sym trace.Symbol) bool {
+	if s.err != nil {
+		s.events++
+		return false
 	}
+	s.err = s.check(sym)
+	return s.err == nil
 }
 
 // check validates the next event; its messages name the event's position in
@@ -280,15 +278,21 @@ func (s *source) check(sym trace.Symbol) error {
 // Session is not safe for concurrent use; use one per goroutine.
 type Session struct {
 	s *imonitor.Session
+	// run counts the session's Opens and Closes, so a Feed can tell that
+	// its replay has been replaced.
+	run uint64
 }
 
 // NewSession returns an empty session; resources are allocated lazily on
 // first Run and recycled afterwards.
 func NewSession() *Session { return &Session{s: imonitor.NewSession()} }
 
-// Close releases the pooled resources. The session may be reused after
-// Close; it just loses its warm state.
-func (s *Session) Close() { s.s.Close() }
+// Close releases the pooled resources, ending a replay left open. The
+// session may be reused after Close; it just loses its warm state.
+func (s *Session) Close() {
+	s.run++
+	s.s.Close()
+}
 
 // ErrTruncated reports that a replay hit Config.MaxSteps before the recorded
 // history was fully exhibited: the verdicts cover only a prefix of the
@@ -311,56 +315,51 @@ var ErrTruncated = errors.New("monitor: replay truncated by MaxSteps before the 
 // together with an error wrapping ErrTruncated; Result.Drained reports the
 // same condition (false on a cutoff). All other errors return a nil Result.
 //
-// Run is Stream fed cfg.History, so it checks the history as Stream does,
-// event by event: a history that is not a well-formed word over processes
-// 0..N-1 (with integer counter reads, for the counter logics) fails with an
-// error naming its first bad event.
+// Run is Open followed at once by Close, so it checks the history as a Feed
+// pushed the same events does, event by event: a history that is not a
+// well-formed word over processes 0..N-1 (with integer counter reads, for
+// the counter logics) fails with an error naming its first bad event.
 func (s *Session) Run(cfg Config) (*Result, error) {
-	h := cfg.History
-	cfg.History = nil
-	return s.Stream(cfg, func() (trace.Symbol, bool) {
-		if len(h) == 0 {
-			return trace.Symbol{}, false
-		}
-		sym := h[0]
-		h = h[1:]
-		return sym, true
-	}, nil)
+	return s.Open(cfg, nil).Close()
 }
 
-// Stream replays a history that arrives while the replay runs. next supplies
-// the history one event at a time and returns false at its end; it may
-// block until its next event exists, and the whole replay waits with it.
-// report, when non-nil, receives each verdict as the run reports it: the
-// process, the verdict's index in that process's stream, the verdict, and
-// the step and exhibited-history length that Result.StepAt and
-// Result.HistAt record for it. Stream calls both synchronously, one call at
-// a time, and returns only after the last; the caller's goroutine is the one
-// that blocks.
-//
-// The replay pulls events only as the word-cursor adversary needs them, and
-// makes the same scheduling choices whenever they arrive, so Stream yields
-// the Result Run yields for the same history, and reports that Result's
-// verdicts, each process's in index order. A process's verdict stream is
-// final once the process has exited, which it does only when the history
-// ends: until next returns false, every process may still report.
-//
-// cfg.History must be empty. Unless the rest of cfg is invalid, Stream
-// calls next until it returns false, even after MaxSteps has cut the
-// replay, so a truncated Result reports the whole history's length. Stream
-// checks each event as it arrives; the first event that fails ends the
-// replay's input, no verdict is reported after it, and Stream returns a nil
-// Result and an error naming that event — the error Run returns for the
-// same history. The Result is owned by the session.
-func (s *Session) Stream(cfg Config, next func() (trace.Symbol, bool), report func(proc, index int, v Verdict, step, hist int)) (*Result, error) {
-	if len(cfg.History) > 0 {
-		return nil, errors.New("monitor: Stream reads its history from next; Config.History must be empty")
-	}
+// Feed is a replay whose history is still arriving: Push hands it the next
+// event, and Close ends the history and returns what Run returns. A Feed
+// runs on the Session that opened it and ends at the session's next Open,
+// Run or Close; one that is never closed is simply dropped there, and a
+// Push or Close on it afterwards panics.
+type Feed struct {
+	sess     *Session
+	run      uint64 // sess.run when the Feed was opened
+	src      source
+	maxSteps int
+	res      *Result         // the run's result once it has ended
+	one      [1]trace.Symbol // Push's event, as the replay takes it
+}
+
+// Open starts a replay whose history is cfg.History, which it pushes, and
+// then the events Push hands it. report, when non-nil, receives each
+// verdict as the run reports it, on the caller's goroutine: the process, the
+// verdict's index in that process's stream, the verdict, and the step and
+// exhibited-history length Result.StepAt and Result.HistAt record for it.
+// The replay makes the same scheduling choices however the events are
+// paced, so a Feed reports the verdicts of the Result Run yields for the
+// whole history, each process's in index order; a process's stream is final
+// only once it exits, at Close. An invalid cfg fails the Feed at once, and
+// Close returns the error.
+func (s *Session) Open(cfg Config, report func(proc, index int, v Verdict, step, hist int)) *Feed {
+	s.run++
+	f := &Feed{sess: s, run: s.run, maxSteps: cfg.MaxSteps}
 	kind, err := cfg.settings()
 	if err != nil {
-		return nil, err
+		f.src.err = err
+		return f
 	}
-	src := &source{next: next, n: cfg.N, counter: cfg.counter(), pending: make([]pendingOp, cfg.N)}
+	if f.maxSteps <= 0 {
+		f.maxSteps = DefaultMaxSteps
+	}
+	src := &f.src
+	src.n, src.counter, src.pending = cfg.N, cfg.counter(), make([]pendingOp, cfg.N)
 	adv := s.s.Cursor(cfg.N, src)
 	tau := s.s.Timed(cfg.N, adv, kind)
 	var m imonitor.Monitor
@@ -376,34 +375,75 @@ func (s *Session) Stream(cfg Config, next func() (trace.Symbol, bool), report fu
 	case LogicECLedger:
 		m = imonitor.NewECLed(kind)
 	}
-	var onVerdict func(proc, index int, v Verdict, step, hist int)
-	if report != nil {
-		onVerdict = func(proc, index int, v Verdict, step, hist int) {
-			if src.err == nil {
-				report(proc, index, v, step, hist)
-			}
-		}
-	}
-	res := s.s.Run(imonitor.Config{
+	s.s.Start(imonitor.Config{
 		N:       cfg.N,
 		Monitor: m,
 		NewService: func(rt *sched.Runtime) (adversary.Service, []int) {
 			return tau, []int{adv.Register(rt)}
 		},
 		MaxSteps: cfg.MaxSteps,
-		Report:   onVerdict,
+		Report:   report,
 	})
-	src.drain()
+	f.push(cfg.History)
+	return f
+}
+
+// Push checks the history's next event and runs the replay until it needs
+// an event that has not arrived. The first event that fails the check ends
+// the replay's input: no verdict is reported after it, and Close returns
+// the error naming it. Events after MaxSteps cut the replay are still
+// checked.
+func (f *Feed) Push(sym trace.Symbol) {
+	f.live()
+	f.one[0] = sym
+	f.push(f.one[:])
+}
+
+// live panics if f's session has moved on to another run.
+func (f *Feed) live() {
+	if f.sess.run != f.run {
+		panic("monitor: Feed used after its Session's next Open, Run or Close")
+	}
+}
+
+// push checks events and runs the replay on them, suspending it once
+// however many events it takes.
+func (f *Feed) push(events []trace.Symbol) {
+	good := 0
+	for _, sym := range events {
+		if f.src.take(sym) {
+			good++
+		}
+	}
+	if good == 0 || f.res != nil {
+		return
+	}
+	// The replay takes every arrived event before it suspends, and one
+	// that has ended takes none again, so nothing keeps the caller's slice.
+	f.src.arrived = events[:good]
+	f.res = f.sess.s.Resume()
+	f.src.arrived = nil
+}
+
+// Close ends the history, finishes the replay and returns its Result, which
+// the session owns, as Run does: with an error wrapping ErrTruncated when
+// MaxSteps cut the replay short, or with a nil Result and the error naming
+// the history's first bad event. A truncated Result reports the whole
+// history's length, every event pushed counted.
+func (f *Feed) Close() (*Result, error) {
+	f.live()
+	src := &f.src
+	src.ended = true
 	if src.err != nil {
 		return nil, src.err
 	}
+	if f.res == nil {
+		f.res = f.sess.s.Resume()
+	}
+	res := f.res
 	if !res.Drained {
-		maxSteps := cfg.MaxSteps
-		if maxSteps <= 0 {
-			maxSteps = DefaultMaxSteps
-		}
 		return res, fmt.Errorf("%w: %d of %d history events exhibited in %d steps (MaxSteps %d)",
-			ErrTruncated, len(res.History), src.events, res.Steps, maxSteps)
+			ErrTruncated, len(res.History), src.events, res.Steps, f.maxSteps)
 	}
 	return res, nil
 }

@@ -34,9 +34,14 @@ const (
 // anyway. The test pulls from the source only when the queue is empty, and
 // a re-read follows each of the two events that empty it, so the cursor
 // pulls at exactly the steps a polling scheduler would.
+//
+// An Arriving source can run dry at either pull, the runnable test
+// (sched.Runtime.Dry) and NextInv's read-ahead on a process's coroutine
+// (sched.Runtime.Suspend); the run resumes at the same pull.
 type A struct {
-	n   int
-	src Source
+	n        int
+	src      Source
+	arriving Arriving // src, when its word is still arriving
 	// rt and cursor are the runtime the cursor is registered on and its
 	// actor ID there; rt is nil until Register.
 	rt     *sched.Runtime
@@ -79,6 +84,7 @@ func NewA(n int, src Source) *A {
 // History returned before the Reset is overwritten by the next run.
 func (a *A) Reset(n int, src Source) {
 	a.n, a.src = n, src
+	a.arriving, _ = src.(Arriving)
 	a.rt = nil
 	a.queue, a.head = a.queue[:0], 0
 	a.exhausted = false
@@ -163,7 +169,8 @@ func (a *A) Register(rt *sched.Runtime) int {
 // pull transfers one symbol from the source into the queue; reports whether
 // anything was pulled. Once every process has crashed nothing can be: the
 // source may be infinite, and its symbols would all be skipped, so pull
-// gives up without pulling and without marking the source exhausted.
+// gives up without pulling and without marking the source exhausted, as it
+// does when an arriving source runs dry (see dry).
 func (a *A) pull() bool {
 	for {
 		if a.exhausted || a.live == 0 {
@@ -171,7 +178,7 @@ func (a *A) pull() bool {
 		}
 		s, ok := a.src.Next()
 		if !ok {
-			a.exhausted = true
+			a.exhausted = a.arriving == nil || !a.arriving.Dry()
 			return false
 		}
 		if s.Proc < 0 || s.Proc >= a.n {
@@ -188,8 +195,15 @@ func (a *A) pull() bool {
 	}
 }
 
+// dry reports, after pull found nothing, that the source has run dry: its
+// next symbol has not arrived.
+func (a *A) dry() bool { return !a.exhausted && a.live > 0 }
+
 func (a *A) cursorRunnable() bool {
 	if a.head == len(a.queue) && !a.pull() {
+		if a.dry() {
+			a.rt.Dry()
+		}
 		return false
 	}
 	s := a.queue[a.head]
@@ -226,12 +240,17 @@ func (a *A) cursorStep() {
 
 // NextInv implements Service: it reveals the process's next invocation, which
 // in the model the adversary determines (Line 01's nondeterministic pick is
-// resolved by the behaviour being exhibited).
+// resolved by the behaviour being exhibited). A source that runs dry while
+// NextInv reads ahead suspends the process, which must be the caller.
 func (a *A) NextInv(id int) (trace.Symbol, bool) {
 	for a.handed[id] >= len(a.invs[id]) {
-		if !a.pull() {
+		if a.pull() {
+			continue
+		}
+		if !a.dry() {
 			return trace.Symbol{}, false
 		}
+		a.rt.Suspend(id)
 	}
 	s := a.invs[id][a.handed[id]]
 	a.handed[id]++

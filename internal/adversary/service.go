@@ -61,6 +61,14 @@ type Source interface {
 	Next() (trace.Symbol, bool)
 }
 
+// Arriving is a Source whose word arrives while the run goes on: Dry reports
+// whether Next found no symbol only because the next one has not arrived,
+// and the word-cursor adversary then suspends the run instead of ending it.
+type Arriving interface {
+	Source
+	Dry() bool
+}
+
 // ScriptSource replays a fixed finite word.
 type ScriptSource struct {
 	w   trace.Word

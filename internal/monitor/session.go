@@ -43,9 +43,12 @@ type Session struct {
 	report func(proc, index int, v Verdict, step, hist int)
 
 	// The default loop's crash schedule, and crashAt bound once as the
-	// runtime's before-step hook.
+	// runtime's before-step hook; before and maxSteps are the started run's
+	// hook and step bound.
 	crash     map[int][]int
 	crashHook func(step int)
+	before    func(step int)
+	maxSteps  int
 }
 
 // NewSession returns an empty session; its runtime is created lazily at the
@@ -193,6 +196,17 @@ func grow[T any](s *[][]T, n int) {
 // package-level Run produces for the same Config: the pooled runtime resets
 // to the exact New-runtime state (step counts, actor IDs, schedules).
 func (s *Session) Run(cfg Config) *Result {
+	s.Start(cfg)
+	if cfg.Drive == nil {
+		return s.Resume()
+	}
+	cfg.Drive(s.rt)
+	return s.result()
+}
+
+// Start sets up cfg's run on the pooled runtime, as Run does, without taking
+// a step; Resume takes them. cfg.Drive is ignored.
+func (s *Session) Start(cfg Config) {
 	if s.rt == nil {
 		s.rt = sched.New(cfg.N, nil)
 	} else {
@@ -222,24 +236,36 @@ func (s *Session) Run(cfg Config) *Result {
 		rt.Spawn(i, s.bodies[i])
 	}
 
-	if cfg.Drive != nil {
-		cfg.Drive(rt)
-	} else {
-		maxSteps := cfg.MaxSteps
-		if maxSteps <= 0 {
-			maxSteps = DefaultMaxSteps
-		}
-		var before func(step int)
-		if len(cfg.Crash) > 0 {
-			s.crash = cfg.Crash
-			if s.crashHook == nil {
-				s.crashHook = s.crashAt
-			}
-			before = s.crashHook
-		}
-		s.res.Drained = rt.RunWith(maxSteps, before) < maxSteps
+	s.maxSteps = cfg.MaxSteps
+	if s.maxSteps <= 0 {
+		s.maxSteps = DefaultMaxSteps
 	}
-	s.res.Steps = rt.Steps()
-	s.res.History = svc.History()
+	s.before = nil
+	if len(cfg.Crash) > 0 {
+		s.crash = cfg.Crash
+		if s.crashHook == nil {
+			s.crashHook = s.crashAt
+		}
+		s.before = s.crashHook
+	}
+}
+
+// Resume runs the started execution until it ends, at a stall or at
+// MaxSteps, and returns the session-owned result; or until its service's
+// input runs dry (sched.Runtime.Suspended), when it returns nil and a later
+// Resume goes on from there.
+func (s *Session) Resume() *Result {
+	s.rt.RunWith(s.maxSteps-s.rt.Steps(), s.before)
+	if s.rt.Suspended() {
+		return nil
+	}
+	s.res.Drained = s.rt.Steps() < s.maxSteps
+	return s.result()
+}
+
+// result completes the session-owned result of the run.
+func (s *Session) result() *Result {
+	s.res.Steps = s.rt.Steps()
+	s.res.History = s.svc.History()
 	return &s.res
 }

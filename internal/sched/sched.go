@@ -55,6 +55,11 @@
 // the Runtime.Step or Run that was driving, on the caller's goroutine, with
 // its original value.
 //
+// A run whose input is still arriving can run dry (Runtime.Dry, Suspend):
+// the runtime suspends it without counting a step or asking the Policy, and
+// the next drive retries the same read, so the run takes the same steps
+// however its input is paced.
+//
 // Runtimes are poolable: Reset rewinds a runtime for a fresh execution while
 // reusing its Proc structs, parked process coroutines, and runnable-set
 // buffers, so workloads that run thousands of short executions (the scenario
@@ -251,11 +256,16 @@ type Runtime struct {
 	steps    int
 	// limit and before are the running drive's step limit and before-step
 	// hook; next is the outcome a process hands down the chain when it
-	// yields from park: the process chosen to run next, chooseLimit or
-	// chooseStall.
+	// yields from park or Suspend: the process chosen to run next,
+	// chooseLimit, chooseStall or chooseDry.
 	limit  int
 	before func(step int)
 	next   int
+	// dry flags a runnability read that ran dry; held is the process that
+	// ran dry mid-step (-1: none); suspended says the last drive ended dry.
+	dry       bool
+	held      int
+	suspended bool
 	// trips counts the execution's coroutine round trips (Proc.resume
 	// calls, the unwinding at its end included), rereads the runnability
 	// re-reads refresh makes and noops those that change nothing; halt adds
@@ -304,6 +314,7 @@ func (rt *Runtime) Reset(n int, policy Policy) {
 	rt.steps = 0
 	rt.stopped = false
 	rt.started = false
+	rt.dry, rt.held, rt.suspended = false, -1, false
 	rt.aux = rt.aux[:0]
 	for _, p := range rt.procs[:n] {
 		p.state = stateReady
@@ -430,12 +441,19 @@ func (rt *Runtime) canRun(id int) bool {
 }
 
 // refresh re-reads every woken actor and updates the runnable set. A gate
-// read may wake further actors; they are re-read in the same pass.
-func (rt *Runtime) refresh() {
+// read may wake further actors; they are re-read in the same pass. A dry
+// read stops the pass and reports false, leaving it and the rest woken.
+func (rt *Runtime) refresh() bool {
 	for i := 0; i < len(rt.woken); i++ {
 		id := rt.woken[i]
 		rt.isWoken[id] = false
 		ok := rt.canRun(id)
+		if rt.dry {
+			rt.dry = false
+			rt.isWoken[id] = true
+			rt.woken = append(rt.woken[:0], rt.woken[i:]...)
+			return false
+		}
 		rt.rereads++
 		if ok == rt.in[id] {
 			rt.noops++
@@ -455,18 +473,21 @@ func (rt *Runtime) refresh() {
 		}
 	}
 	rt.woken = rt.woken[:0]
+	return true
 }
 
 // The outcomes of a scheduling choice that schedule nothing.
 const (
 	chooseLimit = -1 // the step count reached the drive's limit
 	chooseStall = -2 // no actor is runnable
+	chooseDry   = -3 // input ran dry: the next drive retries
 )
 
 // choose makes one scheduling choice: unless the step count has reached the
 // limit, it calls the before-step hook, re-reads the woken actors and asks
 // the policy, then counts the step. It returns the chosen actor, or
-// chooseLimit or chooseStall without counting a step.
+// chooseLimit, chooseStall or chooseDry without counting a step. A choice
+// retried after chooseDry calls the hook again for the same step.
 func (rt *Runtime) choose() int {
 	if rt.steps >= rt.limit {
 		return chooseLimit
@@ -474,7 +495,10 @@ func (rt *Runtime) choose() int {
 	if rt.before != nil {
 		rt.before(rt.steps)
 	}
-	rt.refresh()
+	if !rt.refresh() {
+		dryReads.Add(1)
+		return chooseDry
+	}
 	if verifying.Load() {
 		rt.verify()
 	}
@@ -496,18 +520,44 @@ func (rt *Runtime) stepAux(id int) {
 	rt.Wake(id)
 }
 
-// drive schedules steps until the step count reaches limit or no actor is
-// runnable, and reports whether it reached the limit. It resumes the first
-// process chosen; that process and the ones it resumes in turn make every
-// further choice until the outcome yields back down the chain to here. A
-// process that exits hands the choice back to its resumer, drive included.
+// Dry tells the runtime, from an actor's runnable function or gate (which
+// then returns false), that the actor cannot answer until more input
+// arrives. The choice being made is abandoned as at the step limit, and the
+// next drive re-reads the actor first.
+func (rt *Runtime) Dry() { rt.dry = true }
+
+// Suspend parks process id, which ran dry mid-step, on its own coroutine:
+// it yields down the chain of resumers, and the next drive resumes it first,
+// from this call, without a scheduling choice.
+func (rt *Runtime) Suspend(id int) {
+	p := rt.procs[id]
+	rt.held = id
+	rt.next = chooseDry
+	dryProcs.Add(1)
+	p.yield(struct{}{})
+	p.checkStopped()
+}
+
+// Suspended reports whether the last drive ended because input ran dry.
+func (rt *Runtime) Suspended() bool { return rt.suspended }
+
+// drive schedules steps until the step count reaches limit, no actor is
+// runnable or input runs dry, and reports whether it reached the limit. It
+// resumes the held process or else the first process chosen; that process
+// and the ones it resumes in turn make every further choice until the
+// outcome yields back down the chain to here. A process that exits hands
+// the choice back to its resumer, drive included.
 func (rt *Runtime) drive(limit int, before func(step int)) bool {
 	if rt.policy == nil {
 		panic("sched: no policy installed")
 	}
 	rt.started = true
 	rt.limit, rt.before = limit, before
-	id := rt.choose()
+	id := rt.held
+	if id < 0 {
+		id = rt.choose()
+	}
+	rt.held = -1
 	for id >= 0 {
 		if id >= rt.n {
 			rt.stepAux(id)
@@ -523,6 +573,7 @@ func (rt *Runtime) drive(limit int, before func(step int)) bool {
 		rt.Wake(id)
 		id = rt.choose()
 	}
+	rt.suspended = id == chooseDry
 	return id == chooseLimit
 }
 
@@ -552,7 +603,8 @@ func (rt *Runtime) Run(maxSteps int) int { return rt.RunWith(maxSteps, nil) }
 // runs on whichever coroutine makes the choice, and must not call back into
 // Step, Run or RunWith.
 func (rt *Runtime) RunWith(maxSteps int, before func(step int)) int {
-	if maxSteps <= 0 {
+	// A process suspended mid-step finishes its step even at the limit.
+	if maxSteps <= 0 && rt.held < 0 {
 		return 0
 	}
 	start := rt.steps
@@ -591,6 +643,10 @@ func (rt *Runtime) halt() {
 // hand-over and of refresh measured over a whole workload. Tests read it;
 // nothing else does.
 var tally struct{ trips, rereads, noops, steps atomic.Int64 }
+
+// dryReads and dryProcs count every runtime's suspensions at a dry read and
+// mid-step. Tests read them; nothing else does.
+var dryReads, dryProcs atomic.Int64
 
 // Stop ends every process coroutine; when it returns none is left running.
 // The runtime cannot be used (or Reset) afterwards. Safe to call multiple

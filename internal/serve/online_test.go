@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,7 +463,7 @@ func TestServeMetaProcsBound(t *testing.T) {
 
 // FuzzServeConn serves arbitrary request bytes once on a fresh server and
 // then twice on one warm server, whose later connections take its pooled
-// sessions and recycled history buffers. ServeConn must return each time,
+// sessions. ServeConn must return each time,
 // nothing may panic, each stream's lines and the connection-level lines
 // must be the same in all three transcripts (settledLines), and once both
 // servers shut down no goroutine may be left. The seeds are the committed
@@ -558,4 +559,134 @@ func settledLines(t *testing.T, raw []byte) map[string][]string {
 		out[id] = kept
 	}
 	return out
+}
+
+// TestIdleStreamsHoldNoGoroutine opens K streams with meta n and one symbol
+// each, and leaves them open. A stream's replay is suspended in its
+// session, which holds n process coroutines, so the K streams must add
+// exactly K·n goroutines to the connection's: none is a replay of its own.
+func TestIdleStreamsHoldNoGoroutine(t *testing.T) {
+	const k = 50
+	for n := 1; n <= 3; n++ {
+		srv := New(Config{})
+		inR, inW := io.Pipe()
+		outR, outW := io.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			err := srv.ServeConn(rw{inR, outW})
+			outW.Close()
+			served <- err
+		}()
+		lines := lineReader(outR)
+		if _, err := inW.Write(request(t)); err != nil {
+			t.Fatal(err)
+		}
+		<-lines // the handshake's ack: the reader and the writer are running
+		base := runtime.NumGoroutine()
+
+		var msgs []Request
+		for i := 0; i < k; i++ {
+			id := fmt.Sprintf("idle%d", i)
+			msgs = append(msgs, streamRequest(t, Open{Stream: id, Logic: "lin", Object: "queue"}, n, queueWord()[:1])[:3]...)
+		}
+		// Its ack leaves once the reader has taken every line before it.
+		msgs = append(msgs, Request{Open: &Open{Stream: "last", Logic: "wec"}})
+		req := request(t, msgs...)
+		if _, err := inW.Write(req[bytes.IndexByte(req, '\n')+1:]); err != nil {
+			t.Fatal(err)
+		}
+		for l := range lines {
+			if strings.HasPrefix(l, `{"opened":{"stream":"last"`) {
+				break
+			}
+		}
+		added := 0
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if added = runtime.NumGoroutine() - base; added == k*n || time.Now().After(deadline) {
+				break
+			}
+		}
+		if added != k*n {
+			t.Errorf("n = %d: %d idle streams added %d goroutines, want %d", n, k, added, k*n)
+		}
+		inW.Close()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUnreadResponsesStallTheReader pins the protocol's flow control: a
+// connection's reader replays its streams and queues process 0's verdicts
+// as they are reported, so a client that sends a long stream without
+// reading its responses stalls the connection once the outbound queue is
+// full — the server takes no more of its input — and the client must read
+// while it is still sending, as drvserve -send does. Once the client reads,
+// the stream completes with the batch replay's lines.
+func TestUnreadResponsesStallTheReader(t *testing.T) {
+	b := trace.NewB()
+	for i := 0; i < 100; i++ {
+		b.Op(0, "enq", trace.Int(int64(i)), trace.Unit{}).Op(1, "deq", nil, trace.Int(int64(i)))
+	}
+	w := b.Word()
+	open := Open{Stream: "unread", Logic: "lin", Object: "queue"}
+	want := batchLines(t, open, 2, w)
+
+	srv := New(Config{WriteDepth: 1})
+	defer srv.Shutdown(context.Background())
+	inR, inW := io.Pipe()
+	defer inW.Close() // a failed test still lets ServeConn, then Shutdown, return
+	outR, outW := io.Pipe()
+	defer outR.Close()
+	served := make(chan error, 1)
+	go func() {
+		err := srv.ServeConn(rw{inR, outW})
+		outW.Close()
+		served <- err
+	}()
+	req := request(t, streamRequest(t, open, 2, w)...)
+	reqLines := bytes.SplitAfter(req[:len(req)-1], []byte("\n"))
+	var sent atomic.Int64
+	sending := make(chan error, 1)
+	go func() {
+		for _, l := range reqLines {
+			if _, err := inW.Write(l); err != nil {
+				sending <- err
+				return
+			}
+			sent.Add(1)
+		}
+		sending <- nil
+	}()
+
+	select {
+	case err := <-sending:
+		t.Fatalf("the server took all %d request lines while no response was read (%v)", len(reqLines), err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if n := sent.Load(); n >= int64(len(reqLines)) {
+		t.Fatalf("the server took %d of %d request lines while no response was read", n, len(reqLines))
+	}
+
+	lines := lineReader(outR)
+	if err := <-sending; err != nil {
+		t.Fatal(err)
+	}
+	inW.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for l := range lines {
+		got = append(got, l)
+	}
+	if len(got) == 0 || !strings.HasPrefix(got[0], `{"config":`) {
+		t.Fatalf("responses %q do not start with the handshake's ack", got)
+	}
+	if g, w := strings.Join(got[1:], ""), strings.Join(want, ""); g != w {
+		t.Fatalf("served lines differ from the batch replay's:\n--- served ---\n%s--- batch ---\n%s", g, w)
+	}
 }

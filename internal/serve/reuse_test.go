@@ -71,14 +71,14 @@ func (r recycled) want(t *testing.T, got []string) []string {
 	return append(want, string(appendResponse(nil, Response{Error: &StreamError{Stream: r.open.Stream, Msg: err.Error()}})))
 }
 
-// TestHistoryRecyclingIsSafe serves, on one warm server, each way a replay
-// can hand its history buffer back — a reopened id, a history the replay
-// refuses mid-run (whose error re-run reads the whole buffer), a stream
-// abandoned at EOF and a stream longer than maxPooledHist — each followed by
-// streams that take the pooled buffers. Every stream's lines must equal its
-// lines from a fresh server and its batch replay's, and every pooled buffer
-// must be empty, zeroed up to its capacity and within maxPooledHist.
-func TestHistoryRecyclingIsSafe(t *testing.T) {
+// TestSessionRecyclingIsSafe serves, on one warm server, each way a replay
+// can hand its session back — a reopened id, a history the replay refuses
+// mid-run, a stream abandoned at EOF, whose suspended replay the next
+// stream's Open drops, and a long stream — each followed by streams that
+// take the pooled sessions. Every stream's lines must equal its lines from
+// a fresh server and its batch replay's, and the warm server must have
+// pooled sessions to hand on.
+func TestSessionRecyclingIsSafe(t *testing.T) {
 	queue := func(id string, seed int64) recycled {
 		rng := rand.New(rand.NewSource(seed))
 		return recycled{Open{Stream: id, Logic: "lin", Object: "queue"}, 3, randomHistory(rng, 3, 20+rng.Intn(30), false), true}
@@ -102,7 +102,7 @@ func TestHistoryRecyclingIsSafe(t *testing.T) {
 		{"reopened id", []recycled{queue("a", 1), queue("a", 2), wec("a", 25, -1), queue("b", 3)}},
 		{"refused mid-replay", []recycled{wec("bad", 40, 20), queue("q", 4), wec("bad", 40, 3), over}},
 		{"abandoned at EOF", []recycled{queue("q", 5), abandoned}},
-		{"longer than the cap", []recycled{wec("long", maxPooledHist/2+50, -1), queue("q", 6)}},
+		{"long", []recycled{wec("long", 2098, -1), queue("q", 6)}},
 	}
 
 	warm := New(Config{})
@@ -123,9 +123,9 @@ func TestHistoryRecyclingIsSafe(t *testing.T) {
 			if err := warm.ServeConn(rw{bytes.NewReader(req), &out}); err != nil {
 				t.Fatal(err)
 			}
-			// Before the fresh server's run: a garbage collection empties
-			// the pool.
-			pooled += checkPooledHistories(t, warm)
+			warm.mu.Lock()
+			pooled += len(warm.idle)
+			warm.mu.Unlock()
 			connSettle(t)
 			got, fresh := byStream(t, out.Bytes()), byStream(t, serveOnce(t, Config{}, req))
 			ids := map[string][]recycled{}
@@ -152,7 +152,7 @@ func TestHistoryRecyclingIsSafe(t *testing.T) {
 		}
 	}
 	if pooled == 0 {
-		t.Fatal("no history buffer was ever pooled")
+		t.Fatal("no session was ever pooled")
 	}
 }
 
@@ -165,31 +165,4 @@ func nextRun(lines []string) int {
 		}
 	}
 	return len(lines)
-}
-
-// checkPooledHistories takes every buffer from the server's history pool,
-// checks that each is empty, zeroed up to its capacity and within
-// maxPooledHist, puts them back and returns how many there were.
-func checkPooledHistories(t *testing.T, srv *Server) int {
-	t.Helper()
-	var all []*trace.Word
-	for {
-		h, ok := srv.hists.Get().(*trace.Word)
-		if !ok {
-			break
-		}
-		all = append(all, h)
-	}
-	for _, h := range all {
-		if len(*h) != 0 || cap(*h) > maxPooledHist {
-			t.Fatalf("pooled history buffer has length %d and capacity %d, want 0 and at most %d", len(*h), cap(*h), maxPooledHist)
-		}
-		for i, sym := range (*h)[:cap(*h)] {
-			if sym.Proc != 0 || sym.Kind != 0 || sym.Op != "" || sym.Val != nil {
-				t.Fatalf("pooled history buffer keeps symbol %d: %v", i, sym)
-			}
-		}
-		srv.hists.Put(h)
-	}
-	return len(all)
 }

@@ -9,27 +9,35 @@
 // message set. encoding/json defines the line format, but the two lines that
 // dominate the traffic — a history symbol in, a verdict or done line out —
 // are parsed and written by hand (wire.go), to the same bytes and values.
-// Neither makes a heap object per line: a symbol line decodes straight onto
-// its stream's history, verdicts travel to the writer by value, and the
-// server pools history buffers, the lines a replay sends at close and the
-// connections' read buffers. A connection's responses are flushed whenever
-// its outbound queue runs empty, not once per line.
+// Neither makes a heap object per line: a symbol line decodes straight into
+// its stream's replay, verdicts travel to the writer by value, and the
+// server pools the lines a replay sends at close and the connections' read
+// buffers. A connection's responses are flushed whenever its outbound queue
+// runs empty, not once per line.
 //
-// Each stream's replay starts at its first symbol, on a goroutine holding a
-// pooled exp/monitor.Session, and blocks whenever it has consumed every
-// event received so far; close ends its input. The replay makes the batch
+// A connection's reader runs its streams' replays itself, so a connection's
+// streams are replayed one at a time, on one CPU. Each stream's replay
+// starts at its first symbol, as an exp/monitor.Feed on a pooled Session.
+// The reader pushes each symbol into it as it reads it, and the replay runs
+// until it needs an event that has not arrived. It then stays suspended,
+// holding its session's process coroutines and no goroutine of its own,
+// until the next push; close ends its input. The replay makes the batch
 // replay's scheduling choices whatever the pacing, so a stream's lines keep
-// the batch order — every verdict in (proc, index) order, then done — and a
-// line leaves as soon as every line before it is final. Process 0's
-// verdicts therefore leave as the replay reports them; a later process's
+// the batch order — every verdict in (proc, index) order, then done.
+// Process 0's verdicts leave as the replay reports them; a later process's
 // stream is final only once it exits, at the end of the history, so its
-// lines and done leave at close.
+// lines and done leave at close. The reader queues every line in input
+// order, so the lines of a reopened id follow the earlier run's.
 //
-// Backpressure is bounded queues end to end: per-connection outbound queues
-// (a slow reader stalls only the replays of its own streams) and a
-// per-stream event cap (a stream cannot buffer an unbounded history), and a
-// stream's meta n is bounded by MaxProcs. Shutdown drains: closed streams'
-// replays finish and their verdicts are delivered before the server stops.
+// Backpressure is bounded queues end to end: a per-connection outbound
+// queue (a slow client stalls its own connection's reader, and so its
+// replays, and no other connection) and a per-stream event cap, and a
+// stream's meta n is bounded by MaxProcs. A client must therefore read
+// responses while it is still sending: the reader queues process 0's
+// verdicts as they are reported, and once the queue and the transport's
+// buffers are full it takes no more input until the client reads. Shutdown
+// drains: each connection's reader finishes its input, closed streams'
+// verdicts are delivered, and then the server stops.
 //
 // Served verdict streams inherit the replay determinism contract: the same
 // input stream yields byte-identical response lines, regardless of how the
@@ -62,7 +70,7 @@ import (
 const (
 	// DefaultWriteDepth bounds each connection's outbound response queue.
 	DefaultWriteDepth = 64
-	// DefaultMaxStreamEvents bounds the history one stream may buffer.
+	// DefaultMaxStreamEvents bounds the history one stream may send.
 	DefaultMaxStreamEvents = 1 << 20
 )
 
@@ -77,12 +85,6 @@ const MaxProcs = 256
 // extra sessions instead of holding them.
 const maxIdleSessions = 64
 
-// maxPooledHist bounds the capacity, in symbols, of the history buffers a
-// server keeps for later streams: a buffer one long stream grew past it is
-// left to the garbage collector, so a 2²⁰-event stream cannot pin about
-// 48 MB for the server's lifetime.
-const maxPooledHist = 4096
-
 // maxPooledLines bounds the capacity, in bytes, of the line buffers a
 // server keeps for the lines replays encode at close.
 const maxPooledLines = 64 << 10
@@ -93,7 +95,7 @@ type Config struct {
 	// means DefaultWriteDepth.
 	WriteDepth int
 	// MaxStreamEvents bounds the number of history events one stream may
-	// buffer before it is failed; zero means DefaultMaxStreamEvents.
+	// send before it is failed; zero means DefaultMaxStreamEvents.
 	MaxStreamEvents int
 }
 
@@ -125,10 +127,8 @@ type Server struct {
 	// reuse warm; Shutdown closes them.
 	idle []*monitor.Session
 
-	// hists holds empty history buffers (*trace.Word), zeroed up to their
-	// capacity; lines holds empty line buffers (*[]byte), and reads the
-	// connections' initial read buffers (*[]byte).
-	hists sync.Pool
+	// lines holds empty line buffers (*[]byte), and reads the connections'
+	// initial read buffers (*[]byte).
 	lines sync.Pool
 	reads sync.Pool
 }
@@ -154,9 +154,9 @@ func (s *Server) session() *monitor.Session {
 	return monitor.NewSession()
 }
 
-// release returns a session whose replay is done. A closing server, or one
-// already holding maxIdleSessions, closes it instead: an idle session keeps
-// its parked process coroutines.
+// release returns a session whose replay is done or dropped. A closing
+// server, or one already holding maxIdleSessions, closes it instead: an idle
+// session keeps its parked process coroutines.
 func (s *Server) release(sess *monitor.Session) {
 	s.mu.Lock()
 	if !s.closing && len(s.idle) < maxIdleSessions {
@@ -166,26 +166,6 @@ func (s *Server) release(sess *monitor.Session) {
 	}
 	s.mu.Unlock()
 	sess.Close()
-}
-
-// history takes an empty history buffer, or nil when none is pooled.
-func (s *Server) history() trace.Word {
-	if h, ok := s.hists.Get().(*trace.Word); ok {
-		return *h
-	}
-	return nil
-}
-
-// recycle pools a history buffer nothing reads any more, cleared so that it
-// holds no symbol's strings and values alive. One above maxPooledHist is
-// dropped.
-func (s *Server) recycle(h trace.Word) {
-	if cap(h) == 0 || cap(h) > maxPooledHist {
-		return
-	}
-	clear(h)
-	h = h[:0]
-	s.hists.Put(&h)
 }
 
 // lineBuf takes an empty line buffer.
@@ -270,15 +250,14 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 		srv:     s,
 		out:     make(chan outLine, s.cfg.WriteDepth),
 		streams: map[string]*stream{},
-		tails:   map[string]chan struct{}{},
 	}
 
-	// The writer goroutine serializes all response lines — the reader's acks
-	// and the replays' verdicts — and flushes whenever the queue runs empty:
-	// a burst of lines leaves in as few writes as the buffer allows, and no
-	// line waits while the queue is idle, so clients see verdicts as they
-	// are produced. On a transport error it keeps draining (discarding) so
-	// no replay blocks on a dead connection.
+	// The writer goroutine writes the reader's lines in queue order and
+	// flushes whenever the queue runs empty: a burst of lines leaves in as
+	// few writes as the buffer allows, and no line waits while the queue is
+	// idle, so clients see verdicts as they are produced. On a transport
+	// error it keeps draining (discarding) so the reader never blocks on a
+	// dead connection.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -311,14 +290,11 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 	}()
 
 	err := c.read(rw)
-	// Streams still open have no more input: their replays end at once and
-	// send nothing more. Closed streams' replays finish and deliver.
+	// Streams still open have no more input: their replays are dropped and
+	// send nothing more.
 	for _, st := range c.streams {
-		if st.running {
-			st.end(true)
-		}
+		c.drop(st)
 	}
-	c.pending.Wait()
 	close(c.out)
 	<-writerDone
 	if errors.Is(err, errConnFatal) {
@@ -329,11 +305,10 @@ func (s *Server) serveConn(rw io.ReadWriter) error {
 }
 
 // Shutdown stops the server gracefully: it stops accepting, waits for every
-// connection to finish (their closed streams' replays drain and deliver),
-// then closes the idle sessions. If ctx expires first, remaining
-// connections are force-closed — their closed streams' replays still
-// finish, but undelivered responses are discarded — and ctx's error is
-// returned.
+// connection to finish (their readers take the rest of their input, and
+// closed streams' verdicts are delivered), then closes the idle sessions. If
+// ctx expires first, remaining connections are force-closed — their
+// undelivered responses are discarded — and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -373,20 +348,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// conn is the per-connection state: the protocol reader's stream table, the
-// shared outbound queue, and per stream id the line that must leave before
-// the id's next one.
+// conn is the per-connection state: the protocol reader's stream table and
+// the outbound queue.
 type conn struct {
-	srv *Server
-	out chan outLine
-	// pending counts the replays and deferred lines not yet delivered.
-	pending sync.WaitGroup
-	streams map[string]*stream // reader-owned: the open streams by id
-
-	mu sync.Mutex
-	// tails maps a stream id to a channel closed once every line queued
-	// for the id so far has left; ids with nothing queued have no entry.
-	tails map[string]chan struct{}
+	srv     *Server
+	out     chan outLine
+	streams map[string]*stream // the open streams by id
 }
 
 // outLine is one element of a connection's outbound queue, passed by value:
@@ -398,94 +365,62 @@ type outLine struct {
 	verdict VerdictEvent
 }
 
-// send writes a line about stream id. While an earlier line of the id is
-// still queued — an earlier run's replay is still sending — the line waits
-// behind it on its own goroutine, so a client reusing an id can tell which
-// run each line belongs to. Otherwise it is written at once.
-func (c *conn) send(id string, resp Response) {
-	c.mu.Lock()
-	prev := c.tails[id]
-	if prev == nil {
-		c.mu.Unlock()
-		c.out <- outLine{resp: resp}
-		return
-	}
-	done := make(chan struct{})
-	c.tails[id] = done
-	c.mu.Unlock()
-	c.pending.Add(1)
-	go func() {
-		defer c.pending.Done()
-		<-prev
-		c.out <- outLine{resp: resp}
-		c.settle(id, done)
-	}()
+// stream is one opening of a stream id: its monitor selection and, from its
+// first symbol (or its close, if it has none), its replay.
+type stream struct {
+	id     string
+	open   Open
+	logic  monitor.Logic
+	object trace.Object
+	array  monitor.Array
+	meta   *trace.Meta
+	failed bool
+	events int // symbols received
+
+	sess *monitor.Session
+	feed *monitor.Feed
 }
 
-// settle marks the id's line or run whose queue slot is done as delivered.
-func (c *conn) settle(id string, done chan struct{}) {
-	c.mu.Lock()
-	if c.tails[id] == done {
-		delete(c.tails, id)
-	}
-	c.mu.Unlock()
-	close(done)
-}
-
-// start launches st's replay, queued behind every line of its id sent so
-// far.
+// start opens st's replay on a pooled session.
 func (c *conn) start(st *stream) {
-	st.running = true
-	st.hist = c.srv.history()
-	st.done = make(chan struct{})
-	c.mu.Lock()
-	st.turn = c.tails[st.id]
-	c.tails[st.id] = st.done
-	c.mu.Unlock()
-	c.pending.Add(1)
-	go c.replay(st)
-}
-
-// replay runs st's replay as its events arrive and sends its lines: every
-// verdict in (proc, index) order, then the done summary — a deterministic
-// byte sequence for a given input. Process 0's verdicts leave as they are
-// reported; the rest follow once the history has ended. A replay cut by the
-// stream's MaxSteps still delivers its partial verdicts, flagged Truncated;
-// any other replay error becomes a stream-level error line at close.
-func (c *conn) replay(st *stream) {
-	defer c.pending.Done()
-	defer func() {
-		st.await()
-		c.settle(st.id, st.done)
-	}()
-	defer func() { c.srv.recycle(st.detach()) }()
-	sess := c.srv.session()
-	defer c.srv.release(sess)
-
-	cfg := monitor.Config{
+	st.sess = c.srv.session()
+	st.feed = st.sess.Open(monitor.Config{
 		N:        st.meta.N,
 		Object:   st.object,
 		Logic:    st.logic,
 		Array:    st.array,
 		MaxSteps: st.open.MaxSteps,
-	}
-	res, err := sess.Stream(cfg, st.next, func(proc, index int, v monitor.Verdict, step, hist int) {
+	}, func(proc, index int, v monitor.Verdict, step, hist int) {
 		if proc == 0 {
-			c.emit(st, outLine{verdict: VerdictEvent{
+			c.out <- outLine{verdict: VerdictEvent{
 				Stream: st.id, Proc: proc, Index: index, Verdict: v.String(), Step: step, Hist: hist,
-			}})
+			}}
 		}
 	})
+}
+
+// drop ends st's replay, if it has one, without finishing it: its session
+// goes back to the server, and the stream sends nothing more.
+func (c *conn) drop(st *stream) {
+	if st.sess != nil {
+		c.srv.release(st.sess)
+		st.sess, st.feed = nil, nil
+	}
+}
+
+// finish closes st's replay and sends its remaining lines: every verdict
+// after process 0's in (proc, index) order, then the done summary — a
+// deterministic byte sequence for a given input. A replay cut by the
+// stream's MaxSteps still delivers its partial verdicts, flagged Truncated;
+// any other replay error becomes a stream-level error line, the one
+// exp/monitor.Run gives for the history, which names its first bad event.
+func (c *conn) finish(st *stream) {
+	res, err := st.feed.Close()
+	defer c.drop(st)
 	truncated := false
 	if err != nil {
 		if !errors.Is(err, monitor.ErrTruncated) || res == nil {
-			// The error line leaves at the end of the input, whatever the
-			// pacing. It is Stream's, which names the history's first bad
-			// event, as Run does.
-			if !st.wait() {
-				return
-			}
-			c.emit(st, outLine{resp: Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}}})
+			c.out <- outLine{resp: Response{Error: &StreamError{Stream: st.id, Msg: err.Error()}}}
 			return
 		}
 		truncated = true
@@ -515,132 +450,7 @@ func (c *conn) replay(st *stream) {
 		NO:        no,
 		Truncated: truncated,
 	}})
-	c.emit(st, outLine{batch: buf})
-}
-
-// emit sends one of st's lines from its replay, once every earlier line of
-// the id has left; an abandoned stream's lines are dropped.
-func (c *conn) emit(st *stream, l outLine) {
-	st.await()
-	if st.abandoned() {
-		if l.batch != nil {
-			c.srv.releaseLines(l.batch)
-		}
-		return
-	}
-	c.out <- l
-}
-
-// stream is one opening of a stream id: its monitor selection and the
-// history received so far under the trace-format discipline. From its first
-// symbol (or its close, if it has none) a replay goroutine consumes the
-// history as it grows.
-type stream struct {
-	id      string
-	open    Open
-	logic   monitor.Logic
-	object  trace.Object
-	array   monitor.Array
-	meta    *trace.Meta
-	failed  bool
-	running bool // the replay has started
-
-	// turn is closed once every earlier line of the id has left (nil: none
-	// was pending when the replay started); done is closed once the
-	// replay's own lines have. waited is replay-owned: turn has closed.
-	turn   <-chan struct{}
-	done   chan struct{}
-	waited bool
-
-	// Shared between the reader, which appends and ends, and the replay,
-	// which consumes.
-	mu    sync.Mutex
-	more  *sync.Cond // signalled on every append and at the end
-	hist  trace.Word // every symbol received, in order: a pooled buffer from start to detach
-	read  int        // how many of hist the replay has taken
-	ended bool       // no more input: the stream closed, failed or was cut off
-	quiet bool       // the stream failed or was abandoned: send nothing more
-}
-
-func newStream(id string) *stream {
-	st := &stream{id: id}
-	st.more = sync.NewCond(&st.mu)
-	return st
-}
-
-// push appends a received symbol, waking the replay if it waits for one.
-func (st *stream) push(sym trace.Symbol) {
-	st.mu.Lock()
-	st.hist = append(st.hist, sym)
-	st.mu.Unlock()
-	st.more.Signal()
-}
-
-// end ends the stream's input; quiet also drops every line the replay has
-// not sent yet.
-func (st *stream) end(quiet bool) {
-	st.mu.Lock()
-	st.ended = true
-	st.quiet = st.quiet || quiet
-	st.mu.Unlock()
-	st.more.Signal()
-}
-
-// next is the replay's event supply: it blocks until a symbol the replay
-// has not taken arrives, and reports false once the input has ended — at
-// once, buffered symbols or not, for an abandoned stream.
-func (st *stream) next() (trace.Symbol, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.read == len(st.hist) && !st.ended {
-		st.more.Wait()
-	}
-	if st.read == len(st.hist) || st.quiet {
-		return trace.Symbol{}, false
-	}
-	sym := st.hist[st.read]
-	st.read++
-	return sym, true
-}
-
-// wait blocks until the input has ended and reports whether the stream's
-// lines are still wanted.
-func (st *stream) wait() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for !st.ended {
-		st.more.Wait()
-	}
-	return !st.quiet
-}
-
-// detach takes the history buffer from the stream once the replay is done
-// with it. It waits for the input to end, after which the reader appends
-// nothing more.
-func (st *stream) detach() trace.Word {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for !st.ended {
-		st.more.Wait()
-	}
-	h := st.hist
-	st.hist = nil
-	return h
-}
-
-// abandoned reports whether the stream's remaining lines are dropped.
-func (st *stream) abandoned() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.quiet
-}
-
-// await blocks the replay until every earlier line of the id has left.
-func (st *stream) await() {
-	if !st.waited && st.turn != nil {
-		<-st.turn
-	}
-	st.waited = true
+	c.out <- outLine{batch: buf}
 }
 
 // errConnFatal marks protocol failures that were already reported in-band.
@@ -717,14 +527,14 @@ func (c *conn) fatal(line int, msg string) error {
 }
 
 // fail reports a stream-level error and marks the stream dead: its replay,
-// if running, ends its input and sends nothing more; its further input is
-// discarded (no error flood), its close is swallowed, and its id may be
-// reopened. The error line follows every line the replay has sent.
+// if any, is dropped and sends nothing more; its further input is discarded
+// (no error flood), its close is swallowed, and its id may be reopened. The
+// error line follows every line the replay has sent.
 func (c *conn) fail(id string, line int, msg string) {
-	if st := c.streams[id]; st != nil && st.running {
-		st.end(true)
+	if st := c.streams[id]; st != nil {
+		c.drop(st)
 	}
-	c.send(id, Response{Error: &StreamError{Stream: id, Line: line, Msg: msg}})
+	c.out <- outLine{resp: Response{Error: &StreamError{Stream: id, Line: line, Msg: msg}}}
 	c.streams[id] = &stream{failed: true}
 }
 
@@ -752,10 +562,8 @@ func (c *conn) handleOpen(line int, o *Open) {
 		c.fail(o.Stream, line, err.Error())
 		return
 	}
-	st := newStream(o.Stream)
-	st.open, st.logic, st.object, st.array = *o, logic, object, array
-	c.streams[o.Stream] = st
-	c.send(o.Stream, Response{Opened: &Opened{Stream: o.Stream}})
+	c.streams[o.Stream] = &stream{id: o.Stream, open: *o, logic: logic, object: object, array: array}
+	c.out <- outLine{resp: Response{Opened: &Opened{Stream: o.Stream}}}
 }
 
 func (c *conn) handleEvent(line int, ev *StreamEvent) {
@@ -792,7 +600,7 @@ func (c *conn) handleEvent(line int, ev *StreamEvent) {
 			c.fail(ev.Stream, line, "symbol line before the stream's meta header")
 			return
 		}
-		if len(st.hist) >= c.srv.cfg.MaxStreamEvents {
+		if st.events >= c.srv.cfg.MaxStreamEvents {
 			c.fail(ev.Stream, line, fmt.Sprintf("stream exceeds the %d-event bound", c.srv.cfg.MaxStreamEvents))
 			return
 		}
@@ -809,8 +617,8 @@ func (c *conn) handleEvent(line int, ev *StreamEvent) {
 	}
 }
 
-// pushSymbol takes a canonical symbol line straight onto its stream's
-// history, and reports whether it did. It declines the line unless the
+// pushSymbol pushes a canonical symbol line straight into its stream's
+// replay, and reports whether it did. It declines the line unless the
 // stream is open, live, has its meta header and is under its event cap:
 // such a line is decoded whole, and handleEvent gives it its error.
 func (c *conn) pushSymbol(raw []byte) bool {
@@ -819,20 +627,21 @@ func (c *conn) pushSymbol(raw []byte) bool {
 		return false
 	}
 	st := c.streams[string(id)]
-	if st == nil || st.failed || st.meta == nil || len(st.hist) >= c.srv.cfg.MaxStreamEvents {
+	if st == nil || st.failed || st.meta == nil || st.events >= c.srv.cfg.MaxStreamEvents {
 		return false
 	}
 	c.symbol(st, sym)
 	return true
 }
 
-// symbol appends sym to st's history, starting the replay at its first
-// symbol.
+// symbol pushes sym into st's replay, starting the replay at the stream's
+// first symbol.
 func (c *conn) symbol(st *stream, sym trace.Symbol) {
-	if !st.running {
+	if st.feed == nil {
 		c.start(st)
 	}
-	st.push(sym)
+	st.events++
+	st.feed.Push(sym)
 }
 
 func (c *conn) handleClose(line int, cl *CloseStream) {
@@ -842,18 +651,18 @@ func (c *conn) handleClose(line int, cl *CloseStream) {
 		delete(c.streams, cl.Stream)
 		return
 	}
-	delete(c.streams, cl.Stream) // the id may be reopened; its lines stay ordered
+	delete(c.streams, cl.Stream) // the id may be reopened
 	if st.failed {
 		return
 	}
 	if st.meta == nil {
-		c.send(cl.Stream, Response{Error: &StreamError{Stream: cl.Stream, Line: line, Msg: "stream closed without a meta header"}})
+		c.out <- outLine{resp: Response{Error: &StreamError{Stream: cl.Stream, Line: line, Msg: "stream closed without a meta header"}}}
 		return
 	}
-	if !st.running {
+	if st.feed == nil {
 		c.start(st)
 	}
-	st.end(false)
+	c.finish(st)
 }
 
 // objects are the sequential specifications a stream may name, by Name().

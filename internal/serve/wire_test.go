@@ -206,16 +206,18 @@ func FuzzAppendResponse(f *testing.F) {
 const canonicalSymLine = `{"event":{"stream":"chan_queue","kind":"sym","proc":2,"sym":"res","op":"deq","val":{"t":"int","int":-1}}}`
 
 // TestDecodeEventLineAllocs gates the reader's straight path for a symbol
-// line — decode, stream lookup, push onto a history with room — at one
-// allocation on the canonical line, which boxes the Int(-1) value, and at
-// none for a line with no value, a unit value or an int in 0–255, which the
-// runtime boxes without allocating. json.Unmarshal takes 16 on the
-// canonical line.
+// line — decode, stream lookup, and the push into the stream's Feed up to
+// its event check — at one allocation on the canonical line, which boxes
+// the Int(-1) value, and at none for a line with no value, a unit value or
+// an int in 0–255, which the runtime boxes without allocating.
+// json.Unmarshal takes 16 on the canonical line. The canonical line, a
+// response with no pending invocation, fails the check, so the replay
+// never runs here; BenchmarkServeConn measures it.
 func TestDecodeEventLineAllocs(t *testing.T) {
 	c := &conn{srv: New(Config{}), streams: map[string]*stream{}}
-	st := newStream("chan_queue")
-	st.meta, st.running = &trace.Meta{N: 3}, true
-	st.hist = make(trace.Word, 0, 1)
+	st := &stream{id: "chan_queue", logic: monitor.LogicLin, object: trace.Queue(), meta: &trace.Meta{N: 3}}
+	c.start(st)
+	defer st.sess.Close()
 	c.streams[st.id] = st
 	for _, tc := range []struct {
 		line   string
@@ -231,7 +233,6 @@ func TestDecodeEventLineAllocs(t *testing.T) {
 			if !c.pushSymbol(raw) {
 				t.Fatalf("straight path declined %s", raw)
 			}
-			st.hist = st.hist[:0]
 		})
 		if allocs > tc.budget {
 			t.Fatalf("pushing %s takes %v allocations, budget %v", raw, allocs, tc.budget)
